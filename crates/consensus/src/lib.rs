@@ -9,7 +9,10 @@
 //! suspicion-driven rounds, `DECISION` tag dissemination).
 //!
 //! See [`ConsensusModule`] for the algorithm description and
-//! [`msg::ConsensusMsg`] for the wire vocabulary.
+//! [`msg::ConsensusMsg`] for the wire vocabulary. Crash-recovery (durable
+//! votes, rejoin), log compaction and snapshot state transfer are not
+//! this crate's: the module hosts the [`fortika_net::replica`] core both
+//! stacks share — its module docs describe that protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,4 +21,4 @@ mod module;
 pub mod msg;
 
 pub use module::{ConsensusConfig, ConsensusModule, CONSENSUS_MODULE_ID, DECISION_STREAM};
-pub use msg::{coordinator, ConsensusMsg, DecisionNotice, VoteRecord};
+pub use msg::{ConsensusMsg, DecisionNotice, REPLICA_NAMES};

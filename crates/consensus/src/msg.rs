@@ -1,7 +1,7 @@
 //! Consensus wire messages.
 
 use fortika_net::wire::{Wire, WireError, WireReader, WireWriter};
-use fortika_net::{Batch, ProcessId};
+use fortika_net::{Batch, CatchUp, PerCatchUp, ReplicaNames};
 
 /// Messages exchanged by the consensus module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,12 +35,6 @@ pub enum ConsensusMsg {
         /// Round being acknowledged.
         round: u32,
     },
-    /// Request for a decision value (recovery path when a `DECISION` tag
-    /// arrives without the matching proposal).
-    DecisionRequest {
-        /// Consensus instance.
-        instance: u64,
-    },
     /// Full decision value (recovery response / late joiner help).
     DecisionFull {
         /// Consensus instance.
@@ -48,64 +42,48 @@ pub enum ConsensusMsg {
         /// The decided value.
         value: Batch,
     },
-    /// Rejoin announcement of a (re)started process: "my contiguous
-    /// replayed prefix ends at `watermark`" — a restarted node
-    /// advertises instance 0. Peers that are ahead answer with a
-    /// [`StateTransfer`](Self::StateTransfer).
-    JoinRequest {
-        /// First instance the sender is missing.
-        watermark: u64,
-    },
-    /// Bulk catch-up reply: the decided values of the consecutive
-    /// instances `from, from+1, …`, plus the sender's own replay
-    /// frontier so the joiner can keep pulling in chained rounds until
-    /// it reaches the live edge.
-    StateTransfer {
-        /// Instance of `values[0]`.
-        from: u64,
-        /// Decided values of `from..from + values.len()`.
-        values: Vec<Batch>,
-        /// The sender's contiguous decided prefix length.
-        frontier: u64,
-    },
-    /// One chunk of a log-compaction snapshot, serving a joiner whose
-    /// gap starts below the sender's compacted prefix (the decided
-    /// values there are evicted; the snapshot replaces them). Chunks are
-    /// pulled at round-trip pace via [`SnapshotPull`](Self::SnapshotPull)
-    /// like `StateTransfer` batches; once complete, the joiner installs
-    /// the snapshot and resumes log catch-up at `last_included + 1`.
-    SnapshotTransfer {
-        /// Highest instance the snapshot covers.
-        last_included: u64,
-        /// Digest of the snapshot (integrity check across chunks).
-        digest: u64,
-        /// Total encoded snapshot size in bytes.
-        total: u32,
-        /// Offset of `chunk` within the encoded snapshot.
-        offset: u32,
-        /// The chunk bytes.
-        chunk: bytes::Bytes,
-        /// The sender's contiguous replay frontier (catch-up target).
-        frontier: u64,
-    },
-    /// Joiner-side request for the next snapshot chunk.
-    SnapshotPull {
-        /// Which snapshot is being pulled (its highest instance).
-        last_included: u64,
-        /// Byte offset of the requested chunk.
-        offset: u32,
-    },
+    /// Recovery traffic both stacks share — decision pulls, rejoin
+    /// announcements, bulk state transfer, chunked snapshot transfer —
+    /// embedded under this enum's tag bytes 4 and 6–9 (see
+    /// [`fortika_net::replica`] for the protocol).
+    CatchUp(CatchUp),
 }
 
 const TAG_PROPOSE: u8 = 1;
 const TAG_ESTIMATE: u8 = 2;
 const TAG_ACK: u8 = 3;
-const TAG_DECISION_REQUEST: u8 = 4;
 const TAG_DECISION_FULL: u8 = 5;
-const TAG_JOIN_REQUEST: u8 = 6;
-const TAG_STATE_TRANSFER: u8 = 7;
-const TAG_SNAPSHOT_TRANSFER: u8 = 8;
-const TAG_SNAPSHOT_PULL: u8 = 9;
+
+/// What the modular stack calls the shared replica machinery: its tag
+/// bytes within [`ConsensusMsg`], send kinds, counters and trace label.
+pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
+    label: "consensus",
+    tags: PerCatchUp {
+        decision_request: 4,
+        join_request: 6,
+        state_transfer: 7,
+        snapshot_transfer: 8,
+        snapshot_pull: 9,
+    },
+    kinds: PerCatchUp {
+        decision_request: "consensus.decision_request",
+        join_request: "consensus.join_request",
+        state_transfer: "consensus.state_transfer",
+        snapshot_transfer: "consensus.snapshot_transfer",
+        snapshot_pull: "consensus.snapshot_pull",
+    },
+    gap_requests: "consensus.gap_requests",
+    join_requests: "consensus.join_requests",
+    state_transfers: "consensus.state_transfers",
+    snapshot_transfers: "consensus.snapshot_transfers",
+    snapshot_pulls: "consensus.snapshot_pulls",
+    snapshot_garbage: "consensus.snapshot_garbage",
+    snapshots: "consensus.snapshots",
+    snapshots_installed: "consensus.snapshots_installed",
+    join_unservable: "consensus.join_unservable",
+    rejoins_completed: "consensus.rejoins_completed",
+    reconfigs: "consensus.reconfigs",
+};
 
 impl Wire for ConsensusMsg {
     fn encode(&self, w: &mut WireWriter) {
@@ -137,53 +115,12 @@ impl Wire for ConsensusMsg {
                 w.put_u64(*instance);
                 w.put_u32(*round);
             }
-            ConsensusMsg::DecisionRequest { instance } => {
-                w.put_u8(TAG_DECISION_REQUEST);
-                w.put_u64(*instance);
-            }
             ConsensusMsg::DecisionFull { instance, value } => {
                 w.put_u8(TAG_DECISION_FULL);
                 w.put_u64(*instance);
                 value.encode(w);
             }
-            ConsensusMsg::JoinRequest { watermark } => {
-                w.put_u8(TAG_JOIN_REQUEST);
-                w.put_u64(*watermark);
-            }
-            ConsensusMsg::StateTransfer {
-                from,
-                values,
-                frontier,
-            } => {
-                w.put_u8(TAG_STATE_TRANSFER);
-                w.put_u64(*from);
-                w.put_u64(*frontier);
-                values.encode(w);
-            }
-            ConsensusMsg::SnapshotTransfer {
-                last_included,
-                digest,
-                total,
-                offset,
-                chunk,
-                frontier,
-            } => {
-                w.put_u8(TAG_SNAPSHOT_TRANSFER);
-                w.put_u64(*last_included);
-                w.put_u64(*digest);
-                w.put_u32(*total);
-                w.put_u32(*offset);
-                w.put_u64(*frontier);
-                chunk.encode(w);
-            }
-            ConsensusMsg::SnapshotPull {
-                last_included,
-                offset,
-            } => {
-                w.put_u8(TAG_SNAPSHOT_PULL);
-                w.put_u64(*last_included);
-                w.put_u32(*offset);
-            }
+            ConsensusMsg::CatchUp(msg) => msg.encode_tagged(&REPLICA_NAMES.tags, w),
         }
     }
 
@@ -204,34 +141,11 @@ impl Wire for ConsensusMsg {
                 instance: r.get_u64()?,
                 round: r.get_u32()?,
             }),
-            TAG_DECISION_REQUEST => Ok(ConsensusMsg::DecisionRequest {
-                instance: r.get_u64()?,
-            }),
             TAG_DECISION_FULL => Ok(ConsensusMsg::DecisionFull {
                 instance: r.get_u64()?,
                 value: Batch::decode(r)?,
             }),
-            TAG_JOIN_REQUEST => Ok(ConsensusMsg::JoinRequest {
-                watermark: r.get_u64()?,
-            }),
-            TAG_STATE_TRANSFER => Ok(ConsensusMsg::StateTransfer {
-                from: r.get_u64()?,
-                frontier: r.get_u64()?,
-                values: Vec::<Batch>::decode(r)?,
-            }),
-            TAG_SNAPSHOT_TRANSFER => Ok(ConsensusMsg::SnapshotTransfer {
-                last_included: r.get_u64()?,
-                digest: r.get_u64()?,
-                total: r.get_u32()?,
-                offset: r.get_u32()?,
-                frontier: r.get_u64()?,
-                chunk: bytes::Bytes::decode(r)?,
-            }),
-            TAG_SNAPSHOT_PULL => Ok(ConsensusMsg::SnapshotPull {
-                last_included: r.get_u64()?,
-                offset: r.get_u32()?,
-            }),
-            t => Err(WireError::InvalidTag(t)),
+            t => CatchUp::decode_tagged(t, &REPLICA_NAMES.tags, r).map(ConsensusMsg::CatchUp),
         }
     }
 }
@@ -268,53 +182,12 @@ impl Wire for DecisionNotice {
     }
 }
 
-/// The coordinator of `round`: processes rotate in round-robin order,
-/// with `p1` coordinating round 0 of every instance (the property the
-/// monolithic stack's optimization O1 builds on).
-pub fn coordinator(round: u32, n: usize) -> ProcessId {
-    ProcessId((round as usize % n) as u16)
-}
-
-/// The crash-recovery stable record of one consensus instance: the
-/// round this process last voted (acked/adopted) in, the adoption
-/// timestamp of its estimate, and the estimate itself.
-///
-/// Chandra–Toueg safety hinges on a voter carrying its locked
-/// `(estimate, ts)` into every later round and never regressing to a
-/// lower round; a process revived with amnesia would break exactly that
-/// invariant, so this record is written to stable storage atomically
-/// with every vote and replayed into the fresh stack on restart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VoteRecord {
-    /// Round of the last vote (lower-round proposals are refused).
-    pub round: u32,
-    /// Adoption timestamp of `value` (round + 1 at ack time).
-    pub ts: u32,
-    /// The locked estimate.
-    pub value: Batch,
-}
-
-impl Wire for VoteRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.round);
-        w.put_u32(self.ts);
-        self.value.encode(w);
-    }
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(VoteRecord {
-            round: r.get_u32()?,
-            ts: r.get_u32()?,
-            value: Batch::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
     use fortika_net::wire::{decode, encode};
-    use fortika_net::{AppMsg, MsgId};
+    use fortika_net::{AppMsg, MsgId, ProcessId};
 
     fn batch() -> Batch {
         Batch::normalize(vec![AppMsg::new(
@@ -341,29 +214,11 @@ mod tests {
                 instance: 5,
                 round: 1,
             },
-            ConsensusMsg::DecisionRequest { instance: 6 },
             ConsensusMsg::DecisionFull {
                 instance: 7,
                 value: batch(),
             },
-            ConsensusMsg::JoinRequest { watermark: 0 },
-            ConsensusMsg::StateTransfer {
-                from: 3,
-                values: vec![batch(), Batch::empty(), batch()],
-                frontier: 42,
-            },
-            ConsensusMsg::SnapshotTransfer {
-                last_included: 63,
-                digest: 0xDEAD_BEEF,
-                total: 4097,
-                offset: 4096,
-                chunk: Bytes::from_static(b"tail byte"),
-                frontier: 80,
-            },
-            ConsensusMsg::SnapshotPull {
-                last_included: 63,
-                offset: 4096,
-            },
+            ConsensusMsg::CatchUp(CatchUp::JoinRequest { watermark: 0 }),
         ];
         for m in msgs {
             let bytes = encode(&m);
@@ -402,24 +257,59 @@ mod tests {
         assert_eq!(encode(&n).len(), 13);
     }
 
+    /// The catch-up messages moved into `fortika_net::replica`; on the
+    /// wire they are still the bytes `ConsensusMsg` produced when it
+    /// declared them itself (tags 4, 6, 7, 8, 9).
     #[test]
-    fn coordinator_rotation() {
-        assert_eq!(coordinator(0, 3), ProcessId(0));
-        assert_eq!(coordinator(1, 3), ProcessId(1));
-        assert_eq!(coordinator(3, 3), ProcessId(0));
-        assert_eq!(coordinator(0, 7), ProcessId(0));
-        assert_eq!(coordinator(9, 7), ProcessId(2));
-    }
-
-    #[test]
-    fn vote_record_round_trips() {
-        let rec = VoteRecord {
-            round: 4,
-            ts: 5,
-            value: batch(),
-        };
-        let bytes = encode(&rec);
-        assert_eq!(decode::<VoteRecord>(bytes).unwrap(), rec);
+    fn catch_up_keeps_its_wire_bytes() {
+        let pins = [
+            (
+                CatchUp::DecisionRequest { instance: 6 },
+                "040600000000000000",
+            ),
+            (CatchUp::JoinRequest { watermark: 7 }, "060700000000000000"),
+            (
+                CatchUp::StateTransfer {
+                    from: 3,
+                    values: vec![
+                        Batch::normalize(vec![AppMsg::new(
+                            MsgId::new(ProcessId(1), 9),
+                            Bytes::from_static(b"pay"),
+                        )]),
+                        Batch::empty(),
+                    ],
+                    frontier: 42,
+                },
+                "0703000000000000002a0000000000000002000000010000000100090000000000\
+                 00000300000070617900000000",
+            ),
+            (
+                CatchUp::SnapshotTransfer {
+                    last_included: 63,
+                    digest: 0xDEAD_BEEF,
+                    total: 4097,
+                    offset: 4096,
+                    chunk: Bytes::from_static(b"tail"),
+                    frontier: 80,
+                },
+                "083f00000000000000efbeadde0000000001100000001000005000000000000000\
+                 040000007461696c",
+            ),
+            (
+                CatchUp::SnapshotPull {
+                    last_included: 63,
+                    offset: 4096,
+                },
+                "093f0000000000000000100000",
+            ),
+        ];
+        for (msg, pin) in pins {
+            let msg = ConsensusMsg::CatchUp(msg);
+            let bytes = encode(&msg);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pin, "{msg:?}");
+            assert_eq!(decode::<ConsensusMsg>(bytes).unwrap(), msg);
+        }
     }
 
     #[test]

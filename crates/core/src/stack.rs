@@ -7,7 +7,8 @@ use fortika_fd::{FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
 use fortika_framework::CompositeStack;
 use fortika_mono::{MonoConfig, MonoNode, MonoOptimizations};
 use fortika_net::{
-    AppStateFactory, Cluster, Dissemination, Node, NodeFactory, ProcessId, StableStore,
+    AppStateFactory, Cluster, Dissemination, Node, NodeFactory, ProcessId, ReplicaConfig,
+    StableStore,
 };
 use fortika_rbcast::{RbcastConfig, RbcastModule};
 use fortika_sim::VTime;
@@ -51,18 +52,15 @@ pub struct StackConfig {
     pub rbcast: RbcastConfig,
     /// Modular stack: abcast module configuration.
     pub abcast: AbcastConfig,
-    /// Log-compaction snapshot cadence, applied to **both** stacks
-    /// (overrides the per-stack `snapshot_interval` fields): fold the
-    /// decided prefix into a snapshot every this many instances, and
+    /// Log-compaction snapshot cadence, applied to **both** stacks: fold
+    /// the decided prefix into a snapshot every this many instances, and
     /// whenever the decision cache would otherwise evict an uncompacted
     /// decision. `0` disables snapshots — deep rejoins then stall once
     /// the prefix outgrows `decision_cache` (`*.join_unservable`).
     pub snapshot_interval: u64,
-    /// Decision cache depth, applied to both stacks (overrides the
-    /// per-stack `decision_cache` fields).
+    /// Decision cache depth, applied to both stacks.
     pub decision_cache: usize,
-    /// Windowed-sequencer depth α, applied to **both** stacks
-    /// (overrides the per-stack `pipeline_depth` fields): how many
+    /// Windowed-sequencer depth α, applied to **both** stacks: how many
     /// consensus instances each process keeps in flight concurrently.
     /// `1` (the default) reproduces the paper's strictly sequential
     /// instance execution; larger depths overlap decision round-trips
@@ -154,11 +152,29 @@ pub fn build_node_with_windows(
     cfg: &StackConfig,
     windows: Vec<SuspicionWindow>,
 ) -> Box<dyn Node> {
-    let heartbeat = HeartbeatFd::new(n, me, cfg.fd.clone());
+    build(kind, n, me, cfg, windows, None)
+}
+
+/// Builds a fresh stack, or with `revived = (now, stable)` the stack of
+/// a process restarted at `now` over its stable store.
+fn build(
+    kind: StackKind,
+    n: usize,
+    me: ProcessId,
+    cfg: &StackConfig,
+    windows: Vec<SuspicionWindow>,
+    revived: Option<(VTime, &StableStore)>,
+) -> Box<dyn Node> {
+    let heartbeat = match revived {
+        Some((now, _)) => HeartbeatFd::new_anchored(n, me, cfg.fd.clone(), now),
+        None => HeartbeatFd::new(n, me, cfg.fd.clone()),
+    };
+    let stable = revived.map(|(_, stable)| stable);
     // Only chaos runs pay for the overlay: windows relevant to this
     // process wrap the detector, everything else runs the bare core.
     let wraps = windows.iter().any(|w| w.observer == me);
     let app = cfg.app_state.as_ref().map(AppStateFactory::make);
+    let replica = replica_config(cfg);
     match kind {
         StackKind::Modular => {
             let fd_module: Box<dyn fortika_framework::Microprotocol> = if wraps {
@@ -166,11 +182,22 @@ pub fn build_node_with_windows(
             } else {
                 Box::new(FdModule::new(heartbeat))
             };
+            let (abcast, rbcast) = match stable {
+                Some(stable) => (
+                    AbcastModule::resume(abcast_config(cfg), stable),
+                    RbcastModule::resume(cfg.rbcast.clone(), stable),
+                ),
+                None => (
+                    AbcastModule::new(abcast_config(cfg)),
+                    RbcastModule::new(cfg.rbcast.clone()),
+                ),
+            };
+            let consensus = ConsensusModule::with_replica(cfg.consensus.clone(), replica, stable);
             Box::new(CompositeStack::new(vec![
                 Box::new(FlowControlModule::new(cfg.window)),
-                Box::new(AbcastModule::new(abcast_config(cfg))),
-                Box::new(ConsensusModule::new(consensus_config(cfg)).with_app(app)),
-                Box::new(RbcastModule::new(cfg.rbcast.clone())),
+                Box::new(abcast),
+                Box::new(consensus.with_app(app)),
+                Box::new(rbcast),
                 fd_module,
             ]))
         }
@@ -180,7 +207,7 @@ pub fn build_node_with_windows(
             } else {
                 Box::new(heartbeat)
             };
-            Box::new(MonoNode::new(mono_config(cfg), fd).with_app(app))
+            Box::new(MonoNode::with_replica(mono_config(cfg), fd, replica, stable).with_app(app))
         }
     }
 }
@@ -201,18 +228,17 @@ fn abcast_config(cfg: &StackConfig) -> AbcastConfig {
     }
 }
 
-/// The modular consensus configuration with the stack-wide snapshot and
-/// cache knobs applied.
-fn consensus_config(cfg: &StackConfig) -> ConsensusConfig {
-    ConsensusConfig {
-        snapshot_interval: cfg.snapshot_interval,
+/// The one copy of the replica knobs, handed to whichever stack is
+/// built.
+fn replica_config(cfg: &StackConfig) -> ReplicaConfig {
+    ReplicaConfig {
         decision_cache: cfg.decision_cache,
+        snapshot_interval: cfg.snapshot_interval,
         pipeline_depth: cfg.pipeline_depth.max(1) as u64,
-        skip_vote_persist: cfg.skip_vote_persist,
         initial_members: cfg.initial_members,
         reconfig_offset: cfg.reconfig_offset,
+        skip_vote_persist: cfg.skip_vote_persist,
         skip_config_fence: cfg.skip_config_fence,
-        ..cfg.consensus.clone()
     }
 }
 
@@ -221,13 +247,6 @@ fn mono_config(cfg: &StackConfig) -> MonoConfig {
     MonoConfig {
         opts: cfg.mono_opts,
         window: cfg.window,
-        snapshot_interval: cfg.snapshot_interval,
-        decision_cache: cfg.decision_cache,
-        pipeline_depth: cfg.pipeline_depth.max(1),
-        skip_vote_persist: cfg.skip_vote_persist,
-        initial_members: cfg.initial_members,
-        reconfig_offset: cfg.reconfig_offset,
-        skip_config_fence: cfg.skip_config_fence,
         ..MonoConfig::default()
     }
 }
@@ -267,38 +286,7 @@ pub fn build_restarted_node(
     now: VTime,
     stable: &StableStore,
 ) -> Box<dyn Node> {
-    let heartbeat = HeartbeatFd::new_anchored(n, me, cfg.fd.clone(), now);
-    let wraps = windows.iter().any(|w| w.observer == me);
-    let app = cfg.app_state.as_ref().map(AppStateFactory::make);
-    match kind {
-        StackKind::Modular => {
-            let fd_module: Box<dyn fortika_framework::Microprotocol> = if wraps {
-                Box::new(FdModule::new(OverlayFd::new(
-                    n,
-                    me,
-                    heartbeat,
-                    windows.to_vec(),
-                )))
-            } else {
-                Box::new(FdModule::new(heartbeat))
-            };
-            Box::new(CompositeStack::new(vec![
-                Box::new(FlowControlModule::new(cfg.window)),
-                Box::new(AbcastModule::resume(abcast_config(cfg), stable)),
-                Box::new(ConsensusModule::resume(consensus_config(cfg), stable).with_app(app)),
-                Box::new(RbcastModule::resume(cfg.rbcast.clone(), stable)),
-                fd_module,
-            ]))
-        }
-        StackKind::Monolithic => {
-            let fd: Box<dyn fortika_fd::FailureDetector> = if wraps {
-                Box::new(OverlayFd::new(n, me, heartbeat, windows.to_vec()))
-            } else {
-                Box::new(heartbeat)
-            };
-            Box::new(MonoNode::resume(mono_config(cfg), fd, stable).with_app(app))
-        }
-    }
+    build(kind, n, me, cfg, windows.to_vec(), Some((now, stable)))
 }
 
 /// A [`NodeFactory`] rebuilding stacks of the given kind/config on

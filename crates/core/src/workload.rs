@@ -15,7 +15,7 @@
 //!   instants, and
 //! * **throughput** `T = (1/n) Σ r_i`, the mean adeliver rate.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use fortika_net::{Admission, AppMsg, AppRequest, ClusterApi, Delivery, Harness, MsgId, ProcessId};
@@ -136,7 +136,7 @@ pub struct WorkloadDriver {
     window_start: VTime,
     window_end: VTime,
     senders: Vec<SenderState>,
-    pending: HashMap<MsgId, PendingMsg>,
+    pending: BTreeMap<MsgId, PendingMsg>,
     latency_ms: Welford,
     latency_hist: Histogram,
     delivered_per_proc: Vec<u64>,
@@ -185,7 +185,7 @@ impl WorkloadDriver {
                     last_tick: VTime::ZERO,
                 })
                 .collect(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             latency_ms: Welford::new(),
             latency_hist: Histogram::new(),
             delivered_per_proc: vec![0; n],
@@ -244,8 +244,9 @@ impl WorkloadDriver {
     /// delivery; admitted messages never delivered are counted lost.
     pub fn finish(mut self) -> WindowStats {
         let mut lost = 0;
-        let drained: Vec<(MsgId, PendingMsg)> = self.pending.drain().collect();
-        for (id, p) in drained {
+        // In id order: the mean is folded sample by sample, so the order
+        // of the still-pending ones shows in its last bits.
+        for (id, p) in std::mem::take(&mut self.pending) {
             let in_window = p.t0 >= self.window_start && p.t0 <= self.window_end;
             if p.count > 0 {
                 if in_window {

@@ -108,6 +108,36 @@ fn same_seed_reproduces_identical_reports() {
     assert!((a.throughput_msgs_per_sec - b.throughput_msgs_per_sec).abs() < 1e-12);
 }
 
+/// On a fault run some admitted messages never reach every process (a
+/// crashed process delivers nothing), so their samples are folded into
+/// the mean only when the driver finishes — in an order that used to
+/// follow a `HashMap`'s per-instance random state.
+#[test]
+fn crash_run_reproduces_the_latency_mean_bit_for_bit() {
+    use fortika_chaos::Scenario;
+    use fortika_net::ProcessId;
+    use fortika_sim::VDur;
+    let run = || {
+        let mut exp = Experiment::builder(StackKind::Monolithic, 3)
+            .workload(Workload::constant_rate(800.0, 1024))
+            .scenario(Scenario::new().crash(ProcessId(2), VDur::millis(700)))
+            .warmup_secs(0.5)
+            .measure_secs(1.0)
+            .seed(42)
+            .build();
+        exp.run()
+    };
+    let (a, b) = (run(), run());
+    assert!(
+        a.msgs_in_window > 100,
+        "the crash must leave samples pending"
+    );
+    assert_eq!(
+        a.early_latency_ms.mean.to_bits(),
+        b.early_latency_ms.mean.to_bits()
+    );
+}
+
 #[test]
 fn replicated_runs_produce_confidence_intervals() {
     let mut exp = Experiment::builder(StackKind::Monolithic, 3)

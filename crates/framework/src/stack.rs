@@ -4,7 +4,10 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use fortika_net::wire::WireReader;
-use fortika_net::{Admission, AppRequest, MsgId, Node, NodeCtx, ProcessId, TimerId};
+use fortika_net::{
+    Admission, AppRequest, ConfigStamp, CostModel, MsgId, Node, NodeCtx, ProcessId, ReplicaCtx,
+    SnapshotStamp, TimerId,
+};
 use fortika_sim::{VDur, VTime};
 
 use crate::events::{Event, EventKind};
@@ -145,27 +148,11 @@ impl FrameworkCtx<'_, '_> {
     }
 
     /// Writes to the process's stable store (survives restarts); see
-    /// [`fortika_net::NodeCtx::persist`]. Modules must namespace their
-    /// keys (high byte) — the store is shared by the whole stack.
+    /// [`fortika_net::NodeCtx::persist`]. The store is shared by the whole
+    /// stack: modules take their key namespace (high byte) from
+    /// [`fortika_net::replica::keys`].
     pub fn persist(&mut self, key: u64, value: bytes::Bytes) {
         self.node.persist(key, value);
-    }
-
-    /// Deletes a stable-store key.
-    pub fn unpersist(&mut self, key: u64) {
-        self.node.unpersist(key);
-    }
-
-    /// Reports a materialized or installed log-compaction snapshot to
-    /// the harness; see [`fortika_net::NodeCtx::note_snapshot`].
-    pub fn note_snapshot(&mut self, stamp: fortika_net::SnapshotStamp) {
-        self.node.note_snapshot(stamp);
-    }
-
-    /// Reports an activated configuration version to the harness; see
-    /// [`fortika_net::NodeCtx::note_config`].
-    pub fn note_config(&mut self, stamp: fortika_net::ConfigStamp) {
-        self.node.note_config(stamp);
     }
 
     /// Increments a free-form protocol counter.
@@ -177,17 +164,6 @@ impl FrameworkCtx<'_, '_> {
     /// framework already charges per-dispatch costs).
     pub fn charge(&mut self, cost: VDur) {
         self.node.charge(cost);
-    }
-
-    /// Charges durability CPU (stable writes, snapshot encode/install);
-    /// see [`fortika_net::NodeCtx::charge_durability`].
-    pub fn charge_durability(&mut self, cost: VDur) {
-        self.node.charge_durability(cost);
-    }
-
-    /// The cluster's cost model, for modules that charge custom costs.
-    pub fn costs(&self) -> &fortika_net::CostModel {
-        self.node.costs()
     }
 
     /// True if event tracing is recording this run; see
@@ -210,6 +186,51 @@ impl FrameworkCtx<'_, '_> {
     }
 }
 
+/// The replica core (`fortika_net::replica`) runs against a module's
+/// context as it does against a bare [`NodeCtx`]: everything forwards to
+/// the hosting process, and sends go through this module's envelope.
+impl ReplicaCtx for FrameworkCtx<'_, '_> {
+    fn pid(&self) -> ProcessId {
+        self.node.pid()
+    }
+    fn n(&self) -> usize {
+        self.node.n()
+    }
+    fn now(&self) -> VTime {
+        self.node.now()
+    }
+    fn costs(&self) -> &CostModel {
+        self.node.costs()
+    }
+    fn persist(&mut self, key: u64, value: Bytes) {
+        self.node.persist(key, value);
+    }
+    fn unpersist(&mut self, key: u64) {
+        self.node.unpersist(key);
+    }
+    fn charge_durability(&mut self, cost: VDur) {
+        self.node.charge_durability(cost);
+    }
+    fn note_snapshot(&mut self, stamp: SnapshotStamp) {
+        self.node.note_snapshot(stamp);
+    }
+    fn note_config(&mut self, stamp: ConfigStamp) {
+        self.node.note_config(stamp);
+    }
+    fn bump(&mut self, name: &'static str, by: u64) {
+        self.node.bump(name, by);
+    }
+    fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
+        self.node.trace_span(stack, instance, phase, detail);
+    }
+    fn send(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes) {
+        self.send_net(dst, kind, payload);
+    }
+    fn broadcast(&mut self, kind: &'static str, payload: Bytes) {
+        self.broadcast_net(kind, payload);
+    }
+}
+
 fn envelope(module_id: ModuleId, payload: &Bytes) -> Bytes {
     let mut buf = BytesMut::with_capacity(2 + payload.len());
     buf.put_u16_le(module_id);
@@ -222,7 +243,7 @@ fn envelope(module_id: ModuleId, payload: &Bytes) -> Bytes {
 /// Implements [`Node`], so a composite stack plugs straight into the
 /// cluster harness. Event dispatch is synchronous and FIFO; every handler
 /// invocation charges one `dispatch` cost from the cluster's
-/// [`CostModel`](fortika_net::CostModel) — the framework's per-hop CPU
+/// [`CostModel`] — the framework's per-hop CPU
 /// price.
 ///
 /// # Panics

@@ -268,6 +268,39 @@ pub fn collect_produced(src: &SourceFile, out: &mut BTreeSet<String>) {
             from = at;
         }
     }
+    collect_name_tables(&joined, out);
+}
+
+/// The replica core (`fortika_net::replica`) bumps and sends through
+/// its hosting stack's `ReplicaNames` table instead of literals at the
+/// call site, so every dotted literal of a `= ReplicaNames { … }` table
+/// is a produced name too.
+fn collect_name_tables(joined: &str, out: &mut BTreeSet<String>) {
+    const OPEN: &str = "= ReplicaNames {";
+    let mut from = 0;
+    while let Some(p) = joined[from..].find(OPEN) {
+        let start = from + p + OPEN.len();
+        let mut depth = 1;
+        let mut end = start;
+        for (i, c) in joined[start..].char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                end = start + i;
+                break;
+            }
+        }
+        // Odd-indexed pieces of a quote split sit inside a literal.
+        for lit in joined[start..end].split('"').skip(1).step_by(2) {
+            if lit.contains('.') {
+                out.insert(lit.to_string());
+            }
+        }
+        from = end.max(start);
+    }
 }
 
 /// The counter-name literal of one call, given the text just after the
@@ -504,6 +537,15 @@ mod tests {
         collect_produced(&src, &mut out);
         let names: Vec<&str> = out.iter().map(|s| s.as_str()).collect();
         assert_eq!(names, vec!["a.one", "a.two", "k.send", "mono.estimate"]);
+    }
+
+    #[test]
+    fn name_tables_produce_their_dotted_literals() {
+        let src = sf("pub const NAMES: ReplicaNames = ReplicaNames {\n    label: \"mono\",\n    kinds: PerCatchUp {\n        join_request: \"mono.join_request\",\n    },\n    snapshots: \"mono.snapshots\",\n};\nlet x = \"not.produced\";\npub struct ReplicaNames {\n    pub label: &'static str,\n}\n");
+        let mut out = BTreeSet::new();
+        collect_produced(&src, &mut out);
+        let names: Vec<&str> = out.iter().map(|s| s.as_str()).collect();
+        assert_eq!(names, vec!["mono.join_request", "mono.snapshots"]);
     }
 
     #[test]

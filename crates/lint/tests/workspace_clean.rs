@@ -35,3 +35,34 @@ fn workspace_is_lint_clean() {
         report.crates_checked
     );
 }
+
+/// The replica core bumps its counters through per-stack name tables,
+/// not literals at the call site: the counter registry must still see
+/// every one of them as produced, on both stacks, or the coverage
+/// branches and probe audits that read them would go unchecked.
+#[test]
+fn replica_core_counters_are_still_produced() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut produced = std::collections::BTreeSet::new();
+    for msg in ["crates/consensus/src/msg.rs", "crates/mono/src/msg.rs"] {
+        let src = fortika_lint::source::SourceFile::load(&root.join(msg)).expect("readable");
+        fortika_lint::registry::collect_produced(&src, &mut produced);
+    }
+    for stack in ["consensus", "mono"] {
+        for counter in [
+            "gap_requests",
+            "join_requests",
+            "state_transfers",
+            "snapshot_transfers",
+            "snapshot_pulls",
+            "snapshots",
+            "snapshots_installed",
+            "join_unservable",
+            "rejoins_completed",
+            "reconfigs",
+        ] {
+            let name = format!("{stack}.{counter}");
+            assert!(produced.contains(&name), "{name} is no longer produced");
+        }
+    }
+}

@@ -17,6 +17,11 @@
 //! stack (50 % at n = 3, 75 % at n = 7). Each optimization can be
 //! toggled individually through [`MonoOptimizations`] for the ablation
 //! benchmarks.
+//!
+//! Crash-recovery (durable votes, rejoin), log compaction and snapshot
+//! state transfer are the one thing *not* merged in here: the node hosts
+//! the [`fortika_net::replica`] core both stacks share — its module docs
+//! describe that protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

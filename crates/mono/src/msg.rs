@@ -6,9 +6,8 @@
 //! [`MonoMsg::AckDiff`] carries an ack *and* freshly abcast application
 //! messages riding to the coordinator (optimization O2).
 
-use bytes::Bytes;
 use fortika_net::wire::{Wire, WireError, WireReader, WireWriter};
-use fortika_net::{AppMsg, Batch};
+use fortika_net::{AppMsg, Batch, CatchUp, PerCatchUp, ReplicaNames};
 
 /// A decision announcement for one instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,11 +79,6 @@ pub enum MonoMsg {
         /// Undelivered own messages re-routed to the new coordinator.
         msgs: Vec<AppMsg>,
     },
-    /// Pull-based recovery: ask for the decision of `instance`.
-    DecisionRequest {
-        /// The missing instance.
-        instance: u64,
-    },
     /// A recovery-round coordinator soliciting estimates: processes that
     /// have not yet joined `(instance, round)` join it and reply with
     /// their estimate. Without this, idle processes would only join via
@@ -97,51 +91,11 @@ pub enum MonoMsg {
     },
     /// Failure-detector heartbeat.
     Heartbeat,
-    /// Rejoin announcement of a (re)started process: "my contiguous
-    /// applied prefix ends at `watermark`" (a revived node says 0).
-    JoinRequest {
-        /// First instance the sender is missing.
-        watermark: u64,
-    },
-    /// Bulk catch-up reply: decided values of consecutive instances
-    /// plus the sender's applied frontier, so the joiner chains pulls
-    /// until it reaches the live edge.
-    StateTransfer {
-        /// Instance of `values[0]`.
-        from: u64,
-        /// Decided values of `from..from + values.len()`.
-        values: Vec<Batch>,
-        /// The sender's contiguous applied prefix length.
-        frontier: u64,
-    },
-    /// One chunk of a log-compaction snapshot, serving a joiner whose
-    /// gap starts inside the sender's compacted prefix (the decided
-    /// values there are truncated; the snapshot replaces them). Chunks
-    /// are pulled at round-trip pace via
-    /// [`SnapshotPull`](Self::SnapshotPull); once complete, the joiner
-    /// installs the snapshot and resumes log catch-up at
-    /// `last_included + 1`.
-    SnapshotTransfer {
-        /// Highest instance the snapshot covers.
-        last_included: u64,
-        /// Digest of the snapshot (integrity check across chunks).
-        digest: u64,
-        /// Total encoded snapshot size in bytes.
-        total: u32,
-        /// Offset of `chunk` within the encoded snapshot.
-        offset: u32,
-        /// The chunk bytes.
-        chunk: Bytes,
-        /// The sender's contiguous applied frontier (catch-up target).
-        frontier: u64,
-    },
-    /// Joiner-side request for the next snapshot chunk.
-    SnapshotPull {
-        /// Which snapshot is being pulled (its highest instance).
-        last_included: u64,
-        /// Byte offset of the requested chunk.
-        offset: u32,
-    },
+    /// Recovery traffic both stacks share — decision pulls, rejoin
+    /// announcements, bulk state transfer, chunked snapshot transfer —
+    /// embedded under this enum's tag bytes 6 and 9–12 (see
+    /// [`fortika_net::replica`] for the protocol).
+    CatchUp(CatchUp),
 }
 
 const TAG_STEP: u8 = 1;
@@ -149,13 +103,39 @@ const TAG_ACK_DIFF: u8 = 2;
 const TAG_FORWARD: u8 = 3;
 const TAG_DIFFUSE: u8 = 4;
 const TAG_ESTIMATE: u8 = 5;
-const TAG_DECISION_REQUEST: u8 = 6;
 const TAG_HEARTBEAT: u8 = 7;
 const TAG_ESTIMATE_REQUEST: u8 = 8;
-const TAG_JOIN_REQUEST: u8 = 9;
-const TAG_STATE_TRANSFER: u8 = 10;
-const TAG_SNAPSHOT_TRANSFER: u8 = 11;
-const TAG_SNAPSHOT_PULL: u8 = 12;
+
+/// What the monolithic stack calls the shared replica machinery: its
+/// tag bytes within [`MonoMsg`], send kinds, counters and trace label.
+pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
+    label: "mono",
+    tags: PerCatchUp {
+        decision_request: 6,
+        join_request: 9,
+        state_transfer: 10,
+        snapshot_transfer: 11,
+        snapshot_pull: 12,
+    },
+    kinds: PerCatchUp {
+        decision_request: "mono.decision_request",
+        join_request: "mono.join_request",
+        state_transfer: "mono.state_transfer",
+        snapshot_transfer: "mono.snapshot_transfer",
+        snapshot_pull: "mono.snapshot_pull",
+    },
+    gap_requests: "mono.gap_requests",
+    join_requests: "mono.join_requests",
+    state_transfers: "mono.state_transfers",
+    snapshot_transfers: "mono.snapshot_transfers",
+    snapshot_pulls: "mono.snapshot_pulls",
+    snapshot_garbage: "mono.snapshot_garbage",
+    snapshots: "mono.snapshots",
+    snapshots_installed: "mono.snapshots_installed",
+    join_unservable: "mono.join_unservable",
+    rejoins_completed: "mono.rejoins_completed",
+    reconfigs: "mono.reconfigs",
+};
 
 impl Wire for Decision {
     fn encode(&self, w: &mut WireWriter) {
@@ -227,10 +207,6 @@ impl Wire for MonoMsg {
                 value.encode(w);
                 msgs.encode(w);
             }
-            MonoMsg::DecisionRequest { instance } => {
-                w.put_u8(TAG_DECISION_REQUEST);
-                w.put_u64(*instance);
-            }
             MonoMsg::EstimateRequest { instance, round } => {
                 w.put_u8(TAG_ESTIMATE_REQUEST);
                 w.put_u64(*instance);
@@ -239,44 +215,7 @@ impl Wire for MonoMsg {
             MonoMsg::Heartbeat => {
                 w.put_u8(TAG_HEARTBEAT);
             }
-            MonoMsg::JoinRequest { watermark } => {
-                w.put_u8(TAG_JOIN_REQUEST);
-                w.put_u64(*watermark);
-            }
-            MonoMsg::StateTransfer {
-                from,
-                values,
-                frontier,
-            } => {
-                w.put_u8(TAG_STATE_TRANSFER);
-                w.put_u64(*from);
-                w.put_u64(*frontier);
-                values.encode(w);
-            }
-            MonoMsg::SnapshotTransfer {
-                last_included,
-                digest,
-                total,
-                offset,
-                chunk,
-                frontier,
-            } => {
-                w.put_u8(TAG_SNAPSHOT_TRANSFER);
-                w.put_u64(*last_included);
-                w.put_u64(*digest);
-                w.put_u32(*total);
-                w.put_u32(*offset);
-                w.put_u64(*frontier);
-                chunk.encode(w);
-            }
-            MonoMsg::SnapshotPull {
-                last_included,
-                offset,
-            } => {
-                w.put_u8(TAG_SNAPSHOT_PULL);
-                w.put_u64(*last_included);
-                w.put_u32(*offset);
-            }
+            MonoMsg::CatchUp(msg) => msg.encode_tagged(&REPLICA_NAMES.tags, w),
         }
     }
 
@@ -304,66 +243,13 @@ impl Wire for MonoMsg {
                 value: Batch::decode(r)?,
                 msgs: Vec::<AppMsg>::decode(r)?,
             }),
-            TAG_DECISION_REQUEST => Ok(MonoMsg::DecisionRequest {
-                instance: r.get_u64()?,
-            }),
             TAG_ESTIMATE_REQUEST => Ok(MonoMsg::EstimateRequest {
                 instance: r.get_u64()?,
                 round: r.get_u32()?,
             }),
             TAG_HEARTBEAT => Ok(MonoMsg::Heartbeat),
-            TAG_JOIN_REQUEST => Ok(MonoMsg::JoinRequest {
-                watermark: r.get_u64()?,
-            }),
-            TAG_STATE_TRANSFER => Ok(MonoMsg::StateTransfer {
-                from: r.get_u64()?,
-                frontier: r.get_u64()?,
-                values: Vec::<Batch>::decode(r)?,
-            }),
-            TAG_SNAPSHOT_TRANSFER => Ok(MonoMsg::SnapshotTransfer {
-                last_included: r.get_u64()?,
-                digest: r.get_u64()?,
-                total: r.get_u32()?,
-                offset: r.get_u32()?,
-                frontier: r.get_u64()?,
-                chunk: Bytes::decode(r)?,
-            }),
-            TAG_SNAPSHOT_PULL => Ok(MonoMsg::SnapshotPull {
-                last_included: r.get_u64()?,
-                offset: r.get_u32()?,
-            }),
-            t => Err(WireError::InvalidTag(t)),
+            t => CatchUp::decode_tagged(t, &REPLICA_NAMES.tags, r).map(MonoMsg::CatchUp),
         }
-    }
-}
-
-/// The crash-recovery stable record of one instance: the round this
-/// process last voted in, the adoption timestamp of its estimate, and
-/// the estimate itself (same CT-safety role as the modular stack's
-/// `fortika_consensus::VoteRecord`, duplicated here because the
-/// monolithic crate deliberately depends on no protocol crate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VoteRecord {
-    /// Round of the last vote (lower-round proposals are refused).
-    pub round: u32,
-    /// Adoption timestamp of `value` (round + 1 at ack time).
-    pub ts: u32,
-    /// The locked estimate.
-    pub value: Batch,
-}
-
-impl Wire for VoteRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.round);
-        w.put_u32(self.ts);
-        self.value.encode(w);
-    }
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(VoteRecord {
-            round: r.get_u32()?,
-            ts: r.get_u32()?,
-            value: Batch::decode(r)?,
-        })
     }
 }
 
@@ -434,34 +320,71 @@ mod tests {
                 value: batch(),
                 msgs: vec![msg(1, 1)],
             },
-            MonoMsg::DecisionRequest { instance: 11 },
             MonoMsg::EstimateRequest {
                 instance: 12,
                 round: 2,
             },
             MonoMsg::Heartbeat,
-            MonoMsg::JoinRequest { watermark: 7 },
-            MonoMsg::StateTransfer {
-                from: 0,
-                values: vec![batch(), Batch::empty()],
-                frontier: 9,
-            },
-            MonoMsg::SnapshotTransfer {
-                last_included: 63,
-                digest: 0xFEED_F00D,
-                total: 9000,
-                offset: 8192,
-                chunk: Bytes::from_static(b"chunk"),
-                frontier: 99,
-            },
-            MonoMsg::SnapshotPull {
-                last_included: 63,
-                offset: 8192,
-            },
+            MonoMsg::CatchUp(CatchUp::JoinRequest { watermark: 7 }),
         ];
         for v in variants {
             let bytes = encode(&v);
             assert_eq!(decode::<MonoMsg>(bytes).unwrap(), v, "variant {v:?}");
+        }
+    }
+
+    /// The catch-up messages moved into `fortika_net::replica`; on the
+    /// wire they are still the bytes `MonoMsg` produced when it declared
+    /// them itself (tags 6, 9, 10, 11, 12).
+    #[test]
+    fn catch_up_keeps_its_wire_bytes() {
+        let pins = [
+            (
+                CatchUp::DecisionRequest { instance: 6 },
+                "060600000000000000",
+            ),
+            (CatchUp::JoinRequest { watermark: 7 }, "090700000000000000"),
+            (
+                CatchUp::StateTransfer {
+                    from: 3,
+                    values: vec![
+                        Batch::normalize(vec![AppMsg::new(
+                            MsgId::new(ProcessId(1), 9),
+                            Bytes::from_static(b"pay"),
+                        )]),
+                        Batch::empty(),
+                    ],
+                    frontier: 42,
+                },
+                "0a03000000000000002a0000000000000002000000010000000100090000000000\
+                 00000300000070617900000000",
+            ),
+            (
+                CatchUp::SnapshotTransfer {
+                    last_included: 63,
+                    digest: 0xDEAD_BEEF,
+                    total: 4097,
+                    offset: 4096,
+                    chunk: Bytes::from_static(b"tail"),
+                    frontier: 80,
+                },
+                "0b3f00000000000000efbeadde0000000001100000001000005000000000000000\
+                 040000007461696c",
+            ),
+            (
+                CatchUp::SnapshotPull {
+                    last_included: 63,
+                    offset: 4096,
+                },
+                "0c3f0000000000000000100000",
+            ),
+        ];
+        for (msg, pin) in pins {
+            let msg = MonoMsg::CatchUp(msg);
+            let bytes = encode(&msg);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pin, "{msg:?}");
+            assert_eq!(decode::<MonoMsg>(bytes).unwrap(), msg);
         }
     }
 

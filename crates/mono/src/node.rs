@@ -23,7 +23,7 @@
 //! `(n−1)(M + 2 + ⌊(n+1)/2⌋)` for the modular stack (§5.2.1).
 //!
 //! The proposal path is a windowed sequencer
-//! ([`MonoConfig::pipeline_depth`]): at the default depth 1 consensus
+//! (`ReplicaConfig::pipeline_depth`): at the default depth 1 consensus
 //! slots run strictly one at a time as in the paper, while larger
 //! depths keep α slots outstanding concurrently (their decision
 //! round-trips overlap; decisions are still applied strictly in
@@ -34,48 +34,32 @@
 //! deciding requires a majority of acks for an exact `(instance, round)`;
 //! acks lock the proposal with adoption timestamp `round+1`; coordinators
 //! of later rounds adopt the max-timestamp estimate from a majority.
+//!
+//! Durable votes, the decided fence, the configuration timeline, log
+//! compaction and join / gap / snapshot catch-up are the same protocol
+//! on both stacks and live in [`fortika_net::replica`]; this node hosts
+//! a [`ReplicaCore`] and takes its outcomes straight into the merged
+//! state (decisions are buffered and applied in order, a registered
+//! reconfiguration re-points the failure detector, an installed
+//! snapshot seeds the delivery dedup and prunes the pool).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use fortika_fd::{FailureDetector, FdEvent};
 use fortika_net::flow::FlowWindow;
-use fortika_net::membership::{decode_reconfigs, encode_reconfigs};
-use fortika_net::snapshot::{chunk_of, stamp_of};
-use fortika_net::wire::{decode, encode, WireReader, WireWriter};
+use fortika_net::wire::{decode, encode};
 use fortika_net::{
-    parse_reconfig, Admission, AppMsg, AppRequest, AppState, Batch, ChunkOutcome, ConfigChange,
-    ConfigTimeline, MsgId, Node, NodeCtx, PeerRateLimiter, ProcessId, Snapshot, SnapshotDownload,
-    SnapshotFold, StableStore, TimerId, WatermarkSet,
+    Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, MsgId, Node, NodeCtx,
+    ProcessId, ReplicaConfig, ReplicaCore, ReplicaHost, Snapshot, StableStore, TimerId,
+    WatermarkSet,
 };
 use fortika_sim::{VDur, VTime};
 
-use crate::msg::{decision_full, Decision, MonoMsg, Proposal, VoteRecord};
+use crate::msg::{decision_full, Decision, MonoMsg, Proposal, REPLICA_NAMES};
 
 const TAG_FD: u64 = 1;
 const TAG_SWEEP: u64 = 2;
-
-/// Stable-store key namespace tag of per-instance vote records.
-const STABLE_VOTE_TAG: u64 = 0x11 << 56;
-/// Stable-store key of the contiguous decided watermark.
-const STABLE_WATERMARK_KEY: u64 = 0x12 << 56;
-/// Stable-store key of the latest log-compaction snapshot.
-const STABLE_SNAPSHOT_KEY: u64 = 0x13 << 56;
-/// Stable-store key of the registered reconfiguration history.
-const STABLE_CONFIG_KEY: u64 = 0x14 << 56;
-
-/// Stable-store key of `instance`'s vote record.
-fn vote_key(instance: u64) -> u64 {
-    debug_assert!(instance < (1 << 56));
-    STABLE_VOTE_TAG | instance
-}
-
-/// Instances streamed per [`MonoMsg::StateTransfer`] reply.
-const MAX_TRANSFER: u64 = 16;
-/// Minimum spacing of rejoin re-announcements.
-const JOIN_RETRY: VDur = VDur::millis(300);
-/// Minimum spacing of snapshot offers toward one lagging peer.
-const OFFER_SPACING: VDur = VDur::millis(50);
 
 /// Which of the three cross-module optimizations are enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,48 +114,6 @@ pub struct MonoConfig {
     /// Idle kick: with a suspected round-0 coordinator and pending work,
     /// (re)create the next instance after this much silence.
     pub idle_timeout: VDur,
-    /// Decision cache depth for recovery requests.
-    pub decision_cache: usize,
-    /// Fold the applied prefix into a log-compaction snapshot every
-    /// this many instances (also whenever the decision cache would
-    /// otherwise evict an uncompacted decision). `0` disables
-    /// snapshotting — then a joiner whose gap was evicted everywhere
-    /// stalls forever (`mono.join_unservable`).
-    pub snapshot_interval: u64,
-    /// The windowed-sequencer depth α: how many consensus slots this
-    /// node keeps outstanding concurrently.
-    ///
-    /// `1` (the default) is the seed-faithful regime — the coordinator
-    /// starts slot `k+1` only once slot `k`'s decision was applied
-    /// locally (modulo O1, which combines `decision k` with `proposal
-    /// k+1` in one message). Larger depths let the coordinator keep α
-    /// slots in flight, overlapping their decision round-trips; the
-    /// pool is deduplicated against batches already proposed in live
-    /// slots, and decisions are still **applied strictly in instance
-    /// order**. Interaction with flow control: each sender may hold at
-    /// most [`window`](MonoConfig::window) own messages outstanding, so
-    /// a deep pipeline only fills when the flow windows offer enough
-    /// distinct messages for α disjoint batches.
-    pub pipeline_depth: usize,
-    /// **Test-only fault hook, debug builds only:** skip persisting CT
-    /// vote records. Plants the classic lost-vote recovery bug for the
-    /// fuzz-minimizer acceptance suite; compiled to a no-op in release
-    /// builds (`cfg!(debug_assertions)`).
-    pub skip_vote_persist: bool,
-    /// Size of the initial voting member set. `0` (the default) means
-    /// "every process in the cluster"; reconfiguration runs build
-    /// clusters at standby capacity with a smaller voter count.
-    pub initial_members: usize,
-    /// Activation offset of log-decided reconfigurations: a membership
-    /// change decided at instance `d` governs instances `d + offset` on.
-    /// Must be at least the pipeline depth.
-    pub reconfig_offset: u64,
-    /// **Test-only fault hook, debug builds only:** never register
-    /// decided reconfigurations — this node keeps voting with the
-    /// *initial* configuration's quorum and coordinator math (the
-    /// stale-quorum membership bug the config-aware oracle must catch).
-    /// A no-op in release builds.
-    pub skip_config_fence: bool,
 }
 
 impl Default for MonoConfig {
@@ -182,13 +124,6 @@ impl Default for MonoConfig {
             progress_timeout: VDur::secs(1),
             sweep_interval: VDur::millis(250),
             idle_timeout: VDur::secs(1),
-            decision_cache: 1024,
-            snapshot_interval: 256,
-            pipeline_depth: 1,
-            skip_vote_persist: false,
-            initial_members: 0,
-            reconfig_offset: 8,
-            skip_config_fence: false,
         }
     }
 }
@@ -224,6 +159,9 @@ impl Inst {
 /// The monolithic atomic broadcast stack (implements [`Node`]).
 pub struct MonoNode {
     cfg: MonoConfig,
+    /// Durable votes, decided log, configuration timeline, compaction
+    /// and catch-up (shared with the modular stack).
+    core: ReplicaCore,
     fd: Box<dyn FailureDetector>,
     fd_scratch: Vec<FdEvent>,
     suspected: BTreeSet<ProcessId>,
@@ -232,15 +170,7 @@ pub struct MonoNode {
     next_decide: u64,
     /// Delivered message ids, per sender (duplicate suppression).
     delivered: BTreeMap<ProcessId, WatermarkSet>,
-    /// Instances this process may no longer vote in (voting fence).
-    /// After a restart it is pre-loaded from the persisted watermark,
-    /// so it can run *ahead* of [`replayed`](Self::replayed).
-    decided_log: WatermarkSet,
-    /// Instances whose decision was recorded (buffered for in-order
-    /// application) in this incarnation — the replay progress. Always
-    /// starts at 0, so a revived node re-applies the decided prefix.
-    replayed: WatermarkSet,
-    decisions: BTreeMap<u64, Batch>,
+    /// Recorded decisions awaiting in-order application.
     decision_buffer: BTreeMap<u64, Batch>,
     /// Own messages not yet adelivered (flow control + re-forwarding).
     own_pending: BTreeMap<MsgId, AppMsg>,
@@ -248,247 +178,63 @@ pub struct MonoNode {
     pool: BTreeMap<MsgId, AppMsg>,
     instances: BTreeMap<u64, Inst>,
     last_progress: VTime,
-    /// Per-peer rate limiter for gap/rejoin recovery requests.
-    gap_limiter: PeerRateLimiter,
-    /// Highest instance number observed in any peer message — when it
-    /// runs ahead of `next_decide`, decisions were missed (partition,
-    /// loss) and gap recovery engages.
-    highest_seen_instance: u64,
     /// Last heartbeat broadcast (the FD may tick faster than it wants
     /// heartbeats sent — e.g. chaos overlays).
     last_heartbeat: Option<VTime>,
-    /// Vote records recovered from stable storage (restart only).
-    recovered_votes: BTreeMap<u64, VoteRecord>,
-    /// Still catching up after a restart (rejoin announcements active).
-    rejoining: bool,
-    /// Highest applied frontier any state transfer advertised.
-    rejoin_target: u64,
-    /// When the last rejoin announcement went out.
-    last_join: VTime,
-    /// Deterministic fold of the contiguous applied prefix (feeds
-    /// snapshots; mirrors the delivery path's dedup exactly).
-    fold: SnapshotFold,
-    /// Latest materialized or installed snapshot, plus its cached
-    /// encoding for chunked serving.
-    snapshot: Option<Snapshot>,
-    snapshot_bytes: Bytes,
-    /// In-progress snapshot download (receiver side).
-    download: SnapshotDownload,
-    /// Rate limiter for snapshot offers toward lagging peers (a batch
-    /// of gap requests needs one offer, not eight).
-    offer_limiter: PeerRateLimiter,
-    /// Snapshot recovered from stable storage (restart only); installed
-    /// in `on_start`, where a handler context is available.
-    restored: Option<Snapshot>,
-    /// The versioned configuration history (log-decided membership).
-    /// Built at `on_start`; `None` answers every quorum question with
-    /// the static-group math.
-    timeline: Option<ConfigTimeline>,
-    /// Reconfiguration commands decided but not yet registered (a
-    /// change enters the timeline only once the contiguous replayed
-    /// prefix covers its decided instance, so versions are numbered in
-    /// decided order on every process).
-    pending_reconfigs: BTreeMap<u64, ConfigChange>,
-    /// Reconfiguration history recovered from stable storage (restart
-    /// only); registered in `on_start`.
-    recovered_reconfigs: Vec<(u64, ConfigChange)>,
 }
 
 impl MonoNode {
-    /// Creates a monolithic node with the given failure detector core.
+    /// Creates a monolithic node with the given failure detector core
+    /// and the default replica knobs (fresh start at time zero).
     pub fn new(cfg: MonoConfig, fd: Box<dyn FailureDetector>) -> Self {
+        Self::with_replica(cfg, fd, ReplicaConfig::default(), None)
+    }
+
+    /// Creates a node with the given replica knobs. With `stable`, it
+    /// is the node of a process revived after a crash: the core replays
+    /// the persisted votes, decided watermark, snapshot and
+    /// reconfiguration history (see [`ReplicaCore::resume`]); everything
+    /// else — the decided tail, delivery logs, the pool — is rebuilt
+    /// from peers.
+    pub fn with_replica(
+        cfg: MonoConfig,
+        fd: Box<dyn FailureDetector>,
+        replica: ReplicaConfig,
+        stable: Option<&StableStore>,
+    ) -> Self {
+        let core = match stable {
+            Some(stable) => ReplicaCore::resume(replica, &REPLICA_NAMES, stable),
+            None => ReplicaCore::new(replica, &REPLICA_NAMES),
+        };
         let window = cfg.window;
         MonoNode {
             cfg,
+            core,
             fd,
             fd_scratch: Vec::new(),
             suspected: BTreeSet::new(),
             flow: FlowWindow::new(window),
             next_decide: 0,
             delivered: BTreeMap::new(),
-            decided_log: WatermarkSet::default(),
-            replayed: WatermarkSet::default(),
-            decisions: BTreeMap::new(),
             decision_buffer: BTreeMap::new(),
             own_pending: BTreeMap::new(),
             pool: BTreeMap::new(),
             instances: BTreeMap::new(),
             last_progress: VTime::ZERO,
-            gap_limiter: PeerRateLimiter::new(),
-            highest_seen_instance: 0,
             last_heartbeat: None,
-            recovered_votes: BTreeMap::new(),
-            rejoining: false,
-            rejoin_target: 0,
-            last_join: VTime::ZERO,
-            fold: SnapshotFold::new(None),
-            snapshot: None,
-            snapshot_bytes: Bytes::new(),
-            download: SnapshotDownload::default(),
-            offer_limiter: PeerRateLimiter::new(),
-            restored: None,
-            timeline: None,
-            pending_reconfigs: BTreeMap::new(),
-            recovered_reconfigs: Vec::new(),
         }
     }
 
     /// Attaches an application-state hook to the snapshot fold (call
-    /// right after [`new`](Self::new)/[`resume`](Self::resume), before
-    /// the node processes anything).
+    /// right after construction, before the node processes anything).
     pub fn with_app(mut self, app: Option<Box<dyn AppState>>) -> Self {
-        self.fold = SnapshotFold::new(app);
+        self.core.set_app(app);
         self
     }
 
-    /// Creates a node for a process revived after a crash: replays the
-    /// persisted vote records, decided watermark and log-compaction
-    /// snapshot out of `stable` (CT-safety state, see [`VoteRecord`])
-    /// and arms the rejoin announcement; everything else — the decided
-    /// tail, delivery logs, the pool — is rebuilt from peers via
-    /// [`MonoMsg::JoinRequest`] / [`MonoMsg::StateTransfer`] /
-    /// [`MonoMsg::SnapshotTransfer`].
-    pub fn resume(cfg: MonoConfig, fd: Box<dyn FailureDetector>, stable: &StableStore) -> Self {
-        let mut node = MonoNode::new(cfg, fd);
-        node.rejoining = true;
-        for (&key, bytes) in stable {
-            if key == STABLE_WATERMARK_KEY {
-                if let Ok(w) = decode::<u64>(bytes.clone()) {
-                    node.decided_log.advance_to(w);
-                }
-            } else if key == STABLE_SNAPSHOT_KEY {
-                if let Ok(snap) = decode::<Snapshot>(bytes.clone()) {
-                    node.restored = Some(snap);
-                }
-            } else if key == STABLE_CONFIG_KEY {
-                let mut r = WireReader::new(bytes.clone());
-                if let Ok(history) = decode_reconfigs(&mut r) {
-                    node.recovered_reconfigs = history;
-                }
-            } else if key >> 56 == STABLE_VOTE_TAG >> 56 {
-                if let Ok(rec) = decode::<VoteRecord>(bytes.clone()) {
-                    node.recovered_votes.insert(key & !STABLE_VOTE_TAG, rec);
-                }
-            }
-        }
-        node
-    }
-
-    /// The timeline, built on first use (the voter count defaults to
-    /// the cluster size; reconfig runs override it via
-    /// [`MonoConfig::initial_members`]).
-    fn timeline_mut(&mut self, n: usize) -> &mut ConfigTimeline {
-        let voters = if self.cfg.initial_members == 0 {
-            n
-        } else {
-            self.cfg.initial_members
-        };
-        let offset = self.cfg.reconfig_offset.max(1);
-        self.timeline
-            .get_or_insert_with(|| ConfigTimeline::new(voters, offset))
-    }
-
-    /// The member set governing `instance`, in rotation order.
-    fn members_of(&self, instance: u64, n: usize) -> Vec<ProcessId> {
-        match &self.timeline {
-            Some(t) => t.members_at(instance),
-            None => ProcessId::all(n).collect(),
-        }
-    }
-
-    /// The quorum size at `instance`.
-    fn majority_of(&self, instance: u64, n: usize) -> usize {
-        match &self.timeline {
-            Some(t) => t.majority_at(instance),
-            None => n / 2 + 1,
-        }
-    }
-
-    /// The coordinator of `round` at `instance` (rotation over the
-    /// governing member set).
-    fn coordinator_of(&self, instance: u64, round: u32, n: usize) -> ProcessId {
-        match &self.timeline {
-            Some(t) => t.coordinator_at(instance, round),
-            None => Self::coordinator(round, n),
-        }
-    }
-
-    /// True when the membership governing `instance` is fully determined
-    /// by this node's contiguous replayed prefix (the config fence).
-    fn config_certain(&self, instance: u64) -> bool {
-        match &self.timeline {
-            Some(t) => t.certain_at(instance, self.replayed.watermark()),
-            None => true,
-        }
-    }
-
-    /// True when this node may vote (ack / estimate / propose) at
-    /// `instance`: its membership there must be certain, and it must be
-    /// a member. Non-members keep running as learners — they record
-    /// proposals, learn decisions and deliver, but never vote.
-    fn can_vote(&self, instance: u64, me: ProcessId) -> bool {
-        match &self.timeline {
-            Some(t) => {
-                t.certain_at(instance, self.replayed.watermark()) && t.is_member_at(instance, me)
-            }
-            None => true,
-        }
-    }
-
-    /// Registers the reconfiguration decided at `decided_at`: updates
-    /// the timeline, persists the full history atomically with the
-    /// enclosing handler, reports the new version's stamp to the
-    /// harness, and re-points the failure detector at the new member
-    /// set (whether this node heartbeats at all follows its own
-    /// membership).
-    fn register_reconfig(&mut self, ctx: &mut NodeCtx<'_>, decided_at: u64, change: ConfigChange) {
-        if cfg!(debug_assertions) && self.cfg.skip_config_fence {
-            // Injected fault (reconfig oracle acceptance suite): the
-            // decided change is ignored, so this node keeps voting with
-            // the initial configuration's quorum and coordinator math
-            // and never reports a config stamp.
-            return;
-        }
-        let n = ctx.n();
-        let Some(stamp) = self.timeline_mut(n).register(decided_at, change) else {
-            return; // duplicate (replay / snapshot overlap)
-        };
-        let history = self.timeline.as_ref().expect("just touched").reconfigs();
-        let mut w = WireWriter::new();
-        encode_reconfigs(&history, &mut w);
-        ctx.persist(STABLE_CONFIG_KEY, w.finish());
-        ctx.bump("mono.reconfigs", 1);
-        ctx.trace_span("mono", decided_at, "config_active", stamp.version);
-        let now = ctx.now();
-        self.fd
-            .set_members(&stamp.members, now, &mut self.fd_scratch);
-        ctx.bump("fd.member_updates", 1);
-        ctx.note_config(stamp);
-        self.process_fd_events(ctx);
-    }
-
-    /// Scans a freshly decided batch for reconfiguration commands, then
-    /// registers every pending command the contiguous replayed prefix
-    /// now covers — in decided-instance order, so configuration
-    /// versions are numbered identically on every process regardless of
-    /// the order pipelined decisions landed in.
-    fn note_reconfigs(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, value: &Batch) {
-        for msg in value.msgs() {
-            if let Some(change) = parse_reconfig(&msg.payload) {
-                self.pending_reconfigs.entry(instance).or_insert(change);
-            }
-        }
-        while let Some((&d, &change)) = self.pending_reconfigs.first_key_value() {
-            if d >= self.replayed.watermark() {
-                break; // not contiguous yet: an earlier decision is missing
-            }
-            self.pending_reconfigs.remove(&d);
-            self.register_reconfig(ctx, d, change);
-        }
-    }
-
-    fn is_decided(&self, instance: u64) -> bool {
-        !self.decided_log.is_new(instance)
+    /// The windowed-sequencer depth α (at least 1).
+    fn depth(&self) -> usize {
+        self.core.cfg().pipeline_depth.max(1) as usize
     }
 
     /// Per-instance state, created on first touch; a revived node seeds
@@ -497,7 +243,7 @@ impl MonoNode {
     fn inst_entry(&mut self, instance: u64, now: VTime) -> &mut Inst {
         if !self.instances.contains_key(&instance) {
             let mut inst = Inst::new(now);
-            if let Some(rec) = self.recovered_votes.get(&instance) {
+            if let Some(rec) = self.core.recovered_vote(instance) {
                 inst.round = rec.round;
                 inst.estimate = Some(rec.value.clone());
                 inst.ts = rec.ts;
@@ -507,46 +253,18 @@ impl MonoNode {
         self.instances.get_mut(&instance).expect("just inserted")
     }
 
-    /// Writes `instance`'s vote record to stable storage, atomically
-    /// with the vote message of the enclosing handler.
-    fn persist_vote(
-        &self,
-        ctx: &mut NodeCtx<'_>,
-        instance: u64,
-        round: u32,
-        ts: u32,
-        value: &Batch,
-    ) {
-        if cfg!(debug_assertions) && self.cfg.skip_vote_persist {
-            // Injected fault (fuzz-minimizer acceptance suite): the
-            // vote is acked but never reaches stable storage, so a
-            // crash-restart forgets its lock.
-            return;
-        }
-        let rec = VoteRecord {
-            round,
-            ts,
-            value: value.clone(),
-        };
-        ctx.persist(vote_key(instance), encode(&rec));
-    }
-
     fn msg_is_new(&self, id: MsgId) -> bool {
         self.delivered
             .get(&id.sender)
             .is_none_or(|log| log.is_new(id.seq))
     }
 
-    fn coordinator(round: u32, n: usize) -> ProcessId {
-        ProcessId((round as usize % n) as u16)
-    }
-
     /// The coordinator new messages should be routed to right now.
     fn responsible_coordinator(&self, n: usize) -> ProcessId {
         if let Some((k, inst)) = self.instances.iter().next() {
-            return self.coordinator_of(*k, inst.round, n);
+            return self.core.coordinator_of(*k, inst.round, n);
         }
-        let members = self.members_of(self.next_decide, n);
+        let members = self.core.members_of(self.next_decide, n);
         // Bounded by one full rotation: a learner must not spin when
         // every member is transiently suspected.
         let mut r = 0;
@@ -571,12 +289,12 @@ impl MonoNode {
     /// (applied or buffered) or carries live instance state; the window
     /// spans `pipeline_depth` slots from the apply cursor.
     fn open_slot(&self) -> Option<u64> {
-        let depth = self.cfg.pipeline_depth.max(1);
+        let depth = self.depth();
         if self.instances.len() >= depth {
             return None;
         }
         (self.next_decide..self.next_decide + depth as u64)
-            .find(|k| !self.is_decided(*k) && !self.instances.contains_key(k))
+            .find(|k| !self.core.is_decided(*k) && !self.instances.contains_key(k))
     }
 
     /// The pool minus messages already claimed by a live proposal in an
@@ -645,14 +363,14 @@ impl MonoNode {
             let n = ctx.n();
             let me = ctx.pid();
             let now = ctx.now();
-            if !self.can_vote(k, me) {
+            if !self.core.can_vote(k, me) {
                 // Learner (or membership at `k` still behind the config
                 // fence): never propose. Pending messages reach the
                 // members via the forward/diffuse routing instead.
                 ctx.bump("mono.config_fence_drops", 1);
                 return;
             }
-            let members = self.members_of(k, n);
+            let members = self.core.members_of(k, n);
             if members[0] != me {
                 // Instance registered so round rotation can engage; if
                 // its coordinator is already suspected, rotate now. No
@@ -691,7 +409,7 @@ impl MonoNode {
                     ctx.bump("mono.pipelined_proposals", 1);
                 }
                 ctx.trace_span("mono", k, "proposed", 0);
-                self.persist_vote(ctx, k, 0, 1, &batch);
+                self.core.persist_vote(ctx, k, 0, 1, &batch);
                 self.broadcast(
                     ctx,
                     "mono.proposal",
@@ -730,11 +448,11 @@ impl MonoNode {
     /// the modular stack gets the same guarantee from its periodic idle
     /// consensus (§3.3's `t`-timeout).
     fn kick_fresh_instance(&mut self, ctx: &mut NodeCtx<'_>) {
-        if !self.instances.is_empty() || self.is_decided(self.next_decide) {
+        if !self.instances.is_empty() || self.core.is_decided(self.next_decide) {
             return;
         }
         let n = ctx.n();
-        if !self.can_vote(self.next_decide, ctx.pid()) {
+        if !self.core.can_vote(self.next_decide, ctx.pid()) {
             // A learner cannot contribute estimates; it waits for the
             // members' decisions instead of joining the instance.
             return;
@@ -742,7 +460,7 @@ impl MonoNode {
         let has_work = !self.pool.is_empty() || !self.own_pending.is_empty();
         let coord0_suspected = self
             .suspected
-            .contains(&self.members_of(self.next_decide, n)[0]);
+            .contains(&self.core.members_of(self.next_decide, n)[0]);
         if !(has_work || coord0_suspected) {
             return;
         }
@@ -756,7 +474,7 @@ impl MonoNode {
                 .or_insert_with(|| Inst::new(now));
         }
         let rotate = self.instances.iter().next().and_then(|(k, inst)| {
-            let c = self.coordinator_of(*k, inst.round, n);
+            let c = self.core.coordinator_of(*k, inst.round, n);
             self.suspected.contains(&c).then_some(*k)
         });
         if let Some(k) = rotate {
@@ -766,7 +484,7 @@ impl MonoNode {
 
     fn check_decide(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
         let n = ctx.n();
-        let majority = self.majority_of(instance, n);
+        let majority = self.core.majority_of(instance, n);
         let Some(inst) = self.instances.get(&instance) else {
             return;
         };
@@ -798,7 +516,7 @@ impl MonoNode {
                 Some(value.clone())
             },
         };
-        self.record_decision(ctx, instance, value);
+        self.buffer_decision(ctx, instance, value);
         // Apply without the auto-start of the next instance: the next
         // proposal must be assembled *here* so O1 can combine it with
         // the decision we are about to emit.
@@ -812,9 +530,9 @@ impl MonoNode {
             .open_slot()
             .filter(|k1| {
                 !self.pool.is_empty()
-                    && self.can_vote(*k1, me)
-                    && self.members_of(*k1, n)[0] == me
-                    && self.recovered_votes.get(k1).is_none_or(|r| r.round == 0)
+                    && self.core.can_vote(*k1, me)
+                    && self.core.members_of(*k1, n)[0] == me
+                    && self.core.recovered_vote(*k1).is_none_or(|r| r.round == 0)
             })
             .map(|k1| (k1, self.fresh_pool_batch()))
             .filter(|(_, fresh)| !fresh.is_empty());
@@ -836,7 +554,7 @@ impl MonoNode {
                 // like the standalone path does.
                 ctx.bump("mono.pipelined_proposals", 1);
             }
-            self.persist_vote(ctx, k1, 0, 1, &batch);
+            self.core.persist_vote(ctx, k1, 0, 1, &batch);
             let proposal = Proposal {
                 instance: k1,
                 round: 0,
@@ -883,111 +601,21 @@ impl MonoNode {
         }
         // With a window deeper than one, the combined Step fills only
         // one slot — standalone proposals may still top the window up.
-        if self.cfg.pipeline_depth > 1 {
+        if self.depth() > 1 {
             self.try_start_instance(ctx);
         }
     }
 
-    /// Records a decision for in-order application. Keyed on the replay
-    /// log, so a revived node re-buffers the decided prefix learned via
-    /// state transfer even though its voting fence (`decided_log`)
-    /// already covers it.
-    fn record_decision(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, value: Batch) {
-        if !self.replayed.is_new(instance) {
+    /// Records a decision in the replica core and buffers it for
+    /// in-order application — also for the decided prefix a revived node
+    /// learns through state transfer, which it thereby re-applies.
+    fn buffer_decision(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, value: Batch) {
+        if self.core.is_replayed(instance) {
             return;
         }
         ctx.trace_span("mono", instance, "decided", 0);
-        self.replayed.complete(instance);
-        let fence_before = self.decided_log.watermark();
-        self.decided_log.complete(instance);
-        self.persist_fence(ctx, fence_before);
-        self.decisions.insert(instance, value.clone());
-        self.fold.absorb(instance, &value);
-        self.note_reconfigs(ctx, instance, &value);
-        self.maybe_compact(ctx);
-        if self.cfg.snapshot_interval == 0 {
-            // No snapshots: bound the cache by blind eviction (the
-            // pre-compaction behaviour — evicted prefixes become
-            // unservable to joiners).
-            while self.decisions.len() > self.cfg.decision_cache {
-                self.decisions.pop_first();
-            }
-        }
+        self.record_decision(ctx, instance, &value);
         self.decision_buffer.insert(instance, value);
-    }
-
-    /// Persists the voting fence if it advanced past `fence_before` and
-    /// garbage-collects the vote records the advance makes obsolete.
-    fn persist_fence(&mut self, ctx: &mut NodeCtx<'_>, fence_before: u64) {
-        let fence_after = self.decided_log.watermark();
-        if fence_after > fence_before {
-            ctx.persist(STABLE_WATERMARK_KEY, encode(&fence_after));
-            for k in fence_before..fence_after {
-                ctx.unpersist(vote_key(k));
-            }
-        }
-    }
-
-    /// Materializes a snapshot when the fold ran `snapshot_interval`
-    /// instances past the previous one — or early, whenever the decision
-    /// cache would otherwise have to evict an uncompacted decision
-    /// (compaction replaces eviction, so every instance a joiner may
-    /// miss is servable from either the log tail or the snapshot).
-    fn maybe_compact(&mut self, ctx: &mut NodeCtx<'_>) {
-        let interval = self.cfg.snapshot_interval;
-        if interval == 0 {
-            return;
-        }
-        let folded = self.fold.next_instance();
-        let base = self.snapshot.as_ref().map_or(0, |s| s.last_included + 1);
-        let overflow = self.decisions.len() > self.cfg.decision_cache;
-        if folded < base + interval && !(overflow && folded > base) {
-            return;
-        }
-        let Some(mut snap) = self.fold.snapshot() else {
-            return;
-        };
-        if let Some(t) = &self.timeline {
-            // The snapshot carries the config under which it was cut, so
-            // a joiner installing it reconstructs the same timeline.
-            snap.reconfigs = t.reconfigs();
-        }
-        ctx.bump("mono.snapshots", 1);
-        ctx.trace_span("mono", snap.last_included, "snapshot_offer", 0);
-        self.set_snapshot(ctx, snap, false);
-    }
-
-    /// Adopts `snap` as this node's serving snapshot: persists it,
-    /// evicts the oldest *compacted* decisions down to the cache bound,
-    /// and reports the stamp to the harness.
-    fn set_snapshot(&mut self, ctx: &mut NodeCtx<'_>, snap: Snapshot, installed: bool) {
-        let bytes = encode(&snap);
-        // Durability is not free: materializing charges the encode
-        // cost, installing charges decode + restore + re-encode for
-        // serving — both proportional to the snapshot's encoded size
-        // (zero under the default calibration; see docs/COST_MODEL.md).
-        let cost = if installed {
-            ctx.costs().snapshot_install_cost(bytes.len())
-        } else {
-            ctx.costs().snapshot_encode_cost(bytes.len())
-        };
-        ctx.charge_durability(cost);
-        ctx.persist(STABLE_SNAPSHOT_KEY, bytes.clone());
-        // Only snapshot-covered entries are evicted, and only while the
-        // cache overflows — the recent log tail stays as deep as
-        // `decision_cache` allows, so small gaps are still served as
-        // cheap replies and the snapshot path covers the deep ones.
-        while self.decisions.len() > self.cfg.decision_cache {
-            match self.decisions.first_key_value() {
-                Some((&k, _)) if k <= snap.last_included => {
-                    self.decisions.pop_first();
-                }
-                _ => break, // uncompacted entries are never dropped
-            }
-        }
-        ctx.note_snapshot(stamp_of(&snap, installed));
-        self.snapshot_bytes = bytes;
-        self.snapshot = Some(snap);
     }
 
     fn apply_decisions(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1053,14 +681,14 @@ impl MonoNode {
         // Keyed on the replay log (not the voting fence) so a revived
         // node still absorbs decisions for instances it voted in before
         // crashing.
-        if !self.replayed.is_new(dec.instance) {
+        if self.core.is_replayed(dec.instance) {
             return;
         }
         // O3 disabled: emulate the reliable-broadcast relay pattern for
         // decisions (first receipt at a relay re-broadcasts).
         if !self.cfg.opts.implicit_decision_acks {
             let n = ctx.n();
-            let origin = self.coordinator_of(dec.instance, dec.round, n);
+            let origin = self.core.coordinator_of(dec.instance, dec.round, n);
             if fortika_relay_set(origin, n).any(|p| p == ctx.pid()) {
                 ctx.bump("mono.decision_relays", 1);
                 self.broadcast(
@@ -1075,27 +703,15 @@ impl MonoNode {
         }
         match dec.full {
             Some(value) => {
-                self.highest_seen_instance = self.highest_seen_instance.max(dec.instance);
-                self.record_decision(ctx, dec.instance, value);
+                self.core.note_seen(dec.instance);
+                self.buffer_decision(ctx, dec.instance, value);
                 if followup {
                     self.apply_decisions(ctx);
                 } else {
                     self.apply_decisions_core(ctx);
                 }
-                // Chained catch-up: a recovered decision that still
-                // leaves us behind pulls the next batch promptly, so a
-                // healed process recovers at near round-trip pace
-                // instead of one instance per progress-timeout. A short
-                // per-peer rate limit keeps the batch's several replies
-                // from each re-requesting the same range.
-                let now = ctx.now();
-                if self.highest_seen_instance > self.expected_frontier()
-                    && !self.is_decided(self.next_decide)
-                    && self.gap_limiter.allow(from, now, VDur::millis(5))
-                {
-                    let hi = self.highest_seen_instance;
-                    self.request_gap_batch(ctx, from, hi);
-                }
+                // While still behind, pull the next batch promptly.
+                self.core.chase_gap(ctx, from, self.next_decide);
             }
             None => {
                 let now = ctx.now();
@@ -1103,7 +719,7 @@ impl MonoNode {
                 match &inst.last_proposal {
                     Some((r, v)) if *r == dec.round => {
                         let value = v.clone();
-                        self.record_decision(ctx, dec.instance, value);
+                        self.buffer_decision(ctx, dec.instance, value);
                         if followup {
                             self.apply_decisions(ctx);
                         } else {
@@ -1113,49 +729,11 @@ impl MonoNode {
                     _ => {
                         inst.pending_tag = Some(dec.round);
                         ctx.bump("mono.tag_misses", 1);
-                        let req = MonoMsg::DecisionRequest {
-                            instance: dec.instance,
-                        };
-                        self.send(ctx, from, "mono.decision_request", &req);
+                        let instance = dec.instance;
+                        self.core
+                            .send(ctx, from, &CatchUp::DecisionRequest { instance });
                     }
                 }
-            }
-        }
-    }
-
-    /// Highest instance that can legitimately be in flight while our
-    /// apply cursor sits at `next_decide`: anything seen beyond it means
-    /// decisions were missed (the α = 1 frontier is `next_decide`
-    /// itself).
-    fn expected_frontier(&self) -> u64 {
-        self.next_decide + self.cfg.pipeline_depth.max(1) as u64 - 1
-    }
-
-    fn maybe_request_gap(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, seen_instance: u64) {
-        self.highest_seen_instance = self.highest_seen_instance.max(seen_instance);
-        if seen_instance <= self.expected_frontier() || self.is_decided(self.next_decide) {
-            return;
-        }
-        // Rate limited per peer: throttling catch-up toward one lagging
-        // peer must not suppress catch-up toward another.
-        let now = ctx.now();
-        if !self.gap_limiter.allow(from, now, VDur::millis(50)) {
-            return;
-        }
-        self.request_gap_batch(ctx, from, seen_instance);
-    }
-
-    /// Pulls a bounded batch of missing decisions starting at
-    /// `next_decide` from `from`.
-    fn request_gap_batch(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, seen_instance: u64) {
-        const MAX_BATCH: u64 = 8;
-        let hi = seen_instance.min(self.next_decide + MAX_BATCH);
-        for instance in self.next_decide..hi {
-            if !self.is_decided(instance) {
-                ctx.bump("mono.gap_requests", 1);
-                ctx.trace_span("mono", instance, "gap_pull", u64::from(from.0));
-                let req = MonoMsg::DecisionRequest { instance };
-                self.send(ctx, from, "mono.decision_request", &req);
             }
         }
     }
@@ -1165,20 +743,21 @@ impl MonoNode {
         // instance is certain: behind the config fence the rotation is
         // still provisional, and rejecting would drop a legitimate
         // proposal from a configuration we have not learned yet.
-        let certain = self.config_certain(p.instance);
-        if certain && self.coordinator_of(p.instance, p.round, ctx.n()) != from {
+        let certain = self.core.config_certain(p.instance);
+        if certain && self.core.coordinator_of(p.instance, p.round, ctx.n()) != from {
             ctx.bump("mono.bogus_proposals", 1);
             return; // only the round's coordinator may propose
         }
-        self.maybe_request_gap(ctx, from, p.instance);
-        if self.is_decided(p.instance) {
-            if let Some(v) = self.decisions.get(&p.instance) {
+        self.core
+            .maybe_request_gap(ctx, from, p.instance, self.next_decide);
+        if self.core.is_decided(p.instance) {
+            if let Some(v) = self.core.decision(p.instance) {
                 let msg = decision_full(p.instance, p.round, v.clone());
                 self.send(ctx, from, "mono.decision_full", &msg);
             }
             return;
         }
-        let votable = certain && self.can_vote(p.instance, ctx.pid());
+        let votable = certain && self.core.can_vote(p.instance, ctx.pid());
         let now = ctx.now();
         let inst = self.inst_entry(p.instance, now);
         if p.round < inst.round {
@@ -1198,7 +777,8 @@ impl MonoNode {
             inst.ts = p.round + 1;
             // The vote is made durable atomically with the ack so a
             // future incarnation of this process honours the lock.
-            self.persist_vote(ctx, p.instance, p.round, p.round + 1, &p.value);
+            self.core
+                .persist_vote(ctx, p.instance, p.round, p.round + 1, &p.value);
             ctx.trace_span("mono", p.instance, "voted", u64::from(p.round));
             let msgs = if self.cfg.opts.piggyback_on_acks {
                 self.drain_pool()
@@ -1215,7 +795,7 @@ impl MonoNode {
             ctx.bump("mono.config_fence_drops", 1);
         }
         if pending_tag_hit {
-            self.record_decision(ctx, p.instance, p.value);
+            self.buffer_decision(ctx, p.instance, p.value);
             self.apply_decisions(ctx);
         }
     }
@@ -1233,7 +813,7 @@ impl MonoNode {
                 self.pool.insert(m.id, m);
             }
         }
-        if self.is_decided(instance) {
+        if self.core.is_decided(instance) {
             self.try_start_instance(ctx);
             return;
         }
@@ -1273,9 +853,10 @@ impl MonoNode {
                 self.pool.insert(m.id, m);
             }
         }
-        self.maybe_request_gap(ctx, from, instance);
-        if self.is_decided(instance) {
-            if let Some(v) = self.decisions.get(&instance) {
+        self.core
+            .maybe_request_gap(ctx, from, instance, self.next_decide);
+        if self.core.is_decided(instance) {
+            if let Some(v) = self.core.decision(instance) {
                 let msg = decision_full(instance, round, v.clone());
                 self.send(ctx, from, "mono.decision_full", &msg);
             }
@@ -1284,7 +865,7 @@ impl MonoNode {
         }
         let n = ctx.n();
         let me = ctx.pid();
-        if self.coordinator_of(instance, round, n) != me {
+        if self.core.coordinator_of(instance, round, n) != me {
             return;
         }
         let now = ctx.now();
@@ -1319,10 +900,10 @@ impl MonoNode {
     fn try_propose_from_estimates(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
         let n = ctx.n();
         let me = ctx.pid();
-        if !self.can_vote(instance, me) {
+        if !self.core.can_vote(instance, me) {
             return;
         }
-        let members = self.members_of(instance, n);
+        let members = self.core.members_of(instance, n);
         let majority = members.len() / 2 + 1;
         let Some(inst) = self.instances.get_mut(&instance) else {
             return;
@@ -1370,7 +951,8 @@ impl MonoNode {
         ctx.bump("mono.proposals", 1);
         ctx.trace_span("mono", instance, "proposed", u64::from(round));
         // Coordinator self-ack: durable before the proposal leaves.
-        self.persist_vote(ctx, instance, round, round + 1, &value);
+        self.core
+            .persist_vote(ctx, instance, round, round + 1, &value);
         self.broadcast(
             ctx,
             "mono.proposal",
@@ -1390,9 +972,9 @@ impl MonoNode {
         let n = ctx.n();
         let me = ctx.pid();
         let now = ctx.now();
-        let members = self.members_of(instance, n);
+        let members = self.core.members_of(instance, n);
         let coord_of = |round: u32| members[round as usize % members.len()];
-        let votable = self.can_vote(instance, me);
+        let votable = self.core.can_vote(instance, me);
         let Some(inst) = self.instances.get_mut(&instance) else {
             return;
         };
@@ -1454,11 +1036,11 @@ impl MonoNode {
     /// piggybacked on the estimate sent to the new coordinator").
     fn send_estimate(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, round: u32) {
         let n = ctx.n();
-        let coord = self.coordinator_of(instance, round, n);
+        let coord = self.core.coordinator_of(instance, round, n);
         if coord == ctx.pid() {
             return;
         }
-        if !self.can_vote(instance, ctx.pid()) {
+        if !self.core.can_vote(instance, ctx.pid()) {
             ctx.bump("mono.config_fence_drops", 1);
             return;
         }
@@ -1505,7 +1087,7 @@ impl MonoNode {
                     let affected: Vec<u64> = self
                         .instances
                         .iter()
-                        .filter(|(k, inst)| self.coordinator_of(**k, inst.round, n) == *p)
+                        .filter(|(k, inst)| self.core.coordinator_of(**k, inst.round, n) == *p)
                         .map(|(k, _)| *k)
                         .collect();
                     for k in affected {
@@ -1526,254 +1108,9 @@ impl MonoNode {
         self.fd_scratch.clear();
     }
 
-    /// Broadcasts the rejoin announcement: "my applied prefix ends at
-    /// `watermark`" (a freshly revived node says instance 0).
-    fn announce_join(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.last_join = ctx.now();
-        ctx.bump("mono.join_requests", 1);
-        let wm = self.replayed.watermark();
-        self.broadcast(
-            ctx,
-            "mono.join_request",
-            &MonoMsg::JoinRequest { watermark: wm },
-        );
-    }
-
-    /// Serves a peer's rejoin announcement. A gap the decision log
-    /// still covers is served as a bulk [`MonoMsg::StateTransfer`] of
-    /// decided values; a gap whose head was compacted away falls back
-    /// to a chunked [`MonoMsg::SnapshotTransfer`] — the log there is
-    /// gone, the snapshot replaces it.
-    ///
-    /// With snapshotting disabled (`snapshot_interval == 0`) the old
-    /// limit applies: once a run outgrows `decision_cache`, the evicted
-    /// prefix is unservable and a joiner advertising instance 0 stalls
-    /// (`mono.join_unservable` counts this).
-    fn serve_join(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, watermark: u64) {
-        let frontier = self.replayed.watermark();
-        if frontier <= watermark {
-            return;
-        }
-        // The cheap path first: while the decision log still covers the
-        // head of the gap, a bulk value transfer beats re-shipping the
-        // whole snapshot (the log tail stays `decision_cache` deep).
-        let mut values = Vec::new();
-        for instance in watermark..frontier.min(watermark + MAX_TRANSFER) {
-            match self.decisions.get(&instance) {
-                Some(v) => values.push(v.clone()),
-                None => break, // evicted: cannot serve a gapless prefix
-            }
-        }
-        if !values.is_empty() {
-            ctx.bump("mono.state_transfers", 1);
-            let msg = MonoMsg::StateTransfer {
-                from: watermark,
-                values,
-                frontier,
-            };
-            self.send(ctx, from, "mono.state_transfer", &msg);
-            return;
-        }
-        if self
-            .snapshot
-            .as_ref()
-            .is_some_and(|s| watermark <= s.last_included)
-        {
-            // The gap begins inside the compacted prefix: ship the
-            // snapshot (first chunk; the joiner pulls the rest at
-            // round-trip pace), then it rejoins the log at
-            // `last_included + 1`.
-            self.serve_snapshot_chunk(ctx, from, 0);
-            return;
-        }
-        // Not silent: a joiner below our eviction horizon cannot be
-        // helped by this node (only possible with snapshots disabled,
-        // or for a gap above the snapshot with a hole in the local log).
-        ctx.bump("mono.join_unservable", 1);
-    }
-
-    /// Sends one chunk of the serving snapshot to `from`.
-    fn serve_snapshot_chunk(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, offset: u32) {
-        let Some(snap) = &self.snapshot else {
-            return;
-        };
-        let Some((total, chunk)) = chunk_of(&self.snapshot_bytes, offset) else {
-            return;
-        };
-        ctx.bump("mono.snapshot_transfers", 1);
-        let msg = MonoMsg::SnapshotTransfer {
-            last_included: snap.last_included,
-            digest: snap.digest,
-            total,
-            offset,
-            chunk,
-            frontier: self.replayed.watermark(),
-        };
-        self.send(ctx, from, "mono.snapshot_transfer", &msg);
-    }
-
-    /// Receiver side: absorbs one snapshot chunk through the shared
-    /// download state machine, pulling the next at round-trip pace; a
-    /// completed download is installed and chased with a `JoinRequest`
-    /// for the remaining log tail.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_snapshot_chunk(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        from: ProcessId,
-        last_included: u64,
-        digest: u64,
-        total: u32,
-        offset: u32,
-        chunk: Bytes,
-        frontier: u64,
-    ) {
-        self.rejoin_target = self.rejoin_target.max(frontier);
-        self.highest_seen_instance = self.highest_seen_instance.max(frontier);
-        let now = ctx.now();
-        let already_past = self.fold.next_instance() > last_included;
-        match self.download.absorb(
-            from,
-            last_included,
-            digest,
-            total,
-            offset,
-            &chunk,
-            now,
-            JOIN_RETRY,
-            already_past,
-        ) {
-            ChunkOutcome::Pull(offset) => {
-                ctx.bump("mono.snapshot_pulls", 1);
-                let msg = MonoMsg::SnapshotPull {
-                    last_included,
-                    offset,
-                };
-                self.send(ctx, from, "mono.snapshot_pull", &msg);
-            }
-            ChunkOutcome::Complete(snap) => {
-                self.install_snapshot(ctx, *snap);
-                // Chained tail catch-up from the serving peer.
-                self.last_join = now;
-                let wm = self.replayed.watermark();
-                self.send(
-                    ctx,
-                    from,
-                    "mono.join_request",
-                    &MonoMsg::JoinRequest { watermark: wm },
-                );
-            }
-            ChunkOutcome::Ignored => {}
-            ChunkOutcome::Corrupt => ctx.bump("mono.snapshot_garbage", 1),
-        }
-    }
-
-    /// Installs a snapshot: fast-forwards the fold, delivery dedup,
-    /// apply cursor and voting fence to `last_included + 1`, drops state
-    /// the snapshot made moot, and adopts it for serving.
-    fn install_snapshot(&mut self, ctx: &mut NodeCtx<'_>, snap: Snapshot) {
-        if !self.fold.install(&snap) {
-            return; // does not extend past what we already applied
-        }
-        let next = snap.last_included + 1;
-        self.replayed.advance_to(next);
-        let fence_before = self.decided_log.watermark();
-        self.decided_log.advance_to(next);
-        self.persist_fence(ctx, fence_before);
-        if next > self.next_decide {
-            self.next_decide = next;
-        }
-        // Seed duplicate suppression with the compacted prefix's
-        // delivered sets: compacted messages must never re-deliver.
-        for s in &snap.delivered {
-            let log = self.delivered.entry(s.sender).or_default();
-            log.advance_to(s.watermark);
-            for &seq in &s.above {
-                log.complete(seq);
-            }
-        }
-        self.decision_buffer = self.decision_buffer.split_off(&next);
-        self.instances = self.instances.split_off(&next);
-        self.recovered_votes = self.recovered_votes.split_off(&next);
-        // Adopt the configuration history the snapshot was cut under:
-        // the compacted prefix's reconfig decisions are registered from
-        // the carried history, and pending commands it covers are moot.
-        self.pending_reconfigs = self.pending_reconfigs.split_off(&next);
-        for (d, change) in snap.reconfigs.clone() {
-            self.register_reconfig(ctx, d, change);
-        }
-        self.highest_seen_instance = self.highest_seen_instance.max(snap.last_included);
-        // Messages the snapshot already delivered leave the pool; own
-        // messages among them release their flow-control slots.
-        let fold = &self.fold;
-        self.pool.retain(|id, _| !fold.is_delivered(*id));
-        let own_before = self.own_pending.len();
-        self.own_pending.retain(|id, _| !fold.is_delivered(*id));
-        if self.flow.release(own_before - self.own_pending.len()) {
-            ctx.app_ready();
-        }
-        ctx.bump("mono.snapshots_installed", 1);
-        ctx.trace_span("mono", snap.last_included, "snapshot_install", 0);
-        self.set_snapshot(ctx, snap, true);
-        // Buffered decisions past the snapshot may be contiguous now.
-        self.apply_decisions(ctx);
-    }
-
-    /// Absorbs a bulk state transfer, then keeps pulling from the same
-    /// peer at round-trip pace while still behind its frontier.
-    fn absorb_transfer(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        from: ProcessId,
-        first: u64,
-        values: Vec<Batch>,
-        frontier: u64,
-    ) {
-        self.rejoin_target = self.rejoin_target.max(frontier);
-        self.highest_seen_instance = self.highest_seen_instance.max(frontier);
-        for (i, value) in values.into_iter().enumerate() {
-            self.record_decision(ctx, first + i as u64, value);
-        }
-        self.apply_decisions(ctx);
-        let mine = self.replayed.watermark();
-        if mine < self.rejoin_target {
-            // Chained catch-up with a short per-peer rate limit.
-            let now = ctx.now();
-            if self.gap_limiter.allow(from, now, VDur::millis(5)) {
-                self.last_join = now;
-                self.send(
-                    ctx,
-                    from,
-                    "mono.join_request",
-                    &MonoMsg::JoinRequest { watermark: mine },
-                );
-            }
-        } else if self.rejoining && mine >= self.decided_log.watermark() {
-            // Replay reached both the advertised frontier and our own
-            // pre-crash decided fence: rejoin complete.
-            self.rejoining = false;
-            ctx.bump("mono.rejoins_completed", 1);
-        }
-    }
-
     fn sweep(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
-        // Rejoin liveness: re-announce until the applied prefix covers
-        // both the persisted decided fence and every frontier a state
-        // transfer advertised (replies can be lost to the same faults
-        // that caused the crash).
-        if self.rejoining {
-            let caught_up = self.replayed.watermark() >= self.decided_log.watermark()
-                && self.replayed.watermark() >= self.rejoin_target;
-            // A healthy snapshot download is progress too: do not spam
-            // re-announcements (and competing offers) while it runs.
-            let downloading = self.download.in_progress(now, JOIN_RETRY);
-            if caught_up {
-                self.rejoining = false;
-            } else if now.since(self.last_join) >= JOIN_RETRY && !downloading {
-                self.announce_join(ctx);
-            }
-        }
+        self.core.sweep_rejoin(ctx);
         let stuck: Vec<u64> = self
             .instances
             .iter()
@@ -1785,8 +1122,8 @@ impl MonoNode {
             if inst.pending_tag.is_some() {
                 inst.round_entered = now;
                 ctx.bump("mono.request_retries", 1);
-                let req = MonoMsg::DecisionRequest { instance: k };
-                self.broadcast(ctx, "mono.decision_request", &req);
+                self.core
+                    .broadcast(ctx, &CatchUp::DecisionRequest { instance: k });
             } else {
                 ctx.bump("mono.progress_rotations", 1);
                 self.advance_round(ctx, k);
@@ -1807,26 +1144,77 @@ fn fortika_relay_set(origin: ProcessId, n: usize) -> impl Iterator<Item = Proces
     (1..=count as u16).map(move |i| ProcessId((origin.0 + i) % n as u16))
 }
 
+/// Hand-backs from the replica core: the monolith's thesis is that they
+/// land in the merged state directly, with no boundary in between.
+impl ReplicaHost<NodeCtx<'_>> for MonoNode {
+    fn core(&mut self) -> &mut ReplicaCore {
+        &mut self.core
+    }
+
+    /// Re-points the failure detector at the new member set (whether
+    /// this node heartbeats at all follows its own membership).
+    fn config_active(&mut self, ctx: &mut NodeCtx<'_>, stamp: ConfigStamp) {
+        let now = ctx.now();
+        self.fd
+            .set_members(&stamp.members, now, &mut self.fd_scratch);
+        ctx.bump("fd.member_updates", 1);
+        self.process_fd_events(ctx);
+    }
+
+    fn snapshot_covers(&mut self, snap: &Snapshot) {
+        let next = snap.last_included + 1;
+        if next > self.next_decide {
+            self.next_decide = next;
+        }
+        // Seed duplicate suppression with the compacted prefix's
+        // delivered sets: compacted messages must never re-deliver.
+        for s in &snap.delivered {
+            let log = self.delivered.entry(s.sender).or_default();
+            log.advance_to(s.watermark);
+            for &seq in &s.above {
+                log.complete(seq);
+            }
+        }
+        self.decision_buffer = self.decision_buffer.split_off(&next);
+        self.instances = self.instances.split_off(&next);
+    }
+
+    fn snapshot_installed(&mut self, ctx: &mut NodeCtx<'_>) {
+        // Messages the snapshot already delivered leave the pool; own
+        // messages among them release their flow-control slots.
+        let core = &self.core;
+        self.pool.retain(|id, _| !core.is_delivered(*id));
+        let own_before = self.own_pending.len();
+        self.own_pending.retain(|id, _| !core.is_delivered(*id));
+        if self.flow.release(own_before - self.own_pending.len()) {
+            ctx.app_ready();
+        }
+        // Buffered decisions past the snapshot may be contiguous now.
+        self.apply_decisions(ctx);
+    }
+
+    fn learn_decisions(&mut self, ctx: &mut NodeCtx<'_>, first: u64, values: Vec<Batch>) {
+        for (i, value) in values.into_iter().enumerate() {
+            self.buffer_decision(ctx, first + i as u64, value);
+        }
+        self.apply_decisions(ctx);
+    }
+
+    fn reply_decision(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        to: ProcessId,
+        instance: u64,
+        value: Batch,
+    ) {
+        let msg = decision_full(instance, 0, value);
+        self.send(ctx, to, "mono.decision_full", &msg);
+    }
+}
+
 impl Node for MonoNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.timeline_mut(ctx.n());
-        if self.rejoining {
-            // Revived process: restore the persisted snapshot first (the
-            // compacted prefix needs no replay), then advertise the
-            // applied frontier — instance 0 without a snapshot — and let
-            // peers stream the missing prefix back.
-            if let Some(snap) = self.restored.take() {
-                self.install_snapshot(ctx, snap);
-            }
-            // Re-register the persisted configuration history (it may
-            // extend past the restored snapshot's carried prefix;
-            // duplicates are no-ops).
-            let recovered = std::mem::take(&mut self.recovered_reconfigs);
-            for (d, change) in recovered {
-                self.register_reconfig(ctx, d, change);
-            }
-            self.announce_join(ctx);
-        }
+        self.start_replica(ctx);
         if let Some(interval) = self.fd.tick_interval() {
             ctx.set_timer(interval, TAG_FD);
         }
@@ -1870,39 +1258,18 @@ impl Node for MonoNode {
                 value,
                 msgs,
             } => self.handle_estimate(ctx, from, instance, round, ts, value, msgs),
-            MonoMsg::DecisionRequest { instance } => {
-                if let Some(v) = self.decisions.get(&instance) {
-                    let msg = decision_full(instance, 0, v.clone());
-                    self.send(ctx, from, "mono.decision_full", &msg);
-                } else if self
-                    .snapshot
-                    .as_ref()
-                    .is_some_and(|s| instance <= s.last_included)
-                {
-                    // The requested decision was compacted away: offer
-                    // the snapshot so a *live* lagging process (a healed
-                    // partition minority — not just a restarted joiner)
-                    // can leap past the compaction horizon instead of
-                    // stalling. Rate-limited: one offer answers a whole
-                    // gap-request batch.
-                    let now = ctx.now();
-                    if self.offer_limiter.allow(from, now, OFFER_SPACING) {
-                        self.serve_snapshot_chunk(ctx, from, 0);
-                    }
-                }
-            }
             MonoMsg::EstimateRequest { instance, round } => {
                 // Sanity: only the round's coordinator may solicit (the
                 // check needs the membership at `instance` to be certain,
                 // like the proposal-sender check).
-                if self.config_certain(instance)
-                    && self.coordinator_of(instance, round, ctx.n()) != from
+                if self.core.config_certain(instance)
+                    && self.core.coordinator_of(instance, round, ctx.n()) != from
                 {
                     ctx.bump("mono.bogus_requests", 1);
                     return;
                 }
-                if self.is_decided(instance) {
-                    if let Some(v) = self.decisions.get(&instance) {
+                if self.core.is_decided(instance) {
+                    if let Some(v) = self.core.decision(instance) {
                         let msg = decision_full(instance, round, v.clone());
                         self.send(ctx, from, "mono.decision_full", &msg);
                     }
@@ -1925,52 +1292,7 @@ impl Node for MonoNode {
                 self.fd.on_heartbeat(from, ctx.now(), &mut self.fd_scratch);
                 self.process_fd_events(ctx);
             }
-            MonoMsg::JoinRequest { watermark } => {
-                self.serve_join(ctx, from, watermark);
-            }
-            MonoMsg::StateTransfer {
-                from: first,
-                values,
-                frontier,
-            } => {
-                self.absorb_transfer(ctx, from, first, values, frontier);
-            }
-            MonoMsg::SnapshotTransfer {
-                last_included,
-                digest,
-                total,
-                offset,
-                chunk,
-                frontier,
-            } => {
-                self.absorb_snapshot_chunk(
-                    ctx,
-                    from,
-                    last_included,
-                    digest,
-                    total,
-                    offset,
-                    chunk,
-                    frontier,
-                );
-            }
-            MonoMsg::SnapshotPull {
-                last_included,
-                offset,
-            } => {
-                match &self.snapshot {
-                    // Exact match: serve the requested chunk.
-                    Some(snap) if snap.last_included == last_included => {
-                        self.serve_snapshot_chunk(ctx, from, offset);
-                    }
-                    // We compacted further since the joiner started; a
-                    // fresh offer supersedes the stale download.
-                    Some(snap) if snap.last_included > last_included => {
-                        self.serve_snapshot_chunk(ctx, from, 0);
-                    }
-                    _ => {}
-                }
-            }
+            MonoMsg::CatchUp(msg) => self.on_catch_up(ctx, from, msg),
         }
     }
 

@@ -20,6 +20,10 @@
 //! * [`snapshot`] — log-compaction snapshots for rejoin catch-up:
 //!   [`Snapshot`], the deterministic [`SnapshotFold`], and the
 //!   [`AppState`] application hook both protocol stacks share.
+//! * [`replica`] — the replica core both stacks share: durable votes,
+//!   the configuration timeline, log compaction and join / gap /
+//!   snapshot catch-up ([`ReplicaCore`], [`CatchUp`]), plus the one
+//!   stable-key namespace table.
 //! * [`Counters`] — per-kind traffic accounting.
 //!
 //! # Example: two nodes ping-pong
@@ -68,6 +72,7 @@ pub mod id;
 pub mod membership;
 pub mod message;
 pub mod ratelimit;
+pub mod replica;
 pub mod snapshot;
 pub mod watermark;
 pub mod wire;
@@ -87,6 +92,10 @@ pub use membership::{
 };
 pub use message::{AppMsg, Batch};
 pub use ratelimit::PeerRateLimiter;
+pub use replica::{
+    CatchUp, PerCatchUp, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost, ReplicaNames,
+    VoteRecord,
+};
 pub use snapshot::{
     AppState, AppStateFactory, ChunkOutcome, SenderLog, Snapshot, SnapshotDownload, SnapshotFold,
     SnapshotStamp,

@@ -1,0 +1,1775 @@
+//! The replica core both stacks share: durable votes, the decided log,
+//! the configuration timeline, log compaction and join / gap / snapshot
+//! catch-up — everything about being a *replica* that the paper does not
+//! compare, written once.
+//!
+//! The modular consensus module and the monolithic node differ in their
+//! composition boundary and in optimizations O1–O3; the round machinery
+//! where those live stays in each stack. What a process must remember
+//! across a crash, how it catches up afterwards and how it bounds its
+//! history is the same protocol on both, and lives here as a
+//! [`ReplicaCore`] (the state) driven through two narrow traits:
+//! [`ReplicaCtx`] (what the core needs from its host context — both
+//! `NodeCtx` and the framework's `FrameworkCtx` satisfy it) and
+//! [`ReplicaHost`] (where the core hands back to the stack: a decision
+//! to deliver, a configuration to activate, a snapshot to skip past).
+//! The remaining per-stack differences are data — one [`ReplicaNames`]
+//! table per stack with its counter names, send kinds, trace label and
+//! the tag bytes its wire enum embeds [`CatchUp`] under.
+//!
+//! # Crash-recovery
+//!
+//! A process revived via `Cluster::schedule_restart` loses all volatile
+//! state. Two mechanisms make that survivable:
+//!
+//! * **Durable votes** — every vote (ack / adoption) writes a
+//!   [`VoteRecord`] to the stable store atomically with the vote message
+//!   ([`ReplicaCore::persist_vote`]); [`ReplicaCore::resume`] replays the
+//!   records so a revived process re-enters undecided instances with its
+//!   locked `(round, estimate, ts)` intact. Without this, the quorum
+//!   intersection at the heart of Chandra–Toueg safety breaks (an
+//!   amnesiac acker can help decide a second, different value). The
+//!   contiguous decided watermark is persisted too, as a *voting fence*
+//!   against re-votes in long-decided instances; records below it are
+//!   garbage collected. The fence can therefore run ahead of the
+//!   *replayed* prefix, which always restarts at 0.
+//! * **Rejoin catch-up** — decided *values* are not persisted: the
+//!   revived process announces "my replayed prefix ends at `w`" with a
+//!   [`CatchUp::JoinRequest`] broadcast and peers stream the decided
+//!   prefix back in bulk [`CatchUp::StateTransfer`] batches, chained at
+//!   round-trip pace until the joiner reaches the live frontier. Every
+//!   replayed decision goes back through the stack's delivery path, so
+//!   the prefix is re-delivered byte-identically — which the chaos
+//!   oracle checks across incarnations.
+//!
+//! A *live* process that fell behind (a healed partition minority) sees
+//! traffic for instances beyond its pipeline window and pulls the
+//! missing decisions with bounded [`CatchUp::DecisionRequest`] batches
+//! ([`ReplicaCore::maybe_request_gap`]).
+//!
+//! # Log compaction and snapshot state transfer
+//!
+//! The decision cache is bounded, so under unbounded history the old
+//! prefix must eventually go. Every process folds the contiguous decided
+//! prefix through a deterministic [`SnapshotFold`] and periodically
+//! materializes a [`Snapshot`] — application-state digest, per-sender
+//! delivered sets, the reconfiguration history and the `last_included`
+//! instance — persisted via the stable store, then evicts cached
+//! decisions at or below `last_included` while the cache overflows. A
+//! joiner whose gap starts inside the compacted prefix receives the
+//! snapshot instead, chunked at round-trip pace
+//! ([`CatchUp::SnapshotTransfer`] / [`CatchUp::SnapshotPull`]); it
+//! installs the snapshot, the stack skips the compacted instances, and
+//! log catch-up resumes at `last_included + 1`. Deliveries before the
+//! install point are replaced by the snapshot, so byte-identical replay
+//! is owed only for the tail — the recovery-aware oracle audits exactly
+//! that, plus cross-process agreement on snapshot digests.
+//!
+//! # Log-decided membership
+//!
+//! Reconfiguration commands are ordinary decided messages. A change
+//! decided at instance `d` is *registered* once the contiguous replayed
+//! prefix covers `d` (so versions are numbered in decided order on every
+//! process even when pipelined instances land out of order) and governs
+//! instances `d + reconfig_offset` on; the registered history is
+//! persisted, carried in snapshots and re-registered on restart. See
+//! `docs/RECONFIG.md` for the model and [`ConfigTimeline`] for the
+//! quorum and coordinator arithmetic.
+
+use std::collections::BTreeMap;
+
+use bytes::Bytes;
+use fortika_sim::{VDur, VTime};
+
+use crate::cluster::{NodeCtx, StableStore};
+use crate::config::CostModel;
+use crate::id::{MsgId, ProcessId};
+use crate::membership::{
+    decode_reconfigs, encode_reconfigs, parse_reconfig, ConfigChange, ConfigStamp, ConfigTimeline,
+};
+use crate::message::Batch;
+use crate::ratelimit::PeerRateLimiter;
+use crate::snapshot::{
+    chunk_of, stamp_of, AppState, ChunkOutcome, Snapshot, SnapshotDownload, SnapshotFold,
+    SnapshotStamp,
+};
+use crate::watermark::WatermarkSet;
+use crate::wire::{decode, encode, Wire, WireError, WireReader, WireWriter};
+
+/// Stable-store key namespaces (the high byte of a key).
+///
+/// A process hosts exactly one stack and every layer of it writes to the
+/// same store, so the namespaces must be pairwise disjoint — asserted at
+/// compile time below (a collision once let rbcast's sequence counter
+/// clobber the consensus snapshot).
+pub mod keys {
+    /// Namespace of per-instance vote records (low 56 bits: instance).
+    pub const VOTE_TAG: u64 = 1 << 56;
+    /// The contiguous decided watermark (the voting fence).
+    pub const WATERMARK: u64 = 2 << 56;
+    /// The latest log-compaction snapshot.
+    pub const SNAPSHOT: u64 = 3 << 56;
+    /// The registered reconfiguration history.
+    pub const CONFIG: u64 = 4 << 56;
+    /// The reliable-broadcast module's origin sequence counter.
+    pub const RBCAST_SEQ: u64 = 5 << 56;
+    /// The abcast module's origin-local payload sequence counter.
+    pub const ABCAST_SEQ: u64 = 6 << 56;
+
+    const ALL: [u64; 6] = [
+        VOTE_TAG, WATERMARK, SNAPSHOT, CONFIG, RBCAST_SEQ, ABCAST_SEQ,
+    ];
+    const _: () = {
+        let mut i = 0;
+        while i < ALL.len() {
+            assert!(ALL[i] << 8 == 0, "a namespace is a high byte only");
+            let mut j = i + 1;
+            while j < ALL.len() {
+                assert!(ALL[i] != ALL[j], "stable-key namespaces collide");
+                j += 1;
+            }
+            i += 1;
+        }
+    };
+
+    /// Stable-store key of `instance`'s vote record.
+    pub fn vote(instance: u64) -> u64 {
+        debug_assert!(instance < (1 << 56));
+        VOTE_TAG | instance
+    }
+}
+
+/// Instances streamed per [`CatchUp::StateTransfer`] reply.
+const MAX_TRANSFER: u64 = 16;
+/// Decisions pulled per gap-request batch.
+const MAX_GAP_BATCH: u64 = 8;
+/// Minimum spacing of rejoin re-announcements.
+const JOIN_RETRY: VDur = VDur::millis(300);
+/// Minimum spacing of snapshot offers toward one lagging peer.
+const OFFER_SPACING: VDur = VDur::millis(50);
+
+/// The replica knobs, one copy for both stacks (`StackConfig` in
+/// `fortika-core` fills it from its flat fields).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplicaConfig {
+    /// How many decided values are cached for recovery requests.
+    pub decision_cache: usize,
+    /// Fold the decided prefix into a log-compaction [`Snapshot`] every
+    /// this many instances (also whenever the decision cache would
+    /// otherwise evict an uncompacted decision). `0` disables
+    /// snapshotting — then a joiner whose gap was evicted everywhere
+    /// stalls forever (`*.join_unservable`).
+    pub snapshot_interval: u64,
+    /// The windowed-sequencer depth α: how many instances the stack
+    /// keeps in flight concurrently. All per-instance state here is
+    /// keyed by instance, so any number may run concurrently; the depth
+    /// informs the *gap heuristic* — traffic for an instance within the
+    /// window above the delivery cursor is normal pipelining, not
+    /// evidence of missed decisions.
+    pub pipeline_depth: u64,
+    /// Size of the initial voting member set. `0` (the default) means
+    /// "every process in the cluster" — the static-group behaviour.
+    /// Reconfiguration runs build clusters at standby capacity (spare
+    /// processes awaiting an `Add`), so the voter count is smaller than
+    /// the cluster size there.
+    pub initial_members: usize,
+    /// Activation offset of log-decided reconfigurations: a membership
+    /// change decided at instance `d` governs instances `d + offset` on.
+    /// Must be at least the pipeline depth, or in-flight instances could
+    /// be governed by a configuration their proposer cannot yet know.
+    pub reconfig_offset: u64,
+    /// **Test-only fault hook, debug builds only:** skip persisting
+    /// vote records. Plants the classic lost-vote recovery bug for the
+    /// fuzz-minimizer acceptance suite; a no-op in release builds.
+    pub skip_vote_persist: bool,
+    /// **Test-only fault hook, debug builds only:** never register
+    /// decided reconfigurations. The process keeps voting with the
+    /// *initial* configuration's quorum and coordinator math — the
+    /// stale-quorum membership bug the config-aware oracle must catch.
+    /// A no-op in release builds.
+    pub skip_config_fence: bool,
+}
+
+impl Default for ReplicaConfig {
+    fn default() -> Self {
+        ReplicaConfig {
+            decision_cache: 1024,
+            snapshot_interval: 256,
+            pipeline_depth: 1,
+            initial_members: 0,
+            reconfig_offset: 8,
+            skip_vote_persist: false,
+            skip_config_fence: false,
+        }
+    }
+}
+
+/// One value per [`CatchUp`] variant (a stack's tag bytes, its send
+/// kinds).
+#[derive(Debug)]
+pub struct PerCatchUp<T> {
+    /// For [`CatchUp::DecisionRequest`].
+    pub decision_request: T,
+    /// For [`CatchUp::JoinRequest`].
+    pub join_request: T,
+    /// For [`CatchUp::StateTransfer`].
+    pub state_transfer: T,
+    /// For [`CatchUp::SnapshotTransfer`].
+    pub snapshot_transfer: T,
+    /// For [`CatchUp::SnapshotPull`].
+    pub snapshot_pull: T,
+}
+
+/// What a stack calls the shared machinery: the only per-stack
+/// differences the core knows, as data. Each stack declares one `const`
+/// table next to its wire enum (`fortika-lint`'s counter registry reads
+/// the produced names out of these literals).
+#[derive(Debug)]
+pub struct ReplicaNames {
+    /// Trace label of the stack's lifecycle spans.
+    pub label: &'static str,
+    /// Tag bytes the stack's wire enum embeds [`CatchUp`] under.
+    pub tags: PerCatchUp<u8>,
+    /// Send kinds (traffic accounting) of the catch-up messages.
+    pub kinds: PerCatchUp<&'static str>,
+    /// Counter: decisions pulled by gap recovery.
+    pub gap_requests: &'static str,
+    /// Counter: rejoin announcements broadcast.
+    pub join_requests: &'static str,
+    /// Counter: bulk state transfers served.
+    pub state_transfers: &'static str,
+    /// Counter: snapshot chunks served.
+    pub snapshot_transfers: &'static str,
+    /// Counter: snapshot chunks pulled.
+    pub snapshot_pulls: &'static str,
+    /// Counter: completed downloads that failed verification.
+    pub snapshot_garbage: &'static str,
+    /// Counter: snapshots materialized.
+    pub snapshots: &'static str,
+    /// Counter: snapshots installed.
+    pub snapshots_installed: &'static str,
+    /// Counter: join requests this process could not serve.
+    pub join_unservable: &'static str,
+    /// Counter: rejoins that reached the advertised frontier.
+    pub rejoins_completed: &'static str,
+    /// Counter: reconfigurations registered.
+    pub reconfigs: &'static str,
+}
+
+/// The catch-up vocabulary both stacks speak. Each stack's wire enum
+/// embeds it under its own tag bytes ([`ReplicaNames::tags`]), so the
+/// encoding is tag-relative: [`encode_tagged`](Self::encode_tagged) /
+/// [`decode_tagged`](Self::decode_tagged).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CatchUp {
+    /// Pull-based recovery: ask for the decision of `instance`.
+    DecisionRequest {
+        /// The missing instance.
+        instance: u64,
+    },
+    /// Rejoin announcement of a (re)started process: "my contiguous
+    /// replayed prefix ends at `watermark`" — a revived process says 0.
+    /// Peers that are ahead answer with a
+    /// [`StateTransfer`](Self::StateTransfer) or, below their compaction
+    /// horizon, a [`SnapshotTransfer`](Self::SnapshotTransfer).
+    JoinRequest {
+        /// First instance the sender is missing.
+        watermark: u64,
+    },
+    /// Bulk catch-up reply: the decided values of the consecutive
+    /// instances `from, from+1, …`, plus the sender's own replay
+    /// frontier so the joiner keeps pulling in chained rounds until it
+    /// reaches the live edge.
+    StateTransfer {
+        /// Instance of `values[0]`.
+        from: u64,
+        /// Decided values of `from..from + values.len()`.
+        values: Vec<Batch>,
+        /// The sender's contiguous decided prefix length.
+        frontier: u64,
+    },
+    /// One chunk of a log-compaction snapshot, serving a joiner whose
+    /// gap starts inside the sender's compacted prefix. Chunks are
+    /// pulled at round-trip pace via [`SnapshotPull`](Self::SnapshotPull);
+    /// once complete, the joiner installs the snapshot and resumes log
+    /// catch-up at `last_included + 1`.
+    SnapshotTransfer {
+        /// Highest instance the snapshot covers.
+        last_included: u64,
+        /// Digest of the snapshot (integrity check across chunks).
+        digest: u64,
+        /// Total encoded snapshot size in bytes.
+        total: u32,
+        /// Offset of `chunk` within the encoded snapshot.
+        offset: u32,
+        /// The chunk bytes.
+        chunk: Bytes,
+        /// The sender's contiguous replay frontier (catch-up target).
+        frontier: u64,
+    },
+    /// Joiner-side request for the next snapshot chunk.
+    SnapshotPull {
+        /// Which snapshot is being pulled (its highest instance).
+        last_included: u64,
+        /// Byte offset of the requested chunk.
+        offset: u32,
+    },
+}
+
+impl CatchUp {
+    /// This variant's entry of a per-variant table.
+    fn pick<T: Copy>(&self, table: &PerCatchUp<T>) -> T {
+        match self {
+            CatchUp::DecisionRequest { .. } => table.decision_request,
+            CatchUp::JoinRequest { .. } => table.join_request,
+            CatchUp::StateTransfer { .. } => table.state_transfer,
+            CatchUp::SnapshotTransfer { .. } => table.snapshot_transfer,
+            CatchUp::SnapshotPull { .. } => table.snapshot_pull,
+        }
+    }
+
+    /// Appends this message under the embedding stack's tag byte.
+    pub fn encode_tagged(&self, tags: &PerCatchUp<u8>, w: &mut WireWriter) {
+        w.put_u8(self.pick(tags));
+        match self {
+            CatchUp::DecisionRequest { instance } => w.put_u64(*instance),
+            CatchUp::JoinRequest { watermark } => w.put_u64(*watermark),
+            CatchUp::StateTransfer {
+                from,
+                values,
+                frontier,
+            } => {
+                w.put_u64(*from);
+                w.put_u64(*frontier);
+                values.encode(w);
+            }
+            CatchUp::SnapshotTransfer {
+                last_included,
+                digest,
+                total,
+                offset,
+                chunk,
+                frontier,
+            } => {
+                w.put_u64(*last_included);
+                w.put_u64(*digest);
+                w.put_u32(*total);
+                w.put_u32(*offset);
+                w.put_u64(*frontier);
+                chunk.encode(w);
+            }
+            CatchUp::SnapshotPull {
+                last_included,
+                offset,
+            } => {
+                w.put_u64(*last_included);
+                w.put_u32(*offset);
+            }
+        }
+    }
+
+    /// Reads the message whose tag byte `tag` was already consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::InvalidTag`] if `tag` is none of `tags`, otherwise
+    /// whatever the body's decoding reports.
+    pub fn decode_tagged(
+        tag: u8,
+        tags: &PerCatchUp<u8>,
+        r: &mut WireReader,
+    ) -> Result<Self, WireError> {
+        if tag == tags.decision_request {
+            Ok(CatchUp::DecisionRequest {
+                instance: r.get_u64()?,
+            })
+        } else if tag == tags.join_request {
+            Ok(CatchUp::JoinRequest {
+                watermark: r.get_u64()?,
+            })
+        } else if tag == tags.state_transfer {
+            Ok(CatchUp::StateTransfer {
+                from: r.get_u64()?,
+                frontier: r.get_u64()?,
+                values: Vec::<Batch>::decode(r)?,
+            })
+        } else if tag == tags.snapshot_transfer {
+            Ok(CatchUp::SnapshotTransfer {
+                last_included: r.get_u64()?,
+                digest: r.get_u64()?,
+                total: r.get_u32()?,
+                offset: r.get_u32()?,
+                frontier: r.get_u64()?,
+                chunk: Bytes::decode(r)?,
+            })
+        } else if tag == tags.snapshot_pull {
+            Ok(CatchUp::SnapshotPull {
+                last_included: r.get_u64()?,
+                offset: r.get_u32()?,
+            })
+        } else {
+            Err(WireError::InvalidTag(tag))
+        }
+    }
+}
+
+/// The crash-recovery stable record of one instance: the round this
+/// process last voted (acked / adopted) in, the adoption timestamp of
+/// its estimate, and the estimate itself.
+///
+/// Chandra–Toueg safety hinges on a voter carrying its locked
+/// `(estimate, ts)` into every later round and never regressing to a
+/// lower round; a process revived with amnesia would break exactly that
+/// invariant, so this record is written to stable storage atomically
+/// with every vote and replayed into the fresh stack on restart.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VoteRecord {
+    /// Round of the last vote (lower-round proposals are refused).
+    pub round: u32,
+    /// Adoption timestamp of `value` (round + 1 at ack time).
+    pub ts: u32,
+    /// The locked estimate.
+    pub value: Batch,
+}
+
+impl Wire for VoteRecord {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.round);
+        w.put_u32(self.ts);
+        self.value.encode(w);
+    }
+    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
+        Ok(VoteRecord {
+            round: r.get_u32()?,
+            ts: r.get_u32()?,
+            value: Batch::decode(r)?,
+        })
+    }
+}
+
+/// What the core needs from the handler context it runs in: identity,
+/// time, stable storage, accounting, reporting and the network — the
+/// calls `FrameworkCtx` forwards verbatim to [`NodeCtx`], so both
+/// implement it by forwarding.
+pub trait ReplicaCtx {
+    /// This process's identity.
+    fn pid(&self) -> ProcessId;
+    /// Cluster size `n`.
+    fn n(&self) -> usize;
+    /// Current virtual time.
+    fn now(&self) -> VTime;
+    /// The configured cost model.
+    fn costs(&self) -> &CostModel;
+    /// See [`NodeCtx::persist`].
+    fn persist(&mut self, key: u64, value: Bytes);
+    /// See [`NodeCtx::unpersist`].
+    fn unpersist(&mut self, key: u64);
+    /// See [`NodeCtx::charge_durability`].
+    fn charge_durability(&mut self, cost: VDur);
+    /// See [`NodeCtx::note_snapshot`].
+    fn note_snapshot(&mut self, stamp: SnapshotStamp);
+    /// See [`NodeCtx::note_config`].
+    fn note_config(&mut self, stamp: ConfigStamp);
+    /// See [`NodeCtx::bump`].
+    fn bump(&mut self, name: &'static str, by: u64);
+    /// See [`NodeCtx::trace_span`].
+    fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64);
+    /// Sends an encoded message of the hosting stack's vocabulary to
+    /// `dst` (the host adds whatever framing its messages carry).
+    fn send(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes);
+    /// Sends the same message to every other process, in pid order.
+    fn broadcast(&mut self, kind: &'static str, payload: Bytes);
+}
+
+impl ReplicaCtx for NodeCtx<'_> {
+    fn pid(&self) -> ProcessId {
+        NodeCtx::pid(self)
+    }
+    fn n(&self) -> usize {
+        NodeCtx::n(self)
+    }
+    fn now(&self) -> VTime {
+        NodeCtx::now(self)
+    }
+    fn costs(&self) -> &CostModel {
+        NodeCtx::costs(self)
+    }
+    fn persist(&mut self, key: u64, value: Bytes) {
+        NodeCtx::persist(self, key, value);
+    }
+    fn unpersist(&mut self, key: u64) {
+        NodeCtx::unpersist(self, key);
+    }
+    fn charge_durability(&mut self, cost: VDur) {
+        NodeCtx::charge_durability(self, cost);
+    }
+    fn note_snapshot(&mut self, stamp: SnapshotStamp) {
+        NodeCtx::note_snapshot(self, stamp);
+    }
+    fn note_config(&mut self, stamp: ConfigStamp) {
+        NodeCtx::note_config(self, stamp);
+    }
+    fn bump(&mut self, name: &'static str, by: u64) {
+        NodeCtx::bump(self, name, by);
+    }
+    fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
+        NodeCtx::trace_span(self, stack, instance, phase, detail);
+    }
+    fn send(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes) {
+        NodeCtx::send(self, dst, kind, payload);
+    }
+    fn broadcast(&mut self, kind: &'static str, payload: Bytes) {
+        NodeCtx::broadcast(self, kind, &payload);
+    }
+}
+
+/// The replica state of one process: voting fence and replay log, the
+/// decision cache, recovered vote records, the configuration timeline,
+/// the snapshot fold with its serving snapshot and download, and the
+/// rejoin state (see the [module docs](self) for the protocol).
+pub struct ReplicaCore {
+    cfg: ReplicaConfig,
+    names: &'static ReplicaNames,
+    /// Instances this process may no longer vote in (the voting fence).
+    /// After a restart it is pre-loaded from the persisted watermark,
+    /// so it can run *ahead* of `replayed`.
+    decided_log: WatermarkSet,
+    /// Instances whose decision was recorded in this incarnation — the
+    /// replay progress. Always starts at 0, so a revived process
+    /// re-delivers the whole decided prefix.
+    replayed: WatermarkSet,
+    decisions: BTreeMap<u64, Batch>,
+    /// Per-peer rate limiter for gap/rejoin recovery requests.
+    gap_limiter: PeerRateLimiter,
+    /// Highest instance number observed in any peer message.
+    highest_seen: u64,
+    /// Vote records recovered from stable storage (restart only).
+    recovered_votes: BTreeMap<u64, VoteRecord>,
+    /// Still catching up after a restart (rejoin announcements active).
+    rejoining: bool,
+    /// Highest replay frontier any transfer advertised.
+    rejoin_target: u64,
+    /// When the last rejoin announcement went out.
+    last_join: VTime,
+    /// Deterministic fold of the contiguous decided prefix (feeds
+    /// snapshots; mirrors the delivery path's dedup exactly).
+    fold: SnapshotFold,
+    /// Latest materialized or installed snapshot, plus its cached
+    /// encoding for chunked serving.
+    snapshot: Option<Snapshot>,
+    snapshot_bytes: Bytes,
+    /// In-progress snapshot download (receiver side).
+    download: SnapshotDownload,
+    /// Rate limiter for snapshot offers toward lagging peers (a batch
+    /// of gap requests needs one offer, not eight).
+    offer_limiter: PeerRateLimiter,
+    /// Snapshot recovered from stable storage (restart only); installed
+    /// at start, where a handler context is available.
+    restored: Option<Snapshot>,
+    /// The versioned configuration history. Built at start (the group
+    /// size is only known then); `None` answers every quorum question
+    /// with the static-group math.
+    timeline: Option<ConfigTimeline>,
+    /// Reconfiguration commands decided but not yet registered.
+    pending_reconfigs: BTreeMap<u64, ConfigChange>,
+    /// Reconfiguration history recovered from stable storage (restart
+    /// only); registered at start.
+    recovered_reconfigs: Vec<(u64, ConfigChange)>,
+}
+
+impl ReplicaCore {
+    /// A fresh core (process start at time zero).
+    pub fn new(cfg: ReplicaConfig, names: &'static ReplicaNames) -> Self {
+        ReplicaCore {
+            cfg,
+            names,
+            decided_log: WatermarkSet::default(),
+            replayed: WatermarkSet::default(),
+            decisions: BTreeMap::new(),
+            gap_limiter: PeerRateLimiter::new(),
+            highest_seen: 0,
+            recovered_votes: BTreeMap::new(),
+            rejoining: false,
+            rejoin_target: 0,
+            last_join: VTime::ZERO,
+            fold: SnapshotFold::new(None),
+            snapshot: None,
+            snapshot_bytes: Bytes::new(),
+            download: SnapshotDownload::default(),
+            offer_limiter: PeerRateLimiter::new(),
+            restored: None,
+            timeline: None,
+            pending_reconfigs: BTreeMap::new(),
+            recovered_reconfigs: Vec::new(),
+        }
+    }
+
+    /// The core of a process revived after a crash: replays the
+    /// persisted vote records, decided watermark, snapshot and
+    /// reconfiguration history out of `stable` and arms the rejoin
+    /// announcement. Values that fail to decode are skipped, and so is a
+    /// snapshot that does not lie below the persisted fence (every
+    /// snapshot the core writes does; installing one that claims more
+    /// would fast-forward the fence over instances nobody decided) — a
+    /// damaged store yields a core that rejoins from less, never a panic.
+    pub fn resume(cfg: ReplicaConfig, names: &'static ReplicaNames, stable: &StableStore) -> Self {
+        let mut core = ReplicaCore::new(cfg, names);
+        core.rejoining = true;
+        for (&key, bytes) in stable {
+            if key == keys::WATERMARK {
+                if let Ok(w) = decode::<u64>(bytes.clone()) {
+                    core.decided_log.advance_to(w);
+                }
+            } else if key == keys::SNAPSHOT {
+                // Keys iterate in order, so the watermark was read first.
+                let fence = core.decided_log.watermark();
+                core.restored = decode::<Snapshot>(bytes.clone())
+                    .ok()
+                    .filter(|snap| snap.last_included < fence);
+            } else if key == keys::CONFIG {
+                let mut r = WireReader::new(bytes.clone());
+                if let Ok(history) = decode_reconfigs(&mut r) {
+                    core.recovered_reconfigs = history;
+                }
+            } else if key >> 56 == keys::VOTE_TAG >> 56 {
+                if let Ok(rec) = decode::<VoteRecord>(bytes.clone()) {
+                    core.recovered_votes.insert(key & !keys::VOTE_TAG, rec);
+                }
+            }
+        }
+        core
+    }
+
+    /// Attaches an application-state hook to the snapshot fold (before
+    /// the core processes anything).
+    pub fn set_app(&mut self, app: Option<Box<dyn AppState>>) {
+        self.fold = SnapshotFold::new(app);
+    }
+
+    /// The replica knobs.
+    pub fn cfg(&self) -> &ReplicaConfig {
+        &self.cfg
+    }
+
+    /// True once this process may no longer vote in `instance`.
+    pub fn is_decided(&self, instance: u64) -> bool {
+        !self.decided_log.is_new(instance)
+    }
+
+    /// True once `instance`'s decision was recorded in this incarnation.
+    pub fn is_replayed(&self, instance: u64) -> bool {
+        !self.replayed.is_new(instance)
+    }
+
+    /// The contiguous voting fence: every instance below it is decided.
+    pub fn decided_watermark(&self) -> u64 {
+        self.decided_log.watermark()
+    }
+
+    /// The cached decision of `instance`, if still in the log tail.
+    pub fn decision(&self, instance: u64) -> Option<&Batch> {
+        self.decisions.get(&instance)
+    }
+
+    /// The serving snapshot (latest materialized or installed).
+    pub fn snapshot(&self) -> Option<&Snapshot> {
+        self.snapshot.as_ref()
+    }
+
+    /// The vote this process's previous incarnation left for `instance`.
+    pub fn recovered_vote(&self, instance: u64) -> Option<&VoteRecord> {
+        self.recovered_votes.get(&instance)
+    }
+
+    /// True if the snapshot fold already delivered `id` (it sits inside
+    /// the compacted or folded prefix).
+    pub fn is_delivered(&self, id: MsgId) -> bool {
+        self.fold.is_delivered(id)
+    }
+
+    /// Notes that a peer message named `instance`.
+    pub fn note_seen(&mut self, instance: u64) {
+        self.highest_seen = self.highest_seen.max(instance);
+    }
+
+    /// The timeline, built on first use (the voter count defaults to
+    /// the cluster size; reconfig runs override it via
+    /// [`ReplicaConfig::initial_members`]).
+    fn timeline_mut(&mut self, n: usize) -> &mut ConfigTimeline {
+        let voters = if self.cfg.initial_members == 0 {
+            n
+        } else {
+            self.cfg.initial_members
+        };
+        let offset = self.cfg.reconfig_offset.max(1);
+        self.timeline
+            .get_or_insert_with(|| ConfigTimeline::new(voters, offset))
+    }
+
+    /// The member set governing `instance`, in rotation order.
+    pub fn members_of(&self, instance: u64, n: usize) -> Vec<ProcessId> {
+        match &self.timeline {
+            Some(t) => t.members_at(instance),
+            None => ProcessId::all(n).collect(),
+        }
+    }
+
+    /// The quorum size at `instance`.
+    pub fn majority_of(&self, instance: u64, n: usize) -> usize {
+        match &self.timeline {
+            Some(t) => t.majority_at(instance),
+            None => n / 2 + 1,
+        }
+    }
+
+    /// The coordinator of `round` at `instance` (rotation over the
+    /// governing member set).
+    pub fn coordinator_of(&self, instance: u64, round: u32, n: usize) -> ProcessId {
+        match &self.timeline {
+            Some(t) => t.coordinator_at(instance, round),
+            None => ProcessId((round as usize % n) as u16),
+        }
+    }
+
+    /// True when the membership governing `instance` is fully determined
+    /// by this process's contiguous replayed prefix (the config fence).
+    pub fn config_certain(&self, instance: u64) -> bool {
+        match &self.timeline {
+            Some(t) => t.certain_at(instance, self.replayed.watermark()),
+            None => true,
+        }
+    }
+
+    /// True when `me` may vote (ack / estimate / propose) at `instance`:
+    /// its membership there must be certain, and it must be a member.
+    /// Non-members keep running as learners — they record proposals,
+    /// learn decisions and deliver, but never vote.
+    pub fn can_vote(&self, instance: u64, me: ProcessId) -> bool {
+        match &self.timeline {
+            Some(t) => {
+                t.certain_at(instance, self.replayed.watermark()) && t.is_member_at(instance, me)
+            }
+            None => true,
+        }
+    }
+
+    /// `msg` as the hosting stack's wire enum encodes it. Sized the way
+    /// [`encode`] sizes every message: one pass for the length, one into
+    /// the exact buffer.
+    fn encode_msg(&self, msg: &CatchUp) -> Bytes {
+        let mut sizing = WireWriter::new();
+        msg.encode_tagged(&self.names.tags, &mut sizing);
+        let mut w = WireWriter::with_capacity(sizing.len());
+        msg.encode_tagged(&self.names.tags, &mut w);
+        w.finish()
+    }
+
+    /// Sends `msg` to `dst` under the stack's send kind for it.
+    pub fn send<C: ReplicaCtx>(&self, ctx: &mut C, dst: ProcessId, msg: &CatchUp) {
+        ctx.send(dst, msg.pick(&self.names.kinds), self.encode_msg(msg));
+    }
+
+    /// Sends `msg` to every other process.
+    pub fn broadcast<C: ReplicaCtx>(&self, ctx: &mut C, msg: &CatchUp) {
+        ctx.broadcast(msg.pick(&self.names.kinds), self.encode_msg(msg));
+    }
+
+    /// Writes `instance`'s vote record to stable storage, atomically
+    /// with the vote message of the enclosing handler.
+    pub fn persist_vote<C: ReplicaCtx>(
+        &self,
+        ctx: &mut C,
+        instance: u64,
+        round: u32,
+        ts: u32,
+        value: &Batch,
+    ) {
+        if cfg!(debug_assertions) && self.cfg.skip_vote_persist {
+            // Injected fault (fuzz-minimizer acceptance suite): the
+            // vote is acked but never reaches stable storage, so a
+            // crash-restart forgets its lock.
+            return;
+        }
+        let rec = VoteRecord {
+            round,
+            ts,
+            value: value.clone(),
+        };
+        ctx.persist(keys::vote(instance), encode(&rec));
+    }
+
+    /// Persists the voting fence if it advanced past `fence_before` and
+    /// garbage-collects the vote records the advance makes obsolete.
+    fn persist_fence<C: ReplicaCtx>(&mut self, ctx: &mut C, fence_before: u64) {
+        let fence_after = self.decided_log.watermark();
+        if fence_after > fence_before {
+            ctx.persist(keys::WATERMARK, encode(&fence_after));
+            for k in fence_before..fence_after {
+                ctx.unpersist(keys::vote(k));
+            }
+        }
+    }
+
+    /// Materializes a snapshot when the fold ran `snapshot_interval`
+    /// instances past the previous one — or early, whenever the decision
+    /// cache would otherwise have to evict an uncompacted decision
+    /// (compaction replaces eviction, so every instance a joiner may
+    /// miss is servable from either the log tail or the snapshot).
+    fn maybe_compact<C: ReplicaCtx>(&mut self, ctx: &mut C) {
+        let interval = self.cfg.snapshot_interval;
+        if interval == 0 {
+            return;
+        }
+        let folded = self.fold.next_instance();
+        let base = self.snapshot.as_ref().map_or(0, |s| s.last_included + 1);
+        let overflow = self.decisions.len() > self.cfg.decision_cache;
+        if folded < base + interval && !(overflow && folded > base) {
+            return;
+        }
+        let Some(mut snap) = self.fold.snapshot() else {
+            return;
+        };
+        // The snapshot carries the reconfiguration history decided
+        // within the prefix it covers: every registered change is below
+        // the replayed watermark, which the fold never outruns.
+        if let Some(t) = &self.timeline {
+            snap.reconfigs = t.reconfigs();
+        }
+        ctx.bump(self.names.snapshots, 1);
+        ctx.trace_span(self.names.label, snap.last_included, "snapshot_offer", 0);
+        self.set_snapshot(ctx, snap, false);
+    }
+
+    /// Adopts `snap` as this process's serving snapshot: persists it,
+    /// evicts the oldest *compacted* decisions down to the cache bound,
+    /// and reports the stamp to the harness.
+    ///
+    /// Only snapshot-covered entries are evicted, and only while the
+    /// cache overflows — the recent log tail stays as deep as
+    /// `decision_cache` allows, so small gaps (a briefly partitioned
+    /// peer) are still served as cheap value replies and the snapshot
+    /// path is reserved for deep ones.
+    fn set_snapshot<C: ReplicaCtx>(&mut self, ctx: &mut C, snap: Snapshot, installed: bool) {
+        let bytes = encode(&snap);
+        // Durability is not free: materializing charges the encode
+        // cost, installing charges decode + restore + re-encode for
+        // serving — both proportional to the snapshot's encoded size
+        // (zero under the default calibration; see docs/COST_MODEL.md).
+        let cost = if installed {
+            ctx.costs().snapshot_install_cost(bytes.len())
+        } else {
+            ctx.costs().snapshot_encode_cost(bytes.len())
+        };
+        ctx.charge_durability(cost);
+        ctx.persist(keys::SNAPSHOT, bytes.clone());
+        while self.decisions.len() > self.cfg.decision_cache {
+            match self.decisions.first_key_value() {
+                Some((&k, _)) if k <= snap.last_included => {
+                    self.decisions.pop_first();
+                }
+                _ => break, // uncompacted entries are never dropped
+            }
+        }
+        ctx.note_snapshot(stamp_of(&snap, installed));
+        self.snapshot_bytes = bytes;
+        self.snapshot = Some(snap);
+    }
+
+    /// Seeing traffic for instance `seen` while `cursor` — the stack's
+    /// first undelivered instance — is further back than the pipeline
+    /// window explains means decisions were missed (partition, loss, a
+    /// long suspicion): pull a bounded batch of them from the process we
+    /// heard from. Without this, a healed process recovers only one
+    /// instance per progress-timeout and can lag arbitrarily far behind.
+    pub fn maybe_request_gap<C: ReplicaCtx>(
+        &mut self,
+        ctx: &mut C,
+        from: ProcessId,
+        seen: u64,
+        cursor: u64,
+    ) {
+        self.note_seen(seen);
+        if !self.behind(seen, cursor) || from == ctx.pid() {
+            return;
+        }
+        // Rate limited per peer: throttling catch-up toward one lagging
+        // peer must not suppress catch-up toward another.
+        let now = ctx.now();
+        if !self.gap_limiter.allow(from, now, VDur::millis(50)) {
+            return;
+        }
+        self.request_gap_batch(ctx, from, seen, cursor);
+    }
+
+    /// Chained gap catch-up: after a recovered decision that still
+    /// leaves `cursor` behind the highest instance seen, pull the next
+    /// batch promptly, so a healed process recovers at near round-trip
+    /// pace. A short per-peer rate limit keeps a batch's several replies
+    /// from each re-requesting the same range.
+    pub fn chase_gap<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId, cursor: u64) {
+        let now = ctx.now();
+        if self.behind(self.highest_seen, cursor)
+            && self.gap_limiter.allow(from, now, VDur::millis(5))
+        {
+            self.request_gap_batch(ctx, from, self.highest_seen, cursor);
+        }
+    }
+
+    /// True when a sighting of `seen` is evidence of missed decisions:
+    /// it lies beyond the pipeline window above `cursor`, and `cursor`
+    /// itself is not merely awaiting replay below the voting fence (the
+    /// rejoin protocol covers that).
+    fn behind(&self, seen: u64, cursor: u64) -> bool {
+        seen > cursor + self.cfg.pipeline_depth.max(1) - 1 && !self.is_decided(cursor)
+    }
+
+    /// Pulls a bounded batch of missing decisions (lowest first, from
+    /// `cursor`) from `from`.
+    fn request_gap_batch<C: ReplicaCtx>(
+        &self,
+        ctx: &mut C,
+        from: ProcessId,
+        seen: u64,
+        cursor: u64,
+    ) {
+        for instance in cursor..seen.min(cursor + MAX_GAP_BATCH) {
+            if !self.is_decided(instance) {
+                ctx.bump(self.names.gap_requests, 1);
+                ctx.trace_span(self.names.label, instance, "gap_pull", u64::from(from.0));
+                self.send(ctx, from, &CatchUp::DecisionRequest { instance });
+            }
+        }
+    }
+
+    /// Broadcasts the rejoin announcement: "my replayed prefix ends at
+    /// `watermark`" (a freshly revived process says instance 0).
+    fn announce_join<C: ReplicaCtx>(&mut self, ctx: &mut C) {
+        self.last_join = ctx.now();
+        ctx.bump(self.names.join_requests, 1);
+        let watermark = self.replayed.watermark();
+        self.broadcast(ctx, &CatchUp::JoinRequest { watermark });
+    }
+
+    /// Serves a peer's rejoin announcement. A gap the decision log
+    /// still covers is served as a bulk [`CatchUp::StateTransfer`] of
+    /// decided values (consecutive from `watermark`, bounded); a gap
+    /// whose head was compacted away falls back to a chunked
+    /// [`CatchUp::SnapshotTransfer`] — the log there is gone, the
+    /// snapshot replaces it.
+    ///
+    /// With snapshotting disabled (`snapshot_interval == 0`) the old
+    /// limit applies: once a run outgrows `decision_cache`, the evicted
+    /// prefix is unservable and a joiner advertising instance 0 stalls
+    /// (`*.join_unservable` counts this).
+    fn serve_join<C: ReplicaCtx>(&self, ctx: &mut C, from: ProcessId, watermark: u64) {
+        let frontier = self.replayed.watermark();
+        if frontier <= watermark {
+            return;
+        }
+        // The cheap path first: while the decision log still covers the
+        // head of the gap, a bulk value transfer beats re-shipping the
+        // whole snapshot (the log tail stays `decision_cache` deep).
+        let mut values = Vec::new();
+        for instance in watermark..frontier.min(watermark + MAX_TRANSFER) {
+            match self.decisions.get(&instance) {
+                Some(v) => values.push(v.clone()),
+                None => break, // evicted: cannot serve a gapless prefix
+            }
+        }
+        if !values.is_empty() {
+            ctx.bump(self.names.state_transfers, 1);
+            let msg = CatchUp::StateTransfer {
+                from: watermark,
+                values,
+                frontier,
+            };
+            self.send(ctx, from, &msg);
+            return;
+        }
+        if self
+            .snapshot
+            .as_ref()
+            .is_some_and(|s| watermark <= s.last_included)
+        {
+            // The gap begins inside the compacted prefix: ship the
+            // snapshot (first chunk; the joiner pulls the rest at
+            // round-trip pace), then it rejoins the log at
+            // `last_included + 1`.
+            self.serve_snapshot_chunk(ctx, from, 0);
+            return;
+        }
+        // Not silent: a joiner below our eviction horizon cannot be
+        // helped by this process (only possible with snapshots
+        // disabled, or for a gap above the snapshot with a hole in the
+        // local log).
+        ctx.bump(self.names.join_unservable, 1);
+    }
+
+    /// Sends one chunk of the serving snapshot to `from`.
+    fn serve_snapshot_chunk<C: ReplicaCtx>(&self, ctx: &mut C, from: ProcessId, offset: u32) {
+        let Some(snap) = &self.snapshot else {
+            return;
+        };
+        let Some((total, chunk)) = chunk_of(&self.snapshot_bytes, offset) else {
+            return;
+        };
+        ctx.bump(self.names.snapshot_transfers, 1);
+        let msg = CatchUp::SnapshotTransfer {
+            last_included: snap.last_included,
+            digest: snap.digest,
+            total,
+            offset,
+            chunk,
+            frontier: self.replayed.watermark(),
+        };
+        self.send(ctx, from, &msg);
+    }
+
+    /// The rejoin half of the periodic sweep: re-announce until the
+    /// replayed prefix covers both the persisted decided fence and every
+    /// frontier a transfer advertised (replies can be lost to the same
+    /// faults that caused the crash).
+    pub fn sweep_rejoin<C: ReplicaCtx>(&mut self, ctx: &mut C) {
+        if !self.rejoining {
+            return;
+        }
+        let now = ctx.now();
+        let caught_up = self.replayed.watermark() >= self.decided_log.watermark()
+            && self.replayed.watermark() >= self.rejoin_target;
+        // A healthy snapshot download is progress too: do not spam
+        // re-announcements (and competing offers) while it runs.
+        let downloading = self.download.in_progress(now, JOIN_RETRY);
+        if caught_up {
+            self.rejoining = false;
+        } else if now.since(self.last_join) >= JOIN_RETRY && !downloading {
+            self.announce_join(ctx);
+        }
+    }
+}
+
+/// Where the shared machinery hands back to the stack hosting it. The
+/// required methods are each stack's thesis — the modular stack raises
+/// events on its bus, the monolith updates its merged state directly —
+/// and the provided methods are the recovery protocol, written once
+/// around them.
+pub trait ReplicaHost<C: ReplicaCtx> {
+    /// The replica state.
+    fn core(&mut self) -> &mut ReplicaCore;
+
+    /// A reconfiguration was registered and reported: activate `stamp`
+    /// (re-point whatever monitors the member set).
+    fn config_active(&mut self, ctx: &mut C, stamp: ConfigStamp);
+
+    /// `snap` is being installed: drop the per-instance state it
+    /// supersedes and skip delivery past it. Runs before the snapshot's
+    /// reconfiguration history is registered.
+    fn snapshot_covers(&mut self, snap: &Snapshot);
+
+    /// The snapshot now serving in [`core`](Self::core) was installed:
+    /// tell whoever delivers, and carry on from `last_included + 1`.
+    fn snapshot_installed(&mut self, ctx: &mut C);
+
+    /// Learns the decided `values` of instances `first, first+1, …`
+    /// through the stack's own decision path (which records each via
+    /// [`record_decision`](Self::record_decision)) and delivers what
+    /// became deliverable.
+    fn learn_decisions(&mut self, ctx: &mut C, first: u64, values: Vec<Batch>);
+
+    /// Answers a decision request with the cached `value`, in the
+    /// stack's own full-decision message.
+    fn reply_decision(&mut self, ctx: &mut C, to: ProcessId, instance: u64, value: Batch);
+
+    /// Call from the stack's start handler: builds the timeline and, on
+    /// a revived process, restores the persisted snapshot first (the
+    /// compacted prefix needs no replay), re-registers the persisted
+    /// reconfiguration history (it may extend past the snapshot's;
+    /// duplicates are no-ops, and re-reporting the stamps re-confirms
+    /// the history to the harness), then advertises the replay frontier
+    /// — instance 0 without a snapshot — so peers stream the rest back.
+    fn start_replica(&mut self, ctx: &mut C) {
+        let core = self.core();
+        core.timeline_mut(ctx.n());
+        if !core.rejoining {
+            return;
+        }
+        if let Some(snap) = core.restored.take() {
+            self.install_snapshot(ctx, snap);
+        }
+        for (d, change) in std::mem::take(&mut self.core().recovered_reconfigs) {
+            self.register_reconfig(ctx, d, change);
+        }
+        self.core().announce_join(ctx);
+    }
+
+    /// Records the decision of `instance` in the core: advances the
+    /// replay log and the (persisted) voting fence, caches the value,
+    /// folds it, registers reconfigurations it completes and compacts.
+    /// Keyed on the replay log, so a revived process re-records the
+    /// decided prefix learned through state transfer even though its
+    /// voting fence already covers it. Returns `false` (and does
+    /// nothing) for a decision already recorded in this incarnation.
+    fn record_decision(&mut self, ctx: &mut C, instance: u64, value: &Batch) -> bool {
+        let core = self.core();
+        if !core.replayed.is_new(instance) {
+            return false;
+        }
+        core.replayed.complete(instance);
+        let fence_before = core.decided_log.watermark();
+        core.decided_log.complete(instance);
+        core.persist_fence(ctx, fence_before);
+        core.decisions.insert(instance, value.clone());
+        core.fold.absorb(instance, value);
+        self.note_reconfigs(ctx, instance, value);
+        let core = self.core();
+        core.maybe_compact(ctx);
+        if core.cfg.snapshot_interval == 0 {
+            // No snapshots: bound the cache by blind eviction (evicted
+            // prefixes become unservable to joiners).
+            while core.decisions.len() > core.cfg.decision_cache {
+                core.decisions.pop_first();
+            }
+        }
+        true
+    }
+
+    /// Registers the reconfiguration decided at `decided_at`: updates
+    /// the timeline, persists the full history atomically with the
+    /// enclosing handler, reports the new version's stamp to the harness
+    /// (config-aware oracle) and hands it to the stack.
+    fn register_reconfig(&mut self, ctx: &mut C, decided_at: u64, change: ConfigChange) {
+        let core = self.core();
+        if cfg!(debug_assertions) && core.cfg.skip_config_fence {
+            // Injected fault (reconfig oracle acceptance suite): the
+            // decided change is ignored, so this process keeps voting
+            // with the initial configuration's quorum and coordinator
+            // math and never reports a config stamp.
+            return;
+        }
+        let timeline = core.timeline_mut(ctx.n());
+        let Some(stamp) = timeline.register(decided_at, change) else {
+            return; // duplicate (replay / snapshot overlap)
+        };
+        let mut w = WireWriter::new();
+        encode_reconfigs(&timeline.reconfigs(), &mut w);
+        ctx.persist(keys::CONFIG, w.finish());
+        ctx.bump(core.names.reconfigs, 1);
+        ctx.trace_span(core.names.label, decided_at, "config_active", stamp.version);
+        ctx.note_config(stamp.clone());
+        self.config_active(ctx, stamp);
+    }
+
+    /// Scans a freshly decided batch for reconfiguration commands, then
+    /// registers every pending command the contiguous replayed prefix
+    /// now covers — in decided-instance order, so configuration
+    /// versions are numbered identically on every process regardless of
+    /// the order pipelined decisions landed in.
+    fn note_reconfigs(&mut self, ctx: &mut C, instance: u64, value: &Batch) {
+        let core = self.core();
+        for msg in value.msgs() {
+            if let Some(change) = parse_reconfig(&msg.payload) {
+                // First command in the batch wins; the submission path
+                // spaces reconfigs out so this is the rare tie-break.
+                core.pending_reconfigs.entry(instance).or_insert(change);
+            }
+        }
+        loop {
+            let core = self.core();
+            let Some((&d, &change)) = core.pending_reconfigs.first_key_value() else {
+                break;
+            };
+            if d >= core.replayed.watermark() {
+                break; // not contiguous yet: an earlier decision is missing
+            }
+            core.pending_reconfigs.remove(&d);
+            self.register_reconfig(ctx, d, change);
+        }
+    }
+
+    /// Installs a snapshot: fast-forwards the fold, replay log and
+    /// voting fence to `last_included + 1`, drops the state the snapshot
+    /// made moot, registers the reconfiguration history it carries (it
+    /// replaces scanning the compacted prefix) and adopts it for serving.
+    fn install_snapshot(&mut self, ctx: &mut C, snap: Snapshot) {
+        let core = self.core();
+        if !core.fold.install(&snap) {
+            return; // does not extend past what we already replayed
+        }
+        let next = snap.last_included + 1;
+        core.replayed.advance_to(next);
+        let fence_before = core.decided_log.watermark();
+        core.decided_log.advance_to(next);
+        core.persist_fence(ctx, fence_before);
+        core.recovered_votes = core.recovered_votes.split_off(&next);
+        core.pending_reconfigs = core.pending_reconfigs.split_off(&next);
+        self.snapshot_covers(&snap);
+        for &(d, change) in &snap.reconfigs {
+            self.register_reconfig(ctx, d, change);
+        }
+        let core = self.core();
+        core.note_seen(snap.last_included);
+        ctx.bump(core.names.snapshots_installed, 1);
+        ctx.trace_span(core.names.label, snap.last_included, "snapshot_install", 0);
+        core.set_snapshot(ctx, snap, true);
+        self.snapshot_installed(ctx);
+    }
+
+    /// Receiver side: absorbs one snapshot chunk through the download
+    /// state machine, pulling the next at round-trip pace; a completed
+    /// download is installed and chased with a `JoinRequest` to the
+    /// serving peer for the remaining log tail.
+    #[allow(clippy::too_many_arguments)]
+    fn absorb_snapshot_chunk(
+        &mut self,
+        ctx: &mut C,
+        from: ProcessId,
+        last_included: u64,
+        digest: u64,
+        total: u32,
+        offset: u32,
+        chunk: Bytes,
+        frontier: u64,
+    ) {
+        let core = self.core();
+        core.rejoin_target = core.rejoin_target.max(frontier);
+        core.note_seen(frontier);
+        let now = ctx.now();
+        let already_past = core.fold.next_instance() > last_included;
+        match core.download.absorb(
+            from,
+            last_included,
+            digest,
+            total,
+            offset,
+            &chunk,
+            now,
+            JOIN_RETRY,
+            already_past,
+        ) {
+            ChunkOutcome::Pull(offset) => {
+                ctx.bump(core.names.snapshot_pulls, 1);
+                let msg = CatchUp::SnapshotPull {
+                    last_included,
+                    offset,
+                };
+                core.send(ctx, from, &msg);
+            }
+            ChunkOutcome::Complete(snap) => {
+                self.install_snapshot(ctx, *snap);
+                let core = self.core();
+                core.last_join = now;
+                let watermark = core.replayed.watermark();
+                core.send(ctx, from, &CatchUp::JoinRequest { watermark });
+            }
+            ChunkOutcome::Ignored => {}
+            ChunkOutcome::Corrupt => ctx.bump(core.names.snapshot_garbage, 1),
+        }
+    }
+
+    /// Absorbs a bulk state transfer, then keeps pulling from the same
+    /// peer at round-trip pace while still behind its frontier.
+    fn absorb_transfer(
+        &mut self,
+        ctx: &mut C,
+        from: ProcessId,
+        first: u64,
+        values: Vec<Batch>,
+        frontier: u64,
+    ) {
+        let core = self.core();
+        core.rejoin_target = core.rejoin_target.max(frontier);
+        core.note_seen(frontier);
+        self.learn_decisions(ctx, first, values);
+        let core = self.core();
+        let mine = core.replayed.watermark();
+        if mine < core.rejoin_target {
+            // Chained catch-up: a short per-peer rate limit keeps one
+            // reply burst from re-requesting the same range.
+            let now = ctx.now();
+            if core.gap_limiter.allow(from, now, VDur::millis(5)) {
+                core.last_join = now;
+                core.send(ctx, from, &CatchUp::JoinRequest { watermark: mine });
+            }
+        } else if core.rejoining && mine >= core.decided_log.watermark() {
+            // Replay reached both the advertised frontier and our own
+            // pre-crash decided fence: rejoin complete.
+            core.rejoining = false;
+            ctx.bump(core.names.rejoins_completed, 1);
+        }
+    }
+
+    /// Handles one catch-up message from `from`.
+    fn on_catch_up(&mut self, ctx: &mut C, from: ProcessId, msg: CatchUp) {
+        match msg {
+            CatchUp::DecisionRequest { instance } => {
+                let core = self.core();
+                if let Some(value) = core.decisions.get(&instance).cloned() {
+                    self.reply_decision(ctx, from, instance, value);
+                } else if core
+                    .snapshot
+                    .as_ref()
+                    .is_some_and(|s| instance <= s.last_included)
+                {
+                    // The requested decision was compacted away: no peer
+                    // can serve it as a value any more, but the snapshot
+                    // covers it. Offer the snapshot so a *live* lagging
+                    // process (a healed partition minority — not just a
+                    // restarted joiner) can leap past the compaction
+                    // horizon instead of stalling. Rate-limited: one
+                    // offer answers a whole gap-request batch.
+                    let now = ctx.now();
+                    if core.offer_limiter.allow(from, now, OFFER_SPACING) {
+                        core.serve_snapshot_chunk(ctx, from, 0);
+                    }
+                }
+            }
+            CatchUp::JoinRequest { watermark } => self.core().serve_join(ctx, from, watermark),
+            CatchUp::StateTransfer {
+                from: first,
+                values,
+                frontier,
+            } => self.absorb_transfer(ctx, from, first, values, frontier),
+            CatchUp::SnapshotTransfer {
+                last_included,
+                digest,
+                total,
+                offset,
+                chunk,
+                frontier,
+            } => self.absorb_snapshot_chunk(
+                ctx,
+                from,
+                last_included,
+                digest,
+                total,
+                offset,
+                chunk,
+                frontier,
+            ),
+            CatchUp::SnapshotPull {
+                last_included,
+                offset,
+            } => {
+                let core = self.core();
+                match core.snapshot.as_ref().map(|s| s.last_included) {
+                    // Exact match: serve the requested chunk.
+                    Some(have) if have == last_included => {
+                        core.serve_snapshot_chunk(ctx, from, offset);
+                    }
+                    // We compacted further since the joiner started; a
+                    // fresh offer supersedes the stale download.
+                    Some(have) if have > last_included => {
+                        core.serve_snapshot_chunk(ctx, from, 0);
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::membership::reconfig_payload;
+    use crate::message::AppMsg;
+
+    const NAMES: ReplicaNames = ReplicaNames {
+        label: "t",
+        tags: PerCatchUp {
+            decision_request: 1,
+            join_request: 2,
+            state_transfer: 3,
+            snapshot_transfer: 4,
+            snapshot_pull: 5,
+        },
+        kinds: PerCatchUp {
+            decision_request: "t.decision_request",
+            join_request: "t.join_request",
+            state_transfer: "t.state_transfer",
+            snapshot_transfer: "t.snapshot_transfer",
+            snapshot_pull: "t.snapshot_pull",
+        },
+        gap_requests: "t.gap_requests",
+        join_requests: "t.join_requests",
+        state_transfers: "t.state_transfers",
+        snapshot_transfers: "t.snapshot_transfers",
+        snapshot_pulls: "t.snapshot_pulls",
+        snapshot_garbage: "t.snapshot_garbage",
+        snapshots: "t.snapshots",
+        snapshots_installed: "t.snapshots_installed",
+        join_unservable: "t.join_unservable",
+        rejoins_completed: "t.rejoins_completed",
+        reconfigs: "t.reconfigs",
+    };
+
+    /// A recording stand-in for the handler context: stable writes take
+    /// effect on `store` at once and are logged in order.
+    struct FakeCtx {
+        costs: CostModel,
+        store: StableStore,
+        writes: Vec<(u64, bool)>,
+        sent: Vec<(Option<ProcessId>, &'static str, CatchUp)>,
+        bumps: BTreeMap<&'static str, u64>,
+        configs: Vec<ConfigStamp>,
+    }
+
+    impl FakeCtx {
+        fn new() -> Self {
+            FakeCtx {
+                costs: CostModel::default(),
+                store: StableStore::new(),
+                writes: Vec::new(),
+                sent: Vec::new(),
+                bumps: BTreeMap::new(),
+                configs: Vec::new(),
+            }
+        }
+
+        fn bumped(&self, name: &str) -> u64 {
+            self.bumps.get(name).copied().unwrap_or(0)
+        }
+
+        fn record_send(&mut self, dst: Option<ProcessId>, kind: &'static str, payload: Bytes) {
+            let mut r = WireReader::new(payload);
+            let tag = r.get_u8().unwrap();
+            let msg = CatchUp::decode_tagged(tag, &NAMES.tags, &mut r).unwrap();
+            r.expect_end().unwrap();
+            self.sent.push((dst, kind, msg));
+        }
+    }
+
+    impl ReplicaCtx for FakeCtx {
+        fn pid(&self) -> ProcessId {
+            ProcessId(0)
+        }
+        fn n(&self) -> usize {
+            3
+        }
+        fn now(&self) -> VTime {
+            VTime::ZERO
+        }
+        fn costs(&self) -> &CostModel {
+            &self.costs
+        }
+        fn persist(&mut self, key: u64, value: Bytes) {
+            self.store.insert(key, value);
+            self.writes.push((key, true));
+        }
+        fn unpersist(&mut self, key: u64) {
+            self.store.remove(&key);
+            self.writes.push((key, false));
+        }
+        fn charge_durability(&mut self, _: VDur) {}
+        fn note_snapshot(&mut self, _: SnapshotStamp) {}
+        fn note_config(&mut self, stamp: ConfigStamp) {
+            self.configs.push(stamp);
+        }
+        fn bump(&mut self, name: &'static str, by: u64) {
+            *self.bumps.entry(name).or_default() += by;
+        }
+        fn trace_span(&mut self, _: &'static str, _: u64, _: &'static str, _: u64) {}
+        fn send(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes) {
+            self.record_send(Some(dst), kind, payload);
+        }
+        fn broadcast(&mut self, kind: &'static str, payload: Bytes) {
+            self.record_send(None, kind, payload);
+        }
+    }
+
+    /// A host that records the hand-backs and learns decisions straight
+    /// into the core.
+    struct FakeHost {
+        core: ReplicaCore,
+        activated: Vec<u64>,
+        covered: Vec<u64>,
+        installed: u32,
+    }
+
+    impl FakeHost {
+        fn over(core: ReplicaCore) -> Self {
+            FakeHost {
+                core,
+                activated: Vec::new(),
+                covered: Vec::new(),
+                installed: 0,
+            }
+        }
+
+        fn fresh(decision_cache: usize, snapshot_interval: u64) -> Self {
+            let cfg = ReplicaConfig {
+                decision_cache,
+                snapshot_interval,
+                ..ReplicaConfig::default()
+            };
+            let mut host = FakeHost::over(ReplicaCore::new(cfg, &NAMES));
+            host.start_replica(&mut FakeCtx::new());
+            host
+        }
+
+        fn decide(&mut self, ctx: &mut FakeCtx, instances: std::ops::Range<u64>) {
+            for k in instances {
+                assert!(self.record_decision(ctx, k, &batch(k)));
+            }
+        }
+    }
+
+    impl ReplicaHost<FakeCtx> for FakeHost {
+        fn core(&mut self) -> &mut ReplicaCore {
+            &mut self.core
+        }
+        fn config_active(&mut self, _: &mut FakeCtx, stamp: ConfigStamp) {
+            self.activated.push(stamp.version);
+        }
+        fn snapshot_covers(&mut self, snap: &Snapshot) {
+            self.covered.push(snap.last_included);
+        }
+        fn snapshot_installed(&mut self, _: &mut FakeCtx) {
+            self.installed += 1;
+        }
+        fn learn_decisions(&mut self, ctx: &mut FakeCtx, first: u64, values: Vec<Batch>) {
+            for (i, value) in values.into_iter().enumerate() {
+                self.record_decision(ctx, first + i as u64, &value);
+            }
+        }
+        fn reply_decision(&mut self, _: &mut FakeCtx, _: ProcessId, _: u64, _: Batch) {}
+    }
+
+    /// The one-message batch decided at instance `k`.
+    fn batch(k: u64) -> Batch {
+        let id = MsgId::new(ProcessId(1), k);
+        Batch::normalize(vec![AppMsg::new(id, Bytes::from_static(b"payload"))])
+    }
+
+    fn samples() -> Vec<CatchUp> {
+        vec![
+            CatchUp::DecisionRequest { instance: 6 },
+            CatchUp::JoinRequest { watermark: 0 },
+            CatchUp::StateTransfer {
+                from: 3,
+                values: vec![batch(3), Batch::empty(), batch(5)],
+                frontier: 42,
+            },
+            CatchUp::SnapshotTransfer {
+                last_included: 63,
+                digest: 0xDEAD_BEEF,
+                total: 4097,
+                offset: 4096,
+                chunk: Bytes::from_static(b"tail byte"),
+                frontier: 80,
+            },
+            CatchUp::SnapshotPull {
+                last_included: 63,
+                offset: 4096,
+            },
+        ]
+    }
+
+    #[test]
+    fn catch_up_round_trips_under_any_tag_table() {
+        let other = PerCatchUp {
+            decision_request: 6,
+            join_request: 9,
+            state_transfer: 10,
+            snapshot_transfer: 11,
+            snapshot_pull: 12,
+        };
+        for msg in samples() {
+            let mut bodies = Vec::new();
+            for tags in [&NAMES.tags, &other] {
+                let mut w = WireWriter::new();
+                msg.encode_tagged(tags, &mut w);
+                let bytes = w.finish();
+                assert_eq!(bytes[0], msg.pick(tags));
+                let mut r = WireReader::new(bytes.clone());
+                let tag = r.get_u8().unwrap();
+                assert_eq!(CatchUp::decode_tagged(tag, tags, &mut r).unwrap(), msg);
+                r.expect_end().unwrap();
+                bodies.push(bytes.slice(1..));
+            }
+            // The tag byte is the only thing a stack chooses.
+            assert_eq!(bodies[0], bodies[1]);
+        }
+        let mut r = WireReader::new(Bytes::from_static(&[0; 16]));
+        assert_eq!(
+            CatchUp::decode_tagged(99, &NAMES.tags, &mut r),
+            Err(WireError::InvalidTag(99))
+        );
+    }
+
+    #[test]
+    fn serve_join_prefers_the_log_then_the_snapshot_then_gives_up() {
+        let (mut host, mut ctx) = (FakeHost::fresh(4, 4), FakeCtx::new());
+        let joiner = ProcessId(2);
+
+        // The log still covers the whole gap: a bulk value transfer.
+        host.decide(&mut ctx, 0..4);
+        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 0 });
+        let (dst, kind, msg) = ctx.sent.pop().unwrap();
+        assert_eq!((dst, kind), (Some(joiner), "t.state_transfer"));
+        let values = (0..4).map(batch).collect();
+        let frontier = 4;
+        assert_eq!(
+            msg,
+            CatchUp::StateTransfer {
+                from: 0,
+                values,
+                frontier
+            }
+        );
+        assert_eq!(ctx.bumped("t.state_transfers"), 1);
+
+        // The cache overflowed and the gap's head was compacted away:
+        // the snapshot replaces it, first chunk first.
+        host.decide(&mut ctx, 4..8);
+        assert!(host.core.decision(0).is_none());
+        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 0 });
+        let (_, kind, msg) = ctx.sent.pop().unwrap();
+        assert_eq!(kind, "t.snapshot_transfer");
+        let covers = host.core.snapshot().unwrap().last_included;
+        assert!(matches!(
+            msg,
+            CatchUp::SnapshotTransfer { last_included, offset: 0, frontier: 8, .. }
+                if last_included == covers
+        ));
+        assert_eq!(ctx.bumped("t.snapshot_transfers"), 1);
+        // A joiner whose gap starts inside the cached tail gets values,
+        // compacted or not.
+        assert!(host.core.decision(6).is_some() && covers >= 6);
+        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 6 });
+        assert_eq!(ctx.sent.pop().unwrap().1, "t.state_transfer");
+        // A joiner that is not behind gets nothing.
+        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 8 });
+        assert!(ctx.sent.is_empty());
+
+        // Without snapshots the evicted head is simply gone.
+        let (mut host, mut ctx) = (FakeHost::fresh(2, 0), FakeCtx::new());
+        host.decide(&mut ctx, 0..4);
+        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 0 });
+        assert!(ctx.sent.is_empty());
+        assert_eq!(ctx.bumped("t.join_unservable"), 1);
+    }
+
+    #[test]
+    fn persist_fence_writes_the_watermark_and_collects_exactly_the_votes_below_it() {
+        let (mut host, mut ctx) = (FakeHost::fresh(16, 0), FakeCtx::new());
+        for k in 0..4 {
+            host.core.persist_vote(&mut ctx, k, 0, 1, &batch(k));
+        }
+        ctx.writes.clear();
+
+        // Decisions above a hole leave the contiguous fence where it is.
+        assert!(host.record_decision(&mut ctx, 1, &batch(1)));
+        assert!(host.record_decision(&mut ctx, 2, &batch(2)));
+        assert!(ctx.writes.is_empty());
+        assert_eq!(host.core.decided_watermark(), 0);
+
+        // Closing the hole moves it from 0 to 3.
+        assert!(host.record_decision(&mut ctx, 0, &batch(0)));
+        assert_eq!(
+            ctx.writes,
+            vec![
+                (keys::WATERMARK, true),
+                (keys::vote(0), false),
+                (keys::vote(1), false),
+                (keys::vote(2), false),
+            ]
+        );
+        assert_eq!(ctx.store[&keys::WATERMARK], encode(&3u64));
+        assert!(ctx.store.contains_key(&keys::vote(3)));
+        // A decision already recorded changes nothing.
+        assert!(!host.record_decision(&mut ctx, 0, &batch(0)));
+        assert_eq!(ctx.writes.len(), 4);
+    }
+
+    /// A store holding one value under every key the core writes: votes
+    /// above the fence, the watermark, a snapshot and a reconfiguration.
+    fn written_store() -> (FakeHost, StableStore) {
+        let (mut host, mut ctx) = (FakeHost::fresh(16, 2), FakeCtx::new());
+        let add = AppMsg::new(
+            MsgId::new(ProcessId(0), 1 << 62),
+            reconfig_payload(ConfigChange::Remove(ProcessId(2))),
+        );
+        assert!(host.record_decision(&mut ctx, 0, &Batch::normalize(vec![add])));
+        host.decide(&mut ctx, 1..4);
+        host.core.persist_vote(&mut ctx, 5, 2, 3, &batch(50));
+        host.core.persist_vote(&mut ctx, 7, 0, 1, &batch(70));
+        for key in [keys::WATERMARK, keys::SNAPSHOT, keys::CONFIG, keys::vote(5)] {
+            assert!(ctx.store.contains_key(&key), "{key:#x} not written");
+        }
+        assert_eq!(host.activated, vec![1]);
+        (host, ctx.store)
+    }
+
+    #[test]
+    fn a_written_store_round_trips_through_resume() {
+        let (writer, store) = written_store();
+        let core = ReplicaCore::resume(writer.core.cfg.clone(), &NAMES, &store);
+
+        assert_eq!(core.decided_watermark(), 4);
+        assert!(core.is_decided(3) && !core.is_replayed(3));
+        let vote = core.recovered_vote(5).unwrap();
+        assert_eq!((vote.round, vote.ts, &vote.value), (2, 3, &batch(50)));
+        assert_eq!(core.recovered_vote(7).unwrap().value, batch(70));
+        assert!(core.recovered_vote(0).is_none());
+        assert_eq!(core.restored, writer.core.snapshot);
+        let history = writer.core.timeline.as_ref().unwrap().reconfigs();
+        assert_eq!(core.recovered_reconfigs, history);
+
+        // Starting it installs the snapshot, re-activates the persisted
+        // configuration once and announces the replay frontier.
+        let (mut host, mut ctx) = (FakeHost::over(core), FakeCtx::new());
+        host.start_replica(&mut ctx);
+        let last_included = writer.core.snapshot.as_ref().unwrap().last_included;
+        assert_eq!(host.covered, vec![last_included]);
+        assert_eq!((host.installed, &host.activated), (1, &vec![1]));
+        assert_eq!(ctx.configs.len(), 1);
+        assert_eq!(host.core.members_of(100, 3), [ProcessId(0), ProcessId(1)]);
+        let watermark = last_included + 1;
+        assert_eq!(
+            ctx.sent,
+            vec![(None, "t.join_request", CatchUp::JoinRequest { watermark })]
+        );
+    }
+
+    #[test]
+    fn resume_survives_a_damaged_store() {
+        let (writer, store) = written_store();
+        let mut damaged = Vec::new();
+        for (&key, value) in &store {
+            for cut in 0..value.len() {
+                damaged.push((key, value.slice(..cut)));
+            }
+            for bit in 0..value.len() * 8 {
+                let mut bytes = value.to_vec();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                damaged.push((key, Bytes::from(bytes)));
+            }
+            // Every aligned-or-not 4-byte window read as a length that
+            // is far too long, yet under the codec's sanity cap.
+            for at in 0..value.len().saturating_sub(3) {
+                let mut bytes = value.to_vec();
+                bytes[at..at + 4].copy_from_slice(&0x0FFF_FFFFu32.to_le_bytes());
+                damaged.push((key, Bytes::from(bytes)));
+            }
+        }
+        assert!(damaged.len() > 1000);
+        for (key, value) in damaged {
+            let mut store = store.clone();
+            store.insert(key, value);
+            let core = ReplicaCore::resume(writer.core.cfg.clone(), &NAMES, &store);
+            // Usable: it starts, announces itself and takes decisions,
+            // with a bounded amount of stable-store work.
+            let (mut host, mut ctx) = (FakeHost::over(core), FakeCtx::new());
+            host.start_replica(&mut ctx);
+            assert_eq!(ctx.sent.last().unwrap().1, "t.join_request");
+            let cursor = host.core.replayed.watermark();
+            host.record_decision(&mut ctx, cursor, &batch(cursor));
+            assert!(host.core.is_replayed(cursor));
+            assert!(
+                ctx.writes.len() < 64,
+                "{key:#x}: {} writes",
+                ctx.writes.len()
+            );
+        }
+    }
+}

@@ -43,12 +43,12 @@ use crate::log::OriginLog;
 /// incarnation's broadcasts (its consensus module could then never
 /// disseminate a decision again).
 ///
-/// Namespace `5 << 56`: the store is shared by the whole stack, and
-/// `3 << 56` (this key's original slot) belongs to the consensus
-/// module's persisted snapshot — the collision let frequent seq writes
-/// clobber the snapshot and, worse, a snapshot written last before a
+/// Its namespace is assigned in [`fortika_net::replica::keys`], the one
+/// table every layer of the stack takes its keys from: this counter once
+/// shared `3 << 56` with the consensus snapshot — frequent seq writes
+/// clobbered the snapshot and, worse, a snapshot written last before a
 /// crash made the revived rbcast counter fail to decode and reset.
-pub const STABLE_SEQ_KEY: u64 = 5 << 56;
+pub const STABLE_SEQ_KEY: u64 = fortika_net::replica::keys::RBCAST_SEQ;
 
 /// Wire demux id of the reliable broadcast module.
 pub const RBCAST_MODULE_ID: ModuleId = 3;
