@@ -760,13 +760,13 @@ const TRACE_DIR: &str = "target/trace";
 
 /// The `--trace` smoke: one traced run per stack at a moderate
 /// operating point. Verifies the decomposition identity (queueing +
-/// transmission + CPU = end-to-end, durability ⊆ CPU) and that the
+/// transmission + CPU + durability = end-to-end) and that the
 /// JSONL / Chrome exports under [`TRACE_DIR`] re-read as well-formed.
 fn trace_smoke() -> Result<(), String> {
     println!("probe --trace: tracing smoke (decomposition + exports)");
     println!(
-        "{:>10} | {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-        "stack", "total", "queue", "wire", "cpu", "durable", "p99", "samples"
+        "{:>10} | {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9}",
+        "stack", "total", "queue", "wire", "cpu", "durable", "p99", "samples", "truncated"
     );
     std::fs::create_dir_all(TRACE_DIR).map_err(|e| format!("mkdir {TRACE_DIR}: {e}"))?;
     for kind in [StackKind::Monolithic, StackKind::Modular] {
@@ -785,7 +785,7 @@ fn trace_smoke() -> Result<(), String> {
         if d.samples == 0 {
             return Err(format!("{label}: no latency samples decomposed"));
         }
-        let sum = d.queueing.mean_ms + d.transmission.mean_ms + d.cpu.mean_ms;
+        let sum = d.component_mean_sum_ms();
         if (sum - d.total.mean_ms).abs() > 1e-6 {
             return Err(format!(
                 "{label}: decomposition components sum to {sum} ms, end-to-end is {} ms",
@@ -793,14 +793,15 @@ fn trace_smoke() -> Result<(), String> {
             ));
         }
         println!(
-            "{label:>10} | {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>7}",
+            "{label:>10} | {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>7} {:>9}",
             d.total.mean_ms,
             d.queueing.mean_ms,
             d.transmission.mean_ms,
             d.cpu.mean_ms,
             d.durability.mean_ms,
             d.total.p99_ms,
-            d.samples
+            d.samples,
+            d.truncated_samples
         );
         let trace = r.trace.ok_or_else(|| format!("{label}: no trace"))?;
         let jsonl_path = format!("{TRACE_DIR}/probe-{label}.jsonl");

@@ -593,7 +593,9 @@ pub struct RunReport {
     /// queueing, transmission, CPU and durability time at the
     /// first-delivering process, with percentiles per component. The
     /// four components sum to the end-to-end window exactly (integer
-    /// nanoseconds; durability is also counted inside CPU).
+    /// nanoseconds; CPU excludes durability). Samples that open before
+    /// the trace ring's retained history are counted in
+    /// `truncated_samples`.
     pub latency_decomposition: Option<LatencyDecomposition>,
     /// The auto-minimized reproducer (present when the oracle reported
     /// a violation on a scenario run): the attached scenario

@@ -66,3 +66,32 @@ fn replica_core_counters_are_still_produced() {
         }
     }
 }
+
+/// `TraceEvents` builds its timeline index lazily behind a `OnceCell`:
+/// derived state inside a protocol crate. It has to pass the
+/// determinism rules on its own merits — no waiver, a single-threaded
+/// cell, and a per-process map that cannot iterate in hasher order.
+#[test]
+fn trace_timeline_index_is_lint_clean() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut report = fortika_lint::report::Report::default();
+    let mut code = String::new();
+    for rel in ["crates/trace/src/event.rs", "crates/trace/src/decompose.rs"] {
+        let src = fortika_lint::source::SourceFile::load(&root.join(rel)).expect("readable");
+        fortika_lint::determinism::check_file(&src, rel, &mut report);
+        for (line, in_test) in src.scan.iter().zip(&src.in_test) {
+            if !in_test {
+                code.push_str(line);
+                code.push('\n');
+            }
+        }
+    }
+    assert!(report.clean(), "{}", report.render_human());
+    assert!(report.waivers.is_empty(), "{}", report.render_human());
+    // What the rules were run on is what this test is about.
+    assert!(code.contains("index: OnceCell<TimelineIndex>"));
+    assert!(code.contains("timelines: BTreeMap<u16, Timeline>"));
+    for banned in ["HashMap", "HashSet", "OnceLock", "thread"] {
+        assert!(!code.contains(banned), "`{banned}` in the trace index");
+    }
+}

@@ -1,6 +1,10 @@
 //! The event model and the bounded ring buffer that records it.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
+use std::ops::Deref;
+
+use crate::decompose::TimelineIndex;
 
 /// Tracing knobs, carried by the cluster configuration.
 ///
@@ -226,10 +230,83 @@ impl TraceBuffer {
     /// Freezes the ring into an immutable [`Trace`].
     pub fn finish(self) -> Trace {
         Trace {
-            events: self.events.into(),
+            events: TraceEvents::new(self.events.into(), self.dropped),
             dropped: self.dropped,
             capacity: self.capacity,
         }
+    }
+}
+
+/// The frozen events of a [`Trace`]: reads as a `[TraceEvent]` slice in
+/// record order, and owns the per-process timeline index that
+/// [`decompose_window`](crate::decompose_window) answers from. The
+/// index is built on first use and never invalidated, which is why the
+/// events cannot be mutated once frozen.
+#[derive(Clone)]
+pub struct TraceEvents {
+    events: Vec<TraceEvent>,
+    /// Where retained history begins: the oldest retained event's
+    /// instant if the ring evicted anything, else 0.
+    retained_from_ns: u64,
+    index: OnceCell<TimelineIndex>,
+}
+
+impl TraceEvents {
+    /// `dropped` is how many events were evicted (or filtered out)
+    /// ahead of these: any at all means windows opening before the
+    /// first retained event see a truncated timeline.
+    fn new(events: Vec<TraceEvent>, dropped: u64) -> Self {
+        let retained_from_ns = match events.first() {
+            Some(oldest) if dropped > 0 => oldest.at_ns,
+            _ => 0,
+        };
+        TraceEvents {
+            events,
+            retained_from_ns,
+            index: OnceCell::new(),
+        }
+    }
+
+    /// The instant before which events may have been evicted.
+    pub(crate) fn retained_from_ns(&self) -> u64 {
+        self.retained_from_ns
+    }
+
+    /// The per-process timeline index, built on first call.
+    pub(crate) fn index(&self) -> &TimelineIndex {
+        self.index
+            .get_or_init(|| TimelineIndex::build(&self.events))
+    }
+}
+
+impl Deref for TraceEvents {
+    type Target = [TraceEvent];
+
+    fn deref(&self) -> &[TraceEvent] {
+        &self.events
+    }
+}
+
+impl<'a> IntoIterator for &'a TraceEvents {
+    type Item = &'a TraceEvent;
+    type IntoIter = std::slice::Iter<'a, TraceEvent>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.events.iter()
+    }
+}
+
+/// A complete history: nothing was evicted ahead of `events`.
+impl From<Vec<TraceEvent>> for TraceEvents {
+    fn from(events: Vec<TraceEvent>) -> Self {
+        TraceEvents::new(events, 0)
+    }
+}
+
+/// Prints as the event slice; the index is derived data.
+impl std::fmt::Debug for TraceEvents {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.events.fmt(f)
     }
 }
 
@@ -237,7 +314,7 @@ impl TraceBuffer {
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// Retained events, in record order (seq ascending).
-    pub events: Vec<TraceEvent>,
+    pub events: TraceEvents,
     /// Events evicted from the ring before the end of the run — the
     /// trace is the *last* `events.len()` of
     /// `events.len() + dropped` total.
@@ -261,7 +338,7 @@ impl Trace {
         let events: Vec<TraceEvent> = involved.into_iter().skip(skip).collect();
         let dropped = self.dropped + (self.events.len() - events.len()) as u64;
         Trace {
-            events,
+            events: TraceEvents::new(events, dropped),
             dropped,
             capacity: self.capacity,
         }

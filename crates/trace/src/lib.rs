@@ -28,7 +28,8 @@
 //! types: `u16` process ids, `u64` instances and nanosecond timestamps,
 //! `&'static str` kind/phase labels.
 //!
-//! * [`TraceConfig`], [`TraceBuffer`], [`Trace`] — recording.
+//! * [`TraceConfig`], [`TraceBuffer`], [`Trace`], [`TraceEvents`] —
+//!   recording.
 //! * [`TraceEvent`], [`TraceData`] — the event model.
 //! * [`Trace::to_jsonl`], [`Trace::to_chrome_json`] — exports (JSON
 //!   Lines and Chrome trace-event format, loadable in Perfetto).
@@ -46,4 +47,4 @@ mod export;
 pub use decompose::{
     decompose_window, ComponentSummary, DecompSample, LatencyDecomposition, WindowSpec,
 };
-pub use event::{Trace, TraceBuffer, TraceConfig, TraceData, TraceEvent};
+pub use event::{Trace, TraceBuffer, TraceConfig, TraceData, TraceEvent, TraceEvents};

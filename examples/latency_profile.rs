@@ -5,10 +5,11 @@
 //! into its physical components — **queueing** (decided upon but waiting:
 //! batching delay, NIC/degraded-link backlog, event-loop wait),
 //! **transmission** (bits in flight toward the first-delivering
-//! process), **CPU** (handler execution there, with the **durability**
-//! share called out separately) — under the paper's constant-rate
-//! arrivals and under Poisson arrivals (an extension: bursty arrivals
-//! stress queueing in a way perfectly regular arrivals cannot).
+//! process), **CPU** (handler execution there) and **durability** (the
+//! stable-write share of that execution, its own addend) — under the
+//! paper's constant-rate arrivals and under Poisson arrivals (an
+//! extension: bursty arrivals stress queueing in a way perfectly regular
+//! arrivals cannot).
 //!
 //! The components are measured from the event trace
 //! (`RunReport::latency_decomposition`) and sum to the end-to-end
@@ -32,15 +33,20 @@ fn profile(kind: StackKind, workload: Workload, label: &str) {
     let d = r
         .latency_decomposition
         .expect("tracing was enabled, the decomposition is present");
+    assert!(
+        (d.component_mean_sum_ms() - d.total.mean_ms).abs() < 1e-6,
+        "{label}: components do not sum to the end-to-end mean"
+    );
     println!(
-        "{label:<34} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>7}",
+        "{label:<34} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>7} {:>9}",
         d.total.mean_ms,
         d.queueing.mean_ms,
         d.transmission.mean_ms,
         d.cpu.mean_ms,
         d.durability.mean_ms,
         d.total.p99_ms,
-        d.samples
+        d.samples,
+        d.truncated_samples
     );
 }
 
@@ -48,11 +54,13 @@ fn main() {
     let load = 800.0;
     let size = 4096;
     println!("Early-latency decomposition (ms), n=3, load={load} msg/s, {size}-byte messages\n");
-    println!("queue + wire + cpu = total (exact, per decision, at the first deliverer);");
-    println!("durability is the stable-write share already inside cpu.\n");
+    println!("queue + wire + cpu + durable = total (exact, per decision, at the first");
+    println!("deliverer); durable is the stable-write share of handler time, cpu the rest.");
+    println!("truncated counts samples that open before the trace ring's retained history:");
+    println!("their evicted CPU and wire time reads as queueing.\n");
     println!(
-        "{:<34} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-        "configuration", "total", "queue", "wire", "cpu", "durable", "p99", "samples"
+        "{:<34} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9}",
+        "configuration", "total", "queue", "wire", "cpu", "durable", "p99", "samples", "truncated"
     );
     for kind in [StackKind::Monolithic, StackKind::Modular] {
         profile(

@@ -5,9 +5,17 @@
 //! These run against both stacks through the public `Experiment` API —
 //! the same path `probe --trace` and the examples use.
 
-use fortika::core::workload::Workload;
-use fortika::core::{Experiment, StackKind, TraceConfig};
-use fortika::trace::TraceData;
+use fortika::chaos::Scenario;
+use fortika::core::workload::{Workload, WorkloadDriver};
+use fortika::core::{
+    build_nodes_with_windows, install_restart_factory, CostModel, Experiment, StackConfig,
+    StackKind, TraceConfig,
+};
+use fortika::net::{Cluster, ClusterConfig, ProcessId};
+use fortika::sim::{VDur, VTime};
+use fortika::trace::{
+    decompose_window, DecompSample, LatencyDecomposition, Trace, TraceData, TraceEvent, WindowSpec,
+};
 
 fn traced_report(kind: StackKind, seed: u64) -> fortika::core::RunReport {
     Experiment::builder(kind, 3)
@@ -70,11 +78,10 @@ fn decomposition_components_sum_to_end_to_end() {
             .latency_decomposition
             .expect("tracing yields a decomposition");
         assert!(d.samples > 50, "{kind:?}: too few samples ({})", d.samples);
-        // queueing + transmission + cpu must equal the end-to-end mean
-        // (durability is a subset of cpu, not an addend). The
-        // per-sample identity is exact in integer nanoseconds; the mean
-        // only rounds through f64.
-        let sum = d.queueing.mean_ms + d.transmission.mean_ms + d.cpu.mean_ms;
+        // queueing + transmission + cpu + durability must equal the
+        // end-to-end mean. The per-sample identity is exact in integer
+        // nanoseconds; the mean only rounds through f64.
+        let sum = d.component_mean_sum_ms();
         assert!(
             (sum - d.total.mean_ms).abs() < 1e-6,
             "{kind:?}: components sum {sum} != total {}",
@@ -93,6 +100,264 @@ fn decomposition_components_sum_to_end_to_end() {
         assert!(d.cpu.mean_ms > 0.0, "{kind:?}: zero CPU time");
         assert!(d.transmission.mean_ms > 0.0, "{kind:?}: zero wire time");
         assert!(d.total.p99_ms >= d.total.p50_ms);
+    }
+}
+
+/// Inputs of one traced run, for `Experiment` and for `replay`.
+struct TracedRun {
+    kind: StackKind,
+    seed: u64,
+    cost: CostModel,
+    scenario: Option<Scenario>,
+    trace: TraceConfig,
+}
+
+const REPLAY_WARMUP: VDur = VDur::millis(200);
+const REPLAY_MEASURE: VDur = VDur::millis(800);
+
+impl TracedRun {
+    fn workload() -> Workload {
+        Workload::constant_rate(300.0, 256)
+    }
+
+    fn report(&self) -> fortika::core::RunReport {
+        let mut b = Experiment::builder(self.kind, 3)
+            .workload(Self::workload())
+            .seed(self.seed)
+            .warmup_secs(REPLAY_WARMUP.as_secs_f64())
+            .measure_secs(REPLAY_MEASURE.as_secs_f64())
+            .cost(self.cost.clone())
+            .trace(self.trace.clone());
+        if let Some(scenario) = &self.scenario {
+            b = b.scenario(scenario.clone());
+        }
+        b.build().run()
+    }
+
+    /// The same run assembled from the pieces `Experiment::run` uses,
+    /// which is the only way to see the latency windows it decomposed:
+    /// returns the trace and one window per latency sample.
+    fn replay(&self) -> (Trace, Vec<WindowSpec>) {
+        let n = 3;
+        let stack = StackConfig::default();
+        let windows = self
+            .scenario
+            .as_ref()
+            .map(|s| s.suspicion_windows())
+            .unwrap_or_default();
+        let mut cfg = ClusterConfig::new(n, self.seed);
+        cfg.cost = self.cost.clone();
+        cfg.trace = self.trace.clone();
+        let mut cluster = Cluster::new(
+            cfg,
+            build_nodes_with_windows(self.kind, n, &stack, &windows),
+        );
+        let window_start = VTime::ZERO + REPLAY_WARMUP;
+        let window_end = window_start + REPLAY_MEASURE;
+        let mut end = window_end + VDur::millis(500);
+        if let Some(scenario) = &self.scenario {
+            install_restart_factory(&mut cluster, self.kind, &stack, &windows);
+            scenario.apply(&mut cluster);
+            end = end.max(VTime::ZERO + scenario.horizon() + VDur::secs(1));
+        }
+        let mut driver =
+            WorkloadDriver::with_seed(Self::workload(), n, window_start, window_end, self.seed);
+        driver.enable_sample_log();
+        driver.start(&mut cluster);
+        cluster.run_until(end, &mut driver);
+        let trace = cluster.take_trace().expect("tracing on");
+        let windows = driver
+            .finish()
+            .samples
+            .iter()
+            .map(|s| WindowSpec {
+                pid: s.earliest_pid.0,
+                t0_ns: s.t0.as_nanos(),
+                te_ns: s.earliest.as_nanos(),
+            })
+            .collect();
+        (trace, windows)
+    }
+}
+
+/// Total length of the union of `intervals`.
+fn union_len(mut intervals: Vec<(u64, u64)>) -> u64 {
+    intervals.sort_unstable();
+    let (mut len, mut reach) = (0, 0);
+    for (s, t) in intervals {
+        let s = s.max(reach);
+        if s < t {
+            len += t - s;
+            reach = t;
+        }
+    }
+    len
+}
+
+/// The decomposition by its definition, one linear scan of the events
+/// per window: what `decompose_window` answers from its index.
+fn scan_window(events: &[TraceEvent], retained_from_ns: u64, w: &WindowSpec) -> DecompSample {
+    let (lo, hi) = (w.t0_ns, w.te_ns.max(w.t0_ns));
+    let clip = |s: u64, t: u64| (s.max(lo), t.min(hi));
+    let (mut busy, mut covered) = (Vec::new(), Vec::new());
+    let mut durability = 0;
+    for e in events {
+        match e.data {
+            TraceData::Handler {
+                pid,
+                start_ns,
+                cpu_ns,
+                durability_ns,
+                ..
+            } if pid == w.pid && cpu_ns > 0 => {
+                let (s, t) = clip(start_ns, start_ns + cpu_ns);
+                if s < t {
+                    busy.push((s, t));
+                    durability +=
+                        (u128::from(durability_ns) * u128::from(t - s) / u128::from(cpu_ns)) as u64;
+                }
+            }
+            TraceData::Send {
+                dst, arrival_ns, ..
+            } if dst == w.pid => covered.push(clip(e.at_ns, arrival_ns)),
+            _ => {}
+        }
+    }
+    covered.extend_from_slice(&busy);
+    let cpu_total = union_len(busy);
+    // In flight but not busy = (in flight or busy) − busy.
+    let transmission = union_len(covered) - cpu_total;
+    let durability = durability.min(cpu_total);
+    DecompSample {
+        total_ns: hi - lo,
+        queueing_ns: hi - lo - cpu_total - transmission,
+        transmission_ns: transmission,
+        cpu_ns: cpu_total - durability,
+        durability_ns: durability,
+        truncated: w.t0_ns < retained_from_ns,
+    }
+}
+
+/// Runs `run` through `Experiment` and by hand, and checks the
+/// report's decomposition, sample by sample, against the linear scan.
+fn decomposition_checked_against_scan(run: &TracedRun) -> LatencyDecomposition {
+    let report = run.report();
+    let (trace, windows) = run.replay();
+    let reported = report.trace.expect("tracing on");
+    assert_eq!(reported.to_jsonl(), trace.to_jsonl(), "replay diverged");
+    assert!(!windows.is_empty());
+
+    let retained_from_ns = if trace.dropped > 0 {
+        trace.events[0].at_ns
+    } else {
+        0
+    };
+    let scanned: Vec<DecompSample> = windows
+        .iter()
+        .map(|w| scan_window(&reported.events, retained_from_ns, w))
+        .collect();
+    for (w, expected) in windows.iter().zip(&scanned) {
+        assert_eq!(decompose_window(&reported.events, w), *expected, "{w:?}");
+    }
+    let d = report.latency_decomposition.expect("tracing on");
+    assert_eq!(d, LatencyDecomposition::from_samples(&scanned));
+    assert!(
+        (d.component_mean_sum_ms() - d.total.mean_ms).abs() < 1e-6,
+        "four addends sum to {} != total {}",
+        d.component_mean_sum_ms(),
+        d.total.mean_ms
+    );
+    d
+}
+
+#[test]
+fn priced_durability_is_a_fourth_addend_and_matches_the_scan() {
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let d = decomposition_checked_against_scan(&TracedRun {
+            kind,
+            seed: 71,
+            cost: CostModel::with_durability(VDur::micros(200), VDur::micros(40)),
+            // The coordinator goes down inside the window and rejoins:
+            // round change, stable-store recovery, catch-up.
+            scenario: Some(
+                Scenario::new()
+                    .crash(ProcessId(0), VDur::millis(400))
+                    .restart(ProcessId(0), VDur::millis(650)),
+            ),
+            trace: TraceConfig::on(),
+        });
+        assert!(d.durability.mean_ms > 0.0, "{kind:?}: no durability time");
+        assert!(d.cpu.mean_ms > 0.0, "{kind:?}: no CPU time");
+        // Three addends are no longer enough.
+        let three = d.queueing.mean_ms + d.transmission.mean_ms + d.cpu.mean_ms;
+        assert!(three < d.total.mean_ms - 1e-6, "{kind:?}");
+        assert_eq!(d.truncated_samples, 0, "{kind:?}: the ring held the run");
+    }
+}
+
+#[test]
+fn ring_overflow_is_reported_not_hidden() {
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let run = |trace| TracedRun {
+            kind,
+            seed: 51,
+            cost: CostModel::default(),
+            scenario: None,
+            trace,
+        };
+        let whole = decomposition_checked_against_scan(&run(TraceConfig::on()));
+        let tail = decomposition_checked_against_scan(&run(TraceConfig::with_capacity(256)));
+        assert_eq!(whole.truncated_samples, 0, "{kind:?}");
+        // 256 events hold the last few milliseconds: nearly every
+        // sample opens before them, and says so.
+        assert!(
+            tail.truncated_samples > tail.samples / 2 && tail.truncated_samples <= tail.samples,
+            "{kind:?}: {} of {} truncated",
+            tail.truncated_samples,
+            tail.samples
+        );
+        // The flag changes no number: same samples, same totals, and
+        // the evicted CPU and wire time still reads as queueing.
+        assert_eq!(tail.samples, whole.samples);
+        assert_eq!(tail.total, whole.total);
+        assert!(tail.queueing.mean_ms > whole.queueing.mean_ms, "{kind:?}");
+    }
+}
+
+/// FNV-1a, 64 bit.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Length and hash of both exports of a whole traced run, as rendered
+/// before the exports reserved their buffers up front. A change to the
+/// protocols' timing moves these too: regenerate them then, from a
+/// commit whose `export.rs` is unchanged.
+#[test]
+fn export_bytes_match_golden() {
+    for (kind, jsonl, chrome) in [
+        (
+            StackKind::Modular,
+            (1_851_327, 0x5582_c13a_eb0d_c270),
+            (2_064_697, 0x93e4_319b_b5c0_1ece),
+        ),
+        (
+            StackKind::Monolithic,
+            (1_288_957, 0xc2fd_3b59_2ba4_bb9f),
+            (1_378_311, 0xb366_b0f7_81e8_2ad9),
+        ),
+    ] {
+        let trace = traced_report(kind, 11).trace.expect("tracing on");
+        let rendered = trace.to_jsonl();
+        assert_eq!((rendered.len(), fnv1a(&rendered)), jsonl, "{kind:?} JSONL");
+        let rendered = trace.to_chrome_json();
+        assert_eq!(
+            (rendered.len(), fnv1a(&rendered)),
+            chrome,
+            "{kind:?} Chrome JSON"
+        );
     }
 }
 
