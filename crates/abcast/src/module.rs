@@ -67,7 +67,7 @@ use fortika_net::dissemination::{
     DESC_SENDER_BIT,
 };
 use fortika_net::wire::{decode, encode};
-use fortika_net::{AppMsg, Batch, MsgId, ProcessId, StableStore, TimerId, RECONFIG_SEQ_BASE};
+use fortika_net::{AppMsg, Batch, MsgId, ProcessId, StableStore, TimerId};
 use fortika_sim::{VDur, VTime};
 
 /// Wire demux id of the atomic broadcast module.
@@ -83,6 +83,26 @@ const TAG_PULL: u64 = 2;
 /// hold payloads under.
 pub const ABCAST_STABLE_SEQ_KEY: u64 = fortika_net::replica::keys::ABCAST_SEQ;
 
+/// Re-diffuse an *own* message still undelivered after this long.
+///
+/// Diffusion is a single round of unicasts, which is complete under
+/// the paper's quasi-reliable channels — but under injected link
+/// faults (loss, partitions) the copies can vanish, and a message
+/// held only by its sender would starve: the sender proposes it each
+/// instance, yet a round-0 coordinator that never received it keeps
+/// winning with its own batch. Bounded sender-side retransmission
+/// restores validity once the network heals, and never fires in good
+/// runs (delivery latency is orders of magnitude below it). Under an
+/// offloading strategy the same interval re-disseminates own payload
+/// batches that are still unresolved.
+const RETRANSMIT_INTERVAL: VDur = VDur::millis(500);
+
+/// Offload flow control: at most this many *own* payload batches
+/// may be disseminated-but-undelivered at once; further submissions
+/// stage until a slot frees. Smaller values mean larger payload
+/// batches per topology round (the batching lever).
+const MAX_OUTSTANDING_PAYLOADS: usize = 2;
+
 /// Configuration of the modular atomic broadcast module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbcastConfig {
@@ -90,21 +110,6 @@ pub struct AbcastConfig {
     /// with an empty batch (keeps the instance stream live so messages
     /// held by a subset of processes eventually get ordered).
     pub idle_timeout: VDur,
-    /// Disable the idle consensus entirely (micro-benchmarks).
-    pub idle_consensus: bool,
-    /// Re-diffuse an *own* message still undelivered after this long.
-    ///
-    /// Diffusion is a single round of unicasts, which is complete under
-    /// the paper's quasi-reliable channels — but under injected link
-    /// faults (loss, partitions) the copies can vanish, and a message
-    /// held only by its sender would starve: the sender proposes it each
-    /// instance, yet a round-0 coordinator that never received it keeps
-    /// winning with its own batch. Bounded sender-side retransmission
-    /// restores validity once the network heals, and never fires in good
-    /// runs (delivery latency is orders of magnitude below it). Under an
-    /// offloading strategy the same interval re-disseminates own payload
-    /// batches that are still unresolved.
-    pub retransmit_interval: VDur,
     /// The paper's α: how many consensus instances this process keeps
     /// in flight concurrently (the windowed-sequencer depth).
     ///
@@ -121,11 +126,6 @@ pub struct AbcastConfig {
     /// How batch payloads reach the other processes (see the module
     /// docs). `Direct` is the seed-faithful default.
     pub dissemination: Dissemination,
-    /// Offload flow control: at most this many *own* payload batches
-    /// may be disseminated-but-undelivered at once; further submissions
-    /// stage until a slot frees. Smaller values mean larger payload
-    /// batches per topology round (the batching lever).
-    pub max_outstanding_payloads: usize,
     /// How often a process stalled on a missing payload re-pulls it
     /// from the membership (offloading strategies only).
     pub pull_interval: VDur,
@@ -139,11 +139,8 @@ impl Default for AbcastConfig {
     fn default() -> Self {
         AbcastConfig {
             idle_timeout: VDur::secs(1),
-            idle_consensus: true,
-            retransmit_interval: VDur::millis(500),
             pipeline_depth: 1,
             dissemination: Dissemination::Direct,
-            max_outstanding_payloads: 2,
             pull_interval: VDur::millis(40),
             initial_members: 0,
         }
@@ -384,9 +381,7 @@ impl AbcastModule {
     /// outstanding-payload slot is free, persists the sequence counter
     /// and starts the batch around the topology.
     fn cut_payloads(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        while !self.staged.is_empty()
-            && self.own_payloads.len() < self.cfg.max_outstanding_payloads.max(1)
-        {
+        while !self.staged.is_empty() && self.own_payloads.len() < MAX_OUTSTANDING_PAYLOADS {
             let vid = ValueId {
                 origin: ctx.pid(),
                 seq: self.next_payload_seq,
@@ -652,10 +647,8 @@ impl Microprotocol for AbcastModule {
     }
 
     fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        if self.cfg.idle_consensus {
-            ctx.set_timer(self.cfg.idle_timeout, TAG_IDLE);
-        }
-        ctx.set_timer(self.cfg.retransmit_interval, TAG_RETX);
+        ctx.set_timer(self.cfg.idle_timeout, TAG_IDLE);
+        ctx.set_timer(RETRANSMIT_INTERVAL, TAG_RETX);
         if self.offloads() {
             let m = if self.cfg.initial_members > 0 {
                 self.cfg.initial_members
@@ -673,7 +666,7 @@ impl Microprotocol for AbcastModule {
                 debug_assert_eq!(msg.id.sender, ctx.pid(), "abcast of foreign message");
                 // Reconfiguration commands always travel in full — the
                 // consensus service reads them out of decided batches.
-                let direct = !self.offloads() || msg.id.seq & RECONFIG_SEQ_BASE != 0;
+                let direct = !self.offloads() || msg.id.is_reconfig();
                 if direct {
                     // Diffuse to everyone — the modular stack cannot
                     // target the coordinator (consensus is a black box).
@@ -886,12 +879,12 @@ impl Microprotocol for AbcastModule {
             }
             TAG_RETX => {
                 // Fault recovery: re-diffuse own messages whose delivery
-                // is overdue (see [`AbcastConfig::retransmit_interval`]).
+                // is overdue (see [`RETRANSMIT_INTERVAL`]).
                 let now = ctx.now();
                 let overdue: Vec<MsgId> = self
                     .own_diffused
                     .iter()
-                    .filter(|(_, &sent)| now.since(sent) >= self.cfg.retransmit_interval)
+                    .filter(|(_, &sent)| now.since(sent) >= RETRANSMIT_INTERVAL)
                     .map(|(id, _)| *id)
                     .collect();
                 for id in overdue {
@@ -918,7 +911,7 @@ impl Microprotocol for AbcastModule {
                         .own_payloads
                         .iter()
                         .filter(|(_, op)| {
-                            !op.safe && now.since(op.last_sent) >= self.cfg.retransmit_interval
+                            !op.safe && now.since(op.last_sent) >= RETRANSMIT_INTERVAL
                         })
                         .map(|(&seq, _)| seq)
                         .collect();
@@ -961,7 +954,7 @@ impl Microprotocol for AbcastModule {
                         }
                     }
                 }
-                ctx.set_timer(self.cfg.retransmit_interval, TAG_RETX);
+                ctx.set_timer(RETRANSMIT_INTERVAL, TAG_RETX);
             }
             TAG_PULL => {
                 // Pull-based repair: keep asking live peers for the
@@ -997,10 +990,8 @@ mod tests {
     #[test]
     fn config_defaults() {
         let cfg = AbcastConfig::default();
-        assert!(cfg.idle_consensus);
         assert_eq!(cfg.idle_timeout, VDur::secs(1));
         assert_eq!(cfg.dissemination, Dissemination::Direct);
-        assert_eq!(cfg.max_outstanding_payloads, 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use fortika_abcast::{AbcastConfig, AbcastModule};
 use fortika_chaos::check_orders;
-use fortika_consensus::{ConsensusConfig, ConsensusModule};
+use fortika_consensus::ConsensusModule;
 use fortika_fd::{FdConfig, FdModule, HeartbeatFd};
 use fortika_framework::{CompositeStack, Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::{
@@ -53,7 +53,7 @@ fn modular_stack(n: usize, me: usize) -> Box<dyn Node> {
             idle_timeout: VDur::millis(200),
             ..AbcastConfig::default()
         })),
-        Box::new(ConsensusModule::new(ConsensusConfig::default())),
+        Box::new(ConsensusModule::new()),
         Box::new(RbcastModule::new(RbcastConfig::default())),
         Box::new(FdModule::new(HeartbeatFd::new(
             n,

@@ -6,7 +6,7 @@
 //! malformed emitter until a downstream consumer chokes. This module
 //! closes the loop: `probe` re-reads every file it writes and fails
 //! loudly if the JSON does not parse or does not cover both stacks —
-//! which is what the CI `probe --quick` step asserts.
+//! which is what the CI `probe --check` step asserts.
 //!
 //! Strings support the common escapes (`\"`, `\\`, `\/`, `\n`, `\t`,
 //! `\r`, `\b`, `\f`, `\uXXXX` validated but kept escaped); numbers are

@@ -351,7 +351,7 @@ impl CoverageReport {
     }
 
     /// Writes [`to_json`](Self::to_json) to `path`, creating parent
-    /// directories as needed. The fuzz suites and `probe --quick` call
+    /// directories as needed. The fuzz suites and `probe --check` call
     /// this with `target/coverage-report.json` so CI can archive which
     /// recovery branches the campaign reached.
     pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {

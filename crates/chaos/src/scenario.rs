@@ -169,7 +169,7 @@ pub enum ScenarioEvent {
     /// at `at`, and boot `pid` at the same instant if it is a crashed
     /// standby (a no-op when it is already running). The change takes
     /// effect a fixed instance offset after it is decided
-    /// (`StackConfig::reconfig_offset` in `fortika-core`), so the
+    /// (`RECONFIG_OFFSET` in `fortika_net::replica`), so the
     /// membership switch lands somewhat later than `at`.
     ///
     /// [`Scenario::apply`] schedules a reserved driver tick

@@ -20,5 +20,5 @@
 mod module;
 pub mod msg;
 
-pub use module::{ConsensusConfig, ConsensusModule, CONSENSUS_MODULE_ID, DECISION_STREAM};
+pub use module::{ConsensusModule, CONSENSUS_MODULE_ID, DECISION_STREAM};
 pub use msg::{ConsensusMsg, DecisionNotice, REPLICA_NAMES};

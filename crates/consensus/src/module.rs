@@ -53,12 +53,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
+use fortika_net::replica::{PROGRESS_TIMEOUT, SWEEP_INTERVAL};
 use fortika_net::wire::{decode, encode};
 use fortika_net::{
     AppState, Batch, CatchUp, ConfigStamp, ProcessId, ReplicaConfig, ReplicaCore, ReplicaHost,
     Snapshot, StableStore, TimerId,
 };
-use fortika_sim::{VDur, VTime};
+use fortika_sim::VTime;
 
 use crate::msg::{ConsensusMsg, DecisionNotice, REPLICA_NAMES};
 
@@ -69,27 +70,6 @@ pub const CONSENSUS_MODULE_ID: ModuleId = 2;
 pub const DECISION_STREAM: u8 = 0;
 
 const TAG_SWEEP: u64 = 0;
-
-/// Configuration of the consensus module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConsensusConfig {
-    /// An undecided instance stuck in one round for longer than this is
-    /// rotated to the next coordinator even without a suspicion (liveness
-    /// backstop; never reached in good runs).
-    pub progress_timeout: VDur,
-    /// Period of the background sweep that enforces `progress_timeout`
-    /// and retries decision requests.
-    pub sweep_interval: VDur,
-}
-
-impl Default for ConsensusConfig {
-    fn default() -> Self {
-        ConsensusConfig {
-            progress_timeout: VDur::secs(1),
-            sweep_interval: VDur::millis(250),
-        }
-    }
-}
 
 /// Per-instance protocol state.
 struct Instance {
@@ -137,7 +117,6 @@ impl Instance {
 /// reliable broadcast service (stream [`DECISION_STREAM`]) for decision
 /// dissemination and reacts to [`Event::Suspect`]/[`Event::Restore`].
 pub struct ConsensusModule {
-    cfg: ConsensusConfig,
     /// Durable votes, decided log, configuration timeline, compaction
     /// and catch-up (shared with the monolithic stack).
     core: ReplicaCore,
@@ -145,11 +124,17 @@ pub struct ConsensusModule {
     suspected: BTreeSet<ProcessId>,
 }
 
+impl Default for ConsensusModule {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ConsensusModule {
     /// Creates the module with the default replica knobs (fresh start
     /// at time zero).
-    pub fn new(cfg: ConsensusConfig) -> Self {
-        Self::with_replica(cfg, ReplicaConfig::default(), None)
+    pub fn new() -> Self {
+        Self::with_replica(ReplicaConfig::default(), None)
     }
 
     /// Creates the module with the given replica knobs. With `stable`,
@@ -157,17 +142,12 @@ impl ConsensusModule {
     /// replays the persisted votes, decided watermark, snapshot and
     /// reconfiguration history and rejoins (see
     /// [`ReplicaCore::resume`]).
-    pub fn with_replica(
-        cfg: ConsensusConfig,
-        replica: ReplicaConfig,
-        stable: Option<&StableStore>,
-    ) -> Self {
+    pub fn with_replica(replica: ReplicaConfig, stable: Option<&StableStore>) -> Self {
         let core = match stable {
             Some(stable) => ReplicaCore::resume(replica, &REPLICA_NAMES, stable),
             None => ReplicaCore::new(replica, &REPLICA_NAMES),
         };
         ConsensusModule {
-            cfg,
             core,
             instances: BTreeMap::new(),
             suspected: BTreeSet::new(),
@@ -588,11 +568,10 @@ impl ConsensusModule {
     fn sweep(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         let now = ctx.now();
         self.core.sweep_rejoin(ctx);
-        let progress = self.cfg.progress_timeout;
         let stuck: Vec<u64> = self
             .instances
             .iter()
-            .filter(|(_, inst)| now.since(inst.round_entered) > progress)
+            .filter(|(_, inst)| now.since(inst.round_entered) > PROGRESS_TIMEOUT)
             .map(|(k, _)| *k)
             .collect();
         for instance in stuck {
@@ -673,7 +652,7 @@ impl Microprotocol for ConsensusModule {
 
     fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         self.start_replica(ctx);
-        ctx.set_timer(self.cfg.sweep_interval, TAG_SWEEP);
+        ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
     }
 
     fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
@@ -744,7 +723,7 @@ impl Microprotocol for ConsensusModule {
     fn on_timer(&mut self, ctx: &mut FrameworkCtx<'_, '_>, _timer: TimerId, tag: u64) {
         if tag == TAG_SWEEP {
             self.sweep(ctx);
-            ctx.set_timer(self.cfg.sweep_interval, TAG_SWEEP);
+            ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
         }
     }
 }

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use fortika_consensus::{ConsensusConfig, ConsensusModule};
+use fortika_consensus::ConsensusModule;
 use fortika_fd::{FdConfig, FdEvent, FdModule, HeartbeatFd, ScriptedFd};
 use fortika_framework::{CompositeStack, Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::{
@@ -77,7 +77,7 @@ fn build(n: usize, proposals: Vec<Vec<(u64, Batch, VDur)>>, seed: u64) -> (Clust
                     proposals: proposals[i].clone(),
                     decisions: log.clone(),
                 }),
-                Box::new(ConsensusModule::new(ConsensusConfig::default())),
+                Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new(RbcastConfig::default())),
                 Box::new(FdModule::new(HeartbeatFd::new(
                     n,
@@ -216,7 +216,7 @@ fn coordinator_crash_mid_proposal_preserves_agreement() {
                     proposals: vec![(0, batch_of(i as u16, 0, 16384), VDur::millis(1))],
                     decisions: log.clone(),
                 }),
-                Box::new(ConsensusModule::new(ConsensusConfig::default())),
+                Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new(RbcastConfig::default())),
                 Box::new(FdModule::new(HeartbeatFd::new(
                     n,
@@ -278,7 +278,7 @@ fn false_suspicion_does_not_violate_agreement() {
                     proposals: vec![(0, batch_of(i as u16, 0, 64), VDur::millis(5))],
                     decisions: log.clone(),
                 }),
-                Box::new(ConsensusModule::new(ConsensusConfig::default())),
+                Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new(RbcastConfig::default())),
                 fd,
             ])) as Box<dyn Node>

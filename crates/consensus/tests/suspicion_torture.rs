@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use fortika_consensus::{ConsensusConfig, ConsensusModule};
+use fortika_consensus::ConsensusModule;
 use fortika_fd::{FdConfig, FdEvent, FdModule, HeartbeatFd, ScriptedFd};
 use fortika_framework::{CompositeStack, Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::{AppMsg, Batch, Cluster, ClusterConfig, MsgId, Node, ProcessId, TimerId};
@@ -107,7 +107,7 @@ fn rotating_false_suspicions_never_break_agreement() {
                     proposals,
                     decisions: log.clone(),
                 }),
-                Box::new(ConsensusModule::new(ConsensusConfig::default())),
+                Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new(RbcastConfig::default())),
                 Box::new(FdModule::new(ScriptedFd::new(n, script, VDur::millis(1)))),
             ])) as Box<dyn Node>
@@ -141,7 +141,7 @@ fn cascading_coordinator_crashes() {
                     proposals,
                     decisions: log.clone(),
                 }),
-                Box::new(ConsensusModule::new(ConsensusConfig::default())),
+                Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new(RbcastConfig::default())),
                 Box::new(FdModule::new(HeartbeatFd::new(
                     n,
@@ -203,7 +203,7 @@ fn long_isolated_laggard_catches_up() {
                     proposals,
                     decisions: log.clone(),
                 }),
-                Box::new(ConsensusModule::new(ConsensusConfig::default())),
+                Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new(RbcastConfig::default())),
                 Box::new(FdModule::new(ScriptedFd::new(n, script, VDur::millis(1)))),
             ])) as Box<dyn Node>

@@ -50,6 +50,8 @@ pub mod workload;
 pub use flow::{FlowControlModule, FLOW_MODULE_ID};
 pub use fuzz::{fuzz_runner, run_fuzz_scenario};
 pub use runner::{Experiment, ExperimentBuilder, LatencySummary, RunReport, Summary};
+#[cfg(debug_assertions)]
+pub use stack::FaultHooks;
 pub use stack::{
     build_node, build_node_with_windows, build_nodes, build_nodes_with_windows,
     build_restarted_node, install_restart_factory, node_factory, StackConfig, StackKind,

@@ -2,10 +2,12 @@
 //! the shared flow-control microprotocol.
 
 use fortika_abcast::{AbcastConfig, AbcastModule};
-use fortika_consensus::{ConsensusConfig, ConsensusModule};
+use fortika_consensus::ConsensusModule;
 use fortika_fd::{FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
 use fortika_framework::CompositeStack;
 use fortika_mono::{MonoConfig, MonoNode, MonoOptimizations};
+#[cfg(debug_assertions)]
+pub use fortika_net::replica::FaultHooks;
 use fortika_net::{
     AppStateFactory, Cluster, Dissemination, Node, NodeFactory, ProcessId, ReplicaConfig,
     StableStore,
@@ -46,8 +48,6 @@ pub struct StackConfig {
     pub fd: FdConfig,
     /// Monolithic optimization switches (ablation benches flip these).
     pub mono_opts: MonoOptimizations,
-    /// Modular stack: consensus module configuration.
-    pub consensus: ConsensusConfig,
     /// Modular stack: reliable broadcast configuration.
     pub rbcast: RbcastConfig,
     /// Modular stack: abcast module configuration.
@@ -86,14 +86,6 @@ pub struct StackConfig {
     /// message, encoded into snapshots and restored on install (see
     /// `examples/replicated_kv.rs`).
     pub app_state: Option<AppStateFactory>,
-    /// **Test-only fault hook** (debug builds only), applied to both
-    /// stacks: skip persisting CT vote records to stable storage. This
-    /// plants the classic lost-vote recovery bug — a process can ack a
-    /// round, crash, revive without its lock and let a different value
-    /// win — which the fuzz campaign must find and the counterexample
-    /// minimizer must shrink (`tests/minimizer.rs`). A no-op in release
-    /// builds.
-    pub skip_vote_persist: bool,
     /// Initial voting member count for reconfiguration runs, applied to
     /// both stacks. `0` (the default) means "every process": the whole
     /// group votes and dynamic membership is dormant. Reconfiguration
@@ -101,18 +93,13 @@ pub struct StackConfig {
     /// `initial_members..n` start as learners (standby capacity that a
     /// log-decided `Add` can later promote to voters).
     pub initial_members: usize,
-    /// Activation offset of log-decided reconfigurations, applied to
-    /// both stacks: a change decided at instance `d` governs instances
-    /// `d + reconfig_offset` on. Must stay ≥ the pipeline depth so no
-    /// in-flight instance can be governed by a not-yet-replayed change.
-    pub reconfig_offset: u64,
-    /// **Test-only fault hook** (debug builds only), applied to both
-    /// stacks: ignore decided reconfigurations entirely, so the process
-    /// keeps voting with the initial configuration's quorum math and
-    /// never reports config activations. This plants the stale-quorum
-    /// reconfiguration bug the config-aware oracle must detect
-    /// (`tests/reconfig_oracle.rs`). A no-op in release builds.
-    pub skip_config_fence: bool,
+    /// **Test-only fault hooks** (debug builds only), applied to both
+    /// stacks: the planted lost-vote recovery bug the fuzz campaign must
+    /// find and the minimizer must shrink (`tests/minimizer.rs`), and
+    /// the planted stale-quorum reconfiguration bug the config-aware
+    /// oracle must detect (`tests/reconfig_oracle.rs`).
+    #[cfg(debug_assertions)]
+    pub faults: FaultHooks,
 }
 
 impl Default for StackConfig {
@@ -121,7 +108,6 @@ impl Default for StackConfig {
             window: 3,
             fd: FdConfig::default(),
             mono_opts: MonoOptimizations::all(),
-            consensus: ConsensusConfig::default(),
             rbcast: RbcastConfig::default(),
             abcast: AbcastConfig::default(),
             snapshot_interval: 256,
@@ -129,10 +115,9 @@ impl Default for StackConfig {
             pipeline_depth: 1,
             dissemination: Dissemination::Direct,
             app_state: None,
-            skip_vote_persist: false,
             initial_members: 0,
-            reconfig_offset: 8,
-            skip_config_fence: false,
+            #[cfg(debug_assertions)]
+            faults: FaultHooks::default(),
         }
     }
 }
@@ -192,7 +177,7 @@ fn build(
                     RbcastModule::new(cfg.rbcast.clone()),
                 ),
             };
-            let consensus = ConsensusModule::with_replica(cfg.consensus.clone(), replica, stable);
+            let consensus = ConsensusModule::with_replica(replica, stable);
             Box::new(CompositeStack::new(vec![
                 Box::new(FlowControlModule::new(cfg.window)),
                 Box::new(abcast),
@@ -236,9 +221,8 @@ fn replica_config(cfg: &StackConfig) -> ReplicaConfig {
         snapshot_interval: cfg.snapshot_interval,
         pipeline_depth: cfg.pipeline_depth.max(1) as u64,
         initial_members: cfg.initial_members,
-        reconfig_offset: cfg.reconfig_offset,
-        skip_vote_persist: cfg.skip_vote_persist,
-        skip_config_fence: cfg.skip_config_fence,
+        #[cfg(debug_assertions)]
+        faults: cfg.faults.clone(),
     }
 }
 
@@ -247,7 +231,6 @@ fn mono_config(cfg: &StackConfig) -> MonoConfig {
     MonoConfig {
         opts: cfg.mono_opts,
         window: cfg.window,
-        ..MonoConfig::default()
     }
 }
 

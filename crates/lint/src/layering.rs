@@ -56,7 +56,7 @@ pub const LAYERS: &[(&str, u32)] = &[
 
 /// Vendored stand-ins, visible to every layer (they are leaves by
 /// construction: the build works offline).
-pub const VENDORED: &[&str] = &["bytes", "criterion"];
+pub const VENDORED: &[&str] = &["bytes"];
 
 /// Crates the protocol layers must never depend on.
 const HARNESS_CRATES: &[&str] = &["fortika-chaos", "fortika-core", "fortika-bench"];

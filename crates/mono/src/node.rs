@@ -48,6 +48,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use bytes::Bytes;
 use fortika_fd::{FailureDetector, FdEvent};
 use fortika_net::flow::FlowWindow;
+use fortika_net::replica::{PROGRESS_TIMEOUT, SWEEP_INTERVAL};
 use fortika_net::wire::{decode, encode};
 use fortika_net::{
     Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, MsgId, Node, NodeCtx,
@@ -100,6 +101,10 @@ impl Default for MonoOptimizations {
     }
 }
 
+/// Idle kick: with a suspected round-0 coordinator and pending work,
+/// (re)create the next instance after this much silence.
+const IDLE_TIMEOUT: VDur = VDur::secs(1);
+
 /// Configuration of the monolithic node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonoConfig {
@@ -107,13 +112,6 @@ pub struct MonoConfig {
     pub opts: MonoOptimizations,
     /// Flow-control window (outstanding own messages).
     pub window: usize,
-    /// Rotate the coordinator of an instance stuck this long.
-    pub progress_timeout: VDur,
-    /// Period of the background sweep.
-    pub sweep_interval: VDur,
-    /// Idle kick: with a suspected round-0 coordinator and pending work,
-    /// (re)create the next instance after this much silence.
-    pub idle_timeout: VDur,
 }
 
 impl Default for MonoConfig {
@@ -121,9 +119,6 @@ impl Default for MonoConfig {
         MonoConfig {
             opts: MonoOptimizations::all(),
             window: 2,
-            progress_timeout: VDur::secs(1),
-            sweep_interval: VDur::millis(250),
-            idle_timeout: VDur::secs(1),
         }
     }
 }
@@ -1114,7 +1109,7 @@ impl MonoNode {
         let stuck: Vec<u64> = self
             .instances
             .iter()
-            .filter(|(_, inst)| now.since(inst.round_entered) > self.cfg.progress_timeout)
+            .filter(|(_, inst)| now.since(inst.round_entered) > PROGRESS_TIMEOUT)
             .map(|(k, _)| *k)
             .collect();
         for k in stuck {
@@ -1131,7 +1126,7 @@ impl MonoNode {
         }
         // Idle kick: periodic backstop for the same fresh-instance
         // bootstrap (covers suspicions that raced with message arrival).
-        if now.since(self.last_progress) > self.cfg.idle_timeout {
+        if now.since(self.last_progress) > IDLE_TIMEOUT {
             self.kick_fresh_instance(ctx);
         }
     }
@@ -1218,7 +1213,7 @@ impl Node for MonoNode {
         if let Some(interval) = self.fd.tick_interval() {
             ctx.set_timer(interval, TAG_FD);
         }
-        ctx.set_timer(self.cfg.sweep_interval, TAG_SWEEP);
+        ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
     }
 
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
@@ -1326,7 +1321,7 @@ impl Node for MonoNode {
             }
             TAG_SWEEP => {
                 self.sweep(ctx);
-                ctx.set_timer(self.cfg.sweep_interval, TAG_SWEEP);
+                ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
             }
             _ => {}
         }

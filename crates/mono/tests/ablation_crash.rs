@@ -17,11 +17,7 @@ fn node(n: usize, me: usize, opts: MonoOptimizations) -> Box<dyn Node> {
         timeout_increment: VDur::millis(50),
     };
     Box::new(MonoNode::new(
-        MonoConfig {
-            opts,
-            window: 16,
-            ..MonoConfig::default()
-        },
+        MonoConfig { opts, window: 16 },
         Box::new(HeartbeatFd::new(n, ProcessId(me as u16), fd_cfg)),
     ))
 }

@@ -22,11 +22,7 @@ fn fd_cfg() -> FdConfig {
 }
 
 fn mono_node(n: usize, me: usize, opts: MonoOptimizations, window: usize) -> Box<dyn Node> {
-    let cfg = MonoConfig {
-        opts,
-        window,
-        ..MonoConfig::default()
-    };
+    let cfg = MonoConfig { opts, window };
     Box::new(MonoNode::new(
         cfg,
         Box::new(HeartbeatFd::new(n, ProcessId(me as u16), fd_cfg())),

@@ -35,10 +35,7 @@ use crate::id::{MsgId, ProcessId};
 use crate::message::{AppMsg, Batch};
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
 
-/// Reserved sequence namespace for payload descriptors: an [`AppMsg`]
-/// whose `seq` has this bit set is a descriptor, not application data.
-/// Disjoint from `RECONFIG_SEQ_BASE` (`1 << 62`) and driver ticks.
-pub const DISSEM_SEQ_BASE: u64 = 1 << 63;
+pub use crate::id::DISSEM_SEQ_BASE;
 
 /// Synthetic sender bit used when folding descriptor deliveries into
 /// snapshots: descriptor `(origin, DISSEM_SEQ_BASE | k)` folds as
@@ -107,7 +104,7 @@ impl ValueId {
     /// Recovers the value id from a descriptor [`MsgId`] (`None` for
     /// ordinary application messages).
     pub fn from_descriptor(id: MsgId) -> Option<ValueId> {
-        (id.seq & DISSEM_SEQ_BASE != 0).then_some(ValueId {
+        id.is_descriptor().then_some(ValueId {
             origin: id.sender,
             seq: id.seq & !DISSEM_SEQ_BASE,
         })
@@ -141,7 +138,7 @@ pub fn descriptor_msg(vid: ValueId, real_count: u32) -> AppMsg {
 /// How many application-level deliveries a decided message stands for:
 /// 1 for ordinary messages, the embedded count for descriptors.
 pub fn delivery_weight(msg: &AppMsg) -> u64 {
-    if msg.id.seq & DISSEM_SEQ_BASE == 0 {
+    if !msg.id.is_descriptor() {
         return 1;
     }
     match <&[u8; 4]>::try_from(msg.payload.as_ref()) {

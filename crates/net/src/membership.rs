@@ -92,10 +92,7 @@ impl Wire for ConfigChange {
 /// and benchmark drivers fill payloads with repeated bytes).
 const RECONFIG_MAGIC: &[u8; 8] = b"\xF0RTKCFG\x01";
 
-/// Per-sender sequence numbers at or above this base are reserved for
-/// reconfiguration submissions, so they can never collide with the
-/// workload drivers' dense `0, 1, 2, …` allocation.
-pub const RECONFIG_SEQ_BASE: u64 = 1 << 62;
+pub use crate::id::RECONFIG_SEQ_BASE;
 
 /// Encodes `change` as an abcast payload (magic prefix + wire body).
 pub fn reconfig_payload(change: ConfigChange) -> Bytes {

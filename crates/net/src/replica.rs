@@ -71,7 +71,7 @@
 //! decided at instance `d` is *registered* once the contiguous replayed
 //! prefix covers `d` (so versions are numbered in decided order on every
 //! process even when pipelined instances land out of order) and governs
-//! instances `d + reconfig_offset` on; the registered history is
+//! instances `d + RECONFIG_OFFSET` on; the registered history is
 //! persisted, carried in snapshots and re-registered on restart. See
 //! `docs/RECONFIG.md` for the model and [`ConfigTimeline`] for the
 //! quorum and coordinator arithmetic.
@@ -148,6 +148,36 @@ const JOIN_RETRY: VDur = VDur::millis(300);
 /// Minimum spacing of snapshot offers toward one lagging peer.
 const OFFER_SPACING: VDur = VDur::millis(50);
 
+/// An undecided instance stuck in one round for longer than this is
+/// rotated to the next coordinator even without a suspicion (liveness
+/// backstop of both stacks; never reached in good runs).
+pub const PROGRESS_TIMEOUT: VDur = VDur::secs(1);
+/// Period of each stack's background sweep, which enforces
+/// [`PROGRESS_TIMEOUT`] and retries decision requests.
+pub const SWEEP_INTERVAL: VDur = VDur::millis(250);
+/// Activation offset of log-decided reconfigurations: a membership
+/// change decided at instance `d` governs instances `d + 8` on. The
+/// pipeline depth may not exceed it ([`ReplicaCore::new`] asserts), or
+/// in-flight instances could be governed by a configuration their
+/// proposer cannot yet know.
+pub const RECONFIG_OFFSET: u64 = 8;
+
+/// Planted bugs for the acceptance suites that prove the oracle and the
+/// fuzz minimizer catch them. Debug builds only: the config field that
+/// carries it does not exist in a release build.
+#[cfg(debug_assertions)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FaultHooks {
+    /// Skip persisting vote records: the classic lost-vote recovery
+    /// bug (fuzz-minimizer acceptance suite).
+    pub skip_vote_persist: bool,
+    /// Never register decided reconfigurations. The process keeps
+    /// voting with the *initial* configuration's quorum and coordinator
+    /// math — the stale-quorum membership bug the config-aware oracle
+    /// must catch.
+    pub skip_config_fence: bool,
+}
+
 /// The replica knobs, one copy for both stacks (`StackConfig` in
 /// `fortika-core` fills it from its flat fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,21 +203,9 @@ pub struct ReplicaConfig {
     /// processes awaiting an `Add`), so the voter count is smaller than
     /// the cluster size there.
     pub initial_members: usize,
-    /// Activation offset of log-decided reconfigurations: a membership
-    /// change decided at instance `d` governs instances `d + offset` on.
-    /// Must be at least the pipeline depth, or in-flight instances could
-    /// be governed by a configuration their proposer cannot yet know.
-    pub reconfig_offset: u64,
-    /// **Test-only fault hook, debug builds only:** skip persisting
-    /// vote records. Plants the classic lost-vote recovery bug for the
-    /// fuzz-minimizer acceptance suite; a no-op in release builds.
-    pub skip_vote_persist: bool,
-    /// **Test-only fault hook, debug builds only:** never register
-    /// decided reconfigurations. The process keeps voting with the
-    /// *initial* configuration's quorum and coordinator math — the
-    /// stale-quorum membership bug the config-aware oracle must catch.
-    /// A no-op in release builds.
-    pub skip_config_fence: bool,
+    /// Planted bugs (acceptance suites only).
+    #[cfg(debug_assertions)]
+    pub faults: FaultHooks,
 }
 
 impl Default for ReplicaConfig {
@@ -197,9 +215,8 @@ impl Default for ReplicaConfig {
             snapshot_interval: 256,
             pipeline_depth: 1,
             initial_members: 0,
-            reconfig_offset: 8,
-            skip_vote_persist: false,
-            skip_config_fence: false,
+            #[cfg(debug_assertions)]
+            faults: FaultHooks::default(),
         }
     }
 }
@@ -579,7 +596,16 @@ pub struct ReplicaCore {
 
 impl ReplicaCore {
     /// A fresh core (process start at time zero).
+    ///
+    /// # Panics
+    /// If `cfg.pipeline_depth` exceeds [`RECONFIG_OFFSET`].
     pub fn new(cfg: ReplicaConfig, names: &'static ReplicaNames) -> Self {
+        assert!(
+            cfg.pipeline_depth <= RECONFIG_OFFSET,
+            "pipeline depth {} exceeds the reconfiguration offset {RECONFIG_OFFSET}: an \
+             in-flight instance could be governed by a configuration its proposer cannot know",
+            cfg.pipeline_depth
+        );
         ReplicaCore {
             cfg,
             names,
@@ -701,9 +727,8 @@ impl ReplicaCore {
         } else {
             self.cfg.initial_members
         };
-        let offset = self.cfg.reconfig_offset.max(1);
         self.timeline
-            .get_or_insert_with(|| ConfigTimeline::new(voters, offset))
+            .get_or_insert_with(|| ConfigTimeline::new(voters, RECONFIG_OFFSET))
     }
 
     /// The member set governing `instance`, in rotation order.
@@ -784,7 +809,8 @@ impl ReplicaCore {
         ts: u32,
         value: &Batch,
     ) {
-        if cfg!(debug_assertions) && self.cfg.skip_vote_persist {
+        #[cfg(debug_assertions)]
+        if self.cfg.faults.skip_vote_persist {
             // Injected fault (fuzz-minimizer acceptance suite): the
             // vote is acked but never reaches stable storage, so a
             // crash-restart forgets its lock.
@@ -1138,7 +1164,8 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     /// (config-aware oracle) and hands it to the stack.
     fn register_reconfig(&mut self, ctx: &mut C, decided_at: u64, change: ConfigChange) {
         let core = self.core();
-        if cfg!(debug_assertions) && core.cfg.skip_config_fence {
+        #[cfg(debug_assertions)]
+        if core.cfg.faults.skip_config_fence {
             // Injected fault (reconfig oracle acceptance suite): the
             // decided change is ignored, so this process keeps voting
             // with the initial configuration's quorum and coordinator
@@ -1370,6 +1397,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::RECONFIG_SEQ_BASE;
     use crate::membership::reconfig_payload;
     use crate::message::AppMsg;
 
@@ -1681,12 +1709,22 @@ mod tests {
         assert_eq!(ctx.writes.len(), 4);
     }
 
+    #[test]
+    #[should_panic(expected = "exceeds the reconfiguration offset")]
+    fn pipeline_deeper_than_the_reconfig_offset_is_rejected() {
+        let cfg = ReplicaConfig {
+            pipeline_depth: RECONFIG_OFFSET + 1,
+            ..ReplicaConfig::default()
+        };
+        ReplicaCore::new(cfg, &NAMES);
+    }
+
     /// A store holding one value under every key the core writes: votes
     /// above the fence, the watermark, a snapshot and a reconfiguration.
     fn written_store() -> (FakeHost, StableStore) {
         let (mut host, mut ctx) = (FakeHost::fresh(16, 2), FakeCtx::new());
         let add = AppMsg::new(
-            MsgId::new(ProcessId(0), 1 << 62),
+            MsgId::new(ProcessId(0), RECONFIG_SEQ_BASE),
             reconfig_payload(ConfigChange::Remove(ProcessId(2))),
         );
         assert!(host.record_decision(&mut ctx, 0, &Batch::normalize(vec![add])));

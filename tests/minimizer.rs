@@ -3,7 +3,7 @@
 //! to a small fraction of its size while preserving the violation kind.
 //!
 //! The planted bug is the classic lost-vote recovery fault: the
-//! [`StackConfig::skip_vote_persist`] test hook acks CT round votes
+//! [`FaultHooks::skip_vote_persist`] test hook acks CT round votes
 //! without writing them to stable storage, so a crash-restart revives a
 //! process without its lock and lets a conflicting value win. The hook
 //! is compiled out of release builds, hence the file-wide
@@ -14,12 +14,14 @@
 //! protocol change shifts them, re-pin after confirming the new run by
 //! hand.
 //!
-//! [`StackConfig::skip_vote_persist`]: fortika::core::StackConfig::skip_vote_persist
+//! [`FaultHooks::skip_vote_persist`]: fortika::core::FaultHooks::skip_vote_persist
 #![cfg(debug_assertions)]
 
 use fortika::chaos::{minimize, ChaosProfile, FuzzCampaign, FuzzConfig, Scenario, StopReason};
 use fortika::core::workload::Workload;
-use fortika::core::{fuzz_runner, run_fuzz_scenario, Experiment, StackConfig, StackKind};
+use fortika::core::{
+    fuzz_runner, run_fuzz_scenario, Experiment, FaultHooks, StackConfig, StackKind,
+};
 use fortika::net::{LinkSelector, ProcessId};
 use fortika::sim::VDur;
 
@@ -55,7 +57,10 @@ fn buggy_profile() -> ChaosProfile {
 
 fn buggy_stack() -> StackConfig {
     StackConfig {
-        skip_vote_persist: true,
+        faults: FaultHooks {
+            skip_vote_persist: true,
+            ..FaultHooks::default()
+        },
         ..StackConfig::default()
     }
 }

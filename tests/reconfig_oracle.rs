@@ -1,6 +1,6 @@
 //! Planted-bug detection: a node voting with stale-config quorum math.
 //!
-//! `StackConfig::skip_config_fence` (debug builds only) makes a stack
+//! `FaultHooks::skip_config_fence` (debug builds only) makes a stack
 //! ignore decided reconfigurations entirely: it keeps the initial
 //! configuration's quorum and coordinator math and never reports a
 //! config activation. This is the classic dynamic-membership bug — a
@@ -19,7 +19,7 @@
 #![cfg(debug_assertions)]
 
 use fortika::chaos::{minimize, LinkSelector, LoadPlan, Scenario, ScriptedDriver, Violation};
-use fortika::core::{build_node_with_windows, StackConfig, StackKind};
+use fortika::core::{build_node_with_windows, FaultHooks, StackConfig, StackKind};
 use fortika::net::{Cluster, ClusterConfig, ProcessId};
 use fortika::sim::{VDur, VTime};
 
@@ -39,7 +39,10 @@ fn run_with_stale_node(
         ..StackConfig::default()
     };
     let planted = StackConfig {
-        skip_config_fence: true,
+        faults: FaultHooks {
+            skip_config_fence: true,
+            ..FaultHooks::default()
+        },
         ..healthy.clone()
     };
     let nodes = ProcessId::all(n)
