@@ -281,13 +281,13 @@ impl AbcastModule {
         self.next_propose - self.next_decide
     }
 
-    /// The wire form of a full-message diffusion (offloading strategies
-    /// wrap it in the [`DissemMsg`] envelope).
-    fn diffuse_bytes(&self, msg: &AppMsg) -> Bytes {
+    /// Diffuses a full message to every other process (offloading
+    /// strategies wrap it in the [`DissemMsg`] envelope).
+    fn diffuse(&self, ctx: &mut FrameworkCtx<'_, '_>, msg: &AppMsg) {
         if self.offloads() {
-            encode(&DissemMsg::Diffuse(msg.clone()))
+            ctx.broadcast_net("abcast.diffuse", &DissemMsg::Diffuse(msg.clone()));
         } else {
-            encode(msg)
+            ctx.broadcast_net("abcast.diffuse", msg);
         }
     }
 
@@ -366,14 +366,14 @@ impl AbcastModule {
         if hops.repaired {
             ctx.bump("abcast.ring_repairs", 1);
         }
-        let bytes = encode(&DissemMsg::Payload {
+        let msg = DissemMsg::Payload {
             vid,
             holders,
             batch: batch.clone(),
-        });
+        };
         for dst in hops.next {
             ctx.bump("abcast.ring_payload_forwards", 1);
-            ctx.send_net(dst, "abcast.payload", bytes.clone());
+            ctx.send_net(dst, "abcast.payload", &msg);
         }
     }
 
@@ -431,7 +431,7 @@ impl AbcastModule {
                 _ => false,
             };
             if newly_safe {
-                ctx.broadcast_net("abcast.diffuse", self.diffuse_bytes(&d));
+                self.diffuse(ctx, &d);
                 self.own_diffused.insert(d.id, ctx.now());
             }
         }
@@ -486,10 +486,10 @@ impl AbcastModule {
             ctx.send_net(
                 vid.origin,
                 "abcast.payload_ack",
-                encode(&DissemMsg::Ack {
+                &DissemMsg::Ack {
                     vid,
                     holders: merged,
-                }),
+                },
             );
         }
         if merged.count_ones() >= maj {
@@ -520,7 +520,7 @@ impl AbcastModule {
         let dst = candidates[*attempts as usize % candidates.len()];
         *attempts += 1;
         ctx.bump("abcast.payload_pulls", 1);
-        ctx.send_net(dst, "abcast.payload_pull", encode(&DissemMsg::Pull { vid }));
+        ctx.send_net(dst, "abcast.payload_pull", &DissemMsg::Pull { vid });
     }
 
     /// Re-forwards every held undelivered payload along the (possibly
@@ -670,7 +670,7 @@ impl Microprotocol for AbcastModule {
                 if direct {
                     // Diffuse to everyone — the modular stack cannot
                     // target the coordinator (consensus is a black box).
-                    ctx.broadcast_net("abcast.diffuse", self.diffuse_bytes(msg));
+                    self.diffuse(ctx, msg);
                     if self.delivered.is_new(msg.id) {
                         self.pending.insert(msg.id, msg.clone());
                         self.own_diffused.insert(msg.id, ctx.now());
@@ -854,7 +854,7 @@ impl Microprotocol for AbcastModule {
                         holders,
                         batch: batch.clone(),
                     };
-                    ctx.send_net(from, "abcast.payload_push", encode(&reply));
+                    ctx.send_net(from, "abcast.payload_push", &reply);
                 }
             }
         }
@@ -890,8 +890,7 @@ impl Microprotocol for AbcastModule {
                 for id in overdue {
                     if let Some(msg) = self.pending.get(&id) {
                         ctx.bump("abcast.retransmits", 1);
-                        let bytes = self.diffuse_bytes(msg);
-                        ctx.broadcast_net("abcast.diffuse", bytes);
+                        self.diffuse(ctx, msg);
                         self.own_diffused.insert(id, now);
                     } else {
                         self.own_diffused.remove(&id);
@@ -922,11 +921,11 @@ impl Microprotocol for AbcastModule {
                             continue;
                         };
                         let (holders, batch) = (e.holders, e.batch.clone());
-                        let push = encode(&DissemMsg::Push {
+                        let push = DissemMsg::Push {
                             vid,
                             holders,
                             batch: batch.clone(),
-                        });
+                        };
                         let mut pushed = false;
                         let targets: Vec<ProcessId> = self
                             .members
@@ -940,7 +939,7 @@ impl Microprotocol for AbcastModule {
                             .collect();
                         for dst in targets {
                             ctx.bump("abcast.retransmits", 1);
-                            ctx.send_net(dst, "abcast.payload_push", push.clone());
+                            ctx.send_net(dst, "abcast.payload_push", &push);
                             pushed = true;
                         }
                         if !pushed {

@@ -287,7 +287,7 @@ impl ConsensusModule {
             round,
             value,
         };
-        ctx.broadcast_net("consensus.proposal", encode(&msg));
+        ctx.broadcast_net("consensus.proposal", &msg);
         self.try_conclude(ctx, instance);
     }
 
@@ -341,7 +341,7 @@ impl ConsensusModule {
                 value: estimate,
                 ts,
             };
-            ctx.send_net(coord, "consensus.estimate", encode(&msg));
+            ctx.send_net(coord, "consensus.estimate", &msg);
         }
     }
 
@@ -385,7 +385,7 @@ impl ConsensusModule {
                 round: 0,
                 value: v,
             };
-            ctx.broadcast_net("consensus.proposal", encode(&msg));
+            ctx.broadcast_net("consensus.proposal", &msg);
             self.try_conclude(ctx, instance);
         } else if members[inst.round as usize % members.len()] == me {
             // We are (now) the coordinator of a later round and were only
@@ -444,7 +444,7 @@ impl ConsensusModule {
                 .persist_vote(ctx, instance, round, round + 1, &value);
             ctx.trace_span("consensus", instance, "voted", u64::from(round));
             let ack = ConsensusMsg::Ack { instance, round };
-            ctx.send_net(from, "consensus.ack", encode(&ack));
+            ctx.send_net(from, "consensus.ack", &ack);
         } else {
             // The config fence: a learner — or a process whose replay
             // has not yet determined the membership at `instance` —
@@ -628,7 +628,7 @@ impl ReplicaHost<FrameworkCtx<'_, '_>> for ConsensusModule {
         value: Batch,
     ) {
         let msg = ConsensusMsg::DecisionFull { instance, value };
-        ctx.send_net(to, "consensus.decision_full", encode(&msg));
+        ctx.send_net(to, "consensus.decision_full", &msg);
     }
 }
 

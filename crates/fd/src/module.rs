@@ -104,7 +104,7 @@ impl<T: FailureDetector> Microprotocol for FdModule<T> {
             };
             if due {
                 self.last_heartbeat = Some(now);
-                ctx.broadcast_net("fd.heartbeat", Bytes::new());
+                ctx.broadcast_net("fd.heartbeat", &());
             }
         }
         self.core.tick(ctx.now(), &mut self.scratch);

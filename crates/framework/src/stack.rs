@@ -2,8 +2,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bytes::{BufMut, Bytes, BytesMut};
-use fortika_net::wire::WireReader;
+use bytes::Bytes;
+use fortika_net::wire::{encode_with, Wire, WireReader, WireWriter};
 use fortika_net::{
     Admission, AppRequest, ConfigStamp, CostModel, MsgId, Node, NodeCtx, ProcessId, ReplicaCtx,
     SnapshotStamp, TimerId,
@@ -100,23 +100,28 @@ impl FrameworkCtx<'_, '_> {
         self.bus.push_back(ev);
     }
 
-    /// Sends a message from this module to its peer module at `dst`.
+    /// Sends `msg` from this module to its peer module at `dst`.
     ///
-    /// The framework prepends the 2-byte module id; `kind` tags the
-    /// message for traffic accounting.
-    pub fn send_net(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes) {
-        self.node
-            .send(dst, kind, envelope(self.module_id, &payload));
+    /// The framework's 2-byte module id and the message are encoded
+    /// into one exact-sized buffer; `kind` tags the message for traffic
+    /// accounting.
+    pub fn send_net(&mut self, dst: ProcessId, kind: &'static str, msg: &impl Wire) {
+        ReplicaCtx::send(self, dst, kind, |w| msg.encode(w));
     }
 
-    /// Sends the same payload to every other process (n−1 unicasts).
-    pub fn broadcast_net(&mut self, kind: &'static str, payload: Bytes) {
-        let framed = envelope(self.module_id, &payload);
-        for dst in ProcessId::all(self.n()) {
-            if dst != self.pid() {
-                self.node.send(dst, kind, framed.clone());
-            }
-        }
+    /// Sends `msg` to every other process (n−1 unicasts of one shared
+    /// buffer).
+    pub fn broadcast_net(&mut self, kind: &'static str, msg: &impl Wire) {
+        ReplicaCtx::broadcast(self, kind, |w| msg.encode(w));
+    }
+
+    /// This module's wire frame around `body`: the module id, then the
+    /// message.
+    fn framed(&self, body: impl Fn(&mut WireWriter)) -> Bytes {
+        encode_with(|w| {
+            w.put_u16(self.module_id);
+            body(w);
+        })
     }
 
     /// Arms a timer owned by this module. `tag` must fit in 56 bits.
@@ -188,7 +193,7 @@ impl FrameworkCtx<'_, '_> {
 
 /// The replica core (`fortika_net::replica`) runs against a module's
 /// context as it does against a bare [`NodeCtx`]: everything forwards to
-/// the hosting process, and sends go through this module's envelope.
+/// the hosting process, and sends go out under this module's frame.
 impl ReplicaCtx for FrameworkCtx<'_, '_> {
     fn pid(&self) -> ProcessId {
         self.node.pid()
@@ -223,19 +228,14 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
         self.node.trace_span(stack, instance, phase, detail);
     }
-    fn send(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes) {
-        self.send_net(dst, kind, payload);
+    fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+        let framed = self.framed(body);
+        self.node.send(dst, kind, framed);
     }
-    fn broadcast(&mut self, kind: &'static str, payload: Bytes) {
-        self.broadcast_net(kind, payload);
+    fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+        let framed = self.framed(body);
+        self.node.broadcast(kind, &framed);
     }
-}
-
-fn envelope(module_id: ModuleId, payload: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(2 + payload.len());
-    buf.put_u16_le(module_id);
-    buf.extend_from_slice(payload);
-    buf.freeze()
 }
 
 /// A stack of microprotocols composed on one process.
@@ -293,23 +293,26 @@ impl CompositeStack {
     }
 
     fn drain_bus(&mut self, node: &mut NodeCtx<'_>) {
+        // The subscriber table, the modules and the bus are separate
+        // fields: the table is read while handlers push to the bus.
+        let CompositeStack {
+            modules, subs, bus, ..
+        } = self;
         // FIFO dispatch; events raised by handlers append to the back.
-        while let Some(ev) = self.bus.pop_front() {
-            let kind = ev.kind();
-            let Some(subscribers) = self.subs.get(&kind) else {
+        while let Some(ev) = bus.pop_front() {
+            let Some(subscribers) = subs.get(&ev.kind()) else {
                 continue;
             };
-            // Indices are stable: modules are never added after build.
-            for idx in subscribers.clone() {
+            for &idx in subscribers {
                 node.charge_dispatch();
-                let module_id = self.modules[idx].module_id();
+                let module = &mut modules[idx];
                 let mut ctx = FrameworkCtx {
                     node,
-                    bus: &mut self.bus,
+                    bus,
                     module_idx: idx,
-                    module_id,
+                    module_id: module.module_id(),
                 };
-                self.modules[idx].on_event(&mut ctx, &ev);
+                module.on_event(&mut ctx, &ev);
             }
         }
     }
@@ -440,7 +443,7 @@ mod tests {
         }
         fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
             if let Event::AbcastRequest(m) = ev {
-                ctx.broadcast_net("bottom.fwd", m.payload.clone());
+                ctx.broadcast_net("bottom.fwd", &m.payload);
                 ctx.raise(Event::Adelivered(vec![m.id]));
             }
         }
@@ -505,7 +508,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
                 if ctx.pid() == ProcessId(0) {
                     // Send to a module id that does not exist at the peer.
-                    ctx.send_net(ProcessId(1), "rogue.msg", Bytes::from_static(b"?"));
+                    ctx.send_net(ProcessId(1), "rogue.msg", &b'?');
                 }
             }
         }

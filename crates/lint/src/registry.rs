@@ -97,11 +97,22 @@ pub fn enum_variants(src: &SourceFile, name: &str) -> Option<(Vec<String>, usize
 /// The body (including signature line) of the first `fn <name>` in the
 /// file, as one string, plus its 1-based line.
 pub fn fn_body(src: &SourceFile, fn_needle: &str) -> Option<(String, usize)> {
-    let start = src.scan.iter().position(|l| {
-        l.contains(fn_needle)
-            && l[l.find(fn_needle).unwrap() + fn_needle.len()..].starts_with(['(', '<'])
-    })?;
-    Some((capture_block(src, start), start + 1))
+    fn_bodies(src, fn_needle).next()
+}
+
+/// [`fn_body`] for every `fn <name>` in the file, in source order.
+pub fn fn_bodies<'a>(
+    src: &'a SourceFile,
+    fn_needle: &'a str,
+) -> impl Iterator<Item = (String, usize)> + 'a {
+    src.scan
+        .iter()
+        .enumerate()
+        .filter(move |(_, l)| {
+            l.find(fn_needle)
+                .is_some_and(|at| l[at + fn_needle.len()..].starts_with(['(', '<']))
+        })
+        .map(move |(start, _)| (capture_block(src, start), start + 1))
 }
 
 /// The body of an `impl` block whose header contains `header_needle`.

@@ -95,3 +95,58 @@ fn trace_timeline_index_is_lint_clean() {
         assert!(!code.contains(banned), "`{banned}` in the trace index");
     }
 }
+
+/// `Wire::encoded_len` sizes every encode buffer, so it must stay a
+/// count: an override (or a change to the default) that builds a
+/// buffering `WireWriter` to measure it would put back the second
+/// serialisation of every outgoing message.
+#[test]
+fn encoded_len_never_buffers() {
+    use fortika_lint::source::SourceFile;
+
+    /// What a sizing pass has no business constructing.
+    const BUFFERS: [&str; 5] = [
+        "WireWriter::new",
+        "WireWriter::with_capacity",
+        "WireWriter::default",
+        "BytesMut",
+        "encode(self)",
+    ];
+    let offences = |src: &SourceFile| -> Vec<(usize, &'static str)> {
+        fortika_lint::registry::fn_bodies(src, "fn encoded_len")
+            .flat_map(|(body, line)| {
+                BUFFERS
+                    .into_iter()
+                    .filter(move |b| body.contains(b))
+                    .map(move |b| (line, b))
+            })
+            .collect()
+    };
+
+    // The rule bites: the parent commit's default is an offence.
+    let old = SourceFile::from_text(
+        Path::new("old_wire.rs"),
+        "trait Wire {\n    fn encoded_len(&self) -> usize {\n        let mut w = \
+         WireWriter::new();\n        self.encode(&mut w);\n        w.len()\n    }\n}\n",
+    );
+    assert_eq!(offences(&old), [(2, "WireWriter::new")]);
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        fortika_lint::walk_rs(&root.join(dir), &mut files).expect("walkable");
+    }
+    let mut sizers = 0;
+    for path in files {
+        let src = SourceFile::load(&path).expect("readable");
+        sizers += fortika_lint::registry::fn_bodies(&src, "fn encoded_len").count();
+        let found = offences(&src);
+        assert!(
+            found.is_empty(),
+            "{}: `fn encoded_len` buffers ({found:?}); count with `WireWriter::counting()`",
+            fortika_lint::rel_label(&root, &path)
+        );
+    }
+    // At least the trait's own default was looked at.
+    assert!(sizers >= 1, "no `fn encoded_len` found: did `Wire` move?");
+}

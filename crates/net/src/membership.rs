@@ -30,7 +30,7 @@ use std::fmt;
 use bytes::Bytes;
 
 use crate::id::ProcessId;
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
+use crate::wire::{encode_with, Wire, WireError, WireReader, WireWriter};
 
 /// One membership change decided through the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,12 +96,12 @@ pub use crate::id::RECONFIG_SEQ_BASE;
 
 /// Encodes `change` as an abcast payload (magic prefix + wire body).
 pub fn reconfig_payload(change: ConfigChange) -> Bytes {
-    let mut w = WireWriter::new();
-    for &b in RECONFIG_MAGIC {
-        w.put_u8(b);
-    }
-    change.encode(&mut w);
-    w.finish()
+    encode_with(|w| {
+        for &b in RECONFIG_MAGIC {
+            w.put_u8(b);
+        }
+        change.encode(w);
+    })
 }
 
 /// Decodes a reconfiguration command from a delivered payload; `None`

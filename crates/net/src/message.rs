@@ -43,9 +43,6 @@ impl Wire for AppMsg {
             payload: Bytes::decode(r)?,
         })
     }
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + self.payload.encoded_len()
-    }
 }
 
 /// A batch of application messages ordered by one consensus instance.
@@ -118,9 +115,6 @@ impl Wire for Batch {
         // Re-normalize on decode: a batch's invariants hold even against a
         // peer that serialized messages out of order.
         Ok(Batch::normalize(Vec::<AppMsg>::decode(r)?))
-    }
-    fn encoded_len(&self) -> usize {
-        self.msgs.encoded_len()
     }
 }
 

@@ -94,7 +94,7 @@ use crate::snapshot::{
     SnapshotStamp,
 };
 use crate::watermark::WatermarkSet;
-use crate::wire::{decode, encode, Wire, WireError, WireReader, WireWriter};
+use crate::wire::{decode, encode, encode_with, Wire, WireError, WireReader, WireWriter};
 
 /// Stable-store key namespaces (the high byte of a key).
 ///
@@ -491,11 +491,13 @@ pub trait ReplicaCtx {
     fn bump(&mut self, name: &'static str, by: u64);
     /// See [`NodeCtx::trace_span`].
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64);
-    /// Sends an encoded message of the hosting stack's vocabulary to
-    /// `dst` (the host adds whatever framing its messages carry).
-    fn send(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes);
+    /// Sends the message `body` writes, in the hosting stack's
+    /// vocabulary, to `dst`. The host encodes it — behind whatever
+    /// framing its messages carry — into one exact-sized buffer
+    /// ([`encode_with`], so `body` runs twice).
+    fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter));
     /// Sends the same message to every other process, in pid order.
-    fn broadcast(&mut self, kind: &'static str, payload: Bytes);
+    fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter));
 }
 
 impl ReplicaCtx for NodeCtx<'_> {
@@ -532,11 +534,11 @@ impl ReplicaCtx for NodeCtx<'_> {
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
         NodeCtx::trace_span(self, stack, instance, phase, detail);
     }
-    fn send(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes) {
-        NodeCtx::send(self, dst, kind, payload);
+    fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+        NodeCtx::send(self, dst, kind, encode_with(body));
     }
-    fn broadcast(&mut self, kind: &'static str, payload: Bytes) {
-        NodeCtx::broadcast(self, kind, &payload);
+    fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+        NodeCtx::broadcast(self, kind, &encode_with(body));
     }
 }
 
@@ -778,25 +780,19 @@ impl ReplicaCore {
         }
     }
 
-    /// `msg` as the hosting stack's wire enum encodes it. Sized the way
-    /// [`encode`] sizes every message: one pass for the length, one into
-    /// the exact buffer.
-    fn encode_msg(&self, msg: &CatchUp) -> Bytes {
-        let mut sizing = WireWriter::new();
-        msg.encode_tagged(&self.names.tags, &mut sizing);
-        let mut w = WireWriter::with_capacity(sizing.len());
-        msg.encode_tagged(&self.names.tags, &mut w);
-        w.finish()
-    }
-
-    /// Sends `msg` to `dst` under the stack's send kind for it.
+    /// Sends `msg` to `dst` under the stack's send kind for it, as the
+    /// stack's wire enum encodes it.
     pub fn send<C: ReplicaCtx>(&self, ctx: &mut C, dst: ProcessId, msg: &CatchUp) {
-        ctx.send(dst, msg.pick(&self.names.kinds), self.encode_msg(msg));
+        ctx.send(dst, msg.pick(&self.names.kinds), |w| {
+            msg.encode_tagged(&self.names.tags, w)
+        });
     }
 
     /// Sends `msg` to every other process.
     pub fn broadcast<C: ReplicaCtx>(&self, ctx: &mut C, msg: &CatchUp) {
-        ctx.broadcast(msg.pick(&self.names.kinds), self.encode_msg(msg));
+        ctx.broadcast(msg.pick(&self.names.kinds), |w| {
+            msg.encode_tagged(&self.names.tags, w)
+        });
     }
 
     /// Writes `instance`'s vote record to stable storage, atomically
@@ -1176,9 +1172,8 @@ pub trait ReplicaHost<C: ReplicaCtx> {
         let Some(stamp) = timeline.register(decided_at, change) else {
             return; // duplicate (replay / snapshot overlap)
         };
-        let mut w = WireWriter::new();
-        encode_reconfigs(&timeline.reconfigs(), &mut w);
-        ctx.persist(keys::CONFIG, w.finish());
+        let history = timeline.reconfigs();
+        ctx.persist(keys::CONFIG, encode_with(|w| encode_reconfigs(&history, w)));
         ctx.bump(core.names.reconfigs, 1);
         ctx.trace_span(core.names.label, decided_at, "config_active", stamp.version);
         ctx.note_config(stamp.clone());
@@ -1496,11 +1491,11 @@ mod tests {
             *self.bumps.entry(name).or_default() += by;
         }
         fn trace_span(&mut self, _: &'static str, _: u64, _: &'static str, _: u64) {}
-        fn send(&mut self, dst: ProcessId, kind: &'static str, payload: Bytes) {
-            self.record_send(Some(dst), kind, payload);
+        fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+            self.record_send(Some(dst), kind, encode_with(body));
         }
-        fn broadcast(&mut self, kind: &'static str, payload: Bytes) {
-            self.record_send(None, kind, payload);
+        fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+            self.record_send(None, kind, encode_with(body));
         }
     }
 

@@ -38,43 +38,75 @@ impl std::error::Error for WireError {}
 /// Sanity cap on decoded collection lengths (codec-level DoS guard).
 const MAX_LEN: u64 = 256 * 1024 * 1024;
 
-/// Write half of the codec: appends values to a growable buffer.
-#[derive(Debug, Default)]
+/// Write half of the codec: appends values to a growable buffer — or, in
+/// [counting](WireWriter::counting) mode, only adds up how long they are.
+///
+/// Counting is how a buffer gets its size: [`Wire::encoded_len`] runs
+/// `encode` against a counting writer, which touches no payload byte and
+/// allocates nothing, and the real pass then writes into a buffer of
+/// exactly that capacity.
+#[derive(Debug)]
 pub struct WireWriter {
-    buf: BytesMut,
+    sink: Sink,
+}
+
+#[derive(Debug)]
+enum Sink {
+    Buffer(BytesMut),
+    Count(usize),
+}
+
+impl Default for WireWriter {
+    fn default() -> Self {
+        WireWriter::new()
+    }
 }
 
 impl WireWriter {
     /// A writer with an empty buffer.
     pub fn new() -> Self {
-        Self::default()
+        WireWriter::with_capacity(0)
     }
 
-    /// A writer pre-sized for roughly `cap` bytes.
+    /// A writer whose buffer holds `cap` bytes before it has to grow.
     pub fn with_capacity(cap: usize) -> Self {
         WireWriter {
-            buf: BytesMut::with_capacity(cap),
+            sink: Sink::Buffer(BytesMut::with_capacity(cap)),
+        }
+    }
+
+    /// A writer that keeps no bytes, only their count ([`len`](Self::len)).
+    pub fn counting() -> Self {
+        WireWriter {
+            sink: Sink::Count(0),
+        }
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        match &mut self.sink {
+            Sink::Buffer(buf) => buf.put_slice(bytes),
+            Sink::Count(n) => *n += bytes.len(),
         }
     }
 
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.put_slice(&[v]);
     }
 
     /// Appends a little-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends raw bytes with a `u32` length prefix.
@@ -85,7 +117,7 @@ impl WireWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         let len = u32::try_from(bytes.len()).expect("byte string too long for wire format");
         self.put_u32(len);
-        self.buf.put_slice(bytes);
+        self.put_slice(bytes);
     }
 
     /// Appends a value implementing [`Wire`].
@@ -93,19 +125,30 @@ impl WireWriter {
         value.encode(self);
     }
 
-    /// Bytes written so far.
+    /// Bytes written (or counted) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        match &self.sink {
+            Sink::Buffer(buf) => buf.len(),
+            Sink::Count(n) => *n,
+        }
     }
 
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Finishes writing and returns the immutable buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [counting](Self::counting) writer, which kept no
+    /// bytes to return.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        match self.sink {
+            Sink::Buffer(buf) => buf.freeze(),
+            Sink::Count(_) => panic!("finish() on a counting WireWriter"),
+        }
     }
 }
 
@@ -224,19 +267,33 @@ pub trait Wire: Sized {
 
     /// Exact size of the encoding in bytes.
     ///
-    /// The default implementation encodes into a scratch buffer; types on
-    /// hot paths should override it with arithmetic.
+    /// Runs [`encode`](Wire::encode) against a
+    /// [counting](WireWriter::counting) writer: one step per field, no
+    /// payload byte read, nothing allocated, and equal to the encoding's
+    /// length by construction — so no type overrides it.
     fn encoded_len(&self) -> usize {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::counting();
         self.encode(&mut w);
         w.len()
     }
 }
 
-/// Encodes a value into a fresh buffer.
+/// Encodes a value into a fresh buffer of exactly its encoded length.
 pub fn encode<T: Wire>(value: &T) -> Bytes {
-    let mut w = WireWriter::with_capacity(value.encoded_len());
-    value.encode(&mut w);
+    encode_with(|w| value.encode(w))
+}
+
+/// Encodes whatever `write` appends into a fresh buffer of exactly that
+/// length — the one place an encode buffer is sized. `write` runs twice:
+/// against a counting writer, then against the buffer the count sized,
+/// so every byte is copied once. For messages that are not a single
+/// [`Wire`] value: a frame header followed by a body, or an encoding
+/// that depends on a table (`CatchUp::encode_tagged`).
+pub fn encode_with(write: impl Fn(&mut WireWriter)) -> Bytes {
+    let mut sizing = WireWriter::counting();
+    write(&mut sizing);
+    let mut w = WireWriter::with_capacity(sizing.len());
+    write(&mut w);
     w.finish()
 }
 
@@ -253,7 +310,7 @@ pub fn decode<T: Wire>(buf: Bytes) -> Result<T, WireError> {
 }
 
 macro_rules! wire_int {
-    ($t:ty, $put:ident, $get:ident, $n:expr) => {
+    ($t:ty, $put:ident, $get:ident) => {
         impl Wire for $t {
             fn encode(&self, w: &mut WireWriter) {
                 w.$put(*self);
@@ -261,17 +318,22 @@ macro_rules! wire_int {
             fn decode(r: &mut WireReader) -> Result<Self, WireError> {
                 r.$get()
             }
-            fn encoded_len(&self) -> usize {
-                $n
-            }
         }
     };
 }
 
-wire_int!(u8, put_u8, get_u8, 1);
-wire_int!(u16, put_u16, get_u16, 2);
-wire_int!(u32, put_u32, get_u32, 4);
-wire_int!(u64, put_u64, get_u64, 8);
+wire_int!(u8, put_u8, get_u8);
+wire_int!(u16, put_u16, get_u16);
+wire_int!(u32, put_u32, get_u32);
+wire_int!(u64, put_u64, get_u64);
+
+/// The empty message: no bytes on the wire (a bare heartbeat).
+impl Wire for () {
+    fn encode(&self, _: &mut WireWriter) {}
+    fn decode(_: &mut WireReader) -> Result<Self, WireError> {
+        Ok(())
+    }
+}
 
 impl Wire for bool {
     fn encode(&self, w: &mut WireWriter) {
@@ -284,9 +346,6 @@ impl Wire for bool {
             t => Err(WireError::InvalidTag(t)),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Wire for Bytes {
@@ -295,9 +354,6 @@ impl Wire for Bytes {
     }
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         r.get_bytes()
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
     }
 }
 
@@ -317,9 +373,6 @@ impl<T: Wire> Wire for Option<T> {
             1 => Ok(Some(T::decode(r)?)),
             t => Err(WireError::InvalidTag(t)),
         }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
     }
 }
 
@@ -341,9 +394,6 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
     }
 }
 
@@ -388,6 +438,50 @@ mod tests {
         round_trip(Vec::<u64>::new());
         round_trip(vec![1u64, 2, 3]);
         round_trip(vec![Some(1u8), None, Some(3)]);
+    }
+
+    #[test]
+    fn counting_writer_counts_what_a_buffer_would_hold() {
+        let v = vec![Some(Bytes::from(vec![7u8; 300])), None, Some(Bytes::new())];
+        let mut counted = WireWriter::counting();
+        let mut written = WireWriter::new();
+        for w in [&mut counted, &mut written] {
+            assert!(w.is_empty());
+            w.put_u8(1);
+            w.put_u16(2);
+            w.put_u32(3);
+            w.put_u64(4);
+            w.put_bytes(b"abc");
+            w.put(&v);
+        }
+        assert_eq!(counted.len(), written.len());
+        assert_eq!(counted.len(), 15 + 7 + 4 + (1 + 4 + 300) + 1 + (1 + 4));
+        assert_eq!(written.finish().len(), counted.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "counting WireWriter")]
+    fn counting_writer_has_no_buffer_to_finish() {
+        let _ = WireWriter::counting().finish();
+    }
+
+    #[test]
+    fn encode_with_frames_header_and_body_in_one_buffer() {
+        let body = Bytes::from(vec![5u8; 100]);
+        let framed = encode_with(|w| {
+            w.put_u16(0xABCD);
+            body.encode(w);
+        });
+        assert_eq!(framed.len(), 2 + 4 + 100);
+        let mut r = WireReader::new(framed);
+        assert_eq!(r.get_u16(), Ok(0xABCD));
+        assert_eq!(decode::<Bytes>(r.take_rest()), Ok(body));
+    }
+
+    #[test]
+    fn unit_is_the_empty_message() {
+        round_trip(());
+        assert!(encode(&()).is_empty());
     }
 
     #[test]

@@ -114,9 +114,6 @@ impl Wire for RbMsg {
             payload: Bytes::decode(r)?,
         })
     }
-    fn encoded_len(&self) -> usize {
-        2 + 8 + 1 + self.payload.encoded_len()
-    }
 }
 
 /// State of a delivered-but-not-yet-completed message (majority variant).
@@ -186,7 +183,7 @@ impl RbcastModule {
         match self.cfg.variant {
             RbcastVariant::Classic => {
                 // Re-send to all, then this message is finished locally.
-                ctx.broadcast_net("rb.relay", encode(&msg));
+                ctx.broadcast_net("rb.relay", &msg);
                 self.complete(ctx, msg.origin, msg.seq);
             }
             RbcastVariant::Majority => {
@@ -197,7 +194,7 @@ impl RbcastModule {
                 if relay_set(origin, n).any(|p| p == me) {
                     // Relay: our re-send makes us a transmitter; we need
                     // no further evidence ourselves.
-                    ctx.broadcast_net("rb.relay", encode(&msg));
+                    ctx.broadcast_net("rb.relay", &msg);
                     self.complete(ctx, origin, seq);
                     return;
                 }
@@ -265,7 +262,7 @@ impl Microprotocol for RbcastModule {
         });
         // …then ship to everyone. The origin is a transmitter by
         // construction, so it completes immediately.
-        ctx.broadcast_net("rb.initial", encode(&msg));
+        ctx.broadcast_net("rb.initial", &msg);
         self.complete(ctx, msg.origin, msg.seq);
     }
 
@@ -300,7 +297,7 @@ impl Microprotocol for RbcastModule {
         // may have crashed mid-broadcast. Become a transmitter.
         ctx.bump("rbcast.floods", 1);
         ctx.trace_span("rbcast", key.1, "flood", u64::from(key.0 .0));
-        ctx.broadcast_net("rb.flood", encode(&p.msg));
+        ctx.broadcast_net("rb.flood", &p.msg);
         self.complete(ctx, key.0, key.1);
     }
 }
@@ -323,14 +320,18 @@ mod tests {
 
     #[test]
     fn rbmsg_round_trips() {
-        let msg = RbMsg {
-            origin: ProcessId(3),
-            seq: 42,
-            stream: 7,
-            payload: Bytes::from_static(b"decision"),
-        };
-        let bytes = encode(&msg);
-        assert_eq!(bytes.len(), msg.encoded_len());
-        assert_eq!(decode::<RbMsg>(bytes).unwrap(), msg);
+        // `RbMsg`'s row of `tests/wire_codec.rs` (the type is private).
+        for payload in [Bytes::new(), Bytes::from(vec![0xD1; 16 * 1024])] {
+            let msg = RbMsg {
+                origin: ProcessId(3),
+                seq: 42,
+                stream: 7,
+                payload,
+            };
+            let bytes = encode(&msg);
+            assert_eq!(bytes.len(), msg.encoded_len());
+            assert_eq!(bytes.len(), 2 + 8 + 1 + 4 + msg.payload.len());
+            assert_eq!(decode::<RbMsg>(bytes).unwrap(), msg);
+        }
     }
 }

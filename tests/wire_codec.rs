@@ -1,0 +1,342 @@
+//! One table over the whole wire vocabulary: for every `Wire` type and
+//! every enum variant both stacks put on the wire or into the stable
+//! store, the counted length (`encoded_len`, a counting `WireWriter`)
+//! equals the length `encode` writes, and the encoding decodes back to
+//! the value. Rows carry 16 KiB payloads where a payload fits, so a
+//! sizing pass that touched payload bytes would also be a slow one.
+//!
+//! (`RbMsg` is private to `fortika-rbcast`; its row is that crate's
+//! `rbmsg_round_trips` unit test.)
+
+use std::fmt::Debug;
+
+use bytes::Bytes;
+use fortika::consensus::{self, ConsensusMsg, DecisionNotice};
+use fortika::mono::msg::{self as mono, Decision, MonoMsg, Proposal};
+use fortika::net::wire::{decode, encode, Wire, WireReader, WireWriter};
+use fortika::net::{
+    AppMsg, Batch, CatchUp, ConfigChange, DissemMsg, MsgId, PerCatchUp, ProcessId, SenderLog,
+    Snapshot, ValueId, VoteRecord,
+};
+
+/// One row: counted length == written length, and the value survives.
+fn row<T: Wire + PartialEq + Debug>(label: &str, value: T) {
+    let bytes = encode(&value);
+    assert_eq!(value.encoded_len(), bytes.len(), "{label}: counted length");
+    let mut grown = WireWriter::new();
+    value.encode(&mut grown);
+    assert_eq!(grown.finish(), bytes, "{label}: pre-sized vs grown buffer");
+    assert_eq!(
+        decode::<T>(bytes).as_ref(),
+        Ok(&value),
+        "{label}: round trip"
+    );
+}
+
+fn msg(sender: u16, seq: u64, size: usize) -> AppMsg {
+    AppMsg::new(
+        MsgId::new(ProcessId(sender), seq),
+        Bytes::from(vec![(seq as u8) ^ 0x5A; size]),
+    )
+}
+
+/// `m` messages of 16 KiB from three senders.
+fn batch(m: u64) -> Batch {
+    Batch::normalize(
+        (0..m)
+            .map(|i| msg((i % 3) as u16, i / 3, 16 * 1024))
+            .collect(),
+    )
+}
+
+fn snapshot() -> Snapshot {
+    Snapshot {
+        last_included: 255,
+        delivered_count: 2_560,
+        digest: 0x0123_4567_89AB_CDEF,
+        delivered: vec![
+            SenderLog {
+                sender: ProcessId(0),
+                watermark: 900,
+                above: vec![902, 903, 950],
+            },
+            SenderLog {
+                sender: ProcessId(6),
+                watermark: 0,
+                above: Vec::new(),
+            },
+        ],
+        app_state: Bytes::from(vec![0xEE; 16 * 1024]),
+        reconfigs: vec![
+            (3, ConfigChange::Add(ProcessId(7))),
+            (90, ConfigChange::Remove(ProcessId(2))),
+        ],
+    }
+}
+
+/// Every `CatchUp` variant, empty and full.
+fn catch_ups() -> Vec<(&'static str, CatchUp)> {
+    vec![
+        ("DecisionRequest", CatchUp::DecisionRequest { instance: 17 }),
+        ("JoinRequest", CatchUp::JoinRequest { watermark: 0 }),
+        (
+            "StateTransfer/empty",
+            CatchUp::StateTransfer {
+                from: 40,
+                values: Vec::new(),
+                frontier: 40,
+            },
+        ),
+        (
+            "StateTransfer",
+            CatchUp::StateTransfer {
+                from: 40,
+                values: vec![batch(10), Batch::empty(), batch(1)],
+                frontier: 99,
+            },
+        ),
+        (
+            "SnapshotTransfer",
+            CatchUp::SnapshotTransfer {
+                last_included: 255,
+                digest: u64::MAX,
+                total: 70_000,
+                offset: 4096,
+                chunk: Bytes::from(vec![0xC4; 4096]),
+                frontier: 300,
+            },
+        ),
+        (
+            "SnapshotPull",
+            CatchUp::SnapshotPull {
+                last_included: 255,
+                offset: 8192,
+            },
+        ),
+    ]
+}
+
+/// A `CatchUp` message straight under a tag table, as the shared
+/// replica core writes it.
+fn tagged_row(label: &str, tags: &PerCatchUp<u8>, value: &CatchUp) {
+    let mut counted = WireWriter::counting();
+    value.encode_tagged(tags, &mut counted);
+    let mut written = WireWriter::new();
+    value.encode_tagged(tags, &mut written);
+    let bytes = written.finish();
+    assert_eq!(counted.len(), bytes.len(), "{label}: counted length");
+    let mut r = WireReader::new(bytes);
+    let tag = r.get_u8().unwrap();
+    assert_eq!(
+        CatchUp::decode_tagged(tag, tags, &mut r).as_ref(),
+        Ok(value),
+        "{label}: round trip"
+    );
+    assert_eq!(r.expect_end(), Ok(()), "{label}: trailing bytes");
+}
+
+#[test]
+fn every_wire_type_counts_what_it_writes_and_round_trips() {
+    // Primitives and containers.
+    row("unit", ());
+    row("u8", 0xA5u8);
+    row("u16", 0xBEEFu16);
+    row("u32", 0xDEAD_BEEFu32);
+    row("u64", u64::MAX);
+    row("bool", true);
+    row("Bytes/empty", Bytes::new());
+    row("Bytes/16k", Bytes::from(vec![1u8; 16 * 1024]));
+    row("Option/None", Option::<Batch>::None);
+    row("Option/Some", Some(batch(2)));
+    row("Vec/empty", Vec::<AppMsg>::new());
+    row("Vec/u64", vec![1u64, 2, 3]);
+
+    // fortika-net: ids, messages, membership, dissemination, snapshots,
+    // the stable vote record.
+    row("ProcessId", ProcessId(6));
+    row("MsgId", MsgId::new(ProcessId(6), 1 << 40));
+    row("AppMsg/empty", msg(0, 0, 0));
+    row("AppMsg/16k", msg(2, 77, 16 * 1024));
+    row("Batch/empty", Batch::empty());
+    row("Batch/10x16k", batch(10));
+    row("ConfigChange/Add", ConfigChange::Add(ProcessId(3)));
+    row("ConfigChange/Remove", ConfigChange::Remove(ProcessId(1)));
+    let vid = ValueId {
+        origin: ProcessId(4),
+        seq: 12,
+    };
+    row("ValueId", vid);
+    row(
+        "DissemMsg/Diffuse",
+        DissemMsg::Diffuse(msg(1, 5, 16 * 1024)),
+    );
+    row(
+        "DissemMsg/Payload",
+        DissemMsg::Payload {
+            vid,
+            holders: 0b101_0001,
+            batch: batch(10),
+        },
+    );
+    row(
+        "DissemMsg/Ack",
+        DissemMsg::Ack {
+            vid,
+            holders: u64::MAX,
+        },
+    );
+    row("DissemMsg/Pull", DissemMsg::Pull { vid });
+    row(
+        "DissemMsg/Push",
+        DissemMsg::Push {
+            vid,
+            holders: 1,
+            batch: batch(3),
+        },
+    );
+    row("SenderLog", snapshot().delivered[0].clone());
+    row("Snapshot", snapshot());
+    row(
+        "Snapshot/bare",
+        Snapshot {
+            delivered: Vec::new(),
+            app_state: Bytes::new(),
+            reconfigs: Vec::new(),
+            ..snapshot()
+        },
+    );
+    row(
+        "VoteRecord",
+        VoteRecord {
+            round: 3,
+            ts: 2,
+            value: batch(10),
+        },
+    );
+
+    // fortika-consensus.
+    row(
+        "ConsensusMsg/Propose",
+        ConsensusMsg::Propose {
+            instance: 9,
+            round: 0,
+            value: batch(10),
+        },
+    );
+    row(
+        "ConsensusMsg/Estimate",
+        ConsensusMsg::Estimate {
+            instance: 9,
+            round: 2,
+            value: batch(4),
+            ts: 1,
+        },
+    );
+    row(
+        "ConsensusMsg/Ack",
+        ConsensusMsg::Ack {
+            instance: 9,
+            round: 2,
+        },
+    );
+    row(
+        "ConsensusMsg/DecisionFull",
+        ConsensusMsg::DecisionFull {
+            instance: 9,
+            value: batch(10),
+        },
+    );
+    for full in [None, Some(batch(10))] {
+        row(
+            "DecisionNotice",
+            DecisionNotice {
+                instance: 9,
+                round: 1,
+                full,
+            },
+        );
+    }
+
+    // fortika-mono.
+    let decision = |full| Decision {
+        instance: 8,
+        round: 0,
+        full,
+    };
+    let proposal = Proposal {
+        instance: 9,
+        round: 0,
+        value: batch(10),
+    };
+    row("Decision/tag", decision(None));
+    row("Decision/full", decision(Some(batch(10))));
+    row("Proposal", proposal.clone());
+    for (d, p) in [
+        (None, None),
+        (Some(decision(None)), None),
+        (None, Some(proposal.clone())),
+        (Some(decision(Some(batch(2)))), Some(proposal)),
+    ] {
+        row(
+            "MonoMsg/Step",
+            MonoMsg::Step {
+                decision: d,
+                proposal: p,
+            },
+        );
+    }
+    row(
+        "MonoMsg/decision_full",
+        mono::decision_full(8, 1, batch(10)),
+    );
+    for msgs in [Vec::new(), vec![msg(1, 0, 16 * 1024), msg(1, 1, 3)]] {
+        row(
+            "MonoMsg/AckDiff",
+            MonoMsg::AckDiff {
+                instance: 9,
+                round: 0,
+                msgs: msgs.clone(),
+            },
+        );
+        row("MonoMsg/Forward", MonoMsg::Forward { msgs: msgs.clone() });
+        row(
+            "MonoMsg/Estimate",
+            MonoMsg::Estimate {
+                instance: 9,
+                round: 3,
+                ts: 2,
+                value: batch(5),
+                msgs,
+            },
+        );
+    }
+    row(
+        "MonoMsg/Diffuse",
+        MonoMsg::Diffuse {
+            msg: msg(0, 4, 16 * 1024),
+        },
+    );
+    row(
+        "MonoMsg/EstimateRequest",
+        MonoMsg::EstimateRequest {
+            instance: 9,
+            round: 3,
+        },
+    );
+    row("MonoMsg/Heartbeat", MonoMsg::Heartbeat);
+
+    // The shared catch-up vocabulary under both stacks' tag tables.
+    for (label, c) in catch_ups() {
+        tagged_row(
+            &format!("consensus tags/{label}"),
+            &consensus::REPLICA_NAMES.tags,
+            &c,
+        );
+        tagged_row(&format!("mono tags/{label}"), &mono::REPLICA_NAMES.tags, &c);
+        row(
+            &format!("ConsensusMsg/{label}"),
+            ConsensusMsg::CatchUp(c.clone()),
+        );
+        row(&format!("MonoMsg/{label}"), MonoMsg::CatchUp(c));
+    }
+}
