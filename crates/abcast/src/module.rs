@@ -63,11 +63,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::dissemination::{
-    descriptor_msg, majority_of, route, DissemMsg, Dissemination, PayloadStore, ValueId,
-    DESC_SENDER_BIT,
+    descriptor_msg, fold_key, majority_of, route, DissemMsg, Dissemination, PayloadStore, ValueId,
 };
 use fortika_net::wire::{decode, encode};
-use fortika_net::{AppMsg, Batch, MsgId, ProcessId, StableStore, TimerId};
+use fortika_net::{AppMsg, Batch, DeliveredSet, MsgId, ProcessId, StableStore, TimerId};
 use fortika_sim::{VDur, VTime};
 
 /// Wire demux id of the atomic broadcast module.
@@ -147,33 +146,12 @@ impl Default for AbcastConfig {
     }
 }
 
-/// Tracks delivered message ids per sender with watermark compaction
-/// (same structure as rbcast's duplicate suppression).
-#[derive(Debug, Default)]
-struct DeliveredLog {
-    per_sender: BTreeMap<ProcessId, fortika_rbcast::OriginLog>,
-}
-
-impl DeliveredLog {
-    fn is_new(&self, id: MsgId) -> bool {
-        self.per_sender
-            .get(&id.sender)
-            .is_none_or(|log| log.is_new(id.seq))
-    }
-
-    fn mark(&mut self, id: MsgId) {
-        self.per_sender
-            .entry(id.sender)
-            .or_default()
-            .complete(id.seq);
-    }
-}
-
-/// The key a descriptor's delivery is tracked under in the
-/// descriptor-specific [`DeliveredLog`] (base bit stripped so the
-/// per-origin watermark stays dense and compactable).
+/// The key a descriptor's delivery is tracked under in the delivered
+/// set: the synthetic per-origin stream it also folds under in snapshots
+/// (base bit stripped so the watermark stays dense and compactable),
+/// which no application message id can collide with.
 fn desc_key(vid: ValueId) -> MsgId {
-    MsgId::new(vid.origin, vid.seq)
+    fold_key(vid.descriptor_id())
 }
 
 /// Bookkeeping for one own disseminated-but-undelivered payload batch.
@@ -196,7 +174,7 @@ pub struct AbcastModule {
     cfg: AbcastConfig,
     /// Received but not yet delivered messages.
     pending: BTreeMap<MsgId, AppMsg>,
-    delivered: DeliveredLog,
+    delivered: DeliveredSet,
     /// Next instance whose decision we will apply (the decided cursor).
     next_decide: u64,
     /// Next instance we will propose (the proposing cursor). Runs at
@@ -218,8 +196,6 @@ pub struct AbcastModule {
     suspected: BTreeSet<ProcessId>,
     /// Payloads held between dissemination and id-ordered delivery.
     store: PayloadStore,
-    /// Delivered descriptors, per origin ([`desc_key`] space).
-    delivered_desc: DeliveredLog,
     /// Own messages staged until an outstanding-payload slot frees.
     staged: Vec<AppMsg>,
     /// Own disseminated-but-undelivered payload batches by sequence.
@@ -236,7 +212,7 @@ impl AbcastModule {
         AbcastModule {
             cfg,
             pending: BTreeMap::new(),
-            delivered: DeliveredLog::default(),
+            delivered: DeliveredSet::default(),
             next_decide: 0,
             next_propose: 0,
             proposed: BTreeMap::new(),
@@ -245,7 +221,6 @@ impl AbcastModule {
             members: Vec::new(),
             suspected: BTreeSet::new(),
             store: PayloadStore::new(),
-            delivered_desc: DeliveredLog::default(),
             staged: Vec::new(),
             own_payloads: BTreeMap::new(),
             next_payload_seq: 0,
@@ -408,7 +383,7 @@ impl AbcastModule {
     /// Marks a majority-held payload's descriptor proposable: it enters
     /// the pending set (and the proposal window) like any message.
     fn make_proposable(&mut self, ctx: &mut FrameworkCtx<'_, '_>, vid: ValueId) {
-        if !self.delivered_desc.is_new(desc_key(vid)) {
+        if !self.delivered.is_new(desc_key(vid)) {
             return;
         }
         let Some(entry) = self.store.get(vid) else {
@@ -452,7 +427,7 @@ impl AbcastModule {
         batch: Batch,
         forward: bool,
     ) {
-        if !self.delivered_desc.is_new(desc_key(vid)) {
+        if !self.delivered.is_new(desc_key(vid)) {
             return; // already delivered; the resolved cache serves pulls
         }
         let me_bit = 1u64 << ctx.pid().index();
@@ -550,9 +525,7 @@ impl AbcastModule {
                 let mut stalled = false;
                 for msg in batch.msgs() {
                     if let Some(vid) = ValueId::from_descriptor(msg.id) {
-                        if self.delivered_desc.is_new(desc_key(vid))
-                            && self.store.get(vid).is_none()
-                        {
+                        if self.delivered.is_new(desc_key(vid)) && self.store.get(vid).is_none() {
                             stalled = true;
                             if !self.missing.contains_key(&vid) {
                                 self.pull_one(ctx, vid);
@@ -569,10 +542,10 @@ impl AbcastModule {
             let mut freed_slot = false;
             for msg in batch.msgs() {
                 if let Some(vid) = ValueId::from_descriptor(msg.id) {
-                    if !self.delivered_desc.is_new(desc_key(vid)) {
+                    if !self.delivered.is_new(desc_key(vid)) {
                         continue; // already delivered in an earlier instance
                     }
-                    self.delivered_desc.mark(desc_key(vid));
+                    self.delivered.mark(desc_key(vid));
                     self.pending.remove(&msg.id);
                     self.own_diffused.remove(&msg.id);
                     let payload = self
@@ -702,33 +675,15 @@ impl Microprotocol for AbcastModule {
                     // the snapshot stay live.
                     self.proposed = self.proposed.split_off(&next);
                 }
-                for s in &snapshot.delivered {
-                    if s.sender.0 & DESC_SENDER_BIT != 0 {
-                        // Descriptor stream (offloaded dissemination):
-                        // compacted payloads are never replayed — only
-                        // their dedup watermarks survive the install.
-                        let origin = ProcessId(s.sender.0 & !DESC_SENDER_BIT);
-                        let log = self.delivered_desc.per_sender.entry(origin).or_default();
-                        log.advance_to(s.watermark);
-                        for &seq in &s.above {
-                            log.complete(seq);
-                        }
-                        continue;
-                    }
-                    let log = self.delivered.per_sender.entry(s.sender).or_default();
-                    log.advance_to(s.watermark);
-                    for &seq in &s.above {
-                        log.complete(seq);
-                    }
+                // Descriptor streams included (offloaded dissemination):
+                // compacted payloads are never replayed — only their
+                // dedup watermarks survive the install.
+                for log in &snapshot.delivered {
+                    self.delivered.seed(log);
                 }
                 self.decision_buffer = self.decision_buffer.split_off(&self.next_decide);
                 let delivered = &self.delivered;
-                let delivered_desc = &self.delivered_desc;
-                self.pending
-                    .retain(|id, _| match ValueId::from_descriptor(*id) {
-                        Some(vid) => delivered_desc.is_new(desc_key(vid)),
-                        None => delivered.is_new(*id),
-                    });
+                self.pending.retain(|id, _| delivered.is_new(fold_key(*id)));
                 // Own in-flight messages the snapshot covers were
                 // ordered cluster-wide: raise their Adelivered so the
                 // flow-control module above releases their window slots
@@ -747,9 +702,7 @@ impl Microprotocol for AbcastModule {
                     let covered_own: Vec<u64> = self
                         .own_payloads
                         .keys()
-                        .filter(|&&seq| {
-                            !delivered_desc.is_new(desc_key(ValueId { origin: me, seq }))
-                        })
+                        .filter(|&&seq| !delivered.is_new(desc_key(ValueId { origin: me, seq })))
                         .copied()
                         .collect();
                     for seq in covered_own {
@@ -758,9 +711,9 @@ impl Microprotocol for AbcastModule {
                             own_done.extend(e.batch.msgs().iter().map(|m| m.id));
                         }
                     }
-                    let dd = &self.delivered_desc;
-                    self.store.compact(|vid| !dd.is_new(desc_key(vid)));
-                    self.missing.retain(|vid, _| dd.is_new(desc_key(*vid)));
+                    self.store.compact(|vid| !delivered.is_new(desc_key(vid)));
+                    self.missing
+                        .retain(|vid, _| delivered.is_new(desc_key(*vid)));
                 }
                 if !own_done.is_empty() {
                     ctx.raise(Event::Adelivered(own_done));
@@ -814,11 +767,7 @@ impl Microprotocol for AbcastModule {
                 // Descriptors dedup against the descriptor stream (the
                 // payload may not be held here — the majority-holder
                 // invariant keeps a decided id resolvable via pulls).
-                let fresh = match ValueId::from_descriptor(msg.id) {
-                    Some(vid) => self.delivered_desc.is_new(desc_key(vid)),
-                    None => self.delivered.is_new(msg.id),
-                };
-                if fresh && !self.pending.contains_key(&msg.id) {
+                if self.delivered.is_new(fold_key(msg.id)) && !self.pending.contains_key(&msg.id) {
                     self.pending.insert(msg.id, msg);
                     self.maybe_propose(ctx);
                 }
@@ -972,19 +921,6 @@ impl Microprotocol for AbcastModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delivered_log_tracks_per_sender() {
-        let mut log = DeliveredLog::default();
-        let a0 = MsgId::new(ProcessId(0), 0);
-        let b0 = MsgId::new(ProcessId(1), 0);
-        assert!(log.is_new(a0));
-        log.mark(a0);
-        assert!(!log.is_new(a0));
-        assert!(log.is_new(b0), "senders are independent");
-        log.mark(b0);
-        assert!(!log.is_new(b0));
-    }
 
     #[test]
     fn config_defaults() {

@@ -9,10 +9,11 @@
 //! suspicion-driven rounds, `DECISION` tag dissemination).
 //!
 //! See [`ConsensusModule`] for the algorithm description and
-//! [`msg::ConsensusMsg`] for the wire vocabulary. Crash-recovery (durable
-//! votes, rejoin), log compaction and snapshot state transfer are not
-//! this crate's: the module hosts the [`fortika_net::replica`] core both
-//! stacks share — its module docs describe that protocol.
+//! [`msg::ConsensusMsg`] for the wire vocabulary. The round machine
+//! itself, crash-recovery (durable votes, rejoin), log compaction and
+//! snapshot state transfer are not this crate's: the module hosts the
+//! [`fortika_net::replica`] core both stacks share — its module docs and
+//! those of [`fortika_net::rounds`] describe that protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,30 +36,35 @@
 //! missed decisions). Decisions are raised as they land; the layer
 //! above buffers and applies them strictly in instance order.
 //!
-//! # Crash-recovery, compaction, membership
+//! # What is shared with the monolithic stack
 //!
-//! What a replica must remember across a crash (durable votes, the
-//! decided fence), how it catches up afterwards (join / gap / snapshot
-//! transfer), how it bounds its history (log compaction) and which
-//! configuration governs an instance are the same protocol on both
-//! stacks and live in [`fortika_net::replica`]. This module hosts a
-//! [`ReplicaCore`] and hands its outcomes to the stack as events: every
-//! recorded decision raises [`Event::Decide`] (so a revived process
-//! re-delivers the replayed prefix through the layer above), a
+//! Everything above except *which message carries what*. The round
+//! machine — when a process may lock, vote, propose or change round, and
+//! what a coordinator of a later round must propose — together with what
+//! a replica must remember across a crash (durable votes, the decided
+//! fence), how it catches up afterwards (join / gap / snapshot transfer),
+//! how it bounds its history (log compaction) and which configuration
+//! governs an instance are the same protocol on both stacks and live in
+//! [`fortika_net::replica`] and [`fortika_net::rounds`]. This module hosts
+//! a [`ReplicaCore`] and owns what is the modular stack's thesis: the
+//! initial value arrives as [`Event::Propose`] from a neighbour it knows
+//! nothing about, proposals, acks and estimates travel as bare
+//! [`ConsensusMsg`]s with nothing riding along, decisions go out through
+//! the reliable broadcast module, an unlocked coordinator proposes one
+//! estimate as it is, and every outcome is handed to the stack as an
+//! event: a recorded decision raises [`Event::Decide`] (so a revived
+//! process re-delivers the replayed prefix through the layer above), a
 //! registered reconfiguration raises [`Event::ConfigActive`], an
 //! installed snapshot raises [`Event::InstallSnapshot`].
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
-use fortika_net::replica::{PROGRESS_TIMEOUT, SWEEP_INTERVAL};
+use fortika_net::replica::SWEEP_INTERVAL;
 use fortika_net::wire::{decode, encode};
 use fortika_net::{
-    AppState, Batch, CatchUp, ConfigStamp, ProcessId, ReplicaConfig, ReplicaCore, ReplicaHost,
-    Snapshot, StableStore, TimerId,
+    AppState, Batch, CatchUp, ConfigStamp, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore,
+    ReplicaHost, StableStore, TimerId,
 };
-use fortika_sim::VTime;
 
 use crate::msg::{ConsensusMsg, DecisionNotice, REPLICA_NAMES};
 
@@ -71,57 +76,15 @@ pub const DECISION_STREAM: u8 = 0;
 
 const TAG_SWEEP: u64 = 0;
 
-/// Per-instance protocol state.
-struct Instance {
-    round: u32,
-    round_entered: VTime,
-    /// Current estimate and its adoption timestamp.
-    estimate: Option<Batch>,
-    ts: u32,
-    /// Latest proposal received (round, value) — needed to decide on a
-    /// round-tagged `DECISION` notice.
-    last_proposal: Option<(u32, Batch)>,
-    /// Acks gathered while coordinating the current round.
-    acks: BTreeSet<ProcessId>,
-    /// Highest-round estimate received from each peer (round, value, ts).
-    estimates: BTreeMap<ProcessId, (u32, Batch, u32)>,
-    /// Last round for which we (as coordinator) already proposed.
-    proposal_sent_round: Option<u32>,
-    /// A `DECISION` tag arrived for this round but the matching proposal
-    /// is missing; awaiting recovery.
-    pending_tag: Option<u32>,
-    /// When the last recovery request went out.
-    last_request: Option<VTime>,
-}
-
-impl Instance {
-    fn new(now: VTime) -> Self {
-        Instance {
-            round: 0,
-            round_entered: now,
-            estimate: None,
-            ts: 0,
-            last_proposal: None,
-            acks: BTreeSet::new(),
-            estimates: BTreeMap::new(),
-            proposal_sent_round: None,
-            pending_tag: None,
-            last_request: None,
-        }
-    }
-}
-
 /// The consensus microprotocol.
 ///
 /// Consumes [`Event::Propose`], raises [`Event::Decide`]; uses the
 /// reliable broadcast service (stream [`DECISION_STREAM`]) for decision
 /// dissemination and reacts to [`Event::Suspect`]/[`Event::Restore`].
 pub struct ConsensusModule {
-    /// Durable votes, decided log, configuration timeline, compaction
-    /// and catch-up (shared with the monolithic stack).
+    /// Durable votes, decided log, configuration timeline, round state,
+    /// compaction and catch-up (shared with the monolithic stack).
     core: ReplicaCore,
-    instances: BTreeMap<u64, Instance>,
-    suspected: BTreeSet<ProcessId>,
 }
 
 impl Default for ConsensusModule {
@@ -147,11 +110,7 @@ impl ConsensusModule {
             Some(stable) => ReplicaCore::resume(replica, &REPLICA_NAMES, stable),
             None => ReplicaCore::new(replica, &REPLICA_NAMES),
         };
-        ConsensusModule {
-            core,
-            instances: BTreeMap::new(),
-            suspected: BTreeSet::new(),
-        }
+        ConsensusModule { core }
     }
 
     /// Attaches an application-state hook to the snapshot fold (call
@@ -159,22 +118,6 @@ impl ConsensusModule {
     pub fn with_app(mut self, app: Option<Box<dyn AppState>>) -> Self {
         self.core.set_app(app);
         self
-    }
-
-    /// Per-instance state, created on first touch; a revived process
-    /// seeds fresh instances from its recovered vote records so its
-    /// locked `(round, estimate, ts)` is honoured.
-    fn instance_entry(&mut self, instance: u64, now: VTime) -> &mut Instance {
-        if !self.instances.contains_key(&instance) {
-            let mut inst = Instance::new(now);
-            if let Some(rec) = self.core.recovered_vote(instance) {
-                inst.round = rec.round;
-                inst.estimate = Some(rec.value.clone());
-                inst.ts = rec.ts;
-            }
-            self.instances.insert(instance, inst);
-        }
-        self.instances.get_mut(&instance).expect("just inserted")
     }
 
     /// Registers a decision locally: records it in the replica core,
@@ -185,7 +128,7 @@ impl ConsensusModule {
         if !self.record_decision(ctx, instance, &value) {
             return;
         }
-        self.instances.remove(&instance);
+        self.core.close(instance);
         ctx.bump("consensus.decided", 1);
         ctx.trace_span("consensus", instance, "decided", 0);
         ctx.raise(Event::Decide { instance, value });
@@ -194,16 +137,9 @@ impl ConsensusModule {
     /// Coordinator-side: a majority acked our proposal — decide and
     /// disseminate.
     fn try_conclude(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
-        let n = ctx.n();
-        let majority = self.core.majority_of(instance, n);
-        let Some(inst) = self.instances.get(&instance) else {
+        let Some((round, value)) = self.core.quorum_acked(instance, ctx.n()) else {
             return;
         };
-        if inst.proposal_sent_round != Some(inst.round) || inst.acks.len() < majority {
-            return;
-        }
-        let round = inst.round;
-        let value = inst.estimate.clone().unwrap_or_default();
         // Round-0 decisions ride as a tiny DECISION tag; later rounds
         // ship the full value (receivers may lack the proposal).
         let full = if round == 0 {
@@ -223,65 +159,10 @@ impl ConsensusModule {
         self.decide_local(ctx, instance, value);
     }
 
-    /// Coordinator-side: propose once a majority of estimates for the
-    /// current round has been gathered (rounds ≥ 1 only).
-    fn try_propose_from_estimates(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
-        let n = ctx.n();
-        let me = ctx.pid();
-        let members = self.core.members_of(instance, n);
-        let majority = members.len() / 2 + 1;
-        if !self.core.can_vote(instance, me) {
-            return; // learner, or membership at `instance` still uncertain
-        }
-        let Some(inst) = self.instances.get_mut(&instance) else {
-            return;
-        };
-        let round = inst.round;
-        if members[round as usize % members.len()] != me
-            || round == 0
-            || inst.proposal_sent_round == Some(round)
-        {
-            return;
-        }
-        let count = inst
-            .estimates
-            .values()
-            .filter(|(r, _, _)| *r == round)
-            .count();
-        if count < majority {
-            return;
-        }
-        // Adopt the estimate with the highest adoption timestamp; ties
-        // broken by lowest process id via iteration order independence:
-        // collect and sort for determinism.
-        let mut candidates: Vec<(&ProcessId, &(u32, Batch, u32))> = inst
-            .estimates
-            .iter()
-            .filter(|(_, (r, _, _))| *r == round)
-            .collect();
-        candidates.sort_by_key(|(pid, (_, _, ts))| (std::cmp::Reverse(*ts), **pid));
-        // Unlike the monolithic stack, a tie among ts-0 estimates needs
-        // no batch union here: consensus promises strict validity (the
-        // decision is *a* proposed value), and messages missing from
-        // the winning estimate stay pending in the abcast module, which
-        // re-proposes them next instance and re-diffuses them to every
-        // process (including future coordinators) on its retransmission
-        // timer.
-        let value = candidates[0].1 .1.clone();
-        inst.estimate = Some(value.clone());
-        // Adoption timestamps are round+1 so that a value locked by an
-        // ack quorum always outranks never-adopted initial values (ts 0).
-        inst.ts = round + 1;
-        inst.last_proposal = Some((round, value.clone()));
-        inst.proposal_sent_round = Some(round);
-        inst.acks.clear();
-        inst.acks.insert(me);
-        ctx.bump("consensus.proposals", 1);
-        ctx.trace_span("consensus", instance, "proposed", u64::from(round));
-        // Coordinator self-ack: durable before (atomically with) the
-        // proposal leaves this process.
-        self.core
-            .persist_vote(ctx, instance, round, round + 1, &value);
+    /// Coordinator-side: locks `value` in `instance`'s current round and
+    /// proposes it (the self-ack may already be the majority).
+    fn propose(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64, value: Batch) {
+        let round = self.core.lock(ctx, instance, &value);
         let msg = ConsensusMsg::Propose {
             instance,
             round,
@@ -291,57 +172,53 @@ impl ConsensusModule {
         self.try_conclude(ctx, instance);
     }
 
+    /// Coordinator-side: propose once a majority of estimates for the
+    /// current round has been gathered (rounds ≥ 1 only).
+    fn try_propose_from_estimates(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
+        let value = match self.core.quorum_choice(instance, ctx.pid(), ctx.n()) {
+            None => return,
+            Some(QuorumChoice::Locked(value)) => value,
+            // Unlike the monolithic stack, a tie among ts-0 estimates
+            // needs no batch union here: consensus promises strict
+            // validity (the decision is *a* proposed value), and
+            // messages missing from the winning estimate stay pending in
+            // the abcast module, which re-proposes them next instance
+            // and re-diffuses them to every process (including future
+            // coordinators) on its retransmission timer.
+            Some(QuorumChoice::Unlocked(mut values)) => values.swap_remove(0),
+        };
+        self.propose(ctx, instance, value);
+    }
+
     /// Moves `instance` to the next round whose coordinator is not
     /// currently suspected, then plays this process's role in it.
     fn advance_round(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
-        let n = ctx.n();
         let me = ctx.pid();
-        let now = ctx.now();
-        let members = self.core.members_of(instance, n);
-        let coord_of = |round: u32| members[round as usize % members.len()];
-        let votable = self.core.can_vote(instance, me);
-        let Some(inst) = self.instances.get_mut(&instance) else {
+        let Some(to) = self.core.rotate(ctx, instance) else {
             return;
         };
-        let mut round = inst.round + 1;
-        // The skip is bounded by one full rotation: past it the same
-        // coordinators repeat, and a learner (never its own coordinator)
-        // must not spin when every member is transiently suspected.
-        let mut skips = 0;
-        while coord_of(round) != me
-            && self.suspected.contains(&coord_of(round))
-            && skips < members.len()
-        {
-            round += 1;
-            skips += 1;
-        }
-        inst.round = round;
-        inst.round_entered = now;
-        inst.acks.clear();
-        ctx.bump("consensus.round_changes", 1);
-        ctx.trace_span("consensus", instance, "round_change", u64::from(round));
-        if !votable {
-            // Learners (and processes whose membership at `instance` is
-            // still uncertain) track rounds but never vote: no estimate
-            // goes out, no proposal is made.
-            ctx.bump("consensus.config_fence_drops", 1);
+        if !to.votable {
             return;
         }
-        let estimate = inst.estimate.clone().unwrap_or_default();
-        let ts = inst.ts;
-        let coord = coord_of(round);
-        if coord == me {
+        if to.coordinator == me {
             // We coordinate: our own estimate joins the collection.
-            inst.estimates.insert(me, (round, estimate, ts));
+            self.core
+                .join_own_estimate(me, instance, || Some(Batch::default()));
             self.try_propose_from_estimates(ctx, instance);
         } else {
+            let (value, ts) = self
+                .core
+                .rounds()
+                .estimate(instance)
+                .map(|(value, ts)| (value.clone(), ts))
+                .unwrap_or_default();
             let msg = ConsensusMsg::Estimate {
                 instance,
-                round,
-                value: estimate,
+                round: to.round,
+                value,
                 ts,
             };
-            ctx.send_net(coord, "consensus.estimate", &msg);
+            ctx.send_net(to.coordinator, "consensus.estimate", &msg);
         }
     }
 
@@ -349,52 +226,33 @@ impl ConsensusModule {
         if self.core.is_decided(instance) {
             return;
         }
-        let n = ctx.n();
-        let me = ctx.pid();
-        let now = ctx.now();
-        let members = self.core.members_of(instance, n);
-        let votable = self.core.can_vote(instance, me);
-        let inst = self.instance_entry(instance, now);
-        if inst.estimate.is_none() {
-            inst.estimate = Some(value);
-            inst.ts = 0;
-        }
+        let (me, n) = (ctx.pid(), ctx.n());
+        self.core.offer(instance, ctx.now(), value);
         ctx.bump("consensus.instances", 1);
         ctx.trace_span("consensus", instance, "open", 0);
-        if !votable {
+        if !self.core.can_vote(instance, me) {
             // A learner (or a process still uncertain of the membership
             // at `instance`) records its initial value but never
             // proposes; it learns the decision through dissemination.
             ctx.bump("consensus.config_fence_drops", 1);
             return;
         }
-        if inst.round == 0 && members[0] == me && inst.proposal_sent_round.is_none() {
+        let round = self.core.rounds().unproposed_round(instance);
+        match round.filter(|r| self.core.coordinator_of(instance, *r, n) == me) {
             // Round 0, we coordinate: propose our own initial value
-            // immediately (no estimate phase — first optimization) and
-            // adopt it (ts 1: round 0 + 1).
-            let v = inst.estimate.clone().unwrap_or_default();
-            inst.ts = 1;
-            inst.last_proposal = Some((0, v.clone()));
-            inst.proposal_sent_round = Some(0);
-            inst.acks.insert(me);
-            ctx.bump("consensus.proposals", 1);
-            ctx.trace_span("consensus", instance, "proposed", 0);
-            self.core.persist_vote(ctx, instance, 0, 1, &v);
-            let msg = ConsensusMsg::Propose {
-                instance,
-                round: 0,
-                value: v,
-            };
-            ctx.broadcast_net("consensus.proposal", &msg);
-            self.try_conclude(ctx, instance);
-        } else if members[inst.round as usize % members.len()] == me {
-            // We are (now) the coordinator of a later round and were only
-            // waiting for our own initial value.
-            let est = inst.estimate.clone().unwrap_or_default();
-            let ts = inst.ts;
-            let round = inst.round;
-            inst.estimates.insert(me, (round, est, ts));
-            self.try_propose_from_estimates(ctx, instance);
+            // immediately (no estimate phase — first optimization).
+            Some(0) => {
+                let held = self.core.rounds().estimate(instance);
+                let value = held.map(|(v, _)| v.clone()).unwrap_or_default();
+                self.propose(ctx, instance, value);
+            }
+            // We are (now) the coordinator of a later round and were
+            // only waiting for our own initial value.
+            Some(_) => {
+                self.core.join_own_estimate(me, instance, || None);
+                self.try_propose_from_estimates(ctx, instance);
+            }
+            None => {}
         }
     }
 
@@ -406,11 +264,9 @@ impl ConsensusModule {
         round: u32,
         value: Batch,
     ) {
-        let certain = self.core.config_certain(instance);
-        if certain && self.core.coordinator_of(instance, round, ctx.n()) != from {
-            ctx.bump("consensus.bogus_proposals", 1);
+        let Some(votable) = self.core.admit_proposal(ctx, from, instance, round) else {
             return; // only the round's coordinator may propose
-        }
+        };
         self.core
             .maybe_request_gap(ctx, from, instance, self.core.decided_watermark());
         if self.core.is_decided(instance) {
@@ -420,39 +276,12 @@ impl ConsensusModule {
             }
             return;
         }
-        let votable = certain && self.core.can_vote(instance, ctx.pid());
-        let now = ctx.now();
-        let inst = self.instance_entry(instance, now);
-        if round < inst.round {
-            return; // stale proposal from an abandoned round
-        }
-        if round > inst.round {
-            inst.round = round;
-            inst.round_entered = now;
-            inst.acks.clear();
-        }
-        inst.last_proposal = Some((round, value.clone()));
-        let pending_hit = inst.pending_tag == Some(round);
-        if votable {
-            // Adopt and acknowledge (CT locking step). The adoption
-            // timestamp round+1 ranks locked values above initial ones;
-            // the vote is made durable atomically with the ack so a
-            // future incarnation of this process honours the lock.
-            inst.estimate = Some(value.clone());
-            inst.ts = round + 1;
-            self.core
-                .persist_vote(ctx, instance, round, round + 1, &value);
-            ctx.trace_span("consensus", instance, "voted", u64::from(round));
+        let vote = self.core.vote(ctx, instance, round, &value, votable);
+        if vote.voted {
             let ack = ConsensusMsg::Ack { instance, round };
             ctx.send_net(from, "consensus.ack", &ack);
-        } else {
-            // The config fence: a learner — or a process whose replay
-            // has not yet determined the membership at `instance` —
-            // records the proposal (a later DECISION tag can still
-            // conclude it) but must not lock or ack it.
-            ctx.bump("consensus.config_fence_drops", 1);
         }
-        if pending_hit {
+        if vote.tag_hit {
             self.decide_local(ctx, instance, value);
         }
     }
@@ -472,32 +301,21 @@ impl ConsensusModule {
             }
             return;
         }
-        if self.core.coordinator_of(instance, round, ctx.n()) != ctx.pid() {
+        let me = ctx.pid();
+        if self.core.coordinator_of(instance, round, ctx.n()) != me {
             return; // misdirected
         }
         let now = ctx.now();
-        let inst = self.instance_entry(instance, now);
-        if round < inst.round {
+        let Some(joined) = self
+            .core
+            .record_estimate(from, instance, round, value, ts, now)
+        else {
             return;
-        }
-        // Keep only each peer's highest-round estimate.
-        let keep = match inst.estimates.get(&from) {
-            Some((r, _, _)) => *r < round,
-            None => true,
         };
-        if keep {
-            inst.estimates.insert(from, (round, value, ts));
-        }
-        if round > inst.round {
-            // Peers moved past us: join the round we are to coordinate.
-            inst.round = round;
-            inst.round_entered = now;
-            inst.acks.clear();
-            let me = ctx.pid();
-            if let Some(est) = inst.estimate.clone() {
-                let ts0 = inst.ts;
-                inst.estimates.insert(me, (round, est, ts0));
-            }
+        if joined {
+            // Peers moved past us into the round we are to coordinate;
+            // our estimate joins once we hold one (`Event::Propose`).
+            self.core.join_own_estimate(me, instance, || None);
         }
         self.try_propose_from_estimates(ctx, instance);
     }
@@ -509,17 +327,9 @@ impl ConsensusModule {
         instance: u64,
         round: u32,
     ) {
-        if self.core.is_decided(instance) {
-            return;
+        if !self.core.is_decided(instance) && self.core.record_ack(from, instance, round) {
+            self.try_conclude(ctx, instance);
         }
-        let Some(inst) = self.instances.get_mut(&instance) else {
-            return;
-        };
-        if inst.round != round || inst.proposal_sent_round != Some(round) {
-            return;
-        }
-        inst.acks.insert(from);
-        self.try_conclude(ctx, instance);
     }
 
     fn on_notice(
@@ -528,63 +338,35 @@ impl ConsensusModule {
         origin: ProcessId,
         notice: DecisionNotice,
     ) {
+        let instance = notice.instance;
         if origin != ctx.pid() {
-            self.core.maybe_request_gap(
-                ctx,
-                origin,
-                notice.instance,
-                self.core.decided_watermark(),
-            );
+            self.core
+                .maybe_request_gap(ctx, origin, instance, self.core.decided_watermark());
         }
-        if self.core.is_decided(notice.instance) {
+        if self.core.is_decided(instance) {
             return;
         }
-        if let Some(value) = notice.full {
-            self.decide_local(ctx, notice.instance, value);
-            return;
-        }
-        // Tag-only notice: we must hold the matching proposal.
-        let now = ctx.now();
-        let inst = self.instance_entry(notice.instance, now);
-        match &inst.last_proposal {
-            Some((r, v)) if *r == notice.round => {
-                let value = v.clone();
-                self.decide_local(ctx, notice.instance, value);
+        // A tag-only notice decides the matching proposal, which we must
+        // hold; if not, ask the decider (the sweep retries).
+        let value = match notice.full {
+            Some(value) => Some(value),
+            None => self.core.resolve_tag(ctx, instance, notice.round),
+        };
+        match value {
+            Some(value) => self.decide_local(ctx, instance, value),
+            None if origin != ctx.pid() => {
+                self.core
+                    .send(ctx, origin, &CatchUp::DecisionRequest { instance });
             }
-            _ => {
-                // Recovery: ask the decider (and retry via sweep).
-                inst.pending_tag = Some(notice.round);
-                inst.last_request = Some(now);
-                ctx.bump("consensus.tag_misses", 1);
-                if origin != ctx.pid() {
-                    let instance = notice.instance;
-                    self.core
-                        .send(ctx, origin, &CatchUp::DecisionRequest { instance });
-                }
-            }
+            None => {}
         }
     }
 
     fn sweep(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         let now = ctx.now();
         self.core.sweep_rejoin(ctx);
-        let stuck: Vec<u64> = self
-            .instances
-            .iter()
-            .filter(|(_, inst)| now.since(inst.round_entered) > PROGRESS_TIMEOUT)
-            .map(|(k, _)| *k)
-            .collect();
-        for instance in stuck {
-            // Retry pending decision requests first; otherwise rotate the
-            // coordinator as if suspected (liveness backstop).
-            let inst = self.instances.get_mut(&instance).expect("instance exists");
-            if inst.pending_tag.is_some() {
-                inst.round_entered = now;
-                ctx.bump("consensus.request_retries", 1);
-                self.core
-                    .broadcast(ctx, &CatchUp::DecisionRequest { instance });
-            } else {
-                ctx.bump("consensus.progress_rotations", 1);
+        for instance in self.core.rounds().stuck(now) {
+            if self.core.sweep_stuck(ctx, instance, now) {
                 self.advance_round(ctx, instance);
             }
         }
@@ -601,10 +383,6 @@ impl ReplicaHost<FrameworkCtx<'_, '_>> for ConsensusModule {
     fn config_active(&mut self, ctx: &mut FrameworkCtx<'_, '_>, stamp: ConfigStamp) {
         // The failure detector re-points its monitor set.
         ctx.raise(Event::ConfigActive { stamp });
-    }
-
-    fn snapshot_covers(&mut self, snap: &Snapshot) {
-        self.instances = self.instances.split_off(&(snap.last_included + 1));
     }
 
     fn snapshot_installed(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
@@ -669,21 +447,11 @@ impl Microprotocol for ConsensusModule {
                 Err(_) => ctx.bump("consensus.garbage", 1),
             },
             Event::Suspect(p) => {
-                self.suspected.insert(*p);
-                let n = ctx.n();
-                let affected: Vec<u64> = self
-                    .instances
-                    .iter()
-                    .filter(|(k, inst)| self.core.coordinator_of(**k, inst.round, n) == *p)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for instance in affected {
+                for instance in self.core.suspect(*p, ctx.n()) {
                     self.advance_round(ctx, instance);
                 }
             }
-            Event::Restore(p) => {
-                self.suspected.remove(p);
-            }
+            Event::Restore(p) => self.core.restore(*p),
             _ => {}
         }
     }

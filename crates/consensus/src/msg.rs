@@ -83,6 +83,13 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
     join_unservable: "consensus.join_unservable",
     rejoins_completed: "consensus.rejoins_completed",
     reconfigs: "consensus.reconfigs",
+    proposals: "consensus.proposals",
+    round_changes: "consensus.round_changes",
+    config_fence_drops: "consensus.config_fence_drops",
+    progress_rotations: "consensus.progress_rotations",
+    request_retries: "consensus.request_retries",
+    tag_misses: "consensus.tag_misses",
+    bogus_proposals: "consensus.bogus_proposals",
 };
 
 impl Wire for ConsensusMsg {

@@ -36,7 +36,8 @@ fn workspace_is_lint_clean() {
     );
 }
 
-/// The replica core bumps its counters through per-stack name tables,
+/// The replica core (its round machine included) bumps its counters
+/// through per-stack name tables,
 /// not literals at the call site: the counter registry must still see
 /// every one of them as produced, on both stacks, or the coverage
 /// branches and probe audits that read them would go unchecked.
@@ -60,6 +61,13 @@ fn replica_core_counters_are_still_produced() {
             "join_unservable",
             "rejoins_completed",
             "reconfigs",
+            "proposals",
+            "round_changes",
+            "config_fence_drops",
+            "progress_rotations",
+            "request_retries",
+            "tag_misses",
+            "bogus_proposals",
         ] {
             let name = format!("{stack}.{counter}");
             assert!(produced.contains(&name), "{name} is no longer produced");
@@ -149,4 +157,58 @@ fn encoded_len_never_buffers() {
     }
     // At least the trait's own default was looked at.
     assert!(sizers >= 1, "no `fn encoded_len` found: did `Wire` move?");
+}
+
+/// The Chandra–Toueg round state has one home, `crates/net/src/rounds.rs`,
+/// whose transitions both stacks call: neither may grow a copy of the
+/// state (and with it of the locking rule) back.
+#[test]
+fn round_state_lives_in_rounds_only() {
+    use fortika_lint::source::SourceFile;
+
+    /// What only the round machine reads or writes.
+    const ROUND_STATE: [&str; 5] = [
+        ".ts =",
+        ".acks",
+        ".estimates",
+        ".proposal_sent_round",
+        "round_entered:",
+    ];
+    let offences = |src: &SourceFile| -> Vec<(usize, &'static str)> {
+        let code = src.scan.iter().zip(&src.in_test).enumerate();
+        code.filter(|(_, (_, in_test))| !**in_test)
+            .flat_map(|(i, (line, _))| {
+                ROUND_STATE
+                    .into_iter()
+                    .filter(move |needle| line.contains(needle))
+                    .map(move |needle| (i + 1, needle))
+            })
+            .collect()
+    };
+
+    // The rule bites: the parent commit's stacks each kept such a copy.
+    let old = SourceFile::from_text(
+        Path::new("old_node.rs"),
+        "struct Inst {\n    round_entered: VTime,\n    ts: u32,\n}\nfn lock(inst: &mut Inst) {\n    \
+         inst.ts = 1;\n    inst.acks.insert(me);\n    // inst.estimates in a comment\n}\n",
+    );
+    assert_eq!(
+        offences(&old),
+        [(2, "round_entered:"), (6, ".ts ="), (7, ".acks")]
+    );
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates/consensus/src", "crates/mono/src"] {
+        fortika_lint::walk_rs(&root.join(dir), &mut files).expect("walkable");
+    }
+    assert!(files.len() >= 6, "only {} stack sources found", files.len());
+    for path in files {
+        let found = offences(&SourceFile::load(&path).expect("readable"));
+        assert!(
+            found.is_empty(),
+            "{}: round state outside `fortika_net::rounds` ({found:?})",
+            fortika_lint::rel_label(&root, &path)
+        );
+    }
 }

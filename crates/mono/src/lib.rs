@@ -18,9 +18,10 @@
 //! toggled individually through [`MonoOptimizations`] for the ablation
 //! benchmarks.
 //!
-//! Crash-recovery (durable votes, rejoin), log compaction and snapshot
-//! state transfer are the one thing *not* merged in here: the node hosts
-//! the [`fortika_net::replica`] core both stacks share — its module docs
+//! The Chandra–Toueg round machine, crash-recovery (durable votes,
+//! rejoin), log compaction and snapshot state transfer are what is *not*
+//! merged in here: the node hosts the [`fortika_net::replica`] core both
+//! stacks share — its module docs and those of [`fortika_net::rounds`]
 //! describe that protocol.
 
 #![forbid(unsafe_code)]

@@ -135,6 +135,13 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
     join_unservable: "mono.join_unservable",
     rejoins_completed: "mono.rejoins_completed",
     reconfigs: "mono.reconfigs",
+    proposals: "mono.proposals",
+    round_changes: "mono.round_changes",
+    config_fence_drops: "mono.config_fence_drops",
+    progress_rotations: "mono.progress_rotations",
+    request_retries: "mono.request_retries",
+    tag_misses: "mono.tag_misses",
+    bogus_proposals: "mono.bogus_proposals",
 };
 
 impl Wire for Decision {

@@ -30,30 +30,35 @@
 //! instance order, and the pool is deduplicated against batches already
 //! proposed in live slots).
 //!
-//! Safety is the same Chandra–Toueg argument as in `fortika-consensus`:
-//! deciding requires a majority of acks for an exact `(instance, round)`;
-//! acks lock the proposal with adoption timestamp `round+1`; coordinators
-//! of later rounds adopt the max-timestamp estimate from a majority.
-//!
-//! Durable votes, the decided fence, the configuration timeline, log
-//! compaction and join / gap / snapshot catch-up are the same protocol
-//! on both stacks and live in [`fortika_net::replica`]; this node hosts
-//! a [`ReplicaCore`] and takes its outcomes straight into the merged
-//! state (decisions are buffered and applied in order, a registered
-//! reconfiguration re-points the failure detector, an installed
-//! snapshot seeds the delivery dedup and prunes the pool).
+//! Safety is the same Chandra–Toueg argument as in `fortika-consensus`
+//! because it is the same code: the round machine (deciding requires a
+//! majority of acks for an exact `(instance, round)`; acks lock the
+//! proposal with adoption timestamp `round+1`; coordinators of later
+//! rounds adopt the max-timestamp estimate from a majority), durable
+//! votes, the decided fence, the configuration timeline, log compaction
+//! and join / gap / snapshot catch-up are one protocol under both stacks
+//! and live in [`fortika_net::replica`] and [`fortika_net::rounds`]. This
+//! node hosts a [`ReplicaCore`] and owns what is the monolith's thesis:
+//! initial values come straight out of the message pool, proposal and
+//! decision share a `Step`, pending messages ride acks and estimates
+//! (O1–O3), a coordinator short of estimates solicits them, an unlocked
+//! coordinator proposes the union of the estimates it gathered, and the
+//! core's outcomes land in the merged state directly (decisions are
+//! buffered and applied in order, a registered reconfiguration re-points
+//! the failure detector, an installed snapshot seeds the delivery dedup
+//! and prunes the pool).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use fortika_fd::{FailureDetector, FdEvent};
 use fortika_net::flow::FlowWindow;
-use fortika_net::replica::{PROGRESS_TIMEOUT, SWEEP_INTERVAL};
+use fortika_net::replica::SWEEP_INTERVAL;
 use fortika_net::wire::{decode, encode};
 use fortika_net::{
-    Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, MsgId, Node, NodeCtx,
-    ProcessId, ReplicaConfig, ReplicaCore, ReplicaHost, Snapshot, StableStore, TimerId,
-    WatermarkSet,
+    Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, DeliveredSet, MsgId,
+    Node, NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaHost, Snapshot,
+    StableStore, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -123,55 +128,30 @@ impl Default for MonoConfig {
     }
 }
 
-struct Inst {
-    round: u32,
-    round_entered: VTime,
-    estimate: Option<Batch>,
-    ts: u32,
-    acks: BTreeSet<ProcessId>,
-    estimates: BTreeMap<ProcessId, (u32, Batch, u32)>,
-    last_proposal: Option<(u32, Batch)>,
-    proposal_sent_round: Option<u32>,
-    pending_tag: Option<u32>,
-}
-
-impl Inst {
-    fn new(now: VTime) -> Self {
-        Inst {
-            round: 0,
-            round_entered: now,
-            estimate: None,
-            ts: 0,
-            acks: BTreeSet::new(),
-            estimates: BTreeMap::new(),
-            last_proposal: None,
-            proposal_sent_round: None,
-            pending_tag: None,
-        }
-    }
+/// The pool as one batch.
+fn batch_of(pool: &BTreeMap<MsgId, AppMsg>) -> Batch {
+    Batch::normalize(pool.values().cloned().collect())
 }
 
 /// The monolithic atomic broadcast stack (implements [`Node`]).
 pub struct MonoNode {
     cfg: MonoConfig,
-    /// Durable votes, decided log, configuration timeline, compaction
-    /// and catch-up (shared with the modular stack).
+    /// Durable votes, decided log, configuration timeline, round state,
+    /// compaction and catch-up (shared with the modular stack).
     core: ReplicaCore,
     fd: Box<dyn FailureDetector>,
     fd_scratch: Vec<FdEvent>,
-    suspected: BTreeSet<ProcessId>,
     flow: FlowWindow,
     /// Next instance whose decision will be applied.
     next_decide: u64,
-    /// Delivered message ids, per sender (duplicate suppression).
-    delivered: BTreeMap<ProcessId, WatermarkSet>,
+    /// Delivered message ids (duplicate suppression).
+    delivered: DeliveredSet,
     /// Recorded decisions awaiting in-order application.
     decision_buffer: BTreeMap<u64, Batch>,
     /// Own messages not yet adelivered (flow control + re-forwarding).
     own_pending: BTreeMap<MsgId, AppMsg>,
     /// Messages this process is responsible for getting proposed.
     pool: BTreeMap<MsgId, AppMsg>,
-    instances: BTreeMap<u64, Inst>,
     last_progress: VTime,
     /// Last heartbeat broadcast (the FD may tick faster than it wants
     /// heartbeats sent — e.g. chaos overlays).
@@ -207,14 +187,12 @@ impl MonoNode {
             core,
             fd,
             fd_scratch: Vec::new(),
-            suspected: BTreeSet::new(),
             flow: FlowWindow::new(window),
             next_decide: 0,
-            delivered: BTreeMap::new(),
+            delivered: DeliveredSet::default(),
             decision_buffer: BTreeMap::new(),
             own_pending: BTreeMap::new(),
             pool: BTreeMap::new(),
-            instances: BTreeMap::new(),
             last_progress: VTime::ZERO,
             last_heartbeat: None,
         }
@@ -232,51 +210,10 @@ impl MonoNode {
         self.core.cfg().pipeline_depth.max(1) as usize
     }
 
-    /// Per-instance state, created on first touch; a revived node seeds
-    /// fresh instances from its recovered vote records so its locked
-    /// `(round, estimate, ts)` is honoured.
-    fn inst_entry(&mut self, instance: u64, now: VTime) -> &mut Inst {
-        if !self.instances.contains_key(&instance) {
-            let mut inst = Inst::new(now);
-            if let Some(rec) = self.core.recovered_vote(instance) {
-                inst.round = rec.round;
-                inst.estimate = Some(rec.value.clone());
-                inst.ts = rec.ts;
-            }
-            self.instances.insert(instance, inst);
-        }
-        self.instances.get_mut(&instance).expect("just inserted")
-    }
-
-    fn msg_is_new(&self, id: MsgId) -> bool {
-        self.delivered
-            .get(&id.sender)
-            .is_none_or(|log| log.is_new(id.seq))
-    }
-
-    /// The coordinator new messages should be routed to right now.
-    fn responsible_coordinator(&self, n: usize) -> ProcessId {
-        if let Some((k, inst)) = self.instances.iter().next() {
-            return self.core.coordinator_of(*k, inst.round, n);
-        }
-        let members = self.core.members_of(self.next_decide, n);
-        // Bounded by one full rotation: a learner must not spin when
-        // every member is transiently suspected.
-        let mut r = 0;
-        while r < members.len() && self.suspected.contains(&members[r % members.len()]) {
-            r += 1;
-        }
-        members[r % members.len()]
-    }
-
     /// True while a proposal is outstanding somewhere — an ack (and thus
     /// a piggyback opportunity) is imminent.
     fn in_flight(&self) -> bool {
-        self.instances.values().any(|i| i.last_proposal.is_some())
-    }
-
-    fn pool_batch(&self) -> Batch {
-        Batch::normalize(self.pool.values().cloned().collect())
+        self.core.rounds().proposed_values().next().is_some()
     }
 
     /// First free consensus slot in the proposal window, or `None` while
@@ -285,11 +222,11 @@ impl MonoNode {
     /// spans `pipeline_depth` slots from the apply cursor.
     fn open_slot(&self) -> Option<u64> {
         let depth = self.depth();
-        if self.instances.len() >= depth {
+        if self.core.rounds().len() >= depth {
             return None;
         }
         (self.next_decide..self.next_decide + depth as u64)
-            .find(|k| !self.core.is_decided(*k) && !self.instances.contains_key(k))
+            .find(|k| !self.core.is_decided(*k) && !self.core.rounds().contains(*k))
     }
 
     /// The pool minus messages already claimed by a live proposal in an
@@ -297,13 +234,11 @@ impl MonoNode {
     /// in-flight batch at a time).
     fn fresh_pool_batch(&self) -> Batch {
         let mut claimed: BTreeSet<MsgId> = BTreeSet::new();
-        for inst in self.instances.values() {
-            if let Some((_, v)) = &inst.last_proposal {
-                claimed.extend(v.msgs().iter().map(|m| m.id));
-            }
+        for v in self.core.rounds().proposed_values() {
+            claimed.extend(v.msgs().iter().map(|m| m.id));
         }
         if claimed.is_empty() {
-            return self.pool_batch();
+            return batch_of(&self.pool);
         }
         Batch::normalize(
             self.pool
@@ -371,12 +306,8 @@ impl MonoNode {
                 // its coordinator is already suspected, rotate now. No
                 // batch is needed on this path — keep it cheap, it runs
                 // on every non-coordinator message arrival.
-                let inst = self.inst_entry(k, now);
-                let round = inst.round;
-                if self
-                    .suspected
-                    .contains(&members[round as usize % members.len()])
-                {
+                self.core.open(k, now);
+                if self.core.rounds().coordinator_suspected(k, &members) {
                     self.advance_round(ctx, k);
                 }
                 return;
@@ -385,36 +316,15 @@ impl MonoNode {
             if fresh.is_empty() {
                 return; // everything pending already rides a live slot
             }
-            let inst = self.inst_entry(k, now);
-            if inst.round == 0 && inst.proposal_sent_round.is_none() {
-                // A lock recovered from stable storage pins the proposal
-                // value (re-proposing anything else in the same round
-                // could split the tag-decide receivers); otherwise
-                // propose the fresh (unclaimed) pool.
-                let locked = inst.estimate.clone();
-                let batch = locked.unwrap_or(fresh);
-                let inst = self.instances.get_mut(&k).expect("created above");
-                inst.estimate = Some(batch.clone());
-                inst.ts = 1;
-                inst.last_proposal = Some((0, batch.clone()));
-                inst.proposal_sent_round = Some(0);
-                inst.acks.insert(me);
-                ctx.bump("mono.proposals", 1);
-                if k > self.next_decide {
-                    ctx.bump("mono.pipelined_proposals", 1);
-                }
-                ctx.trace_span("mono", k, "proposed", 0);
-                self.core.persist_vote(ctx, k, 0, 1, &batch);
+            self.core.open(k, now);
+            if self.core.rounds().unproposed_round(k) == Some(0) {
+                let proposal = self.lock_round0(ctx, k, fresh);
                 self.broadcast(
                     ctx,
                     "mono.proposal",
                     &MonoMsg::Step {
                         decision: None,
-                        proposal: Some(Proposal {
-                            instance: k,
-                            round: 0,
-                            value: batch,
-                        }),
+                        proposal: Some(proposal),
                     },
                 );
                 self.check_decide(ctx, k);
@@ -423,15 +333,31 @@ impl MonoNode {
                 // Coordinator, but a recovered later-round lock forbids
                 // a round-0 proposal: the instance is registered
                 // (above); rotate if its coordinator is suspected.
-                let round = inst.round;
-                if self
-                    .suspected
-                    .contains(&members[round as usize % members.len()])
-                {
+                if self.core.rounds().coordinator_suspected(k, &members) {
                     self.advance_round(ctx, k);
                 }
                 return;
             }
+        }
+    }
+
+    /// Locks the round-0 proposal of the fresh slot `k` this process
+    /// coordinates. A lock recovered from stable storage pins the value
+    /// (re-proposing anything else in the same round could split the
+    /// tag-decide receivers); otherwise it is the `fresh` (unclaimed)
+    /// pool.
+    fn lock_round0(&mut self, ctx: &mut NodeCtx<'_>, k: u64, fresh: Batch) -> Proposal {
+        let locked = self.core.rounds().estimate(k).map(|(v, _)| v.clone());
+        let value = locked.unwrap_or(fresh);
+        let round = self.core.lock(ctx, k, &value);
+        if k > self.next_decide {
+            // Overlaps an instance still in flight below it.
+            ctx.bump("mono.pipelined_proposals", 1);
+        }
+        Proposal {
+            instance: k,
+            round,
+            value,
         }
     }
 
@@ -443,7 +369,7 @@ impl MonoNode {
     /// the modular stack gets the same guarantee from its periodic idle
     /// consensus (§3.3's `t`-timeout).
     fn kick_fresh_instance(&mut self, ctx: &mut NodeCtx<'_>) {
-        if !self.instances.is_empty() || self.core.is_decided(self.next_decide) {
+        if !self.core.rounds().is_empty() || self.core.is_decided(self.next_decide) {
             return;
         }
         let n = ctx.n();
@@ -453,24 +379,20 @@ impl MonoNode {
             return;
         }
         let has_work = !self.pool.is_empty() || !self.own_pending.is_empty();
-        let coord0_suspected = self
-            .suspected
-            .contains(&self.core.members_of(self.next_decide, n)[0]);
+        let coord0 = self.core.members_of(self.next_decide, n)[0];
+        let coord0_suspected = self.core.rounds().suspects(coord0);
         if !(has_work || coord0_suspected) {
             return;
         }
         self.try_start_instance(ctx);
-        if self.instances.is_empty() {
+        if self.core.rounds().is_empty() {
             // No pool (idle helper): create the placeholder directly so
             // we can contribute estimates to the round change.
-            let now = ctx.now();
-            self.instances
-                .entry(self.next_decide)
-                .or_insert_with(|| Inst::new(now));
+            self.core.open(self.next_decide, ctx.now());
         }
-        let rotate = self.instances.iter().next().and_then(|(k, inst)| {
-            let c = self.core.coordinator_of(*k, inst.round, n);
-            self.suspected.contains(&c).then_some(*k)
+        let rotate = self.core.rounds().lowest().filter(|k| {
+            let members = self.core.members_of(*k, n);
+            self.core.rounds().coordinator_suspected(*k, &members)
         });
         if let Some(k) = rotate {
             self.advance_round(ctx, k);
@@ -478,17 +400,9 @@ impl MonoNode {
     }
 
     fn check_decide(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
-        let n = ctx.n();
-        let majority = self.core.majority_of(instance, n);
-        let Some(inst) = self.instances.get(&instance) else {
-            return;
-        };
-        if inst.proposal_sent_round != Some(inst.round) || inst.acks.len() < majority {
-            return;
+        if let Some((round, value)) = self.core.quorum_acked(instance, ctx.n()) {
+            self.conclude_as_coordinator(ctx, instance, round, value);
         }
-        let round = inst.round;
-        let value = inst.estimate.clone().unwrap_or_default();
-        self.conclude_as_coordinator(ctx, instance, round, value);
     }
 
     /// Coordinator decided `instance`: apply locally, then emit the
@@ -532,29 +446,8 @@ impl MonoNode {
             .map(|k1| (k1, self.fresh_pool_batch()))
             .filter(|(_, fresh)| !fresh.is_empty());
         if let Some((k1, fresh)) = followup {
-            let now = ctx.now();
-            let locked = self.inst_entry(k1, now).estimate.clone();
-            let batch = locked.unwrap_or(fresh);
-            let inst = self.instances.get_mut(&k1).expect("created above");
-            inst.estimate = Some(batch.clone());
-            inst.ts = 1;
-            inst.last_proposal = Some((0, batch.clone()));
-            inst.proposal_sent_round = Some(0);
-            inst.acks.insert(me);
-            ctx.bump("mono.proposals", 1);
-            ctx.trace_span("mono", k1, "proposed", 0);
-            if k1 > self.next_decide {
-                // The combined step overlaps an instance still in
-                // flight below it: count it as pipeline engagement
-                // like the standalone path does.
-                ctx.bump("mono.pipelined_proposals", 1);
-            }
-            self.core.persist_vote(ctx, k1, 0, 1, &batch);
-            let proposal = Proposal {
-                instance: k1,
-                round: 0,
-                value: batch,
-            };
+            self.core.open(k1, ctx.now());
+            let proposal = self.lock_round0(ctx, k1, fresh);
             if self.cfg.opts.combine_decision_proposal {
                 ctx.bump("mono.combined_steps", 1);
                 self.broadcast(
@@ -618,7 +511,7 @@ impl MonoNode {
         // With O2, messages that were waiting for an ack to ride must not
         // starve when the pipeline drains.
         if self.cfg.opts.piggyback_on_acks && !self.in_flight() && !self.pool.is_empty() {
-            let coord = self.responsible_coordinator(ctx.n());
+            let coord = self.core.live_coordinator(self.next_decide, ctx.n());
             if coord != ctx.pid() {
                 self.flush_pool_to(ctx, coord);
             }
@@ -635,13 +528,10 @@ impl MonoNode {
             // the decision cache and the snapshot fold — don't copy it
             // just to read ids and payload sizes.
             for m in batch.msgs() {
-                if !self.msg_is_new(m.id) {
+                if !self.delivered.is_new(m.id) {
                     continue;
                 }
-                self.delivered
-                    .entry(m.id.sender)
-                    .or_default()
-                    .complete(m.id.seq);
+                self.delivered.mark(m.id);
                 self.pool.remove(&m.id);
                 if m.id.sender == me {
                     self.own_pending.remove(&m.id);
@@ -652,7 +542,7 @@ impl MonoNode {
             }
             ctx.bump("consensus.decided", 1);
             ctx.trace_span("mono", k, "applied", batch.msgs().len() as u64);
-            self.instances.remove(&k);
+            self.core.close(k);
             self.next_decide += 1;
             self.last_progress = ctx.now();
             if self.flow.release(own_delivered) {
@@ -684,7 +574,7 @@ impl MonoNode {
         if !self.cfg.opts.implicit_decision_acks {
             let n = ctx.n();
             let origin = self.core.coordinator_of(dec.instance, dec.round, n);
-            if fortika_relay_set(origin, n).any(|p| p == ctx.pid()) {
+            if ProcessId::relay_set(origin, n).any(|p| p == ctx.pid()) {
                 ctx.bump("mono.decision_relays", 1);
                 self.broadcast(
                     ctx,
@@ -708,41 +598,28 @@ impl MonoNode {
                 // While still behind, pull the next batch promptly.
                 self.core.chase_gap(ctx, from, self.next_decide);
             }
-            None => {
-                let now = ctx.now();
-                let inst = self.inst_entry(dec.instance, now);
-                match &inst.last_proposal {
-                    Some((r, v)) if *r == dec.round => {
-                        let value = v.clone();
-                        self.buffer_decision(ctx, dec.instance, value);
-                        if followup {
-                            self.apply_decisions(ctx);
-                        } else {
-                            self.apply_decisions_core(ctx);
-                        }
-                    }
-                    _ => {
-                        inst.pending_tag = Some(dec.round);
-                        ctx.bump("mono.tag_misses", 1);
-                        let instance = dec.instance;
-                        self.core
-                            .send(ctx, from, &CatchUp::DecisionRequest { instance });
+            None => match self.core.resolve_tag(ctx, dec.instance, dec.round) {
+                Some(value) => {
+                    self.buffer_decision(ctx, dec.instance, value);
+                    if followup {
+                        self.apply_decisions(ctx);
+                    } else {
+                        self.apply_decisions_core(ctx);
                     }
                 }
-            }
+                None => {
+                    let instance = dec.instance;
+                    self.core
+                        .send(ctx, from, &CatchUp::DecisionRequest { instance });
+                }
+            },
         }
     }
 
     fn handle_proposal(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, p: Proposal) {
-        // The sender check only applies once the membership at this
-        // instance is certain: behind the config fence the rotation is
-        // still provisional, and rejecting would drop a legitimate
-        // proposal from a configuration we have not learned yet.
-        let certain = self.core.config_certain(p.instance);
-        if certain && self.core.coordinator_of(p.instance, p.round, ctx.n()) != from {
-            ctx.bump("mono.bogus_proposals", 1);
+        let Some(votable) = self.core.admit_proposal(ctx, from, p.instance, p.round) else {
             return; // only the round's coordinator may propose
-        }
+        };
         self.core
             .maybe_request_gap(ctx, from, p.instance, self.next_decide);
         if self.core.is_decided(p.instance) {
@@ -752,29 +629,8 @@ impl MonoNode {
             }
             return;
         }
-        let votable = certain && self.core.can_vote(p.instance, ctx.pid());
-        let now = ctx.now();
-        let inst = self.inst_entry(p.instance, now);
-        if p.round < inst.round {
-            return;
-        }
-        if p.round > inst.round {
-            inst.round = p.round;
-            inst.round_entered = now;
-            inst.acks.clear();
-        }
-        // Even a non-voting learner records the proposal so a later
-        // tag-only decision resolves locally.
-        inst.last_proposal = Some((p.round, p.value.clone()));
-        let pending_tag_hit = inst.pending_tag == Some(p.round);
-        if votable {
-            inst.estimate = Some(p.value.clone());
-            inst.ts = p.round + 1;
-            // The vote is made durable atomically with the ack so a
-            // future incarnation of this process honours the lock.
-            self.core
-                .persist_vote(ctx, p.instance, p.round, p.round + 1, &p.value);
-            ctx.trace_span("mono", p.instance, "voted", u64::from(p.round));
+        let vote = self.core.vote(ctx, p.instance, p.round, &p.value, votable);
+        if vote.voted {
             let msgs = if self.cfg.opts.piggyback_on_acks {
                 self.drain_pool()
             } else {
@@ -786,10 +642,8 @@ impl MonoNode {
                 msgs,
             };
             self.send(ctx, from, "mono.ack", &ack);
-        } else {
-            ctx.bump("mono.config_fence_drops", 1);
         }
-        if pending_tag_hit {
+        if vote.tag_hit {
             self.buffer_decision(ctx, p.instance, p.value);
             self.apply_decisions(ctx);
         }
@@ -804,28 +658,20 @@ impl MonoNode {
         msgs: Vec<AppMsg>,
     ) {
         for m in msgs {
-            if self.msg_is_new(m.id) {
+            if self.delivered.is_new(m.id) {
                 self.pool.insert(m.id, m);
             }
         }
-        if self.core.is_decided(instance) {
+        if self.core.is_decided(instance) || !self.core.rounds().contains(instance) {
             self.try_start_instance(ctx);
-            return;
+        } else if self.core.record_ack(from, instance, round) {
+            self.check_decide(ctx, instance);
         }
-        let Some(inst) = self.instances.get_mut(&instance) else {
-            self.try_start_instance(ctx);
-            return;
-        };
-        if inst.round != round || inst.proposal_sent_round != Some(round) {
-            return;
-        }
-        inst.acks.insert(from);
-        self.check_decide(ctx, instance);
     }
 
     fn handle_forward(&mut self, ctx: &mut NodeCtx<'_>, msgs: Vec<AppMsg>) {
         for m in msgs {
-            if self.msg_is_new(m.id) {
+            if self.delivered.is_new(m.id) {
                 self.pool.insert(m.id, m);
             }
         }
@@ -844,7 +690,7 @@ impl MonoNode {
         msgs: Vec<AppMsg>,
     ) {
         for m in msgs {
-            if self.msg_is_new(m.id) {
+            if self.delivered.is_new(m.id) {
                 self.pool.insert(m.id, m);
             }
         }
@@ -864,90 +710,37 @@ impl MonoNode {
             return;
         }
         let now = ctx.now();
-        let inst = self.inst_entry(instance, now);
-        if round < inst.round {
+        if self
+            .core
+            .record_estimate(from, instance, round, value, ts, now)
+            .is_none()
+        {
             return;
-        }
-        let keep = match inst.estimates.get(&from) {
-            Some((r, _, _)) => *r < round,
-            None => true,
-        };
-        if keep {
-            inst.estimates.insert(from, (round, value, ts));
-        }
-        if round > inst.round {
-            inst.round = round;
-            inst.round_entered = now;
-            inst.acks.clear();
         }
         // Our own estimate joins the collection (initial = pool batch,
         // built only when actually needed).
-        if inst.round == round && !inst.estimates.contains_key(&me) {
-            let locked = inst.estimate.clone();
-            let own_ts = inst.ts;
-            let own = locked.unwrap_or_else(|| self.pool_batch());
-            let inst = self.instances.get_mut(&instance).expect("created above");
-            inst.estimates.insert(me, (round, own, own_ts));
+        if !self.core.rounds().has_estimate_from(instance, me) {
+            let pool = &self.pool;
+            self.core
+                .join_own_estimate(me, instance, || Some(batch_of(pool)));
         }
         self.try_propose_from_estimates(ctx, instance);
     }
 
     fn try_propose_from_estimates(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
-        let n = ctx.n();
-        let me = ctx.pid();
-        if !self.core.can_vote(instance, me) {
-            return;
-        }
-        let members = self.core.members_of(instance, n);
-        let majority = members.len() / 2 + 1;
-        let Some(inst) = self.instances.get_mut(&instance) else {
-            return;
+        let value = match self.core.quorum_choice(instance, ctx.pid(), ctx.n()) {
+            None => return,
+            Some(QuorumChoice::Locked(value)) => value,
+            // Nothing is locked, so any initial value is safe: propose
+            // the union of the candidates' batches. Picking one
+            // candidate by pid used to let an empty estimate beat a
+            // tie-losing process's pending messages on every round
+            // change, starving them forever.
+            Some(QuorumChoice::Unlocked(values)) => {
+                Batch::normalize(values.iter().flat_map(|b| b.msgs().to_vec()).collect())
+            }
         };
-        let round = inst.round;
-        if members[round as usize % members.len()] != me
-            || round == 0
-            || inst.proposal_sent_round == Some(round)
-        {
-            return;
-        }
-        let mut candidates: Vec<(&ProcessId, &(u32, Batch, u32))> = inst
-            .estimates
-            .iter()
-            .filter(|(_, (r, _, _))| *r == round)
-            .collect();
-        if candidates.len() < majority {
-            return;
-        }
-        candidates.sort_by_key(|(pid, (_, _, ts))| (std::cmp::Reverse(*ts), **pid));
-        // A locked estimate (ts > 0) must be adopted verbatim — CT
-        // safety. When *nothing* is locked, no earlier round can have
-        // decided (any ack quorum would surface here with ts ≥ 1 by
-        // quorum intersection), so any initial value is safe: propose
-        // the union of the candidates' batches. Picking one candidate
-        // by pid used to let an empty estimate beat a tie-losing
-        // process's pending messages on every round change, starving
-        // them forever.
-        let value = if candidates[0].1 .2 == 0 {
-            Batch::normalize(
-                candidates
-                    .iter()
-                    .flat_map(|(_, (_, b, _))| b.msgs().to_vec())
-                    .collect(),
-            )
-        } else {
-            candidates[0].1 .1.clone()
-        };
-        inst.estimate = Some(value.clone());
-        inst.ts = round + 1;
-        inst.last_proposal = Some((round, value.clone()));
-        inst.proposal_sent_round = Some(round);
-        inst.acks.clear();
-        inst.acks.insert(me);
-        ctx.bump("mono.proposals", 1);
-        ctx.trace_span("mono", instance, "proposed", u64::from(round));
-        // Coordinator self-ack: durable before the proposal leaves.
-        self.core
-            .persist_vote(ctx, instance, round, round + 1, &value);
+        let round = self.core.lock(ctx, instance, &value);
         self.broadcast(
             ctx,
             "mono.proposal",
@@ -963,57 +756,26 @@ impl MonoNode {
         self.check_decide(ctx, instance);
     }
 
+    /// Moves `instance` to the next round whose coordinator is not
+    /// currently suspected, then plays this process's role in it.
     fn advance_round(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
-        let n = ctx.n();
         let me = ctx.pid();
-        let now = ctx.now();
-        let members = self.core.members_of(instance, n);
-        let coord_of = |round: u32| members[round as usize % members.len()];
-        let votable = self.core.can_vote(instance, me);
-        let Some(inst) = self.instances.get_mut(&instance) else {
+        let Some(to) = self.core.rotate(ctx, instance) else {
             return;
         };
-        let mut round = inst.round + 1;
-        // The skip is bounded by one full rotation: past it the same
-        // coordinators repeat, and a learner (never its own coordinator)
-        // must not spin when every member is transiently suspected.
-        let mut skips = 0;
-        while coord_of(round) != me
-            && self.suspected.contains(&coord_of(round))
-            && skips < members.len()
-        {
-            round += 1;
-            skips += 1;
-        }
-        inst.round = round;
-        inst.round_entered = now;
-        inst.acks.clear();
-        ctx.bump("mono.round_changes", 1);
-        ctx.trace_span("mono", instance, "round_change", u64::from(round));
-        if !votable {
-            // Learners (and processes whose membership at `instance` is
-            // still uncertain) track rounds but never vote: no estimate
-            // goes out, no proposal is made.
-            ctx.bump("mono.config_fence_drops", 1);
+        if !to.votable {
             return;
         }
-        let coord = coord_of(round);
-        if coord == me {
-            let estimate = inst
-                .estimate
-                .clone()
-                .unwrap_or_else(|| Batch::normalize(self.pool.values().cloned().collect()));
-            let ts = inst.ts;
-            inst.estimates.insert(me, (round, estimate, ts));
+        if to.coordinator == me {
+            let pool = &self.pool;
+            self.core
+                .join_own_estimate(me, instance, || Some(batch_of(pool)));
             self.try_propose_from_estimates(ctx, instance);
             // Still short of a majority: solicit estimates instead of
             // waiting for idle processes' periodic kicks.
-            let short = self
-                .instances
-                .get(&instance)
-                .is_some_and(|i| i.proposal_sent_round != Some(round));
-            if short {
+            if self.core.rounds().unproposed_round(instance) == Some(to.round) {
                 ctx.bump("mono.estimate_requests", 1);
+                let round = to.round;
                 self.broadcast(
                     ctx,
                     "mono.estimate_request",
@@ -1021,7 +783,7 @@ impl MonoNode {
                 );
             }
         } else {
-            self.send_estimate(ctx, instance, round);
+            self.send_estimate(ctx, instance, to.round);
         }
     }
 
@@ -1039,14 +801,10 @@ impl MonoNode {
             ctx.bump("mono.config_fence_drops", 1);
             return;
         }
-        let Some(inst) = self.instances.get(&instance) else {
-            return;
+        let (value, ts) = match self.core.rounds().estimate(instance) {
+            Some((value, ts)) => (value.clone(), ts),
+            None => (batch_of(&self.pool), 0),
         };
-        let estimate = inst
-            .estimate
-            .clone()
-            .unwrap_or_else(|| Batch::normalize(self.pool.values().cloned().collect()));
-        let ts = inst.ts;
         let msgs = if self.cfg.opts.piggyback_on_acks {
             for m in self.own_pending.values() {
                 self.pool.remove(&m.id);
@@ -1059,7 +817,7 @@ impl MonoNode {
             instance,
             round,
             ts,
-            value: estimate,
+            value,
             msgs,
         };
         self.send(ctx, coord, "mono.estimate", &msg);
@@ -1071,21 +829,13 @@ impl MonoNode {
             match ev {
                 FdEvent::Suspect(p) => {
                     ctx.bump("fd.suspicions", 1);
-                    self.suspected.insert(*p);
                     // Own messages handed to the suspect may be lost with
                     // it: make them proposable again (they are re-routed
                     // on the next estimate/ack/forward).
                     for m in self.own_pending.values() {
                         self.pool.entry(m.id).or_insert_with(|| m.clone());
                     }
-                    let n = ctx.n();
-                    let affected: Vec<u64> = self
-                        .instances
-                        .iter()
-                        .filter(|(k, inst)| self.core.coordinator_of(**k, inst.round, n) == *p)
-                        .map(|(k, _)| *k)
-                        .collect();
-                    for k in affected {
+                    for k in self.core.suspect(*p, ctx.n()) {
                         self.advance_round(ctx, k);
                     }
                     // Join/advance the fresh instance so the new
@@ -1095,7 +845,7 @@ impl MonoNode {
                 }
                 FdEvent::Restore(p) => {
                     ctx.bump("fd.restores", 1);
-                    self.suspected.remove(p);
+                    self.core.restore(*p);
                 }
             }
         }
@@ -1106,21 +856,8 @@ impl MonoNode {
     fn sweep(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         self.core.sweep_rejoin(ctx);
-        let stuck: Vec<u64> = self
-            .instances
-            .iter()
-            .filter(|(_, inst)| now.since(inst.round_entered) > PROGRESS_TIMEOUT)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in stuck {
-            let inst = self.instances.get_mut(&k).expect("instance exists");
-            if inst.pending_tag.is_some() {
-                inst.round_entered = now;
-                ctx.bump("mono.request_retries", 1);
-                self.core
-                    .broadcast(ctx, &CatchUp::DecisionRequest { instance: k });
-            } else {
-                ctx.bump("mono.progress_rotations", 1);
+        for k in self.core.rounds().stuck(now) {
+            if self.core.sweep_stuck(ctx, k, now) {
                 self.advance_round(ctx, k);
             }
         }
@@ -1130,13 +867,6 @@ impl MonoNode {
             self.kick_fresh_instance(ctx);
         }
     }
-}
-
-/// Ring-successor relay set (mirrors `fortika-rbcast`'s scheme without
-/// depending on the modular protocol crate).
-fn fortika_relay_set(origin: ProcessId, n: usize) -> impl Iterator<Item = ProcessId> {
-    let count = (n - 1) / 2;
-    (1..=count as u16).map(move |i| ProcessId((origin.0 + i) % n as u16))
 }
 
 /// Hand-backs from the replica core: the monolith's thesis is that they
@@ -1163,15 +893,10 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
         }
         // Seed duplicate suppression with the compacted prefix's
         // delivered sets: compacted messages must never re-deliver.
-        for s in &snap.delivered {
-            let log = self.delivered.entry(s.sender).or_default();
-            log.advance_to(s.watermark);
-            for &seq in &s.above {
-                log.complete(seq);
-            }
+        for log in &snap.delivered {
+            self.delivered.seed(log);
         }
         self.decision_buffer = self.decision_buffer.split_off(&next);
-        self.instances = self.instances.split_off(&next);
     }
 
     fn snapshot_installed(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1241,7 +966,7 @@ impl Node for MonoNode {
             } => self.handle_ack(ctx, from, instance, round, msgs),
             MonoMsg::Forward { msgs } => self.handle_forward(ctx, msgs),
             MonoMsg::Diffuse { msg } => {
-                if self.msg_is_new(msg.id) {
+                if self.delivered.is_new(msg.id) {
                     self.pool.insert(msg.id, msg);
                 }
                 self.try_start_instance(ctx);
@@ -1272,14 +997,7 @@ impl Node for MonoNode {
                 }
                 // Join the solicited round (rounds only move forward —
                 // same safety as receiving a higher-round proposal).
-                let now = ctx.now();
-                let inst = self.inst_entry(instance, now);
-                if round > inst.round {
-                    inst.round = round;
-                    inst.round_entered = now;
-                    inst.acks.clear();
-                }
-                if round == inst.round {
+                if self.core.join_round(instance, round, ctx.now()) {
                     self.send_estimate(ctx, instance, round);
                 }
             }
@@ -1341,8 +1059,8 @@ impl Node for MonoNode {
             self.pool.insert(m.id, m);
             self.try_start_instance(ctx);
         } else {
-            let n = ctx.n();
-            let coord = self.responsible_coordinator(n);
+            // The coordinator new messages should be routed to right now.
+            let coord = self.core.live_coordinator(self.next_decide, ctx.n());
             self.pool.insert(m.id, m);
             if coord == ctx.pid() {
                 self.try_start_instance(ctx);

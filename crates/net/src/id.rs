@@ -22,6 +22,15 @@ impl ProcessId {
     pub fn all(n: usize) -> impl Iterator<Item = ProcessId> {
         (0..n as u16).map(ProcessId)
     }
+
+    /// The deterministic relay set for a message first sent by `origin`
+    /// in a group of size `n`: the `⌊(n−1)/2⌋` processes that follow it
+    /// in ring order. With the origin they form a majority, so at least
+    /// one of them is correct.
+    pub fn relay_set(origin: ProcessId, n: usize) -> impl Iterator<Item = ProcessId> {
+        let count = (n - 1) / 2;
+        (1..=count as u16).map(move |i| ProcessId((origin.0 + i) % n as u16))
+    }
 }
 
 impl fmt::Debug for ProcessId {
@@ -126,6 +135,18 @@ mod tests {
     fn all_enumerates_group() {
         let ids: Vec<ProcessId> = ProcessId::all(3).collect();
         assert_eq!(ids, vec![ProcessId(0), ProcessId(1), ProcessId(2)]);
+    }
+
+    #[test]
+    fn relay_sets_are_ring_successors() {
+        let relays: Vec<ProcessId> = ProcessId::relay_set(ProcessId(0), 7).collect();
+        assert_eq!(relays, vec![ProcessId(1), ProcessId(2), ProcessId(3)]);
+        let relays: Vec<ProcessId> = ProcessId::relay_set(ProcessId(6), 7).collect();
+        assert_eq!(relays, vec![ProcessId(0), ProcessId(1), ProcessId(2)]);
+        let relays: Vec<ProcessId> = ProcessId::relay_set(ProcessId(2), 3).collect();
+        assert_eq!(relays, vec![ProcessId(0)]);
+        assert_eq!(ProcessId::relay_set(ProcessId(0), 2).count(), 0);
+        assert_eq!(ProcessId::relay_set(ProcessId(0), 1).count(), 0);
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //!   the configuration timeline, log compaction and join / gap /
 //!   snapshot catch-up ([`ReplicaCore`], [`CatchUp`]), plus the one
 //!   stable-key namespace table.
+//! * [`rounds`] — the Chandra–Toueg round machine the core runs per
+//!   undecided instance: lock, vote, choose, rotate ([`Rounds`]).
 //! * [`Counters`] — per-kind traffic accounting.
 //!
 //! # Example: two nodes ping-pong
@@ -73,6 +75,7 @@ pub mod membership;
 pub mod message;
 pub mod ratelimit;
 pub mod replica;
+pub mod rounds;
 pub mod snapshot;
 pub mod watermark;
 pub mod wire;
@@ -96,8 +99,9 @@ pub use replica::{
     CatchUp, PerCatchUp, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost, ReplicaNames,
     VoteRecord,
 };
+pub use rounds::{QuorumChoice, Rotation, Rounds, Vote};
 pub use snapshot::{
     AppState, AppStateFactory, ChunkOutcome, SenderLog, Snapshot, SnapshotDownload, SnapshotFold,
     SnapshotStamp,
 };
-pub use watermark::WatermarkSet;
+pub use watermark::{DeliveredSet, WatermarkSet};

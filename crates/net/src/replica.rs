@@ -1,21 +1,22 @@
 //! The replica core both stacks share: durable votes, the decided log,
-//! the configuration timeline, log compaction and join / gap / snapshot
-//! catch-up — everything about being a *replica* that the paper does not
-//! compare, written once.
+//! the configuration timeline, the Chandra–Toueg round machine, log
+//! compaction and join / gap / snapshot catch-up — everything about
+//! being a *replica* that the paper does not compare, written once.
 //!
 //! The modular consensus module and the monolithic node differ in their
-//! composition boundary and in optimizations O1–O3; the round machinery
-//! where those live stays in each stack. What a process must remember
-//! across a crash, how it catches up afterwards and how it bounds its
-//! history is the same protocol on both, and lives here as a
-//! [`ReplicaCore`] (the state) driven through two narrow traits:
-//! [`ReplicaCtx`] (what the core needs from its host context — both
-//! `NodeCtx` and the framework's `FrameworkCtx` satisfy it) and
-//! [`ReplicaHost`] (where the core hands back to the stack: a decision
-//! to deliver, a configuration to activate, a snapshot to skip past).
-//! The remaining per-stack differences are data — one [`ReplicaNames`]
-//! table per stack with its counter names, send kinds, trace label and
-//! the tag bytes its wire enum embeds [`CatchUp`] under.
+//! composition boundary and in optimizations O1–O3: which message
+//! carries what, and what rides along. What a process must remember
+//! across a crash, how it catches up afterwards, how it bounds its
+//! history and when it may lock, vote, propose or change round is the
+//! same protocol on both, and lives here as a [`ReplicaCore`] (the
+//! state; its round transitions are in [`crate::rounds`]) driven through
+//! two narrow traits: [`ReplicaCtx`] (what the core needs from its host
+//! context — both `NodeCtx` and the framework's `FrameworkCtx` satisfy
+//! it) and [`ReplicaHost`] (where the core hands back to the stack: a
+//! decision to deliver, a configuration to activate, a snapshot to skip
+//! past). The remaining per-stack differences are data — one
+//! [`ReplicaNames`] table per stack with its counter names, send kinds,
+//! trace label and the tag bytes its wire enum embeds [`CatchUp`] under.
 //!
 //! # Crash-recovery
 //!
@@ -89,6 +90,7 @@ use crate::membership::{
 };
 use crate::message::Batch;
 use crate::ratelimit::PeerRateLimiter;
+use crate::rounds::Rounds;
 use crate::snapshot::{
     chunk_of, stamp_of, AppState, ChunkOutcome, Snapshot, SnapshotDownload, SnapshotFold,
     SnapshotStamp,
@@ -271,6 +273,21 @@ pub struct ReplicaNames {
     pub rejoins_completed: &'static str,
     /// Counter: reconfigurations registered.
     pub reconfigs: &'static str,
+    /// Counter: proposals made as coordinator.
+    pub proposals: &'static str,
+    /// Counter: round changes.
+    pub round_changes: &'static str,
+    /// Counter: votes withheld behind the config fence (a learner, or
+    /// membership still uncertain).
+    pub config_fence_drops: &'static str,
+    /// Counter: round changes forced by the progress timeout.
+    pub progress_rotations: &'static str,
+    /// Counter: decision requests re-sent by the sweep.
+    pub request_retries: &'static str,
+    /// Counter: tag-only decisions whose proposal was missing.
+    pub tag_misses: &'static str,
+    /// Counter: proposals from a process not coordinating their round.
+    pub bogus_proposals: &'static str,
 }
 
 /// The catch-up vocabulary both stacks speak. Each stack's wire enum
@@ -545,10 +562,13 @@ impl ReplicaCtx for NodeCtx<'_> {
 /// The replica state of one process: voting fence and replay log, the
 /// decision cache, recovered vote records, the configuration timeline,
 /// the snapshot fold with its serving snapshot and download, and the
-/// rejoin state (see the [module docs](self) for the protocol).
+/// rejoin state (see the [module docs](self) for the protocol) — and the
+/// round state of the undecided instances, which the transitions in
+/// [`crate::rounds`] drive.
 pub struct ReplicaCore {
     cfg: ReplicaConfig,
-    names: &'static ReplicaNames,
+    pub(crate) names: &'static ReplicaNames,
+    pub(crate) rounds: Rounds,
     /// Instances this process may no longer vote in (the voting fence).
     /// After a restart it is pre-loaded from the persisted watermark,
     /// so it can run *ahead* of `replayed`.
@@ -563,7 +583,7 @@ pub struct ReplicaCore {
     /// Highest instance number observed in any peer message.
     highest_seen: u64,
     /// Vote records recovered from stable storage (restart only).
-    recovered_votes: BTreeMap<u64, VoteRecord>,
+    pub(crate) recovered_votes: BTreeMap<u64, VoteRecord>,
     /// Still catching up after a restart (rejoin announcements active).
     rejoining: bool,
     /// Highest replay frontier any transfer advertised.
@@ -611,6 +631,7 @@ impl ReplicaCore {
         ReplicaCore {
             cfg,
             names,
+            rounds: Rounds::default(),
             decided_log: WatermarkSet::default(),
             replayed: WatermarkSet::default(),
             decisions: BTreeMap::new(),
@@ -1084,8 +1105,10 @@ pub trait ReplicaHost<C: ReplicaCtx> {
 
     /// `snap` is being installed: drop the per-instance state it
     /// supersedes and skip delivery past it. Runs before the snapshot's
-    /// reconfiguration history is registered.
-    fn snapshot_covers(&mut self, snap: &Snapshot);
+    /// reconfiguration history is registered. Nothing to do for a host
+    /// that keeps no such state beside the core's (whose round state is
+    /// already pruned).
+    fn snapshot_covers(&mut self, _snap: &Snapshot) {}
 
     /// The snapshot now serving in [`core`](Self::core) was installed:
     /// tell whoever delivers, and carry on from `last_included + 1`.
@@ -1223,6 +1246,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
         core.persist_fence(ctx, fence_before);
         core.recovered_votes = core.recovered_votes.split_off(&next);
         core.pending_reconfigs = core.pending_reconfigs.split_off(&next);
+        core.rounds.drop_below(next);
         self.snapshot_covers(&snap);
         for &(d, change) in &snap.reconfigs {
             self.register_reconfig(ctx, d, change);
@@ -1390,13 +1414,13 @@ pub trait ReplicaHost<C: ReplicaCtx> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::id::RECONFIG_SEQ_BASE;
     use crate::membership::reconfig_payload;
     use crate::message::AppMsg;
 
-    const NAMES: ReplicaNames = ReplicaNames {
+    pub(crate) const NAMES: ReplicaNames = ReplicaNames {
         label: "t",
         tags: PerCatchUp {
             decision_request: 1,
@@ -1423,22 +1447,33 @@ mod tests {
         join_unservable: "t.join_unservable",
         rejoins_completed: "t.rejoins_completed",
         reconfigs: "t.reconfigs",
+        proposals: "t.proposals",
+        round_changes: "t.round_changes",
+        config_fence_drops: "t.config_fence_drops",
+        progress_rotations: "t.progress_rotations",
+        request_retries: "t.request_retries",
+        tag_misses: "t.tag_misses",
+        bogus_proposals: "t.bogus_proposals",
     };
 
     /// A recording stand-in for the handler context: stable writes take
     /// effect on `store` at once and are logged in order.
-    struct FakeCtx {
+    pub(crate) struct FakeCtx {
+        pub(crate) pid: ProcessId,
+        pub(crate) now: VTime,
         costs: CostModel,
-        store: StableStore,
-        writes: Vec<(u64, bool)>,
-        sent: Vec<(Option<ProcessId>, &'static str, CatchUp)>,
+        pub(crate) store: StableStore,
+        pub(crate) writes: Vec<(u64, bool)>,
+        pub(crate) sent: Vec<(Option<ProcessId>, &'static str, CatchUp)>,
         bumps: BTreeMap<&'static str, u64>,
         configs: Vec<ConfigStamp>,
     }
 
     impl FakeCtx {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             FakeCtx {
+                pid: ProcessId(0),
+                now: VTime::ZERO,
                 costs: CostModel::default(),
                 store: StableStore::new(),
                 writes: Vec::new(),
@@ -1448,7 +1483,7 @@ mod tests {
             }
         }
 
-        fn bumped(&self, name: &str) -> u64 {
+        pub(crate) fn bumped(&self, name: &str) -> u64 {
             self.bumps.get(name).copied().unwrap_or(0)
         }
 
@@ -1463,13 +1498,13 @@ mod tests {
 
     impl ReplicaCtx for FakeCtx {
         fn pid(&self) -> ProcessId {
-            ProcessId(0)
+            self.pid
         }
         fn n(&self) -> usize {
             3
         }
         fn now(&self) -> VTime {
-            VTime::ZERO
+            self.now
         }
         fn costs(&self) -> &CostModel {
             &self.costs
@@ -1501,15 +1536,15 @@ mod tests {
 
     /// A host that records the hand-backs and learns decisions straight
     /// into the core.
-    struct FakeHost {
-        core: ReplicaCore,
+    pub(crate) struct FakeHost {
+        pub(crate) core: ReplicaCore,
         activated: Vec<u64>,
         covered: Vec<u64>,
         installed: u32,
     }
 
     impl FakeHost {
-        fn over(core: ReplicaCore) -> Self {
+        pub(crate) fn over(core: ReplicaCore) -> Self {
             FakeHost {
                 core,
                 activated: Vec::new(),
@@ -1558,7 +1593,7 @@ mod tests {
     }
 
     /// The one-message batch decided at instance `k`.
-    fn batch(k: u64) -> Batch {
+    pub(crate) fn batch(k: u64) -> Batch {
         let id = MsgId::new(ProcessId(1), k);
         Batch::normalize(vec![AppMsg::new(id, Bytes::from_static(b"payload"))])
     }

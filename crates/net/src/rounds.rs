@@ -1,0 +1,849 @@
+//! The Chandra–Toueg round machine both stacks run, written once.
+//!
+//! Per undecided instance a process is in a round, holds an estimate
+//! with its adoption timestamp, remembers the latest proposal it saw and
+//! — while it coordinates — gathers estimates and acks. The rules that
+//! make this safe are the same on both stacks and live here, as
+//! transitions of the [`ReplicaCore`] that owns the state ([`Rounds`]):
+//!
+//! * **lock** — a coordinator adopts the value it is about to propose
+//!   with timestamp `round + 1` and acks itself, durably, before the
+//!   proposal leaves ([`ReplicaCore::lock`]);
+//! * **vote** — a process adopts a proposal of its current (or a higher)
+//!   round the same way before it acks ([`ReplicaCore::vote`]); a process
+//!   that may not vote still records the proposal, so a tag-only decision
+//!   can conclude it ([`ReplicaCore::resolve_tag`]);
+//! * **choose** — a coordinator of a later round proposes the
+//!   max-timestamp estimate out of a majority's, which intersects every
+//!   ack quorum ([`ReplicaCore::quorum_choice`]);
+//! * **rotate** — rounds only move forward, past coordinators currently
+//!   suspected ([`ReplicaCore::rotate`]).
+//!
+//! Timestamps are `round + 1` so that a value locked by an ack quorum
+//! always outranks never-adopted initial values (timestamp 0).
+//!
+//! What a stack does with an outcome — which message carries the
+//! proposal, the ack or the estimate, what an unlocked coordinator
+//! proposes, where an initial estimate comes from — is its own business:
+//! every transition hands its outcome back as data.
+
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
+
+use fortika_sim::VTime;
+
+use crate::id::ProcessId;
+use crate::message::Batch;
+use crate::replica::{CatchUp, ReplicaCore, ReplicaCtx, PROGRESS_TIMEOUT};
+
+/// Round state of one undecided instance.
+struct Instance {
+    round: u32,
+    round_entered: VTime,
+    /// Current estimate and its adoption timestamp (0: an initial value
+    /// nobody locked).
+    estimate: Option<(Batch, u32)>,
+    /// Latest proposal received (round, value) — what a round-tagged
+    /// decision refers to.
+    last_proposal: Option<(u32, Batch)>,
+    /// Acks gathered while coordinating the current round.
+    acks: BTreeSet<ProcessId>,
+    /// Highest-round estimate received from each process (round, value,
+    /// timestamp).
+    estimates: BTreeMap<ProcessId, (u32, Batch, u32)>,
+    /// Last round in which this process, as coordinator, proposed.
+    proposal_sent_round: Option<u32>,
+    /// A decision tag arrived for this round but the matching proposal
+    /// is missing; awaiting recovery.
+    pending_tag: Option<u32>,
+}
+
+impl Instance {
+    /// Rounds only move forward; acks belong to the round left behind.
+    fn enter(&mut self, round: u32, now: VTime) {
+        debug_assert!(round > self.round);
+        self.round = round;
+        self.round_entered = now;
+        self.acks.clear();
+    }
+
+    /// Adopts `value` in `round` (the CT locking step). Debug builds check
+    /// the two invariants this state can see: a locked estimate's
+    /// timestamp never decreases, and a process votes for at most one
+    /// value per `(instance, round)`. The second is what a coordinator
+    /// revived without its vote record breaks at its voters, so the
+    /// suites that plant that bug (`lost_votes_planted`) — to see the
+    /// delivery oracle report it — switch the check off.
+    fn adopt(&mut self, round: u32, value: &Batch, lost_votes_planted: bool) {
+        if let Some((held, ts)) = &self.estimate {
+            debug_assert!(*ts <= round + 1, "a locked timestamp decreased");
+            debug_assert!(
+                lost_votes_planted || *ts != round + 1 || held == value,
+                "two values voted in one (instance, round)"
+            );
+        }
+        self.estimate = Some((value.clone(), round + 1));
+    }
+}
+
+/// The round state of every undecided instance a process takes part in,
+/// plus the processes its failure detector currently suspects. Owned by
+/// [`ReplicaCore`], whose transitions (in this module) are the only
+/// writers; the stacks read it through [`ReplicaCore::rounds`].
+#[derive(Default)]
+pub struct Rounds {
+    instances: BTreeMap<u64, Instance>,
+    suspected: BTreeSet<ProcessId>,
+}
+
+impl Rounds {
+    /// Number of live instances.
+    pub fn len(&self) -> usize {
+        self.instances.len()
+    }
+
+    /// True when no instance is live.
+    pub fn is_empty(&self) -> bool {
+        self.instances.is_empty()
+    }
+
+    /// True when `instance` is live.
+    pub fn contains(&self, instance: u64) -> bool {
+        self.instances.contains_key(&instance)
+    }
+
+    /// The lowest live instance.
+    pub fn lowest(&self) -> Option<u64> {
+        self.instances.keys().next().copied()
+    }
+
+    /// True while `p` is suspected.
+    pub fn suspects(&self, p: ProcessId) -> bool {
+        self.suspected.contains(&p)
+    }
+
+    /// `instance`'s estimate and its adoption timestamp.
+    pub fn estimate(&self, instance: u64) -> Option<(&Batch, u32)> {
+        let (value, ts) = self.instances.get(&instance)?.estimate.as_ref()?;
+        Some((value, *ts))
+    }
+
+    /// True when an estimate from `p` (of whatever round) is in
+    /// `instance`'s collection.
+    pub fn has_estimate_from(&self, instance: u64, p: ProcessId) -> bool {
+        self.instances
+            .get(&instance)
+            .is_some_and(|inst| inst.estimates.contains_key(&p))
+    }
+
+    /// `instance`'s current round, if this process has not proposed in
+    /// it (whoever coordinates it).
+    pub fn unproposed_round(&self, instance: u64) -> Option<u32> {
+        let inst = self.instances.get(&instance)?;
+        (inst.proposal_sent_round != Some(inst.round)).then_some(inst.round)
+    }
+
+    /// The values of the proposals outstanding in live instances.
+    pub fn proposed_values(&self) -> impl Iterator<Item = &Batch> {
+        self.instances
+            .values()
+            .filter_map(|inst| inst.last_proposal.as_ref().map(|(_, v)| v))
+    }
+
+    /// True when the coordinator of `instance`'s current round — by the
+    /// rotation over `members`, the set governing it — is suspected.
+    pub fn coordinator_suspected(&self, instance: u64, members: &[ProcessId]) -> bool {
+        self.instances.get(&instance).is_some_and(|inst| {
+            self.suspected
+                .contains(&members[inst.round as usize % members.len()])
+        })
+    }
+
+    /// Instances stuck in one round for longer than [`PROGRESS_TIMEOUT`].
+    pub fn stuck(&self, now: VTime) -> Vec<u64> {
+        self.instances
+            .iter()
+            .filter(|(_, inst)| now.since(inst.round_entered) > PROGRESS_TIMEOUT)
+            .map(|(k, _)| *k)
+            .collect()
+    }
+
+    /// Drops the instances below `next` (a snapshot covers them).
+    pub(crate) fn drop_below(&mut self, next: u64) {
+        self.instances = self.instances.split_off(&next);
+    }
+}
+
+/// What became of a proposal handed to [`ReplicaCore::vote`]; neither
+/// flag is set for a stale one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Vote {
+    /// The proposal was adopted and the vote is durable: ack it.
+    pub voted: bool,
+    /// A decision tag was waiting for exactly this proposal: decide it.
+    pub tag_hit: bool,
+}
+
+/// What a coordinator may propose once a majority sent estimates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QuorumChoice {
+    /// Some estimate is locked: the one with the highest timestamp
+    /// (lowest process id among equals) must be proposed verbatim.
+    Locked(Batch),
+    /// Nothing is locked, so no earlier round can have decided (any ack
+    /// quorum would surface here with a timestamp ≥ 1, by quorum
+    /// intersection) and any initial value is safe: the candidates'
+    /// values, by process id.
+    Unlocked(Vec<Batch>),
+}
+
+/// The round [`ReplicaCore::rotate`] moved an instance to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rotation {
+    /// The round entered.
+    pub round: u32,
+    /// Its coordinator.
+    pub coordinator: ProcessId,
+    /// Whether this process may vote in the instance; a process that may
+    /// not tracks rounds but sends no estimate and makes no proposal.
+    pub votable: bool,
+}
+
+impl ReplicaCore {
+    /// The round state, read-only.
+    pub fn rounds(&self) -> &Rounds {
+        &self.rounds
+    }
+
+    /// True under the planted lost-vote bug (see [`Instance::adopt`]).
+    fn lost_votes_planted(&self) -> bool {
+        #[cfg(debug_assertions)]
+        return self.cfg().faults.skip_vote_persist;
+        #[cfg(not(debug_assertions))]
+        false
+    }
+
+    /// Per-instance state, created on first touch; a revived process
+    /// seeds fresh instances from its recovered vote records so its
+    /// locked `(round, estimate, ts)` is honoured.
+    fn instance_entry(&mut self, instance: u64, now: VTime) -> &mut Instance {
+        let recovered = &self.recovered_votes;
+        self.rounds.instances.entry(instance).or_insert_with(|| {
+            let rec = recovered.get(&instance);
+            Instance {
+                round: rec.map_or(0, |r| r.round),
+                round_entered: now,
+                estimate: rec.map(|r| (r.value.clone(), r.ts)),
+                last_proposal: None,
+                acks: BTreeSet::new(),
+                estimates: BTreeMap::new(),
+                proposal_sent_round: None,
+                pending_tag: None,
+            }
+        })
+    }
+
+    /// Makes `instance` live (so that rotation can engage) if it is not.
+    pub fn open(&mut self, instance: u64, now: VTime) {
+        self.instance_entry(instance, now);
+    }
+
+    /// Makes `instance` live with `value` as this process's initial
+    /// estimate, unless it already holds one.
+    pub fn offer(&mut self, instance: u64, now: VTime, value: Batch) {
+        self.instance_entry(instance, now)
+            .estimate
+            .get_or_insert((value, 0));
+    }
+
+    /// Forgets `instance` (it was decided).
+    pub fn close(&mut self, instance: u64) {
+        self.rounds.instances.remove(&instance);
+    }
+
+    /// Starts suspecting `p`; returns the live instances whose current
+    /// round it coordinates, which are due a [`rotate`](Self::rotate).
+    pub fn suspect(&mut self, p: ProcessId, n: usize) -> Vec<u64> {
+        self.rounds.suspected.insert(p);
+        self.rounds
+            .instances
+            .iter()
+            .filter(|(k, inst)| self.coordinator_of(**k, inst.round, n) == p)
+            .map(|(k, _)| *k)
+            .collect()
+    }
+
+    /// Stops suspecting `p`.
+    pub fn restore(&mut self, p: ProcessId) {
+        self.rounds.suspected.remove(&p);
+    }
+
+    /// The coordinator work should be routed to right now: that of the
+    /// lowest live instance's round or, with none live, the first
+    /// unsuspected member in the rotation at `cursor`.
+    pub fn live_coordinator(&self, cursor: u64, n: usize) -> ProcessId {
+        if let Some((k, inst)) = self.rounds.instances.iter().next() {
+            return self.coordinator_of(*k, inst.round, n);
+        }
+        let members = self.members_of(cursor, n);
+        // Bounded by one full rotation: a learner must not spin when
+        // every member is transiently suspected.
+        let mut r = 0;
+        while r < members.len() && self.rounds.suspected.contains(&members[r]) {
+            r += 1;
+        }
+        members[r % members.len()]
+    }
+
+    /// Coordinator side: locks `value` as this process's estimate in
+    /// `instance`'s current round, which it returns, and acks it —
+    /// durable before (atomically with) the proposal the caller now
+    /// sends.
+    pub fn lock<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64, value: &Batch) -> u32 {
+        let me = ctx.pid();
+        let planted = self.lost_votes_planted();
+        let inst = self.instance_entry(instance, ctx.now());
+        let round = inst.round;
+        inst.adopt(round, value, planted);
+        inst.last_proposal = Some((round, value.clone()));
+        inst.proposal_sent_round = Some(round);
+        inst.acks.clear();
+        inst.acks.insert(me);
+        ctx.bump(self.names.proposals, 1);
+        ctx.trace_span(self.names.label, instance, "proposed", u64::from(round));
+        self.persist_vote(ctx, instance, round, round + 1, value);
+        round
+    }
+
+    /// The gate every incoming proposal passes first. `None`: `from` does
+    /// not coordinate `round` (counted; drop the proposal). Otherwise
+    /// whether this process may vote on it.
+    ///
+    /// The sender check only applies once the membership at `instance`
+    /// is certain: behind the config fence the rotation is still
+    /// provisional, and rejecting would drop a legitimate proposal from
+    /// a configuration this process has not learned yet — which it
+    /// therefore must not vote in either.
+    pub fn admit_proposal<C: ReplicaCtx>(
+        &self,
+        ctx: &mut C,
+        from: ProcessId,
+        instance: u64,
+        round: u32,
+    ) -> Option<bool> {
+        let certain = self.config_certain(instance);
+        if certain && self.coordinator_of(instance, round, ctx.n()) != from {
+            ctx.bump(self.names.bogus_proposals, 1);
+            return None;
+        }
+        Some(certain && self.can_vote(instance, ctx.pid()))
+    }
+
+    /// Takes the proposal `(round, value)` for an undecided `instance`.
+    /// One from an abandoned round is ignored; otherwise it is recorded
+    /// (joining its round), and a `votable` process adopts it, the vote
+    /// durable atomically with the ack the caller now sends so a future
+    /// incarnation honours the lock. A process that may not vote — a
+    /// learner, or one whose replay has not yet determined the membership
+    /// at `instance` — must not lock or ack.
+    pub fn vote<C: ReplicaCtx>(
+        &mut self,
+        ctx: &mut C,
+        instance: u64,
+        round: u32,
+        value: &Batch,
+        votable: bool,
+    ) -> Vote {
+        let now = ctx.now();
+        let planted = self.lost_votes_planted();
+        let inst = self.instance_entry(instance, now);
+        if round < inst.round {
+            return Vote {
+                voted: false,
+                tag_hit: false,
+            };
+        }
+        if round > inst.round {
+            inst.enter(round, now);
+        }
+        inst.last_proposal = Some((round, value.clone()));
+        let tag_hit = inst.pending_tag == Some(round);
+        if votable {
+            inst.adopt(round, value, planted);
+            self.persist_vote(ctx, instance, round, round + 1, value);
+            ctx.trace_span(self.names.label, instance, "voted", u64::from(round));
+        } else {
+            ctx.bump(self.names.config_fence_drops, 1);
+        }
+        Vote {
+            voted: votable,
+            tag_hit,
+        }
+    }
+
+    /// Coordinator side: counts `from`'s ack of `round`. False for an
+    /// ack of anything but the outstanding proposal.
+    pub fn record_ack(&mut self, from: ProcessId, instance: u64, round: u32) -> bool {
+        let Some(inst) = self.rounds.instances.get_mut(&instance) else {
+            return false;
+        };
+        if inst.round != round || inst.proposal_sent_round != Some(round) {
+            return false;
+        }
+        inst.acks.insert(from);
+        true
+    }
+
+    /// Coordinator side: the round and value of `instance`'s outstanding
+    /// proposal once a majority of the configuration governing it acked.
+    pub fn quorum_acked(&self, instance: u64, n: usize) -> Option<(u32, Batch)> {
+        let majority = self.majority_of(instance, n);
+        let inst = self.rounds.instances.get(&instance)?;
+        if inst.proposal_sent_round != Some(inst.round) || inst.acks.len() < majority {
+            return None;
+        }
+        let value = inst.estimate.as_ref().map(|(v, _)| v.clone());
+        Some((inst.round, value.unwrap_or_default()))
+    }
+
+    /// A tag-only decision of `round` arrived: the value it decides, if
+    /// the matching proposal is at hand. Otherwise the tag is kept until
+    /// the proposal shows up ([`Vote::tag_hit`]); the caller asks for the
+    /// value meanwhile, and the sweep keeps asking.
+    pub fn resolve_tag<C: ReplicaCtx>(
+        &mut self,
+        ctx: &mut C,
+        instance: u64,
+        round: u32,
+    ) -> Option<Batch> {
+        let inst = self.instance_entry(instance, ctx.now());
+        match &inst.last_proposal {
+            Some((r, value)) if *r == round => Some(value.clone()),
+            _ => {
+                inst.pending_tag = Some(round);
+                ctx.bump(self.names.tag_misses, 1);
+                None
+            }
+        }
+    }
+
+    /// Joins `round` of `instance` if it is ahead (rounds only move
+    /// forward); true when the instance is then in `round`.
+    pub fn join_round(&mut self, instance: u64, round: u32, now: VTime) -> bool {
+        let inst = self.instance_entry(instance, now);
+        if round > inst.round {
+            inst.enter(round, now);
+        }
+        round == inst.round
+    }
+
+    /// Coordinator side: keeps `from`'s estimate for `round` (only each
+    /// process's highest-round one) and joins the round if peers moved
+    /// past this process — `Some(true)`. `None` for an estimate of an
+    /// abandoned round.
+    pub fn record_estimate(
+        &mut self,
+        from: ProcessId,
+        instance: u64,
+        round: u32,
+        value: Batch,
+        ts: u32,
+        now: VTime,
+    ) -> Option<bool> {
+        let inst = self.instance_entry(instance, now);
+        if round < inst.round {
+            return None;
+        }
+        if inst.estimates.get(&from).is_none_or(|(r, _, _)| *r < round) {
+            inst.estimates.insert(from, (round, value, ts));
+        }
+        let joined = round > inst.round;
+        if joined {
+            inst.enter(round, now);
+        }
+        Some(joined)
+    }
+
+    /// Coordinator side: this process's own estimate joins the collection
+    /// for `instance`'s current round — the one it holds, else `initial()`
+    /// (`None`: it has no initial value yet and contributes nothing).
+    pub fn join_own_estimate(
+        &mut self,
+        me: ProcessId,
+        instance: u64,
+        initial: impl FnOnce() -> Option<Batch>,
+    ) {
+        let Some(inst) = self.rounds.instances.get_mut(&instance) else {
+            return;
+        };
+        let own = inst.estimate.clone().or_else(|| Some((initial()?, 0)));
+        if let Some((value, ts)) = own {
+            inst.estimates.insert(me, (inst.round, value, ts));
+        }
+    }
+
+    /// Coordinator side (rounds ≥ 1): what `me` may propose in
+    /// `instance`'s current round — `None` until a majority's estimates
+    /// for it are in, or when it is not `me`'s to propose.
+    pub fn quorum_choice(&self, instance: u64, me: ProcessId, n: usize) -> Option<QuorumChoice> {
+        if !self.can_vote(instance, me) {
+            return None; // learner, or membership at `instance` still uncertain
+        }
+        let members = self.members_of(instance, n);
+        let round = self.rounds.unproposed_round(instance)?;
+        if round == 0 || members[round as usize % members.len()] != me {
+            return None;
+        }
+        let mut candidates: Vec<(ProcessId, &Batch, u32)> = self.rounds.instances[&instance]
+            .estimates
+            .iter()
+            .filter(|(_, (r, _, _))| *r == round)
+            .map(|(pid, (_, value, ts))| (*pid, value, *ts))
+            .collect();
+        if candidates.len() < members.len() / 2 + 1 {
+            return None;
+        }
+        candidates.sort_by_key(|(pid, _, ts)| (Reverse(*ts), *pid));
+        Some(if candidates[0].2 == 0 {
+            QuorumChoice::Unlocked(candidates.iter().map(|(_, v, _)| (*v).clone()).collect())
+        } else {
+            QuorumChoice::Locked(candidates[0].1.clone())
+        })
+    }
+
+    /// Moves `instance` to the next round whose coordinator is not
+    /// currently suspected. `None` if the instance is not live.
+    pub fn rotate<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64) -> Option<Rotation> {
+        let me = ctx.pid();
+        let members = self.members_of(instance, ctx.n());
+        let coord_of = |round: u32| members[round as usize % members.len()];
+        let votable = self.can_vote(instance, me);
+        let Rounds {
+            instances,
+            suspected,
+        } = &mut self.rounds;
+        let inst = instances.get_mut(&instance)?;
+        let mut round = inst.round + 1;
+        // The skip is bounded by one full rotation: past it the same
+        // coordinators repeat, and a learner (never its own coordinator)
+        // must not spin when every member is transiently suspected.
+        let mut skips = 0;
+        while coord_of(round) != me && suspected.contains(&coord_of(round)) && skips < members.len()
+        {
+            round += 1;
+            skips += 1;
+        }
+        inst.enter(round, ctx.now());
+        ctx.bump(self.names.round_changes, 1);
+        ctx.trace_span(self.names.label, instance, "round_change", u64::from(round));
+        if !votable {
+            ctx.bump(self.names.config_fence_drops, 1);
+        }
+        Some(Rotation {
+            round,
+            coordinator: coord_of(round),
+            votable,
+        })
+    }
+
+    /// One instance [`stuck`](Rounds::stuck) at `now`, the start of the
+    /// periodic sweep. If it awaits the value of a tag-only decision it
+    /// asks everybody for it again; otherwise — returning true — it is
+    /// due a [`rotate`](Self::rotate) as if its coordinator were
+    /// suspected (the liveness backstop), which the stack plays.
+    pub fn sweep_stuck<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64, now: VTime) -> bool {
+        let Some(inst) = self.rounds.instances.get_mut(&instance) else {
+            return false;
+        };
+        if inst.pending_tag.is_none() {
+            ctx.bump(self.names.progress_rotations, 1);
+            return true;
+        }
+        inst.round_entered = now;
+        ctx.bump(self.names.request_retries, 1);
+        self.broadcast(ctx, &CatchUp::DecisionRequest { instance });
+        false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replica::keys;
+    use crate::replica::tests::{batch, FakeCtx, FakeHost, NAMES};
+    use crate::replica::{ReplicaConfig, ReplicaHost, VoteRecord};
+    use crate::wire::decode;
+
+    const P0: ProcessId = ProcessId(0);
+    const P1: ProcessId = ProcessId(1);
+    const P2: ProcessId = ProcessId(2);
+    /// The instance under test.
+    const K: u64 = 4;
+
+    /// A fresh core of p1 in the static group {p1, p2, p3}.
+    fn core() -> ReplicaCore {
+        ReplicaCore::new(ReplicaConfig::default(), &NAMES)
+    }
+
+    /// `core` with `K` moved to round 3, which p1 coordinates, holding
+    /// the given `(from, value, ts)` estimates for it.
+    fn coordinating(estimates: &[(ProcessId, u64, u32)]) -> ReplicaCore {
+        let mut core = core();
+        assert!(core.join_round(K, 3, VTime::ZERO));
+        for &(from, value, ts) in estimates {
+            let joined = core.record_estimate(from, K, 3, batch(value), ts, VTime::ZERO);
+            assert_eq!(joined, Some(false));
+        }
+        core
+    }
+
+    fn stored_vote(ctx: &FakeCtx) -> VoteRecord {
+        decode(ctx.store[&keys::vote(K)].clone()).unwrap()
+    }
+
+    #[test]
+    fn a_locked_estimate_beats_any_number_of_initial_ones() {
+        // One estimate is no majority of three.
+        assert_eq!(coordinating(&[(P1, 1, 0)]).quorum_choice(K, P0, 3), None);
+        // Locked in round 1 (ts 2) against two never-adopted values.
+        let mut core = coordinating(&[(P1, 1, 0), (P2, 2, 2)]);
+        core.join_own_estimate(P0, K, || Some(batch(0)));
+        let choice = core.quorum_choice(K, P0, 3);
+        assert_eq!(choice, Some(QuorumChoice::Locked(batch(2))));
+        // The higher timestamp wins; equal ones go to the lowest pid.
+        let choice = coordinating(&[(P1, 1, 1), (P2, 2, 3)]).quorum_choice(K, P0, 3);
+        assert_eq!(choice, Some(QuorumChoice::Locked(batch(2))));
+        let choice = coordinating(&[(P2, 2, 2), (P1, 1, 2)]).quorum_choice(K, P0, 3);
+        assert_eq!(choice, Some(QuorumChoice::Locked(batch(1))));
+        // Not p2's round to propose in, whatever it holds.
+        assert_eq!(core.quorum_choice(K, P1, 3), None);
+    }
+
+    #[test]
+    fn unlocked_only_when_every_candidate_is_initial() {
+        let mut core = coordinating(&[(P2, 2, 0), (P1, 1, 0)]);
+        core.join_own_estimate(P0, K, || Some(batch(0)));
+        let all = vec![batch(0), batch(1), batch(2)];
+        assert_eq!(
+            core.quorum_choice(K, P0, 3),
+            Some(QuorumChoice::Unlocked(all))
+        );
+        // An estimate for another round is no candidate; a process
+        // without an initial value contributes nothing.
+        let mut core = coordinating(&[(P1, 1, 0)]);
+        core.record_estimate(P2, K, 6, batch(2), 0, VTime::ZERO);
+        core.join_own_estimate(P0, K, || None);
+        assert!(!core.rounds().has_estimate_from(K, P0));
+        assert_eq!(core.quorum_choice(K, P0, 3), None);
+        // One lock among the candidates and the choice is not free.
+        let core = coordinating(&[(P1, 1, 0), (P2, 2, 1)]);
+        assert_eq!(
+            core.quorum_choice(K, P0, 3),
+            Some(QuorumChoice::Locked(batch(2)))
+        );
+    }
+
+    #[test]
+    fn lock_and_vote_persist_before_returning_and_never_lower_ts() {
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        core.offer(K, ctx.now, batch(7));
+        assert_eq!(core.rounds().estimate(K), Some((&batch(7), 0)));
+        core.offer(K, ctx.now, batch(8)); // the first initial value stays
+        assert_eq!(core.rounds().unproposed_round(K), Some(0));
+        assert_eq!(core.lock(&mut ctx, K, &batch(7)), 0);
+        assert_eq!(ctx.writes, vec![(keys::vote(K), true)]);
+        let vote = stored_vote(&ctx);
+        assert_eq!((vote.round, vote.ts, vote.value), (0, 1, batch(7)));
+        assert_eq!(ctx.bumped("t.proposals"), 1);
+        assert_eq!(core.rounds().unproposed_round(K), None, "proposed already");
+        assert_eq!(core.rounds().proposed_values().count(), 1);
+        // The self-ack alone is no majority of three; p2's makes one.
+        assert_eq!(core.quorum_acked(K, 3), None);
+        assert!(core.record_ack(P1, K, 0));
+        assert_eq!(core.quorum_acked(K, 3), Some((0, batch(7))));
+
+        // A vote in round 2 raises the timestamp to 3, durably.
+        let vote = core.vote(&mut ctx, K, 2, &batch(9), true);
+        assert!(vote.voted && !vote.tag_hit);
+        let vote = stored_vote(&ctx);
+        assert_eq!((vote.round, vote.ts, vote.value), (2, 3, batch(9)));
+        assert_eq!(core.rounds().estimate(K), Some((&batch(9), 3)));
+        // The acks belonged to round 0.
+        assert_eq!(core.quorum_acked(K, 3), None);
+        // A proposal of an abandoned round cannot lower it.
+        ctx.writes.clear();
+        let stale = core.vote(&mut ctx, K, 1, &batch(5), true);
+        assert!(!stale.voted && !stale.tag_hit && ctx.writes.is_empty());
+        assert_eq!(core.rounds().estimate(K), Some((&batch(9), 3)));
+        // Coordinating round 3, p1 locks whatever it proposes with ts 4.
+        assert!(core.join_round(K, 3, ctx.now));
+        assert_eq!(core.lock(&mut ctx, K, &batch(9)), 3);
+        assert_eq!(stored_vote(&ctx).ts, 4);
+    }
+
+    #[test]
+    fn stale_rounds_are_ignored() {
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        assert!(core.join_round(K, 3, ctx.now));
+        assert!(!core.join_round(K, 2, ctx.now), "rounds only move forward");
+        // Proposal: not recorded, so a tag for its round still misses.
+        let vote = core.vote(&mut ctx, K, 2, &batch(1), true);
+        assert!(!vote.voted && ctx.writes.is_empty());
+        assert_eq!(core.resolve_tag(&mut ctx, K, 2), None);
+        assert_eq!(ctx.bumped("t.tag_misses"), 1);
+        // Estimate: not kept.
+        let stale = core.record_estimate(P1, K, 2, batch(1), 0, ctx.now);
+        assert_eq!(stale, None);
+        assert!(!core.rounds().has_estimate_from(K, P1));
+        // A later one replaces an earlier one of the same process, not
+        // the other way round.
+        assert_eq!(
+            core.record_estimate(P1, K, 6, batch(6), 0, ctx.now),
+            Some(true)
+        );
+        core.record_estimate(P1, K, 6, batch(1), 0, ctx.now);
+        core.record_estimate(P2, K, 6, batch(2), 0, ctx.now);
+        let all = vec![batch(6), batch(2)];
+        assert_eq!(
+            core.quorum_choice(K, P0, 3),
+            Some(QuorumChoice::Unlocked(all))
+        );
+        // Ack: only of the outstanding proposal.
+        assert!(!core.record_ack(P1, K, 6), "nothing proposed yet");
+        core.lock(&mut ctx, K, &batch(6));
+        assert!(!core.record_ack(P1, K, 3));
+        assert!(!core.record_ack(P1, K + 1, 6));
+        assert_eq!(core.quorum_acked(K, 3), None);
+        assert!(core.record_ack(P2, K, 6));
+        assert_eq!(core.quorum_acked(K, 3), Some((6, batch(6))));
+    }
+
+    #[test]
+    fn a_process_that_may_not_vote_records_but_never_locks() {
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        // The tag comes first: kept until the proposal shows up.
+        assert_eq!(core.resolve_tag(&mut ctx, K, 0), None);
+        let vote = core.vote(&mut ctx, K, 0, &batch(3), false);
+        assert!(!vote.voted && vote.tag_hit);
+        assert!(ctx.writes.is_empty(), "no vote, nothing durable");
+        assert_eq!(core.rounds().estimate(K), None);
+        assert_eq!(ctx.bumped("t.config_fence_drops"), 1);
+        // The proposal comes first: a later tag decides it.
+        let vote = core.vote(&mut ctx, K + 1, 0, &batch(4), false);
+        assert!(!vote.voted && !vote.tag_hit);
+        assert_eq!(core.resolve_tag(&mut ctx, K + 1, 0), Some(batch(4)));
+        assert_eq!(core.resolve_tag(&mut ctx, K + 1, 1), None, "other round");
+        assert_eq!(ctx.bumped("t.tag_misses"), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two values voted in one (instance, round)")]
+    fn a_second_value_in_one_round_trips_the_invariant() {
+        // Where the lost-vote bug is planted the same sequence is left
+        // for the delivery oracle to report.
+        let mut cfg = ReplicaConfig::default();
+        cfg.faults.skip_vote_persist = true;
+        let (mut planted, mut ctx) = (ReplicaCore::new(cfg, &NAMES), FakeCtx::new());
+        planted.vote(&mut ctx, K, 1, &batch(1), true);
+        planted.vote(&mut ctx, K, 1, &batch(2), true);
+        assert!(ctx.writes.is_empty());
+
+        let mut core = core();
+        core.vote(&mut ctx, K, 1, &batch(1), true);
+        core.vote(&mut ctx, K, 1, &batch(2), true);
+    }
+
+    #[test]
+    fn admit_proposal_checks_the_sender_against_the_rotation() {
+        let (core, mut ctx) = (core(), FakeCtx::new());
+        assert_eq!(core.admit_proposal(&mut ctx, P1, K, 1), Some(true));
+        assert_eq!(core.admit_proposal(&mut ctx, P2, K, 1), None);
+        assert_eq!(ctx.bumped("t.bogus_proposals"), 1);
+    }
+
+    #[test]
+    fn rotate_skips_suspects_but_at_most_one_full_rotation() {
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        assert_eq!(core.rotate(&mut ctx, K), None, "not live");
+        core.open(K, ctx.now);
+        core.open(K + 1, ctx.now);
+        assert_eq!(core.suspect(P0, 3), vec![K, K + 1]);
+        assert_eq!(core.suspect(P1, 3), Vec::<u64>::new());
+        assert_eq!(core.live_coordinator(0, 3), P0, "that of round 0 of K");
+        let to = core.rotate(&mut ctx, K).unwrap();
+        assert_eq!((to.round, to.coordinator, to.votable), (2, P2, true));
+        assert_eq!(ctx.bumped("t.round_changes"), 1);
+        assert!(core.rounds().coordinator_suspected(K + 1, &[P0, P1, P2]));
+        assert!(!core.rounds().coordinator_suspected(K, &[P0, P1, P2]));
+        // A process never skips itself, suspected or not.
+        core.suspect(P2, 3);
+        assert_eq!(core.rotate(&mut ctx, K).unwrap().round, 3);
+        core.close(K);
+        core.close(K + 1);
+        assert_eq!(core.live_coordinator(0, 3), P0, "all suspected: wraps");
+        core.restore(P1);
+        assert_eq!(core.live_coordinator(0, 3), P1);
+
+        // A learner (p3 outside {p1, p2}) is never its own coordinator:
+        // with every member suspected it stops after one rotation.
+        let cfg = ReplicaConfig {
+            initial_members: 2,
+            ..ReplicaConfig::default()
+        };
+        let mut host = FakeHost::over(ReplicaCore::new(cfg, &NAMES));
+        ctx.pid = P2;
+        host.start_replica(&mut ctx);
+        let core = &mut host.core;
+        core.open(K, ctx.now);
+        core.suspect(P0, 3);
+        core.suspect(P1, 3);
+        let to = core.rotate(&mut ctx, K).unwrap();
+        assert_eq!((to.round, to.coordinator, to.votable), (3, P1, false));
+        assert_eq!(ctx.bumped("t.config_fence_drops"), 1);
+        assert_eq!(core.quorum_choice(K, P2, 3), None);
+    }
+
+    #[test]
+    fn the_sweep_retries_a_pending_tag_and_rotates_the_rest() {
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        core.open(K, ctx.now);
+        assert_eq!(core.resolve_tag(&mut ctx, K + 1, 0), None);
+        assert!(core.rounds().stuck(ctx.now + PROGRESS_TIMEOUT).is_empty());
+        ctx.now = ctx.now + PROGRESS_TIMEOUT + fortika_sim::VDur::millis(1);
+        let now = ctx.now;
+        assert_eq!(core.rounds().stuck(now), vec![K, K + 1]);
+        assert!(core.sweep_stuck(&mut ctx, K, now), "due a rotation");
+        assert_eq!(ctx.bumped("t.progress_rotations"), 1);
+        assert!(!core.sweep_stuck(&mut ctx, K + 1, now));
+        let instance = K + 1;
+        let ask = CatchUp::DecisionRequest { instance };
+        assert_eq!(ctx.sent, vec![(None, "t.decision_request", ask)]);
+        assert_eq!(ctx.bumped("t.request_retries"), 1);
+        assert_eq!(core.rounds().stuck(now), vec![K], "the retry re-armed it");
+        assert!(!core.sweep_stuck(&mut ctx, K + 2, now), "not live");
+    }
+
+    #[test]
+    fn a_fresh_instance_is_seeded_from_the_recovered_vote() {
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        core.vote(&mut ctx, K, 2, &batch(9), true);
+        let mut revived = ReplicaCore::resume(ReplicaConfig::default(), &NAMES, &ctx.store);
+        revived.open(K, ctx.now);
+        revived.open(K + 3, ctx.now);
+        assert_eq!(revived.rounds().estimate(K), Some((&batch(9), 3)));
+        assert_eq!(revived.rounds().unproposed_round(K), Some(2));
+        assert_eq!(revived.rounds().unproposed_round(K + 3), Some(0));
+        assert_eq!(revived.rounds().estimate(K + 3), None);
+        // The lock is honoured: round 1 is abandoned for good.
+        let stale = revived.vote(&mut ctx, K, 1, &batch(1), true);
+        assert!(!stale.voted);
+        // A snapshot covering an instance drops its round state.
+        assert_eq!(
+            (revived.rounds().len(), revived.rounds().lowest()),
+            (2, Some(K))
+        );
+        revived.rounds.drop_below(K + 1);
+        assert!(!revived.rounds().contains(K) && revived.rounds().contains(K + 3));
+    }
+}

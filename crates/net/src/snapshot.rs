@@ -54,7 +54,7 @@ use bytes::Bytes;
 use crate::id::{MsgId, ProcessId};
 use crate::membership::{decode_reconfigs, encode_reconfigs, ConfigChange};
 use crate::message::{AppMsg, Batch};
-use crate::watermark::WatermarkSet;
+use crate::watermark::DeliveredSet;
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
 use fortika_sim::{VDur, VTime};
 
@@ -100,7 +100,8 @@ impl fmt::Debug for AppStateFactory {
 }
 
 /// Per-sender delivered set inside a [`Snapshot`] (watermark plus the
-/// sparse completions above it — the wire form of [`WatermarkSet`]).
+/// sparse completions above it — the wire form of a
+/// [`WatermarkSet`](crate::watermark::WatermarkSet)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SenderLog {
     /// The sender these sequence numbers belong to.
@@ -277,7 +278,7 @@ pub struct SnapshotFold {
     next: u64,
     /// Decided batches that arrived ahead of the contiguous frontier.
     buffered: BTreeMap<u64, Batch>,
-    delivered: BTreeMap<ProcessId, WatermarkSet>,
+    delivered: DeliveredSet,
     delivered_count: u64,
     digest: u64,
     app: Option<Box<dyn AppState>>,
@@ -289,7 +290,7 @@ impl SnapshotFold {
         SnapshotFold {
             next: 0,
             buffered: BTreeMap::new(),
-            delivered: BTreeMap::new(),
+            delivered: DeliveredSet::default(),
             delivered_count: 0,
             digest: DIGEST_SEED,
             app,
@@ -313,10 +314,7 @@ impl SnapshotFold {
 
     /// True if `id` was delivered within the folded prefix.
     pub fn is_delivered(&self, id: MsgId) -> bool {
-        let key = crate::dissemination::fold_key(id);
-        self.delivered
-            .get(&key.sender)
-            .is_some_and(|log| !log.is_new(key.seq))
+        !self.delivered.is_new(crate::dissemination::fold_key(id))
     }
 
     /// Absorbs the decision of `instance`, folding forward as far as the
@@ -338,11 +336,10 @@ impl SnapshotFold {
                 // keeping `delivered_count` in application units for
                 // ordinary messages and descriptors alike.
                 let key = crate::dissemination::fold_key(msg.id);
-                let log = self.delivered.entry(key.sender).or_default();
-                if !log.is_new(key.seq) {
+                if !self.delivered.is_new(key) {
                     continue; // delivered by an earlier instance
                 }
-                log.complete(key.seq);
+                self.delivered.mark(key);
                 self.delivered_count += crate::dissemination::delivery_weight(msg);
                 self.digest = digest_msg(self.digest, msg);
                 if let Some(app) = &mut self.app {
@@ -359,20 +356,11 @@ impl SnapshotFold {
         if self.next == 0 {
             return None;
         }
-        let delivered = self
-            .delivered
-            .iter()
-            .map(|(&sender, log)| SenderLog {
-                sender,
-                watermark: log.watermark(),
-                above: log.sparse().collect(),
-            })
-            .collect();
         Some(Snapshot {
             last_included: self.next - 1,
             delivered_count: self.delivered_count,
             digest: self.digest,
-            delivered,
+            delivered: self.delivered.to_logs(),
             app_state: self.app.as_ref().map(|a| a.encode()).unwrap_or_default(),
             // The stack stamps in the reconfig history it decided within
             // the covered prefix; the fold itself only tracks deliveries.
@@ -388,16 +376,10 @@ impl SnapshotFold {
             return false;
         }
         self.next = snap.last_included + 1;
-        self.delivered = snap
-            .delivered
-            .iter()
-            .map(|s| {
-                (
-                    s.sender,
-                    WatermarkSet::from_parts(s.watermark, s.above.iter().copied()),
-                )
-            })
-            .collect();
+        self.delivered = DeliveredSet::default();
+        for log in &snap.delivered {
+            self.delivered.seed(log);
+        }
         self.delivered_count = snap.delivered_count;
         self.digest = snap.digest;
         if let Some(app) = &mut self.app {

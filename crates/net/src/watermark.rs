@@ -6,7 +6,10 @@
 //! compacted into a contiguous watermark; only a (normally tiny) set of
 //! out-of-order completions lives above it.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
+
+use crate::id::{MsgId, ProcessId};
+use crate::snapshot::SenderLog;
 
 /// Compacted set of completed sequence numbers for one origin.
 ///
@@ -30,14 +33,16 @@ use std::collections::BTreeSet;
 pub struct WatermarkSet {
     /// All sequence numbers `< watermark` are completed.
     watermark: u64,
-    /// Completed sequence numbers `>= watermark` (sparse).
-    above: BTreeSet<u64>,
+    /// Completed sequence numbers `>= watermark`, ascending (sparse).
+    /// Flat, not a tree: a snapshot copies it on every compaction, and
+    /// completions arrive (nearly) in order, i.e. at its end.
+    above: Vec<u64>,
 }
 
 impl WatermarkSet {
     /// True if `seq` has not been completed yet.
     pub fn is_new(&self, seq: u64) -> bool {
-        seq >= self.watermark && !self.above.contains(&seq)
+        seq >= self.watermark && self.above.binary_search(&seq).is_err()
     }
 
     /// Marks `seq` completed, compacting the watermark when possible.
@@ -45,10 +50,10 @@ impl WatermarkSet {
         if seq < self.watermark {
             return;
         }
-        self.above.insert(seq);
-        while self.above.remove(&self.watermark) {
-            self.watermark += 1;
+        if let Err(at) = self.above.binary_search(&seq) {
+            self.above.insert(at, seq);
         }
+        self.compact();
     }
 
     /// Marks everything below `watermark` completed in one step
@@ -59,10 +64,18 @@ impl WatermarkSet {
             return;
         }
         self.watermark = watermark;
-        self.above.retain(|&s| s >= watermark);
-        while self.above.remove(&self.watermark) {
-            self.watermark += 1;
-        }
+        let below = self.above.partition_point(|&s| s < watermark);
+        self.above.drain(..below);
+        self.compact();
+    }
+
+    /// Absorbs the sparse entries that continue the watermark.
+    fn compact(&mut self) {
+        let run = (self.above.iter().zip(self.watermark..))
+            .take_while(|(s, w)| *s == w)
+            .count();
+        self.above.drain(..run);
+        self.watermark += run as u64;
     }
 
     /// Everything below this is completed.
@@ -70,29 +83,56 @@ impl WatermarkSet {
         self.watermark
     }
 
-    /// The sparse completions at or above the watermark, ascending
-    /// (snapshot encoding; see `fortika_net::Snapshot`).
-    pub fn sparse(&self) -> impl Iterator<Item = u64> + '_ {
-        self.above.iter().copied()
-    }
-
-    /// Rebuilds a set from its parts (snapshot decoding): everything
-    /// below `watermark` completed plus the sparse entries `above`,
-    /// compacting when they close the gap.
-    pub fn from_parts(watermark: u64, above: impl IntoIterator<Item = u64>) -> Self {
-        let mut set = WatermarkSet {
-            watermark,
-            above: above.into_iter().filter(|&s| s >= watermark).collect(),
-        };
-        while set.above.remove(&set.watermark) {
-            set.watermark += 1;
-        }
-        set
-    }
-
     /// Number of completed entries retained above the watermark.
     pub fn sparse_len(&self) -> usize {
         self.above.len()
+    }
+}
+
+/// The delivered message ids, one [`WatermarkSet`] per sender: the
+/// duplicate suppression of every delivery path (both stacks' and the
+/// snapshot fold's), and what a snapshot carries of it.
+#[derive(Debug, Default)]
+pub struct DeliveredSet {
+    per_sender: BTreeMap<ProcessId, WatermarkSet>,
+}
+
+impl DeliveredSet {
+    /// True if `id` has not been delivered yet.
+    pub fn is_new(&self, id: MsgId) -> bool {
+        self.per_sender
+            .get(&id.sender)
+            .is_none_or(|log| log.is_new(id.seq))
+    }
+
+    /// Marks `id` delivered.
+    pub fn mark(&mut self, id: MsgId) {
+        self.per_sender
+            .entry(id.sender)
+            .or_default()
+            .complete(id.seq);
+    }
+
+    /// Marks everything a snapshot's `log` lists delivered: compacted
+    /// messages must never re-deliver.
+    pub fn seed(&mut self, log: &SenderLog) {
+        let set = self.per_sender.entry(log.sender).or_default();
+        set.advance_to(log.watermark);
+        for &seq in &log.above {
+            set.complete(seq);
+        }
+    }
+
+    /// The set in its snapshot form, by sender.
+    pub fn to_logs(&self) -> Vec<SenderLog> {
+        self.per_sender
+            .iter()
+            .map(|(&sender, log)| SenderLog {
+                sender,
+                watermark: log.watermark(),
+                above: log.above.clone(),
+            })
+            .collect()
     }
 }
 
@@ -147,6 +187,31 @@ mod tests {
         assert!(log.is_new(6));
         log.advance_to(3); // backwards: no-op
         assert_eq!(log.watermark(), 6);
+    }
+
+    #[test]
+    fn delivered_set_tracks_per_sender_and_round_trips_through_logs() {
+        let mut set = DeliveredSet::default();
+        let a0 = MsgId::new(ProcessId(0), 0);
+        let b2 = MsgId::new(ProcessId(1), 2);
+        assert!(set.is_new(a0));
+        set.mark(a0);
+        assert!(!set.is_new(a0));
+        assert!(set.is_new(b2), "senders are independent");
+        set.mark(b2);
+        let logs = set.to_logs();
+        assert_eq!(logs[0].watermark, 1);
+        assert_eq!((logs[1].watermark, &logs[1].above), (0, &vec![2]));
+
+        // Seeding merges into what is already there and compacts.
+        let mut other = DeliveredSet::default();
+        other.mark(MsgId::new(ProcessId(1), 0));
+        other.mark(MsgId::new(ProcessId(1), 1));
+        for log in &logs {
+            other.seed(log);
+        }
+        assert!(!other.is_new(a0) && !other.is_new(b2));
+        assert_eq!(other.to_logs()[1].watermark, 3);
     }
 
     #[test]

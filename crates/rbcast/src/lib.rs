@@ -9,16 +9,12 @@
 //! Two algorithm variants are provided (see [`RbcastVariant`]):
 //! the classic flood and the majority-optimized relay scheme whose
 //! good-run message count `(n−1)·⌊(n+1)/2⌋` appears in the paper's
-//! analytical model. [`OriginLog`] provides the watermark-compacted
-//! duplicate suppression that keeps long runs in bounded memory.
+//! analytical model. Duplicates are suppressed through a per-origin
+//! `fortika_net::WatermarkSet`, which keeps long runs in bounded memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod log;
 mod module;
 
-pub use crate::log::OriginLog;
-pub use module::{
-    relay_set, RbcastConfig, RbcastModule, RbcastVariant, RBCAST_MODULE_ID, STABLE_SEQ_KEY,
-};
+pub use module::{RbcastConfig, RbcastModule, RbcastVariant, RBCAST_MODULE_ID, STABLE_SEQ_KEY};

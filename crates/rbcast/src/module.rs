@@ -30,10 +30,8 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::wire::{decode, encode, Wire, WireError, WireReader, WireWriter};
-use fortika_net::{ProcessId, StableStore, TimerId};
+use fortika_net::{ProcessId, StableStore, TimerId, WatermarkSet};
 use fortika_sim::VDur;
-
-use crate::log::OriginLog;
 
 /// Stable-store key of this module's rbcast sequence counter.
 ///
@@ -83,13 +81,6 @@ impl Default for RbcastConfig {
     }
 }
 
-/// The deterministic relay set for messages rbcast by `origin`: the
-/// `⌊(n−1)/2⌋` processes that follow the origin in ring order.
-pub fn relay_set(origin: ProcessId, n: usize) -> impl Iterator<Item = ProcessId> {
-    let count = (n - 1) / 2;
-    (1..=count as u16).map(move |i| ProcessId((origin.0 + i) % n as u16))
-}
-
 /// One reliably-broadcast message on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RbMsg {
@@ -132,7 +123,7 @@ struct Pending {
 pub struct RbcastModule {
     cfg: RbcastConfig,
     next_seq: u64,
-    logs: BTreeMap<ProcessId, OriginLog>,
+    logs: BTreeMap<ProcessId, WatermarkSet>,
     pending: BTreeMap<(ProcessId, u64), Pending>,
     timer_keys: BTreeMap<u64, (ProcessId, u64)>,
     next_timer_tag: u64,
@@ -191,7 +182,7 @@ impl RbcastModule {
                 let n = ctx.n();
                 let origin = msg.origin;
                 let seq = msg.seq;
-                if relay_set(origin, n).any(|p| p == me) {
+                if ProcessId::relay_set(origin, n).any(|p| p == me) {
                     // Relay: our re-send makes us a transmitter; we need
                     // no further evidence ourselves.
                     ctx.broadcast_net("rb.relay", &msg);
@@ -200,7 +191,7 @@ impl RbcastModule {
                 }
                 // Non-relay: await evidence from every transmitter.
                 let mut awaiting: Vec<ProcessId> = std::iter::once(origin)
-                    .chain(relay_set(origin, n))
+                    .chain(ProcessId::relay_set(origin, n))
                     .filter(|&p| p != me && p != from)
                     .collect();
                 awaiting.dedup();
@@ -305,18 +296,6 @@ impl Microprotocol for RbcastModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relay_sets_are_ring_successors() {
-        let relays: Vec<ProcessId> = relay_set(ProcessId(0), 7).collect();
-        assert_eq!(relays, vec![ProcessId(1), ProcessId(2), ProcessId(3)]);
-        let relays: Vec<ProcessId> = relay_set(ProcessId(6), 7).collect();
-        assert_eq!(relays, vec![ProcessId(0), ProcessId(1), ProcessId(2)]);
-        let relays: Vec<ProcessId> = relay_set(ProcessId(2), 3).collect();
-        assert_eq!(relays, vec![ProcessId(0)]);
-        assert_eq!(relay_set(ProcessId(0), 2).count(), 0);
-        assert_eq!(relay_set(ProcessId(0), 1).count(), 0);
-    }
 
     #[test]
     fn rbmsg_round_trips() {
