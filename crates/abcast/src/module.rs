@@ -235,8 +235,8 @@ impl AbcastModule {
     /// (the counter is only ever persisted when offloading).
     pub fn resume(cfg: AbcastConfig, stable: &StableStore) -> Self {
         let mut module = Self::new(cfg);
-        if let Some(bytes) = stable.get(&ABCAST_STABLE_SEQ_KEY) {
-            if let Ok(seq) = decode::<u64>(bytes.clone()) {
+        if let Some(value) = stable.get(&ABCAST_STABLE_SEQ_KEY) {
+            if let Ok(seq) = value.decode::<u64>() {
                 module.next_payload_seq = seq;
             }
         }

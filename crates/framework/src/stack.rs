@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use fortika_net::wire::{encode_with, Wire, WireReader, WireWriter};
+use fortika_net::wire::{encode_with, Stored, Wire, WireReader, WireWriter};
 use fortika_net::{
     Admission, AppRequest, ConfigStamp, CostModel, MsgId, Node, NodeCtx, ProcessId, ReplicaCtx,
     SnapshotStamp, TimerId,
@@ -156,7 +156,7 @@ impl FrameworkCtx<'_, '_> {
     /// [`fortika_net::NodeCtx::persist`]. The store is shared by the whole
     /// stack: modules take their key namespace (high byte) from
     /// [`fortika_net::replica::keys`].
-    pub fn persist(&mut self, key: u64, value: bytes::Bytes) {
+    pub fn persist(&mut self, key: u64, value: impl Into<Stored>) {
         self.node.persist(key, value);
     }
 
@@ -207,7 +207,7 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
     fn costs(&self) -> &CostModel {
         self.node.costs()
     }
-    fn persist(&mut self, key: u64, value: Bytes) {
+    fn persist(&mut self, key: u64, value: impl Into<Stored>) {
         self.node.persist(key, value);
     }
     fn unpersist(&mut self, key: u64) {

@@ -59,6 +59,7 @@ use crate::id::{MsgId, ProcessId};
 use crate::membership::ConfigStamp;
 use crate::message::AppMsg;
 use crate::snapshot::SnapshotStamp;
+use crate::wire::Stored;
 
 /// Handle to a pending timer, local to one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,10 +68,15 @@ pub struct TimerId(u64);
 /// A process's stable storage: the only state surviving a restart.
 ///
 /// Keys are module-chosen `u64`s (modules namespace their keys by a tag
-/// in the high byte); values are opaque encoded bytes. Written through
-/// [`NodeCtx::persist`] / [`NodeCtx::unpersist`] and handed to the node
-/// factory when the process is revived.
-pub type StableStore = BTreeMap<u64, Bytes>;
+/// in the high byte); values are opaque encoded bytes, each held as a
+/// [`Stored`] gather list — usually one buffer, but a record of a value
+/// the process already holds (a voted batch) keeps the payloads by
+/// reference, so the simulator's store costs the host what a `writev`
+/// of header + held buffers costs a real acceptor, not a payload-sized
+/// copy. Written through [`NodeCtx::persist`] / [`NodeCtx::unpersist`]
+/// and handed to the node factory when the process is revived; read
+/// with [`Stored::decode`] / [`Stored::reader`].
+pub type StableStore = BTreeMap<u64, Stored>;
 
 /// Builds a fresh stack for a revived process.
 ///
@@ -153,7 +159,7 @@ pub struct NodeCtx<'a> {
     timers: Vec<(VTime, TimerId, u64)>,
     cancels: Vec<TimerId>,
     deliveries: Vec<(Delivery, VTime)>,
-    persists: Vec<(u64, Option<Bytes>)>,
+    persists: Vec<(u64, Option<Stored>)>,
     snapshots: Vec<(SnapshotStamp, VTime)>,
     configs: Vec<(ConfigStamp, VTime)>,
     app_ready: bool,
@@ -253,15 +259,17 @@ impl NodeCtx<'_> {
         self.app_ready = true;
     }
 
-    /// Writes `value` to this process's stable store under `key`
-    /// (write-ahead semantics: the write takes effect atomically with
-    /// the rest of this handler's outputs and survives crashes).
+    /// Writes `value` — a [`Bytes`] buffer or a [`Stored`] gather list,
+    /// whose parts are fixed from here on — to this process's stable
+    /// store under `key` (write-ahead semantics: the write takes effect
+    /// atomically with the rest of this handler's outputs and survives
+    /// crashes).
     ///
     /// Charges the stable-write CPU cost from the cluster's
-    /// [`CostModel`].
-    pub fn persist(&mut self, key: u64, value: Bytes) {
+    /// [`CostModel`]: one charge per call, however many parts.
+    pub fn persist(&mut self, key: u64, value: impl Into<Stored>) {
         self.charge_durability(self.cost.stable_write);
-        self.persists.push((key, Some(value)));
+        self.persists.push((key, Some(value.into())));
     }
 
     /// Deletes `key` from this process's stable store. Charges the same

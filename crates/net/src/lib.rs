@@ -105,3 +105,4 @@ pub use snapshot::{
     SnapshotStamp,
 };
 pub use watermark::{DeliveredSet, WatermarkSet};
+pub use wire::Stored;

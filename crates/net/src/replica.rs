@@ -25,7 +25,8 @@
 //!
 //! * **Durable votes** — every vote (ack / adoption) writes a
 //!   [`VoteRecord`] to the stable store atomically with the vote message
-//!   ([`ReplicaCore::persist_vote`]); [`ReplicaCore::resume`] replays the
+//!   ([`ReplicaCore::persist_vote`]; the record holds long payloads by
+//!   reference, see [`Stored`]); [`ReplicaCore::resume`] replays the
 //!   records so a revived process re-enters undecided instances with its
 //!   locked `(round, estimate, ts)` intact. Without this, the quorum
 //!   intersection at the heart of Chandra–Toueg safety breaks (an
@@ -55,8 +56,24 @@
 //! prefix through a deterministic [`SnapshotFold`] and periodically
 //! materializes a [`Snapshot`] — application-state digest, per-sender
 //! delivered sets, the reconfiguration history and the `last_included`
-//! instance — persisted via the stable store, then evicts cached
-//! decisions at or below `last_included` while the cache overflows. A
+//! instance — persisted via the stable store. The rule, applied after
+//! every recorded decision:
+//!
+//! 1. *Trim.* While the cache holds more than `decision_cache`
+//!    decisions, evict the oldest — but only one the serving snapshot
+//!    covers. An uncovered decision is never dropped, so every instance a
+//!    joiner may miss is servable from either the log tail or the
+//!    snapshot.
+//! 2. *Cut on cadence.* Materialize a snapshot when the fold ran
+//!    `snapshot_interval` instances past the previous one.
+//! 3. *Cut on an uncovered overflow.* If the cache is still over its
+//!    bound after the trim, its oldest entry is not covered yet and only
+//!    a snapshot can make room: cut one now (compaction replaces
+//!    eviction), and trim again.
+//!
+//! So a full cache costs an eviction per decision, and a snapshot — an
+//! encode, a priced stable write, an oracle stamp — once per
+//! `min(snapshot_interval, decision_cache + 1)` decisions. A
 //! joiner whose gap starts inside the compacted prefix receives the
 //! snapshot instead, chunked at round-trip pace
 //! ([`CatchUp::SnapshotTransfer`] / [`CatchUp::SnapshotPull`]); it
@@ -96,7 +113,7 @@ use crate::snapshot::{
     SnapshotStamp,
 };
 use crate::watermark::WatermarkSet;
-use crate::wire::{decode, encode, encode_with, Wire, WireError, WireReader, WireWriter};
+use crate::wire::{encode, encode_with, Stored, Wire, WireError, WireReader, WireWriter};
 
 /// Stable-store key namespaces (the high byte of a key).
 ///
@@ -184,13 +201,18 @@ pub struct FaultHooks {
 /// `fortika-core` fills it from its flat fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaConfig {
-    /// How many decided values are cached for recovery requests.
+    /// How many decided values are cached for recovery requests: the
+    /// cache is trimmed to this bound after every decision, evicting
+    /// only what the serving snapshot covers (so it can exceed the bound
+    /// while the fold is stuck behind a hole in the decided prefix).
     pub decision_cache: usize,
     /// Fold the decided prefix into a log-compaction [`Snapshot`] every
-    /// this many instances (also whenever the decision cache would
-    /// otherwise evict an uncompacted decision). `0` disables
-    /// snapshotting — then a joiner whose gap was evicted everywhere
-    /// stalls forever (`*.join_unservable`).
+    /// this many instances — or after `decision_cache + 1`, if that is
+    /// fewer: a snapshot is also cut when the cache is over its bound
+    /// and its oldest decision is not covered yet. `0` disables
+    /// snapshotting; the cache is then bounded by blind eviction, and a
+    /// joiner whose gap was evicted everywhere stalls forever
+    /// (`*.join_unservable`).
     pub snapshot_interval: u64,
     /// The windowed-sequencer depth α: how many instances the stack
     /// keeps in flight concurrently. All per-instance state here is
@@ -466,11 +488,19 @@ pub struct VoteRecord {
     pub value: Batch,
 }
 
+impl VoteRecord {
+    /// Appends the record of a vote for `value`, which the caller keeps:
+    /// the one place the layout is written.
+    fn write(w: &mut WireWriter, round: u32, ts: u32, value: &Batch) {
+        w.put_u32(round);
+        w.put_u32(ts);
+        value.encode(w);
+    }
+}
+
 impl Wire for VoteRecord {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.round);
-        w.put_u32(self.ts);
-        self.value.encode(w);
+        VoteRecord::write(w, self.round, self.ts, &self.value);
     }
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         Ok(VoteRecord {
@@ -495,7 +525,7 @@ pub trait ReplicaCtx {
     /// The configured cost model.
     fn costs(&self) -> &CostModel;
     /// See [`NodeCtx::persist`].
-    fn persist(&mut self, key: u64, value: Bytes);
+    fn persist(&mut self, key: u64, value: impl Into<Stored>);
     /// See [`NodeCtx::unpersist`].
     fn unpersist(&mut self, key: u64);
     /// See [`NodeCtx::charge_durability`].
@@ -530,7 +560,7 @@ impl ReplicaCtx for NodeCtx<'_> {
     fn costs(&self) -> &CostModel {
         NodeCtx::costs(self)
     }
-    fn persist(&mut self, key: u64, value: Bytes) {
+    fn persist(&mut self, key: u64, value: impl Into<Stored>) {
         NodeCtx::persist(self, key, value);
     }
     fn unpersist(&mut self, key: u64) {
@@ -664,24 +694,24 @@ impl ReplicaCore {
     pub fn resume(cfg: ReplicaConfig, names: &'static ReplicaNames, stable: &StableStore) -> Self {
         let mut core = ReplicaCore::new(cfg, names);
         core.rejoining = true;
-        for (&key, bytes) in stable {
+        for (&key, value) in stable {
             if key == keys::WATERMARK {
-                if let Ok(w) = decode::<u64>(bytes.clone()) {
+                if let Ok(w) = value.decode::<u64>() {
                     core.decided_log.advance_to(w);
                 }
             } else if key == keys::SNAPSHOT {
                 // Keys iterate in order, so the watermark was read first.
                 let fence = core.decided_log.watermark();
-                core.restored = decode::<Snapshot>(bytes.clone())
+                core.restored = value
+                    .decode::<Snapshot>()
                     .ok()
                     .filter(|snap| snap.last_included < fence);
             } else if key == keys::CONFIG {
-                let mut r = WireReader::new(bytes.clone());
-                if let Ok(history) = decode_reconfigs(&mut r) {
+                if let Ok(history) = decode_reconfigs(&mut value.reader()) {
                     core.recovered_reconfigs = history;
                 }
             } else if key >> 56 == keys::VOTE_TAG >> 56 {
-                if let Ok(rec) = decode::<VoteRecord>(bytes.clone()) {
+                if let Ok(rec) = value.decode::<VoteRecord>() {
                     core.recovered_votes.insert(key & !keys::VOTE_TAG, rec);
                 }
             }
@@ -817,7 +847,11 @@ impl ReplicaCore {
     }
 
     /// Writes `instance`'s vote record to stable storage, atomically
-    /// with the vote message of the enclosing handler.
+    /// with the vote message of the enclosing handler. The record holds
+    /// the payloads of `value` that reach [`SHARE_MIN`](crate::wire::SHARE_MIN)
+    /// by reference — the process keeps the batch as its estimate anyway
+    /// — so a vote copies the record's framing, not what it votes for; a
+    /// batch of short payloads is one exact-sized buffer.
     pub fn persist_vote<C: ReplicaCtx>(
         &self,
         ctx: &mut C,
@@ -833,12 +867,8 @@ impl ReplicaCore {
             // crash-restart forgets its lock.
             return;
         }
-        let rec = VoteRecord {
-            round,
-            ts,
-            value: value.clone(),
-        };
-        ctx.persist(keys::vote(instance), encode(&rec));
+        let record = Stored::encode_with(|w| VoteRecord::write(w, round, ts, value));
+        ctx.persist(keys::vote(instance), record);
     }
 
     /// Persists the voting fence if it advanced past `fence_before` and
@@ -853,20 +883,47 @@ impl ReplicaCore {
         }
     }
 
-    /// Materializes a snapshot when the fold ran `snapshot_interval`
-    /// instances past the previous one — or early, whenever the decision
-    /// cache would otherwise have to evict an uncompacted decision
-    /// (compaction replaces eviction, so every instance a joiner may
-    /// miss is servable from either the log tail or the snapshot).
+    /// Evicts the oldest cached decisions down to `decision_cache`, but
+    /// only ones the serving snapshot covers: an uncovered decision is
+    /// never dropped, so every instance a joiner may miss stays servable
+    /// from either the log tail or the snapshot, and the tail stays as
+    /// deep as the bound allows (small gaps — a briefly partitioned peer
+    /// — are served as cheap value replies, the snapshot path is for
+    /// deep ones). With snapshotting disabled nothing is ever covered
+    /// and eviction is blind: an evicted prefix is unservable.
+    fn trim(&mut self) {
+        let covered = if self.cfg.snapshot_interval == 0 {
+            u64::MAX
+        } else {
+            self.snapshot.as_ref().map_or(0, |s| s.last_included + 1)
+        };
+        while self.decisions.len() > self.cfg.decision_cache {
+            match self.decisions.first_key_value() {
+                Some((&k, _)) if k < covered => self.decisions.pop_first(),
+                _ => break,
+            };
+        }
+    }
+
+    /// Runs after every recorded decision: [trims](Self::trim) the
+    /// cache, then materializes a snapshot if the fold ran
+    /// `snapshot_interval` instances past the previous one (the
+    /// cadence) — or early, if the cache is still over its bound, which
+    /// after the trim means its oldest entry is *not* covered and only a
+    /// snapshot can make room (compaction replaces eviction). A full
+    /// cache whose overflow the previous snapshot already covers costs
+    /// an eviction, not a snapshot: in steady state that is one snapshot
+    /// per `min(snapshot_interval, decision_cache + 1)` decisions.
     fn maybe_compact<C: ReplicaCtx>(&mut self, ctx: &mut C) {
+        self.trim();
         let interval = self.cfg.snapshot_interval;
         if interval == 0 {
             return;
         }
         let folded = self.fold.next_instance();
         let base = self.snapshot.as_ref().map_or(0, |s| s.last_included + 1);
-        let overflow = self.decisions.len() > self.cfg.decision_cache;
-        if folded < base + interval && !(overflow && folded > base) {
+        let uncovered_overflow = self.decisions.len() > self.cfg.decision_cache;
+        if folded < base + interval && !(uncovered_overflow && folded > base) {
             return;
         }
         let Some(mut snap) = self.fold.snapshot() else {
@@ -884,14 +941,8 @@ impl ReplicaCore {
     }
 
     /// Adopts `snap` as this process's serving snapshot: persists it,
-    /// evicts the oldest *compacted* decisions down to the cache bound,
-    /// and reports the stamp to the harness.
-    ///
-    /// Only snapshot-covered entries are evicted, and only while the
-    /// cache overflows — the recent log tail stays as deep as
-    /// `decision_cache` allows, so small gaps (a briefly partitioned
-    /// peer) are still served as cheap value replies and the snapshot
-    /// path is reserved for deep ones.
+    /// reports the stamp to the harness and [trims](Self::trim) the
+    /// cache of what it now covers.
     fn set_snapshot<C: ReplicaCtx>(&mut self, ctx: &mut C, snap: Snapshot, installed: bool) {
         let bytes = encode(&snap);
         // Durability is not free: materializing charges the encode
@@ -905,17 +956,10 @@ impl ReplicaCore {
         };
         ctx.charge_durability(cost);
         ctx.persist(keys::SNAPSHOT, bytes.clone());
-        while self.decisions.len() > self.cfg.decision_cache {
-            match self.decisions.first_key_value() {
-                Some((&k, _)) if k <= snap.last_included => {
-                    self.decisions.pop_first();
-                }
-                _ => break, // uncompacted entries are never dropped
-            }
-        }
         ctx.note_snapshot(stamp_of(&snap, installed));
         self.snapshot_bytes = bytes;
         self.snapshot = Some(snap);
+        self.trim();
     }
 
     /// Seeing traffic for instance `seen` while `cursor` — the stack's
@@ -1148,7 +1192,9 @@ pub trait ReplicaHost<C: ReplicaCtx> {
 
     /// Records the decision of `instance` in the core: advances the
     /// replay log and the (persisted) voting fence, caches the value,
-    /// folds it, registers reconfigurations it completes and compacts.
+    /// folds it, registers reconfigurations it completes, trims the
+    /// cache to its bound and cuts a snapshot when one is due (see
+    /// "Log compaction" in the [module docs](self)).
     /// Keyed on the replay log, so a revived process re-records the
     /// decided prefix learned through state transfer even though its
     /// voting fence already covers it. Returns `false` (and does
@@ -1165,15 +1211,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
         core.decisions.insert(instance, value.clone());
         core.fold.absorb(instance, value);
         self.note_reconfigs(ctx, instance, value);
-        let core = self.core();
-        core.maybe_compact(ctx);
-        if core.cfg.snapshot_interval == 0 {
-            // No snapshots: bound the cache by blind eviction (evicted
-            // prefixes become unservable to joiners).
-            while core.decisions.len() > core.cfg.decision_cache {
-                core.decisions.pop_first();
-            }
-        }
+        self.core().maybe_compact(ctx);
         true
     }
 
@@ -1509,8 +1547,8 @@ pub(crate) mod tests {
         fn costs(&self) -> &CostModel {
             &self.costs
         }
-        fn persist(&mut self, key: u64, value: Bytes) {
-            self.store.insert(key, value);
+        fn persist(&mut self, key: u64, value: impl Into<Stored>) {
+            self.store.insert(key, value.into());
             self.writes.push((key, true));
         }
         fn unpersist(&mut self, key: u64) {
@@ -1596,6 +1634,17 @@ pub(crate) mod tests {
     pub(crate) fn batch(k: u64) -> Batch {
         let id = MsgId::new(ProcessId(1), k);
         Batch::normalize(vec![AppMsg::new(id, Bytes::from_static(b"payload"))])
+    }
+
+    /// A batch whose first payload is long enough for a vote record to
+    /// hold by reference, and whose second is not.
+    fn shared_batch() -> Batch {
+        let long = Bytes::from(vec![0x5A; crate::wire::SHARE_MIN]);
+        let msgs = vec![
+            AppMsg::new(MsgId::new(ProcessId(1), 90), long),
+            batch(91).msgs()[0].clone(),
+        ];
+        Batch::normalize(msgs)
     }
 
     fn samples() -> Vec<CatchUp> {
@@ -1707,6 +1756,46 @@ pub(crate) mod tests {
         assert_eq!(ctx.bumped("t.join_unservable"), 1);
     }
 
+    /// Records decisions `0..64` one at a time and returns the ones a
+    /// snapshot was cut after, checking after each that the cache holds
+    /// at most `cache` decisions and every one the snapshot leaves out.
+    fn snapshot_points(cache: usize, interval: u64) -> Vec<u64> {
+        let (mut host, mut ctx) = (FakeHost::fresh(cache, interval), FakeCtx::new());
+        let mut cut_after = Vec::new();
+        for k in 0..64 {
+            let before = ctx.bumped("t.snapshots");
+            host.decide(&mut ctx, k..k + 1);
+            if ctx.bumped("t.snapshots") > before {
+                cut_after.push(k);
+                assert_eq!(host.core.snapshot().unwrap().last_included, k);
+            }
+            assert!(host.core.decisions.len() <= cache, "after {k}");
+            if interval > 0 {
+                let uncovered = host.core.snapshot().map_or(0, |s| s.last_included + 1);
+                for j in uncovered..=k {
+                    assert!(host.core.decision(j).is_some(), "{j} dropped after {k}");
+                }
+            }
+        }
+        cut_after
+    }
+
+    #[test]
+    fn a_full_cache_trims_every_decision_and_snapshots_on_cadence() {
+        // On cadence: every second decision, although the cache is over
+        // its bound after every one from the fifth on.
+        let every_second: Vec<u64> = (1..64).step_by(2).collect();
+        assert_eq!(snapshot_points(4, 2), every_second);
+        // The cadence is longer than the cache: a snapshot is cut early
+        // exactly when the oldest cached decision is not covered yet —
+        // every fifth decision — and not in between.
+        let every_fifth: Vec<u64> = (4..64).step_by(5).collect();
+        assert_eq!(every_fifth.len(), 12);
+        assert_eq!(snapshot_points(4, 16), every_fifth);
+        // Snapshots disabled: eviction is blind.
+        assert_eq!(snapshot_points(4, 0), Vec::<u64>::new());
+    }
+
     #[test]
     fn persist_fence_writes_the_watermark_and_collects_exactly_the_votes_below_it() {
         let (mut host, mut ctx) = (FakeHost::fresh(16, 0), FakeCtx::new());
@@ -1732,7 +1821,7 @@ pub(crate) mod tests {
                 (keys::vote(2), false),
             ]
         );
-        assert_eq!(ctx.store[&keys::WATERMARK], encode(&3u64));
+        assert_eq!(ctx.store[&keys::WATERMARK].decode::<u64>(), Ok(3));
         assert!(ctx.store.contains_key(&keys::vote(3)));
         // A decision already recorded changes nothing.
         assert!(!host.record_decision(&mut ctx, 0, &batch(0)));
@@ -1761,9 +1850,12 @@ pub(crate) mod tests {
         host.decide(&mut ctx, 1..4);
         host.core.persist_vote(&mut ctx, 5, 2, 3, &batch(50));
         host.core.persist_vote(&mut ctx, 7, 0, 1, &batch(70));
+        host.core.persist_vote(&mut ctx, 9, 1, 2, &shared_batch());
         for key in [keys::WATERMARK, keys::SNAPSHOT, keys::CONFIG, keys::vote(5)] {
             assert!(ctx.store.contains_key(&key), "{key:#x} not written");
         }
+        // Framing, the long payload by reference, the short message.
+        assert_eq!(ctx.store[&keys::vote(9)].parts().len(), 3);
         assert_eq!(host.activated, vec![1]);
         (host, ctx.store)
     }
@@ -1778,6 +1870,8 @@ pub(crate) mod tests {
         let vote = core.recovered_vote(5).unwrap();
         assert_eq!((vote.round, vote.ts, &vote.value), (2, 3, &batch(50)));
         assert_eq!(core.recovered_vote(7).unwrap().value, batch(70));
+        let vote = core.recovered_vote(9).unwrap();
+        assert_eq!((vote.round, vote.ts, &vote.value), (1, 2, &shared_batch()));
         assert!(core.recovered_vote(0).is_none());
         assert_eq!(core.restored, writer.core.snapshot);
         let history = writer.core.timeline.as_ref().unwrap().reconfigs();
@@ -1802,31 +1896,13 @@ pub(crate) mod tests {
     #[test]
     fn resume_survives_a_damaged_store() {
         let (writer, store) = written_store();
-        let mut damaged = Vec::new();
-        for (&key, value) in &store {
-            for cut in 0..value.len() {
-                damaged.push((key, value.slice(..cut)));
-            }
-            for bit in 0..value.len() * 8 {
-                let mut bytes = value.to_vec();
-                bytes[bit / 8] ^= 1 << (bit % 8);
-                damaged.push((key, Bytes::from(bytes)));
-            }
-            // Every aligned-or-not 4-byte window read as a length that
-            // is far too long, yet under the codec's sanity cap.
-            for at in 0..value.len().saturating_sub(3) {
-                let mut bytes = value.to_vec();
-                bytes[at..at + 4].copy_from_slice(&0x0FFF_FFFFu32.to_le_bytes());
-                damaged.push((key, Bytes::from(bytes)));
-            }
-        }
-        assert!(damaged.len() > 1000);
-        for (key, value) in damaged {
+        // Resumes from `store` with `key`'s value replaced and requires a
+        // usable core: it starts, announces itself and takes decisions,
+        // with a bounded amount of stable-store work.
+        let resume_with = |key: u64, value: Stored| {
             let mut store = store.clone();
             store.insert(key, value);
             let core = ReplicaCore::resume(writer.core.cfg.clone(), &NAMES, &store);
-            // Usable: it starts, announces itself and takes decisions,
-            // with a bounded amount of stable-store work.
             let (mut host, mut ctx) = (FakeHost::over(core), FakeCtx::new());
             host.start_replica(&mut ctx);
             assert_eq!(ctx.sent.last().unwrap().1, "t.join_request");
@@ -1838,6 +1914,35 @@ pub(crate) mod tests {
                 "{key:#x}: {} writes",
                 ctx.writes.len()
             );
+        };
+        let mut damaged = 0;
+        // Every value, part by part (the shared-payload vote has three).
+        for (&key, value) in &store {
+            let parts = value.parts();
+            for (i, part) in parts.iter().enumerate() {
+                let mut resume_with_part = |part: Bytes| {
+                    let mut parts = parts.to_vec();
+                    parts[i] = part;
+                    resume_with(key, parts.into_iter().collect());
+                    damaged += 1;
+                };
+                for cut in 0..part.len() {
+                    resume_with_part(part.slice(..cut));
+                }
+                for bit in 0..part.len() * 8 {
+                    let mut bytes = part.to_vec();
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                    resume_with_part(Bytes::from(bytes));
+                }
+                // Every aligned-or-not 4-byte window read as a length
+                // that is far too long, yet under the codec's sanity cap.
+                for at in 0..part.len().saturating_sub(3) {
+                    let mut bytes = part.to_vec();
+                    bytes[at..at + 4].copy_from_slice(&0x0FFF_FFFFu32.to_le_bytes());
+                    resume_with_part(Bytes::from(bytes));
+                }
+            }
         }
+        assert!(damaged > 1000);
     }
 }

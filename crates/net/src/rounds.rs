@@ -572,7 +572,6 @@ mod tests {
     use crate::replica::keys;
     use crate::replica::tests::{batch, FakeCtx, FakeHost, NAMES};
     use crate::replica::{ReplicaConfig, ReplicaHost, VoteRecord};
-    use crate::wire::decode;
 
     const P0: ProcessId = ProcessId(0);
     const P1: ProcessId = ProcessId(1);
@@ -598,7 +597,7 @@ mod tests {
     }
 
     fn stored_vote(ctx: &FakeCtx) -> VoteRecord {
-        decode(ctx.store[&keys::vote(K)].clone()).unwrap()
+        ctx.store[&keys::vote(K)].decode().unwrap()
     }
 
     #[test]

@@ -8,6 +8,15 @@
 //!
 //! Encoding rules: fixed-width little-endian integers, `u32`
 //! length-prefixed byte strings and sequences, one tag byte for `Option`.
+//!
+//! One `encode` per type serves three sinks ([`WireWriter`]): a
+//! *buffer* (the bytes, contiguous — every network message), a *count*
+//! (only how many there would be — how a buffer gets its exact size) and
+//! a *gather list* (the bytes as a [`Stored`] value whose long byte
+//! strings are the writer's own [`Bytes`], shared instead of copied — a
+//! stable-store record of a batch the process already holds, the
+//! `writev` of a real acceptor log). [`WireReader`] reads a buffer or a
+//! gather list through the same calls.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -38,8 +47,32 @@ impl std::error::Error for WireError {}
 /// Sanity cap on decoded collection lengths (codec-level DoS guard).
 const MAX_LEN: u64 = 256 * 1024 * 1024;
 
+/// The shortest byte string a [gathering](WireWriter::gathering) writer
+/// shares instead of copying: one page.
+///
+/// A constant, not a knob: it only has to lie between the two payload
+/// sizes the benchmark runs, and both sides were measured (seed 7, five
+/// alternating pairs of this value against one on the other side of
+/// the payload size). Sharing the 1 KiB payloads of `modular-steady-1k`
+/// (threshold 512) buys nothing: 0.9 KB less `memcpy` per delivered
+/// message against one more allocation for the part list (13.6 → 14.6),
+/// and host time that cannot be told apart (3.20 against 3.30 µs per
+/// message, the lower in 3 of 5 pairs; 2.44 against 2.36 on the
+/// monolith) — so short strings are copied and a record of them stays
+/// the single exact-sized buffer it always was. Copying the 16 KiB
+/// payloads of `modular-sat-16k-n7` (threshold 32 768) is a 164 KB
+/// buffer per voter per instance: 3.35 → 4.28 µs and 5.6 → 21.8 KB
+/// allocated per delivered message, the higher in 5 of 5 pairs — so
+/// long ones are shared. Between those a page is the conventional
+/// choice: a part costs two 24-byte list entries and a reference count,
+/// which a copy of a few hundred bytes undercuts and one of a few
+/// thousand does not.
+pub const SHARE_MIN: usize = 4096;
+
 /// Write half of the codec: appends values to a growable buffer — or, in
-/// [counting](WireWriter::counting) mode, only adds up how long they are.
+/// [counting](WireWriter::counting) mode, only adds up how long they
+/// are, or, in [gathering](WireWriter::gathering) mode, keeps the long
+/// byte strings by reference.
 ///
 /// Counting is how a buffer gets its size: [`Wire::encoded_len`] runs
 /// `encode` against a counting writer, which touches no payload byte and
@@ -53,7 +86,19 @@ pub struct WireWriter {
 #[derive(Debug)]
 enum Sink {
     Buffer(BytesMut),
-    Count(usize),
+    /// `shared` of the `len` bytes are byte strings a gathering writer
+    /// would not copy.
+    Count {
+        len: usize,
+        shared: usize,
+    },
+    /// Every copied byte, in order, in one buffer; `cuts` holds the
+    /// shared byte strings, each with the offset in `copied` it goes in
+    /// at.
+    Gather {
+        copied: BytesMut,
+        cuts: Vec<(usize, Bytes)>,
+    },
 }
 
 impl Default for WireWriter {
@@ -78,14 +123,32 @@ impl WireWriter {
     /// A writer that keeps no bytes, only their count ([`len`](Self::len)).
     pub fn counting() -> Self {
         WireWriter {
-            sink: Sink::Count(0),
+            sink: Sink::Count { len: 0, shared: 0 },
+        }
+    }
+
+    /// A writer that builds a gather list
+    /// ([`finish_stored`](Self::finish_stored)): a [`Bytes`] of at least
+    /// [`SHARE_MIN`] bytes [put](Self::put) through it is kept as a
+    /// reference-count clone, everything else is copied.
+    pub fn gathering() -> Self {
+        WireWriter::gathering_with_capacity(0)
+    }
+
+    /// A gathering writer whose buffer for the copied bytes holds `cap`.
+    fn gathering_with_capacity(cap: usize) -> Self {
+        WireWriter {
+            sink: Sink::Gather {
+                copied: BytesMut::with_capacity(cap),
+                cuts: Vec::new(),
+            },
         }
     }
 
     fn put_slice(&mut self, bytes: &[u8]) {
         match &mut self.sink {
-            Sink::Buffer(buf) => buf.put_slice(bytes),
-            Sink::Count(n) => *n += bytes.len(),
+            Sink::Buffer(buf) | Sink::Gather { copied: buf, .. } => buf.put_slice(bytes),
+            Sink::Count { len, .. } => *len += bytes.len(),
         }
     }
 
@@ -120,6 +183,29 @@ impl WireWriter {
         self.put_slice(bytes);
     }
 
+    /// Appends a byte string the caller holds as [`Bytes`], with a `u32`
+    /// length prefix: the same bytes as [`put_bytes`](Self::put_bytes),
+    /// but a [gathering](Self::gathering) writer keeps a string of at
+    /// least [`SHARE_MIN`] bytes by reference instead of copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than `u32::MAX`.
+    pub fn put_shared(&mut self, bytes: &Bytes) {
+        let n = bytes.len();
+        self.put_u32(u32::try_from(n).expect("byte string too long for wire format"));
+        match &mut self.sink {
+            Sink::Gather { copied, cuts } if n >= SHARE_MIN => {
+                cuts.push((copied.len(), bytes.clone()));
+            }
+            Sink::Count { len, shared } if n >= SHARE_MIN => {
+                *len += n;
+                *shared += n;
+            }
+            _ => self.put_slice(bytes),
+        }
+    }
+
     /// Appends a value implementing [`Wire`].
     pub fn put<T: Wire>(&mut self, value: &T) {
         value.encode(self);
@@ -129,7 +215,10 @@ impl WireWriter {
     pub fn len(&self) -> usize {
         match &self.sink {
             Sink::Buffer(buf) => buf.len(),
-            Sink::Count(n) => *n,
+            Sink::Count { len, .. } => *len,
+            Sink::Gather { copied, cuts } => {
+                copied.len() + cuts.iter().map(|(_, part)| part.len()).sum::<usize>()
+            }
         }
     }
 
@@ -138,7 +227,8 @@ impl WireWriter {
         self.len() == 0
     }
 
-    /// Finishes writing and returns the immutable buffer.
+    /// Finishes writing and returns the immutable buffer (of a
+    /// [gathering](Self::gathering) writer: the parts, flattened).
     ///
     /// # Panics
     ///
@@ -147,24 +237,192 @@ impl WireWriter {
     pub fn finish(self) -> Bytes {
         match self.sink {
             Sink::Buffer(buf) => buf.freeze(),
-            Sink::Count(_) => panic!("finish() on a counting WireWriter"),
+            _ => self.finish_stored().to_bytes(),
         }
+    }
+
+    /// Finishes writing and returns the value as a gather list: the
+    /// copied bytes cut where a shared byte string goes in, every cut a
+    /// view of one buffer. A writer that shared nothing returns its
+    /// buffer as the single part.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [counting](Self::counting) writer, which kept no
+    /// bytes to return.
+    pub fn finish_stored(self) -> Stored {
+        let (copied, cuts) = match self.sink {
+            Sink::Buffer(buf) => (buf, Vec::new()),
+            Sink::Gather { copied, cuts } => (copied, cuts),
+            Sink::Count { .. } => panic!("finish() on a counting WireWriter"),
+        };
+        let copied = copied.freeze();
+        if cuts.is_empty() {
+            return Stored::from(copied);
+        }
+        let mut parts = Vec::with_capacity(2 * cuts.len() + 1);
+        let mut at = 0;
+        for (cut, shared) in cuts {
+            if cut > at {
+                parts.push(copied.slice(at..cut));
+            }
+            parts.push(shared);
+            at = cut;
+        }
+        if at < copied.len() {
+            parts.push(copied.slice(at..));
+        }
+        Stored(Parts::Many(parts))
     }
 }
 
-/// Read half of the codec: a consuming cursor over a [`Bytes`] buffer.
+/// An encoded value as a short gather list: the bytes of each part, in
+/// order. What a stable store keeps (`fortika_net::StableStore`): a
+/// value written through a [gathering](WireWriter::gathering) writer
+/// holds its long byte strings as the very [`Bytes`] the writing process
+/// already held, so persisting a 160 KiB batch copies ~150 bytes of
+/// framing. Most values are one part (`From<Bytes>`), hold no list at
+/// all and are no larger than an `Option<Bytes>`.
+///
+/// The parts are immutable and fixed when the value is built; nothing is
+/// encoded later. The writer cuts only where a shared byte string begins
+/// or ends, so no field of a well-formed value lies across a cut, and
+/// [`WireReader`] reports one that does as an error.
+#[derive(Debug, Clone)]
+pub struct Stored(Parts);
+
+#[derive(Debug, Clone)]
+enum Parts {
+    One(Bytes),
+    Many(Vec<Bytes>),
+}
+
+impl From<Bytes> for Stored {
+    fn from(part: Bytes) -> Self {
+        Stored(Parts::One(part))
+    }
+}
+
+impl FromIterator<Bytes> for Stored {
+    /// The value whose bytes are those of `parts`, in order.
+    fn from_iter<I: IntoIterator<Item = Bytes>>(parts: I) -> Self {
+        Stored(Parts::Many(parts.into_iter().collect()))
+    }
+}
+
+impl Stored {
+    /// Encodes whatever `write` appends as a gather list, sized by a
+    /// counting pass like [`encode_with`] (so `write` runs twice). When
+    /// the count finds no byte string long enough to share, the value is
+    /// `encode_with`'s one exact-sized buffer, allocated exactly as
+    /// there; otherwise the buffer holds exactly the bytes that are
+    /// copied.
+    pub fn encode_with(write: impl Fn(&mut WireWriter)) -> Stored {
+        let mut sizing = WireWriter::counting();
+        write(&mut sizing);
+        let mut w = match sizing.sink {
+            Sink::Count { len, shared } if shared > 0 => {
+                WireWriter::gathering_with_capacity(len - shared)
+            }
+            _ => WireWriter::with_capacity(sizing.len()),
+        };
+        write(&mut w);
+        w.finish_stored()
+    }
+
+    /// The parts, in order.
+    pub fn parts(&self) -> &[Bytes] {
+        match &self.0 {
+            Parts::One(part) => std::slice::from_ref(part),
+            Parts::Many(parts) => parts,
+        }
+    }
+
+    /// Length of the value in bytes, over all parts.
+    pub fn len(&self) -> usize {
+        self.parts().iter().map(Bytes::len).sum()
+    }
+
+    /// True if the value holds no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// A reader over the whole value, part after part.
+    pub fn reader(&self) -> WireReader {
+        match &self.0 {
+            Parts::One(part) => WireReader::new(part.clone()),
+            Parts::Many(parts) => WireReader {
+                buf: Bytes::new(),
+                rest: parts.clone().into_iter(),
+            },
+        }
+    }
+
+    /// Decodes the value, requiring every part to be fully consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on truncation, bad tags, trailing garbage
+    /// or a field that lies across two parts.
+    pub fn decode<T: Wire>(&self) -> Result<T, WireError> {
+        self.reader().get_only()
+    }
+
+    /// The value as one contiguous buffer: the single part itself, or a
+    /// copy of all of them (tests, diagnostics).
+    pub fn to_bytes(&self) -> Bytes {
+        if let [part] = self.parts() {
+            return part.clone();
+        }
+        let mut flat = BytesMut::with_capacity(self.len());
+        for part in self.parts() {
+            flat.put_slice(part);
+        }
+        flat.freeze()
+    }
+}
+
+/// Read half of the codec: a consuming cursor over a [`Bytes`] buffer —
+/// or over the parts of a [`Stored`] value ([`Stored::reader`]), one
+/// after another.
 #[derive(Debug)]
 pub struct WireReader {
     buf: Bytes,
+    /// The parts after `buf` (none when reading a single buffer).
+    rest: std::vec::IntoIter<Bytes>,
 }
 
 impl WireReader {
     /// Wraps a buffer for reading.
     pub fn new(buf: Bytes) -> Self {
-        WireReader { buf }
+        WireReader {
+            buf,
+            rest: Vec::new().into_iter(),
+        }
     }
 
-    fn need(&self, n: usize) -> Result<(), WireError> {
+    fn need(&mut self, n: usize) -> Result<(), WireError> {
+        if self.buf.remaining() < n {
+            self.next_part(n)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The current part cannot satisfy a read of `n` bytes: if it is
+    /// used up, the read continues in the next one. A part with bytes
+    /// left but fewer than `n` is an error even when more parts follow —
+    /// the writer never cuts inside a field, so a read is never pieced
+    /// together across a cut.
+    #[cold]
+    fn next_part(&mut self, n: usize) -> Result<(), WireError> {
+        while self.buf.is_empty() {
+            match self.rest.next() {
+                Some(part) => self.buf = part,
+                None => break,
+            }
+        }
         if self.buf.remaining() < n {
             Err(WireError::UnexpectedEof)
         } else {
@@ -212,16 +470,32 @@ impl WireReader {
         T::decode(self)
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+    /// Reads a value that must be all there is left to read.
+    fn get_only<T: Wire>(mut self) -> Result<T, WireError> {
+        let v = T::decode(&mut self)?;
+        self.expect_end()?;
+        Ok(v)
     }
 
-    /// Takes all remaining bytes, zero-copy (used for envelope bodies
-    /// whose length is implied by the enclosing message).
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.remaining() + self.rest.as_slice().iter().map(Bytes::len).sum::<usize>()
+    }
+
+    /// Takes all remaining bytes, zero-copy from a single buffer (used
+    /// for envelope bodies whose length is implied by the enclosing
+    /// message).
     pub fn take_rest(&mut self) -> Bytes {
         let len = self.buf.remaining();
-        self.buf.split_to(len)
+        let head = self.buf.split_to(len);
+        if self.rest.as_slice().is_empty() {
+            return head;
+        }
+        let rest = std::mem::take(&mut self.rest);
+        std::iter::once(head)
+            .chain(rest)
+            .collect::<Stored>()
+            .to_bytes()
     }
 
     /// Errors unless the buffer was fully consumed (strict decoding).
@@ -303,10 +577,7 @@ pub fn encode_with(write: impl Fn(&mut WireWriter)) -> Bytes {
 ///
 /// Returns [`WireError`] on truncation, bad tags or trailing garbage.
 pub fn decode<T: Wire>(buf: Bytes) -> Result<T, WireError> {
-    let mut r = WireReader::new(buf);
-    let v = T::decode(&mut r)?;
-    r.expect_end()?;
-    Ok(v)
+    WireReader::new(buf).get_only()
 }
 
 macro_rules! wire_int {
@@ -350,7 +621,7 @@ impl Wire for bool {
 
 impl Wire for Bytes {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_bytes(self);
+        w.put_shared(self);
     }
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         r.get_bytes()
@@ -463,6 +734,70 @@ mod tests {
     #[should_panic(expected = "counting WireWriter")]
     fn counting_writer_has_no_buffer_to_finish() {
         let _ = WireWriter::counting().finish();
+    }
+
+    #[test]
+    fn gathering_writer_shares_long_byte_strings_and_copies_short_ones() {
+        let short = Bytes::from(vec![1u8; SHARE_MIN - 1]);
+        let long = Bytes::from(vec![2u8; SHARE_MIN]);
+        let write = |w: &mut WireWriter| {
+            w.put_u8(9);
+            w.put(&short);
+            w.put(&long);
+            w.put_u16(7);
+        };
+        let mut gathering = WireWriter::gathering();
+        write(&mut gathering);
+        assert_eq!(gathering.len(), 1 + 4 + short.len() + 4 + long.len() + 2);
+        let stored = gathering.finish_stored();
+        let lens: Vec<usize> = stored.parts().iter().map(Bytes::len).collect();
+        assert_eq!(lens, [1 + 4 + short.len() + 4, long.len(), 2]);
+        assert_eq!(stored.parts()[1].as_ptr(), long.as_ptr());
+        assert_eq!(stored.to_bytes(), encode_with(write));
+
+        // Sized by the count, the copied bytes fill their buffer exactly;
+        // with nothing to share the value is `encode_with`'s buffer.
+        assert_eq!(Stored::encode_with(write).parts(), stored.parts());
+        let plain = Stored::encode_with(|w| w.put(&short));
+        assert_eq!(plain.parts(), [encode(&short)]);
+    }
+
+    #[test]
+    fn reader_walks_the_parts_and_never_reads_across_a_cut() {
+        let part = |bytes: &[u8]| Bytes::from(bytes.to_vec());
+        let stored: Stored = [
+            part(&[]),
+            part(&[5]),
+            part(&[]),
+            part(&[1, 0, 2]),
+            part(&[]),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(stored.len(), 4);
+        let mut r = stored.reader();
+        assert_eq!(r.remaining(), 4);
+        assert_eq!(r.get_u8(), Ok(5));
+        assert_eq!(r.get_u16(), Ok(1));
+        assert!(r.expect_end().is_err());
+        assert_eq!(r.get_u8(), Ok(2));
+        assert_eq!(r.expect_end(), Ok(()));
+        assert_eq!(r.get_u8(), Err(WireError::UnexpectedEof));
+
+        // Two bytes here and two there are not a `u32`, nor a byte
+        // string whose prefix promised four.
+        let split: Stored = [part(&[4, 0]), part(&[0, 0])].into_iter().collect();
+        assert_eq!(split.decode::<u32>(), Err(WireError::UnexpectedEof));
+        assert_eq!(split.to_bytes(), encode(&4u32));
+        let split: Stored = [encode(&4u32), part(&[1, 2]), part(&[3, 4])]
+            .into_iter()
+            .collect();
+        assert_eq!(split.decode::<Bytes>(), Err(WireError::UnexpectedEof));
+
+        let mut r = stored.reader();
+        assert_eq!(r.get_u8(), Ok(5));
+        assert_eq!(r.take_rest(), part(&[1, 0, 2]));
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

@@ -395,6 +395,7 @@ fn restart_revives_with_fresh_incarnation_and_stable_store() {
             .stable(ProcessId(0))
             .get(&STARTS_KEY)
             .unwrap()
+            .to_bytes()
             .as_ref(),
         &[2u8]
     );

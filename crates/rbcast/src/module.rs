@@ -147,8 +147,8 @@ impl RbcastModule {
     /// incarnation never reuses burned sequence numbers.
     pub fn resume(cfg: RbcastConfig, stable: &StableStore) -> Self {
         let mut module = RbcastModule::new(cfg);
-        if let Some(bytes) = stable.get(&STABLE_SEQ_KEY) {
-            if let Ok(seq) = decode::<u64>(bytes.clone()) {
+        if let Some(value) = stable.get(&STABLE_SEQ_KEY) {
+            if let Ok(seq) = value.decode::<u64>() {
                 module.next_seq = seq;
             }
         }

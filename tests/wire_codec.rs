@@ -3,7 +3,9 @@
 //! store, the counted length (`encoded_len`, a counting `WireWriter`)
 //! equals the length `encode` writes, and the encoding decodes back to
 //! the value. Rows carry 16 KiB payloads where a payload fits, so a
-//! sizing pass that touched payload bytes would also be a slow one.
+//! sizing pass that touched payload bytes would also be a slow one. The
+//! gather sink is the same codec: every row written through it has the
+//! same bytes, over however many parts, and reads back the same.
 //!
 //! (`RbMsg` is private to `fortika-rbcast`; its row is that crate's
 //! `rbmsg_round_trips` unit test.)
@@ -13,24 +15,79 @@ use std::fmt::Debug;
 use bytes::Bytes;
 use fortika::consensus::{self, ConsensusMsg, DecisionNotice};
 use fortika::mono::msg::{self as mono, Decision, MonoMsg, Proposal};
-use fortika::net::wire::{decode, encode, Wire, WireReader, WireWriter};
+use fortika::net::wire::{decode, encode, Wire, WireReader, WireWriter, SHARE_MIN};
 use fortika::net::{
     AppMsg, Batch, CatchUp, ConfigChange, DissemMsg, MsgId, PerCatchUp, ProcessId, SenderLog,
-    Snapshot, ValueId, VoteRecord,
+    Snapshot, Stored, ValueId, VoteRecord,
 };
 
-/// One row: counted length == written length, and the value survives.
-fn row<T: Wire + PartialEq + Debug>(label: &str, value: T) {
+/// One row: counted length == written length, and the value survives —
+/// through a buffer and through a gather list.
+fn row<T: Wire + PartialEq + Debug>(label: &str, value: T) -> Stored {
     let bytes = encode(&value);
     assert_eq!(value.encoded_len(), bytes.len(), "{label}: counted length");
     let mut grown = WireWriter::new();
     value.encode(&mut grown);
     assert_eq!(grown.finish(), bytes, "{label}: pre-sized vs grown buffer");
     assert_eq!(
-        decode::<T>(bytes).as_ref(),
+        decode::<T>(bytes.clone()).as_ref(),
         Ok(&value),
         "{label}: round trip"
     );
+
+    let mut gathering = WireWriter::gathering();
+    value.encode(&mut gathering);
+    assert_eq!(gathering.len(), bytes.len(), "{label}: gathered length");
+    let gathered = gathering.finish_stored();
+    let sized = Stored::encode_with(|w| value.encode(w));
+    assert_eq!(gathered.parts(), sized.parts(), "{label}: pre-sized parts");
+    assert_eq!(gathered.len(), value.encoded_len(), "{label}: Σ parts");
+    assert_eq!(gathered.to_bytes(), bytes, "{label}: parts, flattened");
+    // A part is a long byte string by itself or the framing before,
+    // between or after them.
+    let long = gathered.parts().iter().filter(|p| p.len() >= SHARE_MIN);
+    let long = long.count();
+    let parts = if long == 0 {
+        1..=1
+    } else {
+        2 * long..=2 * long + 1
+    };
+    assert!(
+        parts.contains(&gathered.parts().len()),
+        "{label}: {} parts around {long} shared byte strings",
+        gathered.parts().len()
+    );
+    assert_eq!(
+        gathered.decode::<T>().as_ref(),
+        Ok(&value),
+        "{label}: round trip over parts"
+    );
+    gathered
+}
+
+/// Re-reads `stored`'s bytes cut in two at every offset: the reader
+/// either yields `value` or reports an error — a cut inside a field is
+/// never read across, and none panics. The cuts the writer itself made
+/// all read back.
+fn every_two_part_cut<T: Wire + PartialEq + Debug>(label: &str, value: &T, stored: &Stored) {
+    let flat = stored.to_bytes();
+    let mut own_cuts = Vec::new();
+    for part in stored.parts() {
+        own_cuts.push(own_cuts.last().copied().unwrap_or(0) + part.len());
+    }
+    let mut readable = 0;
+    for at in 0..=flat.len() {
+        let cut: Stored = [flat.slice(..at), flat.slice(at..)].into_iter().collect();
+        match cut.decode::<T>() {
+            Ok(back) => {
+                assert_eq!(&back, value, "{label}: cut at {at}");
+                readable += 1;
+            }
+            Err(_) => assert!(!own_cuts.contains(&at), "{label}: own cut at {at}"),
+        }
+    }
+    assert!(readable > stored.parts().len(), "{label}: {readable} cuts");
+    assert!(readable < flat.len() / 2, "{label}: {readable} cuts");
 }
 
 fn msg(sender: u16, seq: u64, size: usize) -> AppMsg {
@@ -158,7 +215,9 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
     row("AppMsg/empty", msg(0, 0, 0));
     row("AppMsg/16k", msg(2, 77, 16 * 1024));
     row("Batch/empty", Batch::empty());
-    row("Batch/10x16k", batch(10));
+    let stored = row("Batch/10x16k", batch(10));
+    assert_eq!(stored.parts().len(), 2 * 10);
+    every_two_part_cut("Batch/10x16k", &batch(10), &stored);
     row("ConfigChange/Add", ConfigChange::Add(ProcessId(3)));
     row("ConfigChange/Remove", ConfigChange::Remove(ProcessId(1)));
     let vid = ValueId {
@@ -195,7 +254,8 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
         },
     );
     row("SenderLog", snapshot().delivered[0].clone());
-    row("Snapshot", snapshot());
+    let stored = row("Snapshot", snapshot());
+    every_two_part_cut("Snapshot", &snapshot(), &stored);
     row(
         "Snapshot/bare",
         Snapshot {
@@ -205,14 +265,22 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
             ..snapshot()
         },
     );
-    row(
-        "VoteRecord",
-        VoteRecord {
-            round: 3,
-            ts: 2,
-            value: batch(10),
-        },
-    );
+    let vote = VoteRecord {
+        round: 3,
+        ts: 2,
+        value: batch(10),
+    };
+    let stored = row("VoteRecord", vote.clone());
+    // The shared parts are the batch's own payload buffers.
+    for (msg, part) in vote
+        .value
+        .msgs()
+        .iter()
+        .zip(stored.parts().iter().skip(1).step_by(2))
+    {
+        assert_eq!(msg.payload.as_ptr(), part.as_ptr());
+    }
+    every_two_part_cut("VoteRecord", &vote, &stored);
 
     // fortika-consensus.
     row(
