@@ -9,8 +9,8 @@
 //! which is what the CI `probe --check` step asserts.
 //!
 //! Strings support the common escapes (`\"`, `\\`, `\/`, `\n`, `\t`,
-//! `\r`, `\b`, `\f`, `\uXXXX` validated but kept escaped); numbers are
-//! parsed through `f64`. This is a *validator with accessors*, not a
+//! `\r`, `\b`, `\f`, `\uXXXX` with surrogate pairs); numbers are parsed
+//! through `f64`. This is a *validator with accessors*, not a
 //! general-purpose serde replacement.
 
 use std::collections::BTreeMap;
@@ -228,18 +228,24 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            if !hex.iter().all(u8::is_ascii_hexdigit) {
-                                return Err(self.err("malformed \\u escape"));
+                            let mut code = self.hex4()?;
+                            // A character beyond U+FFFF is written as a
+                            // surrogate pair of two escapes.
+                            if (0xd800..0xdc00).contains(&code) {
+                                if self.b.get(self.i + 1..self.i + 3) != Some(b"\\u") {
+                                    return Err(self.err("lone surrogate in \\u escape"));
+                                }
+                                self.i += 2;
+                                let low = self.hex4()?;
+                                if !(0xdc00..0xe000).contains(&low) {
+                                    return Err(self.err("lone surrogate in \\u escape"));
+                                }
+                                code = 0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00);
                             }
-                            // Validated but kept escaped: the bench
-                            // emitter never writes non-ASCII.
-                            out.push_str("\\u");
-                            out.push_str(std::str::from_utf8(hex).expect("hex digits"));
-                            self.i += 4;
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or_else(|| self.err("lone surrogate in \\u escape"))?,
+                            );
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
@@ -257,6 +263,21 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits after the `u` at `self.i`, leaving `self.i`
+    /// on the last of them.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let hex = self
+            .b
+            .get(self.i + 1..self.i + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("malformed \\u escape"));
+        }
+        self.i += 4;
+        let hex = std::str::from_utf8(hex).expect("hex digits");
+        Ok(u32::from_str_radix(hex, 16).expect("hex digits"))
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -338,6 +359,16 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = parse(r#""a\"b\\c\nd""#).expect("escape parse");
         assert_eq!(v.as_str(), Some("a\"b\\c\nd"));
-        assert!(parse(r#""bad \u12g4 escape""#).is_err());
+        let v = parse(r#""\u0001\u00e9\u2713\ud83d\ude00""#).expect("unicode escapes");
+        assert_eq!(v.as_str(), Some("\u{1}é✓😀"));
+        for bad in [
+            r#""bad \u12g4 escape""#,
+            r#""cut \u12"#,
+            r#""\ud83d alone""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
     }
 }

@@ -156,10 +156,15 @@ pub struct ConfigStamp {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigTimeline {
-    initial: Vec<ProcessId>,
     offset: u64,
     /// Decided reconfigurations, keyed by decided instance.
     reconfigs: BTreeMap<u64, ConfigChange>,
+    /// `members[v]` is the member set of version `v`, in rotation
+    /// order: the initial set, then one set per decided change. Derived
+    /// from `reconfigs` whenever a change is registered, so that the
+    /// per-instance questions — asked on every quorum check — read a
+    /// slice instead of replaying the history into a fresh `Vec`.
+    members: Vec<Vec<ProcessId>>,
 }
 
 impl ConfigTimeline {
@@ -176,9 +181,9 @@ impl ConfigTimeline {
         assert!(initial > 0, "initial member set must be nonempty");
         assert!(offset > 0, "activation offset must be positive");
         ConfigTimeline {
-            initial: ProcessId::all(initial).collect(),
             offset,
             reconfigs: BTreeMap::new(),
+            members: vec![ProcessId::all(initial).collect()],
         }
     }
 
@@ -214,9 +219,17 @@ impl ConfigTimeline {
             .reconfigs
             .keys()
             .position(|&k| k == instance)
-            .expect("just inserted") as u64
+            .expect("just inserted")
             + 1;
-        Some(self.stamp(version))
+        // The versions below the new one stand; it and (when the change
+        // was learned out of order) every later one are derived again.
+        self.members.truncate(version);
+        for change in self.reconfigs.values().skip(version - 1) {
+            let mut next = self.members.last().expect("the initial set").clone();
+            apply_change(&mut next, *change);
+            self.members.push(next);
+        }
+        Some(self.stamp(version as u64))
     }
 
     /// The stamp of `version` (1-based; version 0 is the initial
@@ -236,23 +249,13 @@ impl ConfigTimeline {
             version,
             decided_at,
             activation: decided_at + self.offset,
-            members: self.members_after(version),
+            members: self.members[version as usize].clone(),
         }
     }
 
     /// Number of decided reconfigurations (the latest version).
     pub fn latest_version(&self) -> u64 {
         self.reconfigs.len() as u64
-    }
-
-    /// The member set after the first `version` changes applied, in
-    /// rotation order.
-    fn members_after(&self, version: u64) -> Vec<ProcessId> {
-        let mut members = self.initial.clone();
-        for (_, change) in self.reconfigs.iter().take(version as usize) {
-            apply_change(&mut members, *change);
-        }
-        members
     }
 
     /// The configuration version governing `instance`.
@@ -264,8 +267,8 @@ impl ConfigTimeline {
     }
 
     /// The member set governing `instance`, in rotation order.
-    pub fn members_at(&self, instance: u64) -> Vec<ProcessId> {
-        self.members_after(self.version_at(instance))
+    pub fn members_at(&self, instance: u64) -> &[ProcessId] {
+        &self.members[self.version_at(instance) as usize]
     }
 
     /// The quorum size at `instance` (majority of the governing member
@@ -417,6 +420,75 @@ mod tests {
         // Stamps renumber by decided instance, not registration order.
         assert_eq!(rev.stamp(1).decided_at, 5);
         assert_eq!(rev.stamp(2).decided_at, 20);
+    }
+
+    /// The member set after the first `version` changes, by replaying
+    /// them over the initial set: what the per-version sets are derived
+    /// to equal.
+    fn replayed_members(tl: &ConfigTimeline, initial: usize, version: u64) -> Vec<ProcessId> {
+        let mut members: Vec<ProcessId> = ProcessId::all(initial).collect();
+        for (_, change) in tl.reconfigs().into_iter().take(version as usize) {
+            apply_change(&mut members, change);
+        }
+        members
+    }
+
+    /// Adds, removes, a replacement (remove + add), no-op changes and a
+    /// change learned out of order: after every registration, every
+    /// question at every instance has the replayed history's answer.
+    #[test]
+    fn every_query_equals_the_replayed_history() {
+        let script = [
+            (4, ConfigChange::Add(ProcessId(3))),
+            (9, ConfigChange::Remove(ProcessId(0))),
+            // p2 replaced by p5.
+            (15, ConfigChange::Remove(ProcessId(1))),
+            (16, ConfigChange::Add(ProcessId(4))),
+            // No-ops: present member added, absent member removed.
+            (30, ConfigChange::Add(ProcessId(3))),
+            (31, ConfigChange::Remove(ProcessId(7))),
+            // Learned late: decided before most of the above.
+            (6, ConfigChange::Add(ProcessId(5))),
+            (40, ConfigChange::Remove(ProcessId(5))),
+            // A removed member returns, at the end of the rotation.
+            (41, ConfigChange::Add(ProcessId(0))),
+        ];
+        let (initial, offset) = (3, 8);
+        let mut tl = ConfigTimeline::new(initial, offset);
+        for (registered, &(decided_at, change)) in script.iter().enumerate() {
+            let stamp = tl.register(decided_at, change).expect("newly learned");
+            assert_eq!(stamp.members, replayed_members(&tl, initial, stamp.version));
+            assert_eq!(tl.latest_version(), registered as u64 + 1);
+            for instance in 0..64 {
+                let version = tl
+                    .reconfigs()
+                    .iter()
+                    .filter(|(d, _)| d + offset <= instance)
+                    .count() as u64;
+                let members = replayed_members(&tl, initial, version);
+                assert_eq!(tl.version_at(instance), version);
+                assert_eq!(tl.members_at(instance), members, "instance {instance}");
+                assert_eq!(tl.majority_at(instance), members.len() / 2 + 1);
+                for round in 0..12u32 {
+                    assert_eq!(
+                        tl.coordinator_at(instance, round),
+                        members[round as usize % members.len()]
+                    );
+                }
+                for p in ProcessId::all(9) {
+                    assert_eq!(tl.is_member_at(instance, p), members.contains(&p));
+                }
+            }
+        }
+        // A timeline that learned the same history in decided order is
+        // the same value, derived sets included.
+        let mut in_order = ConfigTimeline::new(initial, offset);
+        let mut sorted = script;
+        sorted.sort_by_key(|&(decided_at, _)| decided_at);
+        for (decided_at, change) in sorted {
+            in_order.register(decided_at, change);
+        }
+        assert_eq!(tl, in_order);
     }
 
     #[test]

@@ -787,7 +787,7 @@ impl ReplicaCore {
     /// The member set governing `instance`, in rotation order.
     pub fn members_of(&self, instance: u64, n: usize) -> Vec<ProcessId> {
         match &self.timeline {
-            Some(t) => t.members_at(instance),
+            Some(t) => t.members_at(instance).to_vec(),
             None => ProcessId::all(n).collect(),
         }
     }

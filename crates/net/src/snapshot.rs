@@ -318,36 +318,48 @@ impl SnapshotFold {
     }
 
     /// Absorbs the decision of `instance`, folding forward as far as the
-    /// contiguous prefix allows.
+    /// contiguous prefix allows. The next instance in line — every
+    /// decision of a fault-free run — is folded from the caller's batch
+    /// as it stands; only a decision ahead of the frontier is copied
+    /// and kept until the frontier reaches it.
     pub fn absorb(&mut self, instance: u64, batch: &Batch) {
-        if instance < self.next || self.buffered.contains_key(&instance) {
-            return;
+        if instance == self.next {
+            self.fold(batch);
+            self.drain();
+        } else if instance > self.next {
+            self.buffered
+                .entry(instance)
+                .or_insert_with(|| batch.clone());
         }
-        self.buffered.insert(instance, batch.clone());
-        self.drain();
     }
 
+    /// Folds every buffered decision the frontier has reached.
     fn drain(&mut self) {
         while let Some(batch) = self.buffered.remove(&self.next) {
-            for msg in batch.msgs() {
-                // Payload descriptors (offloaded dissemination) fold
-                // under a synthetic dense sender stream and count for
-                // the application messages their payload batch carries,
-                // keeping `delivered_count` in application units for
-                // ordinary messages and descriptors alike.
-                let key = crate::dissemination::fold_key(msg.id);
-                if !self.delivered.is_new(key) {
-                    continue; // delivered by an earlier instance
-                }
-                self.delivered.mark(key);
-                self.delivered_count += crate::dissemination::delivery_weight(msg);
-                self.digest = digest_msg(self.digest, msg);
-                if let Some(app) = &mut self.app {
-                    app.apply(msg);
-                }
-            }
-            self.next += 1;
+            self.fold(&batch);
         }
+    }
+
+    /// Folds `batch` as the decision of instance `next`.
+    fn fold(&mut self, batch: &Batch) {
+        for msg in batch.msgs() {
+            // Payload descriptors (offloaded dissemination) fold
+            // under a synthetic dense sender stream and count for
+            // the application messages their payload batch carries,
+            // keeping `delivered_count` in application units for
+            // ordinary messages and descriptors alike.
+            let key = crate::dissemination::fold_key(msg.id);
+            if !self.delivered.is_new(key) {
+                continue; // delivered by an earlier instance
+            }
+            self.delivered.mark(key);
+            self.delivered_count += crate::dissemination::delivery_weight(msg);
+            self.digest = digest_msg(self.digest, msg);
+            if let Some(app) = &mut self.app {
+                app.apply(msg);
+            }
+        }
+        self.next += 1;
     }
 
     /// Materializes the fold as a snapshot covering `0..next_instance`
@@ -559,6 +571,61 @@ mod tests {
         assert_eq!(shuffled.next_instance(), 3);
         assert_eq!(in_order.digest(), shuffled.digest());
         assert_eq!(in_order.delivered_count(), 3);
+    }
+
+    /// 64 decisions absorbed in order (each folded from the caller's
+    /// batch), reversed (all but the last buffered) and shuffled with
+    /// repeats of buffered, of just-folded and of long-folded
+    /// instances mixed in: one fold.
+    #[test]
+    fn absorption_order_and_repeats_do_not_change_the_fold() {
+        use fortika_sim::DetRng;
+
+        // Two messages per decision; every fifth decision repeats a
+        // message an earlier one delivered.
+        let batches: Vec<Batch> = (0..64u64)
+            .map(|i| {
+                let second = if i % 5 == 4 {
+                    msg(0, i - 3, b"first")
+                } else {
+                    msg(1, i, &i.to_le_bytes())
+                };
+                Batch::normalize(vec![msg(0, i, b"first"), second])
+            })
+            .collect();
+        let folded = |order: &[u64]| {
+            let mut fold = SnapshotFold::new(None);
+            for &i in order {
+                fold.absorb(i, &batches[i as usize]);
+            }
+            assert_eq!(fold.next_instance(), 64);
+            assert!(fold.buffered.is_empty());
+            (
+                fold.snapshot().expect("folded something"),
+                fold.digest(),
+                fold.delivered_count(),
+            )
+        };
+        let in_order: Vec<u64> = (0..64).collect();
+        let expected = folded(&in_order);
+        assert_eq!(expected.2, 2 * 64 - 12);
+
+        let reversed: Vec<u64> = (0..64).rev().collect();
+        assert_eq!(folded(&reversed), expected);
+
+        for seed in 0..20 {
+            let mut rng = DetRng::seed(seed);
+            let mut order = in_order.clone();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            // Every third position absorbs some instance a second time,
+            // wherever it happens to stand by then.
+            for at in (0..order.len()).rev().step_by(3) {
+                order.insert(at, rng.below(64));
+            }
+            assert_eq!(folded(&order), expected, "seed {seed}");
+        }
     }
 
     #[test]

@@ -400,6 +400,7 @@ impl LatencyDecomposition {
 mod tests {
     use super::*;
     use crate::event::TraceBuffer;
+    use crate::test_rng::Rng;
 
     /// The definition the index is checked against: two linear passes
     /// over the events per window, clipping every interval to it.
@@ -464,24 +465,6 @@ mod tests {
     /// Total length of a disjoint interval set.
     fn measure(iv: &[(u64, u64)]) -> u64 {
         iv.iter().map(|(s, t)| t - s).sum()
-    }
-
-    /// SplitMix64: a seeded stream for the property test (this crate
-    /// depends on nothing, the simulator's `DetRng` included).
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
     }
 
     /// Random traces — overlapping, zero-length and over-durable

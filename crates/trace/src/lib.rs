@@ -43,6 +43,9 @@
 mod decompose;
 mod event;
 mod export;
+#[cfg(test)]
+mod test_rng;
+mod writer;
 
 pub use decompose::{
     decompose_window, ComponentSummary, DecompSample, LatencyDecomposition, WindowSpec,

@@ -318,3 +318,33 @@ fn voting_on_a_small_batch_still_writes_one_exact_buffer() {
         "voting on a 2 x 1 KiB proposal requested {voting} bytes of heap"
     );
 }
+
+/// A quorum check is three questions of the configuration timeline per
+/// vote, ack and proposal; they read the member set of the governing
+/// version where it stands.
+#[test]
+fn membership_queries_allocate_nothing() {
+    use fortika::net::{ConfigChange, ConfigTimeline};
+
+    let mut timeline = ConfigTimeline::new(3, 8);
+    for (decided_at, change) in [
+        (4, ConfigChange::Add(ProcessId(3))),
+        (9, ConfigChange::Remove(ProcessId(0))),
+        (20, ConfigChange::Add(ProcessId(4))),
+    ] {
+        timeline.register(decided_at, change).expect("new change");
+    }
+    for timeline in [ConfigTimeline::new(3, 8), timeline] {
+        let (requested, answers) = requested_during(|| {
+            (0..64u64)
+                .map(|instance| {
+                    let coordinator = timeline.coordinator_at(instance, instance as u32);
+                    timeline.majority_at(instance)
+                        + usize::from(timeline.is_member_at(instance, coordinator))
+                })
+                .sum::<usize>()
+        });
+        assert!(answers > 64);
+        assert_eq!(requested, 0, "64 × 3 queries requested {requested} bytes");
+    }
+}

@@ -18,11 +18,15 @@ use fortika::trace::{
 };
 
 fn traced_report(kind: StackKind, seed: u64) -> fortika::core::RunReport {
+    traced_report_of(kind, seed, 0.6)
+}
+
+fn traced_report_of(kind: StackKind, seed: u64, measure_secs: f64) -> fortika::core::RunReport {
     Experiment::builder(kind, 3)
         .workload(Workload::constant_rate(300.0, 256))
         .seed(seed)
         .warmup_secs(0.2)
-        .measure_secs(0.6)
+        .measure_secs(measure_secs)
         .trace(TraceConfig::on())
         .build()
         .run()
@@ -332,9 +336,11 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 /// Length and hash of both exports of a whole traced run, as rendered
-/// before the exports reserved their buffers up front. A change to the
-/// protocols' timing moves these too: regenerate them then, from a
-/// commit whose `export.rs` is unchanged.
+/// through `core::fmt`, before the exports had a writer of their own.
+/// A change to the protocols' timing moves these too: regenerating
+/// them then can only pin what the writer renders, so what guards the
+/// format from there on is the reference renderer in
+/// `fortika-trace`'s own tests.
 #[test]
 fn export_bytes_match_golden() {
     for (kind, jsonl, chrome) in [
@@ -359,6 +365,146 @@ fn export_bytes_match_golden() {
             "{kind:?} Chrome JSON"
         );
     }
+}
+
+/// A run long enough to record more than 20 000 events on either
+/// stack, checked without goldens: every JSONL line parses and carries
+/// its event's sequence number and instant, the meta line counts them,
+/// and the Chrome document parses into one element per event plus a
+/// begin/end pair per `(stack, instance)`.
+#[test]
+fn long_run_exports_parse_and_hold_every_event() {
+    use fortika_bench::json::{parse, Value};
+    use std::collections::BTreeSet;
+
+    let number = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let trace = traced_report_of(kind, 11, 2.0).trace.expect("tracing on");
+        assert!(trace.events.len() >= 20_000, "{kind:?}");
+
+        let jsonl = trace.to_jsonl();
+        let mut lines = jsonl.lines();
+        for e in &trace.events {
+            let line = lines.next().expect("a line per event");
+            let v = parse(line).unwrap_or_else(|err| panic!("{err} in {line}"));
+            assert_eq!(number(&v, "seq"), Some(e.seq as f64), "{line}");
+            assert_eq!(number(&v, "at_ns"), Some(e.at_ns as f64), "{line}");
+        }
+        let meta = parse(lines.next().expect("meta line")).expect("meta line is JSON");
+        assert_eq!(number(&meta, "events"), Some(trace.events.len() as f64));
+        assert_eq!(lines.next(), None);
+
+        let groups: BTreeSet<(&str, u64)> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e.data {
+                TraceData::Span {
+                    stack, instance, ..
+                } => Some((stack, instance)),
+                _ => None,
+            })
+            .collect();
+        let doc = parse(&trace.to_chrome_json()).expect("Chrome document is JSON");
+        let elements = doc.get("traceEvents").and_then(Value::as_array);
+        assert_eq!(
+            elements.map(<[Value]>::len),
+            Some(trace.events.len() + 2 * groups.len()),
+            "{kind:?}"
+        );
+    }
+}
+
+/// Tags that hold every character JSON cannot carry bare still export
+/// as JSON: each JSONL line and the Chrome document parse, and read
+/// back the strings that went in.
+#[test]
+fn exports_escape_their_tags() {
+    use fortika::trace::TraceBuffer;
+    use fortika_bench::json::{parse, Value};
+
+    const KIND: &str = "ki\"nd\\1\n";
+    const REASON: &str = "rea\tson\r\u{1}";
+    const STACK: &str = "st\u{1f}a\"ck";
+    const PHASE: &str = "pha\\se\u{0}é";
+    let mut b = TraceBuffer::new(8);
+    b.push(
+        1_000,
+        TraceData::Send {
+            src: 0,
+            dst: 1,
+            kind: KIND,
+            bytes: 74,
+            inc: 0,
+            tx_end_ns: 1_100,
+            arrival_ns: 1_400,
+            queue_ns: 0,
+        },
+    );
+    b.push(
+        1_400,
+        TraceData::Deliver {
+            dst: 1,
+            src: 0,
+            kind: KIND,
+            bytes: 74,
+        },
+    );
+    b.push(
+        1_500,
+        TraceData::Drop {
+            src: 1,
+            dst: 2,
+            kind: KIND,
+            bytes: 90,
+            reason: REASON,
+        },
+    );
+    b.push(
+        1_600,
+        TraceData::Span {
+            pid: 1,
+            stack: STACK,
+            instance: 3,
+            phase: PHASE,
+            detail: 0,
+        },
+    );
+    let trace = b.finish();
+
+    let jsonl = trace.to_jsonl();
+    let lines: Vec<Value> = jsonl
+        .lines()
+        .map(|l| parse(l).unwrap_or_else(|e| panic!("{e} in {l}")))
+        .collect();
+    assert_eq!(lines.len(), 5);
+    let field = |line: usize, key: &str| lines[line].get(key).and_then(Value::as_str);
+    for line in 0..3 {
+        assert_eq!(field(line, "kind"), Some(KIND), "line {line}");
+    }
+    assert_eq!(field(2, "reason"), Some(REASON));
+    assert_eq!(field(3, "stack"), Some(STACK));
+    assert_eq!(field(3, "phase"), Some(PHASE));
+
+    let chrome = trace.to_chrome_json();
+    let doc = parse(&chrome).unwrap_or_else(|e| panic!("{e} in {chrome}"));
+    let names: Vec<&str> = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("traceEvents")
+        .iter()
+        .map(|e| e.get("name").and_then(Value::as_str).expect("name"))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            format!("{STACK} #3"),
+            format!("{STACK} #3"),
+            format!("send {KIND}"),
+            format!("recv {KIND}"),
+            format!("drop {KIND} ({REASON})"),
+            format!("{STACK} #3: {PHASE}"),
+        ]
+    );
 }
 
 #[test]
