@@ -60,12 +60,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::dissemination::{
     descriptor_msg, fold_key, majority_of, route, DissemMsg, Dissemination, PayloadStore, ValueId,
 };
-use fortika_net::wire::{decode, encode};
+use fortika_net::wire::{encode, WireReader};
 use fortika_net::{AppMsg, Batch, DeliveredSet, MsgId, ProcessId, StableStore, TimerId};
 use fortika_sim::{VDur, VTime};
 
@@ -746,9 +745,9 @@ impl Microprotocol for AbcastModule {
         }
     }
 
-    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, bytes: Bytes) {
+    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
         if !self.offloads() {
-            let Ok(msg) = decode::<AppMsg>(bytes) else {
+            let Ok(msg) = msg.get_only::<AppMsg>() else {
                 ctx.bump("abcast.garbage", 1);
                 return;
             };
@@ -758,7 +757,7 @@ impl Microprotocol for AbcastModule {
             }
             return;
         }
-        let Ok(dm) = decode::<DissemMsg>(bytes) else {
+        let Ok(dm) = msg.get_only::<DissemMsg>() else {
             ctx.bump("abcast.garbage", 1);
             return;
         };

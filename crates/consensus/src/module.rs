@@ -57,10 +57,9 @@
 //! registered reconfiguration raises [`Event::ConfigActive`], an
 //! installed snapshot raises [`Event::InstallSnapshot`].
 
-use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::replica::SWEEP_INTERVAL;
-use fortika_net::wire::{decode, encode};
+use fortika_net::wire::{decode, encode, WireReader};
 use fortika_net::{
     AppState, Batch, CatchUp, ConfigStamp, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore,
     ReplicaHost, StableStore, TimerId,
@@ -456,8 +455,8 @@ impl Microprotocol for ConsensusModule {
         }
     }
 
-    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, bytes: Bytes) {
-        let msg = match decode::<ConsensusMsg>(bytes) {
+    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
+        let msg = match msg.get_only::<ConsensusMsg>() {
             Ok(m) => m,
             Err(_) => {
                 ctx.bump("consensus.garbage", 1);

@@ -1,7 +1,7 @@
 //! Framework adapter: runs a failure-detector core as a microprotocol.
 
-use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
+use fortika_net::wire::WireReader;
 use fortika_net::{ProcessId, TimerId};
 
 use crate::core::{FailureDetector, FdEvent};
@@ -84,7 +84,7 @@ impl<T: FailureDetector> Microprotocol for FdModule<T> {
         }
     }
 
-    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, _bytes: Bytes) {
+    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, _msg: WireReader) {
         self.core.on_heartbeat(from, ctx.now(), &mut self.scratch);
         Self::flush(ctx, &mut self.scratch);
     }

@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use fortika_net::wire::{encode_with, Stored, Wire, WireReader, WireWriter};
+use fortika_net::wire::{Stored, Wire, WireReader, WireWriter};
 use fortika_net::{
     Admission, AppRequest, ConfigStamp, CostModel, MsgId, Node, NodeCtx, ProcessId, ReplicaCtx,
     SnapshotStamp, TimerId,
@@ -47,8 +47,14 @@ pub trait Microprotocol {
     }
 
     /// Invoked when a network message addressed to this module arrives.
-    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, bytes: Bytes) {
-        let _ = (ctx, from, bytes);
+    ///
+    /// `msg` reads the message as the peer module
+    /// [sent](FrameworkCtx::send_net) it, from behind the framework's
+    /// module id to the end of the frame, across however many parts it
+    /// travelled as — [`WireReader::get_only`] decodes it strictly. A
+    /// module is never handed part of a frame.
+    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
+        let _ = (ctx, from, msg);
     }
 
     /// Invoked when one of this module's timers fires.
@@ -102,23 +108,25 @@ impl FrameworkCtx<'_, '_> {
 
     /// Sends `msg` from this module to its peer module at `dst`.
     ///
-    /// The framework's 2-byte module id and the message are encoded
-    /// into one exact-sized buffer; `kind` tags the message for traffic
+    /// The framework's 2-byte module id and the message are encoded as
+    /// one gather list — a single exact-sized buffer unless the message
+    /// holds a byte string long enough to travel by reference
+    /// ([`Stored::encode_with`]); `kind` tags the message for traffic
     /// accounting.
     pub fn send_net(&mut self, dst: ProcessId, kind: &'static str, msg: &impl Wire) {
         ReplicaCtx::send(self, dst, kind, |w| msg.encode(w));
     }
 
     /// Sends `msg` to every other process (n−1 unicasts of one shared
-    /// buffer).
+    /// frame).
     pub fn broadcast_net(&mut self, kind: &'static str, msg: &impl Wire) {
         ReplicaCtx::broadcast(self, kind, |w| msg.encode(w));
     }
 
     /// This module's wire frame around `body`: the module id, then the
     /// message.
-    fn framed(&self, body: impl Fn(&mut WireWriter)) -> Bytes {
-        encode_with(|w| {
+    fn framed(&self, body: impl Fn(&mut WireWriter)) -> Stored {
+        Stored::encode_with(|w| {
             w.put_u16(self.module_id);
             body(w);
         })
@@ -234,7 +242,7 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
     }
     fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter)) {
         let framed = self.framed(body);
-        self.node.broadcast(kind, &framed);
+        self.node.broadcast(kind, framed);
     }
 }
 
@@ -335,12 +343,11 @@ impl Node for CompositeStack {
     }
 
     fn on_message(&mut self, node: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
-        let mut r = WireReader::new(bytes);
+        let mut r = node.reader(bytes);
         let Ok(module_id) = r.get_u16() else {
             node.bump("framework.garbage", 1);
             return;
         };
-        let payload = r.take_rest();
         let Some(&idx) = self.by_id.get(&module_id) else {
             node.bump("framework.unroutable", 1);
             return;
@@ -352,7 +359,7 @@ impl Node for CompositeStack {
             module_idx: idx,
             module_id,
         };
-        self.modules[idx].on_net(&mut ctx, from, payload);
+        self.modules[idx].on_net(&mut ctx, from, r);
         self.drain_bus(node);
     }
 
@@ -447,9 +454,9 @@ mod tests {
                 ctx.raise(Event::Adelivered(vec![m.id]));
             }
         }
-        fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, bytes: Bytes) {
+        fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
             ctx.bump("bottom.rx", 1);
-            let _ = (from, bytes);
+            let _ = (from, msg);
         }
     }
 

@@ -54,11 +54,11 @@ use bytes::Bytes;
 use fortika_fd::{FailureDetector, FdEvent};
 use fortika_net::flow::FlowWindow;
 use fortika_net::replica::SWEEP_INTERVAL;
-use fortika_net::wire::{decode, encode};
+use fortika_net::wire::Wire;
 use fortika_net::{
     Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, DeliveredSet, MsgId,
-    Node, NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaHost, Snapshot,
-    StableStore, TimerId,
+    Node, NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost,
+    Snapshot, StableStore, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -250,16 +250,11 @@ impl MonoNode {
     }
 
     fn send(&self, ctx: &mut NodeCtx<'_>, dst: ProcessId, kind: &'static str, msg: &MonoMsg) {
-        ctx.send(dst, kind, encode(msg));
+        ReplicaCtx::send(ctx, dst, kind, |w| msg.encode(w));
     }
 
     fn broadcast(&self, ctx: &mut NodeCtx<'_>, kind: &'static str, msg: &MonoMsg) {
-        let bytes = encode(msg);
-        for dst in ProcessId::all(ctx.n()) {
-            if dst != ctx.pid() {
-                ctx.send(dst, kind, bytes.clone());
-            }
-        }
+        ReplicaCtx::broadcast(ctx, kind, |w| msg.encode(w));
     }
 
     /// Hands the pool over to `coord` in a standalone `Forward` (used
@@ -942,7 +937,7 @@ impl Node for MonoNode {
     }
 
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
-        let msg = match decode::<MonoMsg>(bytes) {
+        let msg = match ctx.reader(bytes).get_only::<MonoMsg>() {
             Ok(m) => m,
             Err(_) => {
                 ctx.bump("mono.garbage", 1);
@@ -1023,12 +1018,7 @@ impl Node for MonoNode {
                     };
                     if due {
                         self.last_heartbeat = Some(now);
-                        let hb = encode(&MonoMsg::Heartbeat);
-                        for dst in ProcessId::all(ctx.n()) {
-                            if dst != ctx.pid() {
-                                ctx.send(dst, "fd.heartbeat", hb.clone());
-                            }
-                        }
+                        self.broadcast(ctx, "fd.heartbeat", &MonoMsg::Heartbeat);
                     }
                 }
                 self.fd.tick(ctx.now(), &mut self.fd_scratch);

@@ -59,7 +59,7 @@ use crate::id::{MsgId, ProcessId};
 use crate::membership::ConfigStamp;
 use crate::message::AppMsg;
 use crate::snapshot::SnapshotStamp;
-use crate::wire::Stored;
+use crate::wire::{Stored, Tail, WireReader};
 
 /// Handle to a pending timer, local to one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,9 +73,10 @@ pub struct TimerId(u64);
 /// the process already holds (a voted batch) keeps the payloads by
 /// reference, so the simulator's store costs the host what a `writev`
 /// of header + held buffers costs a real acceptor, not a payload-sized
-/// copy. Written through [`NodeCtx::persist`] / [`NodeCtx::unpersist`]
-/// and handed to the node factory when the process is revived; read
-/// with [`Stored::decode`] / [`Stored::reader`].
+/// copy (network frames travel the same way, see [`NodeCtx::send`]).
+/// Written through [`NodeCtx::persist`] / [`NodeCtx::unpersist`] and
+/// handed to the node factory when the process is revived; read with
+/// [`Stored::decode`] / [`Stored::reader`].
 pub type StableStore = BTreeMap<u64, Stored>;
 
 /// Builds a fresh stack for a revived process.
@@ -122,6 +123,15 @@ pub trait Node {
     }
 
     /// Invoked when a network message arrives.
+    ///
+    /// The frame arrives as the chain of parts it was
+    /// [sent](NodeCtx::send) as: `bytes` is its first part — the whole
+    /// frame unless it carries a byte string of
+    /// [`SHARE_MIN`](crate::wire::SHARE_MIN) bytes — and `ctx` holds the
+    /// parts after it for the length of this call. Decode through
+    /// [`ctx.reader(bytes)`](NodeCtx::reader), which reads all of them;
+    /// a handler that decodes `bytes` alone sees a chained frame end
+    /// early (`WireError::UnexpectedEof`), as it would a truncated one.
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes);
 
     /// Invoked when a timer set via [`NodeCtx::set_timer`] fires.
@@ -155,7 +165,9 @@ pub struct NodeCtx<'a> {
     counters: &'a mut Counters,
     trace: Option<&'a mut TraceBuffer>,
     next_timer: &'a mut u64,
-    outbox: Vec<(ProcessId, &'static str, Bytes)>,
+    /// The parts of the arriving frame after the one `on_message` got.
+    tail: Tail,
+    outbox: Vec<(ProcessId, &'static str, Stored)>,
     timers: Vec<(VTime, TimerId, u64)>,
     cancels: Vec<TimerId>,
     deliveries: Vec<(Delivery, VTime)>,
@@ -202,7 +214,16 @@ impl NodeCtx<'_> {
         self.charge(self.cost.dispatch);
     }
 
-    /// Sends `bytes` to `dst` over the quasi-reliable channel.
+    /// Sends `frame` — a [`Bytes`] buffer or a [`Stored`] gather list —
+    /// to `dst` over the quasi-reliable channel.
+    ///
+    /// The frame travels by reference, as a scatter-gather NIC sends
+    /// header buffers and held payloads without joining them: its parts
+    /// are fixed from here on and reach the receiving handler as they
+    /// are ([`Node::on_message`]), so the host copies no payload. The
+    /// *model* still pays for every byte: CPU, NIC time, counters and
+    /// trace records are charged on the frame's length over all parts,
+    /// which is its `encoded_len`.
     ///
     /// `kind` tags the message for traffic accounting (see
     /// [`Counters`]); use dotted names like `"consensus.ack"`.
@@ -211,24 +232,33 @@ impl NodeCtx<'_> {
     ///
     /// Panics if `dst` is this process — the paper's protocols never
     /// send to self, so a self-send indicates a protocol bug.
-    pub fn send(&mut self, dst: ProcessId, kind: &'static str, bytes: Bytes) {
+    pub fn send(&mut self, dst: ProcessId, kind: &'static str, frame: impl Into<Stored>) {
         assert_ne!(dst, self.pid, "protocol bug: self-send of {kind}");
-        let wire = bytes.len() as u64 + u64::from(self.per_msg_overhead);
-        self.charge(
-            self.cost
-                .send_cost(bytes.len() + self.per_msg_overhead as usize),
-        );
-        self.counters.record_send(kind, wire);
-        self.outbox.push((dst, kind, bytes));
+        let frame = frame.into();
+        let len = frame.len() + self.per_msg_overhead as usize;
+        self.charge(self.cost.send_cost(len));
+        self.counters.record_send(kind, len as u64);
+        self.outbox.push((dst, kind, frame));
     }
 
-    /// Sends `bytes` to every other process (n−1 unicasts, in pid order).
-    pub fn broadcast(&mut self, kind: &'static str, bytes: &Bytes) {
+    /// Sends `frame` to every other process (n−1 unicasts, in pid
+    /// order, of one shared part list).
+    pub fn broadcast(&mut self, kind: &'static str, frame: impl Into<Stored>) {
+        let frame = frame.into();
         for dst in ProcessId::all(self.n) {
             if dst != self.pid {
-                self.send(dst, kind, bytes.clone());
+                self.send(dst, kind, frame.clone());
             }
         }
+    }
+
+    /// A reader over the frame this handler was invoked for: `bytes` —
+    /// the part [`Node::on_message`] received — and then the parts
+    /// after it, which this context holds. The one way to read an
+    /// arriving frame; empty-tailed (a reader over `bytes` alone)
+    /// outside `on_message`.
+    pub fn reader(&self, bytes: Bytes) -> WireReader {
+        WireReader::chained(bytes, self.tail.clone())
     }
 
     /// Arms a timer firing after `delay`; `tag` is echoed to
@@ -478,7 +508,9 @@ enum Ev {
         /// Kind tag of the message (trace/accounting only — the
         /// receiving stack decodes the payload, never the tag).
         kind: &'static str,
-        bytes: Bytes,
+        /// The frame as sent; a broadcast's copies and a duplicate share
+        /// its part list.
+        frame: Stored,
         tx_end: VTime,
     },
     Timer {
@@ -856,7 +888,13 @@ impl Cluster {
         if !self.started {
             self.started = true;
             for pid in ProcessId::all(self.cfg.n) {
-                self.exec(pid, VTime::ZERO, VDur::ZERO, |node, ctx| node.on_start(ctx));
+                self.exec(
+                    pid,
+                    VTime::ZERO,
+                    VDur::ZERO,
+                    Tail::default(),
+                    |node, ctx| node.on_start(ctx),
+                );
             }
             self.drain(harness);
         }
@@ -884,7 +922,7 @@ impl Cluster {
         let now = self.now();
         let mut admission = Admission::Blocked;
         let end = self
-            .exec(pid, now, base, |node, ctx| {
+            .exec(pid, now, base, Tail::default(), |node, ctx| {
                 admission = node.on_request(ctx, req);
             })
             .unwrap_or(now);
@@ -898,10 +936,11 @@ impl Cluster {
                 src,
                 src_inc,
                 kind,
-                bytes,
+                frame,
                 tx_end,
             } => {
-                let wire = bytes.len() as u64 + u64::from(self.cfg.net.per_msg_overhead);
+                let len = frame.len() + self.cfg.net.per_msg_overhead as usize;
+                let wire = len as u64;
                 // Drop messages from a previous incarnation of the
                 // sender: the wire-level incarnation stamp detects them.
                 if src_inc != self.procs[src.index()].incarnation {
@@ -934,11 +973,13 @@ impl Cluster {
                     kind,
                     bytes: wire,
                 });
-                let base = self
-                    .cfg
-                    .cost
-                    .recv_cost(bytes.len() + self.cfg.net.per_msg_overhead as usize);
-                self.exec(dst, at, base, |node, ctx| node.on_message(ctx, src, bytes));
+                let base = self.cfg.cost.recv_cost(len);
+                // The tail goes in with the handler call, so a frame to
+                // a crashed process is dropped whole.
+                let (first, tail) = frame.into_chain();
+                self.exec(dst, at, base, tail, |node, ctx| {
+                    node.on_message(ctx, src, first)
+                });
             }
             Ev::Timer { pid, inc, id, tag } => {
                 let proc = &mut self.procs[pid.index()];
@@ -950,7 +991,9 @@ impl Cluster {
                     return;
                 }
                 let base = self.cfg.cost.timer_fixed;
-                self.exec(pid, at, base, |node, ctx| node.on_timer(ctx, id, tag));
+                self.exec(pid, at, base, Tail::default(), |node, ctx| {
+                    node.on_timer(ctx, id, tag)
+                });
             }
             Ev::Tick { id } => {
                 // Ticks are harness-level: queue the callback so it runs
@@ -1004,12 +1047,22 @@ impl Cluster {
         self.counters.bump("cluster.restarts", 1);
         // Tell the harness before any new-incarnation activity.
         self.pending.push_back(Notification::Restarted(pid, at));
-        self.exec(pid, at, VDur::ZERO, |node, ctx| node.on_start(ctx));
+        self.exec(pid, at, VDur::ZERO, Tail::default(), |node, ctx| {
+            node.on_start(ctx)
+        });
     }
 
-    /// Runs one handler on `pid`'s CPU. Returns the handler-completion
-    /// instant, or `None` if the process is crashed.
-    fn exec<F>(&mut self, pid: ProcessId, arrival: VTime, base_cost: VDur, f: F) -> Option<VTime>
+    /// Runs one handler on `pid`'s CPU, with `tail` for its context to
+    /// read an arriving frame's later parts from. Returns the
+    /// handler-completion instant, or `None` if the process is crashed.
+    fn exec<F>(
+        &mut self,
+        pid: ProcessId,
+        arrival: VTime,
+        base_cost: VDur,
+        tail: Tail,
+        f: F,
+    ) -> Option<VTime>
     where
         F: FnOnce(&mut dyn Node, &mut NodeCtx<'_>),
     {
@@ -1050,6 +1103,7 @@ impl Cluster {
                 counters: &mut self.counters,
                 trace: self.trace.as_mut(),
                 next_timer: &mut self.procs[i].next_timer,
+                tail,
                 outbox: Vec::new(),
                 timers: Vec::new(),
                 cancels: Vec::new(),
@@ -1102,8 +1156,8 @@ impl Cluster {
         // faults, then propagate. Fault state is read at transmission
         // time — a partition raised later does not retract in-flight
         // messages, exactly like pulling a cable.
-        for (dst, kind, bytes) in outbox {
-            let wire = bytes.len() as u64 + u64::from(self.cfg.net.per_msg_overhead);
+        for (dst, kind, frame) in outbox {
+            let wire = frame.len() as u64 + u64::from(self.cfg.net.per_msg_overhead);
             let mut tx_end = self.procs[i].nic.transmit(end, wire);
             let nic_tx_end = tx_end;
             let slot = i * self.cfg.n + dst.index();
@@ -1187,7 +1241,7 @@ impl Cluster {
                         src: pid,
                         src_inc: inc,
                         kind,
-                        bytes: bytes.clone(),
+                        frame: frame.clone(),
                         tx_end,
                     },
                 );
@@ -1209,7 +1263,7 @@ impl Cluster {
                     src: pid,
                     src_inc: inc,
                     kind,
-                    bytes,
+                    frame,
                     tx_end,
                 },
             );

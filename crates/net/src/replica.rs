@@ -540,8 +540,8 @@ pub trait ReplicaCtx {
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64);
     /// Sends the message `body` writes, in the hosting stack's
     /// vocabulary, to `dst`. The host encodes it — behind whatever
-    /// framing its messages carry — into one exact-sized buffer
-    /// ([`encode_with`], so `body` runs twice).
+    /// framing its messages carry — as one gather list
+    /// ([`Stored::encode_with`], so `body` runs twice).
     fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter));
     /// Sends the same message to every other process, in pid order.
     fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter));
@@ -582,10 +582,10 @@ impl ReplicaCtx for NodeCtx<'_> {
         NodeCtx::trace_span(self, stack, instance, phase, detail);
     }
     fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter)) {
-        NodeCtx::send(self, dst, kind, encode_with(body));
+        NodeCtx::send(self, dst, kind, Stored::encode_with(body));
     }
     fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter)) {
-        NodeCtx::broadcast(self, kind, &encode_with(body));
+        NodeCtx::broadcast(self, kind, Stored::encode_with(body));
     }
 }
 

@@ -10,16 +10,22 @@
 //! length-prefixed byte strings and sequences, one tag byte for `Option`.
 //!
 //! One `encode` per type serves three sinks ([`WireWriter`]): a
-//! *buffer* (the bytes, contiguous — every network message), a *count*
-//! (only how many there would be — how a buffer gets its exact size) and
-//! a *gather list* (the bytes as a [`Stored`] value whose long byte
-//! strings are the writer's own [`Bytes`], shared instead of copied — a
-//! stable-store record of a batch the process already holds, the
-//! `writev` of a real acceptor log). [`WireReader`] reads a buffer or a
+//! *buffer* (the bytes, contiguous — a value that is kept or measured
+//! as one piece), a *count* (only how many there would be — how a
+//! buffer gets its exact size) and a *gather list* (the bytes as a
+//! [`Stored`] value whose long byte strings are the writer's own
+//! [`Bytes`], shared instead of copied). The gather list is what both
+//! byte paths of a process move: every network frame from
+//! `NodeCtx::send` to the receiving handler — the scatter-gather send of
+//! a real NIC, header buffers around payloads the sender already holds
+//! — and every stable-store record, the `writev` of a real acceptor
+//! log. A value with no byte string of [`SHARE_MIN`] bytes is a gather
+//! list of one exact-sized buffer. [`WireReader`] reads a buffer or a
 //! gather list through the same calls.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +73,21 @@ const MAX_LEN: u64 = 256 * 1024 * 1024;
 /// choice: a part costs two 24-byte list entries and a reference count,
 /// which a copy of a few hundred bytes undercuts and one of a few
 /// thousand does not.
+///
+/// Measured again when network frames became gather lists too, so that
+/// the threshold decides a copy per hop and not only one per vote (seed
+/// 7, five alternating pairs, threshold 512 against this value, host µs
+/// per delivered message, median and quartiles): `modular-steady-1k`
+/// 2.67 (2.61–2.71) → 2.51 (2.48–2.74), the lower in 4 of 5 pairs with
+/// the quartiles overlapping — not resolved; `mono-steady-1k` 2.10
+/// (2.07–2.12) → 1.93 (1.90–1.94), 5 of 5, and peak RSS −11 % on both
+/// (a delivered 1 KiB payload is then held once per cluster as well).
+/// The constant stays: on the workload it was to be judged by it did not
+/// resolve, every 1 KiB frame would stop being the single exact-sized
+/// buffer the allocation pins of `tests/alloc_budget.rs` hold it to, and
+/// a gain on the 1 KiB workloads is a claim of its own that wants ten
+/// pairs on an unseen seed — but the monolith's 5 of 5 says it is worth
+/// making.
 pub const SHARE_MIN: usize = 4096;
 
 /// Write half of the codec: appends values to a growable buffer — or, in
@@ -272,29 +293,33 @@ impl WireWriter {
         if at < copied.len() {
             parts.push(copied.slice(at..));
         }
-        Stored(Parts::Many(parts))
+        Stored(Parts::Many(parts.into()))
     }
 }
 
 /// An encoded value as a short gather list: the bytes of each part, in
-/// order. What a stable store keeps (`fortika_net::StableStore`): a
-/// value written through a [gathering](WireWriter::gathering) writer
-/// holds its long byte strings as the very [`Bytes`] the writing process
-/// already held, so persisting a 160 KiB batch copies ~150 bytes of
-/// framing. Most values are one part (`From<Bytes>`), hold no list at
-/// all and are no larger than an `Option<Bytes>`.
+/// order. What a stable store keeps (`fortika_net::StableStore`) and
+/// what the simulated network carries (`NodeCtx::send`): a value written
+/// through a [gathering](WireWriter::gathering) writer holds its long
+/// byte strings as the very [`Bytes`] the writing process already held,
+/// so persisting or sending a 160 KiB batch copies ~150 bytes of
+/// framing. Most values are one part (`From<Bytes>`) and hold no list at
+/// all.
 ///
 /// The parts are immutable and fixed when the value is built; nothing is
-/// encoded later. The writer cuts only where a shared byte string begins
-/// or ends, so no field of a well-formed value lies across a cut, and
-/// [`WireReader`] reports one that does as an error.
+/// encoded later. A list of several parts is held under one reference
+/// count, so a clone — each of a broadcast's n − 1 unicasts, a
+/// duplicated frame, a reader — shares it. The writer cuts only where a
+/// shared byte string begins or ends, so no field of a well-formed value
+/// lies across a cut, and [`WireReader`] reports one that does as an
+/// error.
 #[derive(Debug, Clone)]
 pub struct Stored(Parts);
 
 #[derive(Debug, Clone)]
 enum Parts {
     One(Bytes),
-    Many(Vec<Bytes>),
+    Many(Arc<[Bytes]>),
 }
 
 impl From<Bytes> for Stored {
@@ -340,7 +365,10 @@ impl Stored {
 
     /// Length of the value in bytes, over all parts.
     pub fn len(&self) -> usize {
-        self.parts().iter().map(Bytes::len).sum()
+        match &self.0 {
+            Parts::One(part) => part.len(),
+            Parts::Many(parts) => parts.iter().map(Bytes::len).sum(),
+        }
     }
 
     /// True if the value holds no bytes.
@@ -350,12 +378,22 @@ impl Stored {
 
     /// A reader over the whole value, part after part.
     pub fn reader(&self) -> WireReader {
-        match &self.0 {
-            Parts::One(part) => WireReader::new(part.clone()),
-            Parts::Many(parts) => WireReader {
-                buf: Bytes::new(),
-                rest: parts.clone().into_iter(),
-            },
+        let (first, rest) = self.clone().into_chain();
+        WireReader::chained(first, rest)
+    }
+
+    /// The value as an arriving frame is handed over: its first part,
+    /// and the parts after it.
+    pub(crate) fn into_chain(self) -> (Bytes, Tail) {
+        match self.0 {
+            Parts::One(part) => (part, Tail::default()),
+            Parts::Many(parts) => (
+                parts.first().cloned().unwrap_or_default(),
+                Tail {
+                    parts: Some(parts),
+                    next: 1,
+                },
+            ),
         }
     }
 
@@ -383,23 +421,47 @@ impl Stored {
     }
 }
 
+/// The parts of a gather list from some part on, by reference (none by
+/// default).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tail {
+    parts: Option<Arc<[Bytes]>>,
+    next: usize,
+}
+
+impl Tail {
+    fn as_slice(&self) -> &[Bytes] {
+        let parts = self.parts.as_deref().unwrap_or_default();
+        parts.get(self.next..).unwrap_or_default()
+    }
+
+    /// Takes the first of the parts (a reference-count clone of it).
+    fn pop(&mut self) -> Option<Bytes> {
+        let part = self.as_slice().first()?.clone();
+        self.next += 1;
+        Some(part)
+    }
+}
+
 /// Read half of the codec: a consuming cursor over a [`Bytes`] buffer —
-/// or over the parts of a [`Stored`] value ([`Stored::reader`]), one
-/// after another.
+/// or over the parts of a gather list ([`Stored::reader`], an arriving
+/// frame's `NodeCtx::reader`), one after another.
 #[derive(Debug)]
 pub struct WireReader {
     buf: Bytes,
     /// The parts after `buf` (none when reading a single buffer).
-    rest: std::vec::IntoIter<Bytes>,
+    rest: Tail,
 }
 
 impl WireReader {
     /// Wraps a buffer for reading.
     pub fn new(buf: Bytes) -> Self {
-        WireReader {
-            buf,
-            rest: Vec::new().into_iter(),
-        }
+        WireReader::chained(buf, Tail::default())
+    }
+
+    /// A reader over `first`, then `rest`.
+    pub(crate) fn chained(first: Bytes, rest: Tail) -> Self {
+        WireReader { buf: first, rest }
     }
 
     fn need(&mut self, n: usize) -> Result<(), WireError> {
@@ -418,7 +480,7 @@ impl WireReader {
     #[cold]
     fn next_part(&mut self, n: usize) -> Result<(), WireError> {
         while self.buf.is_empty() {
-            match self.rest.next() {
+            match self.rest.pop() {
                 Some(part) => self.buf = part,
                 None => break,
             }
@@ -470,8 +532,14 @@ impl WireReader {
         T::decode(self)
     }
 
-    /// Reads a value that must be all there is left to read.
-    fn get_only<T: Wire>(mut self) -> Result<T, WireError> {
+    /// Reads a value that must be all there is left to read (strict
+    /// decoding of a message body behind a header already read).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on truncation, bad tags, trailing garbage
+    /// or a field that lies across two parts.
+    pub fn get_only<T: Wire>(mut self) -> Result<T, WireError> {
         let v = T::decode(&mut self)?;
         self.expect_end()?;
         Ok(v)
@@ -480,22 +548,6 @@ impl WireReader {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.remaining() + self.rest.as_slice().iter().map(Bytes::len).sum::<usize>()
-    }
-
-    /// Takes all remaining bytes, zero-copy from a single buffer (used
-    /// for envelope bodies whose length is implied by the enclosing
-    /// message).
-    pub fn take_rest(&mut self) -> Bytes {
-        let len = self.buf.remaining();
-        let head = self.buf.split_to(len);
-        if self.rest.as_slice().is_empty() {
-            return head;
-        }
-        let rest = std::mem::take(&mut self.rest);
-        std::iter::once(head)
-            .chain(rest)
-            .collect::<Stored>()
-            .to_bytes()
     }
 
     /// Errors unless the buffer was fully consumed (strict decoding).
@@ -794,10 +846,13 @@ mod tests {
             .collect();
         assert_eq!(split.decode::<Bytes>(), Err(WireError::UnexpectedEof));
 
+        // A reader shares the list; the value stays whole for the next.
         let mut r = stored.reader();
         assert_eq!(r.get_u8(), Ok(5));
-        assert_eq!(r.take_rest(), part(&[1, 0, 2]));
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.get_only::<u16>(), Err(WireError::InvalidTag(0xFF)));
+        let mut r = stored.reader();
+        assert_eq!((r.get_u8(), r.get_u16()), (Ok(5), Ok(1)));
+        assert_eq!(r.get_only::<u8>(), Ok(2));
     }
 
     #[test]
@@ -810,7 +865,7 @@ mod tests {
         assert_eq!(framed.len(), 2 + 4 + 100);
         let mut r = WireReader::new(framed);
         assert_eq!(r.get_u16(), Ok(0xABCD));
-        assert_eq!(decode::<Bytes>(r.take_rest()), Ok(body));
+        assert_eq!(r.get_only::<Bytes>(), Ok(body));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! NIC contention, crash semantics, determinism.
 
 use bytes::Bytes;
+use fortika_net::wire::SHARE_MIN;
 use fortika_net::{
-    Admission, AppRequest, Cluster, ClusterApi, ClusterConfig, CostModel, Delivery, Harness,
-    NetModel, Node, NodeCtx, ProcessId, TimerId,
+    Admission, AppMsg, AppRequest, Cluster, ClusterApi, ClusterConfig, CostModel, Delivery,
+    Harness, MsgId, NetModel, Node, NodeCtx, ProcessId, Stored, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -41,7 +42,7 @@ impl Node for Flooder {
         if ctx.pid() == ProcessId(0) {
             for _ in 0..self.count {
                 let payload = Bytes::from(vec![0u8; self.size]);
-                ctx.broadcast("flood.msg", &payload);
+                ctx.broadcast("flood.msg", payload);
             }
         }
     }
@@ -489,4 +490,146 @@ fn durability_time_is_tracked_and_folded_into_cpu_busy() {
     slow.apply_slowdown(p0, 3000);
     slow.run_idle(VTime::ZERO + VDur::millis(1));
     assert_eq!(slow.durability_busy(p0), VDur::micros(3600));
+}
+
+/// Process 0 sends a frame of three parts around `payload` to process 1
+/// on start, keeping nothing. Every process records, per handler, how
+/// many bytes its context's reader holds beyond the handler's own
+/// argument: the tail of the frame in `on_message`, nothing anywhere
+/// else.
+struct TailProbe {
+    payload: Option<Bytes>,
+    seen: Seen,
+}
+
+/// `(process, handler, bytes held beyond the handler's argument)` per
+/// handler call, in order.
+type Seen = std::rc::Rc<std::cell::RefCell<Vec<(ProcessId, &'static str, usize)>>>;
+
+impl TailProbe {
+    fn note(&self, ctx: &NodeCtx<'_>, handler: &'static str) {
+        let beyond = ctx.reader(Bytes::new()).remaining();
+        self.seen.borrow_mut().push((ctx.pid(), handler, beyond));
+    }
+}
+
+impl Node for TailProbe {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.note(ctx, "on_start");
+        if let Some(payload) = self.payload.take() {
+            let frame = Stored::encode_with(|w| {
+                w.put(&payload);
+                w.put_u8(1);
+            });
+            ctx.send(ProcessId(1), "test.chained", frame);
+        }
+        if ctx.pid() == ProcessId(2) {
+            ctx.set_timer(VDur::millis(20), 0);
+        }
+    }
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {
+        self.note(ctx, "on_message");
+    }
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _: TimerId, _: u64) {
+        self.note(ctx, "on_timer");
+    }
+    fn on_request(&mut self, ctx: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
+        self.note(ctx, "on_request");
+        Admission::Blocked
+    }
+}
+
+/// Three [`TailProbe`]s over a 10 ms link — behind a NIC that takes 4 ms
+/// over the frame if `slow_nic`, no time otherwise — and what they
+/// recorded.
+fn tail_probes(payload: &Bytes, slow_nic: bool) -> (Cluster, Seen) {
+    let seen = Seen::default();
+    let probe = |payload| {
+        let seen = seen.clone();
+        Box::new(TailProbe { payload, seen }) as Box<dyn Node>
+    };
+    let mut cfg = ClusterConfig::instant(3, 1);
+    cfg.net.prop_delay = VDur::millis(10);
+    if slow_nic {
+        cfg.net.bandwidth_bytes_per_sec = 1_000_000;
+    }
+    let nodes = vec![probe(Some(payload.clone())), probe(None), probe(None)];
+    (Cluster::new(cfg, nodes), seen)
+}
+
+#[test]
+fn a_chained_frame_reaches_its_handler_and_no_other() {
+    let payload = Bytes::from(vec![3u8; SHARE_MIN]);
+    let (mut cluster, seen) = tail_probes(&payload, false);
+    cluster.run_idle(VTime::ZERO + VDur::millis(30));
+    let request = AppRequest::Abcast(AppMsg::new(MsgId::new(ProcessId(1), 0), Bytes::new()));
+    cluster.submit(ProcessId(1), request);
+    let seen = seen.borrow();
+    let calls: Vec<_> = seen.iter().filter(|c| c.1 != "on_start").collect();
+    assert_eq!(
+        calls,
+        [
+            // Behind the first part (the length prefix): payload, trailer.
+            &(ProcessId(1), "on_message", SHARE_MIN + 1),
+            &(ProcessId(2), "on_timer", 0),
+            &(ProcessId(1), "on_request", 0),
+        ]
+    );
+    assert!(seen.iter().all(|c| c.1 != "on_start" || c.2 == 0));
+    assert!(payload.is_unique(), "a delivered frame is let go of");
+}
+
+#[test]
+fn a_chained_frame_to_a_crashed_process_is_dropped_whole() {
+    // The receiver crashes while the frame is in flight: no handler runs
+    // for it, and the timer and the request that follow elsewhere find
+    // nothing of it in their contexts.
+    let payload = Bytes::from(vec![3u8; SHARE_MIN]);
+    let (mut cluster, seen) = tail_probes(&payload, false);
+    cluster.schedule_crash(ProcessId(1), VTime::ZERO + VDur::millis(5));
+    cluster.run_idle(VTime::ZERO + VDur::millis(30));
+    assert!(payload.is_unique(), "the dead process's frame is let go of");
+    let request = AppRequest::Abcast(AppMsg::new(MsgId::new(ProcessId(2), 0), Bytes::new()));
+    cluster.submit(ProcessId(2), request);
+    let seen = seen.borrow();
+    let calls: Vec<_> = seen.iter().filter(|c| c.1 != "on_start").collect();
+    assert_eq!(
+        calls,
+        [
+            &(ProcessId(2), "on_timer", 0),
+            &(ProcessId(2), "on_request", 0),
+        ]
+    );
+}
+
+#[test]
+fn chained_frames_of_a_dead_sender_are_released() {
+    // As `stale_incarnation_messages_are_fenced_at_delivery` and
+    // `crash_mid_transmission_partitions_recipients`, with a frame of
+    // several parts: fenced at delivery either way, and let go of.
+    for revive in [true, false] {
+        let payload = Bytes::from(vec![3u8; SHARE_MIN]);
+        let (mut cluster, seen) = tail_probes(&payload, !revive);
+        if revive {
+            // Sent whole at t = 0; the sender is on its next incarnation
+            // when the frame arrives at 10 ms.
+            cluster.set_node_factory(Box::new(|_, _, _| {
+                let seen = Default::default();
+                Box::new(TailProbe {
+                    payload: None,
+                    seen,
+                })
+            }));
+            cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::millis(2));
+            cluster.schedule_restart(ProcessId(0), VTime::ZERO + VDur::millis(4));
+        } else {
+            // The sender dies 1 ms into the 4 ms its NIC needs.
+            cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::millis(1));
+        }
+        cluster.run_idle(VTime::ZERO + VDur::millis(30));
+        assert!(seen.borrow().iter().all(|c| c.1 != "on_message"));
+        let stale = cluster.counters().event("chaos.dropped_stale_incarnation");
+        assert_eq!(stale, u64::from(revive));
+        assert!(payload.is_unique(), "revive={revive}: frame not released");
+    }
 }

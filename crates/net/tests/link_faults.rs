@@ -1,12 +1,15 @@
 //! Behavioural tests of the link-level fault hooks: partitions block at
 //! transmission time, seeded loss drops the configured fraction,
 //! duplication re-delivers, delay spikes stretch latency, and every
-//! fault is reproducible from the cluster seed.
+//! fault is reproducible from the cluster seed. A frame of several
+//! parts fares as one of a single buffer does: delivered whole, every
+//! time it is delivered, and let go of when it is dropped.
 
 use bytes::Bytes;
+use fortika_net::wire::SHARE_MIN;
 use fortika_net::{
     Admission, AppRequest, Cluster, ClusterConfig, CostModel, LinkFault, LinkSelector, NetModel,
-    Node, NodeCtx, ProcessId,
+    Node, NodeCtx, ProcessId, Stored,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -153,6 +156,77 @@ fn duplication_redelivers() {
     cluster.run_idle(VTime::ZERO + VDur::secs(1));
     assert_eq!(cluster.counters().event("test.received"), 400);
     assert_eq!(cluster.counters().event("chaos.duplicated"), 200);
+}
+
+/// Process 0 sends one chained frame — a tag, a byte string long enough
+/// to travel by reference, a trailer — to process 1 on start and keeps
+/// nothing; process 1 counts the frames it decodes whole.
+struct Chained(Option<Bytes>);
+
+impl Node for Chained {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        if let Some(payload) = self.0.take() {
+            let frame = Stored::encode_with(|w| {
+                w.put_u8(0xC4);
+                w.put(&payload);
+                w.put_u16(0xBEEF);
+            });
+            assert_eq!(frame.parts().len(), 3);
+            ctx.send(ProcessId(1), "test.chained", frame);
+        }
+    }
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _: ProcessId, bytes: Bytes) {
+        let mut r = ctx.reader(bytes);
+        let read = (r.get_u8(), r.get::<Bytes>(), r.get_only::<u16>());
+        match read {
+            (Ok(0xC4), Ok(payload), Ok(0xBEEF)) if payload.len() == SHARE_MIN => {
+                ctx.bump("test.decoded", 1)
+            }
+            _ => ctx.bump("test.garbage", 1),
+        }
+    }
+    fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
+        Admission::Blocked
+    }
+}
+
+#[test]
+fn chained_frames_are_delivered_whole_or_released() {
+    let all = LinkSelector::All;
+    for (fault, decoded, drop_counter) in [
+        (LinkFault::Reset, 1, None),
+        (LinkFault::Duplicate { link: all, p: 1.0 }, 2, None),
+        (
+            LinkFault::Loss { link: all, p: 1.0 },
+            0,
+            Some("chaos.dropped_loss"),
+        ),
+        (
+            LinkFault::Partition(vec![vec![ProcessId(0)], vec![ProcessId(1)]]),
+            0,
+            Some("chaos.dropped_partition"),
+        ),
+    ] {
+        let payload = Bytes::from(vec![0x5A; SHARE_MIN]);
+        let nodes: Vec<Box<dyn Node>> = vec![
+            Box::new(Chained(Some(payload.clone()))),
+            Box::new(Chained(None)),
+        ];
+        let mut cluster = Cluster::new(ClusterConfig::new(2, 11), nodes);
+        cluster.apply_fault(&fault);
+        cluster.run_idle(VTime::ZERO);
+        // In flight (or already dropped): the frame holds the sender's
+        // buffer, not a copy of it.
+        assert_eq!(payload.is_unique(), drop_counter.is_some(), "{fault:?}");
+        cluster.run_idle(VTime::ZERO + VDur::secs(1));
+        let counters = cluster.counters();
+        assert_eq!(counters.event("test.decoded"), decoded, "{fault:?}");
+        assert_eq!(counters.event("test.garbage"), 0, "{fault:?}");
+        if let Some(name) = drop_counter {
+            assert_eq!(counters.event(name), 1, "{fault:?}");
+        }
+        assert!(payload.is_unique(), "{fault:?}: frame outlived its fate");
+    }
 }
 
 #[test]

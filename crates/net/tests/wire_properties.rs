@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use fortika_net::flow::FlowWindow;
-use fortika_net::wire::{decode, encode, Wire, WireReader, WireWriter};
+use fortika_net::wire::{decode, encode, Wire};
 use fortika_net::{AppMsg, Batch, MsgId, ProcessId, WatermarkSet};
 use fortika_sim::DetRng;
 
@@ -102,25 +102,6 @@ fn truncation_always_fails_cleanly() {
             let truncated = encoded.slice(0..encoded.len() - cut - 1);
             assert!(decode::<AppMsg>(truncated).is_err(), "seed {seed}");
         }
-    }
-}
-
-#[test]
-fn reader_take_rest_is_remainder() {
-    for seed in 0..CASES {
-        let mut rng = DetRng::derive(0x17, seed);
-        let head = rng.next_u64() as u32;
-        let tail = arb_payload(&mut rng, 128);
-        let mut w = WireWriter::new();
-        w.put_u32(head);
-        for &b in &tail {
-            w.put_u8(b);
-        }
-        let mut r = WireReader::new(w.finish());
-        assert_eq!(r.get_u32().unwrap(), head);
-        let rest = r.take_rest();
-        assert_eq!(rest.as_ref(), tail.as_slice());
-        assert_eq!(r.remaining(), 0);
     }
 }
 

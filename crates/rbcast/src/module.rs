@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
-use fortika_net::wire::{decode, encode, Wire, WireError, WireReader, WireWriter};
+use fortika_net::wire::{encode, Wire, WireError, WireReader, WireWriter};
 use fortika_net::{ProcessId, StableStore, TimerId, WatermarkSet};
 use fortika_sim::VDur;
 
@@ -257,8 +257,8 @@ impl Microprotocol for RbcastModule {
         self.complete(ctx, msg.origin, msg.seq);
     }
 
-    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, bytes: Bytes) {
-        let Ok(msg) = decode::<RbMsg>(bytes) else {
+    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
+        let Ok(msg) = msg.get_only::<RbMsg>() else {
             ctx.bump("rbcast.garbage", 1);
             return;
         };
@@ -296,6 +296,7 @@ impl Microprotocol for RbcastModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fortika_net::wire::decode;
 
     #[test]
     fn rbmsg_round_trips() {

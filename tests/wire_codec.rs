@@ -5,25 +5,125 @@
 //! the value. Rows carry 16 KiB payloads where a payload fits, so a
 //! sizing pass that touched payload bytes would also be a slow one. The
 //! gather sink is the same codec: every row written through it has the
-//! same bytes, over however many parts, and reads back the same.
+//! same bytes, over however many parts, and reads back the same — also
+//! at the far end of a `Cluster` hop, where the frame arrives as the
+//! chain of parts it was sent as and is read through `NodeCtx::reader`.
 //!
 //! (`RbMsg` is private to `fortika-rbcast`; its row is that crate's
 //! `rbmsg_round_trips` unit test.)
 
+use std::cell::RefCell;
 use std::fmt::Debug;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use fortika::consensus::{self, ConsensusMsg, DecisionNotice};
 use fortika::mono::msg::{self as mono, Decision, MonoMsg, Proposal};
-use fortika::net::wire::{decode, encode, Wire, WireReader, WireWriter, SHARE_MIN};
+use fortika::net::wire::{decode, encode, Wire, WireError, WireReader, WireWriter, SHARE_MIN};
 use fortika::net::{
-    AppMsg, Batch, CatchUp, ConfigChange, DissemMsg, MsgId, PerCatchUp, ProcessId, SenderLog,
-    Snapshot, Stored, ValueId, VoteRecord,
+    Admission, AppMsg, AppRequest, Batch, CatchUp, Cluster, ClusterConfig, ConfigChange, DissemMsg,
+    MsgId, Node, NodeCtx, PerCatchUp, ProcessId, SenderLog, Snapshot, Stored, ValueId, VoteRecord,
 };
+use fortika::sim::VTime;
+
+/// What the receiving end of a [`hop`] decoded: from its `bytes`
+/// argument alone, and through the context's reader.
+struct Arrival<T> {
+    alone: Result<T, WireError>,
+    whole: Result<T, WireError>,
+}
+
+/// Process 0 sends one frame on start; process 1 decodes what arrives
+/// both ways and counts a frame its `bytes` argument does not hold.
+struct Hop<T> {
+    frame: Option<Stored>,
+    arrived: Rc<RefCell<Option<Arrival<T>>>>,
+}
+
+impl<T: Wire> Node for Hop<T> {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        if let Some(frame) = self.frame.take() {
+            ctx.send(ProcessId(1), "test.row", frame);
+        }
+    }
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _: ProcessId, bytes: Bytes) {
+        let alone = decode::<T>(bytes.clone());
+        if alone.is_err() {
+            ctx.bump("test.garbage", 1);
+        }
+        let whole = ctx.reader(bytes).get_only::<T>();
+        *self.arrived.borrow_mut() = Some(Arrival { alone, whole });
+    }
+    fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
+        Admission::Blocked
+    }
+}
+
+/// Sends `frame` from one bare node to another and returns what the
+/// receiver made of it, and how many frames it counted as garbage.
+fn hop<T: Wire + 'static>(frame: Stored) -> (Arrival<T>, u64) {
+    let arrived = Rc::new(RefCell::new(None));
+    let node = |frame| {
+        let arrived = Rc::clone(&arrived);
+        Box::new(Hop::<T> { frame, arrived }) as Box<dyn Node>
+    };
+    let nodes = vec![node(Some(frame)), node(None)];
+    let mut cluster = Cluster::new(ClusterConfig::instant(2, 1), nodes);
+    cluster.run_idle(VTime::ZERO);
+    let garbage = cluster.counters().event("test.garbage");
+    drop(cluster);
+    let arrival = arrived.borrow_mut().take().expect("the frame arrived");
+    (arrival, garbage)
+}
+
+/// The frame of `value` crosses a [`hop`] whole: the context's reader
+/// yields the value, while the first part alone reads as a truncated
+/// message — counted, never a panic — unless it is the only part.
+/// Returns the value as the receiver holds it.
+fn row_hops<T: Wire + PartialEq + Debug + 'static>(label: &str, value: &T, sent: &Stored) -> T {
+    let (arrival, garbage) = hop::<T>(sent.clone());
+    if sent.parts().len() == 1 {
+        assert_eq!(arrival.alone.as_ref(), Ok(value), "{label}: one part");
+        assert_eq!(garbage, 0, "{label}: one part");
+    } else {
+        assert_eq!(
+            arrival.alone,
+            Err(WireError::UnexpectedEof),
+            "{label}: first part of a chain, alone"
+        );
+        assert_eq!(garbage, 1, "{label}: first part of a chain, alone");
+    }
+    assert_eq!(arrival.whole.as_ref(), Ok(value), "{label}: over a hop");
+
+    // The same bytes with one of the writer's cuts a byte early or late:
+    // a field now lying across the cut is an error, never pieced
+    // together, and what still decodes (the byte was a field of its own)
+    // is the value.
+    let flat = sent.to_bytes();
+    let mut cuts = vec![0];
+    for part in sent.parts() {
+        cuts.push(cuts.last().unwrap() + part.len());
+    }
+    for moved in 1..cuts.len() - 1 {
+        for at in [cuts[moved] - 1, cuts[moved] + 1] {
+            if at < cuts[moved - 1] || at > cuts[moved + 1] {
+                continue;
+            }
+            let mut cuts = cuts.clone();
+            cuts[moved] = at;
+            let recut = cuts.windows(2).map(|c| flat.slice(c[0]..c[1])).collect();
+            match hop::<T>(recut).0.whole {
+                Ok(back) => assert_eq!(&back, value, "{label}: cut {moved} at {at}"),
+                Err(e) => assert_eq!(e, WireError::UnexpectedEof, "{label}: cut {moved} at {at}"),
+            }
+        }
+    }
+    arrival.whole.expect("checked above")
+}
 
 /// One row: counted length == written length, and the value survives —
 /// through a buffer and through a gather list.
-fn row<T: Wire + PartialEq + Debug>(label: &str, value: T) -> Stored {
+fn row<T: Wire + PartialEq + Debug + 'static>(label: &str, value: T) -> Stored {
     let bytes = encode(&value);
     assert_eq!(value.encoded_len(), bytes.len(), "{label}: counted length");
     let mut grown = WireWriter::new();
@@ -62,6 +162,7 @@ fn row<T: Wire + PartialEq + Debug>(label: &str, value: T) -> Stored {
         Ok(&value),
         "{label}: round trip over parts"
     );
+    row_hops(label, &value, &gathered);
     gathered
 }
 
@@ -281,6 +382,20 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
         assert_eq!(msg.payload.as_ptr(), part.as_ptr());
     }
     every_two_part_cut("VoteRecord", &vote, &stored);
+    // Over a hop they still are: the receiver holds the sender's buffers,
+    // and only a byte string short of `SHARE_MIN` was copied on the way.
+    let back = row_hops("VoteRecord", &vote, &stored);
+    for (sent, held) in vote.value.msgs().iter().zip(back.value.msgs()) {
+        assert_eq!(sent.payload.as_ptr(), held.payload.as_ptr());
+    }
+    let around = vec![
+        Bytes::from(vec![7u8; SHARE_MIN]),
+        Bytes::from(vec![8u8; SHARE_MIN - 1]),
+    ];
+    let stored = Stored::encode_with(|w| around.encode(w));
+    let back = row_hops("Vec<Bytes>/around SHARE_MIN", &around, &stored);
+    assert_eq!(back[0].as_ptr(), around[0].as_ptr());
+    assert_ne!(back[1].as_ptr(), around[1].as_ptr());
 
     // fortika-consensus.
     row(

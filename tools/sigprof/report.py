@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Report a profile written by sigprof.so.
 
-    python3 tools/sigprof/report.py run.prof [--top N]
+    python3 tools/sigprof/report.py run.prof [--top N] [--callers PATTERN [--depth K]]
 
 Three tables, each as a share of all samples:
   inclusive  samples with the function anywhere on the stack (inlined
@@ -10,6 +10,10 @@ Three tables, each as a share of all samples:
   nearest    samples by the innermost frame whose name starts with
              fortika_: where this repository's code was, whatever std
              or libc function it was in at the time
+With --callers PATTERN (a regular expression) a fourth table instead:
+  callers    the samples whose nearest fortika_* frame matches PATTERN,
+             by that frame and the next K (--depth, default 2)
+             fortika_* frames above it: whose put_slice, whose mix
 Needs binutils' addr2line and the profiled binaries where they were.
 """
 import collections
@@ -91,16 +95,29 @@ def table(title, counts, total, top):
 
 def main():
     args = sys.argv[1:]
-    top = int(args[args.index("--top") + 1]) if "--top" in args else 25
+
+    def option(flag, default):
+        return args[args.index(flag) + 1] if flag in args else default
+
+    top = int(option("--top", 25))
+    pattern, depth = option("--callers", None), int(option("--depth", 2))
     stacks, maps = load(args[0])
     names = symbolize(stacks, maps)
-    inclusive, self_, nearest = (collections.Counter() for _ in range(3))
+    inclusive, self_, nearest, callers = (collections.Counter() for _ in range(4))
     for stack in stacks:
         frames = [f for addr in stack for f in names.get(addr, ["??"])]
         inclusive.update(set(frames))
         self_[frames[0] if frames else "??"] += 1
-        nearest[next((f for f in frames if f.startswith(PREFIX)), "(none)")] += 1
+        ours = [f for f in frames if f.startswith(PREFIX)]
+        nearest[ours[0] if ours else "(none)"] += 1
+        if pattern and ours and re.search(pattern, ours[0]):
+            callers[" <- ".join(ours[:1 + depth])] += 1
     print(f"{len(stacks)} samples from {args[0]}")
+    if pattern:
+        matched = sum(callers.values())
+        title = f"callers of nearest {PREFIX}* frame matching /{pattern}/: {matched} samples"
+        table(title, callers, len(stacks), top)
+        return
     table("inclusive", inclusive, len(stacks), top)
     table("self", self_, len(stacks), top)
     table(f"nearest {PREFIX}* frame", nearest, len(stacks), top)
