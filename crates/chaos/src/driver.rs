@@ -10,77 +10,12 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use fortika_net::{
-    reconfig_payload, Admission, AppMsg, AppRequest, Cluster, ClusterApi, ConfigStamp, Delivery,
-    Harness, MsgId, ProcessId, SnapshotStamp, RECONFIG_SEQ_BASE,
-};
+use fortika_net::{Admission, AppMsg, AppRequest, Cluster, ClusterApi, Harness, MsgId, ProcessId};
 use fortika_sim::{DetRng, VDur, VTime};
 
+use crate::audit::{AuditTap, LoadSource};
 use crate::oracle::DeliveryOracle;
-use crate::scenario::parse_reconfig_tick;
-
-/// Retry spacing for a reconfiguration submission that could not be
-/// placed yet (flow control blocked it, or no process was alive).
-const RECONFIG_RETRY: VDur = VDur::millis(10);
-
-/// Turns the reserved reconfiguration ticks a [`Scenario`] schedules
-/// ([`reconfig_tick`]) into actual `abcast` submissions of the encoded
-/// [`ConfigChange`] payload. Both [`ScriptedDriver`] and the experiment
-/// runner's tap embed one, so reconfigurations ride the same submission
-/// path as application traffic — decided through the log, like the
-/// paper's group-membership service would.
-///
-/// [`Scenario`]: crate::Scenario
-/// [`reconfig_tick`]: crate::reconfig_tick
-/// [`ConfigChange`]: fortika_net::ConfigChange
-#[derive(Debug, Default)]
-pub struct ReconfigInjector {
-    seq: u64,
-}
-
-impl ReconfigInjector {
-    /// A fresh injector (sequence numbers start at
-    /// [`RECONFIG_SEQ_BASE`]).
-    pub fn new() -> Self {
-        ReconfigInjector::default()
-    }
-
-    /// Handles `tick` if it is a reserved reconfiguration tick: submits
-    /// the encoded change through the first alive process, rescheduling
-    /// the tick `RECONFIG_RETRY` later while flow control
-    /// blocks it (or nobody is alive yet). Returns `None` for ordinary
-    /// workload ticks, `Some(Some(id))` when the submission was
-    /// accepted under `id` (feed it to the oracle), and `Some(None)`
-    /// when the tick was consumed but the submission is still pending.
-    pub fn on_tick(
-        &mut self,
-        api: &mut ClusterApi<'_>,
-        tick: u64,
-        at: VTime,
-    ) -> Option<Option<MsgId>> {
-        let change = parse_reconfig_tick(tick)?;
-        let sender = (0..api.n())
-            .map(|i| ProcessId(i as u16))
-            .find(|p| api.alive(*p));
-        let Some(sender) = sender else {
-            api.schedule_tick(at + RECONFIG_RETRY, tick);
-            return Some(None);
-        };
-        let id = MsgId::new(sender, RECONFIG_SEQ_BASE + self.seq);
-        let msg = AppMsg::new(id, reconfig_payload(change));
-        let (adm, _) = api.submit(sender, AppRequest::Abcast(msg));
-        match adm {
-            Admission::Accepted => {
-                self.seq += 1;
-                Some(Some(id))
-            }
-            Admission::Blocked => {
-                api.schedule_tick(at + RECONFIG_RETRY, tick);
-                Some(None)
-            }
-        }
-    }
-}
+use crate::scenario::RECONFIG_TICK_BASE;
 
 /// One planned `abcast` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,66 +78,76 @@ impl LoadPlan {
 }
 
 /// Drives a [`LoadPlan`] through a cluster while recording every
-/// delivery into a [`DeliveryOracle`].
+/// delivery into a [`DeliveryOracle`]: a [`PlanDriver`] under an
+/// [`AuditTap`] that always carries an oracle.
 ///
 /// Submission semantics mirror a real blocking `abcast` caller: a
 /// blocked submission parks at its sender and is retried when flow
 /// control reopens; meanwhile, later planned submissions from that
 /// sender queue behind it. Submissions from crashed senders are skipped.
-pub struct ScriptedDriver {
+pub type ScriptedDriver = AuditTap<PlanDriver>;
+
+/// The plan-following half of a [`ScriptedDriver`].
+pub struct PlanDriver {
     plan: Vec<Submission>,
-    oracle: DeliveryOracle,
     next_seq: Vec<u64>,
     /// Parked message + queued plan sizes, per sender.
     parked: Vec<Option<AppMsg>>,
     backlog: Vec<VecDeque<usize>>,
     accepted: Vec<MsgId>,
     /// Incarnation of the sender at acceptance time, parallel to
-    /// [`accepted`](Self::accepted).
+    /// `accepted`.
     accepted_inc: Vec<u32>,
+    /// How many of `accepted` the tap has been told.
+    noted: usize,
     /// Restarts observed so far, per process.
     incarnation: Vec<u32>,
-    /// Submits the scenario's reserved reconfiguration ticks.
-    injector: ReconfigInjector,
-    /// Accepted reconfiguration submissions so far — the version floor
-    /// fed to [`DeliveryOracle::expect_configs`].
-    reconfigs_accepted: u64,
 }
 
 impl ScriptedDriver {
     /// Creates a driver for a cluster of `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the plan is so long that its tick ids (plan slots)
+    /// would reach the reserved [`RECONFIG_TICK_BASE`] namespace.
     pub fn new(n: usize, mut plan: LoadPlan) -> Self {
+        assert!(
+            (plan.submissions.len() as u64) < RECONFIG_TICK_BASE,
+            "plan slots are tick ids and must stay below RECONFIG_TICK_BASE"
+        );
         plan.submissions.sort_by_key(|s| s.at);
-        ScriptedDriver {
+        let driver = PlanDriver {
             plan: plan.submissions,
-            oracle: DeliveryOracle::new(n),
             next_seq: vec![0; n],
             parked: vec![None; n],
             backlog: vec![VecDeque::new(); n],
             accepted: Vec::new(),
             accepted_inc: Vec::new(),
+            noted: 0,
             incarnation: vec![0; n],
-            injector: ReconfigInjector::new(),
-            reconfigs_accepted: 0,
-        }
+        };
+        AuditTap::wrap(driver, Some(DeliveryOracle::new(n)))
     }
 
     /// Schedules the plan's ticks; call once before running the cluster.
     pub fn start(&mut self, cluster: &mut Cluster) {
         let t0 = cluster.now();
-        for (i, sub) in self.plan.iter().enumerate() {
+        for (i, sub) in self.driver.plan.iter().enumerate() {
             cluster.schedule_tick(t0 + sub.at, i as u64);
         }
     }
 
     /// The oracle with everything recorded so far.
     pub fn oracle(&self) -> &DeliveryOracle {
-        &self.oracle
+        self.oracle
+            .as_ref()
+            .expect("a scripted driver is always audited")
     }
 
     /// Ids of all accepted (admitted) submissions, in acceptance order.
     pub fn accepted(&self) -> &[MsgId] {
-        &self.accepted
+        &self.driver.accepted
     }
 
     /// Ids accepted at processes in `senders` (e.g. the scenario's
@@ -213,16 +158,19 @@ impl ScriptedDriver {
     /// fresh volatile state and does not re-diffuse it), so pre-crash
     /// acceptances carry no delivery obligation.
     pub fn accepted_at(&self, senders: &[ProcessId]) -> Vec<MsgId> {
-        self.accepted
+        let d = &self.driver;
+        d.accepted
             .iter()
-            .zip(self.accepted_inc.iter())
+            .zip(d.accepted_inc.iter())
             .filter(|(id, &inc)| {
-                senders.contains(&id.sender) && inc == self.incarnation[id.sender.index()]
+                senders.contains(&id.sender) && inc == d.incarnation[id.sender.index()]
             })
             .map(|(id, _)| *id)
             .collect()
     }
+}
 
+impl PlanDriver {
     fn try_submit(&mut self, api: &mut ClusterApi<'_>, sender: ProcessId, size: usize) {
         if !api.alive(sender) {
             return;
@@ -242,7 +190,6 @@ impl ScriptedDriver {
         match adm {
             Admission::Accepted => {
                 self.next_seq[sender.index()] += 1;
-                self.oracle.note_submission(msg.id);
                 self.accepted.push(msg.id);
                 self.accepted_inc.push(self.incarnation[sender.index()]);
             }
@@ -267,16 +214,15 @@ impl ScriptedDriver {
     }
 }
 
-impl Harness for ScriptedDriver {
-    fn on_tick(&mut self, api: &mut ClusterApi<'_>, tick: u64, at: VTime) {
-        if let Some(outcome) = self.injector.on_tick(api, tick, at) {
-            if let Some(id) = outcome {
-                self.oracle.note_submission(id);
-                self.reconfigs_accepted += 1;
-                self.oracle.expect_configs(self.reconfigs_accepted);
-            }
-            return;
-        }
+impl LoadSource for PlanDriver {
+    fn drain_accepted(&mut self, note: &mut dyn FnMut(MsgId)) {
+        self.accepted[self.noted..].iter().copied().for_each(note);
+        self.noted = self.accepted.len();
+    }
+}
+
+impl Harness for PlanDriver {
+    fn on_tick(&mut self, api: &mut ClusterApi<'_>, tick: u64, _at: VTime) {
         let sub = self.plan[tick as usize];
         self.try_submit(api, sub.sender, sub.size);
     }
@@ -285,36 +231,11 @@ impl Harness for ScriptedDriver {
         self.resume_sender(api, pid);
     }
 
-    fn on_delivery(&mut self, _api: &mut ClusterApi<'_>, pid: ProcessId, d: Delivery, at: VTime) {
-        self.oracle.record(pid, d.msg, at);
-    }
-
     fn on_restart(&mut self, api: &mut ClusterApi<'_>, pid: ProcessId, _at: VTime) {
         self.incarnation[pid.index()] += 1;
-        self.oracle.note_restart(pid);
         // A blocking caller that died inside abcast() retries against
         // the revived stack (whose flow window is empty again).
         self.resume_sender(api, pid);
-    }
-
-    fn on_snapshot(
-        &mut self,
-        _api: &mut ClusterApi<'_>,
-        pid: ProcessId,
-        stamp: SnapshotStamp,
-        _at: VTime,
-    ) {
-        self.oracle.note_snapshot(pid, &stamp);
-    }
-
-    fn on_config(
-        &mut self,
-        _api: &mut ClusterApi<'_>,
-        pid: ProcessId,
-        stamp: ConfigStamp,
-        _at: VTime,
-    ) {
-        self.oracle.note_config(pid, stamp);
     }
 }
 

@@ -12,18 +12,21 @@
 //!   windows), scripted false suspicions. Built with chainable
 //!   constructors or drawn from the seeded [`Scenario::random`]
 //!   generator ([`ChaosProfile`]; [`ChaosProfile::resource_only`] for
-//!   the resource family alone) for fuzzing. Applies onto a
-//!   [`fortika_net::Cluster`] (whose link-level fault hooks this crate
-//!   drives) or into `Experiment::builder(..).scenario(..)` in
-//!   `fortika-core`.
+//!   the resource family alone) for fuzzing. One call stands a
+//!   scenario on a cluster — `fortika_core::scenario_cluster` (standby
+//!   capacity, the scenario's configuration axes, suspicion windows,
+//!   restart factory, fault schedule), which `run_scripted`,
+//!   `Experiment::builder(..).scenario(..)` and the fuzz runner all go
+//!   through.
 //! * [`DeliveryOracle`] — the delivery-invariant checker: records every
 //!   `adeliver` and verifies uniform agreement, total order, integrity
 //!   and (when faults heal) validity, reporting typed [`Violation`]s.
 //!   Every scenario run is thereby also a correctness check on whichever
 //!   stack is under test.
 //! * [`ScriptedDriver`] / [`LoadPlan`] — a blocking-caller workload
-//!   driver that submits a scripted plan, skips crashed senders and
-//!   feeds the oracle.
+//!   driver that submits a scripted plan and skips crashed senders,
+//!   under the [`AuditTap`] through which every audited run feeds the
+//!   oracle.
 //! * [`CoverageReport`] — scenario-coverage metrics: folds each run's
 //!   protocol counters into a per-branch tally (round changes, gap
 //!   pulls, snapshot offers, idle proposals, stale-incarnation drops…)
@@ -47,15 +50,16 @@
 //! windowed-sequencer depth per scenario
 //! ([`Scenario::pipeline_depth`], bounded by
 //! [`ChaosProfile::max_pipeline_depth`]), so every fault family is
-//! fuzzed against pipelined instance execution too — harnesses apply it
-//! through `StackConfig::pipeline_depth` and the oracle's obligations
-//! are unchanged (pipelining must never show in delivery order).
+//! fuzzed against pipelined instance execution too — the assembly
+//! raises `StackConfig::pipeline_depth` to it and the oracle's
+//! obligations are unchanged (pipelining must never show in delivery
+//! order).
 //!
 //! # Dynamic membership
 //!
 //! [`ScenarioEvent::AddNode`] / [`ScenarioEvent::RemoveNode`] grow and
 //! shrink the group **through the log**: the scenario schedules a
-//! reserved tick ([`reconfig_tick`]), a [`ReconfigInjector`] submits
+//! reserved tick ([`reconfig_tick`]), the run's [`AuditTap`] submits
 //! the encoded [`fortika_net::ConfigChange`] like any abcast, and the
 //! stacks activate the new configuration a fixed instance offset after
 //! it is decided. The oracle is config-aware
@@ -65,9 +69,8 @@
 //! process must have caught up to the group's latest version
 //! ([`Violation::ConfigDivergence`]) — which is how a node voting with
 //! stale-config quorum math gets caught. The generator's
-//! `add_node_prob` / `remove_node_prob` knobs
-//! ([`ChaosProfile::with_reconfig`]) draw at most one grow and one
-//! shrink per scenario from a derived stream, with shrinks charged
+//! `add_node_prob` / `remove_node_prob` knobs draw at most one grow
+//! and one shrink per scenario from a derived stream, with shrinks charged
 //! against the permanent-crash budget so every generated timeline stays
 //! [`Scenario::quorum_safe`] against the configuration active at each
 //! crash.
@@ -102,10 +105,7 @@
 //! draws crash-restart cycles that do not consume the permanent-crash
 //! minority budget — a crashed-then-restarted process is correct again
 //! ([`Scenario::crashed`] / [`Scenario::quorum_safe`]) — while
-//! `recrash_prob` draws crash-restart-**crash** victims that do. Runs
-//! with restarts must register a factory:
-//! `fortika_core::install_restart_factory` or
-//! `Cluster::set_node_factory`.
+//! `recrash_prob` draws crash-restart-**crash** victims that do.
 //!
 //! # Example: a minority partition with healing, then a crash
 //!
@@ -131,6 +131,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod audit;
 mod campaign;
 mod coverage;
 mod driver;
@@ -139,9 +140,10 @@ mod oracle;
 mod scenario;
 mod trace_dump;
 
+pub use audit::{AuditTap, LoadSource};
 pub use campaign::{CampaignReport, FailingRun, FuzzCampaign, FuzzConfig, RunOutcome, StopReason};
 pub use coverage::CoverageReport;
-pub use driver::{LoadPlan, ReconfigInjector, ScriptedDriver, Submission};
+pub use driver::{LoadPlan, PlanDriver, ScriptedDriver, Submission};
 pub use minimize::{minimize, MinimizeReport};
 pub use oracle::{check_orders, DeliveryOracle, OracleReport, Violation};
 pub use scenario::{

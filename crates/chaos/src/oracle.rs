@@ -241,8 +241,9 @@ impl OracleReport {
 
 /// Records every `adeliver` and checks the atomic broadcast contract.
 ///
-/// Use it directly as a cluster [`Harness`] for logic-only runs, wire it
-/// behind a driving harness (as the experiment runner does), or feed it
+/// Use it directly as a cluster [`Harness`] for logic-only runs, put it
+/// behind a load source with an [`AuditTap`](crate::AuditTap) (as
+/// `ScriptedDriver` and the experiment runner do), or feed it
 /// pre-collected logs via [`DeliveryOracle::record`].
 ///
 /// # Example

@@ -5,9 +5,8 @@
 //! windows, scripted false suspicions — expressed as offsets from the
 //! start of the run. Build one with the chainable constructors, or draw
 //! one from the seeded [`Scenario::random`] generator for fuzzing; then
-//! plug it into a cluster directly ([`Scenario::apply`]) or into the
-//! experiment runner (`Experiment::builder(..).scenario(..)` in
-//! `fortika-core`).
+//! stand it on a cluster with `fortika_core::scenario_cluster` — which
+//! `run_scripted` and `Experiment::builder(..).scenario(..)` both do.
 //!
 //! Scenarios are plain data: cloning, printing and replaying them is
 //! cheap, and the same scenario + the same cluster seed reproduces the
@@ -152,9 +151,8 @@ pub enum ScenarioEvent {
     /// `suspect` during `[from, until)` — scripted ◇P inaccuracy.
     ///
     /// This event acts at stack-construction time, not on the cluster:
-    /// builders that wire nodes themselves consume it via
-    /// [`Scenario::suspicion_windows`]; the experiment runner does so
-    /// automatically.
+    /// the assembly (`fortika_core::scenario_cluster`) wires
+    /// [`Scenario::suspicion_windows`] into every failure detector.
     FalseSuspicion {
         /// The process whose detector lies.
         observer: ProcessId,
@@ -173,13 +171,9 @@ pub enum ScenarioEvent {
     /// membership switch lands somewhat later than `at`.
     ///
     /// [`Scenario::apply`] schedules a reserved driver tick
-    /// ([`reconfig_tick`]) carrying the change; the harness submits the
-    /// actual reconfiguration command (the experiment runner and
-    /// `ScriptedDriver` do this via [`ReconfigInjector`]). Because the
-    /// boot uses `Cluster::schedule_restart`, applying a scenario with
-    /// this event requires a registered node factory.
-    ///
-    /// [`ReconfigInjector`]: crate::ReconfigInjector
+    /// ([`reconfig_tick`]) carrying the change; the run's
+    /// [`AuditTap`](crate::AuditTap) submits the actual reconfiguration
+    /// command.
     AddNode {
         /// The joining process.
         pid: ProcessId,
@@ -226,17 +220,25 @@ impl ScenarioEvent {
 }
 
 /// Reserved driver-tick namespace for reconfiguration submissions.
-/// Tick ids below this belong to workload drivers (they use small,
-/// dense ids); ids at or above it encode a [`ConfigChange`] — see
-/// [`reconfig_tick`] / [`parse_reconfig_tick`].
+/// Tick ids below this belong to workload drivers — sender pids
+/// (`WorkloadDriver`) or plan slots (`ScriptedDriver`, checked when the
+/// plan is loaded); ids with this bit set encode a [`ConfigChange`] —
+/// see [`reconfig_tick`] / [`parse_reconfig_tick`].
 pub const RECONFIG_TICK_BASE: u64 = 1 << 32;
 
+/// Set in a reserved tick that removes; the pid sits in the low 16 bits.
 const RECONFIG_TICK_REMOVE: u64 = 1 << 16;
 
+// Every pid is a workload tick id, so the base clears them all; the
+// remove flag sits between the pid field and the base.
+const _: () = assert!(RECONFIG_TICK_BASE > u16::MAX as u64);
+const _: () = assert!(RECONFIG_TICK_REMOVE > u16::MAX as u64);
+const _: () = assert!(RECONFIG_TICK_REMOVE < RECONFIG_TICK_BASE);
+
 /// Encodes a reconfiguration as a reserved driver-tick id.
-/// [`Scenario::apply`] schedules these; harnesses decode them with
-/// [`parse_reconfig_tick`] and submit the command to the cluster (see
-/// [`ReconfigInjector`](crate::ReconfigInjector)).
+/// [`Scenario::apply`] schedules these; the run's
+/// [`AuditTap`](crate::AuditTap) decodes them with
+/// [`parse_reconfig_tick`] and submits the command to the cluster.
 pub fn reconfig_tick(change: ConfigChange) -> u64 {
     match change {
         ConfigChange::Add(pid) => RECONFIG_TICK_BASE | pid.index() as u64,
@@ -342,7 +344,7 @@ impl Scenario {
     /// random generator draws it from its own stream
     /// ([`ChaosProfile::max_pipeline_depth`]), so every generated fault
     /// timeline is also fuzzed against pipelined instance execution;
-    /// harnesses apply it via `StackConfig::pipeline_depth`.
+    /// the assembly raises `StackConfig::pipeline_depth` to it.
     pub fn pipeline_depth(&self) -> usize {
         self.pipeline_depth
     }
@@ -359,7 +361,9 @@ impl Scenario {
     /// seed-faithful diffusion regime). The random generator draws it
     /// from its own stream ([`ChaosProfile::dissemination_prob`]), so
     /// generated fault timelines also fuzz the ring/tree payload
-    /// offload; harnesses apply it via `StackConfig::dissemination`.
+    /// offload; the assembly adopts it into `StackConfig::dissemination`
+    /// unless the stack names a strategy of its own or folds
+    /// application state.
     pub fn dissemination(&self) -> Dissemination {
         self.dissemination
     }
@@ -639,7 +643,9 @@ impl Scenario {
     /// Schedules every cluster-level event of this scenario onto
     /// `cluster` (crashes and link faults; [`FalseSuspicion`] events act
     /// at stack-construction time and are skipped here — see
-    /// [`Scenario::suspicion_windows`]).
+    /// [`Scenario::suspicion_windows`]). The last step of
+    /// `fortika_core::scenario_cluster`, which is how a scenario gets
+    /// onto a cluster; a direct call is for clusters assembled by hand.
     ///
     /// Call before the first `run_until`, with the cluster clock still
     /// at the start of the run — [`Scenario::suspicion_windows`] anchors
@@ -673,109 +679,98 @@ impl Scenario {
             VTime::ZERO,
             "apply the scenario before running the cluster (clock already at {t0})"
         );
+        // A link-fault window opens by writing its fault and closes, if
+        // it closes, by writing the family's fault-free value back.
+        fn window(
+            cluster: &mut Cluster,
+            from: VDur,
+            until: Option<VDur>,
+            open: LinkFault,
+            close: LinkFault,
+        ) {
+            cluster.schedule_fault(VTime::ZERO + from, open);
+            if let Some(until) = until {
+                cluster.schedule_fault(VTime::ZERO + until, close);
+            }
+        }
         for ev in &self.events {
-            match ev {
-                ScenarioEvent::Crash { pid, at } => cluster.schedule_crash(*pid, t0 + *at),
-                ScenarioEvent::Restart { pid, at } => cluster.schedule_restart(*pid, t0 + *at),
+            match *ev {
+                ScenarioEvent::Crash { pid, at } => cluster.schedule_crash(pid, t0 + at),
+                ScenarioEvent::Restart { pid, at } => cluster.schedule_restart(pid, t0 + at),
                 ScenarioEvent::Partition {
-                    groups,
+                    ref groups,
                     from,
                     until,
-                } => {
-                    cluster.schedule_fault(t0 + *from, LinkFault::Partition(groups.clone()));
-                    if let Some(until) = until {
-                        cluster.schedule_fault(t0 + *until, LinkFault::Heal);
-                    }
-                }
+                } => window(
+                    cluster,
+                    from,
+                    until,
+                    LinkFault::Partition(groups.clone()),
+                    LinkFault::Heal,
+                ),
                 ScenarioEvent::Lossy {
                     link,
                     p,
                     from,
                     until,
-                } => {
-                    cluster.schedule_fault(t0 + *from, LinkFault::Loss { link: *link, p: *p });
-                    if let Some(until) = until {
-                        cluster.schedule_fault(
-                            t0 + *until,
-                            LinkFault::Loss {
-                                link: *link,
-                                p: 0.0,
-                            },
-                        );
-                    }
-                }
+                } => window(
+                    cluster,
+                    from,
+                    until,
+                    LinkFault::Loss { link, p },
+                    LinkFault::Loss { link, p: 0.0 },
+                ),
                 ScenarioEvent::Duplicate {
                     link,
                     p,
                     from,
                     until,
-                } => {
-                    cluster.schedule_fault(t0 + *from, LinkFault::Duplicate { link: *link, p: *p });
-                    if let Some(until) = until {
-                        cluster.schedule_fault(
-                            t0 + *until,
-                            LinkFault::Duplicate {
-                                link: *link,
-                                p: 0.0,
-                            },
-                        );
-                    }
-                }
+                } => window(
+                    cluster,
+                    from,
+                    until,
+                    LinkFault::Duplicate { link, p },
+                    LinkFault::Duplicate { link, p: 0.0 },
+                ),
                 ScenarioEvent::DelaySpike {
                     link,
                     factor_milli,
                     from,
                     until,
-                } => {
-                    cluster.schedule_fault(
-                        t0 + *from,
-                        LinkFault::DelaySpike {
-                            link: *link,
-                            factor_milli: *factor_milli,
-                        },
-                    );
-                    if let Some(until) = until {
-                        cluster.schedule_fault(
-                            t0 + *until,
-                            LinkFault::DelaySpike {
-                                link: *link,
-                                factor_milli: 1000,
-                            },
-                        );
-                    }
-                }
+                } => window(
+                    cluster,
+                    from,
+                    until,
+                    LinkFault::DelaySpike { link, factor_milli },
+                    LinkFault::DelaySpike {
+                        link,
+                        factor_milli: 1000,
+                    },
+                ),
                 ScenarioEvent::DegradeLink {
                     link,
                     rate_milli,
                     from,
                     until,
-                } => {
-                    cluster.schedule_fault(
-                        t0 + *from,
-                        LinkFault::Degrade {
-                            link: *link,
-                            rate_milli: *rate_milli,
-                        },
-                    );
-                    if let Some(until) = until {
-                        cluster.schedule_fault(
-                            t0 + *until,
-                            LinkFault::Degrade {
-                                link: *link,
-                                rate_milli: 1000,
-                            },
-                        );
-                    }
-                }
+                } => window(
+                    cluster,
+                    from,
+                    until,
+                    LinkFault::Degrade { link, rate_milli },
+                    LinkFault::Degrade {
+                        link,
+                        rate_milli: 1000,
+                    },
+                ),
                 ScenarioEvent::SlowNode {
                     pid,
                     factor_milli,
                     from,
                     until,
                 } => {
-                    cluster.schedule_slowdown(t0 + *from, *pid, *factor_milli);
+                    cluster.schedule_slowdown(t0 + from, pid, factor_milli);
                     if let Some(until) = until {
-                        cluster.schedule_slowdown(t0 + *until, *pid, 1000);
+                        cluster.schedule_slowdown(t0 + until, pid, 1000);
                     }
                 }
                 ScenarioEvent::FalseSuspicion { .. } => {}
@@ -784,11 +779,11 @@ impl Scenario {
                     // already running), then hand the change to the
                     // harness via a reserved tick — the submission
                     // itself must go through a live stack.
-                    cluster.schedule_restart(*pid, t0 + *at);
-                    cluster.schedule_tick(t0 + *at, reconfig_tick(ConfigChange::Add(*pid)));
+                    cluster.schedule_restart(pid, t0 + at);
+                    cluster.schedule_tick(t0 + at, reconfig_tick(ConfigChange::Add(pid)));
                 }
                 ScenarioEvent::RemoveNode { pid, at } => {
-                    cluster.schedule_tick(t0 + *at, reconfig_tick(ConfigChange::Remove(*pid)));
+                    cluster.schedule_tick(t0 + at, reconfig_tick(ConfigChange::Remove(pid)));
                 }
             }
         }
@@ -951,10 +946,9 @@ impl Scenario {
     }
 
     /// The process-slot capacity a cluster running this scenario needs:
-    /// `n` plus room for every standby an [`AddNode`] event boots.
-    /// Harnesses build `capacity(n)` nodes and crash the standbys at
-    /// the start of the run (the experiment runner does this when a
-    /// scenario carries reconfigurations).
+    /// `n` plus room for every standby an [`AddNode`] event boots. The
+    /// assembly builds `capacity(n)` nodes and crashes the standbys at
+    /// the start of the run.
     ///
     /// [`AddNode`]: ScenarioEvent::AddNode
     pub fn capacity(&self, n: usize) -> usize {
@@ -1269,9 +1263,7 @@ pub struct ChaosProfile {
     /// Probability that each allowed crash slot is used.
     pub crash_prob: f64,
     /// Probability that a drawn crash is followed by a restart
-    /// (crash-recovery) instead of being permanent. Requires the run to
-    /// register a node factory (`Cluster::set_node_factory` — the
-    /// experiment runner and `fortika-core::node_factory` do this).
+    /// (crash-recovery) instead of being permanent.
     pub restart_prob: f64,
     /// Probability that a crash-restart victim later crashes **again,
     /// permanently** (crash-restart-crash). The second crash consumes a
@@ -1298,17 +1290,14 @@ pub struct ChaosProfile {
     /// Probability of a scripted false-suspicion window.
     pub false_suspicion_prob: f64,
     /// Probability of a log-decided grow ([`ScenarioEvent::AddNode`]):
-    /// the standby `pid = n` boots and joins mid-run. Defaults to 0 —
-    /// reconfiguration runs need the experiment runner's standby
-    /// provisioning, so profiles opt in explicitly (see
-    /// [`ChaosProfile::with_reconfig`]).
+    /// the standby `pid = n` boots and joins mid-run. Defaults to 0:
+    /// profiles opt in explicitly.
     pub add_node_prob: f64,
     /// Probability of a log-decided shrink
     /// ([`ScenarioEvent::RemoveNode`]) of a random initial member. The
     /// shrink consumes a slot of the permanent crash budget (removing a
     /// voter erodes the original quorum margin until the smaller
-    /// majority takes over). Defaults to 0; see
-    /// [`ChaosProfile::with_reconfig`].
+    /// majority takes over). Defaults to 0.
     pub remove_node_prob: f64,
     /// Upper bound of the windowed-sequencer depth drawn per scenario
     /// (uniform in `1..=max_pipeline_depth`, from a derived RNG stream
@@ -1319,9 +1308,9 @@ pub struct ChaosProfile {
     /// dissemination strategy ([`Scenario::dissemination`]; Ring and
     /// Tree drawn evenly when the knob fires, from a derived RNG
     /// stream so fault-window shapes are preserved). `0` pins every
-    /// run to the seed-faithful direct-diffusion regime. Offloaded
-    /// runs are incompatible with `StackConfig::app_state`, so
-    /// profiles for app-state harnesses must leave this at 0.
+    /// run to the seed-faithful direct-diffusion regime. A stack that
+    /// folds application state (`StackConfig::app_state`) keeps
+    /// `Direct` whatever is drawn.
     pub dissemination_prob: f64,
 }
 
@@ -1375,22 +1364,6 @@ impl ChaosProfile {
             false_suspicion_prob: 0.0,
             degrade_prob: 0.9,
             slow_prob: 0.9,
-            ..ChaosProfile::default()
-        }
-    }
-
-    /// The default profile with the dynamic-membership family switched
-    /// on: each scenario may grow the group by one standby and/or
-    /// shrink it by one member, on top of the usual fault mix. Use with
-    /// the experiment runner — generated [`AddNode`] events need its
-    /// standby provisioning (capacity, boot-at-join, snapshot
-    /// catch-up).
-    ///
-    /// [`AddNode`]: ScenarioEvent::AddNode
-    pub fn with_reconfig() -> Self {
-        ChaosProfile {
-            add_node_prob: 0.6,
-            remove_node_prob: 0.5,
             ..ChaosProfile::default()
         }
     }
@@ -1825,9 +1798,18 @@ mod tests {
         );
     }
 
+    /// The default fault mix with the dynamic-membership family on.
+    fn reconfig_profile() -> ChaosProfile {
+        ChaosProfile {
+            add_node_prob: 0.6,
+            remove_node_prob: 0.5,
+            ..ChaosProfile::default()
+        }
+    }
+
     #[test]
     fn generator_reconfigs_are_deterministic_and_quorum_safe() {
-        let profile = ChaosProfile::with_reconfig();
+        let profile = reconfig_profile();
         let mut any_add = false;
         let mut any_remove = false;
         for n in [3usize, 5] {
@@ -1863,8 +1845,8 @@ mod tests {
                 any_remove |= removes > 0;
             }
         }
-        assert!(any_add, "with_reconfig never grew the group");
-        assert!(any_remove, "with_reconfig never shrank the group");
+        assert!(any_add, "the profile never grew the group");
+        assert!(any_remove, "the profile never shrank the group");
     }
 
     #[test]
@@ -1874,7 +1856,7 @@ mod tests {
         // reconfig-enabled scenario must yield byte-for-byte the
         // scenario the default profile generates.
         let plain = ChaosProfile::default();
-        let reconfig = ChaosProfile::with_reconfig();
+        let reconfig = reconfig_profile();
         for seed in 0..40u64 {
             let a = Scenario::random(5, seed, &plain);
             let b = Scenario::random(5, seed, &reconfig);

@@ -2,8 +2,8 @@
 //!
 //! `fortika-chaos` keeps its campaign driver runner-agnostic (the
 //! layering forbids it from depending on this crate), so the standard
-//! "build a cluster, apply the scenario, drive load, audit deliveries"
-//! execution lives here: [`run_fuzz_scenario`] executes one generated
+//! execution lives here, on top of [`run_scripted`] like every other
+//! scripted run: [`run_fuzz_scenario`] executes one generated
 //! `(scenario, seed)` pair on a real stack, and [`fuzz_runner`]
 //! packages it as the closure [`FuzzCampaign::run`] expects.
 //!
@@ -18,11 +18,11 @@
 //! [`FuzzCampaign`]: fortika_chaos::FuzzCampaign
 //! [`FuzzCampaign::run`]: fortika_chaos::FuzzCampaign::run
 
-use fortika_chaos::{LoadPlan, RunOutcome, Scenario, ScriptedDriver};
-use fortika_net::{Cluster, ClusterConfig, ProcessId};
+use fortika_chaos::{LoadPlan, RunOutcome, Scenario};
+use fortika_net::ClusterConfig;
 use fortika_sim::{VDur, VTime};
 
-use crate::stack::{build_nodes_with_windows, install_restart_factory, StackConfig, StackKind};
+use crate::stack::{run_scripted, StackConfig, StackKind};
 
 /// Messages each fuzz run's load plan submits.
 const FUZZ_LOAD_MSGS: usize = 16;
@@ -46,37 +46,20 @@ pub fn run_fuzz_scenario(
     scenario: &Scenario,
     seed: u64,
 ) -> RunOutcome {
-    // Dynamic membership: `AddNode` scenarios need standby processes
-    // beyond the initial group, provisioned crashed (their add revives
-    // them) and configured as learners via `initial_members`.
-    let capacity = scenario.capacity(n);
-    let cfg = ClusterConfig::new(capacity, seed);
-    let mut stack_cfg = stack.clone();
-    stack_cfg.pipeline_depth = stack_cfg.pipeline_depth.max(scenario.pipeline_depth());
-    if !stack_cfg.dissemination.offloads() && stack_cfg.app_state.is_none() {
-        stack_cfg.dissemination = scenario.dissemination();
-    }
-    if !scenario.reconfigs().is_empty() && stack_cfg.initial_members == 0 {
-        stack_cfg.initial_members = n;
-    }
-    let windows = scenario.suspicion_windows();
-    let nodes = build_nodes_with_windows(kind, capacity, &stack_cfg, &windows);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, kind, &stack_cfg, &windows);
-    for pid in n..capacity {
-        cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
-    }
-    scenario.apply(&mut cluster);
-
     let horizon = scenario.horizon().max(VDur::millis(200));
     // Senders are the initial members only; standbys deliver (and the
     // oracle audits them) without generating load.
     let plan = LoadPlan::random(n, seed, FUZZ_LOAD_MSGS, horizon, FUZZ_LOAD_MAX_SIZE);
-    let mut driver = ScriptedDriver::new(capacity, plan);
-    driver.start(&mut cluster);
-    cluster.run_until(VTime::ZERO + horizon + FUZZ_DRAIN, &mut driver);
+    let (cluster, driver) = run_scripted(
+        kind,
+        stack,
+        ClusterConfig::new(n, seed),
+        scenario,
+        plan,
+        VTime::ZERO + horizon + FUZZ_DRAIN,
+    );
 
-    let report = driver.oracle().check(&scenario.correct(capacity));
+    let report = driver.oracle().check(&scenario.correct(cluster.n()));
     RunOutcome {
         counters: cluster.counters().clone(),
         violation: report.violations.first().cloned(),

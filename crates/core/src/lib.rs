@@ -6,6 +6,9 @@
 //! * [`StackKind`] / [`build_nodes`] — the modular microprotocol stack
 //!   and the monolithic merged stack, both over the same algorithms,
 //!   flow control and failure detector.
+//! * [`scenario_cluster`] / [`run_scripted`] — the one way a fault
+//!   [`Scenario`] is stood on a cluster of either stack (and, for the
+//!   second, driven by a scripted plan under the delivery oracle).
 //! * [`workload`] — the symmetric constant-rate workload of §5.1 and the
 //!   measurement driver (early latency, throughput).
 //! * [`Experiment`] — one-call experiment runner with warm-up,
@@ -53,8 +56,8 @@ pub use runner::{Experiment, ExperimentBuilder, LatencySummary, RunReport, Summa
 #[cfg(debug_assertions)]
 pub use stack::FaultHooks;
 pub use stack::{
-    build_node, build_node_with_windows, build_nodes, build_nodes_with_windows,
-    build_restarted_node, install_restart_factory, node_factory, StackConfig, StackKind,
+    build_nodes, build_nodes_with_windows, node_factory, run_scripted, scenario_cluster,
+    StackConfig, StackKind,
 };
 pub use workload::{ArrivalProcess, LatencySample, Workload, WorkloadDriver};
 

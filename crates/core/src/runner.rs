@@ -2,16 +2,13 @@
 //! workload; a summary = several runs (seeds) combined with 95 %
 //! confidence intervals, as the paper reports.
 
-use fortika_chaos::{DeliveryOracle, OracleReport, ReconfigInjector, Scenario};
-use fortika_net::{
-    Cluster, ClusterApi, ClusterConfig, ConfigStamp, CostModel, Counters, Delivery, Harness,
-    NetModel, ProcessId, SnapshotStamp,
-};
+use fortika_chaos::{AuditTap, DeliveryOracle, OracleReport, Scenario};
+use fortika_net::{ClusterConfig, CostModel, Counters, NetModel, ProcessId};
 use fortika_sim::stats::{mean_ci95, MeanCi};
 use fortika_sim::{VDur, VTime};
 use fortika_trace::{decompose_window, LatencyDecomposition, Trace, TraceConfig, WindowSpec};
 
-use crate::stack::{build_nodes_with_windows, StackConfig, StackKind};
+use crate::stack::{scenario_cluster, StackConfig, StackKind};
 use crate::workload::{Workload, WorkloadDriver};
 
 /// Everything needed to run one experiment configuration.
@@ -68,71 +65,22 @@ impl Experiment {
 
     /// Runs the experiment once and reports the window metrics.
     ///
-    /// With a [`Scenario`] attached, its faults are scheduled before the
-    /// run, scripted suspicion windows are wired into every failure
-    /// detector, the drain is stretched past the scenario horizon, and
-    /// the delivery-invariant oracle audits every `adeliver` — safety
+    /// With a [`Scenario`] attached, it is stood on the cluster by
+    /// [`scenario_cluster`] (standby capacity, adopted configuration
+    /// axes, suspicion windows, restart factory, fault schedule), the
+    /// drain is stretched past the scenario horizon, and the
+    /// delivery-invariant oracle audits every `adeliver` — safety
     /// violations land in [`RunReport::oracle`].
     pub fn run(&mut self) -> RunReport {
-        // Dynamic membership: a scenario with `AddNode` events needs
-        // standby processes beyond the initial group, so the cluster is
-        // provisioned at the scenario's capacity. Standbys boot crashed
-        // (revived by the restart their `AddNode` schedules) and start
-        // as learners via `initial_members`.
-        let capacity = self
-            .scenario
-            .as_ref()
-            .map(|s| s.capacity(self.n))
-            .unwrap_or(self.n);
-        let has_reconfigs = self
-            .scenario
-            .as_ref()
-            .is_some_and(|s| !s.reconfigs().is_empty());
-        let mut cluster_cfg = ClusterConfig::new(capacity, self.seed);
+        let mut cluster_cfg = ClusterConfig::new(self.n, self.seed);
         cluster_cfg.net = self.net.clone();
         cluster_cfg.cost = self.cost.clone();
         cluster_cfg.trace = self.trace.clone();
-        let windows = self
-            .scenario
-            .as_ref()
-            .map(|s| s.suspicion_windows())
-            .unwrap_or_default();
-        // A scenario may carry a windowed-sequencer depth (the chaos
-        // generator draws one so fault fuzzing also covers pipelined
-        // runs); the deeper of the two requests wins, so an explicit
-        // stack_config override is never silently weakened.
-        let mut stack = self.stack.clone();
-        if let Some(scenario) = &self.scenario {
-            stack.pipeline_depth = stack.pipeline_depth.max(scenario.pipeline_depth());
-            // Same upgrade-only rule for the dissemination axis: a
-            // scenario-drawn Ring/Tree is adopted only when the stack
-            // is at the Direct default (an explicit override is never
-            // silently replaced) and no app-state fold is configured
-            // (offloaded runs fold descriptors, not app payloads).
-            if !stack.dissemination.offloads() && stack.app_state.is_none() {
-                stack.dissemination = scenario.dissemination();
-            }
-        }
-        if has_reconfigs && stack.initial_members == 0 {
-            // Only the original group votes; standbys (and anyone a
-            // log-decided `Add` later promotes) start as learners.
-            stack.initial_members = self.n;
-        }
-        let stack = &stack;
-        let nodes = build_nodes_with_windows(self.kind, capacity, stack, &windows);
-        let mut cluster = Cluster::new(cluster_cfg, nodes);
-        if let Some(scenario) = &self.scenario {
-            // Crash-recovery support: scenarios may revive crashed
-            // processes, which needs a factory for fresh stacks.
-            crate::stack::install_restart_factory(&mut cluster, self.kind, stack, &windows);
-            // Standbys are down until their `AddNode` revives them —
-            // crashed before the scenario's own events are applied so
-            // the revival always finds them crashed.
-            for pid in self.n..capacity {
-                cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
-            }
-            scenario.apply(&mut cluster);
-        }
+        // A run without a scenario is a run under the empty one.
+        let no_faults = Scenario::new();
+        let scenario = self.scenario.as_ref().unwrap_or(&no_faults);
+        let (mut cluster, _) = scenario_cluster(self.kind, &self.stack, cluster_cfg, scenario);
+        let capacity = cluster.n();
 
         let window_start = VTime::ZERO + self.warmup;
         let window_end = window_start + self.measure;
@@ -151,16 +99,11 @@ impl Experiment {
         driver.start(&mut cluster);
         // Record deliveries for the oracle only when a scenario asked
         // for an audit — plain benchmark runs skip the bookkeeping.
-        let mut oracle = self
+        let oracle = self
             .scenario
             .as_ref()
             .map(|_| DeliveryOracle::new(capacity));
-        let mut tap = OracleTap {
-            driver: &mut driver,
-            oracle: oracle.as_mut(),
-            injector: ReconfigInjector::new(),
-            reconfigs_accepted: 0,
-        };
+        let mut tap = AuditTap::wrap(driver, oracle);
 
         // Warm-up.
         cluster.run_until(window_start, &mut tap);
@@ -189,11 +132,9 @@ impl Experiment {
         }
         cluster.run_until(end_of_drain, &mut tap);
         let trace = cluster.take_trace();
+        let (driver, oracle) = tap.into_parts();
 
-        let oracle_report = self.scenario.as_ref().and_then(|scenario| {
-            let correct = scenario.correct(capacity);
-            oracle.as_ref().map(|o| o.check(&correct))
-        });
+        let oracle_report = oracle.map(|o| o.check(&scenario.correct(capacity)));
         // A violating traced run leaves its bounded evidence window on
         // disk before anything else can panic on the report.
         if self.emit_artifacts {
@@ -422,12 +363,12 @@ impl ExperimentBuilder {
     }
 
     /// Attaches a fault [`Scenario`]: its crashes, restarts, link
-    /// faults and scripted suspicions run against this experiment, the
-    /// runner registers the crash-recovery restart factory, and the
-    /// delivery-invariant oracle audits every `adeliver` (see
-    /// [`RunReport::oracle`]). A scenario that carries a windowed-
-    /// sequencer depth (`Scenario::pipeline_depth` — the chaos
-    /// generator draws one per scenario) raises the stack's
+    /// faults, scripted suspicions and reconfigurations run against
+    /// this experiment exactly as [`scenario_cluster`] stands them on
+    /// any cluster, and the delivery-invariant oracle audits every
+    /// `adeliver` (see [`RunReport::oracle`]). A scenario that carries
+    /// a windowed-sequencer depth (`Scenario::pipeline_depth` — the
+    /// chaos generator draws one per scenario) raises the stack's
     /// `pipeline_depth` to at least that value, so generated fault
     /// timelines also fuzz pipelined instance execution.
     ///
@@ -603,96 +544,6 @@ pub struct RunReport {
     /// the same violation kind. Also written to
     /// `target/trace/violation-<kind>-seed<seed>.min.txt`.
     pub minimized_scenario: Option<Scenario>,
-}
-
-/// Forwards workload callbacks while teeing every delivery into the
-/// oracle (when one is attached). Also owns the [`ReconfigInjector`]
-/// that turns a scenario's reserved reconfiguration ticks into abcast
-/// submissions — those ticks must never reach the workload driver,
-/// which reads tick ids as sender pids.
-struct OracleTap<'a> {
-    driver: &'a mut WorkloadDriver,
-    oracle: Option<&'a mut DeliveryOracle>,
-    injector: ReconfigInjector,
-    /// Accepted reconfig submissions so far: each one, once decided,
-    /// must surface as exactly one config version — fed to the oracle
-    /// as its drained-completeness floor.
-    reconfigs_accepted: u64,
-}
-
-impl OracleTap<'_> {
-    /// Hands freshly accepted ids to the oracle (arming its
-    /// unknown-delivery integrity check); with no oracle the ids are
-    /// simply discarded so the driver's buffer stays empty.
-    fn sync_submissions(&mut self) {
-        let ids = self.driver.drain_accepted_ids();
-        if let Some(oracle) = self.oracle.as_deref_mut() {
-            for id in ids {
-                oracle.note_submission(id);
-            }
-        }
-    }
-}
-
-impl Harness for OracleTap<'_> {
-    fn on_delivery(&mut self, api: &mut ClusterApi<'_>, pid: ProcessId, d: Delivery, at: VTime) {
-        if let Some(oracle) = self.oracle.as_deref_mut() {
-            oracle.record(pid, d.msg, at);
-        }
-        self.driver.on_delivery(api, pid, d, at);
-    }
-
-    fn on_app_ready(&mut self, api: &mut ClusterApi<'_>, pid: ProcessId, at: VTime) {
-        self.driver.on_app_ready(api, pid, at);
-        self.sync_submissions();
-    }
-
-    fn on_tick(&mut self, api: &mut ClusterApi<'_>, tick: u64, at: VTime) {
-        if let Some(outcome) = self.injector.on_tick(api, tick, at) {
-            // A reserved reconfig tick: submitted (or rescheduled), and
-            // in no case the workload driver's to interpret.
-            if let (Some(id), Some(oracle)) = (outcome, self.oracle.as_deref_mut()) {
-                oracle.note_submission(id);
-                self.reconfigs_accepted += 1;
-                oracle.expect_configs(self.reconfigs_accepted);
-            }
-            return;
-        }
-        self.driver.on_tick(api, tick, at);
-        self.sync_submissions();
-    }
-
-    fn on_restart(&mut self, api: &mut ClusterApi<'_>, pid: ProcessId, at: VTime) {
-        if let Some(oracle) = self.oracle.as_deref_mut() {
-            oracle.note_restart(pid);
-        }
-        self.driver.on_restart(api, pid, at);
-        self.sync_submissions();
-    }
-
-    fn on_snapshot(
-        &mut self,
-        _api: &mut ClusterApi<'_>,
-        pid: ProcessId,
-        stamp: SnapshotStamp,
-        _at: VTime,
-    ) {
-        if let Some(oracle) = self.oracle.as_deref_mut() {
-            oracle.note_snapshot(pid, &stamp);
-        }
-    }
-
-    fn on_config(
-        &mut self,
-        _api: &mut ClusterApi<'_>,
-        pid: ProcessId,
-        stamp: ConfigStamp,
-        _at: VTime,
-    ) {
-        if let Some(oracle) = self.oracle.as_deref_mut() {
-            oracle.note_config(pid, stamp);
-        }
-    }
 }
 
 /// Metrics combined over several runs (seeds), with Student-t 95 %

@@ -2,6 +2,7 @@
 //! the shared flow-control microprotocol.
 
 use fortika_abcast::{AbcastConfig, AbcastModule};
+use fortika_chaos::{LoadPlan, Scenario, ScriptedDriver};
 use fortika_consensus::ConsensusModule;
 use fortika_fd::{FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
 use fortika_framework::CompositeStack;
@@ -9,8 +10,8 @@ use fortika_mono::{MonoConfig, MonoNode, MonoOptimizations};
 #[cfg(debug_assertions)]
 pub use fortika_net::replica::FaultHooks;
 use fortika_net::{
-    AppStateFactory, Cluster, Dissemination, Node, NodeFactory, ProcessId, ReplicaConfig,
-    StableStore,
+    AppStateFactory, Cluster, ClusterConfig, Dissemination, Node, NodeFactory, ProcessId,
+    ReplicaConfig, StableStore,
 };
 use fortika_rbcast::{RbcastConfig, RbcastModule};
 use fortika_sim::VTime;
@@ -122,26 +123,15 @@ impl Default for StackConfig {
     }
 }
 
-/// Builds one process's stack of the requested kind.
-pub fn build_node(kind: StackKind, n: usize, me: ProcessId, cfg: &StackConfig) -> Box<dyn Node> {
-    build_node_with_windows(kind, n, me, cfg, Vec::new())
-}
-
-/// Builds one process's stack with scripted false-suspicion windows
-/// overlaid on its failure detector (the `fortika-chaos` hook; an empty
-/// `windows` is exactly [`build_node`]).
-pub fn build_node_with_windows(
-    kind: StackKind,
-    n: usize,
-    me: ProcessId,
-    cfg: &StackConfig,
-    windows: Vec<SuspicionWindow>,
-) -> Box<dyn Node> {
-    build(kind, n, me, cfg, windows, None)
-}
-
-/// Builds a fresh stack, or with `revived = (now, stable)` the stack of
-/// a process restarted at `now` over its stable store.
+/// Builds one process's stack with the scripted false-suspicion
+/// `windows` overlaid on its failure detector: a fresh stack, or with
+/// `revived = (now, stable)` the stack of a process restarted at `now`
+/// over its stable store — the failure detector is anchored at the
+/// restart instant instead of time zero, and each protocol layer
+/// resumes its durable state (consensus vote records, the decided
+/// watermark, the rbcast sequence counter) out of `stable`. Everything
+/// else starts fresh, and the stack announces its rejoin to pull the
+/// decided prefix from peers.
 fn build(
     kind: StackKind,
     n: usize,
@@ -236,9 +226,7 @@ fn mono_config(cfg: &StackConfig) -> MonoConfig {
 
 /// Builds the whole cluster's nodes (index = process id).
 pub fn build_nodes(kind: StackKind, n: usize, cfg: &StackConfig) -> Vec<Box<dyn Node>> {
-    ProcessId::all(n)
-        .map(|me| build_node(kind, n, me, cfg))
-        .collect()
+    build_nodes_with_windows(kind, n, cfg, &[])
 }
 
 /// Builds the whole cluster's nodes with the scenario's scripted
@@ -250,49 +238,115 @@ pub fn build_nodes_with_windows(
     windows: &[SuspicionWindow],
 ) -> Vec<Box<dyn Node>> {
     ProcessId::all(n)
-        .map(|me| build_node_with_windows(kind, n, me, cfg, windows.to_vec()))
+        .map(|me| build(kind, n, me, cfg, windows.to_vec(), None))
         .collect()
 }
 
-/// Builds a **revived** process's stack (crash-recovery): the failure
-/// detector is anchored at the restart instant `now` instead of time
-/// zero, and each protocol layer resumes its durable state — consensus
-/// vote records, the decided watermark, the rbcast sequence counter —
-/// out of `stable`. Everything else starts fresh, and the stack
-/// announces its rejoin to pull the decided prefix from peers.
-pub fn build_restarted_node(
-    kind: StackKind,
-    n: usize,
-    me: ProcessId,
-    cfg: &StackConfig,
-    windows: &[SuspicionWindow],
-    now: VTime,
-    stable: &StableStore,
-) -> Box<dyn Node> {
-    build(kind, n, me, cfg, windows.to_vec(), Some((now, stable)))
-}
-
 /// A [`NodeFactory`] rebuilding stacks of the given kind/config on
-/// restart — register it with [`Cluster::set_node_factory`] (or use
-/// [`install_restart_factory`]) before running scenarios that contain
-/// `ScenarioEvent::Restart`.
+/// restart (crash-recovery) — what [`scenario_cluster`] registers with
+/// [`Cluster::set_node_factory`].
 pub fn node_factory(
     kind: StackKind,
     n: usize,
     cfg: StackConfig,
     windows: Vec<SuspicionWindow>,
 ) -> NodeFactory {
-    Box::new(move |me, now, stable| build_restarted_node(kind, n, me, &cfg, &windows, now, stable))
+    Box::new(move |me, now, stable| build(kind, n, me, &cfg, windows.clone(), Some((now, stable))))
 }
 
-/// Convenience: registers a restart factory matching `kind`/`cfg` on
-/// `cluster` (see [`node_factory`]).
-pub fn install_restart_factory(
-    cluster: &mut Cluster,
+/// Stands `scenario` on a cluster of `kind` stacks: the one way a
+/// [`Scenario`] becomes a running cluster, shared by
+/// [`Experiment`](crate::Experiment), [`run_scripted`] and the fuzz
+/// runner. `cfg.n` is the initial group. In order:
+///
+/// 1. the cluster is provisioned at [`Scenario::capacity`], so every
+///    `AddNode` has a standby slot;
+/// 2. the scenario's configuration axes are adopted **upgrade-only** —
+///    `pipeline_depth` becomes the deeper of the two requests,
+///    a drawn `Ring`/`Tree` is taken only by a stack at the `Direct`
+///    default with no [`app_state`](StackConfig::app_state) fold
+///    (offloaded runs fold descriptors, not application payloads), and
+///    a scenario with reconfigurations sets an unset
+///    [`initial_members`](StackConfig::initial_members) to `cfg.n`, so
+///    only the original group votes and standbys start as learners —
+///    an explicit stack setting is never silently weakened;
+/// 3. the scripted suspicion windows are wired into every failure
+///    detector;
+/// 4. the crash-recovery restart factory is registered;
+/// 5. standbys are crashed at t = 0, before the scenario's own events,
+///    so the restart their `AddNode` schedules always finds them down;
+/// 6. the scenario's faults are scheduled ([`Scenario::apply`]).
+///
+/// Returns the cluster and the effective stack configuration it runs
+/// under. An empty scenario changes nothing about the run.
+pub fn scenario_cluster(
     kind: StackKind,
-    cfg: &StackConfig,
-    windows: &[SuspicionWindow],
-) {
-    let n = cluster.n();
-    cluster.set_node_factory(node_factory(kind, n, cfg.clone(), windows.to_vec()));
+    stack: &StackConfig,
+    mut cfg: ClusterConfig,
+    scenario: &Scenario,
+) -> (Cluster, StackConfig) {
+    let n = cfg.n;
+    let capacity = scenario.capacity(n);
+    cfg.n = capacity;
+    let mut stack = stack.clone();
+    stack.pipeline_depth = stack.pipeline_depth.max(scenario.pipeline_depth());
+    if !stack.dissemination.offloads() && stack.app_state.is_none() {
+        stack.dissemination = scenario.dissemination();
+    }
+    if !scenario.reconfigs().is_empty() && stack.initial_members == 0 {
+        stack.initial_members = n;
+    }
+    let windows = scenario.suspicion_windows();
+    let nodes = build_nodes_with_windows(kind, capacity, &stack, &windows);
+    let mut cluster = Cluster::new(cfg, nodes);
+    cluster.set_node_factory(node_factory(kind, capacity, stack.clone(), windows));
+    for pid in n..capacity {
+        cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
+    }
+    scenario.apply(&mut cluster);
+    (cluster, stack)
+}
+
+/// [`scenario_cluster`], then `plan` driven through it until `until`
+/// under a [`ScriptedDriver`] (standbys deliver and are audited without
+/// generating load). Returns both, for the caller to check the oracle,
+/// read counters or keep running.
+///
+/// # Example: a group of three grows by a standby, under audit
+///
+/// ```
+/// use fortika_chaos::{LoadPlan, Scenario};
+/// use fortika_core::{run_scripted, StackConfig, StackKind};
+/// use fortika_net::{ClusterConfig, ProcessId};
+/// use fortika_sim::{VDur, VTime};
+///
+/// let scenario = Scenario::new().add_node(ProcessId(3), VDur::millis(600));
+/// let (cluster, driver) = run_scripted(
+///     StackKind::Monolithic,
+///     &StackConfig::default(),
+///     ClusterConfig::new(3, 42), // the initial group; the standby is provisioned
+///     &scenario,
+///     LoadPlan::round_robin(3, 60, VDur::millis(20), 64),
+///     VTime::ZERO + VDur::secs(8),
+/// );
+/// assert_eq!(cluster.n(), 4);
+/// let correct = scenario.correct(cluster.n());
+/// driver
+///     .oracle()
+///     .check_drained(&correct, &driver.accepted_at(&correct))
+///     .assert_ok("doc example");
+/// ```
+pub fn run_scripted(
+    kind: StackKind,
+    stack: &StackConfig,
+    cfg: ClusterConfig,
+    scenario: &Scenario,
+    plan: LoadPlan,
+    until: VTime,
+) -> (Cluster, ScriptedDriver) {
+    let (mut cluster, _) = scenario_cluster(kind, stack, cfg, scenario);
+    let mut driver = ScriptedDriver::new(cluster.n(), plan);
+    driver.start(&mut cluster);
+    cluster.run_until(until, &mut driver);
+    (cluster, driver)
 }

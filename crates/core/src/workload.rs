@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
+use fortika_chaos::LoadSource;
 use fortika_net::{Admission, AppMsg, AppRequest, ClusterApi, Delivery, Harness, MsgId, ProcessId};
 use fortika_sim::stats::{Histogram, Welford};
 use fortika_sim::{DetRng, VDur, VTime};
@@ -143,7 +144,7 @@ pub struct WorkloadDriver {
     admitted: u64,
     payload: Bytes,
     /// Accepted ids not yet handed to [`drain_accepted_ids`]
-    /// (consumed by the runner's oracle tap; drained either way so it
+    /// (consumed by the runner's audit tap; drained either way so it
     /// stays small).
     ///
     /// [`drain_accepted_ids`]: Self::drain_accepted_ids
@@ -215,7 +216,7 @@ impl WorkloadDriver {
         }
     }
 
-    /// Drains the ids accepted since the last call (the runner's oracle
+    /// Drains the ids accepted since the last call (the runner's audit
     /// tap feeds these to the integrity checker).
     pub fn drain_accepted_ids(&mut self) -> std::vec::Drain<'_, MsgId> {
         self.accepted_ids.drain(..)
@@ -314,8 +315,21 @@ impl WorkloadDriver {
     }
 }
 
+impl LoadSource for WorkloadDriver {
+    fn drain_accepted(&mut self, note: &mut dyn FnMut(MsgId)) {
+        self.drain_accepted_ids().for_each(note);
+    }
+}
+
 impl Harness for WorkloadDriver {
     fn on_tick(&mut self, api: &mut ClusterApi<'_>, tick: u64, at: VTime) {
+        // This driver's tick ids are its senders' pids. Anything else —
+        // a reserved reconfiguration tick that no `AuditTap` consumed —
+        // is not ours to read as one.
+        if tick >= self.n as u64 {
+            debug_assert!(false, "tick {tick:#x} names no sender of this workload");
+            return;
+        }
         let pid = ProcessId(tick as u16);
         if self.senders[pid.index()].blocked.is_some() {
             return; // still blocked: the generator is inside abcast()
@@ -339,18 +353,11 @@ impl Harness for WorkloadDriver {
         }
     }
 
-    fn on_restart(&mut self, api: &mut ClusterApi<'_>, pid: ProcessId, _at: VTime) {
-        if pid.index() >= self.n {
-            return; // standby process (reconfiguration run): not a sender
-        }
+    fn on_restart(&mut self, api: &mut ClusterApi<'_>, pid: ProcessId, at: VTime) {
         // The generator was blocked inside abcast() when the process
         // died: retry against the revived stack (fresh flow window) so
         // the sender's tick chain resumes.
-        if let Some(msg) = self.senders[pid.index()].blocked.take() {
-            if self.submit(api, pid, msg) {
-                self.schedule_next(api, pid);
-            }
-        }
+        self.on_app_ready(api, pid, at);
     }
 
     fn on_delivery(&mut self, _api: &mut ClusterApi<'_>, pid: ProcessId, d: Delivery, at: VTime) {

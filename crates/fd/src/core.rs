@@ -53,6 +53,34 @@ pub trait FailureDetector {
     }
 }
 
+/// When the host of a detector core owes its peers a heartbeat: the one
+/// pacing rule both stacks' detector hosts follow on every polling tick.
+#[derive(Debug, Default)]
+pub struct HeartbeatPacer {
+    last: Option<VTime>,
+}
+
+impl HeartbeatPacer {
+    /// True when `fd`'s host should broadcast a heartbeat at this tick
+    /// (the pacer then counts it as sent). Heartbeats go out on the
+    /// core's heartbeat cadence, which may be coarser than the polling
+    /// tick (chaos overlays tick fast to fire their windows promptly
+    /// without inflating traffic).
+    pub fn due(&mut self, fd: &(impl FailureDetector + ?Sized), now: VTime) -> bool {
+        if !fd.sends_heartbeats() {
+            return false;
+        }
+        let due = match (self.last, fd.heartbeat_interval()) {
+            (Some(last), Some(interval)) => now.since(last) >= interval,
+            _ => true,
+        };
+        if due {
+            self.last = Some(now);
+        }
+        due
+    }
+}
+
 /// Configuration of the heartbeat-based eventually-perfect detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FdConfig {

@@ -26,6 +26,8 @@ mod core;
 mod module;
 mod overlay;
 
-pub use crate::core::{FailureDetector, FdConfig, FdEvent, HeartbeatFd, QuiescentFd, ScriptedFd};
+pub use crate::core::{
+    FailureDetector, FdConfig, FdEvent, HeartbeatFd, HeartbeatPacer, QuiescentFd, ScriptedFd,
+};
 pub use module::{FdModule, FD_MODULE_ID};
 pub use overlay::{OverlayFd, SuspicionWindow};

@@ -4,7 +4,7 @@ use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId}
 use fortika_net::wire::WireReader;
 use fortika_net::{ProcessId, TimerId};
 
-use crate::core::{FailureDetector, FdEvent};
+use crate::core::{FailureDetector, FdEvent, HeartbeatPacer};
 
 /// Wire demux id of the failure-detector module.
 pub const FD_MODULE_ID: ModuleId = 4;
@@ -17,7 +17,7 @@ const TIMER_TICK: u64 = 1;
 pub struct FdModule<T> {
     core: T,
     scratch: Vec<FdEvent>,
-    last_heartbeat: Option<fortika_sim::VTime>,
+    pacer: HeartbeatPacer,
 }
 
 impl<T: FailureDetector> FdModule<T> {
@@ -26,7 +26,7 @@ impl<T: FailureDetector> FdModule<T> {
         FdModule {
             core,
             scratch: Vec::new(),
-            last_heartbeat: None,
+            pacer: HeartbeatPacer::default(),
         }
     }
 
@@ -93,19 +93,8 @@ impl<T: FailureDetector> Microprotocol for FdModule<T> {
         if tag != TIMER_TICK {
             return;
         }
-        // Heartbeats go out on the core's heartbeat cadence, which may
-        // be coarser than the polling tick (chaos overlays tick fast to
-        // fire their windows promptly without inflating traffic).
-        if self.core.sends_heartbeats() {
-            let now = ctx.now();
-            let due = match (self.last_heartbeat, self.core.heartbeat_interval()) {
-                (Some(last), Some(interval)) => now.since(last) >= interval,
-                _ => true,
-            };
-            if due {
-                self.last_heartbeat = Some(now);
-                ctx.broadcast_net("fd.heartbeat", &());
-            }
+        if self.pacer.due(&self.core, ctx.now()) {
+            ctx.broadcast_net("fd.heartbeat", &());
         }
         self.core.tick(ctx.now(), &mut self.scratch);
         Self::flush(ctx, &mut self.scratch);

@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
-use fortika_fd::{FailureDetector, FdEvent};
+use fortika_fd::{FailureDetector, FdEvent, HeartbeatPacer};
 use fortika_net::flow::FlowWindow;
 use fortika_net::replica::SWEEP_INTERVAL;
 use fortika_net::wire::Wire;
@@ -153,9 +153,8 @@ pub struct MonoNode {
     /// Messages this process is responsible for getting proposed.
     pool: BTreeMap<MsgId, AppMsg>,
     last_progress: VTime,
-    /// Last heartbeat broadcast (the FD may tick faster than it wants
-    /// heartbeats sent — e.g. chaos overlays).
-    last_heartbeat: Option<VTime>,
+    /// Paces heartbeat broadcasts off the detector's polling tick.
+    heartbeats: HeartbeatPacer,
 }
 
 impl MonoNode {
@@ -194,7 +193,7 @@ impl MonoNode {
             own_pending: BTreeMap::new(),
             pool: BTreeMap::new(),
             last_progress: VTime::ZERO,
-            last_heartbeat: None,
+            heartbeats: HeartbeatPacer::default(),
         }
     }
 
@@ -1007,19 +1006,8 @@ impl Node for MonoNode {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, tag: u64) {
         match tag {
             TAG_FD => {
-                // Heartbeats follow the detector's heartbeat cadence,
-                // which may be coarser than its polling tick (chaos
-                // overlays tick fast to fire suspicion windows promptly).
-                if self.fd.sends_heartbeats() {
-                    let now = ctx.now();
-                    let due = match (self.last_heartbeat, self.fd.heartbeat_interval()) {
-                        (Some(last), Some(interval)) => now.since(last) >= interval,
-                        _ => true,
-                    };
-                    if due {
-                        self.last_heartbeat = Some(now);
-                        self.broadcast(ctx, "fd.heartbeat", &MonoMsg::Heartbeat);
-                    }
+                if self.heartbeats.due(self.fd.as_ref(), ctx.now()) {
+                    self.broadcast(ctx, "fd.heartbeat", &MonoMsg::Heartbeat);
                 }
                 self.fd.tick(ctx.now(), &mut self.fd_scratch);
                 self.process_fd_events(ctx);

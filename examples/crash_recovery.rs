@@ -18,9 +18,9 @@
 //! every delivery across incarnations. Run with:
 //! `cargo run --release --example crash_recovery`
 
-use fortika::chaos::{LoadPlan, Scenario, ScriptedDriver};
-use fortika::core::{build_nodes, install_restart_factory, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, MsgId, ProcessId};
+use fortika::chaos::{LoadPlan, Scenario};
+use fortika::core::{run_scripted, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, MsgId, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 fn scenario() -> Scenario {
@@ -31,22 +31,20 @@ fn scenario() -> Scenario {
 
 fn run(kind: StackKind, seed: u64) -> Vec<MsgId> {
     let n = 3;
-    let cfg = ClusterConfig::new(n, seed);
-    let stack_cfg = StackConfig::default();
-    let nodes = build_nodes(kind, n, &stack_cfg);
-    let mut cluster = Cluster::new(cfg, nodes);
-    // Revival needs a factory for fresh stacks (volatile state is lost;
-    // the factory hands the stable store to the resumed modules).
-    install_restart_factory(&mut cluster, kind, &stack_cfg, &[]);
-    scenario().apply(&mut cluster);
-
     // 36 messages, round-robin senders, one every 100 ms — the load
-    // spans before, during and after p2's outage.
-    let mut driver = ScriptedDriver::new(n, LoadPlan::round_robin(n, 36, VDur::millis(100), 512));
-    driver.start(&mut cluster);
-
-    // Snapshot just before the revival: the survivors kept ordering.
-    cluster.run_until(VTime::ZERO + VDur::millis(2900), &mut driver);
+    // spans before, during and after p2's outage. Run to just before
+    // the revival first: the survivors kept ordering. (Revival builds a
+    // fresh stack — volatile state is lost — through the restart
+    // factory the assembly registered, which hands the stable store to
+    // the resumed modules.)
+    let (mut cluster, mut driver) = run_scripted(
+        kind,
+        &StackConfig::default(),
+        ClusterConfig::new(n, seed),
+        &scenario(),
+        LoadPlan::round_robin(n, 36, VDur::millis(100), 512),
+        VTime::ZERO + VDur::millis(2900),
+    );
     let survivors_mid = driver.oracle().order(ProcessId(0)).len();
     let victim_mid = driver.oracle().order(ProcessId(1)).len();
 

@@ -14,9 +14,9 @@
 //!
 //! Run with: `cargo run --release --example fault_recovery`
 
-use fortika::chaos::{LoadPlan, Scenario, ScriptedDriver, Submission};
-use fortika::core::{build_nodes, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, ProcessId};
+use fortika::chaos::{LoadPlan, Scenario, Submission};
+use fortika::core::{run_scripted, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 fn main() {
@@ -50,17 +50,16 @@ fn main() {
         }
     }
 
-    let cfg = ClusterConfig::new(n, 99);
-    let nodes = build_nodes(StackKind::Monolithic, n, &StackConfig::default());
-    let mut cluster = Cluster::new(cfg, nodes);
-    scenario.apply(&mut cluster);
-
-    let mut driver = ScriptedDriver::new(n, plan);
-    driver.start(&mut cluster);
-
     // Run past the crash; the heartbeat detector needs its 500 ms
     // timeout to notice, then rounds rotate and ordering resumes.
-    cluster.run_until(VTime::ZERO + VDur::millis(800), &mut driver);
+    let (mut cluster, mut driver) = run_scripted(
+        StackKind::Monolithic,
+        &StackConfig::default(),
+        ClusterConfig::new(n, 99),
+        &scenario,
+        plan,
+        VTime::ZERO + VDur::millis(800),
+    );
     println!(
         "crashed p1 (round-0 coordinator) at {crash_at}; suspicions raised: {}, \
          consensus round changes: {}",

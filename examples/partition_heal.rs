@@ -14,9 +14,9 @@
 //!
 //! Run with: `cargo run --release --example partition_heal`
 
-use fortika::chaos::{LoadPlan, Scenario, ScriptedDriver};
-use fortika::core::{build_nodes, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, MsgId, ProcessId};
+use fortika::chaos::{LoadPlan, Scenario};
+use fortika::core::{run_scripted, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, MsgId, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 fn scenario() -> Scenario {
@@ -29,18 +29,17 @@ fn scenario() -> Scenario {
 
 fn run(kind: StackKind, seed: u64) -> Vec<MsgId> {
     let n = 3;
-    let cfg = ClusterConfig::new(n, seed);
-    let nodes = build_nodes(kind, n, &StackConfig::default());
-    let mut cluster = Cluster::new(cfg, nodes);
-    scenario().apply(&mut cluster);
-
     // 30 messages, round-robin senders, one every 100 ms — the load
-    // spans before, during and after the partition window.
-    let mut driver = ScriptedDriver::new(n, LoadPlan::round_robin(n, 30, VDur::millis(100), 512));
-    driver.start(&mut cluster);
-
-    // Mid-partition snapshot.
-    cluster.run_until(VTime::ZERO + VDur::millis(2400), &mut driver);
+    // spans before, during and after the partition window. Run to a
+    // mid-partition snapshot first.
+    let (mut cluster, mut driver) = run_scripted(
+        kind,
+        &StackConfig::default(),
+        ClusterConfig::new(n, seed),
+        &scenario(),
+        LoadPlan::round_robin(n, 30, VDur::millis(100), 512),
+        VTime::ZERO + VDur::millis(2400),
+    );
     let majority_mid = driver.oracle().order(ProcessId(0)).len();
     let minority_mid = driver.oracle().order(ProcessId(2)).len();
 

@@ -24,12 +24,11 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use fortika::core::{
-    build_nodes, install_restart_factory, AppState, AppStateFactory, StackConfig, StackKind,
-};
+use fortika::chaos::Scenario;
+use fortika::core::{scenario_cluster, AppState, AppStateFactory, StackConfig, StackKind};
 use fortika::net::{
-    Admission, AppMsg, AppRequest, Cluster, ClusterApi, ClusterConfig, Delivery, Harness, MsgId,
-    ProcessId, SnapshotStamp,
+    Admission, AppMsg, AppRequest, ClusterApi, ClusterConfig, Delivery, Harness, MsgId, ProcessId,
+    SnapshotStamp,
 };
 use fortika::sim::{VDur, VTime};
 
@@ -144,7 +143,6 @@ impl Harness for KvMirror {
 fn main() {
     let n = 5;
     let victim = ProcessId(1);
-    let cfg = ClusterConfig::new(n, 7);
     // Tiny cache + aggressive compaction: history outgrows the log
     // fast, so the rejoin *must* go through a snapshot.
     let stack_cfg = StackConfig {
@@ -153,11 +151,15 @@ fn main() {
         app_state: Some(AppStateFactory::new(|| Box::<KvState>::default())),
         ..StackConfig::default()
     };
-    let nodes = build_nodes(StackKind::Modular, n, &stack_cfg);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, StackKind::Modular, &stack_cfg, &[]);
-    cluster.schedule_crash(victim, VTime::ZERO + VDur::millis(600));
-    cluster.schedule_restart(victim, VTime::ZERO + VDur::millis(1400));
+    let outage = Scenario::new()
+        .crash(victim, VDur::millis(600))
+        .restart(victim, VDur::millis(1400));
+    let (mut cluster, _) = scenario_cluster(
+        StackKind::Modular,
+        &stack_cfg,
+        ClusterConfig::new(n, 7),
+        &outage,
+    );
 
     let mut harness = KvMirror::new(n);
     cluster.run_until(VTime::ZERO + VDur::millis(1), &mut harness);

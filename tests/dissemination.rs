@@ -14,9 +14,9 @@
 //! disseminated payload history, and compose with pipelined instance
 //! execution at depth 1 and 4.
 
-use fortika::chaos::{LoadPlan, Scenario, ScriptedDriver};
-use fortika::core::{build_nodes_with_windows, install_restart_factory, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, Dissemination, MsgId, ProcessId};
+use fortika::chaos::{LoadPlan, Scenario};
+use fortika::core::{run_scripted, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, Dissemination, MsgId, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 /// Per-process delivery logs with virtual timestamps.
@@ -45,40 +45,30 @@ fn run_disseminated(
     plan: LoadPlan,
     until: VDur,
 ) -> RunOutcome {
-    let capacity = scenario.capacity(n);
-    let cfg = ClusterConfig::new(capacity, seed);
-    let windows = scenario.suspicion_windows();
-    let nodes = build_nodes_with_windows(StackKind::Modular, capacity, stack_cfg, &windows);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, StackKind::Modular, stack_cfg, &windows);
-    for pid in n..capacity {
-        cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
-    }
-    scenario.apply(&mut cluster);
+    let (cluster, driver) = run_scripted(
+        StackKind::Modular,
+        stack_cfg,
+        ClusterConfig::new(n, seed),
+        scenario,
+        plan,
+        VTime::ZERO + until,
+    );
 
-    let mut driver = ScriptedDriver::new(capacity, plan);
-    driver.start(&mut cluster);
-    cluster.run_until(VTime::ZERO + until, &mut driver);
-
+    let correct = scenario.correct(cluster.n());
+    let report = driver
+        .oracle()
+        .check_drained(&correct, &driver.accepted_at(&correct));
+    report.assert_ok(&format!("{} seed={seed}", stack_cfg.dissemination.label()));
     let counters = cluster.counters();
-    let outcome = RunOutcome {
+    RunOutcome {
         logs: driver.oracle().logs().to_vec(),
-        common_order: Vec::new(),
+        common_order: report.common_order,
         payload_forwards: counters.event("abcast.ring_payload_forwards"),
         payload_pulls: counters.event("abcast.payload_pulls"),
         ring_repairs: counters.event("abcast.ring_repairs"),
         snapshot_transfers: counters.event("consensus.snapshot_transfers"),
         join_unservable: counters.event("consensus.join_unservable"),
         pipelined: counters.event("abcast.pipelined_proposals"),
-    };
-    let correct = scenario.correct(capacity);
-    let report = driver
-        .oracle()
-        .check_drained(&correct, &driver.accepted_at(&correct));
-    report.assert_ok(&format!("{} seed={seed}", stack_cfg.dissemination.label()));
-    RunOutcome {
-        common_order: report.common_order,
-        ..outcome
     }
 }
 
@@ -181,15 +171,11 @@ fn reconfig_restitches_the_ring_topology() {
             .add_node(ProcessId(3), VDur::millis(600))
             .remove_node(ProcessId(1), VDur::millis(2200))
     };
-    let stack = StackConfig {
-        initial_members: 3,
-        ..offload_stack(Dissemination::Ring)
-    };
     let run = |seed: u64| {
         run_disseminated(
             3,
             seed,
-            &stack,
+            &offload_stack(Dissemination::Ring),
             &scenario(),
             LoadPlan::round_robin(3, 80, VDur::millis(25), 256),
             VDur::secs(12),

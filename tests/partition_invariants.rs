@@ -12,9 +12,9 @@
 //! validity (a liveness property) is *not* asserted here; the
 //! `random_schedules` suite covers it with loss-free scenarios.
 
-use fortika::chaos::{ChaosProfile, CoverageReport, LoadPlan, Scenario, ScriptedDriver};
-use fortika::core::{build_nodes_with_windows, install_restart_factory, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, MsgId, ProcessId};
+use fortika::chaos::{ChaosProfile, CoverageReport, LoadPlan, Scenario};
+use fortika::core::{run_scripted, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, MsgId, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 const SCENARIOS: u64 = 24;
@@ -38,8 +38,8 @@ fn run_once(kind: StackKind, n: usize, seed: u64) -> (DeliveryLogs, Vec<ProcessI
 
 /// Like [`run_once`] with an explicit scenario, optionally folding the
 /// run's protocol counters into a campaign-wide coverage report. The
-/// scenario's drawn pipeline depth is applied to the stack, so the
-/// random campaigns fuzz pipelined instance execution too.
+/// assembly adopts the scenario's drawn pipeline depth, so the random
+/// campaigns fuzz pipelined instance execution too.
 fn run_once_with(
     kind: StackKind,
     n: usize,
@@ -47,25 +47,16 @@ fn run_once_with(
     scenario: &Scenario,
     coverage: Option<&mut CoverageReport>,
 ) -> (DeliveryLogs, Vec<ProcessId>, Scenario) {
-    let plan = LoadPlan::random(n, seed, 30, VDur::millis(1800), 1024);
+    let (cluster, driver) = run_scripted(
+        kind,
+        &StackConfig::default(),
+        ClusterConfig::new(n, seed),
+        scenario,
+        LoadPlan::random(n, seed, 30, VDur::millis(1800), 1024),
+        VTime::ZERO + scenario.horizon() + VDur::secs(5),
+    );
 
-    let cfg = ClusterConfig::new(n, seed);
-    let stack_cfg = StackConfig {
-        pipeline_depth: scenario.pipeline_depth(),
-        ..StackConfig::default()
-    };
-    let windows = scenario.suspicion_windows();
-    let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &windows);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, kind, &stack_cfg, &windows);
-    scenario.apply(&mut cluster);
-
-    let mut driver = ScriptedDriver::new(n, plan);
-    driver.start(&mut cluster);
-    let end = VTime::ZERO + scenario.horizon() + VDur::secs(5);
-    cluster.run_until(end, &mut driver);
-
-    let correct = scenario.correct(n);
+    let correct = scenario.correct(cluster.n());
     driver.oracle().check(&correct).assert_ok(&format!(
         "{} n={n} seed={seed}\nscenario: {scenario:?}",
         kind.label()
@@ -74,6 +65,47 @@ fn run_once_with(
         report.absorb(cluster.counters());
     }
     (driver.oracle().logs().to_vec(), correct, scenario.clone())
+}
+
+/// Runs a pinned scenario twice on one seed: three default stacks under
+/// a round-robin load of `msgs` messages, one every 100 ms. Each run
+/// must end with `revived` (if any) up in its second incarnation and
+/// pass the drained check — every process correct again, everything
+/// accepted in a final incarnation delivered everywhere — and the two
+/// must replay byte for byte. Returns the logs and the common order.
+fn replay_pinned(
+    kind: StackKind,
+    seed: u64,
+    scenario: &Scenario,
+    msgs: usize,
+    until: VDur,
+    revived: Option<ProcessId>,
+) -> (DeliveryLogs, Vec<MsgId>) {
+    let n = 3;
+    let run = || {
+        let (cluster, driver) = run_scripted(
+            kind,
+            &StackConfig::default(),
+            ClusterConfig::new(n, seed),
+            scenario,
+            LoadPlan::round_robin(n, msgs, VDur::millis(100), 512),
+            VTime::ZERO + until,
+        );
+        if let Some(p) = revived {
+            assert!(cluster.alive(p), "{p} should be revived");
+            assert_eq!(cluster.incarnation(p), 1);
+        }
+        let correct = scenario.correct(n);
+        assert_eq!(correct.len(), n, "a restarted process is correct");
+        let report = driver
+            .oracle()
+            .check_drained(&correct, &driver.accepted_at(&correct));
+        report.assert_ok(&format!("{} seed={seed}\n{scenario:?}", kind.label()));
+        (driver.oracle().logs().to_vec(), report.common_order)
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a, b, "{}: same seed must replay identically", kind.label());
+    a
 }
 
 #[test]
@@ -147,48 +179,14 @@ fn different_seeds_explore_different_schedules() {
 /// zero violations; the same seed must replay deterministically.
 #[test]
 fn crash_restart_catches_up_on_both_stacks() {
-    let scenario = || {
-        Scenario::new()
-            .crash(ProcessId(1), VDur::secs(1))
-            .restart(ProcessId(1), VDur::secs(3))
-    };
+    let scenario = Scenario::new()
+        .crash(ProcessId(1), VDur::secs(1))
+        .restart(ProcessId(1), VDur::secs(3));
     for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let run = |seed: u64| {
-            let n = 3;
-            let cfg = ClusterConfig::new(n, seed);
-            let stack_cfg = StackConfig::default();
-            let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &[]);
-            let mut cluster = Cluster::new(cfg, nodes);
-            install_restart_factory(&mut cluster, kind, &stack_cfg, &[]);
-            scenario().apply(&mut cluster);
-            // Load spans the outage so the survivors build up a frontier
-            // the revived process has to chase.
-            let mut driver =
-                ScriptedDriver::new(n, LoadPlan::round_robin(n, 36, VDur::millis(100), 512));
-            driver.start(&mut cluster);
-            cluster.run_until(VTime::ZERO + VDur::secs(10), &mut driver);
-            assert!(cluster.alive(ProcessId(1)), "p2 should be revived");
-            assert_eq!(cluster.incarnation(ProcessId(1)), 1);
-            // The restarted process is correct again: drained equality
-            // with the common order, plus validity for every message
-            // accepted during a final incarnation.
-            let correct = scenario().correct(n);
-            assert_eq!(correct.len(), n, "a restarted process is correct");
-            let report = driver
-                .oracle()
-                .check_drained(&correct, &driver.accepted_at(&correct));
-            report.assert_ok(&format!("{} crash-restart", kind.label()));
-            (driver.oracle().logs().to_vec(), report.common_order)
-        };
-        let (logs_a, common_a) = run(42);
-        let (logs_b, common_b) = run(42);
-        assert_eq!(
-            logs_a,
-            logs_b,
-            "{}: same seed must replay identically",
-            kind.label()
-        );
-        assert_eq!(common_a, common_b);
+        // Load spans the outage so the survivors build up a frontier the
+        // revived process has to chase.
+        let (logs_a, common_a) =
+            replay_pinned(kind, 42, &scenario, 36, VDur::secs(10), Some(ProcessId(1)));
         // 36 planned, minus the ~7 submissions p2's outage swallows
         // (the driver skips dead senders): everything accepted lands.
         assert!(
@@ -255,52 +253,21 @@ fn random_restart_scenarios_preserve_safety_on_both_stacks() {
 /// deterministic replay, on both stacks.
 #[test]
 fn restart_during_active_partition_catches_up_after_heal() {
-    let scenario = || {
-        Scenario::new()
-            // {p1, p2} vs {p3} from 0.5 s to 3 s.
-            .partition(
-                vec![vec![ProcessId(0), ProcessId(1)], vec![ProcessId(2)]],
-                VDur::millis(500),
-                VDur::secs(3),
-            )
-            // The isolated p3 dies at 1 s and is revived at 1.5 s —
-            // still partitioned away, with nobody able to serve its
-            // rejoin until the heal.
-            .crash(ProcessId(2), VDur::secs(1))
-            .restart(ProcessId(2), VDur::millis(1500))
-    };
+    let scenario = Scenario::new()
+        // {p1, p2} vs {p3} from 0.5 s to 3 s.
+        .partition(
+            vec![vec![ProcessId(0), ProcessId(1)], vec![ProcessId(2)]],
+            VDur::millis(500),
+            VDur::secs(3),
+        )
+        // The isolated p3 dies at 1 s and is revived at 1.5 s — still
+        // partitioned away, with nobody able to serve its rejoin until
+        // the heal.
+        .crash(ProcessId(2), VDur::secs(1))
+        .restart(ProcessId(2), VDur::millis(1500));
     for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let run = |seed: u64| {
-            let n = 3;
-            let cfg = ClusterConfig::new(n, seed);
-            let stack_cfg = StackConfig::default();
-            let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &[]);
-            let mut cluster = Cluster::new(cfg, nodes);
-            install_restart_factory(&mut cluster, kind, &stack_cfg, &[]);
-            scenario().apply(&mut cluster);
-            let mut driver =
-                ScriptedDriver::new(n, LoadPlan::round_robin(n, 36, VDur::millis(100), 512));
-            driver.start(&mut cluster);
-            cluster.run_until(VTime::ZERO + VDur::secs(10), &mut driver);
-            assert!(cluster.alive(ProcessId(2)), "p3 should be revived");
-            assert_eq!(cluster.incarnation(ProcessId(2)), 1);
-            let correct = scenario().correct(n);
-            assert_eq!(correct.len(), n, "a restarted process is correct");
-            let report = driver
-                .oracle()
-                .check_drained(&correct, &driver.accepted_at(&correct));
-            report.assert_ok(&format!("{} restart during partition", kind.label()));
-            (driver.oracle().logs().to_vec(), report.common_order)
-        };
-        let (logs_a, common_a) = run(21);
-        let (logs_b, common_b) = run(21);
-        assert_eq!(
-            logs_a,
-            logs_b,
-            "{}: same seed must replay identically",
-            kind.label()
-        );
-        assert_eq!(common_a, common_b);
+        let (_, common_a) =
+            replay_pinned(kind, 21, &scenario, 36, VDur::secs(10), Some(ProcessId(2)));
         assert!(
             common_a.len() >= 25,
             "{}: the majority should keep ordering through the outage ({} delivered)",
@@ -316,46 +283,50 @@ fn restart_during_active_partition_catches_up_after_heal() {
 /// same seed must reproduce byte-identical delivery order.
 #[test]
 fn minority_partition_heals_cleanly_on_both_stacks() {
-    let scenario = || {
-        Scenario::new().partition(
-            vec![vec![ProcessId(0), ProcessId(1)], vec![ProcessId(2)]],
-            VDur::millis(500),
-            VDur::millis(2500),
-        )
-    };
+    let scenario = Scenario::new().partition(
+        vec![vec![ProcessId(0), ProcessId(1)], vec![ProcessId(2)]],
+        VDur::millis(500),
+        VDur::millis(2500),
+    );
     for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let run = |seed: u64| {
-            let n = 3;
-            let cfg = ClusterConfig::new(n, seed);
-            let nodes = build_nodes_with_windows(kind, n, &StackConfig::default(), &[]);
-            let mut cluster = Cluster::new(cfg, nodes);
-            scenario().apply(&mut cluster);
-            let mut driver =
-                ScriptedDriver::new(n, LoadPlan::round_robin(n, 30, VDur::millis(100), 512));
-            driver.start(&mut cluster);
-            cluster.run_until(VTime::ZERO + VDur::secs(9), &mut driver);
-            // Fully drained and healed: strict identical-sequence
-            // agreement plus validity for everything accepted.
-            let report = driver
-                .oracle()
-                .check_drained(&scenario().correct(n), driver.accepted());
-            report.assert_ok(&format!("{} minority partition", kind.label()));
-            (driver.oracle().logs().to_vec(), report.common_order)
-        };
-        let (logs_a, common_a) = run(77);
-        let (logs_b, common_b) = run(77);
-        assert_eq!(
-            logs_a,
-            logs_b,
-            "{}: same seed must replay identically",
-            kind.label()
-        );
-        assert_eq!(common_a, common_b);
+        // Fully drained and healed: strict identical-sequence agreement
+        // plus validity for everything accepted.
+        let (_, common_a) = replay_pinned(kind, 77, &scenario, 30, VDur::secs(9), None);
         assert!(
             common_a.len() >= 25,
             "{}: partition should not stop the majority ({} delivered)",
             kind.label(),
             common_a.len()
         );
+    }
+}
+
+/// A generated grow, a generated shrink and a drawn payload offload on
+/// the scripted path: the assembly provisions the standby and adopts
+/// the strategy, the driver's tap submits the reconfigurations, and the
+/// run is safety-audited the way the fuzz runner audits it.
+#[test]
+fn generated_reconfig_and_offload_scenarios_run_on_the_scripted_path() {
+    let profile = ChaosProfile {
+        add_node_prob: 0.9,
+        remove_node_prob: 0.9,
+        dissemination_prob: 0.9,
+        ..profile()
+    };
+    let (n, seed) = (3, 0);
+    let scenario = Scenario::random(n, seed, &profile);
+    for family in ["add_node", "remove_node", "dissemination"] {
+        assert!(
+            scenario.families().contains(&family),
+            "seed {seed} no longer draws {family}: {scenario:?}"
+        );
+    }
+    let mut coverage = CoverageReport::new();
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let (logs, _, _) = run_once_with(kind, n, seed, &scenario, Some(&mut coverage));
+        assert_eq!(logs.len(), n + 1, "the standby was provisioned");
+    }
+    for must in ["reconfigs_activated", "ring_payload_forwards"] {
+        assert!(coverage.reached(must), "run never reached {must}");
     }
 }

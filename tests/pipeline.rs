@@ -10,9 +10,9 @@
 //! actually engage (instances genuinely overlap), and keep-alive idle
 //! proposals must not eat window slots under load.
 
-use fortika::chaos::{LoadPlan, Scenario, ScriptedDriver};
-use fortika::core::{build_nodes_with_windows, install_restart_factory, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, MsgId, ProcessId};
+use fortika::chaos::{LoadPlan, Scenario};
+use fortika::core::{run_scripted, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, MsgId, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 /// Per-process delivery logs with virtual timestamps.
@@ -30,7 +30,6 @@ fn run_pipelined(
     plan: LoadPlan,
     horizon: VDur,
 ) -> (DeliveryLogs, Vec<MsgId>, u64) {
-    let cfg = ClusterConfig::new(n, seed);
     let stack_cfg = StackConfig {
         pipeline_depth: depth,
         // A wide flow window so the load (not admission) decides how
@@ -38,15 +37,14 @@ fn run_pipelined(
         window: 8,
         ..StackConfig::default()
     };
-    let windows = scenario.suspicion_windows();
-    let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &windows);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, kind, &stack_cfg, &windows);
-    scenario.apply(&mut cluster);
-
-    let mut driver = ScriptedDriver::new(n, plan);
-    driver.start(&mut cluster);
-    cluster.run_until(VTime::ZERO + horizon, &mut driver);
+    let (cluster, driver) = run_scripted(
+        kind,
+        &stack_cfg,
+        ClusterConfig::new(n, seed),
+        scenario,
+        plan,
+        VTime::ZERO + horizon,
+    );
 
     let correct = scenario.correct(n);
     let report = driver
@@ -146,21 +144,20 @@ fn repeated_restart_cycles_of_the_same_process_under_load() {
         for depth in [1usize, 4] {
             let run = |seed: u64| {
                 let n = 3;
-                let cfg = ClusterConfig::new(n, seed);
                 let stack_cfg = StackConfig {
                     pipeline_depth: depth,
                     ..StackConfig::default()
                 };
-                let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &[]);
-                let mut cluster = Cluster::new(cfg, nodes);
-                install_restart_factory(&mut cluster, kind, &stack_cfg, &[]);
-                scenario().apply(&mut cluster);
-                // Load spans all three outages, so every incarnation has
-                // a frontier to chase.
-                let mut driver =
-                    ScriptedDriver::new(n, LoadPlan::round_robin(n, 50, VDur::millis(100), 512));
-                driver.start(&mut cluster);
-                cluster.run_until(VTime::ZERO + VDur::secs(12), &mut driver);
+                let (cluster, driver) = run_scripted(
+                    kind,
+                    &stack_cfg,
+                    ClusterConfig::new(n, seed),
+                    &scenario(),
+                    // Load spans all three outages, so every incarnation
+                    // has a frontier to chase.
+                    LoadPlan::round_robin(n, 50, VDur::millis(100), 512),
+                    VTime::ZERO + VDur::secs(12),
+                );
                 assert!(cluster.alive(victim), "the victim ends up revived");
                 assert_eq!(
                     cluster.incarnation(victim),

@@ -10,9 +10,9 @@
 //! delivery-invariant oracle. Failures print the offending scenario;
 //! paste its seed into a new pinned test to make it a regression.
 
-use fortika::chaos::{ChaosProfile, CoverageReport, LoadPlan, Scenario, ScriptedDriver};
-use fortika::core::{build_nodes_with_windows, install_restart_factory, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, ProcessId};
+use fortika::chaos::{ChaosProfile, CoverageReport, LoadPlan, Scenario};
+use fortika::core::{run_scripted, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 /// Liveness-preserving chaos: crashes (minority), duplication, delay
@@ -35,9 +35,9 @@ fn run_scenario(kind: StackKind, n: usize, seed: u64, scenario: &Scenario, plan:
 }
 
 /// Like [`run_scenario`], optionally folding the run's counters into a
-/// campaign coverage report. The scenario's drawn pipeline depth is
-/// applied to the stack, so random campaigns also fuzz pipelined runs
-/// — under the unchanged oracle, including validity.
+/// campaign coverage report. The assembly adopts the scenario's drawn
+/// pipeline depth, so random campaigns also fuzz pipelined runs —
+/// under the unchanged oracle, including validity.
 fn run_scenario_covered(
     kind: StackKind,
     n: usize,
@@ -46,23 +46,16 @@ fn run_scenario_covered(
     plan: LoadPlan,
     coverage: Option<&mut CoverageReport>,
 ) {
-    let cfg = ClusterConfig::new(n, seed);
-    let stack_cfg = StackConfig {
-        pipeline_depth: scenario.pipeline_depth(),
-        ..StackConfig::default()
-    };
-    let windows = scenario.suspicion_windows();
-    let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &windows);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, kind, &stack_cfg, &windows);
-    scenario.apply(&mut cluster);
-
-    let mut driver = ScriptedDriver::new(n, plan);
-    driver.start(&mut cluster);
     // Long drain: liveness within the run (suspicion timeouts, round
     // changes and decision recovery all need wall-clock room).
-    let end = VTime::ZERO + scenario.horizon() + VDur::secs(8);
-    cluster.run_until(end, &mut driver);
+    let (cluster, driver) = run_scripted(
+        kind,
+        &StackConfig::default(),
+        ClusterConfig::new(n, seed),
+        scenario,
+        plan,
+        VTime::ZERO + scenario.horizon() + VDur::secs(8),
+    );
 
     let correct = scenario.correct(n);
     let must_deliver = driver.accepted_at(&correct);

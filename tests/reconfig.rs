@@ -2,8 +2,8 @@
 //!
 //! The paper's stacks run with a fixed group; this suite exercises the
 //! reconfiguration extension on **both** stacks: `Add`/`Remove`
-//! commands are submitted through the log like any abcast (the
-//! scenario's reserved ticks drive a `ReconfigInjector`), take effect a
+//! commands are submitted through the log like any abcast (the run's
+//! audit tap submits the scenario's reserved ticks), take effect a
 //! fixed instance offset after they are decided, and the config-aware
 //! oracle audits the run — every process must derive the identical
 //! versioned configuration history from the decided prefix, every
@@ -17,17 +17,16 @@
 //! keeps the group live, and a reconfiguration racing a partition and a
 //! crash-restart.
 
-use fortika::chaos::{LoadPlan, Scenario, ScriptedDriver};
-use fortika::core::{build_nodes_with_windows, install_restart_factory, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, MsgId, ProcessId};
+use fortika::chaos::{LoadPlan, Scenario};
+use fortika::core::{run_scripted, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, MsgId, ProcessId};
 use fortika::sim::{VDur, VTime};
 
-/// Stack configuration for a reconfiguration run: the first
-/// `initial_members` processes vote, everyone above is standby
-/// capacity.
-fn reconfig_stack(initial_members: usize, pipeline_depth: usize) -> StackConfig {
+/// Stack configuration for a reconfiguration run. Who votes is the
+/// assembly's business: the initial group does, everyone above it is
+/// standby capacity.
+fn reconfig_stack(pipeline_depth: usize) -> StackConfig {
     StackConfig {
-        initial_members,
         pipeline_depth,
         ..StackConfig::default()
     }
@@ -42,12 +41,11 @@ struct RunOutcome {
     snapshot_transfers: u64,
 }
 
-/// Runs `scenario` against a cluster provisioned at its capacity:
-/// standbys (pids `n..capacity`) boot crashed and join only when a
-/// log-decided `Add` revives them. Checks the drained oracle —
-/// agreement, total order, integrity, validity, byte-identical replay
-/// across incarnations, *and* config agreement + completeness — and
-/// returns the run's observable state for determinism comparisons.
+/// Runs `scenario` against a group of `n` (standbys boot crashed and
+/// join only when a log-decided `Add` revives them). Checks the drained
+/// oracle — agreement, total order, integrity, validity, byte-identical
+/// replay across incarnations, *and* config agreement + completeness —
+/// and returns the run's observable state for determinism comparisons.
 fn run_reconfig(
     kind: StackKind,
     n: usize,
@@ -57,39 +55,30 @@ fn run_reconfig(
     seed: u64,
     until: VDur,
 ) -> RunOutcome {
-    let capacity = scenario.capacity(n);
-    let cfg = ClusterConfig::new(capacity, seed);
-    let nodes = build_nodes_with_windows(kind, capacity, stack_cfg, &[]);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, kind, stack_cfg, &[]);
-    for pid in n..capacity {
-        cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
-    }
-    scenario.apply(&mut cluster);
+    let (cluster, driver) = run_scripted(
+        kind,
+        stack_cfg,
+        ClusterConfig::new(n, seed),
+        scenario,
+        plan,
+        VTime::ZERO + until,
+    );
 
-    let mut driver = ScriptedDriver::new(capacity, plan);
-    driver.start(&mut cluster);
-    cluster.run_until(VTime::ZERO + until, &mut driver);
-
+    let correct = scenario.correct(cluster.n());
+    let report = driver
+        .oracle()
+        .check_drained(&correct, &driver.accepted_at(&correct));
+    report.assert_ok(&format!("{} reconfig run", kind.label()));
     let counters = cluster.counters();
-    let outcome = RunOutcome {
+    RunOutcome {
         logs: driver.oracle().logs().to_vec(),
-        common_order: Vec::new(),
+        common_order: report.common_order,
         reconfigs: counters.event("consensus.reconfigs") + counters.event("mono.reconfigs"),
         fd_member_updates: counters.event("fd.member_updates"),
         snapshots_installed: counters.event("consensus.snapshots_installed")
             + counters.event("mono.snapshots_installed"),
         snapshot_transfers: counters.event("consensus.snapshot_transfers")
             + counters.event("mono.snapshot_transfers"),
-    };
-    let correct = scenario.correct(capacity);
-    let report = driver
-        .oracle()
-        .check_drained(&correct, &driver.accepted_at(&correct));
-    report.assert_ok(&format!("{} reconfig run", kind.label()));
-    RunOutcome {
-        common_order: report.common_order,
-        ..outcome
     }
 }
 
@@ -106,7 +95,7 @@ fn grow_to_five_then_shrink_under_load_on_both_stacks() {
         .remove_node(ProcessId(1), VDur::millis(2200));
     for kind in [StackKind::Modular, StackKind::Monolithic] {
         for depth in [1usize, 4] {
-            let stack_cfg = reconfig_stack(n, depth);
+            let stack_cfg = reconfig_stack(depth);
             let run = |seed| {
                 run_reconfig(
                     kind,
@@ -164,7 +153,7 @@ fn added_node_catches_up_via_snapshot_transfer() {
         let stack_cfg = StackConfig {
             decision_cache: 16,
             snapshot_interval: 8,
-            ..reconfig_stack(n, 1)
+            ..reconfig_stack(1)
         };
         let out = run_reconfig(
             kind,
@@ -206,7 +195,7 @@ fn remove_then_crash_keeps_the_new_quorum_live() {
         .remove_node(ProcessId(4), VDur::millis(600))
         .crash(ProcessId(3), VDur::millis(2500));
     for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let stack_cfg = reconfig_stack(n, 1);
+        let stack_cfg = reconfig_stack(1);
         let out = run_reconfig(
             kind,
             n,
@@ -242,7 +231,7 @@ fn reconfig_races_partition_and_restart() {
         .crash(ProcessId(1), VDur::millis(2000))
         .restart(ProcessId(1), VDur::millis(2600));
     for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let stack_cfg = reconfig_stack(n, 2);
+        let stack_cfg = reconfig_stack(2);
         let run = |seed| {
             run_reconfig(
                 kind,

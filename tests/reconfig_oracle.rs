@@ -19,7 +19,7 @@
 #![cfg(debug_assertions)]
 
 use fortika::chaos::{minimize, LinkSelector, LoadPlan, Scenario, ScriptedDriver, Violation};
-use fortika::core::{build_node_with_windows, FaultHooks, StackConfig, StackKind};
+use fortika::core::{build_nodes, run_scripted, FaultHooks, StackConfig, StackKind};
 use fortika::net::{Cluster, ClusterConfig, ProcessId};
 use fortika::sim::{VDur, VTime};
 
@@ -28,6 +28,10 @@ const STALE: ProcessId = ProcessId(2);
 /// Runs `scenario` on `n` processes where every node is healthy except
 /// [`STALE`], which is built with `skip_config_fence` planted. Returns
 /// the drained oracle's violations.
+///
+/// The one run assembled by hand rather than by `scenario_cluster`:
+/// that function builds every process from one `StackConfig`, and the
+/// bug planted here lives in a single process's.
 fn run_with_stale_node(
     kind: StackKind,
     n: usize,
@@ -45,12 +49,8 @@ fn run_with_stale_node(
         },
         ..healthy.clone()
     };
-    let nodes = ProcessId::all(n)
-        .map(|me| {
-            let cfg = if me == STALE { &planted } else { &healthy };
-            build_node_with_windows(kind, n, me, cfg, Vec::new())
-        })
-        .collect();
+    let mut nodes = build_nodes(kind, n, &healthy);
+    nodes[STALE.index()] = build_nodes(kind, n, &planted).swap_remove(STALE.index());
     let mut cluster = Cluster::new(ClusterConfig::new(n, seed), nodes);
     scenario.apply(&mut cluster);
 
@@ -103,19 +103,15 @@ fn stale_quorum_node_is_caught_on_both_stacks() {
 #[test]
 fn healthy_run_reports_no_config_divergence() {
     for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let healthy = StackConfig {
-            initial_members: 3,
-            ..StackConfig::default()
-        };
         let scenario = remove_scenario();
-        let nodes = ProcessId::all(3)
-            .map(|me| build_node_with_windows(kind, 3, me, &healthy, Vec::new()))
-            .collect();
-        let mut cluster = Cluster::new(ClusterConfig::new(3, 42), nodes);
-        scenario.apply(&mut cluster);
-        let mut driver = ScriptedDriver::new(3, LoadPlan::round_robin(3, 80, VDur::millis(20), 64));
-        driver.start(&mut cluster);
-        cluster.run_until(VTime::ZERO + VDur::secs(8), &mut driver);
+        let (_, driver) = run_scripted(
+            kind,
+            &StackConfig::default(),
+            ClusterConfig::new(3, 42),
+            &scenario,
+            LoadPlan::round_robin(3, 80, VDur::millis(20), 64),
+            VTime::ZERO + VDur::secs(8),
+        );
         let correct = scenario.correct(3);
         driver
             .oracle()

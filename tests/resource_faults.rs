@@ -12,10 +12,10 @@
 //! * neither fault family may ever produce an oracle violation, and
 //!   runs must replay deterministically under a fixed seed.
 
-use fortika::chaos::{ChaosProfile, LoadPlan, Scenario, ScriptedDriver};
+use fortika::chaos::{ChaosProfile, LoadPlan, Scenario};
 use fortika::core::workload::Workload;
-use fortika::core::{build_nodes_with_windows, Experiment, RunReport, StackConfig, StackKind};
-use fortika::net::{Cluster, ClusterConfig, CostModel, LinkSelector, ProcessId};
+use fortika::core::{run_scripted, Experiment, RunReport, StackConfig, StackKind};
+use fortika::net::{ClusterConfig, CostModel, LinkSelector, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 /// Runs one experiment at a fixed operating point, optionally under a
@@ -154,17 +154,13 @@ fn random_resource_only_scenarios_preserve_safety_and_validity_on_both_stacks() 
         let n = 3 + (seed % 2) as usize; // 3, 4
         let scenario = Scenario::random(n, seed, &ChaosProfile::resource_only());
         for kind in [StackKind::Modular, StackKind::Monolithic] {
-            let plan = LoadPlan::random(n, seed, 24, VDur::millis(1500), 1024);
-            let cfg = ClusterConfig::new(n, seed);
-            let stack_cfg = StackConfig::default();
-            let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &[]);
-            let mut cluster = Cluster::new(cfg, nodes);
-            scenario.apply(&mut cluster);
-            let mut driver = ScriptedDriver::new(n, plan);
-            driver.start(&mut cluster);
-            cluster.run_until(
+            let (_, driver) = run_scripted(
+                kind,
+                &StackConfig::default(),
+                ClusterConfig::new(n, seed),
+                &scenario,
+                LoadPlan::random(n, seed, 24, VDur::millis(1500), 1024),
                 VTime::ZERO + scenario.horizon() + VDur::secs(5),
-                &mut driver,
             );
             let correct = scenario.correct(n);
             assert_eq!(correct.len(), n, "resource faults crash nobody");

@@ -14,10 +14,7 @@
 
 use bytes::Bytes;
 use fortika::chaos::{LoadPlan, Scenario, ScriptedDriver};
-use fortika::core::{
-    build_nodes_with_windows, install_restart_factory, AppState, AppStateFactory, StackConfig,
-    StackKind,
-};
+use fortika::core::{run_scripted, AppState, AppStateFactory, StackConfig, StackKind};
 use fortika::net::{AppMsg, Cluster, ClusterConfig, MsgId, ProcessId};
 use fortika::sim::{VDur, VTime};
 
@@ -37,10 +34,25 @@ fn scenario() -> Scenario {
         .restart(ProcessId(1), VDur::secs(3))
 }
 
-/// Load spanning the outage: enough messages that far more instances
-/// than `decision_cache` decide before the victim returns.
-fn plan(n: usize) -> LoadPlan {
-    LoadPlan::round_robin(n, 150, VDur::millis(25), 64)
+const N: usize = 3;
+
+/// Runs `scenario` for 12 s on [`N`] stacks under a load spanning the
+/// outage: enough messages that far more instances than
+/// `decision_cache` decide before the victim returns.
+fn run_deep(
+    kind: StackKind,
+    seed: u64,
+    stack_cfg: &StackConfig,
+    scenario: &Scenario,
+) -> (Cluster, ScriptedDriver) {
+    run_scripted(
+        kind,
+        stack_cfg,
+        ClusterConfig::new(N, seed),
+        scenario,
+        LoadPlan::round_robin(N, 150, VDur::millis(25), 64),
+        VTime::ZERO + VDur::secs(12),
+    )
 }
 
 struct RunOutcome {
@@ -52,48 +64,34 @@ struct RunOutcome {
 }
 
 fn run_deep_rejoin(kind: StackKind, seed: u64, snapshot_interval: u64) -> RunOutcome {
-    let n = 3;
-    let cfg = ClusterConfig::new(n, seed);
+    let n = N;
     let stack_cfg = deep_history_config(snapshot_interval);
-    let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &[]);
-    let mut cluster = Cluster::new(cfg, nodes);
-    install_restart_factory(&mut cluster, kind, &stack_cfg, &[]);
-    scenario().apply(&mut cluster);
-
-    let mut driver = ScriptedDriver::new(n, plan(n));
-    driver.start(&mut cluster);
-    cluster.run_until(VTime::ZERO + VDur::secs(12), &mut driver);
+    let (cluster, driver) = run_deep(kind, seed, &stack_cfg, &scenario());
 
     assert!(cluster.alive(ProcessId(1)), "p2 should be revived");
+    // Safety always; drained equality + validity only when snapshots
+    // make catch-up possible (the disabled variant stalls by design).
+    let correct = scenario().correct(n);
+    let (report, what) = if snapshot_interval > 0 {
+        let must = driver.accepted_at(&correct);
+        (
+            driver.oracle().check_drained(&correct, &must),
+            "deep rejoin",
+        )
+    } else {
+        let safety = driver.oracle().check(&correct);
+        (safety, "stalled rejoin (safety only)")
+    };
+    report.assert_ok(&format!("{} {what}", kind.label()));
     let counters = cluster.counters();
-    let outcome = RunOutcome {
+    RunOutcome {
         logs: driver.oracle().logs().to_vec(),
-        common_order: Vec::new(),
+        common_order: report.common_order,
         snapshot_transfers: counters.event("consensus.snapshot_transfers")
             + counters.event("mono.snapshot_transfers"),
         join_unservable: counters.event("consensus.join_unservable")
             + counters.event("mono.join_unservable"),
         instances_decided: counters.event("consensus.decided") / n as u64,
-    };
-    // Safety always; drained equality + validity only when snapshots
-    // make catch-up possible (the disabled variant stalls by design).
-    let correct = scenario().correct(n);
-    if snapshot_interval > 0 {
-        let report = driver
-            .oracle()
-            .check_drained(&correct, &driver.accepted_at(&correct));
-        report.assert_ok(&format!("{} deep rejoin", kind.label()));
-        RunOutcome {
-            common_order: report.common_order,
-            ..outcome
-        }
-    } else {
-        let report = driver.oracle().check(&correct);
-        report.assert_ok(&format!("{} stalled rejoin (safety only)", kind.label()));
-        RunOutcome {
-            common_order: report.common_order,
-            ..outcome
-        }
     }
 }
 
@@ -178,11 +176,6 @@ fn deep_rejoin_stalls_with_snapshots_disabled() {
 #[test]
 fn live_laggard_recovers_past_the_compaction_horizon() {
     for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let n = 3;
-        let cfg = ClusterConfig::new(n, 11);
-        let stack_cfg = deep_history_config(8);
-        let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &[]);
-        let mut cluster = Cluster::new(cfg, nodes);
         // Nobody crashes: p3 is isolated from 0.5 s to 4 s while the
         // majority keeps ordering far past cache + snapshot interval.
         let scenario = Scenario::new().partition(
@@ -190,10 +183,7 @@ fn live_laggard_recovers_past_the_compaction_horizon() {
             VDur::millis(500),
             VDur::secs(4),
         );
-        scenario.apply(&mut cluster);
-        let mut driver = ScriptedDriver::new(n, plan(n));
-        driver.start(&mut cluster);
-        cluster.run_until(VTime::ZERO + VDur::secs(12), &mut driver);
+        let (cluster, driver) = run_deep(kind, 11, &deep_history_config(8), &scenario);
 
         let counters = cluster.counters();
         let installs = counters.event("consensus.snapshots_installed")
@@ -205,7 +195,7 @@ fn live_laggard_recovers_past_the_compaction_horizon() {
         );
         let report = driver
             .oracle()
-            .check_drained(&scenario.correct(n), driver.accepted());
+            .check_drained(&scenario.correct(N), driver.accepted());
         report.assert_ok(&format!("{} live laggard", kind.label()));
         assert!(
             report.common_order.len() >= 120,
@@ -244,20 +234,11 @@ fn chunked_snapshot_download_reassembles() {
     }
 
     for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let n = 3;
-        let seed = 7;
-        let cfg = ClusterConfig::new(n, seed);
         let stack_cfg = StackConfig {
             app_state: Some(AppStateFactory::new(|| Box::new(PaddedCounter::default()))),
             ..deep_history_config(8)
         };
-        let nodes = build_nodes_with_windows(kind, n, &stack_cfg, &[]);
-        let mut cluster = Cluster::new(cfg, nodes);
-        install_restart_factory(&mut cluster, kind, &stack_cfg, &[]);
-        scenario().apply(&mut cluster);
-        let mut driver = ScriptedDriver::new(n, plan(n));
-        driver.start(&mut cluster);
-        cluster.run_until(VTime::ZERO + VDur::secs(12), &mut driver);
+        let (cluster, driver) = run_deep(kind, 7, &stack_cfg, &scenario());
 
         let pulls = cluster.counters().event("consensus.snapshot_pulls")
             + cluster.counters().event("mono.snapshot_pulls");
@@ -266,7 +247,7 @@ fn chunked_snapshot_download_reassembles() {
             "{}: a 16 KiB snapshot must need chained chunk pulls",
             kind.label()
         );
-        let correct = scenario().correct(n);
+        let correct = scenario().correct(N);
         driver
             .oracle()
             .check_drained(&correct, &driver.accepted_at(&correct))

@@ -5,13 +5,10 @@
 //! These run against both stacks through the public `Experiment` API —
 //! the same path `probe --trace` and the examples use.
 
-use fortika::chaos::Scenario;
+use fortika::chaos::{AuditTap, Scenario};
 use fortika::core::workload::{Workload, WorkloadDriver};
-use fortika::core::{
-    build_nodes_with_windows, install_restart_factory, CostModel, Experiment, StackConfig,
-    StackKind, TraceConfig,
-};
-use fortika::net::{Cluster, ClusterConfig, ProcessId};
+use fortika::core::{scenario_cluster, CostModel, Experiment, StackConfig, StackKind, TraceConfig};
+use fortika::net::{ClusterConfig, ProcessId};
 use fortika::sim::{VDur, VTime};
 use fortika::trace::{
     decompose_window, DecompSample, LatencyDecomposition, Trace, TraceData, TraceEvent, WindowSpec,
@@ -143,32 +140,24 @@ impl TracedRun {
     /// returns the trace and one window per latency sample.
     fn replay(&self) -> (Trace, Vec<WindowSpec>) {
         let n = 3;
-        let stack = StackConfig::default();
-        let windows = self
-            .scenario
-            .as_ref()
-            .map(|s| s.suspicion_windows())
-            .unwrap_or_default();
         let mut cfg = ClusterConfig::new(n, self.seed);
         cfg.cost = self.cost.clone();
         cfg.trace = self.trace.clone();
-        let mut cluster = Cluster::new(
-            cfg,
-            build_nodes_with_windows(self.kind, n, &stack, &windows),
-        );
+        let scenario = self.scenario.clone().unwrap_or_default();
+        let (mut cluster, _) = scenario_cluster(self.kind, &StackConfig::default(), cfg, &scenario);
         let window_start = VTime::ZERO + REPLAY_WARMUP;
         let window_end = window_start + REPLAY_MEASURE;
-        let mut end = window_end + VDur::millis(500);
-        if let Some(scenario) = &self.scenario {
-            install_restart_factory(&mut cluster, self.kind, &stack, &windows);
-            scenario.apply(&mut cluster);
-            end = end.max(VTime::ZERO + scenario.horizon() + VDur::secs(1));
-        }
+        let end =
+            (window_end + VDur::millis(500)).max(VTime::ZERO + scenario.horizon() + VDur::secs(1));
         let mut driver =
             WorkloadDriver::with_seed(Self::workload(), n, window_start, window_end, self.seed);
         driver.enable_sample_log();
         driver.start(&mut cluster);
-        cluster.run_until(end, &mut driver);
+        // Unaudited, but still behind the tap: a scenario's reserved
+        // reconfiguration ticks are its to submit, not the driver's.
+        let mut tap = AuditTap::wrap(driver, None);
+        cluster.run_until(end, &mut tap);
+        let (driver, _) = tap.into_parts();
         let trace = cluster.take_trace().expect("tracing on");
         let windows = driver
             .finish()
