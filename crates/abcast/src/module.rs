@@ -64,6 +64,7 @@ use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId}
 use fortika_net::dissemination::{
     descriptor_msg, fold_key, majority_of, route, DissemMsg, Dissemination, PayloadStore, ValueId,
 };
+use fortika_net::metrics::abcast;
 use fortika_net::wire::{encode, WireReader};
 use fortika_net::{AppMsg, Batch, DeliveredSet, MsgId, ProcessId, StableStore, TimerId};
 use fortika_sim::{VDur, VTime};
@@ -259,9 +260,9 @@ impl AbcastModule {
     /// strategies wrap it in the [`DissemMsg`] envelope).
     fn diffuse(&self, ctx: &mut FrameworkCtx<'_, '_>, msg: &AppMsg) {
         if self.offloads() {
-            ctx.broadcast_net("abcast.diffuse", &DissemMsg::Diffuse(msg.clone()));
+            ctx.broadcast_net(abcast::DIFFUSE, &DissemMsg::Diffuse(msg.clone()));
         } else {
-            ctx.broadcast_net("abcast.diffuse", msg);
+            ctx.broadcast_net(abcast::DIFFUSE, msg);
         }
     }
 
@@ -301,9 +302,9 @@ impl AbcastModule {
             self.next_propose,
             batch.msgs().iter().map(|m| m.id).collect(),
         );
-        ctx.bump("abcast.proposals", 1);
+        ctx.bump(abcast::PROPOSALS, 1);
         if self.in_flight() > 0 {
-            ctx.bump("abcast.pipelined_proposals", 1);
+            ctx.bump(abcast::PIPELINED_PROPOSALS, 1);
         }
         ctx.trace_span(
             "abcast",
@@ -338,7 +339,7 @@ impl AbcastModule {
             return;
         }
         if hops.repaired {
-            ctx.bump("abcast.ring_repairs", 1);
+            ctx.bump(abcast::RING_REPAIRS, 1);
         }
         let msg = DissemMsg::Payload {
             vid,
@@ -346,8 +347,8 @@ impl AbcastModule {
             batch: batch.clone(),
         };
         for dst in hops.next {
-            ctx.bump("abcast.ring_payload_forwards", 1);
-            ctx.send_net(dst, "abcast.payload", &msg);
+            ctx.bump(abcast::RING_PAYLOAD_FORWARDS, 1);
+            ctx.send_net(dst, abcast::PAYLOAD, &msg);
         }
     }
 
@@ -459,7 +460,7 @@ impl AbcastModule {
         if vid.origin != ctx.pid() && (pivotal || leaf || !forward) {
             ctx.send_net(
                 vid.origin,
-                "abcast.payload_ack",
+                abcast::PAYLOAD_ACK,
                 &DissemMsg::Ack {
                     vid,
                     holders: merged,
@@ -493,8 +494,8 @@ impl AbcastModule {
         let attempts = self.missing.entry(vid).or_insert(0);
         let dst = candidates[*attempts as usize % candidates.len()];
         *attempts += 1;
-        ctx.bump("abcast.payload_pulls", 1);
-        ctx.send_net(dst, "abcast.payload_pull", &DissemMsg::Pull { vid });
+        ctx.bump(abcast::PAYLOAD_PULLS, 1);
+        ctx.send_net(dst, abcast::PAYLOAD_PULL, &DissemMsg::Pull { vid });
     }
 
     /// Re-forwards every held undelivered payload along the (possibly
@@ -509,7 +510,7 @@ impl AbcastModule {
         if held.is_empty() {
             return;
         }
-        ctx.bump("abcast.ring_repairs", 1);
+        ctx.bump(abcast::RING_REPAIRS, 1);
         for (vid, holders, batch) in held {
             self.send_payload(ctx, vid, holders, &batch);
         }
@@ -573,10 +574,10 @@ impl AbcastModule {
                     ids.push(msg.id);
                 }
             }
-            ctx.bump("abcast.instances_applied", 1);
+            ctx.bump(abcast::INSTANCES_APPLIED, 1);
             ctx.trace_span("abcast", self.next_decide, "applied", ids.len() as u64);
             if !ids.is_empty() {
-                ctx.bump("abcast.delivered", ids.len() as u64);
+                ctx.bump(abcast::DELIVERED, ids.len() as u64);
                 ctx.raise(Event::Adelivered(ids));
             }
             self.proposed.remove(&self.next_decide);
@@ -717,7 +718,7 @@ impl Microprotocol for AbcastModule {
                 if !own_done.is_empty() {
                     ctx.raise(Event::Adelivered(own_done));
                 }
-                ctx.bump("abcast.snapshot_installs", 1);
+                ctx.bump(abcast::SNAPSHOT_INSTALLS, 1);
                 ctx.trace_span("abcast", snapshot.last_included, "snapshot_install", 0);
                 // Buffered decisions past the snapshot may be contiguous
                 // now; deliver them and re-propose what is still pending.
@@ -748,7 +749,7 @@ impl Microprotocol for AbcastModule {
     fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
         if !self.offloads() {
             let Ok(msg) = msg.get_only::<AppMsg>() else {
-                ctx.bump("abcast.garbage", 1);
+                ctx.bump(abcast::GARBAGE, 1);
                 return;
             };
             if self.delivered.is_new(msg.id) && !self.pending.contains_key(&msg.id) {
@@ -758,7 +759,7 @@ impl Microprotocol for AbcastModule {
             return;
         }
         let Ok(dm) = msg.get_only::<DissemMsg>() else {
-            ctx.bump("abcast.garbage", 1);
+            ctx.bump(abcast::GARBAGE, 1);
             return;
         };
         match dm {
@@ -802,7 +803,7 @@ impl Microprotocol for AbcastModule {
                         holders,
                         batch: batch.clone(),
                     };
-                    ctx.send_net(from, "abcast.payload_push", &reply);
+                    ctx.send_net(from, abcast::PAYLOAD_PUSH, &reply);
                 }
             }
         }
@@ -819,7 +820,7 @@ impl Microprotocol for AbcastModule {
                 // proposal never consumes a window slot that real
                 // traffic could use.
                 if self.in_flight() == 0 {
-                    ctx.bump("abcast.idle_proposals", 1);
+                    ctx.bump(abcast::IDLE_PROPOSALS, 1);
                     let batch = self.fresh_batch();
                     self.propose_now(ctx, batch);
                 }
@@ -837,7 +838,7 @@ impl Microprotocol for AbcastModule {
                     .collect();
                 for id in overdue {
                     if let Some(msg) = self.pending.get(&id) {
-                        ctx.bump("abcast.retransmits", 1);
+                        ctx.bump(abcast::RETRANSMITS, 1);
                         self.diffuse(ctx, msg);
                         self.own_diffused.insert(id, now);
                     } else {
@@ -886,14 +887,14 @@ impl Microprotocol for AbcastModule {
                             })
                             .collect();
                         for dst in targets {
-                            ctx.bump("abcast.retransmits", 1);
-                            ctx.send_net(dst, "abcast.payload_push", &push);
+                            ctx.bump(abcast::RETRANSMITS, 1);
+                            ctx.send_net(dst, abcast::PAYLOAD_PUSH, &push);
                             pushed = true;
                         }
                         if !pushed {
                             // Everyone left is suspected: fall back to
                             // the (repair-routed) topology forward.
-                            ctx.bump("abcast.retransmits", 1);
+                            ctx.bump(abcast::RETRANSMITS, 1);
                             self.send_payload(ctx, vid, holders, &batch);
                         }
                         if let Some(op) = self.own_payloads.get_mut(&seq) {

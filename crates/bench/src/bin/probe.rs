@@ -39,6 +39,7 @@ use fortika_core::{
     fuzz_runner, run_fuzz_scenario, Experiment, RunReport, Scenario, StackConfig, StackKind,
     TraceConfig,
 };
+use fortika_net::metrics::{consensus, mono};
 use fortika_net::ProcessId;
 use fortika_sim::VDur;
 
@@ -169,8 +170,7 @@ fn reconfig_audit(coverage: &mut CoverageReport) -> Result<(), String> {
         let r = exp.run();
         coverage.absorb(&r.counters);
         print_run_row("reconfig", &r);
-        let reconfigs =
-            r.counters.event("consensus.reconfigs") + r.counters.event("mono.reconfigs");
+        let reconfigs = r.counters.count(consensus::RECONFIGS) + r.counters.count(mono::RECONFIGS);
         if reconfigs == 0 {
             return Err(format!(
                 "reconfig audit ({}): no process registered the decided changes",

@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 
 use fortika_core::workload::Workload;
 use fortika_core::{Experiment, RunReport, Scenario, StackConfig, StackKind};
+use fortika_net::metrics::{consensus, mono};
 use fortika_net::{CostModel, Dissemination, LinkSelector, NetModel, ProcessId};
 use fortika_sim::VDur;
 
@@ -299,7 +300,7 @@ fn snapshot_cadence_points() -> Vec<Point> {
 
 /// Snapshots materialized in the window, over all processes.
 fn snapshots_in_window(r: &RunReport) -> u64 {
-    r.counters.event("consensus.snapshots") + r.counters.event("mono.snapshots")
+    r.counters.count(consensus::SNAPSHOTS) + r.counters.count(mono::SNAPSHOTS)
 }
 
 /// Compaction follows its cadence: each process cuts one snapshot per

@@ -7,6 +7,7 @@
 
 use fortika_bench::json;
 use fortika_chaos::{ChaosProfile, CoverageReport, Scenario};
+use fortika_net::metrics::{abcast, consensus, mono};
 use fortika_net::Counters;
 
 fn campaign_report() -> CoverageReport {
@@ -15,11 +16,11 @@ fn campaign_report() -> CoverageReport {
         let scenario = Scenario::random(4, seed, &ChaosProfile::default());
         let mut counters = Counters::new();
         if scenario.families().contains(&"crash") {
-            counters.bump("mono.round_changes", 1 + seed);
-            counters.bump("consensus.state_transfers", 1);
+            counters.bump(mono::ROUND_CHANGES, 1 + seed);
+            counters.bump(consensus::STATE_TRANSFERS, 1);
         }
         if scenario.pipeline_depth() > 1 {
-            counters.bump("abcast.pipelined_proposals", seed);
+            counters.bump(abcast::PIPELINED_PROPOSALS, seed);
         }
         report.absorb_with_scenario(&counters, &scenario);
     }

@@ -127,13 +127,14 @@ pub struct CampaignReport {
 ///
 /// ```
 /// use fortika_chaos::{FuzzCampaign, FuzzConfig, RunOutcome, StopReason};
+/// use fortika_net::metrics::mono;
 /// use fortika_net::Counters;
 ///
 /// let report = FuzzCampaign::new(FuzzConfig::new(4, 7)).run(|scenario, _seed| {
 ///     let mut counters = Counters::new();
 ///     // A fake "protocol" that only round-changes under crashes.
 ///     if scenario.families().contains(&"crash") {
-///         counters.bump("mono.round_changes", 1);
+///         counters.bump(mono::ROUND_CHANGES, 1);
 ///     }
 ///     RunOutcome { counters, violation: None }
 /// });
@@ -225,6 +226,7 @@ impl FuzzCampaign {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioEvent;
+    use fortika_net::metrics::{abcast, consensus, mono};
     use fortika_net::{MsgId, ProcessId};
 
     /// A synthetic protocol: which branches "fire" is a pure function
@@ -234,12 +236,12 @@ mod tests {
         let mut counters = Counters::new();
         for family in scenario.families() {
             match family {
-                "crash" => counters.bump("mono.round_changes", 1),
-                "restart" => counters.bump("consensus.join_requests", 1),
-                "partition" => counters.bump("consensus.gap_requests", 1),
-                "lossy" => counters.bump("abcast.retransmits", 1),
-                "duplicate" => counters.bump("consensus.tag_misses", 1),
-                "pipelined" => counters.bump("abcast.pipelined_proposals", 1),
+                "crash" => counters.bump(mono::ROUND_CHANGES, 1),
+                "restart" => counters.bump(consensus::JOIN_REQUESTS, 1),
+                "partition" => counters.bump(consensus::GAP_REQUESTS, 1),
+                "lossy" => counters.bump(abcast::RETRANSMITS, 1),
+                "duplicate" => counters.bump(consensus::TAG_MISSES, 1),
+                "pipelined" => counters.bump(abcast::PIPELINED_PROPOSALS, 1),
                 _ => {}
             }
         }

@@ -16,17 +16,19 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use fortika_net::Counters;
+use fortika_fd::metrics as fd;
+use fortika_net::metrics::{abcast, cluster, consensus, mono};
+use fortika_net::{Counters, Metric};
 
 use crate::scenario::{Scenario, FAMILIES};
 
 /// One protocol branch the report tracks: a logical name plus the
-/// counter keys (one per stack, usually) that witness it.
+/// counters (one per stack, usually) that witness it.
 struct Branch {
     name: &'static str,
-    /// Counter keys summed into this branch (modular + monolithic
-    /// spellings of the same protocol event).
-    keys: &'static [&'static str],
+    /// Counters summed into this branch (modular + monolithic spellings
+    /// of the same protocol event).
+    keys: &'static [Metric],
 }
 
 /// The protocol branches a chaos campaign can reach, with the counters
@@ -35,83 +37,83 @@ struct Branch {
 const BRANCHES: &[Branch] = &[
     Branch {
         name: "round_changes",
-        keys: &["consensus.round_changes", "mono.round_changes"],
+        keys: &[consensus::ROUND_CHANGES, mono::ROUND_CHANGES],
     },
     Branch {
         name: "progress_rotations",
-        keys: &["consensus.progress_rotations", "mono.progress_rotations"],
+        keys: &[consensus::PROGRESS_ROTATIONS, mono::PROGRESS_ROTATIONS],
     },
     Branch {
         name: "gap_pulls",
-        keys: &["consensus.gap_requests", "mono.gap_requests"],
+        keys: &[consensus::GAP_REQUESTS, mono::GAP_REQUESTS],
     },
     Branch {
         name: "tag_misses",
-        keys: &["consensus.tag_misses", "mono.tag_misses"],
+        keys: &[consensus::TAG_MISSES, mono::TAG_MISSES],
     },
     Branch {
         name: "state_transfers",
-        keys: &["consensus.state_transfers", "mono.state_transfers"],
+        keys: &[consensus::STATE_TRANSFERS, mono::STATE_TRANSFERS],
     },
     Branch {
         name: "snapshot_offers",
-        keys: &["consensus.snapshot_transfers", "mono.snapshot_transfers"],
+        keys: &[consensus::SNAPSHOT_TRANSFERS, mono::SNAPSHOT_TRANSFERS],
     },
     Branch {
         name: "snapshot_installs",
-        keys: &["consensus.snapshots_installed", "mono.snapshots_installed"],
+        keys: &[consensus::SNAPSHOTS_INSTALLED, mono::SNAPSHOTS_INSTALLED],
     },
     Branch {
         name: "join_requests",
-        keys: &["consensus.join_requests", "mono.join_requests"],
+        keys: &[consensus::JOIN_REQUESTS, mono::JOIN_REQUESTS],
     },
     Branch {
         name: "rejoins_completed",
-        keys: &["consensus.rejoins_completed", "mono.rejoins_completed"],
+        keys: &[consensus::REJOINS_COMPLETED, mono::REJOINS_COMPLETED],
     },
     Branch {
         name: "idle_proposals",
-        keys: &["abcast.idle_proposals"],
+        keys: &[abcast::IDLE_PROPOSALS],
     },
     Branch {
         name: "pipelined_proposals",
-        keys: &["abcast.pipelined_proposals", "mono.pipelined_proposals"],
+        keys: &[abcast::PIPELINED_PROPOSALS, mono::PIPELINED_PROPOSALS],
     },
     Branch {
         name: "sender_retransmits",
-        keys: &["abcast.retransmits"],
+        keys: &[abcast::RETRANSMITS],
     },
     Branch {
         name: "estimate_solicitations",
-        keys: &["mono.estimate_requests"],
+        keys: &[mono::ESTIMATE_REQUESTS],
     },
     Branch {
         name: "stale_incarnation_drops",
-        keys: &["chaos.dropped_stale_incarnation"],
+        keys: &[cluster::DROPPED_STALE_INCARNATION],
     },
     Branch {
         name: "reconfigs_activated",
-        keys: &["consensus.reconfigs", "mono.reconfigs"],
+        keys: &[consensus::RECONFIGS, mono::RECONFIGS],
     },
     Branch {
         name: "config_fence_drops",
-        keys: &["consensus.config_fence_drops", "mono.config_fence_drops"],
+        keys: &[consensus::CONFIG_FENCE_DROPS, mono::CONFIG_FENCE_DROPS],
     },
     Branch {
         name: "fd_member_updates",
-        keys: &["fd.member_updates"],
+        keys: &[fd::MEMBER_UPDATES],
     },
     Branch {
         name: "ring_payload_forwards",
-        keys: &["abcast.ring_payload_forwards"],
+        keys: &[abcast::RING_PAYLOAD_FORWARDS],
     },
     Branch {
         name: "payload_pulls",
-        keys: &["abcast.payload_pulls"],
+        keys: &[abcast::PAYLOAD_PULLS],
     },
     Branch {
         name: "ring_repairs",
-        keys: &["abcast.ring_repairs"],
+        keys: &[abcast::RING_REPAIRS],
     },
 ];
 
@@ -126,11 +128,12 @@ const BRANCHES: &[Branch] = &[
 ///
 /// ```
 /// use fortika_chaos::CoverageReport;
+/// use fortika_net::metrics::mono;
 /// use fortika_net::Counters;
 ///
 /// let mut report = CoverageReport::new();
 /// let mut counters = Counters::new();
-/// counters.bump("mono.round_changes", 3);
+/// counters.bump(mono::ROUND_CHANGES, 3);
 /// report.absorb(&counters);
 /// assert_eq!(report.runs(), 1);
 /// assert_eq!(report.total("round_changes"), 3);
@@ -163,7 +166,7 @@ impl CoverageReport {
         self.runs += 1;
         let mut reached = Vec::with_capacity(BRANCHES.len());
         for branch in BRANCHES {
-            let hits: u64 = branch.keys.iter().map(|k| counters.event(k)).sum();
+            let hits: u64 = branch.keys.iter().map(|&k| counters.count(k)).sum();
             let entry = self.tallies.entry(branch.name).or_insert((0, 0));
             entry.0 += hits;
             entry.1 += u64::from(hits > 0);
@@ -188,12 +191,13 @@ impl CoverageReport {
     ///
     /// ```
     /// use fortika_chaos::{CoverageReport, Scenario};
+    /// use fortika_net::metrics::mono;
     /// use fortika_net::{Counters, ProcessId};
     /// use fortika_sim::VDur;
     ///
     /// let mut report = CoverageReport::new();
     /// let mut counters = Counters::new();
-    /// counters.bump("mono.round_changes", 2);
+    /// counters.bump(mono::ROUND_CHANGES, 2);
     /// let scenario = Scenario::new().crash(ProcessId(0), VDur::millis(5));
     /// report.absorb_with_scenario(&counters, &scenario);
     /// assert_eq!(report.cell("crash", "round_changes"), 1);
@@ -402,12 +406,12 @@ mod tests {
     fn absorbs_both_stacks_spellings() {
         let mut report = CoverageReport::new();
         let mut modular = Counters::new();
-        modular.bump("consensus.gap_requests", 2);
-        modular.bump("abcast.idle_proposals", 1);
-        let mut mono = Counters::new();
-        mono.bump("mono.gap_requests", 5);
+        modular.bump(consensus::GAP_REQUESTS, 2);
+        modular.bump(abcast::IDLE_PROPOSALS, 1);
+        let mut monolith = Counters::new();
+        monolith.bump(mono::GAP_REQUESTS, 5);
         report.absorb(&modular);
-        report.absorb(&mono);
+        report.absorb(&monolith);
         assert_eq!(report.runs(), 2);
         assert_eq!(report.total("gap_pulls"), 7);
         assert!(report.reached("idle_proposals"));
@@ -420,7 +424,7 @@ mod tests {
         assert_eq!(report.missed().len(), CoverageReport::branch_names().len());
         let mut report = report;
         let mut c = Counters::new();
-        c.bump("chaos.dropped_stale_incarnation", 1);
+        c.bump(cluster::DROPPED_STALE_INCARNATION, 1);
         report.absorb(&c);
         assert!(!report.missed().contains(&"stale_incarnation_drops"));
         assert!(report.missed().contains(&"round_changes"));
@@ -430,8 +434,8 @@ mod tests {
     fn json_is_valid_and_deterministic() {
         let mut report = CoverageReport::new();
         let mut c = Counters::new();
-        c.bump("mono.round_changes", 2);
-        c.bump("consensus.gap_requests", 1);
+        c.bump(mono::ROUND_CHANGES, 2);
+        c.bump(consensus::GAP_REQUESTS, 1);
         report.absorb(&c);
         let json = report.to_json();
         assert_eq!(json, report.to_json());
@@ -455,11 +459,11 @@ mod tests {
         let lossy = Scenario::new().lossy(LinkSelector::All, 0.2, VDur::ZERO, VDur::millis(10));
 
         let mut c = Counters::new();
-        c.bump("mono.round_changes", 2);
+        c.bump(mono::ROUND_CHANGES, 2);
         report.absorb_with_scenario(&c, &crashy);
         let mut c2 = Counters::new();
-        c2.bump("consensus.gap_requests", 1);
-        c2.bump("mono.round_changes", 1);
+        c2.bump(consensus::GAP_REQUESTS, 1);
+        c2.bump(mono::ROUND_CHANGES, 1);
         report.absorb_with_scenario(&c2, &lossy);
         // Plain absorb contributes to tallies but not to the matrix.
         report.absorb(&c);
@@ -512,7 +516,7 @@ mod tests {
     fn display_renders_every_branch() {
         let mut report = CoverageReport::new();
         let mut c = Counters::new();
-        c.bump("mono.round_changes", 1);
+        c.bump(mono::ROUND_CHANGES, 1);
         report.absorb(&c);
         let text = report.to_string();
         for name in CoverageReport::branch_names() {

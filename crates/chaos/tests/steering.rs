@@ -7,6 +7,7 @@
 //! streams that every pinned scenario seed in the repo depends on.
 
 use fortika_chaos::{ChaosProfile, CoverageReport, Scenario};
+use fortika_net::metrics::consensus;
 use fortika_net::Counters;
 use fortika_sim::VDur;
 
@@ -21,10 +22,10 @@ fn partial_report() -> CoverageReport {
         // join requests; everything else reaches nothing.
         let families = scenario.families();
         if families.contains(&"crash") {
-            counters.bump("consensus.round_changes", 2);
+            counters.bump(consensus::ROUND_CHANGES, 2);
         }
         if families.contains(&"restart") {
-            counters.bump("consensus.join_requests", 1);
+            counters.bump(consensus::JOIN_REQUESTS, 1);
         }
         report.absorb_with_scenario(&counters, &scenario);
     }

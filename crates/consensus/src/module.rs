@@ -58,6 +58,7 @@
 //! installed snapshot raises [`Event::InstallSnapshot`].
 
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
+use fortika_net::metrics::consensus;
 use fortika_net::replica::SWEEP_INTERVAL;
 use fortika_net::wire::{decode, encode, WireReader};
 use fortika_net::{
@@ -128,7 +129,7 @@ impl ConsensusModule {
             return;
         }
         self.core.close(instance);
-        ctx.bump("consensus.decided", 1);
+        ctx.bump(consensus::DECIDED, 1);
         ctx.trace_span("consensus", instance, "decided", 0);
         ctx.raise(Event::Decide { instance, value });
     }
@@ -167,7 +168,7 @@ impl ConsensusModule {
             round,
             value,
         };
-        ctx.broadcast_net("consensus.proposal", &msg);
+        ctx.broadcast_net(consensus::PROPOSAL, &msg);
         self.try_conclude(ctx, instance);
     }
 
@@ -217,7 +218,7 @@ impl ConsensusModule {
                 value,
                 ts,
             };
-            ctx.send_net(to.coordinator, "consensus.estimate", &msg);
+            ctx.send_net(to.coordinator, consensus::ESTIMATE, &msg);
         }
     }
 
@@ -227,13 +228,13 @@ impl ConsensusModule {
         }
         let (me, n) = (ctx.pid(), ctx.n());
         self.core.offer(instance, ctx.now(), value);
-        ctx.bump("consensus.instances", 1);
+        ctx.bump(consensus::INSTANCES, 1);
         ctx.trace_span("consensus", instance, "open", 0);
         if !self.core.can_vote(instance, me) {
             // A learner (or a process still uncertain of the membership
             // at `instance`) records its initial value but never
             // proposes; it learns the decision through dissemination.
-            ctx.bump("consensus.config_fence_drops", 1);
+            ctx.bump(consensus::CONFIG_FENCE_DROPS, 1);
             return;
         }
         let round = self.core.rounds().unproposed_round(instance);
@@ -278,7 +279,7 @@ impl ConsensusModule {
         let vote = self.core.vote(ctx, instance, round, &value, votable);
         if vote.voted {
             let ack = ConsensusMsg::Ack { instance, round };
-            ctx.send_net(from, "consensus.ack", &ack);
+            ctx.send_net(from, consensus::ACK, &ack);
         }
         if vote.tag_hit {
             self.decide_local(ctx, instance, value);
@@ -405,7 +406,7 @@ impl ReplicaHost<FrameworkCtx<'_, '_>> for ConsensusModule {
         value: Batch,
     ) {
         let msg = ConsensusMsg::DecisionFull { instance, value };
-        ctx.send_net(to, "consensus.decision_full", &msg);
+        ctx.send_net(to, consensus::DECISION_FULL, &msg);
     }
 }
 
@@ -443,7 +444,7 @@ impl Microprotocol for ConsensusModule {
                 payload,
             } if *stream == DECISION_STREAM => match decode::<DecisionNotice>(payload.clone()) {
                 Ok(notice) => self.on_notice(ctx, *origin, notice),
-                Err(_) => ctx.bump("consensus.garbage", 1),
+                Err(_) => ctx.bump(consensus::GARBAGE, 1),
             },
             Event::Suspect(p) => {
                 for instance in self.core.suspect(*p, ctx.n()) {
@@ -459,7 +460,7 @@ impl Microprotocol for ConsensusModule {
         let msg = match msg.get_only::<ConsensusMsg>() {
             Ok(m) => m,
             Err(_) => {
-                ctx.bump("consensus.garbage", 1);
+                ctx.bump(consensus::GARBAGE, 1);
                 return;
             }
         };

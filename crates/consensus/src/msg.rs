@@ -1,5 +1,6 @@
 //! Consensus wire messages.
 
+use fortika_net::metrics::consensus;
 use fortika_net::wire::{Wire, WireError, WireReader, WireWriter};
 use fortika_net::{Batch, CatchUp, PerCatchUp, ReplicaNames};
 
@@ -66,30 +67,30 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
         snapshot_pull: 9,
     },
     kinds: PerCatchUp {
-        decision_request: "consensus.decision_request",
-        join_request: "consensus.join_request",
-        state_transfer: "consensus.state_transfer",
-        snapshot_transfer: "consensus.snapshot_transfer",
-        snapshot_pull: "consensus.snapshot_pull",
+        decision_request: consensus::DECISION_REQUEST,
+        join_request: consensus::JOIN_REQUEST,
+        state_transfer: consensus::STATE_TRANSFER,
+        snapshot_transfer: consensus::SNAPSHOT_TRANSFER,
+        snapshot_pull: consensus::SNAPSHOT_PULL,
     },
-    gap_requests: "consensus.gap_requests",
-    join_requests: "consensus.join_requests",
-    state_transfers: "consensus.state_transfers",
-    snapshot_transfers: "consensus.snapshot_transfers",
-    snapshot_pulls: "consensus.snapshot_pulls",
-    snapshot_garbage: "consensus.snapshot_garbage",
-    snapshots: "consensus.snapshots",
-    snapshots_installed: "consensus.snapshots_installed",
-    join_unservable: "consensus.join_unservable",
-    rejoins_completed: "consensus.rejoins_completed",
-    reconfigs: "consensus.reconfigs",
-    proposals: "consensus.proposals",
-    round_changes: "consensus.round_changes",
-    config_fence_drops: "consensus.config_fence_drops",
-    progress_rotations: "consensus.progress_rotations",
-    request_retries: "consensus.request_retries",
-    tag_misses: "consensus.tag_misses",
-    bogus_proposals: "consensus.bogus_proposals",
+    gap_requests: consensus::GAP_REQUESTS,
+    join_requests: consensus::JOIN_REQUESTS,
+    state_transfers: consensus::STATE_TRANSFERS,
+    snapshot_transfers: consensus::SNAPSHOT_TRANSFERS,
+    snapshot_pulls: consensus::SNAPSHOT_PULLS,
+    snapshot_garbage: consensus::SNAPSHOT_GARBAGE,
+    snapshots: consensus::SNAPSHOTS,
+    snapshots_installed: consensus::SNAPSHOTS_INSTALLED,
+    join_unservable: consensus::JOIN_UNSERVABLE,
+    rejoins_completed: consensus::REJOINS_COMPLETED,
+    reconfigs: consensus::RECONFIGS,
+    proposals: consensus::PROPOSALS,
+    round_changes: consensus::ROUND_CHANGES,
+    config_fence_drops: consensus::CONFIG_FENCE_DROPS,
+    progress_rotations: consensus::PROGRESS_ROTATIONS,
+    request_retries: consensus::REQUEST_RETRIES,
+    tag_misses: consensus::TAG_MISSES,
+    bogus_proposals: consensus::BOGUS_PROPOSALS,
 };
 
 impl Wire for ConsensusMsg {

@@ -14,6 +14,17 @@ use fortika_net::{Admission, AppRequest};
 /// every module needs a unique id).
 pub const FLOW_MODULE_ID: ModuleId = 5;
 
+fortika_net::metric_table! {
+    /// What flow control counts: its admission decisions.
+    pub mod metrics in FLOW {
+        events {
+            ADMITTED = "flow.admitted",
+            BLOCKED = "flow.blocked",
+        }
+        kinds {}
+    }
+}
+
 /// Flow-control microprotocol: admits or blocks application requests
 /// and reopens the tap when own messages get adelivered.
 pub struct FlowControlModule {
@@ -67,11 +78,11 @@ impl Microprotocol for FlowControlModule {
     ) -> Option<Admission> {
         let AppRequest::Abcast(m) = req;
         if self.window.try_acquire() {
-            ctx.bump("flow.admitted", 1);
+            ctx.bump(metrics::ADMITTED, 1);
             ctx.raise(Event::AbcastRequest(m.clone()));
             Some(Admission::Accepted)
         } else {
-            ctx.bump("flow.blocked", 1);
+            ctx.bump(metrics::BLOCKED, 1);
             Some(Admission::Blocked)
         }
     }

@@ -76,3 +76,44 @@ pub use fortika_net::{
 pub use fortika_trace::{
     ComponentSummary, DecompSample, LatencyDecomposition, Trace, TraceConfig, TraceData, TraceEvent,
 };
+
+#[cfg(test)]
+mod tests {
+    use fortika_net::metrics::{self, slots, Table};
+
+    /// Every registered metric table: this crate sees them all.
+    const TABLES: [Table; 8] = [
+        metrics::cluster::TABLE,
+        metrics::consensus::TABLE,
+        metrics::mono::TABLE,
+        metrics::abcast::TABLE,
+        fortika_framework::metrics::TABLE,
+        fortika_fd::metrics::TABLE,
+        fortika_rbcast::metrics::TABLE,
+        crate::flow::metrics::TABLE,
+    ];
+
+    #[test]
+    fn metric_names_are_unique_across_all_registered_tables() {
+        // One table per slot, and every slot but the tests' has one.
+        let mut taken: Vec<u8> = TABLES.iter().map(|t| t.slot).collect();
+        taken.sort_unstable();
+        taken.dedup();
+        assert_eq!(taken.len(), TABLES.len(), "two tables share a slot");
+        assert_eq!(taken.len(), slots::COUNT - 1);
+        assert!(!taken.contains(&slots::TEST));
+        // No name twice, counters and send kinds alike: two handles of
+        // one name would list as two entries of it.
+        let mut names: Vec<&str> = TABLES
+            .iter()
+            .flat_map(|t| {
+                let events = t.events.iter().map(|m| m.name());
+                events.chain(t.kinds.iter().map(|k| k.name()))
+            })
+            .collect();
+        names.sort_unstable();
+        let twice: Vec<_> = names.windows(2).filter(|w| w[0] == w[1]).collect();
+        assert!(twice.is_empty(), "declared twice: {twice:?}");
+        assert!(names.len() > 100);
+    }
+}

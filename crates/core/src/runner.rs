@@ -3,6 +3,7 @@
 //! confidence intervals, as the paper reports.
 
 use fortika_chaos::{AuditTap, DeliveryOracle, OracleReport, Scenario};
+use fortika_net::metrics::{abcast, consensus};
 use fortika_net::{ClusterConfig, CostModel, Counters, NetModel, ProcessId};
 use fortika_sim::stats::{mean_ci95, MeanCi};
 use fortika_sim::{VDur, VTime};
@@ -190,8 +191,8 @@ impl Experiment {
         let throughput = per_proc_rates.iter().sum::<f64>() / self.n as f64;
 
         let window = counters_at_end.delta_since(&counters_at_start);
-        let decided = window.event("consensus.decided") as f64 / self.n as f64;
-        let delivered = window.event("abcast.delivered") as f64 / self.n as f64;
+        let decided = window.count(consensus::DECIDED) as f64 / self.n as f64;
+        let delivered = window.count(abcast::DELIVERED) as f64 / self.n as f64;
         let msgs = window.total_msgs_excluding(|k| k.starts_with("fd."));
         let bytes = {
             let mut b = 0;

@@ -30,4 +30,19 @@ pub use crate::core::{
     FailureDetector, FdConfig, FdEvent, HeartbeatFd, HeartbeatPacer, QuiescentFd, ScriptedFd,
 };
 pub use module::{FdModule, FD_MODULE_ID};
+
+fortika_net::metric_table! {
+    /// What the failure detectors count. The monolith, which embeds a
+    /// core instead of the module, bumps and sends under these too.
+    pub mod metrics in FD {
+        events {
+            SUSPICIONS = "fd.suspicions",
+            RESTORES = "fd.restores",
+            MEMBER_UPDATES = "fd.member_updates",
+        }
+        kinds {
+            HEARTBEAT = "fd.heartbeat",
+        }
+    }
+}
 pub use overlay::{OverlayFd, SuspicionWindow};

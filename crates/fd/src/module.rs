@@ -5,6 +5,7 @@ use fortika_net::wire::WireReader;
 use fortika_net::{ProcessId, TimerId};
 
 use crate::core::{FailureDetector, FdEvent, HeartbeatPacer};
+use crate::metrics;
 
 /// Wire demux id of the failure-detector module.
 pub const FD_MODULE_ID: ModuleId = 4;
@@ -39,11 +40,11 @@ impl<T: FailureDetector> FdModule<T> {
         for ev in events.drain(..) {
             match ev {
                 FdEvent::Suspect(p) => {
-                    ctx.bump("fd.suspicions", 1);
+                    ctx.bump(metrics::SUSPICIONS, 1);
                     ctx.raise(Event::Suspect(p));
                 }
                 FdEvent::Restore(p) => {
-                    ctx.bump("fd.restores", 1);
+                    ctx.bump(metrics::RESTORES, 1);
                     ctx.raise(Event::Restore(p));
                 }
             }
@@ -71,7 +72,7 @@ impl<T: FailureDetector> Microprotocol for FdModule<T> {
         // whether this process heartbeats at all follows its own
         // membership).
         if let Event::ConfigActive { stamp } = ev {
-            ctx.bump("fd.member_updates", 1);
+            ctx.bump(metrics::MEMBER_UPDATES, 1);
             self.core
                 .set_members(&stamp.members, ctx.now(), &mut self.scratch);
             Self::flush(ctx, &mut self.scratch);
@@ -94,7 +95,7 @@ impl<T: FailureDetector> Microprotocol for FdModule<T> {
             return;
         }
         if self.pacer.due(&self.core, ctx.now()) {
-            ctx.broadcast_net("fd.heartbeat", &());
+            ctx.broadcast_net(metrics::HEARTBEAT, &());
         }
         self.core.tick(ctx.now(), &mut self.scratch);
         Self::flush(ctx, &mut self.scratch);
@@ -112,6 +113,17 @@ mod tests {
     use fortika_net::{Cluster, ClusterConfig, Node};
     use fortika_sim::{VDur, VTime};
 
+    fortika_net::metric_table! {
+        mod names in TEST {
+            events {
+                SUSPECT_P1 = "probe.suspect.p1",
+                SUSPECT_OTHER = "probe.suspect.other",
+                RESTORE = "probe.restore",
+            }
+            kinds {}
+        }
+    }
+
     /// A probe module that counts suspicion events it observes.
     struct Probe;
     impl Microprotocol for Probe {
@@ -128,13 +140,13 @@ mod tests {
             match ev {
                 Event::Suspect(p) => ctx.bump(
                     if *p == ProcessId(0) {
-                        "probe.suspect.p1"
+                        names::SUSPECT_P1
                     } else {
-                        "probe.suspect.other"
+                        names::SUSPECT_OTHER
                     },
                     1,
                 ),
-                Event::Restore(_) => ctx.bump("probe.restore", 1),
+                Event::Restore(_) => ctx.bump(names::RESTORE, 1),
                 _ => {}
             }
         }

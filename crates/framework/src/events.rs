@@ -83,9 +83,8 @@ pub enum Event {
     },
 }
 
-/// Discriminant of [`Event`], used for subscription routing. `Ord` so
-/// the stack's subscription table can be a `BTreeMap` (dispatch order
-/// must never depend on a hasher seed).
+/// Discriminant of [`Event`], used for subscription routing: the
+/// stack's subscription table is indexed by it (`kind as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// See [`Event::AbcastRequest`].
@@ -108,6 +107,12 @@ pub enum EventKind {
     InstallSnapshot,
     /// See [`Event::ConfigActive`].
     ConfigActive,
+}
+
+impl EventKind {
+    /// Number of kinds (the last variant's index + 1: keep
+    /// `ConfigActive` last).
+    pub const COUNT: usize = EventKind::ConfigActive as usize + 1;
 }
 
 impl Event {

@@ -47,3 +47,15 @@ pub mod stack;
 
 pub use events::{Event, EventKind};
 pub use stack::{CompositeStack, FrameworkCtx, Microprotocol, ModuleId};
+
+fortika_net::metric_table! {
+    /// What the composition kernel counts: frames it could not route.
+    pub mod metrics in FRAMEWORK {
+        events {
+            GARBAGE = "framework.garbage",
+            UNROUTABLE = "framework.unroutable",
+            BAD_TIMER = "framework.bad_timer",
+        }
+        kinds {}
+    }
+}

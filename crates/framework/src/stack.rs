@@ -1,16 +1,17 @@
 //! Composite stacks: the composition kernel.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use fortika_net::wire::{Stored, Wire, WireReader, WireWriter};
 use fortika_net::{
-    Admission, AppRequest, ConfigStamp, CostModel, MsgId, Node, NodeCtx, ProcessId, ReplicaCtx,
-    SnapshotStamp, TimerId,
+    Admission, AppRequest, ConfigStamp, CostModel, Kind, Metric, MsgId, Node, NodeCtx, ProcessId,
+    ReplicaCtx, SnapshotStamp, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
 use crate::events::{Event, EventKind};
+use crate::metrics;
 
 /// Wire-level identity of a microprotocol within a stack, used to demux
 /// incoming messages (2 bytes on every message — the framework's framing
@@ -111,15 +112,15 @@ impl FrameworkCtx<'_, '_> {
     /// The framework's 2-byte module id and the message are encoded as
     /// one gather list — a single exact-sized buffer unless the message
     /// holds a byte string long enough to travel by reference
-    /// ([`Stored::encode_with`]); `kind` tags the message for traffic
+    /// ([`Stored::encode_with`]); `kind` files the message for traffic
     /// accounting.
-    pub fn send_net(&mut self, dst: ProcessId, kind: &'static str, msg: &impl Wire) {
+    pub fn send_net(&mut self, dst: ProcessId, kind: Kind, msg: &impl Wire) {
         ReplicaCtx::send(self, dst, kind, |w| msg.encode(w));
     }
 
     /// Sends `msg` to every other process (n−1 unicasts of one shared
     /// frame).
-    pub fn broadcast_net(&mut self, kind: &'static str, msg: &impl Wire) {
+    pub fn broadcast_net(&mut self, kind: Kind, msg: &impl Wire) {
         ReplicaCtx::broadcast(self, kind, |w| msg.encode(w));
     }
 
@@ -169,8 +170,8 @@ impl FrameworkCtx<'_, '_> {
     }
 
     /// Increments a free-form protocol counter.
-    pub fn bump(&mut self, name: &'static str, by: u64) {
-        self.node.bump(name, by);
+    pub fn bump(&mut self, metric: Metric, by: u64) {
+        self.node.bump(metric, by);
     }
 
     /// Charges extra CPU to the current handler (rarely needed; the
@@ -230,17 +231,17 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
     fn note_config(&mut self, stamp: ConfigStamp) {
         self.node.note_config(stamp);
     }
-    fn bump(&mut self, name: &'static str, by: u64) {
-        self.node.bump(name, by);
+    fn bump(&mut self, metric: Metric, by: u64) {
+        self.node.bump(metric, by);
     }
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
         self.node.trace_span(stack, instance, phase, detail);
     }
-    fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+    fn send(&mut self, dst: ProcessId, kind: Kind, body: impl Fn(&mut WireWriter)) {
         let framed = self.framed(body);
         self.node.send(dst, kind, framed);
     }
-    fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+    fn broadcast(&mut self, kind: Kind, body: impl Fn(&mut WireWriter)) {
         let framed = self.framed(body);
         self.node.broadcast(kind, framed);
     }
@@ -259,8 +260,12 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
 /// Construction panics if two modules share a [`ModuleId`].
 pub struct CompositeStack {
     modules: Vec<Box<dyn Microprotocol>>,
-    by_id: BTreeMap<ModuleId, usize>,
-    subs: BTreeMap<EventKind, Vec<usize>>,
+    /// `ids[i]` is `modules[i]`'s wire id: an arriving frame's module is
+    /// found by a scan (a stack has a handful of modules).
+    ids: Vec<ModuleId>,
+    /// Subscribers of each event kind, indexed by the kind, in module
+    /// order.
+    subs: [Vec<usize>; EventKind::COUNT],
     bus: VecDeque<Event>,
 }
 
@@ -268,23 +273,23 @@ impl CompositeStack {
     /// Composes a stack; `modules` are ordered top (application side)
     /// to bottom (network side). Request admission is offered top-down.
     pub fn new(modules: Vec<Box<dyn Microprotocol>>) -> Self {
-        let mut by_id = BTreeMap::new();
-        let mut subs: BTreeMap<EventKind, Vec<usize>> = BTreeMap::new();
+        let mut ids = Vec::with_capacity(modules.len());
+        let mut subs: [Vec<usize>; EventKind::COUNT] = Default::default();
         for (idx, m) in modules.iter().enumerate() {
-            let prev = by_id.insert(m.module_id(), idx);
+            let id = m.module_id();
             assert!(
-                prev.is_none(),
-                "duplicate module id {} ({})",
-                m.module_id(),
+                !ids.contains(&id),
+                "duplicate module id {id} ({})",
                 m.name()
             );
+            ids.push(id);
             for &kind in m.subscriptions() {
-                subs.entry(kind).or_default().push(idx);
+                subs[kind as usize].push(idx);
             }
         }
         CompositeStack {
             modules,
-            by_id,
+            ids,
             subs,
             bus: VecDeque::new(),
         }
@@ -304,23 +309,22 @@ impl CompositeStack {
         // The subscriber table, the modules and the bus are separate
         // fields: the table is read while handlers push to the bus.
         let CompositeStack {
-            modules, subs, bus, ..
+            modules,
+            ids,
+            subs,
+            bus,
         } = self;
         // FIFO dispatch; events raised by handlers append to the back.
         while let Some(ev) = bus.pop_front() {
-            let Some(subscribers) = subs.get(&ev.kind()) else {
-                continue;
-            };
-            for &idx in subscribers {
+            for &idx in &subs[ev.kind() as usize] {
                 node.charge_dispatch();
-                let module = &mut modules[idx];
                 let mut ctx = FrameworkCtx {
                     node,
                     bus,
                     module_idx: idx,
-                    module_id: module.module_id(),
+                    module_id: ids[idx],
                 };
-                module.on_event(&mut ctx, &ev);
+                modules[idx].on_event(&mut ctx, &ev);
             }
         }
     }
@@ -330,12 +334,11 @@ impl Node for CompositeStack {
     fn on_start(&mut self, node: &mut NodeCtx<'_>) {
         for idx in 0..self.modules.len() {
             node.charge_dispatch();
-            let module_id = self.modules[idx].module_id();
             let mut ctx = FrameworkCtx {
                 node,
                 bus: &mut self.bus,
                 module_idx: idx,
-                module_id,
+                module_id: self.ids[idx],
             };
             self.modules[idx].on_start(&mut ctx);
         }
@@ -345,11 +348,11 @@ impl Node for CompositeStack {
     fn on_message(&mut self, node: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
         let mut r = node.reader(bytes);
         let Ok(module_id) = r.get_u16() else {
-            node.bump("framework.garbage", 1);
+            node.bump(metrics::GARBAGE, 1);
             return;
         };
-        let Some(&idx) = self.by_id.get(&module_id) else {
-            node.bump("framework.unroutable", 1);
+        let Some(idx) = self.ids.iter().position(|&id| id == module_id) else {
+            node.bump(metrics::UNROUTABLE, 1);
             return;
         };
         node.charge_dispatch();
@@ -367,16 +370,15 @@ impl Node for CompositeStack {
         let idx = (tag >> MODULE_TAG_SHIFT) as usize;
         let user_tag = tag & ((1 << MODULE_TAG_SHIFT) - 1);
         if idx >= self.modules.len() {
-            node.bump("framework.bad_timer", 1);
+            node.bump(metrics::BAD_TIMER, 1);
             return;
         }
         node.charge_dispatch();
-        let module_id = self.modules[idx].module_id();
         let mut ctx = FrameworkCtx {
             node,
             bus: &mut self.bus,
             module_idx: idx,
-            module_id,
+            module_id: self.ids[idx],
         };
         self.modules[idx].on_timer(&mut ctx, timer, user_tag);
         self.drain_bus(node);
@@ -386,12 +388,11 @@ impl Node for CompositeStack {
         let mut decision = Admission::Blocked;
         for idx in 0..self.modules.len() {
             node.charge_dispatch();
-            let module_id = self.modules[idx].module_id();
             let mut ctx = FrameworkCtx {
                 node,
                 bus: &mut self.bus,
                 module_idx: idx,
-                module_id,
+                module_id: self.ids[idx],
             };
             if let Some(adm) = self.modules[idx].on_request(&mut ctx, &req) {
                 decision = adm;
@@ -408,6 +409,19 @@ mod tests {
     use super::*;
     use fortika_net::{AppMsg, Cluster, ClusterConfig};
 
+    fortika_net::metric_table! {
+        mod names in TEST {
+            events {
+                TOP_ADELIVERED = "top.adelivered",
+                BOTTOM_RX = "bottom.rx",
+            }
+            kinds {
+                BOTTOM_FWD = "bottom.fwd",
+                ROGUE_MSG = "rogue.msg",
+            }
+        }
+    }
+
     /// Top module: admits requests and raises them as events.
     struct Top;
     impl Microprotocol for Top {
@@ -422,7 +436,7 @@ mod tests {
         }
         fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
             if let Event::Adelivered(ids) = ev {
-                ctx.bump("top.adelivered", ids.len() as u64);
+                ctx.bump(names::TOP_ADELIVERED, ids.len() as u64);
             }
         }
         fn on_request(
@@ -450,12 +464,12 @@ mod tests {
         }
         fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
             if let Event::AbcastRequest(m) = ev {
-                ctx.broadcast_net("bottom.fwd", &m.payload);
+                ctx.broadcast_net(names::BOTTOM_FWD, &m.payload);
                 ctx.raise(Event::Adelivered(vec![m.id]));
             }
         }
         fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
-            ctx.bump("bottom.rx", 1);
+            ctx.bump(names::BOTTOM_RX, 1);
             let _ = (from, msg);
         }
     }
@@ -515,7 +529,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
                 if ctx.pid() == ProcessId(0) {
                     // Send to a module id that does not exist at the peer.
-                    ctx.send_net(ProcessId(1), "rogue.msg", &b'?');
+                    ctx.send_net(ProcessId(1), names::ROGUE_MSG, &b'?');
                 }
             }
         }

@@ -15,9 +15,8 @@
 //!   whose order could leak into behavior;
 //! * **layering** — the workspace dependency graph must point strictly
 //!   down the documented layer order;
-//! * **registry** — scenario-event, counter and violation registries
-//!   must stay wired end to end (no variant or name falls through a
-//!   wildcard).
+//! * **registry** — the scenario-event and violation registries must
+//!   stay wired end to end (no variant falls through a wildcard).
 //!
 //! Everything is hand-rolled and dependency-free in the spirit of
 //! `fortika_bench::json`: a char-level comment/string stripper, a

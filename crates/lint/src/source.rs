@@ -12,8 +12,8 @@
 //!
 //! * [`SourceFile::raw`] — the bytes as committed (waiver comments are
 //!   read from here, since waivers *live* in comments);
-//! * [`SourceFile::code`] — comments blanked, strings intact (counter
-//!   string literals are extracted from here);
+//! * [`SourceFile::code`] — comments blanked, strings intact (for rules
+//!   that read literals);
 //! * [`SourceFile::scan`] — comments *and* string contents blanked
 //!   (banned-token matching happens here).
 //!

@@ -36,45 +36,6 @@ fn workspace_is_lint_clean() {
     );
 }
 
-/// The replica core (its round machine included) bumps its counters
-/// through per-stack name tables,
-/// not literals at the call site: the counter registry must still see
-/// every one of them as produced, on both stacks, or the coverage
-/// branches and probe audits that read them would go unchecked.
-#[test]
-fn replica_core_counters_are_still_produced() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut produced = std::collections::BTreeSet::new();
-    for msg in ["crates/consensus/src/msg.rs", "crates/mono/src/msg.rs"] {
-        let src = fortika_lint::source::SourceFile::load(&root.join(msg)).expect("readable");
-        fortika_lint::registry::collect_produced(&src, &mut produced);
-    }
-    for stack in ["consensus", "mono"] {
-        for counter in [
-            "gap_requests",
-            "join_requests",
-            "state_transfers",
-            "snapshot_transfers",
-            "snapshot_pulls",
-            "snapshots",
-            "snapshots_installed",
-            "join_unservable",
-            "rejoins_completed",
-            "reconfigs",
-            "proposals",
-            "round_changes",
-            "config_fence_drops",
-            "progress_rotations",
-            "request_retries",
-            "tag_misses",
-            "bogus_proposals",
-        ] {
-            let name = format!("{stack}.{counter}");
-            assert!(produced.contains(&name), "{name} is no longer produced");
-        }
-    }
-}
-
 /// `TraceEvents` builds its timeline index lazily behind a `OnceCell`:
 /// derived state inside a protocol crate. It has to pass the
 /// determinism rules on its own merits — no waiver, a single-threaded

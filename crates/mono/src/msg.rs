@@ -6,6 +6,7 @@
 //! [`MonoMsg::AckDiff`] carries an ack *and* freshly abcast application
 //! messages riding to the coordinator (optimization O2).
 
+use fortika_net::metrics::mono;
 use fortika_net::wire::{Wire, WireError, WireReader, WireWriter};
 use fortika_net::{AppMsg, Batch, CatchUp, PerCatchUp, ReplicaNames};
 
@@ -118,30 +119,30 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
         snapshot_pull: 12,
     },
     kinds: PerCatchUp {
-        decision_request: "mono.decision_request",
-        join_request: "mono.join_request",
-        state_transfer: "mono.state_transfer",
-        snapshot_transfer: "mono.snapshot_transfer",
-        snapshot_pull: "mono.snapshot_pull",
+        decision_request: mono::DECISION_REQUEST,
+        join_request: mono::JOIN_REQUEST,
+        state_transfer: mono::STATE_TRANSFER,
+        snapshot_transfer: mono::SNAPSHOT_TRANSFER,
+        snapshot_pull: mono::SNAPSHOT_PULL,
     },
-    gap_requests: "mono.gap_requests",
-    join_requests: "mono.join_requests",
-    state_transfers: "mono.state_transfers",
-    snapshot_transfers: "mono.snapshot_transfers",
-    snapshot_pulls: "mono.snapshot_pulls",
-    snapshot_garbage: "mono.snapshot_garbage",
-    snapshots: "mono.snapshots",
-    snapshots_installed: "mono.snapshots_installed",
-    join_unservable: "mono.join_unservable",
-    rejoins_completed: "mono.rejoins_completed",
-    reconfigs: "mono.reconfigs",
-    proposals: "mono.proposals",
-    round_changes: "mono.round_changes",
-    config_fence_drops: "mono.config_fence_drops",
-    progress_rotations: "mono.progress_rotations",
-    request_retries: "mono.request_retries",
-    tag_misses: "mono.tag_misses",
-    bogus_proposals: "mono.bogus_proposals",
+    gap_requests: mono::GAP_REQUESTS,
+    join_requests: mono::JOIN_REQUESTS,
+    state_transfers: mono::STATE_TRANSFERS,
+    snapshot_transfers: mono::SNAPSHOT_TRANSFERS,
+    snapshot_pulls: mono::SNAPSHOT_PULLS,
+    snapshot_garbage: mono::SNAPSHOT_GARBAGE,
+    snapshots: mono::SNAPSHOTS,
+    snapshots_installed: mono::SNAPSHOTS_INSTALLED,
+    join_unservable: mono::JOIN_UNSERVABLE,
+    rejoins_completed: mono::REJOINS_COMPLETED,
+    reconfigs: mono::RECONFIGS,
+    proposals: mono::PROPOSALS,
+    round_changes: mono::ROUND_CHANGES,
+    config_fence_drops: mono::CONFIG_FENCE_DROPS,
+    progress_rotations: mono::PROGRESS_ROTATIONS,
+    request_retries: mono::REQUEST_RETRIES,
+    tag_misses: mono::TAG_MISSES,
+    bogus_proposals: mono::BOGUS_PROPOSALS,
 };
 
 impl Wire for Decision {

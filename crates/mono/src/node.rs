@@ -51,14 +51,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
+use fortika_fd::metrics as fd;
 use fortika_fd::{FailureDetector, FdEvent, HeartbeatPacer};
 use fortika_net::flow::FlowWindow;
+use fortika_net::metrics::{abcast, consensus, mono};
 use fortika_net::replica::SWEEP_INTERVAL;
 use fortika_net::wire::Wire;
 use fortika_net::{
-    Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, DeliveredSet, MsgId,
-    Node, NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost,
-    Snapshot, StableStore, TimerId,
+    Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, DeliveredSet, Kind,
+    MsgId, Node, NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx,
+    ReplicaHost, Snapshot, StableStore, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -248,11 +250,11 @@ impl MonoNode {
         )
     }
 
-    fn send(&self, ctx: &mut NodeCtx<'_>, dst: ProcessId, kind: &'static str, msg: &MonoMsg) {
+    fn send(&self, ctx: &mut NodeCtx<'_>, dst: ProcessId, kind: Kind, msg: &MonoMsg) {
         ReplicaCtx::send(ctx, dst, kind, |w| msg.encode(w));
     }
 
-    fn broadcast(&self, ctx: &mut NodeCtx<'_>, kind: &'static str, msg: &MonoMsg) {
+    fn broadcast(&self, ctx: &mut NodeCtx<'_>, kind: Kind, msg: &MonoMsg) {
         ReplicaCtx::broadcast(ctx, kind, |w| msg.encode(w));
     }
 
@@ -264,8 +266,8 @@ impl MonoNode {
         }
         let msgs: Vec<AppMsg> = self.pool.values().cloned().collect();
         self.pool.clear();
-        ctx.bump("mono.forwards", 1);
-        self.send(ctx, coord, "mono.forward", &MonoMsg::Forward { msgs });
+        ctx.bump(mono::FORWARDS, 1);
+        self.send(ctx, coord, mono::FORWARD, &MonoMsg::Forward { msgs });
     }
 
     /// Drains the pool for an ack/estimate piggyback (optimization O2).
@@ -291,7 +293,7 @@ impl MonoNode {
                 // Learner (or membership at `k` still behind the config
                 // fence): never propose. Pending messages reach the
                 // members via the forward/diffuse routing instead.
-                ctx.bump("mono.config_fence_drops", 1);
+                ctx.bump(mono::CONFIG_FENCE_DROPS, 1);
                 return;
             }
             let members = self.core.members_of(k, n);
@@ -315,7 +317,7 @@ impl MonoNode {
                 let proposal = self.lock_round0(ctx, k, fresh);
                 self.broadcast(
                     ctx,
-                    "mono.proposal",
+                    mono::PROPOSAL,
                     &MonoMsg::Step {
                         decision: None,
                         proposal: Some(proposal),
@@ -346,7 +348,7 @@ impl MonoNode {
         let round = self.core.lock(ctx, k, &value);
         if k > self.next_decide {
             // Overlaps an instance still in flight below it.
-            ctx.bump("mono.pipelined_proposals", 1);
+            ctx.bump(mono::PIPELINED_PROPOSALS, 1);
         }
         Proposal {
             instance: k,
@@ -443,10 +445,10 @@ impl MonoNode {
             self.core.open(k1, ctx.now());
             let proposal = self.lock_round0(ctx, k1, fresh);
             if self.cfg.opts.combine_decision_proposal {
-                ctx.bump("mono.combined_steps", 1);
+                ctx.bump(mono::COMBINED_STEPS, 1);
                 self.broadcast(
                     ctx,
-                    "mono.step",
+                    mono::STEP,
                     &MonoMsg::Step {
                         decision: Some(decision),
                         proposal: Some(proposal),
@@ -455,7 +457,7 @@ impl MonoNode {
             } else {
                 self.broadcast(
                     ctx,
-                    "mono.decision",
+                    mono::DECISION,
                     &MonoMsg::Step {
                         decision: Some(decision),
                         proposal: None,
@@ -463,7 +465,7 @@ impl MonoNode {
                 );
                 self.broadcast(
                     ctx,
-                    "mono.proposal",
+                    mono::PROPOSAL,
                     &MonoMsg::Step {
                         decision: None,
                         proposal: Some(proposal),
@@ -474,7 +476,7 @@ impl MonoNode {
         } else {
             self.broadcast(
                 ctx,
-                "mono.decision",
+                mono::DECISION,
                 &MonoMsg::Step {
                     decision: Some(decision),
                     proposal: None,
@@ -532,9 +534,9 @@ impl MonoNode {
                     own_delivered += 1;
                 }
                 ctx.deliver(m.id, m.payload.len() as u32);
-                ctx.bump("abcast.delivered", 1);
+                ctx.bump(abcast::DELIVERED, 1);
             }
-            ctx.bump("consensus.decided", 1);
+            ctx.bump(consensus::DECIDED, 1);
             ctx.trace_span("mono", k, "applied", batch.msgs().len() as u64);
             self.core.close(k);
             self.next_decide += 1;
@@ -569,10 +571,10 @@ impl MonoNode {
             let n = ctx.n();
             let origin = self.core.coordinator_of(dec.instance, dec.round, n);
             if ProcessId::relay_set(origin, n).any(|p| p == ctx.pid()) {
-                ctx.bump("mono.decision_relays", 1);
+                ctx.bump(mono::DECISION_RELAYS, 1);
                 self.broadcast(
                     ctx,
-                    "mono.decision_relay",
+                    mono::DECISION_RELAY,
                     &MonoMsg::Step {
                         decision: Some(dec.clone()),
                         proposal: None,
@@ -619,7 +621,7 @@ impl MonoNode {
         if self.core.is_decided(p.instance) {
             if let Some(v) = self.core.decision(p.instance) {
                 let msg = decision_full(p.instance, p.round, v.clone());
-                self.send(ctx, from, "mono.decision_full", &msg);
+                self.send(ctx, from, mono::DECISION_FULL, &msg);
             }
             return;
         }
@@ -635,7 +637,7 @@ impl MonoNode {
                 round: p.round,
                 msgs,
             };
-            self.send(ctx, from, "mono.ack", &ack);
+            self.send(ctx, from, mono::ACK, &ack);
         }
         if vote.tag_hit {
             self.buffer_decision(ctx, p.instance, p.value);
@@ -693,7 +695,7 @@ impl MonoNode {
         if self.core.is_decided(instance) {
             if let Some(v) = self.core.decision(instance) {
                 let msg = decision_full(instance, round, v.clone());
-                self.send(ctx, from, "mono.decision_full", &msg);
+                self.send(ctx, from, mono::DECISION_FULL, &msg);
             }
             self.try_start_instance(ctx);
             return;
@@ -737,7 +739,7 @@ impl MonoNode {
         let round = self.core.lock(ctx, instance, &value);
         self.broadcast(
             ctx,
-            "mono.proposal",
+            mono::PROPOSAL,
             &MonoMsg::Step {
                 decision: None,
                 proposal: Some(Proposal {
@@ -768,11 +770,11 @@ impl MonoNode {
             // Still short of a majority: solicit estimates instead of
             // waiting for idle processes' periodic kicks.
             if self.core.rounds().unproposed_round(instance) == Some(to.round) {
-                ctx.bump("mono.estimate_requests", 1);
+                ctx.bump(mono::ESTIMATE_REQUESTS, 1);
                 let round = to.round;
                 self.broadcast(
                     ctx,
-                    "mono.estimate_request",
+                    mono::ESTIMATE_REQUEST,
                     &MonoMsg::EstimateRequest { instance, round },
                 );
             }
@@ -792,7 +794,7 @@ impl MonoNode {
             return;
         }
         if !self.core.can_vote(instance, ctx.pid()) {
-            ctx.bump("mono.config_fence_drops", 1);
+            ctx.bump(mono::CONFIG_FENCE_DROPS, 1);
             return;
         }
         let (value, ts) = match self.core.rounds().estimate(instance) {
@@ -814,7 +816,7 @@ impl MonoNode {
             value,
             msgs,
         };
-        self.send(ctx, coord, "mono.estimate", &msg);
+        self.send(ctx, coord, mono::ESTIMATE, &msg);
     }
 
     fn process_fd_events(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -822,7 +824,7 @@ impl MonoNode {
         for ev in &events {
             match ev {
                 FdEvent::Suspect(p) => {
-                    ctx.bump("fd.suspicions", 1);
+                    ctx.bump(fd::SUSPICIONS, 1);
                     // Own messages handed to the suspect may be lost with
                     // it: make them proposable again (they are re-routed
                     // on the next estimate/ack/forward).
@@ -838,7 +840,7 @@ impl MonoNode {
                     self.kick_fresh_instance(ctx);
                 }
                 FdEvent::Restore(p) => {
-                    ctx.bump("fd.restores", 1);
+                    ctx.bump(fd::RESTORES, 1);
                     self.core.restore(*p);
                 }
             }
@@ -876,7 +878,7 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
         let now = ctx.now();
         self.fd
             .set_members(&stamp.members, now, &mut self.fd_scratch);
-        ctx.bump("fd.member_updates", 1);
+        ctx.bump(fd::MEMBER_UPDATES, 1);
         self.process_fd_events(ctx);
     }
 
@@ -922,7 +924,7 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
         value: Batch,
     ) {
         let msg = decision_full(instance, 0, value);
-        self.send(ctx, to, "mono.decision_full", &msg);
+        self.send(ctx, to, mono::DECISION_FULL, &msg);
     }
 }
 
@@ -939,7 +941,7 @@ impl Node for MonoNode {
         let msg = match ctx.reader(bytes).get_only::<MonoMsg>() {
             Ok(m) => m,
             Err(_) => {
-                ctx.bump("mono.garbage", 1);
+                ctx.bump(mono::GARBAGE, 1);
                 return;
             }
         };
@@ -979,13 +981,13 @@ impl Node for MonoNode {
                 if self.core.config_certain(instance)
                     && self.core.coordinator_of(instance, round, ctx.n()) != from
                 {
-                    ctx.bump("mono.bogus_requests", 1);
+                    ctx.bump(mono::BOGUS_REQUESTS, 1);
                     return;
                 }
                 if self.core.is_decided(instance) {
                     if let Some(v) = self.core.decision(instance) {
                         let msg = decision_full(instance, round, v.clone());
-                        self.send(ctx, from, "mono.decision_full", &msg);
+                        self.send(ctx, from, mono::DECISION_FULL, &msg);
                     }
                     return;
                 }
@@ -1007,7 +1009,7 @@ impl Node for MonoNode {
         match tag {
             TAG_FD => {
                 if self.heartbeats.due(self.fd.as_ref(), ctx.now()) {
-                    self.broadcast(ctx, "fd.heartbeat", &MonoMsg::Heartbeat);
+                    self.broadcast(ctx, fd::HEARTBEAT, &MonoMsg::Heartbeat);
                 }
                 self.fd.tick(ctx.now(), &mut self.fd_scratch);
                 self.process_fd_events(ctx);
@@ -1030,10 +1032,10 @@ impl Node for MonoNode {
         }
         debug_assert_eq!(m.id.sender, ctx.pid(), "abcast of a foreign message");
         self.own_pending.insert(m.id, m.clone());
-        ctx.bump("abcast.requests", 1);
+        ctx.bump(abcast::REQUESTS, 1);
         if !self.cfg.opts.piggyback_on_acks {
             // Modular-style dissemination: diffuse to everyone.
-            self.broadcast(ctx, "mono.diffuse", &MonoMsg::Diffuse { msg: m.clone() });
+            self.broadcast(ctx, mono::DIFFUSE, &MonoMsg::Diffuse { msg: m.clone() });
             self.pool.insert(m.id, m);
             self.try_start_instance(ctx);
         } else {

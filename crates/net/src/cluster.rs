@@ -58,6 +58,7 @@ use crate::fault::{LinkFault, LinkState};
 use crate::id::{MsgId, ProcessId};
 use crate::membership::ConfigStamp;
 use crate::message::AppMsg;
+use crate::metrics::{cluster, Kind, Metric};
 use crate::snapshot::SnapshotStamp;
 use crate::wire::{Stored, Tail, WireReader};
 
@@ -167,7 +168,16 @@ pub struct NodeCtx<'a> {
     next_timer: &'a mut u64,
     /// The parts of the arriving frame after the one `on_message` got.
     tail: Tail,
-    outbox: Vec<(ProcessId, &'static str, Stored)>,
+    out: &'a mut Outputs,
+}
+
+/// What one handler asks of the cluster, gathered while it runs and
+/// materialized (drained) when it returns. The cluster owns one set and
+/// lends it to every handler, so the lists keep their capacity from call
+/// to call and a warm handler allocates nothing for them.
+#[derive(Default)]
+struct Outputs {
+    outbox: Vec<(ProcessId, Kind, Stored)>,
     timers: Vec<(VTime, TimerId, u64)>,
     cancels: Vec<TimerId>,
     deliveries: Vec<(Delivery, VTime)>,
@@ -225,25 +235,25 @@ impl NodeCtx<'_> {
     /// trace records are charged on the frame's length over all parts,
     /// which is its `encoded_len`.
     ///
-    /// `kind` tags the message for traffic accounting (see
-    /// [`Counters`]); use dotted names like `"consensus.ack"`.
+    /// `kind` files the message for traffic accounting (see
+    /// [`Counters`]), under a name like `"consensus.ack"`.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is this process — the paper's protocols never
     /// send to self, so a self-send indicates a protocol bug.
-    pub fn send(&mut self, dst: ProcessId, kind: &'static str, frame: impl Into<Stored>) {
+    pub fn send(&mut self, dst: ProcessId, kind: Kind, frame: impl Into<Stored>) {
         assert_ne!(dst, self.pid, "protocol bug: self-send of {kind}");
         let frame = frame.into();
         let len = frame.len() + self.per_msg_overhead as usize;
         self.charge(self.cost.send_cost(len));
         self.counters.record_send(kind, len as u64);
-        self.outbox.push((dst, kind, frame));
+        self.out.outbox.push((dst, kind, frame));
     }
 
     /// Sends `frame` to every other process (n−1 unicasts, in pid
     /// order, of one shared part list).
-    pub fn broadcast(&mut self, kind: &'static str, frame: impl Into<Stored>) {
+    pub fn broadcast(&mut self, kind: Kind, frame: impl Into<Stored>) {
         let frame = frame.into();
         for dst in ProcessId::all(self.n) {
             if dst != self.pid {
@@ -266,27 +276,28 @@ impl NodeCtx<'_> {
     pub fn set_timer(&mut self, delay: VDur, tag: u64) -> TimerId {
         let id = TimerId(*self.next_timer);
         *self.next_timer += 1;
-        self.timers.push((self.now() + delay, id, tag));
+        self.out.timers.push((self.now() + delay, id, tag));
         id
     }
 
     /// Cancels a pending timer (no-op if it already fired).
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.cancels.push(id);
+        self.out.cancels.push(id);
     }
 
     /// Reports an `adeliver` to the application/harness. Charges the
     /// delivery upcall cost (identical in both stacks).
     pub fn deliver(&mut self, msg: MsgId, payload_len: u32) {
         self.charge(self.cost.deliver_cost(payload_len as usize));
-        self.deliveries
+        self.out
+            .deliveries
             .push((Delivery { msg, payload_len }, self.now()));
     }
 
     /// Signals that flow control re-opened; the harness will be told via
     /// [`Harness::on_app_ready`] once this handler completes.
     pub fn app_ready(&mut self) {
-        self.app_ready = true;
+        self.out.app_ready = true;
     }
 
     /// Writes `value` — a [`Bytes`] buffer or a [`Stored`] gather list,
@@ -299,7 +310,7 @@ impl NodeCtx<'_> {
     /// [`CostModel`]: one charge per call, however many parts.
     pub fn persist(&mut self, key: u64, value: impl Into<Stored>) {
         self.charge_durability(self.cost.stable_write);
-        self.persists.push((key, Some(value.into())));
+        self.out.persists.push((key, Some(value.into())));
     }
 
     /// Deletes `key` from this process's stable store. Charges the same
@@ -307,7 +318,7 @@ impl NodeCtx<'_> {
     /// tombstone record in a real write-ahead log, not a free operation.
     pub fn unpersist(&mut self, key: u64) {
         self.charge_durability(self.cost.stable_write);
-        self.persists.push((key, None));
+        self.out.persists.push((key, None));
     }
 
     /// Charges CPU time that is *durability* work (stable writes,
@@ -327,7 +338,7 @@ impl NodeCtx<'_> {
     /// recovery-aware observers (the chaos oracle, application mirrors)
     /// can account for the compacted prefix.
     pub fn note_snapshot(&mut self, stamp: SnapshotStamp) {
-        self.snapshots.push((stamp, self.now()));
+        self.out.snapshots.push((stamp, self.now()));
     }
 
     /// Reports that this process learned a decided reconfiguration and
@@ -336,12 +347,12 @@ impl NodeCtx<'_> {
     /// config-aware observers (the chaos oracle) can audit that every
     /// process derives the identical configuration history.
     pub fn note_config(&mut self, stamp: ConfigStamp) {
-        self.configs.push((stamp, self.now()));
+        self.out.configs.push((stamp, self.now()));
     }
 
     /// Increments a free-form protocol counter.
-    pub fn bump(&mut self, name: &'static str, by: u64) {
-        self.counters.bump(name, by);
+    pub fn bump(&mut self, metric: Metric, by: u64) {
+        self.counters.bump(metric, by);
     }
 
     /// True if event tracing is recording this run.
@@ -505,9 +516,9 @@ enum Ev {
         src: ProcessId,
         /// Sender incarnation at transmission time.
         src_inc: u32,
-        /// Kind tag of the message (trace/accounting only — the
-        /// receiving stack decodes the payload, never the tag).
-        kind: &'static str,
+        /// Kind of the message (trace only — the receiving stack decodes
+        /// the payload, never the kind).
+        kind: Kind,
         /// The frame as sent; a broadcast's copies and a duplicate share
         /// its part list.
         frame: Stored,
@@ -573,6 +584,9 @@ pub struct Cluster {
     /// Bounded event-trace ring; `None` (the default) records nothing
     /// and keeps every record point a single branch.
     trace: Option<TraceBuffer>,
+    /// The output lists every handler fills (see [`Outputs`]); empty
+    /// between handlers.
+    outputs: Outputs,
     started: bool,
 }
 
@@ -622,6 +636,7 @@ impl Cluster {
             fault_rng,
             factory: None,
             trace,
+            outputs: Outputs::default(),
             started: false,
         }
     }
@@ -944,11 +959,11 @@ impl Cluster {
                 // Drop messages from a previous incarnation of the
                 // sender: the wire-level incarnation stamp detects them.
                 if src_inc != self.procs[src.index()].incarnation {
-                    self.counters.bump("chaos.dropped_stale_incarnation", 1);
+                    self.counters.bump(cluster::DROPPED_STALE_INCARNATION, 1);
                     self.record(at, || TraceData::Drop {
                         src: src.0,
                         dst: dst.0,
-                        kind,
+                        kind: kind.name(),
                         bytes: wire,
                         reason: "stale_incarnation",
                     });
@@ -960,7 +975,7 @@ impl Cluster {
                         self.record(at, || TraceData::Drop {
                             src: src.0,
                             dst: dst.0,
-                            kind,
+                            kind: kind.name(),
                             bytes: wire,
                             reason: "crashed_sender",
                         });
@@ -970,7 +985,7 @@ impl Cluster {
                 self.record(at, || TraceData::Deliver {
                     dst: dst.0,
                     src: src.0,
-                    kind,
+                    kind: kind.name(),
                     bytes: wire,
                 });
                 let base = self.cfg.cost.recv_cost(len);
@@ -1005,16 +1020,16 @@ impl Cluster {
                 if proc.alive {
                     proc.alive = false;
                     proc.crash_time = Some(at);
-                    self.counters.bump("cluster.crashes", 1);
+                    self.counters.bump(cluster::CRASHES, 1);
                 }
             }
             Ev::Restart { pid } => self.restart(pid, at),
             Ev::Fault(fault) => {
-                self.counters.bump("chaos.fault_events", 1);
+                self.counters.bump(cluster::FAULT_EVENTS, 1);
                 self.apply_fault(&fault);
             }
             Ev::Slow { pid, factor_milli } => {
-                self.counters.bump("chaos.slow_events", 1);
+                self.counters.bump(cluster::SLOW_EVENTS, 1);
                 self.procs[pid.index()].cpu_milli = factor_milli;
             }
         }
@@ -1044,7 +1059,7 @@ impl Cluster {
         // by the incarnation stamp, stale cancels die here.
         proc.next_timer = 0;
         proc.cancelled.clear();
-        self.counters.bump("cluster.restarts", 1);
+        self.counters.bump(cluster::RESTARTS, 1);
         // Tell the harness before any new-incarnation activity.
         self.pending.push_back(Notification::Restarted(pid, at));
         self.exec(pid, at, VDur::ZERO, Tail::default(), |node, ctx| {
@@ -1078,18 +1093,10 @@ impl Cluster {
         let mut node = self.procs[i].node.take().expect("node re-entered");
         let inc = self.procs[i].incarnation;
 
-        let (
-            charged,
-            durability,
-            outbox,
-            timers,
-            cancels,
-            deliveries,
-            persists,
-            snapshots,
-            configs,
-            app_ready,
-        ) = {
+        // The handler fills the cluster's output lists, which are drained
+        // below with their capacity kept.
+        self.outputs.app_ready = false;
+        let (charged, durability) = {
             let mut ctx = NodeCtx {
                 pid,
                 n: self.cfg.n,
@@ -1104,33 +1111,15 @@ impl Cluster {
                 trace: self.trace.as_mut(),
                 next_timer: &mut self.procs[i].next_timer,
                 tail,
-                outbox: Vec::new(),
-                timers: Vec::new(),
-                cancels: Vec::new(),
-                deliveries: Vec::new(),
-                persists: Vec::new(),
-                snapshots: Vec::new(),
-                configs: Vec::new(),
-                app_ready: false,
+                out: &mut self.outputs,
             };
             f(node.as_mut(), &mut ctx);
-            (
-                ctx.charged,
-                ctx.durability,
-                ctx.outbox,
-                ctx.timers,
-                ctx.cancels,
-                ctx.deliveries,
-                ctx.persists,
-                ctx.snapshots,
-                ctx.configs,
-                ctx.app_ready,
-            )
+            (ctx.charged, ctx.durability)
         };
 
         self.procs[i].node = Some(node);
         // Stable-storage writes land atomically with the handler.
-        for (key, value) in persists {
+        for (key, value) in self.outputs.persists.drain(..) {
             match value {
                 Some(v) => {
                     self.procs[i].stable.insert(key, v);
@@ -1156,7 +1145,8 @@ impl Cluster {
         // faults, then propagate. Fault state is read at transmission
         // time — a partition raised later does not retract in-flight
         // messages, exactly like pulling a cable.
-        for (dst, kind, frame) in outbox {
+        let mut outbox = std::mem::take(&mut self.outputs.outbox);
+        for (dst, kind, frame) in outbox.drain(..) {
             let wire = frame.len() as u64 + u64::from(self.cfg.net.per_msg_overhead);
             let mut tx_end = self.procs[i].nic.transmit(end, wire);
             let nic_tx_end = tx_end;
@@ -1177,7 +1167,7 @@ impl Cluster {
                 let start_tx = tx_end.max(self.link_free[slot]);
                 tx_end = start_tx + VDur::nanos(tx_ns as u64);
                 self.link_free[slot] = tx_end;
-                self.counters.bump("chaos.degraded_tx", 1);
+                self.counters.bump(cluster::DEGRADED_TX, 1);
             }
             // Exactly one main-RNG jitter draw per send, whatever the
             // link's fate — so the timing of messages that *do* arrive
@@ -1187,22 +1177,22 @@ impl Cluster {
             let lat = self.cfg.net.prop_delay + self.rng.jitter(self.cfg.net.jitter);
             if link.blocked {
                 // The NIC transmitted into a cut link: bytes are gone.
-                self.counters.bump("chaos.dropped_partition", 1);
+                self.counters.bump(cluster::DROPPED_PARTITION, 1);
                 self.record(end, || TraceData::Drop {
                     src: pid.0,
                     dst: dst.0,
-                    kind,
+                    kind: kind.name(),
                     bytes: wire,
                     reason: "partition",
                 });
                 continue;
             }
             if link.drop_p > 0.0 && self.fault_rng.unit_f64() < link.drop_p {
-                self.counters.bump("chaos.dropped_loss", 1);
+                self.counters.bump(cluster::DROPPED_LOSS, 1);
                 self.record(end, || TraceData::Drop {
                     src: pid.0,
                     dst: dst.0,
-                    kind,
+                    kind: kind.name(),
                     bytes: wire,
                     reason: "loss",
                 });
@@ -1214,7 +1204,7 @@ impl Cluster {
             arrival = arrival.max(self.last_arrival[slot]);
             self.last_arrival[slot] = arrival;
             let duplicate = if link.dup_p > 0.0 && self.fault_rng.unit_f64() < link.dup_p {
-                self.counters.bump("chaos.duplicated", 1);
+                self.counters.bump(cluster::DUPLICATED, 1);
                 let lat2 = self.cfg.net.prop_delay + self.fault_rng.jitter(self.cfg.net.jitter);
                 let mut arrival2 = tx_end + scale_milli(lat2, link.delay_milli);
                 arrival2 = arrival2.max(self.last_arrival[slot]);
@@ -1227,7 +1217,7 @@ impl Cluster {
                 self.record(end, || TraceData::Send {
                     src: pid.0,
                     dst: dst.0,
-                    kind,
+                    kind: kind.name(),
                     bytes: wire,
                     inc,
                     tx_end_ns: tx_end.as_nanos(),
@@ -1249,7 +1239,7 @@ impl Cluster {
             self.record(end, || TraceData::Send {
                 src: pid.0,
                 dst: dst.0,
-                kind,
+                kind: kind.name(),
                 bytes: wire,
                 inc,
                 tx_end_ns: tx_end.as_nanos(),
@@ -1268,28 +1258,29 @@ impl Cluster {
                 },
             );
         }
-        for (fire_at, id, tag) in timers {
-            self.queue
-                .schedule(fire_at.max(self.now()), Ev::Timer { pid, inc, id, tag });
+        self.outputs.outbox = outbox;
+        for (fire_at, id, tag) in self.outputs.timers.drain(..) {
+            let at = fire_at.max(self.queue.now());
+            self.queue.schedule(at, Ev::Timer { pid, inc, id, tag });
         }
-        for id in cancels {
+        for id in self.outputs.cancels.drain(..) {
             self.procs[i].cancelled.insert(id.0);
         }
         // Snapshot stamps go out before the handler's deliveries: an
         // install always precedes the deliveries it repositions.
-        for (stamp, at) in snapshots {
+        for (stamp, at) in self.outputs.snapshots.drain(..) {
             self.pending
                 .push_back(Notification::Snapshot(pid, stamp, at));
         }
         // Config stamps likewise precede the handler's deliveries: a
         // version activation is reported before any delivery it governs.
-        for (stamp, at) in configs {
+        for (stamp, at) in self.outputs.configs.drain(..) {
             self.pending.push_back(Notification::Config(pid, stamp, at));
         }
-        for (d, at) in deliveries {
+        for (d, at) in self.outputs.deliveries.drain(..) {
             self.pending.push_back(Notification::Delivered(pid, d, at));
         }
-        if app_ready {
+        if self.outputs.app_ready {
             self.pending.push_back(Notification::AppReady(pid, end));
         }
         Some(end)
@@ -1382,7 +1373,7 @@ impl ClusterApi<'_> {
         if proc.alive {
             proc.alive = false;
             proc.crash_time = Some(now);
-            self.cluster.counters.bump("cluster.crashes", 1);
+            self.cluster.counters.bump(cluster::CRASHES, 1);
         }
     }
 

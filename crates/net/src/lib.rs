@@ -26,7 +26,9 @@
 //!   stable-key namespace table.
 //! * [`rounds`] — the Chandra–Toueg round machine the core runs per
 //!   undecided instance: lock, vote, choose, rotate ([`Rounds`]).
-//! * [`Counters`] — per-kind traffic accounting.
+//! * [`metrics`], [`Counters`] — the typed metric registry: counter
+//!   ([`Metric`]) and send-kind ([`Kind`]) handles declared once per
+//!   namespace, tallied by dense index, named only at export.
 //!
 //! # Example: two nodes ping-pong
 //!
@@ -37,16 +39,26 @@
 //! };
 //! use fortika_sim::{VDur, VTime};
 //!
+//! fortika_net::metric_table! {
+//!     mod demo in TEST {
+//!         events {}
+//!         kinds {
+//!             PING = "demo.ping",
+//!             PONG = "demo.pong",
+//!         }
+//!     }
+//! }
+//!
 //! struct Echo;
 //! impl Node for Echo {
 //!     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
 //!         if ctx.pid() == ProcessId(0) {
-//!             ctx.send(ProcessId(1), "demo.ping", Bytes::from_static(b"ping"));
+//!             ctx.send(ProcessId(1), demo::PING, Bytes::from_static(b"ping"));
 //!         }
 //!     }
 //!     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
 //!         if bytes.as_ref() == b"ping" {
-//!             ctx.send(from, "demo.pong", Bytes::from_static(b"pong"));
+//!             ctx.send(from, demo::PONG, Bytes::from_static(b"pong"));
 //!         }
 //!     }
 //!     fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
@@ -73,6 +85,7 @@ pub mod flow;
 pub mod id;
 pub mod membership;
 pub mod message;
+pub mod metrics;
 pub mod ratelimit;
 pub mod replica;
 pub mod rounds;
@@ -94,6 +107,7 @@ pub use membership::{
     parse_reconfig, reconfig_payload, ConfigChange, ConfigStamp, ConfigTimeline, RECONFIG_SEQ_BASE,
 };
 pub use message::{AppMsg, Batch};
+pub use metrics::{Kind, Metric};
 pub use ratelimit::PeerRateLimiter;
 pub use replica::{
     CatchUp, PerCatchUp, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost, ReplicaNames,

@@ -106,6 +106,7 @@ use crate::membership::{
     decode_reconfigs, encode_reconfigs, parse_reconfig, ConfigChange, ConfigStamp, ConfigTimeline,
 };
 use crate::message::Batch;
+use crate::metrics::{Kind, Metric};
 use crate::ratelimit::PeerRateLimiter;
 use crate::rounds::Rounds;
 use crate::snapshot::{
@@ -263,8 +264,8 @@ pub struct PerCatchUp<T> {
 
 /// What a stack calls the shared machinery: the only per-stack
 /// differences the core knows, as data. Each stack declares one `const`
-/// table next to its wire enum (`fortika-lint`'s counter registry reads
-/// the produced names out of these literals).
+/// table next to its wire enum, its handles from its namespace's table
+/// in [`crate::metrics`].
 #[derive(Debug)]
 pub struct ReplicaNames {
     /// Trace label of the stack's lifecycle spans.
@@ -272,44 +273,44 @@ pub struct ReplicaNames {
     /// Tag bytes the stack's wire enum embeds [`CatchUp`] under.
     pub tags: PerCatchUp<u8>,
     /// Send kinds (traffic accounting) of the catch-up messages.
-    pub kinds: PerCatchUp<&'static str>,
+    pub kinds: PerCatchUp<Kind>,
     /// Counter: decisions pulled by gap recovery.
-    pub gap_requests: &'static str,
+    pub gap_requests: Metric,
     /// Counter: rejoin announcements broadcast.
-    pub join_requests: &'static str,
+    pub join_requests: Metric,
     /// Counter: bulk state transfers served.
-    pub state_transfers: &'static str,
+    pub state_transfers: Metric,
     /// Counter: snapshot chunks served.
-    pub snapshot_transfers: &'static str,
+    pub snapshot_transfers: Metric,
     /// Counter: snapshot chunks pulled.
-    pub snapshot_pulls: &'static str,
+    pub snapshot_pulls: Metric,
     /// Counter: completed downloads that failed verification.
-    pub snapshot_garbage: &'static str,
+    pub snapshot_garbage: Metric,
     /// Counter: snapshots materialized.
-    pub snapshots: &'static str,
+    pub snapshots: Metric,
     /// Counter: snapshots installed.
-    pub snapshots_installed: &'static str,
+    pub snapshots_installed: Metric,
     /// Counter: join requests this process could not serve.
-    pub join_unservable: &'static str,
+    pub join_unservable: Metric,
     /// Counter: rejoins that reached the advertised frontier.
-    pub rejoins_completed: &'static str,
+    pub rejoins_completed: Metric,
     /// Counter: reconfigurations registered.
-    pub reconfigs: &'static str,
+    pub reconfigs: Metric,
     /// Counter: proposals made as coordinator.
-    pub proposals: &'static str,
+    pub proposals: Metric,
     /// Counter: round changes.
-    pub round_changes: &'static str,
+    pub round_changes: Metric,
     /// Counter: votes withheld behind the config fence (a learner, or
     /// membership still uncertain).
-    pub config_fence_drops: &'static str,
+    pub config_fence_drops: Metric,
     /// Counter: round changes forced by the progress timeout.
-    pub progress_rotations: &'static str,
+    pub progress_rotations: Metric,
     /// Counter: decision requests re-sent by the sweep.
-    pub request_retries: &'static str,
+    pub request_retries: Metric,
     /// Counter: tag-only decisions whose proposal was missing.
-    pub tag_misses: &'static str,
+    pub tag_misses: Metric,
     /// Counter: proposals from a process not coordinating their round.
-    pub bogus_proposals: &'static str,
+    pub bogus_proposals: Metric,
 }
 
 /// The catch-up vocabulary both stacks speak. Each stack's wire enum
@@ -535,16 +536,16 @@ pub trait ReplicaCtx {
     /// See [`NodeCtx::note_config`].
     fn note_config(&mut self, stamp: ConfigStamp);
     /// See [`NodeCtx::bump`].
-    fn bump(&mut self, name: &'static str, by: u64);
+    fn bump(&mut self, metric: Metric, by: u64);
     /// See [`NodeCtx::trace_span`].
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64);
     /// Sends the message `body` writes, in the hosting stack's
     /// vocabulary, to `dst`. The host encodes it — behind whatever
     /// framing its messages carry — as one gather list
     /// ([`Stored::encode_with`], so `body` runs twice).
-    fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter));
+    fn send(&mut self, dst: ProcessId, kind: Kind, body: impl Fn(&mut WireWriter));
     /// Sends the same message to every other process, in pid order.
-    fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter));
+    fn broadcast(&mut self, kind: Kind, body: impl Fn(&mut WireWriter));
 }
 
 impl ReplicaCtx for NodeCtx<'_> {
@@ -575,16 +576,16 @@ impl ReplicaCtx for NodeCtx<'_> {
     fn note_config(&mut self, stamp: ConfigStamp) {
         NodeCtx::note_config(self, stamp);
     }
-    fn bump(&mut self, name: &'static str, by: u64) {
-        NodeCtx::bump(self, name, by);
+    fn bump(&mut self, metric: Metric, by: u64) {
+        NodeCtx::bump(self, metric, by);
     }
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
         NodeCtx::trace_span(self, stack, instance, phase, detail);
     }
-    fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+    fn send(&mut self, dst: ProcessId, kind: Kind, body: impl Fn(&mut WireWriter)) {
         NodeCtx::send(self, dst, kind, Stored::encode_with(body));
     }
-    fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+    fn broadcast(&mut self, kind: Kind, body: impl Fn(&mut WireWriter)) {
         NodeCtx::broadcast(self, kind, Stored::encode_with(body));
     }
 }
@@ -1454,9 +1455,42 @@ pub trait ReplicaHost<C: ReplicaCtx> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::counters::Counters;
     use crate::id::RECONFIG_SEQ_BASE;
     use crate::membership::reconfig_payload;
     use crate::message::AppMsg;
+
+    crate::metric_table! {
+        mod t in TEST {
+            events {
+                GAP_REQUESTS = "t.gap_requests",
+                JOIN_REQUESTS = "t.join_requests",
+                STATE_TRANSFERS = "t.state_transfers",
+                SNAPSHOT_TRANSFERS = "t.snapshot_transfers",
+                SNAPSHOT_PULLS = "t.snapshot_pulls",
+                SNAPSHOT_GARBAGE = "t.snapshot_garbage",
+                SNAPSHOTS = "t.snapshots",
+                SNAPSHOTS_INSTALLED = "t.snapshots_installed",
+                JOIN_UNSERVABLE = "t.join_unservable",
+                REJOINS_COMPLETED = "t.rejoins_completed",
+                RECONFIGS = "t.reconfigs",
+                PROPOSALS = "t.proposals",
+                ROUND_CHANGES = "t.round_changes",
+                CONFIG_FENCE_DROPS = "t.config_fence_drops",
+                PROGRESS_ROTATIONS = "t.progress_rotations",
+                REQUEST_RETRIES = "t.request_retries",
+                TAG_MISSES = "t.tag_misses",
+                BOGUS_PROPOSALS = "t.bogus_proposals",
+            }
+            kinds {
+                DECISION_REQUEST = "t.decision_request",
+                JOIN_REQUEST = "t.join_request",
+                STATE_TRANSFER = "t.state_transfer",
+                SNAPSHOT_TRANSFER = "t.snapshot_transfer",
+                SNAPSHOT_PULL = "t.snapshot_pull",
+            }
+        }
+    }
 
     pub(crate) const NAMES: ReplicaNames = ReplicaNames {
         label: "t",
@@ -1468,30 +1502,30 @@ pub(crate) mod tests {
             snapshot_pull: 5,
         },
         kinds: PerCatchUp {
-            decision_request: "t.decision_request",
-            join_request: "t.join_request",
-            state_transfer: "t.state_transfer",
-            snapshot_transfer: "t.snapshot_transfer",
-            snapshot_pull: "t.snapshot_pull",
+            decision_request: t::DECISION_REQUEST,
+            join_request: t::JOIN_REQUEST,
+            state_transfer: t::STATE_TRANSFER,
+            snapshot_transfer: t::SNAPSHOT_TRANSFER,
+            snapshot_pull: t::SNAPSHOT_PULL,
         },
-        gap_requests: "t.gap_requests",
-        join_requests: "t.join_requests",
-        state_transfers: "t.state_transfers",
-        snapshot_transfers: "t.snapshot_transfers",
-        snapshot_pulls: "t.snapshot_pulls",
-        snapshot_garbage: "t.snapshot_garbage",
-        snapshots: "t.snapshots",
-        snapshots_installed: "t.snapshots_installed",
-        join_unservable: "t.join_unservable",
-        rejoins_completed: "t.rejoins_completed",
-        reconfigs: "t.reconfigs",
-        proposals: "t.proposals",
-        round_changes: "t.round_changes",
-        config_fence_drops: "t.config_fence_drops",
-        progress_rotations: "t.progress_rotations",
-        request_retries: "t.request_retries",
-        tag_misses: "t.tag_misses",
-        bogus_proposals: "t.bogus_proposals",
+        gap_requests: t::GAP_REQUESTS,
+        join_requests: t::JOIN_REQUESTS,
+        state_transfers: t::STATE_TRANSFERS,
+        snapshot_transfers: t::SNAPSHOT_TRANSFERS,
+        snapshot_pulls: t::SNAPSHOT_PULLS,
+        snapshot_garbage: t::SNAPSHOT_GARBAGE,
+        snapshots: t::SNAPSHOTS,
+        snapshots_installed: t::SNAPSHOTS_INSTALLED,
+        join_unservable: t::JOIN_UNSERVABLE,
+        rejoins_completed: t::REJOINS_COMPLETED,
+        reconfigs: t::RECONFIGS,
+        proposals: t::PROPOSALS,
+        round_changes: t::ROUND_CHANGES,
+        config_fence_drops: t::CONFIG_FENCE_DROPS,
+        progress_rotations: t::PROGRESS_ROTATIONS,
+        request_retries: t::REQUEST_RETRIES,
+        tag_misses: t::TAG_MISSES,
+        bogus_proposals: t::BOGUS_PROPOSALS,
     };
 
     /// A recording stand-in for the handler context: stable writes take
@@ -1503,7 +1537,7 @@ pub(crate) mod tests {
         pub(crate) store: StableStore,
         pub(crate) writes: Vec<(u64, bool)>,
         pub(crate) sent: Vec<(Option<ProcessId>, &'static str, CatchUp)>,
-        bumps: BTreeMap<&'static str, u64>,
+        bumps: Counters,
         configs: Vec<ConfigStamp>,
     }
 
@@ -1516,21 +1550,21 @@ pub(crate) mod tests {
                 store: StableStore::new(),
                 writes: Vec::new(),
                 sent: Vec::new(),
-                bumps: BTreeMap::new(),
+                bumps: Counters::new(),
                 configs: Vec::new(),
             }
         }
 
         pub(crate) fn bumped(&self, name: &str) -> u64 {
-            self.bumps.get(name).copied().unwrap_or(0)
+            self.bumps.event(name)
         }
 
-        fn record_send(&mut self, dst: Option<ProcessId>, kind: &'static str, payload: Bytes) {
+        fn record_send(&mut self, dst: Option<ProcessId>, kind: Kind, payload: Bytes) {
             let mut r = WireReader::new(payload);
             let tag = r.get_u8().unwrap();
             let msg = CatchUp::decode_tagged(tag, &NAMES.tags, &mut r).unwrap();
             r.expect_end().unwrap();
-            self.sent.push((dst, kind, msg));
+            self.sent.push((dst, kind.name(), msg));
         }
     }
 
@@ -1560,14 +1594,14 @@ pub(crate) mod tests {
         fn note_config(&mut self, stamp: ConfigStamp) {
             self.configs.push(stamp);
         }
-        fn bump(&mut self, name: &'static str, by: u64) {
-            *self.bumps.entry(name).or_default() += by;
+        fn bump(&mut self, metric: Metric, by: u64) {
+            self.bumps.bump(metric, by);
         }
         fn trace_span(&mut self, _: &'static str, _: u64, _: &'static str, _: u64) {}
-        fn send(&mut self, dst: ProcessId, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+        fn send(&mut self, dst: ProcessId, kind: Kind, body: impl Fn(&mut WireWriter)) {
             self.record_send(Some(dst), kind, encode_with(body));
         }
-        fn broadcast(&mut self, kind: &'static str, body: impl Fn(&mut WireWriter)) {
+        fn broadcast(&mut self, kind: Kind, body: impl Fn(&mut WireWriter)) {
             self.record_send(None, kind, encode_with(body));
         }
     }

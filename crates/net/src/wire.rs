@@ -54,41 +54,29 @@ impl std::error::Error for WireError {}
 const MAX_LEN: u64 = 256 * 1024 * 1024;
 
 /// The shortest byte string a [gathering](WireWriter::gathering) writer
-/// shares instead of copying: one page.
+/// shares instead of copying: half a KiB.
 ///
-/// A constant, not a knob: it only has to lie between the two payload
-/// sizes the benchmark runs, and both sides were measured (seed 7, five
-/// alternating pairs of this value against one on the other side of
-/// the payload size). Sharing the 1 KiB payloads of `modular-steady-1k`
-/// (threshold 512) buys nothing: 0.9 KB less `memcpy` per delivered
-/// message against one more allocation for the part list (13.6 → 14.6),
-/// and host time that cannot be told apart (3.20 against 3.30 µs per
-/// message, the lower in 3 of 5 pairs; 2.44 against 2.36 on the
-/// monolith) — so short strings are copied and a record of them stays
-/// the single exact-sized buffer it always was. Copying the 16 KiB
-/// payloads of `modular-sat-16k-n7` (threshold 32 768) is a 164 KB
-/// buffer per voter per instance: 3.35 → 4.28 µs and 5.6 → 21.8 KB
-/// allocated per delivered message, the higher in 5 of 5 pairs — so
-/// long ones are shared. Between those a page is the conventional
-/// choice: a part costs two 24-byte list entries and a reference count,
-/// which a copy of a few hundred bytes undercuts and one of a few
-/// thousand does not.
+/// A constant, not a knob: it only has to lie below both payload sizes
+/// the benchmark runs. Sharing costs a part — two 24-byte list entries
+/// and a reference count, an allocation for the list — which a copy of
+/// a few hundred bytes undercuts and one of a KiB does not. Copying the
+/// 16 KiB payloads of `modular-sat-16k-n7` (threshold 32 768) is a
+/// 164 KB buffer per voter per instance: 3.35 → 4.28 µs and 5.6 →
+/// 21.8 KB allocated per delivered message, the higher in 5 of 5 pairs.
 ///
-/// Measured again when network frames became gather lists too, so that
-/// the threshold decides a copy per hop and not only one per vote (seed
-/// 7, five alternating pairs, threshold 512 against this value, host µs
-/// per delivered message, median and quartiles): `modular-steady-1k`
-/// 2.67 (2.61–2.71) → 2.51 (2.48–2.74), the lower in 4 of 5 pairs with
-/// the quartiles overlapping — not resolved; `mono-steady-1k` 2.10
-/// (2.07–2.12) → 1.93 (1.90–1.94), 5 of 5, and peak RSS −11 % on both
-/// (a delivered 1 KiB payload is then held once per cluster as well).
-/// The constant stays: on the workload it was to be judged by it did not
-/// resolve, every 1 KiB frame would stop being the single exact-sized
-/// buffer the allocation pins of `tests/alloc_budget.rs` hold it to, and
-/// a gain on the 1 KiB workloads is a claim of its own that wants ten
-/// pairs on an unseen seed — but the monolith's 5 of 5 says it is worth
-/// making.
-pub const SHARE_MIN: usize = 4096;
+/// The 1 KiB payloads of the steady workloads were copied at 4 096 and
+/// are shared at this value. Measured once the handlers' output lists
+/// were kept warm and counters became array slots (seed 7, five
+/// alternating pairs, 4 096 against 512, host µs per delivered message,
+/// median and quartiles): `modular-steady-1k` 2.73 (2.70–2.92) → 2.51
+/// (2.44–2.73), lower in 4 of 5; `mono-steady-1k` 2.05 (1.99–2.31) →
+/// 1.84 (1.81–1.98), 5 of 5; peak RSS −14 % on both (a delivered 1 KiB
+/// payload is held once per cluster, not once per process). A delivered
+/// message asks for 3 allocations more — the part lists — but for 867
+/// bytes where it asked for 2 236 on the modular stack (914 for 2 157 on
+/// the monolith). `modular-sat-16k-n7`, whose payloads were shared at
+/// either value, did not move: 2.28 → 2.30 µs, 1 of 3 pairs lower.
+pub const SHARE_MIN: usize = 512;
 
 /// Write half of the codec: appends values to a growable buffer — or, in
 /// [counting](WireWriter::counting) mode, only adds up how long they

@@ -9,6 +9,23 @@ use fortika_net::{
 };
 use fortika_sim::{VDur, VTime};
 
+fortika_net::metric_table! {
+    mod names in TEST {
+        events {
+            FIRED_1 = "fired.1",
+            FIRED_2 = "fired.2",
+            FIRED_3 = "fired.3",
+        }
+        kinds {
+            FLOOD_MSG = "flood.msg",
+            REBORN_HELLO = "reborn.hello",
+            REBORN_TIMER = "reborn.timer",
+            TEST_CHAINED = "test.chained",
+            TEST_MSG = "test.msg",
+        }
+    }
+}
+
 /// A node that records everything it observes (with virtual timestamps).
 #[derive(Default)]
 struct Probe {
@@ -42,7 +59,7 @@ impl Node for Flooder {
         if ctx.pid() == ProcessId(0) {
             for _ in 0..self.count {
                 let payload = Bytes::from(vec![0u8; self.size]);
-                ctx.broadcast("flood.msg", payload);
+                ctx.broadcast(names::FLOOD_MSG, payload);
             }
         }
     }
@@ -60,7 +77,7 @@ struct Sender {
 impl Node for Sender {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         for p in self.payloads.drain(..) {
-            ctx.send(self.dst, "test.msg", p);
+            ctx.send(self.dst, names::TEST_MSG, p);
         }
     }
     fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
@@ -169,9 +186,9 @@ fn timers_fire_and_cancel() {
         fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _t: TimerId, tag: u64) {
             ctx.bump(
                 match tag {
-                    1 => "fired.1",
-                    2 => "fired.2",
-                    _ => "fired.3",
+                    1 => names::FIRED_1,
+                    2 => names::FIRED_2,
+                    _ => names::FIRED_3,
                 },
                 1,
             );
@@ -349,7 +366,7 @@ impl Node for Reborn {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         let inc = ctx.incarnation() as u8;
         if ctx.pid() == ProcessId(0) {
-            ctx.send(ProcessId(1), "reborn.hello", Bytes::from(vec![inc]));
+            ctx.send(ProcessId(1), names::REBORN_HELLO, Bytes::from(vec![inc]));
             // Long timer: fires only if the incarnation survives 300 ms.
             ctx.set_timer(VDur::millis(300), 1);
             ctx.persist(STARTS_KEY, Bytes::from(vec![inc + 1]));
@@ -357,7 +374,7 @@ impl Node for Reborn {
     }
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, _tag: u64) {
         let inc = ctx.incarnation() as u8;
-        ctx.send(ProcessId(1), "reborn.timer", Bytes::from(vec![inc]));
+        ctx.send(ProcessId(1), names::REBORN_TIMER, Bytes::from(vec![inc]));
     }
     fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
     fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
@@ -521,7 +538,7 @@ impl Node for TailProbe {
                 w.put(&payload);
                 w.put_u8(1);
             });
-            ctx.send(ProcessId(1), "test.chained", frame);
+            ctx.send(ProcessId(1), names::TEST_CHAINED, frame);
         }
         if ctx.pid() == ProcessId(2) {
             ctx.set_timer(VDur::millis(20), 0);
@@ -623,8 +640,10 @@ fn chained_frames_of_a_dead_sender_are_released() {
             cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::millis(2));
             cluster.schedule_restart(ProcessId(0), VTime::ZERO + VDur::millis(4));
         } else {
-            // The sender dies 1 ms into the 4 ms its NIC needs.
-            cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::millis(1));
+            // The sender dies half-way through the transmission its NIC
+            // needs (a byte per microsecond).
+            let half = VDur::micros(SHARE_MIN as u64 / 2);
+            cluster.schedule_crash(ProcessId(0), VTime::ZERO + half);
         }
         cluster.run_idle(VTime::ZERO + VDur::millis(30));
         assert!(seen.borrow().iter().all(|c| c.1 != "on_message"));

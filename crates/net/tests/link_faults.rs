@@ -13,6 +13,27 @@ use fortika_net::{
 };
 use fortika_sim::{VDur, VTime};
 
+fortika_net::metric_table! {
+    mod names in TEST {
+        events {
+            TEST_ARRIVALS = "test.arrivals",
+            TEST_ARRIVED_AT_US = "test.arrived_at_us",
+            TEST_DECODED = "test.decoded",
+            TEST_GARBAGE = "test.garbage",
+            TEST_PONG_AT_US = "test.pong_at_us",
+            TEST_RECEIVED = "test.received",
+        }
+        kinds {
+            TEST_BURST = "test.burst",
+            TEST_CHAINED = "test.chained",
+            TEST_MSG = "test.msg",
+            TEST_ONE = "test.one",
+            TEST_PING = "test.ping",
+            TEST_PONG = "test.pong",
+        }
+    }
+}
+
 /// Sends one tagged message per tick-timer firing; counts receptions.
 struct Chatter {
     period: VDur,
@@ -37,12 +58,12 @@ impl Node for Chatter {
         }
     }
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _from: ProcessId, _bytes: Bytes) {
-        ctx.bump("test.received", 1);
+        ctx.bump(names::TEST_RECEIVED, 1);
     }
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _t: fortika_net::TimerId, _tag: u64) {
         if self.sent < self.rounds {
             self.sent += 1;
-            ctx.send(ProcessId(1), "test.msg", Bytes::from_static(b"x"));
+            ctx.send(ProcessId(1), names::TEST_MSG, Bytes::from_static(b"x"));
             ctx.set_timer(self.period, 0);
         }
     }
@@ -172,7 +193,7 @@ impl Node for Chained {
                 w.put_u16(0xBEEF);
             });
             assert_eq!(frame.parts().len(), 3);
-            ctx.send(ProcessId(1), "test.chained", frame);
+            ctx.send(ProcessId(1), names::TEST_CHAINED, frame);
         }
     }
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _: ProcessId, bytes: Bytes) {
@@ -180,9 +201,9 @@ impl Node for Chained {
         let read = (r.get_u8(), r.get::<Bytes>(), r.get_only::<u16>());
         match read {
             (Ok(0xC4), Ok(payload), Ok(0xBEEF)) if payload.len() == SHARE_MIN => {
-                ctx.bump("test.decoded", 1)
+                ctx.bump(names::TEST_DECODED, 1)
             }
-            _ => ctx.bump("test.garbage", 1),
+            _ => ctx.bump(names::TEST_GARBAGE, 1),
         }
     }
     fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
@@ -237,11 +258,11 @@ fn delay_spike_stretches_latency() {
     impl Node for OneShot {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
             if ctx.pid() == ProcessId(0) {
-                ctx.send(ProcessId(1), "test.one", Bytes::from_static(b"x"));
+                ctx.send(ProcessId(1), names::TEST_ONE, Bytes::from_static(b"x"));
             }
         }
         fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {
-            ctx.bump("test.arrived_at_us", ctx.now().as_nanos() / 1000);
+            ctx.bump(names::TEST_ARRIVED_AT_US, ctx.now().as_nanos() / 1000);
         }
         fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
             Admission::Blocked
@@ -348,7 +369,7 @@ fn surviving_messages_keep_fault_free_timing() {
         }
         fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
         fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _t: fortika_net::TimerId, tag: u64) {
-            ctx.send(ProcessId(1), "test.msg", Bytes::from(vec![tag as u8]));
+            ctx.send(ProcessId(1), names::TEST_MSG, Bytes::from(vec![tag as u8]));
             if tag < 49 {
                 ctx.set_timer(VDur::millis(1), tag + 1);
             }
@@ -413,11 +434,11 @@ fn degraded_link_serializes_at_reduced_rate() {
     impl Node for OneShot {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
             if ctx.pid() == ProcessId(0) {
-                ctx.send(ProcessId(1), "test.one", Bytes::from(vec![0u8; 1000]));
+                ctx.send(ProcessId(1), names::TEST_ONE, Bytes::from(vec![0u8; 1000]));
             }
         }
         fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {
-            ctx.bump("test.arrived_at_us", ctx.now().as_nanos() / 1000);
+            ctx.bump(names::TEST_ARRIVED_AT_US, ctx.now().as_nanos() / 1000);
         }
         fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
             Admission::Blocked
@@ -459,12 +480,16 @@ fn degraded_link_queues_consecutive_messages() {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
             if ctx.pid() == ProcessId(0) {
                 for _ in 0..10 {
-                    ctx.send(ProcessId(1), "test.burst", Bytes::from(vec![0u8; 1000]));
+                    ctx.send(
+                        ProcessId(1),
+                        names::TEST_BURST,
+                        Bytes::from(vec![0u8; 1000]),
+                    );
                 }
             }
         }
         fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {
-            ctx.bump("test.arrivals", 1);
+            ctx.bump(names::TEST_ARRIVALS, 1);
         }
         fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
             Admission::Blocked
@@ -511,14 +536,14 @@ fn slow_node_stretches_handler_costs() {
     impl Node for Echo {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
             if ctx.pid() == ProcessId(0) {
-                ctx.send(ProcessId(1), "test.ping", Bytes::from_static(b"ping"));
+                ctx.send(ProcessId(1), names::TEST_PING, Bytes::from_static(b"ping"));
             }
         }
         fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
             if bytes.as_ref() == b"ping" {
-                ctx.send(from, "test.pong", Bytes::from_static(b"pong"));
+                ctx.send(from, names::TEST_PONG, Bytes::from_static(b"pong"));
             } else {
-                ctx.bump("test.pong_at_us", ctx.now().as_nanos() / 1000);
+                ctx.bump(names::TEST_PONG_AT_US, ctx.now().as_nanos() / 1000);
             }
         }
         fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {

@@ -18,3 +18,19 @@
 mod module;
 
 pub use module::{RbcastConfig, RbcastModule, RbcastVariant, RBCAST_MODULE_ID, STABLE_SEQ_KEY};
+
+fortika_net::metric_table! {
+    /// What reliable broadcast counts and sends.
+    pub mod metrics in RBCAST {
+        events {
+            INITIATED = "rbcast.initiated",
+            GARBAGE = "rbcast.garbage",
+            FLOODS = "rbcast.floods",
+        }
+        kinds {
+            INITIAL = "rb.initial",
+            RELAY = "rb.relay",
+            FLOOD = "rb.flood",
+        }
+    }
+}

@@ -33,6 +33,8 @@ use fortika_net::wire::{encode, Wire, WireError, WireReader, WireWriter};
 use fortika_net::{ProcessId, StableStore, TimerId, WatermarkSet};
 use fortika_sim::VDur;
 
+use crate::metrics;
+
 /// Stable-store key of this module's rbcast sequence counter.
 ///
 /// Persisted write-ahead: a process revived with a reset counter would
@@ -174,7 +176,7 @@ impl RbcastModule {
         match self.cfg.variant {
             RbcastVariant::Classic => {
                 // Re-send to all, then this message is finished locally.
-                ctx.broadcast_net("rb.relay", &msg);
+                ctx.broadcast_net(metrics::RELAY, &msg);
                 self.complete(ctx, msg.origin, msg.seq);
             }
             RbcastVariant::Majority => {
@@ -185,7 +187,7 @@ impl RbcastModule {
                 if ProcessId::relay_set(origin, n).any(|p| p == me) {
                     // Relay: our re-send makes us a transmitter; we need
                     // no further evidence ourselves.
-                    ctx.broadcast_net("rb.relay", &msg);
+                    ctx.broadcast_net(metrics::RELAY, &msg);
                     self.complete(ctx, origin, seq);
                     return;
                 }
@@ -243,7 +245,7 @@ impl Microprotocol for RbcastModule {
         // Write-ahead: the burned counter is durable before (atomically
         // with) the first copy of `seq` leaving this process.
         ctx.persist(STABLE_SEQ_KEY, encode(&self.next_seq));
-        ctx.bump("rbcast.initiated", 1);
+        ctx.bump(metrics::INITIATED, 1);
         ctx.trace_span("rbcast", msg.seq, "initiated", u64::from(msg.origin.0));
         // Local delivery first (no network hop for the origin)…
         ctx.raise(Event::RbDeliver {
@@ -253,13 +255,13 @@ impl Microprotocol for RbcastModule {
         });
         // …then ship to everyone. The origin is a transmitter by
         // construction, so it completes immediately.
-        ctx.broadcast_net("rb.initial", &msg);
+        ctx.broadcast_net(metrics::INITIAL, &msg);
         self.complete(ctx, msg.origin, msg.seq);
     }
 
     fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
         let Ok(msg) = msg.get_only::<RbMsg>() else {
-            ctx.bump("rbcast.garbage", 1);
+            ctx.bump(metrics::GARBAGE, 1);
             return;
         };
         let fresh = self.logs.entry(msg.origin).or_default().is_new(msg.seq);
@@ -286,9 +288,9 @@ impl Microprotocol for RbcastModule {
         };
         // Completion evidence did not arrive in time: some transmitter
         // may have crashed mid-broadcast. Become a transmitter.
-        ctx.bump("rbcast.floods", 1);
+        ctx.bump(metrics::FLOODS, 1);
         ctx.trace_span("rbcast", key.1, "flood", u64::from(key.0 .0));
-        ctx.broadcast_net("rb.flood", &p.msg);
+        ctx.broadcast_net(metrics::FLOOD, &p.msg);
         self.complete(ctx, key.0, key.1);
     }
 }

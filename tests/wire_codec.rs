@@ -26,6 +26,17 @@ use fortika::net::{
 };
 use fortika::sim::VTime;
 
+fortika::net::metric_table! {
+    mod names in TEST {
+        events {
+            TEST_GARBAGE = "test.garbage",
+        }
+        kinds {
+            TEST_ROW = "test.row",
+        }
+    }
+}
+
 /// What the receiving end of a [`hop`] decoded: from its `bytes`
 /// argument alone, and through the context's reader.
 struct Arrival<T> {
@@ -43,13 +54,13 @@ struct Hop<T> {
 impl<T: Wire> Node for Hop<T> {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         if let Some(frame) = self.frame.take() {
-            ctx.send(ProcessId(1), "test.row", frame);
+            ctx.send(ProcessId(1), names::TEST_ROW, frame);
         }
     }
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _: ProcessId, bytes: Bytes) {
         let alone = decode::<T>(bytes.clone());
         if alone.is_err() {
-            ctx.bump("test.garbage", 1);
+            ctx.bump(names::TEST_GARBAGE, 1);
         }
         let whole = ctx.reader(bytes).get_only::<T>();
         *self.arrived.borrow_mut() = Some(Arrival { alone, whole });

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Report a profile written by sigprof.so.
 
-    python3 tools/sigprof/report.py run.prof [--top N] [--callers PATTERN [--depth K]]
+    python3 tools/sigprof/report.py run.prof [--top N] [--callers PATTERN] [--leaf PATTERN] [--depth K]
 
 Three tables, each as a share of all samples:
   inclusive  samples with the function anywhere on the stack (inlined
@@ -14,6 +14,10 @@ With --callers PATTERN (a regular expression) a fourth table instead:
   callers    the samples whose nearest fortika_* frame matches PATTERN,
              by that frame and the next K (--depth, default 2)
              fortika_* frames above it: whose put_slice, whose mix
+With --leaf PATTERN the same table, of the samples with a frame below
+their nearest fortika_* frame (std, alloc, libc, inlined or not) that
+matches PATTERN: whose BTreeMap walk, whose malloc. Given both, a sample
+must pass both.
 Needs binutils' addr2line and the profiled binaries where they were.
 """
 import collections
@@ -101,6 +105,7 @@ def main():
 
     top = int(option("--top", 25))
     pattern, depth = option("--callers", None), int(option("--depth", 2))
+    leaf = option("--leaf", None)
     stacks, maps = load(args[0])
     names = symbolize(stacks, maps)
     inclusive, self_, nearest, callers = (collections.Counter() for _ in range(4))
@@ -110,12 +115,20 @@ def main():
         self_[frames[0] if frames else "??"] += 1
         ours = [f for f in frames if f.startswith(PREFIX)]
         nearest[ours[0] if ours else "(none)"] += 1
-        if pattern and ours and re.search(pattern, ours[0]):
-            callers[" <- ".join(ours[:1 + depth])] += 1
+        if not ours or not (pattern or leaf):
+            continue
+        below = frames[:frames.index(ours[0])]
+        if pattern and not re.search(pattern, ours[0]):
+            continue
+        if leaf and not any(re.search(leaf, f) for f in below):
+            continue
+        callers[" <- ".join(ours[:1 + depth])] += 1
     print(f"{len(stacks)} samples from {args[0]}")
-    if pattern:
+    if pattern or leaf:
         matched = sum(callers.values())
-        title = f"callers of nearest {PREFIX}* frame matching /{pattern}/: {matched} samples"
+        what = [f"nearest {PREFIX}* frame matching /{pattern}/"] if pattern else []
+        what += [f"a frame below the nearest {PREFIX}* frame matching /{leaf}/"] if leaf else []
+        title = f"samples with {' and '.join(what)}, by caller: {matched} samples"
         table(title, callers, len(stacks), top)
         return
     table("inclusive", inclusive, len(stacks), top)
