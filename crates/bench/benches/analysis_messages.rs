@@ -53,7 +53,7 @@ fn main() {
             format!("{sim_mono:.2}"),
         );
         // Apples-to-apples: analytic evaluated at the measured M.
-        let analytic_at_m = (n as f64 - 1.0) * (m_mod + 2.0 + n.div_ceil(2) as f64);
+        let analytic_at_m = analysis::modular_messages_at(n, m_mod);
         let err = (sim_mod - analytic_at_m).abs() / analytic_at_m;
         println!(
             "      modular analytic at measured M: {analytic_at_m:.2} (sim error {:.1}%)",

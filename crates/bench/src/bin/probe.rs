@@ -15,7 +15,8 @@
 //! regeneration, not a silent one. It then runs a bounded
 //! **reconfiguration audit** (a log-decided add + remove per stack,
 //! traced and oracle-audited — violations dump under `target/trace/`
-//! like any other), and folds every run's window counters into a
+//! like any other — and held to a throughput and messages-per-instance
+//! floor), and folds every run's window counters into a
 //! [`CoverageReport`] written to `target/coverage-report.json`. In
 //! either mode every file written is re-read and must parse and cover
 //! both stacks.
@@ -34,6 +35,7 @@
 use fortika_bench::json;
 use fortika_bench::sweeps::{json_document, json_point, Sweep, SWEEPS};
 use fortika_chaos::{minimize, ChaosProfile, CoverageReport, FuzzCampaign, FuzzConfig, StopReason};
+use fortika_core::analysis;
 use fortika_core::workload::Workload;
 use fortika_core::{
     fuzz_runner, run_fuzz_scenario, Experiment, RunReport, Scenario, StackConfig, StackKind,
@@ -147,9 +149,46 @@ fn same_as_committed(file: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Membership never exceeds four processes in the reconfiguration audit.
+const RECONFIG_PEAK_N: usize = 4;
+/// Share of the offered load a stack must carry through the audit.
+const RECONFIG_MIN_CARRIED: f64 = 0.85;
+
+/// The reconfiguration audit's performance floor: a stack carries at
+/// least [`RECONFIG_MIN_CARRIED`] of the offered load, and spends no
+/// more messages per instance than the §5.2 closed form allows at the
+/// peak membership and the measured batch size M. A catch-up request
+/// storm once cost the modular stack three quarters of its throughput
+/// and ~18 messages per instance above that form.
+fn reconfig_floor(r: &RunReport) -> Result<(), String> {
+    let carried = r.throughput_msgs_per_sec / r.offered_load;
+    if carried < RECONFIG_MIN_CARRIED {
+        return Err(format!(
+            "carried {:.1} of {:.0} msgs/s offered ({:.0} %, floor {:.0} %)",
+            r.throughput_msgs_per_sec,
+            r.offered_load,
+            carried * 100.0,
+            RECONFIG_MIN_CARRIED * 100.0
+        ));
+    }
+    let closed_form = match r.kind {
+        StackKind::Modular => analysis::modular_messages_at(RECONFIG_PEAK_N, r.avg_batch_m),
+        StackKind::Monolithic => analysis::monolithic_messages(RECONFIG_PEAK_N) as f64,
+    };
+    if r.msgs_per_instance > closed_form {
+        return Err(format!(
+            "{:.2} msgs/instance exceeds the n={RECONFIG_PEAK_N} closed form {closed_form:.2} \
+             at M={:.2}",
+            r.msgs_per_instance, r.avg_batch_m
+        ));
+    }
+    Ok(())
+}
+
 /// The `--check` reconfiguration audit: one bounded grow-then-shrink
 /// scenario per stack — an `Add` and a `Remove` decided through the log
-/// mid-load — traced and oracle-audited (config agreement included). A
+/// mid-load — traced and oracle-audited (config agreement included),
+/// then held to [`reconfig_floor`]. A
 /// violating run dumps its bounded trace window and ddmin-minimized
 /// reproducer under `target/trace/` via the runner's artifact path, the
 /// same globs CI's diagnostics artifact uploads.
@@ -184,6 +223,7 @@ fn reconfig_audit(coverage: &mut CoverageReport) -> Result<(), String> {
                 kind.label()
             )
         })?;
+        reconfig_floor(&r).map_err(|e| format!("reconfig audit ({}): {e}", kind.label()))?;
     }
     Ok(())
 }

@@ -9,10 +9,14 @@
 //!    initial value directly (Fig. 3).
 //! 2. **Rounds advance only on suspicion**: instead of free-running
 //!    rounds, a process moves to round `r+1` (sending its estimate to the
-//!    new coordinator) only when its failure detector suspects the
-//!    current coordinator. A slow periodic sweep additionally rotates
-//!    rounds for instances that make no progress, which preserves
-//!    liveness under pathological mixed-suspicion schedules.
+//!    new coordinator) only while its failure detector suspects the
+//!    current coordinator — a state, not only the moment it starts: an
+//!    instance that opens in a round whose coordinator is suspected
+//!    advances at once, so a coordinator that is down costs one detector
+//!    timeout, not one progress timeout per instance. A slow periodic
+//!    sweep additionally rotates rounds for instances that make no
+//!    progress, which preserves liveness under pathological
+//!    mixed-suspicion schedules.
 //! 3. **Decisions are disseminated as a `DECISION` tag** through the
 //!    reliable broadcast module: in round 0 the notice carries no value —
 //!    receivers decide the round-0 proposal they already hold. A receiver
@@ -235,6 +239,13 @@ impl ConsensusModule {
             // at `instance`) records its initial value but never
             // proposes; it learns the decision through dissemination.
             ctx.bump(consensus::CONFIG_FENCE_DROPS, 1);
+            return;
+        }
+        if self.core.coordinator_suspected(instance, n) {
+            // Opened in a round whose coordinator is already suspected:
+            // rotate now, as the suspicion would have done had it come
+            // after the opening.
+            self.advance_round(ctx, instance);
             return;
         }
         let round = self.core.rounds().unproposed_round(instance);

@@ -17,6 +17,14 @@ pub fn modular_messages(n: usize, m: usize) -> u64 {
     ((n - 1) * (m + 2 + n.div_ceil(2))) as u64
 }
 
+/// [`modular_messages`] at a measured mean batch size `m`, which is not
+/// a whole number: what a run's messages per instance are checked
+/// against.
+pub fn modular_messages_at(n: usize, m: f64) -> f64 {
+    assert!(n >= 1, "group size must be positive");
+    (n - 1) as f64 * (m + 2.0 + n.div_ceil(2) as f64)
+}
+
 /// Messages per consensus instance in the **monolithic** stack (§5.2.1):
 /// `2(n−1)` — one combined decision+proposal out, one ack-with-payload
 /// back from each non-coordinator.
@@ -95,5 +103,17 @@ mod tests {
     fn modular_cost_grows_with_batch_monolithic_does_not() {
         assert!(modular_messages(3, 8) > modular_messages(3, 4));
         assert_eq!(monolithic_messages(3), monolithic_messages(3));
+    }
+
+    #[test]
+    fn the_real_m_form_agrees_with_the_integer_one() {
+        for (n, m) in [(3, 4), (4, 3), (7, 10)] {
+            assert_eq!(
+                modular_messages_at(n, m as f64),
+                modular_messages(n, m) as f64
+            );
+        }
+        // n = 4 at M = 3.31: 3 · (3.31 + 2 + 2).
+        assert!((modular_messages_at(4, 3.31) - 21.93).abs() < 1e-9);
     }
 }

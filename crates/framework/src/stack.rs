@@ -1,6 +1,7 @@
 //! Composite stacks: the composition kernel.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use bytes::Bytes;
 use fortika_net::wire::{Stored, Wire, WireReader, WireWriter};
@@ -219,8 +220,8 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
     fn persist(&mut self, key: u64, value: impl Into<Stored>) {
         self.node.persist(key, value);
     }
-    fn unpersist(&mut self, key: u64) {
-        self.node.unpersist(key);
+    fn unpersist(&mut self, keys: Range<u64>) {
+        self.node.unpersist(keys);
     }
     fn charge_durability(&mut self, cost: VDur) {
         self.node.charge_durability(cost);

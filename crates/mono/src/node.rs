@@ -296,14 +296,13 @@ impl MonoNode {
                 ctx.bump(mono::CONFIG_FENCE_DROPS, 1);
                 return;
             }
-            let members = self.core.members_of(k, n);
-            if members[0] != me {
+            if self.core.coordinator_of(k, 0, n) != me {
                 // Instance registered so round rotation can engage; if
                 // its coordinator is already suspected, rotate now. No
                 // batch is needed on this path — keep it cheap, it runs
                 // on every non-coordinator message arrival.
                 self.core.open(k, now);
-                if self.core.rounds().coordinator_suspected(k, &members) {
+                if self.core.coordinator_suspected(k, n) {
                     self.advance_round(ctx, k);
                 }
                 return;
@@ -329,7 +328,7 @@ impl MonoNode {
                 // Coordinator, but a recovered later-round lock forbids
                 // a round-0 proposal: the instance is registered
                 // (above); rotate if its coordinator is suspected.
-                if self.core.rounds().coordinator_suspected(k, &members) {
+                if self.core.coordinator_suspected(k, n) {
                     self.advance_round(ctx, k);
                 }
                 return;
@@ -375,7 +374,7 @@ impl MonoNode {
             return;
         }
         let has_work = !self.pool.is_empty() || !self.own_pending.is_empty();
-        let coord0 = self.core.members_of(self.next_decide, n)[0];
+        let coord0 = self.core.coordinator_of(self.next_decide, 0, n);
         let coord0_suspected = self.core.rounds().suspects(coord0);
         if !(has_work || coord0_suspected) {
             return;
@@ -386,11 +385,8 @@ impl MonoNode {
             // we can contribute estimates to the round change.
             self.core.open(self.next_decide, ctx.now());
         }
-        let rotate = self.core.rounds().lowest().filter(|k| {
-            let members = self.core.members_of(*k, n);
-            self.core.rounds().coordinator_suspected(*k, &members)
-        });
-        if let Some(k) = rotate {
+        let lowest = self.core.rounds().lowest();
+        if let Some(k) = lowest.filter(|k| self.core.coordinator_suspected(*k, n)) {
             self.advance_round(ctx, k);
         }
     }
@@ -436,7 +432,7 @@ impl MonoNode {
             .filter(|k1| {
                 !self.pool.is_empty()
                     && self.core.can_vote(*k1, me)
-                    && self.core.members_of(*k1, n)[0] == me
+                    && self.core.coordinator_of(*k1, 0, n) == me
                     && self.core.recovered_vote(*k1).is_none_or(|r| r.round == 0)
             })
             .map(|k1| (k1, self.fresh_pool_batch()))

@@ -47,6 +47,7 @@
 //! decided prefix, delivery logs, timers — from peers after rejoining.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 use bytes::Bytes;
 use fortika_sim::{CpuResource, DetRng, EventQueue, LinkResource, VDur, VTime};
@@ -181,10 +182,33 @@ struct Outputs {
     timers: Vec<(VTime, TimerId, u64)>,
     cancels: Vec<TimerId>,
     deliveries: Vec<(Delivery, VTime)>,
-    persists: Vec<(u64, Option<Stored>)>,
+    persists: Vec<StableWrite>,
     snapshots: Vec<(SnapshotStamp, VTime)>,
     configs: Vec<(ConfigStamp, VTime)>,
     app_ready: bool,
+}
+
+/// One stable-store write a handler asked for; the cluster applies them
+/// in call order when the handler returns.
+enum StableWrite {
+    Put(u64, Stored),
+    Delete(Range<u64>),
+}
+
+impl StableWrite {
+    fn apply(self, store: &mut StableStore) {
+        match self {
+            StableWrite::Put(key, value) => {
+                store.insert(key, value);
+            }
+            StableWrite::Delete(keys) if !keys.is_empty() => {
+                while let Some((&key, _)) = store.range(keys.clone()).next() {
+                    store.remove(&key);
+                }
+            }
+            StableWrite::Delete(_) => {}
+        }
+    }
 }
 
 impl NodeCtx<'_> {
@@ -310,15 +334,18 @@ impl NodeCtx<'_> {
     /// [`CostModel`]: one charge per call, however many parts.
     pub fn persist(&mut self, key: u64, value: impl Into<Stored>) {
         self.charge_durability(self.cost.stable_write);
-        self.out.persists.push((key, Some(value.into())));
+        self.out.persists.push(StableWrite::Put(key, value.into()));
     }
 
-    /// Deletes `key` from this process's stable store. Charges the same
-    /// stable-write cost as [`persist`](Self::persist) — a delete is a
-    /// tombstone record in a real write-ahead log, not a free operation.
-    pub fn unpersist(&mut self, key: u64) {
+    /// Deletes every key in `keys` from this process's stable store, in
+    /// order with this handler's other writes (one key is `k..k + 1`).
+    /// Charges the same stable-write cost as [`persist`](Self::persist),
+    /// once, however many keys the range spans: a delete is one range
+    /// tombstone record in a real write-ahead log — not a free
+    /// operation, and not one record per key.
+    pub fn unpersist(&mut self, keys: Range<u64>) {
         self.charge_durability(self.cost.stable_write);
-        self.out.persists.push((key, None));
+        self.out.persists.push(StableWrite::Delete(keys));
     }
 
     /// Charges CPU time that is *durability* work (stable writes,
@@ -1119,15 +1146,8 @@ impl Cluster {
 
         self.procs[i].node = Some(node);
         // Stable-storage writes land atomically with the handler.
-        for (key, value) in self.outputs.persists.drain(..) {
-            match value {
-                Some(v) => {
-                    self.procs[i].stable.insert(key, v);
-                }
-                None => {
-                    self.procs[i].stable.remove(&key);
-                }
-            }
+        for write in self.outputs.persists.drain(..) {
+            write.apply(&mut self.procs[i].stable);
         }
         let extra = charged.saturating_sub(base_cost);
         self.procs[i].cpu.extend(extra);

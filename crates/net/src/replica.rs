@@ -95,6 +95,7 @@
 //! quorum and coordinator arithmetic.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use bytes::Bytes;
 use fortika_sim::{VDur, VTime};
@@ -123,6 +124,8 @@ use crate::wire::{encode, encode_with, Stored, Wire, WireError, WireReader, Wire
 /// compile time below (a collision once let rbcast's sequence counter
 /// clobber the consensus snapshot).
 pub mod keys {
+    use std::ops::Range;
+
     /// Namespace of per-instance vote records (low 56 bits: instance).
     pub const VOTE_TAG: u64 = 1 << 56;
     /// The contiguous decided watermark (the voting fence).
@@ -157,12 +160,29 @@ pub mod keys {
         debug_assert!(instance < (1 << 56));
         VOTE_TAG | instance
     }
+
+    /// Stable-store keys of the vote records of `instances`, clamped to
+    /// the namespace: a range that reaches past it (a fence out of a
+    /// damaged store or a corrupt snapshot) must not delete the
+    /// watermark in the next one.
+    pub fn votes(instances: Range<u64>) -> Range<u64> {
+        const SPAN: u64 = 1 << 56;
+        VOTE_TAG + instances.start.min(SPAN)..VOTE_TAG + instances.end.min(SPAN)
+    }
 }
 
 /// Instances streamed per [`CatchUp::StateTransfer`] reply.
 const MAX_TRANSFER: u64 = 16;
 /// Decisions pulled per gap-request batch.
 const MAX_GAP_BATCH: u64 = 8;
+/// How long a decision request is given to be answered. A requested
+/// instance is not asked for again before it has passed, and a sighting
+/// starts a new batch toward one peer at most this often.
+const GAP_RETRY: VDur = VDur::millis(50);
+/// Per-peer spacing of chained catch-up requests (the next gap batch
+/// after a recovered decision, the next join request after a transfer):
+/// round-trip pace, without one reply burst re-requesting per reply.
+const CHASE_SPACING: VDur = VDur::millis(5);
 /// Minimum spacing of rejoin re-announcements.
 const JOIN_RETRY: VDur = VDur::millis(300);
 /// Minimum spacing of snapshot offers toward one lagging peer.
@@ -170,7 +190,10 @@ const OFFER_SPACING: VDur = VDur::millis(50);
 
 /// An undecided instance stuck in one round for longer than this is
 /// rotated to the next coordinator even without a suspicion (liveness
-/// backstop of both stacks; never reached in good runs).
+/// backstop of both stacks; never reached in good runs). Nor is it
+/// reached while a suspected coordinator is simply down: an instance
+/// that opens in a round whose coordinator is suspected rotates at once
+/// ([`ReplicaCore::coordinator_suspected`]), not one timeout later.
 pub const PROGRESS_TIMEOUT: VDur = VDur::secs(1);
 /// Period of each stack's background sweep, which enforces
 /// [`PROGRESS_TIMEOUT`] and retries decision requests.
@@ -528,7 +551,7 @@ pub trait ReplicaCtx {
     /// See [`NodeCtx::persist`].
     fn persist(&mut self, key: u64, value: impl Into<Stored>);
     /// See [`NodeCtx::unpersist`].
-    fn unpersist(&mut self, key: u64);
+    fn unpersist(&mut self, keys: Range<u64>);
     /// See [`NodeCtx::charge_durability`].
     fn charge_durability(&mut self, cost: VDur);
     /// See [`NodeCtx::note_snapshot`].
@@ -564,8 +587,8 @@ impl ReplicaCtx for NodeCtx<'_> {
     fn persist(&mut self, key: u64, value: impl Into<Stored>) {
         NodeCtx::persist(self, key, value);
     }
-    fn unpersist(&mut self, key: u64) {
-        NodeCtx::unpersist(self, key);
+    fn unpersist(&mut self, keys: Range<u64>) {
+        NodeCtx::unpersist(self, keys);
     }
     fn charge_durability(&mut self, cost: VDur) {
         NodeCtx::charge_durability(self, cost);
@@ -611,6 +634,9 @@ pub struct ReplicaCore {
     decisions: BTreeMap<u64, Batch>,
     /// Per-peer rate limiter for gap/rejoin recovery requests.
     gap_limiter: PeerRateLimiter,
+    /// The top (exclusive) of the last decision range requested, and
+    /// when: below it, requests younger than [`GAP_RETRY`] are in flight.
+    gap_asked: (u64, VTime),
     /// Highest instance number observed in any peer message.
     highest_seen: u64,
     /// Vote records recovered from stable storage (restart only).
@@ -667,6 +693,7 @@ impl ReplicaCore {
             replayed: WatermarkSet::default(),
             decisions: BTreeMap::new(),
             gap_limiter: PeerRateLimiter::new(),
+            gap_asked: (0, VTime::ZERO),
             highest_seen: 0,
             recovered_votes: BTreeMap::new(),
             rejoining: false,
@@ -873,14 +900,15 @@ impl ReplicaCore {
     }
 
     /// Persists the voting fence if it advanced past `fence_before` and
-    /// garbage-collects the vote records the advance makes obsolete.
+    /// garbage-collects the vote records the advance makes obsolete with
+    /// one range tombstone: an advance costs two stable writes, whether
+    /// it covers one instance (a decision) or a thousand (a snapshot
+    /// install on rejoin).
     fn persist_fence<C: ReplicaCtx>(&mut self, ctx: &mut C, fence_before: u64) {
         let fence_after = self.decided_log.watermark();
         if fence_after > fence_before {
             ctx.persist(keys::WATERMARK, encode(&fence_after));
-            for k in fence_before..fence_after {
-                ctx.unpersist(keys::vote(k));
-            }
+            ctx.unpersist(keys::votes(fence_before..fence_after));
         }
     }
 
@@ -983,7 +1011,7 @@ impl ReplicaCore {
         // Rate limited per peer: throttling catch-up toward one lagging
         // peer must not suppress catch-up toward another.
         let now = ctx.now();
-        if !self.gap_limiter.allow(from, now, VDur::millis(50)) {
+        if !self.gap_limiter.allow(from, now, GAP_RETRY) {
             return;
         }
         self.request_gap_batch(ctx, from, seen, cursor);
@@ -992,12 +1020,11 @@ impl ReplicaCore {
     /// Chained gap catch-up: after a recovered decision that still
     /// leaves `cursor` behind the highest instance seen, pull the next
     /// batch promptly, so a healed process recovers at near round-trip
-    /// pace. A short per-peer rate limit keeps a batch's several replies
-    /// from each re-requesting the same range.
+    /// pace.
     pub fn chase_gap<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId, cursor: u64) {
         let now = ctx.now();
         if self.behind(self.highest_seen, cursor)
-            && self.gap_limiter.allow(from, now, VDur::millis(5))
+            && self.gap_limiter.allow(from, now, CHASE_SPACING)
         {
             self.request_gap_batch(ctx, from, self.highest_seen, cursor);
         }
@@ -1011,20 +1038,37 @@ impl ReplicaCore {
         seen > cursor + self.cfg.pipeline_depth.max(1) - 1 && !self.is_decided(cursor)
     }
 
-    /// Pulls a bounded batch of missing decisions (lowest first, from
-    /// `cursor`) from `from`.
+    /// Pulls the missing decisions of the window `cursor..cursor +
+    /// MAX_GAP_BATCH` (below `seen`) from `from`, lowest first. While the
+    /// last request is younger than [`GAP_RETRY`], only the part of the
+    /// window above the last requested range's top is asked for: each
+    /// reply that moves `cursor` on asks for what it brought into the
+    /// window, so each missing decision is asked for once per retry
+    /// period however many replies chase the gap, and at most one batch
+    /// is outstanding — a busy peer answers within the period. Past it,
+    /// the window is asked for again from `cursor`, in case requests or
+    /// replies were lost.
     fn request_gap_batch<C: ReplicaCtx>(
-        &self,
+        &mut self,
         ctx: &mut C,
         from: ProcessId,
         seen: u64,
         cursor: u64,
     ) {
-        for instance in cursor..seen.min(cursor + MAX_GAP_BATCH) {
+        let now = ctx.now();
+        let (asked_top, asked_at) = self.gap_asked;
+        let first = if now.since(asked_at) < GAP_RETRY {
+            cursor.max(asked_top)
+        } else {
+            cursor
+        };
+        let top = seen.min(cursor + MAX_GAP_BATCH);
+        for instance in first..top {
             if !self.is_decided(instance) {
                 ctx.bump(self.names.gap_requests, 1);
                 ctx.trace_span(self.names.label, instance, "gap_pull", u64::from(from.0));
                 self.send(ctx, from, &CatchUp::DecisionRequest { instance });
+                self.gap_asked = (top, now);
             }
         }
     }
@@ -1370,7 +1414,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
             // Chained catch-up: a short per-peer rate limit keeps one
             // reply burst from re-requesting the same range.
             let now = ctx.now();
-            if core.gap_limiter.allow(from, now, VDur::millis(5)) {
+            if core.gap_limiter.allow(from, now, CHASE_SPACING) {
                 core.last_join = now;
                 core.send(ctx, from, &CatchUp::JoinRequest { watermark: mine });
             }
@@ -1528,6 +1572,13 @@ pub(crate) mod tests {
         bogus_proposals: t::BOGUS_PROPOSALS,
     };
 
+    /// One stable write a [`FakeCtx`] took.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) enum Write {
+        Put(u64),
+        Delete(Range<u64>),
+    }
+
     /// A recording stand-in for the handler context: stable writes take
     /// effect on `store` at once and are logged in order.
     pub(crate) struct FakeCtx {
@@ -1535,7 +1586,7 @@ pub(crate) mod tests {
         pub(crate) now: VTime,
         costs: CostModel,
         pub(crate) store: StableStore,
-        pub(crate) writes: Vec<(u64, bool)>,
+        pub(crate) writes: Vec<Write>,
         pub(crate) sent: Vec<(Option<ProcessId>, &'static str, CatchUp)>,
         bumps: Counters,
         configs: Vec<ConfigStamp>,
@@ -1583,11 +1634,11 @@ pub(crate) mod tests {
         }
         fn persist(&mut self, key: u64, value: impl Into<Stored>) {
             self.store.insert(key, value.into());
-            self.writes.push((key, true));
+            self.writes.push(Write::Put(key));
         }
-        fn unpersist(&mut self, key: u64) {
-            self.store.remove(&key);
-            self.writes.push((key, false));
+        fn unpersist(&mut self, keys: Range<u64>) {
+            self.store.retain(|key, _| !keys.contains(key));
+            self.writes.push(Write::Delete(keys));
         }
         fn charge_durability(&mut self, _: VDur) {}
         fn note_snapshot(&mut self, _: SnapshotStamp) {}
@@ -1844,22 +1895,145 @@ pub(crate) mod tests {
         assert!(ctx.writes.is_empty());
         assert_eq!(host.core.decided_watermark(), 0);
 
-        // Closing the hole moves it from 0 to 3.
+        // Closing the hole moves it from 0 to 3: one watermark write,
+        // one range tombstone.
         assert!(host.record_decision(&mut ctx, 0, &batch(0)));
         assert_eq!(
             ctx.writes,
             vec![
-                (keys::WATERMARK, true),
-                (keys::vote(0), false),
-                (keys::vote(1), false),
-                (keys::vote(2), false),
+                Write::Put(keys::WATERMARK),
+                Write::Delete(keys::vote(0)..keys::vote(3)),
             ]
         );
         assert_eq!(ctx.store[&keys::WATERMARK].decode::<u64>(), Ok(3));
         assert!(ctx.store.contains_key(&keys::vote(3)));
+        assert!(!ctx.store.contains_key(&keys::vote(2)));
         // A decision already recorded changes nothing.
         assert!(!host.record_decision(&mut ctx, 0, &batch(0)));
-        assert_eq!(ctx.writes.len(), 4);
+        assert_eq!(ctx.writes.len(), 2);
+        // An advance of one instance costs the same two writes.
+        ctx.writes.clear();
+        assert!(host.record_decision(&mut ctx, 3, &batch(3)));
+        assert_eq!(
+            ctx.writes,
+            vec![
+                Write::Put(keys::WATERMARK),
+                Write::Delete(keys::vote(3)..keys::vote(4)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_snapshot_install_jumping_the_fence_writes_one_tombstone() {
+        // A joiner holding vote records in 0..1 000 (it never learned
+        // those decisions, so nothing collected them) installs a
+        // snapshot covering 0..=999: the fence jumps by 1 000.
+        let (mut server, mut ctx) = (FakeHost::fresh(1024, 1000), FakeCtx::new());
+        server.decide(&mut ctx, 0..1000);
+        let snap = server.core.snapshot().unwrap().clone();
+        assert_eq!(snap.last_included, 999);
+
+        let (mut joiner, mut ctx) = (FakeHost::fresh(1024, 1000), FakeCtx::new());
+        for k in (0..1000).step_by(7).chain([1000, 1001]) {
+            joiner.core.persist_vote(&mut ctx, k, 0, 1, &batch(k));
+        }
+        ctx.writes.clear();
+        joiner.install_snapshot(&mut ctx, snap);
+
+        assert_eq!(joiner.core.decided_watermark(), 1000);
+        let deletes: Vec<&Write> = ctx
+            .writes
+            .iter()
+            .filter(|w| matches!(w, Write::Delete(_)))
+            .collect();
+        assert_eq!(deletes, [&Write::Delete(keys::votes(0..1000))]);
+        let puts = |key| ctx.writes.iter().filter(|w| **w == Write::Put(key)).count();
+        assert_eq!((puts(keys::WATERMARK), puts(keys::SNAPSHOT)), (1, 1));
+        assert_eq!(ctx.writes.len(), 3, "{:?}", ctx.writes);
+        // No vote record below the fence; the ones above it stay.
+        let votes: Vec<u64> = ctx
+            .store
+            .range(keys::votes(0..u64::MAX))
+            .map(|(key, _)| key - keys::VOTE_TAG)
+            .collect();
+        assert_eq!(votes, [1000, 1001]);
+    }
+
+    /// The decision requests `ctx` sent to `peer` since the last call, in
+    /// sending order.
+    fn requested(ctx: &mut FakeCtx, peer: ProcessId) -> Vec<u64> {
+        let sent = ctx.sent.drain(..);
+        sent.map(|(dst, _, msg)| match (dst, msg) {
+            (Some(p), CatchUp::DecisionRequest { instance }) if p == peer => instance,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect()
+    }
+
+    /// `peer` answers the `pending` requests and every one they lead
+    /// to, one per [`CHASE_SPACING`], lowest first, except that the
+    /// reply for `lost` goes missing; `host` chases every reply that
+    /// arrives, as the stacks do. Returns every instance asked for,
+    /// `pending` first.
+    fn serve(
+        host: &mut FakeHost,
+        ctx: &mut FakeCtx,
+        peer: ProcessId,
+        pending: Vec<u64>,
+        lost: Option<u64>,
+    ) -> Vec<u64> {
+        let mut outstanding: std::collections::BTreeSet<u64> = pending.iter().copied().collect();
+        let mut asked = pending;
+        while let Some(k) = outstanding.pop_first() {
+            ctx.now += CHASE_SPACING;
+            if Some(k) != lost {
+                assert!(host.record_decision(ctx, k, &batch(k)));
+                let cursor = host.core.decided_watermark();
+                host.core.chase_gap(ctx, peer, cursor);
+            }
+            let more = requested(ctx, peer);
+            outstanding.extend(&more);
+            asked.extend(more);
+        }
+        asked
+    }
+
+    #[test]
+    fn a_lagging_process_asks_for_each_missing_decision_once_per_retry_period() {
+        let (mut host, mut ctx) = (FakeHost::fresh(64, 0), FakeCtx::new());
+        let (peer, lost) = (ProcessId(1), 20);
+        let window = |from: u64, to: u64| (from..to).collect::<Vec<u64>>();
+
+        // Traffic for instance 40 arrives while the fence is at 0.
+        host.core.maybe_request_gap(&mut ctx, peer, 40, 0);
+        let first = requested(&mut ctx, peer);
+        assert_eq!(first, window(0, MAX_GAP_BATCH));
+        // Each reply moves the window on by one request; none is asked
+        // twice. The fence stalls at the lost reply, and so does the
+        // window, one batch above it.
+        let asked = serve(&mut host, &mut ctx, peer, first, Some(lost));
+        assert_eq!(asked, window(0, lost + MAX_GAP_BATCH));
+        assert_eq!(host.core.decided_watermark(), lost);
+
+        // Once a retry period has passed without a request, the next
+        // sighting starts over at the fence, where only the lost
+        // decision is still missing; its reply lets the rest follow.
+        ctx.now += GAP_RETRY;
+        host.core.maybe_request_gap(&mut ctx, peer, 40, lost);
+        let retry = requested(&mut ctx, peer);
+        assert_eq!(retry, [lost]);
+        let rest = serve(&mut host, &mut ctx, peer, retry, None);
+        assert_eq!(rest[1..], window(lost + MAX_GAP_BATCH, 40));
+        assert_eq!(host.core.decided_watermark(), 40);
+        assert_eq!(ctx.bumped("t.gap_requests"), 41);
+    }
+
+    #[test]
+    fn vote_key_ranges_stay_inside_their_namespace() {
+        assert_eq!(keys::votes(3..5), keys::vote(3)..keys::vote(5));
+        let all = keys::votes(0..u64::MAX);
+        assert_eq!(all, keys::VOTE_TAG..keys::WATERMARK);
+        assert!(!all.contains(&keys::WATERMARK));
     }
 
     #[test]

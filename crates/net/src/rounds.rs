@@ -17,7 +17,9 @@
 //!   max-timestamp estimate out of a majority's, which intersects every
 //!   ack quorum ([`ReplicaCore::quorum_choice`]);
 //! * **rotate** — rounds only move forward, past coordinators currently
-//!   suspected ([`ReplicaCore::rotate`]).
+//!   suspected ([`ReplicaCore::rotate`]): when suspicion starts, and when
+//!   an instance opens in a round whose coordinator is already suspected
+//!   ([`ReplicaCore::coordinator_suspected`]).
 //!
 //! Timestamps are `round + 1` so that a value locked by an ack quorum
 //! always outranks never-adopted initial values (timestamp 0).
@@ -150,15 +152,6 @@ impl Rounds {
             .filter_map(|inst| inst.last_proposal.as_ref().map(|(_, v)| v))
     }
 
-    /// True when the coordinator of `instance`'s current round — by the
-    /// rotation over `members`, the set governing it — is suspected.
-    pub fn coordinator_suspected(&self, instance: u64, members: &[ProcessId]) -> bool {
-        self.instances.get(&instance).is_some_and(|inst| {
-            self.suspected
-                .contains(&members[inst.round as usize % members.len()])
-        })
-    }
-
     /// Instances stuck in one round for longer than [`PROGRESS_TIMEOUT`].
     pub fn stuck(&self, now: VTime) -> Vec<u64> {
         self.instances
@@ -276,6 +269,22 @@ impl ReplicaCore {
     /// Stops suspecting `p`.
     pub fn restore(&mut self, p: ProcessId) {
         self.rounds.suspected.remove(&p);
+    }
+
+    /// True when the coordinator of live `instance`'s current round is
+    /// suspected. Suspicion is a state, not only the moment it starts:
+    /// both stacks ask this when an instance opens, and
+    /// [`rotate`](Self::rotate) it at once when true — otherwise every
+    /// instance opened while a coordinator is down would wait out
+    /// [`PROGRESS_TIMEOUT`]. Free while nothing is suspected.
+    pub fn coordinator_suspected(&self, instance: u64, n: usize) -> bool {
+        if self.rounds.suspected.is_empty() {
+            return false;
+        }
+        self.rounds.instances.get(&instance).is_some_and(|inst| {
+            let coordinator = self.coordinator_of(instance, inst.round, n);
+            self.rounds.suspected.contains(&coordinator)
+        })
     }
 
     /// The coordinator work should be routed to right now: that of the
@@ -570,7 +579,7 @@ impl ReplicaCore {
 mod tests {
     use super::*;
     use crate::replica::keys;
-    use crate::replica::tests::{batch, FakeCtx, FakeHost, NAMES};
+    use crate::replica::tests::{batch, FakeCtx, FakeHost, Write, NAMES};
     use crate::replica::{ReplicaConfig, ReplicaHost, VoteRecord};
 
     const P0: ProcessId = ProcessId(0);
@@ -650,7 +659,7 @@ mod tests {
         core.offer(K, ctx.now, batch(8)); // the first initial value stays
         assert_eq!(core.rounds().unproposed_round(K), Some(0));
         assert_eq!(core.lock(&mut ctx, K, &batch(7)), 0);
-        assert_eq!(ctx.writes, vec![(keys::vote(K), true)]);
+        assert_eq!(ctx.writes, vec![Write::Put(keys::vote(K))]);
         let vote = stored_vote(&ctx);
         assert_eq!((vote.round, vote.ts, vote.value), (0, 1, batch(7)));
         assert_eq!(ctx.bumped("t.proposals"), 1);
@@ -767,14 +776,16 @@ mod tests {
         assert_eq!(core.rotate(&mut ctx, K), None, "not live");
         core.open(K, ctx.now);
         core.open(K + 1, ctx.now);
+        assert!(!core.coordinator_suspected(K, 3), "nothing suspected");
         assert_eq!(core.suspect(P0, 3), vec![K, K + 1]);
         assert_eq!(core.suspect(P1, 3), Vec::<u64>::new());
         assert_eq!(core.live_coordinator(0, 3), P0, "that of round 0 of K");
         let to = core.rotate(&mut ctx, K).unwrap();
         assert_eq!((to.round, to.coordinator, to.votable), (2, P2, true));
         assert_eq!(ctx.bumped("t.round_changes"), 1);
-        assert!(core.rounds().coordinator_suspected(K + 1, &[P0, P1, P2]));
-        assert!(!core.rounds().coordinator_suspected(K, &[P0, P1, P2]));
+        assert!(core.coordinator_suspected(K + 1, 3));
+        assert!(!core.coordinator_suspected(K, 3));
+        assert!(!core.coordinator_suspected(K + 2, 3), "not live");
         // A process never skips itself, suspected or not.
         core.suspect(P2, 3);
         assert_eq!(core.rotate(&mut ctx, K).unwrap().round, 3);

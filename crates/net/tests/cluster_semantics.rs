@@ -485,7 +485,7 @@ fn durability_time_is_tracked_and_folded_into_cpu_busy() {
             for key in 0..5u64 {
                 ctx.persist(key, Bytes::from_static(b"v"));
             }
-            ctx.unpersist(0);
+            ctx.unpersist(0..1);
         }
         fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
         fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
@@ -507,6 +507,66 @@ fn durability_time_is_tracked_and_folded_into_cpu_busy() {
     slow.apply_slowdown(p0, 3000);
     slow.run_idle(VTime::ZERO + VDur::millis(1));
     assert_eq!(slow.durability_busy(p0), VDur::micros(3600));
+}
+
+#[test]
+fn a_range_delete_lands_in_call_order_and_costs_one_stable_write() {
+    // One handler writes keys 10..20, range-deletes 12..17, writes 14
+    // again and range-deletes a range holding nothing. A revived
+    // incarnation writes nothing.
+    struct RangeWriter;
+    impl Node for RangeWriter {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            if ctx.incarnation() > 0 {
+                return;
+            }
+            for key in 10..20u64 {
+                ctx.persist(key, Bytes::from(vec![key as u8]));
+            }
+            ctx.unpersist(12..17);
+            ctx.persist(14, Bytes::from_static(b"again"));
+            ctx.unpersist(30..40);
+        }
+        fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
+        fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
+            Admission::Blocked
+        }
+    }
+    type Contents = Vec<(u64, Bytes)>;
+    let contents = |store: &fortika_net::StableStore| -> Contents {
+        store.iter().map(|(k, v)| (*k, v.to_bytes())).collect()
+    };
+    let mut cfg = ClusterConfig::instant(1, 1);
+    cfg.cost.stable_write = VDur::micros(100);
+    let mut cluster = Cluster::new(cfg, vec![Box::new(RangeWriter)]);
+    let handed = std::rc::Rc::new(std::cell::RefCell::new(None::<Contents>));
+    let handed_to_factory = handed.clone();
+    cluster.set_node_factory(Box::new(move |_, _, stable| {
+        *handed_to_factory.borrow_mut() = Some(contents(stable));
+        Box::new(RangeWriter)
+    }));
+    let p0 = ProcessId(0);
+    cluster.run_idle(VTime::ZERO + VDur::millis(5));
+
+    let key = |k: u64| (k, Bytes::from(vec![k as u8]));
+    let expected = vec![
+        key(10),
+        key(11),
+        (14, Bytes::from_static(b"again")),
+        key(17),
+        key(18),
+        key(19),
+    ];
+    assert_eq!(contents(cluster.stable(p0)), expected);
+    // Eleven puts and two range deletes, each one stable write.
+    assert_eq!(cluster.durability_busy(p0), VDur::micros(1300));
+
+    cluster.schedule_crash(p0, VTime::ZERO + VDur::millis(10));
+    cluster.schedule_restart(p0, VTime::ZERO + VDur::millis(20));
+    cluster.run_idle(VTime::ZERO + VDur::millis(30));
+    assert_eq!(cluster.incarnation(p0), 1);
+    assert_eq!(handed.borrow().as_ref(), Some(&expected));
+    assert_eq!(contents(cluster.stable(p0)), expected);
 }
 
 /// Process 0 sends a frame of three parts around `payload` to process 1
