@@ -65,8 +65,10 @@ use fortika_net::dissemination::{
     descriptor_msg, fold_key, majority_of, route, DissemMsg, Dissemination, PayloadStore, ValueId,
 };
 use fortika_net::metrics::abcast;
-use fortika_net::wire::{encode, WireReader};
-use fortika_net::{AppMsg, Batch, DeliveredSet, MsgId, ProcessId, StableStore, TimerId};
+use fortika_net::wire::WireReader;
+use fortika_net::{
+    AppMsg, Batch, DeliveredSet, MsgId, ProcessId, ReservedSeq, StableStore, TimerId,
+};
 use fortika_sim::{VDur, VTime};
 
 /// Wire demux id of the atomic broadcast module.
@@ -77,9 +79,11 @@ const TAG_RETX: u64 = 1;
 const TAG_PULL: u64 = 2;
 
 /// Stable-store key of the origin-local payload sequence counter
-/// (namespace assigned in [`fortika_net::replica::keys`]) — persisted so
-/// a revived origin never reuses a [`ValueId`], which peers may still
-/// hold payloads under.
+/// (namespace assigned in [`fortika_net::replica::keys`]) — a
+/// [`ReservedSeq`], so a revived origin never reuses a [`ValueId`],
+/// which peers may still hold payloads under, and the counter costs one
+/// stable write per [`ReservedSeq::BLOCK`] payload batches, not one per
+/// batch.
 pub const ABCAST_STABLE_SEQ_KEY: u64 = fortika_net::replica::keys::ABCAST_SEQ;
 
 /// Re-diffuse an *own* message still undelivered after this long.
@@ -200,8 +204,8 @@ pub struct AbcastModule {
     staged: Vec<AppMsg>,
     /// Own disseminated-but-undelivered payload batches by sequence.
     own_payloads: BTreeMap<u64, OwnPayload>,
-    /// Next own payload sequence (persisted across restarts).
-    next_payload_seq: u64,
+    /// Next own payload sequence (reserved across restarts).
+    payload_seq: ReservedSeq,
     /// Payloads a decided descriptor is stalled on → pull attempts.
     missing: BTreeMap<ValueId, u32>,
 }
@@ -223,24 +227,22 @@ impl AbcastModule {
             store: PayloadStore::new(),
             staged: Vec::new(),
             own_payloads: BTreeMap::new(),
-            next_payload_seq: 0,
+            payload_seq: ReservedSeq::new(ABCAST_STABLE_SEQ_KEY),
             missing: BTreeMap::new(),
         }
     }
 
     /// Creates the module for a revived process: resumes the payload
-    /// sequence counter persisted under `ABCAST_STABLE_SEQ_KEY` so the
-    /// new incarnation never reuses a [`ValueId`] peers may still hold
-    /// payloads under. Equivalent to [`new`](Self::new) under `Direct`
-    /// (the counter is only ever persisted when offloading).
+    /// sequence counter at the bound reserved under
+    /// `ABCAST_STABLE_SEQ_KEY` so the new incarnation never reuses a
+    /// [`ValueId`] peers may still hold payloads under. Equivalent to
+    /// [`new`](Self::new) under `Direct` (the counter is only ever
+    /// persisted when offloading).
     pub fn resume(cfg: AbcastConfig, stable: &StableStore) -> Self {
-        let mut module = Self::new(cfg);
-        if let Some(value) = stable.get(&ABCAST_STABLE_SEQ_KEY) {
-            if let Ok(seq) = value.decode::<u64>() {
-                module.next_payload_seq = seq;
-            }
+        AbcastModule {
+            payload_seq: ReservedSeq::resume(ABCAST_STABLE_SEQ_KEY, stable),
+            ..Self::new(cfg)
         }
-        module
     }
 
     fn offloads(&self) -> bool {
@@ -353,16 +355,15 @@ impl AbcastModule {
     }
 
     /// Cuts staged own messages into a payload batch whenever an
-    /// outstanding-payload slot is free, persists the sequence counter
-    /// and starts the batch around the topology.
+    /// outstanding-payload slot is free, numbers it (reserving the next
+    /// block of numbers when one runs out) and starts the batch around
+    /// the topology.
     fn cut_payloads(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         while !self.staged.is_empty() && self.own_payloads.len() < MAX_OUTSTANDING_PAYLOADS {
             let vid = ValueId {
                 origin: ctx.pid(),
-                seq: self.next_payload_seq,
+                seq: self.payload_seq.take(ctx),
             };
-            self.next_payload_seq += 1;
-            ctx.persist(ABCAST_STABLE_SEQ_KEY, encode(&self.next_payload_seq));
             let batch = Batch::normalize(std::mem::take(&mut self.staged));
             let holders = 1u64 << ctx.pid().index();
             let (merged, _) = self.store.absorb(vid, &batch, holders);

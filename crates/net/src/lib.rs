@@ -26,6 +26,8 @@
 //!   stable-key namespace table.
 //! * [`rounds`] — the Chandra–Toueg round machine the core runs per
 //!   undecided instance: lock, vote, choose, rotate ([`Rounds`]).
+//! * [`seq`] — origin sequence counters persisted one block of numbers
+//!   at a time ([`ReservedSeq`]).
 //! * [`metrics`], [`Counters`] — the typed metric registry: counter
 //!   ([`Metric`]) and send-kind ([`Kind`]) handles declared once per
 //!   namespace, tallied by dense index, named only at export.
@@ -89,6 +91,7 @@ pub mod metrics;
 pub mod ratelimit;
 pub mod replica;
 pub mod rounds;
+pub mod seq;
 pub mod snapshot;
 pub mod watermark;
 pub mod wire;
@@ -114,6 +117,7 @@ pub use replica::{
     VoteRecord,
 };
 pub use rounds::{QuorumChoice, Rotation, Rounds, Vote};
+pub use seq::ReservedSeq;
 pub use snapshot::{
     AppState, AppStateFactory, ChunkOutcome, SenderLog, Snapshot, SnapshotDownload, SnapshotFold,
     SnapshotStamp,

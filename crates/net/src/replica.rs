@@ -32,9 +32,23 @@
 //!   intersection at the heart of Chandra–Toueg safety breaks (an
 //!   amnesiac acker can help decide a second, different value). The
 //!   contiguous decided watermark is persisted too, as a *voting fence*
-//!   against re-votes in long-decided instances; records below it are
-//!   garbage collected. The fence can therefore run ahead of the
-//!   *replayed* prefix, which always restarts at 0.
+//!   against re-votes in long-decided instances, and the records below
+//!   it are garbage collected with one range tombstone. The fence is
+//!   persisted with each snapshot, not with each decision
+//!   ([`ReplicaHost::record_decision`] writes nothing when snapshots are
+//!   on): the watermark, then the tombstone over the records it retires,
+//!   then the snapshot — so a revived process always finds its snapshot
+//!   below its fence, and a priced decision pays for its votes and
+//!   nothing else. The invariant, with snapshots on or off: **for every
+//!   instance, the store holds either this process's vote record for it
+//!   or a persisted fence that covers it.** A record is deleted only by
+//!   the tombstone of a fence that covers it. The persisted fence lags
+//!   the decided prefix by less than `snapshot_interval` instances, and
+//!   a process revived behind it re-enters those decided instances with
+//!   the votes it cast there; a revived coordinator re-proposes a lock
+//!   it recovered instead of its pool, so the lag cannot produce a
+//!   second value. The fence can run ahead of the *replayed* prefix,
+//!   which always restarts at 0.
 //! * **Rejoin catch-up** — decided *values* are not persisted: the
 //!   revived process announces "my replayed prefix ends at `w`" with a
 //!   [`CatchUp::JoinRequest`] broadcast and peers stream the decided
@@ -631,6 +645,9 @@ pub struct ReplicaCore {
     /// replay progress. Always starts at 0, so a revived process
     /// re-delivers the whole decided prefix.
     replayed: WatermarkSet,
+    /// The voting fence as last persisted (or recovered): every vote
+    /// record below it is already collected.
+    persisted_fence: u64,
     decisions: BTreeMap<u64, Batch>,
     /// Per-peer rate limiter for gap/rejoin recovery requests.
     gap_limiter: PeerRateLimiter,
@@ -691,6 +708,7 @@ impl ReplicaCore {
             rounds: Rounds::default(),
             decided_log: WatermarkSet::default(),
             replayed: WatermarkSet::default(),
+            persisted_fence: 0,
             decisions: BTreeMap::new(),
             gap_limiter: PeerRateLimiter::new(),
             gap_asked: (0, VTime::ZERO),
@@ -726,6 +744,7 @@ impl ReplicaCore {
             if key == keys::WATERMARK {
                 if let Ok(w) = value.decode::<u64>() {
                     core.decided_log.advance_to(w);
+                    core.persisted_fence = w;
                 }
             } else if key == keys::SNAPSHOT {
                 // Keys iterate in order, so the watermark was read first.
@@ -899,16 +918,17 @@ impl ReplicaCore {
         ctx.persist(keys::vote(instance), record);
     }
 
-    /// Persists the voting fence if it advanced past `fence_before` and
-    /// garbage-collects the vote records the advance makes obsolete with
-    /// one range tombstone: an advance costs two stable writes, whether
-    /// it covers one instance (a decision) or a thousand (a snapshot
-    /// install on rejoin).
-    fn persist_fence<C: ReplicaCtx>(&mut self, ctx: &mut C, fence_before: u64) {
-        let fence_after = self.decided_log.watermark();
-        if fence_after > fence_before {
-            ctx.persist(keys::WATERMARK, encode(&fence_after));
-            ctx.unpersist(keys::votes(fence_before..fence_after));
+    /// Persists the voting fence if it advanced past the one last
+    /// persisted, then garbage-collects the vote records the advance
+    /// makes obsolete with one range tombstone: an advance costs two
+    /// stable writes, whether it covers one instance or a thousand (a
+    /// snapshot cadence, or a snapshot install on rejoin).
+    fn persist_fence<C: ReplicaCtx>(&mut self, ctx: &mut C) {
+        let fence = self.decided_log.watermark();
+        if fence > self.persisted_fence {
+            ctx.persist(keys::WATERMARK, encode(&fence));
+            ctx.unpersist(keys::votes(self.persisted_fence..fence));
+            self.persisted_fence = fence;
         }
     }
 
@@ -969,9 +989,10 @@ impl ReplicaCore {
         self.set_snapshot(ctx, snap, false);
     }
 
-    /// Adopts `snap` as this process's serving snapshot: persists it,
-    /// reports the stamp to the harness and [trims](Self::trim) the
-    /// cache of what it now covers.
+    /// Adopts `snap` as this process's serving snapshot: persists the
+    /// voting fence (which covers `snap`) and then `snap`, reports the
+    /// stamp to the harness and [trims](Self::trim) the cache of what it
+    /// now covers.
     fn set_snapshot<C: ReplicaCtx>(&mut self, ctx: &mut C, snap: Snapshot, installed: bool) {
         let bytes = encode(&snap);
         // Durability is not free: materializing charges the encode
@@ -984,6 +1005,9 @@ impl ReplicaCore {
             ctx.costs().snapshot_encode_cost(bytes.len())
         };
         ctx.charge_durability(cost);
+        // The fence first: `resume` keeps a snapshot only if it lies
+        // below the persisted fence.
+        self.persist_fence(ctx);
         ctx.persist(keys::SNAPSHOT, bytes.clone());
         ctx.note_snapshot(stamp_of(&snap, installed));
         self.snapshot_bytes = bytes;
@@ -1236,10 +1260,11 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     }
 
     /// Records the decision of `instance` in the core: advances the
-    /// replay log and the (persisted) voting fence, caches the value,
-    /// folds it, registers reconfigurations it completes, trims the
-    /// cache to its bound and cuts a snapshot when one is due (see
-    /// "Log compaction" in the [module docs](self)).
+    /// replay log and the voting fence, caches the value, folds it,
+    /// registers reconfigurations it completes, trims the cache to its
+    /// bound and cuts a snapshot when one is due (see "Log compaction"
+    /// in the [module docs](self)). The fence is persisted with that
+    /// snapshot — or here, on every advance, when snapshots are off.
     /// Keyed on the replay log, so a revived process re-records the
     /// decided prefix learned through state transfer even though its
     /// voting fence already covers it. Returns `false` (and does
@@ -1250,9 +1275,10 @@ pub trait ReplicaHost<C: ReplicaCtx> {
             return false;
         }
         core.replayed.complete(instance);
-        let fence_before = core.decided_log.watermark();
         core.decided_log.complete(instance);
-        core.persist_fence(ctx, fence_before);
+        if core.cfg.snapshot_interval == 0 {
+            core.persist_fence(ctx);
+        }
         core.decisions.insert(instance, value.clone());
         core.fold.absorb(instance, value);
         self.note_reconfigs(ctx, instance, value);
@@ -1316,7 +1342,8 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     /// Installs a snapshot: fast-forwards the fold, replay log and
     /// voting fence to `last_included + 1`, drops the state the snapshot
     /// made moot, registers the reconfiguration history it carries (it
-    /// replaces scanning the compacted prefix) and adopts it for serving.
+    /// replaces scanning the compacted prefix) and adopts it for serving
+    /// (which persists the fence with it).
     fn install_snapshot(&mut self, ctx: &mut C, snap: Snapshot) {
         let core = self.core();
         if !core.fold.install(&snap) {
@@ -1324,9 +1351,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
         }
         let next = snap.last_included + 1;
         core.replayed.advance_to(next);
-        let fence_before = core.decided_log.watermark();
         core.decided_log.advance_to(next);
-        core.persist_fence(ctx, fence_before);
         core.recovered_votes = core.recovered_votes.split_off(&next);
         core.pending_reconfigs = core.pending_reconfigs.split_off(&next);
         core.rounds.drop_below(next);
@@ -1881,6 +1906,7 @@ pub(crate) mod tests {
         assert_eq!(snapshot_points(4, 0), Vec::<u64>::new());
     }
 
+    /// With snapshots off, the fence is persisted on every advance.
     #[test]
     fn persist_fence_writes_the_watermark_and_collects_exactly_the_votes_below_it() {
         let (mut host, mut ctx) = (FakeHost::fresh(16, 0), FakeCtx::new());
@@ -1941,15 +1967,14 @@ pub(crate) mod tests {
         joiner.install_snapshot(&mut ctx, snap);
 
         assert_eq!(joiner.core.decided_watermark(), 1000);
-        let deletes: Vec<&Write> = ctx
-            .writes
-            .iter()
-            .filter(|w| matches!(w, Write::Delete(_)))
-            .collect();
-        assert_eq!(deletes, [&Write::Delete(keys::votes(0..1000))]);
-        let puts = |key| ctx.writes.iter().filter(|w| **w == Write::Put(key)).count();
-        assert_eq!((puts(keys::WATERMARK), puts(keys::SNAPSHOT)), (1, 1));
-        assert_eq!(ctx.writes.len(), 3, "{:?}", ctx.writes);
+        assert_eq!(
+            ctx.writes,
+            vec![
+                Write::Put(keys::WATERMARK),
+                Write::Delete(keys::votes(0..1000)),
+                Write::Put(keys::SNAPSHOT),
+            ]
+        );
         // No vote record below the fence; the ones above it stay.
         let votes: Vec<u64> = ctx
             .store
@@ -1957,6 +1982,92 @@ pub(crate) mod tests {
             .map(|(key, _)| key - keys::VOTE_TAG)
             .collect();
         assert_eq!(votes, [1000, 1001]);
+    }
+
+    #[test]
+    fn decisions_write_nothing_until_a_snapshot_carries_the_fence() {
+        const K: u64 = 8;
+        let (mut host, mut ctx) = (FakeHost::fresh(64, K), FakeCtx::new());
+        for cut in 0..3 {
+            let base = cut * K;
+            for k in base..base + K {
+                host.core.persist_vote(&mut ctx, k, 0, 1, &batch(k));
+            }
+            ctx.writes.clear();
+            // Decisions 1 … K−1 of the cadence: no watermark, no
+            // tombstone, and every vote record stays.
+            for k in base..base + K - 1 {
+                host.decide(&mut ctx, k..k + 1);
+                assert_eq!(ctx.writes, [], "decision {k}");
+            }
+            assert!((base..base + K).all(|k| ctx.store.contains_key(&keys::vote(k))));
+            // The K-th: the fence, the tombstone over the records it
+            // retires, then the snapshot it covers — in that order.
+            host.decide(&mut ctx, base + K - 1..base + K);
+            assert_eq!(
+                ctx.writes,
+                vec![
+                    Write::Put(keys::WATERMARK),
+                    Write::Delete(keys::votes(base..base + K)),
+                    Write::Put(keys::SNAPSHOT),
+                ],
+                "cut {cut}"
+            );
+            assert_eq!(ctx.store[&keys::WATERMARK].decode::<u64>(), Ok(base + K));
+            assert_eq!(ctx.store.range(keys::votes(0..u64::MAX)).count(), 0);
+            ctx.writes.clear();
+        }
+    }
+
+    /// A run of votes and decisions (pipelined two deep, so decisions
+    /// land out of order, and lifted past a snapshot install), cut after
+    /// every handler, with snapshots on and off: the store it leaves
+    /// always keeps, for every instance below the decided prefix, the
+    /// vote record or a fence covering it, and a snapshot below that
+    /// fence.
+    #[test]
+    fn a_store_cut_after_any_handler_keeps_every_decided_vote_or_a_fence_over_it() {
+        let (mut server, mut server_ctx) = (FakeHost::fresh(64, 4), FakeCtx::new());
+        server.decide(&mut server_ctx, 0..30);
+        let snap = server.core.snapshot().unwrap().clone();
+        assert_eq!(snap.last_included, 27);
+        for interval in [4, 0] {
+            let (mut host, mut ctx) = (FakeHost::fresh(6, interval), FakeCtx::new());
+            let mut cuts = 0;
+            let mut check = |host: &FakeHost, store: &StableStore| {
+                let revived = ReplicaCore::resume(host.core.cfg.clone(), &NAMES, store);
+                let fence = revived.decided_watermark();
+                for k in 0..host.core.decided_watermark() {
+                    assert!(
+                        k < fence || revived.recovered_vote(k).is_some(),
+                        "interval {interval}: instance {k} lost its vote and the fence ({fence})"
+                    );
+                }
+                let snapshot = store.contains_key(&keys::SNAPSHOT);
+                assert_eq!(snapshot, revived.restored.is_some(), "interval {interval}");
+                cuts += 1;
+            };
+            for k in (0..20).step_by(2) {
+                // Vote in k and k + 1, then decide k + 1 before k.
+                for j in [k, k + 1] {
+                    host.core.persist_vote(&mut ctx, j, 0, 1, &batch(j));
+                    check(&host, &ctx.store);
+                }
+                for j in [k + 1, k] {
+                    host.decide(&mut ctx, j..j + 1);
+                    check(&host, &ctx.store);
+                }
+            }
+            // Votes in instances a snapshot from a peer then lifts the
+            // fence over.
+            for j in 20..26 {
+                host.core.persist_vote(&mut ctx, j, 0, 1, &batch(j));
+            }
+            host.install_snapshot(&mut ctx, snap.clone());
+            check(&host, &ctx.store);
+            assert_eq!(ctx.store.range(keys::votes(0..u64::MAX)).count(), 0);
+            assert_eq!(cuts, 41);
+        }
     }
 
     /// The decision requests `ctx` sent to `peer` since the last call, in

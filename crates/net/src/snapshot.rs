@@ -47,6 +47,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -100,7 +101,7 @@ impl fmt::Debug for AppStateFactory {
 }
 
 /// Per-sender delivered set inside a [`Snapshot`] (watermark plus the
-/// sparse completions above it — the wire form of a
+/// runs of completions above it — the wire form of a
 /// [`WatermarkSet`](crate::watermark::WatermarkSet)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SenderLog {
@@ -108,8 +109,10 @@ pub struct SenderLog {
     pub sender: ProcessId,
     /// Every sequence number below this was delivered.
     pub watermark: u64,
-    /// Delivered sequence numbers at or above the watermark.
-    pub above: Vec<u64>,
+    /// Runs of delivered sequence numbers above the watermark,
+    /// half-open and ascending: one per hole in the sender's sequence,
+    /// however many messages follow it.
+    pub above: Vec<Range<u64>>,
 }
 
 impl Wire for SenderLog {
@@ -122,7 +125,7 @@ impl Wire for SenderLog {
         Ok(SenderLog {
             sender: ProcessId(r.get_u16()?),
             watermark: r.get_u64()?,
-            above: Vec::<u64>::decode(r)?,
+            above: Vec::<Range<u64>>::decode(r)?,
         })
     }
 }

@@ -3,10 +3,15 @@
 //! Reliable broadcast must suppress duplicate deliveries forever, but a
 //! long-running stack cannot keep one record per message. Each origin
 //! rbcasts with consecutive sequence numbers, so completed entries are
-//! compacted into a contiguous watermark; only a (normally tiny) set of
-//! out-of-order completions lives above it.
+//! compacted into a contiguous watermark; only the completions above a
+//! hole in the sequence live above it, as runs of consecutive numbers.
+//! A hole that never fills — a sequence number its origin burned and
+//! never sent (a crash-lost admission, the rest of a counter block a
+//! restart skipped) — therefore costs one run, however many completions
+//! follow it.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::id::{MsgId, ProcessId};
 use crate::snapshot::SenderLog;
@@ -21,38 +26,64 @@ use crate::snapshot::SenderLog;
 /// let mut log = WatermarkSet::default();
 /// assert!(log.is_new(0));
 /// log.complete(0);
-/// log.complete(2); // out of order: kept in the sparse set
+/// log.complete(2); // out of order: a run above the watermark
+/// log.complete(3); // extends that run
 /// assert!(!log.is_new(0));
-/// assert!(!log.is_new(2));
+/// assert!(!log.is_new(3));
 /// assert!(log.is_new(1));
-/// log.complete(1); // fills the gap: watermark jumps to 3
-/// assert_eq!(log.watermark(), 3);
-/// assert_eq!(log.sparse_len(), 0);
+/// assert_eq!(log.run_count(), 1);
+/// log.complete(1); // fills the hole: watermark jumps to 4
+/// assert_eq!(log.watermark(), 4);
+/// assert_eq!(log.run_count(), 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WatermarkSet {
     /// All sequence numbers `< watermark` are completed.
     watermark: u64,
-    /// Completed sequence numbers `>= watermark`, ascending (sparse).
-    /// Flat, not a tree: a snapshot copies it on every compaction, and
-    /// completions arrive (nearly) in order, i.e. at its end.
-    above: Vec<u64>,
+    /// Completed sequence numbers `>= watermark`, as half-open runs:
+    /// ascending, non-empty, and neither overlapping nor touching one
+    /// another or the watermark (such runs are merged). Flat, not a
+    /// tree: a snapshot copies it on every compaction, and completions
+    /// arrive (nearly) in order, i.e. at the end of its last run.
+    above: Vec<Range<u64>>,
 }
 
 impl WatermarkSet {
     /// True if `seq` has not been completed yet.
     pub fn is_new(&self, seq: u64) -> bool {
-        seq >= self.watermark && self.above.binary_search(&seq).is_err()
+        if seq < self.watermark {
+            return false;
+        }
+        let at = self.above.partition_point(|run| run.end <= seq);
+        self.above.get(at).is_none_or(|run| seq < run.start)
     }
 
     /// Marks `seq` completed, compacting the watermark when possible.
     pub fn complete(&mut self, seq: u64) {
-        if seq < self.watermark {
+        if seq == self.watermark && self.above.is_empty() {
+            self.watermark += 1; // the in-order case
+        } else {
+            self.complete_run(seq..seq.saturating_add(1));
+        }
+    }
+
+    /// Marks every number in `run` completed (a snapshot's runs, or one
+    /// number): merges it with the runs it overlaps or touches, then
+    /// compacts the watermark. An empty or inverted range is a no-op.
+    fn complete_run(&mut self, run: Range<u64>) {
+        let start = run.start.max(self.watermark);
+        if start >= run.end {
             return;
         }
-        if let Err(at) = self.above.binary_search(&seq) {
-            self.above.insert(at, seq);
-        }
+        // The runs `first..last` overlap or touch `start..run.end`.
+        let first = self.above.partition_point(|r| r.end < start);
+        let last = self.above.partition_point(|r| r.start <= run.end);
+        let merged = if first < last {
+            self.above[first].start.min(start)..self.above[last - 1].end.max(run.end)
+        } else {
+            start..run.end
+        };
+        self.above.splice(first..last, [merged]);
         self.compact();
     }
 
@@ -64,18 +95,20 @@ impl WatermarkSet {
             return;
         }
         self.watermark = watermark;
-        let below = self.above.partition_point(|&s| s < watermark);
+        let below = self.above.partition_point(|run| run.end <= watermark);
         self.above.drain(..below);
         self.compact();
     }
 
-    /// Absorbs the sparse entries that continue the watermark.
+    /// Absorbs the run that continues the watermark, if any.
     fn compact(&mut self) {
-        let run = (self.above.iter().zip(self.watermark..))
-            .take_while(|(s, w)| *s == w)
-            .count();
-        self.above.drain(..run);
-        self.watermark += run as u64;
+        if self
+            .above
+            .first()
+            .is_some_and(|run| run.start <= self.watermark)
+        {
+            self.watermark = self.above.remove(0).end;
+        }
     }
 
     /// Everything below this is completed.
@@ -83,8 +116,9 @@ impl WatermarkSet {
         self.watermark
     }
 
-    /// Number of completed entries retained above the watermark.
-    pub fn sparse_len(&self) -> usize {
+    /// Number of runs of completed numbers retained above the watermark
+    /// (one per hole below them).
+    pub fn run_count(&self) -> usize {
         self.above.len()
     }
 }
@@ -118,8 +152,8 @@ impl DeliveredSet {
     pub fn seed(&mut self, log: &SenderLog) {
         let set = self.per_sender.entry(log.sender).or_default();
         set.advance_to(log.watermark);
-        for &seq in &log.above {
-            set.complete(seq);
+        for run in &log.above {
+            set.complete_run(run.clone());
         }
     }
 
@@ -137,8 +171,12 @@ impl DeliveredSet {
 }
 
 #[cfg(test)]
+// A list of one run is what a single hole leaves, not a mistyped range.
+#[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
+    use fortika_sim::DetRng;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fresh_log_accepts_everything() {
@@ -155,7 +193,7 @@ mod tests {
             assert!(log.is_new(seq));
             log.complete(seq);
             assert_eq!(
-                log.sparse_len(),
+                log.run_count(),
                 0,
                 "watermark should absorb in-order completions"
             );
@@ -170,10 +208,10 @@ mod tests {
             log.complete(seq);
         }
         assert_eq!(log.watermark(), 0);
-        assert_eq!(log.sparse_len(), 5);
+        assert_eq!(log.above, [1..6]);
         log.complete(0);
         assert_eq!(log.watermark(), 6);
-        assert_eq!(log.sparse_len(), 0);
+        assert_eq!(log.run_count(), 0);
     }
 
     #[test]
@@ -189,6 +227,62 @@ mod tests {
         assert_eq!(log.watermark(), 6);
     }
 
+    /// A hole that never fills costs one run, whatever follows it.
+    #[test]
+    fn one_hole_then_ten_thousand_completions_is_one_run() {
+        let mut log = WatermarkSet::default();
+        log.complete(0);
+        for seq in 2..10_002 {
+            log.complete(seq);
+        }
+        assert_eq!((log.watermark(), &log.above[..]), (1, &[2..10_002][..]));
+        // And in the snapshot it is one run, not 10 000 numbers.
+        let mut set = DeliveredSet::default();
+        for seq in (0..10_002).filter(|&s| s != 1) {
+            set.mark(MsgId::new(ProcessId(3), seq));
+        }
+        let logs = set.to_logs();
+        assert_eq!(logs[0].above, [2..10_002]);
+    }
+
+    /// Random `complete` / `advance_to` sequences against a `BTreeSet`
+    /// of completed numbers: the same answers to `is_new`, and runs that
+    /// stay sorted, disjoint, non-touching and above the watermark.
+    #[test]
+    fn matches_a_set_model_under_random_completions_and_advances() {
+        for seed in 0..200 {
+            let mut rng = DetRng::seed(seed);
+            let span = 8 + rng.below(120);
+            let mut log = WatermarkSet::default();
+            let mut model = BTreeSet::new();
+            for _ in 0..rng.below(300) {
+                if rng.below(16) == 0 {
+                    let to = rng.below(span);
+                    log.advance_to(to);
+                    model.extend(0..to);
+                } else {
+                    let seq = rng.below(span);
+                    assert_eq!(log.is_new(seq), !model.contains(&seq), "seed {seed}");
+                    log.complete(seq);
+                    model.insert(seq);
+                }
+                for seq in 0..span + 2 {
+                    assert_eq!(log.is_new(seq), !model.contains(&seq), "seed {seed} {seq}");
+                }
+                let w = log.watermark();
+                assert!(log.is_new(w), "seed {seed}: the watermark is the first gap");
+                let mut floor = w;
+                for run in &log.above {
+                    assert!(
+                        floor < run.start && run.start < run.end,
+                        "seed {seed}: {log:?}"
+                    );
+                    floor = run.end;
+                }
+            }
+        }
+    }
+
     #[test]
     fn delivered_set_tracks_per_sender_and_round_trips_through_logs() {
         let mut set = DeliveredSet::default();
@@ -201,7 +295,7 @@ mod tests {
         set.mark(b2);
         let logs = set.to_logs();
         assert_eq!(logs[0].watermark, 1);
-        assert_eq!((logs[1].watermark, &logs[1].above), (0, &vec![2]));
+        assert_eq!((logs[1].watermark, &logs[1].above), (0, &vec![2..3]));
 
         // Seeding merges into what is already there and compacts.
         let mut other = DeliveredSet::default();
@@ -212,6 +306,31 @@ mod tests {
         }
         assert!(!other.is_new(a0) && !other.is_new(b2));
         assert_eq!(other.to_logs()[1].watermark, 3);
+    }
+
+    #[test]
+    fn seeding_merges_overlapping_and_degenerate_runs() {
+        let mut set = DeliveredSet::default();
+        for seq in [4, 5, 9] {
+            set.mark(MsgId::new(ProcessId(2), seq));
+        }
+        // Runs out of a damaged snapshot: overlapping, touching, empty,
+        // inverted and below the watermark.
+        #[allow(clippy::reversed_empty_ranges)]
+        let log = SenderLog {
+            sender: ProcessId(2),
+            watermark: 1,
+            above: vec![0..1, 3..5, 6..6, 8..7, 6..9, 12..14],
+        };
+        set.seed(&log);
+        assert_eq!(
+            set.to_logs()[0],
+            SenderLog {
+                sender: ProcessId(2),
+                watermark: 1,
+                above: vec![3..10, 12..14],
+            }
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Errors produced while decoding.
@@ -665,6 +666,17 @@ impl Wire for Bytes {
     }
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         r.get_bytes()
+    }
+}
+
+/// A half-open range as its two ends (a run of sequence numbers).
+impl Wire for Range<u64> {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u64(self.start);
+        w.put_u64(self.end);
+    }
+    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
+        Ok(r.get_u64()?..r.get_u64()?)
     }
 }
 

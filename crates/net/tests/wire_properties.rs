@@ -138,7 +138,7 @@ fn watermark_compacts_dense_prefixes() {
             set.complete(seq);
         }
         assert_eq!(set.watermark(), limit);
-        assert_eq!(set.sparse_len(), 0, "dense prefix must compact away");
+        assert_eq!(set.run_count(), 0, "dense prefix must compact away");
     }
 }
 

@@ -29,19 +29,24 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
-use fortika_net::wire::{encode, Wire, WireError, WireReader, WireWriter};
-use fortika_net::{ProcessId, StableStore, TimerId, WatermarkSet};
+use fortika_net::wire::{Wire, WireError, WireReader, WireWriter};
+use fortika_net::{ProcessId, ReservedSeq, StableStore, TimerId, WatermarkSet};
 use fortika_sim::VDur;
 
 use crate::metrics;
 
 /// Stable-store key of this module's rbcast sequence counter.
 ///
-/// Persisted write-ahead: a process revived with a reset counter would
-/// reuse sequence numbers its old incarnation already burned, and every
-/// peer's duplicate-suppression log would silently swallow the new
+/// A process revived with a reset counter would reuse sequence numbers
+/// its old incarnation already burned, and every peer's
+/// duplicate-suppression log would silently swallow the new
 /// incarnation's broadcasts (its consensus module could then never
-/// disseminate a decision again).
+/// disseminate a decision again). So the counter is a
+/// [`ReservedSeq`]: a bound [`ReservedSeq::BLOCK`] numbers ahead is
+/// persisted write-ahead, once per block rather than once per
+/// broadcast, and a revived process resumes at that bound. The numbers
+/// a restart skips are a hole in this origin's sequence that every
+/// peer's log holds as one run.
 ///
 /// Its namespace is assigned in [`fortika_net::replica::keys`], the one
 /// table every layer of the stack takes its keys from: this counter once
@@ -124,7 +129,7 @@ struct Pending {
 /// locally without a network hop.
 pub struct RbcastModule {
     cfg: RbcastConfig,
-    next_seq: u64,
+    seq: ReservedSeq,
     logs: BTreeMap<ProcessId, WatermarkSet>,
     pending: BTreeMap<(ProcessId, u64), Pending>,
     timer_keys: BTreeMap<u64, (ProcessId, u64)>,
@@ -136,7 +141,7 @@ impl RbcastModule {
     pub fn new(cfg: RbcastConfig) -> Self {
         RbcastModule {
             cfg,
-            next_seq: 0,
+            seq: ReservedSeq::new(STABLE_SEQ_KEY),
             logs: BTreeMap::new(),
             pending: BTreeMap::new(),
             timer_keys: BTreeMap::new(),
@@ -145,16 +150,13 @@ impl RbcastModule {
     }
 
     /// Creates the module for a revived process: resumes the rbcast
-    /// sequence counter persisted under [`STABLE_SEQ_KEY`] so the new
-    /// incarnation never reuses burned sequence numbers.
+    /// sequence counter at the bound reserved under [`STABLE_SEQ_KEY`]
+    /// so the new incarnation never reuses burned sequence numbers.
     pub fn resume(cfg: RbcastConfig, stable: &StableStore) -> Self {
-        let mut module = RbcastModule::new(cfg);
-        if let Some(value) = stable.get(&STABLE_SEQ_KEY) {
-            if let Ok(seq) = value.decode::<u64>() {
-                module.next_seq = seq;
-            }
+        RbcastModule {
+            seq: ReservedSeq::resume(STABLE_SEQ_KEY, stable),
+            ..RbcastModule::new(cfg)
         }
-        module
     }
 
     fn complete(&mut self, ctx: &mut FrameworkCtx<'_, '_>, origin: ProcessId, seq: u64) {
@@ -235,16 +237,14 @@ impl Microprotocol for RbcastModule {
         let Event::Rbcast { stream, payload } = ev else {
             return;
         };
+        // Write-ahead: `seq` is below the durable bound before
+        // (atomically with) its first copy leaving this process.
         let msg = RbMsg {
             origin: ctx.pid(),
-            seq: self.next_seq,
+            seq: self.seq.take(ctx),
             stream: *stream,
             payload: payload.clone(),
         };
-        self.next_seq += 1;
-        // Write-ahead: the burned counter is durable before (atomically
-        // with) the first copy of `seq` leaving this process.
-        ctx.persist(STABLE_SEQ_KEY, encode(&self.next_seq));
         ctx.bump(metrics::INITIATED, 1);
         ctx.trace_span("rbcast", msg.seq, "initiated", u64::from(msg.origin.0));
         // Local delivery first (no network hop for the origin)…
@@ -298,7 +298,7 @@ impl Microprotocol for RbcastModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortika_net::wire::decode;
+    use fortika_net::wire::{decode, encode};
 
     #[test]
     fn rbmsg_round_trips() {

@@ -17,7 +17,9 @@
 //! [`FaultHooks::skip_vote_persist`]: fortika::core::FaultHooks::skip_vote_persist
 #![cfg(debug_assertions)]
 
-use fortika::chaos::{minimize, ChaosProfile, FuzzCampaign, FuzzConfig, Scenario, StopReason};
+use fortika::chaos::{
+    minimize, ChaosProfile, FuzzCampaign, FuzzConfig, Scenario, ScenarioEvent, StopReason,
+};
 use fortika::core::workload::Workload;
 use fortika::core::{
     fuzz_runner, run_fuzz_scenario, Experiment, FaultHooks, StackConfig, StackKind,
@@ -78,23 +80,43 @@ fn hunt(kind: StackKind, campaign_seed: u64) -> fortika::chaos::CampaignReport {
 }
 
 /// Buries the real failing timeline under `PADDING` no-op decoys:
-/// ×1.000 slowdowns and ×1.000 delay spikes that leave the simulation
-/// bit-identical, so the minimizer has plenty of irrelevant events to
-/// prove it can discard.
+/// ×1.000 slowdowns, delay spikes and link degradations that leave the
+/// simulation bit-identical, so the minimizer has plenty of irrelevant
+/// events to prove it can discard.
+///
+/// A window sets its target to nominal when it opens *and* when it
+/// closes, so a decoy inside a real window of its own family would cut
+/// that window short (a ×1.000 slowdown of p1 inside a real ×3.6 one
+/// ends it early). Each decoy therefore takes the first family no real
+/// window occupies during its slot: slowdowns and delay spikes in
+/// alternation, a degradation when both are taken.
 fn pad(scenario: &Scenario) -> Scenario {
+    let occupied = |family: &str, from: VDur, until: VDur| {
+        scenario.events().iter().any(|ev| match *ev {
+            ScenarioEvent::SlowNode {
+                from: a, until: b, ..
+            }
+            | ScenarioEvent::DelaySpike {
+                from: a, until: b, ..
+            }
+            | ScenarioEvent::DegradeLink {
+                from: a, until: b, ..
+            } => ev.family() == family && a <= until && b.is_none_or(|b| from <= b),
+            _ => false,
+        })
+    };
     let mut padded = scenario.clone();
     for i in 0..PADDING {
         let from = VDur::millis(10 + 20 * i as u64);
         let until = VDur::millis(20 + 20 * i as u64);
-        padded = if i % 2 == 0 {
-            padded.slow_node(ProcessId(i as u16 % 3), 1000, from, until)
-        } else {
-            padded.delay_spike(
-                LinkSelector::Between(ProcessId(0), ProcessId(i as u16 % 2 + 1)),
-                1000,
-                from,
-                until,
-            )
+        let link = LinkSelector::Between(ProcessId(0), ProcessId(i as u16 % 2 + 1));
+        let mut families = ["slow_node", "delay_spike", "degrade_link"];
+        families[..2].rotate_left(i % 2);
+        let family = families.into_iter().find(|f| !occupied(f, from, until));
+        padded = match family.expect("a free decoy family") {
+            "slow_node" => padded.slow_node(ProcessId(i as u16 % 3), 1000, from, until),
+            "delay_spike" => padded.delay_spike(link, 1000, from, until),
+            _ => padded.degrade_link(link, 1000, from, until),
         };
     }
     padded
@@ -155,7 +177,7 @@ fn hunt_and_shrink(kind: StackKind, campaign_seed: u64) {
 
 #[test]
 fn campaign_finds_and_shrinks_the_lost_vote_bug_modular() {
-    hunt_and_shrink(StackKind::Modular, 1);
+    hunt_and_shrink(StackKind::Modular, 2);
 }
 
 #[test]
@@ -167,7 +189,7 @@ fn campaign_finds_and_shrinks_the_lost_vote_bug_monolithic() {
 /// default stack find nothing.
 #[test]
 fn clean_stacks_survive_the_same_campaigns() {
-    for (kind, seed) in [(StackKind::Modular, 1u64), (StackKind::Monolithic, 6u64)] {
+    for (kind, seed) in [(StackKind::Modular, 2u64), (StackKind::Monolithic, 6u64)] {
         let cfg = FuzzConfig {
             batch_runs: 16,
             max_batches: 2,

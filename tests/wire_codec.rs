@@ -227,7 +227,7 @@ fn snapshot() -> Snapshot {
             SenderLog {
                 sender: ProcessId(0),
                 watermark: 900,
-                above: vec![902, 903, 950],
+                above: vec![902..904, 950..951],
             },
             SenderLog {
                 sender: ProcessId(6),
