@@ -44,6 +44,14 @@ const BRANCHES: &[Branch] = &[
         keys: &[consensus::PROGRESS_ROTATIONS, mono::PROGRESS_ROTATIONS],
     },
     Branch {
+        name: "promises",
+        keys: &[consensus::PROMISES, mono::PROMISES],
+    },
+    Branch {
+        name: "direct_proposals",
+        keys: &[consensus::DIRECT_PROPOSALS, mono::DIRECT_PROPOSALS],
+    },
+    Branch {
         name: "gap_pulls",
         keys: &[consensus::GAP_REQUESTS, mono::GAP_REQUESTS],
     },

@@ -5,23 +5,32 @@
 //! Rounds rotate coordinators (`coord(r) = p_{(r mod n)+1}`). The
 //! implementation carries the paper's modular-side optimizations (§3.2):
 //!
-//! 1. **Round 0 has no estimate phase**: the coordinator proposes its own
-//!    initial value directly (Fig. 3).
+//! 1. **A direct round has no estimate phase**: its coordinator proposes
+//!    its own initial value directly (Fig. 3). Round 0 is one; after a
+//!    coordinator change, so is the round every process promised for the
+//!    instances it had not opened yet, once a majority did
+//!    ([`fortika_net::rounds`]).
 //! 2. **Rounds advance only on suspicion**: instead of free-running
 //!    rounds, a process moves to round `r+1` (sending its estimate to the
 //!    new coordinator) only while its failure detector suspects the
 //!    current coordinator — a state, not only the moment it starts: an
 //!    instance that opens in a round whose coordinator is suspected
-//!    advances at once, so a coordinator that is down costs one detector
-//!    timeout, not one progress timeout per instance. A slow periodic
-//!    sweep additionally rotates rounds for instances that make no
-//!    progress, which preserves liveness under pathological
-//!    mixed-suspicion schedules.
+//!    advances at once. With the estimate goes one promise of `r+1` for
+//!    every instance not yet opened, which open in it: a coordinator that
+//!    is down costs one detector timeout and one estimate round for the
+//!    instances live at the suspicion — not a round change, an estimate
+//!    phase and a full-value decision per instance for as long as it
+//!    stays down — and coordination stays with the new coordinator when
+//!    the old one comes back. A slow periodic sweep additionally rotates
+//!    rounds for instances that make no progress, which preserves
+//!    liveness under pathological mixed-suspicion schedules.
 //! 3. **Decisions are disseminated as a `DECISION` tag** through the
-//!    reliable broadcast module: in round 0 the notice carries no value —
-//!    receivers decide the round-0 proposal they already hold. A receiver
-//!    missing the proposal (possible when the coordinator crashed
-//!    mid-round) recovers with `DecisionRequest`/`DecisionFull`.
+//!    reliable broadcast module: in a direct round the notice carries no
+//!    value — receivers decide the proposal of that round they already
+//!    hold. A receiver missing the proposal (possible when the
+//!    coordinator crashed mid-round) recovers with
+//!    `DecisionRequest`/`DecisionFull`. A round that went through an
+//!    estimate phase ships the full value.
 //!
 //! Safety is the classic CT argument: a decision in round `r` requires
 //! acks from a majority, every ack locks the proposal as the acker's
@@ -144,9 +153,10 @@ impl ConsensusModule {
         let Some((round, value)) = self.core.quorum_acked(instance, ctx.n()) else {
             return;
         };
-        // Round-0 decisions ride as a tiny DECISION tag; later rounds
-        // ship the full value (receivers may lack the proposal).
-        let full = if round == 0 {
+        // Decisions of a direct proposal (round 0, or a promised round)
+        // ride as a tiny DECISION tag; after an estimate phase they ship
+        // the full value (receivers may lack the proposal).
+        let full = if self.core.rounds().tag_decides(instance) {
             None
         } else {
             Some(value.clone())
@@ -194,36 +204,13 @@ impl ConsensusModule {
         self.propose(ctx, instance, value);
     }
 
-    /// Moves `instance` to the next round whose coordinator is not
-    /// currently suspected, then plays this process's role in it.
-    fn advance_round(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
-        let me = ctx.pid();
-        let Some(to) = self.core.rotate(ctx, instance) else {
-            return;
-        };
-        if !to.votable {
-            return;
-        }
-        if to.coordinator == me {
-            // We coordinate: our own estimate joins the collection.
-            self.core
-                .join_own_estimate(me, instance, || Some(Batch::default()));
-            self.try_propose_from_estimates(ctx, instance);
-        } else {
-            let (value, ts) = self
-                .core
-                .rounds()
-                .estimate(instance)
-                .map(|(value, ts)| (value.clone(), ts))
-                .unwrap_or_default();
-            let msg = ConsensusMsg::Estimate {
-                instance,
-                round: to.round,
-                value,
-                ts,
-            };
-            ctx.send_net(to.coordinator, consensus::ESTIMATE, &msg);
-        }
+    /// Coordinator-side: proposes at `instance` with no estimate phase
+    /// ([`ReplicaCore::direct_round`] allowed it) the value it holds —
+    /// its initial value, or a lock of this very round it recovered.
+    fn propose_direct(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
+        let held = self.core.rounds().estimate(instance);
+        let value = held.map(|(v, _)| v.clone()).unwrap_or_default();
+        self.propose(ctx, instance, value);
     }
 
     fn on_propose_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64, value: Batch) {
@@ -248,22 +235,19 @@ impl ConsensusModule {
             self.advance_round(ctx, instance);
             return;
         }
+        if self.core.direct_round(instance, me, n).is_some() {
+            // Round 0 — or a round a majority promised — and we
+            // coordinate: propose our own initial value immediately (no
+            // estimate phase — first optimization).
+            self.propose_direct(ctx, instance);
+            return;
+        }
         let round = self.core.rounds().unproposed_round(instance);
-        match round.filter(|r| self.core.coordinator_of(instance, *r, n) == me) {
-            // Round 0, we coordinate: propose our own initial value
-            // immediately (no estimate phase — first optimization).
-            Some(0) => {
-                let held = self.core.rounds().estimate(instance);
-                let value = held.map(|(v, _)| v.clone()).unwrap_or_default();
-                self.propose(ctx, instance, value);
-            }
+        if round.is_some_and(|r| r > 0 && self.core.coordinator_of(instance, r, n) == me) {
             // We are (now) the coordinator of a later round and were
             // only waiting for our own initial value.
-            Some(_) => {
-                self.core.join_own_estimate(me, instance, || None);
-                self.try_propose_from_estimates(ctx, instance);
-            }
-            None => {}
+            self.core.join_own_estimate(me, instance, || None);
+            self.try_propose_from_estimates(ctx, instance);
         }
     }
 
@@ -354,6 +338,7 @@ impl ConsensusModule {
             self.core
                 .maybe_request_gap(ctx, origin, instance, self.core.decided_watermark());
         }
+        self.core.raise(ctx, instance, notice.round);
         if self.core.is_decided(instance) {
             return;
         }
@@ -418,6 +403,49 @@ impl ReplicaHost<FrameworkCtx<'_, '_>> for ConsensusModule {
     ) {
         let msg = ConsensusMsg::DecisionFull { instance, value };
         ctx.send_net(to, consensus::DECISION_FULL, &msg);
+    }
+
+    fn advance_round(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
+        let me = ctx.pid();
+        let Some(to) = self.core.rotate(ctx, instance) else {
+            return;
+        };
+        if !to.votable {
+            return;
+        }
+        if to.coordinator != me {
+            let (value, ts) = self
+                .core
+                .rounds()
+                .estimate(instance)
+                .map(|(value, ts)| (value.clone(), ts))
+                .unwrap_or_default();
+            let msg = ConsensusMsg::Estimate {
+                instance,
+                round: to.round,
+                value,
+                ts,
+            };
+            ctx.send_net(to.coordinator, consensus::ESTIMATE, &msg);
+        } else if self.core.direct_round(instance, me, ctx.n()).is_some() {
+            self.propose_direct(ctx, instance);
+        } else {
+            // We coordinate: our own estimate joins the collection.
+            self.core
+                .join_own_estimate(me, instance, || Some(Batch::default()));
+            self.try_propose_from_estimates(ctx, instance);
+        }
+    }
+
+    fn promised(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
+        // An instance still waiting for its initial value is proposed in
+        // once `Event::Propose` brings it.
+        let (me, n) = (ctx.pid(), ctx.n());
+        for instance in self.core.direct_ready(me, n) {
+            if self.core.rounds().estimate(instance).is_some() {
+                self.propose_direct(ctx, instance);
+            }
+        }
     }
 }
 

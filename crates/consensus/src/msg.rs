@@ -45,7 +45,7 @@ pub enum ConsensusMsg {
     },
     /// Recovery traffic both stacks share — decision pulls, rejoin
     /// announcements, bulk state transfer, chunked snapshot transfer —
-    /// embedded under this enum's tag bytes 4 and 6–9 (see
+    /// embedded under this enum's tag bytes 4 and 6–10 (see
     /// [`fortika_net::replica`] for the protocol).
     CatchUp(CatchUp),
 }
@@ -65,6 +65,7 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
         state_transfer: 7,
         snapshot_transfer: 8,
         snapshot_pull: 9,
+        promise: 10,
     },
     kinds: PerCatchUp {
         decision_request: consensus::DECISION_REQUEST,
@@ -72,6 +73,7 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
         state_transfer: consensus::STATE_TRANSFER,
         snapshot_transfer: consensus::SNAPSHOT_TRANSFER,
         snapshot_pull: consensus::SNAPSHOT_PULL,
+        promise: consensus::PROMISE,
     },
     gap_requests: consensus::GAP_REQUESTS,
     join_requests: consensus::JOIN_REQUESTS,
@@ -91,6 +93,8 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
     request_retries: consensus::REQUEST_RETRIES,
     tag_misses: consensus::TAG_MISSES,
     bogus_proposals: consensus::BOGUS_PROPOSALS,
+    promises: consensus::PROMISES,
+    direct_proposals: consensus::DIRECT_PROPOSALS,
 };
 
 impl Wire for ConsensusMsg {
@@ -267,7 +271,7 @@ mod tests {
 
     /// The catch-up messages moved into `fortika_net::replica`; on the
     /// wire they are still the bytes `ConsensusMsg` produced when it
-    /// declared them itself (tags 4, 6, 7, 8, 9).
+    /// declared them itself (tags 4, 6, 7, 8, 9); the promise rides tag 10.
     #[test]
     fn catch_up_keeps_its_wire_bytes() {
         let pins = [
@@ -309,6 +313,10 @@ mod tests {
                     offset: 4096,
                 },
                 "093f0000000000000000100000",
+            ),
+            (
+                CatchUp::Promise(fortika_net::Promise { round: 2, from: 17 }),
+                "0a020000001100000000000000",
             ),
         ];
         for (msg, pin) in pins {

@@ -94,7 +94,7 @@ pub enum MonoMsg {
     Heartbeat,
     /// Recovery traffic both stacks share — decision pulls, rejoin
     /// announcements, bulk state transfer, chunked snapshot transfer —
-    /// embedded under this enum's tag bytes 6 and 9–12 (see
+    /// embedded under this enum's tag bytes 6 and 9–13 (see
     /// [`fortika_net::replica`] for the protocol).
     CatchUp(CatchUp),
 }
@@ -117,6 +117,7 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
         state_transfer: 10,
         snapshot_transfer: 11,
         snapshot_pull: 12,
+        promise: 13,
     },
     kinds: PerCatchUp {
         decision_request: mono::DECISION_REQUEST,
@@ -124,6 +125,7 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
         state_transfer: mono::STATE_TRANSFER,
         snapshot_transfer: mono::SNAPSHOT_TRANSFER,
         snapshot_pull: mono::SNAPSHOT_PULL,
+        promise: mono::PROMISE,
     },
     gap_requests: mono::GAP_REQUESTS,
     join_requests: mono::JOIN_REQUESTS,
@@ -143,6 +145,8 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
     request_retries: mono::REQUEST_RETRIES,
     tag_misses: mono::TAG_MISSES,
     bogus_proposals: mono::BOGUS_PROPOSALS,
+    promises: mono::PROMISES,
+    direct_proposals: mono::DIRECT_PROPOSALS,
 };
 
 impl Wire for Decision {
@@ -343,7 +347,7 @@ mod tests {
 
     /// The catch-up messages moved into `fortika_net::replica`; on the
     /// wire they are still the bytes `MonoMsg` produced when it declared
-    /// them itself (tags 6, 9, 10, 11, 12).
+    /// them itself (tags 6, 9, 10, 11, 12); the promise rides tag 13.
     #[test]
     fn catch_up_keeps_its_wire_bytes() {
         let pins = [
@@ -385,6 +389,10 @@ mod tests {
                     offset: 4096,
                 },
                 "0c3f0000000000000000100000",
+            ),
+            (
+                CatchUp::Promise(fortika_net::Promise { round: 2, from: 17 }),
+                "0d020000001100000000000000",
             ),
         ];
         for (msg, pin) in pins {

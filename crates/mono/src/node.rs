@@ -6,8 +6,13 @@
 //! individually switchable for ablation studies:
 //!
 //! * **O1 — combine next proposal with current decision** (§4.1): the
-//!   round-0 coordinator of consecutive instances is the same process, so
-//!   `decision k` piggybacks on `proposal k+1` in one message.
+//!   coordinator of the direct round of consecutive instances is the same
+//!   process, so `decision k` piggybacks on `proposal k+1` in one message.
+//!   The paper's premise is round 0's coordinator; after a coordinator
+//!   change it is the coordinator the survivors promised their round to
+//!   (see [`fortika_net::rounds`]), which proposes every instance they had
+//!   not opened with no estimate phase — so O1 and the tag decisions of
+//!   O3 hold through an outage instead of lapsing for its whole length.
 //! * **O2 — piggyback abcast messages on acks** (§4.2): senders hand new
 //!   messages directly to the coordinator, riding `ack` messages (or the
 //!   estimate after a coordinator change) instead of diffusing them to
@@ -108,8 +113,9 @@ impl Default for MonoOptimizations {
     }
 }
 
-/// Idle kick: with a suspected round-0 coordinator and pending work,
-/// (re)create the next instance after this much silence.
+/// Idle kick: with pending work, or the coordinator of the round the
+/// next instance opens in suspected, (re)create it after this much
+/// silence.
 const IDLE_TIMEOUT: VDur = VDur::secs(1);
 
 /// Configuration of the monolithic node.
@@ -279,16 +285,24 @@ impl MonoNode {
 
     /// Bootstraps consensus slots while we hold fresh work and the
     /// proposal window has room (one slot per pass at the seed-faithful
-    /// depth 1; up to `pipeline_depth` outstanding slots beyond it).
+    /// depth 1; up to `pipeline_depth` outstanding slots beyond it) — or
+    /// a live slot this process opened before a promise let it propose
+    /// there.
     fn try_start_instance(&mut self, ctx: &mut NodeCtx<'_>) {
         loop {
-            let Some(k) = self.open_slot() else { return };
             if self.pool.is_empty() {
                 return;
             }
             let n = ctx.n();
             let me = ctx.pid();
             let now = ctx.now();
+            let waiting = |node: &Self| {
+                let lowest = node.core.rounds().lowest();
+                lowest.filter(|k| node.core.direct_round(*k, me, n).is_some_and(|r| r > 0))
+            };
+            let Some(k) = self.open_slot().or_else(|| waiting(self)) else {
+                return;
+            };
             if !self.core.can_vote(k, me) {
                 // Learner (or membership at `k` still behind the config
                 // fence): never propose. Pending messages reach the
@@ -296,11 +310,14 @@ impl MonoNode {
                 ctx.bump(mono::CONFIG_FENCE_DROPS, 1);
                 return;
             }
-            if self.core.coordinator_of(k, 0, n) != me {
-                // Instance registered so round rotation can engage; if
-                // its coordinator is already suspected, rotate now. No
-                // batch is needed on this path — keep it cheap, it runs
-                // on every non-coordinator message arrival.
+            if self.core.direct_round(k, me, n).is_none() {
+                // Not ours to propose in (not the coordinator of the
+                // round it opens in, a recovered lock of a lower round,
+                // or a promise quorum still incomplete). Instance
+                // registered so round rotation can engage; if its
+                // coordinator is already suspected, rotate now. No batch
+                // is needed on this path — keep it cheap, it runs on
+                // every non-coordinator message arrival.
                 self.core.open(k, now);
                 if self.core.coordinator_suspected(k, n) {
                     self.advance_round(ctx, k);
@@ -312,36 +329,18 @@ impl MonoNode {
                 return; // everything pending already rides a live slot
             }
             self.core.open(k, now);
-            if self.core.rounds().unproposed_round(k) == Some(0) {
-                let proposal = self.lock_round0(ctx, k, fresh);
-                self.broadcast(
-                    ctx,
-                    mono::PROPOSAL,
-                    &MonoMsg::Step {
-                        decision: None,
-                        proposal: Some(proposal),
-                    },
-                );
-                self.check_decide(ctx, k);
-                // Loop: with depth > 1 another slot may still be open.
-            } else {
-                // Coordinator, but a recovered later-round lock forbids
-                // a round-0 proposal: the instance is registered
-                // (above); rotate if its coordinator is suspected.
-                if self.core.coordinator_suspected(k, n) {
-                    self.advance_round(ctx, k);
-                }
-                return;
-            }
+            let proposal = self.lock_direct(ctx, k, fresh);
+            self.propose(ctx, proposal);
+            // Loop: with depth > 1 another slot may still be open.
         }
     }
 
-    /// Locks the round-0 proposal of the fresh slot `k` this process
-    /// coordinates. A lock recovered from stable storage pins the value
-    /// (re-proposing anything else in the same round could split the
-    /// tag-decide receivers); otherwise it is the `fresh` (unclaimed)
-    /// pool.
-    fn lock_round0(&mut self, ctx: &mut NodeCtx<'_>, k: u64, fresh: Batch) -> Proposal {
+    /// Locks the direct proposal (round 0, or a promised round) of slot
+    /// `k`, which this process coordinates. A lock recovered from stable
+    /// storage pins the value (re-proposing anything else in the same
+    /// round could split the tag-decide receivers); otherwise it is the
+    /// `fresh` (unclaimed) pool.
+    fn lock_direct(&mut self, ctx: &mut NodeCtx<'_>, k: u64, fresh: Batch) -> Proposal {
         let locked = self.core.rounds().estimate(k).map(|(v, _)| v.clone());
         let value = locked.unwrap_or(fresh);
         let round = self.core.lock(ctx, k, &value);
@@ -374,9 +373,9 @@ impl MonoNode {
             return;
         }
         let has_work = !self.pool.is_empty() || !self.own_pending.is_empty();
-        let coord0 = self.core.coordinator_of(self.next_decide, 0, n);
-        let coord0_suspected = self.core.rounds().suspects(coord0);
-        if !(has_work || coord0_suspected) {
+        let round = self.core.fresh_round(self.next_decide);
+        let coord = self.core.coordinator_of(self.next_decide, round, n);
+        if !(has_work || self.core.rounds().suspects(coord)) {
             return;
         }
         self.try_start_instance(ctx);
@@ -411,7 +410,7 @@ impl MonoNode {
         let decision = Decision {
             instance,
             round,
-            full: if round == 0 {
+            full: if self.core.rounds().tag_decides(instance) {
                 None
             } else {
                 Some(value.clone())
@@ -424,22 +423,18 @@ impl MonoNode {
         self.apply_decisions_core(ctx);
 
         // Assemble the next proposal if the window has a free slot, we
-        // have fresh work and still coordinate (and no recovered
-        // later-round lock forbids a round-0 proposal). Cheap gates
+        // have fresh work and may propose there directly (we coordinate
+        // the round it opens in, no recovered lock of a lower round
+        // forbids it, and a round above 0 is promised). Cheap gates
         // first; the fresh (dedup) set is only built when they pass.
         let followup = self
             .open_slot()
-            .filter(|k1| {
-                !self.pool.is_empty()
-                    && self.core.can_vote(*k1, me)
-                    && self.core.coordinator_of(*k1, 0, n) == me
-                    && self.core.recovered_vote(*k1).is_none_or(|r| r.round == 0)
-            })
+            .filter(|k1| !self.pool.is_empty() && self.core.direct_round(*k1, me, n).is_some())
             .map(|k1| (k1, self.fresh_pool_batch()))
             .filter(|(_, fresh)| !fresh.is_empty());
         if let Some((k1, fresh)) = followup {
             self.core.open(k1, ctx.now());
-            let proposal = self.lock_round0(ctx, k1, fresh);
+            let proposal = self.lock_direct(ctx, k1, fresh);
             if self.cfg.opts.combine_decision_proposal {
                 ctx.bump(mono::COMBINED_STEPS, 1);
                 self.broadcast(
@@ -450,6 +445,7 @@ impl MonoNode {
                         proposal: Some(proposal),
                     },
                 );
+                self.check_decide(ctx, k1);
             } else {
                 self.broadcast(
                     ctx,
@@ -459,16 +455,8 @@ impl MonoNode {
                         proposal: None,
                     },
                 );
-                self.broadcast(
-                    ctx,
-                    mono::PROPOSAL,
-                    &MonoMsg::Step {
-                        decision: None,
-                        proposal: Some(proposal),
-                    },
-                );
+                self.propose(ctx, proposal);
             }
-            self.check_decide(ctx, k1);
         } else {
             self.broadcast(
                 ctx,
@@ -561,6 +549,7 @@ impl MonoNode {
         if self.core.is_replayed(dec.instance) {
             return;
         }
+        self.core.raise(ctx, dec.instance, dec.round);
         // O3 disabled: emulate the reliable-broadcast relay pattern for
         // decisions (first receipt at a relay re-broadcasts).
         if !self.cfg.opts.implicit_decision_acks {
@@ -733,56 +722,31 @@ impl MonoNode {
             }
         };
         let round = self.core.lock(ctx, instance, &value);
-        self.broadcast(
-            ctx,
-            mono::PROPOSAL,
-            &MonoMsg::Step {
-                decision: None,
-                proposal: Some(Proposal {
-                    instance,
-                    round,
-                    value,
-                }),
-            },
-        );
-        self.check_decide(ctx, instance);
+        let proposal = Proposal {
+            instance,
+            round,
+            value,
+        };
+        self.propose(ctx, proposal);
     }
 
-    /// Moves `instance` to the next round whose coordinator is not
-    /// currently suspected, then plays this process's role in it.
-    fn advance_round(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
-        let me = ctx.pid();
-        let Some(to) = self.core.rotate(ctx, instance) else {
-            return;
+    /// Sends a proposal this process locked, on its own (not riding a
+    /// decision); the self-ack may already be the majority.
+    fn propose(&mut self, ctx: &mut NodeCtx<'_>, proposal: Proposal) {
+        let instance = proposal.instance;
+        let msg = MonoMsg::Step {
+            decision: None,
+            proposal: Some(proposal),
         };
-        if !to.votable {
-            return;
-        }
-        if to.coordinator == me {
-            let pool = &self.pool;
-            self.core
-                .join_own_estimate(me, instance, || Some(batch_of(pool)));
-            self.try_propose_from_estimates(ctx, instance);
-            // Still short of a majority: solicit estimates instead of
-            // waiting for idle processes' periodic kicks.
-            if self.core.rounds().unproposed_round(instance) == Some(to.round) {
-                ctx.bump(mono::ESTIMATE_REQUESTS, 1);
-                let round = to.round;
-                self.broadcast(
-                    ctx,
-                    mono::ESTIMATE_REQUEST,
-                    &MonoMsg::EstimateRequest { instance, round },
-                );
-            }
-        } else {
-            self.send_estimate(ctx, instance, to.round);
-        }
+        self.broadcast(ctx, mono::PROPOSAL, &msg);
+        self.check_decide(ctx, instance);
     }
 
     /// Sends this process's estimate for `(instance, round)` to the
     /// round's coordinator, piggybacking undelivered own messages — the
     /// re-routing of §4.2 ("if the coordinator changes, m is again
-    /// piggybacked on the estimate sent to the new coordinator").
+    /// piggybacked on the estimate sent to the new coordinator") — after
+    /// the promise that goes with it.
     fn send_estimate(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, round: u32) {
         let n = ctx.n();
         let coord = self.core.coordinator_of(instance, round, n);
@@ -793,6 +757,7 @@ impl MonoNode {
             ctx.bump(mono::CONFIG_FENCE_DROPS, 1);
             return;
         }
+        self.core.promise(ctx, instance, round);
         let (value, ts) = match self.core.rounds().estimate(instance) {
             Some((value, ts)) => (value.clone(), ts),
             None => (batch_of(&self.pool), 0),
@@ -921,6 +886,42 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
     ) {
         let msg = decision_full(instance, 0, value);
         self.send(ctx, to, mono::DECISION_FULL, &msg);
+    }
+
+    fn advance_round(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
+        let me = ctx.pid();
+        let Some(to) = self.core.rotate(ctx, instance) else {
+            return;
+        };
+        if !to.votable {
+            return;
+        }
+        if to.coordinator != me {
+            self.send_estimate(ctx, instance, to.round);
+        } else if self.core.direct_round(instance, me, ctx.n()).is_some() {
+            let proposal = self.lock_direct(ctx, instance, self.fresh_pool_batch());
+            self.propose(ctx, proposal);
+        } else {
+            let pool = &self.pool;
+            self.core
+                .join_own_estimate(me, instance, || Some(batch_of(pool)));
+            self.try_propose_from_estimates(ctx, instance);
+            // Still short of a majority: solicit estimates instead of
+            // waiting for idle processes' periodic kicks.
+            if self.core.rounds().unproposed_round(instance) == Some(to.round) {
+                ctx.bump(mono::ESTIMATE_REQUESTS, 1);
+                let round = to.round;
+                self.broadcast(
+                    ctx,
+                    mono::ESTIMATE_REQUEST,
+                    &MonoMsg::EstimateRequest { instance, round },
+                );
+            }
+        }
+    }
+
+    fn promised(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.try_start_instance(ctx);
     }
 }
 

@@ -116,7 +116,7 @@ pub use replica::{
     CatchUp, PerCatchUp, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost, ReplicaNames,
     VoteRecord,
 };
-pub use rounds::{QuorumChoice, Rotation, Rounds, Vote};
+pub use rounds::{Promise, QuorumChoice, Rotation, Rounds, Vote};
 pub use seq::ReservedSeq;
 pub use snapshot::{
     AppState, AppStateFactory, ChunkOutcome, SenderLog, Snapshot, SnapshotDownload, SnapshotFold,

@@ -300,6 +300,8 @@ crate::metric_table! {
             REQUEST_RETRIES = "consensus.request_retries",
             TAG_MISSES = "consensus.tag_misses",
             BOGUS_PROPOSALS = "consensus.bogus_proposals",
+            PROMISES = "consensus.promises",
+            DIRECT_PROPOSALS = "consensus.direct_proposals",
         }
         kinds {
             PROPOSAL = "consensus.proposal",
@@ -311,6 +313,7 @@ crate::metric_table! {
             STATE_TRANSFER = "consensus.state_transfer",
             SNAPSHOT_TRANSFER = "consensus.snapshot_transfer",
             SNAPSHOT_PULL = "consensus.snapshot_pull",
+            PROMISE = "consensus.promise",
         }
     }
 }
@@ -345,6 +348,8 @@ crate::metric_table! {
             REQUEST_RETRIES = "mono.request_retries",
             TAG_MISSES = "mono.tag_misses",
             BOGUS_PROPOSALS = "mono.bogus_proposals",
+            PROMISES = "mono.promises",
+            DIRECT_PROPOSALS = "mono.direct_proposals",
         }
         kinds {
             FORWARD = "mono.forward",
@@ -362,6 +367,7 @@ crate::metric_table! {
             STATE_TRANSFER = "mono.state_transfer",
             SNAPSHOT_TRANSFER = "mono.snapshot_transfer",
             SNAPSHOT_PULL = "mono.snapshot_pull",
+            PROMISE = "mono.promise",
         }
     }
 }

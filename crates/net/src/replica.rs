@@ -123,7 +123,7 @@ use crate::membership::{
 use crate::message::Batch;
 use crate::metrics::{Kind, Metric};
 use crate::ratelimit::PeerRateLimiter;
-use crate::rounds::Rounds;
+use crate::rounds::{Promise, Rounds};
 use crate::snapshot::{
     chunk_of, stamp_of, AppState, ChunkOutcome, Snapshot, SnapshotDownload, SnapshotFold,
     SnapshotStamp,
@@ -152,9 +152,12 @@ pub mod keys {
     pub const RBCAST_SEQ: u64 = 5 << 56;
     /// The abcast module's origin-local payload sequence counter.
     pub const ABCAST_SEQ: u64 = 6 << 56;
+    /// This process's promise (see [`crate::rounds`]): the round below
+    /// which it votes at no instance from a floor on.
+    pub const PROMISE: u64 = 7 << 56;
 
-    const ALL: [u64; 6] = [
-        VOTE_TAG, WATERMARK, SNAPSHOT, CONFIG, RBCAST_SEQ, ABCAST_SEQ,
+    const ALL: [u64; 7] = [
+        VOTE_TAG, WATERMARK, SNAPSHOT, CONFIG, RBCAST_SEQ, ABCAST_SEQ, PROMISE,
     ];
     const _: () = {
         let mut i = 0;
@@ -297,6 +300,8 @@ pub struct PerCatchUp<T> {
     pub snapshot_transfer: T,
     /// For [`CatchUp::SnapshotPull`].
     pub snapshot_pull: T,
+    /// For [`CatchUp::Promise`].
+    pub promise: T,
 }
 
 /// What a stack calls the shared machinery: the only per-stack
@@ -348,6 +353,11 @@ pub struct ReplicaNames {
     pub tag_misses: Metric,
     /// Counter: proposals from a process not coordinating their round.
     pub bogus_proposals: Metric,
+    /// Counter: promises of the tail made (one per round a process
+    /// promises for every instance it has not opened).
+    pub promises: Metric,
+    /// Counter: proposals of a round above 0 made with no estimate phase.
+    pub direct_proposals: Metric,
 }
 
 /// The catch-up vocabulary both stacks speak. Each stack's wire enum
@@ -408,6 +418,11 @@ pub enum CatchUp {
         /// Byte offset of the requested chunk.
         offset: u32,
     },
+    /// "I vote in no round below `round` at any instance from `from` on,
+    /// and hold no such vote": sent to every peer once per coordinator
+    /// change, and to a peer that proposes in a round the sender
+    /// promised away or rejoins (see [`crate::rounds`]).
+    Promise(Promise),
 }
 
 impl CatchUp {
@@ -419,6 +434,7 @@ impl CatchUp {
             CatchUp::StateTransfer { .. } => table.state_transfer,
             CatchUp::SnapshotTransfer { .. } => table.snapshot_transfer,
             CatchUp::SnapshotPull { .. } => table.snapshot_pull,
+            CatchUp::Promise(_) => table.promise,
         }
     }
 
@@ -459,6 +475,7 @@ impl CatchUp {
                 w.put_u64(*last_included);
                 w.put_u32(*offset);
             }
+            CatchUp::Promise(promise) => promise.encode(w),
         }
     }
 
@@ -501,6 +518,8 @@ impl CatchUp {
                 last_included: r.get_u64()?,
                 offset: r.get_u32()?,
             })
+        } else if tag == tags.promise {
+            Ok(CatchUp::Promise(Promise::decode(r)?))
         } else {
             Err(WireError::InvalidTag(tag))
         }
@@ -676,6 +695,9 @@ pub struct ReplicaCore {
     /// Rate limiter for snapshot offers toward lagging peers (a batch
     /// of gap requests needs one offer, not eight).
     offer_limiter: PeerRateLimiter,
+    /// Rate limiter for the promise sent to a rejoining peer (one per
+    /// rejoin, not one per chained join request).
+    promise_limiter: PeerRateLimiter,
     /// Snapshot recovered from stable storage (restart only); installed
     /// at start, where a handler context is available.
     restored: Option<Snapshot>,
@@ -722,6 +744,7 @@ impl ReplicaCore {
             snapshot_bytes: Bytes::new(),
             download: SnapshotDownload::default(),
             offer_limiter: PeerRateLimiter::new(),
+            promise_limiter: PeerRateLimiter::new(),
             restored: None,
             timeline: None,
             pending_reconfigs: BTreeMap::new(),
@@ -756,6 +779,10 @@ impl ReplicaCore {
             } else if key == keys::CONFIG {
                 if let Ok(history) = decode_reconfigs(&mut value.reader()) {
                     core.recovered_reconfigs = history;
+                }
+            } else if key == keys::PROMISE {
+                if let Ok(promise) = value.decode::<Promise>() {
+                    core.rounds.restore_promise(promise);
                 }
             } else if key >> 56 == keys::VOTE_TAG >> 56 {
                 if let Ok(rec) = value.decode::<VoteRecord>() {
@@ -1117,7 +1144,15 @@ impl ReplicaCore {
     /// limit applies: once a run outgrows `decision_cache`, the evicted
     /// prefix is unservable and a joiner advertising instance 0 stalls
     /// (`*.join_unservable` counts this).
-    fn serve_join<C: ReplicaCtx>(&self, ctx: &mut C, from: ProcessId, watermark: u64) {
+    ///
+    /// A process that made a promise sends it along, once per
+    /// [`JOIN_RETRY`]: the joiner lost the promises it held, and the
+    /// round in use is in them.
+    fn serve_join<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId, watermark: u64) {
+        let now = ctx.now();
+        if self.rounds.promised().round > 0 && self.promise_limiter.allow(from, now, JOIN_RETRY) {
+            self.send_promise(ctx, from);
+        }
         let frontier = self.replayed.watermark();
         if frontier <= watermark {
             return;
@@ -1236,6 +1271,17 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     /// Answers a decision request with the cached `value`, in the
     /// stack's own full-decision message.
     fn reply_decision(&mut self, ctx: &mut C, to: ProcessId, instance: u64, value: Batch);
+
+    /// Moves live `instance` to the next round whose coordinator is not
+    /// suspected ([`ReplicaCore::rotate`]) and plays this process's role
+    /// in it: an estimate to the new coordinator, or — coordinating it —
+    /// a direct proposal where [`ReplicaCore::direct_round`] allows one
+    /// and the estimate phase otherwise.
+    fn advance_round(&mut self, ctx: &mut C, instance: u64);
+
+    /// A peer's promise arrived: propose wherever this process now may
+    /// with no estimate phase ([`ReplicaCore::direct_round`]).
+    fn promised(&mut self, ctx: &mut C);
 
     /// Call from the stack's start handler: builds the timeline and, on
     /// a revived process, restores the persisted snapshot first (the
@@ -1499,6 +1545,14 @@ pub trait ReplicaHost<C: ReplicaCtx> {
                 chunk,
                 frontier,
             ),
+            CatchUp::Promise(promise) => {
+                // Proposals of this process the promise refuses move on
+                // to the promised round.
+                for instance in self.core().absorb_promise(ctx, from, promise) {
+                    self.advance_round(ctx, instance);
+                }
+                self.promised(ctx);
+            }
             CatchUp::SnapshotPull {
                 last_included,
                 offset,
@@ -1550,6 +1604,8 @@ pub(crate) mod tests {
                 REQUEST_RETRIES = "t.request_retries",
                 TAG_MISSES = "t.tag_misses",
                 BOGUS_PROPOSALS = "t.bogus_proposals",
+                PROMISES = "t.promises",
+                DIRECT_PROPOSALS = "t.direct_proposals",
             }
             kinds {
                 DECISION_REQUEST = "t.decision_request",
@@ -1557,6 +1613,7 @@ pub(crate) mod tests {
                 STATE_TRANSFER = "t.state_transfer",
                 SNAPSHOT_TRANSFER = "t.snapshot_transfer",
                 SNAPSHOT_PULL = "t.snapshot_pull",
+                PROMISE = "t.promise",
             }
         }
     }
@@ -1569,6 +1626,7 @@ pub(crate) mod tests {
             state_transfer: 3,
             snapshot_transfer: 4,
             snapshot_pull: 5,
+            promise: 6,
         },
         kinds: PerCatchUp {
             decision_request: t::DECISION_REQUEST,
@@ -1576,6 +1634,7 @@ pub(crate) mod tests {
             state_transfer: t::STATE_TRANSFER,
             snapshot_transfer: t::SNAPSHOT_TRANSFER,
             snapshot_pull: t::SNAPSHOT_PULL,
+            promise: t::PROMISE,
         },
         gap_requests: t::GAP_REQUESTS,
         join_requests: t::JOIN_REQUESTS,
@@ -1595,6 +1654,8 @@ pub(crate) mod tests {
         request_retries: t::REQUEST_RETRIES,
         tag_misses: t::TAG_MISSES,
         bogus_proposals: t::BOGUS_PROPOSALS,
+        promises: t::PROMISES,
+        direct_proposals: t::DIRECT_PROPOSALS,
     };
 
     /// One stable write a [`FakeCtx`] took.
@@ -1608,6 +1669,7 @@ pub(crate) mod tests {
     /// effect on `store` at once and are logged in order.
     pub(crate) struct FakeCtx {
         pub(crate) pid: ProcessId,
+        pub(crate) n: usize,
         pub(crate) now: VTime,
         costs: CostModel,
         pub(crate) store: StableStore,
@@ -1621,6 +1683,7 @@ pub(crate) mod tests {
         pub(crate) fn new() -> Self {
             FakeCtx {
                 pid: ProcessId(0),
+                n: 3,
                 now: VTime::ZERO,
                 costs: CostModel::default(),
                 store: StableStore::new(),
@@ -1649,7 +1712,7 @@ pub(crate) mod tests {
             self.pid
         }
         fn n(&self) -> usize {
-            3
+            self.n
         }
         fn now(&self) -> VTime {
             self.now
@@ -1689,6 +1752,10 @@ pub(crate) mod tests {
         activated: Vec<u64>,
         covered: Vec<u64>,
         installed: u32,
+        /// Instances handed to `advance_round`.
+        pub(crate) advanced: Vec<u64>,
+        /// What `direct_ready` returned at each `promised`.
+        pub(crate) direct_ready: Vec<Vec<u64>>,
     }
 
     impl FakeHost {
@@ -1698,6 +1765,8 @@ pub(crate) mod tests {
                 activated: Vec::new(),
                 covered: Vec::new(),
                 installed: 0,
+                advanced: Vec::new(),
+                direct_ready: Vec::new(),
             }
         }
 
@@ -1738,6 +1807,14 @@ pub(crate) mod tests {
             }
         }
         fn reply_decision(&mut self, _: &mut FakeCtx, _: ProcessId, _: u64, _: Batch) {}
+        fn advance_round(&mut self, ctx: &mut FakeCtx, instance: u64) {
+            self.core.rotate(ctx, instance);
+            self.advanced.push(instance);
+        }
+        fn promised(&mut self, ctx: &mut FakeCtx) {
+            self.direct_ready
+                .push(self.core.direct_ready(ctx.pid, ctx.n()));
+        }
     }
 
     /// The one-message batch decided at instance `k`.
@@ -1778,6 +1855,7 @@ pub(crate) mod tests {
                 last_included: 63,
                 offset: 4096,
             },
+            CatchUp::Promise(Promise { round: 2, from: 17 }),
         ]
     }
 
@@ -1789,6 +1867,7 @@ pub(crate) mod tests {
             state_transfer: 10,
             snapshot_transfer: 11,
             snapshot_pull: 12,
+            promise: 13,
         };
         for msg in samples() {
             let mut bodies = Vec::new();

@@ -19,7 +19,44 @@
 //! * **rotate** — rounds only move forward, past coordinators currently
 //!   suspected ([`ReplicaCore::rotate`]): when suspicion starts, and when
 //!   an instance opens in a round whose coordinator is already suspected
-//!   ([`ReplicaCore::coordinator_suspected`]).
+//!   ([`ReplicaCore::coordinator_suspected`]);
+//! * **promise** — a process that enters a round `r ≥ 1` to send its
+//!   estimate to another coordinator may never vote below `r` there: one
+//!   stable record ([`keys::PROMISE`]) covers it, written only when it
+//!   rises and before the estimate leaves ([`ReplicaCore::promise`]) — so
+//!   a process revived after sending an estimate cannot ack a late
+//!   proposal of the round it left. When it left that round because it
+//!   suspects its coordinator, it also promises `r` for every instance it
+//!   has not opened: one [`CatchUp::Promise`] of `{ round, from }` to every
+//!   peer, `from` above every instance it holds a vote record for or has
+//!   open. The progress sweep moving one stuck instance on promises that
+//!   instance alone;
+//! * **open** — a fresh instance at or above the promise opens in the
+//!   promised round ([`ReplicaCore::fresh_round`]); a recovered vote of a
+//!   higher round wins. A process that sees a round above its promise in
+//!   use — a proposal, a decision, a peer's promise — raises its promise
+//!   to it ([`ReplicaCore::raise`]), so a revived round-0 coordinator
+//!   stops proposing into instances its peers promised away, and
+//!   coordination stays with the promised coordinator until a suspicion
+//!   rotates it again. Raising promises too, rather than only moving the
+//!   open round: a promise lost to a partition would otherwise leave the
+//!   new coordinator short of a promise quorum while every process waits
+//!   in its round. A proposal of a round this process promised away is
+//!   answered with the promise, and so is a rejoining peer;
+//! * **direct** — the coordinator of round `r` proposes at `j` with no
+//!   estimate phase once a majority of the members governing `j`,
+//!   itself included, promised `r` from at or below `j`
+//!   ([`ReplicaCore::direct_round`]). Round 0 is the case with nothing to
+//!   promise (the paper's first optimisation): nothing below `r` can be
+//!   decided at `j`, because that needs an ack quorum, which would meet
+//!   a promiser. A direct proposal reached every member as it is, so its
+//!   decision travels as a tag, as round 0's always did.
+//!
+//! The invariant the promise keeps: **a process that promised round `r`
+//! from `f` holds no vote of a round below `r` at any `j ≥ f`, and never
+//! will, in this incarnation or a later one.** So a coordinator change
+//! costs one estimate round for the instances live at the suspicion, and
+//! every later instance runs as round 0 did: a proposal, acks and a tag.
 //!
 //! Timestamps are `round + 1` so that a value locked by an ack quorum
 //! always outranks never-adopted initial values (timestamp 0).
@@ -36,7 +73,55 @@ use fortika_sim::VTime;
 
 use crate::id::ProcessId;
 use crate::message::Batch;
-use crate::replica::{CatchUp, ReplicaCore, ReplicaCtx, PROGRESS_TIMEOUT};
+use crate::replica::{keys, CatchUp, ReplicaCore, ReplicaCtx, PROGRESS_TIMEOUT};
+use crate::wire::{encode, Wire, WireError, WireReader, WireWriter};
+
+/// A promise: no vote of a round below `round` at any instance from
+/// `from` on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Promise {
+    /// The promised round.
+    pub round: u32,
+    /// The first instance covered.
+    pub from: u64,
+}
+
+impl Promise {
+    /// The round the promise holds `instance` to (0 below `from`).
+    fn round_at(self, instance: u64) -> u32 {
+        if instance >= self.from {
+            self.round
+        } else {
+            0
+        }
+    }
+
+    /// The promise covering what both cover, at the higher round: a
+    /// raise never uncovers an instance (round 0 covers nothing).
+    fn raised(self, to: Promise) -> Promise {
+        match (self.round, to.round) {
+            (_, 0) => self,
+            (0, _) => to,
+            (a, b) => Promise {
+                round: a.max(b),
+                from: self.from.min(to.from),
+            },
+        }
+    }
+}
+
+impl Wire for Promise {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.round);
+        w.put_u64(self.from);
+    }
+    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
+        Ok(Promise {
+            round: r.get_u32()?,
+            from: r.get_u64()?,
+        })
+    }
+}
 
 /// Round state of one undecided instance.
 struct Instance {
@@ -58,6 +143,8 @@ struct Instance {
     /// A decision tag arrived for this round but the matching proposal
     /// is missing; awaiting recovery.
     pending_tag: Option<u32>,
+    /// The outstanding proposal was made with no estimate phase.
+    direct: bool,
 }
 
 impl Instance {
@@ -96,6 +183,17 @@ impl Instance {
 pub struct Rounds {
     instances: BTreeMap<u64, Instance>,
     suspected: BTreeSet<ProcessId>,
+    /// This process's promise of the tail: fresh instances from
+    /// `promised.from` on open in `promised.round`.
+    promised: Promise,
+    /// The stable promise record: covers `promised` and every instance
+    /// this process sent an estimate for, in this incarnation or an
+    /// earlier one.
+    durable: Promise,
+    /// The latest promise each peer sent.
+    peers: BTreeMap<ProcessId, Promise>,
+    /// One past the highest instance this incarnation voted in.
+    voted_below: u64,
 }
 
 impl Rounds {
@@ -161,9 +259,30 @@ impl Rounds {
             .collect()
     }
 
+    /// True when `instance`'s outstanding proposal was made with no
+    /// estimate phase (round 0, or a promised round): every member got
+    /// it as it was, so its decision travels as a tag.
+    pub fn tag_decides(&self, instance: u64) -> bool {
+        self.instances
+            .get(&instance)
+            .is_some_and(|inst| inst.direct)
+    }
+
+    /// This process's own promise (round 0: none).
+    pub fn promised(&self) -> Promise {
+        self.promised
+    }
+
     /// Drops the instances below `next` (a snapshot covers them).
     pub(crate) fn drop_below(&mut self, next: u64) {
         self.instances = self.instances.split_off(&next);
+    }
+
+    /// Adopts the promise record a previous incarnation persisted, the
+    /// tail included.
+    pub(crate) fn restore_promise(&mut self, promise: Promise) {
+        self.promised = promise;
+        self.durable = promise;
     }
 }
 
@@ -216,15 +335,33 @@ impl ReplicaCore {
         false
     }
 
-    /// Per-instance state, created on first touch; a revived process
-    /// seeds fresh instances from its recovered vote records so its
-    /// locked `(round, estimate, ts)` is honoured.
+    /// The round a fresh `instance` opens in: the highest this process
+    /// promised or saw in use at or below it, or that of the vote it
+    /// recovered for it, if higher (0 while nothing was ever rotated).
+    pub fn fresh_round(&self, instance: u64) -> u32 {
+        let recovered = self.recovered_votes.get(&instance).map_or(0, |r| r.round);
+        self.rounds.promised.round_at(instance).max(recovered)
+    }
+
+    /// `instance`'s current round, or the one it would open in.
+    fn round_of(&self, instance: u64) -> u32 {
+        match self.rounds.instances.get(&instance) {
+            Some(inst) => inst.round,
+            None => self.fresh_round(instance),
+        }
+    }
+
+    /// Per-instance state, created on first touch in its
+    /// [`fresh_round`](Self::fresh_round); a revived process seeds fresh
+    /// instances from its recovered vote records so its locked `(round,
+    /// estimate, ts)` is honoured.
     fn instance_entry(&mut self, instance: u64, now: VTime) -> &mut Instance {
+        let promised = self.rounds.promised;
         let recovered = &self.recovered_votes;
         self.rounds.instances.entry(instance).or_insert_with(|| {
             let rec = recovered.get(&instance);
             Instance {
-                round: rec.map_or(0, |r| r.round),
+                round: promised.round_at(instance).max(rec.map_or(0, |r| r.round)),
                 round_entered: now,
                 estimate: rec.map(|r| (r.value.clone(), r.ts)),
                 last_proposal: None,
@@ -232,6 +369,7 @@ impl ReplicaCore {
                 estimates: BTreeMap::new(),
                 proposal_sent_round: None,
                 pending_tag: None,
+                direct: false,
             }
         })
     }
@@ -289,19 +427,166 @@ impl ReplicaCore {
 
     /// The coordinator work should be routed to right now: that of the
     /// lowest live instance's round or, with none live, the first
-    /// unsuspected member in the rotation at `cursor`.
+    /// unsuspected member in the rotation at `cursor`, from the round it
+    /// would open in.
     pub fn live_coordinator(&self, cursor: u64, n: usize) -> ProcessId {
         if let Some((k, inst)) = self.rounds.instances.iter().next() {
             return self.coordinator_of(*k, inst.round, n);
         }
         let members = self.members_of(cursor, n);
+        let first = self.fresh_round(cursor) as usize;
+        let at = |r: usize| members[(first + r) % members.len()];
         // Bounded by one full rotation: a learner must not spin when
         // every member is transiently suspected.
         let mut r = 0;
-        while r < members.len() && self.rounds.suspected.contains(&members[r]) {
+        while r < members.len() && self.rounds.suspected.contains(&at(r)) {
             r += 1;
         }
-        members[r % members.len()]
+        at(r)
+    }
+
+    /// The round in which `me` may propose at `instance` with no estimate
+    /// phase, if any: `instance` (live, or the round it would open in) is
+    /// unproposed in a round `me` coordinates and may vote in; `me` holds
+    /// no lock of a lower round there (a lock of this very round — its
+    /// own, recovered — is re-proposed); and the round is 0, or a
+    /// majority of the members governing `instance`, `me` included,
+    /// promised it from at or below `instance`.
+    pub fn direct_round(&self, instance: u64, me: ProcessId, n: usize) -> Option<u32> {
+        let (round, held) = match self.rounds.instances.get(&instance) {
+            Some(inst) if inst.proposal_sent_round == Some(inst.round) => return None,
+            Some(inst) => (inst.round, inst.estimate.as_ref().map_or(0, |(_, ts)| *ts)),
+            None => {
+                let rec = self.recovered_votes.get(&instance);
+                (self.fresh_round(instance), rec.map_or(0, |r| r.ts))
+            }
+        };
+        if self.coordinator_of(instance, round, n) != me || (held != 0 && held != round + 1) {
+            return None;
+        }
+        let promised = round == 0 || self.promise_quorum(instance, round, me, n);
+        (promised && self.can_vote(instance, me)).then_some(round)
+    }
+
+    /// The live instances [`direct_round`](Self::direct_round) lets `me`
+    /// propose in, in a round above 0.
+    pub fn direct_ready(&self, me: ProcessId, n: usize) -> Vec<u64> {
+        self.rounds
+            .instances
+            .keys()
+            .copied()
+            .filter(|k| self.direct_round(*k, me, n).is_some_and(|r| r > 0))
+            .collect()
+    }
+
+    /// True when a majority of the members governing `instance` — `me`
+    /// and peers whose promise covers it — promised `round` or higher.
+    fn promise_quorum(&self, instance: u64, round: u32, me: ProcessId, n: usize) -> bool {
+        let promised = self.members_of(instance, n).into_iter().filter(|p| {
+            *p != me
+                && self
+                    .rounds
+                    .peers
+                    .get(p)
+                    .is_some_and(|q| q.round >= round && q.from <= instance)
+        });
+        promised.count() + 1 >= self.majority_of(instance, n)
+    }
+
+    /// The first instance the promise this process made (`promised`,
+    /// round above 0) may announce: above every instance it holds a vote
+    /// record for or has open, and never below `promised.from` — fresh
+    /// instances under that floor still open in a lower round. The stable
+    /// record may reach lower (it covers single rotated instances too),
+    /// but it is no floor for what fresh instances open in.
+    fn promise_from(&self) -> u64 {
+        let last = |k: Option<&u64>| k.map_or(0, |k| k + 1);
+        let open = last(self.rounds.instances.keys().next_back());
+        let recovered = last(self.recovered_votes.keys().next_back());
+        (self.rounds.voted_below)
+            .max(open)
+            .max(recovered)
+            .max(self.decided_watermark())
+            .max(self.rounds.promised.from)
+    }
+
+    /// Sends this process's promise, if it made one, to `to`.
+    pub(crate) fn send_promise<C: ReplicaCtx>(&self, ctx: &mut C, to: ProcessId) {
+        let round = self.rounds.promised.round;
+        if round > 0 {
+            let from = self.promise_from();
+            self.send(ctx, to, &CatchUp::Promise(Promise { round, from }));
+        }
+    }
+
+    /// This process entered `round` at `instance` and is about to send
+    /// its estimate to the round's coordinator, another process: it may
+    /// never vote below `round` there, in this incarnation or a later
+    /// one. The stable record rises to cover `instance` at `round` —
+    /// written only when it rises, before the estimate leaves.
+    pub fn promise<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64, round: u32) {
+        let record = self.rounds.durable.raised(Promise {
+            round,
+            from: instance,
+        });
+        if record != self.rounds.durable {
+            ctx.persist(keys::PROMISE, encode(&record));
+            self.rounds.durable = record;
+        }
+    }
+
+    /// Rule 1: a [`promise`](Self::promise) at `instance` that also
+    /// promises `round` for every instance this process has not opened
+    /// (they open in it), and on a round rise tells every peer, once.
+    fn promise_tail<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64, round: u32) {
+        self.promise(ctx, instance, round);
+        let old = self.rounds.promised;
+        self.rounds.promised = old.raised(Promise {
+            round,
+            from: instance,
+        });
+        if round > old.round {
+            ctx.bump(self.names.promises, 1);
+            ctx.trace_span(self.names.label, instance, "promise", u64::from(round));
+            let from = self.promise_from();
+            self.broadcast(ctx, &CatchUp::Promise(Promise { round, from }));
+        }
+    }
+
+    /// Rule 2: `round` was seen in use at `instance` — a proposal, a
+    /// decision, a peer's promise. Above this process's promise, it
+    /// promises the tail too (if it may vote there): fresh instances from
+    /// `instance` on open in it, and its coordinator can count this
+    /// process. Free at or below the promise.
+    pub fn raise<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64, round: u32) {
+        if round > self.rounds.promised.round && self.can_vote(instance, ctx.pid()) {
+            self.promise_tail(ctx, instance, round);
+        }
+    }
+
+    /// Takes `from`'s promise: kept (the highest per peer) and
+    /// [raised](Self::raise) to. Returns the live instances this process
+    /// proposed in, in a lower round: the promiser will not ack them, so
+    /// they are due a [`rotate`](Self::rotate).
+    pub(crate) fn absorb_promise<C: ReplicaCtx>(
+        &mut self,
+        ctx: &mut C,
+        from: ProcessId,
+        promise: Promise,
+    ) -> Vec<u64> {
+        let held = self.rounds.peers.entry(from).or_insert(promise);
+        if (promise.round, Reverse(promise.from)) > (held.round, Reverse(held.from)) {
+            *held = promise;
+        }
+        self.raise(ctx, promise.from, promise.round);
+        self.rounds
+            .instances
+            .iter()
+            .filter(|(_, inst)| {
+                inst.round < promise.round && inst.proposal_sent_round == Some(inst.round)
+            })
+            .map(|(k, _)| *k)
+            .collect()
     }
 
     /// Coordinator side: locks `value` as this process's estimate in
@@ -311,14 +596,20 @@ impl ReplicaCore {
     pub fn lock<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64, value: &Batch) -> u32 {
         let me = ctx.pid();
         let planted = self.lost_votes_planted();
+        let round = self.round_of(instance);
+        let direct = round == 0 || self.promise_quorum(instance, round, me, ctx.n());
+        self.rounds.voted_below = self.rounds.voted_below.max(instance + 1);
         let inst = self.instance_entry(instance, ctx.now());
-        let round = inst.round;
         inst.adopt(round, value, planted);
         inst.last_proposal = Some((round, value.clone()));
         inst.proposal_sent_round = Some(round);
+        inst.direct = direct;
         inst.acks.clear();
         inst.acks.insert(me);
         ctx.bump(self.names.proposals, 1);
+        if direct && round > 0 {
+            ctx.bump(self.names.direct_proposals, 1);
+        }
         ctx.trace_span(self.names.label, instance, "proposed", u64::from(round));
         self.persist_vote(ctx, instance, round, round + 1, value);
         round
@@ -326,7 +617,9 @@ impl ReplicaCore {
 
     /// The gate every incoming proposal passes first. `None`: `from` does
     /// not coordinate `round` (counted; drop the proposal). Otherwise
-    /// whether this process may vote on it.
+    /// whether this process may vote on it. A proposal of a round this
+    /// process promised away at an undecided instance is answered with
+    /// the promise, so its coordinator moves on at once.
     ///
     /// The sender check only applies once the membership at `instance`
     /// is certain: behind the config fence the rotation is still
@@ -345,11 +638,18 @@ impl ReplicaCore {
             ctx.bump(self.names.bogus_proposals, 1);
             return None;
         }
+        if round < self.rounds.promised.round_at(instance)
+            && round < self.round_of(instance)
+            && !self.is_decided(instance)
+        {
+            self.send_promise(ctx, from);
+        }
         Some(certain && self.can_vote(instance, ctx.pid()))
     }
 
     /// Takes the proposal `(round, value)` for an undecided `instance`.
-    /// One from an abandoned round is ignored; otherwise it is recorded
+    /// One from an abandoned round is ignored, and costs nothing durable;
+    /// otherwise its round is [raised](Self::raise) to, it is recorded
     /// (joining its round), and a `votable` process adopts it, the vote
     /// durable atomically with the ack the caller now sends so a future
     /// incarnation honours the lock. A process that may not vote — a
@@ -365,13 +665,14 @@ impl ReplicaCore {
     ) -> Vote {
         let now = ctx.now();
         let planted = self.lost_votes_planted();
-        let inst = self.instance_entry(instance, now);
-        if round < inst.round {
+        if round < self.instance_entry(instance, now).round {
             return Vote {
                 voted: false,
                 tag_hit: false,
             };
         }
+        self.raise(ctx, instance, round);
+        let inst = self.instance_entry(instance, now);
         if round > inst.round {
             inst.enter(round, now);
         }
@@ -379,6 +680,7 @@ impl ReplicaCore {
         let tag_hit = inst.pending_tag == Some(round);
         if votable {
             inst.adopt(round, value, planted);
+            self.rounds.voted_below = self.rounds.voted_below.max(instance + 1);
             self.persist_vote(ctx, instance, round, round + 1, value);
             ctx.trace_span(self.names.label, instance, "voted", u64::from(round));
         } else {
@@ -520,19 +822,26 @@ impl ReplicaCore {
         })
     }
 
-    /// Moves `instance` to the next round whose coordinator is not
-    /// currently suspected. `None` if the instance is not live.
+    /// Moves `instance` to the next round — at least the one fresh
+    /// instances there open in — whose coordinator is not currently
+    /// suspected. `None` if the instance is not live. Entering it to send
+    /// an estimate to another coordinator makes a [`promise`](Self::promise)
+    /// — of the tail too when the coordinator left behind is suspected: a
+    /// coordinator change, not one instance the progress sweep moves on.
     pub fn rotate<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64) -> Option<Rotation> {
         let me = ctx.pid();
         let members = self.members_of(instance, ctx.n());
         let coord_of = |round: u32| members[round as usize % members.len()];
         let votable = self.can_vote(instance, me);
+        let opening = self.fresh_round(instance);
         let Rounds {
             instances,
             suspected,
+            ..
         } = &mut self.rounds;
         let inst = instances.get_mut(&instance)?;
-        let mut round = inst.round + 1;
+        let left_suspected = suspected.contains(&coord_of(inst.round));
+        let mut round = (inst.round + 1).max(opening);
         // The skip is bounded by one full rotation: past it the same
         // coordinators repeat, and a learner (never its own coordinator)
         // must not spin when every member is transiently suspected.
@@ -545,12 +854,17 @@ impl ReplicaCore {
         inst.enter(round, ctx.now());
         ctx.bump(self.names.round_changes, 1);
         ctx.trace_span(self.names.label, instance, "round_change", u64::from(round));
+        let coordinator = coord_of(round);
         if !votable {
             ctx.bump(self.names.config_fence_drops, 1);
+        } else if coordinator != me && left_suspected {
+            self.promise_tail(ctx, instance, round);
+        } else if coordinator != me {
+            self.promise(ctx, instance, round);
         }
         Some(Rotation {
             round,
-            coordinator: coord_of(round),
+            coordinator,
             votable,
         })
     }
@@ -696,7 +1010,7 @@ mod tests {
         assert!(!core.join_round(K, 2, ctx.now), "rounds only move forward");
         // Proposal: not recorded, so a tag for its round still misses.
         let vote = core.vote(&mut ctx, K, 2, &batch(1), true);
-        assert!(!vote.voted && ctx.writes.is_empty());
+        assert!(!vote.voted && ctx.writes.is_empty() && ctx.sent.is_empty());
         assert_eq!(core.resolve_tag(&mut ctx, K, 2), None);
         assert_eq!(ctx.bumped("t.tag_misses"), 1);
         // Estimate: not kept.
@@ -755,7 +1069,8 @@ mod tests {
         let (mut planted, mut ctx) = (ReplicaCore::new(cfg, &NAMES), FakeCtx::new());
         planted.vote(&mut ctx, K, 1, &batch(1), true);
         planted.vote(&mut ctx, K, 1, &batch(2), true);
-        assert!(ctx.writes.is_empty());
+        // Round 1 raises the promise, once; no vote is written.
+        assert_eq!(ctx.writes, vec![Write::Put(keys::PROMISE)]);
 
         let mut core = core();
         core.vote(&mut ctx, K, 1, &batch(1), true);
@@ -834,26 +1149,209 @@ mod tests {
         assert!(!core.sweep_stuck(&mut ctx, K + 2, now), "not live");
     }
 
+    const P3: ProcessId = ProcessId(3);
+    const P4: ProcessId = ProcessId(4);
+
+    fn promise(round: u32, from: u64) -> Promise {
+        Promise { round, from }
+    }
+
+    fn promise_writes(ctx: &FakeCtx) -> usize {
+        let put = Write::Put(keys::PROMISE);
+        ctx.writes.iter().filter(|w| **w == put).count()
+    }
+
+    #[test]
+    fn an_estimate_sent_is_durable_so_a_revived_process_refuses_the_round_it_left() {
+        // p3 takes part in K, whose round 0 p1 coordinates. It suspects
+        // p1, enters round 1 and is about to send its estimate to p2.
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        ctx.pid = P2;
+        core.open(K, ctx.now);
+        assert_eq!(core.suspect(P0, 3), vec![K]);
+        let to = core.rotate(&mut ctx, K).unwrap();
+        assert_eq!((to.round, to.coordinator), (1, P1));
+        // The record is written before the promise leaves; the promise
+        // covers every instance above the one open.
+        assert_eq!(ctx.writes, vec![Write::Put(keys::PROMISE)]);
+        let told = CatchUp::Promise(promise(1, K + 1));
+        assert_eq!(ctx.sent, vec![(None, "t.promise", told)]);
+        assert_eq!(ctx.bumped("t.promises"), 1);
+
+        // Revived, it refuses a late round-0 proposal for K — whose
+        // round-1 coordinator may be deciding with its ack — and opens
+        // fresh instances in round 1.
+        let mut revived = ReplicaCore::resume(ReplicaConfig::default(), &NAMES, &ctx.store);
+        ctx.writes.clear();
+        let late = revived.vote(&mut ctx, K, 0, &batch(1), true);
+        assert!(!late.voted && ctx.writes.is_empty());
+        assert_eq!(revived.rounds().unproposed_round(K), Some(1));
+        revived.open(K + 5, ctx.now);
+        assert_eq!(revived.rounds().unproposed_round(K + 5), Some(1));
+        revived.open(K - 1, ctx.now);
+        assert_eq!(revived.rounds().unproposed_round(K - 1), Some(0));
+    }
+
+    #[test]
+    fn the_promise_record_is_written_once_per_rise() {
+        // p4 of five, so that no round this test enters is its own.
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        (ctx.pid, ctx.n) = (P3, 5);
+        for k in [K, K + 1] {
+            core.open(k, ctx.now);
+        }
+        // One suspicion rotates both live instances: one record, one
+        // promise.
+        for k in core.suspect(P0, 5) {
+            core.rotate(&mut ctx, k);
+        }
+        assert_eq!((promise_writes(&ctx), ctx.sent.len()), (1, 1));
+        assert_eq!(core.rounds().promised(), promise(1, K));
+        // Fresh instances open in round 1, at no cost.
+        core.open(K + 2, ctx.now);
+        assert_eq!(core.rounds().unproposed_round(K + 2), Some(1));
+        assert_eq!(promise_writes(&ctx), 1);
+        // An estimate below the record's floor lowers it: one more write,
+        // no new promise.
+        core.open(K - 2, ctx.now);
+        assert_eq!(core.rounds().unproposed_round(K - 2), Some(0));
+        core.rotate(&mut ctx, K - 2);
+        assert_eq!((promise_writes(&ctx), ctx.sent.len()), (2, 1));
+        // The progress sweep moving one instance on (its coordinator not
+        // suspected) covers that instance, not the tail.
+        core.rotate(&mut ctx, K + 2);
+        assert_eq!((promise_writes(&ctx), ctx.sent.len()), (3, 1));
+        assert_eq!(core.rounds().promised(), promise(1, K - 2));
+        core.open(K + 3, ctx.now);
+        assert_eq!(core.rounds().unproposed_round(K + 3), Some(1));
+        // A higher round seen in use: one write, one promise.
+        core.raise(&mut ctx, K + 3, 4);
+        assert_eq!((promise_writes(&ctx), ctx.sent.len()), (4, 2));
+        core.raise(&mut ctx, K + 9, 4);
+        core.raise(&mut ctx, K + 9, 3);
+        assert_eq!((promise_writes(&ctx), ctx.sent.len()), (4, 2));
+        assert_eq!(ctx.bumped("t.promises"), 2);
+    }
+
+    #[test]
+    fn no_direct_proposal_without_a_majority_of_the_members_promising() {
+        // p2 coordinates round 1 in a group of five.
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        (ctx.pid, ctx.n) = (P1, 5);
+        assert_eq!(core.direct_round(K, P1, 5), None, "p1's round 0");
+        core.absorb_promise(&mut ctx, P2, promise(1, K));
+        // Raised to round 1 itself, p2 holds two promises of five.
+        assert_eq!(core.fresh_round(K), 1);
+        assert_eq!(core.direct_round(K, P1, 5), None);
+        core.absorb_promise(&mut ctx, P3, promise(1, K));
+        assert_eq!(core.direct_round(K, P1, 5), Some(1));
+        assert_eq!(core.direct_round(K, P2, 5), None, "not p3's round");
+        assert_eq!(ctx.bumped("t.direct_proposals"), 0);
+        assert_eq!(core.lock(&mut ctx, K, &batch(1)), 1);
+        assert_eq!(ctx.bumped("t.direct_proposals"), 1);
+        assert!(core.rounds().tag_decides(K));
+        assert_eq!(core.direct_round(K, P1, 5), None, "proposed already");
+
+        // Members {p1, p2, p3} of five processes: a promise from p5, a
+        // learner, counts for nothing.
+        let cfg = ReplicaConfig {
+            initial_members: 3,
+            ..ReplicaConfig::default()
+        };
+        let mut host = FakeHost::over(ReplicaCore::new(cfg, &NAMES));
+        host.start_replica(&mut ctx);
+        host.on_catch_up(&mut ctx, P4, CatchUp::Promise(promise(1, K)));
+        assert_eq!(host.core.fresh_round(K), 1);
+        assert_eq!(host.core.direct_round(K, P1, 5), None);
+        host.on_catch_up(&mut ctx, P2, CatchUp::Promise(promise(1, K)));
+        assert_eq!(host.core.direct_round(K, P1, 5), Some(1));
+        assert_eq!(host.direct_ready, vec![vec![], vec![]], "nothing live yet");
+        host.core.open(K, ctx.now);
+        host.on_catch_up(&mut ctx, P2, CatchUp::Promise(promise(1, K)));
+        assert_eq!(host.direct_ready[2], vec![K]);
+    }
+
+    #[test]
+    fn a_promise_does_not_cover_an_instance_below_its_from() {
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        ctx.pid = P1;
+        core.vote(&mut ctx, K + 1, 0, &batch(1), true);
+        core.raise(&mut ctx, K - 2, 1);
+        core.absorb_promise(&mut ctx, P2, promise(1, K));
+        assert_eq!(core.fresh_round(K - 1), 1);
+        assert_eq!(core.direct_round(K - 1, P1, 3), None);
+        assert_eq!(core.direct_round(K, P1, 3), Some(1));
+        assert_eq!(core.direct_round(K + 100, P1, 3), Some(1));
+        // A lock of a lower round held there forces the estimate phase.
+        assert!(core.join_round(K + 1, 1, ctx.now));
+        assert_eq!(core.direct_round(K + 1, P1, 3), None);
+    }
+
+    #[test]
+    fn an_announced_promise_starts_no_lower_than_the_tail_it_keeps() {
+        // The progress sweep moves K on, its coordinator unsuspected: the
+        // stable record covers K from round 1, no promise is announced.
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        core.open(K, ctx.now);
+        let to = core.rotate(&mut ctx, K).unwrap();
+        assert_eq!((to.round, to.coordinator), (1, P1));
+        assert!(ctx.sent.is_empty());
+        // p3's promise of round 2 from K + 10 raises this process's tail
+        // from there, and its own promise announces no less: below K + 10
+        // fresh instances still open in round 0 here.
+        core.absorb_promise(&mut ctx, P2, promise(2, K + 10));
+        let told = CatchUp::Promise(promise(2, K + 10));
+        assert_eq!(ctx.sent, vec![(None, "t.promise", told)]);
+        assert_eq!((core.fresh_round(K + 9), core.fresh_round(K + 10)), (0, 2));
+    }
+
+    #[test]
+    fn a_proposal_of_a_round_promised_away_is_answered_with_the_promise() {
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
+        ctx.pid = P2;
+        core.open(K, ctx.now);
+        core.suspect(P0, 3);
+        core.rotate(&mut ctx, K);
+        ctx.sent.clear();
+        // p1 comes back and proposes round 0 above the promise.
+        core.restore(P0);
+        assert_eq!(core.admit_proposal(&mut ctx, P0, K + 1, 0), Some(true));
+        let told = CatchUp::Promise(promise(1, K + 1));
+        assert_eq!(ctx.sent, vec![(Some(P0), "t.promise", told.clone())]);
+        assert!(!core.vote(&mut ctx, K + 1, 0, &batch(1), true).voted);
+        // Its own round-0 proposal outstanding, p1 moves it on when told
+        // — to the round promised, and promising it too.
+        let mut coordinator = FakeHost::over(ReplicaCore::new(ReplicaConfig::default(), &NAMES));
+        let mut ctx = FakeCtx::new();
+        coordinator.core.lock(&mut ctx, K + 1, &batch(0));
+        coordinator.on_catch_up(&mut ctx, P2, told);
+        assert_eq!(coordinator.advanced, vec![K + 1]);
+        assert_eq!(coordinator.core.rounds().unproposed_round(K + 1), Some(1));
+        assert_eq!(coordinator.core.rounds().promised(), promise(1, K + 1));
+    }
+
     #[test]
     fn a_fresh_instance_is_seeded_from_the_recovered_vote() {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
         core.vote(&mut ctx, K, 2, &batch(9), true);
         let mut revived = ReplicaCore::resume(ReplicaConfig::default(), &NAMES, &ctx.store);
         revived.open(K, ctx.now);
-        revived.open(K + 3, ctx.now);
+        revived.open(K - 3, ctx.now);
         assert_eq!(revived.rounds().estimate(K), Some((&batch(9), 3)));
         assert_eq!(revived.rounds().unproposed_round(K), Some(2));
-        assert_eq!(revived.rounds().unproposed_round(K + 3), Some(0));
-        assert_eq!(revived.rounds().estimate(K + 3), None);
+        // Below the round-2 promise the proposal raised, an instance
+        // opens in round 0.
+        assert_eq!(revived.rounds().unproposed_round(K - 3), Some(0));
+        assert_eq!(revived.rounds().estimate(K - 3), None);
         // The lock is honoured: round 1 is abandoned for good.
         let stale = revived.vote(&mut ctx, K, 1, &batch(1), true);
         assert!(!stale.voted);
         // A snapshot covering an instance drops its round state.
         assert_eq!(
             (revived.rounds().len(), revived.rounds().lowest()),
-            (2, Some(K))
+            (2, Some(K - 3))
         );
-        revived.rounds.drop_below(K + 1);
-        assert!(!revived.rounds().contains(K) && revived.rounds().contains(K + 3));
+        revived.rounds.drop_below(K);
+        assert!(!revived.rounds().contains(K - 3) && revived.rounds().contains(K));
     }
 }

@@ -4,12 +4,18 @@
 //! stacks. The instance that carries it opens in a round whose
 //! coordinator is already suspected and moves on at once; the progress
 //! timeout (the liveness backstop) is never needed.
+//!
+//! And the outage costs a fixed amount, not an amount per instance: the
+//! survivors promise the new coordinator's round once for every instance
+//! they have not opened, so only the instances live at the suspicion pay
+//! an estimate round, and every later one runs as round 0 did.
 
 use bytes::Bytes;
 use fortika::core::{build_nodes, FdConfig, StackConfig, StackKind};
 use fortika::net::metrics::{consensus, mono};
 use fortika::net::{
-    Admission, AppMsg, AppRequest, Cluster, ClusterConfig, CollectingHarness, MsgId, ProcessId,
+    Admission, AppMsg, AppRequest, Cluster, ClusterConfig, CollectingHarness, Counters, MsgId,
+    ProcessId,
 };
 use fortika::sim::{VDur, VTime};
 
@@ -59,5 +65,118 @@ fn a_message_submitted_after_the_coordinator_is_suspected_is_ordered_in_round_tr
         let rotations = cluster.counters().count(consensus::PROGRESS_ROTATIONS)
             + cluster.counters().count(mono::PROGRESS_ROTATIONS);
         assert_eq!(rotations, 0, "{label}: the progress timeout fired");
+    }
+}
+
+/// What one run of [`outage_load`] shows over its measured window.
+struct Window {
+    /// Instances decided, per process that stayed up.
+    decided: u64,
+    /// Protocol messages sent (heartbeats excluded) per decided instance.
+    msgs_per_instance: f64,
+    /// `mono.combined_steps` over the window.
+    combined_steps: u64,
+    /// The run's counters at its end.
+    totals: Counters,
+}
+
+/// p1 and p2 each submit a 1 KiB message every 4 ms, alternating, for
+/// 2.1 s, on a group of three; with `crash`, p0 — the round-0
+/// coordinator — crashes at 100 ms. The window opens once the detector
+/// has suspected it (800 ms) and closes with the load.
+fn outage_load(kind: StackKind, crash: bool) -> Window {
+    let n = 3;
+    let nodes = build_nodes(kind, n, &StackConfig::default());
+    let mut cluster = Cluster::new(ClusterConfig::new(n, 7), nodes);
+    if crash {
+        cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::millis(100));
+    }
+    let mut harness = CollectingHarness::new(n);
+    let payload = Bytes::from(vec![0x42; 1024]);
+    let window_opens = VTime::ZERO + VDur::millis(800);
+    let mut next_seq = [0u64; 3];
+    let mut now = VTime::ZERO;
+    let mut opened: Option<Counters> = None;
+    for step in 0..1050u16 {
+        let p = ProcessId(1 + step % 2);
+        let msg = AppMsg::new(MsgId::new(p, next_seq[p.index()]), payload.clone());
+        if cluster.submit(p, AppRequest::Abcast(msg)).0 == Admission::Accepted {
+            next_seq[p.index()] += 1;
+        }
+        now += VDur::millis(2);
+        cluster.run_until(now, &mut harness);
+        if opened.is_none() && now >= window_opens {
+            opened = Some(cluster.counters().clone());
+        }
+    }
+    let totals = cluster.counters().clone();
+    let window = totals.delta_since(&opened.expect("the window opened"));
+    let up = if crash { n - 1 } else { n } as u64;
+    let decided = window.count(consensus::DECIDED) / up;
+    let msgs: u64 = window
+        .iter_sends()
+        .filter(|(kind, _)| !kind.starts_with("fd."))
+        .map(|(_, sent)| sent.msgs)
+        .sum();
+    Window {
+        decided,
+        msgs_per_instance: msgs as f64 / decided as f64,
+        combined_steps: window.count(mono::COMBINED_STEPS),
+        totals,
+    }
+}
+
+#[test]
+fn a_coordinator_outage_costs_one_estimate_round_not_one_per_instance() {
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let label = kind.label();
+        let outage = outage_load(kind, true);
+        let fault_free = outage_load(kind, false);
+        assert!(
+            outage.decided > 200,
+            "{label}: only {} instances decided over the outage",
+            outage.decided
+        );
+        // Each survivor rotates only what was live when it suspected p0
+        // (one instance at pipeline depth 1, give or take the one it was
+        // opening), and sends an estimate for those alone.
+        let t = &outage.totals;
+        let round_changes = t.count(consensus::ROUND_CHANGES) + t.count(mono::ROUND_CHANGES);
+        let estimates = t.kind("consensus.estimate").msgs + t.kind("mono.estimate").msgs;
+        let promises = t.count(consensus::PROMISES) + t.count(mono::PROMISES);
+        let direct = t.count(consensus::DIRECT_PROPOSALS) + t.count(mono::DIRECT_PROPOSALS);
+        assert!(
+            round_changes <= 2 * 2,
+            "{label}: {round_changes} round changes for {} instances",
+            outage.decided
+        );
+        assert!(estimates <= 2 * 2, "{label}: {estimates} estimates sent");
+        assert!(
+            (1..=2).contains(&promises),
+            "{label}: {promises} promises (one per survivor at most)"
+        );
+        assert!(
+            direct >= outage.decided,
+            "{label}: {direct} direct proposals for {} instances",
+            outage.decided
+        );
+        // O1 is back: the new coordinator combines each decision with
+        // the next proposal, as p0 did.
+        if kind == StackKind::Monolithic {
+            assert!(
+                outage.combined_steps * 2 >= outage.decided,
+                "{label}: {} combined steps over {} instances",
+                outage.combined_steps,
+                outage.decided
+            );
+        }
+        // No more messages per instance than with p0 up: one process
+        // fewer acks, and nothing pays an estimate phase.
+        assert!(
+            outage.msgs_per_instance <= fault_free.msgs_per_instance * 1.05,
+            "{label}: {:.3} msgs/instance over the outage against {:.3} fault-free",
+            outage.msgs_per_instance,
+            fault_free.msgs_per_instance
+        );
     }
 }

@@ -282,6 +282,13 @@ fn catch_ups() -> Vec<(&'static str, CatchUp)> {
                 offset: 8192,
             },
         ),
+        (
+            "Promise",
+            CatchUp::Promise(fortika::net::Promise {
+                round: 3,
+                from: 4096,
+            }),
+        ),
     ]
 }
 
