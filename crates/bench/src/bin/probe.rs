@@ -6,7 +6,9 @@
 //! [`fortika_bench::sweeps::SWEEPS`], which documents them — meant to be
 //! committed so performance history accumulates.
 //!
-//! Bare `probe` regenerates the committed files in place. `--check` (CI
+//! Bare `probe` regenerates the committed files in place, holding every
+//! run to the paper's closed forms on the way
+//! ([`fortika_bench::sweeps::closed_form_audit`]). `--check` (CI
 //! runs this) writes the same sweeps under `target/bench/` instead and
 //! fails (exit 1) unless every file is **byte-equal** to its committed
 //! counterpart: the simulator is deterministic, so any difference means
@@ -33,7 +35,7 @@
 //! the minimized reproducer next to the matrix.
 
 use fortika_bench::json;
-use fortika_bench::sweeps::{json_document, json_point, Sweep, SWEEPS};
+use fortika_bench::sweeps::{closed_form_audit, json_document, json_point, Sweep, SWEEPS};
 use fortika_chaos::{minimize, ChaosProfile, CoverageReport, FuzzCampaign, FuzzConfig, StopReason};
 use fortika_core::analysis;
 use fortika_core::workload::Workload;
@@ -116,13 +118,18 @@ fn run_sweep(sweep: &Sweep, dir: &str, coverage: &mut CoverageReport) -> Result<
         let r = point.experiment().run();
         coverage.absorb(&r.counters);
         print_run_row(&point.label, &r);
+        let at = || {
+            let (label, stack) = (&point.label, point.kind.label());
+            format!(
+                "{label} ({stack} n={} load={} size={})",
+                point.n, point.load, point.size
+            )
+        };
         if point.scenario.is_some() {
-            audit(&r).map_err(|e| {
-                let (label, stack) = (&point.label, point.kind.label());
-                format!("{label} ({stack} n={} load={}): {e}", point.n, point.load)
-            })?;
+            audit(&r).map_err(|e| format!("{}: {e}", at()))?;
         }
-        records.push(json_point(&r, &point.fields));
+        closed_form_audit(&point, &r).map_err(|e| format!("{}: {e}", at()))?;
+        records.push(json_point(&point, &r));
         runs.push((point, r));
     }
     (sweep.check)(&runs)?;
@@ -172,8 +179,8 @@ fn reconfig_floor(r: &RunReport) -> Result<(), String> {
         ));
     }
     let closed_form = match r.kind {
-        StackKind::Modular => analysis::modular_messages_at(RECONFIG_PEAK_N, r.avg_batch_m),
-        StackKind::Monolithic => analysis::monolithic_messages(RECONFIG_PEAK_N) as f64,
+        StackKind::Modular => analysis::modular_messages(RECONFIG_PEAK_N, r.avg_batch_m),
+        StackKind::Monolithic => analysis::monolithic_messages(RECONFIG_PEAK_N),
     };
     if r.msgs_per_instance > closed_form {
         return Err(format!(

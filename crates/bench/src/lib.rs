@@ -1,25 +1,22 @@
 //! # fortika-bench — the paper's evaluation as benchmark harnesses
 //!
-//! The paper's evaluation (§5) is reproduced by `harness = false` bench
-//! targets under `benches/`, over the simulated testbed:
+//! Figs. 8–11 of the paper's evaluation (§5) are the `harness = false`
+//! bench target `benches/figures.rs`: early latency and throughput
+//! against offered load and against message size over the simulated
+//! testbed (each axis swept once, both of its figures printed from the
+//! same runs).
 //!
-//! * `figures` — Figs. 8–11: early latency and throughput against
-//!   offered load and against message size (each axis swept once, both
-//!   of its figures printed from the same runs);
-//! * `analysis_messages` / `analysis_data` — the §5.2 analytical
-//!   message/byte counts cross-checked against simulation counters;
-//! * `ablation_optimizations` / `ablation_flow_control` — the
-//!   monolithic optimizations O1–O3 toggled one by one, and the flow
-//!   window swept.
+//! The `probe` binary writes the committed `BENCH_*.json` trajectory
+//! files, one per row of the [`sweeps`] table (which describes them),
+//! re-reading and verifying each through [`json`]. One of them,
+//! `BENCH_decomposition.json`, is the rest of §5 as audited data: the
+//! §5.2 message and byte counts beside their closed forms, the O1–O3
+//! staircase the paper motivates but never measures, and the §5.1 flow
+//! window. Host-time cost (wire codec, event queue, host time per
+//! delivered message) is measured and recorded by the repo's
+//! `benchmark/` package, not here.
 //!
-//! The `probe` binary complements them: it prints calibration tables
-//! and writes the committed `BENCH_*.json` trajectory files, one per
-//! row of the [`sweeps`] table (which describes them), re-reading and
-//! verifying each through [`json`]. Host-time cost (wire codec, event
-//! queue, host time per delivered message) is measured and recorded by
-//! the repo's `benchmark/` package, not here.
-//!
-//! Besides the table this crate holds what the bench targets share: the
+//! Besides the table this crate holds what the figures share: the
 //! dependency-free [`json`] validator, and the `FORTIKA_FULL` switch
 //! between the quick default sweep and the full paper-resolution sweep.
 

@@ -16,6 +16,11 @@
 //! | `BENCH_snapshot_cadence.json` | snapshot cadence × load with priced snapshot encode/install | no run cuts more snapshots than its cadence allows |
 //! | `BENCH_pipeline.json` | windowed-sequencer depth α × load on a CPU-bound and a latency-bound regime | per stack, some depth > 1 beats depth 1 |
 //! | `BENCH_dissemination.json` | the monolith against the modular stack under `direct`/`ring`/`tree` payload dissemination, oracle-audited | `ring` cuts msgs/instance everywhere and ≥ 3× somewhere, and narrows the throughput gap |
+//! | `BENCH_decomposition.json` | the paper's decomposition, saturated: the staircase modular → `mono-none` → +O1 → +O1+O2 → +O1+O2+O3 at n ∈ {3, 7} × {1, 16} KiB, then the flow window on both stacks; every record beside its §5.2 closed form | no optimization step raises msgs/instance; `mono-none` out-runs the modular stack and the paper's monolith out-runs `mono-none`; the default window orders M ≈ 4 and no window beats it on both throughput and latency |
+//!
+//! Every run of every sweep is also held to §5.2 by
+//! [`closed_form_audit`]: a fault-free saturated run spends the closed
+//! forms' messages and payload bytes per instance at its measured M.
 //!
 //! Every point runs 1 s of warm-up and a 2 s window at seed 7, so the
 //! files regenerate byte-identical; the record format is documented in
@@ -24,8 +29,9 @@
 
 use std::fmt::Write as _;
 
+use fortika_core::analysis;
 use fortika_core::workload::Workload;
-use fortika_core::{Experiment, RunReport, Scenario, StackConfig, StackKind};
+use fortika_core::{Experiment, MonoOptimizations, RunReport, Scenario, StackConfig, StackKind};
 use fortika_net::metrics::{consensus, mono};
 use fortika_net::{CostModel, Dissemination, LinkSelector, NetModel, ProcessId};
 use fortika_sim::VDur;
@@ -40,8 +46,9 @@ pub enum Field {
     Text(&'static str),
     /// An integer, fixed by the operating point.
     Count(u64),
-    /// Read out of the run's report, already rendered as JSON.
-    Measured(fn(&RunReport) -> String),
+    /// Read out of the point and its run's report, already rendered as
+    /// JSON.
+    Measured(fn(&Point, &RunReport) -> String),
 }
 use Field::{Count, Measured, Text};
 
@@ -76,7 +83,7 @@ pub struct Point {
 impl Point {
     /// A point on the default network, cost model and stack
     /// configuration, unaudited, with no sweep-specific fields.
-    fn new(label: impl Into<String>, kind: StackKind, op: (usize, f64, usize)) -> Self {
+    pub fn new(label: impl Into<String>, kind: StackKind, op: (usize, f64, usize)) -> Self {
         Point {
             label: label.into(),
             kind,
@@ -132,8 +139,8 @@ impl Sweep {
     }
 }
 
-/// The six committed sweeps, in the order `probe` runs them.
-pub const SWEEPS: [Sweep; 6] = [
+/// The seven committed sweeps, in the order `probe` runs them.
+pub const SWEEPS: [Sweep; 7] = [
     Sweep {
         name: "modularity",
         benchmark: "modularity_cost",
@@ -176,6 +183,13 @@ pub const SWEEPS: [Sweep; 6] = [
         points: dissemination_points,
         check: dissemination_check,
     },
+    Sweep {
+        name: "decomposition",
+        benchmark: "modularity_decomposition",
+        title: "decomposition (O1-O3 staircase, flow window)",
+        points: decomposition_points,
+        check: decomposition_check,
+    },
 ];
 
 const BOTH_STACKS: [StackKind; 2] = [StackKind::Monolithic, StackKind::Modular];
@@ -186,7 +200,7 @@ fn no_claim(_: &[Run]) -> Result<(), String> {
 
 const DURABILITY_UTILIZATION: (&str, Field) = (
     "max_durability_utilization",
-    Measured(|r| format!("{:.4}", r.max_durability_utilization)),
+    Measured(|_, r| format!("{:.4}", r.max_durability_utilization)),
 );
 
 fn modularity_points() -> Vec<Point> {
@@ -287,7 +301,7 @@ fn snapshot_cadence_points() -> Vec<Point> {
                     ("snapshot_interval", Count(interval)),
                     (
                         "snapshots_in_window",
-                        Measured(|r| snapshots_in_window(r).to_string()),
+                        Measured(|_, r| snapshots_in_window(r).to_string()),
                     ),
                     DURABILITY_UTILIZATION,
                 ];
@@ -497,10 +511,242 @@ fn dissemination_check(runs: &[Run]) -> Result<(), String> {
     Ok(())
 }
 
-/// One JSON record: the fields common to every sweep, then the sweep's
+/// Offered load of the decomposition sweep: far above what either stack
+/// carries, so flow control keeps the pipeline full — the saturated
+/// regime §5.2 counts in.
+const SATURATING_LOAD: f64 = 4000.0;
+
+/// The staircase's operating points, in file order: (n, payload bytes).
+const STAIRCASE_OPS: [(usize, usize); 4] = [(3, 1024), (3, 16384), (7, 1024), (7, 16384)];
+
+/// The monolith's steps of the staircase, each after the modular stack
+/// at the same point. `mono-none` runs the modular algorithm inside one
+/// module, so what separates it from the modular stack is the
+/// framework's mechanical cost; O1, O2 and O3 then switch on one after
+/// the other, each removing one term of [`analysis::messages_with`].
+const MONO_STEPS: [(&str, MonoOptimizations); 4] = [
+    ("mono-none", MonoOptimizations::none()),
+    (
+        "mono-O1",
+        MonoOptimizations {
+            combine_decision_proposal: true,
+            piggyback_on_acks: false,
+            implicit_decision_acks: false,
+        },
+    ),
+    (
+        "mono-O1+O2",
+        MonoOptimizations {
+            combine_decision_proposal: true,
+            piggyback_on_acks: true,
+            implicit_decision_acks: false,
+        },
+    ),
+    ("mono-O1+O2+O3", MonoOptimizations::all()),
+];
+
+/// The flow-control windows swept on both stacks at n = 3, 16 KiB: §5.1
+/// tunes the window for M ≈ 4 and says that this M "optimizes
+/// performance of both stacks".
+const FLOW_WINDOWS: [usize; 6] = [2, 3, 4, 6, 8, 12];
+
+/// A decomposition record's `closed_form`: §5.2's messages and payload
+/// bytes per instance for what the point runs, at the M its run measured.
+const CLOSED_FORM: (&str, Field) = (
+    "closed_form",
+    Measured(|p, r| {
+        let (msgs, bytes) = closed_form(p, r);
+        format!("{{\"msgs_per_instance\": {msgs:.3}, \"bytes_per_instance\": {bytes:.1}}}")
+    }),
+);
+
+/// The staircase at every [`STAIRCASE_OPS`] point, then the flow window
+/// on both stacks.
+fn decomposition_points() -> Vec<Point> {
+    let point = |label: String, variant: &'static str, kind, op, stack: StackConfig| {
+        let mut p = Point::new(label, kind, op);
+        p.fields = vec![
+            ("variant", Text(variant)),
+            ("flow_window", Count(stack.window as u64)),
+            CLOSED_FORM,
+        ];
+        p.stack = stack;
+        p
+    };
+    let mut points = Vec::new();
+    for (n, size) in STAIRCASE_OPS {
+        let op = (n, SATURATING_LOAD, size);
+        let modular = StackConfig::default();
+        points.push(point(
+            "modular".into(),
+            "modular",
+            StackKind::Modular,
+            op,
+            modular,
+        ));
+        for (variant, mono_opts) in MONO_STEPS {
+            let stack = StackConfig {
+                mono_opts,
+                ..StackConfig::default()
+            };
+            points.push(point(
+                variant.into(),
+                variant,
+                StackKind::Monolithic,
+                op,
+                stack,
+            ));
+        }
+    }
+    let (paper, _) = MONO_STEPS[MONO_STEPS.len() - 1];
+    for window in FLOW_WINDOWS {
+        let op = (3, SATURATING_LOAD, 16384);
+        for (variant, kind) in [
+            ("modular", StackKind::Modular),
+            (paper, StackKind::Monolithic),
+        ] {
+            let stack = StackConfig {
+                window,
+                ..StackConfig::default()
+            };
+            points.push(point(format!("window {window}"), variant, kind, op, stack));
+        }
+    }
+    points
+}
+
+/// Along each staircase no optimization step raises msgs/instance,
+/// `mono-none` out-runs the modular stack (with the algorithm held
+/// fixed, what remains is the framework's mechanical cost) and the
+/// paper's monolith out-runs `mono-none` (what O1–O3 gain). Over the
+/// flow window, §5.1's calibration holds — the default window orders
+/// M ≈ 4 on the modular stack — and on each stack no other window beats
+/// the default on both throughput and mean latency.
+fn decomposition_check(runs: &[Run]) -> Result<(), String> {
+    let steps = 1 + MONO_STEPS.len();
+    let (staircase, windows) = runs.split_at(STAIRCASE_OPS.len() * steps);
+    for stair in staircase.chunks(steps) {
+        let (at, modular) = &stair[0];
+        let here = format!("n={} size={}", at.n, at.size);
+        for pair in stair[1..].windows(2) {
+            let ((_, before), (step, after)) = (&pair[0], &pair[1]);
+            if after.msgs_per_instance > before.msgs_per_instance {
+                return Err(format!(
+                    "{here}: {} raises msgs/instance from {:.2} to {:.2}",
+                    step.label, before.msgs_per_instance, after.msgs_per_instance
+                ));
+            }
+        }
+        let (none, paper) = (&stair[1].1, &stair[steps - 1].1);
+        if none.throughput_msgs_per_sec <= modular.throughput_msgs_per_sec {
+            return Err(format!(
+                "{here}: mono-none carries {:.1} msgs/s, the modular stack {:.1} — the same \
+                 algorithm without the framework is no faster",
+                none.throughput_msgs_per_sec, modular.throughput_msgs_per_sec
+            ));
+        }
+        if paper.throughput_msgs_per_sec <= none.throughput_msgs_per_sec {
+            return Err(format!(
+                "{here}: the monolith carries {:.1} msgs/s, mono-none {:.1} — O1-O3 gain nothing",
+                paper.throughput_msgs_per_sec, none.throughput_msgs_per_sec
+            ));
+        }
+    }
+    let default_window = StackConfig::default().window;
+    for kind in BOTH_STACKS {
+        let rows: Vec<&Run> = windows.iter().filter(|(p, _)| p.kind == kind).collect();
+        let Some((_, base)) = rows.iter().find(|(p, _)| p.stack.window == default_window) else {
+            return Err(format!("no {} row at the default window", kind.label()));
+        };
+        if kind == StackKind::Modular && !(3.5..=5.0).contains(&base.avg_batch_m) {
+            return Err(format!(
+                "the default window {default_window} orders M = {:.2} on the modular stack, \
+                 §5.1 tunes it for M ≈ 4",
+                base.avg_batch_m
+            ));
+        }
+        let dominating = rows.iter().find(|(_, r)| {
+            r.throughput_msgs_per_sec > base.throughput_msgs_per_sec
+                && r.early_latency_ms.mean < base.early_latency_ms.mean
+        });
+        if let Some((p, _)) = dominating {
+            return Err(format!(
+                "{}: window {} beats the default window {default_window} on both throughput \
+                 and latency",
+                kind.label(),
+                p.stack.window
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Share of its offered load under which a run counts as saturated:
+/// flow control, not the arrival rate, sets its throughput, so instance
+/// `k+1` opens as soon as `k` decides — §5.2's standing assumption.
+/// Below saturation the monolith's decision often has no proposal to
+/// ride (O1): 6.0 msgs/instance at n = 3 and 250 msgs/s, not 4.
+const SATURATED_BELOW: f64 = 0.95;
+
+/// How far a run's msgs/instance may sit from §5.2.1's form.
+const MSGS_TOLERANCE: f64 = 0.02;
+
+/// The band a run's bytes/instance must sit in, as a ratio to §5.2.2's
+/// form. The form counts payload only, so headers lift a run above it
+/// (most with 1 KiB payloads and small batches); a monolithic
+/// coordinator whose own messages make more than its `1/n` share of a
+/// batch ships fewer piggybacked bytes and sits below it.
+const BYTES_BAND: (f64, f64) = (0.90, 1.15);
+
+/// §5.2's messages and payload bytes per instance for what `p` runs, at
+/// the batch size M its run `r` measured.
+fn closed_form(p: &Point, r: &RunReport) -> (f64, f64) {
+    let opts = match p.kind {
+        StackKind::Modular => MonoOptimizations::none(),
+        StackKind::Monolithic => p.stack.mono_opts,
+    };
+    let m = r.avg_batch_m;
+    (
+        analysis::messages_with(p.n, m, opts),
+        analysis::data_with(p.n, m, p.size, opts),
+    )
+}
+
+/// Holds one run to §5.2: a fault-free, saturated run of one instance
+/// at a time with direct dissemination must spend the closed forms'
+/// messages per instance, at its measured M, within 2 % and their
+/// payload bytes within −10 % / +15 %. Any other run is outside the
+/// forms' assumptions and passes.
+pub fn closed_form_audit(p: &Point, r: &RunReport) -> Result<(), String> {
+    let faulted = p.scenario.as_ref().is_some_and(|s| !s.events().is_empty());
+    let saturated = r.throughput_msgs_per_sec < SATURATED_BELOW * p.load;
+    if faulted || !saturated || p.stack.pipeline_depth > 1 || p.stack.dissemination.offloads() {
+        return Ok(());
+    }
+    let (msgs, bytes) = closed_form(p, r);
+    let m = r.avg_batch_m;
+    if (r.msgs_per_instance / msgs - 1.0).abs() > MSGS_TOLERANCE {
+        return Err(format!(
+            "{:.3} msgs/instance, §5.2.1's form gives {msgs:.3} at M = {m:.3} (tolerance {} %)",
+            r.msgs_per_instance,
+            MSGS_TOLERANCE * 100.0
+        ));
+    }
+    let ratio = r.bytes_per_instance / bytes;
+    if !(BYTES_BAND.0..=BYTES_BAND.1).contains(&ratio) {
+        return Err(format!(
+            "{:.1} bytes/instance is {ratio:.3} of §5.2.2's form {bytes:.1} at M = {m:.3} \
+             (band {}–{})",
+            r.bytes_per_instance, BYTES_BAND.0, BYTES_BAND.1
+        ));
+    }
+    Ok(())
+}
+
+/// One JSON record: the fields common to every sweep, then the point's
 /// own `fields`, closed by the oracle's violation count when the run
 /// was audited.
-pub fn json_point(r: &RunReport, fields: &[(&'static str, Field)]) -> String {
+pub fn json_point(p: &Point, r: &RunReport) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
@@ -522,11 +768,11 @@ pub fn json_point(r: &RunReport, fields: &[(&'static str, Field)]) -> String {
         r.msgs_per_instance,
         r.bytes_per_instance,
     );
-    for (key, field) in fields {
+    for (key, field) in &p.fields {
         let _ = match field {
             Text(s) => write!(out, ", \"{key}\": \"{s}\""),
             Count(c) => write!(out, ", \"{key}\": {c}"),
-            Measured(read) => write!(out, ", \"{key}\": {}", read(r)),
+            Measured(read) => write!(out, ", \"{key}\": {}", read(p, r)),
         };
     }
     if let Some(oracle) = &r.oracle {

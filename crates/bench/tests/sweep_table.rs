@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use fortika_bench::json;
-use fortika_bench::sweeps::{json_point, Field, SWEEPS};
+use fortika_bench::sweeps::{closed_form_audit, json_point, Field, Point, SWEEPS};
 use fortika_core::{LatencySummary, RunReport, StackKind};
 use fortika_net::Counters;
 
@@ -85,8 +85,8 @@ fn fixed_report() -> RunReport {
     }
 }
 
-/// One emitter writes every record of all six files, so one golden
-/// covers them: the common fields, then the sweep's own in order.
+/// One emitter writes every record of every file, so one golden covers
+/// them: the common fields, then the point's own in order.
 #[test]
 fn json_point_golden() {
     let common = "    {\"stack\": \"modular\", \"n\": 3, \"offered_load\": 2000, \
@@ -95,17 +95,45 @@ fn json_point_golden() {
                   \"batch_m\": 4.000, \"max_cpu_utilization\": 1.0000, \
                   \"msgs_per_instance\": 32.000, \"bytes_per_instance\": 131072.3";
     let r = fixed_report();
-    assert_eq!(json_point(&r, &[]), format!("{common}}}"));
-    let fields = [
+    let mut p = Point::new("golden", StackKind::Modular, (3, 2000.0, 16384));
+    assert_eq!(json_point(&p, &r), format!("{common}}}"));
+    p.fields = vec![
         ("regime", Field::Text("wan")),
         ("pipeline_depth", Field::Count(4)),
         (
             "cpu",
-            Field::Measured(|r| format!("{:.2}", r.mean_cpu_utilization)),
+            Field::Measured(|_, r| format!("{:.2}", r.mean_cpu_utilization)),
         ),
     ];
     assert_eq!(
-        json_point(&r, &fields),
+        json_point(&p, &r),
         format!("{common}, \"regime\": \"wan\", \"pipeline_depth\": 4, \"cpu\": 0.75}}")
+    );
+}
+
+/// The fixed report is a modular run at n = 3 and M ≈ 4 that carries
+/// half its offered load, so §5.2 holds it to 2 · (M + 4) ≈ 16 messages
+/// and 2 · 2 · M · 16 KiB ≈ 262 118 payload bytes per instance.
+#[test]
+fn closed_form_audit_holds_saturated_good_runs_to_section_52() {
+    let p = Point::new("audit", StackKind::Modular, (3, 2000.0, 16384));
+    let mut r = fixed_report();
+    r.bytes_per_instance = 270_000.0;
+    assert!(
+        closed_form_audit(&p, &r).is_err(),
+        "32 msgs/instance is twice the form"
+    );
+    r.msgs_per_instance = 16.1;
+    assert_eq!(closed_form_audit(&p, &r), Ok(()));
+    r.bytes_per_instance = 131_072.0;
+    assert!(
+        closed_form_audit(&p, &r).is_err(),
+        "half the form's payload"
+    );
+    r.throughput_msgs_per_sec = 1990.0;
+    assert_eq!(
+        closed_form_audit(&p, &r),
+        Ok(()),
+        "a run that keeps up with its load is not saturated"
     );
 }

@@ -47,7 +47,8 @@ pub struct StackConfig {
     pub window: usize,
     /// Failure detector parameters (identical in both stacks).
     pub fd: FdConfig,
-    /// Monolithic optimization switches (ablation benches flip these).
+    /// Monolithic optimization switches (the decomposition sweep flips
+    /// these).
     pub mono_opts: MonoOptimizations,
     /// Modular stack: reliable broadcast configuration.
     pub rbcast: RbcastConfig,

@@ -24,8 +24,7 @@ fn modular_messages_match_section_521() {
     for n in [3usize, 7] {
         let r = saturated(StackKind::Modular, n, 8192);
         let m = r.avg_batch_m;
-        let expect = analysis::modular_messages(n, m.round() as usize) as f64
-            + (m - m.round()) * (n as f64 - 1.0); // linear in M between integers
+        let expect = analysis::modular_messages(n, m);
         let got = r.msgs_per_instance;
         let err = (got - expect).abs() / expect;
         assert!(
@@ -39,7 +38,7 @@ fn modular_messages_match_section_521() {
 fn monolithic_messages_match_section_521() {
     for n in [3usize, 7] {
         let r = saturated(StackKind::Monolithic, n, 8192);
-        let expect = analysis::monolithic_messages(n) as f64;
+        let expect = analysis::monolithic_messages(n);
         let got = r.msgs_per_instance;
         let err = (got - expect).abs() / expect;
         assert!(
@@ -54,7 +53,7 @@ fn data_volumes_match_section_522() {
     let l = 16384usize;
     for n in [3usize, 7] {
         let rm = saturated(StackKind::Modular, n, l);
-        let expect_mod = analysis::modular_data(n, 1, l) as f64 * rm.avg_batch_m;
+        let expect_mod = analysis::modular_data(n, rm.avg_batch_m, l);
         let err = (rm.bytes_per_instance - expect_mod).abs() / expect_mod;
         assert!(
             err < 0.10,
@@ -64,7 +63,7 @@ fn data_volumes_match_section_522() {
         );
 
         let rk = saturated(StackKind::Monolithic, n, l);
-        let expect_mono = analysis::monolithic_data(n, 1, l) * rk.avg_batch_m;
+        let expect_mono = analysis::monolithic_data(n, rk.avg_batch_m, l);
         let err = (rk.bytes_per_instance - expect_mono).abs() / expect_mono;
         assert!(
             err < 0.12,

@@ -15,8 +15,8 @@
 //! `2(n−1)` messages, and the data volume from `2(n−1)·M·l` to
 //! `(n−1)(1+1/n)·M·l` — an overhead of `(n−1)/(n+1)` for the modular
 //! stack (50 % at n = 3, 75 % at n = 7). Each optimization can be
-//! toggled individually through [`MonoOptimizations`] for the ablation
-//! benchmarks.
+//! toggled individually through [`MonoOptimizations`];
+//! `BENCH_decomposition.json` switches them on one at a time.
 //!
 //! The Chandra–Toueg round machine, crash-recovery (durable votes,
 //! rejoin), log compaction and snapshot state transfer are what is *not*

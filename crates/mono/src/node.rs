@@ -88,7 +88,7 @@ pub struct MonoOptimizations {
 
 impl MonoOptimizations {
     /// The paper's monolithic stack: everything on.
-    pub fn all() -> Self {
+    pub const fn all() -> Self {
         MonoOptimizations {
             combine_decision_proposal: true,
             piggyback_on_acks: true,
@@ -98,7 +98,7 @@ impl MonoOptimizations {
 
     /// Everything off: the modular algorithm run inside one module
     /// (isolates the framework's mechanical overhead in ablations).
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         MonoOptimizations {
             combine_decision_proposal: false,
             piggyback_on_acks: false,

@@ -23,8 +23,8 @@ fn experiment_api_end_to_end() {
 
 #[test]
 fn analysis_module_exposed() {
-    assert_eq!(analysis::modular_messages(3, 4), 16);
-    assert_eq!(analysis::monolithic_messages(3), 4);
+    assert_eq!(analysis::modular_messages(3, 4.0), 16.0);
+    assert_eq!(analysis::monolithic_messages(3), 4.0);
     assert!((analysis::modularity_overhead(7) - 0.75).abs() < 1e-12);
 }
 
