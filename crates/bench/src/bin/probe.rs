@@ -8,7 +8,9 @@
 //!
 //! Bare `probe` regenerates the committed files in place, holding every
 //! run to the paper's closed forms on the way
-//! ([`fortika_bench::sweeps::closed_form_audit`]). `--check` (CI
+//! ([`fortika_bench::sweeps::closed_form_audit`]) and every fault-free
+//! run to zero suspicions
+//! ([`fortika_bench::sweeps::suspicion_audit`]). `--check` (CI
 //! runs this) writes the same sweeps under `target/bench/` instead and
 //! fails (exit 1) unless every file is **byte-equal** to its committed
 //! counterpart: the simulator is deterministic, so any difference means
@@ -35,7 +37,9 @@
 //! the minimized reproducer next to the matrix.
 
 use fortika_bench::json;
-use fortika_bench::sweeps::{closed_form_audit, json_document, json_point, Sweep, SWEEPS};
+use fortika_bench::sweeps::{
+    closed_form_audit, json_document, json_point, suspicion_audit, Sweep, SWEEPS,
+};
 use fortika_chaos::{minimize, ChaosProfile, CoverageReport, FuzzCampaign, FuzzConfig, StopReason};
 use fortika_core::analysis;
 use fortika_core::workload::Workload;
@@ -129,6 +133,7 @@ fn run_sweep(sweep: &Sweep, dir: &str, coverage: &mut CoverageReport) -> Result<
             audit(&r).map_err(|e| format!("{}: {e}", at()))?;
         }
         closed_form_audit(&point, &r).map_err(|e| format!("{}: {e}", at()))?;
+        suspicion_audit(&point, &r).map_err(|e| format!("{}: {e}", at()))?;
         records.push(json_point(&point, &r));
         runs.push((point, r));
     }

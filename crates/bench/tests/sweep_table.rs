@@ -78,6 +78,7 @@ fn fixed_report() -> RunReport {
         mean_cpu_utilization: 0.75,
         max_durability_utilization: 0.125,
         counters: Counters::new(),
+        suspicions: 0,
         oracle: None,
         trace: None,
         latency_decomposition: None,

@@ -132,6 +132,7 @@ impl Experiment {
             end_of_drain = end_of_drain.max(VTime::ZERO + scenario.horizon() + VDur::secs(1));
         }
         cluster.run_until(end_of_drain, &mut tap);
+        let suspicions = cluster.counters().count(fortika_fd::metrics::SUSPICIONS);
         let trace = cluster.take_trace();
         let (driver, oracle) = tap.into_parts();
 
@@ -264,6 +265,7 @@ impl Experiment {
             mean_cpu_utilization: utilization.iter().sum::<f64>() / self.n as f64,
             max_durability_utilization: durability_utilization.iter().cloned().fold(0.0, f64::max),
             counters: window,
+            suspicions,
             oracle: oracle_report,
             trace,
             latency_decomposition,
@@ -519,6 +521,10 @@ pub struct RunReport {
     pub max_durability_utilization: f64,
     /// Counter deltas over the window (heartbeats included).
     pub counters: Counters,
+    /// Suspicions raised by every failure detector over the whole run,
+    /// warm-up and drain included: zero on a fault-free run, whose
+    /// links never fall silent for a timeout.
+    pub suspicions: u64,
     /// Delivery-invariant audit of the whole run (present when a
     /// [`Scenario`] was attached): safety checks — uniform agreement,
     /// total order, integrity, prefix-consistency of crashed processes —

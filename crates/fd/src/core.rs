@@ -1,12 +1,13 @@
 //! Failure-detector cores, independent of the composition framework.
 //!
-//! A core is a pure state machine consuming heartbeats and clock ticks
-//! and emitting suspicion transitions. The framework adapter
+//! A core is a pure state machine consuming evidence of life and clock
+//! ticks and emitting suspicion transitions. The framework adapter
 //! ([`crate::FdModule`]) runs a core inside the modular stack; the
 //! monolithic stack embeds a core directly — both stacks therefore share
-//! the exact same detector behaviour, as in the paper's setup.
+//! the exact same detector behaviour, as in the paper's setup, and both
+//! pace it with the one [`HeartbeatPacer`] rule.
 
-use fortika_net::ProcessId;
+use fortika_net::{NodeCtx, ProcessId};
 use fortika_sim::{VDur, VTime};
 
 /// A suspicion transition emitted by a failure detector.
@@ -20,8 +21,19 @@ pub enum FdEvent {
 
 /// A failure-detector core.
 pub trait FailureDetector {
-    /// Notes a heartbeat received from `from` at instant `now`.
-    fn on_heartbeat(&mut self, from: ProcessId, now: VTime, out: &mut Vec<FdEvent>);
+    /// Notes a heartbeat received from `from` at instant `now`. The
+    /// same evidence as any other message, noted at once.
+    fn on_heartbeat(&mut self, from: ProcessId, now: VTime, out: &mut Vec<FdEvent>) {
+        self.note_alive(from, now, out);
+    }
+
+    /// Notes that a message from `from` — any message — arrived at
+    /// instant `at` (implicit heartbeats: see [`HeartbeatPacer`]).
+    /// Evidence older than what the detector already holds changes
+    /// nothing. Detectors that do not time silence ignore it.
+    fn note_alive(&mut self, from: ProcessId, at: VTime, out: &mut Vec<FdEvent>) {
+        let _ = (from, at, out);
+    }
 
     /// Periodic clock tick: emits newly due suspicion transitions.
     fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>);
@@ -53,31 +65,95 @@ pub trait FailureDetector {
     }
 }
 
-/// When the host of a detector core owes its peers a heartbeat: the one
-/// pacing rule both stacks' detector hosts follow on every polling tick.
-#[derive(Debug, Default)]
-pub struct HeartbeatPacer {
-    last: Option<VTime>,
+/// What a detector host's transport tells the pacer: the process it
+/// runs on, the time, and the clock of its links. Both stacks'
+/// handler contexts provide it — [`NodeCtx`] for the monolith,
+/// `FrameworkCtx` for [`FdModule`](crate::FdModule) — by reading the
+/// cluster's per-link transport clock, which is free in the model.
+pub trait LinkClock {
+    /// This process.
+    fn pid(&self) -> ProcessId;
+    /// Group size (every process the host may talk to).
+    fn n(&self) -> usize;
+    /// Current instant.
+    fn now(&self) -> VTime;
+    /// When the last message from `peer` arrived here, if any has.
+    fn last_arrival_from(&self, peer: ProcessId) -> Option<VTime>;
+    /// When this process last sent to `peer`, if it has.
+    fn last_send_to(&self, peer: ProcessId) -> Option<VTime>;
 }
 
+impl LinkClock for NodeCtx<'_> {
+    fn pid(&self) -> ProcessId {
+        NodeCtx::pid(self)
+    }
+    fn n(&self) -> usize {
+        NodeCtx::n(self)
+    }
+    fn now(&self) -> VTime {
+        NodeCtx::now(self)
+    }
+    fn last_arrival_from(&self, peer: ProcessId) -> Option<VTime> {
+        NodeCtx::last_arrival_from(self, peer)
+    }
+    fn last_send_to(&self, peer: ProcessId) -> Option<VTime> {
+        NodeCtx::last_send_to(self, peer)
+    }
+}
+
+/// The one per-tick rule both stacks' detector hosts follow: any
+/// message is a heartbeat.
+///
+/// On every polling tick the host hands the detector the arrival time
+/// of each peer's last message ([`FailureDetector::note_alive`]), lets
+/// it tick, and then heartbeats only the peers it sent nothing to
+/// within the detector's heartbeat interval. A link that carries
+/// protocol traffic therefore carries no heartbeats, and a link that
+/// falls idle gets its first heartbeat at the first tick at least one
+/// interval after its last message — so no link goes longer than two
+/// intervals (plus a tick's CPU queueing) without evidence, well inside
+/// the timeout. The interval may be coarser than the polling tick
+/// (chaos overlays tick fast to fire their windows promptly without
+/// inflating traffic).
+///
+/// Detection bound: a crashed peer is suspected no earlier than
+/// `timeout` after the last message that arrived from it, and no later
+/// than that plus one tick — the same worst case as explicit
+/// heartbeats, timed from the last message rather than the last
+/// heartbeat.
+#[derive(Debug)]
+pub struct HeartbeatPacer;
+
 impl HeartbeatPacer {
-    /// True when `fd`'s host should broadcast a heartbeat at this tick
-    /// (the pacer then counts it as sent). Heartbeats go out on the
-    /// core's heartbeat cadence, which may be coarser than the polling
-    /// tick (chaos overlays tick fast to fire their windows promptly
-    /// without inflating traffic).
-    pub fn due(&mut self, fd: &(impl FailureDetector + ?Sized), now: VTime) -> bool {
+    /// Runs one polling tick of `fd` at its host: feeds it every
+    /// peer's last arrival, ticks it (transitions go to `out`), and
+    /// calls `heartbeat` once for every peer owed one, in pid order.
+    pub fn tick<C: LinkClock + ?Sized>(
+        fd: &mut (impl FailureDetector + ?Sized),
+        ctx: &mut C,
+        out: &mut Vec<FdEvent>,
+        mut heartbeat: impl FnMut(&mut C, ProcessId),
+    ) {
+        let (me, n, now) = (ctx.pid(), ctx.n(), ctx.now());
+        for p in ProcessId::all(n).filter(|&p| p != me) {
+            if let Some(at) = ctx.last_arrival_from(p) {
+                fd.note_alive(p, at, out);
+            }
+        }
+        fd.tick(now, out);
         if !fd.sends_heartbeats() {
-            return false;
+            return;
         }
-        let due = match (self.last, fd.heartbeat_interval()) {
-            (Some(last), Some(interval)) => now.since(last) >= interval,
-            _ => true,
-        };
-        if due {
-            self.last = Some(now);
+        let interval = fd.heartbeat_interval();
+        for p in ProcessId::all(n).filter(|&p| p != me) {
+            let owed = match (ctx.last_send_to(p), interval) {
+                (Some(sent), Some(interval)) => now.since(sent) >= interval,
+                _ => true,
+            };
+            if owed {
+                heartbeat(ctx, p);
+            }
         }
-        due
     }
 }
 
@@ -109,10 +185,12 @@ impl Default for FdConfig {
 
 /// Heartbeat-based eventually-perfect (◇P-style) failure detector.
 ///
-/// Every process periodically heartbeats all others; a silence longer
-/// than the (per-process, adaptive) timeout triggers suspicion. A
-/// heartbeat from a suspected process cancels the suspicion and enlarges
-/// that process's timeout.
+/// Every message from a process is evidence that it is alive; a
+/// silence longer than the (per-process, adaptive) timeout triggers
+/// suspicion. Evidence from a suspected process — a heartbeat, or any
+/// message its host saw arrive ([`FailureDetector::note_alive`]) —
+/// cancels the suspicion and enlarges that process's timeout. Its host
+/// heartbeats only links that are otherwise idle ([`HeartbeatPacer`]).
 ///
 /// # Example
 ///
@@ -179,13 +257,16 @@ impl HeartbeatFd {
 }
 
 impl FailureDetector for HeartbeatFd {
-    fn on_heartbeat(&mut self, from: ProcessId, now: VTime, out: &mut Vec<FdEvent>) {
+    fn note_alive(&mut self, from: ProcessId, at: VTime, out: &mut Vec<FdEvent>) {
         let i = from.index();
-        if i >= self.last_heard.len() || from == self.me {
+        // Only news counts: evidence the detector already holds (the
+        // same arrival fed again on every tick) must neither move the
+        // window back nor restore a peer suspected despite it.
+        if i >= self.last_heard.len() || from == self.me || at <= self.last_heard[i] {
             return;
         }
-        let silence = now.since(self.last_heard[i]);
-        self.last_heard[i] = now;
+        let silence = at.since(self.last_heard[i]);
+        self.last_heard[i] = at;
         if self.suspected[i] {
             self.suspected[i] = false;
             if silence > self.timeout[i] + self.timeout[i] {
@@ -265,7 +346,6 @@ impl FailureDetector for HeartbeatFd {
 pub struct QuiescentFd;
 
 impl FailureDetector for QuiescentFd {
-    fn on_heartbeat(&mut self, _: ProcessId, _: VTime, _: &mut Vec<FdEvent>) {}
     fn tick(&mut self, _: VTime, _: &mut Vec<FdEvent>) {}
     fn tick_interval(&self) -> Option<VDur> {
         None
@@ -307,8 +387,6 @@ impl ScriptedFd {
 }
 
 impl FailureDetector for ScriptedFd {
-    fn on_heartbeat(&mut self, _: ProcessId, _: VTime, _: &mut Vec<FdEvent>) {}
-
     fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>) {
         while self.next < self.script.len() && self.script[self.next].0 <= now {
             let (_, ev) = self.script[self.next];
@@ -485,6 +563,167 @@ mod tests {
         fd.set_members(&[ProcessId(0), ProcessId(1), ProcessId(2)], now, &mut out);
         assert_eq!(out, [FdEvent::Restore(ProcessId(2))]);
         assert!(!fd.is_suspected(ProcessId(2)));
+    }
+
+    /// A host's transport for pacer tests: per-peer arrival and send
+    /// clocks, and every heartbeat the pacer had sent.
+    struct FakeLink {
+        me: ProcessId,
+        now: VTime,
+        heard: Vec<Option<VTime>>,
+        sent: Vec<Option<VTime>>,
+        heartbeats: Vec<(VTime, ProcessId)>,
+    }
+
+    impl FakeLink {
+        fn new(n: usize, me: ProcessId) -> Self {
+            FakeLink {
+                me,
+                now: VTime::ZERO,
+                heard: vec![None; n],
+                sent: vec![None; n],
+                heartbeats: Vec::new(),
+            }
+        }
+
+        /// One pacer tick at `now`; returns the detector's transitions.
+        fn pace(&mut self, fd: &mut impl FailureDetector, now: VTime) -> Vec<FdEvent> {
+            self.now = now;
+            let mut out = Vec::new();
+            HeartbeatPacer::tick(fd, self, &mut out, |link, p| {
+                link.sent[p.index()] = Some(link.now);
+                link.heartbeats.push((link.now, p));
+            });
+            out
+        }
+    }
+
+    impl LinkClock for FakeLink {
+        fn pid(&self) -> ProcessId {
+            self.me
+        }
+        fn n(&self) -> usize {
+            self.sent.len()
+        }
+        fn now(&self) -> VTime {
+            self.now
+        }
+        fn last_arrival_from(&self, peer: ProcessId) -> Option<VTime> {
+            self.heard[peer.index()]
+        }
+        fn last_send_to(&self, peer: ProcessId) -> Option<VTime> {
+            self.sent[peer.index()]
+        }
+    }
+
+    fn ms(ms: u64) -> VTime {
+        VTime::ZERO + VDur::millis(ms)
+    }
+
+    #[test]
+    fn a_link_that_carried_traffic_within_the_interval_gets_no_heartbeat() {
+        let mut fd = HeartbeatFd::new(4, ProcessId(0), cfg());
+        let mut link = FakeLink::new(4, ProcessId(0));
+        // p1's link carried a message 5 ms ago, p2's exactly one
+        // interval ago, p3's never.
+        link.sent[1] = Some(ms(95));
+        link.sent[2] = Some(ms(90));
+        link.pace(&mut fd, ms(100));
+        assert_eq!(
+            link.heartbeats,
+            [(ms(100), ProcessId(2)), (ms(100), ProcessId(3))]
+        );
+    }
+
+    #[test]
+    fn an_idle_link_gets_one_heartbeat_every_interval() {
+        let mut fd = HeartbeatFd::new(2, ProcessId(0), cfg());
+        let mut link = FakeLink::new(2, ProcessId(0));
+        for tick in 0..10 {
+            link.pace(&mut fd, ms(10 * tick));
+        }
+        let expected: Vec<_> = (0..10).map(|t| (ms(10 * t), ProcessId(1))).collect();
+        assert_eq!(link.heartbeats, expected);
+        // A detector that sends none (a learner) is paced to silence.
+        fd.set_members(&[ProcessId(1)], ms(100), &mut Vec::new());
+        link.pace(&mut fd, ms(200));
+        assert_eq!(link.heartbeats.len(), 10);
+    }
+
+    #[test]
+    fn a_link_that_falls_idle_never_lacks_evidence_for_two_intervals() {
+        let interval = cfg().heartbeat_interval;
+        let step = VDur::micros(250);
+        // Every phase of the polling tick against every instant the
+        // protocol traffic stops.
+        for phase_us in (0..10_000).step_by(1_250) {
+            for quiet_ms in 20..32 {
+                let mut fd = HeartbeatFd::new(2, ProcessId(0), cfg());
+                let mut link = FakeLink::new(2, ProcessId(0));
+                let mut next_tick = VTime::ZERO + VDur::micros(phase_us);
+                let (mut last, mut longest) = (VTime::ZERO, VDur::ZERO);
+                let mut now = VTime::ZERO;
+                while now < ms(200) {
+                    // A protocol message every millisecond until quiet.
+                    if now < ms(quiet_ms) && now.as_nanos().is_multiple_of(1_000_000) {
+                        link.sent[1] = Some(now);
+                    }
+                    if now == next_tick {
+                        link.pace(&mut fd, now);
+                        next_tick = now + interval;
+                    }
+                    if let Some(sent) = link.sent[1] {
+                        longest = longest.max(sent.since(last));
+                        last = sent;
+                    }
+                    now += step;
+                }
+                longest = longest.max(now.since(last));
+                assert!(
+                    longest <= interval * 2 && longest < cfg().timeout,
+                    "phase {phase_us} us, quiet from {quiet_ms} ms: {longest} without evidence"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn note_alive_never_moves_back_and_restores_a_suspect() {
+        let mut fd = HeartbeatFd::new(2, ProcessId(0), cfg());
+        let mut out = Vec::new();
+        fd.note_alive(ProcessId(1), ms(40), &mut out);
+        // Older evidence (a message that arrived before) changes nothing.
+        fd.note_alive(ProcessId(1), ms(20), &mut out);
+        fd.tick(ms(85), &mut out);
+        assert!(out.is_empty(), "45 ms since the latest evidence");
+        fd.tick(ms(95), &mut out);
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(1))]);
+        out.clear();
+        // The evidence the suspicion was timed from, fed again on the
+        // next tick, restores nothing.
+        fd.note_alive(ProcessId(1), ms(40), &mut out);
+        assert!(out.is_empty());
+        assert!(fd.is_suspected(ProcessId(1)));
+        // A message that arrived since does.
+        fd.note_alive(ProcessId(1), ms(96), &mut out);
+        assert_eq!(out, [FdEvent::Restore(ProcessId(1))]);
+        assert!(!fd.is_suspected(ProcessId(1)));
+    }
+
+    #[test]
+    fn the_pacer_feeds_arrivals_before_ticking() {
+        let mut fd = HeartbeatFd::new(2, ProcessId(0), cfg());
+        let mut link = FakeLink::new(2, ProcessId(0));
+        // p1 sent no heartbeat, but a message from it arrived 10 ms
+        // ago: 90 ms after the anchor, it is not suspected.
+        link.heard[1] = Some(ms(80));
+        assert!(link.pace(&mut fd, ms(90)).is_empty());
+        // Silence from there on is timed from that message.
+        assert!(link.pace(&mut fd, ms(130)).is_empty());
+        assert_eq!(
+            link.pace(&mut fd, ms(131)),
+            [FdEvent::Suspect(ProcessId(1))]
+        );
     }
 
     #[test]

@@ -3,22 +3,23 @@
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::wire::WireReader;
 use fortika_net::{ProcessId, TimerId};
+use fortika_sim::VTime;
 
-use crate::core::{FailureDetector, FdEvent, HeartbeatPacer};
-use crate::metrics;
+use crate::core::{FailureDetector, FdEvent, HeartbeatPacer, LinkClock};
+use crate::{metrics, TRACE_STACK};
 
 /// Wire demux id of the failure-detector module.
 pub const FD_MODULE_ID: ModuleId = 4;
 
 const TIMER_TICK: u64 = 1;
 
-/// The failure-detector microprotocol: emits heartbeats, consumes peer
-/// heartbeats, and raises [`Event::Suspect`]/[`Event::Restore`] on the
-/// stack bus.
+/// The failure-detector microprotocol: heartbeats idle links (see
+/// [`HeartbeatPacer`]), consumes peer heartbeats and the arrival times
+/// of every other module's messages, and raises
+/// [`Event::Suspect`]/[`Event::Restore`] on the stack bus.
 pub struct FdModule<T> {
     core: T,
     scratch: Vec<FdEvent>,
-    pacer: HeartbeatPacer,
 }
 
 impl<T: FailureDetector> FdModule<T> {
@@ -27,7 +28,6 @@ impl<T: FailureDetector> FdModule<T> {
         FdModule {
             core,
             scratch: Vec::new(),
-            pacer: HeartbeatPacer::default(),
         }
     }
 
@@ -41,10 +41,12 @@ impl<T: FailureDetector> FdModule<T> {
             match ev {
                 FdEvent::Suspect(p) => {
                     ctx.bump(metrics::SUSPICIONS, 1);
+                    ctx.trace_span(TRACE_STACK, u64::from(p.0), "suspect", 0);
                     ctx.raise(Event::Suspect(p));
                 }
                 FdEvent::Restore(p) => {
                     ctx.bump(metrics::RESTORES, 1);
+                    ctx.trace_span(TRACE_STACK, u64::from(p.0), "restore", 0);
                     ctx.raise(Event::Restore(p));
                 }
             }
@@ -94,14 +96,33 @@ impl<T: FailureDetector> Microprotocol for FdModule<T> {
         if tag != TIMER_TICK {
             return;
         }
-        if self.pacer.due(&self.core, ctx.now()) {
-            ctx.broadcast_net(metrics::HEARTBEAT, &());
-        }
-        self.core.tick(ctx.now(), &mut self.scratch);
+        HeartbeatPacer::tick(&mut self.core, ctx, &mut self.scratch, |ctx, p| {
+            ctx.send_net(p, metrics::HEARTBEAT, &());
+        });
         Self::flush(ctx, &mut self.scratch);
         if let Some(interval) = self.core.tick_interval() {
             ctx.set_timer(interval, TIMER_TICK);
         }
+    }
+}
+
+/// The modular stack's detector reads the hosting process's transport
+/// clock, which sees every module's messages.
+impl LinkClock for FrameworkCtx<'_, '_> {
+    fn pid(&self) -> ProcessId {
+        FrameworkCtx::pid(self)
+    }
+    fn n(&self) -> usize {
+        FrameworkCtx::n(self)
+    }
+    fn now(&self) -> VTime {
+        FrameworkCtx::now(self)
+    }
+    fn last_arrival_from(&self, peer: ProcessId) -> Option<VTime> {
+        FrameworkCtx::last_arrival_from(self, peer)
+    }
+    fn last_send_to(&self, peer: ProcessId) -> Option<VTime> {
+        FrameworkCtx::last_send_to(self, peer)
     }
 }
 

@@ -114,6 +114,13 @@ impl<T: FailureDetector> FailureDetector for OverlayFd<T> {
         self.reconcile(now, out);
     }
 
+    fn note_alive(&mut self, from: ProcessId, at: VTime, _out: &mut Vec<FdEvent>) {
+        // The host ticks right after feeding arrivals, and that tick's
+        // reconcile re-derives whatever the inner core changed here; a
+        // forced window therefore still wins over implicit liveness.
+        self.inner.note_alive(from, at, &mut self.scratch);
+    }
+
     fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>) {
         self.scratch.clear();
         let scratch = &mut self.scratch;
@@ -254,6 +261,37 @@ mod tests {
         fd.tick(VTime::ZERO + VDur::millis(50), &mut out);
         fd.tick(VTime::ZERO + VDur::millis(150), &mut out);
         assert_eq!(out, [FdEvent::Suspect(ProcessId(1))]);
+    }
+
+    #[test]
+    fn a_forced_window_wins_over_implicit_liveness() {
+        let cfg = FdConfig {
+            heartbeat_interval: VDur::millis(10),
+            timeout: VDur::millis(50),
+            timeout_increment: VDur::millis(20),
+        };
+        let inner = HeartbeatFd::new(2, ProcessId(0), cfg);
+        let mut fd = OverlayFd::new(2, ProcessId(0), inner, vec![window(1, 10, 30)]);
+        let mut out = Vec::new();
+        // A message from p1 arrives before every tick, as on a busy
+        // link; the window still slanders it, and only the window.
+        for ms in (5..60).step_by(5) {
+            let now = VTime::ZERO + VDur::millis(ms);
+            fd.note_alive(ProcessId(1), now, &mut out);
+            fd.tick(now, &mut out);
+            assert_eq!(
+                fd.is_suspected(ProcessId(1)),
+                (10..30).contains(&ms),
+                "{ms} ms"
+            );
+        }
+        assert_eq!(
+            out,
+            [
+                FdEvent::Suspect(ProcessId(1)),
+                FdEvent::Restore(ProcessId(1))
+            ]
+        );
     }
 
     #[test]

@@ -102,6 +102,18 @@ impl FrameworkCtx<'_, '_> {
         self.node.now()
     }
 
+    /// When the last message from `peer` arrived at this process; see
+    /// [`fortika_net::NodeCtx::last_arrival_from`].
+    pub fn last_arrival_from(&self, peer: ProcessId) -> Option<VTime> {
+        self.node.last_arrival_from(peer)
+    }
+
+    /// When this process last sent to `peer`; see
+    /// [`fortika_net::NodeCtx::last_send_to`].
+    pub fn last_send_to(&self, peer: ProcessId) -> Option<VTime> {
+        self.node.last_send_to(peer)
+    }
+
     /// Raises an event on the stack bus (dispatched FIFO after the
     /// current handler returns — Cactus semantics).
     pub fn raise(&mut self, ev: Event) {

@@ -57,7 +57,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use fortika_fd::metrics as fd;
-use fortika_fd::{FailureDetector, FdEvent, HeartbeatPacer};
+use fortika_fd::{FailureDetector, FdEvent, HeartbeatPacer, TRACE_STACK};
 use fortika_net::flow::FlowWindow;
 use fortika_net::metrics::{abcast, consensus, mono};
 use fortika_net::replica::SWEEP_INTERVAL;
@@ -161,8 +161,6 @@ pub struct MonoNode {
     /// Messages this process is responsible for getting proposed.
     pool: BTreeMap<MsgId, AppMsg>,
     last_progress: VTime,
-    /// Paces heartbeat broadcasts off the detector's polling tick.
-    heartbeats: HeartbeatPacer,
 }
 
 impl MonoNode {
@@ -201,7 +199,6 @@ impl MonoNode {
             own_pending: BTreeMap::new(),
             pool: BTreeMap::new(),
             last_progress: VTime::ZERO,
-            heartbeats: HeartbeatPacer::default(),
         }
     }
 
@@ -786,6 +783,7 @@ impl MonoNode {
             match ev {
                 FdEvent::Suspect(p) => {
                     ctx.bump(fd::SUSPICIONS, 1);
+                    ctx.trace_span(TRACE_STACK, u64::from(p.0), "suspect", 0);
                     // Own messages handed to the suspect may be lost with
                     // it: make them proposable again (they are re-routed
                     // on the next estimate/ack/forward).
@@ -802,6 +800,7 @@ impl MonoNode {
                 }
                 FdEvent::Restore(p) => {
                     ctx.bump(fd::RESTORES, 1);
+                    ctx.trace_span(TRACE_STACK, u64::from(p.0), "restore", 0);
                     self.core.restore(*p);
                 }
             }
@@ -1005,10 +1004,9 @@ impl Node for MonoNode {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, tag: u64) {
         match tag {
             TAG_FD => {
-                if self.heartbeats.due(self.fd.as_ref(), ctx.now()) {
-                    self.broadcast(ctx, fd::HEARTBEAT, &MonoMsg::Heartbeat);
-                }
-                self.fd.tick(ctx.now(), &mut self.fd_scratch);
+                HeartbeatPacer::tick(self.fd.as_mut(), ctx, &mut self.fd_scratch, |ctx, p| {
+                    ReplicaCtx::send(ctx, p, fd::HEARTBEAT, |w| MonoMsg::Heartbeat.encode(w));
+                });
                 self.process_fd_events(ctx);
                 if let Some(interval) = self.fd.tick_interval() {
                     ctx.set_timer(interval, TAG_FD);

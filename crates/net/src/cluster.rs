@@ -167,6 +167,9 @@ pub struct NodeCtx<'a> {
     counters: &'a mut Counters,
     trace: Option<&'a mut TraceBuffer>,
     next_timer: &'a mut u64,
+    /// This process's transport clock (see `Proc::heard`).
+    heard: &'a [Option<VTime>],
+    sent: &'a [Option<VTime>],
     /// The parts of the arriving frame after the one `on_message` got.
     tail: Tail,
     out: &'a mut Outputs,
@@ -235,6 +238,22 @@ impl NodeCtx<'_> {
     /// The configured cost model (for modules that charge custom costs).
     pub fn costs(&self) -> &CostModel {
         self.cost
+    }
+
+    /// When the last message from `peer` — of any kind — arrived at
+    /// this process, or `None` if none has since this incarnation
+    /// started. Transport state a TCP endpoint keeps per socket, so
+    /// reading it is free in the model.
+    pub fn last_arrival_from(&self, peer: ProcessId) -> Option<VTime> {
+        self.heard.get(peer.index()).copied().flatten()
+    }
+
+    /// When this process last handed a message for `peer` to its NIC
+    /// (the end of the handler that sent it), or `None` if it has not
+    /// since this incarnation started. Free, like
+    /// [`last_arrival_from`](Self::last_arrival_from).
+    pub fn last_send_to(&self, peer: ProcessId) -> Option<VTime> {
+        self.sent.get(peer.index()).copied().flatten()
     }
 
     /// Charges extra CPU time to this handler, scaled by the process's
@@ -535,6 +554,11 @@ struct Proc {
     durability_busy: VDur,
     next_timer: u64,
     cancelled: BTreeSet<u64>,
+    /// The transport clock, per peer: when the last message from it
+    /// arrived here, and when this process last sent to it. Volatile,
+    /// like a process's sockets: a restart clears it.
+    heard: Vec<Option<VTime>>,
+    sent: Vec<Option<VTime>>,
 }
 
 enum Ev {
@@ -639,6 +663,8 @@ impl Cluster {
                 durability_busy: VDur::ZERO,
                 next_timer: 0,
                 cancelled: BTreeSet::new(),
+                heard: vec![None; cfg.n],
+                sent: vec![None; cfg.n],
             })
             .collect();
         let rng = DetRng::seed(cfg.seed);
@@ -1015,6 +1041,10 @@ impl Cluster {
                     kind: kind.name(),
                     bytes: wire,
                 });
+                let receiver = &mut self.procs[dst.index()];
+                if receiver.alive {
+                    receiver.heard[src.index()] = Some(at);
+                }
                 let base = self.cfg.cost.recv_cost(len);
                 // The tail goes in with the handler call, so a frame to
                 // a crashed process is dropped whole.
@@ -1086,6 +1116,8 @@ impl Cluster {
         // by the incarnation stamp, stale cancels die here.
         proc.next_timer = 0;
         proc.cancelled.clear();
+        proc.heard.fill(None);
+        proc.sent.fill(None);
         self.counters.bump(cluster::RESTARTS, 1);
         // Tell the harness before any new-incarnation activity.
         self.pending.push_back(Notification::Restarted(pid, at));
@@ -1117,8 +1149,9 @@ impl Cluster {
         let cpu_milli = self.procs[i].cpu_milli;
         let base_cost = scale_milli(base_cost, cpu_milli);
         let start = self.procs[i].cpu.acquire(arrival, base_cost);
-        let mut node = self.procs[i].node.take().expect("node re-entered");
-        let inc = self.procs[i].incarnation;
+        let proc = &mut self.procs[i];
+        let mut node = proc.node.take().expect("node re-entered");
+        let inc = proc.incarnation;
 
         // The handler fills the cluster's output lists, which are drained
         // below with their capacity kept.
@@ -1136,7 +1169,9 @@ impl Cluster {
                 per_msg_overhead: self.cfg.net.per_msg_overhead,
                 counters: &mut self.counters,
                 trace: self.trace.as_mut(),
-                next_timer: &mut self.procs[i].next_timer,
+                next_timer: &mut proc.next_timer,
+                heard: &proc.heard,
+                sent: &proc.sent,
                 tail,
                 out: &mut self.outputs,
             };
@@ -1167,6 +1202,7 @@ impl Cluster {
         // messages, exactly like pulling a cable.
         let mut outbox = std::mem::take(&mut self.outputs.outbox);
         for (dst, kind, frame) in outbox.drain(..) {
+            self.procs[i].sent[dst.index()] = Some(end);
             let wire = frame.len() as u64 + u64::from(self.cfg.net.per_msg_overhead);
             let mut tx_end = self.procs[i].nic.transmit(end, wire);
             let nic_tx_end = tx_end;

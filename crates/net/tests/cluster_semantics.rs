@@ -712,3 +712,89 @@ fn chained_frames_of_a_dead_sender_are_released() {
         assert!(payload.is_unique(), "revive={revive}: frame not released");
     }
 }
+
+/// What one handler read off the transport clock: the process, the
+/// handler, the peer's last arrival, the last send to the peer, and the
+/// handler's current instant.
+type ClockReading = (ProcessId, &'static str, Option<VTime>, Option<VTime>, VTime);
+
+/// p0 pings p1 at start and p1 answers; both read the clock about the
+/// other process on every handler.
+struct ClockProbe(std::rc::Rc<std::cell::RefCell<Vec<ClockReading>>>);
+
+impl ClockProbe {
+    fn read(&self, ctx: &NodeCtx<'_>, handler: &'static str) {
+        let peer = ProcessId(1 - ctx.pid().0);
+        self.0.borrow_mut().push((
+            ctx.pid(),
+            handler,
+            ctx.last_arrival_from(peer),
+            ctx.last_send_to(peer),
+            ctx.now(),
+        ));
+    }
+}
+
+impl Node for ClockProbe {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.read(ctx, "start");
+        if ctx.pid() == ProcessId(0) {
+            ctx.send(ProcessId(1), names::TEST_MSG, Bytes::from_static(b"ping"));
+            ctx.set_timer(VDur::millis(10), 1);
+        }
+    }
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, _: Bytes) {
+        self.read(ctx, "message");
+        if ctx.pid() == ProcessId(1) {
+            ctx.send(from, names::TEST_MSG, Bytes::from_static(b"pong"));
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, _tag: u64) {
+        self.read(ctx, "timer");
+    }
+    fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
+        Admission::Blocked
+    }
+}
+
+#[test]
+fn the_transport_clock_records_arrivals_and_sends_and_a_restart_clears_it() {
+    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let nodes: Vec<Box<dyn Node>> = (0..2)
+        .map(|_| Box::new(ClockProbe(log.clone())) as Box<dyn Node>)
+        .collect();
+    let mut cluster = Cluster::new(ClusterConfig::new(2, 1), nodes);
+    let factory_log = log.clone();
+    cluster.set_node_factory(Box::new(move |_, _, _| {
+        Box::new(ClockProbe(factory_log.clone()))
+    }));
+    cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::millis(20));
+    cluster.schedule_restart(ProcessId(0), VTime::ZERO + VDur::millis(30));
+    cluster.run_idle(VTime::ZERO + VDur::millis(50));
+
+    let log = log.borrow();
+    let (p0, p1) = (ProcessId(0), ProcessId(1));
+    let reading = |pid, handler, nth| {
+        *log.iter()
+            .filter(|r| r.0 == pid && r.1 == handler)
+            .nth(nth)
+            .unwrap_or_else(|| panic!("no {handler} #{nth} at {pid}"))
+    };
+    // p1 sees the ping's arrival, no later than its handler runs, and
+    // has sent p0 nothing yet: its answer leaves when the handler ends.
+    let (_, _, heard, sent, now) = reading(p1, "message", 0);
+    assert!(heard.is_some_and(|at| at <= now), "{heard:?} at {now}");
+    assert_eq!(sent, None);
+    // p0's timer sees the ping it sent at start and the pong after it.
+    let (_, _, heard, sent, _) = reading(p0, "timer", 0);
+    let (sent, heard) = (sent.expect("ping sent"), heard.expect("pong heard"));
+    assert!(sent < heard, "ping at {sent}, pong at {heard}");
+    // The revived p0 starts with a clean clock, like fresh sockets.
+    let (_, _, heard, sent, now) = reading(p0, "start", 1);
+    assert!(now >= VTime::ZERO + VDur::millis(30));
+    assert_eq!((heard, sent), (None, None));
+    // And its new ping and pong are recorded again.
+    let (_, _, heard, sent, _) = reading(p0, "timer", 1);
+    assert!(sent.is_some_and(|t| t >= VTime::ZERO + VDur::millis(30)));
+    assert!(heard.is_some_and(|t| t > sent.unwrap()));
+}

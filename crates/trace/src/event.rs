@@ -129,9 +129,10 @@ pub enum TraceData {
         /// The process emitting the marker.
         pid: u16,
         /// Which layer emitted it (`"consensus"`, `"abcast"`,
-        /// `"mono"`, `"rbcast"`).
+        /// `"mono"`, `"rbcast"`, `"fd"`).
         stack: &'static str,
-        /// Protocol instance (consensus slot, broadcast id).
+        /// Protocol instance (consensus slot, broadcast id; for `"fd"`,
+        /// the process suspected or restored).
         instance: u64,
         /// Lifecycle phase label.
         phase: &'static str,

@@ -12,10 +12,11 @@
 
 use bytes::Bytes;
 use fortika::core::{build_nodes, FdConfig, StackConfig, StackKind};
+use fortika::fd::TRACE_STACK;
 use fortika::net::metrics::{consensus, mono};
 use fortika::net::{
     Admission, AppMsg, AppRequest, Cluster, ClusterConfig, CollectingHarness, Counters, MsgId,
-    ProcessId,
+    ProcessId, TraceConfig, TraceData,
 };
 use fortika::sim::{VDur, VTime};
 
@@ -178,5 +179,78 @@ fn a_coordinator_outage_costs_one_estimate_round_not_one_per_instance() {
             outage.msgs_per_instance,
             fault_free.msgs_per_instance
         );
+    }
+}
+
+/// The detection bound, on a loaded group whose links to the
+/// coordinator were busy until it crashed: every survivor suspects p0
+/// no earlier than the detector's timeout after the last message that
+/// arrived from it — of any kind, since every message is a heartbeat —
+/// and no later than one polling tick after that. The tick may run
+/// late by the CPU time queued ahead of it, which [`TICK_SLACK`]
+/// covers.
+#[test]
+fn a_crashed_coordinator_is_suspected_one_timeout_after_its_last_message() {
+    /// Handlers queued ahead of a survivor's detector tick, and the
+    /// tick's own heartbeat sends before it reports the suspicion.
+    const TICK_SLACK: VDur = VDur::millis(5);
+    let n = 3;
+    let fd = FdConfig::default();
+    let crash = VTime::ZERO + VDur::millis(300);
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let label = kind.label();
+        let nodes = build_nodes(kind, n, &StackConfig::default());
+        let mut cfg = ClusterConfig::new(n, 7);
+        cfg.trace = TraceConfig::with_capacity(1 << 20);
+        let mut cluster = Cluster::new(cfg, nodes);
+        cluster.schedule_crash(ProcessId(0), crash);
+        let mut harness = CollectingHarness::new(n);
+        // p1 and p2 each submit a 1 KiB message every 4 ms.
+        let payload = Bytes::from(vec![0x42; 1024]);
+        let mut next_seq = [0u64; 3];
+        let mut now = VTime::ZERO;
+        while now < crash + fd.timeout * 2 {
+            let p = ProcessId(1 + (next_seq[1] + next_seq[2]) as u16 % 2);
+            let msg = AppMsg::new(MsgId::new(p, next_seq[p.index()]), payload.clone());
+            if cluster.submit(p, AppRequest::Abcast(msg)).0 == Admission::Accepted {
+                next_seq[p.index()] += 1;
+            }
+            now += VDur::millis(2);
+            cluster.run_until(now, &mut harness);
+        }
+        let trace = cluster.take_trace().expect("tracing on");
+        assert_eq!(trace.dropped, 0, "{label}: the ring must hold the run");
+        for survivor in [1u16, 2] {
+            let mut last_arrival = None;
+            let mut suspected = Vec::new();
+            for e in &trace.events {
+                match e.data {
+                    TraceData::Deliver { src: 0, dst, .. } if dst == survivor => {
+                        last_arrival = Some(e.at_ns);
+                    }
+                    TraceData::Span {
+                        pid,
+                        stack,
+                        instance: 0,
+                        phase: "suspect",
+                        ..
+                    } if pid == survivor && stack == TRACE_STACK => suspected.push(e.at_ns),
+                    _ => {}
+                }
+            }
+            let last = VTime::ZERO + VDur::nanos(last_arrival.expect("p0 was heard"));
+            assert!(
+                last + fd.heartbeat_interval > crash,
+                "{label}: p{survivor}'s link from p0 was idle before the crash"
+            );
+            let [at] = suspected[..] else {
+                panic!("{label}: p{survivor} suspected p0 at {suspected:?}");
+            };
+            let after = (VTime::ZERO + VDur::nanos(at)).since(last);
+            assert!(
+                after > fd.timeout && after <= fd.timeout + fd.heartbeat_interval + TICK_SLACK,
+                "{label}: p{survivor} suspected p0 {after} after its last message"
+            );
+        }
     }
 }

@@ -1,0 +1,134 @@
+//! Any message is a heartbeat.
+//!
+//! Both stacks' failure detectors time silence from the last message of
+//! any kind that arrived from a peer, and their hosts heartbeat only
+//! the links they sent nothing on within the heartbeat interval. So a
+//! saturated run, whose links all carry protocol traffic every few
+//! milliseconds, spends nothing on liveness it already proves: the
+//! modular stack, whose processes all talk to each other, sends no
+//! heartbeat at all, and the monolith heartbeats only between
+//! followers, which talk to the coordinator alone. An idle cluster, in
+//! which no link carries anything else, still heartbeats every link at
+//! the configured rate. Heartbeating every link regardless, as a
+//! detector that ignores protocol traffic must, costs the saturated
+//! modular coordinator ~4 % of its CPU.
+
+use std::collections::BTreeMap;
+
+use fortika::core::{build_nodes, Experiment, FdConfig, StackConfig, StackKind, Workload};
+use fortika::fd::TRACE_STACK;
+use fortika::net::{Cluster, ClusterConfig, Trace, TraceConfig, TraceData};
+use fortika::sim::{VDur, VTime};
+
+const HEARTBEAT: &str = "fd.heartbeat";
+
+/// The directed links `(src, dst)` that carried heartbeats in
+/// `[from, until)`, with their counts.
+fn heartbeats_by_link(trace: &Trace, from: VTime, until: VTime) -> BTreeMap<(u16, u16), u64> {
+    let mut links = BTreeMap::new();
+    for e in &trace.events {
+        if let TraceData::Send { src, dst, kind, .. } = e.data {
+            if kind == HEARTBEAT && (from.as_nanos()..until.as_nanos()).contains(&e.at_ns) {
+                *links.entry((src, dst)).or_insert(0) += 1;
+            }
+        }
+    }
+    links
+}
+
+#[test]
+fn a_saturated_run_heartbeats_only_its_idle_links() {
+    let n = 7;
+    let interval = FdConfig::default().heartbeat_interval;
+    let (warmup, window) = (VDur::secs(1), VDur::secs(2));
+    let per_idle_link = window.as_nanos() / interval.as_nanos();
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let label = kind.label();
+        // The benchmark's saturated point: 16 KiB at four times
+        // capacity, seven processes.
+        let report = Experiment::builder(kind, n)
+            .workload(Workload::constant_rate(2000.0, 16 * 1024))
+            .seed(7)
+            .warmup_secs(warmup.as_secs_f64())
+            .measure_secs(window.as_secs_f64())
+            .trace(TraceConfig::with_capacity(1 << 20))
+            .build()
+            .run();
+        assert!(
+            report.throughput_msgs_per_sec > 400.0,
+            "{label}: {:.1} msgs/s is not saturation",
+            report.throughput_msgs_per_sec
+        );
+        assert_eq!(report.counters.event("fd.suspicions"), 0, "{label}");
+        let trace = report.trace.expect("tracing on");
+        assert_eq!(trace.dropped, 0, "{label}: the ring must hold the run");
+        let start = VTime::ZERO + warmup;
+        let suspected = trace
+            .events
+            .iter()
+            .any(|e| matches!(e.data, TraceData::Span { stack, .. } if stack == TRACE_STACK));
+        assert!(!suspected, "{label}: a process was suspected");
+        let links = heartbeats_by_link(&trace, start, start + window);
+        let total: u64 = links.values().sum();
+        assert_eq!(
+            total,
+            report.counters.kind(HEARTBEAT).msgs,
+            "{label}: the trace and the counters disagree"
+        );
+        match kind {
+            // Every process rbcasts to every other: no link is idle.
+            StackKind::Modular => assert!(links.is_empty(), "{label}: heartbeats on {links:?}"),
+            // The coordinator, p0, exchanges a step and an ack with each
+            // follower per instance; followers never talk to each other.
+            StackKind::Monolithic => {
+                let followers = (1..n as u16)
+                    .flat_map(|s| (1..n as u16).filter(move |&d| d != s).map(move |d| (s, d)));
+                assert_eq!(
+                    links.keys().copied().collect::<Vec<_>>(),
+                    followers.collect::<Vec<_>>(),
+                    "{label}: heartbeats off the follower-to-follower links"
+                );
+                for (link, &count) in &links {
+                    assert!(
+                        (per_idle_link - 1..=per_idle_link).contains(&count),
+                        "{label}: {link:?} carried {count} heartbeats in {window}, \
+                         not one per {interval}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn an_idle_cluster_heartbeats_every_link_at_the_configured_rate() {
+    let n = 3;
+    let interval = FdConfig::default().heartbeat_interval;
+    let run = VDur::secs(2);
+    // One message per link per interval, less what the ticks' own CPU
+    // time adds to their spacing over the run.
+    let per_link = run.as_nanos() / interval.as_nanos();
+    let expected = (n * (n - 1)) as u64 * per_link;
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let label = kind.label();
+        let nodes = build_nodes(kind, n, &StackConfig::default());
+        let mut cluster = Cluster::new(ClusterConfig::new(n, 7), nodes);
+        cluster.run_idle(VTime::ZERO + run);
+        let counters = cluster.counters();
+        let heartbeats = counters.kind(HEARTBEAT).msgs;
+        // The stacks' own idle chatter (the modular stack opens one
+        // empty instance) stands in for at most one heartbeat each.
+        let others: u64 = counters
+            .iter_sends()
+            .filter(|&(kind, _)| kind != HEARTBEAT)
+            .map(|(_, sent)| sent.msgs)
+            .sum();
+        assert!(others * 10 < expected, "{label}: {others} other messages");
+        assert!(
+            (heartbeats + others) * 100 >= expected * 95 && heartbeats <= expected,
+            "{label}: {heartbeats} heartbeats and {others} other messages in {run}, \
+             expected about {expected} in all"
+        );
+        assert_eq!(counters.event("fd.suspicions"), 0, "{label}");
+    }
+}

@@ -335,13 +335,13 @@ fn export_bytes_match_golden() {
     for (kind, jsonl, chrome) in [
         (
             StackKind::Modular,
-            (1_851_327, 0x5582_c13a_eb0d_c270),
-            (2_064_697, 0x93e4_319b_b5c0_1ece),
+            (1_843_885, 0xe14e_0bc9_4d2a_ed27),
+            (2_059_786, 0xb32a_93c4_443d_aca7),
         ),
         (
             StackKind::Monolithic,
-            (1_288_957, 0xc2fd_3b59_2ba4_bb9f),
-            (1_378_311, 0xb366_b0f7_81e8_2ad9),
+            (1_275_966, 0x414d_3676_c16f_3ee6),
+            (1_365_274, 0x03f9_1669_7e8a_d188),
         ),
     ] {
         let trace = traced_report(kind, 11).trace.expect("tracing on");
