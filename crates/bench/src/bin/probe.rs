@@ -11,19 +11,21 @@
 //! ([`fortika_bench::sweeps::closed_form_audit`]) and every fault-free
 //! run to zero suspicions
 //! ([`fortika_bench::sweeps::suspicion_audit`]). `--check` (CI
-//! runs this) writes the same sweeps under `target/bench/` instead and
-//! fails (exit 1) unless every file is **byte-equal** to its committed
-//! counterpart: the simulator is deterministic, so any difference means
-//! the simulation drifted since the committed sweep was generated, or
-//! the committed file was edited by hand — the fix is a deliberate
-//! regeneration, not a silent one. It then runs a bounded
+//! runs this) writes the same sweeps under `target/bench/` instead,
+//! and each file must be **byte-equal** to its committed counterpart:
+//! the simulator is deterministic, so any difference means the
+//! simulation drifted since the committed sweep was generated, or the
+//! committed file was edited by hand — the fix is a deliberate
+//! regeneration, not a silent one. It also runs a bounded
 //! **reconfiguration audit** (a log-decided add + remove per stack,
 //! traced and oracle-audited — violations dump under `target/trace/`
 //! like any other — and held to a throughput and messages-per-instance
 //! floor), and folds every run's window counters into a
-//! [`CoverageReport`] written to `target/coverage-report.json`. In
-//! either mode every file written is re-read and must parse and cover
-//! both stacks.
+//! [`CoverageReport`] written to `target/coverage-report.json`. Only
+//! then does it fail (exit 1), listing every differing file with its
+//! first differing record and every failed sweep or audit, so one run
+//! names all of them. In either mode every file written is re-read and
+//! must parse and cover both stacks.
 //!
 //! `--trace` runs the tracing smoke instead of the sweeps: one traced
 //! run per stack, verifying that the latency decomposition's components
@@ -147,18 +149,37 @@ fn run_sweep(sweep: &Sweep, dir: &str, coverage: &mut CoverageReport) -> Result<
 }
 
 /// `--check`: the freshly generated `file` under [`CHECK_DIR`] must be
-/// byte-equal to the committed one in the repo root.
-fn same_as_committed(file: &str) -> Result<(), String> {
-    let read = |path: String| std::fs::read(&path).map_err(|e| format!("read {path}: {e}"));
-    if read(format!("{CHECK_DIR}/{file}"))? != read(file.to_string())? {
-        return Err(format!(
-            "{CHECK_DIR}/{file} differs from the committed {file} — the simulation drifted or \
-             the committed file is stale; compare the two, then regenerate with \
-             `cargo run --release -p fortika-bench --bin probe` and commit the result"
-        ));
+/// byte-equal to the committed one in the repo root. A drifted file
+/// comes back as a report naming its first differing record.
+fn drift_from_committed(file: &str) -> Result<Option<String>, String> {
+    let read =
+        |path: String| std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"));
+    let (fresh, committed) = (
+        read(format!("{CHECK_DIR}/{file}"))?,
+        read(file.to_string())?,
+    );
+    if fresh == committed {
+        println!("{file}: byte-equal to the committed sweep");
+        return Ok(None);
     }
-    println!("{file}: byte-equal to the committed sweep");
-    Ok(())
+    let first = fresh
+        .lines()
+        .zip(committed.lines())
+        .enumerate()
+        .find(|(_, (now, was))| now != was);
+    Ok(Some(match first {
+        Some((i, (now, was))) => format!(
+            "{file}, line {}:\n    committed: {}\n    generated: {}",
+            i + 1,
+            was.trim(),
+            now.trim()
+        ),
+        None => format!(
+            "{file}: {} lines generated, {} committed",
+            fresh.lines().count(),
+            committed.lines().count()
+        ),
+    }))
 }
 
 /// Membership never exceeds four processes in the reconfiguration audit.
@@ -447,18 +468,25 @@ fn run() -> Result<(), String> {
         println!("probe --check: sweeps under {CHECK_DIR}/, compared with the committed files");
         std::fs::create_dir_all(CHECK_DIR).map_err(|e| format!("mkdir {CHECK_DIR}: {e}"))?;
     }
+    // Every sweep runs, and under `--check` so does the audit, before
+    // any failure is reported: one run names every drifted file.
+    let mut failures = Vec::new();
     let mut coverage = CoverageReport::new();
     for sweep in &SWEEPS {
-        run_sweep(sweep, dir, &mut coverage)
-            .map_err(|e| format!("{} sweep failed: {e}", sweep.name))?;
-        if check {
-            same_as_committed(&sweep.file())?;
+        if let Err(e) = run_sweep(sweep, dir, &mut coverage) {
+            failures.push(format!("{} sweep failed: {e}", sweep.name));
+        } else if check {
+            if let Some(drift) = drift_from_committed(&sweep.file())? {
+                failures.push(drift);
+            }
         }
     }
     if check {
         // The bounded dynamic-membership smoke: grow and shrink through
         // the log under audit, per stack.
-        reconfig_audit(&mut coverage).map_err(|e| format!("reconfig audit failed: {e}"))?;
+        if let Err(e) = reconfig_audit(&mut coverage) {
+            failures.push(format!("reconfig audit failed: {e}"));
+        }
         // The per-branch coverage of everything this run exercised,
         // archived by CI next to the violation dumps.
         let coverage_path = std::path::Path::new("target/coverage-report.json");
@@ -466,6 +494,16 @@ fn run() -> Result<(), String> {
             .write_json(coverage_path)
             .map_err(|e| format!("writing {}: {e}", coverage_path.display()))?;
         println!("wrote {}", coverage_path.display());
+    }
+    if !failures.is_empty() {
+        return Err(format!(
+            "{} failure(s):\n  {}\nA file that differs from its committed sweep means the \
+             simulation drifted or the committed file is stale (the generated copies are under \
+             {CHECK_DIR}/); compare the two, then regenerate with `cargo run --release -p \
+             fortika-bench --bin probe` and commit the result",
+            failures.len(),
+            failures.join("\n  ")
+        ));
     }
     println!("\nall bench files verified (JSON parses, both stacks covered)");
     Ok(())

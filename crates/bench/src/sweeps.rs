@@ -16,7 +16,7 @@
 //! | `BENCH_snapshot_cadence.json` | snapshot cadence × load with priced snapshot encode/install | no run cuts more snapshots than its cadence allows |
 //! | `BENCH_pipeline.json` | windowed-sequencer depth α × load on a CPU-bound and a latency-bound regime | per stack, some depth > 1 beats depth 1 |
 //! | `BENCH_dissemination.json` | the monolith against the modular stack under `direct`/`ring`/`tree` payload dissemination, oracle-audited | `ring` cuts msgs/instance everywhere and ≥ 3× somewhere, and narrows the throughput gap |
-//! | `BENCH_decomposition.json` | the paper's decomposition, saturated: the staircase modular → `mono-none` → +O1 → +O1+O2 → +O1+O2+O3 at n ∈ {3, 7} × {1, 16} KiB, then the flow window on both stacks; every record beside its §5.2 closed form | no optimization step raises msgs/instance; `mono-none` out-runs the modular stack and the paper's monolith out-runs `mono-none`; the default window orders M ≈ 4 and no window beats it on both throughput and latency |
+//! | `BENCH_decomposition.json` | the paper's decomposition, saturated: the staircase modular → `mono-none` → +O1 → +O1+O2 → +O1+O2+O3 at n ∈ {3, 7} × {1, 16} KiB, then the flow window on both stacks; every record beside its §5.2 closed form | no optimization step raises msgs/instance; `mono-none` out-runs the modular stack, whose mean latency is at most 8 % above `mono-none`'s, and the paper's monolith out-runs `mono-none`; the default window orders M ≈ 4 and no window beats it on both throughput and latency |
 //!
 //! Every run of every sweep is also held to §5.2 by
 //! [`closed_form_audit`]: a fault-free saturated run spends the closed
@@ -615,10 +615,19 @@ fn decomposition_points() -> Vec<Point> {
     points
 }
 
+/// How far the modular stack's mean latency may sit above `mono-none`'s
+/// at a staircase point: the framework step's latency cost. It sits
+/// above the 3–6 % measured and below the 11–14 % that charging the
+/// coordinator's decision broadcast ahead of its own upcall produces,
+/// so that event order cannot come back unnoticed.
+const FRAMEWORK_LATENCY_BOUND: f64 = 0.08;
+
 /// Along each staircase no optimization step raises msgs/instance,
 /// `mono-none` out-runs the modular stack (with the algorithm held
-/// fixed, what remains is the framework's mechanical cost) and the
-/// paper's monolith out-runs `mono-none` (what O1–O3 gain). Over the
+/// fixed, what remains is the framework's mechanical cost), the modular
+/// stack's mean latency is at most [`FRAMEWORK_LATENCY_BOUND`] above
+/// `mono-none`'s, and the paper's monolith out-runs `mono-none` (what
+/// O1–O3 gain). Over the
 /// flow window, §5.1's calibration holds — the default window orders
 /// M ≈ 4 on the modular stack — and on each stack no other window beats
 /// the default on both throughput and mean latency.
@@ -643,6 +652,15 @@ fn decomposition_check(runs: &[Run]) -> Result<(), String> {
                 "{here}: mono-none carries {:.1} msgs/s, the modular stack {:.1} — the same \
                  algorithm without the framework is no faster",
                 none.throughput_msgs_per_sec, modular.throughput_msgs_per_sec
+            ));
+        }
+        let (slow, fast) = (modular.early_latency_ms.mean, none.early_latency_ms.mean);
+        if slow > fast * (1.0 + FRAMEWORK_LATENCY_BOUND) {
+            return Err(format!(
+                "{here}: the modular stack's mean latency {slow:.3} ms is {:+.1} % over \
+                 mono-none's {fast:.3} ms, bound {:+.0} %",
+                (slow / fast - 1.0) * 100.0,
+                FRAMEWORK_LATENCY_BOUND * 100.0
             ));
         }
         if paper.throughput_msgs_per_sec <= none.throughput_msgs_per_sec {

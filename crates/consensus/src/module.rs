@@ -24,11 +24,14 @@
 //!    the old one comes back. A slow periodic sweep additionally rotates
 //!    rounds for instances that make no progress, which preserves
 //!    liveness under pathological mixed-suspicion schedules.
-//! 3. **Decisions are disseminated as a `DECISION` tag** through the
-//!    reliable broadcast module: in a direct round the notice carries no
-//!    value — receivers decide the proposal of that round they already
-//!    hold. A receiver missing the proposal (possible when the
-//!    coordinator crashed mid-round) recovers with
+//! 3. **The coordinator decides, then disseminates the decision as a
+//!    `DECISION` tag** through the reliable broadcast module: it raises
+//!    its own [`Event::Decide`] first, so its upcalls are not charged
+//!    behind the broadcast's n−1 sends — a deciding coordinator applies
+//!    before it disseminates, on both stacks. In a direct round the
+//!    notice carries no value — receivers decide the proposal of that
+//!    round they already hold. A receiver missing the proposal
+//!    (possible when the coordinator crashed mid-round) recovers with
 //!    `DecisionRequest`/`DecisionFull`. A round that went through an
 //!    estimate phase ships the full value.
 //!
@@ -147,8 +150,16 @@ impl ConsensusModule {
         ctx.raise(Event::Decide { instance, value });
     }
 
-    /// Coordinator-side: a majority acked our proposal — decide and
+    /// Coordinator-side: a majority acked our proposal — decide, then
     /// disseminate.
+    ///
+    /// A deciding coordinator applies before it disseminates (as the
+    /// monolith's `conclude_as_coordinator` does): FIFO dispatch runs
+    /// `Decide`, the layer above's upcalls and its next `Propose` before
+    /// the reliable broadcast module charges its n−1 sends. Every send
+    /// still leaves when this handler returns, and the notice still
+    /// leaves ahead of the next proposal, whose `Propose` queues behind
+    /// the `Rbcast` raised here.
     fn try_conclude(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
         let Some((round, value)) = self.core.quorum_acked(instance, ctx.n()) else {
             return;
@@ -166,11 +177,11 @@ impl ConsensusModule {
             round,
             full,
         };
+        self.decide_local(ctx, instance, value);
         ctx.raise(Event::Rbcast {
             stream: DECISION_STREAM,
             payload: encode(&notice),
         });
-        self.decide_local(ctx, instance, value);
     }
 
     /// Coordinator-side: locks `value` in `instance`'s current round and

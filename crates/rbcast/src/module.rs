@@ -247,7 +247,13 @@ impl Microprotocol for RbcastModule {
         };
         ctx.bump(metrics::INITIATED, 1);
         ctx.trace_span("rbcast", msg.seq, "initiated", u64::from(msg.origin.0));
-        // Local delivery first (no network hop for the origin)…
+        // The origin delivers to itself without a network hop… but
+        // FIFO dispatch runs this `RbDeliver` only after the handler
+        // returns, behind whatever the bus already holds: the origin's
+        // upcall chain is charged after the n−1 sends below, not
+        // before them. (A deciding consensus coordinator therefore
+        // raises its `Decide` before its `Rbcast`.) The frames
+        // themselves leave when the whole dispatch ends.
         ctx.raise(Event::RbDeliver {
             stream: msg.stream,
             origin: msg.origin,

@@ -335,8 +335,8 @@ fn export_bytes_match_golden() {
     for (kind, jsonl, chrome) in [
         (
             StackKind::Modular,
-            (1_843_885, 0xe14e_0bc9_4d2a_ed27),
-            (2_059_786, 0xb32a_93c4_443d_aca7),
+            (1_843_885, 0xac22_33de_c34c_9c03),
+            (2_059_786, 0x6e98_a4fe_aa13_fa9b),
         ),
         (
             StackKind::Monolithic,
