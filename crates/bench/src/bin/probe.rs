@@ -37,6 +37,8 @@
 //! matrix under `target/fuzz/`, and fails (exit 1) on any safety
 //! violation — after ddmin-shrinking the offending scenario and writing
 //! the minimized reproducer next to the matrix.
+//!
+//! Any other argument is refused (exit 2) before anything is written.
 
 use fortika_bench::json;
 use fortika_bench::sweeps::{
@@ -443,26 +445,37 @@ fn fuzz_quick() -> Result<(), String> {
     Ok(())
 }
 
+const USAGE: &str = "usage: probe [--check | --trace | --fuzz-quick]";
+
 fn main() {
-    if let Err(e) = run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mode = match args.as_slice() {
+        [] => "",
+        [flag] if ["--check", "--trace", "--fuzz-quick"].contains(&flag.as_str()) => flag,
+        _ => {
+            eprintln!("probe: unexpected arguments {args:?}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    if let Err(e) = run(mode) {
         eprintln!("probe: {e}");
         std::process::exit(1);
     }
 }
 
-fn run() -> Result<(), String> {
-    let flag = |name: &str| std::env::args().any(|a| a == name);
-    if flag("--trace") {
+/// Runs one mode; the empty one regenerates the committed files in place.
+fn run(mode: &str) -> Result<(), String> {
+    if mode == "--trace" {
         trace_smoke().map_err(|e| format!("trace smoke failed: {e}"))?;
         println!("\ntracing smoke passed (decomposition sums, exports well-formed)");
         return Ok(());
     }
-    if flag("--fuzz-quick") {
+    if mode == "--fuzz-quick" {
         fuzz_quick().map_err(|e| format!("fuzz smoke failed: {e}"))?;
         println!("\nfuzz smoke passed (no safety violations, coverage matrices archived)");
         return Ok(());
     }
-    let check = flag("--check");
+    let check = mode == "--check";
     let dir = if check { CHECK_DIR } else { "." };
     if check {
         println!("probe --check: sweeps under {CHECK_DIR}/, compared with the committed files");

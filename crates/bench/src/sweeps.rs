@@ -10,7 +10,7 @@
 //!
 //! | file | what it sweeps | self-check |
 //! |---|---|---|
-//! | `BENCH_modularity.json` | the good-run modular/monolithic comparison over load, payload size and group size | — |
+//! | `BENCH_modularity.json` | the paper's Figs. 8–11: the good-run modular/monolithic comparison over load (16 KiB) and payload size (2 000 msgs/s) at n ∈ {3, 7} | each claim of Figs. 8–11 and §5.1 keeps the verdict asserted for it per n — `Reproduces` inside its band, `Disagrees` outside it |
 //! | `BENCH_degraded.json` | the same comparison under *resource* faults (a slow node, degraded links), oracle-audited | — |
 //! | `BENCH_stable_write.json` | synchronous stable-write cost, free to 2 ms per persist | — |
 //! | `BENCH_snapshot_cadence.json` | snapshot cadence × load with priced snapshot encode/install | no run cuts more snapshots than its cadence allows |
@@ -146,7 +146,7 @@ pub const SWEEPS: [Sweep; 7] = [
         benchmark: "modularity_cost",
         title: "modularity (good runs)",
         points: modularity_points,
-        check: no_claim,
+        check: modularity_check,
     },
     Sweep {
         name: "degraded",
@@ -204,17 +204,25 @@ const DURABILITY_UTILIZATION: (&str, Field) = (
 );
 
 fn modularity_points() -> Vec<Point> {
-    // (n, offered load msgs/s, payload bytes)
+    // (n, offered load msgs/s, payload bytes): Figs. 8/10's load axis
+    // at 16 KiB, then Figs. 9/11's size axis at 2 000 msgs/s, both n.
     let operating = [
         (3, 250.0, 16384),
         (3, 500.0, 16384),
         (3, 1000.0, 16384),
         (3, 2000.0, 16384),
         (3, 4000.0, 16384),
+        (7, 250.0, 16384),
         (7, 500.0, 16384),
+        (7, 1000.0, 16384),
         (7, 2000.0, 16384),
+        (7, 4000.0, 16384),
         (3, 2000.0, 1024),
         (7, 2000.0, 1024),
+        (3, 2000.0, 4096),
+        (7, 2000.0, 4096),
+        (3, 2000.0, 8192),
+        (7, 2000.0, 8192),
         (3, 2000.0, 32768),
         (7, 2000.0, 32768),
     ];
@@ -225,6 +233,253 @@ fn modularity_points() -> Vec<Point> {
         }
     }
     points
+}
+
+/// How far, in percentage points, a measured "X % lower / higher" or
+/// "close" may sit from the paper's X and still reproduce it.
+pub const POINTS_TOLERANCE: f64 = 10.0;
+
+/// How far, as a share of the paper's value, a measured "throughput =
+/// offered load", "plateau" or CPU level may sit from it and still
+/// reproduce it.
+pub const RATIO_TOLERANCE: f64 = 0.05;
+
+/// An operating point on one of the figures' axes: (offered load, payload size).
+type Op = (f64, usize);
+type Metric = fn(&RunReport) -> f64;
+
+/// Figs. 8 and 10 sweep the offered load at this payload size; Figs. 9
+/// and 11 sweep the payload size at [`SIZE_AXIS_LOAD`].
+const LOAD_AXIS_SIZE: usize = 16384;
+const SIZE_AXIS_LOAD: f64 = 2000.0;
+
+/// Fig. 9's "small sizes" at n = 3 and n = 7: up to where the paper's
+/// curves bend, 8 KiB and 4 KiB.
+const SMALL_SIZES: [&[Op]; 2] = [
+    &[
+        (SIZE_AXIS_LOAD, 1024),
+        (SIZE_AXIS_LOAD, 4096),
+        (SIZE_AXIS_LOAD, 8192),
+    ],
+    &[(SIZE_AXIS_LOAD, 1024), (SIZE_AXIS_LOAD, 4096)],
+];
+
+/// Two points above saturation on the load axis.
+const PLATEAU: (Op, Op) = ((4000.0, LOAD_AXIS_SIZE), (2000.0, LOAD_AXIS_SIZE));
+
+/// The largest size against the breakpoint n = 7 degrades beyond.
+const LARGE_OVER_BREAKPOINT: (Op, Op) = ((SIZE_AXIS_LOAD, 32768), (SIZE_AXIS_LOAD, 4096));
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    Reproduces,
+    Disagrees,
+}
+use Verdict::{Disagrees, Reproduces};
+
+/// A claim's band: ± [`POINTS_TOLERANCE`] around a percentage,
+/// ± [`RATIO_TOLERANCE`] of a ratio, or anywhere below the paper's value
+/// for an ordering the paper gives no number for.
+enum Band {
+    Points,
+    Ratio,
+    Below,
+}
+
+/// One claim of Figs. 8–11 or §5.1, as [`modularity_check`] holds
+/// `BENCH_modularity.json` to it.
+struct Claim {
+    name: &'static str,
+    /// The paper's value at n = 3 and n = 7, a range where it gives one.
+    paper: [(f64, f64); 2],
+    band: Band,
+    /// What the claim reads at group size n: one value per point and
+    /// stack it spans.
+    read: fn(&[Run], usize) -> Vec<f64>,
+    /// The verdict asserted at n = 3 and n = 7; `None` where the paper
+    /// claims nothing.
+    verdict: [Option<Verdict>; 2],
+}
+
+const LATENCY: Metric = |r| r.early_latency_ms.mean;
+const THROUGHPUT: Metric = |r| r.throughput_msgs_per_sec;
+const BUSIEST_CPU: Metric = |r| r.max_cpu_utilization;
+
+/// `metric` of a stack's run at n and an operating point. Every claim
+/// reads points of [`modularity_points`], so a missing one is a bug in
+/// [`CLAIMS`].
+fn reader(runs: &[Run], n: usize, metric: Metric) -> impl Fn(StackKind, Op) -> f64 + '_ {
+    move |kind, (load, size)| {
+        let same = |p: &Point| (p.kind, p.n, p.load, p.size) == (kind, n, load, size);
+        let missing = || panic!("no {kind:?} run at n={n}, {load} msgs/s, {size} B");
+        metric(&runs.iter().find(|(p, _)| same(p)).unwrap_or_else(missing).1)
+    }
+}
+
+/// At each of `ops`, the monolith's `metric` against the modular
+/// stack's, as a percentage difference.
+fn gaps(runs: &[Run], n: usize, ops: &[Op], metric: Metric) -> Vec<f64> {
+    let at = reader(runs, n, metric);
+    let gap = |op| (at(StackKind::Monolithic, op) / at(StackKind::Modular, op) - 1.0) * 100.0;
+    ops.iter().map(|&op| gap(op)).collect()
+}
+
+/// Per stack, `metric` at `top` over `metric` at `base`.
+fn ratios(runs: &[Run], n: usize, (top, base): (Op, Op), metric: Metric) -> Vec<f64> {
+    let at = reader(runs, n, metric);
+    Vec::from(BOTH_STACKS.map(|kind| at(kind, top) / at(kind, base)))
+}
+
+/// `metric` at each of `loads` on the load axis, per stack.
+fn levels(runs: &[Run], n: usize, loads: &[f64], metric: Metric) -> Vec<f64> {
+    let at = reader(runs, n, metric);
+    let per_load = |&load| BOTH_STACKS.map(|kind| at(kind, (load, LOAD_AXIS_SIZE)));
+    loads.iter().flat_map(per_load).collect()
+}
+
+/// The paper's claims, with the verdicts the committed sweep asserts.
+const CLAIMS: [Claim; 11] = [
+    Claim {
+        name: "Fig. 10: throughput = offered load at <= 500 msgs/s",
+        paper: [(1.0, 1.0); 2],
+        band: Band::Ratio,
+        read: |runs, n| levels(runs, n, &[250.0, 500.0], |r| THROUGHPUT(r) / r.offered_load),
+        verdict: [Some(Reproduces); 2],
+    },
+    Claim {
+        name: "Fig. 10: throughput plateaus above saturation",
+        paper: [(1.0, 1.0); 2],
+        band: Band::Ratio,
+        read: |runs, n| ratios(runs, n, PLATEAU, THROUGHPUT),
+        verdict: [Some(Reproduces); 2],
+    },
+    Claim {
+        name: "Fig. 10: the monolith's plateau is higher",
+        paper: [(30.0, 30.0), (25.0, 25.0)],
+        band: Band::Points,
+        read: |runs, n| gaps(runs, n, &[PLATEAU.0], THROUGHPUT),
+        verdict: [Some(Reproduces); 2],
+    },
+    Claim {
+        name: "Fig. 8: latency plateaus above saturation",
+        paper: [(1.0, 1.0); 2],
+        band: Band::Ratio,
+        read: |runs, n| ratios(runs, n, PLATEAU, LATENCY),
+        verdict: [Some(Reproduces); 2],
+    },
+    Claim {
+        name: "Fig. 8: latency close at 250 msgs/s",
+        paper: [(0.0, 0.0); 2],
+        band: Band::Points,
+        read: |runs, n| gaps(runs, n, &[(250.0, LOAD_AXIS_SIZE)], LATENCY),
+        verdict: [Some(Disagrees); 2],
+    },
+    Claim {
+        name: "Fig. 8: the monolith's latency is lower at 4000 msgs/s",
+        paper: [(-50.0, -50.0), (-30.0, -30.0)],
+        band: Band::Points,
+        read: |runs, n| gaps(runs, n, &[PLATEAU.0], LATENCY),
+        verdict: [Some(Disagrees); 2],
+    },
+    Claim {
+        name: "Fig. 9: the monolith's latency is lower at small sizes",
+        paper: [(-50.0, -50.0); 2],
+        band: Band::Points,
+        read: |runs, n| gaps(runs, n, SMALL_SIZES[usize::from(n == 7)], LATENCY),
+        verdict: [Some(Disagrees); 2],
+    },
+    Claim {
+        name: "Fig. 9: the monolith's latency is lower at 32 KiB",
+        paper: [(-35.0, -35.0), (-25.0, -25.0)],
+        band: Band::Points,
+        read: |runs, n| gaps(runs, n, &[LARGE_OVER_BREAKPOINT.0], LATENCY),
+        verdict: [Some(Disagrees); 2],
+    },
+    Claim {
+        name: "Fig. 11: the monolith's throughput is higher at small sizes",
+        paper: [(10.0, 15.0); 2],
+        band: Band::Points,
+        read: |runs, n| gaps(runs, n, SMALL_SIZES[usize::from(n == 7)], THROUGHPUT),
+        verdict: [Some(Disagrees); 2],
+    },
+    Claim {
+        name: "Fig. 11: n=7 keeps less of its 4 KiB throughput at 32 KiB than n=3",
+        paper: [(1.0, 1.0); 2],
+        band: Band::Below,
+        read: |runs, n| {
+            let kept = |n| ratios(runs, n, LARGE_OVER_BREAKPOINT, THROUGHPUT);
+            let per_stack = std::iter::zip(kept(n), kept(3));
+            per_stack.map(|(here, n3)| here / n3).collect()
+        },
+        verdict: [None, Some(Reproduces)],
+    },
+    Claim {
+        name: "§5.1: the busiest CPU is at 99 % above 500 msgs/s",
+        paper: [(0.99, 0.99); 2],
+        band: Band::Ratio,
+        read: |runs, n| levels(runs, n, &[1000.0, 2000.0, 4000.0], BUSIEST_CPU),
+        verdict: [Some(Disagrees); 2],
+    },
+];
+
+/// Holds `BENCH_modularity.json` to the paper's Figs. 8–11 and §5.1,
+/// and prints the verdict table. Per claim and group size, a claim
+/// reproduces when every value it reads sits in its band,
+/// [`POINTS_TOLERANCE`] or [`RATIO_TOLERANCE`] around the paper's value,
+/// and the verdict must be the one asserted for it. A regeneration that
+/// moves a claim into or out of its band fails, naming the claim, the
+/// paper's value, the band and the measured values.
+pub fn modularity_check(runs: &[Run]) -> Result<(), String> {
+    let mut flipped = Vec::new();
+    for claim in &CLAIMS {
+        for (i, n) in [3, 7].into_iter().enumerate() {
+            let Some(asserted) = claim.verdict[i] else {
+                continue;
+            };
+            let values = (claim.read)(runs, n);
+            let measured = (
+                values.iter().copied().fold(f64::INFINITY, f64::min),
+                values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            );
+            let (lo, hi) = claim.paper[i];
+            let band = match claim.band {
+                Band::Points => (lo - POINTS_TOLERANCE, hi + POINTS_TOLERANCE),
+                Band::Ratio => (lo * (1.0 - RATIO_TOLERANCE), hi * (1.0 + RATIO_TOLERANCE)),
+                Band::Below => (f64::NEG_INFINITY, hi),
+            };
+            let verdict = if band.0 <= measured.0 && measured.1 <= band.1 {
+                Reproduces
+            } else {
+                Disagrees
+            };
+            let show = |(lo, hi): (f64, f64)| match claim.band {
+                Band::Points if lo == hi => format!("{lo:+.1} %"),
+                Band::Points => format!("{lo:+.1}…{hi:+.1} %"),
+                _ if lo == f64::NEG_INFINITY => format!("< {hi:.3}"),
+                _ if lo == hi => format!("{lo:.3}"),
+                _ => format!("{lo:.3}…{hi:.3}"),
+            };
+            let row = format!(
+                "{} (n={n}): paper {}, band {}, measured {}",
+                claim.name,
+                show(claim.paper[i]),
+                show(band),
+                show(measured)
+            );
+            println!("  {verdict:?}: {row}");
+            if verdict != asserted {
+                flipped.push(format!("{row} now {verdict:?}, asserted {asserted:?}"));
+            }
+        }
+    }
+    if flipped.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} verdict(s) on the paper's claims flipped:\n    {}",
+        flipped.len(),
+        flipped.join("\n    ")
+    ))
 }
 
 /// A slow node and/or degraded links covering the whole measurement

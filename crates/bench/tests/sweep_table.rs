@@ -6,7 +6,9 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use fortika_bench::json;
-use fortika_bench::sweeps::{closed_form_audit, json_point, Field, Point, SWEEPS};
+use fortika_bench::sweeps::{
+    closed_form_audit, json_point, modularity_check, Field, Point, Run, SWEEPS,
+};
 use fortika_core::{LatencySummary, RunReport, StackKind};
 use fortika_net::Counters;
 
@@ -56,7 +58,6 @@ fn fixed_report() -> RunReport {
         seed: 7,
         early_latency_ms: LatencySummary {
             mean: 12.34567,
-            ci95: 0.5,
             min: 1.0,
             max: 99.0,
             p50: 10.0,
@@ -137,4 +138,70 @@ fn closed_form_audit_holds_saturated_good_runs_to_section_52() {
         Ok(()),
         "a run that keeps up with its load is not saturated"
     );
+}
+
+/// `BENCH_modularity.json`'s committed records as runs of its operating
+/// set: [`fixed_report`] with the fields the paper's claims read.
+fn committed_modularity_runs() -> Vec<Run> {
+    let sweep = &SWEEPS[0];
+    let text = std::fs::read_to_string(repo_root().join(sweep.file())).unwrap();
+    let doc = json::parse(&text).unwrap();
+    let records = doc.get("points").and_then(json::Value::as_array).unwrap();
+    let num = |record: &json::Value, path: &[&str]| {
+        let field = path.iter().try_fold(record, |v, key| v.get(key));
+        field.and_then(json::Value::as_f64).unwrap()
+    };
+    let mut runs = Vec::new();
+    for (p, record) in (sweep.points)().into_iter().zip(records) {
+        assert_eq!(num(record, &["offered_load"]), p.load);
+        let mut r = fixed_report();
+        r.offered_load = p.load;
+        r.early_latency_ms.mean = num(record, &["latency_ms", "mean"]);
+        r.throughput_msgs_per_sec = num(record, &["throughput_msgs_per_sec"]);
+        r.max_cpu_utilization = num(record, &["max_cpu_utilization"]);
+        runs.push((p, r));
+    }
+    runs
+}
+
+/// `kind`'s run at n and `load` msgs/s with 16 KiB payloads.
+fn at(runs: &mut [Run], kind: StackKind, n: usize, load: f64) -> &mut RunReport {
+    let same = |p: &Point| (p.kind, p.n, p.load, p.size) == (kind, n, load, 16384);
+    &mut runs.iter_mut().find(|(p, _)| same(p)).unwrap().1
+}
+
+#[test]
+fn modularity_check_holds_the_committed_sweep() {
+    assert_eq!(modularity_check(&committed_modularity_runs()), Ok(()));
+}
+
+/// Carrying 200 of 250 msgs/s offered, the modular stack leaves Fig.
+/// 10's linear region, which the sweep reproduces.
+#[test]
+fn modularity_check_fails_a_reproduced_claim_leaving_its_band() {
+    let mut runs = committed_modularity_runs();
+    at(&mut runs, StackKind::Modular, 3, 250.0).throughput_msgs_per_sec = 200.0;
+    let err = modularity_check(&runs).unwrap_err();
+    let claim = "1 verdict(s) on the paper's claims flipped:\n    \
+                 Fig. 10: throughput = offered load at <= 500 msgs/s (n=3)";
+    assert!(err.starts_with(claim), "{err}");
+    assert!(err.ends_with("now Disagrees, asserted Reproduces"), "{err}");
+}
+
+/// With the monolith's latency at 250 msgs/s made the modular stack's,
+/// the two are "close", as Fig. 8 says and the sweep does not.
+#[test]
+fn modularity_check_fails_a_disagreeing_claim_entering_its_band() {
+    let mut runs = committed_modularity_runs();
+    let modular = at(&mut runs, StackKind::Modular, 7, 250.0)
+        .early_latency_ms
+        .mean;
+    at(&mut runs, StackKind::Monolithic, 7, 250.0)
+        .early_latency_ms
+        .mean = modular;
+    let err = modularity_check(&runs).unwrap_err();
+    let claim = "1 verdict(s) on the paper's claims flipped:\n    \
+                 Fig. 8: latency close at 250 msgs/s (n=7)";
+    assert!(err.starts_with(claim), "{err}");
+    assert!(err.ends_with("now Reproduces, asserted Disagrees"), "{err}");
 }

@@ -12,8 +12,8 @@
 //! * [`workload`] — the symmetric constant-rate workload of §5.1 and the
 //!   measurement driver (early latency, throughput).
 //! * [`Experiment`] — one-call experiment runner with warm-up,
-//!   stationary measurement window, CPU-utilization tracking and
-//!   multi-seed 95 % confidence intervals.
+//!   stationary measurement window and CPU-utilization tracking, one
+//!   seed per run.
 //! * [`analysis`] — the closed-form message/byte counts of §5.2.
 //!
 //! # Example: compare the two stacks at one operating point
@@ -52,12 +52,10 @@ pub mod workload;
 
 pub use flow::{FlowControlModule, FLOW_MODULE_ID};
 pub use fuzz::{fuzz_runner, run_fuzz_scenario};
-pub use runner::{Experiment, ExperimentBuilder, LatencySummary, RunReport, Summary};
-#[cfg(debug_assertions)]
-pub use stack::FaultHooks;
+pub use runner::{Experiment, ExperimentBuilder, LatencySummary, RunReport};
 pub use stack::{
     build_nodes, build_nodes_with_windows, node_factory, run_scripted, scenario_cluster,
-    StackConfig, StackKind,
+    FaultHooks, StackConfig, StackKind,
 };
 pub use workload::{ArrivalProcess, LatencySample, Workload, WorkloadDriver};
 

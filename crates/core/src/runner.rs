@@ -1,11 +1,9 @@
 //! The experiment runner: one run = one simulated cluster under one
-//! workload; a summary = several runs (seeds) combined with 95 %
-//! confidence intervals, as the paper reports.
+//! workload at one seed. Runs are deterministic, so a point is one run.
 
 use fortika_chaos::{AuditTap, DeliveryOracle, OracleReport, Scenario};
 use fortika_net::metrics::{abcast, consensus};
 use fortika_net::{ClusterConfig, CostModel, Counters, NetModel, ProcessId};
-use fortika_sim::stats::{mean_ci95, MeanCi};
 use fortika_sim::{VDur, VTime};
 use fortika_trace::{decompose_window, LatencyDecomposition, Trace, TraceConfig, WindowSpec};
 
@@ -223,7 +221,6 @@ impl Experiment {
             seed: self.seed,
             early_latency_ms: LatencySummary {
                 mean: stats.latency_ms.mean(),
-                ci95: stats.latency_ms.ci95_half_width(),
                 min: if stats.latency_ms.count() > 0 {
                     stats.latency_ms.min()
                 } else {
@@ -320,17 +317,6 @@ impl Experiment {
             Err(e) => eprintln!("minimized reproducer write failed: {e}"),
         }
         Some(minimized.scenario)
-    }
-
-    /// Runs the experiment once per seed and combines the runs.
-    pub fn run_replicated(&mut self, seeds: &[u64]) -> Summary {
-        assert!(!seeds.is_empty(), "need at least one seed");
-        let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            self.seed = seed;
-            runs.push(self.run());
-        }
-        Summary::from_runs(runs)
     }
 }
 
@@ -454,8 +440,6 @@ impl ExperimentBuilder {
 pub struct LatencySummary {
     /// Mean early latency (ms) over messages admitted in the window.
     pub mean: f64,
-    /// 95 % confidence half-width over those samples.
-    pub ci95: f64,
     /// Fastest message.
     pub min: f64,
     /// Slowest message.
@@ -551,37 +535,4 @@ pub struct RunReport {
     /// the same violation kind. Also written to
     /// `target/trace/violation-<kind>-seed<seed>.min.txt`.
     pub minimized_scenario: Option<Scenario>,
-}
-
-/// Metrics combined over several runs (seeds), with Student-t 95 %
-/// confidence intervals across runs — the paper's error bars.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// Per-run reports.
-    pub runs: Vec<RunReport>,
-    /// Early latency: grand mean and CI over per-run means.
-    pub early_latency_ms: MeanCi,
-    /// Throughput: grand mean and CI over per-run means.
-    pub throughput: MeanCi,
-    /// Mean of per-run M (messages per instance).
-    pub avg_batch_m: f64,
-    /// Mean of per-run max CPU utilization.
-    pub max_cpu_utilization: f64,
-}
-
-impl Summary {
-    /// Combines per-run reports.
-    pub fn from_runs(runs: Vec<RunReport>) -> Self {
-        let lat: Vec<f64> = runs.iter().map(|r| r.early_latency_ms.mean).collect();
-        let thr: Vec<f64> = runs.iter().map(|r| r.throughput_msgs_per_sec).collect();
-        let m = runs.iter().map(|r| r.avg_batch_m).sum::<f64>() / runs.len() as f64;
-        let cpu = runs.iter().map(|r| r.max_cpu_utilization).sum::<f64>() / runs.len() as f64;
-        Summary {
-            early_latency_ms: mean_ci95(&lat).expect("at least one run"),
-            throughput: mean_ci95(&thr).expect("at least one run"),
-            avg_batch_m: m,
-            max_cpu_utilization: cpu,
-            runs,
-        }
-    }
 }

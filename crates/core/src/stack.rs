@@ -7,7 +7,6 @@ use fortika_consensus::ConsensusModule;
 use fortika_fd::{FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
 use fortika_framework::CompositeStack;
 use fortika_mono::{MonoConfig, MonoNode, MonoOptimizations};
-#[cfg(debug_assertions)]
 pub use fortika_net::replica::FaultHooks;
 use fortika_net::{
     AppStateFactory, Cluster, ClusterConfig, Dissemination, Node, NodeFactory, ProcessId,

@@ -223,9 +223,10 @@ pub const SWEEP_INTERVAL: VDur = VDur::millis(250);
 pub const RECONFIG_OFFSET: u64 = 8;
 
 /// Planted bugs for the acceptance suites that prove the oracle and the
-/// fuzz minimizer catch them. Debug builds only: the config field that
-/// carries it does not exist in a release build.
-#[cfg(debug_assertions)]
+/// fuzz minimizer catch them. The type exists in every build, so a
+/// crate's source resolves the same under either profile (rustdoc reads
+/// it with debug assertions on); the config field that carries it, and
+/// every check of it, exist in debug builds only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultHooks {
     /// Skip persisting vote records: the classic lost-vote recovery

@@ -18,8 +18,8 @@
 //! * [`CpuResource`], [`LinkResource`] — serial-server resource models for
 //!   process CPUs and NIC transmit paths.
 //! * [`DetRng`] — seeded deterministic random number generator.
-//! * [`stats`] — online statistics (Welford mean/variance, Student-t 95 %
-//!   confidence intervals) used by the experiment runner.
+//! * [`stats`] — online statistics (Welford mean/variance, a
+//!   log-bucketed latency histogram) used by the experiment runner.
 //!
 //! # Example
 //!

@@ -1,9 +1,7 @@
 //! Online statistics for experiment reporting.
 //!
-//! The paper reports means over "many messages and several executions"
-//! with 95 % confidence intervals. [`Welford`] accumulates a stream of
-//! observations in O(1) memory; [`mean_ci95`] combines per-run means into
-//! a Student-t interval over executions.
+//! [`Welford`] accumulates a stream of observations (a run's early
+//! latencies) in O(1) memory; [`Histogram`] keeps their distribution.
 
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
@@ -88,20 +86,6 @@ impl Welford {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Smallest observation (`+inf` if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -111,77 +95,6 @@ impl Welford {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Half-width of the 95 % confidence interval around the mean,
-    /// using the Student-t quantile for the sample size.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        t_quantile_975((self.n - 1) as usize) * self.std_err()
-    }
-}
-
-/// Two-sided 97.5 % Student-t quantile for `df` degrees of freedom
-/// (i.e. the multiplier for a 95 % confidence interval).
-///
-/// Exact table for small `df`, asymptotic 1.96 beyond 120.
-pub fn t_quantile_975(df: usize) -> f64 {
-    const TABLE: [f64; 30] = [
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-        2.052, 2.048, 2.045, 2.042,
-    ];
-    match df {
-        0 => f64::INFINITY,
-        1..=30 => TABLE[df - 1],
-        31..=40 => 2.021,
-        41..=60 => 2.000,
-        61..=120 => 1.980,
-        _ => 1.960,
-    }
-}
-
-/// Summary of a set of per-run means: grand mean and 95 % CI half-width.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeanCi {
-    /// Grand mean across runs.
-    pub mean: f64,
-    /// Half-width of the 95 % confidence interval (0 for a single run).
-    pub half_width: f64,
-    /// Number of runs combined.
-    pub runs: usize,
-}
-
-impl MeanCi {
-    /// Lower bound of the interval.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.half_width
-    }
-
-    /// Upper bound of the interval.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.half_width
-    }
-}
-
-/// Combines independent per-run means into a grand mean with a Student-t
-/// 95 % confidence interval (the paper's "several executions").
-///
-/// Returns `None` for an empty input.
-pub fn mean_ci95(per_run_means: &[f64]) -> Option<MeanCi> {
-    if per_run_means.is_empty() {
-        return None;
-    }
-    let mut w = Welford::new();
-    for &m in per_run_means {
-        w.add(m);
-    }
-    Some(MeanCi {
-        mean: w.mean(),
-        half_width: w.ci95_half_width(),
-        runs: per_run_means.len(),
-    })
 }
 
 /// A log-bucketed histogram for latency distributions.
@@ -333,7 +246,6 @@ mod tests {
         w.add(3.5);
         assert_eq!(w.mean(), 3.5);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -365,22 +277,6 @@ mod tests {
         let mut e = Welford::new();
         e.merge(&a);
         assert_eq!(e.count(), 2);
-    }
-
-    #[test]
-    fn t_quantiles_sane() {
-        assert!(t_quantile_975(0).is_infinite());
-        assert_eq!(t_quantile_975(1), 12.706);
-        assert_eq!(t_quantile_975(4), 2.776);
-        assert_eq!(t_quantile_975(30), 2.042);
-        assert_eq!(t_quantile_975(1000), 1.960);
-        // Monotonically non-increasing.
-        let mut prev = f64::INFINITY;
-        for df in 1..200 {
-            let t = t_quantile_975(df);
-            assert!(t <= prev, "t quantile increased at df={df}");
-            prev = t;
-        }
     }
 
     #[test]
@@ -436,19 +332,5 @@ mod tests {
         for q in [25.0, 50.0, 75.0, 95.0] {
             assert_eq!(a.percentile(q), whole.percentile(q));
         }
-    }
-
-    #[test]
-    fn ci_over_runs() {
-        let ci = mean_ci95(&[10.0, 12.0, 11.0, 13.0, 9.0]).unwrap();
-        assert!((ci.mean - 11.0).abs() < 1e-12);
-        assert_eq!(ci.runs, 5);
-        // t(4, 0.975) = 2.776; s = sqrt(2.5); se = sqrt(2.5/5).
-        let expect = 2.776 * (2.5f64 / 5.0).sqrt();
-        assert!((ci.half_width - expect).abs() < 1e-9);
-        assert!(ci.lo() < 11.0 && ci.hi() > 11.0);
-        assert!(mean_ci95(&[]).is_none());
-        let single = mean_ci95(&[4.2]).unwrap();
-        assert_eq!(single.half_width, 0.0);
     }
 }

@@ -69,7 +69,10 @@ fn main() {
         lat_gain * 100.0,
         thr_gain * 100.0
     );
-    println!("paper (§5.3.2): latency up to 50% lower, throughput 10-30% higher;");
+    println!(
+        "against the paper: BENCH_modularity.json, held to Figs. 8-11 by \
+         fortika_bench::sweeps::modularity_check (verdicts in README.md)"
+    );
     println!(
         "analytic data overhead of modularity at n={n}: {:.0}% (§5.2.2)",
         analysis::modularity_overhead(n) * 100.0
