@@ -53,10 +53,15 @@
 //!
 //! Correctness note (also §3.3): diffusion over plain channels can lose a
 //! message's copies when the *sender* crashes mid-diffusion. Delivery
-//! happens only through decided batches, so agreement is preserved; an
-//! idle-timeout consensus additionally keeps the instance stream moving
-//! so that partially-diffused messages held by some processes are
-//! eventually ordered (or safely forgotten if nobody proposes them).
+//! happens only through decided batches, so agreement is preserved; a
+//! consensus started after [`IDLE_TIMEOUT`] of silence (the paper's *t*,
+//! shared with the monolithic stack) additionally keeps the instance
+//! stream moving so that partially-diffused messages held by some
+//! processes are eventually ordered (or safely forgotten if nobody
+//! proposes them).
+//!
+//! [`AbcastConfig`] holds only what the assembled stack sets per run
+//! (depth, dissemination, initial membership); the timers are constants.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,6 +70,7 @@ use fortika_net::dissemination::{
     descriptor_msg, fold_key, majority_of, route, DissemMsg, Dissemination, PayloadStore, ValueId,
 };
 use fortika_net::metrics::abcast;
+use fortika_net::replica::IDLE_TIMEOUT;
 use fortika_net::wire::WireReader;
 use fortika_net::{
     AppMsg, Batch, DeliveredSet, MsgId, ProcessId, ReservedSeq, StableStore, TimerId,
@@ -100,6 +106,10 @@ pub const ABCAST_STABLE_SEQ_KEY: u64 = fortika_net::replica::keys::ABCAST_SEQ;
 /// batches that are still unresolved.
 const RETRANSMIT_INTERVAL: VDur = VDur::millis(500);
 
+/// How often a process stalled on a missing payload re-pulls it from
+/// the membership (offloading strategies only).
+const PULL_INTERVAL: VDur = VDur::millis(40);
+
 /// Offload flow control: at most this many *own* payload batches
 /// may be disseminated-but-undelivered at once; further submissions
 /// stage until a slot frees. Smaller values mean larger payload
@@ -109,10 +119,6 @@ const MAX_OUTSTANDING_PAYLOADS: usize = 2;
 /// Configuration of the modular atomic broadcast module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbcastConfig {
-    /// The paper's `t`: if no consensus ran for this long, start one even
-    /// with an empty batch (keeps the instance stream live so messages
-    /// held by a subset of processes eventually get ordered).
-    pub idle_timeout: VDur,
     /// The paper's α: how many consensus instances this process keeps
     /// in flight concurrently (the windowed-sequencer depth).
     ///
@@ -129,9 +135,6 @@ pub struct AbcastConfig {
     /// How batch payloads reach the other processes (see the module
     /// docs). `Direct` is the seed-faithful default.
     pub dissemination: Dissemination,
-    /// How often a process stalled on a missing payload re-pulls it
-    /// from the membership (offloading strategies only).
-    pub pull_interval: VDur,
     /// Size of the initial configuration (0 = every process in the
     /// cluster) — seeds the dissemination topology until the first
     /// reconfiguration activates.
@@ -141,10 +144,8 @@ pub struct AbcastConfig {
 impl Default for AbcastConfig {
     fn default() -> Self {
         AbcastConfig {
-            idle_timeout: VDur::secs(1),
             pipeline_depth: 1,
             dissemination: Dissemination::Direct,
-            pull_interval: VDur::millis(40),
             initial_members: 0,
         }
     }
@@ -621,7 +622,7 @@ impl Microprotocol for AbcastModule {
     }
 
     fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        ctx.set_timer(self.cfg.idle_timeout, TAG_IDLE);
+        ctx.set_timer(IDLE_TIMEOUT, TAG_IDLE);
         ctx.set_timer(RETRANSMIT_INTERVAL, TAG_RETX);
         if self.offloads() {
             let m = if self.cfg.initial_members > 0 {
@@ -630,7 +631,7 @@ impl Microprotocol for AbcastModule {
                 ctx.n()
             };
             self.members = ProcessId::all(m).collect();
-            ctx.set_timer(self.cfg.pull_interval, TAG_PULL);
+            ctx.set_timer(PULL_INTERVAL, TAG_PULL);
         }
     }
 
@@ -825,7 +826,7 @@ impl Microprotocol for AbcastModule {
                     let batch = self.fresh_batch();
                     self.propose_now(ctx, batch);
                 }
-                ctx.set_timer(self.cfg.idle_timeout, TAG_IDLE);
+                ctx.set_timer(IDLE_TIMEOUT, TAG_IDLE);
             }
             TAG_RETX => {
                 // Fault recovery: re-diffuse own messages whose delivery
@@ -912,7 +913,7 @@ impl Microprotocol for AbcastModule {
                 for vid in wanted {
                     self.pull_one(ctx, vid);
                 }
-                ctx.set_timer(self.cfg.pull_interval, TAG_PULL);
+                ctx.set_timer(PULL_INTERVAL, TAG_PULL);
             }
             _ => {}
         }
@@ -926,7 +927,7 @@ mod tests {
     #[test]
     fn config_defaults() {
         let cfg = AbcastConfig::default();
-        assert_eq!(cfg.idle_timeout, VDur::secs(1));
+        assert_eq!(cfg.pipeline_depth, 1);
         assert_eq!(cfg.dissemination, Dissemination::Direct);
     }
 

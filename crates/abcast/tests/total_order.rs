@@ -13,7 +13,7 @@ use fortika_net::{
     Admission, AppMsg, AppRequest, Cluster, ClusterConfig, CollectingHarness, CostModel, MsgId,
     NetModel, Node, ProcessId,
 };
-use fortika_rbcast::{RbcastConfig, RbcastModule};
+use fortika_rbcast::RbcastModule;
 use fortika_sim::{VDur, VTime};
 
 /// Minimal admission module standing in for flow control: admits
@@ -49,12 +49,9 @@ fn modular_stack(n: usize, me: usize) -> Box<dyn Node> {
     };
     Box::new(CompositeStack::new(vec![
         Box::new(OpenGate),
-        Box::new(AbcastModule::new(AbcastConfig {
-            idle_timeout: VDur::millis(200),
-            ..AbcastConfig::default()
-        })),
+        Box::new(AbcastModule::new(AbcastConfig::default())),
         Box::new(ConsensusModule::new()),
-        Box::new(RbcastModule::new(RbcastConfig::default())),
+        Box::new(RbcastModule::new()),
         Box::new(FdModule::new(HeartbeatFd::new(
             n,
             ProcessId(me as u16),

@@ -1052,8 +1052,8 @@ impl Scenario {
 
         // Crashes: permanent ones clamp to a minority; crash-restart
         // cycles only consume the "leave one untouched" budget.
-        let permanent_budget = profile.max_crashes.min((n - 1) / 2);
-        let max_events = profile.max_crashes.min(n - 1);
+        let permanent_budget = (n - 1) / 2;
+        let max_events = n - 1;
         let mut victims: Vec<u16> = (0..n as u16).collect();
         let mut used = 0usize;
         let mut permanent = 0usize;
@@ -1130,7 +1130,7 @@ impl Scenario {
         // One lossy window on a random selector.
         if rng.unit_f64() < profile.loss_prob {
             let link = random_selector(&mut rng, n);
-            let p = 0.05 + rng.unit_f64() * (profile.max_loss - 0.05).max(0.0);
+            let p = 0.05 + rng.unit_f64() * (MAX_LOSS - 0.05).max(0.0);
             let from = at(&mut rng, 0.0, 0.6);
             let until = from + at(&mut rng, 0.1, 0.35);
             s = s.lossy(link, p, from, until);
@@ -1250,16 +1250,17 @@ fn random_selector(rng: &mut DetRng, n: usize) -> LinkSelector {
     }
 }
 
+/// Cap on the drop probability of a generated lossy window.
+const MAX_LOSS: f64 = 0.3;
+
 /// Tunables of the random scenario generator (probabilities per fault
-/// family, horizon, crash budget).
+/// family, horizon). The crash budget is fixed: permanent crashes are
+/// clamped to a minority, `(n-1)/2`, and crash-restart cycles only so
+/// that one process stays untouched.
 #[derive(Debug, Clone)]
 pub struct ChaosProfile {
     /// All fault activity finishes by this offset.
     pub horizon: VDur,
-    /// Upper bound on crash count. Permanent crashes are additionally
-    /// clamped to a minority, `(n-1)/2`; crash-restart cycles are only
-    /// clamped so that one process stays untouched.
-    pub max_crashes: usize,
     /// Probability that each allowed crash slot is used.
     pub crash_prob: f64,
     /// Probability that a drawn crash is followed by a restart
@@ -1275,8 +1276,6 @@ pub struct ChaosProfile {
     pub partition_prob: f64,
     /// Probability of a lossy window.
     pub loss_prob: f64,
-    /// Cap on the drop probability of lossy windows.
-    pub max_loss: f64,
     /// Probability of a duplication window.
     pub dup_prob: f64,
     /// Probability of a delay-spike window.
@@ -1318,13 +1317,11 @@ impl Default for ChaosProfile {
     fn default() -> Self {
         ChaosProfile {
             horizon: VDur::secs(2),
-            max_crashes: usize::MAX,
             crash_prob: 0.5,
             restart_prob: 0.4,
             recrash_prob: 0.25,
             partition_prob: 0.5,
             loss_prob: 0.5,
-            max_loss: 0.3,
             dup_prob: 0.35,
             delay_prob: 0.35,
             degrade_prob: 0.25,

@@ -11,7 +11,7 @@ use fortika_framework::{CompositeStack, Event, EventKind, FrameworkCtx, Micropro
 use fortika_net::{
     AppMsg, Batch, Cluster, ClusterConfig, CostModel, MsgId, NetModel, Node, ProcessId, TimerId,
 };
-use fortika_rbcast::{RbcastConfig, RbcastModule};
+use fortika_rbcast::RbcastModule;
 use fortika_sim::{VDur, VTime};
 
 type DecisionLog = Rc<RefCell<Vec<(ProcessId, u64, Batch)>>>;
@@ -78,7 +78,7 @@ fn build(n: usize, proposals: Vec<Vec<(u64, Batch, VDur)>>, seed: u64) -> (Clust
                     decisions: log.clone(),
                 }),
                 Box::new(ConsensusModule::new()),
-                Box::new(RbcastModule::new(RbcastConfig::default())),
+                Box::new(RbcastModule::new()),
                 Box::new(FdModule::new(HeartbeatFd::new(
                     n,
                     ProcessId(i as u16),
@@ -217,7 +217,7 @@ fn coordinator_crash_mid_proposal_preserves_agreement() {
                     decisions: log.clone(),
                 }),
                 Box::new(ConsensusModule::new()),
-                Box::new(RbcastModule::new(RbcastConfig::default())),
+                Box::new(RbcastModule::new()),
                 Box::new(FdModule::new(HeartbeatFd::new(
                     n,
                     ProcessId(i as u16),
@@ -279,7 +279,7 @@ fn false_suspicion_does_not_violate_agreement() {
                     decisions: log.clone(),
                 }),
                 Box::new(ConsensusModule::new()),
-                Box::new(RbcastModule::new(RbcastConfig::default())),
+                Box::new(RbcastModule::new()),
                 fd,
             ])) as Box<dyn Node>
         })

@@ -9,7 +9,7 @@ use fortika_consensus::ConsensusModule;
 use fortika_fd::{FdConfig, FdEvent, FdModule, HeartbeatFd, ScriptedFd};
 use fortika_framework::{CompositeStack, Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::{AppMsg, Batch, Cluster, ClusterConfig, MsgId, Node, ProcessId, TimerId};
-use fortika_rbcast::{RbcastConfig, RbcastModule};
+use fortika_rbcast::RbcastModule;
 use fortika_sim::{VDur, VTime};
 
 type DecisionLog = Rc<RefCell<Vec<(ProcessId, u64, Batch)>>>;
@@ -108,7 +108,7 @@ fn rotating_false_suspicions_never_break_agreement() {
                     decisions: log.clone(),
                 }),
                 Box::new(ConsensusModule::new()),
-                Box::new(RbcastModule::new(RbcastConfig::default())),
+                Box::new(RbcastModule::new()),
                 Box::new(FdModule::new(ScriptedFd::new(n, script, VDur::millis(1)))),
             ])) as Box<dyn Node>
         })
@@ -142,7 +142,7 @@ fn cascading_coordinator_crashes() {
                     decisions: log.clone(),
                 }),
                 Box::new(ConsensusModule::new()),
-                Box::new(RbcastModule::new(RbcastConfig::default())),
+                Box::new(RbcastModule::new()),
                 Box::new(FdModule::new(HeartbeatFd::new(
                     n,
                     ProcessId(i as u16),
@@ -204,7 +204,7 @@ fn long_isolated_laggard_catches_up() {
                     decisions: log.clone(),
                 }),
                 Box::new(ConsensusModule::new()),
-                Box::new(RbcastModule::new(RbcastConfig::default())),
+                Box::new(RbcastModule::new()),
                 Box::new(FdModule::new(ScriptedFd::new(n, script, VDur::millis(1)))),
             ])) as Box<dyn Node>
         })

@@ -42,11 +42,6 @@ impl FlowControlModule {
             window: FlowWindow::new(window),
         }
     }
-
-    /// Currently outstanding own messages.
-    pub fn outstanding(&self) -> usize {
-        self.window.outstanding()
-    }
 }
 
 impl Microprotocol for FlowControlModule {
@@ -91,15 +86,6 @@ impl Microprotocol for FlowControlModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use fortika_net::{AppMsg, MsgId, ProcessId};
-
-    #[test]
-    fn outstanding_tracks_window() {
-        let fc = FlowControlModule::new(3);
-        assert_eq!(fc.outstanding(), 0);
-        let _ = AppMsg::new(MsgId::new(ProcessId(0), 0), Bytes::new());
-    }
 
     #[test]
     #[should_panic(expected = "must admit something")]

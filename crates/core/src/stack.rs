@@ -6,13 +6,13 @@ use fortika_chaos::{LoadPlan, Scenario, ScriptedDriver};
 use fortika_consensus::ConsensusModule;
 use fortika_fd::{FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
 use fortika_framework::CompositeStack;
-use fortika_mono::{MonoConfig, MonoNode, MonoOptimizations};
+use fortika_mono::{MonoNode, MonoOptimizations};
 pub use fortika_net::replica::FaultHooks;
 use fortika_net::{
     AppStateFactory, Cluster, ClusterConfig, Dissemination, Node, NodeFactory, ProcessId,
     ReplicaConfig, StableStore,
 };
-use fortika_rbcast::{RbcastConfig, RbcastModule};
+use fortika_rbcast::RbcastModule;
 use fortika_sim::VTime;
 
 pub use crate::flow::FlowControlModule;
@@ -44,15 +44,9 @@ pub struct StackConfig {
     /// default of 3 yields the paper's ~M = 4 messages ordered per
     /// consensus instance at n = 3 under saturation.
     pub window: usize,
-    /// Failure detector parameters (identical in both stacks).
-    pub fd: FdConfig,
     /// Monolithic optimization switches (the decomposition sweep flips
     /// these).
     pub mono_opts: MonoOptimizations,
-    /// Modular stack: reliable broadcast configuration.
-    pub rbcast: RbcastConfig,
-    /// Modular stack: abcast module configuration.
-    pub abcast: AbcastConfig,
     /// Log-compaction snapshot cadence, applied to **both** stacks: fold
     /// the decided prefix into a snapshot every this many instances, and
     /// whenever the decision cache would otherwise evict an uncompacted
@@ -107,10 +101,7 @@ impl Default for StackConfig {
     fn default() -> Self {
         StackConfig {
             window: 3,
-            fd: FdConfig::default(),
             mono_opts: MonoOptimizations::all(),
-            rbcast: RbcastConfig::default(),
-            abcast: AbcastConfig::default(),
             snapshot_interval: 256,
             decision_cache: 1024,
             pipeline_depth: 1,
@@ -124,7 +115,8 @@ impl Default for StackConfig {
 }
 
 /// Builds one process's stack with the scripted false-suspicion
-/// `windows` overlaid on its failure detector: a fresh stack, or with
+/// `windows` overlaid on its default failure detector (identical in
+/// both stacks): a fresh stack, or with
 /// `revived = (now, stable)` the stack of a process restarted at `now`
 /// over its stable store — the failure detector is anchored at the
 /// restart instant instead of time zero, and each protocol layer
@@ -141,8 +133,8 @@ fn build(
     revived: Option<(VTime, &StableStore)>,
 ) -> Box<dyn Node> {
     let heartbeat = match revived {
-        Some((now, _)) => HeartbeatFd::new_anchored(n, me, cfg.fd.clone(), now),
-        None => HeartbeatFd::new(n, me, cfg.fd.clone()),
+        Some((now, _)) => HeartbeatFd::new_anchored(n, me, FdConfig::default(), now),
+        None => HeartbeatFd::new(n, me, FdConfig::default()),
     };
     let stable = revived.map(|(_, stable)| stable);
     // Only chaos runs pay for the overlay: windows relevant to this
@@ -160,12 +152,9 @@ fn build(
             let (abcast, rbcast) = match stable {
                 Some(stable) => (
                     AbcastModule::resume(abcast_config(cfg), stable),
-                    RbcastModule::resume(cfg.rbcast.clone(), stable),
+                    RbcastModule::resume(stable),
                 ),
-                None => (
-                    AbcastModule::new(abcast_config(cfg)),
-                    RbcastModule::new(cfg.rbcast.clone()),
-                ),
+                None => (AbcastModule::new(abcast_config(cfg)), RbcastModule::new()),
             };
             let consensus = ConsensusModule::with_replica(replica, stable);
             Box::new(CompositeStack::new(vec![
@@ -182,13 +171,16 @@ fn build(
             } else {
                 Box::new(heartbeat)
             };
-            Box::new(MonoNode::with_replica(mono_config(cfg), fd, replica, stable).with_app(app))
+            Box::new(
+                MonoNode::with_replica(cfg.mono_opts, cfg.window, fd, replica, stable)
+                    .with_app(app),
+            )
         }
     }
 }
 
-/// The modular abcast configuration with the stack-wide pipeline,
-/// dissemination and membership knobs applied.
+/// The modular abcast configuration: the stack-wide pipeline,
+/// dissemination and membership knobs.
 fn abcast_config(cfg: &StackConfig) -> AbcastConfig {
     assert!(
         cfg.app_state.is_none() || !cfg.dissemination.offloads(),
@@ -199,7 +191,6 @@ fn abcast_config(cfg: &StackConfig) -> AbcastConfig {
         pipeline_depth: cfg.pipeline_depth.max(1) as u64,
         dissemination: cfg.dissemination,
         initial_members: cfg.initial_members,
-        ..cfg.abcast.clone()
     }
 }
 
@@ -213,14 +204,6 @@ fn replica_config(cfg: &StackConfig) -> ReplicaConfig {
         initial_members: cfg.initial_members,
         #[cfg(debug_assertions)]
         faults: cfg.faults.clone(),
-    }
-}
-
-/// The monolithic configuration with the stack-wide knobs applied.
-fn mono_config(cfg: &StackConfig) -> MonoConfig {
-    MonoConfig {
-        opts: cfg.mono_opts,
-        window: cfg.window,
     }
 }
 

@@ -30,4 +30,4 @@
 pub mod msg;
 mod node;
 
-pub use node::{MonoConfig, MonoNode, MonoOptimizations};
+pub use node::{MonoNode, MonoOptimizations};

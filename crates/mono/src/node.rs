@@ -60,14 +60,14 @@ use fortika_fd::metrics as fd;
 use fortika_fd::{FailureDetector, FdEvent, HeartbeatPacer, TRACE_STACK};
 use fortika_net::flow::FlowWindow;
 use fortika_net::metrics::{abcast, consensus, mono};
-use fortika_net::replica::SWEEP_INTERVAL;
+use fortika_net::replica::{IDLE_TIMEOUT, SWEEP_INTERVAL};
 use fortika_net::wire::Wire;
 use fortika_net::{
     Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, DeliveredSet, Kind,
     MsgId, Node, NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx,
     ReplicaHost, Snapshot, StableStore, TimerId,
 };
-use fortika_sim::{VDur, VTime};
+use fortika_sim::VTime;
 
 use crate::msg::{decision_full, Decision, MonoMsg, Proposal, REPLICA_NAMES};
 
@@ -113,29 +113,6 @@ impl Default for MonoOptimizations {
     }
 }
 
-/// Idle kick: with pending work, or the coordinator of the round the
-/// next instance opens in suspected, (re)create it after this much
-/// silence.
-const IDLE_TIMEOUT: VDur = VDur::secs(1);
-
-/// Configuration of the monolithic node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MonoConfig {
-    /// Optimization switches (default: all on).
-    pub opts: MonoOptimizations,
-    /// Flow-control window (outstanding own messages).
-    pub window: usize,
-}
-
-impl Default for MonoConfig {
-    fn default() -> Self {
-        MonoConfig {
-            opts: MonoOptimizations::all(),
-            window: 2,
-        }
-    }
-}
-
 /// The pool as one batch.
 fn batch_of(pool: &BTreeMap<MsgId, AppMsg>) -> Batch {
     Batch::normalize(pool.values().cloned().collect())
@@ -143,7 +120,7 @@ fn batch_of(pool: &BTreeMap<MsgId, AppMsg>) -> Batch {
 
 /// The monolithic atomic broadcast stack (implements [`Node`]).
 pub struct MonoNode {
-    cfg: MonoConfig,
+    opts: MonoOptimizations,
     /// Durable votes, decided log, configuration timeline, round state,
     /// compaction and catch-up (shared with the modular stack).
     core: ReplicaCore,
@@ -164,10 +141,12 @@ pub struct MonoNode {
 }
 
 impl MonoNode {
-    /// Creates a monolithic node with the given failure detector core
-    /// and the default replica knobs (fresh start at time zero).
-    pub fn new(cfg: MonoConfig, fd: Box<dyn FailureDetector>) -> Self {
-        Self::with_replica(cfg, fd, ReplicaConfig::default(), None)
+    /// Creates a monolithic node with the given optimization switches,
+    /// flow-control `window` (outstanding own messages) and failure
+    /// detector core, and the default replica knobs (fresh start at time
+    /// zero).
+    pub fn new(opts: MonoOptimizations, window: usize, fd: Box<dyn FailureDetector>) -> Self {
+        Self::with_replica(opts, window, fd, ReplicaConfig::default(), None)
     }
 
     /// Creates a node with the given replica knobs. With `stable`, it
@@ -177,7 +156,8 @@ impl MonoNode {
     /// else — the decided tail, delivery logs, the pool — is rebuilt
     /// from peers.
     pub fn with_replica(
-        cfg: MonoConfig,
+        opts: MonoOptimizations,
+        window: usize,
         fd: Box<dyn FailureDetector>,
         replica: ReplicaConfig,
         stable: Option<&StableStore>,
@@ -186,9 +166,8 @@ impl MonoNode {
             Some(stable) => ReplicaCore::resume(replica, &REPLICA_NAMES, stable),
             None => ReplicaCore::new(replica, &REPLICA_NAMES),
         };
-        let window = cfg.window;
         MonoNode {
-            cfg,
+            opts,
             core,
             fd,
             fd_scratch: Vec::new(),
@@ -432,7 +411,7 @@ impl MonoNode {
         if let Some((k1, fresh)) = followup {
             self.core.open(k1, ctx.now());
             let proposal = self.lock_direct(ctx, k1, fresh);
-            if self.cfg.opts.combine_decision_proposal {
+            if self.opts.combine_decision_proposal {
                 ctx.bump(mono::COMBINED_STEPS, 1);
                 self.broadcast(
                     ctx,
@@ -487,7 +466,7 @@ impl MonoNode {
         self.apply_decisions_core(ctx);
         // With O2, messages that were waiting for an ack to ride must not
         // starve when the pipeline drains.
-        if self.cfg.opts.piggyback_on_acks && !self.in_flight() && !self.pool.is_empty() {
+        if self.opts.piggyback_on_acks && !self.in_flight() && !self.pool.is_empty() {
             let coord = self.core.live_coordinator(self.next_decide, ctx.n());
             if coord != ctx.pid() {
                 self.flush_pool_to(ctx, coord);
@@ -549,7 +528,7 @@ impl MonoNode {
         self.core.raise(ctx, dec.instance, dec.round);
         // O3 disabled: emulate the reliable-broadcast relay pattern for
         // decisions (first receipt at a relay re-broadcasts).
-        if !self.cfg.opts.implicit_decision_acks {
+        if !self.opts.implicit_decision_acks {
             let n = ctx.n();
             let origin = self.core.coordinator_of(dec.instance, dec.round, n);
             if ProcessId::relay_set(origin, n).any(|p| p == ctx.pid()) {
@@ -609,7 +588,7 @@ impl MonoNode {
         }
         let vote = self.core.vote(ctx, p.instance, p.round, &p.value, votable);
         if vote.voted {
-            let msgs = if self.cfg.opts.piggyback_on_acks {
+            let msgs = if self.opts.piggyback_on_acks {
                 self.drain_pool()
             } else {
                 Vec::new()
@@ -759,7 +738,7 @@ impl MonoNode {
             Some((value, ts)) => (value.clone(), ts),
             None => (batch_of(&self.pool), 0),
         };
-        let msgs = if self.cfg.opts.piggyback_on_acks {
+        let msgs = if self.opts.piggyback_on_acks {
             for m in self.own_pending.values() {
                 self.pool.remove(&m.id);
             }
@@ -1028,7 +1007,7 @@ impl Node for MonoNode {
         debug_assert_eq!(m.id.sender, ctx.pid(), "abcast of a foreign message");
         self.own_pending.insert(m.id, m.clone());
         ctx.bump(abcast::REQUESTS, 1);
-        if !self.cfg.opts.piggyback_on_acks {
+        if !self.opts.piggyback_on_acks {
             // Modular-style dissemination: diffuse to everyone.
             self.broadcast(ctx, mono::DIFFUSE, &MonoMsg::Diffuse { msg: m.clone() });
             self.pool.insert(m.id, m);

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use fortika_fd::{FdConfig, HeartbeatFd};
-use fortika_mono::{MonoConfig, MonoNode, MonoOptimizations};
+use fortika_mono::{MonoNode, MonoOptimizations};
 use fortika_net::{
     Admission, AppMsg, AppRequest, Cluster, ClusterConfig, CollectingHarness, MsgId, Node,
     ProcessId,
@@ -17,7 +17,8 @@ fn node(n: usize, me: usize, opts: MonoOptimizations) -> Box<dyn Node> {
         timeout_increment: VDur::millis(50),
     };
     Box::new(MonoNode::new(
-        MonoConfig { opts, window: 16 },
+        opts,
+        16,
         Box::new(HeartbeatFd::new(n, ProcessId(me as u16), fd_cfg)),
     ))
 }

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use fortika_chaos::check_orders;
 use fortika_fd::{FdConfig, HeartbeatFd};
-use fortika_mono::{MonoConfig, MonoNode, MonoOptimizations};
+use fortika_mono::{MonoNode, MonoOptimizations};
 use fortika_net::{
     Admission, AppMsg, AppRequest, Cluster, ClusterConfig, CollectingHarness, MsgId, Node,
     ProcessId,
@@ -22,9 +22,9 @@ fn fd_cfg() -> FdConfig {
 }
 
 fn mono_node(n: usize, me: usize, opts: MonoOptimizations, window: usize) -> Box<dyn Node> {
-    let cfg = MonoConfig { opts, window };
     Box::new(MonoNode::new(
-        cfg,
+        opts,
+        window,
         Box::new(HeartbeatFd::new(n, ProcessId(me as u16), fd_cfg())),
     ))
 }

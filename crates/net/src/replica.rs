@@ -215,6 +215,13 @@ pub const PROGRESS_TIMEOUT: VDur = VDur::secs(1);
 /// Period of each stack's background sweep, which enforces
 /// [`PROGRESS_TIMEOUT`] and retries decision requests.
 pub const SWEEP_INTERVAL: VDur = VDur::millis(250);
+/// The paper's *t* (§3.3), the same in both stacks: after this much
+/// silence a process starts an instance anyway — the modular abcast even
+/// with an empty batch, the monolith when it has pending work or the
+/// coordinator of the round the next instance opens in is suspected — so
+/// the instance stream stays live and messages held by a subset of
+/// processes eventually get ordered.
+pub const IDLE_TIMEOUT: VDur = VDur::secs(1);
 /// Activation offset of log-decided reconfigurations: a membership
 /// change decided at instance `d` governs instances `d + 8` on. The
 /// pipeline depth may not exceed it ([`ReplicaCore::new`] asserts), or

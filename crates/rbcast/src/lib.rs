@@ -6,10 +6,10 @@
 //! modular atomic broadcast stack uses it to disseminate consensus
 //! decisions (§3.1 of the paper).
 //!
-//! Two algorithm variants are provided (see [`RbcastVariant`]):
-//! the classic flood and the majority-optimized relay scheme whose
-//! good-run message count `(n−1)·⌊(n+1)/2⌋` appears in the paper's
-//! analytical model. Duplicates are suppressed through a per-origin
+//! The classic algorithm floods: every process re-sends on first
+//! receipt, n(n−1) messages per rbcast. This crate relays through a
+//! majority instead (see [`RbcastModule`]), whose good-run message count
+//! `(n−1)·⌊(n+1)/2⌋` appears in the paper's analytical model. Duplicates are suppressed through a per-origin
 //! `fortika_net::WatermarkSet`, which keeps long runs in bounded memory.
 
 #![forbid(unsafe_code)]
@@ -17,7 +17,7 @@
 
 mod module;
 
-pub use module::{RbcastConfig, RbcastModule, RbcastVariant, RBCAST_MODULE_ID, STABLE_SEQ_KEY};
+pub use module::{RbcastModule, FALLBACK_TIMEOUT, RBCAST_MODULE_ID, STABLE_SEQ_KEY};
 
 fortika_net::metric_table! {
     /// What reliable broadcast counts and sends.

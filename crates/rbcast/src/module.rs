@@ -1,19 +1,18 @@
 //! The reliable broadcast microprotocol.
 //!
-//! # Algorithms
+//! # Algorithm
 //!
-//! **Classic** (§3.1 of the paper): the origin sends `m` to all; upon
-//! receiving `m` for the first time every process re-sends it to all.
-//! Cost per rbcast: `(n−1) + (n−1)² = n(n−1)` messages (the paper rounds
-//! this to n²).
+//! The classic algorithm (§3.1 of the paper) has the origin send `m` to
+//! all and every process re-send it to all on first receipt:
+//! `(n−1) + (n−1)² = n(n−1)` messages per rbcast (the paper rounds this
+//! to n²). That flood is why this module relays through a majority
+//! instead: assuming a majority of processes never crash — the same
+//! assumption consensus already needs — only a deterministic *relay
+//! set* of `⌊(n−1)/2⌋` processes re-sends, giving
+//! `(n−1)·(⌊(n−1)/2⌋ + 1) = (n−1)·⌊(n+1)/2⌋` messages per rbcast in good
+//! runs (4 messages at n = 3, 24 at n = 7).
 //!
-//! **Majority-optimized** (the modular stack's variant): assuming a
-//! majority of processes never crash — the same assumption consensus
-//! already needs — only a deterministic *relay set* of `⌊(n−1)/2⌋`
-//! processes re-sends, giving `(n−1)·(⌊(n−1)/2⌋ + 1) = (n−1)·⌊(n+1)/2⌋`
-//! messages per rbcast in good runs (4 messages at n = 3, 24 at n = 7).
-//!
-//! ## Correctness of the majority variant
+//! ## Correctness
 //!
 //! Delivery happens on first receipt. A process *completes* a message
 //! once it has observed a copy from the origin **and** from every relay:
@@ -21,7 +20,7 @@
 //! and the transmitter set `{origin} ∪ relays` has `⌊(n+1)/2⌋` members —
 //! a majority — so at least one of them is correct and its send-to-all
 //! reached every correct process. A process that cannot complete within
-//! the fallback timeout re-sends `m` to all itself (`rb.flood`), which
+//! [`FALLBACK_TIMEOUT`] re-sends `m` to all itself (`rb.flood`), which
 //! restores agreement under any crash pattern within the majority
 //! assumption; floods never occur in good runs.
 
@@ -58,35 +57,9 @@ pub const STABLE_SEQ_KEY: u64 = fortika_net::replica::keys::RBCAST_SEQ;
 /// Wire demux id of the reliable broadcast module.
 pub const RBCAST_MODULE_ID: ModuleId = 3;
 
-/// Which reliable broadcast algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RbcastVariant {
-    /// Everyone re-sends on first receipt (n(n−1) messages).
-    Classic,
-    /// Only `⌊(n−1)/2⌋` deterministic relays re-send; non-relays flood
-    /// after a timeout if completion evidence is missing.
-    #[default]
-    Majority,
-}
-
-/// Configuration of the reliable broadcast module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RbcastConfig {
-    /// Algorithm variant.
-    pub variant: RbcastVariant,
-    /// Majority variant: how long a non-relay waits for completion
-    /// evidence before flooding. Never reached in good runs.
-    pub fallback_timeout: VDur,
-}
-
-impl Default for RbcastConfig {
-    fn default() -> Self {
-        RbcastConfig {
-            variant: RbcastVariant::Majority,
-            fallback_timeout: VDur::millis(200),
-        }
-    }
-}
+/// How long a non-relay waits for completion evidence before flooding.
+/// Never reached in good runs.
+pub const FALLBACK_TIMEOUT: VDur = VDur::millis(200);
 
 /// One reliably-broadcast message on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,11 +87,11 @@ impl Wire for RbMsg {
     }
 }
 
-/// State of a delivered-but-not-yet-completed message (majority variant).
+/// State of a delivered-but-not-yet-completed message.
 struct Pending {
     /// Transmitters we still need evidence from.
     awaiting: Vec<ProcessId>,
-    timer: Option<TimerId>,
+    timer: TimerId,
     msg: RbMsg,
 }
 
@@ -128,7 +101,6 @@ struct Pending {
 /// for every delivered payload — including the origin's own, delivered
 /// locally without a network hop.
 pub struct RbcastModule {
-    cfg: RbcastConfig,
     seq: ReservedSeq,
     logs: BTreeMap<ProcessId, WatermarkSet>,
     pending: BTreeMap<(ProcessId, u64), Pending>,
@@ -138,9 +110,8 @@ pub struct RbcastModule {
 
 impl RbcastModule {
     /// Creates the module.
-    pub fn new(cfg: RbcastConfig) -> Self {
+    pub fn new() -> Self {
         RbcastModule {
-            cfg,
             seq: ReservedSeq::new(STABLE_SEQ_KEY),
             logs: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -152,19 +123,17 @@ impl RbcastModule {
     /// Creates the module for a revived process: resumes the rbcast
     /// sequence counter at the bound reserved under [`STABLE_SEQ_KEY`]
     /// so the new incarnation never reuses burned sequence numbers.
-    pub fn resume(cfg: RbcastConfig, stable: &StableStore) -> Self {
+    pub fn resume(stable: &StableStore) -> Self {
         RbcastModule {
             seq: ReservedSeq::resume(STABLE_SEQ_KEY, stable),
-            ..RbcastModule::new(cfg)
+            ..RbcastModule::new()
         }
     }
 
     fn complete(&mut self, ctx: &mut FrameworkCtx<'_, '_>, origin: ProcessId, seq: u64) {
         self.logs.entry(origin).or_default().complete(seq);
         if let Some(p) = self.pending.remove(&(origin, seq)) {
-            if let Some(t) = p.timer {
-                ctx.cancel_timer(t);
-            }
+            ctx.cancel_timer(p.timer);
         }
     }
 
@@ -175,48 +144,45 @@ impl RbcastModule {
             origin: msg.origin,
             payload: msg.payload.clone(),
         });
-        match self.cfg.variant {
-            RbcastVariant::Classic => {
-                // Re-send to all, then this message is finished locally.
-                ctx.broadcast_net(metrics::RELAY, &msg);
-                self.complete(ctx, msg.origin, msg.seq);
-            }
-            RbcastVariant::Majority => {
-                let me = ctx.pid();
-                let n = ctx.n();
-                let origin = msg.origin;
-                let seq = msg.seq;
-                if ProcessId::relay_set(origin, n).any(|p| p == me) {
-                    // Relay: our re-send makes us a transmitter; we need
-                    // no further evidence ourselves.
-                    ctx.broadcast_net(metrics::RELAY, &msg);
-                    self.complete(ctx, origin, seq);
-                    return;
-                }
-                // Non-relay: await evidence from every transmitter.
-                let mut awaiting: Vec<ProcessId> = std::iter::once(origin)
-                    .chain(ProcessId::relay_set(origin, n))
-                    .filter(|&p| p != me && p != from)
-                    .collect();
-                awaiting.dedup();
-                if awaiting.is_empty() {
-                    self.complete(ctx, origin, seq);
-                    return;
-                }
-                let tag = self.next_timer_tag;
-                self.next_timer_tag += 1;
-                self.timer_keys.insert(tag, (origin, seq));
-                let timer = ctx.set_timer(self.cfg.fallback_timeout, tag);
-                self.pending.insert(
-                    (origin, seq),
-                    Pending {
-                        awaiting,
-                        timer: Some(timer),
-                        msg,
-                    },
-                );
-            }
+        let me = ctx.pid();
+        let n = ctx.n();
+        let origin = msg.origin;
+        let seq = msg.seq;
+        if ProcessId::relay_set(origin, n).any(|p| p == me) {
+            // Relay: our re-send makes us a transmitter; we need no
+            // further evidence ourselves.
+            ctx.broadcast_net(metrics::RELAY, &msg);
+            self.complete(ctx, origin, seq);
+            return;
         }
+        // Non-relay: await evidence from every transmitter.
+        let mut awaiting: Vec<ProcessId> = std::iter::once(origin)
+            .chain(ProcessId::relay_set(origin, n))
+            .filter(|&p| p != me && p != from)
+            .collect();
+        awaiting.dedup();
+        if awaiting.is_empty() {
+            self.complete(ctx, origin, seq);
+            return;
+        }
+        let tag = self.next_timer_tag;
+        self.next_timer_tag += 1;
+        self.timer_keys.insert(tag, (origin, seq));
+        let timer = ctx.set_timer(FALLBACK_TIMEOUT, tag);
+        self.pending.insert(
+            (origin, seq),
+            Pending {
+                awaiting,
+                timer,
+                msg,
+            },
+        );
+    }
+}
+
+impl Default for RbcastModule {
+    fn default() -> Self {
+        RbcastModule::new()
     }
 }
 

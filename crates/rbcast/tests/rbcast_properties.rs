@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use fortika_framework::{CompositeStack, Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::{Cluster, ClusterConfig, CostModel, NetModel, Node, ProcessId};
-use fortika_rbcast::{RbcastConfig, RbcastModule, RbcastVariant};
+use fortika_rbcast::RbcastModule;
 use fortika_sim::{VDur, VTime};
 
 /// Test driver module sitting above rbcast: requests broadcasts at start
@@ -44,12 +44,7 @@ impl Microprotocol for Driver {
 
 type DeliveryLog = std::rc::Rc<std::cell::RefCell<Vec<(ProcessId, ProcessId, Bytes)>>>;
 
-fn build(
-    n: usize,
-    variant: RbcastVariant,
-    sends: Vec<(usize, Bytes)>,
-    cfg: ClusterConfig,
-) -> (Cluster, DeliveryLog) {
+fn build(n: usize, sends: Vec<(usize, Bytes)>, cfg: ClusterConfig) -> (Cluster, DeliveryLog) {
     let log: DeliveryLog = Default::default();
     let nodes: Vec<Box<dyn Node>> = (0..n)
         .map(|i| {
@@ -63,10 +58,7 @@ fn build(
                     to_send,
                     delivered: log.clone(),
                 }),
-                Box::new(RbcastModule::new(RbcastConfig {
-                    variant,
-                    fallback_timeout: VDur::millis(100),
-                })),
+                Box::new(RbcastModule::new()),
             ])) as Box<dyn Node>
         })
         .collect();
@@ -85,7 +77,7 @@ fn deliveries_at(log: &DeliveryLog, p: ProcessId) -> Vec<Bytes> {
 fn everyone_delivers_exactly_once_majority() {
     let n = 5;
     let sends = vec![(0, Bytes::from_static(b"a")), (2, Bytes::from_static(b"b"))];
-    let (mut cluster, log) = build(n, RbcastVariant::Majority, sends, ClusterConfig::new(5, 1));
+    let (mut cluster, log) = build(n, sends, ClusterConfig::new(5, 1));
     cluster.run_idle(VTime::ZERO + VDur::secs(2));
     for p in ProcessId::all(n) {
         let got = deliveries_at(&log, p);
@@ -97,24 +89,17 @@ fn everyone_delivers_exactly_once_majority() {
 
 #[test]
 fn good_run_message_counts_match_analytical_model() {
-    for (n, variant, expected) in [
-        // Majority: (n−1)·⌊(n+1)/2⌋
-        (3usize, RbcastVariant::Majority, 4u64),
-        (5, RbcastVariant::Majority, 12),
-        (7, RbcastVariant::Majority, 24),
-        // Classic: n(n−1)
-        (3, RbcastVariant::Classic, 6),
-        (7, RbcastVariant::Classic, 42),
-    ] {
+    // (n−1)·⌊(n+1)/2⌋
+    for (n, expected) in [(3usize, 4u64), (5, 12), (7, 24)] {
         let sends = vec![(0, Bytes::from_static(b"m"))];
-        let (mut cluster, _log) = build(n, variant, sends, ClusterConfig::new(n, 1));
+        let (mut cluster, _log) = build(n, sends, ClusterConfig::new(n, 1));
         cluster.run_idle(VTime::ZERO + VDur::secs(2));
         let total = cluster.counters().kind("rb.initial").msgs
             + cluster.counters().kind("rb.relay").msgs
             + cluster.counters().kind("rb.flood").msgs;
         assert_eq!(
             total, expected,
-            "n={n} {variant:?}: expected {expected} messages, got {total}"
+            "n={n}: expected {expected} messages, got {total}"
         );
     }
 }
@@ -137,32 +122,7 @@ fn origin_crash_mid_broadcast_still_reaches_all_correct_majority() {
         per_msg_overhead: 60,
     };
     let sends = vec![(0, Bytes::from(vec![7u8; 100]))];
-    let (mut cluster, log) = build(n, RbcastVariant::Majority, sends, cfg);
-    cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::micros(200));
-    cluster.run_idle(VTime::ZERO + VDur::secs(2));
-    for p in ProcessId::all(n).skip(1) {
-        let got = deliveries_at(&log, p);
-        assert_eq!(
-            got.len(),
-            1,
-            "correct process {p} must deliver despite origin crash"
-        );
-    }
-}
-
-#[test]
-fn origin_crash_mid_broadcast_still_reaches_all_correct_classic() {
-    let n = 5;
-    let mut cfg = ClusterConfig::new(n, 3);
-    cfg.cost = CostModel::free();
-    cfg.net = NetModel {
-        bandwidth_bytes_per_sec: 1_000_000,
-        prop_delay: VDur::micros(10),
-        jitter: VDur::ZERO,
-        per_msg_overhead: 60,
-    };
-    let sends = vec![(0, Bytes::from(vec![7u8; 100]))];
-    let (mut cluster, log) = build(n, RbcastVariant::Classic, sends, cfg);
+    let (mut cluster, log) = build(n, sends, cfg);
     cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::micros(200));
     cluster.run_idle(VTime::ZERO + VDur::secs(2));
     for p in ProcessId::all(n).skip(1) {
@@ -190,7 +150,7 @@ fn relay_crashes_trigger_flood_fallback() {
         per_msg_overhead: 60,
     };
     let sends = vec![(0, Bytes::from(vec![7u8; 100]))];
-    let (mut cluster, log) = build(n, RbcastVariant::Majority, sends, cfg);
+    let (mut cluster, log) = build(n, sends, cfg);
     // Origin p1 completes its sends to p2..p5 (~640 µs), then crashes.
     cluster.schedule_crash(ProcessId(0), VTime::ZERO + VDur::millis(1));
     // Relays p2 and p3 crash before they can finish re-sending: their
@@ -251,7 +211,7 @@ fn streams_are_demultiplexed() {
                 Box::new(TwoStreams {
                     counts: counts.clone(),
                 }),
-                Box::new(RbcastModule::new(RbcastConfig::default())),
+                Box::new(RbcastModule::new()),
             ])) as Box<dyn Node>
         })
         .collect();
@@ -289,7 +249,7 @@ fn a_restarted_origin_skips_the_rest_of_its_block_and_every_broadcast_arrives() 
     let first: Vec<(usize, Bytes)> = (0..per_incarnation[0])
         .map(|i| (0, payload(0, i)))
         .collect();
-    let (mut cluster, log) = build(n, RbcastVariant::Majority, first, cfg);
+    let (mut cluster, log) = build(n, first, cfg);
     let incarnation = Rc::new(Cell::new(0u64));
     let (factory_log, factory_inc, sends) =
         (log.clone(), incarnation.clone(), per_incarnation.clone());
@@ -301,13 +261,7 @@ fn a_restarted_origin_skips_the_rest_of_its_block_and_every_broadcast_arrives() 
                 to_send: (0..sends[k as usize]).map(|i| payload(k, i)).collect(),
                 delivered: factory_log.clone(),
             }),
-            Box::new(RbcastModule::resume(
-                RbcastConfig {
-                    variant: RbcastVariant::Majority,
-                    fallback_timeout: VDur::millis(100),
-                },
-                stable,
-            )),
+            Box::new(RbcastModule::resume(stable)),
         ]))
     }));
     let mut writes_before = VDur::ZERO;

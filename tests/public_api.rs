@@ -59,5 +59,5 @@ fn workspace_types_reexported() {
     let _w = fortika::sim::stats::Welford::new();
     let _opts = fortika::mono::MonoOptimizations::all();
     let _fd = fortika::fd::FdConfig::default();
-    let _v = fortika::rbcast::RbcastVariant::Majority;
+    let _rb = fortika::rbcast::RbcastModule::new();
 }
