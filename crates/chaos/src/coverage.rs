@@ -258,8 +258,10 @@ impl CoverageReport {
     }
 
     /// All event-family names of the co-occurrence matrix, in canonical
-    /// order: the nine `ScenarioEvent` families plus the `pipelined`
-    /// configuration axis.
+    /// order: the eleven [`ScenarioEvent::family`] names plus the
+    /// `pipelined` and `dissemination` configuration axes.
+    ///
+    /// [`ScenarioEvent::family`]: crate::ScenarioEvent::family
     pub fn family_names() -> Vec<&'static str> {
         FAMILIES.to_vec()
     }

@@ -1,16 +1,20 @@
 //! Scenario timelines: declarative fault schedules over a cluster run.
 //!
 //! A [`Scenario`] is an ordered list of typed fault events — crashes,
-//! partitions with healing, lossy windows, delay spikes, duplication
-//! windows, scripted false suspicions — expressed as offsets from the
-//! start of the run. Build one with the chainable constructors, or draw
-//! one from the seeded [`Scenario::random`] generator for fuzzing; then
-//! stand it on a cluster with `fortika_core::scenario_cluster` — which
-//! `run_scripted` and `Experiment::builder(..).scenario(..)` both do.
+//! restarts, windows of a network [`LinkFault`] (partitions with
+//! healing, loss, duplication, delay spikes, degraded bandwidth), slow
+//! nodes, scripted false suspicions, reconfigurations — expressed as
+//! offsets from the start of the run. Build one with the chainable
+//! constructors, or draw one from the seeded [`Scenario::random`]
+//! generator for fuzzing; then stand it on a cluster with
+//! `fortika_core::scenario_cluster` — which `run_scripted` and
+//! `Experiment::builder(..).scenario(..)` both do.
 //!
 //! Scenarios are plain data: cloning, printing and replaying them is
 //! cheap, and the same scenario + the same cluster seed reproduces the
 //! same run bit for bit.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use fortika_fd::SuspicionWindow;
 use fortika_net::{Cluster, ConfigChange, Dissemination, LinkFault, LinkSelector, ProcessId};
@@ -19,7 +23,9 @@ use fortika_sim::{DetRng, VDur, VTime};
 use crate::coverage::CoverageReport;
 
 /// Every event family a scenario can contain, in canonical order: the
-/// eleven [`ScenarioEvent`] variants plus two *configuration* axes —
+/// eleven [`ScenarioEvent::family`] names (one per variant, and one per
+/// opening [`LinkFault`] of a [`ScenarioEvent::Link`] window) plus two
+/// *configuration* axes —
 /// `pipelined` ([`Scenario::pipeline_depth`] > 1) and `dissemination`
 /// ([`Scenario::dissemination`] offloading payloads onto a ring or
 /// tree). This is the row vocabulary of the coverage co-occurrence
@@ -68,65 +74,16 @@ pub enum ScenarioEvent {
         /// Restart instant (must follow the crash).
         at: VDur,
     },
-    /// Partition the cluster into `groups` during `[from, until)`;
-    /// `None` never heals. Processes in no group are isolated.
-    Partition {
-        /// Connected components.
-        groups: Vec<Vec<ProcessId>>,
-        /// Partition start.
-        from: VDur,
-        /// Healing instant (`None` = permanent).
-        until: Option<VDur>,
-    },
-    /// Drop each message on the selected links with probability `p`
-    /// during `[from, until)`.
-    Lossy {
-        /// Affected links.
-        link: LinkSelector,
-        /// Drop probability in `[0, 1]`.
-        p: f64,
-        /// Window start.
-        from: VDur,
-        /// Window end (`None` = rest of the run).
-        until: Option<VDur>,
-    },
-    /// Deliver each message on the selected links twice with
-    /// probability `p` during `[from, until)`.
-    Duplicate {
-        /// Affected links.
-        link: LinkSelector,
-        /// Duplication probability in `[0, 1]`.
-        p: f64,
-        /// Window start.
-        from: VDur,
-        /// Window end (`None` = rest of the run).
-        until: Option<VDur>,
-    },
-    /// Multiply latency (propagation + jitter) of the selected links by
-    /// `factor_milli / 1000` during `[from, until)`.
-    DelaySpike {
-        /// Affected links.
-        link: LinkSelector,
-        /// Delay multiplier in thousandths (5000 = 5×).
-        factor_milli: u64,
-        /// Window start.
-        from: VDur,
-        /// Window end (`None` = rest of the run).
-        until: Option<VDur>,
-    },
-    /// Shrink the bandwidth of the selected links to
-    /// `rate_milli / 1000` of nominal during `[from, until)` — a
-    /// *degraded* link serializes traffic at the reduced rate (messages
-    /// queue behind each other), unlike [`DelaySpike`] which only
-    /// stretches propagation.
-    ///
-    /// [`DelaySpike`]: ScenarioEvent::DelaySpike
-    DegradeLink {
-        /// Affected links.
-        link: LinkSelector,
-        /// Bandwidth multiplier in thousandths, `1..=1000` (100 = 10 %
-        /// of nominal).
-        rate_milli: u64,
+    /// Apply the network `fault` during `[from, until)`. At `until`
+    /// its [`LinkFault::cleared`] counterpart writes the fault-free
+    /// value back on the same links (a partition heals). The family is
+    /// named after the fault: `partition`, `lossy`, `duplicate`,
+    /// `delay_spike` or `degrade_link`. [`LinkFault::Heal`] and
+    /// [`LinkFault::Reset`] only close windows, and [`Scenario::event`]
+    /// refuses them here.
+    Link {
+        /// The fault in force during the window.
+        fault: LinkFault,
         /// Window start.
         from: VDur,
         /// Window end (`None` = rest of the run).
@@ -201,16 +158,22 @@ pub enum ScenarioEvent {
 impl ScenarioEvent {
     /// The event's family name — the row vocabulary of the coverage
     /// co-occurrence matrix ([`CoverageReport`]). Stable strings, one
-    /// per variant, matching [`CoverageReport::family_names`].
+    /// per variant and one per opening [`LinkFault`], matching
+    /// [`CoverageReport::family_names`].
     pub fn family(&self) -> &'static str {
         match self {
             ScenarioEvent::Crash { .. } => "crash",
             ScenarioEvent::Restart { .. } => "restart",
-            ScenarioEvent::Partition { .. } => "partition",
-            ScenarioEvent::Lossy { .. } => "lossy",
-            ScenarioEvent::Duplicate { .. } => "duplicate",
-            ScenarioEvent::DelaySpike { .. } => "delay_spike",
-            ScenarioEvent::DegradeLink { .. } => "degrade_link",
+            ScenarioEvent::Link { fault, .. } => match fault {
+                LinkFault::Partition(_) => "partition",
+                LinkFault::Loss { .. } => "lossy",
+                LinkFault::Duplicate { .. } => "duplicate",
+                LinkFault::DelaySpike { .. } => "delay_spike",
+                LinkFault::Degrade { .. } => "degrade_link",
+                LinkFault::Heal | LinkFault::Reset => {
+                    unreachable!("Scenario::event refuses a closer as a window")
+                }
+            },
             ScenarioEvent::SlowNode { .. } => "slow_node",
             ScenarioEvent::FalseSuspicion { .. } => "false_suspicion",
             ScenarioEvent::AddNode { .. } => "add_node",
@@ -396,9 +359,27 @@ impl Scenario {
     }
 
     /// Appends an arbitrary event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`ScenarioEvent::Link`] window's fault fails
+    /// [`LinkFault::check`], or is a closer ([`LinkFault::Heal`],
+    /// [`LinkFault::Reset`]) rather than a fault a window can open.
     pub fn event(mut self, ev: ScenarioEvent) -> Self {
+        if let ScenarioEvent::Link { fault, .. } = &ev {
+            assert!(
+                !matches!(fault, LinkFault::Heal | LinkFault::Reset),
+                "{fault:?} only closes windows; it cannot open one"
+            );
+            fault.check();
+        }
         self.events.push(ev);
         self
+    }
+
+    /// Appends a [`ScenarioEvent::Link`] window.
+    fn window(self, fault: LinkFault, from: VDur, until: Option<VDur>) -> Self {
+        self.event(ScenarioEvent::Link { fault, from, until })
     }
 
     /// Crash-stops `pid` at offset `at`.
@@ -415,20 +396,12 @@ impl Scenario {
     /// Partitions the cluster into `groups` from `from` until `until`
     /// (healing included).
     pub fn partition(self, groups: Vec<Vec<ProcessId>>, from: VDur, until: VDur) -> Self {
-        self.event(ScenarioEvent::Partition {
-            groups,
-            from,
-            until: Some(until),
-        })
+        self.window(LinkFault::Partition(groups), from, Some(until))
     }
 
     /// Partitions the cluster permanently (no healing).
     pub fn partition_forever(self, groups: Vec<Vec<ProcessId>>, from: VDur) -> Self {
-        self.event(ScenarioEvent::Partition {
-            groups,
-            from,
-            until: None,
-        })
+        self.window(LinkFault::Partition(groups), from, None)
     }
 
     /// Makes the selected links lossy with probability `p` during the
@@ -438,16 +411,7 @@ impl Scenario {
     ///
     /// Panics unless `p` is in `[0, 1]`.
     pub fn lossy(self, link: LinkSelector, p: f64, from: VDur, until: VDur) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability {p} out of range"
-        );
-        self.event(ScenarioEvent::Lossy {
-            link,
-            p,
-            from,
-            until: Some(until),
-        })
+        self.window(LinkFault::Loss { link, p }, from, Some(until))
     }
 
     /// Duplicates messages on the selected links with probability `p`
@@ -457,16 +421,7 @@ impl Scenario {
     ///
     /// Panics unless `p` is in `[0, 1]`.
     pub fn duplicate(self, link: LinkSelector, p: f64, from: VDur, until: VDur) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "duplication probability {p} out of range"
-        );
-        self.event(ScenarioEvent::Duplicate {
-            link,
-            p,
-            from,
-            until: Some(until),
-        })
+        self.window(LinkFault::Duplicate { link, p }, from, Some(until))
     }
 
     /// Inflates latency on the selected links by `factor_milli / 1000`
@@ -478,12 +433,8 @@ impl Scenario {
         from: VDur,
         until: VDur,
     ) -> Self {
-        self.event(ScenarioEvent::DelaySpike {
-            link,
-            factor_milli,
-            from,
-            until: Some(until),
-        })
+        let fault = LinkFault::DelaySpike { link, factor_milli };
+        self.window(fault, from, Some(until))
     }
 
     /// Degrades the selected links to `rate_milli / 1000` of nominal
@@ -519,16 +470,8 @@ impl Scenario {
         from: VDur,
         until: VDur,
     ) -> Self {
-        assert!(
-            (1..=1000).contains(&rate_milli),
-            "degraded rate {rate_milli}‰ out of range (1..=1000)"
-        );
-        self.event(ScenarioEvent::DegradeLink {
-            link,
-            rate_milli,
-            from,
-            until: Some(until),
-        })
+        let fault = LinkFault::Degrade { link, rate_milli };
+        self.window(fault, from, Some(until))
     }
 
     /// Throttles `pid`'s CPU by `factor_milli / 1000` during the window
@@ -655,11 +598,12 @@ impl Scenario {
     /// # Window overlap
     ///
     /// Window boundaries write link state absolutely — a closing window
-    /// restores the fault-free default on its links even if another
-    /// window of the same family still covers them (its opening value
-    /// is not re-applied). Declare overlapping same-family windows as
-    /// disjoint intervals instead; the random generator emits at most
-    /// one window per family, so generated scenarios are unaffected.
+    /// writes its fault's [`LinkFault::cleared`] value, the fault-free
+    /// default, on its links even if another window of the same family
+    /// still covers them (its opening value is not re-applied). Declare
+    /// overlapping same-family windows as disjoint intervals instead;
+    /// the random generator emits at most one window per family, so
+    /// generated scenarios are unaffected.
     ///
     /// # Panics
     ///
@@ -679,89 +623,22 @@ impl Scenario {
             VTime::ZERO,
             "apply the scenario before running the cluster (clock already at {t0})"
         );
-        // A link-fault window opens by writing its fault and closes, if
-        // it closes, by writing the family's fault-free value back.
-        fn window(
-            cluster: &mut Cluster,
-            from: VDur,
-            until: Option<VDur>,
-            open: LinkFault,
-            close: LinkFault,
-        ) {
-            cluster.schedule_fault(VTime::ZERO + from, open);
-            if let Some(until) = until {
-                cluster.schedule_fault(VTime::ZERO + until, close);
-            }
-        }
         for ev in &self.events {
             match *ev {
                 ScenarioEvent::Crash { pid, at } => cluster.schedule_crash(pid, t0 + at),
                 ScenarioEvent::Restart { pid, at } => cluster.schedule_restart(pid, t0 + at),
-                ScenarioEvent::Partition {
-                    ref groups,
+                ScenarioEvent::Link {
+                    ref fault,
                     from,
                     until,
-                } => window(
-                    cluster,
-                    from,
-                    until,
-                    LinkFault::Partition(groups.clone()),
-                    LinkFault::Heal,
-                ),
-                ScenarioEvent::Lossy {
-                    link,
-                    p,
-                    from,
-                    until,
-                } => window(
-                    cluster,
-                    from,
-                    until,
-                    LinkFault::Loss { link, p },
-                    LinkFault::Loss { link, p: 0.0 },
-                ),
-                ScenarioEvent::Duplicate {
-                    link,
-                    p,
-                    from,
-                    until,
-                } => window(
-                    cluster,
-                    from,
-                    until,
-                    LinkFault::Duplicate { link, p },
-                    LinkFault::Duplicate { link, p: 0.0 },
-                ),
-                ScenarioEvent::DelaySpike {
-                    link,
-                    factor_milli,
-                    from,
-                    until,
-                } => window(
-                    cluster,
-                    from,
-                    until,
-                    LinkFault::DelaySpike { link, factor_milli },
-                    LinkFault::DelaySpike {
-                        link,
-                        factor_milli: 1000,
-                    },
-                ),
-                ScenarioEvent::DegradeLink {
-                    link,
-                    rate_milli,
-                    from,
-                    until,
-                } => window(
-                    cluster,
-                    from,
-                    until,
-                    LinkFault::Degrade { link, rate_milli },
-                    LinkFault::Degrade {
-                        link,
-                        rate_milli: 1000,
-                    },
-                ),
+                } => {
+                    // A window opens by writing its fault and closes, if
+                    // it closes, by writing the fault-free value back.
+                    cluster.schedule_fault(t0 + from, fault.clone());
+                    if let Some(until) = until {
+                        cluster.schedule_fault(t0 + until, fault.cleared());
+                    }
+                }
                 ScenarioEvent::SlowNode {
                     pid,
                     factor_milli,
@@ -821,20 +698,27 @@ impl Scenario {
     /// [`Restart`]: ScenarioEvent::Restart
     /// [`AddNode`]: ScenarioEvent::AddNode
     pub fn crashed(&self) -> Vec<ProcessId> {
-        let mut last_crash: std::collections::BTreeMap<ProcessId, VDur> = Default::default();
-        let mut last_restart: std::collections::BTreeMap<ProcessId, VDur> = Default::default();
+        self.last_crashes()
+            .into_iter()
+            .map(|(pid, _)| pid)
+            .collect()
+    }
+
+    /// [`crashed`](Self::crashed), each with the instant of its final
+    /// crash, in pid order.
+    fn last_crashes(&self) -> Vec<(ProcessId, VDur)> {
+        let mut last_crash: BTreeMap<ProcessId, VDur> = Default::default();
+        let mut last_restart: BTreeMap<ProcessId, VDur> = Default::default();
         for ev in &self.events {
-            match ev {
-                ScenarioEvent::Crash { pid, at } => {
-                    let e = last_crash.entry(*pid).or_insert(*at);
-                    *e = (*e).max(*at);
-                }
+            let (last, pid, at) = match ev {
+                ScenarioEvent::Crash { pid, at } => (&mut last_crash, pid, at),
                 ScenarioEvent::Restart { pid, at } | ScenarioEvent::AddNode { pid, at } => {
-                    let e = last_restart.entry(*pid).or_insert(*at);
-                    *e = (*e).max(*at);
+                    (&mut last_restart, pid, at)
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            let e = last.entry(*pid).or_insert(*at);
+            *e = (*e).max(*at);
         }
         last_crash
             .into_iter()
@@ -842,23 +726,16 @@ impl Scenario {
                 Some(up) => up <= down, // revival must strictly follow the crash
                 None => true,
             })
-            .map(|(pid, _)| pid)
             .collect()
     }
 
     /// Processes that crash and come back at least once.
     pub fn restarted(&self) -> Vec<ProcessId> {
-        let mut out: Vec<ProcessId> = self
-            .events
-            .iter()
-            .filter_map(|ev| match ev {
-                ScenarioEvent::Restart { pid, .. } => Some(*pid),
-                _ => None,
-            })
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+        let revived = self.events.iter().filter_map(|ev| match ev {
+            ScenarioEvent::Restart { pid, .. } => Some(*pid),
+            _ => None,
+        });
+        revived.collect::<BTreeSet<_>>().into_iter().collect()
     }
 
     /// True when the *permanent* crashes stay within the minority the
@@ -880,15 +757,10 @@ impl Scenario {
     /// [`AddNode`]: ScenarioEvent::AddNode
     /// [`RemoveNode`]: ScenarioEvent::RemoveNode
     pub fn quorum_safe(&self, n: usize) -> bool {
-        let has_reconfig = self.events.iter().any(|ev| {
-            matches!(
-                ev,
-                ScenarioEvent::AddNode { .. } | ScenarioEvent::RemoveNode { .. }
-            )
-        });
-        let crashed = self.crashed();
-        if !has_reconfig {
-            return crashed.len() <= (n - 1) / 2;
+        let reconfigs = self.reconfigs();
+        let crashes = self.last_crashes();
+        if reconfigs.is_empty() {
+            return crashes.len() <= (n - 1) / 2;
         }
         // Timeline points: membership changes plus the *final* crash of
         // each permanently-crashed process. Stable-sorted by instant
@@ -896,42 +768,24 @@ impl Scenario {
         // down-members count against the then-current minority.
         enum Point {
             Down(ProcessId),
-            Add(ProcessId),
-            Remove(ProcessId),
+            Change(ConfigChange),
         }
-        let mut points: Vec<(VDur, Point)> = Vec::new();
-        for pid in &crashed {
-            let last = self
-                .events
-                .iter()
-                .filter_map(|ev| match ev {
-                    ScenarioEvent::Crash { pid: p, at } if p == pid => Some(*at),
-                    _ => None,
-                })
-                .max()
-                .expect("crashed() implies a crash event");
-            points.push((last, Point::Down(*pid)));
-        }
-        for ev in &self.events {
-            match ev {
-                ScenarioEvent::AddNode { pid, at } => points.push((*at, Point::Add(*pid))),
-                ScenarioEvent::RemoveNode { pid, at } => points.push((*at, Point::Remove(*pid))),
-                _ => {}
-            }
-        }
+        let down_at = crashes.into_iter().map(|(pid, at)| (at, Point::Down(pid)));
+        let mut points: Vec<(VDur, Point)> = down_at.collect();
+        points.extend(reconfigs.into_iter().map(|(at, c)| (at, Point::Change(c))));
         points.sort_by_key(|(at, _)| *at);
         let mut members: Vec<ProcessId> = ProcessId::all(n).collect();
         let mut down: Vec<ProcessId> = Vec::new();
         for (_, point) in points {
             match point {
                 Point::Down(pid) => down.push(pid),
-                Point::Add(pid) => {
+                Point::Change(ConfigChange::Add(pid)) => {
                     if !members.contains(&pid) {
                         members.push(pid);
                     }
                     down.retain(|p| *p != pid); // AddNode boots the standby
                 }
-                Point::Remove(pid) => {
+                Point::Change(ConfigChange::Remove(pid)) => {
                     if members.len() > 1 {
                         members.retain(|p| *p != pid);
                     }
@@ -952,15 +806,11 @@ impl Scenario {
     ///
     /// [`AddNode`]: ScenarioEvent::AddNode
     pub fn capacity(&self, n: usize) -> usize {
-        self.events
-            .iter()
-            .filter_map(|ev| match ev {
-                ScenarioEvent::AddNode { pid, .. } | ScenarioEvent::RemoveNode { pid, .. } => {
-                    Some(pid.index() + 1)
-                }
-                _ => None,
-            })
-            .fold(n, usize::max)
+        let slots = self
+            .reconfigs()
+            .into_iter()
+            .map(|(_, c)| c.pid().index() + 1);
+        slots.fold(n, usize::max)
     }
 
     /// The reconfigurations this scenario submits, as
@@ -992,12 +842,9 @@ impl Scenario {
     /// asserted on top of safety.
     pub fn heals(&self) -> bool {
         self.events.iter().all(|ev| match ev {
-            ScenarioEvent::Partition { until, .. }
-            | ScenarioEvent::Lossy { until, .. }
-            | ScenarioEvent::Duplicate { until, .. }
-            | ScenarioEvent::DelaySpike { until, .. }
-            | ScenarioEvent::DegradeLink { until, .. }
-            | ScenarioEvent::SlowNode { until, .. } => until.is_some(),
+            ScenarioEvent::Link { until, .. } | ScenarioEvent::SlowNode { until, .. } => {
+                until.is_some()
+            }
             ScenarioEvent::Crash { .. }
             | ScenarioEvent::Restart { .. }
             | ScenarioEvent::FalseSuspicion { .. }
@@ -1016,11 +863,7 @@ impl Scenario {
                 | ScenarioEvent::Restart { at, .. }
                 | ScenarioEvent::AddNode { at, .. }
                 | ScenarioEvent::RemoveNode { at, .. } => *at,
-                ScenarioEvent::Partition { from, until, .. }
-                | ScenarioEvent::Lossy { from, until, .. }
-                | ScenarioEvent::Duplicate { from, until, .. }
-                | ScenarioEvent::DelaySpike { from, until, .. }
-                | ScenarioEvent::DegradeLink { from, until, .. }
+                ScenarioEvent::Link { from, until, .. }
                 | ScenarioEvent::SlowNode { from, until, .. } => until.unwrap_or(*from),
                 ScenarioEvent::FalseSuspicion { until, .. } => *until,
             })
@@ -1108,15 +951,8 @@ impl Scenario {
 
         // One partition window: random proper split into two groups.
         if n >= 3 && rng.unit_f64() < profile.partition_prob {
-            let mut left = Vec::new();
-            let mut right = Vec::new();
-            for p in ProcessId::all(n) {
-                if rng.below(2) == 0 {
-                    left.push(p);
-                } else {
-                    right.push(p);
-                }
-            }
+            let (mut left, mut right): (Vec<_>, Vec<_>) =
+                ProcessId::all(n).partition(|_| rng.below(2) == 0);
             if left.is_empty() {
                 left.push(right.pop().expect("n >= 3"));
             } else if right.is_empty() {
@@ -1666,7 +1502,10 @@ mod tests {
             let s = Scenario::random(4, seed, &ChaosProfile::resource_only());
             for ev in s.events() {
                 match ev {
-                    ScenarioEvent::DegradeLink { rate_milli, .. } => {
+                    ScenarioEvent::Link {
+                        fault: LinkFault::Degrade { rate_milli, .. },
+                        ..
+                    } => {
                         assert!((1..=1000).contains(rate_milli));
                         any_degrade = true;
                     }
@@ -1686,10 +1525,28 @@ mod tests {
         assert!(any_slow, "profile never slowed a node");
     }
 
+    /// Every builder and [`Scenario::event`] refuse an out-of-range
+    /// parameter through `LinkFault::check`, and `event` refuses a
+    /// closer as a window; the last row panics for the harness.
     #[test]
     #[should_panic(expected = "out of range")]
     fn degrade_rate_zero_rejected() {
-        let _ = Scenario::new().degrade_link(LinkSelector::All, 0, VDur::ZERO, VDur::millis(1));
+        let (link, from, to, until) = (LinkSelector::All, VDur::ZERO, VDur::millis(1), None);
+        let refused = |wording: &str, build: &dyn Fn() -> Scenario| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
+            let err = err.expect_err("accepted");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(wording), "{msg}");
+        };
+        let (new, range) = (Scenario::new, "out of range");
+        let window = |fault| new().event(ScenarioEvent::Link { fault, from, until });
+        refused(range, &|| new().lossy(link, 1.5, from, to));
+        refused(range, &|| new().duplicate(link, 2.0, from, to));
+        refused(range, &|| new().degrade_link(link, 1001, from, to));
+        refused(range, &|| window(LinkFault::Loss { link, p: -0.5 }));
+        refused("cannot open", &|| window(LinkFault::Heal));
+        refused("cannot open", &|| window(LinkFault::Reset));
+        let _ = Scenario::new().degrade_link(link, 0, from, to);
     }
 
     #[test]

@@ -339,9 +339,9 @@ impl FailureDetector for HeartbeatFd {
 
 /// A detector that never suspects anyone and sends no heartbeats.
 ///
-/// Useful for good-run micro-benchmarks where even the (tiny) heartbeat
-/// traffic should be excluded; the full figure harnesses use
-/// [`HeartbeatFd`] as the paper's stacks did.
+/// It serves as the silent inner detector of `OverlayFd`'s tests, where
+/// only the scripted windows may suspect. Every stack and harness uses
+/// [`HeartbeatFd`], as the paper's stacks did.
 #[derive(Debug, Clone, Default)]
 pub struct QuiescentFd;
 

@@ -7,7 +7,8 @@
 //!
 //! * [`HeartbeatFd`] — the production detector: silence-timing,
 //!   eventually-perfect (◇P-style) with adaptive timeouts.
-//! * [`QuiescentFd`] — never suspects; zero traffic (micro-benchmarks).
+//! * [`QuiescentFd`] — never suspects; zero traffic (the inner detector
+//!   of [`OverlayFd`]'s tests).
 //! * [`ScriptedFd`] — replays a pre-programmed suspicion schedule
 //!   (fault injection for the correctness test-suite).
 //! * [`OverlayFd`] — forces scripted false-suspicion windows *on top of*

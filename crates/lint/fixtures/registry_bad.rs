@@ -1,13 +1,30 @@
 // Fixture: registry gaps — a scenario event that `apply` never
 // schedules and `family` lumps into a wildcard (so the coverage matrix
-// never gets its row), plus a violation that `kind` conflates and the
-// `Display` impl renders through a wildcard. All exactly the rot the
-// registry rules exist to catch.
+// never gets its row), a link fault that `cleared` and `family` both
+// leave to a wildcard (a window with no closer and no row), plus a
+// violation that `kind` conflates and the `Display` impl renders
+// through a wildcard. All exactly the rot the registry rules exist to
+// catch.
 
 pub enum ScenarioEvent {
     Crash { pid: u64 },
     Restart { pid: u64 },
     Quake { magnitude: f64 },
+    Link { fault: LinkFault },
+}
+
+pub enum LinkFault {
+    Cut,
+    Storm { p: f64 },
+}
+
+impl LinkFault {
+    pub fn cleared(&self) -> LinkFault {
+        match self {
+            LinkFault::Cut => LinkFault::Cut,
+            _ => LinkFault::Cut,
+        }
+    }
 }
 
 impl Scenario {
@@ -15,6 +32,7 @@ impl Scenario {
         match self.event {
             ScenarioEvent::Crash { pid } => net.crash(pid),
             ScenarioEvent::Restart { pid } => net.restart(pid),
+            ScenarioEvent::Link { fault } => net.fault(fault),
             _ => {}
         }
     }
@@ -22,7 +40,10 @@ impl Scenario {
     pub fn heals(&self) -> bool {
         matches!(
             self.event,
-            ScenarioEvent::Restart { .. } | ScenarioEvent::Quake { .. } | ScenarioEvent::Crash { .. }
+            ScenarioEvent::Restart { .. }
+                | ScenarioEvent::Quake { .. }
+                | ScenarioEvent::Crash { .. }
+                | ScenarioEvent::Link { .. }
         )
     }
 
@@ -31,6 +52,7 @@ impl Scenario {
             ScenarioEvent::Crash { .. } => 0,
             ScenarioEvent::Restart { .. } => 1,
             ScenarioEvent::Quake { .. } => 2,
+            ScenarioEvent::Link { .. } => 3,
         }
     }
 
@@ -38,6 +60,7 @@ impl Scenario {
         match self.event {
             ScenarioEvent::Crash { .. } => "crash",
             ScenarioEvent::Restart { .. } => "restart",
+            ScenarioEvent::Link { fault: LinkFault::Cut } => "cut",
             _ => "other",
         }
     }

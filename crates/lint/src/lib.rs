@@ -15,7 +15,7 @@
 //!   whose order could leak into behavior;
 //! * **layering** — the workspace dependency graph must point strictly
 //!   down the documented layer order;
-//! * **registry** — the scenario-event and violation registries must
+//! * **registry** — the scenario-event, link-fault and violation registries must
 //!   stay wired end to end (no variant falls through a wildcard).
 //!
 //! Everything is hand-rolled and dependency-free in the spirit of

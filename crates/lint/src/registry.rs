@@ -8,7 +8,10 @@
 //!   `heals()`/`horizon()`, silently produces runs whose fault windows
 //!   never close (or whose drain horizon is wrong). Wildcard match arms
 //!   would compile fine; this rule demands every variant be *named* in
-//!   all three functions.
+//!   all three functions. Network faults are one `ScenarioEvent::Link`
+//!   variant carrying a [`LinkFault`], so the rule also demands every
+//!   `LinkFault` variant be named in `LinkFault::cleared` (the window's
+//!   closer) and in `ScenarioEvent::family` (its coverage row).
 //! * **Violations** — a [`Violation`] variant that `process()`,
 //!   `kind()` or `Display` does not name would dodge the trace-dump and
 //!   minimization paths: the oracle would report it, but the bounded
@@ -17,6 +20,7 @@
 //!   the report could render nothing useful.
 //!
 //! [`ScenarioEvent`]: ../../chaos/src/scenario.rs
+//! [`LinkFault`]: ../../net/src/fault.rs
 //! [`Violation`]: ../../chaos/src/oracle.rs
 
 use std::path::Path;
@@ -24,7 +28,7 @@ use std::path::Path;
 use crate::report::{Finding, Report};
 use crate::source::SourceFile;
 
-/// Rule id: `ScenarioEvent` wiring.
+/// Rule id: `ScenarioEvent` and `LinkFault` wiring.
 pub const RULE_SCENARIO: &str = "scenario-registry";
 /// Rule id: `Violation` wiring.
 pub const RULE_VIOLATION: &str = "violation-registry";
@@ -140,74 +144,109 @@ fn capture_block(src: &SourceFile, start: usize) -> String {
     out
 }
 
-/// `ScenarioEvent` wiring (see the [module docs](self)).
-pub fn check_scenario_events(src: &SourceFile, rel: &str, report: &mut Report) {
-    let Some((variants, enum_line)) = enum_variants(src, "ScenarioEvent") else {
+/// One place an enum's variants must all be named: the file, what is
+/// searched (`fn apply`, `Display for Violation`, ...), its body and
+/// 1-based line if found, and why a variant must be named there.
+type Sink<'a> = (&'a str, &'a str, Option<(String, usize)>, &'a str);
+
+/// Pushes a `rule` finding for every variant of `enum <name>` in `src`
+/// that a sink does not name as `<name>::<Variant>`.
+fn check_registry(
+    rule: &'static str,
+    (src, rel): (&SourceFile, &str),
+    name: &str,
+    sinks: Vec<Sink<'_>>,
+    report: &mut Report,
+) {
+    let mut finding = |file: &str, line: usize, message: String| {
         report.findings.push(Finding {
-            rule: RULE_SCENARIO,
-            file: rel.to_string(),
-            line: 0,
-            message: "enum ScenarioEvent not found (did the scenario registry move?)".to_string(),
-        });
+            rule,
+            file: file.to_string(),
+            line,
+            message,
+        })
+    };
+    let Some((variants, enum_line)) = enum_variants(src, name) else {
+        finding(rel, 0, format!("enum {name} not found (did it move?)"));
         return;
     };
     if variants.is_empty() {
-        report.findings.push(Finding {
-            rule: RULE_SCENARIO,
-            file: rel.to_string(),
-            line: enum_line,
-            message: "enum ScenarioEvent parsed with zero variants".to_string(),
-        });
+        finding(
+            rel,
+            enum_line,
+            format!("enum {name} parsed with zero variants"),
+        );
         return;
     }
-    for fn_needle in SCENARIO_FNS {
-        let Some((body, fn_line)) = fn_body(src, fn_needle) else {
-            report.findings.push(Finding {
-                rule: RULE_SCENARIO,
-                file: rel.to_string(),
-                line: 0,
-                message: format!("`{fn_needle}` not found next to enum ScenarioEvent"),
-            });
+    for (file, what, body, why) in sinks {
+        let Some((body, line)) = body else {
+            finding(file, 0, format!("`{what}` not found for enum {name}"));
             continue;
         };
         for v in &variants {
-            if !body.contains(&format!("ScenarioEvent::{v}")) {
-                report.findings.push(Finding {
-                    rule: RULE_SCENARIO,
-                    file: rel.to_string(),
-                    line: fn_line,
-                    message: format!(
-                        "ScenarioEvent::{v} is not named in `{fn_needle}`: every variant must be \
-                         explicitly scheduled (apply) and accounted (heals/horizon) — wildcard \
-                         arms hide dropped fault events"
-                    ),
-                });
+            if !body.contains(&format!("{name}::{v}")) {
+                let message = format!("{name}::{v} is not named in `{what}`: {why}");
+                finding(file, line, message);
             }
         }
     }
+}
+
+/// `ScenarioEvent` wiring (see the [module docs](self)).
+pub fn check_scenario_events(src: &SourceFile, rel: &str, report: &mut Report) {
+    let why = "every variant must be explicitly scheduled (apply) and accounted \
+               (heals/horizon) — wildcard arms hide dropped fault events";
+    let sinks = SCENARIO_FNS
+        .iter()
+        .map(|f| (rel, *f, fn_body(src, f), why))
+        .collect();
+    check_registry(RULE_SCENARIO, (src, rel), "ScenarioEvent", sinks, report);
+}
+
+/// `LinkFault` wiring: every variant of the enum in `fault` named in its
+/// `fn cleared` and in `fn family` of `scenario`, so a new link fault
+/// gets a closer and a coverage row instead of a wildcard arm.
+pub fn check_link_faults(
+    (fault, fault_rel): (&SourceFile, &str),
+    (scenario, scenario_rel): (&SourceFile, &str),
+    report: &mut Report,
+) {
+    let sinks = vec![
+        (
+            fault_rel,
+            "fn cleared",
+            fn_body(fault, "fn cleared"),
+            "a window this fault opens needs a closer, or it never heals",
+        ),
+        (
+            scenario_rel,
+            "fn family",
+            fn_body(scenario, "fn family"),
+            "a window of this fault needs its own coverage-matrix row",
+        ),
+    ];
+    check_registry(
+        RULE_SCENARIO,
+        (fault, fault_rel),
+        "LinkFault",
+        sinks,
+        report,
+    );
 }
 
 /// `Violation` wiring: every variant named in `fn process` (the trace
 /// dump anchor), `fn kind` (the minimizer's violation identity) and the
 /// `Display` impl (the human diagnostic).
 pub fn check_violations(src: &SourceFile, rel: &str, report: &mut Report) {
-    let Some((variants, _)) = enum_variants(src, "Violation") else {
-        report.findings.push(Finding {
-            rule: RULE_VIOLATION,
-            file: rel.to_string(),
-            line: 0,
-            message: "enum Violation not found (did the oracle move?)".to_string(),
-        });
-        return;
-    };
-    type Sink<'a> = (&'a str, Option<(String, usize)>, &'a str);
-    let sinks: [Sink<'_>; 3] = [
+    let sinks = vec![
         (
+            rel,
             "fn process",
             fn_body(src, "fn process"),
             "the violation trace dump anchors its bounded window on `Violation::process`",
         ),
         (
+            rel,
             "fn kind",
             fn_body(src, "fn kind"),
             "the counterexample minimizer matches candidate runs by `Violation::kind` — a \
@@ -215,40 +254,28 @@ pub fn check_violations(src: &SourceFile, rel: &str, report: &mut Report) {
              for a different one mid-shrink",
         ),
         (
+            rel,
             "Display for Violation",
             impl_body(src, "Display for Violation"),
             "oracle reports render violations through `Display`",
         ),
     ];
-    for (what, body, why) in sinks {
-        let Some((body, line)) = body else {
-            report.findings.push(Finding {
-                rule: RULE_VIOLATION,
-                file: rel.to_string(),
-                line: 0,
-                message: format!("`{what}` not found for enum Violation"),
-            });
-            continue;
-        };
-        for v in &variants {
-            if !body.contains(&format!("Violation::{v}")) {
-                report.findings.push(Finding {
-                    rule: RULE_VIOLATION,
-                    file: rel.to_string(),
-                    line,
-                    message: format!("Violation::{v} is not named in `{what}`: {why}"),
-                });
-            }
-        }
-    }
+    check_registry(RULE_VIOLATION, (src, rel), "Violation", sinks, report);
 }
 
 /// Runs all registry rules over the workspace rooted at `root`.
 pub fn check(root: &Path, report: &mut Report) -> std::io::Result<()> {
-    // Scenario events + violations live in the chaos crate.
+    // Scenario events + violations live in the chaos crate, link faults
+    // in the net crate.
     let scenario_path = root.join("crates/chaos/src/scenario.rs");
     let scenario = SourceFile::load(&scenario_path)?;
-    check_scenario_events(&scenario, &crate::rel_label(root, &scenario_path), report);
+    let scenario_rel = crate::rel_label(root, &scenario_path);
+    check_scenario_events(&scenario, &scenario_rel, report);
+
+    let fault_path = root.join("crates/net/src/fault.rs");
+    let fault = SourceFile::load(&fault_path)?;
+    let fault_rel = crate::rel_label(root, &fault_path);
+    check_link_faults((&fault, &fault_rel), (&scenario, &scenario_rel), report);
 
     let oracle_path = root.join("crates/chaos/src/oracle.rs");
     let oracle = SourceFile::load(&oracle_path)?;
@@ -319,6 +346,8 @@ mod tests {
         }
         let mut r = Report::default();
         check_scenario_events(&scenario, "scenario.rs", &mut r);
+        let fault = SourceFile::load(&root.join("crates/net/src/fault.rs")).unwrap();
+        check_link_faults((&fault, "fault.rs"), (&scenario, "scenario.rs"), &mut r);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
 
         let oracle = SourceFile::load(&root.join("crates/chaos/src/oracle.rs")).unwrap();

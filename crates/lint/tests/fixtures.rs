@@ -9,7 +9,7 @@ use fortika_lint::determinism::{
     self, RULE_AMBIENT_RNG, RULE_THREAD, RULE_UNORDERED_ITER, RULE_WAIVER, RULE_WALL_CLOCK,
 };
 use fortika_lint::layering::{check_graph, parse_manifest};
-use fortika_lint::registry::{check_scenario_events, check_violations};
+use fortika_lint::registry::{check_link_faults, check_scenario_events, check_violations};
 use fortika_lint::report::Report;
 use fortika_lint::source::SourceFile;
 
@@ -114,16 +114,24 @@ fn registry_gaps_fire_and_wired_registries_pass() {
     let bad = SourceFile::load(&fixture("registry_bad.rs")).unwrap();
     let mut r = Report::default();
     check_scenario_events(&bad, "registry_bad.rs", &mut r);
+    let bad_file = (&bad, "registry_bad.rs");
+    check_link_faults(bad_file, bad_file, &mut r);
     check_violations(&bad, "registry_bad.rs", &mut r);
     r.sort();
     let msgs: Vec<&str> = r.findings.iter().map(|f| f.message.as_str()).collect();
-    assert_eq!(msgs.len(), 4, "{msgs:?}");
+    assert_eq!(msgs.len(), 6, "{msgs:?}");
     assert!(msgs
         .iter()
         .any(|m| m.contains("ScenarioEvent::Quake") && m.contains("fn apply")));
     assert!(msgs
         .iter()
         .any(|m| m.contains("ScenarioEvent::Quake") && m.contains("fn family")));
+    assert!(msgs
+        .iter()
+        .any(|m| m.contains("LinkFault::Storm") && m.contains("fn cleared")));
+    assert!(msgs
+        .iter()
+        .any(|m| m.contains("LinkFault::Storm") && m.contains("fn family")));
     assert!(msgs
         .iter()
         .any(|m| m.contains("Violation::Stall") && m.contains("fn kind")));

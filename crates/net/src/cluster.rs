@@ -836,109 +836,40 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics immediately (not at fire time) if the fault carries an
-    /// out-of-range probability or names a process outside the group,
-    /// so a bad scenario fails at the call site instead of
-    /// mid-simulation.
+    /// Panics immediately (not at fire time) if the fault fails
+    /// [`LinkFault::check`] or names a process outside the group, so a
+    /// bad scenario fails at the call site instead of mid-simulation.
+    #[track_caller]
     pub fn schedule_fault(&mut self, at: VTime, fault: LinkFault) {
-        match &fault {
-            LinkFault::Loss { p, .. } | LinkFault::Duplicate { p, .. } => {
-                assert!(
-                    (0.0..=1.0).contains(p),
-                    "fault probability {p} out of range for fault scheduled at {at}"
-                );
-            }
-            LinkFault::Partition(groups) => {
-                for p in groups.iter().flatten() {
-                    assert!(
-                        p.index() < self.cfg.n,
-                        "partition scheduled at {at} names {p}, but the cluster has only {} processes",
-                        self.cfg.n
-                    );
-                }
-            }
-            LinkFault::Degrade { rate_milli, .. } => {
-                assert!(
-                    (1..=1000).contains(rate_milli),
-                    "degraded rate {rate_milli}‰ out of range for fault scheduled at {at} \
-                     (1 = 0.1 % of nominal, 1000 = full rate)"
-                );
-            }
-            _ => {}
-        }
+        self.check_fault(&fault);
         self.queue.schedule(at, Ev::Fault(fault));
     }
 
     /// Applies a link fault immediately (messages already in flight
     /// still arrive; the fault acts at transmission time).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault fails [`LinkFault::check`] or names a process
+    /// outside the group.
+    #[track_caller]
     pub fn apply_fault(&mut self, fault: &LinkFault) {
-        let n = self.cfg.n;
-        match fault {
-            LinkFault::Partition(groups) => {
-                // Group id per process; unlisted processes are isolated
-                // singletons (usize::MAX - index keeps ids distinct).
-                let mut gid = vec![usize::MAX; n];
-                for (g, members) in groups.iter().enumerate() {
-                    for p in members {
-                        assert!(
-                            p.index() < n,
-                            "partition names {p}, but the cluster has only {n} processes"
-                        );
-                        gid[p.index()] = g;
-                    }
-                }
-                for (i, g) in gid.iter_mut().enumerate() {
-                    if *g == usize::MAX {
-                        *g = groups.len() + i;
-                    }
-                }
-                for s in 0..n {
-                    for d in 0..n {
-                        self.links[s * n + d].blocked = gid[s] != gid[d];
-                    }
-                }
-            }
-            LinkFault::Heal => {
-                for st in &mut self.links {
-                    st.blocked = false;
-                }
-            }
-            LinkFault::Loss { link, p } => {
-                assert!((0.0..=1.0).contains(p), "loss probability {p} out of range");
-                self.for_links(*link, |st| st.drop_p = *p);
-            }
-            LinkFault::Duplicate { link, p } => {
-                assert!(
-                    (0.0..=1.0).contains(p),
-                    "duplication probability {p} out of range"
-                );
-                self.for_links(*link, |st| st.dup_p = *p);
-            }
-            LinkFault::DelaySpike { link, factor_milli } => {
-                self.for_links(*link, |st| st.delay_milli = (*factor_milli).max(1));
-            }
-            LinkFault::Degrade { link, rate_milli } => {
-                assert!(
-                    (1..=1000).contains(rate_milli),
-                    "degraded rate {rate_milli}‰ out of range (1..=1000)"
-                );
-                self.for_links(*link, |st| st.rate_milli = *rate_milli);
-            }
-            LinkFault::Reset => {
-                for st in &mut self.links {
-                    *st = LinkState::default();
-                }
-            }
-        }
+        self.check_fault(fault);
+        fault.apply(&mut self.links, self.cfg.n);
     }
 
-    fn for_links(&mut self, sel: crate::fault::LinkSelector, f: impl Fn(&mut LinkState)) {
+    /// Panics unless `fault` passes [`LinkFault::check`] and names only
+    /// processes of the group.
+    #[track_caller]
+    fn check_fault(&self, fault: &LinkFault) {
+        fault.check();
         let n = self.cfg.n;
-        for s in 0..n {
-            for d in 0..n {
-                if s != d && sel.matches(ProcessId(s as u16), ProcessId(d as u16)) {
-                    f(&mut self.links[s * n + d]);
-                }
+        if let LinkFault::Partition(groups) = fault {
+            for p in groups.iter().flatten() {
+                assert!(
+                    p.index() < n,
+                    "partition names {p}, but the cluster has only {n} processes"
+                );
             }
         }
     }
@@ -1396,32 +1327,6 @@ impl ClusterApi<'_> {
         self.cluster.schedule_tick(at, id);
     }
 
-    /// Applies a link fault immediately (see [`Cluster::apply_fault`]).
-    pub fn apply_fault(&mut self, fault: &LinkFault) {
-        self.cluster.apply_fault(fault);
-    }
-
-    /// Schedules a link fault (see [`Cluster::schedule_fault`]).
-    pub fn schedule_fault(&mut self, at: VTime, fault: LinkFault) {
-        self.cluster.schedule_fault(at, fault);
-    }
-
-    /// Applies a CPU slowdown to `pid` immediately (see
-    /// [`Cluster::apply_slowdown`]).
-    pub fn apply_slowdown(&mut self, pid: ProcessId, factor_milli: u64) {
-        self.cluster.apply_slowdown(pid, factor_milli);
-    }
-
-    /// Schedules a CPU slowdown (see [`Cluster::schedule_slowdown`]).
-    pub fn schedule_slowdown(&mut self, at: VTime, pid: ProcessId, factor_milli: u64) {
-        self.cluster.schedule_slowdown(at, pid, factor_milli);
-    }
-
-    /// True if the directed link `src → dst` is cut by a partition.
-    pub fn link_blocked(&self, src: ProcessId, dst: ProcessId) -> bool {
-        self.cluster.link_blocked(src, dst)
-    }
-
     /// Crashes `pid` immediately.
     pub fn crash(&mut self, pid: ProcessId) {
         let now = self.cluster.now();
@@ -1431,22 +1336,6 @@ impl ClusterApi<'_> {
             proc.crash_time = Some(now);
             self.cluster.counters.bump(cluster::CRASHES, 1);
         }
-    }
-
-    /// Cluster-wide counters.
-    pub fn counters(&self) -> &Counters {
-        self.cluster.counters()
-    }
-
-    /// CPU busy time of `pid` so far.
-    pub fn cpu_busy(&self, pid: ProcessId) -> VDur {
-        self.cluster.cpu_busy(pid)
-    }
-
-    /// Durability CPU time of `pid` so far (see
-    /// [`Cluster::durability_busy`]).
-    pub fn durability_busy(&self, pid: ProcessId) -> VDur {
-        self.cluster.durability_busy(pid)
     }
 
     /// True if `pid` has not crashed.

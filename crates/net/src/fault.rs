@@ -9,7 +9,10 @@
 //! per-link state (partition membership, seeded drop probability,
 //! duplication, delay inflation, bandwidth degradation) that the
 //! [`Cluster`](crate::Cluster) consults at transmission time, plus
-//! scheduled [`LinkFault`] actions that flip that state mid-run.
+//! scheduled [`LinkFault`] actions that flip that state mid-run. Each
+//! fault that opens a window has one closer, [`LinkFault::cleared`],
+//! which writes the fault-free value back, and one range check,
+//! [`LinkFault::check`], which every entry point calls.
 //!
 //! Faults compose: a link can simultaneously sit across a partition,
 //! drop 10 % of what remains and triple its latency. Fault randomness
@@ -119,6 +122,85 @@ pub enum LinkFault {
     Reset,
 }
 
+impl LinkFault {
+    /// The fault that closes a window this fault opened: the same links
+    /// back at their fault-free value (no loss, no duplication, ×1
+    /// delay, full rate), or, for a partition, [`Heal`](LinkFault::Heal).
+    /// `Heal` and `Reset` are closers already and return themselves.
+    pub fn cleared(&self) -> LinkFault {
+        let LinkState {
+            drop_p: p,
+            dup_p,
+            delay_milli: factor_milli,
+            rate_milli,
+            ..
+        } = LinkState::default();
+        match *self {
+            LinkFault::Partition(_) | LinkFault::Heal => LinkFault::Heal,
+            LinkFault::Loss { link, .. } => LinkFault::Loss { link, p },
+            LinkFault::Duplicate { link, .. } => LinkFault::Duplicate { link, p: dup_p },
+            LinkFault::DelaySpike { link, .. } => LinkFault::DelaySpike { link, factor_milli },
+            LinkFault::Degrade { link, .. } => LinkFault::Degrade { link, rate_milli },
+            LinkFault::Reset => LinkFault::Reset,
+        }
+    }
+
+    /// Checks the fault's parameters: a probability in `[0, 1]`, a
+    /// degraded rate in `1..=1000`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "out of range" when a parameter is not.
+    #[track_caller]
+    pub fn check(&self) {
+        let in_range = match *self {
+            LinkFault::Loss { p, .. } | LinkFault::Duplicate { p, .. } => (0.0..=1.0).contains(&p),
+            LinkFault::Degrade { rate_milli, .. } => (1..=1000).contains(&rate_milli),
+            _ => true,
+        };
+        assert!(in_range, "{self:?}: parameter out of range");
+    }
+
+    /// Writes the fault into `links`, the `n × n` directed-link states
+    /// indexed `src * n + dst`.
+    pub(crate) fn apply(&self, links: &mut [LinkState], n: usize) {
+        let mut for_links = |sel: LinkSelector, f: &dyn Fn(&mut LinkState)| {
+            for s in 0..n {
+                for d in 0..n {
+                    if s != d && sel.matches(ProcessId(s as u16), ProcessId(d as u16)) {
+                        f(&mut links[s * n + d]);
+                    }
+                }
+            }
+        };
+        match *self {
+            LinkFault::Partition(ref groups) => {
+                // The last group listing a process holds it; unlisted
+                // processes are isolated singletons.
+                let group = |i: usize| {
+                    let listed = groups
+                        .iter()
+                        .rposition(|g| g.contains(&ProcessId(i as u16)));
+                    listed.unwrap_or(groups.len() + i)
+                };
+                for (i, st) in links.iter_mut().enumerate() {
+                    st.blocked = group(i / n) != group(i % n);
+                }
+            }
+            LinkFault::Heal => links.iter_mut().for_each(|st| st.blocked = false),
+            LinkFault::Loss { link, p } => for_links(link, &|st| st.drop_p = p),
+            LinkFault::Duplicate { link, p } => for_links(link, &|st| st.dup_p = p),
+            LinkFault::DelaySpike { link, factor_milli } => {
+                for_links(link, &|st| st.delay_milli = factor_milli.max(1))
+            }
+            LinkFault::Degrade { link, rate_milli } => {
+                for_links(link, &|st| st.rate_milli = rate_milli)
+            }
+            LinkFault::Reset => links.fill(LinkState::default()),
+        }
+    }
+}
+
 /// Per-directed-link fault state, consulted at transmission time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct LinkState {
@@ -164,6 +246,35 @@ mod tests {
         assert!(!LinkSelector::From(a).matches(c, a));
         assert!(LinkSelector::To(c).matches(b, c));
         assert!(!LinkSelector::To(c).matches(c, b));
+    }
+
+    /// Every fault that opens a window, closed by its `cleared()`,
+    /// leaves every link exactly as fault-free as it started.
+    #[test]
+    fn cleared_restores_fault_free_links() {
+        let (n, a, b) = (4, ProcessId(1), ProcessId(3));
+        let (p, factor_milli, rate_milli) = (0.3, 5000, 100);
+        let mut openers = vec![
+            LinkFault::Partition(vec![vec![a, b], vec![ProcessId(0)]]),
+            LinkFault::Partition(vec![vec![ProcessId(0), a]]),
+        ];
+        let directed = LinkSelector::Directed { src: a, dst: b };
+        for link in [LinkSelector::All, LinkSelector::Between(a, b), directed] {
+            openers.extend([
+                LinkFault::Loss { link, p },
+                LinkFault::Duplicate { link, p },
+                LinkFault::DelaySpike { link, factor_milli },
+                LinkFault::Degrade { link, rate_milli },
+            ]);
+        }
+        let free = vec![LinkState::default(); n * n];
+        for fault in openers {
+            let mut links = free.clone();
+            fault.apply(&mut links, n);
+            assert_ne!(links, free, "{fault:?} opened nothing");
+            fault.cleared().apply(&mut links, n);
+            assert_eq!(links, free, "{fault:?} then {:?}", fault.cleared());
+        }
     }
 
     #[test]

@@ -95,16 +95,6 @@ impl Batch {
     pub fn payload_bytes(&self) -> usize {
         self.msgs.iter().map(AppMsg::payload_len).sum()
     }
-
-    /// Consumes the batch, yielding messages in delivery order.
-    ///
-    /// Cheap only when this is the last reference to the shared vector;
-    /// otherwise the messages are copied out. Hot paths that only need
-    /// to *read* the messages should iterate [`msgs`](Self::msgs)
-    /// instead.
-    pub fn into_msgs(self) -> Vec<AppMsg> {
-        Arc::try_unwrap(self.msgs).unwrap_or_else(|shared| (*shared).clone())
-    }
 }
 
 impl Wire for Batch {

@@ -586,10 +586,29 @@ fn slowdown_windows_schedule_and_restore() {
     assert_eq!(cluster.counters().event("chaos.slow_events"), 2);
 }
 
+/// Every out-of-range parameter is refused by both entry points, each
+/// through `LinkFault::check`; the last row panics for the harness.
 #[test]
 #[should_panic(expected = "out of range")]
 fn degrade_rate_out_of_range_rejected_at_schedule_time() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     let mut cluster = chatter_cluster(2, 9, 0);
+    let (link, at, rate_milli) = (LinkSelector::All, VTime::ZERO + VDur::millis(1), 1001);
+    let refused = |r: std::thread::Result<()>| {
+        let err = r.expect_err("an out-of-range fault was accepted");
+        err.downcast_ref::<String>()
+            .is_some_and(|m| m.contains("out of range"))
+    };
+    for fault in [
+        LinkFault::Loss { link, p: 1.5 },
+        LinkFault::Duplicate { link, p: -0.1 },
+        LinkFault::Degrade { link, rate_milli },
+    ] {
+        let apply = || cluster.apply_fault(&fault);
+        assert!(refused(catch_unwind(AssertUnwindSafe(apply))));
+        let schedule = || cluster.schedule_fault(at, fault.clone());
+        assert!(refused(catch_unwind(AssertUnwindSafe(schedule))));
+    }
     cluster.schedule_fault(
         VTime::ZERO + VDur::millis(1),
         LinkFault::Degrade {

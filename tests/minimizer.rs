@@ -96,10 +96,7 @@ fn pad(scenario: &Scenario) -> Scenario {
             ScenarioEvent::SlowNode {
                 from: a, until: b, ..
             }
-            | ScenarioEvent::DelaySpike {
-                from: a, until: b, ..
-            }
-            | ScenarioEvent::DegradeLink {
+            | ScenarioEvent::Link {
                 from: a, until: b, ..
             } => ev.family() == family && a <= until && b.is_none_or(|b| from <= b),
             _ => false,
