@@ -58,7 +58,13 @@
 //! shared with the monolithic stack) additionally keeps the instance
 //! stream moving so that partially-diffused messages held by some
 //! processes are eventually ordered (or safely forgotten if nobody
-//! proposes them).
+//! proposes them). Copies lost to link faults while the sender stays up
+//! are the sender's to replace: the flow-control module above holds
+//! every own message until it is adelivered and re-raises an overdue
+//! one as an [`Event::AbcastRequest`] (see
+//! [`fortika_net::flow::RESEND_INTERVAL`]), which this module answers
+//! with a fresh diffusion — or, under an offloading strategy, by
+//! recovering the overdue own payload batches.
 //!
 //! [`AbcastConfig`] holds only what the assembled stack sets per run
 //! (depth, dissemination, initial membership); the timers are constants.
@@ -69,6 +75,7 @@ use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId}
 use fortika_net::dissemination::{
     descriptor_msg, fold_key, majority_of, route, DissemMsg, Dissemination, PayloadStore, ValueId,
 };
+use fortika_net::flow::RESEND_INTERVAL;
 use fortika_net::metrics::abcast;
 use fortika_net::replica::IDLE_TIMEOUT;
 use fortika_net::wire::WireReader;
@@ -81,8 +88,7 @@ use fortika_sim::{VDur, VTime};
 pub const ABCAST_MODULE_ID: ModuleId = 1;
 
 const TAG_IDLE: u64 = 0;
-const TAG_RETX: u64 = 1;
-const TAG_PULL: u64 = 2;
+const TAG_PULL: u64 = 1;
 
 /// Stable-store key of the origin-local payload sequence counter
 /// (namespace assigned in [`fortika_net::replica::keys`]) — a
@@ -91,20 +97,6 @@ const TAG_PULL: u64 = 2;
 /// stable write per [`ReservedSeq::BLOCK`] payload batches, not one per
 /// batch.
 pub const ABCAST_STABLE_SEQ_KEY: u64 = fortika_net::replica::keys::ABCAST_SEQ;
-
-/// Re-diffuse an *own* message still undelivered after this long.
-///
-/// Diffusion is a single round of unicasts, which is complete under
-/// the paper's quasi-reliable channels — but under injected link
-/// faults (loss, partitions) the copies can vanish, and a message
-/// held only by its sender would starve: the sender proposes it each
-/// instance, yet a round-0 coordinator that never received it keeps
-/// winning with its own batch. Bounded sender-side retransmission
-/// restores validity once the network heals, and never fires in good
-/// runs (delivery latency is orders of magnitude below it). Under an
-/// offloading strategy the same interval re-disseminates own payload
-/// batches that are still unresolved.
-const RETRANSMIT_INTERVAL: VDur = VDur::millis(500);
 
 /// How often a process stalled on a missing payload re-pulls it from
 /// the membership (offloading strategies only).
@@ -162,7 +154,8 @@ fn desc_key(vid: ValueId) -> MsgId {
 /// Bookkeeping for one own disseminated-but-undelivered payload batch.
 #[derive(Debug)]
 struct OwnPayload {
-    /// When dissemination (or re-dissemination) last went out.
+    /// When the payload's dissemination (or re-dissemination) last went
+    /// out — once it is safe, its descriptor's diffusion.
     last_sent: VTime,
     /// True once a majority is known to hold the payload (its
     /// descriptor entered the proposable pending set).
@@ -191,9 +184,6 @@ pub struct AbcastModule {
     proposed: BTreeMap<u64, Vec<MsgId>>,
     /// Decisions that arrived out of instance order.
     decision_buffer: BTreeMap<u64, Batch>,
-    /// Own messages awaiting delivery → when their diffusion last went
-    /// out (drives fault-recovery retransmission).
-    own_diffused: BTreeMap<MsgId, VTime>,
     // --- offloaded-dissemination state (untouched under `Direct`) ---
     /// Current topology membership (configuration rotation order).
     members: Vec<ProcessId>,
@@ -203,6 +193,9 @@ pub struct AbcastModule {
     store: PayloadStore,
     /// Own messages staged until an outstanding-payload slot frees.
     staged: Vec<AppMsg>,
+    /// One past the highest own sequence number ever staged: a request
+    /// below it is a resend, not a new message.
+    own_next: u64,
     /// Own disseminated-but-undelivered payload batches by sequence.
     own_payloads: BTreeMap<u64, OwnPayload>,
     /// Next own payload sequence (reserved across restarts).
@@ -222,11 +215,11 @@ impl AbcastModule {
             next_propose: 0,
             proposed: BTreeMap::new(),
             decision_buffer: BTreeMap::new(),
-            own_diffused: BTreeMap::new(),
             members: Vec::new(),
             suspected: BTreeSet::new(),
             store: PayloadStore::new(),
             staged: Vec::new(),
+            own_next: 0,
             own_payloads: BTreeMap::new(),
             payload_seq: ReservedSeq::new(ABCAST_STABLE_SEQ_KEY),
             missing: BTreeMap::new(),
@@ -398,18 +391,18 @@ impl AbcastModule {
             // like the seed's full-message diffusion, every process
             // (in particular whichever coordinates the next instance)
             // must have it pending, only here the diffusion is a few
-            // bytes instead of the payload. `own_diffused` puts it
-            // under the ordinary retransmit cover.
+            // bytes instead of the payload. From here on the resend
+            // re-diffuses the descriptor, on the same stamp.
             let newly_safe = match self.own_payloads.get_mut(&vid.seq) {
                 Some(op) if !op.safe => {
                     op.safe = true;
+                    op.last_sent = ctx.now();
                     true
                 }
                 _ => false,
             };
             if newly_safe {
                 self.diffuse(ctx, &d);
-                self.own_diffused.insert(d.id, ctx.now());
             }
         }
         if let std::collections::btree_map::Entry::Vacant(e) = self.pending.entry(d.id) {
@@ -457,8 +450,8 @@ impl AbcastModule {
         // accumulate holder knowledge even when no single copy crosses
         // the majority threshold: the pivotal holder and every topology
         // leaf ack, and so does every receiver of a direct push
-        // (retransmit escalation or pull response) — unconditionally,
-        // so lost acks are always rebuilt by the retransmit cycle.
+        // (resend escalation or pull response) — unconditionally,
+        // so lost acks are always rebuilt by the resend cycle.
         if vid.origin != ctx.pid() && (pivotal || leaf || !forward) {
             ctx.send_net(
                 vid.origin,
@@ -518,6 +511,57 @@ impl AbcastModule {
         }
     }
 
+    /// Recovers the own payload batches whose last dissemination went
+    /// out [`RESEND_INTERVAL`] or more ago. Short of a holder majority
+    /// (lost forwards, lost acks), a topology re-forward cannot get
+    /// past a hop that already stored the payload, so the resend pushes
+    /// it directly at every member not known to hold it — receivers ack
+    /// with their merged view and the origin accumulates holder
+    /// knowledge until the descriptor is proposable. Once safe, the
+    /// descriptor is re-diffused until it is decided.
+    fn resend_payloads(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
+        let (me, now) = (ctx.pid(), ctx.now());
+        let overdue: Vec<u64> = self
+            .own_payloads
+            .iter()
+            .filter(|(_, op)| now.since(op.last_sent) >= RESEND_INTERVAL)
+            .map(|(&seq, _)| seq)
+            .collect();
+        for seq in overdue {
+            let vid = ValueId { origin: me, seq };
+            let Some(e) = self.store.get(vid) else {
+                self.own_payloads.remove(&seq);
+                continue;
+            };
+            let (holders, batch) = (e.holders, e.batch.clone());
+            let op = self.own_payloads.get_mut(&seq).expect("listed overdue");
+            op.last_sent = now;
+            if op.safe {
+                if let Some(d) = self.pending.get(&vid.descriptor_id()) {
+                    self.diffuse(ctx, d);
+                }
+                continue;
+            }
+            let push = DissemMsg::Push {
+                vid,
+                holders,
+                batch: batch.clone(),
+            };
+            let mut pushed = false;
+            for &dst in self.members.iter().filter(|m| {
+                **m != me && holders & (1u64 << m.index()) == 0 && !self.suspected.contains(m)
+            }) {
+                ctx.send_net(dst, abcast::PAYLOAD_PUSH, &push);
+                pushed = true;
+            }
+            if !pushed {
+                // Everyone left is suspected: fall back to the
+                // (repair-routed) topology forward.
+                self.send_payload(ctx, vid, holders, &batch);
+            }
+        }
+    }
+
     fn apply_ready_decisions(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         while let Some(batch) = self.decision_buffer.remove(&self.next_decide) {
             if self.offloads() {
@@ -549,7 +593,6 @@ impl AbcastModule {
                     }
                     self.delivered.mark(desc_key(vid));
                     self.pending.remove(&msg.id);
-                    self.own_diffused.remove(&msg.id);
                     let payload = self
                         .store
                         .resolve(vid)
@@ -571,7 +614,6 @@ impl AbcastModule {
                     }
                     self.delivered.mark(msg.id);
                     self.pending.remove(&msg.id);
-                    self.own_diffused.remove(&msg.id);
                     ctx.deliver(msg.id, msg.payload.len() as u32);
                     ids.push(msg.id);
                 }
@@ -623,7 +665,6 @@ impl Microprotocol for AbcastModule {
 
     fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         ctx.set_timer(IDLE_TIMEOUT, TAG_IDLE);
-        ctx.set_timer(RETRANSMIT_INTERVAL, TAG_RETX);
         if self.offloads() {
             let m = if self.cfg.initial_members > 0 {
                 self.cfg.initial_members
@@ -648,10 +689,14 @@ impl Microprotocol for AbcastModule {
                     self.diffuse(ctx, msg);
                     if self.delivered.is_new(msg.id) {
                         self.pending.insert(msg.id, msg.clone());
-                        self.own_diffused.insert(msg.id, ctx.now());
                     }
                     self.maybe_propose(ctx);
+                } else if msg.id.seq < self.own_next {
+                    // A resend: the message is staged or rides an own
+                    // payload batch already.
+                    self.resend_payloads(ctx);
                 } else {
+                    self.own_next = msg.id.seq + 1;
                     if self.delivered.is_new(msg.id) {
                         self.staged.push(msg.clone());
                     }
@@ -685,22 +730,21 @@ impl Microprotocol for AbcastModule {
                 }
                 self.decision_buffer = self.decision_buffer.split_off(&self.next_decide);
                 let delivered = &self.delivered;
-                self.pending.retain(|id, _| delivered.is_new(fold_key(*id)));
                 // Own in-flight messages the snapshot covers were
                 // ordered cluster-wide: raise their Adelivered so the
-                // flow-control module above releases their window slots
-                // (their app-level delivery is replaced by the install).
+                // flow-control module above settles them (their
+                // app-level delivery is replaced by the install).
+                let me = ctx.pid();
                 let mut own_done: Vec<MsgId> = self
-                    .own_diffused
+                    .pending
                     .keys()
-                    .filter(|id| !delivered.is_new(**id))
+                    .filter(|id| id.sender == me && !delivered.is_new(**id))
                     .copied()
                     .collect();
-                self.own_diffused.retain(|id, _| delivered.is_new(*id));
+                self.pending.retain(|id, _| delivered.is_new(fold_key(*id)));
                 if self.offloads() {
                     // Store compaction: payloads whose descriptors the
                     // snapshot folded will never be decided here again.
-                    let me = ctx.pid();
                     let covered_own: Vec<u64> = self
                         .own_payloads
                         .keys()
@@ -827,84 +871,6 @@ impl Microprotocol for AbcastModule {
                     self.propose_now(ctx, batch);
                 }
                 ctx.set_timer(IDLE_TIMEOUT, TAG_IDLE);
-            }
-            TAG_RETX => {
-                // Fault recovery: re-diffuse own messages whose delivery
-                // is overdue (see [`RETRANSMIT_INTERVAL`]).
-                let now = ctx.now();
-                let overdue: Vec<MsgId> = self
-                    .own_diffused
-                    .iter()
-                    .filter(|(_, &sent)| now.since(sent) >= RETRANSMIT_INTERVAL)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in overdue {
-                    if let Some(msg) = self.pending.get(&id) {
-                        ctx.bump(abcast::RETRANSMITS, 1);
-                        self.diffuse(ctx, msg);
-                        self.own_diffused.insert(id, now);
-                    } else {
-                        self.own_diffused.remove(&id);
-                    }
-                }
-                if self.offloads() {
-                    // Recover own payload batches still short of a
-                    // holder majority (lost forwards, lost acks). A
-                    // topology re-forward cannot get past a hop that
-                    // already stored the payload, so the retransmit
-                    // escalates to direct pushes at every member not
-                    // known to hold it — receivers ack with their
-                    // merged view and the origin accumulates holder
-                    // knowledge until the descriptor is proposable.
-                    let me = ctx.pid();
-                    let overdue: Vec<u64> = self
-                        .own_payloads
-                        .iter()
-                        .filter(|(_, op)| {
-                            !op.safe && now.since(op.last_sent) >= RETRANSMIT_INTERVAL
-                        })
-                        .map(|(&seq, _)| seq)
-                        .collect();
-                    for seq in overdue {
-                        let vid = ValueId { origin: me, seq };
-                        let Some(e) = self.store.get(vid) else {
-                            self.own_payloads.remove(&seq);
-                            continue;
-                        };
-                        let (holders, batch) = (e.holders, e.batch.clone());
-                        let push = DissemMsg::Push {
-                            vid,
-                            holders,
-                            batch: batch.clone(),
-                        };
-                        let mut pushed = false;
-                        let targets: Vec<ProcessId> = self
-                            .members
-                            .iter()
-                            .copied()
-                            .filter(|m| {
-                                *m != me
-                                    && holders & (1u64 << m.index()) == 0
-                                    && !self.suspected.contains(m)
-                            })
-                            .collect();
-                        for dst in targets {
-                            ctx.bump(abcast::RETRANSMITS, 1);
-                            ctx.send_net(dst, abcast::PAYLOAD_PUSH, &push);
-                            pushed = true;
-                        }
-                        if !pushed {
-                            // Everyone left is suspected: fall back to
-                            // the (repair-routed) topology forward.
-                            ctx.bump(abcast::RETRANSMITS, 1);
-                            self.send_payload(ctx, vid, holders, &batch);
-                        }
-                        if let Some(op) = self.own_payloads.get_mut(&seq) {
-                            op.last_sent = now;
-                        }
-                    }
-                }
-                ctx.set_timer(RETRANSMIT_INTERVAL, TAG_RETX);
             }
             TAG_PULL => {
                 // Pull-based repair: keep asking live peers for the

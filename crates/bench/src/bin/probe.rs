@@ -36,7 +36,8 @@
 //! stack (see `docs/FUZZING.md`), archives each campaign's coverage
 //! matrix under `target/fuzz/`, and fails (exit 1) on any safety
 //! violation — after ddmin-shrinking the offending scenario and writing
-//! the minimized reproducer next to the matrix.
+//! the minimized reproducer next to the matrix — and when a campaign
+//! never reaches the own-message resend (`sender_retransmits`).
 //!
 //! Any other argument is refused (exit 2) before anything is written.
 
@@ -355,7 +356,8 @@ const FUZZ_DIR: &str = "target/fuzz";
 /// load and audits safety. The coverage matrix of each campaign lands
 /// in [`FUZZ_DIR`] (CI uploads it); a violation ddmin-shrinks its
 /// scenario, writes the minimized reproducer alongside, and fails the
-/// stage.
+/// stage. So does a campaign that never reaches `sender_retransmits`:
+/// a resend path no run exercises is audited by nobody.
 fn fuzz_quick() -> Result<(), String> {
     println!("probe --fuzz-quick: bounded steered fuzz campaign per stack");
     std::fs::create_dir_all(FUZZ_DIR).map_err(|e| format!("mkdir {FUZZ_DIR}: {e}"))?;
@@ -439,6 +441,11 @@ fn fuzz_quick() -> Result<(), String> {
                 failing.seed,
                 min.events(),
                 min.original_events,
+            ));
+        }
+        if !report.coverage.reached("sender_retransmits") {
+            return Err(format!(
+                "{label}: no run of the campaign reached `sender_retransmits`"
             ));
         }
     }

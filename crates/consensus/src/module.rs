@@ -209,7 +209,7 @@ impl ConsensusModule {
             // messages missing from the winning estimate stay pending in
             // the abcast module, which re-proposes them next instance
             // and re-diffuses them to every process (including future
-            // coordinators) on its retransmission timer.
+            // coordinators) when flow control resends them.
             Some(QuorumChoice::Unlocked(mut values)) => values.swap_remove(0),
         };
         self.propose(ctx, instance, value);

@@ -2,13 +2,17 @@
 //!
 //! The paper (§5.1) uses one flow-control mechanism in both stacks: a
 //! bound on each process's un-adelivered own messages, tuned so ~M = 4
-//! messages are ordered per consensus instance. The window logic itself
-//! is [`FlowWindow`] (shared with the monolithic node, which embeds it);
-//! this module is its adapter into the composition framework.
+//! messages are ordered per consensus instance. The window and the
+//! resend schedule are [`Outbox`] (shared with the monolithic node,
+//! which embeds it); this module is its adapter into the composition
+//! framework. It settles the outbox on `Adelivered` and, every
+//! [`RESEND_INTERVAL`], re-raises each overdue own message as an
+//! `AbcastRequest`, which abcast answers with a fresh dissemination.
 
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
-use fortika_net::flow::FlowWindow;
-use fortika_net::{Admission, AppRequest};
+use fortika_net::flow::{Outbox, RESEND_INTERVAL};
+use fortika_net::metrics::abcast;
+use fortika_net::{Admission, AppRequest, TimerId};
 
 /// Wire demux id of the flow-control module (it sends no messages, but
 /// every module needs a unique id).
@@ -25,10 +29,11 @@ fortika_net::metric_table! {
     }
 }
 
-/// Flow-control microprotocol: admits or blocks application requests
-/// and reopens the tap when own messages get adelivered.
+/// Flow-control microprotocol: admits or blocks application requests,
+/// reopens the tap when own messages get adelivered, and resends the
+/// overdue ones.
 pub struct FlowControlModule {
-    window: FlowWindow,
+    outbox: Outbox,
 }
 
 impl FlowControlModule {
@@ -39,7 +44,7 @@ impl FlowControlModule {
     /// Panics if `window` is zero.
     pub fn new(window: usize) -> Self {
         FlowControlModule {
-            window: FlowWindow::new(window),
+            outbox: Outbox::new(window),
         }
     }
 }
@@ -57,13 +62,24 @@ impl Microprotocol for FlowControlModule {
         &[EventKind::Adelivered]
     }
 
+    fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
+        ctx.set_timer(RESEND_INTERVAL, 0);
+    }
+
     fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
         if let Event::Adelivered(ids) = ev {
-            let own = ids.iter().filter(|id| id.sender == ctx.pid()).count();
-            if self.window.release(own) {
+            if self.outbox.settle(|id| ids.contains(&id)) {
                 ctx.app_ready();
             }
         }
+    }
+
+    fn on_timer(&mut self, ctx: &mut FrameworkCtx<'_, '_>, _timer: TimerId, _tag: u64) {
+        for msg in self.outbox.overdue(ctx.now()) {
+            ctx.bump(abcast::RETRANSMITS, 1);
+            ctx.raise(Event::AbcastRequest(msg));
+        }
+        ctx.set_timer(RESEND_INTERVAL, 0);
     }
 
     fn on_request(
@@ -72,7 +88,7 @@ impl Microprotocol for FlowControlModule {
         req: &AppRequest,
     ) -> Option<Admission> {
         let AppRequest::Abcast(m) = req;
-        if self.window.try_acquire() {
+        if self.outbox.admit(m, ctx.now()) {
             ctx.bump(metrics::ADMITTED, 1);
             ctx.raise(Event::AbcastRequest(m.clone()));
             Some(Admission::Accepted)

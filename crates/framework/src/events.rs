@@ -25,7 +25,10 @@ use fortika_net::{AppMsg, Batch, ConfigStamp, MsgId, ProcessId, Snapshot};
 /// An event raised on a composite stack's bus.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// Flow control admitted an application message for atomic broadcast.
+    /// Flow control admitted an application message for atomic broadcast
+    /// — or, resending an own message still not adelivered after
+    /// `fortika_net::flow::RESEND_INTERVAL`, raises it again. Atomic
+    /// broadcast answers both with a dissemination.
     AbcastRequest(AppMsg),
     /// The atomic broadcast module adelivered these messages (in order).
     Adelivered(Vec<MsgId>),

@@ -52,13 +52,20 @@
 //! buffered and applied in order, a registered reconfiguration re-points
 //! the failure detector, an installed snapshot seeds the delivery dedup
 //! and prunes the pool).
+//!
+//! Own messages live in the [`Outbox`] the modular stack's flow control
+//! embeds too: it is the window, and every progress sweep re-runs the
+//! node's dissemination step for the messages it reports overdue, so a
+//! message forwarded into a coordinator outage too short to suspect is
+//! routed again once [`RESEND_INTERVAL`](fortika_net::flow::RESEND_INTERVAL)
+//! has passed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use fortika_fd::metrics as fd;
 use fortika_fd::{FailureDetector, FdEvent, HeartbeatPacer, TRACE_STACK};
-use fortika_net::flow::FlowWindow;
+use fortika_net::flow::Outbox;
 use fortika_net::metrics::{abcast, consensus, mono};
 use fortika_net::replica::{IDLE_TIMEOUT, SWEEP_INTERVAL};
 use fortika_net::wire::Wire;
@@ -126,15 +133,15 @@ pub struct MonoNode {
     core: ReplicaCore,
     fd: Box<dyn FailureDetector>,
     fd_scratch: Vec<FdEvent>,
-    flow: FlowWindow,
+    /// Own messages not yet adelivered (flow control, re-forwarding and
+    /// resend).
+    outbox: Outbox,
     /// Next instance whose decision will be applied.
     next_decide: u64,
     /// Delivered message ids (duplicate suppression).
     delivered: DeliveredSet,
     /// Recorded decisions awaiting in-order application.
     decision_buffer: BTreeMap<u64, Batch>,
-    /// Own messages not yet adelivered (flow control + re-forwarding).
-    own_pending: BTreeMap<MsgId, AppMsg>,
     /// Messages this process is responsible for getting proposed.
     pool: BTreeMap<MsgId, AppMsg>,
     last_progress: VTime,
@@ -171,11 +178,10 @@ impl MonoNode {
             core,
             fd,
             fd_scratch: Vec::new(),
-            flow: FlowWindow::new(window),
+            outbox: Outbox::new(window),
             next_decide: 0,
             delivered: DeliveredSet::default(),
             decision_buffer: BTreeMap::new(),
-            own_pending: BTreeMap::new(),
             pool: BTreeMap::new(),
             last_progress: VTime::ZERO,
         }
@@ -348,7 +354,7 @@ impl MonoNode {
             // members' decisions instead of joining the instance.
             return;
         }
-        let has_work = !self.pool.is_empty() || !self.own_pending.is_empty();
+        let has_work = !self.pool.is_empty() || !self.outbox.is_empty();
         let round = self.core.fresh_round(self.next_decide);
         let coord = self.core.coordinator_of(self.next_decide, round, n);
         if !(has_work || self.core.rounds().suspects(coord)) {
@@ -476,10 +482,8 @@ impl MonoNode {
     }
 
     fn apply_decisions_core(&mut self, ctx: &mut NodeCtx<'_>) {
-        let me = ctx.pid();
         while let Some(batch) = self.decision_buffer.remove(&self.next_decide) {
             let k = self.next_decide;
-            let mut own_delivered = 0;
             // By reference: the same decided batch is shared (Arc) with
             // the decision cache and the snapshot fold — don't copy it
             // just to read ids and payload sizes.
@@ -489,10 +493,6 @@ impl MonoNode {
                 }
                 self.delivered.mark(m.id);
                 self.pool.remove(&m.id);
-                if m.id.sender == me {
-                    self.own_pending.remove(&m.id);
-                    own_delivered += 1;
-                }
                 ctx.deliver(m.id, m.payload.len() as u32);
                 ctx.bump(abcast::DELIVERED, 1);
             }
@@ -501,7 +501,8 @@ impl MonoNode {
             self.core.close(k);
             self.next_decide += 1;
             self.last_progress = ctx.now();
-            if self.flow.release(own_delivered) {
+            let delivered = &self.delivered;
+            if self.outbox.settle(|id| !delivered.is_new(id)) {
                 ctx.app_ready();
             }
         }
@@ -739,10 +740,10 @@ impl MonoNode {
             None => (batch_of(&self.pool), 0),
         };
         let msgs = if self.opts.piggyback_on_acks {
-            for m in self.own_pending.values() {
+            for m in self.outbox.msgs() {
                 self.pool.remove(&m.id);
             }
-            self.own_pending.values().cloned().collect()
+            self.outbox.msgs().cloned().collect()
         } else {
             Vec::new()
         };
@@ -766,7 +767,7 @@ impl MonoNode {
                     // Own messages handed to the suspect may be lost with
                     // it: make them proposable again (they are re-routed
                     // on the next estimate/ack/forward).
-                    for m in self.own_pending.values() {
+                    for m in self.outbox.msgs() {
                         self.pool.entry(m.id).or_insert_with(|| m.clone());
                     }
                     for k in self.core.suspect(*p, ctx.n()) {
@@ -800,6 +801,32 @@ impl MonoNode {
         // bootstrap (covers suspicions that raced with message arrival).
         if now.since(self.last_progress) > IDLE_TIMEOUT {
             self.kick_fresh_instance(ctx);
+        }
+        for m in self.outbox.overdue(now) {
+            ctx.bump(abcast::RETRANSMITS, 1);
+            self.disseminate(ctx, m);
+        }
+    }
+
+    /// Routes an own message towards a proposal: diffused to everyone
+    /// without O2, else handed to the coordinator new messages should
+    /// reach right now — on the next ack while one is imminent.
+    fn disseminate(&mut self, ctx: &mut NodeCtx<'_>, m: AppMsg) {
+        if !self.opts.piggyback_on_acks {
+            // Modular-style dissemination: diffuse to everyone.
+            self.broadcast(ctx, mono::DIFFUSE, &MonoMsg::Diffuse { msg: m.clone() });
+            self.pool.insert(m.id, m);
+            self.try_start_instance(ctx);
+        } else {
+            let coord = self.core.live_coordinator(self.next_decide, ctx.n());
+            self.pool.insert(m.id, m);
+            if coord == ctx.pid() {
+                self.try_start_instance(ctx);
+            } else if !self.in_flight() {
+                // No ack imminent: hand the message over right away.
+                self.flush_pool_to(ctx, coord);
+            }
+            // Otherwise the message rides the next AckDiff (O2).
         }
     }
 }
@@ -839,9 +866,7 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
         // messages among them release their flow-control slots.
         let core = &self.core;
         self.pool.retain(|id, _| !core.is_delivered(*id));
-        let own_before = self.own_pending.len();
-        self.own_pending.retain(|id, _| !core.is_delivered(*id));
-        if self.flow.release(own_before - self.own_pending.len()) {
+        if self.outbox.settle(|id| core.is_delivered(id)) {
             ctx.app_ready();
         }
         // Buffered decisions past the snapshot may be contiguous now.
@@ -1001,29 +1026,12 @@ impl Node for MonoNode {
 
     fn on_request(&mut self, ctx: &mut NodeCtx<'_>, req: AppRequest) -> Admission {
         let AppRequest::Abcast(m) = req;
-        if !self.flow.try_acquire() {
+        if !self.outbox.admit(&m, ctx.now()) {
             return Admission::Blocked;
         }
         debug_assert_eq!(m.id.sender, ctx.pid(), "abcast of a foreign message");
-        self.own_pending.insert(m.id, m.clone());
         ctx.bump(abcast::REQUESTS, 1);
-        if !self.opts.piggyback_on_acks {
-            // Modular-style dissemination: diffuse to everyone.
-            self.broadcast(ctx, mono::DIFFUSE, &MonoMsg::Diffuse { msg: m.clone() });
-            self.pool.insert(m.id, m);
-            self.try_start_instance(ctx);
-        } else {
-            // The coordinator new messages should be routed to right now.
-            let coord = self.core.live_coordinator(self.next_decide, ctx.n());
-            self.pool.insert(m.id, m);
-            if coord == ctx.pid() {
-                self.try_start_instance(ctx);
-            } else if !self.in_flight() {
-                // No ack imminent: hand the message over right away.
-                self.flush_pool_to(ctx, coord);
-            }
-            // Otherwise the message rides the next AckDiff (O2).
-        }
+        self.disseminate(ctx, m);
         Admission::Accepted
     }
 }

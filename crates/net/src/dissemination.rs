@@ -352,7 +352,7 @@ pub enum DissemMsg {
     },
     /// Holder notification back to the origin: the acker's merged
     /// holder view, sent by the pivotal holder whose copy crossed the
-    /// majority threshold (and by every receiver of a retransmit
+    /// majority threshold (and by every receiver of a resend
     /// push). The origin accumulates these bitmaps until a majority
     /// holds the payload and its descriptor becomes proposable.
     Ack {

@@ -6,7 +6,7 @@
 //! deterministic and reproducible from its seed.
 
 use bytes::Bytes;
-use fortika_net::flow::FlowWindow;
+use fortika_net::flow::Outbox;
 use fortika_net::wire::{decode, encode, Wire};
 use fortika_net::{AppMsg, Batch, MsgId, ProcessId, WatermarkSet};
 use fortika_sim::DetRng;
@@ -147,24 +147,29 @@ fn flow_window_never_exceeds_capacity() {
     for seed in 0..CASES {
         let mut rng = DetRng::derive(0x4A, seed);
         let window = 1 + rng.below(7) as usize;
-        // true = try_acquire, false = release(1).
-        let mut w = FlowWindow::new(window);
-        let mut model: usize = 0;
+        // true = admit the next own message, false = settle the oldest
+        // one still held. The model holds the ids `oldest..next`.
+        let mut out = Outbox::new(window);
+        let (mut oldest, mut next) = (0u64, 0u64);
+        let me = ProcessId(0);
         for _ in 0..rng.below(256) {
+            let model = (next - oldest) as usize;
             if rng.below(2) == 1 {
-                let ok = w.try_acquire();
+                let msg = AppMsg::new(MsgId::new(me, next), Bytes::new());
+                let ok = out.admit(&msg, fortika_sim::VTime::ZERO);
                 assert_eq!(ok, model < window, "seed {seed}");
                 if ok {
-                    model += 1;
+                    next += 1;
                 }
             } else {
-                let reopened = w.release(1);
+                let reopened = out.settle(|id| id.seq == oldest);
                 // Reopen signal fires exactly on the full→not-full edge.
                 assert_eq!(reopened, model == window, "seed {seed}");
-                model = model.saturating_sub(1);
+                oldest = (oldest + 1).min(next);
             }
-            assert_eq!(w.outstanding(), model);
-            assert!(w.outstanding() <= window);
+            let held: Vec<u64> = out.msgs().map(|m| m.id.seq).collect();
+            assert_eq!(held, (oldest..next).collect::<Vec<_>>(), "seed {seed}");
+            assert!(held.len() <= window);
         }
     }
 }

@@ -5,8 +5,10 @@
 //! seconds. During the partition the majority keeps ordering (consensus
 //! needs only a majority), the isolated p3 stalls, both sides' failure
 //! detectors suspect each other — and when the partition heals, p3
-//! re-diffuses its stranded messages, pulls the decisions it missed via
-//! gap recovery, and converges on the exact same total order.
+//! resends its stranded messages (every own message not adelivered
+//! within `fortika::net::flow::RESEND_INTERVAL` goes out again, on
+//! either stack), pulls the decisions it missed via gap recovery, and
+//! converges on the exact same total order.
 //!
 //! Both stacks run the same scenario and seed; the delivery-invariant
 //! oracle audits every `adeliver`. The run is deterministic: the same
@@ -61,7 +63,7 @@ fn run(kind: StackKind, seed: u64) -> Vec<MsgId> {
         report.deliveries,
     );
     println!(
-        "recovery:      {} partition-dropped sends, {} abcast retransmits, \
+        "recovery:      {} partition-dropped sends, {} own-message resends, \
          {} consensus gap pulls, {} mono gap pulls",
         cluster.counters().event("chaos.dropped_partition"),
         cluster.counters().event("abcast.retransmits"),

@@ -9,10 +9,17 @@
 //! survivors promise the new coordinator's round once for every instance
 //! they have not opened, so only the instances live at the suspicion pay
 //! an estimate round, and every later one runs as round 0 did.
+//!
+//! An outage too short to suspect costs no message: what a sender
+//! handed the coordinator while it was down is sent again once
+//! [`RESEND_INTERVAL`] has passed.
 
 use bytes::Bytes;
-use fortika::core::{build_nodes, FdConfig, StackConfig, StackKind};
+use fortika::chaos::Scenario;
+use fortika::core::{build_nodes, scenario_cluster, FdConfig, StackConfig, StackKind};
 use fortika::fd::TRACE_STACK;
+use fortika::mono::MonoOptimizations;
+use fortika::net::flow::RESEND_INTERVAL;
 use fortika::net::metrics::{consensus, mono};
 use fortika::net::{
     Admission, AppMsg, AppRequest, Cluster, ClusterConfig, CollectingHarness, Counters, MsgId,
@@ -251,6 +258,76 @@ fn a_crashed_coordinator_is_suspected_one_timeout_after_its_last_message() {
                 after > fd.timeout && after <= fd.timeout + fd.heartbeat_interval + TICK_SLACK,
                 "{label}: p{survivor} suspected p0 {after} after its last message"
             );
+        }
+    }
+}
+
+/// Submits `p`'s next message; its id if it was admitted.
+fn submit_next(cluster: &mut Cluster, next_seq: &mut [u64], p: ProcessId) -> Option<MsgId> {
+    let id = MsgId::new(p, next_seq[p.index()]);
+    let msg = AppMsg::new(id, Bytes::from_static(b"load"));
+    let admitted = cluster.submit(p, AppRequest::Abcast(msg)).0 == Admission::Accepted;
+    admitted.then(|| {
+        next_seq[p.index()] += 1;
+        id
+    })
+}
+
+/// p0 — the round-0 coordinator — crashes at 500 ms and restarts 100
+/// or 300 ms later, before the detector's timeout expires, so nobody
+/// rotates a round. p1 submits one message at 520 ms, into the outage;
+/// after the restart only p0 submits, so progress never stalls long
+/// enough for an idle kick either. The message still reaches every
+/// process within two resend intervals: the first resend check may come
+/// too early to find it overdue, the second does not.
+#[test]
+fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one_resend() {
+    let n = 3;
+    let p0 = ProcessId(0);
+    let crash = VDur::millis(500);
+    let submit_at = VTime::ZERO + VDur::millis(520);
+    let deadline = submit_at + RESEND_INTERVAL * 2 + FEW_ROUND_TRIPS;
+    let mono_none = StackConfig {
+        mono_opts: MonoOptimizations::none(),
+        ..StackConfig::default()
+    };
+    let rows = [
+        ("modular", StackKind::Modular, StackConfig::default()),
+        ("monolithic", StackKind::Monolithic, StackConfig::default()),
+        ("mono-none", StackKind::Monolithic, mono_none),
+    ];
+    for (label, kind, stack) in rows {
+        for down in [VDur::millis(100), VDur::millis(300)] {
+            let scenario = Scenario::new().crash(p0, crash).restart(p0, crash + down);
+            let (mut cluster, _) =
+                scenario_cluster(kind, &stack, ClusterConfig::new(n, 1), &scenario);
+            let mut harness = CollectingHarness::new(n);
+            let mut next_seq = [0u64; 3];
+            for k in 0..9u16 {
+                cluster.run_until(VTime::ZERO + VDur::millis(30) * u64::from(k), &mut harness);
+                submit_next(&mut cluster, &mut next_seq, ProcessId(k % 3));
+            }
+            cluster.run_until(submit_at, &mut harness);
+            let id = submit_next(&mut cluster, &mut next_seq, ProcessId(1))
+                .unwrap_or_else(|| panic!("{label}: p1 admits its message"));
+            let mut now = VTime::ZERO + crash + down;
+            while now < VTime::ZERO + VDur::secs(8) {
+                now += VDur::millis(10);
+                cluster.run_until(now, &mut harness);
+                submit_next(&mut cluster, &mut next_seq, p0);
+            }
+            cluster.run_until(VTime::ZERO + VDur::secs(10), &mut harness);
+
+            for (p, log) in harness.logs.iter().enumerate() {
+                let at = log.iter().find(|(m, _)| *m == id).map(|(_, at)| *at);
+                let at = at.unwrap_or_else(|| {
+                    panic!("{label}, down {down}: p{p} never delivered p1's message")
+                });
+                assert!(
+                    at <= deadline,
+                    "{label}, down {down}: p{p} delivered p1's message at {at}, after {deadline}"
+                );
+            }
         }
     }
 }

@@ -335,8 +335,8 @@ fn export_bytes_match_golden() {
     for (kind, jsonl, chrome) in [
         (
             StackKind::Modular,
-            (1_843_885, 0xac22_33de_c34c_9c03),
-            (2_059_786, 0x6e98_a4fe_aa13_fa9b),
+            (1_843_885, 0x0313_408e_1de9_8607),
+            (2_059_786, 0xa667_3b92_78c4_121b),
         ),
         (
             StackKind::Monolithic,
