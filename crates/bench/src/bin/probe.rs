@@ -20,8 +20,8 @@
 //! **reconfiguration audit** (a log-decided add + remove per stack,
 //! traced and oracle-audited — violations dump under `target/trace/`
 //! like any other — and held to a throughput and messages-per-instance
-//! floor), and folds every run's window counters into a
-//! [`CoverageReport`] written to `target/coverage-report.json`. Only
+//! floor and to zero suspicions), and folds every run's window counters
+//! into a [`CoverageReport`] written to `target/coverage-report.json`. Only
 //! then does it fail (exit 1), listing every differing file with its
 //! first differing record and every failed sweep or audit, so one run
 //! names all of them. In either mode every file written is re-read and
@@ -224,7 +224,7 @@ fn reconfig_floor(r: &RunReport) -> Result<(), String> {
 /// The `--check` reconfiguration audit: one bounded grow-then-shrink
 /// scenario per stack — an `Add` and a `Remove` decided through the log
 /// mid-load — traced and oracle-audited (config agreement included),
-/// then held to [`reconfig_floor`]. A
+/// then held to [`reconfig_floor`] and to zero suspicions. A
 /// violating run dumps its bounded trace window and ddmin-minimized
 /// reproducer under `target/trace/` via the runner's artifact path, the
 /// same globs CI's diagnostics artifact uploads.
@@ -260,6 +260,15 @@ fn reconfig_audit(coverage: &mut CoverageReport) -> Result<(), String> {
             )
         })?;
         reconfig_floor(&r).map_err(|e| format!("reconfig audit ({}): {e}", kind.label()))?;
+        // A log-decided membership change is no fault: as in
+        // `suspicion_audit`, nobody may be suspected, standbys included.
+        if r.suspicions > 0 {
+            return Err(format!(
+                "reconfig audit ({}): {} suspicion(s) on a fault-free run",
+                kind.label(),
+                r.suspicions
+            ));
+        }
     }
     Ok(())
 }

@@ -4,7 +4,7 @@
 use fortika_abcast::{AbcastConfig, AbcastModule};
 use fortika_chaos::{LoadPlan, Scenario, ScriptedDriver};
 use fortika_consensus::ConsensusModule;
-use fortika_fd::{FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
+use fortika_fd::{FailureDetector, FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
 use fortika_framework::CompositeStack;
 use fortika_mono::{MonoNode, MonoOptimizations};
 pub use fortika_net::replica::FaultHooks;
@@ -132,10 +132,14 @@ fn build(
     windows: Vec<SuspicionWindow>,
     revived: Option<(VTime, &StableStore)>,
 ) -> Box<dyn Node> {
-    let heartbeat = match revived {
-        Some((now, _)) => HeartbeatFd::new_anchored(n, me, FdConfig::default(), now),
-        None => HeartbeatFd::new(n, me, FdConfig::default()),
-    };
+    let anchor = revived.map_or(VTime::ZERO, |(now, _)| now);
+    let mut heartbeat = HeartbeatFd::new_anchored(n, me, FdConfig::default(), anchor);
+    if cfg.initial_members > 0 {
+        // Standbys are not monitored until an `Add` admits them (and
+        // listen silently until then themselves).
+        let initial: Vec<ProcessId> = ProcessId::all(cfg.initial_members).collect();
+        heartbeat.set_members(&initial, anchor, &mut Vec::new());
+    }
     let stable = revived.map(|(_, stable)| stable);
     // Only chaos runs pay for the overlay: windows relevant to this
     // process wrap the detector, everything else runs the bare core.

@@ -35,16 +35,21 @@ pub trait FailureDetector {
         let _ = (from, at, out);
     }
 
-    /// Periodic clock tick: emits newly due suspicion transitions.
+    /// Clock tick: emits newly due suspicion transitions.
     fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>);
 
-    /// How often [`tick`](Self::tick) should run; `None` disables ticking.
+    /// The delay from the last [`tick`](Self::tick) to the next one;
+    /// `None` disables ticking. Hosts re-arm from it after every tick,
+    /// so a detector that times silence returns the delay to its first
+    /// deadline when that comes before its regular cadence, and
+    /// suspects at the deadline itself rather than up to a tick late.
     fn tick_interval(&self) -> Option<VDur>;
 
     /// How often the host should emit heartbeats. Defaults to the tick
-    /// interval; detectors that tick faster than they want heartbeats
-    /// sent (e.g. fine-grained chaos overlays) override this so the
-    /// host's heartbeat cadence stays decoupled from polling.
+    /// interval; detectors that may tick faster than they want
+    /// heartbeats sent (fine-grained chaos overlays, and
+    /// [`HeartbeatFd`] ticking early to meet a deadline) override this
+    /// so the host's heartbeat cadence stays decoupled from polling.
     fn heartbeat_interval(&self) -> Option<VDur> {
         self.tick_interval()
     }
@@ -111,16 +116,15 @@ impl LinkClock for NodeCtx<'_> {
 /// protocol traffic therefore carries no heartbeats, and a link that
 /// falls idle gets its first heartbeat at the first tick at least one
 /// interval after its last message — so no link goes longer than two
-/// intervals (plus a tick's CPU queueing) without evidence, well inside
-/// the timeout. The interval may be coarser than the polling tick
-/// (chaos overlays tick fast to fire their windows promptly without
-/// inflating traffic).
+/// intervals (plus a tick's CPU queueing) without evidence, inside the
+/// timeout. The interval may be coarser than the polling tick (chaos
+/// overlays tick fast to fire their windows promptly without inflating
+/// traffic, and [`HeartbeatFd`] ticks early to meet a deadline).
 ///
-/// Detection bound: a crashed peer is suspected no earlier than
-/// `timeout` after the last message that arrived from it, and no later
-/// than that plus one tick — the same worst case as explicit
-/// heartbeats, timed from the last message rather than the last
-/// heartbeat.
+/// Detection bound: a crashed peer is suspected `timeout` after the
+/// last message that arrived from it — [`HeartbeatFd`] ticks at that
+/// deadline, so the only lag is the CPU time queued ahead of the
+/// tick — timed from the last message rather than the last heartbeat.
 #[derive(Debug)]
 pub struct HeartbeatPacer;
 
@@ -172,12 +176,16 @@ pub struct FdConfig {
 
 impl Default for FdConfig {
     fn default() -> Self {
+        let heartbeat_interval = VDur::millis(100);
         FdConfig {
-            heartbeat_interval: VDur::millis(100),
-            // Generous relative to LAN delays so good runs see no wrong
-            // suspicions even under CPU saturation (paper §5.1 evaluates
-            // good runs only).
-            timeout: VDur::millis(500),
+            heartbeat_interval,
+            // The pacer bounds every link's silence by two heartbeat
+            // intervals plus a tick's CPU queueing; half an interval
+            // covers that queueing. The longest silence any tick saw
+            // in a good run — every committed sweep, the ×4 slow
+            // coordinator and 25 %-rate links included — is 120.6 ms
+            // (paper §5.1 evaluates good runs only).
+            timeout: heartbeat_interval * 2 + heartbeat_interval / 2,
             timeout_increment: VDur::millis(250),
         }
     }
@@ -191,6 +199,10 @@ impl Default for FdConfig {
 /// message its host saw arrive ([`FailureDetector::note_alive`]) —
 /// cancels the suspicion and enlarges that process's timeout. Its host
 /// heartbeats only links that are otherwise idle ([`HeartbeatPacer`]).
+/// It ticks every heartbeat interval, or sooner when a monitored peer's
+/// silence would outlast its timeout before then: the next tick lands
+/// just past that deadline, so a crash is suspected at the timeout, not
+/// up to an interval later.
 ///
 /// # Example
 ///
@@ -223,6 +235,9 @@ pub struct HeartbeatFd {
     /// True while `me` is a member: only members emit heartbeats; a
     /// learner (removed or not-yet-added process) listens silently.
     active: bool,
+    /// The delay from the last tick to the next: the heartbeat interval,
+    /// or sooner if a monitored peer's deadline falls before it.
+    next_tick: VDur,
 }
 
 impl HeartbeatFd {
@@ -246,6 +261,7 @@ impl HeartbeatFd {
             suspected: vec![false; n],
             members: vec![true; n],
             active: true,
+            next_tick: cfg.heartbeat_interval,
             cfg,
         }
     }
@@ -286,18 +302,28 @@ impl FailureDetector for HeartbeatFd {
     }
 
     fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>) {
+        self.next_tick = self.cfg.heartbeat_interval;
         for i in 0..self.last_heard.len() {
             if i == self.me.index() || self.suspected[i] || !self.members[i] {
                 continue;
             }
-            if now.since(self.last_heard[i]) > self.timeout[i] {
+            let deadline = self.last_heard[i] + self.timeout[i];
+            if now > deadline {
                 self.suspected[i] = true;
                 out.push(FdEvent::Suspect(ProcessId(i as u16)));
+            } else {
+                // Silence must exceed the timeout: tick just past it.
+                let due = deadline.since(now) + VDur::nanos(1);
+                self.next_tick = self.next_tick.min(due);
             }
         }
     }
 
     fn tick_interval(&self) -> Option<VDur> {
+        Some(self.next_tick)
+    }
+
+    fn heartbeat_interval(&self) -> Option<VDur> {
         Some(self.cfg.heartbeat_interval)
     }
 
@@ -724,6 +750,46 @@ mod tests {
             link.pace(&mut fd, ms(131)),
             [FdEvent::Suspect(ProcessId(1))]
         );
+    }
+
+    #[test]
+    fn while_every_peer_is_fresh_the_next_tick_is_one_interval_away() {
+        let interval = cfg().heartbeat_interval;
+        let mut fd = HeartbeatFd::new(3, ProcessId(0), cfg());
+        assert_eq!(fd.tick_interval(), Some(interval));
+        let mut out = Vec::new();
+        for tick in 1..20 {
+            let now = ms(10 * tick);
+            // Both peers were last heard a full interval ago.
+            fd.note_alive(ProcessId(1), now - interval, &mut out);
+            fd.note_alive(ProcessId(2), now - interval, &mut out);
+            fd.tick(now, &mut out);
+            assert_eq!(fd.tick_interval(), Some(interval), "tick at {now}");
+            assert_eq!(fd.heartbeat_interval(), Some(interval));
+        }
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_silent_peer_is_suspected_exactly_at_its_deadline() {
+        let mut fd = HeartbeatFd::new(3, ProcessId(0), cfg());
+        let mut out = Vec::new();
+        // p1 falls silent after a message at 3 ms; p2 keeps talking.
+        fd.note_alive(ProcessId(1), ms(3), &mut out);
+        let mut now = VTime::ZERO;
+        loop {
+            fd.note_alive(ProcessId(2), now, &mut out);
+            fd.tick(now, &mut out);
+            if !out.is_empty() {
+                break;
+            }
+            now += fd.tick_interval().expect("the detector ticks");
+        }
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(1))]);
+        // Ticks at 0, 10, …, 50 ms, then just past the deadline.
+        assert_eq!(now, ms(3) + cfg().timeout + VDur::nanos(1));
+        // A suspected peer sets no deadline: back to the interval.
+        assert_eq!(fd.tick_interval(), Some(cfg().heartbeat_interval));
     }
 
     #[test]

@@ -29,10 +29,12 @@
 //! heartbeat only to the peers it sent nothing to within the heartbeat
 //! interval. A link that carries protocol traffic carries no heartbeats;
 //! a link that falls idle gets one within two intervals of its last
-//! message, well inside the timeout. The detection bound is the same as
-//! with explicit heartbeats: a crashed peer is suspected no earlier than
-//! `timeout` after the last message that arrived from it, and no later
-//! than one polling tick after that.
+//! message, inside the timeout of two and a half intervals. The
+//! detection bound is the timeout itself: a crashed peer is suspected
+//! `timeout` after the last message that arrived from it, because
+//! [`HeartbeatFd`] schedules its next tick at the earliest deadline
+//! when that comes before its regular cadence; only the CPU time queued
+//! ahead of that tick delays it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -295,6 +295,29 @@ mod tests {
     }
 
     #[test]
+    fn the_inner_deadline_passes_through() {
+        let cfg = FdConfig {
+            heartbeat_interval: VDur::millis(10),
+            timeout: VDur::millis(50),
+            timeout_increment: VDur::millis(20),
+        };
+        let just_past = |ms: u64| Some(VDur::millis(ms) + VDur::nanos(1));
+        let mut out = Vec::new();
+        // No windows: the inner core's deadline, not its cadence.
+        let inner = HeartbeatFd::new(2, ProcessId(0), cfg.clone());
+        let mut fd = OverlayFd::new(2, ProcessId(0), inner, Vec::new());
+        fd.tick(VTime::ZERO + VDur::millis(43), &mut out);
+        assert_eq!(fd.tick_interval(), just_past(7));
+        assert_eq!(fd.heartbeat_interval(), Some(cfg.heartbeat_interval));
+        // While windows are open, the earlier of it and the resolution.
+        let inner = HeartbeatFd::new(2, ProcessId(0), cfg);
+        let mut fd = OverlayFd::new(2, ProcessId(0), inner, vec![window(1, 60, 100)]);
+        fd.tick(VTime::ZERO + VDur::millis(48), &mut out);
+        assert_eq!(fd.tick_interval(), just_past(2));
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn tick_interval_accounts_for_windows() {
         let mut fd = OverlayFd::new(2, ProcessId(0), QuiescentFd, vec![window(1, 0, 10)]);
         assert_eq!(fd.tick_interval(), Some(VDur::millis(5)));

@@ -50,8 +50,9 @@ fn main() {
         }
     }
 
-    // Run past the crash; the heartbeat detector needs its 500 ms
-    // timeout to notice, then rounds rotate and ordering resumes.
+    // Run past the crash; the heartbeat detector notices once p1 has
+    // been silent for its 250 ms timeout, then rounds rotate and
+    // ordering resumes.
     let (mut cluster, mut driver) = run_scripted(
         StackKind::Monolithic,
         &StackConfig::default(),

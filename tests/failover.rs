@@ -90,8 +90,8 @@ struct Window {
 
 /// p1 and p2 each submit a 1 KiB message every 4 ms, alternating, for
 /// 2.1 s, on a group of three; with `crash`, p0 — the round-0
-/// coordinator — crashes at 100 ms. The window opens once the detector
-/// has suspected it (800 ms) and closes with the load.
+/// coordinator — crashes at 100 ms. The window opens at 800 ms, well
+/// after the detector has suspected it, and closes with the load.
 fn outage_load(kind: StackKind, crash: bool) -> Window {
     let n = 3;
     let nodes = build_nodes(kind, n, &StackConfig::default());
@@ -191,11 +191,11 @@ fn a_coordinator_outage_costs_one_estimate_round_not_one_per_instance() {
 
 /// The detection bound, on a loaded group whose links to the
 /// coordinator were busy until it crashed: every survivor suspects p0
-/// no earlier than the detector's timeout after the last message that
-/// arrived from it — of any kind, since every message is a heartbeat —
-/// and no later than one polling tick after that. The tick may run
-/// late by the CPU time queued ahead of it, which [`TICK_SLACK`]
-/// covers.
+/// one detector timeout after the last message that arrived from it —
+/// of any kind, since every message is a heartbeat — whatever the
+/// crash's phase against the survivors' heartbeat ticks, because the
+/// detector ticks at the deadline. The tick may run late by the CPU
+/// time queued ahead of it, which [`TICK_SLACK`] covers.
 #[test]
 fn a_crashed_coordinator_is_suspected_one_timeout_after_its_last_message() {
     /// Handlers queued ahead of a survivor's detector tick, and the
@@ -203,9 +203,14 @@ fn a_crashed_coordinator_is_suspected_one_timeout_after_its_last_message() {
     const TICK_SLACK: VDur = VDur::millis(5);
     let n = 3;
     let fd = FdConfig::default();
-    let crash = VTime::ZERO + VDur::millis(300);
-    for kind in [StackKind::Modular, StackKind::Monolithic] {
-        let label = kind.label();
+    // Four phases across one heartbeat interval.
+    let crashes =
+        (0..4u64).map(|k| VTime::ZERO + VDur::millis(300) + fd.heartbeat_interval / 4 * k);
+    for (kind, crash) in [StackKind::Modular, StackKind::Monolithic]
+        .into_iter()
+        .flat_map(|kind| crashes.clone().map(move |crash| (kind, crash)))
+    {
+        let label = format!("{}, crash at {crash}", kind.label());
         let nodes = build_nodes(kind, n, &StackConfig::default());
         let mut cfg = ClusterConfig::new(n, 7);
         cfg.trace = TraceConfig::with_capacity(1 << 20);
@@ -255,7 +260,7 @@ fn a_crashed_coordinator_is_suspected_one_timeout_after_its_last_message() {
             };
             let after = (VTime::ZERO + VDur::nanos(at)).since(last);
             assert!(
-                after > fd.timeout && after <= fd.timeout + fd.heartbeat_interval + TICK_SLACK,
+                after > fd.timeout && after <= fd.timeout + TICK_SLACK,
                 "{label}: p{survivor} suspected p0 {after} after its last message"
             );
         }
@@ -274,15 +279,20 @@ fn submit_next(cluster: &mut Cluster, next_seq: &mut [u64], p: ProcessId) -> Opt
 }
 
 /// p0 — the round-0 coordinator — crashes at 500 ms and restarts 100
-/// or 300 ms later, before the detector's timeout expires, so nobody
-/// rotates a round. p1 submits one message at 520 ms, into the outage;
-/// after the restart only p0 submits, so progress never stalls long
-/// enough for an idle kick either. The message still reaches every
-/// process within two resend intervals: the first resend check may come
-/// too early to find it overdue, the second does not.
+/// ms, half the detector's timeout, or 300 ms later. Its links have
+/// been idle since the load stopped, so it heartbeat each of them one
+/// interval or less before the crash: the two shorter outages end
+/// before the timeout expires, and nobody suspects p0 or rotates a
+/// round. The 300 ms one outlasts the timeout and is suspected. p1
+/// submits one message at 520 ms, into the outage; after the restart
+/// only p0 submits, so progress never stalls long enough for an idle
+/// kick either. Suspected or not, the message reaches every process
+/// within two resend intervals: the first resend check may come too
+/// early to find it overdue, the second does not.
 #[test]
 fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one_resend() {
     let n = 3;
+    let fd = FdConfig::default();
     let p0 = ProcessId(0);
     let crash = VDur::millis(500);
     let submit_at = VTime::ZERO + VDur::millis(520);
@@ -297,7 +307,7 @@ fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one
         ("mono-none", StackKind::Monolithic, mono_none),
     ];
     for (label, kind, stack) in rows {
-        for down in [VDur::millis(100), VDur::millis(300)] {
+        for down in [VDur::millis(100), fd.timeout / 2, VDur::millis(300)] {
             let scenario = Scenario::new().crash(p0, crash).restart(p0, crash + down);
             let (mut cluster, _) =
                 scenario_cluster(kind, &stack, ClusterConfig::new(n, 1), &scenario);
@@ -318,6 +328,12 @@ fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one
             }
             cluster.run_until(VTime::ZERO + VDur::secs(10), &mut harness);
 
+            let suspicions = cluster.counters().event("fd.suspicions");
+            assert_eq!(
+                suspicions > 0,
+                down > fd.timeout,
+                "{label}, down {down}: {suspicions} suspicion(s)"
+            );
             for (p, log) in harness.logs.iter().enumerate() {
                 let at = log.iter().find(|(m, _)| *m == id).map(|(_, at)| *at);
                 let at = at.unwrap_or_else(|| {

@@ -19,7 +19,7 @@
 
 use fortika::chaos::{LoadPlan, Scenario};
 use fortika::core::{run_scripted, StackConfig, StackKind};
-use fortika::net::{ClusterConfig, MsgId, ProcessId};
+use fortika::net::{Cluster, ClusterConfig, MsgId, ProcessId};
 use fortika::sim::{VDur, VTime};
 
 /// Stack configuration for a reconfiguration run. Who votes is the
@@ -145,6 +145,40 @@ fn grow_to_five_then_shrink_under_load_on_both_stacks() {
 /// catch up via snapshot transfer: deep history (tiny decision cache,
 /// aggressive compaction), the `Add` lands at 3 s after well over
 /// `decision_cache` instances decided.
+/// A standby is no member until a log-decided `Add` admits it, so
+/// nobody monitors its silence before then: a fault-free run that
+/// grows a group of three by its standby suspects nobody, before the
+/// `Add` or after it.
+#[test]
+fn a_standby_is_not_suspected_before_it_joins() {
+    let add_at = VDur::millis(1300);
+    let scenario = Scenario::new().add_node(ProcessId(3), add_at);
+    let stack = StackConfig {
+        initial_members: 3,
+        ..StackConfig::default()
+    };
+    for kind in [StackKind::Modular, StackKind::Monolithic] {
+        let label = kind.label();
+        let plan = LoadPlan::round_robin(3, 100, VDur::millis(20), 64);
+        let (mut cluster, mut driver) = run_scripted(
+            kind,
+            &stack,
+            ClusterConfig::new(3, 7),
+            &scenario,
+            plan,
+            VTime::ZERO + add_at,
+        );
+        let suspicions = |cluster: &Cluster| cluster.counters().event("fd.suspicions");
+        assert_eq!(suspicions(&cluster), 0, "{label}: before the Add");
+        cluster.run_until(VTime::ZERO + VDur::secs(4), &mut driver);
+        assert!(
+            cluster.counters().event("fd.member_updates") > 0,
+            "{label}: the Add was registered"
+        );
+        assert_eq!(suspicions(&cluster), 0, "{label}: after the Add");
+    }
+}
+
 #[test]
 fn added_node_catches_up_via_snapshot_transfer() {
     let n = 3;
