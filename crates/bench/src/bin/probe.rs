@@ -81,7 +81,7 @@ fn verify_bench(path: &str) -> Result<(), String> {
 
 fn print_run_row(label: &str, r: &RunReport) {
     println!(
-        "{:>14} {:>10} {:>3} {:>6.0} {:>7} | {:>9.3} {:>9.1} {:>7.2} {:>6.2} {:>8.2} {:>9.1}",
+        "{:>18} {:>10} {:>3} {:>6.0} {:>7} | {:>9.3} {:>9.1} {:>7.2} {:>6.2} {:>8.2} {:>9.1}",
         label,
         r.kind.label(),
         r.n,
@@ -100,7 +100,7 @@ fn print_header(title: &str) {
     println!();
     println!("## {title}");
     println!(
-        "{:>14} {:>10} {:>3} {:>6} {:>7} | {:>9} {:>9} {:>7} {:>6} {:>8} {:>9}",
+        "{:>18} {:>10} {:>3} {:>6} {:>7} | {:>9} {:>9} {:>7} {:>6} {:>8} {:>9}",
         "point", "stack", "n", "load", "size", "lat(ms)", "thr", "M", "cpu", "msg/inst", "KB/inst"
     );
 }

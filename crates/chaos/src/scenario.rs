@@ -667,8 +667,8 @@ impl Scenario {
     }
 
     /// The scripted false-suspicion windows, as absolute instants from
-    /// the start of the run — feed these to
-    /// [`fortika_fd::OverlayFd`] when building nodes.
+    /// the start of the run — hand these to each node's detector
+    /// ([`fortika_fd::HeartbeatFd::with_windows`]) when building nodes.
     pub fn suspicion_windows(&self) -> Vec<SuspicionWindow> {
         self.events
             .iter()

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use fortika_consensus::ConsensusModule;
-use fortika_fd::{FdConfig, FdEvent, FdModule, HeartbeatFd, ScriptedFd};
+use fortika_fd::{FdConfig, FdModule, HeartbeatFd, SuspicionWindow};
 use fortika_framework::{CompositeStack, Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::{
     AppMsg, Batch, Cluster, ClusterConfig, CostModel, MsgId, NetModel, Node, ProcessId, TimerId,
@@ -254,25 +254,13 @@ fn false_suspicion_does_not_violate_agreement() {
     let log: DecisionLog = Default::default();
     let nodes: Vec<Box<dyn Node>> = (0..n)
         .map(|i| {
-            let fd: Box<dyn Microprotocol> = if i == 2 {
-                let script = vec![
-                    (
-                        VTime::ZERO + VDur::millis(2),
-                        FdEvent::Suspect(ProcessId(0)),
-                    ),
-                    (
-                        VTime::ZERO + VDur::millis(400),
-                        FdEvent::Restore(ProcessId(0)),
-                    ),
-                ];
-                Box::new(FdModule::new(ScriptedFd::new(n, script, VDur::millis(1))))
-            } else {
-                Box::new(FdModule::new(HeartbeatFd::new(
-                    n,
-                    ProcessId(i as u16),
-                    fd_cfg(),
-                )))
+            let window = SuspicionWindow {
+                observer: ProcessId(2),
+                suspect: ProcessId(0),
+                from: VTime::ZERO + VDur::millis(2),
+                until: VTime::ZERO + VDur::millis(400),
             };
+            let fd = HeartbeatFd::new(n, ProcessId(i as u16), fd_cfg()).with_windows(&[window]);
             Box::new(CompositeStack::new(vec![
                 Box::new(Driver {
                     proposals: vec![(0, batch_of(i as u16, 0, 64), VDur::millis(5))],
@@ -280,7 +268,7 @@ fn false_suspicion_does_not_violate_agreement() {
                 }),
                 Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new()),
-                fd,
+                Box::new(FdModule::new(fd)),
             ])) as Box<dyn Node>
         })
         .collect();

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use fortika_consensus::ConsensusModule;
-use fortika_fd::{FdConfig, FdEvent, FdModule, HeartbeatFd, ScriptedFd};
+use fortika_fd::{FdConfig, FdModule, HeartbeatFd, SuspicionWindow};
 use fortika_framework::{CompositeStack, Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::{AppMsg, Batch, Cluster, ClusterConfig, MsgId, Node, ProcessId, TimerId};
 use fortika_rbcast::RbcastModule;
@@ -54,6 +54,25 @@ fn batch_of(p: u16, seq: u64) -> Batch {
     )])
 }
 
+fn window(observer: ProcessId, suspect: ProcessId, from_ms: u64, until_ms: u64) -> SuspicionWindow {
+    SuspicionWindow {
+        observer,
+        suspect,
+        from: VTime::ZERO + VDur::millis(from_ms),
+        until: VTime::ZERO + VDur::millis(until_ms),
+    }
+}
+
+/// A detector whose only suspicions are the scripted `windows`: its
+/// timeout outlasts the run.
+fn slanderer(n: usize, me: ProcessId, windows: &[SuspicionWindow]) -> HeartbeatFd {
+    let cfg = FdConfig {
+        timeout: VDur::secs(60),
+        ..FdConfig::default()
+    };
+    HeartbeatFd::new(n, me, cfg).with_windows(windows)
+}
+
 fn assert_agreement(log: &DecisionLog, instances: u64, correct: &[ProcessId]) {
     for k in 0..instances {
         let ds: Vec<(ProcessId, Batch)> = log
@@ -86,19 +105,12 @@ fn rotating_false_suspicions_never_break_agreement() {
         .map(|i| {
             // Each process falsely suspects p1 periodically, staggered,
             // and restores shortly after — a storm of wrong suspicions.
-            let mut script = Vec::new();
-            let mut t = 10 + 17 * i as u64;
-            while t < 2_000 {
-                script.push((
-                    VTime::ZERO + VDur::millis(t),
-                    FdEvent::Suspect(ProcessId(0)),
-                ));
-                script.push((
-                    VTime::ZERO + VDur::millis(t + 13),
-                    FdEvent::Restore(ProcessId(0)),
-                ));
-                t += 41;
-            }
+            let me = ProcessId(i as u16);
+            let windows: Vec<SuspicionWindow> = (0..)
+                .map(|k| 10 + 17 * i as u64 + 41 * k)
+                .take_while(|&t| t < 2_000)
+                .map(|t| window(me, ProcessId(0), t, t + 13))
+                .collect();
             let proposals: Vec<(u64, Batch, VDur)> = (0..instances)
                 .map(|k| (k, batch_of(i as u16, k), VDur::millis(1 + 3 * k)))
                 .collect();
@@ -109,7 +121,7 @@ fn rotating_false_suspicions_never_break_agreement() {
                 }),
                 Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new()),
-                Box::new(FdModule::new(ScriptedFd::new(n, script, VDur::millis(1)))),
+                Box::new(FdModule::new(slanderer(n, me, &windows))),
             ])) as Box<dyn Node>
         })
         .collect();
@@ -173,24 +185,11 @@ fn long_isolated_laggard_catches_up() {
         .map(|i| {
             // p3 suspects everyone for the first 1.5 s (isolation), then
             // restores — its estimates went nowhere meanwhile.
-            let script = if i == 2 {
+            let me = ProcessId(i as u16);
+            let windows = if i == 2 {
                 vec![
-                    (
-                        VTime::ZERO + VDur::millis(1),
-                        FdEvent::Suspect(ProcessId(0)),
-                    ),
-                    (
-                        VTime::ZERO + VDur::millis(1),
-                        FdEvent::Suspect(ProcessId(1)),
-                    ),
-                    (
-                        VTime::ZERO + VDur::millis(1500),
-                        FdEvent::Restore(ProcessId(0)),
-                    ),
-                    (
-                        VTime::ZERO + VDur::millis(1500),
-                        FdEvent::Restore(ProcessId(1)),
-                    ),
+                    window(me, ProcessId(0), 1, 1_500),
+                    window(me, ProcessId(1), 1, 1_500),
                 ]
             } else {
                 Vec::new()
@@ -205,7 +204,7 @@ fn long_isolated_laggard_catches_up() {
                 }),
                 Box::new(ConsensusModule::new()),
                 Box::new(RbcastModule::new()),
-                Box::new(FdModule::new(ScriptedFd::new(n, script, VDur::millis(1)))),
+                Box::new(FdModule::new(slanderer(n, me, &windows))),
             ])) as Box<dyn Node>
         })
         .collect();

@@ -4,7 +4,7 @@
 use fortika_abcast::{AbcastConfig, AbcastModule};
 use fortika_chaos::{LoadPlan, Scenario, ScriptedDriver};
 use fortika_consensus::ConsensusModule;
-use fortika_fd::{FailureDetector, FdConfig, FdModule, HeartbeatFd, OverlayFd, SuspicionWindow};
+use fortika_fd::{FdConfig, FdModule, HeartbeatFd, SuspicionWindow};
 use fortika_framework::CompositeStack;
 use fortika_mono::{MonoNode, MonoOptimizations};
 pub use fortika_net::replica::FaultHooks;
@@ -115,7 +115,7 @@ impl Default for StackConfig {
 }
 
 /// Builds one process's stack with the scripted false-suspicion
-/// `windows` overlaid on its default failure detector (identical in
+/// `windows` handed to its default failure detector (identical in
 /// both stacks): a fresh stack, or with
 /// `revived = (now, stable)` the stack of a process restarted at `now`
 /// over its stable store — the failure detector is anchored at the
@@ -129,30 +129,26 @@ fn build(
     n: usize,
     me: ProcessId,
     cfg: &StackConfig,
-    windows: Vec<SuspicionWindow>,
+    windows: &[SuspicionWindow],
     revived: Option<(VTime, &StableStore)>,
 ) -> Box<dyn Node> {
     let anchor = revived.map_or(VTime::ZERO, |(now, _)| now);
-    let mut heartbeat = HeartbeatFd::new_anchored(n, me, FdConfig::default(), anchor);
+    let mut fd = HeartbeatFd::new_anchored(n, me, FdConfig::default(), anchor);
     if cfg.initial_members > 0 {
         // Standbys are not monitored until an `Add` admits them (and
         // listen silently until then themselves).
         let initial: Vec<ProcessId> = ProcessId::all(cfg.initial_members).collect();
-        heartbeat.set_members(&initial, anchor, &mut Vec::new());
+        fd.set_members(&initial, anchor, &mut Vec::new());
     }
+    // Windows go on after the membership set-up: with them on,
+    // `set_members` would report a window already open at `anchor`
+    // into the discarded list, and no tick would report it again.
+    let fd = fd.with_windows(windows);
     let stable = revived.map(|(_, stable)| stable);
-    // Only chaos runs pay for the overlay: windows relevant to this
-    // process wrap the detector, everything else runs the bare core.
-    let wraps = windows.iter().any(|w| w.observer == me);
     let app = cfg.app_state.as_ref().map(AppStateFactory::make);
     let replica = replica_config(cfg);
     match kind {
         StackKind::Modular => {
-            let fd_module: Box<dyn fortika_framework::Microprotocol> = if wraps {
-                Box::new(FdModule::new(OverlayFd::new(n, me, heartbeat, windows)))
-            } else {
-                Box::new(FdModule::new(heartbeat))
-            };
             let (abcast, rbcast) = match stable {
                 Some(stable) => (
                     AbcastModule::resume(abcast_config(cfg), stable),
@@ -166,20 +162,12 @@ fn build(
                 Box::new(abcast),
                 Box::new(consensus.with_app(app)),
                 Box::new(rbcast),
-                fd_module,
+                Box::new(FdModule::new(fd)),
             ]))
         }
-        StackKind::Monolithic => {
-            let fd: Box<dyn fortika_fd::FailureDetector> = if wraps {
-                Box::new(OverlayFd::new(n, me, heartbeat, windows))
-            } else {
-                Box::new(heartbeat)
-            };
-            Box::new(
-                MonoNode::with_replica(cfg.mono_opts, cfg.window, fd, replica, stable)
-                    .with_app(app),
-            )
-        }
+        StackKind::Monolithic => Box::new(
+            MonoNode::with_replica(cfg.mono_opts, cfg.window, fd, replica, stable).with_app(app),
+        ),
     }
 }
 
@@ -225,7 +213,7 @@ pub fn build_nodes_with_windows(
     windows: &[SuspicionWindow],
 ) -> Vec<Box<dyn Node>> {
     ProcessId::all(n)
-        .map(|me| build(kind, n, me, cfg, windows.to_vec(), None))
+        .map(|me| build(kind, n, me, cfg, windows, None))
         .collect()
 }
 
@@ -238,7 +226,7 @@ pub fn node_factory(
     cfg: StackConfig,
     windows: Vec<SuspicionWindow>,
 ) -> NodeFactory {
-    Box::new(move |me, now, stable| build(kind, n, me, &cfg, windows.clone(), Some((now, stable))))
+    Box::new(move |me, now, stable| build(kind, n, me, &cfg, &windows, Some((now, stable))))
 }
 
 /// Stands `scenario` on a cluster of `kind` stacks: the one way a

@@ -1,11 +1,11 @@
-//! Failure-detector cores, independent of the composition framework.
+//! The failure detector, independent of the composition framework.
 //!
-//! A core is a pure state machine consuming evidence of life and clock
-//! ticks and emitting suspicion transitions. The framework adapter
-//! ([`crate::FdModule`]) runs a core inside the modular stack; the
-//! monolithic stack embeds a core directly — both stacks therefore share
+//! [`HeartbeatFd`] is a pure state machine consuming evidence of life
+//! and clock ticks and emitting suspicion transitions. The framework
+//! adapter ([`crate::FdModule`]) runs it inside the modular stack; the
+//! monolithic stack embeds it directly — both stacks therefore share
 //! the exact same detector behaviour, as in the paper's setup, and both
-//! pace it with the one [`HeartbeatPacer`] rule.
+//! pace it with the one rule of [`HeartbeatFd::pace`].
 
 use fortika_net::{NodeCtx, ProcessId};
 use fortika_sim::{VDur, VTime};
@@ -19,60 +19,31 @@ pub enum FdEvent {
     Restore(ProcessId),
 }
 
-/// A failure-detector core.
-pub trait FailureDetector {
-    /// Notes a heartbeat received from `from` at instant `now`. The
-    /// same evidence as any other message, noted at once.
-    fn on_heartbeat(&mut self, from: ProcessId, now: VTime, out: &mut Vec<FdEvent>) {
-        self.note_alive(from, now, out);
-    }
+/// A window during which `observer`'s detector must claim `suspect` is
+/// crashed, regardless of heartbeats: a chaos scenario's scripted false
+/// suspicion (see [`HeartbeatFd::with_windows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SuspicionWindow {
+    /// The process whose local detector lies.
+    pub observer: ProcessId,
+    /// The process being slandered.
+    pub suspect: ProcessId,
+    /// Window start (inclusive).
+    pub from: VTime,
+    /// Window end (exclusive).
+    pub until: VTime,
+}
 
-    /// Notes that a message from `from` — any message — arrived at
-    /// instant `at` (implicit heartbeats: see [`HeartbeatPacer`]).
-    /// Evidence older than what the detector already holds changes
-    /// nothing. Detectors that do not time silence ignore it.
-    fn note_alive(&mut self, from: ProcessId, at: VTime, out: &mut Vec<FdEvent>) {
-        let _ = (from, at, out);
-    }
-
-    /// Clock tick: emits newly due suspicion transitions.
-    fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>);
-
-    /// The delay from the last [`tick`](Self::tick) to the next one;
-    /// `None` disables ticking. Hosts re-arm from it after every tick,
-    /// so a detector that times silence returns the delay to its first
-    /// deadline when that comes before its regular cadence, and
-    /// suspects at the deadline itself rather than up to a tick late.
-    fn tick_interval(&self) -> Option<VDur>;
-
-    /// How often the host should emit heartbeats. Defaults to the tick
-    /// interval; detectors that may tick faster than they want
-    /// heartbeats sent (fine-grained chaos overlays, and
-    /// [`HeartbeatFd`] ticking early to meet a deadline) override this
-    /// so the host's heartbeat cadence stays decoupled from polling.
-    fn heartbeat_interval(&self) -> Option<VDur> {
-        self.tick_interval()
-    }
-
-    /// Whether this detector requires the host to emit heartbeats.
-    fn sends_heartbeats(&self) -> bool;
-
-    /// Current suspicion status of `p`.
-    fn is_suspected(&self, p: ProcessId) -> bool;
-
-    /// Replaces the monitor set with `members` (dynamic membership: the
-    /// detector follows the active configuration). Newly monitored
-    /// processes anchor their silence windows at `now`; a process that
-    /// re-enters while suspected is restored through `out`. Detectors
-    /// without a monitor set (scripted, quiescent) ignore the call.
-    fn set_members(&mut self, members: &[ProcessId], now: VTime, out: &mut Vec<FdEvent>) {
-        let _ = (members, now, out);
+impl SuspicionWindow {
+    /// True while the forced suspicion is active.
+    pub fn active_at(&self, now: VTime) -> bool {
+        self.from <= now && now < self.until
     }
 }
 
-/// What a detector host's transport tells the pacer: the process it
-/// runs on, the time, and the clock of its links. Both stacks'
-/// handler contexts provide it — [`NodeCtx`] for the monolith,
+/// What a detector host's transport tells [`HeartbeatFd::pace`]: the
+/// process it runs on, the time, and the clock of its links. Both
+/// stacks' handler contexts provide it — [`NodeCtx`] for the monolith,
 /// `FrameworkCtx` for [`FdModule`](crate::FdModule) — by reading the
 /// cluster's per-link transport clock, which is free in the model.
 pub trait LinkClock {
@@ -106,61 +77,6 @@ impl LinkClock for NodeCtx<'_> {
     }
 }
 
-/// The one per-tick rule both stacks' detector hosts follow: any
-/// message is a heartbeat.
-///
-/// On every polling tick the host hands the detector the arrival time
-/// of each peer's last message ([`FailureDetector::note_alive`]), lets
-/// it tick, and then heartbeats only the peers it sent nothing to
-/// within the detector's heartbeat interval. A link that carries
-/// protocol traffic therefore carries no heartbeats, and a link that
-/// falls idle gets its first heartbeat at the first tick at least one
-/// interval after its last message — so no link goes longer than two
-/// intervals (plus a tick's CPU queueing) without evidence, inside the
-/// timeout. The interval may be coarser than the polling tick (chaos
-/// overlays tick fast to fire their windows promptly without inflating
-/// traffic, and [`HeartbeatFd`] ticks early to meet a deadline).
-///
-/// Detection bound: a crashed peer is suspected `timeout` after the
-/// last message that arrived from it — [`HeartbeatFd`] ticks at that
-/// deadline, so the only lag is the CPU time queued ahead of the
-/// tick — timed from the last message rather than the last heartbeat.
-#[derive(Debug)]
-pub struct HeartbeatPacer;
-
-impl HeartbeatPacer {
-    /// Runs one polling tick of `fd` at its host: feeds it every
-    /// peer's last arrival, ticks it (transitions go to `out`), and
-    /// calls `heartbeat` once for every peer owed one, in pid order.
-    pub fn tick<C: LinkClock + ?Sized>(
-        fd: &mut (impl FailureDetector + ?Sized),
-        ctx: &mut C,
-        out: &mut Vec<FdEvent>,
-        mut heartbeat: impl FnMut(&mut C, ProcessId),
-    ) {
-        let (me, n, now) = (ctx.pid(), ctx.n(), ctx.now());
-        for p in ProcessId::all(n).filter(|&p| p != me) {
-            if let Some(at) = ctx.last_arrival_from(p) {
-                fd.note_alive(p, at, out);
-            }
-        }
-        fd.tick(now, out);
-        if !fd.sends_heartbeats() {
-            return;
-        }
-        let interval = fd.heartbeat_interval();
-        for p in ProcessId::all(n).filter(|&p| p != me) {
-            let owed = match (ctx.last_send_to(p), interval) {
-                (Some(sent), Some(interval)) => now.since(sent) >= interval,
-                _ => true,
-            };
-            if owed {
-                heartbeat(ctx, p);
-            }
-        }
-    }
-}
-
 /// Configuration of the heartbeat-based eventually-perfect detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FdConfig {
@@ -191,23 +107,34 @@ impl Default for FdConfig {
     }
 }
 
+/// The polling period while scripted suspicion windows can still open
+/// or close: a window edge is reported at most this late.
+pub(crate) const WINDOW_RESOLUTION: VDur = VDur::millis(5);
+
 /// Heartbeat-based eventually-perfect (◇P-style) failure detector.
 ///
 /// Every message from a process is evidence that it is alive; a
 /// silence longer than the (per-process, adaptive) timeout triggers
 /// suspicion. Evidence from a suspected process — a heartbeat, or any
-/// message its host saw arrive ([`FailureDetector::note_alive`]) —
+/// message its host saw arrive ([`note_alive`](Self::note_alive)) —
 /// cancels the suspicion and enlarges that process's timeout. Its host
-/// heartbeats only links that are otherwise idle ([`HeartbeatPacer`]).
+/// heartbeats only links that are otherwise idle ([`pace`](Self::pace)).
 /// It ticks every heartbeat interval, or sooner when a monitored peer's
 /// silence would outlast its timeout before then: the next tick lands
 /// just past that deadline, so a crash is suspected at the timeout, not
 /// up to an interval later.
 ///
+/// Chaos runs also script *wrong* suspicions
+/// ([`with_windows`](Self::with_windows)) — the paper's §2.1 lets a
+/// detector's output "be inaccurate", and both stacks must stay safe
+/// when it slanders the current coordinator. A detector with windows
+/// reports forced ∪ genuine suspicion; the genuine machinery keeps
+/// running underneath, so real crashes are still detected.
+///
 /// # Example
 ///
 /// ```
-/// use fortika_fd::{FailureDetector, FdConfig, FdEvent, HeartbeatFd};
+/// use fortika_fd::{FdConfig, FdEvent, HeartbeatFd};
 /// use fortika_net::ProcessId;
 /// use fortika_sim::{VDur, VTime};
 ///
@@ -228,9 +155,10 @@ pub struct HeartbeatFd {
     cfg: FdConfig,
     last_heard: Vec<VTime>,
     timeout: Vec<VDur>,
+    /// Genuine suspicion: silence past the timeout.
     suspected: Vec<bool>,
     /// Monitor mask: only current members are suspected on silence
-    /// (dynamic membership — see [`FailureDetector::set_members`]).
+    /// (dynamic membership — see [`set_members`](Self::set_members)).
     members: Vec<bool>,
     /// True while `me` is a member: only members emit heartbeats; a
     /// learner (removed or not-yet-added process) listens silently.
@@ -238,6 +166,17 @@ pub struct HeartbeatFd {
     /// The delay from the last tick to the next: the heartbeat interval,
     /// or sooner if a monitored peer's deadline falls before it.
     next_tick: VDur,
+    /// Scripted false suspicions observed by this process. Without
+    /// any, genuine transitions are reported as they happen; with some,
+    /// [`reconcile`](Self::reconcile) reports forced ∪ genuine instead.
+    windows: Vec<SuspicionWindow>,
+    /// Suspicion state last reported upward, per process (kept only
+    /// with windows) — transitions are emitted exactly once even when
+    /// forced and genuine suspicion overlap.
+    reported: Vec<bool>,
+    /// End of the last window, until a tick lands at or past it: while
+    /// set, the detector polls at the window resolution.
+    polling_until: Option<VTime>,
 }
 
 impl HeartbeatFd {
@@ -263,17 +202,46 @@ impl HeartbeatFd {
             active: true,
             next_tick: cfg.heartbeat_interval,
             cfg,
+            windows: Vec::new(),
+            reported: Vec::new(),
+            polling_until: None,
         }
     }
 
-    /// The configured heartbeat interval.
-    pub fn config(&self) -> &FdConfig {
-        &self.cfg
+    /// Forces suspicion of chosen processes during chosen windows, on
+    /// top of the genuine verdicts; only windows whose `observer` is
+    /// this process are kept. With any, the reported suspicion is
+    /// re-derived on every heartbeat, tick and membership change, and
+    /// the detector polls every 5 ms until its last window closes.
+    /// Forced windows never touch the heartbeat cadence or the adaptive
+    /// timeouts.
+    pub fn with_windows(mut self, windows: &[SuspicionWindow]) -> Self {
+        let me = self.me;
+        self.windows = windows
+            .iter()
+            .filter(|w| w.observer == me)
+            .copied()
+            .collect();
+        self.polling_until = self.windows.iter().map(|w| w.until).max();
+        if self.polling_until.is_some() {
+            self.reported = vec![false; self.suspected.len()];
+        }
+        self
     }
-}
 
-impl FailureDetector for HeartbeatFd {
-    fn note_alive(&mut self, from: ProcessId, at: VTime, out: &mut Vec<FdEvent>) {
+    /// Notes a heartbeat received from `from` at instant `now`: the
+    /// same evidence as any other message, noted at once.
+    pub fn on_heartbeat(&mut self, from: ProcessId, now: VTime, out: &mut Vec<FdEvent>) {
+        self.note_alive(from, now, out);
+        self.reconcile(now, out);
+    }
+
+    /// Notes that a message from `from` — any message — arrived at
+    /// instant `at` (implicit heartbeats: see [`pace`](Self::pace)).
+    /// Evidence older than what the detector already holds changes
+    /// nothing. With windows, a restore is reported by the next tick's
+    /// reconcile, so a forced window still wins over implicit liveness.
+    pub fn note_alive(&mut self, from: ProcessId, at: VTime, out: &mut Vec<FdEvent>) {
         let i = from.index();
         // Only news counts: evidence the detector already holds (the
         // same arrival fed again on every tick) must neither move the
@@ -284,7 +252,6 @@ impl FailureDetector for HeartbeatFd {
         let silence = at.since(self.last_heard[i]);
         self.last_heard[i] = at;
         if self.suspected[i] {
-            self.suspected[i] = false;
             if silence > self.timeout[i] + self.timeout[i] {
                 // Silence far beyond the timeout means the peer really
                 // was down and has recovered (crash-recovery), not that
@@ -297,11 +264,12 @@ impl FailureDetector for HeartbeatFd {
                 // recurring (the standard ◇P accuracy argument).
                 self.timeout[i] += self.cfg.timeout_increment;
             }
-            out.push(FdEvent::Restore(from));
+            self.genuine(i, false, out);
         }
     }
 
-    fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>) {
+    /// Clock tick: emits newly due suspicion transitions.
+    pub fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>) {
         self.next_tick = self.cfg.heartbeat_interval;
         for i in 0..self.last_heard.len() {
             if i == self.me.index() || self.suspected[i] || !self.members[i] {
@@ -309,49 +277,70 @@ impl FailureDetector for HeartbeatFd {
             }
             let deadline = self.last_heard[i] + self.timeout[i];
             if now > deadline {
-                self.suspected[i] = true;
-                out.push(FdEvent::Suspect(ProcessId(i as u16)));
+                self.genuine(i, true, out);
             } else {
                 // Silence must exceed the timeout: tick just past it.
                 let due = deadline.since(now) + VDur::nanos(1);
                 self.next_tick = self.next_tick.min(due);
             }
         }
+        self.reconcile(now, out);
+        if self.polling_until.is_some_and(|end| now >= end) {
+            // Every window is closed and this reconcile saw it: drop
+            // back to the genuine cadence.
+            self.polling_until = None;
+        }
     }
 
-    fn tick_interval(&self) -> Option<VDur> {
-        Some(self.next_tick)
+    /// The delay from the last [`tick`](Self::tick) to the next. Hosts
+    /// re-arm from it after every tick: the heartbeat interval, or the
+    /// delay to the first deadline when that comes before it — or to
+    /// the next window poll while windows can still open or close.
+    pub fn tick_interval(&self) -> VDur {
+        match self.polling_until {
+            Some(_) => self.next_tick.min(WINDOW_RESOLUTION),
+            None => self.next_tick,
+        }
     }
 
-    fn heartbeat_interval(&self) -> Option<VDur> {
-        Some(self.cfg.heartbeat_interval)
+    /// How often the host emits heartbeats: the configured interval,
+    /// decoupled from the polling tick (which may come sooner to meet a
+    /// deadline or a window edge).
+    pub fn heartbeat_interval(&self) -> VDur {
+        self.cfg.heartbeat_interval
     }
 
-    fn sends_heartbeats(&self) -> bool {
-        self.active
+    /// Current (reported) suspicion status of `p`.
+    pub fn is_suspected(&self, p: ProcessId) -> bool {
+        let reported = if self.windows.is_empty() {
+            &self.suspected
+        } else {
+            &self.reported
+        };
+        reported.get(p.index()).copied().unwrap_or(false)
     }
 
-    fn is_suspected(&self, p: ProcessId) -> bool {
-        self.suspected.get(p.index()).copied().unwrap_or(false)
-    }
-
-    fn set_members(&mut self, members: &[ProcessId], now: VTime, out: &mut Vec<FdEvent>) {
+    /// Replaces the monitor set with `members` (dynamic membership: the
+    /// detector follows the active configuration). Newly monitored
+    /// processes anchor their silence windows at `now`; a process that
+    /// re-enters while suspected is restored through `out`. Forced
+    /// windows stay forced regardless of membership.
+    pub fn set_members(&mut self, members: &[ProcessId], now: VTime, out: &mut Vec<FdEvent>) {
         let mut mask = vec![false; self.last_heard.len()];
         for p in members {
             if p.index() < mask.len() {
                 mask[p.index()] = true;
             }
         }
-        for (i, now_member) in mask.iter().enumerate() {
-            if *now_member && !self.members[i] {
+        for (i, &now_member) in mask.iter().enumerate() {
+            if now_member && !self.members[i] {
                 // Newly monitored: anchor its silence window here (it
                 // may never have heartbeat before) and start from the
                 // base timeout with a clean slate.
                 self.last_heard[i] = now;
                 self.timeout[i] = self.cfg.timeout;
                 if self.suspected[i] {
-                    self.suspected[i] = false;
-                    out.push(FdEvent::Restore(ProcessId(i as u16)));
+                    self.genuine(i, false, out);
                 }
             }
         }
@@ -360,84 +349,86 @@ impl FailureDetector for HeartbeatFd {
         // monitored for fresh silence.
         self.members = mask;
         self.active = members.contains(&self.me);
+        self.reconcile(now, out);
     }
-}
 
-/// A detector that never suspects anyone and sends no heartbeats.
-///
-/// It serves as the silent inner detector of `OverlayFd`'s tests, where
-/// only the scripted windows may suspect. Every stack and harness uses
-/// [`HeartbeatFd`], as the paper's stacks did.
-#[derive(Debug, Clone, Default)]
-pub struct QuiescentFd;
-
-impl FailureDetector for QuiescentFd {
-    fn tick(&mut self, _: VTime, _: &mut Vec<FdEvent>) {}
-    fn tick_interval(&self) -> Option<VDur> {
-        None
-    }
-    fn sends_heartbeats(&self) -> bool {
-        false
-    }
-    fn is_suspected(&self, _: ProcessId) -> bool {
-        false
-    }
-}
-
-/// A detector driven by a pre-programmed schedule of transitions —
-/// the fault-injection tool of the test-suite (wrong suspicions at
-/// chosen instants, targeted suspicion of a crashed coordinator, …).
-#[derive(Debug, Clone)]
-pub struct ScriptedFd {
-    /// Remaining script, sorted by time ascending.
-    script: Vec<(VTime, FdEvent)>,
-    next: usize,
-    suspected: Vec<bool>,
-    resolution: VDur,
-}
-
-impl ScriptedFd {
-    /// Creates a scripted detector for a group of `n` processes.
+    /// The one per-tick rule both stacks' detector hosts follow: any
+    /// message is a heartbeat.
     ///
-    /// `script` entries fire at (or just after) their instant, in order.
-    /// `resolution` bounds the firing lag (the polling tick).
-    pub fn new(n: usize, mut script: Vec<(VTime, FdEvent)>, resolution: VDur) -> Self {
-        script.sort_by_key(|&(t, _)| t);
-        ScriptedFd {
-            script,
-            next: 0,
-            suspected: vec![false; n],
-            resolution,
+    /// Feeds the detector the arrival time of each peer's last message
+    /// ([`note_alive`](Self::note_alive)), ticks it (transitions go to
+    /// `out`), and then calls `heartbeat` once for every peer this
+    /// process sent nothing to within the heartbeat interval, in pid
+    /// order. A link that carries protocol traffic therefore carries no
+    /// heartbeats, and a link that falls idle gets its first heartbeat
+    /// at the first tick at least one interval after its last message —
+    /// so no link goes longer than two intervals (plus a tick's CPU
+    /// queueing) without evidence, inside the timeout.
+    ///
+    /// Detection bound: a crashed peer is suspected `timeout` after the
+    /// last message that arrived from it — the detector ticks at that
+    /// deadline, so the only lag is the CPU time queued ahead of the
+    /// tick — timed from the last message rather than the last heartbeat.
+    pub fn pace<C: LinkClock + ?Sized>(
+        &mut self,
+        ctx: &mut C,
+        out: &mut Vec<FdEvent>,
+        mut heartbeat: impl FnMut(&mut C, ProcessId),
+    ) {
+        let (me, n, now) = (ctx.pid(), ctx.n(), ctx.now());
+        for p in ProcessId::all(n).filter(|&p| p != me) {
+            if let Some(at) = ctx.last_arrival_from(p) {
+                self.note_alive(p, at, out);
+            }
         }
-    }
-}
-
-impl FailureDetector for ScriptedFd {
-    fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>) {
-        while self.next < self.script.len() && self.script[self.next].0 <= now {
-            let (_, ev) = self.script[self.next];
-            self.next += 1;
-            let (idx, flag) = match ev {
-                FdEvent::Suspect(p) => (p.index(), true),
-                FdEvent::Restore(p) => (p.index(), false),
-            };
-            if self.suspected[idx] != flag {
-                self.suspected[idx] = flag;
-                out.push(ev);
+        self.tick(now, out);
+        if !self.active {
+            return;
+        }
+        for p in ProcessId::all(n).filter(|&p| p != me) {
+            let owed = ctx
+                .last_send_to(p)
+                .is_none_or(|sent| now.since(sent) >= self.cfg.heartbeat_interval);
+            if owed {
+                heartbeat(ctx, p);
             }
         }
     }
 
-    fn tick_interval(&self) -> Option<VDur> {
-        Some(self.resolution)
+    /// Records a genuine transition of process `i`. Without windows it
+    /// is reported at once; with them, [`reconcile`](Self::reconcile)
+    /// re-derives it against the forced state.
+    fn genuine(&mut self, i: usize, suspect: bool, out: &mut Vec<FdEvent>) {
+        self.suspected[i] = suspect;
+        if self.windows.is_empty() {
+            out.push(transition(i, suspect));
+        }
     }
 
-    fn sends_heartbeats(&self) -> bool {
-        false
+    /// Reconciles the effective state (forced ∪ genuine) with what was
+    /// last reported, emitting the difference; a no-op without windows.
+    fn reconcile(&mut self, now: VTime, out: &mut Vec<FdEvent>) {
+        for p in 0..self.reported.len() {
+            let forced = self
+                .windows
+                .iter()
+                .any(|w| w.suspect.index() == p && w.active_at(now));
+            let effective = forced || self.suspected[p];
+            if effective != self.reported[p] {
+                self.reported[p] = effective;
+                out.push(transition(p, effective));
+            }
+        }
     }
+}
 
-    fn is_suspected(&self, p: ProcessId) -> bool {
-        self.suspected.get(p.index()).copied().unwrap_or(false)
+/// The event reporting that process `p` became suspected or restored.
+fn transition(p: usize, suspect: bool) -> FdEvent {
+    let p = ProcessId(p as u16);
+    if suspect {
+        FdEvent::Suspect(p)
+    } else {
+        FdEvent::Restore(p)
     }
 }
 
@@ -547,7 +538,7 @@ mod tests {
         let members = [ProcessId(0), ProcessId(1)];
         fd.set_members(&members, VTime::ZERO, &mut out);
         assert!(out.is_empty());
-        assert!(fd.sends_heartbeats());
+        assert!(fd.active);
         fd.tick(VTime::ZERO + VDur::secs(10), &mut out);
         assert_eq!(out, [FdEvent::Suspect(ProcessId(1))], "members only");
         assert!(!fd.is_suspected(ProcessId(2)));
@@ -565,7 +556,7 @@ mod tests {
 
         // Removing this process turns it into a silent learner.
         fd.set_members(&[ProcessId(1), ProcessId(2)], now, &mut out);
-        assert!(!fd.sends_heartbeats());
+        assert!(!fd.active, "a learner heartbeats no one");
     }
 
     #[test]
@@ -613,10 +604,10 @@ mod tests {
         }
 
         /// One pacer tick at `now`; returns the detector's transitions.
-        fn pace(&mut self, fd: &mut impl FailureDetector, now: VTime) -> Vec<FdEvent> {
+        fn pace(&mut self, fd: &mut HeartbeatFd, now: VTime) -> Vec<FdEvent> {
             self.now = now;
             let mut out = Vec::new();
-            HeartbeatPacer::tick(fd, self, &mut out, |link, p| {
+            fd.pace(self, &mut out, |link, p| {
                 link.sent[p.index()] = Some(link.now);
                 link.heartbeats.push((link.now, p));
             });
@@ -756,7 +747,7 @@ mod tests {
     fn while_every_peer_is_fresh_the_next_tick_is_one_interval_away() {
         let interval = cfg().heartbeat_interval;
         let mut fd = HeartbeatFd::new(3, ProcessId(0), cfg());
-        assert_eq!(fd.tick_interval(), Some(interval));
+        assert_eq!(fd.tick_interval(), interval);
         let mut out = Vec::new();
         for tick in 1..20 {
             let now = ms(10 * tick);
@@ -764,8 +755,8 @@ mod tests {
             fd.note_alive(ProcessId(1), now - interval, &mut out);
             fd.note_alive(ProcessId(2), now - interval, &mut out);
             fd.tick(now, &mut out);
-            assert_eq!(fd.tick_interval(), Some(interval), "tick at {now}");
-            assert_eq!(fd.heartbeat_interval(), Some(interval));
+            assert_eq!(fd.tick_interval(), interval, "tick at {now}");
+            assert_eq!(fd.heartbeat_interval(), interval);
         }
         assert!(out.is_empty());
     }
@@ -783,67 +774,12 @@ mod tests {
             if !out.is_empty() {
                 break;
             }
-            now += fd.tick_interval().expect("the detector ticks");
+            now += fd.tick_interval();
         }
         assert_eq!(out, [FdEvent::Suspect(ProcessId(1))]);
         // Ticks at 0, 10, …, 50 ms, then just past the deadline.
         assert_eq!(now, ms(3) + cfg().timeout + VDur::nanos(1));
         // A suspected peer sets no deadline: back to the interval.
-        assert_eq!(fd.tick_interval(), Some(cfg().heartbeat_interval));
-    }
-
-    #[test]
-    fn quiescent_fd_is_silent() {
-        let mut fd = QuiescentFd;
-        let mut out = Vec::new();
-        fd.tick(VTime::ZERO + VDur::secs(100), &mut out);
-        fd.on_heartbeat(ProcessId(0), VTime::ZERO, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(fd.tick_interval(), None);
-        assert!(!fd.sends_heartbeats());
-    }
-
-    #[test]
-    fn scripted_fd_follows_schedule() {
-        let script = vec![
-            (
-                VTime::ZERO + VDur::millis(10),
-                FdEvent::Suspect(ProcessId(0)),
-            ),
-            (
-                VTime::ZERO + VDur::millis(30),
-                FdEvent::Restore(ProcessId(0)),
-            ),
-        ];
-        let mut fd = ScriptedFd::new(2, script, VDur::millis(1));
-        let mut out = Vec::new();
-        fd.tick(VTime::ZERO + VDur::millis(5), &mut out);
-        assert!(out.is_empty());
-        fd.tick(VTime::ZERO + VDur::millis(10), &mut out);
-        assert_eq!(out, [FdEvent::Suspect(ProcessId(0))]);
-        assert!(fd.is_suspected(ProcessId(0)));
-        out.clear();
-        fd.tick(VTime::ZERO + VDur::millis(100), &mut out);
-        assert_eq!(out, [FdEvent::Restore(ProcessId(0))]);
-        assert!(!fd.is_suspected(ProcessId(0)));
-    }
-
-    #[test]
-    fn scripted_fd_dedups_redundant_transitions() {
-        let script = vec![
-            (VTime::ZERO, FdEvent::Restore(ProcessId(1))), // already unsuspected
-            (
-                VTime::ZERO + VDur::millis(1),
-                FdEvent::Suspect(ProcessId(1)),
-            ),
-            (
-                VTime::ZERO + VDur::millis(2),
-                FdEvent::Suspect(ProcessId(1)),
-            ),
-        ];
-        let mut fd = ScriptedFd::new(2, script, VDur::millis(1));
-        let mut out = Vec::new();
-        fd.tick(VTime::ZERO + VDur::secs(1), &mut out);
-        assert_eq!(out, [FdEvent::Suspect(ProcessId(1))]);
+        assert_eq!(fd.tick_interval(), cfg().heartbeat_interval);
     }
 }

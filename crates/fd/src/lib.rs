@@ -1,28 +1,26 @@
-//! Failure detectors for the Fortika reproduction.
+//! The failure detector of the Fortika reproduction.
 //!
 //! The paper's system model (§2.1) equips every process with a local
 //! failure detector (FD) whose output list of suspects "can change over
 //! time \[and\] can be inaccurate" — the unreliable failure detectors of
-//! Chandra & Toueg. This crate provides:
+//! Chandra & Toueg. Both stacks run the one detector this crate
+//! provides:
 //!
-//! * [`HeartbeatFd`] — the production detector: silence-timing,
-//!   eventually-perfect (◇P-style) with adaptive timeouts.
-//! * [`QuiescentFd`] — never suspects; zero traffic (the inner detector
-//!   of [`OverlayFd`]'s tests).
-//! * [`ScriptedFd`] — replays a pre-programmed suspicion schedule
-//!   (fault injection for the correctness test-suite).
-//! * [`OverlayFd`] — forces scripted false-suspicion windows *on top of*
-//!   a live detector (the `fortika-chaos` scenario hook).
+//! * [`HeartbeatFd`] — silence-timing, eventually-perfect (◇P-style)
+//!   with adaptive timeouts. Chaos runs hand it a scenario's
+//!   [`SuspicionWindow`]s ([`HeartbeatFd::with_windows`]), and it
+//!   reports forced ∪ genuine suspicion — how `fortika-chaos` exercises
+//!   the "inaccurate output" clause.
 //! * [`FdModule`] — framework adapter used by the modular stack. The
-//!   monolithic stack embeds a core directly, so both stacks share
-//!   identical detector behaviour.
+//!   monolithic stack embeds the detector directly, so both stacks
+//!   share identical detector behaviour.
 //!
-//! Cores are pure state machines (see [`FailureDetector`]); time comes in
-//! through parameters, which keeps them trivially testable.
+//! The detector is a pure state machine; time comes in through
+//! parameters, which keeps it trivially testable.
 //!
 //! # Any message is a heartbeat
 //!
-//! Both stacks pace their detector with one rule, [`HeartbeatPacer`]:
+//! Both stacks pace their detector with one rule, [`HeartbeatFd::pace`]:
 //! on every polling tick the host feeds the detector the arrival time of
 //! each peer's last message — of any kind, read from the cluster's
 //! per-link transport clock through a [`LinkClock`] — and then sends a
@@ -43,20 +41,17 @@ mod core;
 mod module;
 mod overlay;
 
-pub use crate::core::{
-    FailureDetector, FdConfig, FdEvent, HeartbeatFd, HeartbeatPacer, LinkClock, QuiescentFd,
-    ScriptedFd,
-};
+pub use crate::core::{FdConfig, FdEvent, HeartbeatFd, LinkClock, SuspicionWindow};
 pub use module::{FdModule, FD_MODULE_ID};
 
-/// The `stack` label of the detectors' trace spans: `"suspect"` and
+/// The `stack` label of the detector's trace spans: `"suspect"` and
 /// `"restore"`, whose `instance` is the process concerned. Both stacks'
 /// hosts record them at the transition.
 pub const TRACE_STACK: &str = "fd";
 
 fortika_net::metric_table! {
-    /// What the failure detectors count. The monolith, which embeds a
-    /// core instead of the module, bumps and sends under these too.
+    /// What the failure detector counts. The monolith, which embeds the
+    /// detector instead of the module, bumps and sends under these too.
     pub mod metrics in FD {
         events {
             SUSPICIONS = "fd.suspicions",
@@ -68,4 +63,3 @@ fortika_net::metric_table! {
         }
     }
 }
-pub use overlay::{OverlayFd, SuspicionWindow};

@@ -1,11 +1,11 @@
-//! Framework adapter: runs a failure-detector core as a microprotocol.
+//! Framework adapter: runs the failure detector as a microprotocol.
 
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::wire::WireReader;
 use fortika_net::{ProcessId, TimerId};
 use fortika_sim::VTime;
 
-use crate::core::{FailureDetector, FdEvent, HeartbeatPacer, LinkClock};
+use crate::core::{FdEvent, HeartbeatFd, LinkClock};
 use crate::{metrics, TRACE_STACK};
 
 /// Wire demux id of the failure-detector module.
@@ -14,26 +14,21 @@ pub const FD_MODULE_ID: ModuleId = 4;
 const TIMER_TICK: u64 = 1;
 
 /// The failure-detector microprotocol: heartbeats idle links (see
-/// [`HeartbeatPacer`]), consumes peer heartbeats and the arrival times
-/// of every other module's messages, and raises
+/// [`HeartbeatFd::pace`]), consumes peer heartbeats and the arrival
+/// times of every other module's messages, and raises
 /// [`Event::Suspect`]/[`Event::Restore`] on the stack bus.
-pub struct FdModule<T> {
-    core: T,
+pub struct FdModule {
+    fd: HeartbeatFd,
     scratch: Vec<FdEvent>,
 }
 
-impl<T: FailureDetector> FdModule<T> {
-    /// Wraps a detector core.
-    pub fn new(core: T) -> Self {
+impl FdModule {
+    /// Hosts a detector.
+    pub fn new(fd: HeartbeatFd) -> Self {
         FdModule {
-            core,
+            fd,
             scratch: Vec::new(),
         }
-    }
-
-    /// Read access to the wrapped core (tests inspect suspicion state).
-    pub fn core(&self) -> &T {
-        &self.core
     }
 
     fn flush(ctx: &mut FrameworkCtx<'_, '_>, events: &mut Vec<FdEvent>) {
@@ -54,7 +49,7 @@ impl<T: FailureDetector> FdModule<T> {
     }
 }
 
-impl<T: FailureDetector> Microprotocol for FdModule<T> {
+impl Microprotocol for FdModule {
     fn name(&self) -> &'static str {
         "failure-detector"
     }
@@ -69,26 +64,24 @@ impl<T: FailureDetector> Microprotocol for FdModule<T> {
 
     fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
         // The monitor set follows the active configuration: on every
-        // activated reconfiguration, re-point the core at the new
+        // activated reconfiguration, re-point the detector at the new
         // member list (newly added members get a fresh silence window;
         // whether this process heartbeats at all follows its own
         // membership).
         if let Event::ConfigActive { stamp } = ev {
             ctx.bump(metrics::MEMBER_UPDATES, 1);
-            self.core
+            self.fd
                 .set_members(&stamp.members, ctx.now(), &mut self.scratch);
             Self::flush(ctx, &mut self.scratch);
         }
     }
 
     fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        if let Some(interval) = self.core.tick_interval() {
-            ctx.set_timer(interval, TIMER_TICK);
-        }
+        ctx.set_timer(self.fd.tick_interval(), TIMER_TICK);
     }
 
     fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, _msg: WireReader) {
-        self.core.on_heartbeat(from, ctx.now(), &mut self.scratch);
+        self.fd.on_heartbeat(from, ctx.now(), &mut self.scratch);
         Self::flush(ctx, &mut self.scratch);
     }
 
@@ -96,13 +89,11 @@ impl<T: FailureDetector> Microprotocol for FdModule<T> {
         if tag != TIMER_TICK {
             return;
         }
-        HeartbeatPacer::tick(&mut self.core, ctx, &mut self.scratch, |ctx, p| {
+        self.fd.pace(ctx, &mut self.scratch, |ctx, p| {
             ctx.send_net(p, metrics::HEARTBEAT, &());
         });
         Self::flush(ctx, &mut self.scratch);
-        if let Some(interval) = self.core.tick_interval() {
-            ctx.set_timer(interval, TIMER_TICK);
-        }
+        ctx.set_timer(self.fd.tick_interval(), TIMER_TICK);
     }
 }
 
@@ -129,7 +120,7 @@ impl LinkClock for FrameworkCtx<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::{FdConfig, HeartbeatFd, ScriptedFd};
+    use crate::core::{FdConfig, SuspicionWindow};
     use fortika_framework::CompositeStack;
     use fortika_net::{Cluster, ClusterConfig, Node};
     use fortika_sim::{VDur, VTime};
@@ -209,19 +200,22 @@ mod tests {
 
     #[test]
     fn scripted_injection_raises_and_restores() {
-        let script = vec![
-            (
-                VTime::ZERO + VDur::millis(100),
-                FdEvent::Suspect(ProcessId(1)),
-            ),
-            (
-                VTime::ZERO + VDur::millis(200),
-                FdEvent::Restore(ProcessId(1)),
-            ),
-        ];
+        let window = SuspicionWindow {
+            observer: ProcessId(0),
+            suspect: ProcessId(1),
+            from: VTime::ZERO + VDur::millis(100),
+            until: VTime::ZERO + VDur::millis(200),
+        };
+        // The peer is silent: only a timeout that outlasts the run keeps
+        // the window the one suspicion.
+        let cfg = FdConfig {
+            timeout: VDur::secs(60),
+            ..FdConfig::default()
+        };
+        let fd = HeartbeatFd::new(2, ProcessId(0), cfg).with_windows(&[window]);
         let stack: Box<dyn Node> = Box::new(CompositeStack::new(vec![
             Box::new(Probe),
-            Box::new(FdModule::new(ScriptedFd::new(2, script, VDur::millis(1)))),
+            Box::new(FdModule::new(fd)),
         ]));
         let silent: Box<dyn Node> = Box::new(CompositeStack::new(vec![Box::new(Probe)]));
         let cfg = ClusterConfig::instant(2, 1);

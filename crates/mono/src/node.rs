@@ -64,7 +64,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use fortika_fd::metrics as fd;
-use fortika_fd::{FailureDetector, FdEvent, HeartbeatPacer, TRACE_STACK};
+use fortika_fd::{FdEvent, HeartbeatFd, TRACE_STACK};
 use fortika_net::flow::Outbox;
 use fortika_net::metrics::{abcast, consensus, mono};
 use fortika_net::replica::{IDLE_TIMEOUT, SWEEP_INTERVAL};
@@ -131,7 +131,7 @@ pub struct MonoNode {
     /// Durable votes, decided log, configuration timeline, round state,
     /// compaction and catch-up (shared with the modular stack).
     core: ReplicaCore,
-    fd: Box<dyn FailureDetector>,
+    fd: HeartbeatFd,
     fd_scratch: Vec<FdEvent>,
     /// Own messages not yet adelivered (flow control, re-forwarding and
     /// resend).
@@ -150,9 +150,9 @@ pub struct MonoNode {
 impl MonoNode {
     /// Creates a monolithic node with the given optimization switches,
     /// flow-control `window` (outstanding own messages) and failure
-    /// detector core, and the default replica knobs (fresh start at time
+    /// detector, and the default replica knobs (fresh start at time
     /// zero).
-    pub fn new(opts: MonoOptimizations, window: usize, fd: Box<dyn FailureDetector>) -> Self {
+    pub fn new(opts: MonoOptimizations, window: usize, fd: HeartbeatFd) -> Self {
         Self::with_replica(opts, window, fd, ReplicaConfig::default(), None)
     }
 
@@ -165,7 +165,7 @@ impl MonoNode {
     pub fn with_replica(
         opts: MonoOptimizations,
         window: usize,
-        fd: Box<dyn FailureDetector>,
+        fd: HeartbeatFd,
         replica: ReplicaConfig,
         stable: Option<&StableStore>,
     ) -> Self {
@@ -481,7 +481,18 @@ impl MonoNode {
         self.try_start_instance(ctx);
     }
 
+    /// Applies the decided prefix in order: delivers each new message of
+    /// each batch, closes the instance and settles the outbox.
+    ///
+    /// The monolith keeps its delivery cursor and delivered set apart
+    /// from the replica core's snapshot fold, which holds the same state,
+    /// because it delivers only after the fold's compaction step in the
+    /// same handler; merging the two would move delivery timestamps.
+    /// Debug builds check that the copies agree after every applying
+    /// pass: every message of an applied batch is delivered in the fold,
+    /// and the cursor is the fold's frontier.
     fn apply_decisions_core(&mut self, ctx: &mut NodeCtx<'_>) {
+        let mut applied = false;
         while let Some(batch) = self.decision_buffer.remove(&self.next_decide) {
             let k = self.next_decide;
             // By reference: the same decided batch is shared (Arc) with
@@ -505,7 +516,18 @@ impl MonoNode {
             if self.outbox.settle(|id| !delivered.is_new(id)) {
                 ctx.app_ready();
             }
+            debug_assert!(
+                batch.msgs().iter().all(|m| self.core.is_delivered(m.id)),
+                "instance {k}: delivered a message the snapshot fold did not"
+            );
+            applied = true;
         }
+        debug_assert!(
+            !applied || self.next_decide == self.core.fold().next_instance(),
+            "delivery cursor {} is not the snapshot fold's frontier {}",
+            self.next_decide,
+            self.core.fold().next_instance()
+        );
     }
 
     /// Handles a decision. `followup` controls whether pipeline
@@ -931,9 +953,7 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
 impl Node for MonoNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.start_replica(ctx);
-        if let Some(interval) = self.fd.tick_interval() {
-            ctx.set_timer(interval, TAG_FD);
-        }
+        ctx.set_timer(self.fd.tick_interval(), TAG_FD);
         ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
     }
 
@@ -1008,13 +1028,11 @@ impl Node for MonoNode {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, tag: u64) {
         match tag {
             TAG_FD => {
-                HeartbeatPacer::tick(self.fd.as_mut(), ctx, &mut self.fd_scratch, |ctx, p| {
+                self.fd.pace(ctx, &mut self.fd_scratch, |ctx, p| {
                     ReplicaCtx::send(ctx, p, fd::HEARTBEAT, |w| MonoMsg::Heartbeat.encode(w));
                 });
                 self.process_fd_events(ctx);
-                if let Some(interval) = self.fd.tick_interval() {
-                    ctx.set_timer(interval, TAG_FD);
-                }
+                ctx.set_timer(self.fd.tick_interval(), TAG_FD);
             }
             TAG_SWEEP => {
                 self.sweep(ctx);

@@ -19,7 +19,7 @@ fn node(n: usize, me: usize, opts: MonoOptimizations) -> Box<dyn Node> {
     Box::new(MonoNode::new(
         opts,
         16,
-        Box::new(HeartbeatFd::new(n, ProcessId(me as u16), fd_cfg)),
+        HeartbeatFd::new(n, ProcessId(me as u16), fd_cfg),
     ))
 }
 

@@ -25,7 +25,7 @@ fn mono_node(n: usize, me: usize, opts: MonoOptimizations, window: usize) -> Box
     Box::new(MonoNode::new(
         opts,
         window,
-        Box::new(HeartbeatFd::new(n, ProcessId(me as u16), fd_cfg())),
+        HeartbeatFd::new(n, ProcessId(me as u16), fd_cfg()),
     ))
 }
 

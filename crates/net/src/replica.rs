@@ -842,6 +842,12 @@ impl ReplicaCore {
         self.recovered_votes.get(&instance)
     }
 
+    /// The snapshot fold of the decided prefix (read-only: a host that
+    /// keeps delivery state of its own checks it against this).
+    pub fn fold(&self) -> &SnapshotFold {
+        &self.fold
+    }
+
     /// True if the snapshot fold already delivered `id` (it sits inside
     /// the compacted or folded prefix).
     pub fn is_delivered(&self, id: MsgId) -> bool {
