@@ -41,10 +41,7 @@
 //!
 //! Any other argument is refused (exit 2) before anything is written.
 
-use fortika_bench::json;
-use fortika_bench::sweeps::{
-    closed_form_audit, json_document, json_point, suspicion_audit, Sweep, SWEEPS,
-};
+use fortika_bench::sweeps::{closed_form_audit, json_document, suspicion_audit, Sweep, SWEEPS};
 use fortika_chaos::{minimize, ChaosProfile, CoverageReport, FuzzCampaign, FuzzConfig, StopReason};
 use fortika_core::analysis;
 use fortika_core::workload::Workload;
@@ -55,6 +52,7 @@ use fortika_core::{
 use fortika_net::metrics::{consensus, mono};
 use fortika_net::ProcessId;
 use fortika_sim::VDur;
+use fortika_trace::json;
 
 /// Where `--check` writes the sweeps, leaving the committed files in
 /// the repo root untouched.
@@ -122,7 +120,6 @@ fn audit(r: &RunReport) -> Result<(), String> {
 fn run_sweep(sweep: &Sweep, dir: &str, coverage: &mut CoverageReport) -> Result<(), String> {
     print_header(sweep.title);
     let mut runs = Vec::new();
-    let mut records = Vec::new();
     for point in (sweep.points)() {
         let r = point.experiment().run();
         coverage.absorb(&r.counters);
@@ -139,15 +136,14 @@ fn run_sweep(sweep: &Sweep, dir: &str, coverage: &mut CoverageReport) -> Result<
         }
         closed_form_audit(&point, &r).map_err(|e| format!("{}: {e}", at()))?;
         suspicion_audit(&point, &r).map_err(|e| format!("{}: {e}", at()))?;
-        records.push(json_point(&point, &r));
         runs.push((point, r));
     }
     (sweep.check)(&runs)?;
     let path = format!("{dir}/{}", sweep.file());
-    std::fs::write(&path, json_document(sweep.benchmark, &records))
+    std::fs::write(&path, json_document(sweep.benchmark, &runs))
         .map_err(|e| format!("write {path}: {e}"))?;
     verify_bench(&path)?;
-    println!("wrote {path} ({} operating points)", records.len());
+    println!("wrote {path} ({} operating points)", runs.len());
     Ok(())
 }
 

@@ -2,7 +2,8 @@
 //!
 //! The `probe` binary writes the committed `BENCH_*.json` trajectory
 //! files, one per row of the [`sweeps`] table (which describes them),
-//! re-reading and verifying each through [`json`]. The headline file,
+//! rendering each through [`fortika_trace::json`]'s writer and
+//! re-reading it through its parser. The headline file,
 //! `BENCH_modularity.json`, is the paper's Figs. 8–11 (§5): early
 //! latency and throughput against offered load and against message
 //! size, both n, held by [`sweeps::modularity_check`] to one asserted
@@ -17,5 +18,4 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod sweeps;

@@ -3,10 +3,11 @@
 //! A [`Sweep`] names one committed trajectory file and the operating
 //! points behind it; a [`Point`] carries everything one run differs by.
 //! `probe` walks [`SWEEPS`] with a single driver — build the
-//! experiment, run it, audit it, emit the record through
-//! [`json_point`], then run the sweep's self-check over the collected
-//! reports — so adding a sweep is adding a row here, and every record
-//! of every file goes through the same emitter.
+//! experiment, run it, audit it, then run the sweep's self-check over
+//! the collected reports and write the file through [`json_document`],
+//! one [`json_point`] record per run — so adding a sweep is adding a
+//! row here, and every record of every file goes through the same
+//! emitter.
 //!
 //! | file | what it sweeps | self-check |
 //! |---|---|---|
@@ -27,14 +28,13 @@
 //! the top-level README ("Benchmarks"), the cost knobs in
 //! `docs/COST_MODEL.md`.
 
-use std::fmt::Write as _;
-
 use fortika_core::analysis;
 use fortika_core::workload::Workload;
 use fortika_core::{Experiment, MonoOptimizations, RunReport, Scenario, StackConfig, StackKind};
 use fortika_net::metrics::{consensus, mono};
 use fortika_net::{CostModel, Dissemination, LinkSelector, NetModel, ProcessId};
 use fortika_sim::VDur;
+use fortika_trace::json::JsonWriter;
 
 /// The seed of every sweep run.
 pub const SEED: u64 = 7;
@@ -46,9 +46,9 @@ pub enum Field {
     Text(&'static str),
     /// An integer, fixed by the operating point.
     Count(u64),
-    /// Read out of the point and its run's report, already rendered as
-    /// JSON.
-    Measured(fn(&Point, &RunReport) -> String),
+    /// Read out of the point and its run's report, and written as one
+    /// JSON value.
+    Measured(fn(&Point, &RunReport, &mut JsonWriter)),
 }
 use Field::{Count, Measured, Text};
 
@@ -200,7 +200,7 @@ fn no_claim(_: &[Run]) -> Result<(), String> {
 
 const DURABILITY_UTILIZATION: (&str, Field) = (
     "max_durability_utilization",
-    Measured(|_, r| format!("{:.4}", r.max_durability_utilization)),
+    Measured(|_, r, w| w.fixed("", r.max_durability_utilization, 4)),
 );
 
 fn modularity_points() -> Vec<Point> {
@@ -556,7 +556,7 @@ fn snapshot_cadence_points() -> Vec<Point> {
                     ("snapshot_interval", Count(interval)),
                     (
                         "snapshots_in_window",
-                        Measured(|_, r| snapshots_in_window(r).to_string()),
+                        Measured(|_, r, w| w.u64(snapshots_in_window(r))),
                     ),
                     DURABILITY_UTILIZATION,
                 ];
@@ -815,9 +815,11 @@ const FLOW_WINDOWS: [usize; 6] = [2, 3, 4, 6, 8, 12];
 /// bytes per instance for what the point runs, at the M its run measured.
 const CLOSED_FORM: (&str, Field) = (
     "closed_form",
-    Measured(|p, r| {
+    Measured(|p, r, w| {
         let (msgs, bytes) = closed_form(p, r);
-        format!("{{\"msgs_per_instance\": {msgs:.3}, \"bytes_per_instance\": {bytes:.1}}}")
+        w.fixed("{\"msgs_per_instance\": ", msgs, 3);
+        w.fixed(", \"bytes_per_instance\": ", bytes, 1);
+        w.raw("}");
     }),
 );
 
@@ -1086,46 +1088,45 @@ pub fn suspicion_audit(p: &Point, r: &RunReport) -> Result<(), String> {
 /// own `fields`, closed by the oracle's violation count when the run
 /// was audited.
 pub fn json_point(p: &Point, r: &RunReport) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "    {{\"stack\": \"{}\", \"n\": {}, \"offered_load\": {}, \"msg_size\": {}, \
-         \"latency_ms\": {{\"mean\": {:.4}, \"p50\": {:.4}, \"p90\": {:.4}, \"p99\": {:.4}}}, \
-         \"throughput_msgs_per_sec\": {:.2}, \"batch_m\": {:.3}, \"max_cpu_utilization\": {:.4}, \
-         \"msgs_per_instance\": {:.3}, \"bytes_per_instance\": {:.1}",
-        r.kind.label(),
-        r.n,
-        r.offered_load,
-        r.msg_size,
-        r.early_latency_ms.mean,
-        r.early_latency_ms.p50,
-        r.early_latency_ms.p90,
-        r.early_latency_ms.p99,
-        r.throughput_msgs_per_sec,
-        r.avg_batch_m,
-        r.max_cpu_utilization,
-        r.msgs_per_instance,
-        r.bytes_per_instance,
-    );
+    let mut w = JsonWriter::with_capacity(512);
+    w.quoted("    {\"stack\": ", r.kind.label());
+    w.num(", \"n\": ", r.n as u64);
+    w.float(", \"offered_load\": ", r.offered_load);
+    w.num(", \"msg_size\": ", r.msg_size as u64);
+    w.fixed(", \"latency_ms\": {\"mean\": ", r.early_latency_ms.mean, 4);
+    w.fixed(", \"p50\": ", r.early_latency_ms.p50, 4);
+    w.fixed(", \"p90\": ", r.early_latency_ms.p90, 4);
+    w.fixed(", \"p99\": ", r.early_latency_ms.p99, 4);
+    let throughput = r.throughput_msgs_per_sec;
+    w.fixed("}, \"throughput_msgs_per_sec\": ", throughput, 2);
+    w.fixed(", \"batch_m\": ", r.avg_batch_m, 3);
+    w.fixed(", \"max_cpu_utilization\": ", r.max_cpu_utilization, 4);
+    w.fixed(", \"msgs_per_instance\": ", r.msgs_per_instance, 3);
+    w.fixed(", \"bytes_per_instance\": ", r.bytes_per_instance, 1);
     for (key, field) in &p.fields {
-        let _ = match field {
-            Text(s) => write!(out, ", \"{key}\": \"{s}\""),
-            Count(c) => write!(out, ", \"{key}\": {c}"),
-            Measured(read) => write!(out, ", \"{key}\": {}", read(p, r)),
-        };
+        w.quoted(", ", key);
+        w.raw(": ");
+        match field {
+            Text(s) => w.quoted("", s),
+            Count(c) => w.u64(*c),
+            Measured(read) => read(p, r, &mut w),
+        }
     }
     if let Some(oracle) = &r.oracle {
-        let _ = write!(out, ", \"oracle_violations\": {}", oracle.violations.len());
+        w.num(", \"oracle_violations\": ", oracle.violations.len() as u64);
     }
-    out.push('}');
-    out
+    w.raw("}");
+    w.finish()
 }
 
-/// Wraps a sweep's records in the envelope every committed file shares.
-pub fn json_document(benchmark: &str, records: &[String]) -> String {
-    format!(
-        "{{\n  \"benchmark\": \"{benchmark}\",\n  \"seed\": {SEED},\n  \
-         \"units\": {{\"latency\": \"ms\", \"throughput\": \"msgs/s\"}},\n  \"points\": [\n{}\n  ]\n}}\n",
-        records.join(",\n")
-    )
+/// A sweep's file: its runs' records, each one [`json_point`], in the
+/// envelope every committed file shares.
+pub fn json_document(benchmark: &str, runs: &[Run]) -> String {
+    let mut w = JsonWriter::with_capacity(512 * (runs.len() + 1));
+    w.quoted("{\n  \"benchmark\": ", benchmark);
+    w.num(",\n  \"seed\": ", SEED);
+    w.raw(",\n  \"units\": {\"latency\": \"ms\", \"throughput\": \"msgs/s\"},\n  \"points\": [\n");
+    w.join(runs, ",\n", |w, (p, r)| w.raw(&json_point(p, r)));
+    w.raw("\n  ]\n}\n");
+    w.finish()
 }

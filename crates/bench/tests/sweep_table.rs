@@ -5,12 +5,12 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use fortika_bench::json;
 use fortika_bench::sweeps::{
     closed_form_audit, json_point, modularity_check, Field, Point, Run, SWEEPS,
 };
 use fortika_core::{LatencySummary, RunReport, StackKind};
 use fortika_net::Counters;
+use fortika_trace::json;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -104,7 +104,7 @@ fn json_point_golden() {
         ("pipeline_depth", Field::Count(4)),
         (
             "cpu",
-            Field::Measured(|_, r| format!("{:.2}", r.mean_cpu_utilization)),
+            Field::Measured(|_, r, w| w.fixed("", r.mean_cpu_utilization, 2)),
         ),
     ];
     assert_eq!(

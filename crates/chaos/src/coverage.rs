@@ -19,6 +19,7 @@ use std::fmt;
 use fortika_fd::metrics as fd;
 use fortika_net::metrics::{abcast, cluster, consensus, mono};
 use fortika_net::{Counters, Metric};
+use fortika_trace::json::JsonWriter;
 
 use crate::scenario::{Scenario, FAMILIES};
 
@@ -319,49 +320,36 @@ impl CoverageReport {
     /// missed branches. Deterministic — same report, same bytes — so CI
     /// can archive and diff it across campaigns.
     pub fn to_json(&self) -> String {
-        use fmt::Write;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"runs\": {},", self.runs);
-        out.push_str("  \"branches\": {\n");
-        for (i, branch) in BRANCHES.iter().enumerate() {
+        let mut w = JsonWriter::with_capacity(4096);
+        w.num("{\n  \"runs\": ", self.runs);
+        w.raw(",\n  \"branches\": {\n");
+        w.join(BRANCHES, ",\n", |w, branch| {
             let (total, in_runs) = self.tallies.get(branch.name).copied().unwrap_or((0, 0));
-            let comma = if i + 1 < BRANCHES.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"events\": {total}, \"runs_reached\": {in_runs}}}{comma}",
-                branch.name
-            );
-        }
-        out.push_str("  },\n  \"families\": {\n");
-        for (i, family) in FAMILIES.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    \"{family}\": {{\"runs\": {}, \"cells\": {{",
-                self.family_runs(family)
-            );
-            let mut first = true;
-            for branch in BRANCHES {
-                let cell = self.cell(family, branch.name);
-                if cell > 0 {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    first = false;
-                    let _ = write!(out, "\"{}\": {cell}", branch.name);
-                }
-            }
-            let comma = if i + 1 < FAMILIES.len() { "," } else { "" };
-            let _ = writeln!(out, "}}}}{comma}");
-        }
-        out.push_str("  },\n  \"missed\": [");
-        for (i, name) in self.missed().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\"");
-        }
-        out.push_str("]\n}\n");
-        out
+            w.quoted("    ", branch.name);
+            w.num(": {\"events\": ", total);
+            w.num(", \"runs_reached\": ", in_runs);
+            w.raw("}");
+        });
+        w.raw("\n  },\n  \"families\": {\n");
+        w.join(FAMILIES, ",\n", |w, family| {
+            w.quoted("    ", family);
+            w.num(": {\"runs\": ", self.family_runs(family));
+            w.raw(", \"cells\": {");
+            let cells: Vec<_> = BRANCHES
+                .iter()
+                .map(|branch| (branch.name, self.cell(family, branch.name)))
+                .filter(|&(_, cell)| cell > 0)
+                .collect();
+            w.join(&cells, ", ", |w, &(branch, cell)| {
+                w.quoted("", branch);
+                w.num(": ", cell);
+            });
+            w.raw("}}");
+        });
+        w.raw("\n  },\n  \"missed\": [");
+        w.join(&self.missed(), ", ", |w, name| w.quoted("", name));
+        w.raw("]\n}\n");
+        w.finish()
     }
 
     /// Writes [`to_json`](Self::to_json) to `path`, creating parent

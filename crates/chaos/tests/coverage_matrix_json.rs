@@ -1,14 +1,14 @@
-//! The coverage matrix JSON round-trips through `fortika_bench::json`.
+//! The coverage matrix JSON round-trips through `fortika_trace::json`.
 //!
 //! CI archives `CoverageReport::to_json` artifacts; this locks the
 //! serialization to something the workspace's own parser (the one
 //! `probe` uses to self-verify committed bench JSON) actually accepts,
 //! and that every branch, family and matrix cell survives the trip.
 
-use fortika_bench::json;
 use fortika_chaos::{ChaosProfile, CoverageReport, Scenario};
 use fortika_net::metrics::{abcast, consensus, mono};
 use fortika_net::Counters;
+use fortika_trace::json;
 
 fn campaign_report() -> CoverageReport {
     let mut report = CoverageReport::new();
@@ -98,4 +98,56 @@ fn empty_report_round_trips_too() {
         .and_then(|v| v.as_array())
         .expect("missed array");
     assert_eq!(missed.len(), CoverageReport::branch_names().len());
+}
+
+/// The bytes of the campaign fixture's matrix, pinned whole: the
+/// `contains` checks above and in the unit tests see only fragments.
+const CAMPAIGN_GOLDEN: &str = r#"{
+  "runs": 10,
+  "branches": {
+    "round_changes": {"events": 45, "runs_reached": 8},
+    "progress_rotations": {"events": 0, "runs_reached": 0},
+    "promises": {"events": 0, "runs_reached": 0},
+    "direct_proposals": {"events": 0, "runs_reached": 0},
+    "gap_pulls": {"events": 0, "runs_reached": 0},
+    "tag_misses": {"events": 0, "runs_reached": 0},
+    "state_transfers": {"events": 8, "runs_reached": 8},
+    "snapshot_offers": {"events": 0, "runs_reached": 0},
+    "snapshot_installs": {"events": 0, "runs_reached": 0},
+    "join_requests": {"events": 0, "runs_reached": 0},
+    "rejoins_completed": {"events": 0, "runs_reached": 0},
+    "idle_proposals": {"events": 0, "runs_reached": 0},
+    "pipelined_proposals": {"events": 29, "runs_reached": 6},
+    "sender_retransmits": {"events": 0, "runs_reached": 0},
+    "estimate_solicitations": {"events": 0, "runs_reached": 0},
+    "stale_incarnation_drops": {"events": 0, "runs_reached": 0},
+    "reconfigs_activated": {"events": 0, "runs_reached": 0},
+    "config_fence_drops": {"events": 0, "runs_reached": 0},
+    "fd_member_updates": {"events": 0, "runs_reached": 0},
+    "ring_payload_forwards": {"events": 0, "runs_reached": 0},
+    "payload_pulls": {"events": 0, "runs_reached": 0},
+    "ring_repairs": {"events": 0, "runs_reached": 0}
+  },
+  "families": {
+    "crash": {"runs": 8, "cells": {"round_changes": 8, "state_transfers": 8, "pipelined_proposals": 5}},
+    "restart": {"runs": 2, "cells": {"round_changes": 2, "state_transfers": 2, "pipelined_proposals": 1}},
+    "partition": {"runs": 6, "cells": {"round_changes": 5, "state_transfers": 5, "pipelined_proposals": 4}},
+    "lossy": {"runs": 4, "cells": {"round_changes": 3, "state_transfers": 3, "pipelined_proposals": 2}},
+    "duplicate": {"runs": 3, "cells": {"round_changes": 2, "state_transfers": 2, "pipelined_proposals": 2}},
+    "delay_spike": {"runs": 5, "cells": {"round_changes": 4, "state_transfers": 4, "pipelined_proposals": 4}},
+    "degrade_link": {"runs": 3, "cells": {"round_changes": 2, "state_transfers": 2, "pipelined_proposals": 2}},
+    "slow_node": {"runs": 4, "cells": {"round_changes": 4, "state_transfers": 4, "pipelined_proposals": 2}},
+    "false_suspicion": {"runs": 4, "cells": {"round_changes": 3, "state_transfers": 3, "pipelined_proposals": 3}},
+    "add_node": {"runs": 0, "cells": {}},
+    "remove_node": {"runs": 0, "cells": {}},
+    "pipelined": {"runs": 7, "cells": {"round_changes": 6, "state_transfers": 6, "pipelined_proposals": 6}},
+    "dissemination": {"runs": 0, "cells": {}}
+  },
+  "missed": ["progress_rotations", "promises", "direct_proposals", "gap_pulls", "tag_misses", "snapshot_offers", "snapshot_installs", "join_requests", "rejoins_completed", "idle_proposals", "sender_retransmits", "estimate_solicitations", "stale_incarnation_drops", "reconfigs_activated", "config_fence_drops", "fd_member_updates", "ring_payload_forwards", "payload_pulls", "ring_repairs"]
+}
+"#;
+
+#[test]
+fn coverage_json_golden() {
+    assert_eq!(campaign_report().to_json(), CAMPAIGN_GOLDEN);
 }

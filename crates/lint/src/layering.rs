@@ -12,7 +12,7 @@
 //!
 //! The checker reads `[dependencies]` sections of every member manifest
 //! with a line-oriented TOML reader (no `toml` crate — same discipline
-//! as `fortika_bench::json`) and enforces:
+//! as `fortika_trace::json`) and enforces:
 //!
 //! * every `fortika-*` dependency points **strictly down** the layer
 //!   table ([`LAYERS`]);

@@ -18,9 +18,10 @@
 //! * **registry** — the scenario-event, link-fault and violation registries must
 //!   stay wired end to end (no variant falls through a wildcard).
 //!
-//! Everything is hand-rolled and dependency-free in the spirit of
-//! `fortika_bench::json`: a char-level comment/string stripper, a
-//! line-oriented TOML reader, and a deterministic JSON emitter. No
+//! Everything is hand-rolled and dependency-free, as
+//! `fortika_trace::json` is: a char-level comment/string stripper, a
+//! line-oriented TOML reader, and a deterministic JSON emitter of its
+//! own (using `fortika_trace::json` would be a dependency). No
 //! `syn`, no `toml`, no `serde` — the analyzer builds offline with the
 //! rest of the workspace and stays outside the graph it polices.
 //!

@@ -3,10 +3,10 @@
 //! `fortika-lint` emits two artifacts from one run: human diagnostics
 //! (`file:line: rule: message`, one per finding, compiler-style so
 //! editors can jump) and `target/lint-report.json`, a deterministic
-//! JSON document CI archives. The JSON is hand-rolled with the same
-//! discipline as the bench emitter — and like the bench files it can be
-//! re-validated by `fortika_bench::json`, though the lint crate itself
-//! depends on nothing.
+//! JSON document CI archives and re-reads (`python3 -m json.tool`). It
+//! is the one JSON of the workspace not written by `fortika_trace::json`:
+//! the lint crate depends on nothing, because the analyzer cannot join
+//! the graph it polices, so it carries its own small emitter.
 
 use std::fmt::Write as _;
 

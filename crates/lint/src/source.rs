@@ -1,7 +1,7 @@
 //! Source preprocessing: a comment/string-aware view of a Rust file.
 //!
 //! The analyzer is a *line-oriented scanner*, not a parser — the same
-//! trade the hand-rolled `fortika_bench::json` validator makes. To keep
+//! trade the hand-rolled `fortika_trace::json` validator makes. To keep
 //! that honest it never matches banned tokens against raw text: every
 //! file is first run through a small character-level state machine that
 //! blanks out comments (so `// uses Instant for ...` cannot fire a

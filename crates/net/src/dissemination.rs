@@ -2,8 +2,9 @@
 //! around a topology, run consensus on small fixed-size value *ids*.
 //!
 //! The committed LAN sweeps pin the modular stack's cost to message
-//! complexity (~33 msgs/instance vs 4 for the monolith) — the paper's
-//! central finding. Ring Paxos and Chop Chop both attack that cost the
+//! complexity (10.1–17.0 msgs/instance against the monolith's 4.0–6.0
+//! at n = 3, 54.0–99.3 against 12.0–12.6 at n = 7, in
+//! `BENCH_modularity.json`) — the paper's central finding. Ring Paxos and Chop Chop both attack that cost the
 //! same way: **separate payload dissemination from ordering**. A sender
 //! cuts its pending messages into a payload batch, ships the batch
 //! exactly once around a dissemination topology (ring or broadcast

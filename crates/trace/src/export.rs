@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Trace, TraceData, TraceEvent};
-use crate::writer::JsonWriter;
+use crate::json::JsonWriter;
 
 /// Bytes reserved per event so that an export is written into one
 /// allocation instead of a multi-megabyte buffer grown by doubling.

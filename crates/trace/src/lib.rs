@@ -36,6 +36,10 @@
 //! * [`decompose_window`], [`LatencyDecomposition`] — per-decision
 //!   latency decomposition (queueing vs transmission vs CPU vs
 //!   durability).
+//! * [`json`] — the workspace's one JSON writer ([`json::JsonWriter`])
+//!   and parser ([`json::parse`]). The exports render through the
+//!   writer, and so do the committed bench records and the coverage
+//!   matrix; everything that reads an artefact back uses the parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,9 +47,9 @@
 mod decompose;
 mod event;
 mod export;
+pub mod json;
 #[cfg(test)]
 mod test_rng;
-mod writer;
 
 pub use decompose::{
     decompose_window, ComponentSummary, DecompSample, LatencyDecomposition, WindowSpec,

@@ -12,8 +12,8 @@
 //! * [`net`] — wire codec, network/cost models, the cluster harness and
 //!   link-level fault hooks (partitions, loss, duplication, delay).
 //! * [`framework`] — the Cactus-style microprotocol composition kernel.
-//! * [`fd`] — failure detectors (heartbeat ◇P, perfect, scripted,
-//!   chaos overlays).
+//! * [`fd`] — the heartbeat ◇P failure detector, which chaos runs hand
+//!   scripted suspicion windows.
 //! * [`rbcast`] — reliable broadcast microprotocols.
 //! * [`consensus`] — Chandra–Toueg rotating-coordinator consensus.
 //! * [`abcast`] — the modular atomic broadcast module.
@@ -32,7 +32,8 @@
 //!   handler executions, per-instance lifecycle spans, JSONL and
 //!   Chrome trace-event exports, and per-decision latency
 //!   decomposition. Off by default and free when off; see
-//!   `docs/TRACING.md`.
+//!   `docs/TRACING.md`. Its [`trace::json`] module is the workspace's
+//!   one JSON writer and parser.
 //!
 //! Both stacks compact their decided history: the prefix below the
 //! contiguous watermark folds into an application-state [`Snapshot`]
@@ -47,7 +48,7 @@
 //!
 //! The paper measures good runs; the [`chaos`] subsystem exercises the
 //! bad ones. Attach a scenario to an experiment and the runner wires the
-//! faults, overlays scripted suspicions on the failure detectors, and
+//! faults, hands its suspicion windows to the failure detectors, and
 //! audits every delivery:
 //!
 //! ```

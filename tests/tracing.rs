@@ -363,7 +363,7 @@ fn export_bytes_match_golden() {
 /// begin/end pair per `(stack, instance)`.
 #[test]
 fn long_run_exports_parse_and_hold_every_event() {
-    use fortika_bench::json::{parse, Value};
+    use fortika::trace::json::{parse, Value};
     use std::collections::BTreeSet;
 
     let number = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
@@ -408,8 +408,8 @@ fn long_run_exports_parse_and_hold_every_event() {
 /// back the strings that went in.
 #[test]
 fn exports_escape_their_tags() {
+    use fortika::trace::json::{parse, Value};
     use fortika::trace::TraceBuffer;
-    use fortika_bench::json::{parse, Value};
 
     const KIND: &str = "ki\"nd\\1\n";
     const REASON: &str = "rea\tson\r\u{1}";
