@@ -1073,9 +1073,11 @@ pub fn closed_form_audit(p: &Point, r: &RunReport) -> Result<(), String> {
 
 /// Holds a fault-free run to zero suspicions, warm-up and drain
 /// included: every link carries a message — protocol traffic or,
-/// failing that, a heartbeat — at least every two heartbeat intervals,
-/// inside the detector's timeout of two and a half, so a suspicion
-/// means a busy link's evidence lapsed. Runs under a scenario pass.
+/// failing that, a heartbeat at the link's own deadline — at least
+/// every heartbeat interval plus the CPU queued ahead of the sending
+/// tick, inside the detector's timeout of one and three quarters, so a
+/// suspicion means a link's evidence lapsed. Runs under a scenario
+/// pass.
 pub fn suspicion_audit(p: &Point, r: &RunReport) -> Result<(), String> {
     let faulted = p.scenario.as_ref().is_some_and(|s| !s.events().is_empty());
     if faulted || r.suspicions == 0 {

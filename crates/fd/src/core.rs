@@ -95,13 +95,18 @@ impl Default for FdConfig {
         let heartbeat_interval = VDur::millis(100);
         FdConfig {
             heartbeat_interval,
-            // The pacer bounds every link's silence by two heartbeat
-            // intervals plus a tick's CPU queueing; half an interval
-            // covers that queueing. The longest silence any tick saw
-            // in a good run — every committed sweep, the ×4 slow
-            // coordinator and 25 %-rate links included — is 120.6 ms
-            // (paper §5.1 evaluates good runs only).
-            timeout: heartbeat_interval * 2 + heartbeat_interval / 2,
+            // The pacer heartbeats an idle link at its own deadline, so
+            // it bounds every link's silence by one heartbeat interval
+            // plus the CPU queued ahead of the sending tick; three
+            // quarters of an interval covers that queueing. Measured as
+            // the longest gap between two consecutive arrivals on any
+            // directed link from a monitored, unsuspected peer, over
+            // every run `probe --check` makes (every committed sweep —
+            // the ×4 slow coordinator and 25 %-rate links included —
+            // and the reconfiguration audit), a good run's longest
+            // silence is 113.1 ms, 61.9 ms under this timeout (paper
+            // §5.1 evaluates good runs only).
+            timeout: heartbeat_interval * 7 / 4,
             timeout_increment: VDur::millis(250),
         }
     }
@@ -118,11 +123,12 @@ pub(crate) const WINDOW_RESOLUTION: VDur = VDur::millis(5);
 /// suspicion. Evidence from a suspected process — a heartbeat, or any
 /// message its host saw arrive ([`note_alive`](Self::note_alive)) —
 /// cancels the suspicion and enlarges that process's timeout. Its host
-/// heartbeats only links that are otherwise idle ([`pace`](Self::pace)).
-/// It ticks every heartbeat interval, or sooner when a monitored peer's
-/// silence would outlast its timeout before then: the next tick lands
-/// just past that deadline, so a crash is suspected at the timeout, not
-/// up to an interval later.
+/// heartbeats only links that are otherwise idle, each at its own
+/// deadline ([`pace`](Self::pace)). It ticks every heartbeat interval,
+/// or sooner when a monitored peer's silence would outlast its timeout
+/// before then — the next tick lands just past that deadline, so a
+/// crash is suspected at the timeout, not up to an interval later — or
+/// when an idle link owes its heartbeat before then.
 ///
 /// Chaos runs also script *wrong* suspicions
 /// ([`with_windows`](Self::with_windows)) — the paper's §2.1 lets a
@@ -164,7 +170,8 @@ pub struct HeartbeatFd {
     /// learner (removed or not-yet-added process) listens silently.
     active: bool,
     /// The delay from the last tick to the next: the heartbeat interval,
-    /// or sooner if a monitored peer's deadline falls before it.
+    /// or sooner if a monitored peer's deadline or an idle link's
+    /// heartbeat deadline falls before it.
     next_tick: VDur,
     /// Scripted false suspicions observed by this process. Without
     /// any, genuine transitions are reported as they happen; with some,
@@ -294,20 +301,15 @@ impl HeartbeatFd {
 
     /// The delay from the last [`tick`](Self::tick) to the next. Hosts
     /// re-arm from it after every tick: the heartbeat interval, or the
-    /// delay to the first deadline when that comes before it — or to
+    /// delay to the first deadline when that comes before it — a
+    /// monitored peer's silence deadline, or (after
+    /// [`pace`](Self::pace)) an idle link's heartbeat deadline — or to
     /// the next window poll while windows can still open or close.
     pub fn tick_interval(&self) -> VDur {
         match self.polling_until {
             Some(_) => self.next_tick.min(WINDOW_RESOLUTION),
             None => self.next_tick,
         }
-    }
-
-    /// How often the host emits heartbeats: the configured interval,
-    /// decoupled from the polling tick (which may come sooner to meet a
-    /// deadline or a window edge).
-    pub fn heartbeat_interval(&self) -> VDur {
-        self.cfg.heartbeat_interval
     }
 
     /// Current (reported) suspicion status of `p`.
@@ -359,11 +361,14 @@ impl HeartbeatFd {
     /// ([`note_alive`](Self::note_alive)), ticks it (transitions go to
     /// `out`), and then calls `heartbeat` once for every peer this
     /// process sent nothing to within the heartbeat interval, in pid
-    /// order. A link that carries protocol traffic therefore carries no
-    /// heartbeats, and a link that falls idle gets its first heartbeat
-    /// at the first tick at least one interval after its last message —
-    /// so no link goes longer than two intervals (plus a tick's CPU
-    /// queueing) without evidence, inside the timeout.
+    /// order. Every other link's own deadline — one interval after this
+    /// process last sent on it — becomes a candidate for the next tick
+    /// ([`tick_interval`](Self::tick_interval)). A link that carries
+    /// protocol traffic therefore carries no heartbeats, and a link
+    /// that falls idle gets its first heartbeat exactly one interval
+    /// after its last message: no link goes longer than one interval
+    /// (plus the CPU queued ahead of the sending tick) without
+    /// evidence, inside the timeout.
     ///
     /// Detection bound: a crashed peer is suspected `timeout` after the
     /// last message that arrived from it — the detector ticks at that
@@ -385,12 +390,14 @@ impl HeartbeatFd {
         if !self.active {
             return;
         }
+        let interval = self.cfg.heartbeat_interval;
         for p in ProcessId::all(n).filter(|&p| p != me) {
-            let owed = ctx
-                .last_send_to(p)
-                .is_none_or(|sent| now.since(sent) >= self.cfg.heartbeat_interval);
-            if owed {
-                heartbeat(ctx, p);
+            match ctx.last_send_to(p).map(|sent| now.since(sent)) {
+                // Not owed yet: tick again at this link's own deadline.
+                Some(idle) if idle < interval => {
+                    self.next_tick = self.next_tick.min(interval - idle)
+                }
+                _ => heartbeat(ctx, p),
             }
         }
     }
@@ -650,6 +657,73 @@ mod tests {
             link.heartbeats,
             [(ms(100), ProcessId(2)), (ms(100), ProcessId(3))]
         );
+        // p1's link is owed its heartbeat at its own deadline.
+        assert_eq!(fd.tick_interval(), VDur::millis(5));
+    }
+
+    #[test]
+    fn a_link_last_sent_on_30_ms_ago_gets_its_heartbeat_70_ms_later() {
+        let cfg = FdConfig::default();
+        assert_eq!(cfg.heartbeat_interval, VDur::millis(100));
+        let mut fd = HeartbeatFd::new(3, ProcessId(0), cfg);
+        let mut link = FakeLink::new(3, ProcessId(0));
+        // Both peers were just heard, so no silence deadline comes first.
+        link.heard = vec![None, Some(ms(100)), Some(ms(100))];
+        link.sent[1] = Some(ms(70));
+        link.pace(&mut fd, ms(100));
+        assert_eq!(link.heartbeats, [(ms(100), ProcessId(2))]);
+        assert_eq!(fd.tick_interval(), VDur::millis(70));
+        // At p1's deadline, p1 gets its heartbeat; p2's comes 30 ms on.
+        link.pace(&mut fd, ms(170));
+        assert_eq!(link.heartbeats[1..], [(ms(170), ProcessId(1))]);
+        assert_eq!(fd.tick_interval(), VDur::millis(30));
+        link.pace(&mut fd, ms(200));
+        assert_eq!(link.heartbeats[2..], [(ms(200), ProcessId(2))]);
+        assert_eq!(fd.tick_interval(), VDur::millis(70));
+    }
+
+    #[test]
+    fn a_link_that_carries_traffic_never_gets_a_heartbeat() {
+        let mut fd = HeartbeatFd::new(3, ProcessId(0), cfg());
+        let mut link = FakeLink::new(3, ProcessId(0));
+        let mut next_tick = VTime::ZERO;
+        // p1's link carries a message every 3 ms; p2's nothing.
+        for now in (0..500).map(ms) {
+            if now.as_nanos().is_multiple_of(3_000_000) {
+                link.sent[1] = Some(now);
+                link.heard[1] = Some(now);
+                link.heard[2] = Some(now);
+            }
+            if now == next_tick {
+                assert!(link.pace(&mut fd, now).is_empty(), "at {now}");
+                next_tick = now + fd.tick_interval();
+            }
+        }
+        assert!(!link.heartbeats.is_empty());
+        assert!(
+            link.heartbeats.iter().all(|&(_, p)| p == ProcessId(2)),
+            "{:?}",
+            link.heartbeats
+        );
+    }
+
+    #[test]
+    fn tick_interval_is_the_earlier_of_the_silence_and_idle_link_deadlines() {
+        let mut link = FakeLink::new(2, ProcessId(0));
+        // p1 was heard at 0 (deadline 50 ms) and sent to at 38 ms (its
+        // heartbeat is due at 48 ms): the idle link's deadline is first.
+        link.heard[1] = Some(ms(0));
+        link.sent[1] = Some(ms(38));
+        let mut fd = HeartbeatFd::new(2, ProcessId(0), cfg());
+        link.pace(&mut fd, ms(40));
+        assert_eq!(fd.tick_interval(), VDur::millis(8));
+        // Sent to at 45 ms instead (due at 55 ms): the silence deadline,
+        // just past 50 ms, is first.
+        link.sent[1] = Some(ms(45));
+        let mut fd = HeartbeatFd::new(2, ProcessId(0), cfg());
+        link.pace(&mut fd, ms(46));
+        assert_eq!(fd.tick_interval(), VDur::millis(4) + VDur::nanos(1));
+        assert!(link.heartbeats.is_empty());
     }
 
     #[test]
@@ -671,35 +745,44 @@ mod tests {
     fn a_link_that_falls_idle_never_lacks_evidence_for_two_intervals() {
         let interval = cfg().heartbeat_interval;
         let step = VDur::micros(250);
-        // Every phase of the polling tick against every instant the
-        // protocol traffic stops.
-        for phase_us in (0..10_000).step_by(1_250) {
-            for quiet_ms in 20..32 {
-                let mut fd = HeartbeatFd::new(2, ProcessId(0), cfg());
-                let mut link = FakeLink::new(2, ProcessId(0));
-                let mut next_tick = VTime::ZERO + VDur::micros(phase_us);
-                let (mut last, mut longest) = (VTime::ZERO, VDur::ZERO);
-                let mut now = VTime::ZERO;
-                while now < ms(200) {
-                    // A protocol message every millisecond until quiet.
-                    if now < ms(quiet_ms) && now.as_nanos().is_multiple_of(1_000_000) {
-                        link.sent[1] = Some(now);
+        // A host that re-arms from `tick_interval`, as both stacks do,
+        // heartbeats the link one interval after its last message; one
+        // that ticks every interval regardless, within two.
+        for (rearms, bound) in [(true, interval), (false, interval * 2)] {
+            // Every phase of the polling tick against every instant the
+            // protocol traffic stops.
+            for phase_us in (0..10_000).step_by(1_250) {
+                for quiet_ms in 20..32 {
+                    let mut fd = HeartbeatFd::new(2, ProcessId(0), cfg());
+                    let mut link = FakeLink::new(2, ProcessId(0));
+                    let mut next_tick = VTime::ZERO + VDur::micros(phase_us);
+                    let (mut last, mut longest) = (VTime::ZERO, VDur::ZERO);
+                    let mut now = VTime::ZERO;
+                    while now < ms(200) {
+                        // A protocol message every millisecond until
+                        // quiet. p1 keeps talking, so no silence
+                        // deadline moves the tick.
+                        if now < ms(quiet_ms) && now.as_nanos().is_multiple_of(1_000_000) {
+                            link.sent[1] = Some(now);
+                        }
+                        link.heard[1] = Some(now);
+                        if now == next_tick {
+                            link.pace(&mut fd, now);
+                            next_tick = now + if rearms { fd.tick_interval() } else { interval };
+                        }
+                        if let Some(sent) = link.sent[1] {
+                            longest = longest.max(sent.since(last));
+                            last = sent;
+                        }
+                        now += step;
                     }
-                    if now == next_tick {
-                        link.pace(&mut fd, now);
-                        next_tick = now + interval;
-                    }
-                    if let Some(sent) = link.sent[1] {
-                        longest = longest.max(sent.since(last));
-                        last = sent;
-                    }
-                    now += step;
+                    longest = longest.max(now.since(last));
+                    assert!(
+                        longest <= bound && longest < cfg().timeout,
+                        "re-arming {rearms}, phase {phase_us} us, quiet from {quiet_ms} ms: \
+                         {longest} without evidence"
+                    );
                 }
-                longest = longest.max(now.since(last));
-                assert!(
-                    longest <= interval * 2 && longest < cfg().timeout,
-                    "phase {phase_us} us, quiet from {quiet_ms} ms: {longest} without evidence"
-                );
             }
         }
     }
@@ -756,7 +839,6 @@ mod tests {
             fd.note_alive(ProcessId(2), now - interval, &mut out);
             fd.tick(now, &mut out);
             assert_eq!(fd.tick_interval(), interval, "tick at {now}");
-            assert_eq!(fd.heartbeat_interval(), interval);
         }
         assert!(out.is_empty());
     }

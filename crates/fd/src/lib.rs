@@ -25,9 +25,12 @@
 //! each peer's last message — of any kind, read from the cluster's
 //! per-link transport clock through a [`LinkClock`] — and then sends a
 //! heartbeat only to the peers it sent nothing to within the heartbeat
-//! interval. A link that carries protocol traffic carries no heartbeats;
-//! a link that falls idle gets one within two intervals of its last
-//! message, inside the timeout of two and a half intervals. The
+//! interval, and schedules its next tick for the earliest deadline of
+//! the others: one interval after this process last sent on that link.
+//! A link that carries protocol traffic carries no heartbeats; a link
+//! that falls idle gets one exactly one interval after the last message
+//! sent on it, delayed only by the CPU queued ahead of that tick, inside
+//! the timeout of one and three quarters intervals. The
 //! detection bound is the timeout itself: a crashed peer is suspected
 //! `timeout` after the last message that arrived from it, because
 //! [`HeartbeatFd`] schedules its next tick at the earliest deadline

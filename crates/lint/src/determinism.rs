@@ -362,7 +362,13 @@ fn order_insensitive(src: &SourceFile, idx: usize) -> bool {
         .any(|l| l.contains(".sort"))
 }
 
-fn note_waiver(src: &SourceFile, rel: &str, rule: &str, lineno: usize, report: &mut Report) {
+pub(crate) fn note_waiver(
+    src: &SourceFile,
+    rel: &str,
+    rule: &str,
+    lineno: usize,
+    report: &mut Report,
+) {
     let w = src
         .waivers
         .iter()
@@ -394,7 +400,7 @@ fn find_bounded(line: &str, needle: &str) -> Option<usize> {
     None
 }
 
-fn is_ident_char(c: char) -> bool {
+pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 

@@ -7,14 +7,16 @@
 //! dependency can sit dormant through every test and still break the
 //! next replay. This crate turns them into checked rules.
 //!
-//! Three rule families (see [`determinism`], [`layering`],
-//! [`registry`]):
+//! Four rule families (see [`determinism`], [`layering`],
+//! [`namespace`], [`registry`]):
 //!
 //! * **determinism** — protocol crates must not read wall clocks, use
 //!   ambient randomness, spawn OS threads, or iterate Hash collections
 //!   whose order could leak into behavior;
 //! * **layering** — the workspace dependency graph must point strictly
 //!   down the documented layer order;
+//! * **namespace** — stable-key namespaces (`N << 56`) are spelled only
+//!   in the one key table that checks them disjoint;
 //! * **registry** — the scenario-event, link-fault and violation registries must
 //!   stay wired end to end (no variant falls through a wildcard).
 //!
@@ -39,6 +41,7 @@
 
 pub mod determinism;
 pub mod layering;
+pub mod namespace;
 pub mod registry;
 pub mod report;
 pub mod source;
@@ -92,6 +95,7 @@ pub fn run(root: &Path) -> std::io::Result<Report> {
         determinism::check_crate(root, &root.join("crates").join(name), &mut report)?;
     }
     layering::check(root, &mut report)?;
+    namespace::check(root, &mut report)?;
     registry::check(root, &mut report)?;
     report.sort();
     Ok(report)

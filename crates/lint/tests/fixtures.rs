@@ -9,6 +9,7 @@ use fortika_lint::determinism::{
     self, RULE_AMBIENT_RNG, RULE_THREAD, RULE_UNORDERED_ITER, RULE_WAIVER, RULE_WALL_CLOCK,
 };
 use fortika_lint::layering::{check_graph, parse_manifest};
+use fortika_lint::namespace::{self, KEY_TABLE, RULE_KEY_NAMESPACE};
 use fortika_lint::registry::{check_link_faults, check_scenario_events, check_violations};
 use fortika_lint::report::Report;
 use fortika_lint::source::SourceFile;
@@ -144,4 +145,28 @@ fn registry_gaps_fire_and_wired_registries_pass() {
     check_scenario_events(&ok, "registry_ok.rs", &mut r);
     check_violations(&ok, "registry_ok.rs", &mut r);
     assert!(r.clean(), "{:?}", r.findings);
+}
+
+fn scan_namespaces(name: &str, rel: &str) -> Report {
+    let src = SourceFile::load(&fixture(name)).expect("fixture readable");
+    let mut report = Report::default();
+    namespace::check_file(&src, rel, &mut report);
+    report.sort();
+    report
+}
+
+#[test]
+fn key_namespace_fires_outside_the_key_table_only() {
+    let r = scan_namespaces("key_namespace_bad.rs", "key_namespace_bad.rs");
+    assert_eq!(rules(&r), vec![RULE_KEY_NAMESPACE; 3], "{:?}", r.findings);
+    // The same lines in the key table are its entries.
+    assert!(scan_namespaces("key_namespace_bad.rs", KEY_TABLE).clean());
+}
+
+#[test]
+fn key_namespace_spares_other_shifts_comments_strings_and_waivers() {
+    let r = scan_namespaces("key_namespace_ok.rs", "key_namespace_ok.rs");
+    assert!(r.clean(), "{:?}", r.findings);
+    assert_eq!(r.waivers.len(), 1);
+    assert_eq!(r.waivers[0].rule, RULE_KEY_NAMESPACE);
 }

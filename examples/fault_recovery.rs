@@ -51,7 +51,7 @@ fn main() {
     }
 
     // Run past the crash; the heartbeat detector notices once p1 has
-    // been silent for its 250 ms timeout, then rounds rotate and
+    // been silent for its 175 ms timeout, then rounds rotate and
     // ordering resumes.
     let (mut cluster, mut driver) = run_scripted(
         StackKind::Monolithic,

@@ -281,14 +281,16 @@ fn submit_next(cluster: &mut Cluster, next_seq: &mut [u64], p: ProcessId) -> Opt
 /// p0 — the round-0 coordinator — crashes at 500 ms and restarts 100
 /// ms, half the detector's timeout, or 300 ms later. Its links have
 /// been idle since the load stopped, so it heartbeat each of them one
-/// interval or less before the crash: the two shorter outages end
-/// before the timeout expires, and nobody suspects p0 or rotates a
-/// round. The 300 ms one outlasts the timeout and is suspected. p1
-/// submits one message at 520 ms, into the outage; after the restart
-/// only p0 submits, so progress never stalls long enough for an idle
-/// kick either. Suspected or not, the message reaches every process
-/// within two resend intervals: the first resend check may come too
-/// early to find it overdue, the second does not.
+/// interval or less before the crash, and a survivor's silence from p0
+/// is the outage plus the time from p0's last arrival there to the
+/// crash. A survivor suspects p0 exactly when that silence exceeds the
+/// timeout, read off the run's trace: the 300 ms outage always does,
+/// and at least one shorter one does not, so nobody suspects p0 or
+/// rotates a round there. p1 submits one message at 520 ms, into the
+/// outage; after the restart only p0 submits, so progress never stalls
+/// long enough for an idle kick either. Suspected or not, the message
+/// reaches every process within two resend intervals: the first resend
+/// check may come too early to find it overdue, the second does not.
 #[test]
 fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one_resend() {
     let n = 3;
@@ -307,10 +309,12 @@ fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one
         ("mono-none", StackKind::Monolithic, mono_none),
     ];
     for (label, kind, stack) in rows {
+        let mut outcomes = Vec::new();
         for down in [VDur::millis(100), fd.timeout / 2, VDur::millis(300)] {
             let scenario = Scenario::new().crash(p0, crash).restart(p0, crash + down);
-            let (mut cluster, _) =
-                scenario_cluster(kind, &stack, ClusterConfig::new(n, 1), &scenario);
+            let mut cfg = ClusterConfig::new(n, 1);
+            cfg.trace = TraceConfig::with_capacity(1 << 20);
+            let (mut cluster, _) = scenario_cluster(kind, &stack, cfg, &scenario);
             let mut harness = CollectingHarness::new(n);
             let mut next_seq = [0u64; 3];
             for k in 0..9u16 {
@@ -328,10 +332,45 @@ fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one
             }
             cluster.run_until(VTime::ZERO + VDur::secs(10), &mut harness);
 
+            let trace = cluster.take_trace().expect("tracing on");
+            assert_eq!(trace.dropped, 0, "{label}: the ring must hold the run");
+            let crashed_at = (VTime::ZERO + crash).as_nanos();
+            for survivor in [1u16, 2] {
+                let mut last_arrival = None;
+                let mut suspected = false;
+                for e in &trace.events {
+                    match e.data {
+                        TraceData::Deliver { src: 0, dst, .. }
+                            if dst == survivor && e.at_ns <= crashed_at =>
+                        {
+                            last_arrival = Some(e.at_ns);
+                        }
+                        TraceData::Span {
+                            pid,
+                            stack,
+                            instance: 0,
+                            phase: "suspect",
+                            ..
+                        } if pid == survivor && stack == TRACE_STACK => suspected = true,
+                        _ => {}
+                    }
+                }
+                let last = last_arrival.expect("p0 was heard before the crash");
+                let silence = down + VDur::nanos(crashed_at - last);
+                assert_eq!(
+                    suspected,
+                    silence > fd.timeout,
+                    "{label}, down {down}: p{survivor} heard p0 last {} before the crash, \
+                     {silence} of silence",
+                    VDur::nanos(crashed_at - last)
+                );
+                outcomes.push(suspected);
+            }
             let suspicions = cluster.counters().event("fd.suspicions");
+            let suspected_here = outcomes[outcomes.len() - 2..].iter().any(|&s| s);
             assert_eq!(
                 suspicions > 0,
-                down > fd.timeout,
+                suspected_here,
                 "{label}, down {down}: {suspicions} suspicion(s)"
             );
             for (p, log) in harness.logs.iter().enumerate() {
@@ -345,5 +384,12 @@ fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one
                 );
             }
         }
+        // The premise holds both ways: some outage went unsuspected,
+        // and the longest was suspected by both survivors.
+        assert!(
+            outcomes.contains(&false),
+            "{label}: every outage was suspected"
+        );
+        assert_eq!(outcomes[4..], [true, true], "{label}: the 300 ms outage");
     }
 }

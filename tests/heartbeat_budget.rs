@@ -9,9 +9,10 @@
 //! heartbeat at all, and the monolith heartbeats only between
 //! followers, which talk to the coordinator alone. An idle cluster, in
 //! which no link carries anything else, still heartbeats every link at
-//! the configured rate. Heartbeating every link regardless, as a
-//! detector that ignores protocol traffic must, costs the saturated
-//! modular coordinator ~4 % of its CPU.
+//! the configured rate, each at its own deadline: one interval after
+//! the link last carried anything. Heartbeating every link regardless,
+//! as a detector that ignores protocol traffic must, costs the
+//! saturated modular coordinator ~4 % of its CPU.
 
 use std::collections::BTreeMap;
 
@@ -21,6 +22,38 @@ use fortika::net::{Cluster, ClusterConfig, Trace, TraceConfig, TraceData};
 use fortika::sim::{VDur, VTime};
 
 const HEARTBEAT: &str = "fd.heartbeat";
+
+/// What a silence may run over one heartbeat interval: the CPU of the
+/// tick that sends the heartbeat and of the handlers queued ahead of
+/// it, on an otherwise idle process.
+const TICK_CPU: VDur = VDur::millis(5);
+
+/// The arrivals on each directed link `(src, dst)` — of messages of
+/// kind `kind`, or of any kind — in trace order.
+fn arrivals_by_link(trace: &Trace, kind: Option<&str>) -> BTreeMap<(u16, u16), Vec<VTime>> {
+    let mut links: BTreeMap<_, Vec<_>> = BTreeMap::new();
+    for e in &trace.events {
+        if let TraceData::Deliver {
+            src, dst, kind: k, ..
+        } = e.data
+        {
+            if kind.is_none_or(|kind| kind == k) {
+                let at = VTime::ZERO + VDur::nanos(e.at_ns);
+                links.entry((src, dst)).or_default().push(at);
+            }
+        }
+    }
+    links
+}
+
+/// The longest gap between two consecutive arrivals in `arrivals`.
+fn longest_gap(arrivals: &[VTime]) -> VDur {
+    arrivals
+        .windows(2)
+        .map(|w| w[1].since(w[0]))
+        .max()
+        .unwrap_or(VDur::ZERO)
+}
 
 /// The directed links `(src, dst)` that carried heartbeats in
 /// `[from, until)`, with their counts.
@@ -39,7 +72,8 @@ fn heartbeats_by_link(trace: &Trace, from: VTime, until: VTime) -> BTreeMap<(u16
 #[test]
 fn a_saturated_run_heartbeats_only_its_idle_links() {
     let n = 7;
-    let interval = FdConfig::default().heartbeat_interval;
+    let fd = FdConfig::default();
+    let interval = fd.heartbeat_interval;
     let (warmup, window) = (VDur::secs(1), VDur::secs(2));
     let per_idle_link = window.as_nanos() / interval.as_nanos();
     for kind in [StackKind::Modular, StackKind::Monolithic] {
@@ -68,6 +102,22 @@ fn a_saturated_run_heartbeats_only_its_idle_links() {
             .iter()
             .any(|e| matches!(e.data, TraceData::Span { stack, .. } if stack == TRACE_STACK));
         assert!(!suspected, "{label}: a process was suspected");
+        // Every link carries evidence well inside the timeout: its
+        // longest silence leaves more than 25 ms of it unused.
+        let arrivals = arrivals_by_link(&trace, None);
+        assert_eq!(
+            arrivals.len(),
+            n * (n - 1),
+            "{label}: a link carried nothing"
+        );
+        for (link, at) in &arrivals {
+            let longest = longest_gap(at);
+            assert!(
+                longest < fd.timeout - VDur::millis(25),
+                "{label}: {link:?} was silent for {longest}, timeout {}",
+                fd.timeout
+            );
+        }
         let links = heartbeats_by_link(&trace, start, start + window);
         let total: u64 = links.values().sum();
         assert_eq!(
@@ -112,8 +162,41 @@ fn an_idle_cluster_heartbeats_every_link_at_the_configured_rate() {
     for kind in [StackKind::Modular, StackKind::Monolithic] {
         let label = kind.label();
         let nodes = build_nodes(kind, n, &StackConfig::default());
-        let mut cluster = Cluster::new(ClusterConfig::new(n, 7), nodes);
+        let mut cfg = ClusterConfig::new(n, 7);
+        cfg.trace = TraceConfig::with_capacity(1 << 16);
+        let mut cluster = Cluster::new(cfg, nodes);
         cluster.run_idle(VTime::ZERO + run);
+        let trace = cluster.take_trace().expect("tracing on");
+        assert_eq!(trace.dropped, 0, "{label}: the ring must hold the run");
+        // Each link is heartbeat at its own deadline: never twice
+        // within an interval, and no link — the stacks' idle chatter
+        // included — waits longer than one interval plus the sending
+        // tick's CPU for evidence. Pacing on a fixed cadence left a
+        // link that fell idle between two ticks silent for up to two
+        // intervals.
+        let heartbeats = arrivals_by_link(&trace, Some(HEARTBEAT));
+        assert_eq!(
+            heartbeats.len(),
+            n * (n - 1),
+            "{label}: a link got no heartbeat"
+        );
+        for (link, at) in &heartbeats {
+            for w in at.windows(2) {
+                assert!(
+                    w[1].since(w[0]) >= interval,
+                    "{label}: {link:?} heartbeats at {} and {}",
+                    w[0],
+                    w[1]
+                );
+            }
+        }
+        for (link, at) in &arrivals_by_link(&trace, None) {
+            let longest = longest_gap(at);
+            assert!(
+                longest <= interval + TICK_CPU,
+                "{label}: {link:?} was silent for {longest}"
+            );
+        }
         let counters = cluster.counters();
         let heartbeats = counters.kind(HEARTBEAT).msgs;
         // The stacks' own idle chatter (the modular stack opens one

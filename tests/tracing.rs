@@ -335,13 +335,13 @@ fn export_bytes_match_golden() {
     for (kind, jsonl, chrome) in [
         (
             StackKind::Modular,
-            (1_843_885, 0x0313_408e_1de9_8607),
-            (2_059_786, 0xa667_3b92_78c4_121b),
+            (1_844_119, 0xe071_79a5_2e30_2edb),
+            (2_060_028, 0xadc6_e86b_544b_3518),
         ),
         (
             StackKind::Monolithic,
-            (1_275_966, 0x414d_3676_c16f_3ee6),
-            (1_365_274, 0x03f9_1669_7e8a_d188),
+            (1_278_786, 0xfa73_025f_ac1c_6ffe),
+            (1_368_184, 0x2e03_71c3_c1a8_7028),
         ),
     ] {
         let trace = traced_report(kind, 11).trace.expect("tracing on");
