@@ -14,7 +14,6 @@
 //! | `BENCH_modularity.json` | the paper's Figs. 8–11: the good-run modular/monolithic comparison over load (16 KiB) and payload size (2 000 msgs/s) at n ∈ {3, 7} | each claim of Figs. 8–11 and §5.1 keeps the verdict asserted for it per n — `Reproduces` inside its band, `Disagrees` outside it |
 //! | `BENCH_degraded.json` | the same comparison under *resource* faults (a slow node, degraded links), oracle-audited | — |
 //! | `BENCH_stable_write.json` | synchronous stable-write cost, free to 2 ms per persist | — |
-//! | `BENCH_snapshot_cadence.json` | snapshot cadence × load with priced snapshot encode/install | no run cuts more snapshots than its cadence allows |
 //! | `BENCH_pipeline.json` | windowed-sequencer depth α × load on a CPU-bound and a latency-bound regime | per stack, some depth > 1 beats depth 1 |
 //! | `BENCH_dissemination.json` | the monolith against the modular stack under `direct`/`ring`/`tree` payload dissemination, oracle-audited | `ring` cuts msgs/instance everywhere and ≥ 3× somewhere, and narrows the throughput gap |
 //! | `BENCH_decomposition.json` | the paper's decomposition, saturated: the staircase modular → modular at dispatch 0 → `mono-none` → +O1 → +O1+O2 → +O1+O2+O3 at n ∈ {3, 7} × {1, 16} KiB, then the flow window on both stacks; every record beside its §5.2 closed form | no optimization step raises msgs/instance; the modular stack at dispatch 0 matches `mono-none`; `mono-none` out-runs the modular stack, whose mean latency is at most 8 % above `mono-none`'s, and the paper's monolith out-runs `mono-none`; the default window orders M ≈ 4 and no window beats it on both throughput and latency |
@@ -31,7 +30,6 @@
 use fortika_core::analysis;
 use fortika_core::workload::Workload;
 use fortika_core::{Experiment, MonoOptimizations, RunReport, Scenario, StackConfig, StackKind};
-use fortika_net::metrics::{consensus, mono};
 use fortika_net::{CostModel, Dissemination, LinkSelector, NetModel, ProcessId};
 use fortika_sim::VDur;
 use fortika_trace::json::JsonWriter;
@@ -139,8 +137,8 @@ impl Sweep {
     }
 }
 
-/// The seven committed sweeps, in the order `probe` runs them.
-pub const SWEEPS: [Sweep; 7] = [
+/// The six committed sweeps, in the order `probe` runs them.
+pub const SWEEPS: [Sweep; 6] = [
     Sweep {
         name: "modularity",
         benchmark: "modularity_cost",
@@ -161,13 +159,6 @@ pub const SWEEPS: [Sweep; 7] = [
         title: "stable-write cost",
         points: stable_write_points,
         check: no_claim,
-    },
-    Sweep {
-        name: "snapshot_cadence",
-        benchmark: "snapshot_cadence",
-        title: "snapshot cadence",
-        points: snapshot_cadence_points,
-        check: snapshot_cadence_check,
     },
     Sweep {
         name: "pipeline",
@@ -197,11 +188,6 @@ const BOTH_STACKS: [StackKind; 2] = [StackKind::Monolithic, StackKind::Modular];
 fn no_claim(_: &[Run]) -> Result<(), String> {
     Ok(())
 }
-
-const DURABILITY_UTILIZATION: (&str, Field) = (
-    "max_durability_utilization",
-    Measured(|_, r, w| w.fixed("", r.max_durability_utilization, 4)),
-);
 
 fn modularity_points() -> Vec<Point> {
     // (n, offered load msgs/s, payload bytes): Figs. 8/10's load axis
@@ -530,69 +516,17 @@ fn stable_write_points() -> Vec<Point> {
         for kind in BOTH_STACKS {
             let mut p = Point::new(format!("{us}us"), kind, (3, 1000.0, 1024));
             p.cost.stable_write = VDur::micros(us);
-            p.fields = vec![("stable_write_us", Count(us)), DURABILITY_UTILIZATION];
+            p.fields = vec![
+                ("stable_write_us", Count(us)),
+                (
+                    "max_durability_utilization",
+                    Measured(|_, r, w| w.fixed("", r.max_durability_utilization, 4)),
+                ),
+            ];
             points.push(p);
         }
     }
     points
-}
-
-fn snapshot_cadence_points() -> Vec<Point> {
-    // Priced durability: a 50 µs stable write, 40 µs/KiB snapshot
-    // encode (install ×1.5), plus a 500 µs fixed cost per snapshot —
-    // see docs/COST_MODEL.md.
-    let mut cost = CostModel::with_durability(VDur::micros(50), VDur::micros(40));
-    cost.snapshot_encode_fixed = VDur::micros(500);
-    cost.snapshot_install_fixed = VDur::micros(500);
-    let mut points = Vec::new();
-    // Instances between snapshots (0 would disable them) × loads.
-    for interval in [32, 128, 512, 1024] {
-        for load in [500.0, 2000.0] {
-            for kind in BOTH_STACKS {
-                let mut p = Point::new(format!("every {interval}"), kind, (3, load, 1024));
-                p.cost = cost.clone();
-                p.stack.snapshot_interval = interval;
-                p.fields = vec![
-                    ("snapshot_interval", Count(interval)),
-                    (
-                        "snapshots_in_window",
-                        Measured(|_, r, w| w.u64(snapshots_in_window(r))),
-                    ),
-                    DURABILITY_UTILIZATION,
-                ];
-                points.push(p);
-            }
-        }
-    }
-    points
-}
-
-/// Snapshots materialized in the window, over all processes.
-fn snapshots_in_window(r: &RunReport) -> u64 {
-    r.counters.count(consensus::SNAPSHOTS) + r.counters.count(mono::SNAPSHOTS)
-}
-
-/// Compaction follows its cadence: each process cuts one snapshot per
-/// `snapshot_interval` instances it decides, give or take the window's
-/// two edges — not one per decision once its decision cache is full,
-/// which is what this sweep recorded until that was noticed.
-fn snapshot_cadence_check(runs: &[Run]) -> Result<(), String> {
-    for (p, r) in runs {
-        let per_proc = r.instances_per_proc / p.stack.snapshot_interval as f64 + 2.0;
-        let snapshots = snapshots_in_window(r);
-        if snapshots as f64 > r.n as f64 * per_proc {
-            return Err(format!(
-                "{} at {} msgs/s, snapshot_interval {}: {snapshots} snapshots in the window, \
-                 {:.0} instances per process allow {:.1} — compaction is off its cadence",
-                r.kind.label(),
-                p.load,
-                p.stack.snapshot_interval,
-                r.instances_per_proc,
-                r.n as f64 * per_proc,
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Two regimes bound the pipelining story: on the paper's CPU-bound

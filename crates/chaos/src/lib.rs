@@ -48,10 +48,9 @@
 //!
 //! Scenarios also carry a **configuration axis**: the generator draws a
 //! windowed-sequencer depth per scenario
-//! ([`Scenario::pipeline_depth`], bounded by
-//! [`ChaosProfile::max_pipeline_depth`]), so every fault family is
-//! fuzzed against pipelined instance execution too — the assembly
-//! raises `StackConfig::pipeline_depth` to it and the oracle's
+//! ([`Scenario::pipeline_depth`], uniform in `1..=4`), so every fault
+//! family is fuzzed against pipelined instance execution too — the
+//! assembly raises `StackConfig::pipeline_depth` to it and the oracle's
 //! obligations are unchanged (pipelining must never show in delivery
 //! order).
 //!

@@ -304,10 +304,10 @@ impl Scenario {
 
     /// The windowed-sequencer depth α this scenario asks the stacks to
     /// run with (default 1, the seed-faithful sequential regime). The
-    /// random generator draws it from its own stream
-    /// ([`ChaosProfile::max_pipeline_depth`]), so every generated fault
-    /// timeline is also fuzzed against pipelined instance execution;
-    /// the assembly raises `StackConfig::pipeline_depth` to it.
+    /// random generator draws it from its own stream (uniform in
+    /// `1..=4`), so every generated fault timeline is also fuzzed
+    /// against pipelined instance execution; the assembly raises
+    /// `StackConfig::pipeline_depth` to it.
     pub fn pipeline_depth(&self) -> usize {
         self.pipeline_depth
     }
@@ -1047,13 +1047,12 @@ impl Scenario {
         }
 
         // Pipeline depth: a configuration axis, not a fault — drawn
-        // uniformly from 1..=max so every fault family above is also
-        // fuzzed against pipelined instance execution. A derived stream
-        // keeps the fault-window shapes identical across this feature.
-        if profile.max_pipeline_depth > 1 {
-            let mut depth_rng = DetRng::derive(seed, 0xA1FA);
-            s.pipeline_depth = 1 + depth_rng.below(profile.max_pipeline_depth as u64) as usize;
-        }
+        // uniformly from 1..=MAX_PIPELINE_DEPTH so every fault family
+        // above is also fuzzed against pipelined instance execution. A
+        // derived stream keeps the fault-window shapes identical across
+        // this feature.
+        let mut depth_rng = DetRng::derive(seed, 0xA1FA);
+        s.pipeline_depth = 1 + depth_rng.below(MAX_PIPELINE_DEPTH as u64) as usize;
 
         // Dissemination strategy: the second configuration axis —
         // Ring and Tree drawn evenly when the knob fires, from a
@@ -1088,6 +1087,10 @@ fn random_selector(rng: &mut DetRng, n: usize) -> LinkSelector {
 
 /// Cap on the drop probability of a generated lossy window.
 const MAX_LOSS: f64 = 0.3;
+
+/// Upper bound of the windowed-sequencer depth the generator draws per
+/// scenario (uniform in `1..=MAX_PIPELINE_DEPTH`).
+const MAX_PIPELINE_DEPTH: usize = 4;
 
 /// Tunables of the random scenario generator (probabilities per fault
 /// family, horizon). The crash budget is fixed: permanent crashes are
@@ -1134,11 +1137,6 @@ pub struct ChaosProfile {
     /// voter erodes the original quorum margin until the smaller
     /// majority takes over). Defaults to 0.
     pub remove_node_prob: f64,
-    /// Upper bound of the windowed-sequencer depth drawn per scenario
-    /// (uniform in `1..=max_pipeline_depth`, from a derived RNG stream
-    /// so fault-window shapes are preserved). `1` pins every run to the
-    /// seed-faithful sequential regime.
-    pub max_pipeline_depth: usize,
     /// Probability that a scenario runs under an offloaded payload
     /// dissemination strategy ([`Scenario::dissemination`]; Ring and
     /// Tree drawn evenly when the knob fires, from a derived RNG
@@ -1165,7 +1163,6 @@ impl Default for ChaosProfile {
             false_suspicion_prob: 0.35,
             add_node_prob: 0.0,
             remove_node_prob: 0.0,
-            max_pipeline_depth: 4,
             dissemination_prob: 0.0,
         }
     }
@@ -1450,14 +1447,6 @@ mod tests {
             seen.insert(a.pipeline_depth());
         }
         assert!(seen.len() > 2, "depth barely varies: {seen:?}");
-        // Depth 1 pins the sequential regime.
-        let pinned = ChaosProfile {
-            max_pipeline_depth: 1,
-            ..ChaosProfile::default()
-        };
-        for seed in 0..10u64 {
-            assert_eq!(Scenario::random(4, seed, &pinned).pipeline_depth(), 1);
-        }
         // Hand-built scenarios default to 1 and are overridable.
         assert_eq!(Scenario::new().pipeline_depth(), 1);
         assert_eq!(Scenario::new().with_pipeline_depth(6).pipeline_depth(), 6);

@@ -89,7 +89,6 @@ fn steering_respects_the_profile_envelope() {
         steered.horizon, base.horizon,
         "steering touched the horizon"
     );
-    assert_eq!(steered.max_pipeline_depth, base.max_pipeline_depth);
     for (s, b) in [
         (steered.crash_prob, base.crash_prob),
         (steered.restart_prob, base.restart_prob),

@@ -30,9 +30,7 @@ fn listed() -> Vec<&'static str> {
     );
     all.extend(knobs!(CostModel = CostModel::default();
         send_fixed, send_per_kib, recv_fixed, recv_per_kib, dispatch, timer_fixed,
-        request_fixed, deliver_fixed, deliver_per_kib, stable_write,
-        snapshot_encode_fixed, snapshot_encode_per_kib, snapshot_install_fixed,
-        snapshot_install_per_kib,
+        request_fixed, deliver_fixed, deliver_per_kib, stable_write, snapshot_per_kib,
     ));
     all.extend(knobs!(StackConfig = StackConfig::default();
         window, mono_opts, snapshot_interval, decision_cache, pipeline_depth,
@@ -43,7 +41,7 @@ fn listed() -> Vec<&'static str> {
     all.extend(knobs!(ChaosProfile = ChaosProfile::default();
         horizon, crash_prob, restart_prob, recrash_prob, partition_prob, loss_prob,
         dup_prob, delay_prob, degrade_prob, slow_prob, false_suspicion_prob,
-        add_node_prob, remove_node_prob, max_pipeline_depth, dissemination_prob,
+        add_node_prob, remove_node_prob, dissemination_prob,
     ));
     all
 }

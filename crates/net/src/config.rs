@@ -84,22 +84,14 @@ pub struct CostModel {
     /// calibrated good-run curves must not shift; raise it to model a
     /// synchronous disk/SSD barrier on the ack path.
     pub stable_write: VDur,
-    /// Fixed CPU cost of materializing one log-compaction snapshot
-    /// (fold bookkeeping, allocation). Zero by default for the same
-    /// reason as [`stable_write`](CostModel::stable_write): the paper's
-    /// testbed never checkpointed, so the calibrated curves must not
-    /// shift. Raise it (with the per-KiB term) for snapshot-cadence
-    /// sweeps.
-    pub snapshot_encode_fixed: VDur,
-    /// Additional snapshot-materialization cost per KiB of encoded
-    /// snapshot (serialization + the stable write of the checkpoint).
-    pub snapshot_encode_per_kib: VDur,
-    /// Fixed CPU cost of installing a received snapshot (decode setup,
-    /// state swap). Zero by default.
-    pub snapshot_install_fixed: VDur,
-    /// Additional snapshot-install cost per KiB of encoded snapshot
-    /// (decode + application-state restore + re-encode for serving).
-    pub snapshot_install_per_kib: VDur,
+    /// Snapshot-materialization cost per KiB of encoded snapshot
+    /// (serialization + the stable write of the checkpoint); installing
+    /// a received snapshot (decode + application-state restore +
+    /// re-encode for serving) costs 1.5× this rate. Zero by default for
+    /// the same reason as [`stable_write`](CostModel::stable_write): the
+    /// paper's testbed never checkpointed, so the calibrated curves must
+    /// not shift.
+    pub snapshot_per_kib: VDur,
 }
 
 impl Default for CostModel {
@@ -120,10 +112,7 @@ impl Default for CostModel {
             deliver_fixed: VDur::micros(200),
             deliver_per_kib: VDur::nanos(1_500),
             stable_write: VDur::ZERO,
-            snapshot_encode_fixed: VDur::ZERO,
-            snapshot_encode_per_kib: VDur::ZERO,
-            snapshot_install_fixed: VDur::ZERO,
-            snapshot_install_per_kib: VDur::ZERO,
+            snapshot_per_kib: VDur::ZERO,
         }
     }
 }
@@ -142,10 +131,7 @@ impl CostModel {
             deliver_fixed: VDur::ZERO,
             deliver_per_kib: VDur::ZERO,
             stable_write: VDur::ZERO,
-            snapshot_encode_fixed: VDur::ZERO,
-            snapshot_encode_per_kib: VDur::ZERO,
-            snapshot_install_fixed: VDur::ZERO,
-            snapshot_install_per_kib: VDur::ZERO,
+            snapshot_per_kib: VDur::ZERO,
         }
     }
 
@@ -167,22 +153,22 @@ impl CostModel {
     /// CPU cost of materializing a snapshot whose encoded form is
     /// `bytes` long (charged by both stacks when they compact).
     pub fn snapshot_encode_cost(&self, bytes: usize) -> VDur {
-        self.snapshot_encode_fixed + per_kib(self.snapshot_encode_per_kib, bytes)
+        per_kib(self.snapshot_per_kib, bytes)
     }
 
     /// CPU cost of installing a received snapshot of `bytes` encoded
     /// bytes (charged by both stacks on rejoin catch-up).
     pub fn snapshot_install_cost(&self, bytes: usize) -> VDur {
-        self.snapshot_install_fixed + per_kib(self.snapshot_install_per_kib, bytes)
+        let p = self.snapshot_per_kib;
+        per_kib(p + VDur::nanos(p.as_nanos() / 2), bytes)
     }
 
     /// The calibrated default with non-zero durability pricing: every
     /// stable write costs `stable_write`, and snapshots charge
-    /// `per_kib` of encoded bytes to materialize (plus the same rate
-    /// ×1.5 to install — decode, state restore and re-encode for
-    /// serving). The resource-fault sweeps (`BENCH_stable_write.json`,
-    /// `BENCH_snapshot_cadence.json`) are built on this constructor;
-    /// see `docs/COST_MODEL.md` for calibration guidance.
+    /// `snapshot_per_kib` of encoded bytes to materialize (and 1.5× that
+    /// rate to install — decode, state restore and re-encode for
+    /// serving). The benchmark's crash workloads are built on this
+    /// constructor; see `docs/COST_MODEL.md` for calibration guidance.
     ///
     /// # Example
     ///
@@ -204,9 +190,7 @@ impl CostModel {
     pub fn with_durability(stable_write: VDur, snapshot_per_kib: VDur) -> Self {
         CostModel {
             stable_write,
-            snapshot_encode_per_kib: snapshot_per_kib,
-            snapshot_install_per_kib: snapshot_per_kib
-                + VDur::nanos(snapshot_per_kib.as_nanos() / 2),
+            snapshot_per_kib,
             ..CostModel::default()
         }
     }

@@ -32,7 +32,6 @@ fn thin_profile() -> ChaosProfile {
         degrade_prob: 0.1,
         slow_prob: 0.1,
         false_suspicion_prob: 0.1,
-        max_pipeline_depth: 4,
         ..ChaosProfile::default()
     }
 }
