@@ -10,7 +10,10 @@
 //! run to the paper's closed forms on the way
 //! ([`fortika_bench::sweeps::closed_form_audit`]) and every fault-free
 //! run to zero suspicions
-//! ([`fortika_bench::sweeps::suspicion_audit`]). `--check` (CI
+//! ([`fortika_bench::sweeps::suspicion_audit`]), which also holds
+//! them to their silence budget, and prints that budget: the longest
+//! silence of the coordinator's links and of every other link, against
+//! their timeouts. `--check` (CI
 //! runs this) writes the same sweeps under `target/bench/` instead,
 //! and each file must be **byte-equal** to its committed counterpart:
 //! the simulator is deterministic, so any difference means the
@@ -41,13 +44,15 @@
 //!
 //! Any other argument is refused (exit 2) before anything is written.
 
-use fortika_bench::sweeps::{closed_form_audit, json_document, suspicion_audit, Sweep, SWEEPS};
+use fortika_bench::sweeps::{
+    closed_form_audit, fault_free, json_document, suspicion_audit, SilenceBudget, Sweep, SWEEPS,
+};
 use fortika_chaos::{minimize, ChaosProfile, CoverageReport, FuzzCampaign, FuzzConfig, StopReason};
 use fortika_core::analysis;
 use fortika_core::workload::Workload;
 use fortika_core::{
-    fuzz_runner, run_fuzz_scenario, Experiment, RunReport, Scenario, StackConfig, StackKind,
-    TraceConfig,
+    fuzz_runner, run_fuzz_scenario, Experiment, FdConfig, RunReport, Scenario, StackConfig,
+    StackKind, TraceConfig,
 };
 use fortika_net::metrics::{consensus, mono};
 use fortika_net::ProcessId;
@@ -116,8 +121,14 @@ fn audit(r: &RunReport) -> Result<(), String> {
 
 /// The one sweep driver: runs every point of `sweep`, requires audited
 /// points to come back clean, runs the sweep's self-check over all the
-/// reports, then writes `dir/<file>` and re-verifies it.
-fn run_sweep(sweep: &Sweep, dir: &str, coverage: &mut CoverageReport) -> Result<(), String> {
+/// reports, then writes `dir/<file>` and re-verifies it. The silence
+/// budget of its fault-free runs is folded into `budget`.
+fn run_sweep(
+    sweep: &Sweep,
+    dir: &str,
+    coverage: &mut CoverageReport,
+    budget: &mut SilenceBudget,
+) -> Result<(), String> {
     print_header(sweep.title);
     let mut runs = Vec::new();
     for point in (sweep.points)() {
@@ -136,6 +147,9 @@ fn run_sweep(sweep: &Sweep, dir: &str, coverage: &mut CoverageReport) -> Result<
         }
         closed_form_audit(&point, &r).map_err(|e| format!("{}: {e}", at()))?;
         suspicion_audit(&point, &r).map_err(|e| format!("{}: {e}", at()))?;
+        if fault_free(&point) {
+            *budget = budget.max(SilenceBudget::of(&r));
+        }
         runs.push((point, r));
     }
     (sweep.check)(&runs)?;
@@ -497,8 +511,9 @@ fn run(mode: &str) -> Result<(), String> {
     // any failure is reported: one run names every drifted file.
     let mut failures = Vec::new();
     let mut coverage = CoverageReport::new();
+    let mut budget = SilenceBudget::default();
     for sweep in &SWEEPS {
-        if let Err(e) = run_sweep(sweep, dir, &mut coverage) {
+        if let Err(e) = run_sweep(sweep, dir, &mut coverage, &mut budget) {
             failures.push(format!("{} sweep failed: {e}", sweep.name));
         } else if check {
             if let Some(drift) = drift_from_committed(&sweep.file())? {
@@ -506,6 +521,15 @@ fn run(mode: &str) -> Result<(), String> {
             }
         }
     }
+    let fd = FdConfig::default();
+    println!(
+        "\nsilence budget of the fault-free runs: {} on the coordinator's links \
+         (timeout {}), {} on the others (timeout {})",
+        budget.coordinator,
+        fd.coordinator_timeout(),
+        budget.member,
+        fd.timeout
+    );
     if check {
         // The bounded dynamic-membership smoke: grow and shrink through
         // the log under audit, per stack.

@@ -29,7 +29,9 @@
 
 use fortika_core::analysis;
 use fortika_core::workload::Workload;
-use fortika_core::{Experiment, MonoOptimizations, RunReport, Scenario, StackConfig, StackKind};
+use fortika_core::{
+    Experiment, FdConfig, MonoOptimizations, RunReport, Scenario, StackConfig, StackKind,
+};
 use fortika_net::{CostModel, Dissemination, LinkSelector, NetModel, ProcessId};
 use fortika_sim::VDur;
 use fortika_trace::json::JsonWriter;
@@ -980,9 +982,12 @@ fn closed_form(p: &Point, r: &RunReport) -> (f64, f64) {
 /// payload bytes within −10 % / +15 %. Any other run is outside the
 /// forms' assumptions and passes.
 pub fn closed_form_audit(p: &Point, r: &RunReport) -> Result<(), String> {
-    let faulted = p.scenario.as_ref().is_some_and(|s| !s.events().is_empty());
     let saturated = r.throughput_msgs_per_sec < SATURATED_BELOW * p.load;
-    if faulted || !saturated || p.stack.pipeline_depth > 1 || p.stack.dissemination.offloads() {
+    if !fault_free(p)
+        || !saturated
+        || p.stack.pipeline_depth > 1
+        || p.stack.dissemination.offloads()
+    {
         return Ok(());
     }
     let (msgs, bytes) = closed_form(p, r);
@@ -1005,19 +1010,86 @@ pub fn closed_form_audit(p: &Point, r: &RunReport) -> Result<(), String> {
     Ok(())
 }
 
+/// What a fault-free run's longest silence must leave unused of the
+/// timeout it is held to (see [`suspicion_audit`]).
+pub const SILENCE_MARGIN: VDur = VDur::millis(20);
+
+/// The longest silences of a run, or of many: on the coordinator's
+/// links, and on every other.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SilenceBudget {
+    /// The longest gap between two arrivals from p0 — the coordinator
+    /// every process of a fault-free run waits on, since such a run
+    /// never rotates — at any other process.
+    pub coordinator: VDur,
+    /// The longest gap on any other directed link.
+    pub member: VDur,
+}
+
+impl SilenceBudget {
+    /// The budget `r` used ([`RunReport::longest_silence`]).
+    pub fn of(r: &RunReport) -> Self {
+        let mut budget = SilenceBudget::default();
+        for (src, row) in r.longest_silence.iter().enumerate() {
+            let longest = row.iter().copied().max().unwrap_or(VDur::ZERO);
+            let slot = if src == 0 {
+                &mut budget.coordinator
+            } else {
+                &mut budget.member
+            };
+            *slot = (*slot).max(longest);
+        }
+        budget
+    }
+
+    /// The larger of two budgets, link class by link class.
+    pub fn max(self, other: SilenceBudget) -> Self {
+        SilenceBudget {
+            coordinator: self.coordinator.max(other.coordinator),
+            member: self.member.max(other.member),
+        }
+    }
+}
+
+/// True when `p` injects no fault: no scenario, or one without events.
+pub fn fault_free(p: &Point) -> bool {
+    p.scenario.as_ref().is_none_or(|s| s.events().is_empty())
+}
+
 /// Holds a fault-free run to zero suspicions, warm-up and drain
-/// included: every link carries a message — protocol traffic or,
-/// failing that, a heartbeat at the link's own deadline — at least
-/// every heartbeat interval plus the CPU queued ahead of the sending
-/// tick, inside the detector's timeout of one and three quarters, so a
-/// suspicion means a link's evidence lapsed. Runs under a scenario
-/// pass.
+/// included, and to its silence budget: every link carries a message —
+/// protocol traffic or, failing that, a heartbeat at the link's own
+/// deadline — at least every pacing interval plus the CPU queued ahead
+/// of the sending tick, inside the timeout of one and three quarters
+/// intervals. So the coordinator's links must stay [`SILENCE_MARGIN`]
+/// under [`FdConfig::coordinator_timeout`] and every other link as far
+/// under the timeout: budget erosion fails here before it becomes a
+/// false suspicion. Runs under a scenario pass.
 pub fn suspicion_audit(p: &Point, r: &RunReport) -> Result<(), String> {
-    let faulted = p.scenario.as_ref().is_some_and(|s| !s.events().is_empty());
-    if faulted || r.suspicions == 0 {
+    if !fault_free(p) {
         return Ok(());
     }
-    Err(format!("{} suspicion(s) on a fault-free run", r.suspicions))
+    if r.suspicions > 0 {
+        return Err(format!("{} suspicion(s) on a fault-free run", r.suspicions));
+    }
+    let fd = FdConfig::default();
+    let budget = SilenceBudget::of(r);
+    for (links, longest, timeout) in [
+        (
+            "the coordinator's",
+            budget.coordinator,
+            fd.coordinator_timeout(),
+        ),
+        ("a member's", budget.member, fd.timeout),
+    ] {
+        if longest + SILENCE_MARGIN > timeout {
+            return Err(format!(
+                "{links} links were silent for {longest}, less than {SILENCE_MARGIN} under \
+                 their {timeout} timeout"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One JSON record: the fields common to every sweep, then the point's

@@ -80,6 +80,7 @@ fn fixed_report() -> RunReport {
         max_durability_utilization: 0.125,
         counters: Counters::new(),
         suspicions: 0,
+        longest_silence: Vec::new(),
         oracle: None,
         trace: None,
         latency_decomposition: None,

@@ -71,7 +71,8 @@
 //! event: a recorded decision raises [`Event::Decide`] (so a revived
 //! process re-delivers the replayed prefix through the layer above), a
 //! registered reconfiguration raises [`Event::ConfigActive`], an
-//! installed snapshot raises [`Event::InstallSnapshot`].
+//! installed snapshot raises [`Event::InstallSnapshot`], and a change of
+//! the coordinator it waits on raises [`Event::Coordinator`].
 
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::metrics::consensus;
@@ -96,11 +97,15 @@ const TAG_SWEEP: u64 = 0;
 ///
 /// Consumes [`Event::Propose`], raises [`Event::Decide`]; uses the
 /// reliable broadcast service (stream [`DECISION_STREAM`]) for decision
-/// dissemination and reacts to [`Event::Suspect`]/[`Event::Restore`].
+/// dissemination, reacts to [`Event::Suspect`]/[`Event::Restore`], and
+/// names the coordinator it waits on to the failure detector with
+/// [`Event::Coordinator`].
 pub struct ConsensusModule {
     /// Durable votes, decided log, configuration timeline, round state,
     /// compaction and catch-up (shared with the monolithic stack).
     core: ReplicaCore,
+    /// The coordinator last announced to the failure detector.
+    announced: Option<ProcessId>,
 }
 
 impl Default for ConsensusModule {
@@ -126,7 +131,10 @@ impl ConsensusModule {
             Some(stable) => ReplicaCore::resume(replica, &REPLICA_NAMES, stable),
             None => ReplicaCore::new(replica, &REPLICA_NAMES),
         };
-        ConsensusModule { core }
+        ConsensusModule {
+            core,
+            announced: None,
+        }
     }
 
     /// Attaches an application-state hook to the snapshot fold (call
@@ -369,6 +377,17 @@ impl ConsensusModule {
         }
     }
 
+    /// Raises [`Event::Coordinator`] when the coordinator this process
+    /// waits on changed; run after every handler.
+    fn announce_coordinator(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
+        let cursor = self.core.decided_watermark();
+        let coordinator = self.core.live_coordinator(cursor, ctx.n());
+        if self.announced != Some(coordinator) {
+            self.announced = Some(coordinator);
+            ctx.raise(Event::Coordinator(coordinator));
+        }
+    }
+
     fn sweep(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         let now = ctx.now();
         self.core.sweep_rejoin(ctx);
@@ -481,9 +500,30 @@ impl Microprotocol for ConsensusModule {
     fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         self.start_replica(ctx);
         ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
+        self.announce_coordinator(ctx);
     }
 
     fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
+        self.handle_event(ctx, ev);
+        self.announce_coordinator(ctx);
+    }
+
+    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
+        self.receive(ctx, from, msg);
+        self.announce_coordinator(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut FrameworkCtx<'_, '_>, _timer: TimerId, tag: u64) {
+        if tag == TAG_SWEEP {
+            self.sweep(ctx);
+            ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
+        }
+        self.announce_coordinator(ctx);
+    }
+}
+
+impl ConsensusModule {
+    fn handle_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
         match ev {
             Event::Propose { instance, value } => {
                 self.on_propose_event(ctx, *instance, value.clone());
@@ -506,7 +546,8 @@ impl Microprotocol for ConsensusModule {
         }
     }
 
-    fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
+    /// Handles one message off the wire.
+    fn receive(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, msg: WireReader) {
         let msg = match msg.get_only::<ConsensusMsg>() {
             Ok(m) => m,
             Err(_) => {
@@ -535,13 +576,6 @@ impl Microprotocol for ConsensusModule {
                     .chase_gap(ctx, from, self.core.decided_watermark());
             }
             ConsensusMsg::CatchUp(msg) => self.on_catch_up(ctx, from, msg),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut FrameworkCtx<'_, '_>, _timer: TimerId, tag: u64) {
-        if tag == TAG_SWEEP {
-            self.sweep(ctx);
-            ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
         }
     }
 }

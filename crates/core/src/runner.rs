@@ -131,6 +131,13 @@ impl Experiment {
         }
         cluster.run_until(end_of_drain, &mut tap);
         let suspicions = cluster.counters().count(fortika_fd::metrics::SUSPICIONS);
+        let longest_silence = ProcessId::all(cluster.n())
+            .map(|src| {
+                ProcessId::all(cluster.n())
+                    .map(|dst| cluster.longest_silence(src, dst))
+                    .collect()
+            })
+            .collect();
         let trace = cluster.take_trace();
         let (driver, oracle) = tap.into_parts();
 
@@ -263,6 +270,7 @@ impl Experiment {
             max_durability_utilization: durability_utilization.iter().cloned().fold(0.0, f64::max),
             counters: window,
             suspicions,
+            longest_silence,
             oracle: oracle_report,
             trace,
             latency_decomposition,
@@ -509,6 +517,12 @@ pub struct RunReport {
     /// warm-up and drain included: zero on a fault-free run, whose
     /// links never fall silent for a timeout.
     pub suspicions: u64,
+    /// The silence budget of the whole run, warm-up and drain included:
+    /// `longest_silence[src][dst]` is the longest gap between two
+    /// consecutive arrivals of messages from `src` at `dst` — the
+    /// longest a detector at `dst` heard nothing from a live `src`
+    /// (see [`fortika_net::Cluster::longest_silence`]).
+    pub longest_silence: Vec<Vec<VDur>>,
     /// Delivery-invariant audit of the whole run (present when a
     /// [`Scenario`] was attached): safety checks — uniform agreement,
     /// total order, integrity, prefix-consistency of crashed processes —

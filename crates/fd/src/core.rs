@@ -98,17 +98,38 @@ impl Default for FdConfig {
             // The pacer heartbeats an idle link at its own deadline, so
             // it bounds every link's silence by one heartbeat interval
             // plus the CPU queued ahead of the sending tick; three
-            // quarters of an interval covers that queueing. Measured as
-            // the longest gap between two consecutive arrivals on any
-            // directed link from a monitored, unsuspected peer, over
-            // every run `probe --check` makes (every committed sweep —
-            // the ×4 slow coordinator and 25 %-rate links included —
-            // and the reconfiguration audit), a good run's longest
-            // silence is 113.1 ms, 61.9 ms under this timeout (paper
-            // §5.1 evaluates good runs only).
+            // quarters of an interval covers that queueing. The
+            // coordinator's links follow the same rule at half the
+            // interval and half the timeout. Measured as the longest gap
+            // between two consecutive arrivals on a directed link
+            // (`RunReport::longest_silence`) over every fault-free run
+            // of the committed sweeps, and held there by
+            // `suspicion_audit`, a good run's longest silence is
+            // 113.8 ms on a member's link, 61.2 ms under this timeout,
+            // and 57.1 ms on the coordinator's (the monolith's n = 7,
+            // 2 000 msgs/s, 16 KiB point of `BENCH_dissemination`),
+            // 30.4 ms under its 87.5 ms (paper §5.1 evaluates good runs
+            // only).
             timeout: heartbeat_interval * 7 / 4,
             timeout_increment: VDur::millis(250),
         }
+    }
+}
+
+impl FdConfig {
+    /// The heartbeat interval of the coordinator's idle links: half the
+    /// interval, so that its links stay inside
+    /// [`coordinator_timeout`](Self::coordinator_timeout) by the same
+    /// seven-quarters rule.
+    pub fn coordinator_interval(&self) -> VDur {
+        self.heartbeat_interval / 2
+    }
+
+    /// The base timeout of the peer a process waits on, the coordinator
+    /// of its current round: half the timeout (see
+    /// [`HeartbeatFd::watch`]).
+    pub fn coordinator_timeout(&self) -> VDur {
+        self.timeout / 2
     }
 }
 
@@ -120,7 +141,10 @@ pub(crate) const WINDOW_RESOLUTION: VDur = VDur::millis(5);
 ///
 /// Every message from a process is evidence that it is alive; a
 /// silence longer than the (per-process, adaptive) timeout triggers
-/// suspicion. Evidence from a suspected process — a heartbeat, or any
+/// suspicion — half of it for the one peer this process waits on, the
+/// coordinator of its current round ([`watch`](Self::watch)), whose
+/// idle links are heartbeat at half the interval in turn. Evidence
+/// from a suspected process — a heartbeat, or any
 /// message its host saw arrive ([`note_alive`](Self::note_alive)) —
 /// cancels the suspicion and enlarges that process's timeout. Its host
 /// heartbeats only links that are otherwise idle, each at its own
@@ -169,10 +193,16 @@ pub struct HeartbeatFd {
     /// True while `me` is a member: only members emit heartbeats; a
     /// learner (removed or not-yet-added process) listens silently.
     active: bool,
-    /// The delay from the last tick to the next: the heartbeat interval,
+    /// The delay from the last tick to the next: the pacing interval,
     /// or sooner if a monitored peer's deadline or an idle link's
     /// heartbeat deadline falls before it.
     next_tick: VDur,
+    /// When the detector last ticked (its anchor before the first
+    /// tick): `next_tick` counts from here.
+    last_tick: VTime,
+    /// The peer this process waits on and the instant it became so
+    /// (see [`watch`](Self::watch)).
+    watched: Option<(ProcessId, VTime)>,
     /// Scripted false suspicions observed by this process. Without
     /// any, genuine transitions are reported as they happen; with some,
     /// [`reconcile`](Self::reconcile) reports forced ∪ genuine instead.
@@ -208,6 +238,8 @@ impl HeartbeatFd {
             members: vec![true; n],
             active: true,
             next_tick: cfg.heartbeat_interval,
+            last_tick: now,
+            watched: None,
             cfg,
             windows: Vec::new(),
             reported: Vec::new(),
@@ -275,14 +307,82 @@ impl HeartbeatFd {
         }
     }
 
+    /// Names the peer this process waits on at `now`: `coordinator`,
+    /// that of its current round.
+    ///
+    /// That peer is timed out at half its timeout, its silence counted
+    /// from the later of its last message and this hand-off, so a new
+    /// coordinator is never suspected for a silence member pacing
+    /// allowed it; it is never suspected later than any other peer
+    /// would be. When it is this process, the pacer heartbeats its idle
+    /// links at half the interval ([`pace`](Self::pace)). Every other
+    /// peer keeps the timeout and every other process the interval.
+    ///
+    /// Returns, when the change brings the next tick before the one
+    /// armed, the delay from `now` at which it is due: the host re-arms
+    /// its tick there. A process that becomes coordinator ticks at once,
+    /// to heartbeat the links its new interval finds idle; one handed
+    /// over to another peer ticks by that peer's new deadline. The first
+    /// coordinator a detector is told of is no hand-off: another peer is
+    /// first checked at the detector's first tick, as every peer is.
+    pub fn watch(&mut self, coordinator: ProcessId, now: VTime) -> Option<VDur> {
+        if self.watched.is_some_and(|(p, _)| p == coordinator) {
+            return None;
+        }
+        let handed_over = self.watched.replace((coordinator, now)).is_some();
+        let i = coordinator.index();
+        let due = if coordinator == self.me {
+            now
+        } else if handed_over && self.monitors(i) {
+            (self.deadline(i) + VDur::nanos(1)).max(now)
+        } else {
+            return None;
+        };
+        let armed = self.last_tick + self.next_tick;
+        if due >= armed {
+            return None;
+        }
+        self.next_tick = due.since(self.last_tick);
+        Some(due.since(now))
+    }
+
+    /// True while peer `i` is timed for silence: another process, a
+    /// member, not yet suspected.
+    fn monitors(&self, i: usize) -> bool {
+        i < self.members.len() && i != self.me.index() && self.members[i] && !self.suspected[i]
+    }
+
+    /// When peer `i`'s silence reaches its timeout: half of it, counted
+    /// from the hand-off at the latest, if this process waits on `i`.
+    fn deadline(&self, i: usize) -> VTime {
+        let heard = self.last_heard[i];
+        let member = heard + self.timeout[i];
+        match self.watched {
+            Some((p, since)) if p.index() == i => {
+                member.min(heard.max(since) + self.timeout[i] / 2)
+            }
+            _ => member,
+        }
+    }
+
+    /// The pacing interval: half the heartbeat interval while this
+    /// process is the coordinator it waits on.
+    fn interval(&self) -> VDur {
+        match self.watched {
+            Some((p, _)) if p == self.me => self.cfg.coordinator_interval(),
+            _ => self.cfg.heartbeat_interval,
+        }
+    }
+
     /// Clock tick: emits newly due suspicion transitions.
     pub fn tick(&mut self, now: VTime, out: &mut Vec<FdEvent>) {
-        self.next_tick = self.cfg.heartbeat_interval;
+        self.last_tick = now;
+        self.next_tick = self.interval();
         for i in 0..self.last_heard.len() {
-            if i == self.me.index() || self.suspected[i] || !self.members[i] {
+            if !self.monitors(i) {
                 continue;
             }
-            let deadline = self.last_heard[i] + self.timeout[i];
+            let deadline = self.deadline(i);
             if now > deadline {
                 self.genuine(i, true, out);
             } else {
@@ -300,7 +400,7 @@ impl HeartbeatFd {
     }
 
     /// The delay from the last [`tick`](Self::tick) to the next. Hosts
-    /// re-arm from it after every tick: the heartbeat interval, or the
+    /// re-arm from it after every tick: the pacing interval, or the
     /// delay to the first deadline when that comes before it — a
     /// monitored peer's silence deadline, or (after
     /// [`pace`](Self::pace)) an idle link's heartbeat deadline — or to
@@ -360,9 +460,11 @@ impl HeartbeatFd {
     /// Feeds the detector the arrival time of each peer's last message
     /// ([`note_alive`](Self::note_alive)), ticks it (transitions go to
     /// `out`), and then calls `heartbeat` once for every peer this
-    /// process sent nothing to within the heartbeat interval, in pid
-    /// order. Every other link's own deadline — one interval after this
-    /// process last sent on it — becomes a candidate for the next tick
+    /// process sent nothing to within the pacing interval — the
+    /// heartbeat interval, or half of it while this process coordinates
+    /// ([`watch`](Self::watch)) — in pid order. Every other link's own
+    /// deadline — one interval after this process last sent on it —
+    /// becomes a candidate for the next tick
     /// ([`tick_interval`](Self::tick_interval)). A link that carries
     /// protocol traffic therefore carries no heartbeats, and a link
     /// that falls idle gets its first heartbeat exactly one interval
@@ -371,9 +473,11 @@ impl HeartbeatFd {
     /// evidence, inside the timeout.
     ///
     /// Detection bound: a crashed peer is suspected `timeout` after the
-    /// last message that arrived from it — the detector ticks at that
-    /// deadline, so the only lag is the CPU time queued ahead of the
-    /// tick — timed from the last message rather than the last heartbeat.
+    /// last message that arrived from it — half that if it was the
+    /// coordinator this process waited on — since the detector ticks at
+    /// that deadline, so the only lag is the CPU time queued ahead of
+    /// the tick; timed from the last message rather than the last
+    /// heartbeat.
     pub fn pace<C: LinkClock + ?Sized>(
         &mut self,
         ctx: &mut C,
@@ -390,7 +494,7 @@ impl HeartbeatFd {
         if !self.active {
             return;
         }
-        let interval = self.cfg.heartbeat_interval;
+        let interval = self.interval();
         for p in ProcessId::all(n).filter(|&p| p != me) {
             match ctx.last_send_to(p).map(|sent| now.since(sent)) {
                 // Not owed yet: tick again at this link's own deadline.
@@ -841,6 +945,120 @@ mod tests {
             assert_eq!(fd.tick_interval(), interval, "tick at {now}");
         }
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn the_watched_coordinator_is_timed_out_at_half_the_timeout() {
+        // cfg(): timeout 50 ms, so the coordinator's is 25 ms.
+        let mut fd = HeartbeatFd::new(3, ProcessId(2), cfg());
+        let mut out = Vec::new();
+        assert_eq!(fd.watch(ProcessId(0), ms(0)), None, "no hand-off");
+        fd.tick(ms(25), &mut out);
+        assert!(out.is_empty(), "25 ms of silence is not more than 25 ms");
+        fd.tick(ms(26), &mut out);
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(0))], "p1 keeps 50 ms");
+        out.clear();
+        fd.tick(ms(51), &mut out);
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(1))]);
+    }
+
+    #[test]
+    fn a_new_coordinator_is_timed_from_the_hand_off() {
+        let mut fd = HeartbeatFd::new(3, ProcessId(2), cfg());
+        let mut out = Vec::new();
+        fd.watch(ProcessId(0), ms(0));
+        // p1 was last heard at 10 ms and becomes the coordinator at
+        // 30 ms: 20 ms of silence it was allowed as a member do not
+        // count against its 25 ms.
+        fd.note_alive(ProcessId(1), ms(10), &mut out);
+        fd.note_alive(ProcessId(0), ms(30), &mut out);
+        fd.watch(ProcessId(1), ms(30));
+        fd.tick(ms(55), &mut out);
+        assert!(out.is_empty(), "25 ms since the hand-off");
+        fd.tick(ms(56), &mut out);
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(1))]);
+        // Nor is it ever suspected later than a member would be: heard
+        // 45 ms before the hand-off, it keeps only the member's 5 ms.
+        let mut fd = HeartbeatFd::new(3, ProcessId(2), cfg());
+        fd.watch(ProcessId(0), ms(0));
+        fd.note_alive(ProcessId(1), ms(10), &mut out);
+        fd.note_alive(ProcessId(0), ms(55), &mut out);
+        fd.watch(ProcessId(1), ms(55));
+        out.clear();
+        fd.tick(ms(61), &mut out);
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(1))]);
+    }
+
+    #[test]
+    fn a_hand_off_brings_the_next_tick_forward_to_the_new_deadline() {
+        let fd_cfg = FdConfig::default();
+        let mut fd = HeartbeatFd::new(3, ProcessId(2), fd_cfg.clone());
+        let mut out = Vec::new();
+        fd.watch(ProcessId(0), ms(0));
+        // p0 is suspected, so the only deadline is p1's, 175 ms out:
+        // the next tick is one interval away.
+        fd.note_alive(ProcessId(1), ms(200), &mut out);
+        fd.tick(ms(300), &mut out);
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(0))]);
+        fd.note_alive(ProcessId(1), ms(300), &mut out);
+        fd.tick(ms(300), &mut out);
+        assert_eq!(fd.tick_interval(), fd_cfg.heartbeat_interval);
+        // Handed over to p1 at 305 ms: its deadline, 87.5 ms from the
+        // hand-off, comes before the armed tick at 400 ms.
+        let due = fd_cfg.coordinator_timeout() + VDur::nanos(1);
+        assert_eq!(fd.watch(ProcessId(1), ms(305)), Some(due));
+        assert_eq!(fd.tick_interval(), due + VDur::millis(5));
+        // Naming the same coordinator again changes nothing.
+        assert_eq!(fd.watch(ProcessId(1), ms(310)), None);
+    }
+
+    #[test]
+    fn the_coordinator_paces_its_idle_links_at_half_the_interval() {
+        let mut fd = HeartbeatFd::new(3, ProcessId(1), cfg());
+        let mut link = FakeLink::new(3, ProcessId(1));
+        link.heard = vec![Some(ms(0)); 3];
+        fd.watch(ProcessId(0), ms(0));
+        link.pace(&mut fd, ms(0));
+        assert_eq!(fd.tick_interval(), VDur::millis(10));
+        // p1 becomes the coordinator at 4 ms: its tick is due at once,
+        // and then every 5 ms.
+        assert_eq!(fd.watch(ProcessId(1), ms(4)), Some(VDur::ZERO));
+        link.pace(&mut fd, ms(4));
+        assert_eq!(link.heartbeats.len(), 2, "idle for less than 5 ms");
+        assert_eq!(fd.tick_interval(), VDur::millis(1));
+        link.pace(&mut fd, ms(5));
+        assert_eq!(
+            link.heartbeats[2..],
+            [(ms(5), ProcessId(0)), (ms(5), ProcessId(2))]
+        );
+        assert_eq!(fd.tick_interval(), VDur::millis(5));
+        // Handed over to p2, it paces at the member interval again.
+        assert_eq!(fd.watch(ProcessId(2), ms(7)), None);
+        link.pace(&mut fd, ms(10));
+        assert_eq!(link.heartbeats.len(), 4, "idle for 5 ms of 10");
+        assert_eq!(fd.tick_interval(), VDur::millis(5));
+        link.pace(&mut fd, ms(15));
+        assert_eq!(link.heartbeats.len(), 6);
+        assert_eq!(fd.tick_interval(), VDur::millis(10));
+    }
+
+    #[test]
+    fn a_falsely_suspected_coordinator_outgrows_its_timeout() {
+        let mut fd = HeartbeatFd::new(2, ProcessId(1), cfg());
+        let mut out = Vec::new();
+        fd.watch(ProcessId(0), ms(0));
+        fd.tick(ms(26), &mut out);
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(0))]);
+        out.clear();
+        // Heard again after 30 ms: a false suspicion. The timeout grows
+        // by the increment, 50 + 25 ms, and the coordinator's to half.
+        fd.note_alive(ProcessId(0), ms(30), &mut out);
+        assert_eq!(out, [FdEvent::Restore(ProcessId(0))]);
+        out.clear();
+        fd.tick(ms(30) + VDur::micros(37_500), &mut out);
+        assert!(out.is_empty(), "37.5 ms is its timeout now");
+        fd.tick(ms(68), &mut out);
+        assert_eq!(out, [FdEvent::Suspect(ProcessId(0))]);
     }
 
     #[test]

@@ -36,6 +36,22 @@
 //! [`HeartbeatFd`] schedules its next tick at the earliest deadline
 //! when that comes before its regular cadence; only the CPU time queued
 //! ahead of that tick delays it.
+//!
+//! # The coordinator is watched at half the timeout
+//!
+//! Chandra–Toueg consensus waits on one process only, the coordinator
+//! of the current round, so each host names it to its detector
+//! ([`HeartbeatFd::watch`]; the modular stack through
+//! `Event::Coordinator`). That peer is timed out at
+//! [`FdConfig::coordinator_timeout`], half the timeout, counted from
+//! the hand-off at the latest, so a new coordinator is never suspected
+//! for silence it was allowed under member pacing; the process that
+//! coordinates heartbeats its own idle links at
+//! [`FdConfig::coordinator_interval`], half the interval, by the same
+//! seven-quarters rule. Every other link keeps the interval and the
+//! timeout, and a loaded run pays nothing, because the coordinator's
+//! links carry a message every instance. A crashed coordinator costs
+//! half the outage it used to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::wire::WireReader;
 use fortika_net::{ProcessId, TimerId};
-use fortika_sim::VTime;
+use fortika_sim::{VDur, VTime};
 
 use crate::core::{FdEvent, HeartbeatFd, LinkClock};
 use crate::{metrics, TRACE_STACK};
@@ -14,12 +14,15 @@ pub const FD_MODULE_ID: ModuleId = 4;
 const TIMER_TICK: u64 = 1;
 
 /// The failure-detector microprotocol: heartbeats idle links (see
-/// [`HeartbeatFd::pace`]), consumes peer heartbeats and the arrival
-/// times of every other module's messages, and raises
+/// [`HeartbeatFd::pace`]), consumes peer heartbeats, the arrival times
+/// of every other module's messages and the coordinator consensus waits
+/// on ([`Event::Coordinator`]), and raises
 /// [`Event::Suspect`]/[`Event::Restore`] on the stack bus.
 pub struct FdModule {
     fd: HeartbeatFd,
     scratch: Vec<FdEvent>,
+    /// The armed tick, re-armed when the watched coordinator changes.
+    timer: Option<TimerId>,
 }
 
 impl FdModule {
@@ -28,7 +31,16 @@ impl FdModule {
         FdModule {
             fd,
             scratch: Vec::new(),
+            timer: None,
         }
+    }
+
+    /// Arms the tick `delay` from now, replacing the armed one.
+    fn arm(&mut self, ctx: &mut FrameworkCtx<'_, '_>, delay: VDur) {
+        if let Some(armed) = self.timer.take() {
+            ctx.cancel_timer(armed);
+        }
+        self.timer = Some(ctx.set_timer(delay, TIMER_TICK));
     }
 
     fn flush(ctx: &mut FrameworkCtx<'_, '_>, events: &mut Vec<FdEvent>) {
@@ -59,25 +71,33 @@ impl Microprotocol for FdModule {
     }
 
     fn subscriptions(&self) -> &'static [EventKind] {
-        &[EventKind::ConfigActive]
+        &[EventKind::ConfigActive, EventKind::Coordinator]
     }
 
     fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
-        // The monitor set follows the active configuration: on every
-        // activated reconfiguration, re-point the detector at the new
-        // member list (newly added members get a fresh silence window;
-        // whether this process heartbeats at all follows its own
-        // membership).
-        if let Event::ConfigActive { stamp } = ev {
-            ctx.bump(metrics::MEMBER_UPDATES, 1);
-            self.fd
-                .set_members(&stamp.members, ctx.now(), &mut self.scratch);
-            Self::flush(ctx, &mut self.scratch);
+        match ev {
+            // The monitor set follows the active configuration: on
+            // every activated reconfiguration, re-point the detector at
+            // the new member list (newly added members get a fresh
+            // silence window; whether this process heartbeats at all
+            // follows its own membership).
+            Event::ConfigActive { stamp } => {
+                ctx.bump(metrics::MEMBER_UPDATES, 1);
+                self.fd
+                    .set_members(&stamp.members, ctx.now(), &mut self.scratch);
+                Self::flush(ctx, &mut self.scratch);
+            }
+            Event::Coordinator(p) => {
+                if let Some(delay) = self.fd.watch(*p, ctx.now()) {
+                    self.arm(ctx, delay);
+                }
+            }
+            _ => {}
         }
     }
 
     fn on_start(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        ctx.set_timer(self.fd.tick_interval(), TIMER_TICK);
+        self.arm(ctx, self.fd.tick_interval());
     }
 
     fn on_net(&mut self, ctx: &mut FrameworkCtx<'_, '_>, from: ProcessId, _msg: WireReader) {
@@ -89,11 +109,13 @@ impl Microprotocol for FdModule {
         if tag != TIMER_TICK {
             return;
         }
+        // This tick fired: there is nothing armed left to cancel.
+        self.timer = None;
         self.fd.pace(ctx, &mut self.scratch, |ctx, p| {
             ctx.send_net(p, metrics::HEARTBEAT, &());
         });
         Self::flush(ctx, &mut self.scratch);
-        ctx.set_timer(self.fd.tick_interval(), TIMER_TICK);
+        self.arm(ctx, self.fd.tick_interval());
     }
 }
 

@@ -11,7 +11,7 @@
 //! * the **reliable broadcast** service ([`Event::Rbcast`],
 //!   [`Event::RbDeliver`]),
 //! * the **failure detector** service ([`Event::Suspect`],
-//!   [`Event::Restore`]).
+//!   [`Event::Restore`], and [`Event::Coordinator`] the other way).
 //!
 //! Keeping payloads opaque where the paper requires it (e.g. reliable
 //! broadcast carries `Bytes`, not a decision type) is what *enforces* the
@@ -67,6 +67,10 @@ pub enum Event {
     Suspect(ProcessId),
     /// The failure detector stopped suspecting a process.
     Restore(ProcessId),
+    /// The consensus service now waits on this process, the coordinator
+    /// of its current round (raised at start and on every change): the
+    /// failure detector watches it closely.
+    Coordinator(ProcessId),
     /// The consensus service installed a log-compaction snapshot
     /// (rejoin catch-up past an evicted decided prefix): the delivery
     /// layer must fast-forward to instance `last_included + 1`, seed its
@@ -106,6 +110,8 @@ pub enum EventKind {
     Suspect,
     /// See [`Event::Restore`].
     Restore,
+    /// See [`Event::Coordinator`].
+    Coordinator,
     /// See [`Event::InstallSnapshot`].
     InstallSnapshot,
     /// See [`Event::ConfigActive`].
@@ -130,6 +136,7 @@ impl Event {
             Event::RbDeliver { .. } => EventKind::RbDeliver,
             Event::Suspect(_) => EventKind::Suspect,
             Event::Restore(_) => EventKind::Restore,
+            Event::Coordinator(_) => EventKind::Coordinator,
             Event::InstallSnapshot { .. } => EventKind::InstallSnapshot,
             Event::ConfigActive { .. } => EventKind::ConfigActive,
         }
@@ -180,6 +187,10 @@ mod tests {
         );
         assert_eq!(Event::Suspect(ProcessId(0)).kind(), EventKind::Suspect);
         assert_eq!(Event::Restore(ProcessId(0)).kind(), EventKind::Restore);
+        assert_eq!(
+            Event::Coordinator(ProcessId(0)).kind(),
+            EventKind::Coordinator
+        );
         assert_eq!(
             Event::ConfigActive {
                 stamp: ConfigStamp {

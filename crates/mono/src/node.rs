@@ -74,7 +74,7 @@ use fortika_net::{
     MsgId, Node, NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx,
     ReplicaHost, Snapshot, StableStore, TimerId,
 };
-use fortika_sim::VTime;
+use fortika_sim::{VDur, VTime};
 
 use crate::msg::{decision_full, Decision, MonoMsg, Proposal, REPLICA_NAMES};
 
@@ -133,6 +133,9 @@ pub struct MonoNode {
     core: ReplicaCore,
     fd: HeartbeatFd,
     fd_scratch: Vec<FdEvent>,
+    /// The detector's armed tick, re-armed when the coordinator this
+    /// node waits on changes (see [`HeartbeatFd::watch`]).
+    fd_timer: Option<TimerId>,
     /// Own messages not yet adelivered (flow control, re-forwarding and
     /// resend).
     outbox: Outbox,
@@ -178,6 +181,7 @@ impl MonoNode {
             core,
             fd,
             fd_scratch: Vec::new(),
+            fd_timer: None,
             outbox: Outbox::new(window),
             next_decide: 0,
             delivered: DeliveredSet::default(),
@@ -811,6 +815,24 @@ impl MonoNode {
         self.fd_scratch.clear();
     }
 
+    /// Tells the detector which coordinator this node now waits on,
+    /// re-arming its tick when that brings the tick forward; run after
+    /// every handler.
+    fn watch_coordinator(&mut self, ctx: &mut NodeCtx<'_>) {
+        let coordinator = self.core.live_coordinator(self.next_decide, ctx.n());
+        if let Some(delay) = self.fd.watch(coordinator, ctx.now()) {
+            self.arm_fd(ctx, delay);
+        }
+    }
+
+    /// Arms the detector's tick `delay` from now, replacing the armed one.
+    fn arm_fd(&mut self, ctx: &mut NodeCtx<'_>, delay: VDur) {
+        if let Some(armed) = self.fd_timer.take() {
+            ctx.cancel_timer(armed);
+        }
+        self.fd_timer = Some(ctx.set_timer(delay, TAG_FD));
+    }
+
     fn sweep(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         self.core.sweep_rejoin(ctx);
@@ -953,11 +975,52 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
 impl Node for MonoNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.start_replica(ctx);
-        ctx.set_timer(self.fd.tick_interval(), TAG_FD);
+        self.arm_fd(ctx, self.fd.tick_interval());
         ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
+        self.watch_coordinator(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
+        self.receive(ctx, from, bytes);
+        self.watch_coordinator(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, tag: u64) {
+        match tag {
+            TAG_FD => {
+                // This tick fired: there is nothing armed left to cancel.
+                self.fd_timer = None;
+                self.fd.pace(ctx, &mut self.fd_scratch, |ctx, p| {
+                    ReplicaCtx::send(ctx, p, fd::HEARTBEAT, |w| MonoMsg::Heartbeat.encode(w));
+                });
+                self.process_fd_events(ctx);
+                self.arm_fd(ctx, self.fd.tick_interval());
+            }
+            TAG_SWEEP => {
+                self.sweep(ctx);
+                ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
+            }
+            _ => {}
+        }
+        self.watch_coordinator(ctx);
+    }
+
+    fn on_request(&mut self, ctx: &mut NodeCtx<'_>, req: AppRequest) -> Admission {
+        let AppRequest::Abcast(m) = req;
+        if !self.outbox.admit(&m, ctx.now()) {
+            return Admission::Blocked;
+        }
+        debug_assert_eq!(m.id.sender, ctx.pid(), "abcast of a foreign message");
+        ctx.bump(abcast::REQUESTS, 1);
+        self.disseminate(ctx, m);
+        self.watch_coordinator(ctx);
+        Admission::Accepted
+    }
+}
+
+impl MonoNode {
+    /// Handles one message off the wire.
+    fn receive(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, bytes: Bytes) {
         let msg = match ctx.reader(bytes).get_only::<MonoMsg>() {
             Ok(m) => m,
             Err(_) => {
@@ -1023,33 +1086,5 @@ impl Node for MonoNode {
             }
             MonoMsg::CatchUp(msg) => self.on_catch_up(ctx, from, msg),
         }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, tag: u64) {
-        match tag {
-            TAG_FD => {
-                self.fd.pace(ctx, &mut self.fd_scratch, |ctx, p| {
-                    ReplicaCtx::send(ctx, p, fd::HEARTBEAT, |w| MonoMsg::Heartbeat.encode(w));
-                });
-                self.process_fd_events(ctx);
-                ctx.set_timer(self.fd.tick_interval(), TAG_FD);
-            }
-            TAG_SWEEP => {
-                self.sweep(ctx);
-                ctx.set_timer(SWEEP_INTERVAL, TAG_SWEEP);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_request(&mut self, ctx: &mut NodeCtx<'_>, req: AppRequest) -> Admission {
-        let AppRequest::Abcast(m) = req;
-        if !self.outbox.admit(&m, ctx.now()) {
-            return Admission::Blocked;
-        }
-        debug_assert_eq!(m.id.sender, ctx.pid(), "abcast of a foreign message");
-        ctx.bump(abcast::REQUESTS, 1);
-        self.disseminate(ctx, m);
-        Admission::Accepted
     }
 }

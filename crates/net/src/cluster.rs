@@ -618,6 +618,9 @@ pub struct Cluster {
     /// Per-(src,dst) last scheduled arrival, enforcing channel FIFO
     /// (the paper's channels are TCP connections).
     last_arrival: Vec<VTime>,
+    /// Per-(src,dst) longest gap between two consecutive arrivals at a
+    /// live receiver: what a detector there had to wait out.
+    longest_silence: Vec<VDur>,
     /// Per-(src,dst) fault state, consulted at transmission time.
     links: Vec<LinkState>,
     /// Per-(src,dst) serializer occupancy for *degraded* links: when a
@@ -670,6 +673,7 @@ impl Cluster {
         let rng = DetRng::seed(cfg.seed);
         let fault_rng = DetRng::derive(cfg.seed, 0xFA17);
         let last_arrival = vec![VTime::ZERO; cfg.n * cfg.n];
+        let longest_silence = vec![VDur::ZERO; cfg.n * cfg.n];
         let links = vec![LinkState::default(); cfg.n * cfg.n];
         let link_free = vec![VTime::ZERO; cfg.n * cfg.n];
         let trace = cfg
@@ -684,6 +688,7 @@ impl Cluster {
             counters: Counters::new(),
             pending: VecDeque::new(),
             last_arrival,
+            longest_silence,
             links,
             link_free,
             fault_rng,
@@ -736,6 +741,15 @@ impl Cluster {
     /// Traffic and protocol counters (cluster-wide).
     pub fn counters(&self) -> &Counters {
         &self.counters
+    }
+
+    /// The longest gap so far between two consecutive arrivals of
+    /// messages from `src` — of any kind — at `dst`, while `dst` was up
+    /// (zero until two have arrived). Read off the transport clock, so
+    /// free in the model: the silence budget a detector at `dst` needs
+    /// for `src` (a restart of `dst` starts the count afresh).
+    pub fn longest_silence(&self, src: ProcessId, dst: ProcessId) -> VDur {
+        self.longest_silence[src.index() * self.cfg.n + dst.index()]
     }
 
     /// Accumulated CPU busy time of process `pid`.
@@ -974,6 +988,11 @@ impl Cluster {
                 });
                 let receiver = &mut self.procs[dst.index()];
                 if receiver.alive {
+                    if let Some(prev) = receiver.heard[src.index()] {
+                        let slot =
+                            &mut self.longest_silence[src.index() * self.cfg.n + dst.index()];
+                        *slot = (*slot).max(at.since(prev));
+                    }
                     receiver.heard[src.index()] = Some(at);
                 }
                 let base = self.cfg.cost.recv_cost(len);

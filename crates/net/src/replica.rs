@@ -880,6 +880,13 @@ impl ReplicaCore {
         }
     }
 
+    /// How many members govern `instance`.
+    pub(crate) fn member_count(&self, instance: u64, n: usize) -> usize {
+        self.timeline
+            .as_ref()
+            .map_or(n, |t| t.members_at(instance).len())
+    }
+
     /// The quorum size at `instance`.
     pub fn majority_of(&self, instance: u64, n: usize) -> usize {
         match &self.timeline {

@@ -433,13 +433,13 @@ impl ReplicaCore {
         if let Some((k, inst)) = self.rounds.instances.iter().next() {
             return self.coordinator_of(*k, inst.round, n);
         }
-        let members = self.members_of(cursor, n);
-        let first = self.fresh_round(cursor) as usize;
-        let at = |r: usize| members[(first + r) % members.len()];
+        let first = self.fresh_round(cursor);
+        let at = |r: u32| self.coordinator_of(cursor, first + r, n);
         // Bounded by one full rotation: a learner must not spin when
         // every member is transiently suspected.
+        let members = self.member_count(cursor, n) as u32;
         let mut r = 0;
-        while r < members.len() && self.rounds.suspected.contains(&at(r)) {
+        while r < members && self.rounds.suspected.contains(&at(r)) {
             r += 1;
         }
         at(r)

@@ -798,3 +798,44 @@ fn the_transport_clock_records_arrivals_and_sends_and_a_restart_clears_it() {
     assert!(sent.is_some_and(|t| t >= VTime::ZERO + VDur::millis(30)));
     assert!(heard.is_some_and(|t| t > sent.unwrap()));
 }
+
+/// p0 sends p1 one message at each instant of `SENDS` (ms), off its
+/// timers.
+struct Pinger;
+
+const SENDS: [u64; 6] = [0, 10, 40, 45, 210, 215];
+
+impl Node for Pinger {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        if ctx.pid() == ProcessId(0) && ctx.incarnation() == 0 {
+            for at in SENDS {
+                ctx.set_timer(VDur::millis(at), at);
+            }
+        }
+    }
+    fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, _tag: u64) {
+        ctx.send(ProcessId(1), names::TEST_MSG, Bytes::from_static(b"ping"));
+    }
+    fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
+        Admission::Blocked
+    }
+}
+
+#[test]
+fn the_longest_silence_is_the_longest_gap_between_arrivals_while_the_receiver_is_up() {
+    let nodes: Vec<Box<dyn Node>> = vec![Box::new(Pinger), Box::new(Pinger)];
+    let mut cluster = Cluster::new(ClusterConfig::instant(2, 1), nodes);
+    cluster.set_node_factory(Box::new(|_, _, _| Box::new(Pinger)));
+    // p1 is down from 50 to 200 ms: the 165 ms from the arrival at 45 ms
+    // to the one at 210 ms is an outage of the receiver, not a silence
+    // its detector waited out.
+    cluster.schedule_crash(ProcessId(1), VTime::ZERO + VDur::millis(50));
+    cluster.schedule_restart(ProcessId(1), VTime::ZERO + VDur::millis(200));
+    let (p0, p1) = (ProcessId(0), ProcessId(1));
+    cluster.run_idle(VTime::ZERO + VDur::millis(30));
+    assert_eq!(cluster.longest_silence(p0, p1), VDur::millis(10));
+    cluster.run_idle(VTime::ZERO + VDur::millis(300));
+    assert_eq!(cluster.longest_silence(p0, p1), VDur::millis(30));
+    assert_eq!(cluster.longest_silence(p1, p0), VDur::ZERO, "nothing sent");
+}

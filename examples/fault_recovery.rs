@@ -50,9 +50,10 @@ fn main() {
         }
     }
 
-    // Run past the crash; the heartbeat detector notices once p1 has
-    // been silent for its 175 ms timeout, then rounds rotate and
-    // ordering resumes.
+    // Run past the crash; the heartbeat detector notices once p1, the
+    // coordinator every survivor waits on, has been silent for the
+    // coordinator timeout of 87.5 ms (half the 175 ms every other peer
+    // gets), then rounds rotate and ordering resumes.
     let (mut cluster, mut driver) = run_scripted(
         StackKind::Monolithic,
         &StackConfig::default(),

@@ -13,6 +13,13 @@
 //! An outage too short to suspect costs no message: what a sender
 //! handed the coordinator while it was down is sent again once
 //! [`RESEND_INTERVAL`] has passed.
+//!
+//! The coordinator each process waits on is timed out at
+//! [`FdConfig::coordinator_timeout`], half the timeout every other peer
+//! gets, and heartbeats its idle links at
+//! [`FdConfig::coordinator_interval`]: a crashed coordinator costs half
+//! the outage, and a new one is watched as closely from the hand-off
+//! without ever being suspected for the slower pacing it had before.
 
 use bytes::Bytes;
 use fortika::chaos::Scenario;
@@ -23,7 +30,7 @@ use fortika::net::flow::RESEND_INTERVAL;
 use fortika::net::metrics::{consensus, mono};
 use fortika::net::{
     Admission, AppMsg, AppRequest, Cluster, ClusterConfig, CollectingHarness, Counters, MsgId,
-    ProcessId, TraceConfig, TraceData,
+    ProcessId, Trace, TraceConfig, TraceData,
 };
 use fortika::sim::{VDur, VTime};
 
@@ -35,9 +42,12 @@ fn a_message_submitted_after_the_coordinator_is_suspected_is_ordered_in_round_tr
     let n = 3;
     let fd = FdConfig::default();
     let p0 = ProcessId(0);
-    let crash = VTime::ZERO + VDur::millis(100);
-    // Two heartbeat periods past the detector's timeout.
-    let submit_at = crash + fd.timeout + fd.heartbeat_interval * 2;
+    let crash = VTime::ZERO + VDur::millis(150);
+    // p0 coordinates, so its idle links carried a heartbeat within a
+    // coordinator interval of the crash: the survivors suspect it one
+    // coordinator timeout after that at the latest, a few round trips
+    // before this.
+    let submit_at = crash + fd.coordinator_timeout() + FEW_ROUND_TRIPS;
     for kind in [StackKind::Modular, StackKind::Monolithic] {
         let label = kind.label();
         let nodes = build_nodes(kind, n, &StackConfig::default());
@@ -189,18 +199,52 @@ fn a_coordinator_outage_costs_one_estimate_round_not_one_per_instance() {
     }
 }
 
+/// Handlers queued ahead of a survivor's detector tick, and the tick's
+/// own heartbeat sends before it reports the suspicion.
+const TICK_SLACK: VDur = VDur::millis(5);
+
+/// When the survivors suspected process `p`, per survivor, and when the
+/// last message from `p` arrived at each: `(survivor, last arrival,
+/// suspicions)`, read off the trace.
+fn suspicions_of(trace: &Trace, p: u16, survivors: &[u16]) -> Vec<(u16, VTime, Vec<VTime>)> {
+    let at = |ns| VTime::ZERO + VDur::nanos(ns);
+    survivors
+        .iter()
+        .map(|&survivor| {
+            let mut last_arrival = None;
+            let mut suspected = Vec::new();
+            for e in &trace.events {
+                match e.data {
+                    TraceData::Deliver { src, dst, .. } if src == p && dst == survivor => {
+                        last_arrival = Some(at(e.at_ns));
+                    }
+                    TraceData::Span {
+                        pid,
+                        stack,
+                        instance,
+                        phase: "suspect",
+                        ..
+                    } if pid == survivor && stack == TRACE_STACK && instance == u64::from(p) => {
+                        suspected.push(at(e.at_ns))
+                    }
+                    _ => {}
+                }
+            }
+            let last = last_arrival.unwrap_or_else(|| panic!("p{survivor} never heard p{p}"));
+            (survivor, last, suspected)
+        })
+        .collect()
+}
+
 /// The detection bound, on a loaded group whose links to the
 /// coordinator were busy until it crashed: every survivor suspects p0
-/// one detector timeout after the last message that arrived from it —
-/// of any kind, since every message is a heartbeat — whatever the
+/// one coordinator timeout after the last message that arrived from it
+/// — of any kind, since every message is a heartbeat — whatever the
 /// crash's phase against the survivors' heartbeat ticks, because the
 /// detector ticks at the deadline. The tick may run late by the CPU
 /// time queued ahead of it, which [`TICK_SLACK`] covers.
 #[test]
 fn a_crashed_coordinator_is_suspected_one_timeout_after_its_last_message() {
-    /// Handlers queued ahead of a survivor's detector tick, and the
-    /// tick's own heartbeat sends before it reports the suspicion.
-    const TICK_SLACK: VDur = VDur::millis(5);
     let n = 3;
     let fd = FdConfig::default();
     // Four phases across one heartbeat interval.
@@ -232,38 +276,75 @@ fn a_crashed_coordinator_is_suspected_one_timeout_after_its_last_message() {
         }
         let trace = cluster.take_trace().expect("tracing on");
         assert_eq!(trace.dropped, 0, "{label}: the ring must hold the run");
-        for survivor in [1u16, 2] {
-            let mut last_arrival = None;
-            let mut suspected = Vec::new();
-            for e in &trace.events {
-                match e.data {
-                    TraceData::Deliver { src: 0, dst, .. } if dst == survivor => {
-                        last_arrival = Some(e.at_ns);
-                    }
-                    TraceData::Span {
-                        pid,
-                        stack,
-                        instance: 0,
-                        phase: "suspect",
-                        ..
-                    } if pid == survivor && stack == TRACE_STACK => suspected.push(e.at_ns),
-                    _ => {}
-                }
-            }
-            let last = VTime::ZERO + VDur::nanos(last_arrival.expect("p0 was heard"));
+        for (survivor, last, suspected) in suspicions_of(&trace, 0, &[1, 2]) {
             assert!(
-                last + fd.heartbeat_interval > crash,
+                last + fd.coordinator_interval() > crash,
                 "{label}: p{survivor}'s link from p0 was idle before the crash"
             );
             let [at] = suspected[..] else {
                 panic!("{label}: p{survivor} suspected p0 at {suspected:?}");
             };
-            let after = (VTime::ZERO + VDur::nanos(at)).since(last);
+            let after = at.since(last);
+            let timeout = fd.coordinator_timeout();
             assert!(
-                after > fd.timeout && after <= fd.timeout + TICK_SLACK,
+                after > timeout && after <= timeout + TICK_SLACK,
                 "{label}: p{survivor} suspected p0 {after} after its last message"
             );
         }
+    }
+}
+
+/// On an idle group of five, p0 — the round-0 coordinator — crashes,
+/// at four phases across its heartbeat interval, and p1, which takes
+/// over, crashes 1 s later. Every survivor times p1 out at the
+/// coordinator timeout from the hand-off on: it suspects p1 one
+/// coordinator timeout after p1's last message, and never before p1
+/// crashed, although p1 heartbeat it at the member interval until the
+/// hand-off. Nobody but the two coordinators is ever suspected.
+#[test]
+fn the_next_coordinator_is_watched_from_the_hand_off_and_never_suspected() {
+    let n = 5;
+    let fd = FdConfig::default();
+    let crashes =
+        (0..4u64).map(|k| VTime::ZERO + VDur::millis(300) + fd.heartbeat_interval / 4 * k);
+    for (kind, crash) in [StackKind::Modular, StackKind::Monolithic]
+        .into_iter()
+        .flat_map(|kind| crashes.clone().map(move |crash| (kind, crash)))
+    {
+        let label = format!("{}, p0 crashes at {crash}", kind.label());
+        let nodes = build_nodes(kind, n, &StackConfig::default());
+        let mut cfg = ClusterConfig::new(n, 7);
+        cfg.trace = TraceConfig::with_capacity(1 << 20);
+        let mut cluster = Cluster::new(cfg, nodes);
+        let handed_over = crash + VDur::secs(1);
+        cluster.schedule_crash(ProcessId(0), crash);
+        cluster.schedule_crash(ProcessId(1), handed_over);
+        cluster.run_idle(handed_over + VDur::secs(1));
+        let trace = cluster.take_trace().expect("tracing on");
+        assert_eq!(trace.dropped, 0, "{label}: the ring must hold the run");
+        for (survivor, _, suspected) in suspicions_of(&trace, 0, &[1, 2, 3, 4]) {
+            assert_eq!(suspected.len(), 1, "{label}: p{survivor} suspected p0");
+        }
+        for (survivor, last, suspected) in suspicions_of(&trace, 1, &[2, 3, 4]) {
+            let [at] = suspected[..] else {
+                panic!("{label}: p{survivor} suspected p1 at {suspected:?}");
+            };
+            assert!(
+                at > handed_over,
+                "{label}: p{survivor} suspected p1 at {at}"
+            );
+            let after = at.since(last);
+            let timeout = fd.coordinator_timeout();
+            assert!(
+                after > timeout && after <= timeout + TICK_SLACK,
+                "{label}: p{survivor} suspected p1 {after} after its last message"
+            );
+        }
+        assert_eq!(
+            cluster.counters().event("fd.suspicions"),
+            4 + 3,
+            "{label}: someone else was suspected"
+        );
     }
 }
 
@@ -278,13 +359,14 @@ fn submit_next(cluster: &mut Cluster, next_seq: &mut [u64], p: ProcessId) -> Opt
     })
 }
 
-/// p0 — the round-0 coordinator — crashes at 500 ms and restarts 100
-/// ms, half the detector's timeout, or 300 ms later. Its links have
+/// p0 — the round-0 coordinator — crashes at 500 ms and restarts 25
+/// ms, half the coordinator timeout, or 300 ms later. Its links have
 /// been idle since the load stopped, so it heartbeat each of them one
-/// interval or less before the crash, and a survivor's silence from p0
-/// is the outage plus the time from p0's last arrival there to the
-/// crash. A survivor suspects p0 exactly when that silence exceeds the
-/// timeout, read off the run's trace: the 300 ms outage always does,
+/// coordinator interval or less before the crash, and a survivor's
+/// silence from p0 is the outage plus the time from p0's last arrival
+/// there to the crash. A survivor suspects p0 exactly when that silence
+/// exceeds the coordinator timeout, read off the run's trace: the
+/// 300 ms outage always does,
 /// and at least one shorter one does not, so nobody suspects p0 or
 /// rotates a round there. p1 submits one message at 520 ms, into the
 /// outage; after the restart only p0 submits, so progress never stalls
@@ -310,7 +392,12 @@ fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one
     ];
     for (label, kind, stack) in rows {
         let mut outcomes = Vec::new();
-        for down in [VDur::millis(100), fd.timeout / 2, VDur::millis(300)] {
+        let downs = [
+            VDur::millis(25),
+            fd.coordinator_timeout() / 2,
+            VDur::millis(300),
+        ];
+        for down in downs {
             let scenario = Scenario::new().crash(p0, crash).restart(p0, crash + down);
             let mut cfg = ClusterConfig::new(n, 1);
             cfg.trace = TraceConfig::with_capacity(1 << 20);
@@ -334,16 +421,16 @@ fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one
 
             let trace = cluster.take_trace().expect("tracing on");
             assert_eq!(trace.dropped, 0, "{label}: the ring must hold the run");
-            let crashed_at = (VTime::ZERO + crash).as_nanos();
+            let crashed_at = VTime::ZERO + crash;
             for survivor in [1u16, 2] {
                 let mut last_arrival = None;
                 let mut suspected = false;
                 for e in &trace.events {
                     match e.data {
                         TraceData::Deliver { src: 0, dst, .. }
-                            if dst == survivor && e.at_ns <= crashed_at =>
+                            if dst == survivor && e.at_ns <= crashed_at.as_nanos() =>
                         {
-                            last_arrival = Some(e.at_ns);
+                            last_arrival = Some(VTime::ZERO + VDur::nanos(e.at_ns));
                         }
                         TraceData::Span {
                             pid,
@@ -356,13 +443,13 @@ fn a_message_sent_into_an_unsuspected_coordinator_outage_is_delivered_within_one
                     }
                 }
                 let last = last_arrival.expect("p0 was heard before the crash");
-                let silence = down + VDur::nanos(crashed_at - last);
+                let silence = down + crashed_at.since(last);
                 assert_eq!(
                     suspected,
-                    silence > fd.timeout,
+                    silence > fd.coordinator_timeout(),
                     "{label}, down {down}: p{survivor} heard p0 last {} before the crash, \
                      {silence} of silence",
-                    VDur::nanos(crashed_at - last)
+                    crashed_at.since(last)
                 );
                 outcomes.push(suspected);
             }

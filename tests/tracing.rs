@@ -335,13 +335,13 @@ fn export_bytes_match_golden() {
     for (kind, jsonl, chrome) in [
         (
             StackKind::Modular,
-            (1_844_119, 0xe071_79a5_2e30_2edb),
-            (2_060_028, 0xadc6_e86b_544b_3518),
+            (1_846_229, 0xdb26_f8a0_3285_232e),
+            (2_062_208, 0x0e79_f344_489e_5467),
         ),
         (
             StackKind::Monolithic,
-            (1_278_786, 0xfa73_025f_ac1c_6ffe),
-            (1_368_184, 0x2e03_71c3_c1a8_7028),
+            (1_276_735, 0xeb60_acbe_f768_e1d5),
+            (1_366_193, 0x6d90_42ed_b16a_497c),
         ),
     ] {
         let trace = traced_report(kind, 11).trace.expect("tracing on");
