@@ -392,13 +392,10 @@ fn fuzz_quick() -> Result<(), String> {
             plateau_batches: 2,
             // The default fault families plus the dynamic-membership
             // family (campaigns draw log-decided adds/removes too; the
-            // fuzz runner provisions the standby capacity) plus the
-            // dissemination axis: about a third of the drawn scenarios
-            // run the modular stack with Ring/Tree payload offload.
+            // fuzz runner provisions the standby capacity).
             profile: ChaosProfile {
                 add_node_prob: 0.3,
                 remove_node_prob: 0.25,
-                dissemination_prob: 0.35,
                 ..ChaosProfile::default()
             },
             ..FuzzConfig::new(3, 42)

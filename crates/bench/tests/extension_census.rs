@@ -1,11 +1,10 @@
-//! The extension census: every committed sweep, every `StackConfig`
-//! field and every `Dissemination` variant is owned by a row of the
-//! census table in `docs/EXTENSIONS.md` — the paper's own row, or one
-//! feature built past it, with its lines, the checks only it passes and
-//! its finding about the cost of modularity.
+//! The extension census: every committed sweep and every `StackConfig`
+//! field is owned by a row of the census table in `docs/EXTENSIONS.md`
+//! — the paper's own row, or one feature built past it, with its lines,
+//! the checks only it passes and its finding about the cost of
+//! modularity.
 //!
-//! `StackConfig` is destructured without `..` and `Dissemination`
-//! matched without a wildcard, so a new field or variant does not
+//! `StackConfig` is destructured without `..`, so a new field does not
 //! compile here until it is listed; listing it fails the test until a
 //! row owns it. A row that owns nothing, or a name that no longer
 //! exists, fails too.
@@ -14,7 +13,6 @@ use std::collections::BTreeSet;
 
 use fortika_bench::sweeps::SWEEPS;
 use fortika_core::StackConfig;
-use fortika_net::Dissemination;
 
 const DOC: &str = include_str!("../../../docs/EXTENSIONS.md");
 
@@ -28,35 +26,15 @@ macro_rules! fields {
     }};
 }
 
-/// Every `Dissemination` variant, as `Dissemination::Variant`: each arm
-/// names its variant and the next one, so a new variant must join the
-/// chain to compile.
-fn variants() -> Vec<String> {
-    let mut all = Vec::new();
-    let mut next = Some(Dissemination::Direct);
-    while let Some(d) = next {
-        let (name, after) = match d {
-            Dissemination::Direct => ("Direct", Some(Dissemination::Ring)),
-            Dissemination::Ring => ("Ring", Some(Dissemination::Tree)),
-            Dissemination::Tree => ("Tree", None),
-        };
-        all.push(format!("Dissemination::{name}"));
-        next = after;
-    }
-    all
-}
-
-/// Everything a row must own: the sweep files, the stack's fields and
-/// the dissemination strategies.
+/// Everything a row must own: the sweep files and the stack's fields.
 fn listed() -> Vec<String> {
     let mut all: Vec<String> = SWEEPS.iter().map(|s| s.file()).collect();
     all.extend(fields!(StackConfig = StackConfig::default();
         window, mono_opts, snapshot_interval, decision_cache, pipeline_depth,
-        dissemination, app_state, initial_members,
+        app_state, initial_members,
         #[cfg(debug_assertions)]
         faults,
     ));
-    all.extend(variants());
     all
 }
 
@@ -93,7 +71,7 @@ fn every_sweep_field_and_strategy_has_a_row_and_every_row_owns_something_real() 
             assert!(
                 unique.contains(name),
                 "the {feature} row owns `{name}`, which is no sweep file, \
-                 `StackConfig` field or `Dissemination` variant"
+                 `StackConfig` field"
             );
             assert!(owned.insert(*name), "`{name}` is owned by two rows");
         }

@@ -112,18 +112,6 @@ const BRANCHES: &[Branch] = &[
         name: "fd_member_updates",
         keys: &[fd::MEMBER_UPDATES],
     },
-    Branch {
-        name: "ring_payload_forwards",
-        keys: &[abcast::RING_PAYLOAD_FORWARDS],
-    },
-    Branch {
-        name: "payload_pulls",
-        keys: &[abcast::PAYLOAD_PULLS],
-    },
-    Branch {
-        name: "ring_repairs",
-        keys: &[abcast::RING_REPAIRS],
-    },
 ];
 
 /// Aggregated protocol-branch coverage of a fuzz campaign.
@@ -260,7 +248,7 @@ impl CoverageReport {
 
     /// All event-family names of the co-occurrence matrix, in canonical
     /// order: the eleven [`ScenarioEvent::family`] names plus the
-    /// `pipelined` and `dissemination` configuration axes.
+    /// `pipelined` configuration axis.
     ///
     /// [`ScenarioEvent::family`]: crate::ScenarioEvent::family
     pub fn family_names() -> Vec<&'static str> {
@@ -482,7 +470,7 @@ mod tests {
                 ("lossy", "gap_pulls"),
             ]
         );
-        // Deficits: crash reached 1/14 branches, unknown families 14/14.
+        // Deficits: crash reached one branch, unknown families none.
         let total = CoverageReport::branch_names().len() as f64;
         assert!((report.family_deficit("crash") - (1.0 - 1.0 / total)).abs() < 1e-12);
         assert!((report.family_deficit("partition") - 1.0).abs() < 1e-12);
@@ -497,10 +485,9 @@ mod tests {
     #[test]
     fn family_vocabulary_is_stable() {
         let families = CoverageReport::family_names();
-        assert_eq!(families.len(), 13);
+        assert_eq!(families.len(), 12);
         assert_eq!(families[0], "crash");
         assert!(families.contains(&"pipelined"));
-        assert!(families.contains(&"dissemination"));
         assert!(families.contains(&"add_node"));
         assert!(families.contains(&"remove_node"));
         // The deficit of an empty report is total for every family.

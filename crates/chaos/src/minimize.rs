@@ -15,8 +15,6 @@
 //! and the minimized scenario is a permanent reproducer, not a
 //! statistical one.
 
-use fortika_net::Dissemination;
-
 use crate::scenario::{Scenario, ScenarioEvent};
 
 /// The result of [`minimize`]: the shrunk scenario plus how much work
@@ -24,9 +22,8 @@ use crate::scenario::{Scenario, ScenarioEvent};
 #[derive(Debug, Clone)]
 pub struct MinimizeReport {
     /// The locally minimal reproducer: removing any single remaining
-    /// event (or lowering the pipeline depth to 1 / resetting the
-    /// dissemination strategy to `Direct`, where applicable) makes the
-    /// predicate pass.
+    /// event (or lowering the pipeline depth to 1, where applicable)
+    /// makes the predicate pass.
     pub scenario: Scenario,
     /// Events in the original scenario.
     pub original_events: usize,
@@ -58,11 +55,10 @@ impl MinimizeReport {
 ///    The scenario's [`horizon`](Scenario::horizon) is derived from its
 ///    events, so dropping the latest events shrinks the horizon with
 ///    them.
-/// 2. **Configuration axes** — a generated scenario may carry
-///    `pipeline_depth > 1` or an offloaded dissemination strategy; if
-///    resetting either to its seed-faithful default (depth 1, direct
-///    diffusion) still reproduces, that axis was irrelevant and is
-///    dropped from the reproducer.
+/// 2. **Configuration axis** — a generated scenario may carry
+///    `pipeline_depth > 1`; if resetting it to the seed-faithful depth 1
+///    still reproduces, the axis was irrelevant and is dropped from the
+///    reproducer.
 ///
 /// The result is *locally* minimal (1-minimal): no single removal
 /// keeps it failing. ddmin does not promise a global minimum, but in
@@ -90,15 +86,14 @@ impl MinimizeReport {
 pub fn minimize(scenario: &Scenario, mut check: impl FnMut(&Scenario) -> bool) -> MinimizeReport {
     let original_events = scenario.events().len();
     let mut tests = 0usize;
-    let mut fails = |events: &[ScenarioEvent], depth: usize, dissemination: Dissemination| {
+    let mut fails = |events: &[ScenarioEvent], depth: usize| {
         tests += 1;
-        check(&rebuild(events, depth, dissemination))
+        check(&rebuild(events, depth))
     };
 
     let mut depth = scenario.pipeline_depth();
-    let mut dissemination = scenario.dissemination();
     let mut events = scenario.events().to_vec();
-    if !fails(&events, depth, dissemination) {
+    if !fails(&events, depth) {
         // Not a failing scenario: nothing to shrink toward.
         return MinimizeReport {
             scenario: scenario.clone(),
@@ -123,7 +118,7 @@ pub fn minimize(scenario: &Scenario, mut check: impl FnMut(&Scenario) -> bool) -
             let mut complement = Vec::with_capacity(events.len() - (hi - lo));
             complement.extend_from_slice(&events[..lo]);
             complement.extend_from_slice(&events[hi..]);
-            if fails(&complement, depth, dissemination) {
+            if fails(&complement, depth) {
                 events = complement;
                 reduced = true;
                 break;
@@ -139,26 +134,21 @@ pub fn minimize(scenario: &Scenario, mut check: impl FnMut(&Scenario) -> bool) -
         }
     }
 
-    // Configuration axes: drop pipelining and the payload offload
-    // from the reproducer if the violation does not need them.
-    if depth > 1 && fails(&events, 1, dissemination) {
+    // Configuration axis: drop pipelining from the reproducer if the
+    // violation does not need it.
+    if depth > 1 && fails(&events, 1) {
         depth = 1;
-    }
-    if dissemination.offloads() && fails(&events, depth, Dissemination::Direct) {
-        dissemination = Dissemination::Direct;
     }
 
     MinimizeReport {
-        scenario: rebuild(&events, depth, dissemination),
+        scenario: rebuild(&events, depth),
         original_events,
         tests,
     }
 }
 
-fn rebuild(events: &[ScenarioEvent], depth: usize, dissemination: Dissemination) -> Scenario {
-    let mut s = Scenario::new()
-        .with_pipeline_depth(depth)
-        .with_dissemination(dissemination);
+fn rebuild(events: &[ScenarioEvent], depth: usize) -> Scenario {
+    let mut s = Scenario::new().with_pipeline_depth(depth);
     for ev in events {
         s = s.event(ev.clone());
     }
@@ -172,9 +162,7 @@ mod tests {
     use fortika_sim::VDur;
 
     fn noisy_scenario() -> Scenario {
-        let mut s = Scenario::new()
-            .with_pipeline_depth(3)
-            .with_dissemination(Dissemination::Ring);
+        let mut s = Scenario::new().with_pipeline_depth(3);
         for i in 0..10u64 {
             s = s.delay_spike(
                 LinkSelector::All,
@@ -200,10 +188,9 @@ mod tests {
             .events()
             .iter()
             .all(|ev| matches!(ev, ScenarioEvent::Crash { .. })));
-        // The irrelevant configuration axes are dropped too, and the
+        // The irrelevant configuration axis is dropped too, and the
         // horizon shrank with the discarded tail.
         assert_eq!(report.scenario.pipeline_depth(), 1);
-        assert_eq!(report.scenario.dissemination(), Dissemination::Direct);
         assert_eq!(report.scenario.horizon(), VDur::millis(60));
         assert!(report.tests > 0);
     }
@@ -215,18 +202,6 @@ mod tests {
             .crash(ProcessId(0), VDur::millis(10));
         let report = minimize(&s, |c| c.pipeline_depth() > 1 && !c.crashed().is_empty());
         assert_eq!(report.scenario.pipeline_depth(), 4);
-        assert_eq!(report.events(), 1);
-    }
-
-    #[test]
-    fn preserves_dissemination_when_the_failure_needs_it() {
-        let s = Scenario::new()
-            .with_dissemination(Dissemination::Tree)
-            .crash(ProcessId(0), VDur::millis(10));
-        let report = minimize(&s, |c| {
-            c.dissemination() == Dissemination::Tree && !c.crashed().is_empty()
-        });
-        assert_eq!(report.scenario.dissemination(), Dissemination::Tree);
         assert_eq!(report.events(), 1);
     }
 

@@ -17,18 +17,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fortika_fd::SuspicionWindow;
-use fortika_net::{Cluster, ConfigChange, Dissemination, LinkFault, LinkSelector, ProcessId};
+use fortika_net::{Cluster, ConfigChange, LinkFault, LinkSelector, ProcessId};
 use fortika_sim::{DetRng, VDur, VTime};
 
 use crate::coverage::CoverageReport;
 
 /// Every event family a scenario can contain, in canonical order: the
 /// eleven [`ScenarioEvent::family`] names (one per variant, and one per
-/// opening [`LinkFault`] of a [`ScenarioEvent::Link`] window) plus two
-/// *configuration* axes —
-/// `pipelined` ([`Scenario::pipeline_depth`] > 1) and `dissemination`
-/// ([`Scenario::dissemination`] offloading payloads onto a ring or
-/// tree). This is the row vocabulary of the coverage co-occurrence
+/// opening [`LinkFault`] of a [`ScenarioEvent::Link`] window) plus the
+/// *configuration* axis `pipelined` ([`Scenario::pipeline_depth`] > 1).
+/// This is the row vocabulary of the coverage co-occurrence
 /// matrix ([`CoverageReport`]); keep it in sync with
 /// [`ScenarioEvent::family`].
 pub(crate) const FAMILIES: &[&str] = &[
@@ -44,7 +42,6 @@ pub(crate) const FAMILIES: &[&str] = &[
     "add_node",
     "remove_node",
     "pipelined",
-    "dissemination",
 ];
 
 /// Probability knobs never steer above this: a residual of unsteered
@@ -265,13 +262,6 @@ pub struct Scenario {
     /// a *configuration* axis the fuzzer varies so every fault family
     /// is also exercised against pipelined runs.
     pipeline_depth: usize,
-    /// Payload dissemination strategy the run under this scenario
-    /// should use (`StackConfig::dissemination` in `fortika-core`).
-    /// Like `pipeline_depth`, a *configuration* axis: `Ring`/`Tree`
-    /// route batch payloads around the membership while consensus
-    /// orders value ids, so every fault family is also exercised
-    /// against the offloaded delivery path.
-    dissemination: Dissemination,
 }
 
 impl Default for Scenario {
@@ -279,7 +269,6 @@ impl Default for Scenario {
         Scenario {
             events: Vec::new(),
             pipeline_depth: 1,
-            dissemination: Dissemination::Direct,
         }
     }
 }
@@ -312,25 +301,6 @@ impl Scenario {
         self.pipeline_depth
     }
 
-    /// Sets the payload dissemination strategy runs under this
-    /// scenario should configure (see [`Scenario::dissemination`]).
-    pub fn with_dissemination(mut self, strategy: Dissemination) -> Self {
-        self.dissemination = strategy;
-        self
-    }
-
-    /// The payload dissemination strategy this scenario asks the
-    /// stacks to run with (default [`Dissemination::Direct`], the
-    /// seed-faithful diffusion regime). The random generator draws it
-    /// from its own stream ([`ChaosProfile::dissemination_prob`]), so
-    /// generated fault timelines also fuzz the ring/tree payload
-    /// offload; the assembly adopts it into `StackConfig::dissemination`
-    /// unless the stack names a strategy of its own or folds
-    /// application state.
-    pub fn dissemination(&self) -> Dissemination {
-        self.dissemination
-    }
-
     /// The timeline events, in insertion order.
     pub fn events(&self) -> &[ScenarioEvent] {
         &self.events
@@ -349,8 +319,6 @@ impl Scenario {
             .filter(|family| {
                 if *family == "pipelined" {
                     self.pipeline_depth > 1
-                } else if *family == "dissemination" {
-                    self.dissemination.offloads()
                 } else {
                     self.events.iter().any(|ev| ev.family() == *family)
                 }
@@ -1054,21 +1022,6 @@ impl Scenario {
         let mut depth_rng = DetRng::derive(seed, 0xA1FA);
         s.pipeline_depth = 1 + depth_rng.below(MAX_PIPELINE_DEPTH as u64) as usize;
 
-        // Dissemination strategy: the second configuration axis —
-        // Ring and Tree drawn evenly when the knob fires, from a
-        // derived stream so enabling the payload offload never
-        // perturbs the fault-window shapes above.
-        if profile.dissemination_prob > 0.0 {
-            let mut dis_rng = DetRng::derive(seed, 0xD155);
-            if dis_rng.unit_f64() < profile.dissemination_prob {
-                s.dissemination = if dis_rng.below(2) == 0 {
-                    Dissemination::Ring
-                } else {
-                    Dissemination::Tree
-                };
-            }
-        }
-
         s
     }
 }
@@ -1137,14 +1090,6 @@ pub struct ChaosProfile {
     /// voter erodes the original quorum margin until the smaller
     /// majority takes over). Defaults to 0.
     pub remove_node_prob: f64,
-    /// Probability that a scenario runs under an offloaded payload
-    /// dissemination strategy ([`Scenario::dissemination`]; Ring and
-    /// Tree drawn evenly when the knob fires, from a derived RNG
-    /// stream so fault-window shapes are preserved). `0` pins every
-    /// run to the seed-faithful direct-diffusion regime. A stack that
-    /// folds application state (`StackConfig::app_state`) keeps
-    /// `Direct` whatever is drawn.
-    pub dissemination_prob: f64,
 }
 
 impl Default for ChaosProfile {
@@ -1163,7 +1108,6 @@ impl Default for ChaosProfile {
             false_suspicion_prob: 0.35,
             add_node_prob: 0.0,
             remove_node_prob: 0.0,
-            dissemination_prob: 0.0,
         }
     }
 }
@@ -1248,7 +1192,6 @@ impl ChaosProfile {
             false_suspicion_prob: boost(self.false_suspicion_prob, d("false_suspicion")),
             add_node_prob: boost(self.add_node_prob, d("add_node")),
             remove_node_prob: boost(self.remove_node_prob, d("remove_node")),
-            dissemination_prob: boost(self.dissemination_prob, d("dissemination")),
             ..self.clone()
         }
     }
@@ -1553,18 +1496,7 @@ mod tests {
             piped.families(),
             vec!["crash", "restart", "lossy", "pipelined"]
         );
-        let offloaded = piped.clone().with_dissemination(Dissemination::Ring);
-        assert_eq!(
-            offloaded.families(),
-            vec!["crash", "restart", "lossy", "pipelined", "dissemination"]
-        );
         assert_eq!(Scenario::new().families(), Vec::<&str>::new());
-        assert_eq!(
-            Scenario::new()
-                .with_dissemination(Dissemination::Direct)
-                .families(),
-            Vec::<&str>::new()
-        );
         // Every family string the events can produce is in the
         // canonical vocabulary.
         for ev in piped.events() {
@@ -1718,38 +1650,6 @@ mod tests {
             assert_eq!(base, stripped, "seed {seed}: fault shapes perturbed");
             assert_eq!(a.pipeline_depth(), b.pipeline_depth());
         }
-    }
-
-    #[test]
-    fn dissemination_stream_leaves_existing_fault_shapes_untouched() {
-        // Same contract as the reconfig stream: enabling the
-        // dissemination axis must not perturb a single fault window or
-        // the pipeline-depth draw — only the strategy field may differ.
-        let plain = ChaosProfile::default();
-        let offload = ChaosProfile {
-            dissemination_prob: 0.7,
-            ..ChaosProfile::default()
-        };
-        let mut saw_ring = false;
-        let mut saw_tree = false;
-        let mut saw_direct = false;
-        for seed in 0..40u64 {
-            let a = Scenario::random(5, seed, &plain);
-            let b = Scenario::random(5, seed, &offload);
-            let base: Vec<String> = a.events().iter().map(|ev| format!("{ev:?}")).collect();
-            let with_knob: Vec<String> = b.events().iter().map(|ev| format!("{ev:?}")).collect();
-            assert_eq!(base, with_knob, "seed {seed}: fault shapes perturbed");
-            assert_eq!(a.pipeline_depth(), b.pipeline_depth());
-            assert_eq!(a.dissemination(), Dissemination::Direct);
-            match b.dissemination() {
-                Dissemination::Direct => saw_direct = true,
-                Dissemination::Ring => saw_ring = true,
-                Dissemination::Tree => saw_tree = true,
-            }
-        }
-        assert!(saw_ring, "knob at 0.7 never drew Ring");
-        assert!(saw_tree, "knob at 0.7 never drew Tree");
-        assert!(saw_direct, "knob at 0.7 never left a run Direct");
     }
 
     #[test]

@@ -123,10 +123,7 @@ const CAMPAIGN_GOLDEN: &str = r#"{
     "stale_incarnation_drops": {"events": 0, "runs_reached": 0},
     "reconfigs_activated": {"events": 0, "runs_reached": 0},
     "config_fence_drops": {"events": 0, "runs_reached": 0},
-    "fd_member_updates": {"events": 0, "runs_reached": 0},
-    "ring_payload_forwards": {"events": 0, "runs_reached": 0},
-    "payload_pulls": {"events": 0, "runs_reached": 0},
-    "ring_repairs": {"events": 0, "runs_reached": 0}
+    "fd_member_updates": {"events": 0, "runs_reached": 0}
   },
   "families": {
     "crash": {"runs": 8, "cells": {"round_changes": 8, "state_transfers": 8, "pipelined_proposals": 5}},
@@ -140,10 +137,9 @@ const CAMPAIGN_GOLDEN: &str = r#"{
     "false_suspicion": {"runs": 4, "cells": {"round_changes": 3, "state_transfers": 3, "pipelined_proposals": 3}},
     "add_node": {"runs": 0, "cells": {}},
     "remove_node": {"runs": 0, "cells": {}},
-    "pipelined": {"runs": 7, "cells": {"round_changes": 6, "state_transfers": 6, "pipelined_proposals": 6}},
-    "dissemination": {"runs": 0, "cells": {}}
+    "pipelined": {"runs": 7, "cells": {"round_changes": 6, "state_transfers": 6, "pipelined_proposals": 6}}
   },
-  "missed": ["progress_rotations", "promises", "direct_proposals", "gap_pulls", "tag_misses", "snapshot_offers", "snapshot_installs", "join_requests", "rejoins_completed", "idle_proposals", "sender_retransmits", "estimate_solicitations", "stale_incarnation_drops", "reconfigs_activated", "config_fence_drops", "fd_member_updates", "ring_payload_forwards", "payload_pulls", "ring_repairs"]
+  "missed": ["progress_rotations", "promises", "direct_proposals", "gap_pulls", "tag_misses", "snapshot_offers", "snapshot_installs", "join_requests", "rejoins_completed", "idle_proposals", "sender_retransmits", "estimate_solicitations", "stale_incarnation_drops", "reconfigs_activated", "config_fence_drops", "fd_member_updates"]
 }
 "#;
 

@@ -20,7 +20,7 @@ fn window(from: VDur, until: Option<VDur>) -> String {
 
 /// One line per event: family, parameters, instants in nanoseconds.
 fn render(s: &Scenario) -> String {
-    let mut out = format!("depth {} {:?}\n", s.pipeline_depth(), s.dissemination());
+    let mut out = format!("depth {}\n", s.pipeline_depth());
     for ev in s.events() {
         let params = match *ev {
             E::Crash { pid, at }
@@ -56,12 +56,12 @@ fn random_scenarios_match_golden() {
         (
             "default",
             ChaosProfile::default(),
-            (14_252, 0x8d85_6513_7a73_a89e),
+            (13_804, 0xdd44_67c2_c932_041c),
         ),
         (
             "resource_only",
             ChaosProfile::resource_only(),
-            (9_826, 0x3087_df19_a2a3_4ef7),
+            (9_378, 0x3df4_2141_b46f_4c41),
         ),
     ] {
         let mut text = String::new();

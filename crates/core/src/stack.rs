@@ -9,8 +9,8 @@ use fortika_framework::CompositeStack;
 use fortika_mono::{MonoNode, MonoOptimizations};
 pub use fortika_net::replica::FaultHooks;
 use fortika_net::{
-    AppStateFactory, Cluster, ClusterConfig, Dissemination, Node, NodeFactory, ProcessId,
-    ReplicaConfig, StableStore,
+    AppStateFactory, Cluster, ClusterConfig, Node, NodeFactory, ProcessId, ReplicaConfig,
+    StableStore,
 };
 use fortika_rbcast::RbcastModule;
 use fortika_sim::VTime;
@@ -65,17 +65,6 @@ pub struct StackConfig {
     /// the flow windows offer enough distinct messages for α disjoint
     /// batches.
     pub pipeline_depth: usize,
-    /// How the modular stack disseminates batch payloads.
-    ///
-    /// `Direct` (the default) is the seed-faithful diffusion path —
-    /// byte-identical benches. `Ring`/`Tree` offload payloads onto a
-    /// dissemination topology and run consensus on value-id-sized
-    /// descriptors (see `docs/DISSEMINATION.md`). The monolithic stack
-    /// already targets its coordinator directly and ignores the knob.
-    /// Incompatible with [`app_state`](StackConfig::app_state): the
-    /// snapshot fold sees descriptor batches under an offloading
-    /// strategy, not application payloads.
-    pub dissemination: Dissemination,
     /// Optional application-state hook folded into snapshots: each
     /// process gets its own state machine, advanced on every delivered
     /// message, encoded into snapshots and restored on install (see
@@ -105,7 +94,6 @@ impl Default for StackConfig {
             snapshot_interval: 256,
             decision_cache: 1024,
             pipeline_depth: 1,
-            dissemination: Dissemination::Direct,
             app_state: None,
             initial_members: 0,
             #[cfg(debug_assertions)]
@@ -149,12 +137,12 @@ fn build(
     let replica = replica_config(cfg);
     match kind {
         StackKind::Modular => {
-            let (abcast, rbcast) = match stable {
-                Some(stable) => (
-                    AbcastModule::resume(abcast_config(cfg), stable),
-                    RbcastModule::resume(stable),
-                ),
-                None => (AbcastModule::new(abcast_config(cfg)), RbcastModule::new()),
+            let abcast = AbcastModule::new(AbcastConfig {
+                pipeline_depth: cfg.pipeline_depth.max(1) as u64,
+            });
+            let rbcast = match stable {
+                Some(stable) => RbcastModule::resume(stable),
+                None => RbcastModule::new(),
             };
             let consensus = ConsensusModule::with_replica(replica, stable);
             Box::new(CompositeStack::new(vec![
@@ -168,21 +156,6 @@ fn build(
         StackKind::Monolithic => Box::new(
             MonoNode::with_replica(cfg.mono_opts, cfg.window, fd, replica, stable).with_app(app),
         ),
-    }
-}
-
-/// The modular abcast configuration: the stack-wide pipeline,
-/// dissemination and membership knobs.
-fn abcast_config(cfg: &StackConfig) -> AbcastConfig {
-    assert!(
-        cfg.app_state.is_none() || !cfg.dissemination.offloads(),
-        "app_state folds application payloads and is incompatible with \
-         offloaded dissemination (consensus orders descriptors there)"
-    );
-    AbcastConfig {
-        pipeline_depth: cfg.pipeline_depth.max(1) as u64,
-        dissemination: cfg.dissemination,
-        initial_members: cfg.initial_members,
     }
 }
 
@@ -237,11 +210,8 @@ pub fn node_factory(
 /// 1. the cluster is provisioned at [`Scenario::capacity`], so every
 ///    `AddNode` has a standby slot;
 /// 2. the scenario's configuration axes are adopted **upgrade-only** —
-///    `pipeline_depth` becomes the deeper of the two requests,
-///    a drawn `Ring`/`Tree` is taken only by a stack at the `Direct`
-///    default with no [`app_state`](StackConfig::app_state) fold
-///    (offloaded runs fold descriptors, not application payloads), and
-///    a scenario with reconfigurations sets an unset
+///    `pipeline_depth` becomes the deeper of the two requests, and a
+///    scenario with reconfigurations sets an unset
 ///    [`initial_members`](StackConfig::initial_members) to `cfg.n`, so
 ///    only the original group votes and standbys start as learners —
 ///    an explicit stack setting is never silently weakened;
@@ -265,9 +235,6 @@ pub fn scenario_cluster(
     cfg.n = capacity;
     let mut stack = stack.clone();
     stack.pipeline_depth = stack.pipeline_depth.max(scenario.pipeline_depth());
-    if !stack.dissemination.offloads() && stack.app_state.is_none() {
-        stack.dissemination = scenario.dissemination();
-    }
     if !scenario.reconfigs().is_empty() && stack.initial_members == 0 {
         stack.initial_members = n;
     }

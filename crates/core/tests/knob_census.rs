@@ -34,14 +34,14 @@ fn listed() -> Vec<&'static str> {
     ));
     all.extend(knobs!(StackConfig = StackConfig::default();
         window, mono_opts, snapshot_interval, decision_cache, pipeline_depth,
-        dissemination, app_state, initial_members,
+        app_state, initial_members,
         #[cfg(debug_assertions)]
         faults,
     ));
     all.extend(knobs!(ChaosProfile = ChaosProfile::default();
         horizon, crash_prob, restart_prob, recrash_prob, partition_prob, loss_prob,
         dup_prob, delay_prob, degrade_prob, slow_prob, false_suspicion_prob,
-        add_node_prob, remove_node_prob, dissemination_prob,
+        add_node_prob, remove_node_prob,
     ));
     all
 }

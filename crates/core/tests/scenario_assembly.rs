@@ -3,21 +3,18 @@
 //! scenario's configuration axes, and the tick-id boundary between a
 //! scenario's reserved reconfiguration ticks and a workload's own.
 
-use bytes::Bytes;
 use fortika_chaos::{reconfig_tick, Scenario};
 use fortika_core::workload::{Workload, WorkloadDriver};
-use fortika_core::{build_nodes, scenario_cluster, AppState, AppStateFactory};
+use fortika_core::{build_nodes, scenario_cluster};
 use fortika_core::{StackConfig, StackKind};
-use fortika_net::{
-    AppMsg, Cluster, ClusterConfig, ConfigChange, Dissemination, NoopHarness, ProcessId,
-};
+use fortika_net::{Cluster, ClusterConfig, ConfigChange, NoopHarness, ProcessId};
 use fortika_sim::{VDur, VTime};
 
 const N: usize = 3;
 const STANDBY: ProcessId = ProcessId(N as u16);
 
 /// Every axis a generated scenario can carry: a grow, a scripted
-/// suspicion, a drawn depth and a drawn offload.
+/// suspicion and a drawn depth.
 fn drawn() -> Scenario {
     Scenario::new()
         .add_node(STANDBY, VDur::millis(300))
@@ -28,7 +25,6 @@ fn drawn() -> Scenario {
             VDur::millis(150),
         )
         .with_pipeline_depth(3)
-        .with_dissemination(Dissemination::Ring)
 }
 
 fn assemble(kind: StackKind, stack: &StackConfig) -> (Cluster, StackConfig) {
@@ -41,7 +37,6 @@ fn scenario_cluster_provisions_standbys_and_adopts_the_drawn_axes() {
         let (mut cluster, stack) = assemble(kind, &StackConfig::default());
         assert_eq!(cluster.n(), N + 1, "one slot per AddNode standby");
         assert_eq!(stack.pipeline_depth, 3);
-        assert_eq!(stack.dissemination, Dissemination::Ring);
         assert_eq!(stack.initial_members, N, "only the original group votes");
 
         // The standby is down from t = 0 and everyone else is up; the
@@ -61,33 +56,12 @@ fn scenario_cluster_provisions_standbys_and_adopts_the_drawn_axes() {
 fn explicit_stack_settings_are_never_weakened() {
     let explicit = StackConfig {
         pipeline_depth: 5,
-        dissemination: Dissemination::Tree,
         initial_members: 2,
         ..StackConfig::default()
     };
     let (_, stack) = assemble(StackKind::Modular, &explicit);
     assert_eq!(stack.pipeline_depth, 5);
-    assert_eq!(stack.dissemination, Dissemination::Tree);
     assert_eq!(stack.initial_members, 2);
-}
-
-#[test]
-fn an_app_state_fold_keeps_direct_dissemination() {
-    struct Nothing;
-    impl AppState for Nothing {
-        fn apply(&mut self, _msg: &AppMsg) {}
-        fn encode(&self) -> Bytes {
-            Bytes::new()
-        }
-        fn restore(&mut self, _state: &Bytes) {}
-    }
-    let folding = StackConfig {
-        app_state: Some(AppStateFactory::new(|| Box::new(Nothing))),
-        ..StackConfig::default()
-    };
-    let (_, stack) = assemble(StackKind::Modular, &folding);
-    assert_eq!(stack.dissemination, Dissemination::Direct);
-    assert_eq!(stack.pipeline_depth, 3, "the other axes still apply");
 }
 
 /// A reserved tick that reaches a bare `WorkloadDriver` (no `AuditTap`

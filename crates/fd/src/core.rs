@@ -107,7 +107,7 @@ impl Default for FdConfig {
             // `suspicion_audit`, a good run's longest silence is
             // 113.8 ms on a member's link, 61.2 ms under this timeout,
             // and 57.1 ms on the coordinator's (the monolith's n = 7,
-            // 2 000 msgs/s, 16 KiB point of `BENCH_dissemination`),
+            // 2 000 msgs/s, 16 KiB point of `BENCH_wide_window`),
             // 30.4 ms under its 87.5 ms (paper §5.1 evaluates good runs
             // only).
             timeout: heartbeat_interval * 7 / 4,

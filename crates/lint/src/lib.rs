@@ -33,7 +33,9 @@
 //! cargo run --release -p fortika-lint
 //! ```
 //!
-//! Diagnostics are compiler-style (`file:line: [rule] message`); the
+//! Diagnostics are compiler-style (`file:line: [rule] message`), and the
+//! summary ends with the non-test line count of `crates/*/src`
+//! ([`Report::non_test_lines`](report::Report::non_test_lines)); the
 //! machine-readable report lands in `target/lint-report.json`; the exit
 //! code is nonzero iff violations were found. Intentional deviations are
 //! waived in-source with `// lint:allow(rule): reason` — the reason is

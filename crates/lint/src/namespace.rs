@@ -78,7 +78,8 @@ fn shifts_by(line: &str, amount: u64) -> bool {
 
 /// Scans the sources of every workspace member — each crate's `src/`
 /// and `tests/`, and the umbrella's `src/`, `tests/` and `examples/` —
-/// appending findings to `report`.
+/// appending findings to `report` and tallying each crate's non-test
+/// lines ([`Report::tally_lines`]).
 pub fn check(root: &Path, report: &mut Report) -> std::io::Result<()> {
     let mut dirs = vec![root.join("src"), root.join("tests"), root.join("examples")];
     let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))?
@@ -94,7 +95,9 @@ pub fn check(root: &Path, report: &mut Report) -> std::io::Result<()> {
     }
     for path in files {
         let src = SourceFile::load(&path)?;
-        check_file(&src, &crate::rel_label(root, &path), report);
+        let rel = crate::rel_label(root, &path);
+        check_file(&src, &rel, report);
+        report.tally_lines(&rel, &src);
     }
     Ok(())
 }

@@ -8,7 +8,10 @@
 //! the lint crate depends on nothing, because the analyzer cannot join
 //! the graph it polices, so it carries its own small emitter.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use crate::source::SourceFile;
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,9 +52,30 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of crate manifests in the layering graph.
     pub crates_checked: usize,
+    /// Non-test lines ([`SourceFile::non_test_lines`]) of each crate's
+    /// `src/`, by crate directory name.
+    pub non_test_lines: BTreeMap<String, usize>,
 }
 
 impl Report {
+    /// Adds `src`'s non-test lines to its crate's tally when `rel` lies
+    /// under `crates/<name>/src/`; any other file is not counted.
+    pub fn tally_lines(&mut self, rel: &str, src: &SourceFile) {
+        let Some(rest) = rel.strip_prefix("crates/") else {
+            return;
+        };
+        if let Some((name, path)) = rest.split_once('/') {
+            if path.starts_with("src/") {
+                *self.non_test_lines.entry(name.to_string()).or_insert(0) += src.non_test_lines();
+            }
+        }
+    }
+
+    /// Non-test lines over every crate's `src/`.
+    pub fn total_non_test_lines(&self) -> usize {
+        self.non_test_lines.values().sum()
+    }
+
     /// True when the workspace is clean.
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
@@ -86,6 +110,11 @@ impl Report {
             self.files_scanned,
             self.crates_checked,
         );
+        let _ = writeln!(
+            out,
+            "fortika-lint: {} non-test lines in crates/*/src",
+            self.total_non_test_lines()
+        );
         out
     }
 
@@ -97,6 +126,16 @@ impl Report {
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(out, "  \"crates_checked\": {},", self.crates_checked);
         let _ = writeln!(out, "  \"violations\": {},", self.findings.len());
+        let _ = write!(
+            out,
+            "  \"non_test_lines\": {{\"total\": {}, \"crates\": {{",
+            self.total_non_test_lines()
+        );
+        for (i, (name, lines)) in self.non_test_lines.iter().enumerate() {
+            let comma = if i == 0 { "" } else { ", " };
+            let _ = write!(out, "{comma}\"{}\": {lines}", escape(name));
+        }
+        out.push_str("}},\n");
         out.push_str("  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
             let comma = if i + 1 < self.findings.len() { "," } else { "" };

@@ -96,6 +96,21 @@ impl SourceFile {
         }
     }
 
+    /// The file's non-test lines: lines outside every `#[cfg(test)]`
+    /// item that are not blank and do not start with `//` once leading
+    /// whitespace is trimmed (so `///` and `//!` docs do not count
+    /// either). Code after a test item counts again.
+    pub fn non_test_lines(&self) -> usize {
+        self.raw
+            .iter()
+            .zip(&self.in_test)
+            .filter(|(line, in_test)| {
+                let t = line.trim();
+                !**in_test && !t.is_empty() && !t.starts_with("//")
+            })
+            .count()
+    }
+
     /// True when `rule` is waived for 1-based line `line` (waiver on the
     /// same line or the line directly above). Reasons were validated at
     /// parse time.

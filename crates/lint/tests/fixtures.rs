@@ -170,3 +170,22 @@ fn key_namespace_spares_other_shifts_comments_strings_and_waivers() {
     assert_eq!(r.waivers.len(), 1);
     assert_eq!(r.waivers[0].rule, RULE_KEY_NAMESPACE);
 }
+
+#[test]
+fn non_test_lines_skip_blanks_comments_and_test_items() {
+    let src = SourceFile::load(&fixture("line_count.rs")).expect("fixture readable");
+    assert_eq!(src.non_test_lines(), 7);
+    let mut r = Report::default();
+    r.tally_lines("crates/demo/src/lib.rs", &src);
+    r.tally_lines("crates/demo/src/deep/mod.rs", &src);
+    // Only a crate's `src/` is counted.
+    r.tally_lines("crates/demo/tests/it.rs", &src);
+    r.tally_lines("tests/it.rs", &src);
+    assert_eq!(r.total_non_test_lines(), 14);
+    assert!(r
+        .to_json()
+        .contains("\"non_test_lines\": {\"total\": 14, \"crates\": {\"demo\": 14}},"));
+    assert!(r
+        .render_human()
+        .contains("fortika-lint: 14 non-test lines in crates/*/src"));
+}

@@ -68,14 +68,6 @@ pub struct MsgId {
 /// allocation.
 pub const RECONFIG_SEQ_BASE: u64 = 1 << 62;
 
-/// Reserved [`MsgId::seq`] namespace of payload descriptors: an
-/// `AppMsg` whose `seq` has this bit set is a dissemination descriptor,
-/// not application data.
-pub const DISSEM_SEQ_BASE: u64 = 1 << 63;
-
-// Each namespace is one bit, tested by mask: the bits must differ.
-const _: () = assert!(RECONFIG_SEQ_BASE & DISSEM_SEQ_BASE == 0);
-
 impl MsgId {
     /// Builds a message id.
     pub fn new(sender: ProcessId, seq: u64) -> Self {
@@ -85,11 +77,6 @@ impl MsgId {
     /// True for ids in the [`RECONFIG_SEQ_BASE`] namespace.
     pub fn is_reconfig(self) -> bool {
         self.seq & RECONFIG_SEQ_BASE != 0
-    }
-
-    /// True for ids in the [`DISSEM_SEQ_BASE`] namespace.
-    pub fn is_descriptor(self) -> bool {
-        self.seq & DISSEM_SEQ_BASE != 0
     }
 }
 
@@ -162,10 +149,8 @@ mod tests {
         let p = ProcessId(1);
         let workload = MsgId::new(p, 41);
         let reconfig = MsgId::new(p, RECONFIG_SEQ_BASE + 41);
-        let descriptor = MsgId::new(p, DISSEM_SEQ_BASE | 41);
-        assert!(!workload.is_reconfig() && !workload.is_descriptor());
-        assert!(reconfig.is_reconfig() && !reconfig.is_descriptor());
-        assert!(descriptor.is_descriptor() && !descriptor.is_reconfig());
+        assert!(!workload.is_reconfig());
+        assert!(reconfig.is_reconfig());
     }
 
     #[test]

@@ -81,7 +81,6 @@
 pub mod cluster;
 pub mod config;
 pub mod counters;
-pub mod dissemination;
 pub mod fault;
 pub mod flow;
 pub mod id;
@@ -102,7 +101,6 @@ pub use cluster::{
 };
 pub use config::{ClusterConfig, CostModel, NetModel};
 pub use counters::{Counters, KindCounter};
-pub use dissemination::{DissemMsg, Dissemination, PayloadStore, ValueId, DISSEM_SEQ_BASE};
 pub use fault::{LinkFault, LinkSelector};
 pub use fortika_trace::{Trace, TraceConfig, TraceData, TraceEvent};
 pub use id::{MsgId, ProcessId};

@@ -387,16 +387,9 @@ crate::metric_table! {
             SNAPSHOT_INSTALLS = "abcast.snapshot_installs",
             RETRANSMITS = "abcast.retransmits",
             GARBAGE = "abcast.garbage",
-            RING_REPAIRS = "abcast.ring_repairs",
-            RING_PAYLOAD_FORWARDS = "abcast.ring_payload_forwards",
-            PAYLOAD_PULLS = "abcast.payload_pulls",
         }
         kinds {
             DIFFUSE = "abcast.diffuse",
-            PAYLOAD = "abcast.payload",
-            PAYLOAD_ACK = "abcast.payload_ack",
-            PAYLOAD_PULL = "abcast.payload_pull",
-            PAYLOAD_PUSH = "abcast.payload_push",
         }
     }
 }

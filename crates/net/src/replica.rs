@@ -150,15 +150,13 @@ pub mod keys {
     pub const CONFIG: u64 = 4 << 56;
     /// The reliable-broadcast module's origin sequence counter.
     pub const RBCAST_SEQ: u64 = 5 << 56;
-    /// The abcast module's origin-local payload sequence counter.
-    pub const ABCAST_SEQ: u64 = 6 << 56;
+    // `6 << 56` is unassigned: the namespaces keep their numbers, so
+    // no key a stable store holds changes meaning.
     /// This process's promise (see [`crate::rounds`]): the round below
     /// which it votes at no instance from a floor on.
     pub const PROMISE: u64 = 7 << 56;
 
-    const ALL: [u64; 7] = [
-        VOTE_TAG, WATERMARK, SNAPSHOT, CONFIG, RBCAST_SEQ, ABCAST_SEQ, PROMISE,
-    ];
+    const ALL: [u64; 6] = [VOTE_TAG, WATERMARK, SNAPSHOT, CONFIG, RBCAST_SEQ, PROMISE];
     const _: () = {
         let mut i = 0;
         while i < ALL.len() {

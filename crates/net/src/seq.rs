@@ -1,10 +1,10 @@
 //! Origin sequence counters that survive a crash at one stable write
 //! per block of numbers, not one per number.
 //!
-//! An origin that numbers its messages (rbcast's per-origin sequence,
-//! abcast's payload batches) must never reuse a number after a restart:
-//! peers suppress duplicates by `(origin, seq)`, so a reused number is a
-//! message silently swallowed everywhere. Persisting the counter on
+//! An origin that numbers its messages (rbcast's per-origin sequence)
+//! must never reuse a number after a restart: peers suppress
+//! duplicates by `(origin, seq)`, so a reused number is a message
+//! silently swallowed everywhere. Persisting the counter on
 //! every message guarantees that at one stable write per message.
 //! [`ReservedSeq`] persists a *bound* instead: every number below it may
 //! have been handed out, none at or above it has. It writes a new bound

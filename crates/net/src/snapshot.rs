@@ -317,7 +317,7 @@ impl SnapshotFold {
 
     /// True if `id` was delivered within the folded prefix.
     pub fn is_delivered(&self, id: MsgId) -> bool {
-        !self.delivered.is_new(crate::dissemination::fold_key(id))
+        !self.delivered.is_new(id)
     }
 
     /// Absorbs the decision of `instance`, folding forward as far as the
@@ -346,17 +346,11 @@ impl SnapshotFold {
     /// Folds `batch` as the decision of instance `next`.
     fn fold(&mut self, batch: &Batch) {
         for msg in batch.msgs() {
-            // Payload descriptors (offloaded dissemination) fold
-            // under a synthetic dense sender stream and count for
-            // the application messages their payload batch carries,
-            // keeping `delivered_count` in application units for
-            // ordinary messages and descriptors alike.
-            let key = crate::dissemination::fold_key(msg.id);
-            if !self.delivered.is_new(key) {
+            if !self.delivered.is_new(msg.id) {
                 continue; // delivered by an earlier instance
             }
-            self.delivered.mark(key);
-            self.delivered_count += crate::dissemination::delivery_weight(msg);
+            self.delivered.mark(msg.id);
+            self.delivered_count += 1;
             self.digest = digest_msg(self.digest, msg);
             if let Some(app) = &mut self.app {
                 app.apply(msg);
@@ -774,30 +768,6 @@ mod tests {
         // The buffered instance 2 folds immediately after the install.
         assert_eq!(fold.next_instance(), 3);
         assert_eq!(fold.delivered_count(), 3);
-    }
-
-    #[test]
-    fn fold_weighs_descriptors_in_application_units() {
-        use crate::dissemination::{descriptor_msg, ValueId, DESC_SENDER_BIT};
-        let vid = ValueId {
-            origin: ProcessId(1),
-            seq: 0,
-        };
-        let b = Batch::normalize(vec![descriptor_msg(vid, 5), msg(0, 0, b"plain")]);
-        let mut fold = SnapshotFold::new(None);
-        fold.absorb(0, &b);
-        assert_eq!(fold.delivered_count(), 6, "descriptor counts its payload");
-        assert!(fold.is_delivered(vid.descriptor_id()));
-        // Re-deciding the descriptor does not re-count.
-        fold.absorb(1, &b);
-        assert_eq!(fold.delivered_count(), 6);
-        let snap = fold.snapshot().unwrap();
-        let desc_log = snap
-            .delivered
-            .iter()
-            .find(|s| s.sender == ProcessId(1 | DESC_SENDER_BIT))
-            .expect("descriptor stream folds under the synthetic sender");
-        assert_eq!(desc_log.watermark, 1, "stripped seqs stay dense");
     }
 
     #[test]

@@ -21,8 +21,8 @@ use fortika::consensus::{self, ConsensusMsg, DecisionNotice};
 use fortika::mono::msg::{self as mono, Decision, MonoMsg, Proposal};
 use fortika::net::wire::{decode, encode, Wire, WireError, WireReader, WireWriter, SHARE_MIN};
 use fortika::net::{
-    Admission, AppMsg, AppRequest, Batch, CatchUp, Cluster, ClusterConfig, ConfigChange, DissemMsg,
-    MsgId, Node, NodeCtx, PerCatchUp, ProcessId, SenderLog, Snapshot, Stored, ValueId, VoteRecord,
+    Admission, AppMsg, AppRequest, Batch, CatchUp, Cluster, ClusterConfig, ConfigChange, MsgId,
+    Node, NodeCtx, PerCatchUp, ProcessId, SenderLog, Snapshot, Stored, VoteRecord,
 };
 use fortika::sim::VTime;
 
@@ -327,8 +327,8 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
     row("Vec/empty", Vec::<AppMsg>::new());
     row("Vec/u64", vec![1u64, 2, 3]);
 
-    // fortika-net: ids, messages, membership, dissemination, snapshots,
-    // the stable vote record.
+    // fortika-net: ids, messages, membership, snapshots, the stable vote
+    // record.
     row("ProcessId", ProcessId(6));
     row("MsgId", MsgId::new(ProcessId(6), 1 << 40));
     row("AppMsg/empty", msg(0, 0, 0));
@@ -339,39 +339,6 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
     every_two_part_cut("Batch/10x16k", &batch(10), &stored);
     row("ConfigChange/Add", ConfigChange::Add(ProcessId(3)));
     row("ConfigChange/Remove", ConfigChange::Remove(ProcessId(1)));
-    let vid = ValueId {
-        origin: ProcessId(4),
-        seq: 12,
-    };
-    row("ValueId", vid);
-    row(
-        "DissemMsg/Diffuse",
-        DissemMsg::Diffuse(msg(1, 5, 16 * 1024)),
-    );
-    row(
-        "DissemMsg/Payload",
-        DissemMsg::Payload {
-            vid,
-            holders: 0b101_0001,
-            batch: batch(10),
-        },
-    );
-    row(
-        "DissemMsg/Ack",
-        DissemMsg::Ack {
-            vid,
-            holders: u64::MAX,
-        },
-    );
-    row("DissemMsg/Pull", DissemMsg::Pull { vid });
-    row(
-        "DissemMsg/Push",
-        DissemMsg::Push {
-            vid,
-            holders: 1,
-            batch: batch(3),
-        },
-    );
     row("SenderLog", snapshot().delivered[0].clone());
     let stored = row("Snapshot", snapshot());
     every_two_part_cut("Snapshot", &snapshot(), &stored);
