@@ -23,7 +23,7 @@
 //! events, so the same checker audits the modular stack, the monolithic
 //! stack, or any future implementation.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use fortika_net::{ClusterApi, ConfigStamp, Delivery, Harness, MsgId, ProcessId, SnapshotStamp};
@@ -115,6 +115,10 @@ impl Violation {
     /// The offending process, when the violation implicates one
     /// ([`MissingDelivery`](Violation::MissingDelivery) implicates the
     /// whole group). Trace dumps anchor their bounded window here.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn process(&self) -> Option<ProcessId> {
         match *self {
             Violation::Disagreement { process, .. }
@@ -132,6 +136,10 @@ impl Violation {
     /// the counterexample minimizer ([`crate::minimize`]) preserves
     /// while shrinking: a candidate scenario only counts as a
     /// reproducer when it trips a violation of the same kind.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn kind(&self) -> &'static str {
         match self {
             Violation::Disagreement { .. } => "Disagreement",
@@ -147,6 +155,10 @@ impl Violation {
 }
 
 impl fmt::Display for Violation {
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Violation::Disagreement {
@@ -267,7 +279,7 @@ impl OracleReport {
 #[derive(Debug, Clone)]
 pub struct DeliveryOracle {
     logs: Vec<Vec<(MsgId, VTime)>>,
-    submitted: HashSet<MsgId>,
+    submitted: BTreeSet<MsgId>,
     track_submissions: bool,
     /// Per process: indices into its log where a new incarnation begins
     /// (crash-recovery restarts). Empty for never-restarted processes.
@@ -294,7 +306,7 @@ impl DeliveryOracle {
     pub fn new(n: usize) -> Self {
         DeliveryOracle {
             logs: vec![Vec::new(); n],
-            submitted: HashSet::new(),
+            submitted: BTreeSet::new(),
             track_submissions: false,
             restarts: vec![Vec::new(); n],
             installs: vec![Vec::new(); n],
@@ -635,7 +647,7 @@ impl DeliveryOracle {
             None
         };
 
-        let correct_set: HashSet<ProcessId> = correct.iter().copied().collect();
+        let correct_set: BTreeSet<ProcessId> = correct.iter().copied().collect();
         for p in 0..self.logs.len() {
             let pid = ProcessId(p as u16);
             if correct_set.contains(&pid) {
@@ -709,7 +721,7 @@ impl DeliveryOracle {
         // decided prefix it covers, so every stamp (made or installed)
         // for the same `last_included` must agree on digest and count.
         let mut by_prefix: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        let mut snapshot_flagged: HashSet<(ProcessId, u64)> = HashSet::new();
+        let mut snapshot_flagged: BTreeSet<(ProcessId, u64)> = BTreeSet::new();
         for &(p, last_included, count, digest) in &self.stamps {
             match by_prefix.get(&last_included) {
                 None => {
@@ -733,7 +745,7 @@ impl DeliveryOracle {
         for p in 0..self.logs.len() {
             let pid = ProcessId(p as u16);
             for segment in self.segments(p) {
-                let mut seen = HashSet::new();
+                let mut seen = BTreeSet::new();
                 for (id, _) in segment {
                     if !seen.insert(*id) {
                         violations.push(Violation::DuplicateDelivery {
@@ -757,7 +769,7 @@ impl DeliveryOracle {
         // delivered somewhere).
         let common_order: Vec<MsgId> = common.iter().flatten().copied().collect();
         if let Some(must) = must_deliver {
-            let delivered: HashSet<MsgId> = common_order.iter().copied().collect();
+            let delivered: BTreeSet<MsgId> = common_order.iter().copied().collect();
             for id in must {
                 if !delivered.contains(id) {
                     violations.push(Violation::MissingDelivery { id: *id });

@@ -157,6 +157,10 @@ impl ScenarioEvent {
     /// co-occurrence matrix ([`CoverageReport`]). Stable strings, one
     /// per variant and one per opening [`LinkFault`], matching
     /// [`CoverageReport::family_names`].
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn family(&self) -> &'static str {
         match self {
             ScenarioEvent::Crash { .. } => "crash",
@@ -584,6 +588,10 @@ impl Scenario {
     /// [`FalseSuspicion`]: ScenarioEvent::FalseSuspicion
     /// [`Restart`]: ScenarioEvent::Restart
     /// [`AddNode`]: ScenarioEvent::AddNode
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn apply(&self, cluster: &mut Cluster) {
         let t0 = cluster.now();
         assert_eq!(
@@ -808,6 +816,10 @@ impl Scenario {
     /// loss/dup/delay windows close): after [`Scenario::horizon`] the
     /// network is quasi-reliable again, so validity (liveness) can be
     /// asserted on top of safety.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn heals(&self) -> bool {
         self.events.iter().all(|ev| match ev {
             ScenarioEvent::Link { until, .. } | ScenarioEvent::SlowNode { until, .. } => {
@@ -823,6 +835,10 @@ impl Scenario {
 
     /// The last instant at which this scenario touches the run (crash
     /// instants, window ends). Size run drains relative to this.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn horizon(&self) -> VDur {
         self.events
             .iter()
@@ -1276,7 +1292,7 @@ mod tests {
                 );
                 // Every restart pairs with an earlier crash of the same
                 // process, and one process never crashes at all.
-                let mut crash_at: std::collections::HashMap<ProcessId, VDur> = Default::default();
+                let mut crash_at: std::collections::BTreeMap<ProcessId, VDur> = Default::default();
                 for ev in s.events() {
                     match ev {
                         ScenarioEvent::Crash { pid, at } => {
@@ -1403,7 +1419,7 @@ mod tests {
 
     #[test]
     fn random_scenarios_vary_with_seed() {
-        let distinct: std::collections::HashSet<String> = (0..20)
+        let distinct: std::collections::BTreeSet<String> = (0..20)
             .map(|seed| format!("{:?}", Scenario::random(5, seed, &ChaosProfile::default())))
             .collect();
         assert!(

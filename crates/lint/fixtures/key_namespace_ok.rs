@@ -1,5 +1,5 @@
-// Fixture: shifts that are not a key namespace, namespaces named in
-// comments and strings, and a waived one. All clean.
+// Fixture: shifts that are not a key namespace, and namespaces named in
+// comments and strings. All clean.
 
 // The snapshot once shared `3 << 56` with the rbcast counter.
 const NIBBLE: u64 = 1 << 4;
@@ -11,9 +11,4 @@ fn describe() -> &'static str {
 
 fn decode(key: u64) -> u64 {
     key >> 56
-}
-
-fn waived() -> u64 {
-    // lint:allow(key-namespace): decodes a record written before the key table existed
-    5 << 56
 }

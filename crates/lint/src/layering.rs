@@ -58,6 +58,20 @@ pub const LAYERS: &[(&str, u32)] = &[
 /// construction: the build works offline).
 pub const VENDORED: &[&str] = &["bytes"];
 
+/// The protocol crates: everything at or below the stacks, which the
+/// harness crates drive and measure.
+const PROTOCOL_CRATES: &[&str] = &[
+    "fortika-sim",
+    "fortika-trace",
+    "fortika-net",
+    "fortika-framework",
+    "fortika-fd",
+    "fortika-rbcast",
+    "fortika-consensus",
+    "fortika-abcast",
+    "fortika-mono",
+];
+
 /// Crates the protocol layers must never depend on.
 const HARNESS_CRATES: &[&str] = &["fortika-chaos", "fortika-core", "fortika-bench"];
 
@@ -168,11 +182,6 @@ pub fn check(root: &Path, report: &mut Report) -> std::io::Result<()> {
 pub fn check_graph(crates: &[CrateInfo], report: &mut Report) {
     report.crates_checked += crates.len();
     let ranks: BTreeMap<&str, u32> = LAYERS.iter().copied().collect();
-    let protocol: Vec<String> = crate::determinism::PROTOCOL_CRATES
-        .iter()
-        .map(|c| format!("fortika-{c}"))
-        .collect();
-
     for c in crates {
         if c.name == "fortika-lint" {
             for (dep, line) in &c.deps {
@@ -236,7 +245,8 @@ pub fn check_graph(crates: &[CrateInfo], report: &mut Report) {
                 }
                 continue;
             };
-            if protocol.contains(&c.name) && HARNESS_CRATES.contains(&dep.as_str()) {
+            if PROTOCOL_CRATES.contains(&c.name.as_str()) && HARNESS_CRATES.contains(&dep.as_str())
+            {
                 report.findings.push(Finding {
                     rule: RULE_LAYERING,
                     file: c.manifest.clone(),

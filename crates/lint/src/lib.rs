@@ -1,24 +1,21 @@
-//! `fortika-lint`: a workspace determinism & layering analyzer.
+//! `fortika-lint`: the workspace checks no compiler can make.
 //!
 //! The chaos harness promises byte-identical prefix replay of any
 //! `(scenario, seed)` pair, and the modularity experiment depends on a
-//! strict crate layering. Both guarantees are invariants of the *source
-//! tree*, not of any single run — a wall-clock read or an upward
-//! dependency can sit dormant through every test and still break the
-//! next replay. This crate turns them into checked rules.
+//! strict crate layering. Determinism and the chaos registries are
+//! the compiler's to check: `clippy.toml` bans wall clocks, OS threads
+//! and std's randomly seeded Hash collections by resolved path, and
+//! the registry functions carry `#[deny(clippy::wildcard_enum_match_arm,
+//! clippy::match_wildcard_for_single_variants)]` (docs/LINTS.md, "What
+//! the compiler checks"). This crate checks what lies outside any one
+//! crate's source:
 //!
-//! Four rule families (see [`determinism`], [`layering`],
-//! [`namespace`], [`registry`]):
-//!
-//! * **determinism** — protocol crates must not read wall clocks, use
-//!   ambient randomness, spawn OS threads, or iterate Hash collections
-//!   whose order could leak into behavior;
-//! * **layering** — the workspace dependency graph must point strictly
-//!   down the documented layer order;
-//! * **namespace** — stable-key namespaces (`N << 56`) are spelled only
-//!   in the one key table that checks them disjoint;
-//! * **registry** — the scenario-event, link-fault and violation registries must
-//!   stay wired end to end (no variant falls through a wildcard).
+//! * **layering** ([`layering`]) — the workspace dependency graph must
+//!   point strictly down the documented layer order, and nothing may
+//!   come from outside the workspace but the vendored crates;
+//! * **namespace** ([`namespace`]) — stable-key namespaces (`N << 56`)
+//!   are spelled only in the one key table that checks them disjoint;
+//! * **non-test lines** — the line count of `crates/*/src`, per crate.
 //!
 //! Everything is hand-rolled and dependency-free, as
 //! `fortika_trace::json` is: a char-level comment/string stripper, a
@@ -37,14 +34,10 @@
 //! summary ends with the non-test line count of `crates/*/src`
 //! ([`Report::non_test_lines`](report::Report::non_test_lines)); the
 //! machine-readable report lands in `target/lint-report.json`; the exit
-//! code is nonzero iff violations were found. Intentional deviations are
-//! waived in-source with `// lint:allow(rule): reason` — the reason is
-//! mandatory and every *used* waiver is listed in the report.
+//! code is nonzero iff violations were found.
 
-pub mod determinism;
 pub mod layering;
 pub mod namespace;
-pub mod registry;
 pub mod report;
 pub mod source;
 
@@ -93,12 +86,8 @@ pub fn rel_label(root: &Path, path: &Path) -> String {
 /// returns the sorted report.
 pub fn run(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
-    for name in determinism::PROTOCOL_CRATES {
-        determinism::check_crate(root, &root.join("crates").join(name), &mut report)?;
-    }
     layering::check(root, &mut report)?;
     namespace::check(root, &mut report)?;
-    registry::check(root, &mut report)?;
     report.sort();
     Ok(report)
 }

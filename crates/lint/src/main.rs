@@ -14,12 +14,13 @@ fn main() -> ExitCode {
             "--json-out" => json_out = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 println!(
-                    "fortika-lint: workspace determinism & layering analyzer\n\n\
+                    "fortika-lint: workspace layering, key-namespace and line-count analyzer\n\n\
                      USAGE: fortika-lint [--root DIR] [--json-out PATH]\n\n\
                      --root DIR       workspace root (default: auto-detected)\n\
                      --json-out PATH  report path (default: <root>/target/lint-report.json)\n\n\
-                     Exits 0 on a clean tree, 1 on violations. Rules and waiver\n\
-                     syntax: docs/LINTS.md."
+                     Exits 0 on a clean tree, 1 on violations. Determinism and the\n\
+                     registries are clippy's to check (clippy.toml); the rules of\n\
+                     both: docs/LINTS.md."
                 );
                 return ExitCode::SUCCESS;
             }

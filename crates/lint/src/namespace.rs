@@ -13,7 +13,6 @@
 
 use std::path::Path;
 
-use crate::determinism::{is_ident_char, note_waiver};
 use crate::report::{Finding, Report};
 use crate::source::SourceFile;
 
@@ -27,23 +26,17 @@ pub const KEY_TABLE: &str = "crates/net/src/replica.rs";
 const NAMESPACE_SHIFT: u64 = 56;
 
 /// Flags every `<< 56` (or `<<= 56`) in `src`, unless `rel` is
-/// [`KEY_TABLE`] or the line is waived.
+/// [`KEY_TABLE`].
 pub fn check_file(src: &SourceFile, rel: &str, report: &mut Report) {
     if rel == KEY_TABLE {
         return;
     }
     for (idx, line) in src.scan.iter().enumerate() {
-        let lineno = idx + 1;
-        if !shifts_by(line, NAMESPACE_SHIFT) {
-            continue;
-        }
-        if src.waived(RULE_KEY_NAMESPACE, lineno) {
-            note_waiver(src, rel, RULE_KEY_NAMESPACE, lineno, report);
-        } else {
+        if shifts_by(line, NAMESPACE_SHIFT) {
             report.findings.push(Finding {
                 rule: RULE_KEY_NAMESPACE,
                 file: rel.to_string(),
-                line: lineno,
+                line: idx + 1,
                 message: format!(
                     "a `<< {NAMESPACE_SHIFT}` stable-key namespace outside {KEY_TABLE}: take \
                      the key from `fortika_net::replica::keys`, or add it there, where the \
@@ -76,10 +69,14 @@ fn shifts_by(line: &str, amount: u64) -> bool {
     })
 }
 
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
 /// Scans the sources of every workspace member — each crate's `src/`
 /// and `tests/`, and the umbrella's `src/`, `tests/` and `examples/` —
-/// appending findings to `report` and tallying each crate's non-test
-/// lines ([`Report::tally_lines`]).
+/// appending findings to `report`, counting the files scanned and
+/// tallying each crate's non-test lines ([`Report::tally_lines`]).
 pub fn check(root: &Path, report: &mut Report) -> std::io::Result<()> {
     let mut dirs = vec![root.join("src"), root.join("tests"), root.join("examples")];
     let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))?
@@ -97,6 +94,7 @@ pub fn check(root: &Path, report: &mut Report) -> std::io::Result<()> {
         let src = SourceFile::load(&path)?;
         let rel = crate::rel_label(root, &path);
         check_file(&src, &rel, report);
+        report.files_scanned += 1;
         report.tally_lines(&rel, &src);
     }
     Ok(())

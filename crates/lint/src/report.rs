@@ -1,4 +1,4 @@
-//! Findings, waiver accounting and the machine-readable report.
+//! Findings and the machine-readable report.
 //!
 //! `fortika-lint` emits two artifacts from one run: human diagnostics
 //! (`file:line: rule: message`, one per finding, compiler-style so
@@ -16,7 +16,7 @@ use crate::source::SourceFile;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (e.g. `wall-clock`, `layering`).
+    /// Rule identifier (e.g. `key-namespace`, `layering`).
     pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub file: String,
@@ -26,29 +26,13 @@ pub struct Finding {
     pub message: String,
 }
 
-/// A waiver that actually suppressed a finding, for the report's audit
-/// trail (unused waivers are reported too, as findings — dead waivers
-/// rot into false confidence).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UsedWaiver {
-    /// The waived rule.
-    pub rule: String,
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line of the waiver comment.
-    pub line: usize,
-    /// The written justification.
-    pub reason: String,
-}
-
 /// Outcome of a full analyzer run.
 #[derive(Debug, Default)]
 pub struct Report {
     /// Violations, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Waivers that suppressed at least one finding.
-    pub waivers: Vec<UsedWaiver>,
-    /// Number of `.rs` files scanned by the determinism rules.
+    /// Number of `.rs` files scanned by the namespace rule and the line
+    /// count.
     pub files_scanned: usize,
     /// Number of crate manifests in the layering graph.
     pub crates_checked: usize,
@@ -86,9 +70,6 @@ impl Report {
         self.findings
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
         self.findings.dedup();
-        self.waivers
-            .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-        self.waivers.dedup();
     }
 
     /// Human diagnostics: one `file:line: rule: message` per finding
@@ -104,9 +85,8 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "fortika-lint: {} violation(s), {} waiver(s) in use, {} files / {} crates checked",
+            "fortika-lint: {} violation(s), {} files / {} crates checked",
             self.findings.len(),
-            self.waivers.len(),
             self.files_scanned,
             self.crates_checked,
         );
@@ -122,7 +102,7 @@ impl Report {
     /// bytes).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"version\": 1,");
+        let _ = writeln!(out, "  \"version\": 2,");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(out, "  \"crates_checked\": {},", self.crates_checked);
         let _ = writeln!(out, "  \"violations\": {},", self.findings.len());
@@ -146,18 +126,6 @@ impl Report {
                 escape(&f.file),
                 f.line,
                 escape(&f.message)
-            );
-        }
-        out.push_str("  ],\n  \"waivers\": [\n");
-        for (i, w) in self.waivers.iter().enumerate() {
-            let comma = if i + 1 < self.waivers.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"reason\": \"{}\"}}{comma}",
-                escape(&w.rule),
-                escape(&w.file),
-                w.line,
-                escape(&w.reason)
             );
         }
         out.push_str("  ]\n}\n");
@@ -197,7 +165,7 @@ mod tests {
             message: "b \"quoted\"".into(),
         });
         r.findings.push(Finding {
-            rule: "wall-clock",
+            rule: "key-namespace",
             file: "crates/net/src/a.rs".into(),
             line: 3,
             message: "a".into(),
@@ -215,13 +183,13 @@ mod tests {
     fn human_render_is_compiler_style() {
         let mut r = Report::default();
         r.findings.push(Finding {
-            rule: "ambient-rng",
-            file: "crates/sim/src/rng.rs".into(),
+            rule: "key-namespace",
+            file: "crates/rbcast/src/lib.rs".into(),
             line: 12,
-            message: "thread_rng is banned".into(),
+            message: "a `<< 56` outside the key table".into(),
         });
         let text = r.render_human();
-        assert!(text.contains("crates/sim/src/rng.rs:12: [ambient-rng] thread_rng is banned"));
+        assert!(text.contains("crates/rbcast/src/lib.rs:12: [key-namespace] a `<< 56` outside"));
         assert!(text.contains("1 violation(s)"));
     }
 }

@@ -2,72 +2,34 @@
 //!
 //! The analyzer is a *line-oriented scanner*, not a parser — the same
 //! trade the hand-rolled `fortika_trace::json` validator makes. To keep
-//! that honest it never matches banned tokens against raw text: every
-//! file is first run through a small character-level state machine that
-//! blanks out comments (so `// uses Instant for ...` cannot fire a
-//! rule) and, for a second view, string literals (so
-//! `"std::thread::spawn"` in a diagnostic message cannot either).
+//! that honest it never matches against raw text: every file is first
+//! run through a small character-level state machine that blanks out
+//! comments (so `// 3 << 56` cannot fire a rule) and string-literal
+//! contents (so a `"<< 56"` in a diagnostic message cannot either).
 //!
-//! Three views of each file, all line-aligned with the original:
+//! Two views of each file, line-aligned with each other:
 //!
-//! * [`SourceFile::raw`] — the bytes as committed (waiver comments are
-//!   read from here, since waivers *live* in comments);
-//! * [`SourceFile::code`] — comments blanked, strings intact (for rules
-//!   that read literals);
-//! * [`SourceFile::scan`] — comments *and* string contents blanked
-//!   (banned-token matching happens here).
+//! * [`SourceFile::raw`] — the bytes as committed (the non-test line
+//!   count reads it, since doc comments are lines too);
+//! * [`SourceFile::scan`] — comments and string contents blanked
+//!   (rule matching happens here).
 //!
-//! `#[cfg(test)]` module regions are detected and masked out of the
-//! determinism rules: the replay guarantees the lints protect concern
-//! runtime protocol code, and test bodies routinely build throwaway
-//! maps for assertions.
+//! `#[cfg(test)]` item regions are detected and masked ([`SourceFile::in_test`]):
+//! test code is not counted as the crate's lines.
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The waiver marker the analyzer honors: `// lint:allow(rule): reason`.
-pub const WAIVER_MARKER: &str = "lint:allow(";
-
-/// A justified waiver parsed from a `// lint:allow(rule): reason`
-/// comment. A waiver covers its own line and the line directly below it
-/// (so it can sit above the offending statement).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Waiver {
-    /// The rule being waived (e.g. `unordered-iter`).
-    pub rule: String,
-    /// The written justification after the colon. The scanner rejects
-    /// empty reasons: an unexplained waiver is itself a violation.
-    pub reason: String,
-    /// 1-based line the waiver comment sits on.
-    pub line: usize,
-}
-
 /// A preprocessed source file (see the [module docs](self)).
+#[derive(Debug)]
 pub struct SourceFile {
     /// Path as given to [`SourceFile::load`] (diagnostics use it).
     pub path: PathBuf,
     /// Original lines.
     pub raw: Vec<String>,
-    /// Comments blanked, string literals intact.
-    pub code: Vec<String>,
     /// Comments and string-literal contents blanked.
     pub scan: Vec<String>,
-    /// Per line: inside a `#[cfg(test)]` module region.
+    /// Per line: inside a `#[cfg(test)]` item region.
     pub in_test: Vec<bool>,
-    /// Well-formed waivers, in line order.
-    pub waivers: Vec<Waiver>,
-    /// Malformed waiver markers: `(line, problem)`.
-    pub bad_waivers: Vec<(usize, String)>,
-}
-
-impl fmt::Debug for SourceFile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SourceFile")
-            .field("path", &self.path)
-            .field("lines", &self.raw.len())
-            .field("waivers", &self.waivers.len())
-            .finish()
-    }
 }
 
 impl SourceFile {
@@ -79,20 +41,13 @@ impl SourceFile {
 
     /// Preprocesses in-memory content (fixture tests use this).
     pub fn from_text(path: &Path, text: &str) -> SourceFile {
-        let (code_text, scan_text) = strip(text);
-        let raw: Vec<String> = text.lines().map(str::to_string).collect();
-        let code: Vec<String> = code_text.lines().map(str::to_string).collect();
-        let scan: Vec<String> = scan_text.lines().map(str::to_string).collect();
+        let scan: Vec<String> = strip(text).lines().map(str::to_string).collect();
         let in_test = test_mask(&scan);
-        let (waivers, bad_waivers) = parse_waivers(&raw);
         SourceFile {
             path: path.to_path_buf(),
-            raw,
-            code,
+            raw: text.lines().map(str::to_string).collect(),
             scan,
             in_test,
-            waivers,
-            bad_waivers,
         }
     }
 
@@ -110,20 +65,11 @@ impl SourceFile {
             })
             .count()
     }
-
-    /// True when `rule` is waived for 1-based line `line` (waiver on the
-    /// same line or the line directly above). Reasons were validated at
-    /// parse time.
-    pub fn waived(&self, rule: &str, line: usize) -> bool {
-        self.waivers
-            .iter()
-            .any(|w| w.rule == rule && (w.line == line || w.line + 1 == line))
-    }
 }
 
-/// Blanks comments (both views) and string contents (scan view only),
-/// preserving line structure. Returns `(code, scan)`.
-fn strip(text: &str) -> (String, String) {
+/// Blanks comments and string-literal contents (the quotes stay),
+/// preserving line structure.
+fn strip(text: &str) -> String {
     #[derive(PartialEq)]
     enum St {
         Normal,
@@ -133,8 +79,9 @@ fn strip(text: &str) -> (String, String) {
         RawStr(usize), // r##"…"## with hash count
         Char,          // '…'
     }
-    let mut code = String::with_capacity(text.len());
-    let mut scan = String::with_capacity(text.len());
+    // Inside a comment or literal every character but a newline blanks.
+    let blank = |c: char| if c == '\n' { '\n' } else { ' ' };
+    let mut out = String::with_capacity(text.len());
     let mut st = St::Normal;
     let bytes: Vec<char> = text.chars().collect();
     let mut i = 0;
@@ -145,18 +92,15 @@ fn strip(text: &str) -> (String, String) {
             St::Normal => match c {
                 '/' if next == Some('/') => {
                     st = St::Line;
-                    code.push(' ');
-                    scan.push(' ');
+                    out.push(' ');
                 }
                 '/' if next == Some('*') => {
                     st = St::Block(1);
-                    code.push(' ');
-                    scan.push(' ');
+                    out.push(' ');
                 }
                 '"' => {
                     st = St::Str;
-                    code.push(c);
-                    scan.push(c);
+                    out.push(c);
                 }
                 'r' if next == Some('"') || next == Some('#') => {
                     // Possible raw string r"…" / r#"…"#.
@@ -168,15 +112,11 @@ fn strip(text: &str) -> (String, String) {
                     }
                     if bytes.get(j) == Some(&'"') {
                         st = St::RawStr(hashes);
-                        for &ch in &bytes[i..=j] {
-                            code.push(ch);
-                            scan.push(ch);
-                        }
+                        out.extend(&bytes[i..=j]);
                         i = j + 1;
                         continue;
                     }
-                    code.push(c);
-                    scan.push(c);
+                    out.push(c);
                 }
                 '\'' => {
                     // Char literal vs lifetime: 'a' has a closing quote
@@ -184,29 +124,18 @@ fn strip(text: &str) -> (String, String) {
                     // is longer but rare — treat as char until close).
                     let is_lifetime = matches!(next, Some(n) if n.is_alphabetic() || n == '_')
                         && bytes.get(i + 2) != Some(&'\'');
-                    if is_lifetime {
-                        code.push(c);
-                        scan.push(c);
-                    } else {
+                    if !is_lifetime {
                         st = St::Char;
-                        code.push(c);
-                        scan.push(c);
                     }
+                    out.push(c);
                 }
-                _ => {
-                    code.push(c);
-                    scan.push(c);
-                }
+                _ => out.push(c),
             },
             St::Line => {
                 if c == '\n' {
                     st = St::Normal;
-                    code.push('\n');
-                    scan.push('\n');
-                } else {
-                    code.push(' ');
-                    scan.push(' ');
                 }
+                out.push(blank(c));
             }
             St::Block(depth) => {
                 if c == '*' && next == Some('/') {
@@ -215,49 +144,34 @@ fn strip(text: &str) -> (String, String) {
                     } else {
                         St::Block(depth - 1)
                     };
-                    code.push_str("  ");
-                    scan.push_str("  ");
+                    out.push_str("  ");
                     i += 2;
                     continue;
                 } else if c == '/' && next == Some('*') {
                     st = St::Block(depth + 1);
-                    code.push_str("  ");
-                    scan.push_str("  ");
+                    out.push_str("  ");
                     i += 2;
                     continue;
-                } else if c == '\n' {
-                    code.push('\n');
-                    scan.push('\n');
-                } else {
-                    code.push(' ');
-                    scan.push(' ');
+                }
+                out.push(blank(c));
+            }
+            St::Str | St::Char if c == '\\' => {
+                out.push(' ');
+                if let Some(n) = next {
+                    out.push(blank(n));
+                    i += 2;
+                    continue;
                 }
             }
-            St::Str => match c {
-                '\\' => {
-                    code.push(c);
-                    scan.push(' ');
-                    if let Some(n) = next {
-                        code.push(n);
-                        scan.push(if n == '\n' { '\n' } else { ' ' });
-                        i += 2;
-                        continue;
-                    }
-                }
-                '"' => {
-                    st = St::Normal;
-                    code.push(c);
-                    scan.push(c);
-                }
-                '\n' => {
-                    code.push('\n');
-                    scan.push('\n');
-                }
-                _ => {
-                    code.push(c);
-                    scan.push(' ');
-                }
-            },
+            St::Str if c == '"' => {
+                st = St::Normal;
+                out.push(c);
+            }
+            St::Char if c == '\'' => {
+                st = St::Normal;
+                out.push(c);
+            }
+            St::Str | St::Char => out.push(blank(c)),
             St::RawStr(hashes) => {
                 if c == '"' {
                     let mut j = i + 1;
@@ -268,42 +182,17 @@ fn strip(text: &str) -> (String, String) {
                     }
                     if seen == hashes {
                         st = St::Normal;
-                        for &ch in &bytes[i..j] {
-                            code.push(ch);
-                            scan.push(ch);
-                        }
+                        out.extend(&bytes[i..j]);
                         i = j;
                         continue;
                     }
                 }
-                code.push(c);
-                scan.push(if c == '\n' { '\n' } else { ' ' });
+                out.push(blank(c));
             }
-            St::Char => match c {
-                '\\' => {
-                    code.push(c);
-                    scan.push(' ');
-                    if let Some(n) = next {
-                        code.push(n);
-                        scan.push(' ');
-                        i += 2;
-                        continue;
-                    }
-                }
-                '\'' => {
-                    st = St::Normal;
-                    code.push(c);
-                    scan.push(c);
-                }
-                _ => {
-                    code.push(c);
-                    scan.push(if c == '\n' { '\n' } else { ' ' });
-                }
-            },
         }
         i += 1;
     }
-    (code, scan)
+    out
 }
 
 /// Marks the lines belonging to `#[cfg(test)]` items (the attribute, the
@@ -353,54 +242,6 @@ fn test_mask(scan: &[String]) -> Vec<bool> {
     mask
 }
 
-/// Parses `// lint:allow(rule): reason` markers out of the raw lines.
-fn parse_waivers(raw: &[String]) -> (Vec<Waiver>, Vec<(usize, String)>) {
-    let mut ok = Vec::new();
-    let mut bad = Vec::new();
-    for (idx, line) in raw.iter().enumerate() {
-        let lineno = idx + 1;
-        let Some(pos) = line.find(WAIVER_MARKER) else {
-            continue;
-        };
-        // The marker must live in a `//` comment on this line.
-        match line.find("//") {
-            Some(c) if c < pos => {}
-            _ => {
-                bad.push((lineno, "lint:allow outside a // comment".to_string()));
-                continue;
-            }
-        }
-        let rest = &line[pos + WAIVER_MARKER.len()..];
-        let Some(close) = rest.find(')') else {
-            bad.push((lineno, "unterminated lint:allow(rule)".to_string()));
-            continue;
-        };
-        let rule = rest[..close].trim().to_string();
-        if rule.is_empty() {
-            bad.push((lineno, "empty rule name in lint:allow".to_string()));
-            continue;
-        }
-        let after = &rest[close + 1..];
-        let reason = match after.strip_prefix(':') {
-            Some(r) => r.trim().to_string(),
-            None => String::new(),
-        };
-        if reason.is_empty() {
-            bad.push((
-                lineno,
-                format!("waiver for `{rule}` has no justification (syntax: `// lint:allow({rule}): reason`)"),
-            ));
-            continue;
-        }
-        ok.push(Waiver {
-            rule,
-            reason,
-            line: lineno,
-        });
-    }
-    (ok, bad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,20 +252,17 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_blanked_in_both_views() {
-        let s = sf("let x = 1; // Instant::now here\n/* SystemTime */ let y = 2;\n");
-        assert!(!s.scan[0].contains("Instant"));
-        assert!(!s.code[0].contains("Instant"));
+    fn comments_are_blanked() {
+        let s = sf("let x = 1; // 3 << 56 here\n/* 3 << 56 */ let y = 2;\n");
+        assert!(!s.scan[0].contains("56"));
         assert!(s.scan[1].contains("let y = 2;"));
-        assert!(!s.scan[1].contains("SystemTime"));
+        assert!(!s.scan[1].contains("56"));
     }
 
     #[test]
-    fn strings_survive_code_view_but_not_scan_view() {
-        let s = sf("bump(\"std::thread::spawn\", 1);\n");
-        assert!(s.code[0].contains("std::thread::spawn"));
-        assert!(!s.scan[0].contains("std::thread::spawn"));
-        // Quotes stay so literal extraction can find the span.
+    fn string_contents_are_blanked_and_quotes_stay() {
+        let s = sf("bump(\"3 << 56\", 1);\n");
+        assert!(!s.scan[0].contains("56"));
         assert_eq!(s.scan[0].matches('"').count(), 2);
     }
 
@@ -434,7 +272,7 @@ mod tests {
         assert!(!s.scan[0].contains("Instant"));
         assert!(s.scan[0].contains("ok"));
         assert!(!s.scan[1].contains("thread_rng"));
-        assert!(s.code[1].contains("thread_rng"));
+        assert!(s.scan[1].contains("r#\"") && s.scan[1].ends_with("\"#;"));
     }
 
     #[test]
@@ -449,18 +287,5 @@ mod tests {
         let text = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn tail() {}\n";
         let s = sf(text);
         assert_eq!(s.in_test, vec![false, true, true, true, true, false]);
-    }
-
-    #[test]
-    fn waiver_parsing_demands_a_reason() {
-        let s = sf(
-            "// lint:allow(unordered-iter): feeds a commutative fold\nx.iter();\n// lint:allow(wall-clock)\n",
-        );
-        assert_eq!(s.waivers.len(), 1);
-        assert_eq!(s.waivers[0].rule, "unordered-iter");
-        assert!(s.waived("unordered-iter", 2));
-        assert!(!s.waived("unordered-iter", 3));
-        assert_eq!(s.bad_waivers.len(), 1);
-        assert!(s.bad_waivers[0].1.contains("no justification"));
     }
 }

@@ -127,6 +127,10 @@ impl LinkFault {
     /// back at their fault-free value (no loss, no duplication, ×1
     /// delay, full rate), or, for a partition, [`Heal`](LinkFault::Heal).
     /// `Heal` and `Reset` are closers already and return themselves.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn cleared(&self) -> LinkFault {
         let LinkState {
             drop_p: p,

@@ -112,7 +112,7 @@ fn watermark_set_equivalent_to_hashset() {
         let ops: Vec<u64> = (0..rng.below(128)).map(|_| rng.below(64)).collect();
         // The compacted set must answer is_new exactly like a plain set.
         let mut compact = WatermarkSet::default();
-        let mut reference = std::collections::HashSet::new();
+        let mut reference = std::collections::BTreeSet::new();
         for seq in ops {
             assert_eq!(
                 compact.is_new(seq),
