@@ -93,10 +93,6 @@ const BRANCHES: &[Branch] = &[
         keys: &[abcast::RETRANSMITS],
     },
     Branch {
-        name: "estimate_solicitations",
-        keys: &[mono::ESTIMATE_REQUESTS],
-    },
-    Branch {
         name: "stale_incarnation_drops",
         keys: &[cluster::DROPPED_STALE_INCARNATION],
     },

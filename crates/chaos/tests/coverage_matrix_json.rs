@@ -119,7 +119,6 @@ const CAMPAIGN_GOLDEN: &str = r#"{
     "idle_proposals": {"events": 0, "runs_reached": 0},
     "pipelined_proposals": {"events": 29, "runs_reached": 6},
     "sender_retransmits": {"events": 0, "runs_reached": 0},
-    "estimate_solicitations": {"events": 0, "runs_reached": 0},
     "stale_incarnation_drops": {"events": 0, "runs_reached": 0},
     "reconfigs_activated": {"events": 0, "runs_reached": 0},
     "config_fence_drops": {"events": 0, "runs_reached": 0},
@@ -139,7 +138,7 @@ const CAMPAIGN_GOLDEN: &str = r#"{
     "remove_node": {"runs": 0, "cells": {}},
     "pipelined": {"runs": 7, "cells": {"round_changes": 6, "state_transfers": 6, "pipelined_proposals": 6}}
   },
-  "missed": ["progress_rotations", "promises", "direct_proposals", "gap_pulls", "tag_misses", "snapshot_offers", "snapshot_installs", "join_requests", "rejoins_completed", "idle_proposals", "sender_retransmits", "estimate_solicitations", "stale_incarnation_drops", "reconfigs_activated", "config_fence_drops", "fd_member_updates"]
+  "missed": ["progress_rotations", "promises", "direct_proposals", "gap_pulls", "tag_misses", "snapshot_offers", "snapshot_installs", "join_requests", "rejoins_completed", "idle_proposals", "sender_retransmits", "stale_incarnation_drops", "reconfigs_activated", "config_fence_drops", "fd_member_updates"]
 }
 "#;
 

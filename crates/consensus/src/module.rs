@@ -49,8 +49,13 @@
 //! agnostic to how far ahead the delivery layer's windowed sequencer
 //! proposes (`ReplicaConfig::pipeline_depth` only informs the gap
 //! heuristic, which must not mistake in-flight window instances for
-//! missed decisions). Decisions are raised as they land; the layer
-//! above buffers and applies them strictly in instance order.
+//! missed decisions). That heuristic, its trigger and its cursor are the
+//! replica core's: every peer proposal passes
+//! [`ReplicaCore::admit_proposal`] and every decision notice
+//! [`ReplicaCore::admit_decision`], which pull what is missing above the
+//! core's replayed prefix, as on the monolithic stack. Decisions are
+//! raised as they land; the layer above buffers and applies them
+//! strictly in instance order.
 //!
 //! # What is shared with the monolithic stack
 //!
@@ -72,7 +77,9 @@
 //! process re-delivers the replayed prefix through the layer above), a
 //! registered reconfiguration raises [`Event::ConfigActive`], an
 //! installed snapshot raises [`Event::InstallSnapshot`], and a change of
-//! the coordinator it waits on raises [`Event::Coordinator`].
+//! the coordinator it waits on raises [`Event::Coordinator`]. See
+//! `docs/DIVERGENCE.md` for every mechanism one stack has and the other
+//! lacks.
 
 use fortika_framework::{Event, EventKind, FrameworkCtx, Microprotocol, ModuleId};
 use fortika_net::metrics::consensus;
@@ -281,8 +288,6 @@ impl ConsensusModule {
         let Some(votable) = self.core.admit_proposal(ctx, from, instance, round) else {
             return; // only the round's coordinator may propose
         };
-        self.core
-            .maybe_request_gap(ctx, from, instance, self.core.decided_watermark());
         if self.core.is_decided(instance) {
             // Help a lagging coordinator conclude.
             if let Some(v) = self.core.decision(instance).cloned() {
@@ -353,11 +358,8 @@ impl ConsensusModule {
         notice: DecisionNotice,
     ) {
         let instance = notice.instance;
-        if origin != ctx.pid() {
-            self.core
-                .maybe_request_gap(ctx, origin, instance, self.core.decided_watermark());
-        }
-        self.core.raise(ctx, instance, notice.round);
+        self.core
+            .admit_decision(ctx, origin, instance, notice.round);
         if self.core.is_decided(instance) {
             return;
         }
@@ -380,8 +382,7 @@ impl ConsensusModule {
     /// Raises [`Event::Coordinator`] when the coordinator this process
     /// waits on changed; run after every handler.
     fn announce_coordinator(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
-        let cursor = self.core.decided_watermark();
-        let coordinator = self.core.live_coordinator(cursor, ctx.n());
+        let coordinator = self.core.live_coordinator(ctx.n());
         if self.announced != Some(coordinator) {
             self.announced = Some(coordinator);
             ctx.raise(Event::Coordinator(coordinator));
@@ -572,8 +573,7 @@ impl ConsensusModule {
                 self.core.note_seen(instance);
                 self.decide_local(ctx, instance, value);
                 // While still behind, pull the next batch promptly.
-                self.core
-                    .chase_gap(ctx, from, self.core.decided_watermark());
+                self.core.chase_gap(ctx, from);
             }
             ConsensusMsg::CatchUp(msg) => self.on_catch_up(ctx, from, msg),
         }

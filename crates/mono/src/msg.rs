@@ -80,16 +80,6 @@ pub enum MonoMsg {
         /// Undelivered own messages re-routed to the new coordinator.
         msgs: Vec<AppMsg>,
     },
-    /// A recovery-round coordinator soliciting estimates: processes that
-    /// have not yet joined `(instance, round)` join it and reply with
-    /// their estimate. Without this, idle processes would only join via
-    /// slow periodic timers and recovery would crawl.
-    EstimateRequest {
-        /// The instance being recovered.
-        instance: u64,
-        /// The round the requester coordinates.
-        round: u32,
-    },
     /// Failure-detector heartbeat.
     Heartbeat,
     /// Recovery traffic both stacks share — decision pulls, rejoin
@@ -105,7 +95,8 @@ const TAG_FORWARD: u8 = 3;
 const TAG_DIFFUSE: u8 = 4;
 const TAG_ESTIMATE: u8 = 5;
 const TAG_HEARTBEAT: u8 = 7;
-const TAG_ESTIMATE_REQUEST: u8 = 8;
+// Tag 8 is unassigned: the tags keep their numbers, so no frame changes
+// meaning, and one that carries 8 fails to decode.
 
 /// What the monolithic stack calls the shared replica machinery: its
 /// tag bytes within [`MonoMsg`], send kinds, counters and trace label.
@@ -219,11 +210,6 @@ impl Wire for MonoMsg {
                 value.encode(w);
                 msgs.encode(w);
             }
-            MonoMsg::EstimateRequest { instance, round } => {
-                w.put_u8(TAG_ESTIMATE_REQUEST);
-                w.put_u64(*instance);
-                w.put_u32(*round);
-            }
             MonoMsg::Heartbeat => {
                 w.put_u8(TAG_HEARTBEAT);
             }
@@ -254,10 +240,6 @@ impl Wire for MonoMsg {
                 ts: r.get_u32()?,
                 value: Batch::decode(r)?,
                 msgs: Vec::<AppMsg>::decode(r)?,
-            }),
-            TAG_ESTIMATE_REQUEST => Ok(MonoMsg::EstimateRequest {
-                instance: r.get_u64()?,
-                round: r.get_u32()?,
             }),
             TAG_HEARTBEAT => Ok(MonoMsg::Heartbeat),
             t => CatchUp::decode_tagged(t, &REPLICA_NAMES.tags, r).map(MonoMsg::CatchUp),
@@ -332,16 +314,29 @@ mod tests {
                 value: batch(),
                 msgs: vec![msg(1, 1)],
             },
-            MonoMsg::EstimateRequest {
-                instance: 12,
-                round: 2,
-            },
             MonoMsg::Heartbeat,
             MonoMsg::CatchUp(CatchUp::JoinRequest { watermark: 7 }),
         ];
         for v in variants {
             let bytes = encode(&v);
             assert_eq!(decode::<MonoMsg>(bytes).unwrap(), v, "variant {v:?}");
+        }
+    }
+
+    /// Tag 8 decodes as nothing, whatever follows it: not as the message
+    /// it once was, nor as any other.
+    #[test]
+    fn tag_8_is_unassigned() {
+        let old_body = [&[8u8][..], &12u64.to_le_bytes(), &2u32.to_le_bytes()].concat();
+        let mut bodies = vec![vec![8], old_body];
+        for v in [decision_full(9, 1, batch()), MonoMsg::Heartbeat] {
+            let mut frame = encode(&v).to_vec();
+            frame[0] = 8;
+            bodies.push(frame);
+        }
+        for frame in bodies {
+            let got = decode::<MonoMsg>(Bytes::from(frame.clone()));
+            assert_eq!(got, Err(WireError::InvalidTag(8)), "{frame:02x?}");
         }
     }
 

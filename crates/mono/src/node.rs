@@ -46,12 +46,18 @@
 //! node hosts a [`ReplicaCore`] and owns what is the monolith's thesis:
 //! initial values come straight out of the message pool, proposal and
 //! decision share a `Step`, pending messages ride acks and estimates
-//! (O1–O3), a coordinator short of estimates solicits them, an unlocked
-//! coordinator proposes the union of the estimates it gathered, and the
-//! core's outcomes land in the merged state directly (decisions are
-//! buffered and applied in order, a registered reconfiguration re-points
-//! the failure detector, an installed snapshot seeds the delivery dedup
-//! and prunes the pool).
+//! (O1–O3), an unlocked coordinator proposes the union of the estimates
+//! it gathered, and the core's outcomes land in the merged state directly
+//! (decisions are buffered and applied in order, a registered
+//! reconfiguration re-points the failure detector, an installed snapshot
+//! seeds the delivery dedup and prunes the pool). When to pull missed
+//! decisions, and from which instance, is the core's too: every peer
+//! proposal passes [`ReplicaCore::admit_proposal`] and every peer
+//! decision [`ReplicaCore::admit_decision`], which run the gap check
+//! against the core's replayed prefix, as on the modular stack (the
+//! node's own delivery cursor, `next_decide`, equals that prefix between
+//! handlers). See `docs/DIVERGENCE.md` for every mechanism one stack has
+//! and the other lacks.
 //!
 //! Own messages live in the [`Outbox`] the modular stack's flow control
 //! embeds too: it is the window, and every progress sweep re-runs the
@@ -477,7 +483,7 @@ impl MonoNode {
         // With O2, messages that were waiting for an ack to ride must not
         // starve when the pipeline drains.
         if self.opts.piggyback_on_acks && !self.in_flight() && !self.pool.is_empty() {
-            let coord = self.core.live_coordinator(self.next_decide, ctx.n());
+            let coord = self.core.live_coordinator(ctx.n());
             if coord != ctx.pid() {
                 self.flush_pool_to(ctx, coord);
             }
@@ -546,13 +552,13 @@ impl MonoNode {
         dec: Decision,
         followup: bool,
     ) {
+        self.core.admit_decision(ctx, from, dec.instance, dec.round);
         // Keyed on the replay log (not the voting fence) so a revived
         // node still absorbs decisions for instances it voted in before
         // crashing.
         if self.core.is_replayed(dec.instance) {
             return;
         }
-        self.core.raise(ctx, dec.instance, dec.round);
         // O3 disabled: emulate the reliable-broadcast relay pattern for
         // decisions (first receipt at a relay re-broadcasts).
         if !self.opts.implicit_decision_acks {
@@ -572,7 +578,6 @@ impl MonoNode {
         }
         match dec.full {
             Some(value) => {
-                self.core.note_seen(dec.instance);
                 self.buffer_decision(ctx, dec.instance, value);
                 if followup {
                     self.apply_decisions(ctx);
@@ -580,7 +585,7 @@ impl MonoNode {
                     self.apply_decisions_core(ctx);
                 }
                 // While still behind, pull the next batch promptly.
-                self.core.chase_gap(ctx, from, self.next_decide);
+                self.core.chase_gap(ctx, from);
             }
             None => match self.core.resolve_tag(ctx, dec.instance, dec.round) {
                 Some(value) => {
@@ -604,12 +609,10 @@ impl MonoNode {
         let Some(votable) = self.core.admit_proposal(ctx, from, p.instance, p.round) else {
             return; // only the round's coordinator may propose
         };
-        self.core
-            .maybe_request_gap(ctx, from, p.instance, self.next_decide);
         if self.core.is_decided(p.instance) {
-            if let Some(v) = self.core.decision(p.instance) {
-                let msg = decision_full(p.instance, p.round, v.clone());
-                self.send(ctx, from, mono::DECISION_FULL, &msg);
+            // Help a lagging coordinator conclude.
+            if let Some(v) = self.core.decision(p.instance).cloned() {
+                self.reply_decision(ctx, from, p.instance, v);
             }
             return;
         }
@@ -678,12 +681,9 @@ impl MonoNode {
                 self.pool.insert(m.id, m);
             }
         }
-        self.core
-            .maybe_request_gap(ctx, from, instance, self.next_decide);
         if self.core.is_decided(instance) {
-            if let Some(v) = self.core.decision(instance) {
-                let msg = decision_full(instance, round, v.clone());
-                self.send(ctx, from, mono::DECISION_FULL, &msg);
+            if let Some(v) = self.core.decision(instance).cloned() {
+                self.reply_decision(ctx, from, instance, v);
             }
             self.try_start_instance(ctx);
             return;
@@ -819,7 +819,7 @@ impl MonoNode {
     /// re-arming its tick when that brings the tick forward; run after
     /// every handler.
     fn watch_coordinator(&mut self, ctx: &mut NodeCtx<'_>) {
-        let coordinator = self.core.live_coordinator(self.next_decide, ctx.n());
+        let coordinator = self.core.live_coordinator(ctx.n());
         if let Some(delay) = self.fd.watch(coordinator, ctx.now()) {
             self.arm_fd(ctx, delay);
         }
@@ -862,7 +862,7 @@ impl MonoNode {
             self.pool.insert(m.id, m);
             self.try_start_instance(ctx);
         } else {
-            let coord = self.core.live_coordinator(self.next_decide, ctx.n());
+            let coord = self.core.live_coordinator(ctx.n());
             self.pool.insert(m.id, m);
             if coord == ctx.pid() {
                 self.try_start_instance(ctx);
@@ -953,17 +953,6 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
             self.core
                 .join_own_estimate(me, instance, || Some(batch_of(pool)));
             self.try_propose_from_estimates(ctx, instance);
-            // Still short of a majority: solicit estimates instead of
-            // waiting for idle processes' periodic kicks.
-            if self.core.rounds().unproposed_round(instance) == Some(to.round) {
-                ctx.bump(mono::ESTIMATE_REQUESTS, 1);
-                let round = to.round;
-                self.broadcast(
-                    ctx,
-                    mono::ESTIMATE_REQUEST,
-                    &MonoMsg::EstimateRequest { instance, round },
-                );
-            }
         }
     }
 
@@ -1057,34 +1046,76 @@ impl MonoNode {
                 value,
                 msgs,
             } => self.handle_estimate(ctx, from, instance, round, ts, value, msgs),
-            MonoMsg::EstimateRequest { instance, round } => {
-                // Sanity: only the round's coordinator may solicit (the
-                // check needs the membership at `instance` to be certain,
-                // like the proposal-sender check).
-                if self.core.config_certain(instance)
-                    && self.core.coordinator_of(instance, round, ctx.n()) != from
-                {
-                    ctx.bump(mono::BOGUS_REQUESTS, 1);
-                    return;
-                }
-                if self.core.is_decided(instance) {
-                    if let Some(v) = self.core.decision(instance) {
-                        let msg = decision_full(instance, round, v.clone());
-                        self.send(ctx, from, mono::DECISION_FULL, &msg);
-                    }
-                    return;
-                }
-                // Join the solicited round (rounds only move forward —
-                // same safety as receiving a higher-round proposal).
-                if self.core.join_round(instance, round, ctx.now()) {
-                    self.send_estimate(ctx, instance, round);
-                }
-            }
             MonoMsg::Heartbeat => {
                 self.fd.on_heartbeat(from, ctx.now(), &mut self.fd_scratch);
                 self.process_fd_events(ctx);
             }
             MonoMsg::CatchUp(msg) => self.on_catch_up(ctx, from, msg),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fortika_fd::FdConfig;
+    use fortika_net::wire::encode;
+    use fortika_net::{Cluster, ClusterConfig, Counters, Stored};
+
+    use super::*;
+
+    /// A peer that sends its frames to process 1 on start, and nothing
+    /// else.
+    struct Peer(Vec<Stored>);
+
+    impl Node for Peer {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            for frame in self.0.drain(..) {
+                ctx.send(ProcessId(1), mono::STEP, frame);
+            }
+        }
+        fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
+        fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
+            Admission::Blocked
+        }
+    }
+
+    /// Process 1, a fresh monolith among two peers, after process 0
+    /// sent it `frames`: the cluster's counters.
+    fn receive(frames: Vec<Stored>) -> Counters {
+        let fd = HeartbeatFd::new(3, ProcessId(1), FdConfig::default());
+        let node = MonoNode::new(MonoOptimizations::all(), 64, fd);
+        let nodes: Vec<Box<dyn Node>> = vec![
+            Box::new(Peer(frames)),
+            Box::new(node),
+            Box::new(Peer(Vec::new())),
+        ];
+        let mut cluster = Cluster::new(ClusterConfig::instant(3, 1), nodes);
+        cluster.run_idle(VTime::ZERO + VDur::millis(1));
+        cluster.counters().clone()
+    }
+
+    #[test]
+    fn a_frame_of_the_unassigned_tag_8_is_garbage() {
+        let frame = [&[8u8][..], &12u64.to_le_bytes(), &2u32.to_le_bytes()].concat();
+        let counters = receive(vec![Stored::from(Bytes::from(frame))]);
+        assert_eq!(counters.event("mono.garbage"), 1);
+        assert_eq!(counters.kind("mono.estimate").msgs, 0);
+    }
+
+    #[test]
+    fn a_tag_only_decision_past_the_window_pulls_the_missing_batch() {
+        let tag = MonoMsg::Step {
+            decision: Some(Decision {
+                instance: 20,
+                round: 0,
+                full: None,
+            }),
+            proposal: None,
+        };
+        let counters = receive(vec![Stored::from(encode(&tag))]);
+        // Instances 0..8 as a gap batch, then the tag's own value.
+        assert_eq!(counters.event("mono.gap_requests"), 8);
+        assert_eq!(counters.event("mono.tag_misses"), 1);
+        assert_eq!(counters.kind("mono.decision_request").msgs, 9);
     }
 }

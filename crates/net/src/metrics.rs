@@ -327,9 +327,7 @@ crate::metric_table! {
             PIPELINED_PROPOSALS = "mono.pipelined_proposals",
             COMBINED_STEPS = "mono.combined_steps",
             DECISION_RELAYS = "mono.decision_relays",
-            ESTIMATE_REQUESTS = "mono.estimate_requests",
             GARBAGE = "mono.garbage",
-            BOGUS_REQUESTS = "mono.bogus_requests",
             GAP_REQUESTS = "mono.gap_requests",
             JOIN_REQUESTS = "mono.join_requests",
             STATE_TRANSFERS = "mono.state_transfers",
@@ -361,7 +359,6 @@ crate::metric_table! {
             DECISION_FULL = "mono.decision_full",
             ACK = "mono.ack",
             ESTIMATE = "mono.estimate",
-            ESTIMATE_REQUEST = "mono.estimate_request",
             DECISION_REQUEST = "mono.decision_request",
             JOIN_REQUEST = "mono.join_request",
             STATE_TRANSFER = "mono.state_transfer",

@@ -59,9 +59,13 @@
 //!   oracle checks across incarnations.
 //!
 //! A *live* process that fell behind (a healed partition minority) sees
-//! traffic for instances beyond its pipeline window and pulls the
-//! missing decisions with bounded [`CatchUp::DecisionRequest`] batches
-//! ([`ReplicaCore::maybe_request_gap`]).
+//! a peer's proposal or decision for an instance beyond its pipeline
+//! window and pulls the missing decisions with bounded
+//! [`CatchUp::DecisionRequest`] batches, from the end of its replayed
+//! prefix. The trigger and the cursor are the core's: both stacks pass
+//! every peer proposal through [`ReplicaCore::admit_proposal`] and every
+//! peer decision through [`ReplicaCore::admit_decision`], and the gap
+//! check runs inside them.
 //!
 //! # Log compaction and snapshot state transfer
 //!
@@ -265,7 +269,7 @@ pub struct ReplicaConfig {
     /// keeps in flight concurrently. All per-instance state here is
     /// keyed by instance, so any number may run concurrently; the depth
     /// informs the *gap heuristic* — traffic for an instance within the
-    /// window above the delivery cursor is normal pipelining, not
+    /// window above the replayed prefix is normal pipelining, not
     /// evidence of missed decisions.
     pub pipeline_depth: u64,
     /// Size of the initial voting member set. `0` (the default) means
@@ -825,6 +829,13 @@ impl ReplicaCore {
         self.decided_log.watermark()
     }
 
+    /// The end of the replayed prefix: every instance below it was
+    /// recorded in this incarnation. Catch-up pulls from here, and work
+    /// with no live instance is routed by it.
+    pub(crate) fn replayed_watermark(&self) -> u64 {
+        self.replayed.watermark()
+    }
+
     /// The cached decision of `instance`, if still in the log tail.
     pub fn decision(&self, instance: u64) -> Option<&Batch> {
         self.decisions.get(&instance)
@@ -1061,21 +1072,26 @@ impl ReplicaCore {
         self.trim();
     }
 
-    /// Seeing traffic for instance `seen` while `cursor` — the stack's
-    /// first undelivered instance — is further back than the pipeline
-    /// window explains means decisions were missed (partition, loss, a
-    /// long suspicion): pull a bounded batch of them from the process we
-    /// heard from. Without this, a healed process recovers only one
-    /// instance per progress-timeout and can lag arbitrarily far behind.
-    pub fn maybe_request_gap<C: ReplicaCtx>(
+    /// Seeing traffic from a peer for instance `seen` while the replayed
+    /// prefix is further back than the pipeline window explains means
+    /// decisions were missed (partition, loss, a long suspicion): pull a
+    /// bounded batch of them from the process we heard from. Without
+    /// this, a healed process recovers only one instance per
+    /// progress-timeout and can lag arbitrarily far behind. Both stacks
+    /// reach it through the same two gates, one for a peer's proposal
+    /// ([`admit_proposal`](Self::admit_proposal)) and one for a peer's
+    /// decision ([`admit_decision`](Self::admit_decision)).
+    pub(crate) fn maybe_request_gap<C: ReplicaCtx>(
         &mut self,
         ctx: &mut C,
         from: ProcessId,
         seen: u64,
-        cursor: u64,
     ) {
+        if from == ctx.pid() {
+            return;
+        }
         self.note_seen(seen);
-        if !self.behind(seen, cursor) || from == ctx.pid() {
+        if !self.behind(seen) {
             return;
         }
         // Rate limited per peer: throttling catch-up toward one lagging
@@ -1084,48 +1100,43 @@ impl ReplicaCore {
         if !self.gap_limiter.allow(from, now, GAP_RETRY) {
             return;
         }
-        self.request_gap_batch(ctx, from, seen, cursor);
+        self.request_gap_batch(ctx, from, seen);
     }
 
     /// Chained gap catch-up: after a recovered decision that still
-    /// leaves `cursor` behind the highest instance seen, pull the next
-    /// batch promptly, so a healed process recovers at near round-trip
-    /// pace.
-    pub fn chase_gap<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId, cursor: u64) {
+    /// leaves the replayed prefix behind the highest instance seen, pull
+    /// the next batch promptly, so a healed process recovers at near
+    /// round-trip pace.
+    pub fn chase_gap<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId) {
         let now = ctx.now();
-        if self.behind(self.highest_seen, cursor)
-            && self.gap_limiter.allow(from, now, CHASE_SPACING)
-        {
-            self.request_gap_batch(ctx, from, self.highest_seen, cursor);
+        if self.behind(self.highest_seen) && self.gap_limiter.allow(from, now, CHASE_SPACING) {
+            self.request_gap_batch(ctx, from, self.highest_seen);
         }
     }
 
     /// True when a sighting of `seen` is evidence of missed decisions:
-    /// it lies beyond the pipeline window above `cursor`, and `cursor`
-    /// itself is not merely awaiting replay below the voting fence (the
-    /// rejoin protocol covers that).
-    fn behind(&self, seen: u64, cursor: u64) -> bool {
+    /// it lies beyond the pipeline window above the replayed prefix, and
+    /// the prefix's end is not merely awaiting replay below the voting
+    /// fence (the rejoin protocol covers that).
+    fn behind(&self, seen: u64) -> bool {
+        let cursor = self.replayed_watermark();
         seen > cursor + self.cfg.pipeline_depth.max(1) - 1 && !self.is_decided(cursor)
     }
 
     /// Pulls the missing decisions of the window `cursor..cursor +
-    /// MAX_GAP_BATCH` (below `seen`) from `from`, lowest first. While the
-    /// last request is younger than [`GAP_RETRY`], only the part of the
-    /// window above the last requested range's top is asked for: each
-    /// reply that moves `cursor` on asks for what it brought into the
-    /// window, so each missing decision is asked for once per retry
-    /// period however many replies chase the gap, and at most one batch
-    /// is outstanding — a busy peer answers within the period. Past it,
-    /// the window is asked for again from `cursor`, in case requests or
-    /// replies were lost.
-    fn request_gap_batch<C: ReplicaCtx>(
-        &mut self,
-        ctx: &mut C,
-        from: ProcessId,
-        seen: u64,
-        cursor: u64,
-    ) {
+    /// MAX_GAP_BATCH` (below `seen`) from `from`, lowest first, where
+    /// `cursor` is the end of the replayed prefix. While the last request
+    /// is younger than [`GAP_RETRY`], only the part of the window above
+    /// the last requested range's top is asked for: each reply that
+    /// moves `cursor` on asks for what it brought into the window, so
+    /// each missing decision is asked for once per retry period however
+    /// many replies chase the gap, and at most one batch is outstanding
+    /// — a busy peer answers within the period. Past it, the window is
+    /// asked for again from `cursor`, in case requests or replies were
+    /// lost.
+    fn request_gap_batch<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId, seen: u64) {
         let now = ctx.now();
+        let cursor = self.replayed_watermark();
         let (asked_top, asked_at) = self.gap_asked;
         let first = if now.since(asked_at) < GAP_RETRY {
             cursor.max(asked_top)
@@ -2197,8 +2208,7 @@ pub(crate) mod tests {
             ctx.now += CHASE_SPACING;
             if Some(k) != lost {
                 assert!(host.record_decision(ctx, k, &batch(k)));
-                let cursor = host.core.decided_watermark();
-                host.core.chase_gap(ctx, peer, cursor);
+                host.core.chase_gap(ctx, peer);
             }
             let more = requested(ctx, peer);
             outstanding.extend(&more);
@@ -2213,28 +2223,75 @@ pub(crate) mod tests {
         let (peer, lost) = (ProcessId(1), 20);
         let window = |from: u64, to: u64| (from..to).collect::<Vec<u64>>();
 
-        // Traffic for instance 40 arrives while the fence is at 0.
-        host.core.maybe_request_gap(&mut ctx, peer, 40, 0);
+        // A decision for instance 40 arrives while nothing is replayed.
+        host.core.admit_decision(&mut ctx, peer, 40, 0);
         let first = requested(&mut ctx, peer);
         assert_eq!(first, window(0, MAX_GAP_BATCH));
         // Each reply moves the window on by one request; none is asked
-        // twice. The fence stalls at the lost reply, and so does the
-        // window, one batch above it.
+        // twice. The replayed prefix stalls at the lost reply, and so
+        // does the window, one batch above it.
         let asked = serve(&mut host, &mut ctx, peer, first, Some(lost));
         assert_eq!(asked, window(0, lost + MAX_GAP_BATCH));
-        assert_eq!(host.core.decided_watermark(), lost);
+        assert_eq!(host.core.replayed_watermark(), lost);
 
         // Once a retry period has passed without a request, the next
-        // sighting starts over at the fence, where only the lost
+        // sighting starts over at the prefix's end, where only the lost
         // decision is still missing; its reply lets the rest follow.
         ctx.now += GAP_RETRY;
-        host.core.maybe_request_gap(&mut ctx, peer, 40, lost);
+        host.core.admit_decision(&mut ctx, peer, 40, 0);
         let retry = requested(&mut ctx, peer);
         assert_eq!(retry, [lost]);
         let rest = serve(&mut host, &mut ctx, peer, retry, None);
         assert_eq!(rest[1..], window(lost + MAX_GAP_BATCH, 40));
-        assert_eq!(host.core.decided_watermark(), 40);
+        assert_eq!(host.core.replayed_watermark(), 40);
         assert_eq!(ctx.bumped("t.gap_requests"), 41);
+        // A process's own decision is no sighting.
+        let me = ctx.pid;
+        host.core.admit_decision(&mut ctx, me, 90, 0);
+        ctx.now += GAP_RETRY;
+        host.core.chase_gap(&mut ctx, peer);
+        assert!(ctx.sent.is_empty());
+    }
+
+    #[test]
+    fn a_revived_process_pulls_gaps_from_its_replayed_prefix_not_its_fence() {
+        const F: u64 = 10;
+        let (mut writer, mut ctx) = (FakeHost::fresh(64, 0), FakeCtx::new());
+        writer.decide(&mut ctx, 0..F);
+        let core = ReplicaCore::resume(writer.core.cfg.clone(), &NAMES, &ctx.store);
+        let (mut host, mut ctx) = (FakeHost::over(core), FakeCtx::new());
+        let (coordinator, window) = (ProcessId(0), |from: u64, to: u64| {
+            (from..to).collect::<Vec<u64>>()
+        });
+        ctx.pid = ProcessId(2);
+        host.start_replica(&mut ctx);
+        ctx.sent.clear();
+        assert_eq!(
+            (
+                host.core.decided_watermark(),
+                host.core.replayed_watermark()
+            ),
+            (F, 0)
+        );
+
+        // Below the fence the rejoin protocol replays what is missing: a
+        // proposal far past the fence pulls nothing until the replayed
+        // prefix covers every fenced instance.
+        for replayed in 0..F {
+            let admitted = host.core.admit_proposal(&mut ctx, coordinator, F + 5, 0);
+            assert_eq!(admitted, Some(true));
+            let none = Vec::<u64>::new();
+            assert_eq!(
+                requested(&mut ctx, coordinator),
+                none,
+                "replayed {replayed}"
+            );
+            host.decide(&mut ctx, replayed..replayed + 1);
+        }
+        // Then the gap is pulled from the end of the replayed prefix.
+        assert_eq!(host.core.replayed_watermark(), F);
+        host.core.admit_proposal(&mut ctx, coordinator, F + 5, 0);
+        assert_eq!(requested(&mut ctx, coordinator), window(F, F + 5));
     }
 
     #[test]

@@ -427,12 +427,13 @@ impl ReplicaCore {
 
     /// The coordinator work should be routed to right now: that of the
     /// lowest live instance's round or, with none live, the first
-    /// unsuspected member in the rotation at `cursor`, from the round it
-    /// would open in.
-    pub fn live_coordinator(&self, cursor: u64, n: usize) -> ProcessId {
+    /// unsuspected member in the rotation at the end of the replayed
+    /// prefix, from the round that instance would open in.
+    pub fn live_coordinator(&self, n: usize) -> ProcessId {
         if let Some((k, inst)) = self.rounds.instances.iter().next() {
             return self.coordinator_of(*k, inst.round, n);
         }
+        let cursor = self.replayed_watermark();
         let first = self.fresh_round(cursor);
         let at = |r: u32| self.coordinator_of(cursor, first + r, n);
         // Bounded by one full rotation: a learner must not spin when
@@ -619,7 +620,9 @@ impl ReplicaCore {
     /// not coordinate `round` (counted; drop the proposal). Otherwise
     /// whether this process may vote on it. A proposal of a round this
     /// process promised away at an undecided instance is answered with
-    /// the promise, so its coordinator moves on at once.
+    /// the promise, so its coordinator moves on at once; one beyond the
+    /// pipeline window above the replayed prefix pulls the decisions this
+    /// process missed from its sender.
     ///
     /// The sender check only applies once the membership at `instance`
     /// is certain: behind the config fence the rotation is still
@@ -627,7 +630,7 @@ impl ReplicaCore {
     /// a configuration this process has not learned yet — which it
     /// therefore must not vote in either.
     pub fn admit_proposal<C: ReplicaCtx>(
-        &self,
+        &mut self,
         ctx: &mut C,
         from: ProcessId,
         instance: u64,
@@ -644,7 +647,24 @@ impl ReplicaCore {
         {
             self.send_promise(ctx, from);
         }
+        self.maybe_request_gap(ctx, from, instance);
         Some(certain && self.can_vote(instance, ctx.pid()))
+    }
+
+    /// The gate every decision of `(instance, round)` from `from` passes
+    /// first, whatever carries it: a peer's decision beyond the pipeline
+    /// window above the replayed prefix pulls the decisions this process
+    /// missed below it from `from`, and its round is
+    /// [raised](Self::raise) to.
+    pub fn admit_decision<C: ReplicaCtx>(
+        &mut self,
+        ctx: &mut C,
+        from: ProcessId,
+        instance: u64,
+        round: u32,
+    ) {
+        self.maybe_request_gap(ctx, from, instance);
+        self.raise(ctx, instance, round);
     }
 
     /// Takes the proposal `(round, value)` for an undecided `instance`.
@@ -736,16 +756,6 @@ impl ReplicaCore {
                 None
             }
         }
-    }
-
-    /// Joins `round` of `instance` if it is ahead (rounds only move
-    /// forward); true when the instance is then in `round`.
-    pub fn join_round(&mut self, instance: u64, round: u32, now: VTime) -> bool {
-        let inst = self.instance_entry(instance, now);
-        if round > inst.round {
-            inst.enter(round, now);
-        }
-        round == inst.round
     }
 
     /// Coordinator side: keeps `from`'s estimate for `round` (only each
@@ -907,11 +917,18 @@ mod tests {
         ReplicaCore::new(ReplicaConfig::default(), &NAMES)
     }
 
+    /// Moves `instance` of `core` on to `round`, as a proposal or an
+    /// estimate of that round would.
+    fn enter(core: &mut ReplicaCore, instance: u64, round: u32) {
+        core.instance_entry(instance, VTime::ZERO)
+            .enter(round, VTime::ZERO);
+    }
+
     /// `core` with `K` moved to round 3, which p1 coordinates, holding
     /// the given `(from, value, ts)` estimates for it.
     fn coordinating(estimates: &[(ProcessId, u64, u32)]) -> ReplicaCore {
         let mut core = core();
-        assert!(core.join_round(K, 3, VTime::ZERO));
+        enter(&mut core, K, 3);
         for &(from, value, ts) in estimates {
             let joined = core.record_estimate(from, K, 3, batch(value), ts, VTime::ZERO);
             assert_eq!(joined, Some(false));
@@ -998,7 +1015,7 @@ mod tests {
         assert!(!stale.voted && !stale.tag_hit && ctx.writes.is_empty());
         assert_eq!(core.rounds().estimate(K), Some((&batch(9), 3)));
         // Coordinating round 3, p1 locks whatever it proposes with ts 4.
-        assert!(core.join_round(K, 3, ctx.now));
+        enter(&mut core, K, 3);
         assert_eq!(core.lock(&mut ctx, K, &batch(9)), 3);
         assert_eq!(stored_vote(&ctx).ts, 4);
     }
@@ -1006,8 +1023,7 @@ mod tests {
     #[test]
     fn stale_rounds_are_ignored() {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
-        assert!(core.join_round(K, 3, ctx.now));
-        assert!(!core.join_round(K, 2, ctx.now), "rounds only move forward");
+        enter(&mut core, K, 3);
         // Proposal: not recorded, so a tag for its round still misses.
         let vote = core.vote(&mut ctx, K, 2, &batch(1), true);
         assert!(!vote.voted && ctx.writes.is_empty() && ctx.sent.is_empty());
@@ -1079,10 +1095,16 @@ mod tests {
 
     #[test]
     fn admit_proposal_checks_the_sender_against_the_rotation() {
-        let (core, mut ctx) = (core(), FakeCtx::new());
-        assert_eq!(core.admit_proposal(&mut ctx, P1, K, 1), Some(true));
+        let (mut core, mut ctx) = (core(), FakeCtx::new());
         assert_eq!(core.admit_proposal(&mut ctx, P2, K, 1), None);
         assert_eq!(ctx.bumped("t.bogus_proposals"), 1);
+        assert!(ctx.sent.is_empty(), "a dropped proposal is no sighting");
+        assert_eq!(core.admit_proposal(&mut ctx, P1, K, 1), Some(true));
+        // K lies past the window above the empty replayed prefix: the
+        // admitted proposal pulls the decisions below it from its sender.
+        let pulled: Vec<_> = ctx.sent.drain(..).map(|(dst, _, msg)| (dst, msg)).collect();
+        let missed = (0..K).map(|instance| (Some(P1), CatchUp::DecisionRequest { instance }));
+        assert_eq!(pulled, missed.collect::<Vec<_>>());
     }
 
     #[test]
@@ -1094,7 +1116,7 @@ mod tests {
         assert!(!core.coordinator_suspected(K, 3), "nothing suspected");
         assert_eq!(core.suspect(P0, 3), vec![K, K + 1]);
         assert_eq!(core.suspect(P1, 3), Vec::<u64>::new());
-        assert_eq!(core.live_coordinator(0, 3), P0, "that of round 0 of K");
+        assert_eq!(core.live_coordinator(3), P0, "that of round 0 of K");
         let to = core.rotate(&mut ctx, K).unwrap();
         assert_eq!((to.round, to.coordinator, to.votable), (2, P2, true));
         assert_eq!(ctx.bumped("t.round_changes"), 1);
@@ -1106,9 +1128,9 @@ mod tests {
         assert_eq!(core.rotate(&mut ctx, K).unwrap().round, 3);
         core.close(K);
         core.close(K + 1);
-        assert_eq!(core.live_coordinator(0, 3), P0, "all suspected: wraps");
+        assert_eq!(core.live_coordinator(3), P0, "all suspected: wraps");
         core.restore(P1);
-        assert_eq!(core.live_coordinator(0, 3), P1);
+        assert_eq!(core.live_coordinator(3), P1);
 
         // A learner (p3 outside {p1, p2}) is never its own coordinator:
         // with every member suspected it stops after one rotation.
@@ -1283,7 +1305,7 @@ mod tests {
         assert_eq!(core.direct_round(K, P1, 3), Some(1));
         assert_eq!(core.direct_round(K + 100, P1, 3), Some(1));
         // A lock of a lower round held there forces the estimate phase.
-        assert!(core.join_round(K + 1, 1, ctx.now));
+        enter(&mut core, K + 1, 1);
         assert_eq!(core.direct_round(K + 1, P1, 3), None);
     }
 
@@ -1317,7 +1339,11 @@ mod tests {
         core.restore(P0);
         assert_eq!(core.admit_proposal(&mut ctx, P0, K + 1, 0), Some(true));
         let told = CatchUp::Promise(promise(1, K + 1));
-        assert_eq!(ctx.sent, vec![(Some(P0), "t.promise", told.clone())]);
+        assert_eq!(ctx.sent[0], (Some(P0), "t.promise", told.clone()));
+        // The promise leaves first; the decisions below K + 1, which this
+        // process never learned, are pulled after it.
+        let kinds: Vec<_> = ctx.sent[1..].iter().map(|(_, kind, _)| *kind).collect();
+        assert_eq!(kinds, ["t.decision_request"; K as usize + 1]);
         assert!(!core.vote(&mut ctx, K + 1, 0, &batch(1), true).voted);
         // Its own round-0 proposal outstanding, p1 moves it on when told
         // — to the round promised, and promising it too.

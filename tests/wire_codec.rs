@@ -484,13 +484,6 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
             msg: msg(0, 4, 16 * 1024),
         },
     );
-    row(
-        "MonoMsg/EstimateRequest",
-        MonoMsg::EstimateRequest {
-            instance: 9,
-            round: 3,
-        },
-    );
     row("MonoMsg/Heartbeat", MonoMsg::Heartbeat);
 
     // The shared catch-up vocabulary under both stacks' tag tables.
