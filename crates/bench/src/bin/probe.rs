@@ -23,7 +23,8 @@
 //! **reconfiguration audit** (a log-decided add + remove per stack,
 //! traced and oracle-audited — violations dump under `target/trace/`
 //! like any other — and held to a throughput and messages-per-instance
-//! floor and to zero suspicions), and folds every run's window counters
+//! floor and to zero suspicions, each stack's catch-up traffic printed
+//! under its row), and folds every run's window counters
 //! into a [`CoverageReport`] written to `target/coverage-report.json`. Only
 //! then does it fail (exit 1), listing every differing file with its
 //! first differing record and every failed sweep or audit, so one run
@@ -96,6 +97,43 @@ fn print_run_row(label: &str, r: &RunReport) {
         r.max_cpu_utilization,
         r.msgs_per_instance,
         r.bytes_per_instance / 1024.0
+    );
+}
+
+/// Prints a stack's catch-up traffic under its row: the pulls it sent —
+/// those on a sighting and the rejoin announcements among them — and
+/// what answered them, state transfers and snapshot chunks.
+fn print_catch_up(r: &RunReport) {
+    let (pull, sightings, announcements, transfer, transfers, chunks) = match r.kind {
+        StackKind::Modular => (
+            consensus::PULL,
+            consensus::GAP_REQUESTS,
+            consensus::JOIN_REQUESTS,
+            consensus::STATE_TRANSFER,
+            consensus::STATE_TRANSFERS,
+            consensus::SNAPSHOT_TRANSFERS,
+        ),
+        StackKind::Monolithic => (
+            mono::PULL,
+            mono::GAP_REQUESTS,
+            mono::JOIN_REQUESTS,
+            mono::STATE_TRANSFER,
+            mono::STATE_TRANSFERS,
+            mono::SNAPSHOT_TRANSFERS,
+        ),
+    };
+    let c = &r.counters;
+    println!(
+        "{:>18} {:>10} | {} pulls (sighting {}, rejoin {}), {} state transfers ({:.0} KB), \
+         {} snapshot chunks",
+        "catch-up",
+        r.kind.label(),
+        c.kind(pull.name()).msgs,
+        c.count(sightings),
+        c.count(announcements),
+        c.count(transfers),
+        c.kind(transfer.name()).bytes as f64 / 1024.0,
+        c.count(chunks)
     );
 }
 
@@ -198,14 +236,15 @@ fn drift_from_committed(file: &str) -> Result<Option<String>, String> {
 /// Membership never exceeds four processes in the reconfiguration audit.
 const RECONFIG_PEAK_N: usize = 4;
 /// Share of the offered load a stack must carry through the audit.
-const RECONFIG_MIN_CARRIED: f64 = 0.85;
+const RECONFIG_MIN_CARRIED: f64 = 0.95;
 
 /// The reconfiguration audit's performance floor: a stack carries at
 /// least [`RECONFIG_MIN_CARRIED`] of the offered load, and spends no
 /// more messages per instance than the §5.2 closed form allows at the
 /// peak membership and the measured batch size M. A catch-up request
 /// storm once cost the modular stack three quarters of its throughput
-/// and ~18 messages per instance above that form.
+/// and ~18 messages per instance above that form; one pull per 16
+/// decisions leaves both stacks above 97 % of the offered load.
 fn reconfig_floor(r: &RunReport) -> Result<(), String> {
     let carried = r.throughput_msgs_per_sec / r.offered_load;
     if carried < RECONFIG_MIN_CARRIED {
@@ -255,6 +294,7 @@ fn reconfig_audit(coverage: &mut CoverageReport) -> Result<(), String> {
         let r = exp.run();
         coverage.absorb(&r.counters);
         print_run_row("reconfig", &r);
+        print_catch_up(&r);
         let reconfigs = r.counters.count(consensus::RECONFIGS) + r.counters.count(mono::RECONFIGS);
         if reconfigs == 0 {
             return Err(format!(

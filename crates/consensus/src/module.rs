@@ -31,9 +31,10 @@
 //!    before it disseminates, on both stacks. In a direct round the
 //!    notice carries no value — receivers decide the proposal of that
 //!    round they already hold. A receiver missing the proposal
-//!    (possible when the coordinator crashed mid-round) recovers with
-//!    `DecisionRequest`/`DecisionFull`. A round that went through an
-//!    estimate phase ships the full value.
+//!    (possible when the coordinator crashed mid-round) pulls the value
+//!    through the replica core's one catch-up protocol
+//!    ([`ReplicaCore::resolve_tag`]), like any other caught-up value. A
+//!    round that went through an estimate phase ships the full value.
 //!
 //! Safety is the classic CT argument: a decision in round `r` requires
 //! acks from a majority, every ack locks the proposal as the acker's
@@ -51,9 +52,11 @@
 //! heuristic, which must not mistake in-flight window instances for
 //! missed decisions). That heuristic, its trigger and its cursor are the
 //! replica core's: every peer proposal passes
-//! [`ReplicaCore::admit_proposal`] and every decision notice
+//! [`ReplicaCore::admit_proposal`], every estimate
+//! [`ReplicaCore::admit_estimate`] and every decision notice
 //! [`ReplicaCore::admit_decision`], which pull what is missing above the
-//! core's replayed prefix, as on the monolithic stack. Decisions are
+//! core's replayed prefix and answer a peer still working on an instance
+//! decided here, as on the monolithic stack. Decisions are
 //! raised as they land; the layer above buffers and applies them
 //! strictly in instance order.
 //!
@@ -63,7 +66,8 @@
 //! machine — when a process may lock, vote, propose or change round, and
 //! what a coordinator of a later round must propose — together with what
 //! a replica must remember across a crash (durable votes, the decided
-//! fence), how it catches up afterwards (join / gap / snapshot transfer),
+//! fence), how it catches up afterwards (pulls answered by state or
+//! snapshot transfer),
 //! how it bounds its history (log compaction) and which configuration
 //! governs an instance are the same protocol on both stacks and live in
 //! [`fortika_net::replica`] and [`fortika_net::rounds`]. This module hosts
@@ -86,8 +90,8 @@ use fortika_net::metrics::consensus;
 use fortika_net::replica::SWEEP_INTERVAL;
 use fortika_net::wire::{decode, encode, WireReader};
 use fortika_net::{
-    AppState, Batch, CatchUp, ConfigStamp, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore,
-    ReplicaHost, StableStore, TimerId,
+    AppState, Batch, ConfigStamp, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaHost,
+    StableStore, TimerId,
 };
 
 use crate::msg::{ConsensusMsg, DecisionNotice, REPLICA_NAMES};
@@ -286,15 +290,8 @@ impl ConsensusModule {
         value: Batch,
     ) {
         let Some(votable) = self.core.admit_proposal(ctx, from, instance, round) else {
-            return; // only the round's coordinator may propose
+            return; // not the round's coordinator, or decided here
         };
-        if self.core.is_decided(instance) {
-            // Help a lagging coordinator conclude.
-            if let Some(v) = self.core.decision(instance).cloned() {
-                self.reply_decision(ctx, from, instance, v);
-            }
-            return;
-        }
         let vote = self.core.vote(ctx, instance, round, &value, votable);
         if vote.voted {
             let ack = ConsensusMsg::Ack { instance, round };
@@ -314,11 +311,8 @@ impl ConsensusModule {
         value: Batch,
         ts: u32,
     ) {
-        if self.core.is_decided(instance) {
-            if let Some(v) = self.core.decision(instance).cloned() {
-                self.reply_decision(ctx, from, instance, v);
-            }
-            return;
+        if !self.core.admit_estimate(ctx, from, instance) {
+            return; // decided here
         }
         let me = ctx.pid();
         if self.core.coordinator_of(instance, round, ctx.n()) != me {
@@ -364,18 +358,13 @@ impl ConsensusModule {
             return;
         }
         // A tag-only notice decides the matching proposal, which we must
-        // hold; if not, ask the decider (the sweep retries).
+        // hold; if not, the core pulls the value from the decider.
         let value = match notice.full {
             Some(value) => Some(value),
-            None => self.core.resolve_tag(ctx, instance, notice.round),
+            None => self.core.resolve_tag(ctx, origin, instance, notice.round),
         };
-        match value {
-            Some(value) => self.decide_local(ctx, instance, value),
-            None if origin != ctx.pid() => {
-                self.core
-                    .send(ctx, origin, &CatchUp::DecisionRequest { instance });
-            }
-            None => {}
+        if let Some(value) = value {
+            self.decide_local(ctx, instance, value);
         }
     }
 
@@ -423,17 +412,6 @@ impl ReplicaHost<FrameworkCtx<'_, '_>> for ConsensusModule {
         for (i, value) in values.into_iter().enumerate() {
             self.decide_local(ctx, first + i as u64, value);
         }
-    }
-
-    fn reply_decision(
-        &mut self,
-        ctx: &mut FrameworkCtx<'_, '_>,
-        to: ProcessId,
-        instance: u64,
-        value: Batch,
-    ) {
-        let msg = ConsensusMsg::DecisionFull { instance, value };
-        ctx.send_net(to, consensus::DECISION_FULL, &msg);
     }
 
     fn advance_round(&mut self, ctx: &mut FrameworkCtx<'_, '_>, instance: u64) {
@@ -569,13 +547,57 @@ impl ConsensusModule {
                 ts,
             } => self.on_net_estimate(ctx, from, instance, round, value, ts),
             ConsensusMsg::Ack { instance, round } => self.on_net_ack(ctx, from, instance, round),
-            ConsensusMsg::DecisionFull { instance, value } => {
-                self.core.note_seen(instance);
-                self.decide_local(ctx, instance, value);
-                // While still behind, pull the next batch promptly.
-                self.core.chase_gap(ctx, from);
-            }
             ConsensusMsg::CatchUp(msg) => self.on_catch_up(ctx, from, msg),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bytes::Bytes;
+    use fortika_framework::CompositeStack;
+    use fortika_net::wire::encode;
+    use fortika_net::{Admission, AppRequest, Cluster, ClusterConfig, Node, NodeCtx, Stored};
+    use fortika_sim::{VDur, VTime};
+
+    use super::*;
+
+    /// A peer that sends its frames to process 1 on start, and nothing
+    /// else.
+    struct Peer(Vec<Stored>);
+
+    impl Node for Peer {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            for frame in self.0.drain(..) {
+                ctx.send(ProcessId(1), consensus::PROPOSAL, frame);
+            }
+        }
+        fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
+        fn on_request(&mut self, _: &mut NodeCtx<'_>, _: AppRequest) -> Admission {
+            Admission::Blocked
+        }
+    }
+
+    #[test]
+    fn a_frame_of_a_freed_tag_is_garbage() {
+        // The bytes a decision request for instance 6 (tag 4) and a full
+        // decision of instance 7 (tag 5) had, behind the module's id.
+        let id = CONSENSUS_MODULE_ID.to_le_bytes();
+        let request = [&id[..], &[4], &6u64.to_le_bytes()].concat();
+        let empty = encode(&Batch::empty());
+        let full = [&id[..], &[5], &7u64.to_le_bytes(), &empty].concat();
+        let frames = [request, full].map(|f| Stored::from(Bytes::from(f)));
+        let stack = CompositeStack::new(vec![Box::new(ConsensusModule::new())]);
+        let nodes: Vec<Box<dyn Node>> = vec![
+            Box::new(Peer(frames.to_vec())),
+            Box::new(stack),
+            Box::new(Peer(Vec::new())),
+        ];
+        let mut cluster = Cluster::new(ClusterConfig::instant(3, 1), nodes);
+        cluster.run_idle(VTime::ZERO + VDur::millis(1));
+        let counters = cluster.counters();
+        assert_eq!(counters.event("consensus.garbage"), 2);
+        assert_eq!(counters.event("consensus.decided"), 0);
+        assert_eq!(counters.kind("consensus.state_transfer").msgs, 0);
     }
 }

@@ -36,40 +36,31 @@ pub enum ConsensusMsg {
         /// Round being acknowledged.
         round: u32,
     },
-    /// Full decision value (recovery response / late joiner help).
-    DecisionFull {
-        /// Consensus instance.
-        instance: u64,
-        /// The decided value.
-        value: Batch,
-    },
-    /// Recovery traffic both stacks share — decision pulls, rejoin
-    /// announcements, bulk state transfer, chunked snapshot transfer —
-    /// embedded under this enum's tag bytes 4 and 6–10 (see
-    /// [`fortika_net::replica`] for the protocol).
+    /// Recovery traffic both stacks share — pulls, state transfer,
+    /// chunked snapshot transfer, promises — embedded under this enum's
+    /// tag bytes 6–10 (see [`fortika_net::replica`] for the protocol).
     CatchUp(CatchUp),
 }
 
 const TAG_PROPOSE: u8 = 1;
 const TAG_ESTIMATE: u8 = 2;
 const TAG_ACK: u8 = 3;
-const TAG_DECISION_FULL: u8 = 5;
+// Tags 4 and 5 are unassigned: the tags keep their numbers, so no frame
+// changes meaning, and one that carries 4 or 5 fails to decode.
 
 /// What the modular stack calls the shared replica machinery: its tag
 /// bytes within [`ConsensusMsg`], send kinds, counters and trace label.
 pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
     label: "consensus",
     tags: PerCatchUp {
-        decision_request: 4,
-        join_request: 6,
+        pull: 6,
         state_transfer: 7,
         snapshot_transfer: 8,
         snapshot_pull: 9,
         promise: 10,
     },
     kinds: PerCatchUp {
-        decision_request: consensus::DECISION_REQUEST,
-        join_request: consensus::JOIN_REQUEST,
+        pull: consensus::PULL,
         state_transfer: consensus::STATE_TRANSFER,
         snapshot_transfer: consensus::SNAPSHOT_TRANSFER,
         snapshot_pull: consensus::SNAPSHOT_PULL,
@@ -127,11 +118,6 @@ impl Wire for ConsensusMsg {
                 w.put_u64(*instance);
                 w.put_u32(*round);
             }
-            ConsensusMsg::DecisionFull { instance, value } => {
-                w.put_u8(TAG_DECISION_FULL);
-                w.put_u64(*instance);
-                value.encode(w);
-            }
             ConsensusMsg::CatchUp(msg) => msg.encode_tagged(&REPLICA_NAMES.tags, w),
         }
     }
@@ -152,10 +138,6 @@ impl Wire for ConsensusMsg {
             TAG_ACK => Ok(ConsensusMsg::Ack {
                 instance: r.get_u64()?,
                 round: r.get_u32()?,
-            }),
-            TAG_DECISION_FULL => Ok(ConsensusMsg::DecisionFull {
-                instance: r.get_u64()?,
-                value: Batch::decode(r)?,
             }),
             t => CatchUp::decode_tagged(t, &REPLICA_NAMES.tags, r).map(ConsensusMsg::CatchUp),
         }
@@ -226,11 +208,7 @@ mod tests {
                 instance: 5,
                 round: 1,
             },
-            ConsensusMsg::DecisionFull {
-                instance: 7,
-                value: batch(),
-            },
-            ConsensusMsg::CatchUp(CatchUp::JoinRequest { watermark: 0 }),
+            ConsensusMsg::CatchUp(CatchUp::Pull { from: 0 }),
         ];
         for m in msgs {
             let bytes = encode(&m);
@@ -271,15 +249,12 @@ mod tests {
 
     /// The catch-up messages moved into `fortika_net::replica`; on the
     /// wire they are still the bytes `ConsensusMsg` produced when it
-    /// declared them itself (tags 4, 6, 7, 8, 9); the promise rides tag 10.
+    /// declared them itself (tags 7, 8, 9); the pull rides the rejoin
+    /// announcement's tag 6, with its bytes, and the promise tag 10.
     #[test]
     fn catch_up_keeps_its_wire_bytes() {
         let pins = [
-            (
-                CatchUp::DecisionRequest { instance: 6 },
-                "040600000000000000",
-            ),
-            (CatchUp::JoinRequest { watermark: 7 }, "060700000000000000"),
+            (CatchUp::Pull { from: 7 }, "060700000000000000"),
             (
                 CatchUp::StateTransfer {
                     from: 3,
@@ -325,6 +300,28 @@ mod tests {
             let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(hex, pin, "{msg:?}");
             assert_eq!(decode::<ConsensusMsg>(bytes).unwrap(), msg);
+        }
+    }
+
+    /// Tags 4 and 5 decode as nothing, whatever follows them: not as the
+    /// decision request and full decision they once were, nor as any
+    /// other message.
+    #[test]
+    fn tags_4_and_5_are_unassigned() {
+        let request = [&[4u8][..], &6u64.to_le_bytes()].concat();
+        let mut full = encode(&ConsensusMsg::Propose {
+            instance: 7,
+            round: 0,
+            value: batch(),
+        })
+        .to_vec();
+        full.drain(9..13); // the decision reply had no round
+        for tag in [4u8, 5] {
+            for mut frame in [request.clone(), full.clone(), vec![0]] {
+                frame[0] = tag;
+                let got = decode::<ConsensusMsg>(Bytes::from(frame.clone()));
+                assert_eq!(got, Err(WireError::InvalidTag(tag)), "{frame:02x?}");
+            }
         }
     }
 

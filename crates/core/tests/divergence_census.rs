@@ -9,6 +9,10 @@
 //! such name needs exactly one row. A row naming something that no
 //! longer exists fails, and so does a row of any other class —
 //! *accidental* among them.
+//!
+//! Catch-up has no row because it is the replica core's alone: neither
+//! stack's non-test source may construct a `CatchUp` message or name a
+//! decision reply of its own.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -28,6 +32,19 @@ const SOURCES: [&str; 8] = [
     include_str!("../../framework/src/events.rs"),
     include_str!("../../framework/src/stack.rs"),
 ];
+
+/// The sources of the stacks' own wire vocabularies and handlers, by
+/// path: the first four of [`SOURCES`].
+const STACK_FILES: [&str; 4] = [
+    "crates/mono/src/node.rs",
+    "crates/mono/src/msg.rs",
+    "crates/consensus/src/module.rs",
+    "crates/consensus/src/msg.rs",
+];
+
+/// What a stack's own decision reply was called, as a wire variant, a
+/// constructor or a `ReplicaHost` hand-back.
+const DECISION_REPLIES: [&str; 3] = ["DecisionFull", "decision_full", "reply_decision"];
 
 /// Names in modular namespaces that the monolith bumps too: both
 /// stacks count them, so they have a counterpart by construction.
@@ -175,6 +192,39 @@ fn the_shared_names_are_bumped_by_the_monolith() {
         assert!(
             occurs(node, &handle),
             "the monolith no longer bumps `{name}` ({handle}): it is no shared name"
+        );
+    }
+}
+
+/// `src` up to its test module.
+fn non_test(src: &str) -> &str {
+    src.split("#[cfg(test)]").next().unwrap_or(src)
+}
+
+#[test]
+fn only_the_replica_core_sends_or_answers_catch_up() {
+    for (file, src) in STACK_FILES.iter().zip(SOURCES) {
+        let src = non_test(src);
+        let constructs = src
+            .match_indices("CatchUp::")
+            .any(|(at, m)| src[at + m.len()..].starts_with(char::is_uppercase));
+        assert!(
+            !constructs,
+            "{file} constructs a `CatchUp` message: every pull and every answer to one is the \
+             replica core's to send"
+        );
+        for name in DECISION_REPLIES {
+            assert!(
+                !occurs(src, name),
+                "{file} names `{name}`: a stack answers no decision request of its own, the \
+                 replica core's state transfer does"
+            );
+        }
+    }
+    for name in names(&[mono::TABLE, consensus::TABLE]) {
+        assert!(
+            !suffix(name).starts_with("decision_full") && !suffix(name).contains("reply"),
+            "`{name}` counts a stack's own decision reply"
         );
     }
 }

@@ -82,10 +82,9 @@ pub enum MonoMsg {
     },
     /// Failure-detector heartbeat.
     Heartbeat,
-    /// Recovery traffic both stacks share — decision pulls, rejoin
-    /// announcements, bulk state transfer, chunked snapshot transfer —
-    /// embedded under this enum's tag bytes 6 and 9–13 (see
-    /// [`fortika_net::replica`] for the protocol).
+    /// Recovery traffic both stacks share — pulls, state transfer,
+    /// chunked snapshot transfer, promises — embedded under this enum's
+    /// tag bytes 9–13 (see [`fortika_net::replica`] for the protocol).
     CatchUp(CatchUp),
 }
 
@@ -95,24 +94,22 @@ const TAG_FORWARD: u8 = 3;
 const TAG_DIFFUSE: u8 = 4;
 const TAG_ESTIMATE: u8 = 5;
 const TAG_HEARTBEAT: u8 = 7;
-// Tag 8 is unassigned: the tags keep their numbers, so no frame changes
-// meaning, and one that carries 8 fails to decode.
+// Tags 6 and 8 are unassigned: the tags keep their numbers, so no frame
+// changes meaning, and one that carries 6 or 8 fails to decode.
 
 /// What the monolithic stack calls the shared replica machinery: its
 /// tag bytes within [`MonoMsg`], send kinds, counters and trace label.
 pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
     label: "mono",
     tags: PerCatchUp {
-        decision_request: 6,
-        join_request: 9,
+        pull: 9,
         state_transfer: 10,
         snapshot_transfer: 11,
         snapshot_pull: 12,
         promise: 13,
     },
     kinds: PerCatchUp {
-        decision_request: mono::DECISION_REQUEST,
-        join_request: mono::JOIN_REQUEST,
+        pull: mono::PULL,
         state_transfer: mono::STATE_TRANSFER,
         snapshot_transfer: mono::SNAPSHOT_TRANSFER,
         snapshot_pull: mono::SNAPSHOT_PULL,
@@ -247,18 +244,6 @@ impl Wire for MonoMsg {
     }
 }
 
-/// Convenience constructor: a full-value decision message.
-pub fn decision_full(instance: u64, round: u32, value: Batch) -> MonoMsg {
-    MonoMsg::Step {
-        decision: Some(Decision {
-            instance,
-            round,
-            full: Some(value),
-        }),
-        proposal: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +282,14 @@ mod tests {
                     value: batch(),
                 }),
             },
-            decision_full(9, 1, batch()),
+            MonoMsg::Step {
+                decision: Some(Decision {
+                    instance: 9,
+                    round: 1,
+                    full: Some(batch()),
+                }),
+                proposal: None,
+            },
             MonoMsg::AckDiff {
                 instance: 7,
                 round: 0,
@@ -315,7 +307,7 @@ mod tests {
                 msgs: vec![msg(1, 1)],
             },
             MonoMsg::Heartbeat,
-            MonoMsg::CatchUp(CatchUp::JoinRequest { watermark: 7 }),
+            MonoMsg::CatchUp(CatchUp::Pull { from: 7 }),
         ];
         for v in variants {
             let bytes = encode(&v);
@@ -329,7 +321,15 @@ mod tests {
     fn tag_8_is_unassigned() {
         let old_body = [&[8u8][..], &12u64.to_le_bytes(), &2u32.to_le_bytes()].concat();
         let mut bodies = vec![vec![8], old_body];
-        for v in [decision_full(9, 1, batch()), MonoMsg::Heartbeat] {
+        let full = MonoMsg::Step {
+            decision: Some(Decision {
+                instance: 9,
+                round: 1,
+                full: Some(batch()),
+            }),
+            proposal: None,
+        };
+        for v in [full, MonoMsg::Heartbeat] {
             let mut frame = encode(&v).to_vec();
             frame[0] = 8;
             bodies.push(frame);
@@ -340,17 +340,28 @@ mod tests {
         }
     }
 
+    /// Tag 6 decodes as nothing, whatever follows it: not as the
+    /// decision request it once was, nor as the pull that replaced it.
+    #[test]
+    fn tag_6_is_unassigned() {
+        let request = [&[6u8][..], &6u64.to_le_bytes()].concat();
+        let mut pull = encode(&MonoMsg::CatchUp(CatchUp::Pull { from: 6 })).to_vec();
+        pull[0] = 6;
+        assert_eq!(request, pull, "the bytes a decision request had");
+        for frame in [request, vec![6]] {
+            let got = decode::<MonoMsg>(Bytes::from(frame.clone()));
+            assert_eq!(got, Err(WireError::InvalidTag(6)), "{frame:02x?}");
+        }
+    }
+
     /// The catch-up messages moved into `fortika_net::replica`; on the
     /// wire they are still the bytes `MonoMsg` produced when it declared
-    /// them itself (tags 6, 9, 10, 11, 12); the promise rides tag 13.
+    /// them itself (tags 10, 11, 12); the pull rides the rejoin
+    /// announcement's tag 9, with its bytes, and the promise tag 13.
     #[test]
     fn catch_up_keeps_its_wire_bytes() {
         let pins = [
-            (
-                CatchUp::DecisionRequest { instance: 6 },
-                "060600000000000000",
-            ),
-            (CatchUp::JoinRequest { watermark: 7 }, "090700000000000000"),
+            (CatchUp::Pull { from: 7 }, "090700000000000000"),
             (
                 CatchUp::StateTransfer {
                     from: 3,

@@ -19,9 +19,9 @@
 //!   everyone.
 //! * **O3 — implicit decision acknowledgements** (§4.3): decisions are
 //!   sent once to each process with no relay re-broadcast; the messages
-//!   of instance `k+1` acknowledge decision `k` implicitly, and a
-//!   pull-based recovery path (`DecisionRequest`) plus the progress sweep
-//!   covers crashes.
+//!   of instance `k+1` acknowledge decision `k` implicitly, and the
+//!   replica core's pull-based catch-up (one `Pull`, answered by a state
+//!   transfer, which the progress sweep retries) covers crashes.
 //!
 //! In good runs with all three enabled, ordering `M` messages costs
 //! `2(n−1)` messages per consensus instance — against
@@ -41,23 +41,26 @@
 //! proposal with adoption timestamp `round+1`; coordinators of later
 //! rounds adopt the max-timestamp estimate from a majority), durable
 //! votes, the decided fence, the configuration timeline, log compaction
-//! and join / gap / snapshot catch-up are one protocol under both stacks
-//! and live in [`fortika_net::replica`] and [`fortika_net::rounds`]. This
-//! node hosts a [`ReplicaCore`] and owns what is the monolith's thesis:
-//! initial values come straight out of the message pool, proposal and
-//! decision share a `Step`, pending messages ride acks and estimates
-//! (O1–O3), an unlocked coordinator proposes the union of the estimates
-//! it gathered, and the core's outcomes land in the merged state directly
-//! (decisions are buffered and applied in order, a registered
-//! reconfiguration re-points the failure detector, an installed snapshot
-//! seeds the delivery dedup and prunes the pool). When to pull missed
-//! decisions, and from which instance, is the core's too: every peer
-//! proposal passes [`ReplicaCore::admit_proposal`] and every peer
-//! decision [`ReplicaCore::admit_decision`], which run the gap check
-//! against the core's replayed prefix, as on the modular stack (the
-//! node's own delivery cursor, `next_decide`, equals that prefix between
-//! handlers). See `docs/DIVERGENCE.md` for every mechanism one stack has
-//! and the other lacks.
+//! and catch-up (pulls answered by state or snapshot transfer, whose
+//! values reach the node only through `learn_decisions`) are one
+//! protocol under both stacks and live in [`fortika_net::replica`] and
+//! [`fortika_net::rounds`]. This node hosts a [`ReplicaCore`] and owns
+//! what is the monolith's thesis: initial values come straight out of
+//! the message pool, proposal and decision share a `Step`, pending
+//! messages ride acks and estimates (O1–O3), an unlocked coordinator
+//! proposes the union of the estimates it gathered, and the core's
+//! outcomes land in the merged state directly (decisions are buffered
+//! and applied in order, a registered reconfiguration re-points the
+//! failure detector, an installed snapshot seeds the delivery dedup and
+//! prunes the pool). When to pull missed decisions, and from which
+//! instance, is the core's too: every peer proposal passes
+//! [`ReplicaCore::admit_proposal`], every peer estimate
+//! [`ReplicaCore::admit_estimate`] and every peer decision
+//! [`ReplicaCore::admit_decision`], which run the gap check against the
+//! core's replayed prefix and answer for decided instances, as on the
+//! modular stack (the node's own delivery cursor, `next_decide`, equals
+//! that prefix between handlers). See `docs/DIVERGENCE.md` for every
+//! mechanism one stack has and the other lacks.
 //!
 //! Own messages live in the [`Outbox`] the modular stack's flow control
 //! embeds too: it is the window, and every progress sweep re-runs the
@@ -76,13 +79,13 @@ use fortika_net::metrics::{abcast, consensus, mono};
 use fortika_net::replica::{IDLE_TIMEOUT, SWEEP_INTERVAL};
 use fortika_net::wire::Wire;
 use fortika_net::{
-    Admission, AppMsg, AppRequest, AppState, Batch, CatchUp, ConfigStamp, DeliveredSet, Kind,
-    MsgId, Node, NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx,
-    ReplicaHost, Snapshot, StableStore, TimerId,
+    Admission, AppMsg, AppRequest, AppState, Batch, ConfigStamp, DeliveredSet, Kind, MsgId, Node,
+    NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost,
+    Snapshot, StableStore, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
-use crate::msg::{decision_full, Decision, MonoMsg, Proposal, REPLICA_NAMES};
+use crate::msg::{Decision, MonoMsg, Proposal, REPLICA_NAMES};
 
 const TAG_FD: u64 = 1;
 const TAG_SWEEP: u64 = 2;
@@ -552,6 +555,15 @@ impl MonoNode {
         dec: Decision,
         followup: bool,
     ) {
+        // The gate runs before the replayed-instance check, as the
+        // modular `on_notice` runs it before its decided check. Liveness
+        // does not rest on that order: a laggard pulls on a sighting of
+        // an instance it has not replayed, or is answered when it
+        // proposes or sends an estimate for one its peer decided, and
+        // chases each transfer to its sender's frontier. That is what
+        // brings up the healed minority and the added process of
+        // `tests/reconfig.rs::reconfig_races_partition_and_restart`,
+        // with the gate on either side of the check.
         self.core.admit_decision(ctx, from, dec.instance, dec.round);
         // Keyed on the replay log (not the voting fence) so a revived
         // node still absorbs decisions for instances it voted in before
@@ -576,46 +588,26 @@ impl MonoNode {
                 );
             }
         }
-        match dec.full {
-            Some(value) => {
-                self.buffer_decision(ctx, dec.instance, value);
-                if followup {
-                    self.apply_decisions(ctx);
-                } else {
-                    self.apply_decisions_core(ctx);
-                }
-                // While still behind, pull the next batch promptly.
-                self.core.chase_gap(ctx, from);
+        // A tag-only decision decides the matching proposal, which we
+        // must hold; if not, the core pulls the value from the decider.
+        let value = match dec.full {
+            Some(value) => Some(value),
+            None => self.core.resolve_tag(ctx, from, dec.instance, dec.round),
+        };
+        if let Some(value) = value {
+            self.buffer_decision(ctx, dec.instance, value);
+            if followup {
+                self.apply_decisions(ctx);
+            } else {
+                self.apply_decisions_core(ctx);
             }
-            None => match self.core.resolve_tag(ctx, dec.instance, dec.round) {
-                Some(value) => {
-                    self.buffer_decision(ctx, dec.instance, value);
-                    if followup {
-                        self.apply_decisions(ctx);
-                    } else {
-                        self.apply_decisions_core(ctx);
-                    }
-                }
-                None => {
-                    let instance = dec.instance;
-                    self.core
-                        .send(ctx, from, &CatchUp::DecisionRequest { instance });
-                }
-            },
         }
     }
 
     fn handle_proposal(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, p: Proposal) {
         let Some(votable) = self.core.admit_proposal(ctx, from, p.instance, p.round) else {
-            return; // only the round's coordinator may propose
+            return; // not the round's coordinator, or decided here
         };
-        if self.core.is_decided(p.instance) {
-            // Help a lagging coordinator conclude.
-            if let Some(v) = self.core.decision(p.instance).cloned() {
-                self.reply_decision(ctx, from, p.instance, v);
-            }
-            return;
-        }
         let vote = self.core.vote(ctx, p.instance, p.round, &p.value, votable);
         if vote.voted {
             let msgs = if self.opts.piggyback_on_acks {
@@ -681,10 +673,8 @@ impl MonoNode {
                 self.pool.insert(m.id, m);
             }
         }
-        if self.core.is_decided(instance) {
-            if let Some(v) = self.core.decision(instance).cloned() {
-                self.reply_decision(ctx, from, instance, v);
-            }
+        if !self.core.admit_estimate(ctx, from, instance) {
+            // Decided here.
             self.try_start_instance(ctx);
             return;
         }
@@ -924,17 +914,6 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
         self.apply_decisions(ctx);
     }
 
-    fn reply_decision(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        to: ProcessId,
-        instance: u64,
-        value: Batch,
-    ) {
-        let msg = decision_full(instance, 0, value);
-        self.send(ctx, to, mono::DECISION_FULL, &msg);
-    }
-
     fn advance_round(&mut self, ctx: &mut NodeCtx<'_>, instance: u64) {
         let me = ctx.pid();
         let Some(to) = self.core.rotate(ctx, instance) else {
@@ -1103,6 +1082,15 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_of_the_freed_tag_6_is_garbage() {
+        // The bytes a decision request for instance 6 had.
+        let frame = [&[6u8][..], &6u64.to_le_bytes()].concat();
+        let counters = receive(vec![Stored::from(Bytes::from(frame))]);
+        assert_eq!(counters.event("mono.garbage"), 1);
+        assert_eq!(counters.kind("mono.state_transfer").msgs, 0);
+    }
+
+    #[test]
     fn a_tag_only_decision_past_the_window_pulls_the_missing_batch() {
         let tag = MonoMsg::Step {
             decision: Some(Decision {
@@ -1113,9 +1101,10 @@ mod tests {
             proposal: None,
         };
         let counters = receive(vec![Stored::from(encode(&tag))]);
-        // Instances 0..8 as a gap batch, then the tag's own value.
-        assert_eq!(counters.event("mono.gap_requests"), 8);
+        // One pull from the replayed prefix's end on the sighting, then
+        // one from the tag's own instance for its value.
+        assert_eq!(counters.event("mono.gap_requests"), 1);
         assert_eq!(counters.event("mono.tag_misses"), 1);
-        assert_eq!(counters.kind("mono.decision_request").msgs, 9);
+        assert_eq!(counters.kind("mono.pull").msgs, 2);
     }
 }

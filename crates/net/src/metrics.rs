@@ -307,9 +307,7 @@ crate::metric_table! {
             PROPOSAL = "consensus.proposal",
             ESTIMATE = "consensus.estimate",
             ACK = "consensus.ack",
-            DECISION_FULL = "consensus.decision_full",
-            DECISION_REQUEST = "consensus.decision_request",
-            JOIN_REQUEST = "consensus.join_request",
+            PULL = "consensus.pull",
             STATE_TRANSFER = "consensus.state_transfer",
             SNAPSHOT_TRANSFER = "consensus.snapshot_transfer",
             SNAPSHOT_PULL = "consensus.snapshot_pull",
@@ -356,11 +354,9 @@ crate::metric_table! {
             STEP = "mono.step",
             DECISION = "mono.decision",
             DECISION_RELAY = "mono.decision_relay",
-            DECISION_FULL = "mono.decision_full",
             ACK = "mono.ack",
             ESTIMATE = "mono.estimate",
-            DECISION_REQUEST = "mono.decision_request",
-            JOIN_REQUEST = "mono.join_request",
+            PULL = "mono.pull",
             STATE_TRANSFER = "mono.state_transfer",
             SNAPSHOT_TRANSFER = "mono.snapshot_transfer",
             SNAPSHOT_PULL = "mono.snapshot_pull",

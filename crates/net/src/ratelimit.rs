@@ -1,6 +1,6 @@
 //! Per-peer request rate limiting.
 //!
-//! Recovery paths (decision gap pulls, rejoin requests) are rate limited
+//! Recovery paths (catch-up pulls, snapshot offers) are rate limited
 //! so one reply burst does not trigger a request storm. The original
 //! limiter kept **one** timestamp for all peers, so a request toward one
 //! peer suppressed catch-up toward a *different* lagging peer for the

@@ -1,7 +1,7 @@
 //! The replica core both stacks share: durable votes, the decided log,
 //! the configuration timeline, the Chandra–Toueg round machine, log
-//! compaction and join / gap / snapshot catch-up — everything about
-//! being a *replica* that the paper does not compare, written once.
+//! compaction and catch-up — everything about being a *replica* that
+//! the paper does not compare, written once.
 //!
 //! The modular consensus module and the monolithic node differ in their
 //! composition boundary and in optimizations O1–O3: which message
@@ -49,23 +49,30 @@
 //!   it recovered instead of its pool, so the lag cannot produce a
 //!   second value. The fence can run ahead of the *replayed* prefix,
 //!   which always restarts at 0.
-//! * **Rejoin catch-up** — decided *values* are not persisted: the
-//!   revived process announces "my replayed prefix ends at `w`" with a
-//!   [`CatchUp::JoinRequest`] broadcast and peers stream the decided
-//!   prefix back in bulk [`CatchUp::StateTransfer`] batches, chained at
-//!   round-trip pace until the joiner reaches the live frontier. Every
-//!   replayed decision goes back through the stack's delivery path, so
-//!   the prefix is re-delivered byte-identically — which the chaos
-//!   oracle checks across incarnations.
-//!
-//! A *live* process that fell behind (a healed partition minority) sees
-//! a peer's proposal or decision for an instance beyond its pipeline
-//! window and pulls the missing decisions with bounded
-//! [`CatchUp::DecisionRequest`] batches, from the end of its replayed
-//! prefix. The trigger and the cursor are the core's: both stacks pass
-//! every peer proposal through [`ReplicaCore::admit_proposal`] and every
-//! peer decision through [`ReplicaCore::admit_decision`], and the gap
-//! check runs inside them.
+//! * **Catch-up** — decided *values* are not persisted, so a revived
+//!   process learns them again from its peers, and so does a live process
+//!   that fell behind (a healed partition minority). Both speak one
+//!   request, [`CatchUp::Pull`] — "send me the decided values from
+//!   instance `from` on" — and get one answer, a bulk
+//!   [`CatchUp::StateTransfer`] of up to 16 consecutive cached decisions
+//!   from `from`. Each absorbed transfer that leaves the replayed prefix
+//!   behind the sender's frontier is chased with the next pull to the
+//!   same peer, at round-trip pace, until the puller reaches the live
+//!   edge. What differs is only what sends the first pull: a revived
+//!   process broadcasts one from its replayed prefix as its
+//!   announcement (re-sent until it catches up); a live one pulls from
+//!   its replayed prefix when a peer's proposal or decision lies beyond
+//!   the pipeline window above it (both stacks pass every peer proposal
+//!   through [`ReplicaCore::admit_proposal`] and every peer decision
+//!   through [`ReplicaCore::admit_decision`], and the check runs inside
+//!   them); a tag-only decision whose proposal is missing pulls from its
+//!   own instance ([`ReplicaCore::resolve_tag`]), and the progress sweep
+//!   re-sends that pull to everybody; and a proposal or estimate for an
+//!   instance decided here is answered as a pull from it would be. Every
+//!   caught-up value goes through the stack's decision path
+//!   ([`ReplicaHost::learn_decisions`]), so the prefix is re-delivered
+//!   byte-identically — which the chaos oracle checks across
+//!   incarnations.
 //!
 //! # Log compaction and snapshot state transfer
 //!
@@ -92,7 +99,7 @@
 //! So a full cache costs an eviction per decision, and a snapshot — an
 //! encode, a priced stable write, an oracle stamp — once per
 //! `min(snapshot_interval, decision_cache + 1)` decisions. A
-//! joiner whose gap starts inside the compacted prefix receives the
+//! pull whose gap starts inside the compacted prefix receives the
 //! snapshot instead, chunked at round-trip pace
 //! ([`CatchUp::SnapshotTransfer`] / [`CatchUp::SnapshotPull`]); it
 //! installs the snapshot, the stack skips the compacted instances, and
@@ -192,17 +199,16 @@ pub mod keys {
 
 /// Instances streamed per [`CatchUp::StateTransfer`] reply.
 const MAX_TRANSFER: u64 = 16;
-/// Decisions pulled per gap-request batch.
-const MAX_GAP_BATCH: u64 = 8;
-/// How long a decision request is given to be answered. A requested
-/// instance is not asked for again before it has passed, and a sighting
-/// starts a new batch toward one peer at most this often.
+/// How long a pull is given to be answered: a sighting pulls from one
+/// peer at most this often, so a lost pull or reply is made good by the
+/// next sighting after it.
 const GAP_RETRY: VDur = VDur::millis(50);
-/// Per-peer spacing of chained catch-up requests (the next gap batch
-/// after a recovered decision, the next join request after a transfer):
-/// round-trip pace, without one reply burst re-requesting per reply.
+/// Per-peer spacing of chained pulls (the next pull after an absorbed
+/// transfer): round-trip pace, without one reply burst re-pulling per
+/// reply.
 const CHASE_SPACING: VDur = VDur::millis(5);
-/// Minimum spacing of rejoin re-announcements.
+/// Minimum spacing of rejoin re-announcements, and of the promise sent
+/// along to one puller.
 const JOIN_RETRY: VDur = VDur::millis(300);
 /// Minimum spacing of snapshot offers toward one lagging peer.
 const OFFER_SPACING: VDur = VDur::millis(50);
@@ -215,7 +221,7 @@ const OFFER_SPACING: VDur = VDur::millis(50);
 /// ([`ReplicaCore::coordinator_suspected`]), not one timeout later.
 pub const PROGRESS_TIMEOUT: VDur = VDur::secs(1);
 /// Period of each stack's background sweep, which enforces
-/// [`PROGRESS_TIMEOUT`] and retries decision requests.
+/// [`PROGRESS_TIMEOUT`] and re-sends the pull of a pending tag.
 pub const SWEEP_INTERVAL: VDur = VDur::millis(250);
 /// The paper's *t* (§3.3), the same in both stacks: after this much
 /// silence a process starts an instance anyway — the modular abcast even
@@ -262,7 +268,7 @@ pub struct ReplicaConfig {
     /// fewer: a snapshot is also cut when the cache is over its bound
     /// and its oldest decision is not covered yet. `0` disables
     /// snapshotting; the cache is then bounded by blind eviction, and a
-    /// joiner whose gap was evicted everywhere stalls forever
+    /// puller whose gap was evicted everywhere stalls forever
     /// (`*.join_unservable`).
     pub snapshot_interval: u64,
     /// The windowed-sequencer depth α: how many instances the stack
@@ -300,10 +306,8 @@ impl Default for ReplicaConfig {
 /// kinds).
 #[derive(Debug)]
 pub struct PerCatchUp<T> {
-    /// For [`CatchUp::DecisionRequest`].
-    pub decision_request: T,
-    /// For [`CatchUp::JoinRequest`].
-    pub join_request: T,
+    /// For [`CatchUp::Pull`].
+    pub pull: T,
     /// For [`CatchUp::StateTransfer`].
     pub state_transfer: T,
     /// For [`CatchUp::SnapshotTransfer`].
@@ -326,11 +330,13 @@ pub struct ReplicaNames {
     pub tags: PerCatchUp<u8>,
     /// Send kinds (traffic accounting) of the catch-up messages.
     pub kinds: PerCatchUp<Kind>,
-    /// Counter: decisions pulled by gap recovery.
+    /// Counter: pulls sent on a sighting (a peer's proposal or decision
+    /// beyond the pipeline window above the replayed prefix).
     pub gap_requests: Metric,
-    /// Counter: rejoin announcements broadcast.
+    /// Counter: rejoin announcements (the broadcast pull of a revived
+    /// process, and each re-announcement).
     pub join_requests: Metric,
-    /// Counter: bulk state transfers served.
+    /// Counter: state transfers served, whatever asked for them.
     pub state_transfers: Metric,
     /// Counter: snapshot chunks served.
     pub snapshot_transfers: Metric,
@@ -342,7 +348,8 @@ pub struct ReplicaNames {
     pub snapshots: Metric,
     /// Counter: snapshots installed.
     pub snapshots_installed: Metric,
-    /// Counter: join requests this process could not serve.
+    /// Counter: pulls this process could not serve although its replayed
+    /// prefix covers their first instance.
     pub join_unservable: Metric,
     /// Counter: rejoins that reached the advertised frontier.
     pub rejoins_completed: Metric,
@@ -357,7 +364,7 @@ pub struct ReplicaNames {
     pub config_fence_drops: Metric,
     /// Counter: round changes forced by the progress timeout.
     pub progress_rotations: Metric,
-    /// Counter: decision requests re-sent by the sweep.
+    /// Counter: pulls of a pending tag's value re-sent by the sweep.
     pub request_retries: Metric,
     /// Counter: tag-only decisions whose proposal was missing.
     pub tag_misses: Metric,
@@ -376,23 +383,18 @@ pub struct ReplicaNames {
 /// [`decode_tagged`](Self::decode_tagged).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CatchUp {
-    /// Pull-based recovery: ask for the decision of `instance`.
-    DecisionRequest {
-        /// The missing instance.
-        instance: u64,
+    /// The one catch-up request: "send me the decided values from
+    /// instance `from` on". A peer that caches the decision of `from`
+    /// answers with a [`StateTransfer`](Self::StateTransfer); one whose
+    /// compaction horizon lies above `from`, with the first chunk of its
+    /// snapshot ([`SnapshotTransfer`](Self::SnapshotTransfer)).
+    Pull {
+        /// First instance the sender asks for.
+        from: u64,
     },
-    /// Rejoin announcement of a (re)started process: "my contiguous
-    /// replayed prefix ends at `watermark`" — a revived process says 0.
-    /// Peers that are ahead answer with a
-    /// [`StateTransfer`](Self::StateTransfer) or, below their compaction
-    /// horizon, a [`SnapshotTransfer`](Self::SnapshotTransfer).
-    JoinRequest {
-        /// First instance the sender is missing.
-        watermark: u64,
-    },
-    /// Bulk catch-up reply: the decided values of the consecutive
+    /// The answer to a pull: the decided values of the consecutive
     /// instances `from, from+1, …`, plus the sender's own replay
-    /// frontier so the joiner keeps pulling in chained rounds until it
+    /// frontier so the puller keeps pulling in chained rounds until it
     /// reaches the live edge.
     StateTransfer {
         /// Instance of `values[0]`.
@@ -402,10 +404,10 @@ pub enum CatchUp {
         /// The sender's contiguous decided prefix length.
         frontier: u64,
     },
-    /// One chunk of a log-compaction snapshot, serving a joiner whose
-    /// gap starts inside the sender's compacted prefix. Chunks are
-    /// pulled at round-trip pace via [`SnapshotPull`](Self::SnapshotPull);
-    /// once complete, the joiner installs the snapshot and resumes log
+    /// One chunk of a log-compaction snapshot, serving a pull whose gap
+    /// starts inside the sender's compacted prefix. Chunks are pulled at
+    /// round-trip pace via [`SnapshotPull`](Self::SnapshotPull); once
+    /// complete, the puller installs the snapshot and resumes log
     /// catch-up at `last_included + 1`.
     SnapshotTransfer {
         /// Highest instance the snapshot covers.
@@ -421,7 +423,7 @@ pub enum CatchUp {
         /// The sender's contiguous replay frontier (catch-up target).
         frontier: u64,
     },
-    /// Joiner-side request for the next snapshot chunk.
+    /// Puller-side request for the next snapshot chunk.
     SnapshotPull {
         /// Which snapshot is being pulled (its highest instance).
         last_included: u64,
@@ -431,7 +433,7 @@ pub enum CatchUp {
     /// "I vote in no round below `round` at any instance from `from` on,
     /// and hold no such vote": sent to every peer once per coordinator
     /// change, and to a peer that proposes in a round the sender
-    /// promised away or rejoins (see [`crate::rounds`]).
+    /// promised away or pulls (see [`crate::rounds`]).
     Promise(Promise),
 }
 
@@ -439,8 +441,7 @@ impl CatchUp {
     /// This variant's entry of a per-variant table.
     fn pick<T: Copy>(&self, table: &PerCatchUp<T>) -> T {
         match self {
-            CatchUp::DecisionRequest { .. } => table.decision_request,
-            CatchUp::JoinRequest { .. } => table.join_request,
+            CatchUp::Pull { .. } => table.pull,
             CatchUp::StateTransfer { .. } => table.state_transfer,
             CatchUp::SnapshotTransfer { .. } => table.snapshot_transfer,
             CatchUp::SnapshotPull { .. } => table.snapshot_pull,
@@ -452,8 +453,7 @@ impl CatchUp {
     pub fn encode_tagged(&self, tags: &PerCatchUp<u8>, w: &mut WireWriter) {
         w.put_u8(self.pick(tags));
         match self {
-            CatchUp::DecisionRequest { instance } => w.put_u64(*instance),
-            CatchUp::JoinRequest { watermark } => w.put_u64(*watermark),
+            CatchUp::Pull { from } => w.put_u64(*from),
             CatchUp::StateTransfer {
                 from,
                 values,
@@ -500,14 +500,8 @@ impl CatchUp {
         tags: &PerCatchUp<u8>,
         r: &mut WireReader,
     ) -> Result<Self, WireError> {
-        if tag == tags.decision_request {
-            Ok(CatchUp::DecisionRequest {
-                instance: r.get_u64()?,
-            })
-        } else if tag == tags.join_request {
-            Ok(CatchUp::JoinRequest {
-                watermark: r.get_u64()?,
-            })
+        if tag == tags.pull {
+            Ok(CatchUp::Pull { from: r.get_u64()? })
         } else if tag == tags.state_transfer {
             Ok(CatchUp::StateTransfer {
                 from: r.get_u64()?,
@@ -678,13 +672,8 @@ pub struct ReplicaCore {
     /// record below it is already collected.
     persisted_fence: u64,
     decisions: BTreeMap<u64, Batch>,
-    /// Per-peer rate limiter for gap/rejoin recovery requests.
-    gap_limiter: PeerRateLimiter,
-    /// The top (exclusive) of the last decision range requested, and
-    /// when: below it, requests younger than [`GAP_RETRY`] are in flight.
-    gap_asked: (u64, VTime),
-    /// Highest instance number observed in any peer message.
-    highest_seen: u64,
+    /// Per-peer rate limiter for pulls on a sighting and chained pulls.
+    pull_limiter: PeerRateLimiter,
     /// Vote records recovered from stable storage (restart only).
     pub(crate) recovered_votes: BTreeMap<u64, VoteRecord>,
     /// Still catching up after a restart (rejoin announcements active).
@@ -702,11 +691,11 @@ pub struct ReplicaCore {
     snapshot_bytes: Bytes,
     /// In-progress snapshot download (receiver side).
     download: SnapshotDownload,
-    /// Rate limiter for snapshot offers toward lagging peers (a batch
-    /// of gap requests needs one offer, not eight).
+    /// Rate limiter for snapshot offers toward lagging peers (one
+    /// download at a time, however many pulls reach below the horizon).
     offer_limiter: PeerRateLimiter,
-    /// Rate limiter for the promise sent to a rejoining peer (one per
-    /// rejoin, not one per chained join request).
+    /// Rate limiter for the promise sent to a pulling peer (one per
+    /// catch-up, not one per chained pull).
     promise_limiter: PeerRateLimiter,
     /// Snapshot recovered from stable storage (restart only); installed
     /// at start, where a handler context is available.
@@ -742,9 +731,7 @@ impl ReplicaCore {
             replayed: WatermarkSet::default(),
             persisted_fence: 0,
             decisions: BTreeMap::new(),
-            gap_limiter: PeerRateLimiter::new(),
-            gap_asked: (0, VTime::ZERO),
-            highest_seen: 0,
+            pull_limiter: PeerRateLimiter::new(),
             recovered_votes: BTreeMap::new(),
             rejoining: false,
             rejoin_target: 0,
@@ -836,11 +823,6 @@ impl ReplicaCore {
         self.replayed.watermark()
     }
 
-    /// The cached decision of `instance`, if still in the log tail.
-    pub fn decision(&self, instance: u64) -> Option<&Batch> {
-        self.decisions.get(&instance)
-    }
-
     /// The serving snapshot (latest materialized or installed).
     pub fn snapshot(&self) -> Option<&Snapshot> {
         self.snapshot.as_ref()
@@ -861,11 +843,6 @@ impl ReplicaCore {
     /// the compacted or folded prefix).
     pub fn is_delivered(&self, id: MsgId) -> bool {
         self.fold.is_delivered(id)
-    }
-
-    /// Notes that a peer message named `instance`.
-    pub fn note_seen(&mut self, instance: u64) {
-        self.highest_seen = self.highest_seen.max(instance);
     }
 
     /// The timeline, built on first use (the voter count defaults to
@@ -1072,158 +1049,106 @@ impl ReplicaCore {
         self.trim();
     }
 
+    /// Sends the pull "the decided values from `from` on" to `to`.
+    pub(crate) fn pull<C: ReplicaCtx>(&self, ctx: &mut C, to: ProcessId, from: u64) {
+        ctx.trace_span(self.names.label, from, "pull", u64::from(to.0));
+        self.send(ctx, to, &CatchUp::Pull { from });
+    }
+
     /// Seeing traffic from a peer for instance `seen` while the replayed
     /// prefix is further back than the pipeline window explains means
-    /// decisions were missed (partition, loss, a long suspicion): pull a
-    /// bounded batch of them from the process we heard from. Without
-    /// this, a healed process recovers only one instance per
-    /// progress-timeout and can lag arbitrarily far behind. Both stacks
-    /// reach it through the same two gates, one for a peer's proposal
-    /// ([`admit_proposal`](Self::admit_proposal)) and one for a peer's
-    /// decision ([`admit_decision`](Self::admit_decision)).
-    pub(crate) fn maybe_request_gap<C: ReplicaCtx>(
+    /// decisions were missed (partition, loss, a long suspicion): pull
+    /// them from the process we heard from, starting at the end of the
+    /// replayed prefix. Without this, a healed process recovers only one
+    /// instance per progress-timeout and can lag arbitrarily far behind.
+    /// Both stacks reach it through the same two gates, one for a peer's
+    /// proposal ([`admit_proposal`](Self::admit_proposal)) and one for a
+    /// peer's decision ([`admit_decision`](Self::admit_decision)).
+    pub(crate) fn pull_on_sighting<C: ReplicaCtx>(
         &mut self,
         ctx: &mut C,
         from: ProcessId,
         seen: u64,
     ) {
-        if from == ctx.pid() {
-            return;
-        }
-        self.note_seen(seen);
-        if !self.behind(seen) {
+        if from == ctx.pid() || !self.behind(seen) {
             return;
         }
         // Rate limited per peer: throttling catch-up toward one lagging
         // peer must not suppress catch-up toward another.
-        let now = ctx.now();
-        if !self.gap_limiter.allow(from, now, GAP_RETRY) {
-            return;
-        }
-        self.request_gap_batch(ctx, from, seen);
-    }
-
-    /// Chained gap catch-up: after a recovered decision that still
-    /// leaves the replayed prefix behind the highest instance seen, pull
-    /// the next batch promptly, so a healed process recovers at near
-    /// round-trip pace.
-    pub fn chase_gap<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId) {
-        let now = ctx.now();
-        if self.behind(self.highest_seen) && self.gap_limiter.allow(from, now, CHASE_SPACING) {
-            self.request_gap_batch(ctx, from, self.highest_seen);
+        if self.pull_limiter.allow(from, ctx.now(), GAP_RETRY) {
+            ctx.bump(self.names.gap_requests, 1);
+            self.pull(ctx, from, self.replayed_watermark());
         }
     }
 
     /// True when a sighting of `seen` is evidence of missed decisions:
     /// it lies beyond the pipeline window above the replayed prefix, and
     /// the prefix's end is not merely awaiting replay below the voting
-    /// fence (the rejoin protocol covers that).
+    /// fence (the rejoin announcement covers that).
     fn behind(&self, seen: u64) -> bool {
         let cursor = self.replayed_watermark();
         seen > cursor + self.cfg.pipeline_depth.max(1) - 1 && !self.is_decided(cursor)
     }
 
-    /// Pulls the missing decisions of the window `cursor..cursor +
-    /// MAX_GAP_BATCH` (below `seen`) from `from`, lowest first, where
-    /// `cursor` is the end of the replayed prefix. While the last request
-    /// is younger than [`GAP_RETRY`], only the part of the window above
-    /// the last requested range's top is asked for: each reply that
-    /// moves `cursor` on asks for what it brought into the window, so
-    /// each missing decision is asked for once per retry period however
-    /// many replies chase the gap, and at most one batch is outstanding
-    /// — a busy peer answers within the period. Past it, the window is
-    /// asked for again from `cursor`, in case requests or replies were
-    /// lost.
-    fn request_gap_batch<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId, seen: u64) {
-        let now = ctx.now();
-        let cursor = self.replayed_watermark();
-        let (asked_top, asked_at) = self.gap_asked;
-        let first = if now.since(asked_at) < GAP_RETRY {
-            cursor.max(asked_top)
-        } else {
-            cursor
-        };
-        let top = seen.min(cursor + MAX_GAP_BATCH);
-        for instance in first..top {
-            if !self.is_decided(instance) {
-                ctx.bump(self.names.gap_requests, 1);
-                ctx.trace_span(self.names.label, instance, "gap_pull", u64::from(from.0));
-                self.send(ctx, from, &CatchUp::DecisionRequest { instance });
-                self.gap_asked = (top, now);
-            }
-        }
-    }
-
-    /// Broadcasts the rejoin announcement: "my replayed prefix ends at
-    /// `watermark`" (a freshly revived process says instance 0).
-    fn announce_join<C: ReplicaCtx>(&mut self, ctx: &mut C) {
+    /// Broadcasts the rejoin announcement: a pull from the end of the
+    /// replayed prefix (a freshly revived process pulls from instance 0).
+    fn announce<C: ReplicaCtx>(&mut self, ctx: &mut C) {
         self.last_join = ctx.now();
         ctx.bump(self.names.join_requests, 1);
-        let watermark = self.replayed.watermark();
-        self.broadcast(ctx, &CatchUp::JoinRequest { watermark });
+        let from = self.replayed.watermark();
+        self.broadcast(ctx, &CatchUp::Pull { from });
     }
 
-    /// Serves a peer's rejoin announcement. A gap the decision log
-    /// still covers is served as a bulk [`CatchUp::StateTransfer`] of
-    /// decided values (consecutive from `watermark`, bounded); a gap
-    /// whose head was compacted away falls back to a chunked
-    /// [`CatchUp::SnapshotTransfer`] — the log there is gone, the
-    /// snapshot replaces it.
+    /// Serves a pull from `to` of the decided values from `from` on. A
+    /// gap the decision log still covers is served as a bulk
+    /// [`CatchUp::StateTransfer`] of the cached decisions consecutive
+    /// from `from` (at most [`MAX_TRANSFER`]); a gap whose head was
+    /// compacted away with the first chunk of the snapshot
+    /// ([`CatchUp::SnapshotTransfer`], at most once per
+    /// [`OFFER_SPACING`]) — the log there is gone, the snapshot replaces
+    /// it. A pull from at or past the replayed prefix's end that finds
+    /// nothing cached is not answered: the puller is not behind.
     ///
     /// With snapshotting disabled (`snapshot_interval == 0`) the old
     /// limit applies: once a run outgrows `decision_cache`, the evicted
-    /// prefix is unservable and a joiner advertising instance 0 stalls
-    /// (`*.join_unservable` counts this).
-    ///
-    /// A process that made a promise sends it along, once per
-    /// [`JOIN_RETRY`]: the joiner lost the promises it held, and the
-    /// round in use is in them.
-    fn serve_join<C: ReplicaCtx>(&mut self, ctx: &mut C, from: ProcessId, watermark: u64) {
-        let now = ctx.now();
-        if self.rounds.promised().round > 0 && self.promise_limiter.allow(from, now, JOIN_RETRY) {
-            self.send_promise(ctx, from);
-        }
-        let frontier = self.replayed.watermark();
-        if frontier <= watermark {
-            return;
-        }
-        // The cheap path first: while the decision log still covers the
-        // head of the gap, a bulk value transfer beats re-shipping the
-        // whole snapshot (the log tail stays `decision_cache` deep).
-        let mut values = Vec::new();
-        for instance in watermark..frontier.min(watermark + MAX_TRANSFER) {
-            match self.decisions.get(&instance) {
-                Some(v) => values.push(v.clone()),
-                None => break, // evicted: cannot serve a gapless prefix
-            }
-        }
+    /// prefix is unservable and a revived process pulling from instance
+    /// 0 stalls (`*.join_unservable` counts this).
+    pub(crate) fn serve_pull<C: ReplicaCtx>(&mut self, ctx: &mut C, to: ProcessId, from: u64) {
+        // The cheap path first: while the log still covers the head of
+        // the gap, values beat re-shipping the whole snapshot (the log
+        // tail stays `decision_cache` deep).
+        let values: Vec<Batch> = (from..from + MAX_TRANSFER)
+            .map_while(|k| self.decisions.get(&k).cloned())
+            .collect();
         if !values.is_empty() {
             ctx.bump(self.names.state_transfers, 1);
+            let frontier = self.replayed.watermark();
             let msg = CatchUp::StateTransfer {
-                from: watermark,
+                from,
                 values,
                 frontier,
             };
-            self.send(ctx, from, &msg);
-            return;
-        }
-        if self
+            self.send(ctx, to, &msg);
+        } else if self
             .snapshot
             .as_ref()
-            .is_some_and(|s| watermark <= s.last_included)
+            .is_some_and(|s| from <= s.last_included)
         {
             // The gap begins inside the compacted prefix: ship the
-            // snapshot (first chunk; the joiner pulls the rest at
+            // snapshot (first chunk; the puller pulls the rest at
             // round-trip pace), then it rejoins the log at
-            // `last_included + 1`.
-            self.serve_snapshot_chunk(ctx, from, 0);
-            return;
+            // `last_included + 1`. Rate-limited: one offer answers every
+            // pull the download overtakes.
+            if self.offer_limiter.allow(to, ctx.now(), OFFER_SPACING) {
+                self.serve_snapshot_chunk(ctx, to, 0);
+            }
+        } else if from < self.replayed.watermark() {
+            // Not silent: a puller below our eviction horizon cannot be
+            // helped by this process (only possible with snapshots
+            // disabled, or for a gap above the snapshot with a hole in
+            // the local log).
+            ctx.bump(self.names.join_unservable, 1);
         }
-        // Not silent: a joiner below our eviction horizon cannot be
-        // helped by this process (only possible with snapshots
-        // disabled, or for a gap above the snapshot with a hole in the
-        // local log).
-        ctx.bump(self.names.join_unservable, 1);
     }
 
     /// Sends one chunk of the serving snapshot to `from`.
@@ -1263,7 +1188,7 @@ impl ReplicaCore {
         if caught_up {
             self.rejoining = false;
         } else if now.since(self.last_join) >= JOIN_RETRY && !downloading {
-            self.announce_join(ctx);
+            self.announce(ctx);
         }
     }
 }
@@ -1295,12 +1220,9 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     /// Learns the decided `values` of instances `first, first+1, …`
     /// through the stack's own decision path (which records each via
     /// [`record_decision`](Self::record_decision)) and delivers what
-    /// became deliverable.
+    /// became deliverable: the one place a caught-up value enters the
+    /// stack.
     fn learn_decisions(&mut self, ctx: &mut C, first: u64, values: Vec<Batch>);
-
-    /// Answers a decision request with the cached `value`, in the
-    /// stack's own full-decision message.
-    fn reply_decision(&mut self, ctx: &mut C, to: ProcessId, instance: u64, value: Batch);
 
     /// Moves live `instance` to the next round whose coordinator is not
     /// suspected ([`ReplicaCore::rotate`]) and plays this process's role
@@ -1332,7 +1254,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
         for (d, change) in std::mem::take(&mut self.core().recovered_reconfigs) {
             self.register_reconfig(ctx, d, change);
         }
-        self.core().announce_join(ctx);
+        self.core().announce(ctx);
     }
 
     /// Records the decision of `instance` in the core: advances the
@@ -1436,7 +1358,6 @@ pub trait ReplicaHost<C: ReplicaCtx> {
             self.register_reconfig(ctx, d, change);
         }
         let core = self.core();
-        core.note_seen(snap.last_included);
         ctx.bump(core.names.snapshots_installed, 1);
         ctx.trace_span(core.names.label, snap.last_included, "snapshot_install", 0);
         core.set_snapshot(ctx, snap, true);
@@ -1445,8 +1366,8 @@ pub trait ReplicaHost<C: ReplicaCtx> {
 
     /// Receiver side: absorbs one snapshot chunk through the download
     /// state machine, pulling the next at round-trip pace; a completed
-    /// download is installed and chased with a `JoinRequest` to the
-    /// serving peer for the remaining log tail.
+    /// download is installed and chased with a pull to the serving peer
+    /// for the remaining log tail.
     #[allow(clippy::too_many_arguments)]
     fn absorb_snapshot_chunk(
         &mut self,
@@ -1461,7 +1382,6 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     ) {
         let core = self.core();
         core.rejoin_target = core.rejoin_target.max(frontier);
-        core.note_seen(frontier);
         let now = ctx.now();
         let already_past = core.fold.next_instance() > last_included;
         match core.download.absorb(
@@ -1487,16 +1407,20 @@ pub trait ReplicaHost<C: ReplicaCtx> {
                 self.install_snapshot(ctx, *snap);
                 let core = self.core();
                 core.last_join = now;
-                let watermark = core.replayed.watermark();
-                core.send(ctx, from, &CatchUp::JoinRequest { watermark });
+                core.pull(ctx, from, core.replayed.watermark());
             }
             ChunkOutcome::Ignored => {}
             ChunkOutcome::Corrupt => ctx.bump(core.names.snapshot_garbage, 1),
         }
     }
 
-    /// Absorbs a bulk state transfer, then keeps pulling from the same
-    /// peer at round-trip pace while still behind its frontier.
+    /// Absorbs a state transfer, then — while the replayed prefix is
+    /// still behind the sender's frontier — pulls the next range from
+    /// the same peer at round-trip pace. Every peer that answered a
+    /// rejoin announcement is chased so: the chains overlap, but they
+    /// keep the joiner talking to every member while it replays (its
+    /// pulls are the only traffic the members' detectors hear from a
+    /// process that does not know yet that it is one of them).
     fn absorb_transfer(
         &mut self,
         ctx: &mut C,
@@ -1507,19 +1431,21 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     ) {
         let core = self.core();
         core.rejoin_target = core.rejoin_target.max(frontier);
-        core.note_seen(frontier);
         self.learn_decisions(ctx, first, values);
         let core = self.core();
         let mine = core.replayed.watermark();
-        if mine < core.rejoin_target {
+        if mine < frontier {
             // Chained catch-up: a short per-peer rate limit keeps one
-            // reply burst from re-requesting the same range.
+            // reply burst from re-pulling the same range.
             let now = ctx.now();
-            if core.gap_limiter.allow(from, now, CHASE_SPACING) {
+            if core.pull_limiter.allow(from, now, CHASE_SPACING) {
                 core.last_join = now;
-                core.send(ctx, from, &CatchUp::JoinRequest { watermark: mine });
+                core.pull(ctx, from, mine);
             }
-        } else if core.rejoining && mine >= core.decided_log.watermark() {
+        } else if core.rejoining
+            && mine >= core.rejoin_target
+            && mine >= core.decided_log.watermark()
+        {
             // Replay reached both the advertised frontier and our own
             // pre-crash decided fence: rejoin complete.
             core.rejoining = false;
@@ -1530,29 +1456,20 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     /// Handles one catch-up message from `from`.
     fn on_catch_up(&mut self, ctx: &mut C, from: ProcessId, msg: CatchUp) {
         match msg {
-            CatchUp::DecisionRequest { instance } => {
+            CatchUp::Pull { from: first } => {
+                // A process that made a promise sends it along, once per
+                // `JOIN_RETRY`: a revived puller lost the promises it
+                // held, a partitioned one missed them, and the round in
+                // use is in them.
                 let core = self.core();
-                if let Some(value) = core.decisions.get(&instance).cloned() {
-                    self.reply_decision(ctx, from, instance, value);
-                } else if core
-                    .snapshot
-                    .as_ref()
-                    .is_some_and(|s| instance <= s.last_included)
+                let now = ctx.now();
+                if core.rounds.promised().round > 0
+                    && core.promise_limiter.allow(from, now, JOIN_RETRY)
                 {
-                    // The requested decision was compacted away: no peer
-                    // can serve it as a value any more, but the snapshot
-                    // covers it. Offer the snapshot so a *live* lagging
-                    // process (a healed partition minority — not just a
-                    // restarted joiner) can leap past the compaction
-                    // horizon instead of stalling. Rate-limited: one
-                    // offer answers a whole gap-request batch.
-                    let now = ctx.now();
-                    if core.offer_limiter.allow(from, now, OFFER_SPACING) {
-                        core.serve_snapshot_chunk(ctx, from, 0);
-                    }
+                    core.send_promise(ctx, from);
                 }
+                core.serve_pull(ctx, from, first);
             }
-            CatchUp::JoinRequest { watermark } => self.core().serve_join(ctx, from, watermark),
             CatchUp::StateTransfer {
                 from: first,
                 values,
@@ -1593,7 +1510,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
                     Some(have) if have == last_included => {
                         core.serve_snapshot_chunk(ctx, from, offset);
                     }
-                    // We compacted further since the joiner started; a
+                    // We compacted further since the puller started; a
                     // fresh offer supersedes the stale download.
                     Some(have) if have > last_included => {
                         core.serve_snapshot_chunk(ctx, from, 0);
@@ -1638,8 +1555,7 @@ pub(crate) mod tests {
                 DIRECT_PROPOSALS = "t.direct_proposals",
             }
             kinds {
-                DECISION_REQUEST = "t.decision_request",
-                JOIN_REQUEST = "t.join_request",
+                PULL = "t.pull",
                 STATE_TRANSFER = "t.state_transfer",
                 SNAPSHOT_TRANSFER = "t.snapshot_transfer",
                 SNAPSHOT_PULL = "t.snapshot_pull",
@@ -1651,16 +1567,14 @@ pub(crate) mod tests {
     pub(crate) const NAMES: ReplicaNames = ReplicaNames {
         label: "t",
         tags: PerCatchUp {
-            decision_request: 1,
-            join_request: 2,
+            pull: 2,
             state_transfer: 3,
             snapshot_transfer: 4,
             snapshot_pull: 5,
             promise: 6,
         },
         kinds: PerCatchUp {
-            decision_request: t::DECISION_REQUEST,
-            join_request: t::JOIN_REQUEST,
+            pull: t::PULL,
             state_transfer: t::STATE_TRANSFER,
             snapshot_transfer: t::SNAPSHOT_TRANSFER,
             snapshot_pull: t::SNAPSHOT_PULL,
@@ -1836,7 +1750,6 @@ pub(crate) mod tests {
                 self.record_decision(ctx, first + i as u64, &value);
             }
         }
-        fn reply_decision(&mut self, _: &mut FakeCtx, _: ProcessId, _: u64, _: Batch) {}
         fn advance_round(&mut self, ctx: &mut FakeCtx, instance: u64) {
             self.core.rotate(ctx, instance);
             self.advanced.push(instance);
@@ -1866,8 +1779,8 @@ pub(crate) mod tests {
 
     fn samples() -> Vec<CatchUp> {
         vec![
-            CatchUp::DecisionRequest { instance: 6 },
-            CatchUp::JoinRequest { watermark: 0 },
+            CatchUp::Pull { from: 6 },
+            CatchUp::Pull { from: 0 },
             CatchUp::StateTransfer {
                 from: 3,
                 values: vec![batch(3), Batch::empty(), batch(5)],
@@ -1892,8 +1805,7 @@ pub(crate) mod tests {
     #[test]
     fn catch_up_round_trips_under_any_tag_table() {
         let other = PerCatchUp {
-            decision_request: 6,
-            join_request: 9,
+            pull: 9,
             state_transfer: 10,
             snapshot_transfer: 11,
             snapshot_pull: 12,
@@ -1915,23 +1827,26 @@ pub(crate) mod tests {
             // The tag byte is the only thing a stack chooses.
             assert_eq!(bodies[0], bodies[1]);
         }
-        let mut r = WireReader::new(Bytes::from_static(&[0; 16]));
-        assert_eq!(
-            CatchUp::decode_tagged(99, &NAMES.tags, &mut r),
-            Err(WireError::InvalidTag(99))
-        );
+        // Tag 1, the decision request's once, is nobody's now.
+        for tag in [1, 99] {
+            let mut r = WireReader::new(Bytes::from_static(&[0; 16]));
+            assert_eq!(
+                CatchUp::decode_tagged(tag, &NAMES.tags, &mut r),
+                Err(WireError::InvalidTag(tag))
+            );
+        }
     }
 
     #[test]
-    fn serve_join_prefers_the_log_then_the_snapshot_then_gives_up() {
+    fn serve_pull_prefers_the_log_then_the_snapshot_then_gives_up() {
         let (mut host, mut ctx) = (FakeHost::fresh(4, 4), FakeCtx::new());
-        let joiner = ProcessId(2);
+        let puller = ProcessId(2);
 
         // The log still covers the whole gap: a bulk value transfer.
         host.decide(&mut ctx, 0..4);
-        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 0 });
+        host.on_catch_up(&mut ctx, puller, CatchUp::Pull { from: 0 });
         let (dst, kind, msg) = ctx.sent.pop().unwrap();
-        assert_eq!((dst, kind), (Some(joiner), "t.state_transfer"));
+        assert_eq!((dst, kind), (Some(puller), "t.state_transfer"));
         let values = (0..4).map(batch).collect();
         let frontier = 4;
         assert_eq!(
@@ -1947,8 +1862,8 @@ pub(crate) mod tests {
         // The cache overflowed and the gap's head was compacted away:
         // the snapshot replaces it, first chunk first.
         host.decide(&mut ctx, 4..8);
-        assert!(host.core.decision(0).is_none());
-        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 0 });
+        assert!(!host.core.decisions.contains_key(&0));
+        host.on_catch_up(&mut ctx, puller, CatchUp::Pull { from: 0 });
         let (_, kind, msg) = ctx.sent.pop().unwrap();
         assert_eq!(kind, "t.snapshot_transfer");
         let covers = host.core.snapshot().unwrap().last_included;
@@ -1958,21 +1873,55 @@ pub(crate) mod tests {
                 if last_included == covers
         ));
         assert_eq!(ctx.bumped("t.snapshot_transfers"), 1);
-        // A joiner whose gap starts inside the cached tail gets values,
+        // A pull whose gap starts inside the cached tail gets values,
         // compacted or not.
-        assert!(host.core.decision(6).is_some() && covers >= 6);
-        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 6 });
+        assert!(host.core.decisions.contains_key(&6) && covers >= 6);
+        host.on_catch_up(&mut ctx, puller, CatchUp::Pull { from: 6 });
         assert_eq!(ctx.sent.pop().unwrap().1, "t.state_transfer");
-        // A joiner that is not behind gets nothing.
-        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 8 });
+        // A puller that is not behind gets nothing.
+        host.on_catch_up(&mut ctx, puller, CatchUp::Pull { from: 8 });
         assert!(ctx.sent.is_empty());
+        assert_eq!(ctx.bumped("t.join_unservable"), 0);
 
         // Without snapshots the evicted head is simply gone.
         let (mut host, mut ctx) = (FakeHost::fresh(2, 0), FakeCtx::new());
         host.decide(&mut ctx, 0..4);
-        host.on_catch_up(&mut ctx, joiner, CatchUp::JoinRequest { watermark: 0 });
+        host.on_catch_up(&mut ctx, puller, CatchUp::Pull { from: 0 });
         assert!(ctx.sent.is_empty());
         assert_eq!(ctx.bumped("t.join_unservable"), 1);
+    }
+
+    #[test]
+    fn a_pull_below_the_snapshot_gets_chunk_0_once_per_offer_spacing() {
+        let (mut host, mut ctx) = (FakeHost::fresh(4, 4), FakeCtx::new());
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
+        host.decide(&mut ctx, 0..8);
+        assert!(!host.core.decisions.contains_key(&0));
+        let offers = |ctx: &mut FakeCtx| -> Vec<(Option<ProcessId>, u32)> {
+            let sent = ctx.sent.drain(..);
+            sent.map(|(dst, _, msg)| match msg {
+                CatchUp::SnapshotTransfer { offset, .. } => (dst, offset),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+        };
+        // Every pull from below the horizon, as a batch of them arrives.
+        for from in 0..3 {
+            host.on_catch_up(&mut ctx, p1, CatchUp::Pull { from });
+        }
+        assert_eq!(offers(&mut ctx), [(Some(p1), 0)]);
+        // Another puller is offered its own download.
+        host.on_catch_up(&mut ctx, p2, CatchUp::Pull { from: 1 });
+        assert_eq!(offers(&mut ctx), [(Some(p2), 0)]);
+        // Just short of the spacing, still nothing; at it, chunk 0 again.
+        ctx.now += OFFER_SPACING - VDur::millis(1);
+        host.on_catch_up(&mut ctx, p1, CatchUp::Pull { from: 0 });
+        assert_eq!(offers(&mut ctx), []);
+        ctx.now += VDur::millis(1);
+        host.on_catch_up(&mut ctx, p1, CatchUp::Pull { from: 0 });
+        assert_eq!(offers(&mut ctx), [(Some(p1), 0)]);
+        assert_eq!(ctx.bumped("t.snapshot_transfers"), 3);
+        assert_eq!(ctx.bumped("t.join_unservable"), 0);
     }
 
     /// Records decisions `0..64` one at a time and returns the ones a
@@ -1992,7 +1941,10 @@ pub(crate) mod tests {
             if interval > 0 {
                 let uncovered = host.core.snapshot().map_or(0, |s| s.last_included + 1);
                 for j in uncovered..=k {
-                    assert!(host.core.decision(j).is_some(), "{j} dropped after {k}");
+                    assert!(
+                        host.core.decisions.contains_key(&j),
+                        "{j} dropped after {k}"
+                    );
                 }
             }
         }
@@ -2179,77 +2131,182 @@ pub(crate) mod tests {
         }
     }
 
-    /// The decision requests `ctx` sent to `peer` since the last call, in
-    /// sending order.
-    fn requested(ctx: &mut FakeCtx, peer: ProcessId) -> Vec<u64> {
+    /// The instances the pulls `ctx` sent to `peer` since the last call
+    /// pull from, in sending order.
+    fn pulls(ctx: &mut FakeCtx, peer: ProcessId) -> Vec<u64> {
         let sent = ctx.sent.drain(..);
         sent.map(|(dst, _, msg)| match (dst, msg) {
-            (Some(p), CatchUp::DecisionRequest { instance }) if p == peer => instance,
+            (Some(p), CatchUp::Pull { from }) if p == peer => from,
             other => panic!("unexpected {other:?}"),
         })
         .collect()
     }
 
-    /// `peer` answers the `pending` requests and every one they lead
-    /// to, one per [`CHASE_SPACING`], lowest first, except that the
-    /// reply for `lost` goes missing; `host` chases every reply that
-    /// arrives, as the stacks do. Returns every instance asked for,
-    /// `pending` first.
-    fn serve(
-        host: &mut FakeHost,
-        ctx: &mut FakeCtx,
-        peer: ProcessId,
-        pending: Vec<u64>,
-        lost: Option<u64>,
-    ) -> Vec<u64> {
-        let mut outstanding: std::collections::BTreeSet<u64> = pending.iter().copied().collect();
-        let mut asked = pending;
-        while let Some(k) = outstanding.pop_first() {
-            ctx.now += CHASE_SPACING;
-            if Some(k) != lost {
-                assert!(host.record_decision(ctx, k, &batch(k)));
-                host.core.chase_gap(ctx, peer);
-            }
-            let more = requested(ctx, peer);
-            outstanding.extend(&more);
-            asked.extend(more);
+    /// A transfer of the decisions `range` from a peer at `frontier`.
+    fn transfer(range: Range<u64>, frontier: u64) -> CatchUp {
+        CatchUp::StateTransfer {
+            from: range.start,
+            values: range.map(batch).collect(),
+            frontier,
         }
-        asked
+    }
+
+    /// Process 1, which decided `0..n`.
+    fn server(n: u64) -> (FakeHost, FakeCtx) {
+        let (mut host, mut ctx) = (FakeHost::fresh(1024, 0), FakeCtx::new());
+        ctx.pid = ProcessId(1);
+        host.decide(&mut ctx, 0..n);
+        (host, ctx)
+    }
+
+    /// Carries what `puller` sends to `server`, its one peer, and the
+    /// answers back, one round trip per [`CHASE_SPACING`], until both
+    /// fall silent. Returns the instances the pulls pulled from.
+    fn catch_up(
+        puller: &mut FakeHost,
+        ctx: &mut FakeCtx,
+        server: &mut FakeHost,
+        server_ctx: &mut FakeCtx,
+    ) -> Vec<u64> {
+        let mut pulled = Vec::new();
+        while !ctx.sent.is_empty() {
+            for (dst, _, msg) in std::mem::take(&mut ctx.sent) {
+                assert!(dst.is_none_or(|p| p == server_ctx.pid), "{dst:?}");
+                if let CatchUp::Pull { from } = msg {
+                    pulled.push(from);
+                }
+                server.on_catch_up(server_ctx, ctx.pid, msg);
+            }
+            ctx.now += CHASE_SPACING;
+            for (dst, _, msg) in std::mem::take(&mut server_ctx.sent) {
+                assert_eq!(dst, Some(ctx.pid));
+                puller.on_catch_up(ctx, server_ctx.pid, msg);
+            }
+        }
+        pulled
+    }
+
+    /// The first instance of each transfer a puller `n` behind needs.
+    fn transfers_of(n: u64) -> Vec<u64> {
+        (0..n).step_by(MAX_TRANSFER as usize).collect()
+    }
+
+    #[test]
+    fn a_live_laggard_catches_up_with_one_pull_per_transfer() {
+        for n in [2, 16, 17, 40, 100] {
+            let (mut server, mut server_ctx) = server(n);
+            let (mut host, mut ctx) = (FakeHost::fresh(1024, 0), FakeCtx::new());
+            // The peer's decision of its last instance arrives while
+            // nothing is replayed here.
+            host.core.admit_decision(&mut ctx, server_ctx.pid, n - 1, 0);
+            let pulled = catch_up(&mut host, &mut ctx, &mut server, &mut server_ctx);
+            assert_eq!(pulled, transfers_of(n), "{n} behind");
+            assert_eq!(pulled.len() as u64, n.div_ceil(MAX_TRANSFER));
+            assert_eq!(host.core.replayed_watermark(), n);
+            assert_eq!(ctx.bumped("t.gap_requests"), 1, "one sighting");
+            assert_eq!(server_ctx.bumped("t.state_transfers"), pulled.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_revived_process_catches_up_with_one_pull_per_transfer() {
+        for n in [2, 16, 17, 40, 100] {
+            let (mut server, mut server_ctx) = server(n);
+            // Its previous incarnation decided `0..n` too.
+            let (mut writer, mut ctx) = (FakeHost::fresh(1024, 0), FakeCtx::new());
+            writer.decide(&mut ctx, 0..n);
+            let core = ReplicaCore::resume(writer.core.cfg.clone(), &NAMES, &ctx.store);
+            let (mut host, mut ctx) = (FakeHost::over(core), FakeCtx::new());
+            host.start_replica(&mut ctx);
+            assert_eq!(ctx.sent[0], (None, "t.pull", CatchUp::Pull { from: 0 }));
+            let pulled = catch_up(&mut host, &mut ctx, &mut server, &mut server_ctx);
+            assert_eq!(pulled, transfers_of(n), "{n} behind");
+            assert_eq!(host.core.replayed_watermark(), n);
+            assert_eq!(ctx.bumped("t.join_requests"), 1, "one announcement");
+            assert_eq!(ctx.bumped("t.rejoins_completed"), 1);
+            assert_eq!(ctx.bumped("t.gap_requests"), 0);
+        }
+    }
+
+    #[test]
+    fn a_tag_miss_inside_the_pipeline_window_pulls_from_its_own_instance() {
+        let (mut server, mut server_ctx) = server(13);
+        let cfg = ReplicaConfig {
+            pipeline_depth: 4,
+            ..ReplicaConfig::default()
+        };
+        let (mut host, mut ctx) = (
+            FakeHost::over(ReplicaCore::new(cfg, &NAMES)),
+            FakeCtx::new(),
+        );
+        host.start_replica(&mut ctx);
+        host.decide(&mut ctx, 0..10);
+        // Instance 12's tag arrives; its proposal never did. The window
+        // 10..14 explains the sighting: no pull from the prefix.
+        let decider = server_ctx.pid;
+        host.core.admit_decision(&mut ctx, decider, 12, 0);
+        assert_eq!(host.core.resolve_tag(&mut ctx, decider, 12, 0), None);
+        assert_eq!(
+            ctx.sent,
+            [(Some(decider), "t.pull", CatchUp::Pull { from: 12 })]
+        );
+        assert_eq!(ctx.bumped("t.gap_requests"), 0);
+        // The answer decides 12. It leaves the prefix short of the
+        // decider's frontier, so the rest is chased from the prefix's end.
+        let pulled = catch_up(&mut host, &mut ctx, &mut server, &mut server_ctx);
+        assert_eq!(pulled, [12, 10]);
+        assert_eq!(host.core.replayed_watermark(), 13);
+        // A process's own tag pulls from nobody.
+        let me = ctx.pid;
+        assert_eq!(host.core.resolve_tag(&mut ctx, me, 11, 0), None);
+        assert!(ctx.sent.is_empty());
+        assert_eq!(ctx.bumped("t.tag_misses"), 2);
     }
 
     #[test]
     fn a_lagging_process_asks_for_each_missing_decision_once_per_retry_period() {
         let (mut host, mut ctx) = (FakeHost::fresh(64, 0), FakeCtx::new());
-        let (peer, lost) = (ProcessId(1), 20);
-        let window = |from: u64, to: u64| (from..to).collect::<Vec<u64>>();
+        let (p1, p2) = (ProcessId(1), ProcessId(2));
 
-        // A decision for instance 40 arrives while nothing is replayed.
-        host.core.admit_decision(&mut ctx, peer, 40, 0);
-        let first = requested(&mut ctx, peer);
-        assert_eq!(first, window(0, MAX_GAP_BATCH));
-        // Each reply moves the window on by one request; none is asked
-        // twice. The replayed prefix stalls at the lost reply, and so
-        // does the window, one batch above it.
-        let asked = serve(&mut host, &mut ctx, peer, first, Some(lost));
-        assert_eq!(asked, window(0, lost + MAX_GAP_BATCH));
-        assert_eq!(host.core.replayed_watermark(), lost);
+        // A decision for instance 40 arrives while nothing is replayed:
+        // one pull, from the end of the replayed prefix.
+        host.core.admit_decision(&mut ctx, p1, 40, 0);
+        assert_eq!(pulls(&mut ctx, p1), [0]);
+        // Within the retry period more sightings from p1 pull nothing —
+        // the pull is in flight — but one from p2 pulls from p2.
+        ctx.now += GAP_RETRY - VDur::millis(1);
+        host.core.admit_decision(&mut ctx, p1, 41, 0);
+        assert_eq!(pulls(&mut ctx, p1), []);
+        host.core.admit_decision(&mut ctx, p2, 41, 0);
+        assert_eq!(pulls(&mut ctx, p2), [0]);
+        // p1's answer was lost: once the period has passed, the next
+        // sighting pulls the same range again.
+        ctx.now += VDur::millis(1);
+        host.core.admit_decision(&mut ctx, p1, 41, 0);
+        assert_eq!(pulls(&mut ctx, p1), [0]);
 
-        // Once a retry period has passed without a request, the next
-        // sighting starts over at the prefix's end, where only the lost
-        // decision is still missing; its reply lets the rest follow.
+        // An answer that leaves the prefix short of its sender's
+        // frontier is chased at once, from the prefix's new end, and so
+        // is the other peer's answer to the same pull; one that brings
+        // the prefix to its sender's frontier is not.
+        ctx.now += CHASE_SPACING;
+        host.on_catch_up(&mut ctx, p1, transfer(0..16, 42));
+        assert_eq!(pulls(&mut ctx, p1), [16]);
+        host.on_catch_up(&mut ctx, p2, transfer(0..16, 42));
+        assert_eq!(pulls(&mut ctx, p2), [16]);
+        host.on_catch_up(&mut ctx, p2, transfer(8..16, 16));
+        assert_eq!(pulls(&mut ctx, p2), []);
+        // That chase is lost too: the next sighting after the period
+        // pulls from where the prefix ends.
         ctx.now += GAP_RETRY;
-        host.core.admit_decision(&mut ctx, peer, 40, 0);
-        let retry = requested(&mut ctx, peer);
-        assert_eq!(retry, [lost]);
-        let rest = serve(&mut host, &mut ctx, peer, retry, None);
-        assert_eq!(rest[1..], window(lost + MAX_GAP_BATCH, 40));
-        assert_eq!(host.core.replayed_watermark(), 40);
-        assert_eq!(ctx.bumped("t.gap_requests"), 41);
+        host.core.admit_decision(&mut ctx, p1, 41, 0);
+        assert_eq!(pulls(&mut ctx, p1), [16]);
+        assert_eq!(ctx.bumped("t.gap_requests"), 4);
+
         // A process's own decision is no sighting.
+        ctx.now += GAP_RETRY;
         let me = ctx.pid;
         host.core.admit_decision(&mut ctx, me, 90, 0);
-        ctx.now += GAP_RETRY;
-        host.core.chase_gap(&mut ctx, peer);
         assert!(ctx.sent.is_empty());
     }
 
@@ -2260,9 +2317,7 @@ pub(crate) mod tests {
         writer.decide(&mut ctx, 0..F);
         let core = ReplicaCore::resume(writer.core.cfg.clone(), &NAMES, &ctx.store);
         let (mut host, mut ctx) = (FakeHost::over(core), FakeCtx::new());
-        let (coordinator, window) = (ProcessId(0), |from: u64, to: u64| {
-            (from..to).collect::<Vec<u64>>()
-        });
+        let coordinator = ProcessId(0);
         ctx.pid = ProcessId(2);
         host.start_replica(&mut ctx);
         ctx.sent.clear();
@@ -2274,24 +2329,20 @@ pub(crate) mod tests {
             (F, 0)
         );
 
-        // Below the fence the rejoin protocol replays what is missing: a
-        // proposal far past the fence pulls nothing until the replayed
-        // prefix covers every fenced instance.
+        // Below the fence the rejoin announcement replays what is
+        // missing: a proposal far past the fence pulls nothing until the
+        // replayed prefix covers every fenced instance.
         for replayed in 0..F {
+            ctx.now += GAP_RETRY;
             let admitted = host.core.admit_proposal(&mut ctx, coordinator, F + 5, 0);
             assert_eq!(admitted, Some(true));
-            let none = Vec::<u64>::new();
-            assert_eq!(
-                requested(&mut ctx, coordinator),
-                none,
-                "replayed {replayed}"
-            );
+            assert_eq!(pulls(&mut ctx, coordinator), [], "replayed {replayed}");
             host.decide(&mut ctx, replayed..replayed + 1);
         }
         // Then the gap is pulled from the end of the replayed prefix.
         assert_eq!(host.core.replayed_watermark(), F);
         host.core.admit_proposal(&mut ctx, coordinator, F + 5, 0);
-        assert_eq!(requested(&mut ctx, coordinator), window(F, F + 5));
+        assert_eq!(pulls(&mut ctx, coordinator), [F]);
     }
 
     #[test]
@@ -2360,11 +2411,8 @@ pub(crate) mod tests {
         assert_eq!((host.installed, &host.activated), (1, &vec![1]));
         assert_eq!(ctx.configs.len(), 1);
         assert_eq!(host.core.members_of(100, 3), [ProcessId(0), ProcessId(1)]);
-        let watermark = last_included + 1;
-        assert_eq!(
-            ctx.sent,
-            vec![(None, "t.join_request", CatchUp::JoinRequest { watermark })]
-        );
+        let from = last_included + 1;
+        assert_eq!(ctx.sent, vec![(None, "t.pull", CatchUp::Pull { from })]);
     }
 
     #[test]
@@ -2379,7 +2427,7 @@ pub(crate) mod tests {
             let core = ReplicaCore::resume(writer.core.cfg.clone(), &NAMES, &store);
             let (mut host, mut ctx) = (FakeHost::over(core), FakeCtx::new());
             host.start_replica(&mut ctx);
-            assert_eq!(ctx.sent.last().unwrap().1, "t.join_request");
+            assert_eq!(ctx.sent.last().unwrap().1, "t.pull");
             let cursor = host.core.replayed.watermark();
             host.record_decision(&mut ctx, cursor, &batch(cursor));
             assert!(host.core.is_replayed(cursor));

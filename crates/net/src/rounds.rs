@@ -12,7 +12,8 @@
 //! * **vote** — a process adopts a proposal of its current (or a higher)
 //!   round the same way before it acks ([`ReplicaCore::vote`]); a process
 //!   that may not vote still records the proposal, so a tag-only decision
-//!   can conclude it ([`ReplicaCore::resolve_tag`]);
+//!   can conclude it ([`ReplicaCore::resolve_tag`]; a miss pulls the
+//!   value);
 //! * **choose** — a coordinator of a later round proposes the
 //!   max-timestamp estimate out of a majority's, which intersects every
 //!   ack quorum ([`ReplicaCore::quorum_choice`]);
@@ -42,7 +43,7 @@
 //!   open round: a promise lost to a partition would otherwise leave the
 //!   new coordinator short of a promise quorum while every process waits
 //!   in its round. A proposal of a round this process promised away is
-//!   answered with the promise, and so is a rejoining peer;
+//!   answered with the promise, and so is a pulling peer;
 //! * **direct** — the coordinator of round `r` proposes at `j` with no
 //!   estimate phase once a majority of the members governing `j`,
 //!   itself included, promised `r` from at or below `j`
@@ -616,13 +617,15 @@ impl ReplicaCore {
         round
     }
 
-    /// The gate every incoming proposal passes first. `None`: `from` does
-    /// not coordinate `round` (counted; drop the proposal). Otherwise
-    /// whether this process may vote on it. A proposal of a round this
-    /// process promised away at an undecided instance is answered with
-    /// the promise, so its coordinator moves on at once; one beyond the
-    /// pipeline window above the replayed prefix pulls the decisions this
-    /// process missed from its sender.
+    /// The gate every incoming proposal passes first. `None`: drop the
+    /// proposal — `from` does not coordinate `round` (counted), or
+    /// `instance` is decided here, and `from`, a coordinator still
+    /// waiting to conclude it, was answered as a pull from `instance`
+    /// would be. Otherwise whether this process may vote on it. A
+    /// proposal of a round this process promised away at an undecided
+    /// instance is answered with the promise, so its coordinator moves on
+    /// at once; one beyond the pipeline window above the replayed prefix
+    /// pulls the decisions this process missed from its sender.
     ///
     /// The sender check only applies once the membership at `instance`
     /// is certain: behind the config fence the rotation is still
@@ -647,8 +650,27 @@ impl ReplicaCore {
         {
             self.send_promise(ctx, from);
         }
-        self.maybe_request_gap(ctx, from, instance);
+        self.pull_on_sighting(ctx, from, instance);
+        if !self.admit_estimate(ctx, from, instance) {
+            return None;
+        }
         Some(certain && self.can_vote(instance, ctx.pid()))
+    }
+
+    /// The gate every incoming estimate passes first: false — drop it —
+    /// when `instance` is decided here, and then `from`, a process still
+    /// in a round of it, is answered as a pull from `instance` would be.
+    pub fn admit_estimate<C: ReplicaCtx>(
+        &mut self,
+        ctx: &mut C,
+        from: ProcessId,
+        instance: u64,
+    ) -> bool {
+        if self.is_decided(instance) {
+            self.serve_pull(ctx, from, instance);
+            return false;
+        }
+        true
     }
 
     /// The gate every decision of `(instance, round)` from `from` passes
@@ -663,7 +685,7 @@ impl ReplicaCore {
         instance: u64,
         round: u32,
     ) {
-        self.maybe_request_gap(ctx, from, instance);
+        self.pull_on_sighting(ctx, from, instance);
         self.raise(ctx, instance, round);
     }
 
@@ -737,25 +759,30 @@ impl ReplicaCore {
         Some((inst.round, value.unwrap_or_default()))
     }
 
-    /// A tag-only decision of `round` arrived: the value it decides, if
-    /// the matching proposal is at hand. Otherwise the tag is kept until
-    /// the proposal shows up ([`Vote::tag_hit`]); the caller asks for the
-    /// value meanwhile, and the sweep keeps asking.
+    /// A tag-only decision of `round` arrived from `from`: the value it
+    /// decides, if the matching proposal is at hand. Otherwise the tag is
+    /// kept until the proposal shows up ([`Vote::tag_hit`]) and the value
+    /// is pulled from `from`, from `instance` on — the sweep re-sends the
+    /// pull to everybody — and whichever comes first decides it.
     pub fn resolve_tag<C: ReplicaCtx>(
         &mut self,
         ctx: &mut C,
+        from: ProcessId,
         instance: u64,
         round: u32,
     ) -> Option<Batch> {
         let inst = self.instance_entry(instance, ctx.now());
-        match &inst.last_proposal {
-            Some((r, value)) if *r == round => Some(value.clone()),
-            _ => {
-                inst.pending_tag = Some(round);
-                ctx.bump(self.names.tag_misses, 1);
-                None
+        if let Some((r, value)) = &inst.last_proposal {
+            if *r == round {
+                return Some(value.clone());
             }
         }
+        inst.pending_tag = Some(round);
+        ctx.bump(self.names.tag_misses, 1);
+        if from != ctx.pid() {
+            self.pull(ctx, from, instance);
+        }
+        None
     }
 
     /// Coordinator side: keeps `from`'s estimate for `round` (only each
@@ -881,7 +908,7 @@ impl ReplicaCore {
 
     /// One instance [`stuck`](Rounds::stuck) at `now`, the start of the
     /// periodic sweep. If it awaits the value of a tag-only decision it
-    /// asks everybody for it again; otherwise — returning true — it is
+    /// pulls it from everybody again; otherwise — returning true — it is
     /// due a [`rotate`](Self::rotate) as if its coordinator were
     /// suspected (the liveness backstop), which the stack plays.
     pub fn sweep_stuck<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64, now: VTime) -> bool {
@@ -894,7 +921,7 @@ impl ReplicaCore {
         }
         inst.round_entered = now;
         ctx.bump(self.names.request_retries, 1);
-        self.broadcast(ctx, &CatchUp::DecisionRequest { instance });
+        self.broadcast(ctx, &CatchUp::Pull { from: instance });
         false
     }
 }
@@ -1027,7 +1054,7 @@ mod tests {
         // Proposal: not recorded, so a tag for its round still misses.
         let vote = core.vote(&mut ctx, K, 2, &batch(1), true);
         assert!(!vote.voted && ctx.writes.is_empty() && ctx.sent.is_empty());
-        assert_eq!(core.resolve_tag(&mut ctx, K, 2), None);
+        assert_eq!(core.resolve_tag(&mut ctx, P1, K, 2), None);
         assert_eq!(ctx.bumped("t.tag_misses"), 1);
         // Estimate: not kept.
         let stale = core.record_estimate(P1, K, 2, batch(1), 0, ctx.now);
@@ -1060,7 +1087,7 @@ mod tests {
     fn a_process_that_may_not_vote_records_but_never_locks() {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
         // The tag comes first: kept until the proposal shows up.
-        assert_eq!(core.resolve_tag(&mut ctx, K, 0), None);
+        assert_eq!(core.resolve_tag(&mut ctx, P1, K, 0), None);
         let vote = core.vote(&mut ctx, K, 0, &batch(3), false);
         assert!(!vote.voted && vote.tag_hit);
         assert!(ctx.writes.is_empty(), "no vote, nothing durable");
@@ -1069,8 +1096,12 @@ mod tests {
         // The proposal comes first: a later tag decides it.
         let vote = core.vote(&mut ctx, K + 1, 0, &batch(4), false);
         assert!(!vote.voted && !vote.tag_hit);
-        assert_eq!(core.resolve_tag(&mut ctx, K + 1, 0), Some(batch(4)));
-        assert_eq!(core.resolve_tag(&mut ctx, K + 1, 1), None, "other round");
+        assert_eq!(core.resolve_tag(&mut ctx, P1, K + 1, 0), Some(batch(4)));
+        assert_eq!(
+            core.resolve_tag(&mut ctx, P1, K + 1, 1),
+            None,
+            "other round"
+        );
         assert_eq!(ctx.bumped("t.tag_misses"), 2);
     }
 
@@ -1101,10 +1132,37 @@ mod tests {
         assert!(ctx.sent.is_empty(), "a dropped proposal is no sighting");
         assert_eq!(core.admit_proposal(&mut ctx, P1, K, 1), Some(true));
         // K lies past the window above the empty replayed prefix: the
-        // admitted proposal pulls the decisions below it from its sender.
-        let pulled: Vec<_> = ctx.sent.drain(..).map(|(dst, _, msg)| (dst, msg)).collect();
-        let missed = (0..K).map(|instance| (Some(P1), CatchUp::DecisionRequest { instance }));
-        assert_eq!(pulled, missed.collect::<Vec<_>>());
+        // admitted proposal pulls the decisions below it from its sender,
+        // from the prefix's end on.
+        let pull = CatchUp::Pull { from: 0 };
+        assert_eq!(ctx.sent, vec![(Some(P1), "t.pull", pull)]);
+    }
+
+    #[test]
+    fn a_proposal_or_estimate_for_a_decided_instance_is_answered_with_its_values() {
+        let mut host = FakeHost::over(core());
+        let mut ctx = FakeCtx::new();
+        host.start_replica(&mut ctx);
+        for k in 0..8 {
+            host.record_decision(&mut ctx, k, &batch(k));
+        }
+        let answer = |from: u64| CatchUp::StateTransfer {
+            from,
+            values: (from..8).map(batch).collect(),
+            frontier: 8,
+        };
+        // A coordinator still proposing in instance 3 is dropped and
+        // answered, as a pull from 3 would be.
+        assert_eq!(host.core.admit_proposal(&mut ctx, P0, 3, 0), None);
+        assert_eq!(ctx.sent, vec![(Some(P0), "t.state_transfer", answer(3))]);
+        ctx.sent.clear();
+        // So is an estimate for instance 5.
+        assert!(!host.core.admit_estimate(&mut ctx, P2, 5));
+        assert_eq!(ctx.sent, vec![(Some(P2), "t.state_transfer", answer(5))]);
+        ctx.sent.clear();
+        // One for an undecided instance passes, unanswered.
+        assert!(host.core.admit_estimate(&mut ctx, P2, 8));
+        assert!(ctx.sent.is_empty());
     }
 
     #[test]
@@ -1155,17 +1213,21 @@ mod tests {
     fn the_sweep_retries_a_pending_tag_and_rotates_the_rest() {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
         core.open(K, ctx.now);
-        assert_eq!(core.resolve_tag(&mut ctx, K + 1, 0), None);
+        // A tag whose proposal is missing pulls its value from the
+        // decider at once.
+        assert_eq!(core.resolve_tag(&mut ctx, P1, K + 1, 0), None);
+        let pull = CatchUp::Pull { from: K + 1 };
+        assert_eq!(ctx.sent, vec![(Some(P1), "t.pull", pull.clone())]);
+        ctx.sent.clear();
         assert!(core.rounds().stuck(ctx.now + PROGRESS_TIMEOUT).is_empty());
         ctx.now = ctx.now + PROGRESS_TIMEOUT + fortika_sim::VDur::millis(1);
         let now = ctx.now;
         assert_eq!(core.rounds().stuck(now), vec![K, K + 1]);
         assert!(core.sweep_stuck(&mut ctx, K, now), "due a rotation");
         assert_eq!(ctx.bumped("t.progress_rotations"), 1);
+        // The sweep pulls it again, from everybody.
         assert!(!core.sweep_stuck(&mut ctx, K + 1, now));
-        let instance = K + 1;
-        let ask = CatchUp::DecisionRequest { instance };
-        assert_eq!(ctx.sent, vec![(None, "t.decision_request", ask)]);
+        assert_eq!(ctx.sent, vec![(None, "t.pull", pull)]);
         assert_eq!(ctx.bumped("t.request_retries"), 1);
         assert_eq!(core.rounds().stuck(now), vec![K], "the retry re-armed it");
         assert!(!core.sweep_stuck(&mut ctx, K + 2, now), "not live");
@@ -1341,9 +1403,9 @@ mod tests {
         let told = CatchUp::Promise(promise(1, K + 1));
         assert_eq!(ctx.sent[0], (Some(P0), "t.promise", told.clone()));
         // The promise leaves first; the decisions below K + 1, which this
-        // process never learned, are pulled after it.
-        let kinds: Vec<_> = ctx.sent[1..].iter().map(|(_, kind, _)| *kind).collect();
-        assert_eq!(kinds, ["t.decision_request"; K as usize + 1]);
+        // process never learned, are pulled after it, with one pull.
+        let pull = CatchUp::Pull { from: 0 };
+        assert_eq!(ctx.sent[1..], [(Some(P0), "t.pull", pull)]);
         assert!(!core.vote(&mut ctx, K + 1, 0, &batch(1), true).voted);
         // Its own round-0 proposal outstanding, p1 moves it on when told
         // — to the round promised, and promising it too.

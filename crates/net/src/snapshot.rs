@@ -1,9 +1,10 @@
-//! Log-compaction snapshots for rejoin catch-up.
+//! Log-compaction snapshots for catch-up.
 //!
-//! Rejoin catch-up (`JoinRequest`/`StateTransfer` in both stacks) serves
-//! the decided prefix out of a bounded per-process decision cache, so a
-//! joiner whose missing prefix has been evicted *everywhere* used to
-//! stall forever (`*.join_unservable`). The fix — standard in production
+//! Catch-up (one `Pull` answered by a `StateTransfer`, the same protocol
+//! on both stacks, for a revived process and a live laggard alike)
+//! serves the decided prefix out of a bounded per-process decision
+//! cache, so a puller whose missing prefix has been evicted
+//! *everywhere* used to stall forever (`*.join_unservable`). The fix — standard in production
 //! atomic-broadcast systems (Ring Paxos recovers replicas from
 //! checkpointed state; Chop Chop serves joiners from compacted server
 //! state) — is to fold the decided prefix into an application-state

@@ -124,7 +124,7 @@ pub enum TraceData {
     },
     /// A protocol lifecycle marker for one instance: `"proposed"`,
     /// `"voted"`, `"decided"`, `"applied"`, `"round_change"`,
-    /// `"gap_pull"`, `"snapshot_offer"`, `"snapshot_install"`, …
+    /// `"pull"`, `"snapshot_offer"`, `"snapshot_install"`, …
     Span {
         /// The process emitting the marker.
         pid: u16,

@@ -170,9 +170,9 @@ fn deep_rejoin_stalls_with_snapshots_disabled() {
 
 /// A **live** lagging process — a partitioned minority that never
 /// crashed — must also recover once its gap falls below every peer's
-/// compaction horizon: peers answer gap requests for compacted
-/// instances with a snapshot offer, so catch-up is not reserved for
-/// restarted joiners (their `JoinRequest` path).
+/// compaction horizon: peers answer a pull from a compacted instance
+/// with a snapshot offer, whether a revived process's announcement or a
+/// live one's sighting sent it.
 #[test]
 fn live_laggard_recovers_past_the_compaction_horizon() {
     for kind in [StackKind::Modular, StackKind::Monolithic] {

@@ -246,8 +246,8 @@ fn snapshot() -> Snapshot {
 /// Every `CatchUp` variant, empty and full.
 fn catch_ups() -> Vec<(&'static str, CatchUp)> {
     vec![
-        ("DecisionRequest", CatchUp::DecisionRequest { instance: 17 }),
-        ("JoinRequest", CatchUp::JoinRequest { watermark: 0 }),
+        ("Pull/0", CatchUp::Pull { from: 0 }),
+        ("Pull", CatchUp::Pull { from: 17 }),
         (
             "StateTransfer/empty",
             CatchUp::StateTransfer {
@@ -407,13 +407,6 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
             round: 2,
         },
     );
-    row(
-        "ConsensusMsg/DecisionFull",
-        ConsensusMsg::DecisionFull {
-            instance: 9,
-            value: batch(10),
-        },
-    );
     for full in [None, Some(batch(10))] {
         row(
             "DecisionNotice",
@@ -453,10 +446,6 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
             },
         );
     }
-    row(
-        "MonoMsg/decision_full",
-        mono::decision_full(8, 1, batch(10)),
-    );
     for msgs in [Vec::new(), vec![msg(1, 0, 16 * 1024), msg(1, 1, 3)]] {
         row(
             "MonoMsg/AckDiff",
