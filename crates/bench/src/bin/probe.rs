@@ -6,30 +6,23 @@
 //! [`fortika_bench::sweeps::SWEEPS`], which documents them — meant to be
 //! committed so performance history accumulates.
 //!
-//! Bare `probe` regenerates the committed files in place, holding every
-//! run to the paper's closed forms on the way
-//! ([`fortika_bench::sweeps::closed_form_audit`]) and every fault-free
-//! run to zero suspicions
-//! ([`fortika_bench::sweeps::suspicion_audit`]), which also holds
-//! them to their silence budget, and prints that budget: the longest
-//! silence of the coordinator's links and of every other link, against
-//! their timeouts. `--check` (CI
-//! runs this) writes the same sweeps under `target/bench/` instead,
-//! and each file must be **byte-equal** to its committed counterpart:
-//! the simulator is deterministic, so any difference means the
-//! simulation drifted since the committed sweep was generated, or the
-//! committed file was edited by hand — the fix is a deliberate
-//! regeneration, not a silent one. It also runs a bounded
-//! **reconfiguration audit** (a log-decided add + remove per stack,
-//! traced and oracle-audited — violations dump under `target/trace/`
-//! like any other — and held to a throughput and messages-per-instance
-//! floor and to zero suspicions, each stack's catch-up traffic printed
-//! under its row), and folds every run's window counters
-//! into a [`CoverageReport`] written to `target/coverage-report.json`. Only
-//! then does it fail (exit 1), listing every differing file with its
-//! first differing record and every failed sweep or audit, so one run
-//! names all of them. In either mode every file written is re-read and
-//! must parse and cover both stacks.
+//! Bare `probe` regenerates the committed files in place, holding every run
+//! to the paper's closed forms on the way
+//! ([`fortika_bench::sweeps::closed_form_audit`]) and every fault-free run
+//! to zero suspicions ([`fortika_bench::sweeps::suspicion_audit`]), which
+//! also holds them to their silence budget, and prints that budget: the
+//! longest silence of the coordinator's links and of every other link,
+//! against their timeouts. `--check` (CI runs this) writes the same sweeps
+//! under `target/bench/` instead, and each file must be **byte-equal** to
+//! its committed counterpart: the simulator is deterministic, so any
+//! difference means the simulation drifted since the committed sweep was
+//! generated, or the committed file was edited by hand — the fix is a
+//! deliberate regeneration, not a silent one. It also folds every run's
+//! window counters into a [`CoverageReport`] written to
+//! `target/coverage-report.json`. Only then does it fail (exit 1), listing
+//! every differing file with its first differing record and every failed
+//! sweep, so one run names all of them. In either mode every file written
+//! is re-read and must parse and cover both stacks.
 //!
 //! `--trace` runs the tracing smoke instead of the sweeps: one traced
 //! run per stack, verifying that the latency decomposition's components
@@ -41,23 +34,20 @@
 //! matrix under `target/fuzz/`, and fails (exit 1) on any safety
 //! violation — after ddmin-shrinking the offending scenario and writing
 //! the minimized reproducer next to the matrix — and when a campaign
-//! never reaches the own-message resend (`sender_retransmits`).
+//! never reaches one of [`WITNESSED`]: the own-message resend and the
+//! catch-up paths.
 //!
 //! Any other argument is refused (exit 2) before anything is written.
 
 use fortika_bench::sweeps::{
     closed_form_audit, fault_free, json_document, suspicion_audit, SilenceBudget, Sweep, SWEEPS,
 };
-use fortika_chaos::{minimize, ChaosProfile, CoverageReport, FuzzCampaign, FuzzConfig, StopReason};
-use fortika_core::analysis;
+use fortika_chaos::{minimize, CoverageReport, FuzzCampaign, FuzzConfig, StopReason};
 use fortika_core::workload::Workload;
 use fortika_core::{
-    fuzz_runner, run_fuzz_scenario, Experiment, FdConfig, RunReport, Scenario, StackConfig,
-    StackKind, TraceConfig,
+    fuzz_runner, run_fuzz_scenario, Experiment, FdConfig, RunReport, StackConfig, StackKind,
+    TraceConfig,
 };
-use fortika_net::metrics::{consensus, mono};
-use fortika_net::ProcessId;
-use fortika_sim::VDur;
 use fortika_trace::json;
 
 /// Where `--check` writes the sweeps, leaving the committed files in
@@ -97,43 +87,6 @@ fn print_run_row(label: &str, r: &RunReport) {
         r.max_cpu_utilization,
         r.msgs_per_instance,
         r.bytes_per_instance / 1024.0
-    );
-}
-
-/// Prints a stack's catch-up traffic under its row: the pulls it sent —
-/// those on a sighting and the rejoin announcements among them — and
-/// what answered them, state transfers and snapshot chunks.
-fn print_catch_up(r: &RunReport) {
-    let (pull, sightings, announcements, transfer, transfers, chunks) = match r.kind {
-        StackKind::Modular => (
-            consensus::PULL,
-            consensus::GAP_REQUESTS,
-            consensus::JOIN_REQUESTS,
-            consensus::STATE_TRANSFER,
-            consensus::STATE_TRANSFERS,
-            consensus::SNAPSHOT_TRANSFERS,
-        ),
-        StackKind::Monolithic => (
-            mono::PULL,
-            mono::GAP_REQUESTS,
-            mono::JOIN_REQUESTS,
-            mono::STATE_TRANSFER,
-            mono::STATE_TRANSFERS,
-            mono::SNAPSHOT_TRANSFERS,
-        ),
-    };
-    let c = &r.counters;
-    println!(
-        "{:>18} {:>10} | {} pulls (sighting {}, rejoin {}), {} state transfers ({:.0} KB), \
-         {} snapshot chunks",
-        "catch-up",
-        r.kind.label(),
-        c.kind(pull.name()).msgs,
-        c.count(sightings),
-        c.count(announcements),
-        c.count(transfers),
-        c.kind(transfer.name()).bytes as f64 / 1024.0,
-        c.count(chunks)
     );
 }
 
@@ -233,96 +186,6 @@ fn drift_from_committed(file: &str) -> Result<Option<String>, String> {
     }))
 }
 
-/// Membership never exceeds four processes in the reconfiguration audit.
-const RECONFIG_PEAK_N: usize = 4;
-/// Share of the offered load a stack must carry through the audit.
-const RECONFIG_MIN_CARRIED: f64 = 0.95;
-
-/// The reconfiguration audit's performance floor: a stack carries at
-/// least [`RECONFIG_MIN_CARRIED`] of the offered load, and spends no
-/// more messages per instance than the §5.2 closed form allows at the
-/// peak membership and the measured batch size M. A catch-up request
-/// storm once cost the modular stack three quarters of its throughput
-/// and ~18 messages per instance above that form; one pull per 16
-/// decisions leaves both stacks above 97 % of the offered load.
-fn reconfig_floor(r: &RunReport) -> Result<(), String> {
-    let carried = r.throughput_msgs_per_sec / r.offered_load;
-    if carried < RECONFIG_MIN_CARRIED {
-        return Err(format!(
-            "carried {:.1} of {:.0} msgs/s offered ({:.0} %, floor {:.0} %)",
-            r.throughput_msgs_per_sec,
-            r.offered_load,
-            carried * 100.0,
-            RECONFIG_MIN_CARRIED * 100.0
-        ));
-    }
-    let closed_form = match r.kind {
-        StackKind::Modular => analysis::modular_messages(RECONFIG_PEAK_N, r.avg_batch_m),
-        StackKind::Monolithic => analysis::monolithic_messages(RECONFIG_PEAK_N),
-    };
-    if r.msgs_per_instance > closed_form {
-        return Err(format!(
-            "{:.2} msgs/instance exceeds the n={RECONFIG_PEAK_N} closed form {closed_form:.2} \
-             at M={:.2}",
-            r.msgs_per_instance, r.avg_batch_m
-        ));
-    }
-    Ok(())
-}
-
-/// The `--check` reconfiguration audit: one bounded grow-then-shrink
-/// scenario per stack — an `Add` and a `Remove` decided through the log
-/// mid-load — traced and oracle-audited (config agreement included),
-/// then held to [`reconfig_floor`] and to zero suspicions. A
-/// violating run dumps its bounded trace window and ddmin-minimized
-/// reproducer under `target/trace/` via the runner's artifact path, the
-/// same globs CI's diagnostics artifact uploads.
-fn reconfig_audit(coverage: &mut CoverageReport) -> Result<(), String> {
-    print_header("reconfiguration (log-decided add/remove)");
-    let scenario = Scenario::new()
-        .add_node(ProcessId(3), VDur::millis(1300))
-        .remove_node(ProcessId(1), VDur::millis(2100));
-    for kind in [StackKind::Monolithic, StackKind::Modular] {
-        let mut exp = Experiment::builder(kind, 3)
-            .workload(Workload::constant_rate(500.0, 1024))
-            .warmup_secs(1.0)
-            .measure_secs(2.0)
-            .seed(7)
-            .scenario(scenario.clone())
-            .trace(TraceConfig::on())
-            .build();
-        let r = exp.run();
-        coverage.absorb(&r.counters);
-        print_run_row("reconfig", &r);
-        print_catch_up(&r);
-        let reconfigs = r.counters.count(consensus::RECONFIGS) + r.counters.count(mono::RECONFIGS);
-        if reconfigs == 0 {
-            return Err(format!(
-                "reconfig audit ({}): no process registered the decided changes",
-                kind.label()
-            ));
-        }
-        audit(&r).map_err(|e| {
-            format!(
-                "reconfig audit ({}): {e} — trace dump and minimized reproducer under \
-                 target/trace/",
-                kind.label()
-            )
-        })?;
-        reconfig_floor(&r).map_err(|e| format!("reconfig audit ({}): {e}", kind.label()))?;
-        // A log-decided membership change is no fault: as in
-        // `suspicion_audit`, nobody may be suspected, standbys included.
-        if r.suspicions > 0 {
-            return Err(format!(
-                "reconfig audit ({}): {} suspicion(s) on a fault-free run",
-                kind.label(),
-                r.suspicions
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Where the tracing smoke writes its exports.
 const TRACE_DIR: &str = "target/trace";
 
@@ -409,14 +272,25 @@ fn trace_smoke() -> Result<(), String> {
 /// Where `--fuzz-quick` archives its coverage matrices and reproducers.
 const FUZZ_DIR: &str = "target/fuzz";
 
+/// The branches every `--fuzz-quick` campaign must reach: the
+/// own-message resend, and catch-up — a pull on a sighting, the state
+/// transfer that answers it, and a rejoin that reaches its frontier.
+/// A path no run exercises is audited by nobody.
+const WITNESSED: [&str; 4] = [
+    "sender_retransmits",
+    "gap_pulls",
+    "state_transfers",
+    "rejoins_completed",
+];
+
 /// The `--fuzz-quick` smoke: one bounded steered campaign per stack.
 /// Small enough for CI (≤ 32 runs per stack, plateau stop armed) yet
 /// real: every run builds a cluster, injects the drawn scenario, drives
 /// load and audits safety. The coverage matrix of each campaign lands
 /// in [`FUZZ_DIR`] (CI uploads it); a violation ddmin-shrinks its
 /// scenario, writes the minimized reproducer alongside, and fails the
-/// stage. So does a campaign that never reaches `sender_retransmits`:
-/// a resend path no run exercises is audited by nobody.
+/// stage. So does a campaign that never reaches a branch of
+/// [`WITNESSED`].
 fn fuzz_quick() -> Result<(), String> {
     println!("probe --fuzz-quick: bounded steered fuzz campaign per stack");
     std::fs::create_dir_all(FUZZ_DIR).map_err(|e| format!("mkdir {FUZZ_DIR}: {e}"))?;
@@ -430,14 +304,6 @@ fn fuzz_quick() -> Result<(), String> {
             batch_runs: 8,
             max_batches: 4,
             plateau_batches: 2,
-            // The default fault families plus the dynamic-membership
-            // family (campaigns draw log-decided adds/removes too; the
-            // fuzz runner provisions the standby capacity).
-            profile: ChaosProfile {
-                add_node_prob: 0.3,
-                remove_node_prob: 0.25,
-                ..ChaosProfile::default()
-            },
             ..FuzzConfig::new(3, 42)
         };
         let report = FuzzCampaign::new(cfg).run(fuzz_runner(kind, 3, StackConfig::default()));
@@ -499,9 +365,9 @@ fn fuzz_quick() -> Result<(), String> {
                 min.original_events,
             ));
         }
-        if !report.coverage.reached("sender_retransmits") {
+        if let Some(missed) = WITNESSED.iter().find(|b| !report.coverage.reached(b)) {
             return Err(format!(
-                "{label}: no run of the campaign reached `sender_retransmits`"
+                "{label}: no run of the campaign reached `{missed}`"
             ));
         }
     }
@@ -544,8 +410,8 @@ fn run(mode: &str) -> Result<(), String> {
         println!("probe --check: sweeps under {CHECK_DIR}/, compared with the committed files");
         std::fs::create_dir_all(CHECK_DIR).map_err(|e| format!("mkdir {CHECK_DIR}: {e}"))?;
     }
-    // Every sweep runs, and under `--check` so does the audit, before
-    // any failure is reported: one run names every drifted file.
+    // Every sweep runs before any failure is reported: one run names
+    // every drifted file.
     let mut failures = Vec::new();
     let mut coverage = CoverageReport::new();
     let mut budget = SilenceBudget::default();
@@ -568,11 +434,6 @@ fn run(mode: &str) -> Result<(), String> {
         fd.timeout
     );
     if check {
-        // The bounded dynamic-membership smoke: grow and shrink through
-        // the log under audit, per stack.
-        if let Err(e) = reconfig_audit(&mut coverage) {
-            failures.push(format!("reconfig audit failed: {e}"));
-        }
         // The per-branch coverage of everything this run exercised,
         // archived by CI next to the violation dumps.
         let coverage_path = std::path::Path::new("target/coverage-report.json");

@@ -31,7 +31,7 @@ fn listed() -> Vec<String> {
     let mut all: Vec<String> = SWEEPS.iter().map(|s| s.file()).collect();
     all.extend(fields!(StackConfig = StackConfig::default();
         window, mono_opts, snapshot_interval, decision_cache, pipeline_depth,
-        app_state, initial_members,
+        app_state,
         #[cfg(debug_assertions)]
         faults,
     ));

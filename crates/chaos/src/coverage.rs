@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use fortika_fd::metrics as fd;
 use fortika_net::metrics::{abcast, cluster, consensus, mono};
 use fortika_net::{Counters, Metric};
 use fortika_trace::json::JsonWriter;
@@ -95,18 +94,6 @@ const BRANCHES: &[Branch] = &[
     Branch {
         name: "stale_incarnation_drops",
         keys: &[cluster::DROPPED_STALE_INCARNATION],
-    },
-    Branch {
-        name: "reconfigs_activated",
-        keys: &[consensus::RECONFIGS, mono::RECONFIGS],
-    },
-    Branch {
-        name: "config_fence_drops",
-        keys: &[consensus::CONFIG_FENCE_DROPS, mono::CONFIG_FENCE_DROPS],
-    },
-    Branch {
-        name: "fd_member_updates",
-        keys: &[fd::MEMBER_UPDATES],
     },
 ];
 
@@ -481,11 +468,9 @@ mod tests {
     #[test]
     fn family_vocabulary_is_stable() {
         let families = CoverageReport::family_names();
-        assert_eq!(families.len(), 12);
+        assert_eq!(families.len(), 10);
         assert_eq!(families[0], "crash");
         assert!(families.contains(&"pipelined"));
-        assert!(families.contains(&"add_node"));
-        assert!(families.contains(&"remove_node"));
         // The deficit of an empty report is total for every family.
         let empty = CoverageReport::new();
         for family in families {

@@ -15,7 +15,6 @@ use fortika_sim::{DetRng, VDur, VTime};
 
 use crate::audit::{AuditTap, LoadSource};
 use crate::oracle::DeliveryOracle;
-use crate::scenario::RECONFIG_TICK_BASE;
 
 /// One planned `abcast` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,16 +105,7 @@ pub struct PlanDriver {
 
 impl ScriptedDriver {
     /// Creates a driver for a cluster of `n` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan is so long that its tick ids (plan slots)
-    /// would reach the reserved [`RECONFIG_TICK_BASE`] namespace.
     pub fn new(n: usize, mut plan: LoadPlan) -> Self {
-        assert!(
-            (plan.submissions.len() as u64) < RECONFIG_TICK_BASE,
-            "plan slots are tick ids and must stay below RECONFIG_TICK_BASE"
-        );
         plan.submissions.sort_by_key(|s| s.at);
         let driver = PlanDriver {
             plan: plan.submissions,

@@ -13,9 +13,9 @@
 //!   constructors or drawn from the seeded [`Scenario::random`]
 //!   generator ([`ChaosProfile`]; [`ChaosProfile::resource_only`] for
 //!   the resource family alone) for fuzzing. One call stands a
-//!   scenario on a cluster — `fortika_core::scenario_cluster` (standby
-//!   capacity, the scenario's configuration axes, suspicion windows,
-//!   restart factory, fault schedule), which `run_scripted`,
+//!   scenario on a cluster — `fortika_core::scenario_cluster` (the
+//!   scenario's pipeline depth, suspicion windows, restart factory,
+//!   fault schedule), which `run_scripted`,
 //!   `Experiment::builder(..).scenario(..)` and the fuzz runner all go
 //!   through.
 //! * [`DeliveryOracle`] — the delivery-invariant checker: records every
@@ -53,26 +53,6 @@
 //! assembly raises `StackConfig::pipeline_depth` to it and the oracle's
 //! obligations are unchanged (pipelining must never show in delivery
 //! order).
-//!
-//! # Dynamic membership
-//!
-//! [`ScenarioEvent::AddNode`] / [`ScenarioEvent::RemoveNode`] grow and
-//! shrink the group **through the log**: the scenario schedules a
-//! reserved tick ([`reconfig_tick`]), the run's [`AuditTap`] submits
-//! the encoded [`fortika_net::ConfigChange`] like any abcast, and the
-//! stacks activate the new configuration a fixed instance offset after
-//! it is decided. The oracle is config-aware
-//! ([`DeliveryOracle::note_config`], fed through `Harness::on_config`):
-//! every process must derive the identical versioned configuration
-//! history from the decided prefix, and in drained runs every correct
-//! process must have caught up to the group's latest version
-//! ([`Violation::ConfigDivergence`]) — which is how a node voting with
-//! stale-config quorum math gets caught. The generator's
-//! `add_node_prob` / `remove_node_prob` knobs draw at most one grow
-//! and one shrink per scenario from a derived stream, with shrinks charged
-//! against the permanent-crash budget so every generated timeline stays
-//! [`Scenario::quorum_safe`] against the configuration active at each
-//! crash.
 //!
 //! Everything is deterministic: a `(scenario, cluster seed)` pair
 //! replays bit-for-bit, so any violation the fuzzer finds is a
@@ -145,9 +125,7 @@ pub use coverage::CoverageReport;
 pub use driver::{LoadPlan, PlanDriver, ScriptedDriver, Submission};
 pub use minimize::{minimize, MinimizeReport};
 pub use oracle::{check_orders, DeliveryOracle, OracleReport, Violation};
-pub use scenario::{
-    parse_reconfig_tick, reconfig_tick, ChaosProfile, Scenario, ScenarioEvent, RECONFIG_TICK_BASE,
-};
+pub use scenario::{ChaosProfile, Scenario, ScenarioEvent};
 pub use trace_dump::{dump_violation_trace, DUMP_WINDOW};
 
 // Re-export the net-level fault vocabulary so scenario authors need

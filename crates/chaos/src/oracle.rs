@@ -94,21 +94,9 @@ pub enum Violation {
         /// The compacted prefix both snapshots claim to cover.
         last_included: u64,
     },
-    /// A process's configuration history contradicts the group's: the
-    /// active configuration is a pure function of the decided prefix
-    /// (every reconfiguration is ordered through the log), so every
-    /// process must derive the identical `(decided_at, activation,
-    /// members)` for each version. Also raised in drained checks when a
-    /// correct process never activated a version its peers activated —
-    /// a node voting with stale-config quorum math reports exactly this
-    /// silence.
-    ConfigDivergence {
-        /// The process whose history contradicts (or misses) the
-        /// version.
-        process: ProcessId,
-        /// The configuration version concerned.
-        version: u64,
-    },
+    /// Never constructed. `benchmark/` is its only user; ROADMAP item
+    /// 9's benchmark-scoped change deletes it.
+    ConfigDivergence {},
 }
 
 impl Violation {
@@ -126,9 +114,8 @@ impl Violation {
             | Violation::UnknownDelivery { process, .. }
             | Violation::NonPrefixLog { process, .. }
             | Violation::ReplayDivergence { process, .. }
-            | Violation::SnapshotDivergence { process, .. }
-            | Violation::ConfigDivergence { process, .. } => Some(process),
-            Violation::MissingDelivery { .. } => None,
+            | Violation::SnapshotDivergence { process, .. } => Some(process),
+            Violation::MissingDelivery { .. } | Violation::ConfigDivergence {} => None,
         }
     }
 
@@ -149,7 +136,7 @@ impl Violation {
             Violation::ReplayDivergence { .. } => "ReplayDivergence",
             Violation::MissingDelivery { .. } => "MissingDelivery",
             Violation::SnapshotDivergence { .. } => "SnapshotDivergence",
-            Violation::ConfigDivergence { .. } => "ConfigDivergence",
+            Violation::ConfigDivergence {} => "ConfigDivergence",
         }
     }
 }
@@ -203,11 +190,7 @@ impl fmt::Display for Violation {
                 "snapshot agreement violated: {process}'s snapshot of instances 0..={last_included} \
                  contradicts another process's snapshot of the same prefix"
             ),
-            Violation::ConfigDivergence { process, version } => write!(
-                f,
-                "config agreement violated: {process}'s configuration history contradicts or \
-                 misses version {version} activated by the group"
-            ),
+            Violation::ConfigDivergence {} => write!(f, "config agreement violated"),
         }
     }
 }
@@ -293,12 +276,6 @@ pub struct DeliveryOracle {
     /// delivered_count, digest)` — snapshots of the same prefix must
     /// agree bit for bit.
     stamps: Vec<(ProcessId, u64, u64, u64)>,
-    /// Per process: every configuration activation it reported
-    /// (re-reports after a restart replay are expected and must match).
-    configs: Vec<Vec<ConfigStamp>>,
-    /// Version floor for the drained completeness check: every correct
-    /// process must have activated at least this many reconfigurations.
-    expected_configs: Option<u64>,
 }
 
 impl DeliveryOracle {
@@ -311,28 +288,12 @@ impl DeliveryOracle {
             restarts: vec![Vec::new(); n],
             installs: vec![Vec::new(); n],
             stamps: Vec::new(),
-            configs: vec![Vec::new(); n],
-            expected_configs: None,
         }
     }
 
-    /// Notes that `process` activated configuration `stamp` (fed
-    /// automatically through `Harness::on_config`). A restarted process
-    /// re-reports the versions it re-derives while replaying — that is
-    /// expected, and every report of a version must carry the identical
-    /// stamp.
-    pub fn note_config(&mut self, process: ProcessId, stamp: ConfigStamp) {
-        self.configs[process.index()].push(stamp);
-    }
-
-    /// Requires (in [`check_drained`](Self::check_drained)) that every
-    /// correct process activated at least `count` configuration
-    /// versions. Harnesses that submit reconfigurations feed the count
-    /// here: without the floor, a run where *no* process processed the
-    /// reconfiguration would vacuously pass the agreement check.
-    pub fn expect_configs(&mut self, count: u64) {
-        self.expected_configs = Some(count);
-    }
+    /// Does nothing. `benchmark/` is its only user; ROADMAP item 9's
+    /// benchmark-scoped change deletes it.
+    pub fn note_config(&mut self, _process: ProcessId, _stamp: ConfigStamp) {}
 
     /// Notes that `process` was revived (crash-recovery): subsequent
     /// deliveries belong to a new incarnation. The recovery-aware
@@ -481,59 +442,6 @@ impl DeliveryOracle {
             "oracle needs at least one correct process"
         );
         let mut violations = Vec::new();
-
-        // Configuration agreement comes first: the active configuration
-        // is derived from the decided prefix, so a config divergence is
-        // the most upstream explanation of everything downstream (a
-        // node running stale quorum math can corrupt the order itself).
-        // Every report of a version — across processes *and* across one
-        // process's restart replays — must carry the identical stamp;
-        // the reference for a version is its first report in process
-        // order.
-        let mut by_version: BTreeMap<u64, ConfigStamp> = BTreeMap::new();
-        for p in 0..self.configs.len() {
-            for stamp in &self.configs[p] {
-                match by_version.get(&stamp.version) {
-                    None => {
-                        by_version.insert(stamp.version, stamp.clone());
-                    }
-                    Some(reference) if reference == stamp => {}
-                    Some(_) => {
-                        violations.push(Violation::ConfigDivergence {
-                            process: ProcessId(p as u16),
-                            version: stamp.version,
-                        });
-                    }
-                }
-            }
-        }
-        // Completeness only binds drained runs (mid-run a process may
-        // legitimately lag behind an activation): every correct process
-        // must have caught up to the highest version any correct
-        // process activated, and to the harness-declared floor — a node
-        // whose planted fence-skip bug ignores decided reconfigurations
-        // is exactly the process that stays silent here.
-        if drained {
-            let correct_max = correct
-                .iter()
-                .flat_map(|p| self.configs[p.index()].iter().map(|s| s.version))
-                .max()
-                .unwrap_or(0)
-                .max(self.expected_configs.unwrap_or(0));
-            for &p in correct {
-                let got = self.configs[p.index()]
-                    .iter()
-                    .map(|s| s.version)
-                    .max()
-                    .unwrap_or(0);
-                if got < correct_max {
-                    violations.push(Violation::ConfigDivergence {
-                        process: p,
-                        version: correct_max,
-                    });
-                }
-            }
-        }
 
         // Total order + uniform agreement: correct processes may lag one
         // another only at the tail (deliveries are not synchronized
@@ -802,16 +710,6 @@ impl Harness for DeliveryOracle {
         _at: VTime,
     ) {
         self.note_snapshot(pid, &stamp);
-    }
-
-    fn on_config(
-        &mut self,
-        _api: &mut ClusterApi<'_>,
-        pid: ProcessId,
-        stamp: ConfigStamp,
-        _at: VTime,
-    ) {
-        self.note_config(pid, stamp);
     }
 }
 

@@ -3,7 +3,7 @@
 //! A [`Scenario`] is an ordered list of typed fault events — crashes,
 //! restarts, windows of a network [`LinkFault`] (partitions with
 //! healing, loss, duplication, delay spikes, degraded bandwidth), slow
-//! nodes, scripted false suspicions, reconfigurations — expressed as
+//! nodes, scripted false suspicions — expressed as
 //! offsets from the start of the run. Build one with the chainable
 //! constructors, or draw one from the seeded [`Scenario::random`]
 //! generator for fuzzing; then stand it on a cluster with
@@ -17,13 +17,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fortika_fd::SuspicionWindow;
-use fortika_net::{Cluster, ConfigChange, LinkFault, LinkSelector, ProcessId};
+use fortika_net::{Cluster, LinkFault, LinkSelector, ProcessId};
 use fortika_sim::{DetRng, VDur, VTime};
 
 use crate::coverage::CoverageReport;
 
 /// Every event family a scenario can contain, in canonical order: the
-/// eleven [`ScenarioEvent::family`] names (one per variant, and one per
+/// nine [`ScenarioEvent::family`] names (one per variant, and one per
 /// opening [`LinkFault`] of a [`ScenarioEvent::Link`] window) plus the
 /// *configuration* axis `pipelined` ([`Scenario::pipeline_depth`] > 1).
 /// This is the row vocabulary of the coverage co-occurrence
@@ -39,8 +39,6 @@ pub(crate) const FAMILIES: &[&str] = &[
     "degrade_link",
     "slow_node",
     "false_suspicion",
-    "add_node",
-    "remove_node",
     "pipelined",
 ];
 
@@ -117,39 +115,6 @@ pub enum ScenarioEvent {
         /// Window end.
         until: VDur,
     },
-    /// Submit a log-decided reconfiguration adding `pid` to the group
-    /// at `at`, and boot `pid` at the same instant if it is a crashed
-    /// standby (a no-op when it is already running). The change takes
-    /// effect a fixed instance offset after it is decided
-    /// (`RECONFIG_OFFSET` in `fortika_net::replica`), so the
-    /// membership switch lands somewhat later than `at`.
-    ///
-    /// [`Scenario::apply`] schedules a reserved driver tick
-    /// ([`reconfig_tick`]) carrying the change; the run's
-    /// [`AuditTap`](crate::AuditTap) submits the actual reconfiguration
-    /// command.
-    AddNode {
-        /// The joining process.
-        pid: ProcessId,
-        /// Submission (and standby boot) instant.
-        at: VDur,
-    },
-    /// Submit a log-decided reconfiguration removing `pid` from the
-    /// group at `at`. The removed process is **not** crashed: it stays
-    /// up as a learner (it keeps delivering the total order and serves
-    /// reads) but stops voting once the change activates. Pair with a
-    /// [`Crash`] to take it down entirely.
-    ///
-    /// Delivered to the harness exactly like [`AddNode`].
-    ///
-    /// [`Crash`]: ScenarioEvent::Crash
-    /// [`AddNode`]: ScenarioEvent::AddNode
-    RemoveNode {
-        /// The leaving process.
-        pid: ProcessId,
-        /// Submission instant.
-        at: VDur,
-    },
 }
 
 impl ScenarioEvent {
@@ -177,50 +142,7 @@ impl ScenarioEvent {
             },
             ScenarioEvent::SlowNode { .. } => "slow_node",
             ScenarioEvent::FalseSuspicion { .. } => "false_suspicion",
-            ScenarioEvent::AddNode { .. } => "add_node",
-            ScenarioEvent::RemoveNode { .. } => "remove_node",
         }
-    }
-}
-
-/// Reserved driver-tick namespace for reconfiguration submissions.
-/// Tick ids below this belong to workload drivers — sender pids
-/// (`WorkloadDriver`) or plan slots (`ScriptedDriver`, checked when the
-/// plan is loaded); ids with this bit set encode a [`ConfigChange`] —
-/// see [`reconfig_tick`] / [`parse_reconfig_tick`].
-pub const RECONFIG_TICK_BASE: u64 = 1 << 32;
-
-/// Set in a reserved tick that removes; the pid sits in the low 16 bits.
-const RECONFIG_TICK_REMOVE: u64 = 1 << 16;
-
-// Every pid is a workload tick id, so the base clears them all; the
-// remove flag sits between the pid field and the base.
-const _: () = assert!(RECONFIG_TICK_BASE > u16::MAX as u64);
-const _: () = assert!(RECONFIG_TICK_REMOVE > u16::MAX as u64);
-const _: () = assert!(RECONFIG_TICK_REMOVE < RECONFIG_TICK_BASE);
-
-/// Encodes a reconfiguration as a reserved driver-tick id.
-/// [`Scenario::apply`] schedules these; the run's
-/// [`AuditTap`](crate::AuditTap) decodes them with
-/// [`parse_reconfig_tick`] and submits the command to the cluster.
-pub fn reconfig_tick(change: ConfigChange) -> u64 {
-    match change {
-        ConfigChange::Add(pid) => RECONFIG_TICK_BASE | pid.index() as u64,
-        ConfigChange::Remove(pid) => RECONFIG_TICK_BASE | RECONFIG_TICK_REMOVE | pid.index() as u64,
-    }
-}
-
-/// Decodes a reserved reconfiguration tick id; `None` for ordinary
-/// workload ticks.
-pub fn parse_reconfig_tick(tick: u64) -> Option<ConfigChange> {
-    if tick & RECONFIG_TICK_BASE == 0 {
-        return None;
-    }
-    let pid = ProcessId((tick & 0xFFFF) as u16);
-    if tick & RECONFIG_TICK_REMOVE == 0 {
-        Some(ConfigChange::Add(pid))
-    } else {
-        Some(ConfigChange::Remove(pid))
     }
 }
 
@@ -498,63 +420,6 @@ impl Scenario {
         })
     }
 
-    /// Grows the group: submits `Add(pid)` through the log at offset
-    /// `at` (and boots `pid` at the same instant when it is a crashed
-    /// standby). See [`ScenarioEvent::AddNode`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fortika_chaos::Scenario;
-    /// use fortika_net::ProcessId;
-    /// use fortika_sim::VDur;
-    ///
-    /// // A 3-process group grows to 4: the standby p4 boots and joins
-    /// // at 300 ms. Quorum math follows the config — one crash is
-    /// // tolerable before and after the grow.
-    /// let s = Scenario::new()
-    ///     .add_node(ProcessId(3), VDur::millis(300))
-    ///     .crash(ProcessId(0), VDur::millis(900));
-    /// assert!(s.quorum_safe(3));
-    /// assert!(s.heals(), "reconfigurations are instantaneous events");
-    /// assert_eq!(s.horizon(), VDur::millis(900));
-    /// // The added process counts as correct: it must deliver the
-    /// // common total order once it has joined.
-    /// assert_eq!(s.correct(s.capacity(3)).len(), 3);
-    /// ```
-    pub fn add_node(self, pid: ProcessId, at: VDur) -> Self {
-        self.event(ScenarioEvent::AddNode { pid, at })
-    }
-
-    /// Shrinks the group: submits `Remove(pid)` through the log at
-    /// offset `at`. The removed process stays up as a learner. See
-    /// [`ScenarioEvent::RemoveNode`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use fortika_chaos::Scenario;
-    /// use fortika_net::ProcessId;
-    /// use fortika_sim::VDur;
-    ///
-    /// // A 3-process group shrinks to {p1, p2}; the removed p3 then
-    /// // crashes. The remaining pair still has its majority: removal
-    /// // freed the quorum slot the crash would otherwise erode.
-    /// let s = Scenario::new()
-    ///     .remove_node(ProcessId(2), VDur::millis(200))
-    ///     .crash(ProcessId(2), VDur::millis(800));
-    /// assert!(s.quorum_safe(3));
-    /// // Crashing a *member* of the shrunken pair instead would lose
-    /// // its majority.
-    /// let bad = Scenario::new()
-    ///     .remove_node(ProcessId(2), VDur::millis(200))
-    ///     .crash(ProcessId(1), VDur::millis(800));
-    /// assert!(!bad.quorum_safe(3));
-    /// ```
-    pub fn remove_node(self, pid: ProcessId, at: VDur) -> Self {
-        self.event(ScenarioEvent::RemoveNode { pid, at })
-    }
-
     /// Schedules every cluster-level event of this scenario onto
     /// `cluster` (crashes and link faults; [`FalseSuspicion`] events act
     /// at stack-construction time and are skipped here — see
@@ -582,12 +447,11 @@ impl Scenario {
     /// Panics when the cluster clock has already advanced — applying
     /// late would silently desynchronize cluster-level faults from the
     /// scripted suspicion windows. Also panics when the scenario
-    /// contains [`Restart`] or [`AddNode`] events and no node factory
-    /// is registered (`Cluster::set_node_factory`).
+    /// contains [`Restart`] events and no node factory is registered
+    /// (`Cluster::set_node_factory`).
     ///
     /// [`FalseSuspicion`]: ScenarioEvent::FalseSuspicion
     /// [`Restart`]: ScenarioEvent::Restart
-    /// [`AddNode`]: ScenarioEvent::AddNode
     #[deny(
         clippy::wildcard_enum_match_arm,
         clippy::match_wildcard_for_single_variants
@@ -627,17 +491,6 @@ impl Scenario {
                     }
                 }
                 ScenarioEvent::FalseSuspicion { .. } => {}
-                ScenarioEvent::AddNode { pid, at } => {
-                    // Boot the standby first (a no-op when `pid` is
-                    // already running), then hand the change to the
-                    // harness via a reserved tick — the submission
-                    // itself must go through a live stack.
-                    cluster.schedule_restart(pid, t0 + at);
-                    cluster.schedule_tick(t0 + at, reconfig_tick(ConfigChange::Add(pid)));
-                }
-                ScenarioEvent::RemoveNode { pid, at } => {
-                    cluster.schedule_tick(t0 + at, reconfig_tick(ConfigChange::Remove(pid)));
-                }
             }
         }
     }
@@ -667,12 +520,11 @@ impl Scenario {
 
     /// Processes this scenario crash-stops **permanently** (they are
     /// *not correct* in the atomic-broadcast sense). A process whose
-    /// last crash is followed by a [`Restart`] — or by an [`AddNode`]
-    /// that boots it — is correct again: it does not appear here and
-    /// does not count against the minority crash budget.
+    /// last crash is followed by a [`Restart`] is correct again: it does
+    /// not appear here and does not count against the minority crash
+    /// budget.
     ///
     /// [`Restart`]: ScenarioEvent::Restart
-    /// [`AddNode`]: ScenarioEvent::AddNode
     pub fn crashed(&self) -> Vec<ProcessId> {
         self.last_crashes()
             .into_iter()
@@ -688,9 +540,7 @@ impl Scenario {
         for ev in &self.events {
             let (last, pid, at) = match ev {
                 ScenarioEvent::Crash { pid, at } => (&mut last_crash, pid, at),
-                ScenarioEvent::Restart { pid, at } | ScenarioEvent::AddNode { pid, at } => {
-                    (&mut last_restart, pid, at)
-                }
+                ScenarioEvent::Restart { pid, at } => (&mut last_restart, pid, at),
                 _ => continue,
             };
             let e = last.entry(*pid).or_insert(*at);
@@ -715,94 +565,12 @@ impl Scenario {
     }
 
     /// True when the *permanent* crashes stay within the minority the
-    /// correct-majority assumption tolerates **of the configuration
-    /// active at the time of each crash**. Crashed-then-restarted
+    /// correct-majority assumption tolerates. Crashed-then-restarted
     /// processes do not count: with votes on stable storage a revived
     /// process re-enters consensus with its locks intact, so only
     /// processes that stay down erode the quorum.
-    ///
-    /// With [`AddNode`]/[`RemoveNode`] events on the timeline the check
-    /// walks it in time order, tracking the member set: a grow raises
-    /// the tolerable minority, a shrink lowers it, and a removed
-    /// process's later crash costs nothing (a learner going down does
-    /// not erode any quorum). The walk approximates activation by the
-    /// submission instant — the real switch lands an instance offset
-    /// later — so keep a comfortable gap between a reconfiguration and
-    /// any crash whose budget depends on it.
-    ///
-    /// [`AddNode`]: ScenarioEvent::AddNode
-    /// [`RemoveNode`]: ScenarioEvent::RemoveNode
     pub fn quorum_safe(&self, n: usize) -> bool {
-        let reconfigs = self.reconfigs();
-        let crashes = self.last_crashes();
-        if reconfigs.is_empty() {
-            return crashes.len() <= (n - 1) / 2;
-        }
-        // Timeline points: membership changes plus the *final* crash of
-        // each permanently-crashed process. Stable-sorted by instant
-        // (insertion order breaks ties), then walked while checking the
-        // down-members count against the then-current minority.
-        enum Point {
-            Down(ProcessId),
-            Change(ConfigChange),
-        }
-        let down_at = crashes.into_iter().map(|(pid, at)| (at, Point::Down(pid)));
-        let mut points: Vec<(VDur, Point)> = down_at.collect();
-        points.extend(reconfigs.into_iter().map(|(at, c)| (at, Point::Change(c))));
-        points.sort_by_key(|(at, _)| *at);
-        let mut members: Vec<ProcessId> = ProcessId::all(n).collect();
-        let mut down: Vec<ProcessId> = Vec::new();
-        for (_, point) in points {
-            match point {
-                Point::Down(pid) => down.push(pid),
-                Point::Change(ConfigChange::Add(pid)) => {
-                    if !members.contains(&pid) {
-                        members.push(pid);
-                    }
-                    down.retain(|p| *p != pid); // AddNode boots the standby
-                }
-                Point::Change(ConfigChange::Remove(pid)) => {
-                    if members.len() > 1 {
-                        members.retain(|p| *p != pid);
-                    }
-                }
-            }
-            let eroded = down.iter().filter(|p| members.contains(p)).count();
-            if eroded > (members.len() - 1) / 2 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The process-slot capacity a cluster running this scenario needs:
-    /// `n` plus room for every standby an [`AddNode`] event boots. The
-    /// assembly builds `capacity(n)` nodes and crashes the standbys at
-    /// the start of the run.
-    ///
-    /// [`AddNode`]: ScenarioEvent::AddNode
-    pub fn capacity(&self, n: usize) -> usize {
-        let slots = self
-            .reconfigs()
-            .into_iter()
-            .map(|(_, c)| c.pid().index() + 1);
-        slots.fold(n, usize::max)
-    }
-
-    /// The reconfigurations this scenario submits, as
-    /// `(offset, change)` pairs in timeline order.
-    pub fn reconfigs(&self) -> Vec<(VDur, ConfigChange)> {
-        let mut out: Vec<(VDur, ConfigChange)> = self
-            .events
-            .iter()
-            .filter_map(|ev| match ev {
-                ScenarioEvent::AddNode { pid, at } => Some((*at, ConfigChange::Add(*pid))),
-                ScenarioEvent::RemoveNode { pid, at } => Some((*at, ConfigChange::Remove(*pid))),
-                _ => None,
-            })
-            .collect();
-        out.sort_by_key(|(at, _)| *at);
-        out
+        self.last_crashes().len() <= (n - 1) / 2
     }
 
     /// Processes of a group of `n` that stay correct under this
@@ -827,9 +595,7 @@ impl Scenario {
             }
             ScenarioEvent::Crash { .. }
             | ScenarioEvent::Restart { .. }
-            | ScenarioEvent::FalseSuspicion { .. }
-            | ScenarioEvent::AddNode { .. }
-            | ScenarioEvent::RemoveNode { .. } => true,
+            | ScenarioEvent::FalseSuspicion { .. } => true,
         })
     }
 
@@ -843,10 +609,7 @@ impl Scenario {
         self.events
             .iter()
             .map(|ev| match ev {
-                ScenarioEvent::Crash { at, .. }
-                | ScenarioEvent::Restart { at, .. }
-                | ScenarioEvent::AddNode { at, .. }
-                | ScenarioEvent::RemoveNode { at, .. } => *at,
+                ScenarioEvent::Crash { at, .. } | ScenarioEvent::Restart { at, .. } => *at,
                 ScenarioEvent::Link { from, until, .. }
                 | ScenarioEvent::SlowNode { from, until, .. } => until.unwrap_or(*from),
                 ScenarioEvent::FalseSuspicion { until, .. } => *until,
@@ -1009,27 +772,6 @@ impl Scenario {
             s = s.false_suspicion(observer, suspect, from, until);
         }
 
-        // Reconfigurations: at most one grow (booting the first
-        // standby, pid = n) and one shrink per scenario, drawn from a
-        // derived stream so every fault-window shape above is preserved
-        // across this feature. Both land early (10–40 % of the
-        // horizon) so the submission has time to decide and activate
-        // before the run drains. A shrink consumes a slot of the
-        // permanent crash budget: removing a voter erodes the original
-        // configuration's quorum margin exactly like a crash until the
-        // shrunken group's smaller majority takes over, so charging the
-        // budget keeps every generated timeline `quorum_safe`.
-        if profile.add_node_prob > 0.0 || profile.remove_node_prob > 0.0 {
-            let mut cfg_rng = DetRng::derive(seed, 0xADD0);
-            if cfg_rng.unit_f64() < profile.add_node_prob {
-                s = s.add_node(ProcessId(n as u16), at(&mut cfg_rng, 0.1, 0.4));
-            }
-            if cfg_rng.unit_f64() < profile.remove_node_prob && permanent < permanent_budget {
-                let pid = ProcessId(cfg_rng.below(n as u64) as u16);
-                s = s.remove_node(pid, at(&mut cfg_rng, 0.1, 0.4));
-            }
-        }
-
         // Pipeline depth: a configuration axis, not a fault — drawn
         // uniformly from 1..=MAX_PIPELINE_DEPTH so every fault family
         // above is also fuzzed against pipelined instance execution. A
@@ -1096,16 +838,6 @@ pub struct ChaosProfile {
     pub slow_prob: f64,
     /// Probability of a scripted false-suspicion window.
     pub false_suspicion_prob: f64,
-    /// Probability of a log-decided grow ([`ScenarioEvent::AddNode`]):
-    /// the standby `pid = n` boots and joins mid-run. Defaults to 0:
-    /// profiles opt in explicitly.
-    pub add_node_prob: f64,
-    /// Probability of a log-decided shrink
-    /// ([`ScenarioEvent::RemoveNode`]) of a random initial member. The
-    /// shrink consumes a slot of the permanent crash budget (removing a
-    /// voter erodes the original quorum margin until the smaller
-    /// majority takes over). Defaults to 0.
-    pub remove_node_prob: f64,
 }
 
 impl Default for ChaosProfile {
@@ -1122,8 +854,6 @@ impl Default for ChaosProfile {
             degrade_prob: 0.25,
             slow_prob: 0.25,
             false_suspicion_prob: 0.35,
-            add_node_prob: 0.0,
-            remove_node_prob: 0.0,
         }
     }
 }
@@ -1206,8 +936,6 @@ impl ChaosProfile {
             degrade_prob: boost(self.degrade_prob, d("degrade_link")),
             slow_prob: boost(self.slow_prob, d("slow_node")),
             false_suspicion_prob: boost(self.false_suspicion_prob, d("false_suspicion")),
-            add_node_prob: boost(self.add_node_prob, d("add_node")),
-            remove_node_prob: boost(self.remove_node_prob, d("remove_node")),
             ..self.clone()
         }
     }
@@ -1521,151 +1249,19 @@ mod tests {
     }
 
     #[test]
-    fn reconfig_tick_ids_roundtrip_and_stay_reserved() {
-        for change in [
-            ConfigChange::Add(ProcessId(0)),
-            ConfigChange::Add(ProcessId(7)),
-            ConfigChange::Remove(ProcessId(0)),
-            ConfigChange::Remove(ProcessId(513)),
-        ] {
-            let tick = reconfig_tick(change);
-            assert!(tick >= RECONFIG_TICK_BASE, "{change:?} not reserved");
-            assert_eq!(parse_reconfig_tick(tick), Some(change));
-        }
-        // Ordinary workload tick ids never decode as reconfigurations.
-        for tick in [0u64, 1, 17, u32::MAX as u64] {
-            assert_eq!(parse_reconfig_tick(tick), None);
-        }
-    }
-
-    #[test]
-    fn quorum_safe_walks_the_config_timeline() {
-        // Grow first, crash later: the 4-member group tolerates the
-        // single crash (and so would the original trio).
-        let grown = Scenario::new()
-            .add_node(ProcessId(3), VDur::millis(100))
-            .crash(ProcessId(0), VDur::millis(500));
-        assert!(grown.quorum_safe(3));
-        assert_eq!(grown.capacity(3), 4);
-        // Two crashes after growing 3 -> 5 are fine; without the grows
-        // they exceed the trio's minority.
-        let five = Scenario::new()
-            .add_node(ProcessId(3), VDur::millis(50))
-            .add_node(ProcessId(4), VDur::millis(100))
-            .crash(ProcessId(0), VDur::millis(500))
-            .crash(ProcessId(1), VDur::millis(600));
-        assert!(five.quorum_safe(3));
-        assert_eq!(five.capacity(3), 5);
-        assert!(!Scenario::new()
-            .crash(ProcessId(0), VDur::millis(500))
-            .crash(ProcessId(1), VDur::millis(600))
+    fn quorum_safe_counts_permanent_crashes_against_the_minority() {
+        let one = Scenario::new().crash(ProcessId(0), VDur::millis(500));
+        assert!(one.quorum_safe(3));
+        let two = one.clone().crash(ProcessId(1), VDur::millis(600));
+        assert!(!two.quorum_safe(3));
+        assert!(two.quorum_safe(5));
+        // A revived process hands its budget slot back, unless it goes
+        // down again for good.
+        let revived = two.clone().restart(ProcessId(1), VDur::millis(700));
+        assert!(revived.quorum_safe(3));
+        assert!(!revived
+            .crash(ProcessId(1), VDur::millis(800))
             .quorum_safe(3));
-        // Crashing *before* the grow activates is charged against the
-        // small config: two early crashes of a trio are unsafe even
-        // with a later grow.
-        let early = Scenario::new()
-            .crash(ProcessId(0), VDur::millis(10))
-            .crash(ProcessId(1), VDur::millis(20))
-            .add_node(ProcessId(3), VDur::millis(500))
-            .add_node(ProcessId(4), VDur::millis(600));
-        assert!(!early.quorum_safe(3));
-        // Shrink then crash the *removed* process: free. Crash a
-        // remaining member instead: the pair loses its majority.
-        assert!(Scenario::new()
-            .remove_node(ProcessId(2), VDur::millis(100))
-            .crash(ProcessId(2), VDur::millis(500))
-            .quorum_safe(3));
-        assert!(!Scenario::new()
-            .remove_node(ProcessId(2), VDur::millis(100))
-            .crash(ProcessId(0), VDur::millis(500))
-            .quorum_safe(3));
-        // reconfigs() lists submissions in timeline order.
-        assert_eq!(
-            five.reconfigs(),
-            vec![
-                (VDur::millis(50), ConfigChange::Add(ProcessId(3))),
-                (VDur::millis(100), ConfigChange::Add(ProcessId(4))),
-            ]
-        );
-    }
-
-    /// The default fault mix with the dynamic-membership family on.
-    fn reconfig_profile() -> ChaosProfile {
-        ChaosProfile {
-            add_node_prob: 0.6,
-            remove_node_prob: 0.5,
-            ..ChaosProfile::default()
-        }
-    }
-
-    #[test]
-    fn generator_reconfigs_are_deterministic_and_quorum_safe() {
-        let profile = reconfig_profile();
-        let mut any_add = false;
-        let mut any_remove = false;
-        for n in [3usize, 5] {
-            for seed in 0..60u64 {
-                let a = Scenario::random(n, seed, &profile);
-                let b = Scenario::random(n, seed, &profile);
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "seed {seed}: reconfig stream not reproducible"
-                );
-                assert!(a.quorum_safe(n), "seed {seed} n={n}: not quorum safe");
-                assert!(a.heals(), "seed {seed}: non-healing fault");
-                let mut adds = 0;
-                let mut removes = 0;
-                for ev in a.events() {
-                    match ev {
-                        ScenarioEvent::AddNode { pid, at } => {
-                            adds += 1;
-                            assert_eq!(pid.index(), n, "grows boot the first standby");
-                            assert!(*at <= profile.horizon);
-                        }
-                        ScenarioEvent::RemoveNode { pid, at } => {
-                            removes += 1;
-                            assert!(pid.index() < n, "shrinks target initial members");
-                            assert!(*at <= profile.horizon);
-                        }
-                        _ => {}
-                    }
-                }
-                assert!(adds <= 1 && removes <= 1, "seed {seed}: too many reconfigs");
-                any_add |= adds > 0;
-                any_remove |= removes > 0;
-            }
-        }
-        assert!(any_add, "the profile never grew the group");
-        assert!(any_remove, "the profile never shrank the group");
-    }
-
-    #[test]
-    fn reconfig_stream_leaves_existing_fault_shapes_untouched() {
-        // The reconfig draws come from their own derived stream: for
-        // every seed, stripping the add/remove events from a
-        // reconfig-enabled scenario must yield byte-for-byte the
-        // scenario the default profile generates.
-        let plain = ChaosProfile::default();
-        let reconfig = reconfig_profile();
-        for seed in 0..40u64 {
-            let a = Scenario::random(5, seed, &plain);
-            let b = Scenario::random(5, seed, &reconfig);
-            let stripped: Vec<String> = b
-                .events()
-                .iter()
-                .filter(|ev| {
-                    !matches!(
-                        ev,
-                        ScenarioEvent::AddNode { .. } | ScenarioEvent::RemoveNode { .. }
-                    )
-                })
-                .map(|ev| format!("{ev:?}"))
-                .collect();
-            let base: Vec<String> = a.events().iter().map(|ev| format!("{ev:?}")).collect();
-            assert_eq!(base, stripped, "seed {seed}: fault shapes perturbed");
-            assert_eq!(a.pipeline_depth(), b.pipeline_depth());
-        }
     }
 
     #[test]

@@ -23,10 +23,7 @@ fn render(s: &Scenario) -> String {
     let mut out = format!("depth {}\n", s.pipeline_depth());
     for ev in s.events() {
         let params = match *ev {
-            E::Crash { pid, at }
-            | E::Restart { pid, at }
-            | E::AddNode { pid, at }
-            | E::RemoveNode { pid, at } => format!("{pid} @{}", at.as_nanos()),
+            E::Crash { pid, at } | E::Restart { pid, at } => format!("{pid} @{}", at.as_nanos()),
             E::Link {
                 ref fault,
                 from,

@@ -68,8 +68,8 @@
 //! a replica must remember across a crash (durable votes, the decided
 //! fence), how it catches up afterwards (pulls answered by state or
 //! snapshot transfer),
-//! how it bounds its history (log compaction) and which configuration
-//! governs an instance are the same protocol on both stacks and live in
+//! and how it bounds its history (log compaction) are the same protocol
+//! on both stacks and live in
 //! [`fortika_net::replica`] and [`fortika_net::rounds`]. This module hosts
 //! a [`ReplicaCore`] and owns what is the modular stack's thesis: the
 //! initial value arrives as [`Event::Propose`] from a neighbour it knows
@@ -78,8 +78,7 @@
 //! the reliable broadcast module, an unlocked coordinator proposes one
 //! estimate as it is, and every outcome is handed to the stack as an
 //! event: a recorded decision raises [`Event::Decide`] (so a revived
-//! process re-delivers the replayed prefix through the layer above), a
-//! registered reconfiguration raises [`Event::ConfigActive`], an
+//! process re-delivers the replayed prefix through the layer above), an
 //! installed snapshot raises [`Event::InstallSnapshot`], and a change of
 //! the coordinator it waits on raises [`Event::Coordinator`]. See
 //! `docs/DIVERGENCE.md` for every mechanism one stack has and the other
@@ -90,8 +89,8 @@ use fortika_net::metrics::consensus;
 use fortika_net::replica::SWEEP_INTERVAL;
 use fortika_net::wire::{decode, encode, WireReader};
 use fortika_net::{
-    AppState, Batch, ConfigStamp, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaHost,
-    StableStore, TimerId,
+    AppState, Batch, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaHost, StableStore,
+    TimerId,
 };
 
 use crate::msg::{ConsensusMsg, DecisionNotice, REPLICA_NAMES};
@@ -112,8 +111,8 @@ const TAG_SWEEP: u64 = 0;
 /// names the coordinator it waits on to the failure detector with
 /// [`Event::Coordinator`].
 pub struct ConsensusModule {
-    /// Durable votes, decided log, configuration timeline, round state,
-    /// compaction and catch-up (shared with the monolithic stack).
+    /// Durable votes, decided log, round state, compaction and catch-up
+    /// (shared with the monolithic stack).
     core: ReplicaCore,
     /// The coordinator last announced to the failure detector.
     announced: Option<ProcessId>,
@@ -135,7 +134,7 @@ impl ConsensusModule {
     /// Creates the module with the given replica knobs. With `stable`,
     /// it is the module of a process revived after a crash: the core
     /// replays the persisted votes, decided watermark, snapshot and
-    /// reconfiguration history and rejoins (see
+    /// promise and rejoins (see
     /// [`ReplicaCore::resume`]).
     pub fn with_replica(replica: ReplicaConfig, stable: Option<&StableStore>) -> Self {
         let core = match stable {
@@ -251,13 +250,6 @@ impl ConsensusModule {
         self.core.offer(instance, ctx.now(), value);
         ctx.bump(consensus::INSTANCES, 1);
         ctx.trace_span("consensus", instance, "open", 0);
-        if !self.core.can_vote(instance, me) {
-            // A learner (or a process still uncertain of the membership
-            // at `instance`) records its initial value but never
-            // proposes; it learns the decision through dissemination.
-            ctx.bump(consensus::CONFIG_FENCE_DROPS, 1);
-            return;
-        }
         if self.core.coordinator_suspected(instance, n) {
             // Opened in a round whose coordinator is already suspected:
             // rotate now, as the suspicion would have done had it come
@@ -273,7 +265,7 @@ impl ConsensusModule {
             return;
         }
         let round = self.core.rounds().unproposed_round(instance);
-        if round.is_some_and(|r| r > 0 && self.core.coordinator_of(instance, r, n) == me) {
+        if round.is_some_and(|r| r > 0 && ReplicaCore::coordinator_of(r, n) == me) {
             // We are (now) the coordinator of a later round and were
             // only waiting for our own initial value.
             self.core.join_own_estimate(me, instance, || None);
@@ -289,10 +281,10 @@ impl ConsensusModule {
         round: u32,
         value: Batch,
     ) {
-        let Some(votable) = self.core.admit_proposal(ctx, from, instance, round) else {
+        if !self.core.admit_proposal(ctx, from, instance, round) {
             return; // not the round's coordinator, or decided here
-        };
-        let vote = self.core.vote(ctx, instance, round, &value, votable);
+        }
+        let vote = self.core.vote(ctx, instance, round, &value);
         if vote.voted {
             let ack = ConsensusMsg::Ack { instance, round };
             ctx.send_net(from, consensus::ACK, &ack);
@@ -315,7 +307,7 @@ impl ConsensusModule {
             return; // decided here
         }
         let me = ctx.pid();
-        if self.core.coordinator_of(instance, round, ctx.n()) != me {
+        if ReplicaCore::coordinator_of(round, ctx.n()) != me {
             return; // misdirected
         }
         let now = ctx.now();
@@ -396,11 +388,6 @@ impl ReplicaHost<FrameworkCtx<'_, '_>> for ConsensusModule {
         &mut self.core
     }
 
-    fn config_active(&mut self, ctx: &mut FrameworkCtx<'_, '_>, stamp: ConfigStamp) {
-        // The failure detector re-points its monitor set.
-        ctx.raise(Event::ConfigActive { stamp });
-    }
-
     fn snapshot_installed(&mut self, ctx: &mut FrameworkCtx<'_, '_>) {
         // The abcast module skips the compacted prefix.
         if let Some(snapshot) = self.core.snapshot().cloned() {
@@ -419,9 +406,6 @@ impl ReplicaHost<FrameworkCtx<'_, '_>> for ConsensusModule {
         let Some(to) = self.core.rotate(ctx, instance) else {
             return;
         };
-        if !to.votable {
-            return;
-        }
         if to.coordinator != me {
             let (value, ts) = self
                 .core

@@ -76,10 +76,8 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
     snapshots_installed: consensus::SNAPSHOTS_INSTALLED,
     join_unservable: consensus::JOIN_UNSERVABLE,
     rejoins_completed: consensus::REJOINS_COMPLETED,
-    reconfigs: consensus::RECONFIGS,
     proposals: consensus::PROPOSALS,
     round_changes: consensus::ROUND_CHANGES,
-    config_fence_drops: consensus::CONFIG_FENCE_DROPS,
     progress_rotations: consensus::PROGRESS_ROTATIONS,
     request_retries: consensus::REQUEST_RETRIES,
     tag_misses: consensus::TAG_MISSES,

@@ -47,8 +47,6 @@ pub fn run_fuzz_scenario(
     seed: u64,
 ) -> RunOutcome {
     let horizon = scenario.horizon().max(VDur::millis(200));
-    // Senders are the initial members only; standbys deliver (and the
-    // oracle audits them) without generating load.
     let plan = LoadPlan::random(n, seed, FUZZ_LOAD_MSGS, horizon, FUZZ_LOAD_MAX_SIZE);
     let (cluster, driver) = run_scripted(
         kind,

@@ -65,8 +65,8 @@ impl Experiment {
     /// Runs the experiment once and reports the window metrics.
     ///
     /// With a [`Scenario`] attached, it is stood on the cluster by
-    /// [`scenario_cluster`] (standby capacity, adopted configuration
-    /// axes, suspicion windows, restart factory, fault schedule), the
+    /// [`scenario_cluster`] (adopted pipeline depth, suspicion windows,
+    /// restart factory, fault schedule), the
     /// drain is stretched past the scenario horizon, and the
     /// delivery-invariant oracle audits every `adeliver` — safety
     /// violations land in [`RunReport::oracle`].
@@ -79,7 +79,6 @@ impl Experiment {
         let no_faults = Scenario::new();
         let scenario = self.scenario.as_ref().unwrap_or(&no_faults);
         let (mut cluster, _) = scenario_cluster(self.kind, &self.stack, cluster_cfg, scenario);
-        let capacity = cluster.n();
 
         let window_start = VTime::ZERO + self.warmup;
         let window_end = window_start + self.measure;
@@ -98,10 +97,7 @@ impl Experiment {
         driver.start(&mut cluster);
         // Record deliveries for the oracle only when a scenario asked
         // for an audit — plain benchmark runs skip the bookkeeping.
-        let oracle = self
-            .scenario
-            .as_ref()
-            .map(|_| DeliveryOracle::new(capacity));
+        let oracle = self.scenario.as_ref().map(|_| DeliveryOracle::new(self.n));
         let mut tap = AuditTap::wrap(driver, oracle);
 
         // Warm-up.
@@ -141,7 +137,7 @@ impl Experiment {
         let trace = cluster.take_trace();
         let (driver, oracle) = tap.into_parts();
 
-        let oracle_report = oracle.map(|o| o.check(&scenario.correct(capacity)));
+        let oracle_report = oracle.map(|o| o.check(&scenario.correct(self.n)));
         // A violating traced run leaves its bounded evidence window on
         // disk before anything else can panic on the report.
         if self.emit_artifacts {
@@ -360,7 +356,7 @@ impl ExperimentBuilder {
     }
 
     /// Attaches a fault [`Scenario`]: its crashes, restarts, link
-    /// faults, scripted suspicions and reconfigurations run against
+    /// faults and scripted suspicions run against
     /// this experiment exactly as [`scenario_cluster`] stands them on
     /// any cluster, and the delivery-invariant oracle audits every
     /// `adeliver` (see [`RunReport::oracle`]). A scenario that carries

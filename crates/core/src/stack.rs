@@ -70,18 +70,9 @@ pub struct StackConfig {
     /// message, encoded into snapshots and restored on install (see
     /// `examples/replicated_kv.rs`).
     pub app_state: Option<AppStateFactory>,
-    /// Initial voting member count for reconfiguration runs, applied to
-    /// both stacks. `0` (the default) means "every process": the whole
-    /// group votes and dynamic membership is dormant. Reconfiguration
-    /// runs set this below the cluster capacity so processes
-    /// `initial_members..n` start as learners (standby capacity that a
-    /// log-decided `Add` can later promote to voters).
-    pub initial_members: usize,
     /// **Test-only fault hooks** (debug builds only), applied to both
     /// stacks: the planted lost-vote recovery bug the fuzz campaign must
-    /// find and the minimizer must shrink (`tests/minimizer.rs`), and
-    /// the planted stale-quorum reconfiguration bug the config-aware
-    /// oracle must detect (`tests/reconfig_oracle.rs`).
+    /// find and the minimizer must shrink (`tests/minimizer.rs`).
     #[cfg(debug_assertions)]
     pub faults: FaultHooks,
 }
@@ -95,7 +86,6 @@ impl Default for StackConfig {
             decision_cache: 1024,
             pipeline_depth: 1,
             app_state: None,
-            initial_members: 0,
             #[cfg(debug_assertions)]
             faults: FaultHooks::default(),
         }
@@ -121,17 +111,7 @@ fn build(
     revived: Option<(VTime, &StableStore)>,
 ) -> Box<dyn Node> {
     let anchor = revived.map_or(VTime::ZERO, |(now, _)| now);
-    let mut fd = HeartbeatFd::new_anchored(n, me, FdConfig::default(), anchor);
-    if cfg.initial_members > 0 {
-        // Standbys are not monitored until an `Add` admits them (and
-        // listen silently until then themselves).
-        let initial: Vec<ProcessId> = ProcessId::all(cfg.initial_members).collect();
-        fd.set_members(&initial, anchor, &mut Vec::new());
-    }
-    // Windows go on after the membership set-up: with them on,
-    // `set_members` would report a window already open at `anchor`
-    // into the discarded list, and no tick would report it again.
-    let fd = fd.with_windows(windows);
+    let fd = HeartbeatFd::new_anchored(n, me, FdConfig::default(), anchor).with_windows(windows);
     let stable = revived.map(|(_, stable)| stable);
     let app = cfg.app_state.as_ref().map(AppStateFactory::make);
     let replica = replica_config(cfg);
@@ -166,7 +146,6 @@ fn replica_config(cfg: &StackConfig) -> ReplicaConfig {
         decision_cache: cfg.decision_cache,
         snapshot_interval: cfg.snapshot_interval,
         pipeline_depth: cfg.pipeline_depth.max(1) as u64,
-        initial_members: cfg.initial_members,
         #[cfg(debug_assertions)]
         faults: cfg.faults.clone(),
     }
@@ -205,56 +184,40 @@ pub fn node_factory(
 /// Stands `scenario` on a cluster of `kind` stacks: the one way a
 /// [`Scenario`] becomes a running cluster, shared by
 /// [`Experiment`](crate::Experiment), [`run_scripted`] and the fuzz
-/// runner. `cfg.n` is the initial group. In order:
+/// runner. In order:
 ///
-/// 1. the cluster is provisioned at [`Scenario::capacity`], so every
-///    `AddNode` has a standby slot;
-/// 2. the scenario's configuration axes are adopted **upgrade-only** —
-///    `pipeline_depth` becomes the deeper of the two requests, and a
-///    scenario with reconfigurations sets an unset
-///    [`initial_members`](StackConfig::initial_members) to `cfg.n`, so
-///    only the original group votes and standbys start as learners —
-///    an explicit stack setting is never silently weakened;
-/// 3. the scripted suspicion windows are wired into every failure
+/// 1. the scenario's pipeline depth is adopted **upgrade-only** — the
+///    deeper of the two requests — so an explicit stack setting is
+///    never silently weakened;
+/// 2. the scripted suspicion windows are wired into every failure
 ///    detector;
-/// 4. the crash-recovery restart factory is registered;
-/// 5. standbys are crashed at t = 0, before the scenario's own events,
-///    so the restart their `AddNode` schedules always finds them down;
-/// 6. the scenario's faults are scheduled ([`Scenario::apply`]).
+/// 3. the crash-recovery restart factory is registered;
+/// 4. the scenario's faults are scheduled ([`Scenario::apply`]).
 ///
 /// Returns the cluster and the effective stack configuration it runs
 /// under. An empty scenario changes nothing about the run.
 pub fn scenario_cluster(
     kind: StackKind,
     stack: &StackConfig,
-    mut cfg: ClusterConfig,
+    cfg: ClusterConfig,
     scenario: &Scenario,
 ) -> (Cluster, StackConfig) {
     let n = cfg.n;
-    let capacity = scenario.capacity(n);
-    cfg.n = capacity;
     let mut stack = stack.clone();
     stack.pipeline_depth = stack.pipeline_depth.max(scenario.pipeline_depth());
-    if !scenario.reconfigs().is_empty() && stack.initial_members == 0 {
-        stack.initial_members = n;
-    }
     let windows = scenario.suspicion_windows();
-    let nodes = build_nodes_with_windows(kind, capacity, &stack, &windows);
+    let nodes = build_nodes_with_windows(kind, n, &stack, &windows);
     let mut cluster = Cluster::new(cfg, nodes);
-    cluster.set_node_factory(node_factory(kind, capacity, stack.clone(), windows));
-    for pid in n..capacity {
-        cluster.schedule_crash(ProcessId(pid as u16), VTime::ZERO);
-    }
+    cluster.set_node_factory(node_factory(kind, n, stack.clone(), windows));
     scenario.apply(&mut cluster);
     (cluster, stack)
 }
 
 /// [`scenario_cluster`], then `plan` driven through it until `until`
-/// under a [`ScriptedDriver`] (standbys deliver and are audited without
-/// generating load). Returns both, for the caller to check the oracle,
-/// read counters or keep running.
+/// under a [`ScriptedDriver`]. Returns both, for the caller to check the
+/// oracle, read counters or keep running.
 ///
-/// # Example: a group of three grows by a standby, under audit
+/// # Example: a group of three loses and regains a process, under audit
 ///
 /// ```
 /// use fortika_chaos::{LoadPlan, Scenario};
@@ -262,16 +225,17 @@ pub fn scenario_cluster(
 /// use fortika_net::{ClusterConfig, ProcessId};
 /// use fortika_sim::{VDur, VTime};
 ///
-/// let scenario = Scenario::new().add_node(ProcessId(3), VDur::millis(600));
+/// let scenario = Scenario::new()
+///     .crash(ProcessId(2), VDur::millis(400))
+///     .restart(ProcessId(2), VDur::millis(900));
 /// let (cluster, driver) = run_scripted(
 ///     StackKind::Monolithic,
 ///     &StackConfig::default(),
-///     ClusterConfig::new(3, 42), // the initial group; the standby is provisioned
+///     ClusterConfig::new(3, 42),
 ///     &scenario,
 ///     LoadPlan::round_robin(3, 60, VDur::millis(20), 64),
 ///     VTime::ZERO + VDur::secs(8),
 /// );
-/// assert_eq!(cluster.n(), 4);
 /// let correct = scenario.correct(cluster.n());
 /// driver
 ///     .oracle()

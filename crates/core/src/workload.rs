@@ -323,13 +323,7 @@ impl LoadSource for WorkloadDriver {
 
 impl Harness for WorkloadDriver {
     fn on_tick(&mut self, api: &mut ClusterApi<'_>, tick: u64, at: VTime) {
-        // This driver's tick ids are its senders' pids. Anything else —
-        // a reserved reconfiguration tick that no `AuditTap` consumed —
-        // is not ours to read as one.
-        if tick >= self.n as u64 {
-            debug_assert!(false, "tick {tick:#x} names no sender of this workload");
-            return;
-        }
+        // This driver's tick ids are its senders' pids.
         let pid = ProcessId(tick as u16);
         if self.senders[pid.index()].blocked.is_some() {
             return; // still blocked: the generator is inside abcast()
@@ -343,9 +337,6 @@ impl Harness for WorkloadDriver {
     }
 
     fn on_app_ready(&mut self, api: &mut ClusterApi<'_>, pid: ProcessId, _at: VTime) {
-        if pid.index() >= self.n {
-            return; // standby process (reconfiguration run): not a sender
-        }
         if let Some(msg) = self.senders[pid.index()].blocked.take() {
             if self.submit(api, pid, msg) {
                 self.schedule_next(api, pid);
@@ -361,12 +352,6 @@ impl Harness for WorkloadDriver {
     }
 
     fn on_delivery(&mut self, _api: &mut ClusterApi<'_>, pid: ProcessId, d: Delivery, at: VTime) {
-        if pid.index() >= self.n {
-            // Standby / late-added process: it delivers (and the oracle
-            // audits it), but the paper's per-sender metrics cover the
-            // initial group only.
-            return;
-        }
         if at >= self.window_start && at <= self.window_end {
             self.delivered_per_proc[pid.index()] += 1;
         }

@@ -187,12 +187,6 @@ pub struct HeartbeatFd {
     timeout: Vec<VDur>,
     /// Genuine suspicion: silence past the timeout.
     suspected: Vec<bool>,
-    /// Monitor mask: only current members are suspected on silence
-    /// (dynamic membership — see [`set_members`](Self::set_members)).
-    members: Vec<bool>,
-    /// True while `me` is a member: only members emit heartbeats; a
-    /// learner (removed or not-yet-added process) listens silently.
-    active: bool,
     /// The delay from the last tick to the next: the pacing interval,
     /// or sooner if a monitored peer's deadline or an idle link's
     /// heartbeat deadline falls before it.
@@ -235,8 +229,6 @@ impl HeartbeatFd {
             timeout: vec![cfg.timeout; n],
             last_heard: vec![now; n],
             suspected: vec![false; n],
-            members: vec![true; n],
-            active: true,
             next_tick: cfg.heartbeat_interval,
             last_tick: now,
             watched: None,
@@ -250,7 +242,7 @@ impl HeartbeatFd {
     /// Forces suspicion of chosen processes during chosen windows, on
     /// top of the genuine verdicts; only windows whose `observer` is
     /// this process are kept. With any, the reported suspicion is
-    /// re-derived on every heartbeat, tick and membership change, and
+    /// re-derived on every heartbeat and tick, and
     /// the detector polls every 5 ms until its last window closes.
     /// Forced windows never touch the heartbeat cadence or the adaptive
     /// timeouts.
@@ -346,10 +338,10 @@ impl HeartbeatFd {
         Some(due.since(now))
     }
 
-    /// True while peer `i` is timed for silence: another process, a
-    /// member, not yet suspected.
+    /// True while peer `i` is timed for silence: another process, not
+    /// yet suspected.
     fn monitors(&self, i: usize) -> bool {
-        i < self.members.len() && i != self.me.index() && self.members[i] && !self.suspected[i]
+        i < self.suspected.len() && i != self.me.index() && !self.suspected[i]
     }
 
     /// When peer `i`'s silence reaches its timeout: half of it, counted
@@ -422,38 +414,6 @@ impl HeartbeatFd {
         reported.get(p.index()).copied().unwrap_or(false)
     }
 
-    /// Replaces the monitor set with `members` (dynamic membership: the
-    /// detector follows the active configuration). Newly monitored
-    /// processes anchor their silence windows at `now`; a process that
-    /// re-enters while suspected is restored through `out`. Forced
-    /// windows stay forced regardless of membership.
-    pub fn set_members(&mut self, members: &[ProcessId], now: VTime, out: &mut Vec<FdEvent>) {
-        let mut mask = vec![false; self.last_heard.len()];
-        for p in members {
-            if p.index() < mask.len() {
-                mask[p.index()] = true;
-            }
-        }
-        for (i, &now_member) in mask.iter().enumerate() {
-            if now_member && !self.members[i] {
-                // Newly monitored: anchor its silence window here (it
-                // may never have heartbeat before) and start from the
-                // base timeout with a clean slate.
-                self.last_heard[i] = now;
-                self.timeout[i] = self.cfg.timeout;
-                if self.suspected[i] {
-                    self.genuine(i, false, out);
-                }
-            }
-        }
-        // Departed members keep their suspicion flag (a crashed member
-        // that was removed really is down); they are simply no longer
-        // monitored for fresh silence.
-        self.members = mask;
-        self.active = members.contains(&self.me);
-        self.reconcile(now, out);
-    }
-
     /// The one per-tick rule both stacks' detector hosts follow: any
     /// message is a heartbeat.
     ///
@@ -491,9 +451,6 @@ impl HeartbeatFd {
             }
         }
         self.tick(now, out);
-        if !self.active {
-            return;
-        }
         let interval = self.interval();
         for p in ProcessId::all(n).filter(|&p| p != me) {
             match ctx.last_send_to(p).map(|sent| now.since(sent)) {
@@ -638,59 +595,6 @@ mod tests {
         fd.tick(VTime::ZERO + VDur::secs(10), &mut out);
         assert!(!fd.is_suspected(ProcessId(1)));
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn membership_mask_gates_suspicion_and_heartbeats() {
-        // Capacity 4, but only {p1, p2} are members: the standby p3/p4
-        // never heartbeat and must not be suspected for it.
-        let mut fd = HeartbeatFd::new(4, ProcessId(0), cfg());
-        let mut out = Vec::new();
-        let members = [ProcessId(0), ProcessId(1)];
-        fd.set_members(&members, VTime::ZERO, &mut out);
-        assert!(out.is_empty());
-        assert!(fd.active);
-        fd.tick(VTime::ZERO + VDur::secs(10), &mut out);
-        assert_eq!(out, [FdEvent::Suspect(ProcessId(1))], "members only");
-        assert!(!fd.is_suspected(ProcessId(2)));
-        out.clear();
-
-        // p3 joins at t=10s: silence anchored at the join, so it gets a
-        // full fresh timeout before suspicion.
-        let now = VTime::ZERO + VDur::secs(10);
-        fd.set_members(&[ProcessId(0), ProcessId(1), ProcessId(2)], now, &mut out);
-        fd.tick(now + VDur::millis(40), &mut out);
-        assert!(out.is_empty(), "within p3's fresh window");
-        fd.tick(now + VDur::millis(60), &mut out);
-        assert_eq!(out, [FdEvent::Suspect(ProcessId(2))]);
-        out.clear();
-
-        // Removing this process turns it into a silent learner.
-        fd.set_members(&[ProcessId(1), ProcessId(2)], now, &mut out);
-        assert!(!fd.active, "a learner heartbeats no one");
-    }
-
-    #[test]
-    fn readded_suspected_member_is_restored() {
-        let mut fd = HeartbeatFd::new(3, ProcessId(0), cfg());
-        let mut out = Vec::new();
-        fd.tick(VTime::ZERO + VDur::secs(1), &mut out);
-        assert!(fd.is_suspected(ProcessId(2)));
-        out.clear();
-        // p3 leaves while suspected (flag kept), then rejoins: the
-        // re-entry must be reported upward as a restore so observers'
-        // suspicion sets match the detector's.
-        fd.set_members(
-            &[ProcessId(0), ProcessId(1)],
-            VTime::ZERO + VDur::secs(1),
-            &mut out,
-        );
-        assert!(out.is_empty());
-        assert!(fd.is_suspected(ProcessId(2)), "departed member keeps flag");
-        let now = VTime::ZERO + VDur::secs(2);
-        fd.set_members(&[ProcessId(0), ProcessId(1), ProcessId(2)], now, &mut out);
-        assert_eq!(out, [FdEvent::Restore(ProcessId(2))]);
-        assert!(!fd.is_suspected(ProcessId(2)));
     }
 
     /// A host's transport for pacer tests: per-peer arrival and send
@@ -839,10 +743,6 @@ mod tests {
         }
         let expected: Vec<_> = (0..10).map(|t| (ms(10 * t), ProcessId(1))).collect();
         assert_eq!(link.heartbeats, expected);
-        // A detector that sends none (a learner) is paced to silence.
-        fd.set_members(&[ProcessId(1)], ms(100), &mut Vec::new());
-        link.pace(&mut fd, ms(200));
-        assert_eq!(link.heartbeats.len(), 10);
     }
 
     #[test]

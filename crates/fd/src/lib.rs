@@ -75,7 +75,6 @@ fortika_net::metric_table! {
         events {
             SUSPICIONS = "fd.suspicions",
             RESTORES = "fd.restores",
-            MEMBER_UPDATES = "fd.member_updates",
         }
         kinds {
             HEARTBEAT = "fd.heartbeat",

@@ -71,28 +71,14 @@ impl Microprotocol for FdModule {
     }
 
     fn subscriptions(&self) -> &'static [EventKind] {
-        &[EventKind::ConfigActive, EventKind::Coordinator]
+        &[EventKind::Coordinator]
     }
 
     fn on_event(&mut self, ctx: &mut FrameworkCtx<'_, '_>, ev: &Event) {
-        match ev {
-            // The monitor set follows the active configuration: on
-            // every activated reconfiguration, re-point the detector at
-            // the new member list (newly added members get a fresh
-            // silence window; whether this process heartbeats at all
-            // follows its own membership).
-            Event::ConfigActive { stamp } => {
-                ctx.bump(metrics::MEMBER_UPDATES, 1);
-                self.fd
-                    .set_members(&stamp.members, ctx.now(), &mut self.scratch);
-                Self::flush(ctx, &mut self.scratch);
+        if let Event::Coordinator(p) = ev {
+            if let Some(delay) = self.fd.watch(*p, ctx.now()) {
+                self.arm(ctx, delay);
             }
-            Event::Coordinator(p) => {
-                if let Some(delay) = self.fd.watch(*p, ctx.now()) {
-                    self.arm(ctx, delay);
-                }
-            }
-            _ => {}
         }
     }
 

@@ -20,7 +20,7 @@
 //! need does not cross these interfaces.
 
 use bytes::Bytes;
-use fortika_net::{AppMsg, Batch, ConfigStamp, MsgId, ProcessId, Snapshot};
+use fortika_net::{AppMsg, Batch, MsgId, ProcessId, Snapshot};
 
 /// An event raised on a composite stack's bus.
 #[derive(Debug, Clone)]
@@ -80,14 +80,6 @@ pub enum Event {
         /// The installed snapshot.
         snapshot: Snapshot,
     },
-    /// The consensus service activated a new configuration version (a
-    /// log-decided add/remove-server reconfiguration reached its
-    /// activation instance): modules tracking the member set — the
-    /// failure detector's monitor list above all — must follow it.
-    ConfigActive {
-        /// The activated configuration.
-        stamp: ConfigStamp,
-    },
 }
 
 /// Discriminant of [`Event`], used for subscription routing: the
@@ -114,14 +106,12 @@ pub enum EventKind {
     Coordinator,
     /// See [`Event::InstallSnapshot`].
     InstallSnapshot,
-    /// See [`Event::ConfigActive`].
-    ConfigActive,
 }
 
 impl EventKind {
     /// Number of kinds (the last variant's index + 1: keep
-    /// `ConfigActive` last).
-    pub const COUNT: usize = EventKind::ConfigActive as usize + 1;
+    /// `InstallSnapshot` last).
+    pub const COUNT: usize = EventKind::InstallSnapshot as usize + 1;
 }
 
 impl Event {
@@ -138,7 +128,6 @@ impl Event {
             Event::Restore(_) => EventKind::Restore,
             Event::Coordinator(_) => EventKind::Coordinator,
             Event::InstallSnapshot { .. } => EventKind::InstallSnapshot,
-            Event::ConfigActive { .. } => EventKind::ConfigActive,
         }
     }
 }
@@ -190,18 +179,6 @@ mod tests {
         assert_eq!(
             Event::Coordinator(ProcessId(0)).kind(),
             EventKind::Coordinator
-        );
-        assert_eq!(
-            Event::ConfigActive {
-                stamp: ConfigStamp {
-                    version: 1,
-                    decided_at: 0,
-                    activation: 8,
-                    members: vec![ProcessId(0)],
-                }
-            }
-            .kind(),
-            EventKind::ConfigActive
         );
     }
 }

@@ -6,8 +6,8 @@ use std::ops::Range;
 use bytes::Bytes;
 use fortika_net::wire::{Stored, Wire, WireReader, WireWriter};
 use fortika_net::{
-    Admission, AppRequest, ConfigStamp, CostModel, Kind, Metric, MsgId, Node, NodeCtx, ProcessId,
-    ReplicaCtx, SnapshotStamp, TimerId,
+    Admission, AppRequest, CostModel, Kind, Metric, MsgId, Node, NodeCtx, ProcessId, ReplicaCtx,
+    SnapshotStamp, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -240,9 +240,6 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
     }
     fn note_snapshot(&mut self, stamp: SnapshotStamp) {
         self.node.note_snapshot(stamp);
-    }
-    fn note_config(&mut self, stamp: ConfigStamp) {
-        self.node.note_config(stamp);
     }
     fn bump(&mut self, metric: Metric, by: u64) {
         self.node.bump(metric, by);

@@ -125,10 +125,8 @@ pub const REPLICA_NAMES: ReplicaNames = ReplicaNames {
     snapshots_installed: mono::SNAPSHOTS_INSTALLED,
     join_unservable: mono::JOIN_UNSERVABLE,
     rejoins_completed: mono::REJOINS_COMPLETED,
-    reconfigs: mono::RECONFIGS,
     proposals: mono::PROPOSALS,
     round_changes: mono::ROUND_CHANGES,
-    config_fence_drops: mono::CONFIG_FENCE_DROPS,
     progress_rotations: mono::PROGRESS_ROTATIONS,
     request_retries: mono::REQUEST_RETRIES,
     tag_misses: mono::TAG_MISSES,

@@ -38,22 +38,20 @@
 //! Safety is the same Chandra–Toueg argument as in `fortika-consensus`
 //! because it is the same code: the round machine (deciding requires a
 //! majority of acks for an exact `(instance, round)`; acks lock the
-//! proposal with adoption timestamp `round+1`; coordinators of later
-//! rounds adopt the max-timestamp estimate from a majority), durable
-//! votes, the decided fence, the configuration timeline, log compaction
-//! and catch-up (pulls answered by state or snapshot transfer, whose
-//! values reach the node only through `learn_decisions`) are one
-//! protocol under both stacks and live in [`fortika_net::replica`] and
-//! [`fortika_net::rounds`]. This node hosts a [`ReplicaCore`] and owns
-//! what is the monolith's thesis: initial values come straight out of
-//! the message pool, proposal and decision share a `Step`, pending
-//! messages ride acks and estimates (O1–O3), an unlocked coordinator
-//! proposes the union of the estimates it gathered, and the core's
-//! outcomes land in the merged state directly (decisions are buffered
-//! and applied in order, a registered reconfiguration re-points the
-//! failure detector, an installed snapshot seeds the delivery dedup and
-//! prunes the pool). When to pull missed decisions, and from which
-//! instance, is the core's too: every peer proposal passes
+//! proposal with adoption timestamp `round+1`; coordinators of later rounds
+//! adopt the max-timestamp estimate from a majority), durable votes, the
+//! decided fence, log compaction and catch-up (pulls answered by state or
+//! snapshot transfer, whose values reach the node only through
+//! `learn_decisions`) are one protocol under both stacks and live in
+//! [`fortika_net::replica`] and [`fortika_net::rounds`]. This node hosts a
+//! [`ReplicaCore`] and owns what is the monolith's thesis: initial values
+//! come straight out of the message pool, proposal and decision share a
+//! `Step`, pending messages ride acks and estimates (O1–O3), an unlocked
+//! coordinator proposes the union of the estimates it gathered, and the
+//! core's outcomes land in the merged state directly (decisions are
+//! buffered and applied in order, an installed snapshot seeds the delivery
+//! dedup and prunes the pool). When to pull missed decisions, and from
+//! which instance, is the core's too: every peer proposal passes
 //! [`ReplicaCore::admit_proposal`], every peer estimate
 //! [`ReplicaCore::admit_estimate`] and every peer decision
 //! [`ReplicaCore::admit_decision`], which run the gap check against the
@@ -79,9 +77,9 @@ use fortika_net::metrics::{abcast, consensus, mono};
 use fortika_net::replica::{IDLE_TIMEOUT, SWEEP_INTERVAL};
 use fortika_net::wire::Wire;
 use fortika_net::{
-    Admission, AppMsg, AppRequest, AppState, Batch, ConfigStamp, DeliveredSet, Kind, MsgId, Node,
-    NodeCtx, ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost,
-    Snapshot, StableStore, TimerId,
+    Admission, AppMsg, AppRequest, AppState, Batch, DeliveredSet, Kind, MsgId, Node, NodeCtx,
+    ProcessId, QuorumChoice, ReplicaConfig, ReplicaCore, ReplicaCtx, ReplicaHost, Snapshot,
+    StableStore, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -170,8 +168,8 @@ impl MonoNode {
 
     /// Creates a node with the given replica knobs. With `stable`, it
     /// is the node of a process revived after a crash: the core replays
-    /// the persisted votes, decided watermark, snapshot and
-    /// reconfiguration history (see [`ReplicaCore::resume`]); everything
+    /// the persisted votes, decided watermark, snapshot and promise (see
+    /// [`ReplicaCore::resume`]); everything
     /// else — the decided tail, delivery logs, the pool — is rebuilt
     /// from peers.
     pub fn with_replica(
@@ -298,13 +296,6 @@ impl MonoNode {
             let Some(k) = self.open_slot().or_else(|| waiting(self)) else {
                 return;
             };
-            if !self.core.can_vote(k, me) {
-                // Learner (or membership at `k` still behind the config
-                // fence): never propose. Pending messages reach the
-                // members via the forward/diffuse routing instead.
-                ctx.bump(mono::CONFIG_FENCE_DROPS, 1);
-                return;
-            }
             if self.core.direct_round(k, me, n).is_none() {
                 // Not ours to propose in (not the coordinator of the
                 // round it opens in, a recovered lock of a lower round,
@@ -362,14 +353,9 @@ impl MonoNode {
             return;
         }
         let n = ctx.n();
-        if !self.core.can_vote(self.next_decide, ctx.pid()) {
-            // A learner cannot contribute estimates; it waits for the
-            // members' decisions instead of joining the instance.
-            return;
-        }
         let has_work = !self.pool.is_empty() || !self.outbox.is_empty();
         let round = self.core.fresh_round(self.next_decide);
-        let coord = self.core.coordinator_of(self.next_decide, round, n);
+        let coord = ReplicaCore::coordinator_of(round, n);
         if !(has_work || self.core.rounds().suspects(coord)) {
             return;
         }
@@ -561,8 +547,8 @@ impl MonoNode {
         // an instance it has not replayed, or is answered when it
         // proposes or sends an estimate for one its peer decided, and
         // chases each transfer to its sender's frontier. That is what
-        // brings up the healed minority and the added process of
-        // `tests/reconfig.rs::reconfig_races_partition_and_restart`,
+        // brings up the healed minority of
+        // `tests/partition_invariants.rs::partition_races_restart_on_both_stacks`,
         // with the gate on either side of the check.
         self.core.admit_decision(ctx, from, dec.instance, dec.round);
         // Keyed on the replay log (not the voting fence) so a revived
@@ -575,7 +561,7 @@ impl MonoNode {
         // decisions (first receipt at a relay re-broadcasts).
         if !self.opts.implicit_decision_acks {
             let n = ctx.n();
-            let origin = self.core.coordinator_of(dec.instance, dec.round, n);
+            let origin = ReplicaCore::coordinator_of(dec.round, n);
             if ProcessId::relay_set(origin, n).any(|p| p == ctx.pid()) {
                 ctx.bump(mono::DECISION_RELAYS, 1);
                 self.broadcast(
@@ -605,10 +591,10 @@ impl MonoNode {
     }
 
     fn handle_proposal(&mut self, ctx: &mut NodeCtx<'_>, from: ProcessId, p: Proposal) {
-        let Some(votable) = self.core.admit_proposal(ctx, from, p.instance, p.round) else {
+        if !self.core.admit_proposal(ctx, from, p.instance, p.round) {
             return; // not the round's coordinator, or decided here
-        };
-        let vote = self.core.vote(ctx, p.instance, p.round, &p.value, votable);
+        }
+        let vote = self.core.vote(ctx, p.instance, p.round, &p.value);
         if vote.voted {
             let msgs = if self.opts.piggyback_on_acks {
                 self.drain_pool()
@@ -680,7 +666,7 @@ impl MonoNode {
         }
         let n = ctx.n();
         let me = ctx.pid();
-        if self.core.coordinator_of(instance, round, n) != me {
+        if ReplicaCore::coordinator_of(round, n) != me {
             return;
         }
         let now = ctx.now();
@@ -742,12 +728,8 @@ impl MonoNode {
     /// the promise that goes with it.
     fn send_estimate(&mut self, ctx: &mut NodeCtx<'_>, instance: u64, round: u32) {
         let n = ctx.n();
-        let coord = self.core.coordinator_of(instance, round, n);
+        let coord = ReplicaCore::coordinator_of(round, n);
         if coord == ctx.pid() {
-            return;
-        }
-        if !self.core.can_vote(instance, ctx.pid()) {
-            ctx.bump(mono::CONFIG_FENCE_DROPS, 1);
             return;
         }
         self.core.promise(ctx, instance, round);
@@ -872,16 +854,6 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
         &mut self.core
     }
 
-    /// Re-points the failure detector at the new member set (whether
-    /// this node heartbeats at all follows its own membership).
-    fn config_active(&mut self, ctx: &mut NodeCtx<'_>, stamp: ConfigStamp) {
-        let now = ctx.now();
-        self.fd
-            .set_members(&stamp.members, now, &mut self.fd_scratch);
-        ctx.bump(fd::MEMBER_UPDATES, 1);
-        self.process_fd_events(ctx);
-    }
-
     fn snapshot_covers(&mut self, snap: &Snapshot) {
         let next = snap.last_included + 1;
         if next > self.next_decide {
@@ -919,9 +891,6 @@ impl ReplicaHost<NodeCtx<'_>> for MonoNode {
         let Some(to) = self.core.rotate(ctx, instance) else {
             return;
         };
-        if !to.votable {
-            return;
-        }
         if to.coordinator != me {
             self.send_estimate(ctx, instance, to.round);
         } else if self.core.direct_round(instance, me, ctx.n()).is_some() {

@@ -57,7 +57,6 @@ use crate::config::{ClusterConfig, CostModel};
 use crate::counters::Counters;
 use crate::fault::{LinkFault, LinkState};
 use crate::id::{MsgId, ProcessId};
-use crate::membership::ConfigStamp;
 use crate::message::AppMsg;
 use crate::metrics::{cluster, Kind, Metric};
 use crate::snapshot::SnapshotStamp;
@@ -187,7 +186,6 @@ struct Outputs {
     deliveries: Vec<(Delivery, VTime)>,
     persists: Vec<StableWrite>,
     snapshots: Vec<(SnapshotStamp, VTime)>,
-    configs: Vec<(ConfigStamp, VTime)>,
     app_ready: bool,
 }
 
@@ -387,15 +385,6 @@ impl NodeCtx<'_> {
         self.out.snapshots.push((stamp, self.now()));
     }
 
-    /// Reports that this process learned a decided reconfiguration and
-    /// activated a new configuration version; the harness is told via
-    /// [`Harness::on_config`] once this handler completes, so
-    /// config-aware observers (the chaos oracle) can audit that every
-    /// process derives the identical configuration history.
-    pub fn note_config(&mut self, stamp: ConfigStamp) {
-        self.out.configs.push((stamp, self.now()));
-    }
-
     /// Increments a free-form protocol counter.
     pub fn bump(&mut self, metric: Metric, by: u64) {
         self.counters.bump(metric, by);
@@ -486,10 +475,8 @@ pub trait Harness {
         let _ = (api, pid, stamp, at);
     }
 
-    /// Process `pid` activated configuration version `stamp.version`
-    /// (it learned the decided reconfiguration — whether through the
-    /// log, a state transfer, a snapshot install or stable-store
-    /// recovery) at instant `at`.
+    /// Never called. `benchmark/` is its only user; ROADMAP item 9's
+    /// benchmark-scoped change deletes it.
     fn on_config(
         &mut self,
         api: &mut ClusterApi<'_>,
@@ -500,6 +487,11 @@ pub trait Harness {
         let _ = (api, pid, stamp, at);
     }
 }
+
+/// What [`Harness::on_config`] would carry. `benchmark/` is its only
+/// user; ROADMAP item 9's benchmark-scoped change deletes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigStamp;
 
 /// A harness that ignores every callback (for logic-only runs).
 #[derive(Debug, Default, Clone, Copy)]
@@ -604,7 +596,6 @@ enum Notification {
     Tick(u64, VTime),
     Restarted(ProcessId, VTime),
     Snapshot(ProcessId, SnapshotStamp, VTime),
-    Config(ProcessId, ConfigStamp, VTime),
 }
 
 /// The simulated cluster: processes, network, clock and counters.
@@ -1278,11 +1269,6 @@ impl Cluster {
             self.pending
                 .push_back(Notification::Snapshot(pid, stamp, at));
         }
-        // Config stamps likewise precede the handler's deliveries: a
-        // version activation is reported before any delivery it governs.
-        for (stamp, at) in self.outputs.configs.drain(..) {
-            self.pending.push_back(Notification::Config(pid, stamp, at));
-        }
         for (d, at) in self.outputs.deliveries.drain(..) {
             self.pending.push_back(Notification::Delivered(pid, d, at));
         }
@@ -1314,7 +1300,6 @@ impl Cluster {
                 Notification::Snapshot(pid, stamp, at) => {
                     harness.on_snapshot(&mut api, pid, stamp, at)
                 }
-                Notification::Config(pid, stamp, at) => harness.on_config(&mut api, pid, stamp, at),
             }
         }
     }

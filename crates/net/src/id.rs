@@ -62,21 +62,10 @@ pub struct MsgId {
     pub seq: u64,
 }
 
-/// Reserved [`MsgId::seq`] namespace of reconfiguration submissions:
-/// their per-sender sequence numbers start at this base, so they can
-/// never collide with the workload drivers' dense `0, 1, 2, …`
-/// allocation.
-pub const RECONFIG_SEQ_BASE: u64 = 1 << 62;
-
 impl MsgId {
     /// Builds a message id.
     pub fn new(sender: ProcessId, seq: u64) -> Self {
         MsgId { sender, seq }
-    }
-
-    /// True for ids in the [`RECONFIG_SEQ_BASE`] namespace.
-    pub fn is_reconfig(self) -> bool {
-        self.seq & RECONFIG_SEQ_BASE != 0
     }
 }
 
@@ -142,15 +131,6 @@ mod tests {
         let b = MsgId::new(ProcessId(1), 0);
         let c = MsgId::new(ProcessId(1), 1);
         assert!(a < b && b < c);
-    }
-
-    #[test]
-    fn seq_namespaces_are_told_apart() {
-        let p = ProcessId(1);
-        let workload = MsgId::new(p, 41);
-        let reconfig = MsgId::new(p, RECONFIG_SEQ_BASE + 41);
-        assert!(!workload.is_reconfig());
-        assert!(reconfig.is_reconfig());
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!   [`Snapshot`], the deterministic [`SnapshotFold`], and the
 //!   [`AppState`] application hook both protocol stacks share.
 //! * [`replica`] — the replica core both stacks share: durable votes,
-//!   the configuration timeline, log compaction and join / gap /
-//!   snapshot catch-up ([`ReplicaCore`], [`CatchUp`]), plus the one
+//!   log compaction and join / gap / snapshot catch-up ([`ReplicaCore`], [`CatchUp`]), plus the one
 //!   stable-key namespace table.
 //! * [`rounds`] — the Chandra–Toueg round machine the core runs per
 //!   undecided instance: lock, vote, choose, rotate ([`Rounds`]).
@@ -84,7 +83,6 @@ pub mod counters;
 pub mod fault;
 pub mod flow;
 pub mod id;
-pub mod membership;
 pub mod message;
 pub mod metrics;
 pub mod ratelimit;
@@ -96,17 +94,14 @@ pub mod watermark;
 pub mod wire;
 
 pub use cluster::{
-    Admission, AppRequest, Cluster, ClusterApi, CollectingHarness, Delivery, Harness, Node,
-    NodeCtx, NodeFactory, NoopHarness, StableStore, TimerId,
+    Admission, AppRequest, Cluster, ClusterApi, CollectingHarness, ConfigStamp, Delivery, Harness,
+    Node, NodeCtx, NodeFactory, NoopHarness, StableStore, TimerId,
 };
 pub use config::{ClusterConfig, CostModel, NetModel};
 pub use counters::{Counters, KindCounter};
 pub use fault::{LinkFault, LinkSelector};
 pub use fortika_trace::{Trace, TraceConfig, TraceData, TraceEvent};
 pub use id::{MsgId, ProcessId};
-pub use membership::{
-    parse_reconfig, reconfig_payload, ConfigChange, ConfigStamp, ConfigTimeline, RECONFIG_SEQ_BASE,
-};
 pub use message::{AppMsg, Batch};
 pub use metrics::{Kind, Metric};
 pub use ratelimit::PeerRateLimiter;

@@ -292,10 +292,8 @@ crate::metric_table! {
             SNAPSHOTS_INSTALLED = "consensus.snapshots_installed",
             JOIN_UNSERVABLE = "consensus.join_unservable",
             REJOINS_COMPLETED = "consensus.rejoins_completed",
-            RECONFIGS = "consensus.reconfigs",
             PROPOSALS = "consensus.proposals",
             ROUND_CHANGES = "consensus.round_changes",
-            CONFIG_FENCE_DROPS = "consensus.config_fence_drops",
             PROGRESS_ROTATIONS = "consensus.progress_rotations",
             REQUEST_RETRIES = "consensus.request_retries",
             TAG_MISSES = "consensus.tag_misses",
@@ -336,10 +334,8 @@ crate::metric_table! {
             SNAPSHOTS_INSTALLED = "mono.snapshots_installed",
             JOIN_UNSERVABLE = "mono.join_unservable",
             REJOINS_COMPLETED = "mono.rejoins_completed",
-            RECONFIGS = "mono.reconfigs",
             PROPOSALS = "mono.proposals",
             ROUND_CHANGES = "mono.round_changes",
-            CONFIG_FENCE_DROPS = "mono.config_fence_drops",
             PROGRESS_ROTATIONS = "mono.progress_rotations",
             REQUEST_RETRIES = "mono.request_retries",
             TAG_MISSES = "mono.tag_misses",

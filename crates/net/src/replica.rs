@@ -1,7 +1,6 @@
-//! The replica core both stacks share: durable votes, the decided log,
-//! the configuration timeline, the Chandra–Toueg round machine, log
-//! compaction and catch-up — everything about being a *replica* that
-//! the paper does not compare, written once.
+//! The replica core both stacks share: durable votes, the decided log, the
+//! Chandra–Toueg round machine, log compaction and catch-up — everything
+//! about being a *replica* that the paper does not compare, written once.
 //!
 //! The modular consensus module and the monolithic node differ in their
 //! composition boundary and in optimizations O1–O3: which message
@@ -76,13 +75,12 @@
 //!
 //! # Log compaction and snapshot state transfer
 //!
-//! The decision cache is bounded, so under unbounded history the old
-//! prefix must eventually go. Every process folds the contiguous decided
-//! prefix through a deterministic [`SnapshotFold`] and periodically
-//! materializes a [`Snapshot`] — application-state digest, per-sender
-//! delivered sets, the reconfiguration history and the `last_included`
-//! instance — persisted via the stable store. The rule, applied after
-//! every recorded decision:
+//! The decision cache is bounded, so under unbounded history the old prefix
+//! must eventually go. Every process folds the contiguous decided prefix
+//! through a deterministic [`SnapshotFold`] and periodically materializes a
+//! [`Snapshot`] — application-state digest, per-sender delivered sets and
+//! the `last_included` instance — persisted via the stable store. The rule,
+//! applied after every recorded decision:
 //!
 //! 1. *Trim.* While the cache holds more than `decision_cache`
 //!    decisions, evict the oldest — but only one the serving snapshot
@@ -107,17 +105,6 @@
 //! install point are replaced by the snapshot, so byte-identical replay
 //! is owed only for the tail — the recovery-aware oracle audits exactly
 //! that, plus cross-process agreement on snapshot digests.
-//!
-//! # Log-decided membership
-//!
-//! Reconfiguration commands are ordinary decided messages. A change
-//! decided at instance `d` is *registered* once the contiguous replayed
-//! prefix covers `d` (so versions are numbered in decided order on every
-//! process even when pipelined instances land out of order) and governs
-//! instances `d + RECONFIG_OFFSET` on; the registered history is
-//! persisted, carried in snapshots and re-registered on restart. See
-//! `docs/RECONFIG.md` for the model and [`ConfigTimeline`] for the
-//! quorum and coordinator arithmetic.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -128,9 +115,6 @@ use fortika_sim::{VDur, VTime};
 use crate::cluster::{NodeCtx, StableStore};
 use crate::config::CostModel;
 use crate::id::{MsgId, ProcessId};
-use crate::membership::{
-    decode_reconfigs, encode_reconfigs, parse_reconfig, ConfigChange, ConfigStamp, ConfigTimeline,
-};
 use crate::message::Batch;
 use crate::metrics::{Kind, Metric};
 use crate::ratelimit::PeerRateLimiter;
@@ -140,7 +124,7 @@ use crate::snapshot::{
     SnapshotStamp,
 };
 use crate::watermark::WatermarkSet;
-use crate::wire::{encode, encode_with, Stored, Wire, WireError, WireReader, WireWriter};
+use crate::wire::{encode, Stored, Wire, WireError, WireReader, WireWriter};
 
 /// Stable-store key namespaces (the high byte of a key).
 ///
@@ -157,17 +141,15 @@ pub mod keys {
     pub const WATERMARK: u64 = 2 << 56;
     /// The latest log-compaction snapshot.
     pub const SNAPSHOT: u64 = 3 << 56;
-    /// The registered reconfiguration history.
-    pub const CONFIG: u64 = 4 << 56;
+    // `4 << 56` and `6 << 56` are unassigned: the namespaces keep
+    // their numbers, so no key a stable store holds changes meaning.
     /// The reliable-broadcast module's origin sequence counter.
     pub const RBCAST_SEQ: u64 = 5 << 56;
-    // `6 << 56` is unassigned: the namespaces keep their numbers, so
-    // no key a stable store holds changes meaning.
     /// This process's promise (see [`crate::rounds`]): the round below
     /// which it votes at no instance from a floor on.
     pub const PROMISE: u64 = 7 << 56;
 
-    const ALL: [u64; 6] = [VOTE_TAG, WATERMARK, SNAPSHOT, CONFIG, RBCAST_SEQ, PROMISE];
+    const ALL: [u64; 5] = [VOTE_TAG, WATERMARK, SNAPSHOT, RBCAST_SEQ, PROMISE];
     const _: () = {
         let mut i = 0;
         while i < ALL.len() {
@@ -230,15 +212,9 @@ pub const SWEEP_INTERVAL: VDur = VDur::millis(250);
 /// the instance stream stays live and messages held by a subset of
 /// processes eventually get ordered.
 pub const IDLE_TIMEOUT: VDur = VDur::secs(1);
-/// Activation offset of log-decided reconfigurations: a membership
-/// change decided at instance `d` governs instances `d + 8` on. The
-/// pipeline depth may not exceed it ([`ReplicaCore::new`] asserts), or
-/// in-flight instances could be governed by a configuration their
-/// proposer cannot yet know.
-pub const RECONFIG_OFFSET: u64 = 8;
 
-/// Planted bugs for the acceptance suites that prove the oracle and the
-/// fuzz minimizer catch them. The type exists in every build, so a
+/// Planted bugs for the acceptance suite that proves the fuzz
+/// minimizer catches them. The type exists in every build, so a
 /// crate's source resolves the same under either profile (rustdoc reads
 /// it with debug assertions on); the config field that carries it, and
 /// every check of it, exist in debug builds only.
@@ -247,11 +223,6 @@ pub struct FaultHooks {
     /// Skip persisting vote records: the classic lost-vote recovery
     /// bug (fuzz-minimizer acceptance suite).
     pub skip_vote_persist: bool,
-    /// Never register decided reconfigurations. The process keeps
-    /// voting with the *initial* configuration's quorum and coordinator
-    /// math — the stale-quorum membership bug the config-aware oracle
-    /// must catch.
-    pub skip_config_fence: bool,
 }
 
 /// The replica knobs, one copy for both stacks (`StackConfig` in
@@ -278,12 +249,6 @@ pub struct ReplicaConfig {
     /// window above the replayed prefix is normal pipelining, not
     /// evidence of missed decisions.
     pub pipeline_depth: u64,
-    /// Size of the initial voting member set. `0` (the default) means
-    /// "every process in the cluster" — the static-group behaviour.
-    /// Reconfiguration runs build clusters at standby capacity (spare
-    /// processes awaiting an `Add`), so the voter count is smaller than
-    /// the cluster size there.
-    pub initial_members: usize,
     /// Planted bugs (acceptance suites only).
     #[cfg(debug_assertions)]
     pub faults: FaultHooks,
@@ -295,7 +260,6 @@ impl Default for ReplicaConfig {
             decision_cache: 1024,
             snapshot_interval: 256,
             pipeline_depth: 1,
-            initial_members: 0,
             #[cfg(debug_assertions)]
             faults: FaultHooks::default(),
         }
@@ -353,15 +317,10 @@ pub struct ReplicaNames {
     pub join_unservable: Metric,
     /// Counter: rejoins that reached the advertised frontier.
     pub rejoins_completed: Metric,
-    /// Counter: reconfigurations registered.
-    pub reconfigs: Metric,
     /// Counter: proposals made as coordinator.
     pub proposals: Metric,
     /// Counter: round changes.
     pub round_changes: Metric,
-    /// Counter: votes withheld behind the config fence (a learner, or
-    /// membership still uncertain).
-    pub config_fence_drops: Metric,
     /// Counter: round changes forced by the progress timeout.
     pub progress_rotations: Metric,
     /// Counter: pulls of a pending tag's value re-sent by the sweep.
@@ -593,8 +552,6 @@ pub trait ReplicaCtx {
     fn charge_durability(&mut self, cost: VDur);
     /// See [`NodeCtx::note_snapshot`].
     fn note_snapshot(&mut self, stamp: SnapshotStamp);
-    /// See [`NodeCtx::note_config`].
-    fn note_config(&mut self, stamp: ConfigStamp);
     /// See [`NodeCtx::bump`].
     fn bump(&mut self, metric: Metric, by: u64);
     /// See [`NodeCtx::trace_span`].
@@ -633,9 +590,6 @@ impl ReplicaCtx for NodeCtx<'_> {
     fn note_snapshot(&mut self, stamp: SnapshotStamp) {
         NodeCtx::note_snapshot(self, stamp);
     }
-    fn note_config(&mut self, stamp: ConfigStamp) {
-        NodeCtx::note_config(self, stamp);
-    }
     fn bump(&mut self, metric: Metric, by: u64) {
         NodeCtx::bump(self, metric, by);
     }
@@ -651,11 +605,10 @@ impl ReplicaCtx for NodeCtx<'_> {
 }
 
 /// The replica state of one process: voting fence and replay log, the
-/// decision cache, recovered vote records, the configuration timeline,
-/// the snapshot fold with its serving snapshot and download, and the
-/// rejoin state (see the [module docs](self) for the protocol) — and the
-/// round state of the undecided instances, which the transitions in
-/// [`crate::rounds`] drive.
+/// decision cache, recovered vote records, the snapshot fold with its
+/// serving snapshot and download, and the rejoin state (see the [module
+/// docs](self) for the protocol) — and the round state of the undecided
+/// instances, which the transitions in [`crate::rounds`] drive.
 pub struct ReplicaCore {
     cfg: ReplicaConfig,
     pub(crate) names: &'static ReplicaNames,
@@ -700,29 +653,11 @@ pub struct ReplicaCore {
     /// Snapshot recovered from stable storage (restart only); installed
     /// at start, where a handler context is available.
     restored: Option<Snapshot>,
-    /// The versioned configuration history. Built at start (the group
-    /// size is only known then); `None` answers every quorum question
-    /// with the static-group math.
-    timeline: Option<ConfigTimeline>,
-    /// Reconfiguration commands decided but not yet registered.
-    pending_reconfigs: BTreeMap<u64, ConfigChange>,
-    /// Reconfiguration history recovered from stable storage (restart
-    /// only); registered at start.
-    recovered_reconfigs: Vec<(u64, ConfigChange)>,
 }
 
 impl ReplicaCore {
     /// A fresh core (process start at time zero).
-    ///
-    /// # Panics
-    /// If `cfg.pipeline_depth` exceeds [`RECONFIG_OFFSET`].
     pub fn new(cfg: ReplicaConfig, names: &'static ReplicaNames) -> Self {
-        assert!(
-            cfg.pipeline_depth <= RECONFIG_OFFSET,
-            "pipeline depth {} exceeds the reconfiguration offset {RECONFIG_OFFSET}: an \
-             in-flight instance could be governed by a configuration its proposer cannot know",
-            cfg.pipeline_depth
-        );
         ReplicaCore {
             cfg,
             names,
@@ -743,20 +678,16 @@ impl ReplicaCore {
             offer_limiter: PeerRateLimiter::new(),
             promise_limiter: PeerRateLimiter::new(),
             restored: None,
-            timeline: None,
-            pending_reconfigs: BTreeMap::new(),
-            recovered_reconfigs: Vec::new(),
         }
     }
 
-    /// The core of a process revived after a crash: replays the
-    /// persisted vote records, decided watermark, snapshot and
-    /// reconfiguration history out of `stable` and arms the rejoin
-    /// announcement. Values that fail to decode are skipped, and so is a
-    /// snapshot that does not lie below the persisted fence (every
-    /// snapshot the core writes does; installing one that claims more
-    /// would fast-forward the fence over instances nobody decided) — a
-    /// damaged store yields a core that rejoins from less, never a panic.
+    /// The core of a process revived after a crash: replays the persisted vote
+    /// records, decided watermark, snapshot and promise out of `stable` and
+    /// arms the rejoin announcement. Values that fail to decode are skipped,
+    /// and so is a snapshot that does not lie below the persisted fence (every
+    /// snapshot the core writes does; installing one that claims more would
+    /// fast-forward the fence over instances nobody decided) — a damaged store
+    /// yields a core that rejoins from less, never a panic.
     pub fn resume(cfg: ReplicaConfig, names: &'static ReplicaNames, stable: &StableStore) -> Self {
         let mut core = ReplicaCore::new(cfg, names);
         core.rejoining = true;
@@ -773,10 +704,6 @@ impl ReplicaCore {
                     .decode::<Snapshot>()
                     .ok()
                     .filter(|snap| snap.last_included < fence);
-            } else if key == keys::CONFIG {
-                if let Ok(history) = decode_reconfigs(&mut value.reader()) {
-                    core.recovered_reconfigs = history;
-                }
             } else if key == keys::PROMISE {
                 if let Ok(promise) = value.decode::<Promise>() {
                     core.rounds.restore_promise(promise);
@@ -845,71 +772,20 @@ impl ReplicaCore {
         self.fold.is_delivered(id)
     }
 
-    /// The timeline, built on first use (the voter count defaults to
-    /// the cluster size; reconfig runs override it via
-    /// [`ReplicaConfig::initial_members`]).
-    fn timeline_mut(&mut self, n: usize) -> &mut ConfigTimeline {
-        let voters = if self.cfg.initial_members == 0 {
-            n
-        } else {
-            self.cfg.initial_members
-        };
-        self.timeline
-            .get_or_insert_with(|| ConfigTimeline::new(voters, RECONFIG_OFFSET))
+    /// The members of a group of `n`, in rotation order: every process.
+    pub fn members_of(n: usize) -> impl Iterator<Item = ProcessId> {
+        ProcessId::all(n)
     }
 
-    /// The member set governing `instance`, in rotation order.
-    pub fn members_of(&self, instance: u64, n: usize) -> Vec<ProcessId> {
-        match &self.timeline {
-            Some(t) => t.members_at(instance).to_vec(),
-            None => ProcessId::all(n).collect(),
-        }
+    /// The quorum size of a group of `n`: a majority.
+    pub fn majority_of(n: usize) -> usize {
+        n / 2 + 1
     }
 
-    /// How many members govern `instance`.
-    pub(crate) fn member_count(&self, instance: u64, n: usize) -> usize {
-        self.timeline
-            .as_ref()
-            .map_or(n, |t| t.members_at(instance).len())
-    }
-
-    /// The quorum size at `instance`.
-    pub fn majority_of(&self, instance: u64, n: usize) -> usize {
-        match &self.timeline {
-            Some(t) => t.majority_at(instance),
-            None => n / 2 + 1,
-        }
-    }
-
-    /// The coordinator of `round` at `instance` (rotation over the
-    /// governing member set).
-    pub fn coordinator_of(&self, instance: u64, round: u32, n: usize) -> ProcessId {
-        match &self.timeline {
-            Some(t) => t.coordinator_at(instance, round),
-            None => ProcessId((round as usize % n) as u16),
-        }
-    }
-
-    /// True when the membership governing `instance` is fully determined
-    /// by this process's contiguous replayed prefix (the config fence).
-    pub fn config_certain(&self, instance: u64) -> bool {
-        match &self.timeline {
-            Some(t) => t.certain_at(instance, self.replayed.watermark()),
-            None => true,
-        }
-    }
-
-    /// True when `me` may vote (ack / estimate / propose) at `instance`:
-    /// its membership there must be certain, and it must be a member.
-    /// Non-members keep running as learners — they record proposals,
-    /// learn decisions and deliver, but never vote.
-    pub fn can_vote(&self, instance: u64, me: ProcessId) -> bool {
-        match &self.timeline {
-            Some(t) => {
-                t.certain_at(instance, self.replayed.watermark()) && t.is_member_at(instance, me)
-            }
-            None => true,
-        }
+    /// The coordinator of `round` in a group of `n` (rotation over
+    /// every process).
+    pub fn coordinator_of(round: u32, n: usize) -> ProcessId {
+        ProcessId((round as usize % n) as u16)
     }
 
     /// Sends `msg` to `dst` under the stack's send kind for it, as the
@@ -1009,15 +885,9 @@ impl ReplicaCore {
         if folded < base + interval && !(uncovered_overflow && folded > base) {
             return;
         }
-        let Some(mut snap) = self.fold.snapshot() else {
+        let Some(snap) = self.fold.snapshot() else {
             return;
         };
-        // The snapshot carries the reconfiguration history decided
-        // within the prefix it covers: every registered change is below
-        // the replayed watermark, which the fold never outruns.
-        if let Some(t) = &self.timeline {
-            snap.reconfigs = t.reconfigs();
-        }
         ctx.bump(self.names.snapshots, 1);
         ctx.trace_span(self.names.label, snap.last_included, "snapshot_offer", 0);
         self.set_snapshot(ctx, snap, false);
@@ -1202,13 +1072,8 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     /// The replica state.
     fn core(&mut self) -> &mut ReplicaCore;
 
-    /// A reconfiguration was registered and reported: activate `stamp`
-    /// (re-point whatever monitors the member set).
-    fn config_active(&mut self, ctx: &mut C, stamp: ConfigStamp);
-
     /// `snap` is being installed: drop the per-instance state it
-    /// supersedes and skip delivery past it. Runs before the snapshot's
-    /// reconfiguration history is registered. Nothing to do for a host
+    /// supersedes and skip delivery past it. Nothing to do for a host
     /// that keeps no such state beside the core's (whose round state is
     /// already pruned).
     fn snapshot_covers(&mut self, _snap: &Snapshot) {}
@@ -1235,32 +1100,24 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     /// with no estimate phase ([`ReplicaCore::direct_round`]).
     fn promised(&mut self, ctx: &mut C);
 
-    /// Call from the stack's start handler: builds the timeline and, on
-    /// a revived process, restores the persisted snapshot first (the
-    /// compacted prefix needs no replay), re-registers the persisted
-    /// reconfiguration history (it may extend past the snapshot's;
-    /// duplicates are no-ops, and re-reporting the stamps re-confirms
-    /// the history to the harness), then advertises the replay frontier
-    /// — instance 0 without a snapshot — so peers stream the rest back.
+    /// Call from the stack's start handler: on a revived process,
+    /// restores the persisted snapshot first (the compacted prefix needs
+    /// no replay), then advertises the replay frontier — instance 0
+    /// without a snapshot — so peers stream the rest back.
     fn start_replica(&mut self, ctx: &mut C) {
         let core = self.core();
-        core.timeline_mut(ctx.n());
         if !core.rejoining {
             return;
         }
         if let Some(snap) = core.restored.take() {
             self.install_snapshot(ctx, snap);
         }
-        for (d, change) in std::mem::take(&mut self.core().recovered_reconfigs) {
-            self.register_reconfig(ctx, d, change);
-        }
         self.core().announce(ctx);
     }
 
     /// Records the decision of `instance` in the core: advances the
     /// replay log and the voting fence, caches the value, folds it,
-    /// registers reconfigurations it completes, trims the cache to its
-    /// bound and cuts a snapshot when one is due (see "Log compaction"
+    /// trims the cache to its bound and cuts a snapshot when one is due (see "Log compaction"
     /// in the [module docs](self)). The fence is persisted with that
     /// snapshot — or here, on every advance, when snapshots are off.
     /// Keyed on the replay log, so a revived process re-records the
@@ -1279,69 +1136,14 @@ pub trait ReplicaHost<C: ReplicaCtx> {
         }
         core.decisions.insert(instance, value.clone());
         core.fold.absorb(instance, value);
-        self.note_reconfigs(ctx, instance, value);
-        self.core().maybe_compact(ctx);
+        core.maybe_compact(ctx);
         true
-    }
-
-    /// Registers the reconfiguration decided at `decided_at`: updates
-    /// the timeline, persists the full history atomically with the
-    /// enclosing handler, reports the new version's stamp to the harness
-    /// (config-aware oracle) and hands it to the stack.
-    fn register_reconfig(&mut self, ctx: &mut C, decided_at: u64, change: ConfigChange) {
-        let core = self.core();
-        #[cfg(debug_assertions)]
-        if core.cfg.faults.skip_config_fence {
-            // Injected fault (reconfig oracle acceptance suite): the
-            // decided change is ignored, so this process keeps voting
-            // with the initial configuration's quorum and coordinator
-            // math and never reports a config stamp.
-            return;
-        }
-        let timeline = core.timeline_mut(ctx.n());
-        let Some(stamp) = timeline.register(decided_at, change) else {
-            return; // duplicate (replay / snapshot overlap)
-        };
-        let history = timeline.reconfigs();
-        ctx.persist(keys::CONFIG, encode_with(|w| encode_reconfigs(&history, w)));
-        ctx.bump(core.names.reconfigs, 1);
-        ctx.trace_span(core.names.label, decided_at, "config_active", stamp.version);
-        ctx.note_config(stamp.clone());
-        self.config_active(ctx, stamp);
-    }
-
-    /// Scans a freshly decided batch for reconfiguration commands, then
-    /// registers every pending command the contiguous replayed prefix
-    /// now covers — in decided-instance order, so configuration
-    /// versions are numbered identically on every process regardless of
-    /// the order pipelined decisions landed in.
-    fn note_reconfigs(&mut self, ctx: &mut C, instance: u64, value: &Batch) {
-        let core = self.core();
-        for msg in value.msgs() {
-            if let Some(change) = parse_reconfig(&msg.payload) {
-                // First command in the batch wins; the submission path
-                // spaces reconfigs out so this is the rare tie-break.
-                core.pending_reconfigs.entry(instance).or_insert(change);
-            }
-        }
-        loop {
-            let core = self.core();
-            let Some((&d, &change)) = core.pending_reconfigs.first_key_value() else {
-                break;
-            };
-            if d >= core.replayed.watermark() {
-                break; // not contiguous yet: an earlier decision is missing
-            }
-            core.pending_reconfigs.remove(&d);
-            self.register_reconfig(ctx, d, change);
-        }
     }
 
     /// Installs a snapshot: fast-forwards the fold, replay log and
     /// voting fence to `last_included + 1`, drops the state the snapshot
-    /// made moot, registers the reconfiguration history it carries (it
-    /// replaces scanning the compacted prefix) and adopts it for serving
-    /// (which persists the fence with it).
+    /// made moot and adopts it for serving (which persists the fence with
+    /// it).
     fn install_snapshot(&mut self, ctx: &mut C, snap: Snapshot) {
         let core = self.core();
         if !core.fold.install(&snap) {
@@ -1351,12 +1153,8 @@ pub trait ReplicaHost<C: ReplicaCtx> {
         core.replayed.advance_to(next);
         core.decided_log.advance_to(next);
         core.recovered_votes = core.recovered_votes.split_off(&next);
-        core.pending_reconfigs = core.pending_reconfigs.split_off(&next);
         core.rounds.drop_below(next);
         self.snapshot_covers(&snap);
-        for &(d, change) in &snap.reconfigs {
-            self.register_reconfig(ctx, d, change);
-        }
         let core = self.core();
         ctx.bump(core.names.snapshots_installed, 1);
         ctx.trace_span(core.names.label, snap.last_included, "snapshot_install", 0);
@@ -1526,9 +1324,8 @@ pub trait ReplicaHost<C: ReplicaCtx> {
 pub(crate) mod tests {
     use super::*;
     use crate::counters::Counters;
-    use crate::id::RECONFIG_SEQ_BASE;
-    use crate::membership::reconfig_payload;
     use crate::message::AppMsg;
+    use crate::wire::encode_with;
 
     crate::metric_table! {
         mod t in TEST {
@@ -1543,10 +1340,8 @@ pub(crate) mod tests {
                 SNAPSHOTS_INSTALLED = "t.snapshots_installed",
                 JOIN_UNSERVABLE = "t.join_unservable",
                 REJOINS_COMPLETED = "t.rejoins_completed",
-                RECONFIGS = "t.reconfigs",
                 PROPOSALS = "t.proposals",
                 ROUND_CHANGES = "t.round_changes",
-                CONFIG_FENCE_DROPS = "t.config_fence_drops",
                 PROGRESS_ROTATIONS = "t.progress_rotations",
                 REQUEST_RETRIES = "t.request_retries",
                 TAG_MISSES = "t.tag_misses",
@@ -1590,10 +1385,8 @@ pub(crate) mod tests {
         snapshots_installed: t::SNAPSHOTS_INSTALLED,
         join_unservable: t::JOIN_UNSERVABLE,
         rejoins_completed: t::REJOINS_COMPLETED,
-        reconfigs: t::RECONFIGS,
         proposals: t::PROPOSALS,
         round_changes: t::ROUND_CHANGES,
-        config_fence_drops: t::CONFIG_FENCE_DROPS,
         progress_rotations: t::PROGRESS_ROTATIONS,
         request_retries: t::REQUEST_RETRIES,
         tag_misses: t::TAG_MISSES,
@@ -1620,7 +1413,6 @@ pub(crate) mod tests {
         pub(crate) writes: Vec<Write>,
         pub(crate) sent: Vec<(Option<ProcessId>, &'static str, CatchUp)>,
         bumps: Counters,
-        configs: Vec<ConfigStamp>,
     }
 
     impl FakeCtx {
@@ -1634,7 +1426,6 @@ pub(crate) mod tests {
                 writes: Vec::new(),
                 sent: Vec::new(),
                 bumps: Counters::new(),
-                configs: Vec::new(),
             }
         }
 
@@ -1674,9 +1465,6 @@ pub(crate) mod tests {
         }
         fn charge_durability(&mut self, _: VDur) {}
         fn note_snapshot(&mut self, _: SnapshotStamp) {}
-        fn note_config(&mut self, stamp: ConfigStamp) {
-            self.configs.push(stamp);
-        }
         fn bump(&mut self, metric: Metric, by: u64) {
             self.bumps.bump(metric, by);
         }
@@ -1693,7 +1481,6 @@ pub(crate) mod tests {
     /// into the core.
     pub(crate) struct FakeHost {
         pub(crate) core: ReplicaCore,
-        activated: Vec<u64>,
         covered: Vec<u64>,
         installed: u32,
         /// Instances handed to `advance_round`.
@@ -1706,7 +1493,6 @@ pub(crate) mod tests {
         pub(crate) fn over(core: ReplicaCore) -> Self {
             FakeHost {
                 core,
-                activated: Vec::new(),
                 covered: Vec::new(),
                 installed: 0,
                 advanced: Vec::new(),
@@ -1735,9 +1521,6 @@ pub(crate) mod tests {
     impl ReplicaHost<FakeCtx> for FakeHost {
         fn core(&mut self) -> &mut ReplicaCore {
             &mut self.core
-        }
-        fn config_active(&mut self, _: &mut FakeCtx, stamp: ConfigStamp) {
-            self.activated.push(stamp.version);
         }
         fn snapshot_covers(&mut self, snap: &Snapshot) {
             self.covered.push(snap.last_included);
@@ -2334,8 +2117,7 @@ pub(crate) mod tests {
         // replayed prefix covers every fenced instance.
         for replayed in 0..F {
             ctx.now += GAP_RETRY;
-            let admitted = host.core.admit_proposal(&mut ctx, coordinator, F + 5, 0);
-            assert_eq!(admitted, Some(true));
+            assert!(host.core.admit_proposal(&mut ctx, coordinator, F + 5, 0));
             assert_eq!(pulls(&mut ctx, coordinator), [], "replayed {replayed}");
             host.decide(&mut ctx, replayed..replayed + 1);
         }
@@ -2353,35 +2135,19 @@ pub(crate) mod tests {
         assert!(!all.contains(&keys::WATERMARK));
     }
 
-    #[test]
-    #[should_panic(expected = "exceeds the reconfiguration offset")]
-    fn pipeline_deeper_than_the_reconfig_offset_is_rejected() {
-        let cfg = ReplicaConfig {
-            pipeline_depth: RECONFIG_OFFSET + 1,
-            ..ReplicaConfig::default()
-        };
-        ReplicaCore::new(cfg, &NAMES);
-    }
-
     /// A store holding one value under every key the core writes: votes
-    /// above the fence, the watermark, a snapshot and a reconfiguration.
+    /// above the fence, the watermark and a snapshot.
     fn written_store() -> (FakeHost, StableStore) {
         let (mut host, mut ctx) = (FakeHost::fresh(16, 2), FakeCtx::new());
-        let add = AppMsg::new(
-            MsgId::new(ProcessId(0), RECONFIG_SEQ_BASE),
-            reconfig_payload(ConfigChange::Remove(ProcessId(2))),
-        );
-        assert!(host.record_decision(&mut ctx, 0, &Batch::normalize(vec![add])));
-        host.decide(&mut ctx, 1..4);
+        host.decide(&mut ctx, 0..4);
         host.core.persist_vote(&mut ctx, 5, 2, 3, &batch(50));
         host.core.persist_vote(&mut ctx, 7, 0, 1, &batch(70));
         host.core.persist_vote(&mut ctx, 9, 1, 2, &shared_batch());
-        for key in [keys::WATERMARK, keys::SNAPSHOT, keys::CONFIG, keys::vote(5)] {
+        for key in [keys::WATERMARK, keys::SNAPSHOT, keys::vote(5)] {
             assert!(ctx.store.contains_key(&key), "{key:#x} not written");
         }
         // Framing, the long payload by reference, the short message.
         assert_eq!(ctx.store[&keys::vote(9)].parts().len(), 3);
-        assert_eq!(host.activated, vec![1]);
         (host, ctx.store)
     }
 
@@ -2399,18 +2165,14 @@ pub(crate) mod tests {
         assert_eq!((vote.round, vote.ts, &vote.value), (1, 2, &shared_batch()));
         assert!(core.recovered_vote(0).is_none());
         assert_eq!(core.restored, writer.core.snapshot);
-        let history = writer.core.timeline.as_ref().unwrap().reconfigs();
-        assert_eq!(core.recovered_reconfigs, history);
 
-        // Starting it installs the snapshot, re-activates the persisted
-        // configuration once and announces the replay frontier.
+        // Starting it installs the snapshot and announces the replay
+        // frontier.
         let (mut host, mut ctx) = (FakeHost::over(core), FakeCtx::new());
         host.start_replica(&mut ctx);
         let last_included = writer.core.snapshot.as_ref().unwrap().last_included;
         assert_eq!(host.covered, vec![last_included]);
-        assert_eq!((host.installed, &host.activated), (1, &vec![1]));
-        assert_eq!(ctx.configs.len(), 1);
-        assert_eq!(host.core.members_of(100, 3), [ProcessId(0), ProcessId(1)]);
+        assert_eq!(host.installed, 1);
         let from = last_included + 1;
         assert_eq!(ctx.sent, vec![(None, "t.pull", CatchUp::Pull { from })]);
     }

@@ -45,13 +45,13 @@
 //!   in its round. A proposal of a round this process promised away is
 //!   answered with the promise, and so is a pulling peer;
 //! * **direct** — the coordinator of round `r` proposes at `j` with no
-//!   estimate phase once a majority of the members governing `j`,
-//!   itself included, promised `r` from at or below `j`
-//!   ([`ReplicaCore::direct_round`]). Round 0 is the case with nothing to
-//!   promise (the paper's first optimisation): nothing below `r` can be
-//!   decided at `j`, because that needs an ack quorum, which would meet
-//!   a promiser. A direct proposal reached every member as it is, so its
-//!   decision travels as a tag, as round 0's always did.
+//!   estimate phase once a majority of the group, itself included, promised
+//!   `r` from at or below `j` ([`ReplicaCore::direct_round`]). Round 0 is
+//!   the case with nothing to promise (the paper's first optimisation):
+//!   nothing below `r` can be decided at `j`, because that needs an ack
+//!   quorum, which would meet a promiser. A direct proposal reached every
+//!   member as it is, so its decision travels as a tag, as round 0's always
+//!   did.
 //!
 //! The invariant the promise keeps: **a process that promised round `r`
 //! from `f` holds no vote of a round below `r` at any `j ≥ f`, and never
@@ -317,9 +317,6 @@ pub struct Rotation {
     pub round: u32,
     /// Its coordinator.
     pub coordinator: ProcessId,
-    /// Whether this process may vote in the instance; a process that may
-    /// not tracks rounds but sends no estimate and makes no proposal.
-    pub votable: bool,
 }
 
 impl ReplicaCore {
@@ -400,7 +397,7 @@ impl ReplicaCore {
         self.rounds
             .instances
             .iter()
-            .filter(|(k, inst)| self.coordinator_of(**k, inst.round, n) == p)
+            .filter(|(_, inst)| Self::coordinator_of(inst.round, n) == p)
             .map(|(k, _)| *k)
             .collect()
     }
@@ -421,27 +418,25 @@ impl ReplicaCore {
             return false;
         }
         self.rounds.instances.get(&instance).is_some_and(|inst| {
-            let coordinator = self.coordinator_of(instance, inst.round, n);
+            let coordinator = Self::coordinator_of(inst.round, n);
             self.rounds.suspected.contains(&coordinator)
         })
     }
 
     /// The coordinator work should be routed to right now: that of the
     /// lowest live instance's round or, with none live, the first
-    /// unsuspected member in the rotation at the end of the replayed
+    /// unsuspected process in the rotation at the end of the replayed
     /// prefix, from the round that instance would open in.
     pub fn live_coordinator(&self, n: usize) -> ProcessId {
-        if let Some((k, inst)) = self.rounds.instances.iter().next() {
-            return self.coordinator_of(*k, inst.round, n);
+        if let Some(inst) = self.rounds.instances.values().next() {
+            return Self::coordinator_of(inst.round, n);
         }
-        let cursor = self.replayed_watermark();
-        let first = self.fresh_round(cursor);
-        let at = |r: u32| self.coordinator_of(cursor, first + r, n);
-        // Bounded by one full rotation: a learner must not spin when
-        // every member is transiently suspected.
-        let members = self.member_count(cursor, n) as u32;
+        let first = self.fresh_round(self.replayed_watermark());
+        let at = |r: u32| Self::coordinator_of(first + r, n);
+        // Bounded by one full rotation: every process may be
+        // transiently suspected.
         let mut r = 0;
-        while r < members && self.rounds.suspected.contains(&at(r)) {
+        while r < n as u32 && self.rounds.suspected.contains(&at(r)) {
             r += 1;
         }
         at(r)
@@ -449,11 +444,11 @@ impl ReplicaCore {
 
     /// The round in which `me` may propose at `instance` with no estimate
     /// phase, if any: `instance` (live, or the round it would open in) is
-    /// unproposed in a round `me` coordinates and may vote in; `me` holds
-    /// no lock of a lower round there (a lock of this very round — its
-    /// own, recovered — is re-proposed); and the round is 0, or a
-    /// majority of the members governing `instance`, `me` included,
-    /// promised it from at or below `instance`.
+    /// unproposed in a round `me` coordinates; `me` holds no lock of a
+    /// lower round there (a lock of this very round — its own,
+    /// recovered — is re-proposed); and the round is 0, or a majority of
+    /// the group, `me` included, promised it from at or below
+    /// `instance`.
     pub fn direct_round(&self, instance: u64, me: ProcessId, n: usize) -> Option<u32> {
         let (round, held) = match self.rounds.instances.get(&instance) {
             Some(inst) if inst.proposal_sent_round == Some(inst.round) => return None,
@@ -463,11 +458,11 @@ impl ReplicaCore {
                 (self.fresh_round(instance), rec.map_or(0, |r| r.ts))
             }
         };
-        if self.coordinator_of(instance, round, n) != me || (held != 0 && held != round + 1) {
+        if Self::coordinator_of(round, n) != me || (held != 0 && held != round + 1) {
             return None;
         }
         let promised = round == 0 || self.promise_quorum(instance, round, me, n);
-        (promised && self.can_vote(instance, me)).then_some(round)
+        promised.then_some(round)
     }
 
     /// The live instances [`direct_round`](Self::direct_round) lets `me`
@@ -481,10 +476,10 @@ impl ReplicaCore {
             .collect()
     }
 
-    /// True when a majority of the members governing `instance` — `me`
-    /// and peers whose promise covers it — promised `round` or higher.
+    /// True when a majority of the group — `me` and peers whose promise
+    /// covers `instance` — promised `round` or higher.
     fn promise_quorum(&self, instance: u64, round: u32, me: ProcessId, n: usize) -> bool {
-        let promised = self.members_of(instance, n).into_iter().filter(|p| {
+        let promised = Self::members_of(n).filter(|p| {
             *p != me
                 && self
                     .rounds
@@ -492,7 +487,7 @@ impl ReplicaCore {
                     .get(p)
                     .is_some_and(|q| q.round >= round && q.from <= instance)
         });
-        promised.count() + 1 >= self.majority_of(instance, n)
+        promised.count() + 1 >= Self::majority_of(n)
     }
 
     /// The first instance the promise this process made (`promised`,
@@ -557,11 +552,11 @@ impl ReplicaCore {
 
     /// Rule 2: `round` was seen in use at `instance` — a proposal, a
     /// decision, a peer's promise. Above this process's promise, it
-    /// promises the tail too (if it may vote there): fresh instances from
-    /// `instance` on open in it, and its coordinator can count this
-    /// process. Free at or below the promise.
+    /// promises the tail too: fresh instances from `instance` on open in
+    /// it, and its coordinator can count this process. Free at or below
+    /// the promise.
     pub fn raise<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64, round: u32) {
-        if round > self.rounds.promised.round && self.can_vote(instance, ctx.pid()) {
+        if round > self.rounds.promised.round {
             self.promise_tail(ctx, instance, round);
         }
     }
@@ -617,32 +612,25 @@ impl ReplicaCore {
         round
     }
 
-    /// The gate every incoming proposal passes first. `None`: drop the
+    /// The gate every incoming proposal passes first. False: drop the
     /// proposal — `from` does not coordinate `round` (counted), or
     /// `instance` is decided here, and `from`, a coordinator still
     /// waiting to conclude it, was answered as a pull from `instance`
-    /// would be. Otherwise whether this process may vote on it. A
-    /// proposal of a round this process promised away at an undecided
-    /// instance is answered with the promise, so its coordinator moves on
-    /// at once; one beyond the pipeline window above the replayed prefix
-    /// pulls the decisions this process missed from its sender.
-    ///
-    /// The sender check only applies once the membership at `instance`
-    /// is certain: behind the config fence the rotation is still
-    /// provisional, and rejecting would drop a legitimate proposal from
-    /// a configuration this process has not learned yet — which it
-    /// therefore must not vote in either.
+    /// would be. A proposal of a round this process promised away at an
+    /// undecided instance is answered with the promise, so its
+    /// coordinator moves on at once; one beyond the pipeline window above
+    /// the replayed prefix pulls the decisions this process missed from
+    /// its sender.
     pub fn admit_proposal<C: ReplicaCtx>(
         &mut self,
         ctx: &mut C,
         from: ProcessId,
         instance: u64,
         round: u32,
-    ) -> Option<bool> {
-        let certain = self.config_certain(instance);
-        if certain && self.coordinator_of(instance, round, ctx.n()) != from {
+    ) -> bool {
+        if Self::coordinator_of(round, ctx.n()) != from {
             ctx.bump(self.names.bogus_proposals, 1);
-            return None;
+            return false;
         }
         if round < self.rounds.promised.round_at(instance)
             && round < self.round_of(instance)
@@ -651,10 +639,7 @@ impl ReplicaCore {
             self.send_promise(ctx, from);
         }
         self.pull_on_sighting(ctx, from, instance);
-        if !self.admit_estimate(ctx, from, instance) {
-            return None;
-        }
-        Some(certain && self.can_vote(instance, ctx.pid()))
+        self.admit_estimate(ctx, from, instance)
     }
 
     /// The gate every incoming estimate passes first: false — drop it —
@@ -692,18 +677,15 @@ impl ReplicaCore {
     /// Takes the proposal `(round, value)` for an undecided `instance`.
     /// One from an abandoned round is ignored, and costs nothing durable;
     /// otherwise its round is [raised](Self::raise) to, it is recorded
-    /// (joining its round), and a `votable` process adopts it, the vote
-    /// durable atomically with the ack the caller now sends so a future
-    /// incarnation honours the lock. A process that may not vote — a
-    /// learner, or one whose replay has not yet determined the membership
-    /// at `instance` — must not lock or ack.
+    /// (joining its round) and adopted, the vote durable atomically with
+    /// the ack the caller now sends so a future incarnation honours the
+    /// lock.
     pub fn vote<C: ReplicaCtx>(
         &mut self,
         ctx: &mut C,
         instance: u64,
         round: u32,
         value: &Batch,
-        votable: bool,
     ) -> Vote {
         let now = ctx.now();
         let planted = self.lost_votes_planted();
@@ -720,16 +702,12 @@ impl ReplicaCore {
         }
         inst.last_proposal = Some((round, value.clone()));
         let tag_hit = inst.pending_tag == Some(round);
-        if votable {
-            inst.adopt(round, value, planted);
-            self.rounds.voted_below = self.rounds.voted_below.max(instance + 1);
-            self.persist_vote(ctx, instance, round, round + 1, value);
-            ctx.trace_span(self.names.label, instance, "voted", u64::from(round));
-        } else {
-            ctx.bump(self.names.config_fence_drops, 1);
-        }
+        inst.adopt(round, value, planted);
+        self.rounds.voted_below = self.rounds.voted_below.max(instance + 1);
+        self.persist_vote(ctx, instance, round, round + 1, value);
+        ctx.trace_span(self.names.label, instance, "voted", u64::from(round));
         Vote {
-            voted: votable,
+            voted: true,
             tag_hit,
         }
     }
@@ -748,9 +726,9 @@ impl ReplicaCore {
     }
 
     /// Coordinator side: the round and value of `instance`'s outstanding
-    /// proposal once a majority of the configuration governing it acked.
+    /// proposal once a majority of the group acked.
     pub fn quorum_acked(&self, instance: u64, n: usize) -> Option<(u32, Batch)> {
-        let majority = self.majority_of(instance, n);
+        let majority = Self::majority_of(n);
         let inst = self.rounds.instances.get(&instance)?;
         if inst.proposal_sent_round != Some(inst.round) || inst.acks.len() < majority {
             return None;
@@ -834,12 +812,8 @@ impl ReplicaCore {
     /// `instance`'s current round — `None` until a majority's estimates
     /// for it are in, or when it is not `me`'s to propose.
     pub fn quorum_choice(&self, instance: u64, me: ProcessId, n: usize) -> Option<QuorumChoice> {
-        if !self.can_vote(instance, me) {
-            return None; // learner, or membership at `instance` still uncertain
-        }
-        let members = self.members_of(instance, n);
         let round = self.rounds.unproposed_round(instance)?;
-        if round == 0 || members[round as usize % members.len()] != me {
+        if round == 0 || Self::coordinator_of(round, n) != me {
             return None;
         }
         let mut candidates: Vec<(ProcessId, &Batch, u32)> = self.rounds.instances[&instance]
@@ -848,7 +822,7 @@ impl ReplicaCore {
             .filter(|(_, (r, _, _))| *r == round)
             .map(|(pid, (_, value, ts))| (*pid, value, *ts))
             .collect();
-        if candidates.len() < members.len() / 2 + 1 {
+        if candidates.len() < Self::majority_of(n) {
             return None;
         }
         candidates.sort_by_key(|(pid, _, ts)| (Reverse(*ts), *pid));
@@ -866,10 +840,8 @@ impl ReplicaCore {
     /// — of the tail too when the coordinator left behind is suspected: a
     /// coordinator change, not one instance the progress sweep moves on.
     pub fn rotate<C: ReplicaCtx>(&mut self, ctx: &mut C, instance: u64) -> Option<Rotation> {
-        let me = ctx.pid();
-        let members = self.members_of(instance, ctx.n());
-        let coord_of = |round: u32| members[round as usize % members.len()];
-        let votable = self.can_vote(instance, me);
+        let (me, n) = (ctx.pid(), ctx.n());
+        let coord_of = |round: u32| Self::coordinator_of(round, n);
         let opening = self.fresh_round(instance);
         let Rounds {
             instances,
@@ -880,11 +852,9 @@ impl ReplicaCore {
         let left_suspected = suspected.contains(&coord_of(inst.round));
         let mut round = (inst.round + 1).max(opening);
         // The skip is bounded by one full rotation: past it the same
-        // coordinators repeat, and a learner (never its own coordinator)
-        // must not spin when every member is transiently suspected.
+        // coordinators repeat.
         let mut skips = 0;
-        while coord_of(round) != me && suspected.contains(&coord_of(round)) && skips < members.len()
-        {
+        while coord_of(round) != me && suspected.contains(&coord_of(round)) && skips < n {
             round += 1;
             skips += 1;
         }
@@ -892,18 +862,12 @@ impl ReplicaCore {
         ctx.bump(self.names.round_changes, 1);
         ctx.trace_span(self.names.label, instance, "round_change", u64::from(round));
         let coordinator = coord_of(round);
-        if !votable {
-            ctx.bump(self.names.config_fence_drops, 1);
-        } else if coordinator != me && left_suspected {
+        if coordinator != me && left_suspected {
             self.promise_tail(ctx, instance, round);
         } else if coordinator != me {
             self.promise(ctx, instance, round);
         }
-        Some(Rotation {
-            round,
-            coordinator,
-            votable,
-        })
+        Some(Rotation { round, coordinator })
     }
 
     /// One instance [`stuck`](Rounds::stuck) at `now`, the start of the
@@ -1029,7 +993,7 @@ mod tests {
         assert_eq!(core.quorum_acked(K, 3), Some((0, batch(7))));
 
         // A vote in round 2 raises the timestamp to 3, durably.
-        let vote = core.vote(&mut ctx, K, 2, &batch(9), true);
+        let vote = core.vote(&mut ctx, K, 2, &batch(9));
         assert!(vote.voted && !vote.tag_hit);
         let vote = stored_vote(&ctx);
         assert_eq!((vote.round, vote.ts, vote.value), (2, 3, batch(9)));
@@ -1038,7 +1002,7 @@ mod tests {
         assert_eq!(core.quorum_acked(K, 3), None);
         // A proposal of an abandoned round cannot lower it.
         ctx.writes.clear();
-        let stale = core.vote(&mut ctx, K, 1, &batch(5), true);
+        let stale = core.vote(&mut ctx, K, 1, &batch(5));
         assert!(!stale.voted && !stale.tag_hit && ctx.writes.is_empty());
         assert_eq!(core.rounds().estimate(K), Some((&batch(9), 3)));
         // Coordinating round 3, p1 locks whatever it proposes with ts 4.
@@ -1052,7 +1016,7 @@ mod tests {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
         enter(&mut core, K, 3);
         // Proposal: not recorded, so a tag for its round still misses.
-        let vote = core.vote(&mut ctx, K, 2, &batch(1), true);
+        let vote = core.vote(&mut ctx, K, 2, &batch(1));
         assert!(!vote.voted && ctx.writes.is_empty() && ctx.sent.is_empty());
         assert_eq!(core.resolve_tag(&mut ctx, P1, K, 2), None);
         assert_eq!(ctx.bumped("t.tag_misses"), 1);
@@ -1084,18 +1048,15 @@ mod tests {
     }
 
     #[test]
-    fn a_process_that_may_not_vote_records_but_never_locks() {
+    fn a_tag_and_its_proposal_decide_in_either_order() {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
         // The tag comes first: kept until the proposal shows up.
         assert_eq!(core.resolve_tag(&mut ctx, P1, K, 0), None);
-        let vote = core.vote(&mut ctx, K, 0, &batch(3), false);
-        assert!(!vote.voted && vote.tag_hit);
-        assert!(ctx.writes.is_empty(), "no vote, nothing durable");
-        assert_eq!(core.rounds().estimate(K), None);
-        assert_eq!(ctx.bumped("t.config_fence_drops"), 1);
+        let vote = core.vote(&mut ctx, K, 0, &batch(3));
+        assert!(vote.voted && vote.tag_hit);
         // The proposal comes first: a later tag decides it.
-        let vote = core.vote(&mut ctx, K + 1, 0, &batch(4), false);
-        assert!(!vote.voted && !vote.tag_hit);
+        let vote = core.vote(&mut ctx, K + 1, 0, &batch(4));
+        assert!(vote.voted && !vote.tag_hit);
         assert_eq!(core.resolve_tag(&mut ctx, P1, K + 1, 0), Some(batch(4)));
         assert_eq!(
             core.resolve_tag(&mut ctx, P1, K + 1, 1),
@@ -1114,23 +1075,23 @@ mod tests {
         let mut cfg = ReplicaConfig::default();
         cfg.faults.skip_vote_persist = true;
         let (mut planted, mut ctx) = (ReplicaCore::new(cfg, &NAMES), FakeCtx::new());
-        planted.vote(&mut ctx, K, 1, &batch(1), true);
-        planted.vote(&mut ctx, K, 1, &batch(2), true);
+        planted.vote(&mut ctx, K, 1, &batch(1));
+        planted.vote(&mut ctx, K, 1, &batch(2));
         // Round 1 raises the promise, once; no vote is written.
         assert_eq!(ctx.writes, vec![Write::Put(keys::PROMISE)]);
 
         let mut core = core();
-        core.vote(&mut ctx, K, 1, &batch(1), true);
-        core.vote(&mut ctx, K, 1, &batch(2), true);
+        core.vote(&mut ctx, K, 1, &batch(1));
+        core.vote(&mut ctx, K, 1, &batch(2));
     }
 
     #[test]
     fn admit_proposal_checks_the_sender_against_the_rotation() {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
-        assert_eq!(core.admit_proposal(&mut ctx, P2, K, 1), None);
+        assert!(!core.admit_proposal(&mut ctx, P2, K, 1));
         assert_eq!(ctx.bumped("t.bogus_proposals"), 1);
         assert!(ctx.sent.is_empty(), "a dropped proposal is no sighting");
-        assert_eq!(core.admit_proposal(&mut ctx, P1, K, 1), Some(true));
+        assert!(core.admit_proposal(&mut ctx, P1, K, 1));
         // K lies past the window above the empty replayed prefix: the
         // admitted proposal pulls the decisions below it from its sender,
         // from the prefix's end on.
@@ -1153,7 +1114,7 @@ mod tests {
         };
         // A coordinator still proposing in instance 3 is dropped and
         // answered, as a pull from 3 would be.
-        assert_eq!(host.core.admit_proposal(&mut ctx, P0, 3, 0), None);
+        assert!(!host.core.admit_proposal(&mut ctx, P0, 3, 0));
         assert_eq!(ctx.sent, vec![(Some(P0), "t.state_transfer", answer(3))]);
         ctx.sent.clear();
         // So is an estimate for instance 5.
@@ -1176,7 +1137,7 @@ mod tests {
         assert_eq!(core.suspect(P1, 3), Vec::<u64>::new());
         assert_eq!(core.live_coordinator(3), P0, "that of round 0 of K");
         let to = core.rotate(&mut ctx, K).unwrap();
-        assert_eq!((to.round, to.coordinator, to.votable), (2, P2, true));
+        assert_eq!((to.round, to.coordinator), (2, P2));
         assert_eq!(ctx.bumped("t.round_changes"), 1);
         assert!(core.coordinator_suspected(K + 1, 3));
         assert!(!core.coordinator_suspected(K, 3));
@@ -1189,24 +1150,6 @@ mod tests {
         assert_eq!(core.live_coordinator(3), P0, "all suspected: wraps");
         core.restore(P1);
         assert_eq!(core.live_coordinator(3), P1);
-
-        // A learner (p3 outside {p1, p2}) is never its own coordinator:
-        // with every member suspected it stops after one rotation.
-        let cfg = ReplicaConfig {
-            initial_members: 2,
-            ..ReplicaConfig::default()
-        };
-        let mut host = FakeHost::over(ReplicaCore::new(cfg, &NAMES));
-        ctx.pid = P2;
-        host.start_replica(&mut ctx);
-        let core = &mut host.core;
-        core.open(K, ctx.now);
-        core.suspect(P0, 3);
-        core.suspect(P1, 3);
-        let to = core.rotate(&mut ctx, K).unwrap();
-        assert_eq!((to.round, to.coordinator, to.votable), (3, P1, false));
-        assert_eq!(ctx.bumped("t.config_fence_drops"), 1);
-        assert_eq!(core.quorum_choice(K, P2, 3), None);
     }
 
     #[test]
@@ -1267,7 +1210,7 @@ mod tests {
         // fresh instances in round 1.
         let mut revived = ReplicaCore::resume(ReplicaConfig::default(), &NAMES, &ctx.store);
         ctx.writes.clear();
-        let late = revived.vote(&mut ctx, K, 0, &batch(1), true);
+        let late = revived.vote(&mut ctx, K, 0, &batch(1));
         assert!(!late.voted && ctx.writes.is_empty());
         assert_eq!(revived.rounds().unproposed_round(K), Some(1));
         revived.open(K + 5, ctx.now);
@@ -1336,13 +1279,9 @@ mod tests {
         assert!(core.rounds().tag_decides(K));
         assert_eq!(core.direct_round(K, P1, 5), None, "proposed already");
 
-        // Members {p1, p2, p3} of five processes: a promise from p5, a
-        // learner, counts for nothing.
-        let cfg = ReplicaConfig {
-            initial_members: 3,
-            ..ReplicaConfig::default()
-        };
-        let mut host = FakeHost::over(ReplicaCore::new(cfg, &NAMES));
+        // Promises that arrive as catch-up messages count alike, and
+        // make live instances direct-ready.
+        let mut host = FakeHost::over(ReplicaCore::new(ReplicaConfig::default(), &NAMES));
         host.start_replica(&mut ctx);
         host.on_catch_up(&mut ctx, P4, CatchUp::Promise(promise(1, K)));
         assert_eq!(host.core.fresh_round(K), 1);
@@ -1359,7 +1298,7 @@ mod tests {
     fn a_promise_does_not_cover_an_instance_below_its_from() {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
         ctx.pid = P1;
-        core.vote(&mut ctx, K + 1, 0, &batch(1), true);
+        core.vote(&mut ctx, K + 1, 0, &batch(1));
         core.raise(&mut ctx, K - 2, 1);
         core.absorb_promise(&mut ctx, P2, promise(1, K));
         assert_eq!(core.fresh_round(K - 1), 1);
@@ -1399,14 +1338,14 @@ mod tests {
         ctx.sent.clear();
         // p1 comes back and proposes round 0 above the promise.
         core.restore(P0);
-        assert_eq!(core.admit_proposal(&mut ctx, P0, K + 1, 0), Some(true));
+        assert!(core.admit_proposal(&mut ctx, P0, K + 1, 0));
         let told = CatchUp::Promise(promise(1, K + 1));
         assert_eq!(ctx.sent[0], (Some(P0), "t.promise", told.clone()));
         // The promise leaves first; the decisions below K + 1, which this
         // process never learned, are pulled after it, with one pull.
         let pull = CatchUp::Pull { from: 0 };
         assert_eq!(ctx.sent[1..], [(Some(P0), "t.pull", pull)]);
-        assert!(!core.vote(&mut ctx, K + 1, 0, &batch(1), true).voted);
+        assert!(!core.vote(&mut ctx, K + 1, 0, &batch(1)).voted);
         // Its own round-0 proposal outstanding, p1 moves it on when told
         // — to the round promised, and promising it too.
         let mut coordinator = FakeHost::over(ReplicaCore::new(ReplicaConfig::default(), &NAMES));
@@ -1421,7 +1360,7 @@ mod tests {
     #[test]
     fn a_fresh_instance_is_seeded_from_the_recovered_vote() {
         let (mut core, mut ctx) = (core(), FakeCtx::new());
-        core.vote(&mut ctx, K, 2, &batch(9), true);
+        core.vote(&mut ctx, K, 2, &batch(9));
         let mut revived = ReplicaCore::resume(ReplicaConfig::default(), &NAMES, &ctx.store);
         revived.open(K, ctx.now);
         revived.open(K - 3, ctx.now);
@@ -1432,7 +1371,7 @@ mod tests {
         assert_eq!(revived.rounds().unproposed_round(K - 3), Some(0));
         assert_eq!(revived.rounds().estimate(K - 3), None);
         // The lock is honoured: round 1 is abandoned for good.
-        let stale = revived.vote(&mut ctx, K, 1, &batch(1), true);
+        let stale = revived.vote(&mut ctx, K, 1, &batch(1));
         assert!(!stale.voted);
         // A snapshot covering an instance drops its round state.
         assert_eq!(

@@ -54,7 +54,6 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use crate::id::{MsgId, ProcessId};
-use crate::membership::{decode_reconfigs, encode_reconfigs, ConfigChange};
 use crate::message::{AppMsg, Batch};
 use crate::watermark::DeliveredSet;
 use crate::wire::{Wire, WireError, WireReader, WireWriter};
@@ -152,12 +151,6 @@ pub struct Snapshot {
     /// Opaque application state produced by the [`AppState`] hook
     /// (empty without one).
     pub app_state: Bytes,
-    /// The reconfiguration history decided within the covered prefix
-    /// (`(decided instance, change)` pairs, by instance) — the snapshot
-    /// carries the configuration it was cut under, so a joiner
-    /// installing it rebuilds the exact config timeline without ever
-    /// seeing the compacted reconfig commands.
-    pub reconfigs: Vec<(u64, ConfigChange)>,
 }
 
 impl Wire for Snapshot {
@@ -167,7 +160,6 @@ impl Wire for Snapshot {
         w.put_u64(self.digest);
         self.delivered.encode(w);
         self.app_state.encode(w);
-        encode_reconfigs(&self.reconfigs, w);
     }
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         Ok(Snapshot {
@@ -176,7 +168,6 @@ impl Wire for Snapshot {
             digest: r.get_u64()?,
             delivered: Vec::<SenderLog>::decode(r)?,
             app_state: Bytes::decode(r)?,
-            reconfigs: decode_reconfigs(r)?,
         })
     }
 }
@@ -372,9 +363,6 @@ impl SnapshotFold {
             digest: self.digest,
             delivered: self.delivered.to_logs(),
             app_state: self.app.as_ref().map(|a| a.encode()).unwrap_or_default(),
-            // The stack stamps in the reconfig history it decided within
-            // the covered prefix; the fold itself only tracks deliveries.
-            reconfigs: Vec::new(),
         })
     }
 
@@ -775,19 +763,5 @@ mod tests {
     fn empty_fold_has_no_snapshot() {
         let fold = SnapshotFold::new(None);
         assert!(fold.snapshot().is_none());
-    }
-
-    #[test]
-    fn snapshot_carries_reconfig_history() {
-        let mut fold = SnapshotFold::new(None);
-        fold.absorb(0, &Batch::normalize(vec![msg(0, 0, b"a")]));
-        let mut snap = fold.snapshot().unwrap();
-        snap.reconfigs = vec![
-            (3, ConfigChange::Add(ProcessId(3))),
-            (7, ConfigChange::Remove(ProcessId(1))),
-        ];
-        let back: Snapshot = decode(encode(&snap)).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.reconfigs.len(), 2);
     }
 }

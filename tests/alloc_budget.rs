@@ -492,32 +492,21 @@ fn a_warm_handler_requests_no_heap_for_its_outputs() {
     );
 }
 
-/// A quorum check is three questions of the configuration timeline per
-/// vote, ack and proposal; they read the member set of the governing
-/// version where it stands.
+/// A quorum check asks the group's member set, majority and round
+/// coordinator per vote, ack and proposal; none of them allocates.
 #[test]
 fn membership_queries_allocate_nothing() {
-    use fortika::net::{ConfigChange, ConfigTimeline};
+    use fortika::net::ReplicaCore;
 
-    let mut timeline = ConfigTimeline::new(3, 8);
-    for (decided_at, change) in [
-        (4, ConfigChange::Add(ProcessId(3))),
-        (9, ConfigChange::Remove(ProcessId(0))),
-        (20, ConfigChange::Add(ProcessId(4))),
-    ] {
-        timeline.register(decided_at, change).expect("new change");
-    }
-    for timeline in [ConfigTimeline::new(3, 8), timeline] {
-        let (requested, answers) = requested_during(|| {
-            (0..64u64)
-                .map(|instance| {
-                    let coordinator = timeline.coordinator_at(instance, instance as u32);
-                    timeline.majority_at(instance)
-                        + usize::from(timeline.is_member_at(instance, coordinator))
-                })
-                .sum::<usize>()
-        });
-        assert!(answers > 64);
-        assert_eq!(requested, 0, "64 × 3 queries requested {requested} bytes");
-    }
+    let (requested, answers) = requested_during(|| {
+        (0..64u32)
+            .map(|round| {
+                let coordinator = ReplicaCore::coordinator_of(round, 5);
+                let members = ReplicaCore::members_of(5).filter(|p| *p != coordinator);
+                ReplicaCore::majority_of(5) + members.count()
+            })
+            .sum::<usize>()
+    });
+    assert_eq!(answers, 64 * 7);
+    assert_eq!(requested, 0, "64 × 3 queries requested {requested} bytes");
 }

@@ -53,7 +53,6 @@ fn buggy_profile() -> ChaosProfile {
         degrade_prob: 0.1,
         slow_prob: 0.1,
         false_suspicion_prob: 0.4,
-        ..ChaosProfile::default()
     }
 }
 
@@ -61,7 +60,6 @@ fn buggy_stack() -> StackConfig {
     StackConfig {
         faults: FaultHooks {
             skip_vote_persist: true,
-            ..FaultHooks::default()
         },
         ..StackConfig::default()
     }

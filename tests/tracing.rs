@@ -5,7 +5,7 @@
 //! These run against both stacks through the public `Experiment` API —
 //! the same path `probe --trace` and the examples use.
 
-use fortika::chaos::{AuditTap, Scenario};
+use fortika::chaos::Scenario;
 use fortika::core::workload::{Workload, WorkloadDriver};
 use fortika::core::{scenario_cluster, CostModel, Experiment, StackConfig, StackKind, TraceConfig};
 use fortika::net::{ClusterConfig, ProcessId};
@@ -153,11 +153,7 @@ impl TracedRun {
             WorkloadDriver::with_seed(Self::workload(), n, window_start, window_end, self.seed);
         driver.enable_sample_log();
         driver.start(&mut cluster);
-        // Unaudited, but still behind the tap: a scenario's reserved
-        // reconfiguration ticks are its to submit, not the driver's.
-        let mut tap = AuditTap::wrap(driver, None);
-        cluster.run_until(end, &mut tap);
-        let (driver, _) = tap.into_parts();
+        cluster.run_until(end, &mut driver);
         let trace = cluster.take_trace().expect("tracing on");
         let windows = driver
             .finish()

@@ -21,8 +21,8 @@ use fortika::consensus::{self, ConsensusMsg, DecisionNotice};
 use fortika::mono::msg::{self as mono, Decision, MonoMsg, Proposal};
 use fortika::net::wire::{decode, encode, Wire, WireError, WireReader, WireWriter, SHARE_MIN};
 use fortika::net::{
-    Admission, AppMsg, AppRequest, Batch, CatchUp, Cluster, ClusterConfig, ConfigChange, MsgId,
-    Node, NodeCtx, PerCatchUp, ProcessId, SenderLog, Snapshot, Stored, VoteRecord,
+    Admission, AppMsg, AppRequest, Batch, CatchUp, Cluster, ClusterConfig, MsgId, Node, NodeCtx,
+    PerCatchUp, ProcessId, SenderLog, Snapshot, Stored, VoteRecord,
 };
 use fortika::sim::VTime;
 
@@ -236,10 +236,6 @@ fn snapshot() -> Snapshot {
             },
         ],
         app_state: Bytes::from(vec![0xEE; 16 * 1024]),
-        reconfigs: vec![
-            (3, ConfigChange::Add(ProcessId(7))),
-            (90, ConfigChange::Remove(ProcessId(2))),
-        ],
     }
 }
 
@@ -327,7 +323,7 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
     row("Vec/empty", Vec::<AppMsg>::new());
     row("Vec/u64", vec![1u64, 2, 3]);
 
-    // fortika-net: ids, messages, membership, snapshots, the stable vote
+    // fortika-net: ids, messages, snapshots, the stable vote
     // record.
     row("ProcessId", ProcessId(6));
     row("MsgId", MsgId::new(ProcessId(6), 1 << 40));
@@ -337,8 +333,6 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
     let stored = row("Batch/10x16k", batch(10));
     assert_eq!(stored.parts().len(), 2 * 10);
     every_two_part_cut("Batch/10x16k", &batch(10), &stored);
-    row("ConfigChange/Add", ConfigChange::Add(ProcessId(3)));
-    row("ConfigChange/Remove", ConfigChange::Remove(ProcessId(1)));
     row("SenderLog", snapshot().delivered[0].clone());
     let stored = row("Snapshot", snapshot());
     every_two_part_cut("Snapshot", &snapshot(), &stored);
@@ -347,7 +341,6 @@ fn every_wire_type_counts_what_it_writes_and_round_trips() {
         Snapshot {
             delivered: Vec::new(),
             app_state: Bytes::new(),
-            reconfigs: Vec::new(),
             ..snapshot()
         },
     );
