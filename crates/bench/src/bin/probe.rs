@@ -24,30 +24,13 @@
 //! sweep, so one run names all of them. In either mode every file written
 //! is re-read and must parse and cover both stacks.
 //!
-//! `--trace` runs the tracing smoke instead of the sweeps: one traced
-//! run per stack, verifying that the latency decomposition's components
-//! sum to the end-to-end latency and that the JSONL / Chrome exports
-//! under `target/trace/` are well-formed.
-//!
-//! `--fuzz-quick` runs a bounded coverage-steered fuzz campaign per
-//! stack (see `docs/FUZZING.md`), archives each campaign's coverage
-//! matrix under `target/fuzz/`, and fails (exit 1) on any safety
-//! violation — after ddmin-shrinking the offending scenario and writing
-//! the minimized reproducer next to the matrix — and when a campaign
-//! never reaches one of [`WITNESSED`]: the own-message resend and the
-//! catch-up paths.
-//!
 //! Any other argument is refused (exit 2) before anything is written.
 
 use fortika_bench::sweeps::{
     closed_form_audit, fault_free, json_document, suspicion_audit, SilenceBudget, Sweep, SWEEPS,
 };
-use fortika_chaos::{minimize, CoverageReport, FuzzCampaign, FuzzConfig, StopReason};
-use fortika_core::workload::Workload;
-use fortika_core::{
-    fuzz_runner, run_fuzz_scenario, Experiment, FdConfig, RunReport, StackConfig, StackKind,
-    TraceConfig,
-};
+use fortika_chaos::CoverageReport;
+use fortika_core::{FdConfig, RunReport};
 use fortika_trace::json;
 
 /// Where `--check` writes the sweeps, leaving the committed files in
@@ -186,225 +169,28 @@ fn drift_from_committed(file: &str) -> Result<Option<String>, String> {
     }))
 }
 
-/// Where the tracing smoke writes its exports.
-const TRACE_DIR: &str = "target/trace";
-
-/// The `--trace` smoke: one traced run per stack at a moderate
-/// operating point. Verifies the decomposition identity (queueing +
-/// transmission + CPU + durability = end-to-end) and that the
-/// JSONL / Chrome exports under [`TRACE_DIR`] re-read as well-formed.
-fn trace_smoke() -> Result<(), String> {
-    println!("probe --trace: tracing smoke (decomposition + exports)");
-    println!(
-        "{:>10} | {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9}",
-        "stack", "total", "queue", "wire", "cpu", "durable", "p99", "samples", "truncated"
-    );
-    std::fs::create_dir_all(TRACE_DIR).map_err(|e| format!("mkdir {TRACE_DIR}: {e}"))?;
-    for kind in [StackKind::Monolithic, StackKind::Modular] {
-        let mut exp = Experiment::builder(kind, 3)
-            .workload(Workload::constant_rate(500.0, 1024))
-            .warmup_secs(0.5)
-            .measure_secs(1.0)
-            .seed(7)
-            .trace(TraceConfig::on())
-            .build();
-        let r = exp.run();
-        let label = kind.label();
-        let d = r
-            .latency_decomposition
-            .ok_or_else(|| format!("{label}: tracing on but no decomposition"))?;
-        if d.samples == 0 {
-            return Err(format!("{label}: no latency samples decomposed"));
-        }
-        let sum = d.component_mean_sum_ms();
-        if (sum - d.total.mean_ms).abs() > 1e-6 {
-            return Err(format!(
-                "{label}: decomposition components sum to {sum} ms, end-to-end is {} ms",
-                d.total.mean_ms
-            ));
-        }
-        println!(
-            "{label:>10} | {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>7} {:>9}",
-            d.total.mean_ms,
-            d.queueing.mean_ms,
-            d.transmission.mean_ms,
-            d.cpu.mean_ms,
-            d.durability.mean_ms,
-            d.total.p99_ms,
-            d.samples,
-            d.truncated_samples
-        );
-        let trace = r.trace.ok_or_else(|| format!("{label}: no trace"))?;
-        let jsonl_path = format!("{TRACE_DIR}/probe-{label}.jsonl");
-        let chrome_path = format!("{TRACE_DIR}/probe-{label}.trace.json");
-        std::fs::write(&jsonl_path, trace.to_jsonl())
-            .map_err(|e| format!("write {jsonl_path}: {e}"))?;
-        std::fs::write(&chrome_path, trace.to_chrome_json())
-            .map_err(|e| format!("write {chrome_path}: {e}"))?;
-        // Re-read and sanity-check both exports.
-        let jsonl = std::fs::read_to_string(&jsonl_path)
-            .map_err(|e| format!("re-read {jsonl_path}: {e}"))?;
-        let meta = jsonl
-            .lines()
-            .last()
-            .ok_or_else(|| format!("{jsonl_path}: empty"))?;
-        if !meta.contains("\"meta\":true") {
-            return Err(format!("{jsonl_path}: missing trailing meta line"));
-        }
-        let chrome = std::fs::read_to_string(&chrome_path)
-            .map_err(|e| format!("re-read {chrome_path}: {e}"))?;
-        let doc = json::parse(&chrome).map_err(|e| format!("{chrome_path}: {e}"))?;
-        let events = doc
-            .get("traceEvents")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| format!("{chrome_path}: no traceEvents array"))?;
-        if events.is_empty() {
-            return Err(format!("{chrome_path}: traceEvents is empty"));
-        }
-        println!(
-            "wrote {jsonl_path}, {chrome_path} ({} events)",
-            trace.events.len()
-        );
-    }
-    Ok(())
-}
-
-/// Where `--fuzz-quick` archives its coverage matrices and reproducers.
-const FUZZ_DIR: &str = "target/fuzz";
-
-/// The branches every `--fuzz-quick` campaign must reach: the
-/// own-message resend, and catch-up — a pull on a sighting, the state
-/// transfer that answers it, and a rejoin that reaches its frontier.
-/// A path no run exercises is audited by nobody.
-const WITNESSED: [&str; 4] = [
-    "sender_retransmits",
-    "gap_pulls",
-    "state_transfers",
-    "rejoins_completed",
-];
-
-/// The `--fuzz-quick` smoke: one bounded steered campaign per stack.
-/// Small enough for CI (≤ 32 runs per stack, plateau stop armed) yet
-/// real: every run builds a cluster, injects the drawn scenario, drives
-/// load and audits safety. The coverage matrix of each campaign lands
-/// in [`FUZZ_DIR`] (CI uploads it); a violation ddmin-shrinks its
-/// scenario, writes the minimized reproducer alongside, and fails the
-/// stage. So does a campaign that never reaches a branch of
-/// [`WITNESSED`].
-fn fuzz_quick() -> Result<(), String> {
-    println!("probe --fuzz-quick: bounded steered fuzz campaign per stack");
-    std::fs::create_dir_all(FUZZ_DIR).map_err(|e| format!("mkdir {FUZZ_DIR}: {e}"))?;
-    println!(
-        "{:>10} | {:>5} {:>7} {:>7} {:>9}  stop",
-        "stack", "runs", "batches", "cells", "families"
-    );
-    for kind in [StackKind::Monolithic, StackKind::Modular] {
-        let label = kind.label();
-        let cfg = FuzzConfig {
-            batch_runs: 8,
-            max_batches: 4,
-            plateau_batches: 2,
-            ..FuzzConfig::new(3, 42)
-        };
-        let report = FuzzCampaign::new(cfg).run(fuzz_runner(kind, 3, StackConfig::default()));
-
-        let matrix_path = format!("{FUZZ_DIR}/coverage-matrix-{label}.json");
-        report
-            .coverage
-            .write_json(std::path::Path::new(&matrix_path))
-            .map_err(|e| format!("write {matrix_path}: {e}"))?;
-        // The archived artifact must re-read as well-formed JSON.
-        let text = std::fs::read_to_string(&matrix_path)
-            .map_err(|e| format!("re-read {matrix_path}: {e}"))?;
-        let doc = json::parse(&text).map_err(|e| format!("{matrix_path}: {e}"))?;
-        if doc.get("runs").and_then(json::Value::as_f64) != Some(report.coverage.runs() as f64) {
-            return Err(format!("{matrix_path}: run count does not round-trip"));
-        }
-        let families = CoverageReport::family_names()
-            .iter()
-            .filter(|f| report.coverage.family_runs(f) > 0)
-            .count();
-        println!(
-            "{label:>10} | {:>5} {:>7} {:>7} {:>9}  {:?}",
-            report.runs,
-            report.batches,
-            report.coverage.reached_cells().len(),
-            families,
-            report.stop
-        );
-        println!("wrote {matrix_path}");
-
-        if report.stop == StopReason::Violation {
-            let failing = report
-                .failure
-                .expect("violation stop always carries the failing run");
-            let kind_str = failing.violation.kind();
-            let stack_cfg = StackConfig::default();
-            let min = minimize(&failing.scenario, |candidate| {
-                run_fuzz_scenario(kind, 3, &stack_cfg, candidate, failing.seed)
-                    .violation
-                    .as_ref()
-                    .is_some_and(|v| v.kind() == kind_str)
-            });
-            let repro_path = format!("{FUZZ_DIR}/violation-{label}-seed{}.min.txt", failing.seed);
-            let body = format!(
-                "stack: {label}\nn: 3\nseed: {}\nviolation: {}\nevents: {} (of {})\n\
-                 scenario: {:#?}\n",
-                failing.seed,
-                failing.violation,
-                min.events(),
-                min.original_events,
-                min.scenario,
-            );
-            std::fs::write(&repro_path, body).map_err(|e| format!("write {repro_path}: {e}"))?;
-            return Err(format!(
-                "{label}: safety violation {kind_str} at seed {} — minimized reproducer \
-                 ({} of {} events) written to {repro_path}",
-                failing.seed,
-                min.events(),
-                min.original_events,
-            ));
-        }
-        if let Some(missed) = WITNESSED.iter().find(|b| !report.coverage.reached(b)) {
-            return Err(format!(
-                "{label}: no run of the campaign reached `{missed}`"
-            ));
-        }
-    }
-    Ok(())
-}
-
-const USAGE: &str = "usage: probe [--check | --trace | --fuzz-quick]";
+const USAGE: &str = "usage: probe [--check]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match args.as_slice() {
-        [] => "",
-        [flag] if ["--check", "--trace", "--fuzz-quick"].contains(&flag.as_str()) => flag,
+    let check = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--check" => true,
         _ => {
             eprintln!("probe: unexpected arguments {args:?}\n{USAGE}");
             std::process::exit(2);
         }
     };
-    if let Err(e) = run(mode) {
+    if let Err(e) = run(check) {
         eprintln!("probe: {e}");
         std::process::exit(1);
     }
 }
 
-/// Runs one mode; the empty one regenerates the committed files in place.
-fn run(mode: &str) -> Result<(), String> {
-    if mode == "--trace" {
-        trace_smoke().map_err(|e| format!("trace smoke failed: {e}"))?;
-        println!("\ntracing smoke passed (decomposition sums, exports well-formed)");
-        return Ok(());
-    }
-    if mode == "--fuzz-quick" {
-        fuzz_quick().map_err(|e| format!("fuzz smoke failed: {e}"))?;
-        println!("\nfuzz smoke passed (no safety violations, coverage matrices archived)");
-        return Ok(());
-    }
-    let check = mode == "--check";
+/// Runs the sweeps: into [`CHECK_DIR`] and compared with the committed
+/// files under `check`, otherwise regenerating the committed files in
+/// place.
+fn run(check: bool) -> Result<(), String> {
     let dir = if check { CHECK_DIR } else { "." };
     if check {
         println!("probe --check: sweeps under {CHECK_DIR}/, compared with the committed files");

@@ -7,15 +7,16 @@ use std::process::Command;
 
 #[test]
 fn unknown_argument_exits_non_zero_and_writes_nothing() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("probe-unknown-argument");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut probe = Command::new(env!("CARGO_BIN_EXE_probe"));
-    let out = probe.arg("--chek").current_dir(&dir).output().unwrap();
-    assert!(!out.status.success(), "probe accepted --chek");
-    let usage = String::from_utf8_lossy(&out.stderr);
-    let flags = ["--check", "--trace", "--fuzz-quick"];
-    assert!(flags.iter().all(|f| usage.contains(f)), "{usage}");
-    let written = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(written, 0, "probe wrote into its working directory");
+    for arg in ["--chek", "--trace", "--fuzz-quick"] {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("probe-arg{arg}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut probe = Command::new(env!("CARGO_BIN_EXE_probe"));
+        let out = probe.arg(arg).current_dir(&dir).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "probe {arg}");
+        let usage = String::from_utf8_lossy(&out.stderr);
+        assert!(usage.contains("usage: probe [--check]\n"), "{usage}");
+        let written = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(written, 0, "probe {arg} wrote into its working directory");
+    }
 }

@@ -859,15 +859,6 @@ impl Default for ChaosProfile {
 }
 
 impl ChaosProfile {
-    /// A profile without crashes or permanent effects — only transient
-    /// network mischief (loss, duplication, delay, partitions).
-    pub fn network_only() -> Self {
-        ChaosProfile {
-            crash_prob: 0.0,
-            ..ChaosProfile::default()
-        }
-    }
-
     /// A profile of **resource faults only** (degraded links, slow
     /// nodes): no process crashes, no message is ever dropped — the
     /// cluster merely runs short of bandwidth and CPU. Latency and

@@ -78,7 +78,8 @@ pub fn run_fuzz_scenario(
 ///     max_batches: 2,
 ///     profile: ChaosProfile {
 ///         horizon: VDur::millis(300),
-///         ..ChaosProfile::network_only()
+///         crash_prob: 0.0,
+///         ..ChaosProfile::default()
 ///     },
 ///     ..FuzzConfig::new(3, 11)
 /// };

@@ -1,6 +1,10 @@
 //! `scenario_cluster` is the one way a `Scenario` gets onto a cluster:
 //! these pin its upgrade-only adoption of the scenario's configuration
-//! axes, its suspicion windows and its restart factory.
+//! axes, its suspicion windows and its restart factory, and that no
+//! other source applies a scenario or registers a restart factory by
+//! hand.
+
+use std::path::{Path, PathBuf};
 
 use fortika_chaos::Scenario;
 use fortika_core::scenario_cluster;
@@ -56,4 +60,47 @@ fn explicit_stack_settings_are_never_weakened() {
     };
     let (_, stack) = assemble(StackKind::Modular, &explicit);
     assert_eq!(stack.pipeline_depth, 5);
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `scenario_cluster` itself (in `crates/core/src/stack.rs`) is the one
+/// place allowed to apply a scenario to a cluster or register a restart
+/// factory; the library, the root tests and the examples call it (or
+/// `run_scripted` on top of it) instead.
+#[test]
+fn no_source_assembles_a_scenario_cluster_by_hand() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let exempt = root.join("crates/core/src/stack.rs");
+    let mut files = Vec::new();
+    for dir in ["crates/core/src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 20, "only {} files scanned", files.len());
+    let mut copies = Vec::new();
+    for file in files.iter().filter(|f| **f != exempt) {
+        let text = std::fs::read_to_string(file).expect("source readable");
+        for (i, line) in text.lines().enumerate() {
+            if line.contains(".apply(&mut cluster)") || line.contains("set_node_factory") {
+                let rel = file.strip_prefix(&root).unwrap_or(file);
+                copies.push(format!("{}:{}: {}", rel.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        copies.is_empty(),
+        "hand-assembled scenario cluster: call fortika_core::scenario_cluster / \
+         run_scripted instead\n{}",
+        copies.join("\n")
+    );
 }

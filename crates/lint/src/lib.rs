@@ -17,24 +17,23 @@
 //!   are spelled only in the one key table that checks them disjoint;
 //! * **non-test lines** — the line count of `crates/*/src`, per crate.
 //!
-//! Everything is hand-rolled and dependency-free, as
-//! `fortika_trace::json` is: a char-level comment/string stripper, a
-//! line-oriented TOML reader, and a deterministic JSON emitter of its
-//! own (using `fortika_trace::json` would be a dependency). No
-//! `syn`, no `toml`, no `serde` — the analyzer builds offline with the
-//! rest of the workspace and stays outside the graph it polices.
+//! Everything is hand-rolled and dependency-free: a char-level
+//! comment/string stripper and a line-oriented TOML reader. No `syn`,
+//! no `toml`, no `serde` — the analyzer builds offline with the rest of
+//! the workspace and stays outside the graph it polices.
 //!
-//! Run it from the workspace root:
+//! The gate is `cargo test`: `tests/workspace_clean.rs` runs [`run`] on
+//! the committed tree and fails on any finding. The binary prints the
+//! same findings and the non-test line count per crate
+//! ([`Report::non_test_lines`](report::Report::non_test_lines)), which is
+//! how a change quotes its line delta:
 //!
 //! ```text
-//! cargo run --release -p fortika-lint
+//! cargo run --release -p fortika-lint [-- --root DIR]
 //! ```
 //!
-//! Diagnostics are compiler-style (`file:line: [rule] message`), and the
-//! summary ends with the non-test line count of `crates/*/src`
-//! ([`Report::non_test_lines`](report::Report::non_test_lines)); the
-//! machine-readable report lands in `target/lint-report.json`; the exit
-//! code is nonzero iff violations were found.
+//! Diagnostics are compiler-style (`file:line: [rule] message`); the
+//! exit code is nonzero iff violations were found.
 
 pub mod layering;
 pub mod namespace;

@@ -1,35 +1,25 @@
-//! CLI entry point: scan the workspace, print diagnostics, write
-//! `target/lint-report.json`, exit nonzero on violations.
+//! CLI entry point: scan the workspace, print diagnostics and the
+//! non-test line count per crate, exit nonzero on violations.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: fortika-lint [--root DIR]\n\n\
+    Prints every layering and key-namespace finding (docs/LINTS.md) and the\n\
+    non-test line count of crates/*/src per crate. DIR defaults to the\n\
+    workspace this binary was built from. Exits 0 on a clean tree, 1 on\n\
+    violations.";
+
 fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => root = args.next().map(PathBuf::from),
-            "--json-out" => json_out = args.next().map(PathBuf::from),
-            "--help" | "-h" => {
-                println!(
-                    "fortika-lint: workspace layering, key-namespace and line-count analyzer\n\n\
-                     USAGE: fortika-lint [--root DIR] [--json-out PATH]\n\n\
-                     --root DIR       workspace root (default: auto-detected)\n\
-                     --json-out PATH  report path (default: <root>/target/lint-report.json)\n\n\
-                     Exits 0 on a clean tree, 1 on violations. Determinism and the\n\
-                     registries are clippy's to check (clippy.toml); the rules of\n\
-                     both: docs/LINTS.md."
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("fortika-lint: unknown argument `{other}` (try --help)");
-                return ExitCode::from(2);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let root = match args.as_slice() {
+        [] => None,
+        [flag, dir] if flag == "--root" => Some(PathBuf::from(dir)),
+        _ => {
+            eprintln!("fortika-lint: unexpected arguments {args:?}\n{USAGE}");
+            return ExitCode::from(2);
         }
-    }
+    };
 
     // Default root: the workspace this binary was built from (so
     // `cargo run -p fortika-lint` works from any subdirectory), falling
@@ -53,17 +43,6 @@ fn main() -> ExitCode {
     };
 
     print!("{}", report.render_human());
-
-    let json_path = json_out.unwrap_or_else(|| root.join("target").join("lint-report.json"));
-    if let Some(dir) = json_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = std::fs::write(&json_path, report.to_json()) {
-        eprintln!("fortika-lint: failed to write {}: {e}", json_path.display());
-        return ExitCode::from(2);
-    }
-    println!("report: {}", json_path.display());
-
     if report.clean() {
         ExitCode::SUCCESS
     } else {

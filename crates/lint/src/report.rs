@@ -1,12 +1,10 @@
-//! Findings and the machine-readable report.
+//! Findings and the report that carries them.
 //!
-//! `fortika-lint` emits two artifacts from one run: human diagnostics
-//! (`file:line: rule: message`, one per finding, compiler-style so
-//! editors can jump) and `target/lint-report.json`, a deterministic
-//! JSON document CI archives and re-reads (`python3 -m json.tool`). It
-//! is the one JSON of the workspace not written by `fortika_trace::json`:
-//! the lint crate depends on nothing, because the analyzer cannot join
-//! the graph it polices, so it carries its own small emitter.
+//! `fortika-lint` prints one artifact: human diagnostics (`file:line:
+//! rule: message`, one per finding, compiler-style so editors can jump)
+//! followed by the non-test line count of each crate. The gate is
+//! `crates/lint/tests/workspace_clean.rs`, which fails `cargo test` on
+//! any finding; the binary only prints.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -72,8 +70,9 @@ impl Report {
         self.findings.dedup();
     }
 
-    /// Human diagnostics: one `file:line: rule: message` per finding
-    /// plus a summary line.
+    /// Human diagnostics: one `file:line: rule: message` per finding,
+    /// a summary line, and the non-test line count, in total and per
+    /// crate.
     pub fn render_human(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -95,60 +94,11 @@ impl Report {
             "fortika-lint: {} non-test lines in crates/*/src",
             self.total_non_test_lines()
         );
+        for (name, lines) in &self.non_test_lines {
+            let _ = writeln!(out, "  {name:<10} {lines:>6}");
+        }
         out
     }
-
-    /// The machine-readable report (deterministic: same tree, same
-    /// bytes).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"version\": 2,");
-        let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(out, "  \"crates_checked\": {},", self.crates_checked);
-        let _ = writeln!(out, "  \"violations\": {},", self.findings.len());
-        let _ = write!(
-            out,
-            "  \"non_test_lines\": {{\"total\": {}, \"crates\": {{",
-            self.total_non_test_lines()
-        );
-        for (i, (name, lines)) in self.non_test_lines.iter().enumerate() {
-            let comma = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{comma}\"{}\": {lines}", escape(name));
-        }
-        out.push_str("}},\n");
-        out.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let comma = if i + 1 < self.findings.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{comma}",
-                escape(f.rule),
-                escape(&f.file),
-                f.line,
-                escape(&f.message)
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -156,27 +106,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sorted_and_deterministic_json() {
-        let mut r = Report::default();
-        r.findings.push(Finding {
-            rule: "layering",
-            file: "crates/net/Cargo.toml".into(),
-            line: 9,
-            message: "b \"quoted\"".into(),
-        });
-        r.findings.push(Finding {
-            rule: "key-namespace",
-            file: "crates/net/src/a.rs".into(),
-            line: 3,
-            message: "a".into(),
-        });
+    fn findings_sort_by_file_then_line_and_dedup() {
+        let finding = |rule, file: &str, line| Finding {
+            rule,
+            file: file.into(),
+            line,
+            message: "m".into(),
+        };
+        let mut r = Report {
+            findings: vec![
+                finding("key-namespace", "crates/net/src/a.rs", 3),
+                finding("layering", "crates/net/Cargo.toml", 9),
+                finding("key-namespace", "crates/net/src/a.rs", 3),
+            ],
+            ..Report::default()
+        };
         r.sort();
+        assert_eq!(r.findings.len(), 2);
         assert_eq!(r.findings[0].rule, "layering");
-        let json = r.to_json();
-        assert_eq!(json, r.to_json());
-        assert!(json.contains("\"violations\": 2"));
-        assert!(json.contains("b \\\"quoted\\\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
@@ -188,8 +135,11 @@ mod tests {
             line: 12,
             message: "a `<< 56` outside the key table".into(),
         });
+        r.non_test_lines.insert("rbcast".into(), 412);
         let text = r.render_human();
         assert!(text.contains("crates/rbcast/src/lib.rs:12: [key-namespace] a `<< 56` outside"));
+        assert!(text.contains("412 non-test lines"));
+        assert!(text.contains("  rbcast        412"));
         assert!(text.contains("1 violation(s)"));
     }
 }

@@ -1,9 +1,9 @@
-//! The committed tree must satisfy its own lints: this is the same
-//! check CI's `cargo run -p fortika-lint` gate performs, wired into
-//! `cargo test` so a violation fails fast locally too. Determinism and
-//! the chaos registries are clippy's to check, which `cargo test` does
-//! not run, so the tests below also guard that clippy's configuration
-//! of those checks stays in place.
+//! The committed tree must satisfy its own lints: this is the one gate
+//! for the layering and key-namespace rules — `cargo run -p
+//! fortika-lint` prints the same findings but gates nothing.
+//! Determinism and the chaos registries are clippy's to check, which
+//! `cargo test` does not run, so the tests below also guard that
+//! clippy's configuration of those checks stays in place.
 
 use std::path::{Path, PathBuf};
 

@@ -135,8 +135,8 @@ fn batch_of(pool: &BTreeMap<MsgId, AppMsg>) -> Batch {
 /// The monolithic atomic broadcast stack (implements [`Node`]).
 pub struct MonoNode {
     opts: MonoOptimizations,
-    /// Durable votes, decided log, configuration timeline, round state,
-    /// compaction and catch-up (shared with the modular stack).
+    /// Durable votes, decided log, round state, compaction and catch-up
+    /// (shared with the modular stack).
     core: ReplicaCore,
     fd: HeartbeatFd,
     fd_scratch: Vec<FdEvent>,

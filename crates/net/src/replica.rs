@@ -772,11 +772,6 @@ impl ReplicaCore {
         self.fold.is_delivered(id)
     }
 
-    /// The members of a group of `n`, in rotation order: every process.
-    pub fn members_of(n: usize) -> impl Iterator<Item = ProcessId> {
-        ProcessId::all(n)
-    }
-
     /// The quorum size of a group of `n`: a majority.
     pub fn majority_of(n: usize) -> usize {
         n / 2 + 1

@@ -479,7 +479,7 @@ impl ReplicaCore {
     /// True when a majority of the group — `me` and peers whose promise
     /// covers `instance` — promised `round` or higher.
     fn promise_quorum(&self, instance: u64, round: u32, me: ProcessId, n: usize) -> bool {
-        let promised = Self::members_of(n).filter(|p| {
+        let promised = ProcessId::all(n).filter(|p| {
             *p != me
                 && self
                     .rounds

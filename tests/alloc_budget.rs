@@ -495,14 +495,14 @@ fn a_warm_handler_requests_no_heap_for_its_outputs() {
 /// A quorum check asks the group's member set, majority and round
 /// coordinator per vote, ack and proposal; none of them allocates.
 #[test]
-fn membership_queries_allocate_nothing() {
-    use fortika::net::ReplicaCore;
+fn quorum_queries_allocate_nothing() {
+    use fortika::net::{ProcessId, ReplicaCore};
 
     let (requested, answers) = requested_during(|| {
         (0..64u32)
             .map(|round| {
                 let coordinator = ReplicaCore::coordinator_of(round, 5);
-                let members = ReplicaCore::members_of(5).filter(|p| *p != coordinator);
+                let members = ProcessId::all(5).filter(|p| *p != coordinator);
                 ReplicaCore::majority_of(5) + members.count()
             })
             .sum::<usize>()

@@ -3,7 +3,9 @@
 //! violation dumps.
 //!
 //! These run against both stacks through the public `Experiment` API —
-//! the same path `probe --trace` and the examples use.
+//! the same path the examples use — and are the tracing gate: the
+//! decomposition identity, the JSONL meta line and the Chrome document
+//! are checked here and nowhere else.
 
 use fortika::chaos::Scenario;
 use fortika::core::workload::{Workload, WorkloadDriver};
