@@ -6,8 +6,8 @@ use std::ops::Range;
 use bytes::Bytes;
 use fortika_net::wire::{Stored, Wire, WireReader, WireWriter};
 use fortika_net::{
-    Admission, AppRequest, CostModel, Kind, Metric, MsgId, Node, NodeCtx, ProcessId, ReplicaCtx,
-    SnapshotStamp, TimerId,
+    Admission, AppRequest, CostModel, Kind, Metric, MsgId, Node, NodeCtx, PayloadDigests,
+    ProcessId, ReplicaCtx, SnapshotStamp, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -243,6 +243,9 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
     }
     fn bump(&mut self, metric: Metric, by: u64) {
         self.node.bump(metric, by);
+    }
+    fn payload_digests(&mut self) -> &mut PayloadDigests {
+        self.node.payload_digests()
     }
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
         self.node.trace_span(stack, instance, phase, detail);

@@ -59,7 +59,7 @@ use crate::fault::{LinkFault, LinkState};
 use crate::id::{MsgId, ProcessId};
 use crate::message::AppMsg;
 use crate::metrics::{cluster, Kind, Metric};
-use crate::snapshot::SnapshotStamp;
+use crate::snapshot::{PayloadDigests, SnapshotStamp};
 use crate::wire::{Stored, Tail, WireReader};
 
 /// Handle to a pending timer, local to one process.
@@ -164,6 +164,7 @@ pub struct NodeCtx<'a> {
     cost: &'a CostModel,
     per_msg_overhead: u32,
     counters: &'a mut Counters,
+    digests: &'a mut PayloadDigests,
     trace: Option<&'a mut TraceBuffer>,
     next_timer: &'a mut u64,
     /// This process's transport clock (see `Proc::heard`).
@@ -390,6 +391,12 @@ impl NodeCtx<'_> {
         self.counters.bump(metric, by);
     }
 
+    /// The cluster's payload digests, which every process's snapshot
+    /// fold reads through (free in the model).
+    pub fn payload_digests(&mut self) -> &mut PayloadDigests {
+        self.digests
+    }
+
     /// True if event tracing is recording this run.
     ///
     /// Protocols never need to check this before calling
@@ -605,6 +612,8 @@ pub struct Cluster {
     procs: Vec<Proc>,
     rng: DetRng,
     counters: Counters,
+    /// Payload digests shared by every process's snapshot fold.
+    digests: PayloadDigests,
     pending: VecDeque<Notification>,
     /// Per-(src,dst) last scheduled arrival, enforcing channel FIFO
     /// (the paper's channels are TCP connections).
@@ -667,6 +676,7 @@ impl Cluster {
         let longest_silence = vec![VDur::ZERO; cfg.n * cfg.n];
         let links = vec![LinkState::default(); cfg.n * cfg.n];
         let link_free = vec![VTime::ZERO; cfg.n * cfg.n];
+        let digests = PayloadDigests::new(cfg.n);
         let trace = cfg
             .trace
             .enabled
@@ -677,6 +687,7 @@ impl Cluster {
             procs,
             rng,
             counters: Counters::new(),
+            digests,
             pending: VecDeque::new(),
             last_arrival,
             longest_silence,
@@ -1109,6 +1120,7 @@ impl Cluster {
                 cost: &self.cfg.cost,
                 per_msg_overhead: self.cfg.net.per_msg_overhead,
                 counters: &mut self.counters,
+                digests: &mut self.digests,
                 trace: self.trace.as_mut(),
                 next_timer: &mut proc.next_timer,
                 heard: &proc.heard,

@@ -18,8 +18,9 @@
 //!   slowdowns ([`Cluster::apply_slowdown`]) — all driven by the
 //!   `fortika-chaos` scenario DSL.
 //! * [`snapshot`] — log-compaction snapshots for rejoin catch-up:
-//!   [`Snapshot`], the deterministic [`SnapshotFold`], and the
-//!   [`AppState`] application hook both protocol stacks share.
+//!   [`Snapshot`], the deterministic [`SnapshotFold`], the cluster's
+//!   [`PayloadDigests`] and the [`AppState`] application hook both
+//!   protocol stacks share.
 //! * [`replica`] — the replica core both stacks share: durable votes,
 //!   log compaction and join / gap / snapshot catch-up ([`ReplicaCore`], [`CatchUp`]), plus the one
 //!   stable-key namespace table.
@@ -112,8 +113,8 @@ pub use replica::{
 pub use rounds::{Promise, QuorumChoice, Rotation, Rounds, Vote};
 pub use seq::ReservedSeq;
 pub use snapshot::{
-    AppState, AppStateFactory, ChunkOutcome, SenderLog, Snapshot, SnapshotDownload, SnapshotFold,
-    SnapshotStamp,
+    AppState, AppStateFactory, ChunkOutcome, PayloadDigests, SenderLog, Snapshot, SnapshotDownload,
+    SnapshotFold, SnapshotStamp,
 };
 pub use watermark::{DeliveredSet, WatermarkSet};
 pub use wire::Stored;

@@ -120,8 +120,8 @@ use crate::metrics::{Kind, Metric};
 use crate::ratelimit::PeerRateLimiter;
 use crate::rounds::{Promise, Rounds};
 use crate::snapshot::{
-    chunk_of, stamp_of, AppState, ChunkOutcome, Snapshot, SnapshotDownload, SnapshotFold,
-    SnapshotStamp,
+    chunk_of, stamp_of, AppState, ChunkOutcome, PayloadDigests, Snapshot, SnapshotDownload,
+    SnapshotFold, SnapshotStamp,
 };
 use crate::watermark::WatermarkSet;
 use crate::wire::{encode, Stored, Wire, WireError, WireReader, WireWriter};
@@ -532,7 +532,8 @@ impl Wire for VoteRecord {
 }
 
 /// What the core needs from the handler context it runs in: identity,
-/// time, stable storage, accounting, reporting and the network — the
+/// time, stable storage, accounting, reporting, the cluster's payload
+/// digests and the network — the
 /// calls `FrameworkCtx` forwards verbatim to [`NodeCtx`], so both
 /// implement it by forwarding.
 pub trait ReplicaCtx {
@@ -554,6 +555,8 @@ pub trait ReplicaCtx {
     fn note_snapshot(&mut self, stamp: SnapshotStamp);
     /// See [`NodeCtx::bump`].
     fn bump(&mut self, metric: Metric, by: u64);
+    /// See [`NodeCtx::payload_digests`].
+    fn payload_digests(&mut self) -> &mut PayloadDigests;
     /// See [`NodeCtx::trace_span`].
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64);
     /// Sends the message `body` writes, in the hosting stack's
@@ -592,6 +595,9 @@ impl ReplicaCtx for NodeCtx<'_> {
     }
     fn bump(&mut self, metric: Metric, by: u64) {
         NodeCtx::bump(self, metric, by);
+    }
+    fn payload_digests(&mut self) -> &mut PayloadDigests {
+        NodeCtx::payload_digests(self)
     }
     fn trace_span(&mut self, stack: &'static str, instance: u64, phase: &'static str, detail: u64) {
         NodeCtx::trace_span(self, stack, instance, phase, detail);
@@ -1130,7 +1136,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
             core.persist_fence(ctx);
         }
         core.decisions.insert(instance, value.clone());
-        core.fold.absorb(instance, value);
+        core.fold.absorb_in(instance, value, ctx.payload_digests());
         core.maybe_compact(ctx);
         true
     }
@@ -1141,7 +1147,7 @@ pub trait ReplicaHost<C: ReplicaCtx> {
     /// it).
     fn install_snapshot(&mut self, ctx: &mut C, snap: Snapshot) {
         let core = self.core();
-        if !core.fold.install(&snap) {
+        if !core.fold.install(&snap, ctx.payload_digests()) {
             return; // does not extend past what we already replayed
         }
         let next = snap.last_included + 1;
@@ -1408,6 +1414,7 @@ pub(crate) mod tests {
         pub(crate) writes: Vec<Write>,
         pub(crate) sent: Vec<(Option<ProcessId>, &'static str, CatchUp)>,
         bumps: Counters,
+        digests: PayloadDigests,
     }
 
     impl FakeCtx {
@@ -1421,6 +1428,7 @@ pub(crate) mod tests {
                 writes: Vec::new(),
                 sent: Vec::new(),
                 bumps: Counters::new(),
+                digests: PayloadDigests::new(3),
             }
         }
 
@@ -1462,6 +1470,9 @@ pub(crate) mod tests {
         fn note_snapshot(&mut self, _: SnapshotStamp) {}
         fn bump(&mut self, metric: Metric, by: u64) {
             self.bumps.bump(metric, by);
+        }
+        fn payload_digests(&mut self) -> &mut PayloadDigests {
+            &mut self.digests
         }
         fn trace_span(&mut self, _: &'static str, _: u64, _: &'static str, _: u64) {}
         fn send(&mut self, dst: ProcessId, kind: Kind, body: impl Fn(&mut WireWriter)) {

@@ -40,13 +40,32 @@
 //! `SnapshotDivergence` check and a joiner's integrity check across
 //! snapshot chunks both rest on two folds of the same `(id, payload)`
 //! sequence agreeing bit for bit and two different sequences not. It is
-//! not a defence against an adversary. `digest_msg` reads each payload
-//! once, a 64-bit word at a time in four independent lanes (one multiply
-//! per eight bytes, four of them in flight, where a byte-serial hash
-//! waits out one multiply per byte), with explicit little-endian loads,
-//! so it is a pure function of the delivered sequence on every host.
+//! not a defence against an adversary.
+//!
+//! It is taken in two steps. `payload_digest` reads one payload — a
+//! 64-bit word at a time in four independent lanes (one multiply per
+//! eight bytes, four of them in flight, where a byte-serial hash waits
+//! out one multiply per byte), with explicit little-endian loads —
+//! seeded by its length and by nothing the process has folded. A small
+//! combine step then mixes the running digest, the message id, the
+//! length and that payload digest. Both are pure functions of their
+//! inputs on every host.
+//!
+//! Because the first step does not depend on the running digest, its
+//! value is the same at every process, and every process of a run holds
+//! a payload of [`SHARE_MIN`] bytes or more as the very buffer that was
+//! submitted (the wire passes such byte strings by reference). The
+//! cluster's [`PayloadDigests`] keeps the digest of each payload of
+//! 4 KiB or more until all `n` processes have read it, so such a payload
+//! is hashed once per run rather than once per process. It answers only a caller holding the same
+//! buffer — same data pointer and length — and holds a clone of that
+//! buffer meanwhile, so the address cannot pass to another payload: the
+//! same buffer is the same bytes. A copy, or another payload under a
+//! reused id, is hashed from its own bytes. Each process still folds
+//! every message it delivers, so the digest checks lose nothing; the
+//! model charges nothing for a fold, so only host time moves.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
@@ -56,7 +75,7 @@ use bytes::Bytes;
 use crate::id::{MsgId, ProcessId};
 use crate::message::{AppMsg, Batch};
 use crate::watermark::DeliveredSet;
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
+use crate::wire::{Wire, WireError, WireReader, WireWriter, SHARE_MIN};
 use fortika_sim::{VDur, VTime};
 
 /// Application state machine folded forward by snapshotting stacks.
@@ -225,24 +244,20 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-/// The digest `h` advanced over one delivered message: a function of
-/// `h`, the message id, the payload length and every payload byte, and
-/// of nothing else (words are read with explicit `from_le_bytes`, all
-/// arithmetic wraps), so it is the same on every host.
+/// The digest of one payload alone: a function of its length and every
+/// byte, and of nothing else (words are read with explicit
+/// `from_le_bytes`, all arithmetic wraps), so it is the same on every
+/// host and for every process that holds the payload.
 ///
 /// The payload is read once, 32 bytes a step: four 8-byte words go into
 /// four lanes that do not depend on each other, so the multiplies of a
 /// step overlap instead of queueing behind one another as they do in a
-/// byte-at-a-time hash. The id and the length seed the lanes — the
-/// length is what tells a zero-padded tail from real zero bytes, and
-/// `"ab","c"` from `"a","bc"`. Changing payload bits within one word
-/// changes exactly one lane ([`mix`] is invertible), and the join is
-/// invertible in each lane, so such a change always shows.
-fn digest_msg(h: u64, msg: &AppMsg) -> u64 {
-    let payload: &[u8] = &msg.payload;
-    let head = mix(h, u64::from(msg.id.sender.0), LANE_MUL[0]);
-    let head = mix(head, msg.id.seq, LANE_MUL[1]);
-    let head = mix(head, payload.len() as u64, LANE_MUL[2]);
+/// byte-at-a-time hash. The length seeds the lanes — it is what tells a
+/// zero-padded tail from real zero bytes. Changing payload bits within
+/// one word changes exactly one lane ([`mix`] is invertible), and the
+/// join is invertible in each lane, so such a change always shows.
+fn payload_digest(payload: &[u8]) -> u64 {
+    let head = mix(DIGEST_SEED, payload.len() as u64, LANE_MUL[2]);
     let mut lanes = LANE_MUL.map(|m| head ^ m);
     let (stripes, tail) = payload.as_chunks::<32>();
     for stripe in stripes {
@@ -260,6 +275,125 @@ fn digest_msg(h: u64, msg: &AppMsg) -> u64 {
         .iter()
         .fold(head, |acc, &lane| mix(acc, lane, JOIN_MUL));
     joined ^ (joined >> 32)
+}
+
+/// The digest `h` advanced over one delivered message whose payload
+/// digests to `payload` ([`payload_digest`]): each step is invertible in
+/// the value it absorbs, so a different id, length or payload digest
+/// always gives a different result, and the chain through `h` makes the
+/// digest order-sensitive. The length is mixed here as well as in the
+/// payload digest: it is what tells `"ab","c"` from `"a","bc"`.
+fn combine(h: u64, id: MsgId, len: usize, payload: u64) -> u64 {
+    let h = mix(h, u64::from(id.sender.0), LANE_MUL[0]);
+    let h = mix(h, id.seq, LANE_MUL[1]);
+    let h = mix(h, len as u64, LANE_MUL[2]);
+    let h = mix(h, payload, JOIN_MUL);
+    h ^ (h >> 32)
+}
+
+/// How many payloads a [`PayloadDigests`] holds at most: past it, the
+/// oldest entry goes first, so a process that never reads (crashed,
+/// partitioned, lagging) pins at most this many payloads, 1 MiB at
+/// 16 KiB each, and a miss compares at most this many ids. On the
+/// benchmark's 16 KiB workloads (seed 7) the last reader of a payload
+/// came at most 18 insertions after its first.
+const SHARED_DIGESTS: usize = 64;
+
+/// The shortest payload a [`PayloadDigests`] enters. Below
+/// [`SHARE_MIN`] the wire copies a payload, so no two processes hold the
+/// same buffer. Up to 4 KiB an entry is not worth its keep: hashing
+/// 1 KiB costs a process about 65–85 ns, and an entry's bookkeeping
+/// about 45 ns per message — more while a silent process keeps the
+/// table full, since then every first reader compares all 64 ids. With
+/// 1 KiB payloads entered, `mono-crash-1k` ran slower in 9 of 10
+/// benchmark pairs.
+const SHARED_DIGEST_MIN: usize = 4 * 1024;
+const _: () = assert!(SHARED_DIGEST_MIN >= SHARE_MIN);
+
+/// The cluster's table of payload digests, so that a payload every
+/// process holds by reference is hashed once per run, not once per
+/// process.
+///
+/// An entry is keyed by [`MsgId`] and holds the payload's [`Bytes`]
+/// clone, which pins its allocation: while the entry lives no other
+/// payload can be given that address. So a caller holding the same
+/// buffer (same data pointer, same length) holds the same bytes, and
+/// only such a caller is answered from the entry. A copy, or a
+/// different payload under a reused id — the stale-incarnation case the
+/// digest exists to catch — is hashed from its own bytes. Payloads
+/// shorter than 4 KiB are never entered: below [`SHARE_MIN`] the wire
+/// copies them, and up to 4 KiB an entry costs about what hashing them
+/// saves. An entry goes once all `n` processes have read it, or, oldest
+/// first, once 64 newer ones are held, so a process that never reads
+/// pins little for long.
+///
+/// Free in the model: only the host's time moves.
+pub struct PayloadDigests {
+    /// Readers an entry waits for (the cluster size).
+    n: usize,
+    /// Oldest first. The other processes read a payload soon after its
+    /// first reader entered it, so lookups scan from the newest end.
+    entries: VecDeque<SharedDigest>,
+}
+
+/// One payload's digest with the buffer it was read from.
+struct SharedDigest {
+    id: MsgId,
+    payload: Bytes,
+    digest: u64,
+    /// Processes that read it so far, its inserter included.
+    reads: usize,
+}
+
+impl PayloadDigests {
+    /// An empty table for a cluster of `n` processes, its room for all
+    /// 64 entries taken now so that it never regrows mid-run. On
+    /// `modular-sat-16k-n7` (seed 31, 10 runs each) a table grown as
+    /// needed read 0.26 MiB more peak RSS than this one.
+    pub fn new(n: usize) -> Self {
+        let room = if n > 1 { SHARED_DIGESTS } else { 0 };
+        PayloadDigests {
+            n,
+            entries: VecDeque::with_capacity(room),
+        }
+    }
+
+    /// The digest of `msg`'s payload alone (the first of the snapshot
+    /// digest's two steps, see the [module docs](self)): from the table
+    /// when it holds this very buffer under `msg.id`, else hashed from
+    /// the bytes (and entered, for the other processes to read, if the
+    /// payload is 4 KiB or more).
+    pub fn of(&mut self, msg: &AppMsg) -> u64 {
+        let payload = &msg.payload;
+        if payload.len() < SHARED_DIGEST_MIN {
+            return payload_digest(payload);
+        }
+        if let Some(at) = self.entries.iter().rposition(|e| e.id == msg.id) {
+            let entry = &mut self.entries[at];
+            if entry.payload.as_ptr() != payload.as_ptr() || entry.payload.len() != payload.len() {
+                return payload_digest(payload);
+            }
+            let digest = entry.digest;
+            entry.reads += 1;
+            if entry.reads >= self.n {
+                self.entries.remove(at);
+            }
+            return digest;
+        }
+        let digest = payload_digest(payload);
+        if self.n > 1 {
+            if self.entries.len() == SHARED_DIGESTS {
+                self.entries.pop_front();
+            }
+            self.entries.push_back(SharedDigest {
+                id: msg.id,
+                payload: payload.clone(),
+                digest,
+                reads: 1,
+            });
+        }
+        digest
+    }
 }
 
 /// Deterministic folder of the decided prefix.
@@ -313,14 +447,23 @@ impl SnapshotFold {
     }
 
     /// Absorbs the decision of `instance`, folding forward as far as the
-    /// contiguous prefix allows. The next instance in line — every
-    /// decision of a fault-free run — is folded from the caller's batch
-    /// as it stands; only a decision ahead of the frontier is copied
-    /// and kept until the frontier reaches it.
+    /// contiguous prefix allows, for a fold that no other process shares
+    /// payloads with: [`absorb_in`](Self::absorb_in) with a table of its
+    /// own.
     pub fn absorb(&mut self, instance: u64, batch: &Batch) {
+        self.absorb_in(instance, batch, &mut PayloadDigests::new(1));
+    }
+
+    /// Absorbs the decision of `instance`, folding forward as far as the
+    /// contiguous prefix allows, reading payload digests through
+    /// `digests`. The next instance in line — every decision of a
+    /// fault-free run — is folded from the caller's batch as it stands;
+    /// only a decision ahead of the frontier is copied and kept until
+    /// the frontier reaches it.
+    pub fn absorb_in(&mut self, instance: u64, batch: &Batch, digests: &mut PayloadDigests) {
         if instance == self.next {
-            self.fold(batch);
-            self.drain();
+            self.fold(batch, digests);
+            self.drain(digests);
         } else if instance > self.next {
             self.buffered
                 .entry(instance)
@@ -329,21 +472,22 @@ impl SnapshotFold {
     }
 
     /// Folds every buffered decision the frontier has reached.
-    fn drain(&mut self) {
+    fn drain(&mut self, digests: &mut PayloadDigests) {
         while let Some(batch) = self.buffered.remove(&self.next) {
-            self.fold(&batch);
+            self.fold(&batch, digests);
         }
     }
 
     /// Folds `batch` as the decision of instance `next`.
-    fn fold(&mut self, batch: &Batch) {
+    fn fold(&mut self, batch: &Batch, digests: &mut PayloadDigests) {
         for msg in batch.msgs() {
             if !self.delivered.is_new(msg.id) {
                 continue; // delivered by an earlier instance
             }
             self.delivered.mark(msg.id);
             self.delivered_count += 1;
-            self.digest = digest_msg(self.digest, msg);
+            let payload = digests.of(msg);
+            self.digest = combine(self.digest, msg.id, msg.payload.len(), payload);
             if let Some(app) = &mut self.app {
                 app.apply(msg);
             }
@@ -368,8 +512,9 @@ impl SnapshotFold {
 
     /// Replaces the fold with a received snapshot (rejoin catch-up).
     /// Returns false — and leaves the fold untouched — when the snapshot
-    /// does not extend past the local fold frontier.
-    pub fn install(&mut self, snap: &Snapshot) -> bool {
+    /// does not extend past the local fold frontier. Decisions buffered
+    /// past the snapshot are folded through `digests`.
+    pub fn install(&mut self, snap: &Snapshot, digests: &mut PayloadDigests) -> bool {
         if snap.last_included < self.next {
             return false;
         }
@@ -386,7 +531,7 @@ impl SnapshotFold {
         // Drop covered buffers, then keep folding past the snapshot with
         // whatever contiguous decisions were already buffered.
         self.buffered = self.buffered.split_off(&self.next);
-        self.drain();
+        self.drain(digests);
         true
     }
 }
@@ -716,9 +861,73 @@ mod tests {
             msg(3, 1 << 40, b"fortika"),
             msg(0x7FFF, (1 << 62) - 1, &stripe_and_tail),
         ];
-        assert_eq!(digest_of(&msgs[..1]), 0x462b_4967_e3ce_d8f6);
-        assert_eq!(digest_of(&msgs[..2]), 0x0b62_c0d1_8c01_cca9);
-        assert_eq!(digest_of(&msgs), 0x91fc_4a9f_f89a_a63d);
+        assert_eq!(payload_digest(&stripe_and_tail), 0x6c35_0416_803a_9989);
+        assert_eq!(digest_of(&msgs[..1]), 0x6b89_1274_1b31_c3bd);
+        assert_eq!(digest_of(&msgs[..2]), 0xb185_ffcc_c6e2_765c);
+        assert_eq!(digest_of(&msgs), 0x6516_959f_2c5a_ec95);
+    }
+
+    /// A payload long enough to be entered.
+    fn shared(sender: u16, seq: u64, fill: u8) -> AppMsg {
+        msg(sender, seq, &[fill; SHARED_DIGEST_MIN])
+    }
+
+    /// The digest of one fold of `m` as instance 0, through `digests`.
+    fn folded_in(digests: &mut PayloadDigests, m: &AppMsg) -> u64 {
+        let mut fold = SnapshotFold::new(None);
+        fold.absorb_in(0, &Batch::normalize(vec![m.clone()]), digests);
+        fold.digest()
+    }
+
+    #[test]
+    fn the_table_answers_only_the_buffer_it_holds() {
+        let mut digests = PayloadDigests::new(3);
+        let first = shared(1, 4, 0xA0);
+        let expected = folded_in(&mut digests, &first);
+        assert_eq!(digests.entries.len(), 1);
+        // Another payload under the same id, in another buffer: the
+        // stale-incarnation case. Hashed from its own bytes.
+        let reused = shared(1, 4, 0xA1);
+        assert_ne!(folded_in(&mut digests, &reused), expected);
+        assert_eq!(digests.entries.len(), 1, "the first payload stays");
+        // Equal bytes in another buffer: hashed, and the same digest.
+        let copy = shared(1, 4, 0xA0);
+        assert_ne!(copy.payload.as_ptr(), first.payload.as_ptr());
+        assert_eq!(folded_in(&mut digests, &copy), expected);
+        // The table answers as the bytes would.
+        assert_eq!(digests.of(&first), payload_digest(&first.payload));
+        assert_eq!(digest_of(std::slice::from_ref(&first)), expected);
+    }
+
+    #[test]
+    fn an_entry_goes_after_n_reads_and_the_table_stays_bounded() {
+        let n = 3;
+        let mut digests = PayloadDigests::new(n);
+        let m = shared(0, 0, 7);
+        for read in 1..=n {
+            folded_in(&mut digests, &m);
+            assert_eq!(digests.entries.len(), usize::from(read < n), "read {read}");
+        }
+        // Shorter payloads are never entered.
+        folded_in(&mut digests, &msg(0, 1, &[7; SHARED_DIGEST_MIN - 1]));
+        assert!(digests.entries.is_empty());
+
+        // Two of three processes read every payload; the third never
+        // does, and pins no more than the bound.
+        let msgs: Vec<AppMsg> = (0..2 * SHARED_DIGESTS as u64)
+            .map(|seq| shared(2, seq, seq as u8))
+            .collect();
+        let mut folds = [SnapshotFold::new(None), SnapshotFold::new(None)];
+        for (i, m) in msgs.iter().enumerate() {
+            let batch = Batch::normalize(vec![m.clone()]);
+            for fold in &mut folds {
+                fold.absorb_in(i as u64, &batch, &mut digests);
+                assert!(digests.entries.len() <= SHARED_DIGESTS);
+            }
+        }
+        assert_eq!(digests.entries.len(), SHARED_DIGESTS);
+        assert_eq!(folds[0].digest(), folds[1].digest());
+        assert_eq!(folds[0].digest(), digest_of(&msgs));
     }
 
     #[test]
@@ -734,13 +943,13 @@ mod tests {
         assert_eq!(back, snap);
 
         let mut joiner = SnapshotFold::new(None);
-        assert!(joiner.install(&back));
+        assert!(joiner.install(&back, &mut PayloadDigests::new(1)));
         assert_eq!(joiner.next_instance(), 2);
         assert_eq!(joiner.digest(), fold.digest());
         assert!(joiner.is_delivered(MsgId::new(ProcessId(0), 2)));
         assert!(!joiner.is_delivered(MsgId::new(ProcessId(0), 1)), "gap");
         // A stale snapshot does not regress the fold.
-        assert!(!joiner.install(&back));
+        assert!(!joiner.install(&back, &mut PayloadDigests::new(1)));
     }
 
     #[test]
@@ -753,7 +962,7 @@ mod tests {
         donor.absorb(0, &Batch::normalize(vec![msg(0, 0, b"a")]));
         donor.absorb(1, &Batch::normalize(vec![msg(1, 0, b"b")]));
         let snap = donor.snapshot().unwrap();
-        assert!(fold.install(&snap));
+        assert!(fold.install(&snap, &mut PayloadDigests::new(1)));
         // The buffered instance 2 folds immediately after the install.
         assert_eq!(fold.next_instance(), 3);
         assert_eq!(fold.delivered_count(), 3);

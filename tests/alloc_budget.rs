@@ -25,7 +25,7 @@ use fortika::net::replica::keys;
 use fortika::net::wire::{decode, encode, Wire};
 use fortika::net::{
     Admission, AppMsg, AppRequest, AppState, AppStateFactory, Batch, Cluster, ClusterConfig,
-    CollectingHarness, MsgId, Node, NodeCtx, ProcessId, TimerId, VoteRecord,
+    CollectingHarness, MsgId, Node, NodeCtx, PayloadDigests, ProcessId, TimerId, VoteRecord,
 };
 use fortika::sim::{VDur, VTime};
 
@@ -490,6 +490,26 @@ fn a_warm_handler_requests_no_heap_for_its_outputs() {
         log[1..].iter().all(|&requested| requested == 0),
         "heap bytes requested per warm call: {log:?}"
     );
+}
+
+/// A process that finds a payload's digest in the cluster's table reads
+/// it and requests no heap; the entry's last reader frees it.
+#[test]
+fn a_payload_digest_table_hit_requests_no_heap() {
+    let n = 7;
+    let mut digests = PayloadDigests::new(n);
+    let msgs: Vec<AppMsg> = big_batch().msgs().to_vec();
+    let entered: Vec<u64> = msgs.iter().map(|m| digests.of(m)).collect();
+    let mut read = [0u64; 10];
+    for reader in 1..n {
+        let (requested, ()) = requested_during(|| {
+            for (slot, m) in read.iter_mut().zip(&msgs) {
+                *slot = digests.of(m);
+            }
+        });
+        assert_eq!(read[..], entered[..], "reader {reader}");
+        assert_eq!(requested, 0, "reader {reader}: ten hits requested heap");
+    }
 }
 
 /// A quorum check asks the group's member set, majority and round

@@ -26,12 +26,14 @@ use fortika::sim::VDur;
 
 /// The branches every gate campaign must reach: the own-message resend,
 /// and catch-up — a pull on a sighting, the state transfer that answers
-/// it, and a rejoin that reaches its frontier. A path no run exercises
-/// is audited by nobody.
-const WITNESSED: [&str; 4] = [
+/// it, a snapshot offered and a snapshot installed, and a rejoin that
+/// reaches its frontier. A path no run exercises is audited by nobody.
+const WITNESSED: [&str; 6] = [
     "sender_retransmits",
     "gap_pulls",
     "state_transfers",
+    "snapshot_offers",
+    "snapshot_installs",
     "rejoins_completed",
 ];
 
@@ -63,8 +65,22 @@ fn gate_config() -> FuzzConfig {
     }
 }
 
+/// The gate's stacks cut a snapshot every four instances and cache four
+/// decisions, so a lagging or restarted process is served a snapshot
+/// within the few hundred instances a run decides. With the defaults
+/// (256 and 1 024) no run of 64 offered or installed one; with these,
+/// on campaign seeds 0–23, at least 19 runs of each stack offer one and
+/// every branch of [`WITNESSED`] is reached in at least 11.
+fn gate_stack() -> StackConfig {
+    StackConfig {
+        snapshot_interval: 4,
+        decision_cache: 4,
+        ..StackConfig::default()
+    }
+}
+
 fn assert_gate_holds(kind: StackKind) {
-    let stack = StackConfig::default();
+    let stack = gate_stack();
     let label = kind.label();
     let report = FuzzCampaign::new(gate_config()).run(fuzz_runner(kind, 3, stack.clone()));
     let matrix = fuzz_dir().join(format!("coverage-matrix-{label}.json"));
