@@ -7,7 +7,7 @@ use bytes::Bytes;
 use fortika_net::wire::{Stored, Wire, WireReader, WireWriter};
 use fortika_net::{
     Admission, AppRequest, CostModel, Kind, Metric, MsgId, Node, NodeCtx, PayloadDigests,
-    ProcessId, ReplicaCtx, SnapshotStamp, TimerId,
+    ProcessId, ReplicaCtx, SnapshotStamp, StableRecord, TimerId,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -178,7 +178,7 @@ impl FrameworkCtx<'_, '_> {
     /// [`fortika_net::NodeCtx::persist`]. The store is shared by the whole
     /// stack: modules take their key namespace (high byte) from
     /// [`fortika_net::replica::keys`].
-    pub fn persist(&mut self, key: u64, value: impl Into<Stored>) {
+    pub fn persist(&mut self, key: u64, value: impl Into<StableRecord>) {
         self.node.persist(key, value);
     }
 
@@ -229,7 +229,7 @@ impl ReplicaCtx for FrameworkCtx<'_, '_> {
     fn costs(&self) -> &CostModel {
         self.node.costs()
     }
-    fn persist(&mut self, key: u64, value: impl Into<Stored>) {
+    fn persist(&mut self, key: u64, value: impl Into<StableRecord>) {
         self.node.persist(key, value);
     }
     fn unpersist(&mut self, keys: Range<u64>) {

@@ -39,7 +39,7 @@
 //! avoids by losing its old connections.
 //!
 //! The only state that survives a restart is the process's **stable
-//! store** ([`NodeCtx::persist`]): a small key→bytes map modelling the
+//! store** ([`NodeCtx::persist`]): a small key→record map modelling the
 //! write-ahead stable storage that crash-recovery protocols require
 //! (cf. Aguilera/Chen/Toueg: without stable storage, consensus is
 //! unsafe unless a majority never crashes). Protocol stacks persist
@@ -60,25 +60,69 @@ use crate::id::{MsgId, ProcessId};
 use crate::message::AppMsg;
 use crate::metrics::{cluster, Kind, Metric};
 use crate::snapshot::{PayloadDigests, SnapshotStamp};
-use crate::wire::{Stored, Tail, WireReader};
+use crate::wire::{Stored, Tail, Wire, WireReader, WireWriter};
 
 /// Handle to a pending timer, local to one process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
 
-/// A process's stable storage: the only state surviving a restart.
+/// A process's stable storage as a restarted process reads it: the only
+/// state surviving a restart.
 ///
 /// Keys are module-chosen `u64`s (modules namespace their keys by a tag
-/// in the high byte); values are opaque encoded bytes, each held as a
-/// [`Stored`] gather list — usually one buffer, but a record of a value
-/// the process already holds (a voted batch) keeps the payloads by
-/// reference, so the simulator's store costs the host what a `writev`
-/// of header + held buffers costs a real acceptor, not a payload-sized
-/// copy (network frames travel the same way, see [`NodeCtx::send`]).
-/// Written through [`NodeCtx::persist`] / [`NodeCtx::unpersist`] and
-/// handed to the node factory when the process is revived; read with
-/// [`Stored::decode`] / [`Stored::reader`].
+/// in the high byte); values are opaque encoded bytes, each a [`Stored`]
+/// gather list. The cluster keeps every write as it was given (a
+/// [`StableRecord`]) and builds this map only when the store is read:
+/// when the node factory is handed it to revive the process, and when
+/// [`Cluster::stable`] is called. A record written as a value is
+/// encoded then, by its own [`Wire::encode`], into the bytes an encode
+/// at write time would have made — a voted batch's payloads by
+/// reference, as network frames carry them ([`NodeCtx::send`]). Read
+/// with [`Stored::decode`] / [`Stored::reader`].
 pub type StableStore = BTreeMap<u64, Stored>;
+
+/// One write to a stable store ([`NodeCtx::persist`]): bytes, or a value
+/// the store encodes only when it is read (see [`StableStore`]).
+///
+/// Only a restarted process reads its store, so a record a process
+/// writes at every vote need not be encoded at every vote: a value
+/// record costs one box, which owns the value as it was given (a
+/// [`Batch`](crate::Batch) shares an immutable list, integers are
+/// copies), so the bytes read later are those of the write.
+pub struct StableRecord(Record);
+
+enum Record {
+    Bytes(Stored),
+    Value(Box<dyn Fn(&mut WireWriter)>),
+}
+
+impl StableRecord {
+    /// A record of `value`, encoded by its [`Wire::encode`] when the
+    /// store is read.
+    pub fn value<T: Wire + 'static>(value: T) -> Self {
+        StableRecord(Record::Value(Box::new(move |w| value.encode(w))))
+    }
+
+    /// The bytes a restarted process reads for this record.
+    pub(crate) fn to_stored(&self) -> Stored {
+        match &self.0 {
+            Record::Bytes(bytes) => bytes.clone(),
+            Record::Value(write) => Stored::encode_with(write),
+        }
+    }
+}
+
+impl From<Stored> for StableRecord {
+    fn from(bytes: Stored) -> Self {
+        StableRecord(Record::Bytes(bytes))
+    }
+}
+
+impl From<Bytes> for StableRecord {
+    fn from(bytes: Bytes) -> Self {
+        StableRecord(Record::Bytes(bytes.into()))
+    }
+}
 
 /// Builds a fresh stack for a revived process.
 ///
@@ -193,20 +237,18 @@ struct Outputs {
 /// One stable-store write a handler asked for; the cluster applies them
 /// in call order when the handler returns.
 enum StableWrite {
-    Put(u64, Stored),
+    Put(u64, StableRecord),
     Delete(Range<u64>),
 }
 
 impl StableWrite {
-    fn apply(self, store: &mut StableStore) {
+    fn apply(self, records: &mut BTreeMap<u64, StableRecord>) {
         match self {
             StableWrite::Put(key, value) => {
-                store.insert(key, value);
+                records.insert(key, value);
             }
             StableWrite::Delete(keys) if !keys.is_empty() => {
-                while let Some((&key, _)) = store.range(keys.clone()).next() {
-                    store.remove(&key);
-                }
+                records.extract_if(keys, |_, _| true).for_each(drop);
             }
             StableWrite::Delete(_) => {}
         }
@@ -342,15 +384,17 @@ impl NodeCtx<'_> {
         self.out.app_ready = true;
     }
 
-    /// Writes `value` — a [`Bytes`] buffer or a [`Stored`] gather list,
-    /// whose parts are fixed from here on — to this process's stable
-    /// store under `key` (write-ahead semantics: the write takes effect
-    /// atomically with the rest of this handler's outputs and survives
-    /// crashes).
+    /// Writes `value` — a [`Bytes`] buffer, a [`Stored`] gather list or
+    /// a [`StableRecord::value`], each fixed from here on — to this
+    /// process's stable store under `key` (write-ahead semantics: the
+    /// write takes effect atomically with the rest of this handler's
+    /// outputs, in call order, and survives crashes). The store keeps
+    /// the write as it was given; a value is encoded only when the
+    /// store is read (see [`StableStore`]).
     ///
     /// Charges the stable-write CPU cost from the cluster's
-    /// [`CostModel`]: one charge per call, however many parts.
-    pub fn persist(&mut self, key: u64, value: impl Into<Stored>) {
+    /// [`CostModel`]: one charge per call, however many bytes.
+    pub fn persist(&mut self, key: u64, value: impl Into<StableRecord>) {
         self.charge_durability(self.cost.stable_write);
         self.out.persists.push(StableWrite::Put(key, value.into()));
     }
@@ -543,8 +587,9 @@ struct Proc {
     /// Bumped on every restart; stamped on transmissions and timers so
     /// stale cross-incarnation events are detected and dropped.
     incarnation: u32,
-    /// Survives crashes and restarts (see [`StableStore`]).
-    stable: StableStore,
+    /// Survives crashes and restarts: every write as it was given (see
+    /// [`StableStore`]).
+    stable: BTreeMap<u64, StableRecord>,
     /// CPU slowdown multiplier in thousandths (1000 = nominal). A
     /// hardware property, so it survives restarts.
     cpu_milli: u64,
@@ -661,7 +706,7 @@ impl Cluster {
                 alive: true,
                 crash_time: None,
                 incarnation: 0,
-                stable: StableStore::new(),
+                stable: BTreeMap::new(),
                 cpu_milli: 1000,
                 durability_busy: VDur::ZERO,
                 next_timer: 0,
@@ -785,9 +830,14 @@ impl Cluster {
         self.procs[pid.index()].incarnation
     }
 
-    /// Read access to `pid`'s stable store (tests and diagnostics).
-    pub fn stable(&self, pid: ProcessId) -> &StableStore {
-        &self.procs[pid.index()].stable
+    /// `pid`'s stable store as a restarted process would read it, every
+    /// record encoded now (tests and diagnostics).
+    pub fn stable(&self, pid: ProcessId) -> StableStore {
+        let records = &self.procs[pid.index()].stable;
+        records
+            .iter()
+            .map(|(&key, record)| (key, record.to_stored()))
+            .collect()
     }
 
     /// Schedules a crash of `pid` at instant `at`.
@@ -1051,13 +1101,13 @@ impl Cluster {
         if self.procs[i].alive {
             return; // never crashed (or already revived): no-op
         }
-        // Take the factory out so building the node can borrow the
-        // process's stable store.
+        // Take the factory out so building the node can read the
+        // process's stable store, which is materialized for it.
         let mut factory = self
             .factory
             .take()
             .expect("restart scheduled without factory");
-        let node = factory(pid, at, &self.procs[i].stable);
+        let node = factory(pid, at, &self.stable(pid));
         self.factory = Some(factory);
         let proc = &mut self.procs[i];
         proc.node = Some(node);

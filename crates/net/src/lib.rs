@@ -96,7 +96,7 @@ pub mod wire;
 
 pub use cluster::{
     Admission, AppRequest, Cluster, ClusterApi, CollectingHarness, ConfigStamp, Delivery, Harness,
-    Node, NodeCtx, NodeFactory, NoopHarness, StableStore, TimerId,
+    Node, NodeCtx, NodeFactory, NoopHarness, StableRecord, StableStore, TimerId,
 };
 pub use config::{ClusterConfig, CostModel, NetModel};
 pub use counters::{Counters, KindCounter};

@@ -112,7 +112,7 @@ use std::ops::Range;
 use bytes::Bytes;
 use fortika_sim::{VDur, VTime};
 
-use crate::cluster::{NodeCtx, StableStore};
+use crate::cluster::{NodeCtx, StableRecord, StableStore};
 use crate::config::CostModel;
 use crate::id::{MsgId, ProcessId};
 use crate::message::Batch;
@@ -508,19 +508,11 @@ pub struct VoteRecord {
     pub value: Batch,
 }
 
-impl VoteRecord {
-    /// Appends the record of a vote for `value`, which the caller keeps:
-    /// the one place the layout is written.
-    fn write(w: &mut WireWriter, round: u32, ts: u32, value: &Batch) {
-        w.put_u32(round);
-        w.put_u32(ts);
-        value.encode(w);
-    }
-}
-
 impl Wire for VoteRecord {
     fn encode(&self, w: &mut WireWriter) {
-        VoteRecord::write(w, self.round, self.ts, &self.value);
+        w.put_u32(self.round);
+        w.put_u32(self.ts);
+        self.value.encode(w);
     }
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         Ok(VoteRecord {
@@ -546,7 +538,7 @@ pub trait ReplicaCtx {
     /// The configured cost model.
     fn costs(&self) -> &CostModel;
     /// See [`NodeCtx::persist`].
-    fn persist(&mut self, key: u64, value: impl Into<Stored>);
+    fn persist(&mut self, key: u64, value: impl Into<StableRecord>);
     /// See [`NodeCtx::unpersist`].
     fn unpersist(&mut self, keys: Range<u64>);
     /// See [`NodeCtx::charge_durability`].
@@ -581,7 +573,7 @@ impl ReplicaCtx for NodeCtx<'_> {
     fn costs(&self) -> &CostModel {
         NodeCtx::costs(self)
     }
-    fn persist(&mut self, key: u64, value: impl Into<Stored>) {
+    fn persist(&mut self, key: u64, value: impl Into<StableRecord>) {
         NodeCtx::persist(self, key, value);
     }
     fn unpersist(&mut self, keys: Range<u64>) {
@@ -805,11 +797,11 @@ impl ReplicaCore {
     }
 
     /// Writes `instance`'s vote record to stable storage, atomically
-    /// with the vote message of the enclosing handler. The record holds
-    /// the payloads of `value` that reach [`SHARE_MIN`](crate::wire::SHARE_MIN)
-    /// by reference — the process keeps the batch as its estimate anyway
-    /// — so a vote copies the record's framing, not what it votes for; a
-    /// batch of short payloads is one exact-sized buffer.
+    /// with the vote message of the enclosing handler. The record is
+    /// kept as a value ([`StableRecord::value`]) holding the batch the
+    /// process keeps as its estimate anyway, so a vote encodes nothing:
+    /// the store encodes the record only when a restarted process
+    /// reads it.
     pub fn persist_vote<C: ReplicaCtx>(
         &self,
         ctx: &mut C,
@@ -825,8 +817,12 @@ impl ReplicaCore {
             // crash-restart forgets its lock.
             return;
         }
-        let record = Stored::encode_with(|w| VoteRecord::write(w, round, ts, value));
-        ctx.persist(keys::vote(instance), record);
+        let record = VoteRecord {
+            round,
+            ts,
+            value: value.clone(),
+        };
+        ctx.persist(keys::vote(instance), StableRecord::value(record));
     }
 
     /// Persists the voting fence if it advanced past the one last
@@ -837,7 +833,7 @@ impl ReplicaCore {
     fn persist_fence<C: ReplicaCtx>(&mut self, ctx: &mut C) {
         let fence = self.decided_log.watermark();
         if fence > self.persisted_fence {
-            ctx.persist(keys::WATERMARK, encode(&fence));
+            ctx.persist(keys::WATERMARK, StableRecord::value(fence));
             ctx.unpersist(keys::votes(self.persisted_fence..fence));
             self.persisted_fence = fence;
         }
@@ -1458,8 +1454,8 @@ pub(crate) mod tests {
         fn costs(&self) -> &CostModel {
             &self.costs
         }
-        fn persist(&mut self, key: u64, value: impl Into<Stored>) {
-            self.store.insert(key, value.into());
+        fn persist(&mut self, key: u64, value: impl Into<StableRecord>) {
+            self.store.insert(key, value.into().to_stored());
             self.writes.push(Write::Put(key));
         }
         fn unpersist(&mut self, keys: Range<u64>) {

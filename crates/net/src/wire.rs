@@ -18,10 +18,12 @@
 //! byte paths of a process move: every network frame from
 //! `NodeCtx::send` to the receiving handler — the scatter-gather send of
 //! a real NIC, header buffers around payloads the sender already holds
-//! — and every stable-store record, the `writev` of a real acceptor
-//! log. A value with no byte string of [`SHARE_MIN`] bytes is a gather
-//! list of one exact-sized buffer. [`WireReader`] reads a buffer or a
-//! gather list through the same calls.
+//! — and every stable-store record as a restarted process reads it,
+//! the `writev` of a real acceptor log (a record written as a value is
+//! encoded into one only then: `fortika_net::StableRecord`). A value
+//! with no byte string of [`SHARE_MIN`] bytes is a gather list of one
+//! exact-sized buffer. [`WireReader`] reads a buffer or a gather list
+//! through the same calls.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -96,11 +98,12 @@ pub struct WireWriter {
 #[derive(Debug)]
 enum Sink {
     Buffer(BytesMut),
-    /// `shared` of the `len` bytes are byte strings a gathering writer
-    /// would not copy.
+    /// `shared` of the `len` bytes are the `strings` byte strings a
+    /// gathering writer would not copy.
     Count {
         len: usize,
         shared: usize,
+        strings: usize,
     },
     /// Every copied byte, in order, in one buffer; `cuts` holds the
     /// shared byte strings, each with the offset in `copied` it goes in
@@ -133,7 +136,11 @@ impl WireWriter {
     /// A writer that keeps no bytes, only their count ([`len`](Self::len)).
     pub fn counting() -> Self {
         WireWriter {
-            sink: Sink::Count { len: 0, shared: 0 },
+            sink: Sink::Count {
+                len: 0,
+                shared: 0,
+                strings: 0,
+            },
         }
     }
 
@@ -142,15 +149,16 @@ impl WireWriter {
     /// [`SHARE_MIN`] bytes [put](Self::put) through it is kept as a
     /// reference-count clone, everything else is copied.
     pub fn gathering() -> Self {
-        WireWriter::gathering_with_capacity(0)
+        WireWriter::gathering_with_capacity(0, 0)
     }
 
-    /// A gathering writer whose buffer for the copied bytes holds `cap`.
-    fn gathering_with_capacity(cap: usize) -> Self {
+    /// A gathering writer whose buffer for the copied bytes holds `cap`
+    /// and whose list of shared byte strings holds `strings`.
+    fn gathering_with_capacity(cap: usize, strings: usize) -> Self {
         WireWriter {
             sink: Sink::Gather {
                 copied: BytesMut::with_capacity(cap),
-                cuts: Vec::new(),
+                cuts: Vec::with_capacity(strings),
             },
         }
     }
@@ -208,9 +216,14 @@ impl WireWriter {
             Sink::Gather { copied, cuts } if n >= SHARE_MIN => {
                 cuts.push((copied.len(), bytes.clone()));
             }
-            Sink::Count { len, shared } if n >= SHARE_MIN => {
+            Sink::Count {
+                len,
+                shared,
+                strings,
+            } if n >= SHARE_MIN => {
                 *len += n;
                 *shared += n;
+                *strings += 1;
             }
             _ => self.put_slice(bytes),
         }
@@ -253,7 +266,8 @@ impl WireWriter {
 
     /// Finishes writing and returns the value as a gather list: the
     /// copied bytes cut where a shared byte string goes in, every cut a
-    /// view of one buffer. A writer that shared nothing returns its
+    /// view of one buffer, collected into the list with one allocation
+    /// of exactly its length. A writer that shared nothing returns its
     /// buffer as the single part.
     ///
     /// # Panics
@@ -267,33 +281,45 @@ impl WireWriter {
             Sink::Count { .. } => panic!("finish() on a counting WireWriter"),
         };
         let copied = copied.freeze();
-        if cuts.is_empty() {
+        let Some(&(end, _)) = cuts.last() else {
             return Stored::from(copied);
-        }
-        let mut parts = Vec::with_capacity(2 * cuts.len() + 1);
+        };
+        // `put_shared` copies a string's length prefix before it cuts, so
+        // a copied run precedes every shared string: the parts alternate,
+        // and the bytes copied after the last cut are one more.
+        let count = 2 * cuts.len() + usize::from(end < copied.len());
+        let mut cuts = cuts.into_iter();
         let mut at = 0;
-        for (cut, shared) in cuts {
-            if cut > at {
-                parts.push(copied.slice(at..cut));
+        let mut pending = None;
+        // Mapping a range is an iterator of trusted length, which `Arc`
+        // collects in place.
+        let parts = (0..count).map(|_| {
+            if let Some(shared) = pending.take() {
+                return shared;
             }
-            parts.push(shared);
-            at = cut;
-        }
-        if at < copied.len() {
-            parts.push(copied.slice(at..));
-        }
-        Stored(Parts::Many(parts.into()))
+            match cuts.next() {
+                Some((cut, shared)) => {
+                    debug_assert!(cut > at, "a shared string without its prefix");
+                    pending = Some(shared);
+                    let run = copied.slice(at..cut);
+                    at = cut;
+                    run
+                }
+                None => copied.slice(at..),
+            }
+        });
+        Stored(Parts::Many(parts.collect()))
     }
 }
 
 /// An encoded value as a short gather list: the bytes of each part, in
-/// order. What a stable store keeps (`fortika_net::StableStore`) and
-/// what the simulated network carries (`NodeCtx::send`): a value written
-/// through a [gathering](WireWriter::gathering) writer holds its long
-/// byte strings as the very [`Bytes`] the writing process already held,
-/// so persisting or sending a 160 KiB batch copies ~150 bytes of
-/// framing. Most values are one part (`From<Bytes>`) and hold no list at
-/// all.
+/// order. What a restarted process reads from its stable store
+/// (`fortika_net::StableStore`) and what the simulated network carries
+/// (`NodeCtx::send`): a value written through a
+/// [gathering](WireWriter::gathering) writer holds its long byte strings
+/// as the very [`Bytes`] the writing process already held, so sending a
+/// 160 KiB batch copies ~150 bytes of framing. Most values are one part
+/// (`From<Bytes>`) and hold no list at all.
 ///
 /// The parts are immutable and fixed when the value is built; nothing is
 /// encoded later. A list of several parts is held under one reference
@@ -335,9 +361,11 @@ impl Stored {
         let mut sizing = WireWriter::counting();
         write(&mut sizing);
         let mut w = match sizing.sink {
-            Sink::Count { len, shared } if shared > 0 => {
-                WireWriter::gathering_with_capacity(len - shared)
-            }
+            Sink::Count {
+                len,
+                shared,
+                strings,
+            } if strings > 0 => WireWriter::gathering_with_capacity(len - shared, strings),
             _ => WireWriter::with_capacity(sizing.len()),
         };
         write(&mut w);

@@ -2,10 +2,10 @@
 //! NIC contention, crash semantics, determinism.
 
 use bytes::Bytes;
-use fortika_net::wire::SHARE_MIN;
+use fortika_net::wire::{Wire, SHARE_MIN};
 use fortika_net::{
-    Admission, AppMsg, AppRequest, Cluster, ClusterApi, ClusterConfig, CostModel, Delivery,
-    Harness, MsgId, NetModel, Node, NodeCtx, ProcessId, Stored, TimerId,
+    Admission, AppMsg, AppRequest, Batch, Cluster, ClusterApi, ClusterConfig, CostModel, Delivery,
+    Harness, MsgId, NetModel, Node, NodeCtx, ProcessId, StableRecord, Stored, TimerId, VoteRecord,
 };
 use fortika_sim::{VDur, VTime};
 
@@ -511,10 +511,11 @@ fn durability_time_is_tracked_and_folded_into_cpu_busy() {
 
 #[test]
 fn a_range_delete_lands_in_call_order_and_costs_one_stable_write() {
-    // One handler writes keys 10..20, range-deletes 12..17, writes 14
-    // again and range-deletes a range holding nothing. A revived
-    // incarnation writes nothing.
-    struct RangeWriter;
+    // One handler writes keys 10..20, a value record over key 13, range-
+    // deletes 12..17, writes 14 again, value records over 18 and at 20,
+    // and range-deletes a range holding nothing. A revived incarnation
+    // writes nothing.
+    struct RangeWriter(VoteRecord);
     impl Node for RangeWriter {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
             if ctx.incarnation() > 0 {
@@ -523,8 +524,11 @@ fn a_range_delete_lands_in_call_order_and_costs_one_stable_write() {
             for key in 10..20u64 {
                 ctx.persist(key, Bytes::from(vec![key as u8]));
             }
+            ctx.persist(13, StableRecord::value(13u64));
             ctx.unpersist(12..17);
             ctx.persist(14, Bytes::from_static(b"again"));
+            ctx.persist(18, StableRecord::value(18u64 << 40));
+            ctx.persist(20, StableRecord::value(self.0.clone()));
             ctx.unpersist(30..40);
         }
         fn on_message(&mut self, _: &mut NodeCtx<'_>, _: ProcessId, _: Bytes) {}
@@ -532,41 +536,61 @@ fn a_range_delete_lands_in_call_order_and_costs_one_stable_write() {
             Admission::Blocked
         }
     }
-    type Contents = Vec<(u64, Bytes)>;
+    let payload = Bytes::from(vec![0x5A; SHARE_MIN]);
+    let vote = VoteRecord {
+        round: 2,
+        ts: 3,
+        value: Batch::normalize(vec![AppMsg::new(MsgId::new(ProcessId(1), 4), payload)]),
+    };
+    // Every record part for part, so a value record must be the very
+    // gather list an encode at write time would have made.
+    type Contents = Vec<(u64, Vec<Bytes>)>;
     let contents = |store: &fortika_net::StableStore| -> Contents {
-        store.iter().map(|(k, v)| (*k, v.to_bytes())).collect()
+        store
+            .iter()
+            .map(|(k, v)| (*k, v.parts().to_vec()))
+            .collect()
     };
     let mut cfg = ClusterConfig::instant(1, 1);
     cfg.cost.stable_write = VDur::micros(100);
-    let mut cluster = Cluster::new(cfg, vec![Box::new(RangeWriter)]);
+    let first = RangeWriter(vote.clone());
+    let mut cluster = Cluster::new(cfg, vec![Box::new(first)]);
     let handed = std::rc::Rc::new(std::cell::RefCell::new(None::<Contents>));
     let handed_to_factory = handed.clone();
+    let revived = vote.clone();
     cluster.set_node_factory(Box::new(move |_, _, stable| {
         *handed_to_factory.borrow_mut() = Some(contents(stable));
-        Box::new(RangeWriter)
+        Box::new(RangeWriter(revived.clone()))
     }));
     let p0 = ProcessId(0);
     cluster.run_idle(VTime::ZERO + VDur::millis(5));
 
-    let key = |k: u64| (k, Bytes::from(vec![k as u8]));
+    let raw = |k: u64| (k, vec![Bytes::from(vec![k as u8])]);
+    let watermark = Stored::encode_with(|w| (18u64 << 40).encode(w))
+        .parts()
+        .to_vec();
+    let record = Stored::encode_with(|w| vote.encode(w)).parts().to_vec();
+    // The framing, then the payload by reference: the record ends with it.
+    assert_eq!(record.len(), 2);
     let expected = vec![
-        key(10),
-        key(11),
-        (14, Bytes::from_static(b"again")),
-        key(17),
-        key(18),
-        key(19),
+        raw(10),
+        raw(11),
+        (14, vec![Bytes::from_static(b"again")]),
+        raw(17),
+        (18, watermark),
+        raw(19),
+        (20, record),
     ];
-    assert_eq!(contents(cluster.stable(p0)), expected);
-    // Eleven puts and two range deletes, each one stable write.
-    assert_eq!(cluster.durability_busy(p0), VDur::micros(1300));
+    assert_eq!(contents(&cluster.stable(p0)), expected);
+    // Fourteen puts and two range deletes, each one stable write.
+    assert_eq!(cluster.durability_busy(p0), VDur::micros(1600));
 
     cluster.schedule_crash(p0, VTime::ZERO + VDur::millis(10));
     cluster.schedule_restart(p0, VTime::ZERO + VDur::millis(20));
     cluster.run_idle(VTime::ZERO + VDur::millis(30));
     assert_eq!(cluster.incarnation(p0), 1);
     assert_eq!(handed.borrow().as_ref(), Some(&expected));
-    assert_eq!(contents(cluster.stable(p0)), expected);
+    assert_eq!(contents(&cluster.stable(p0)), expected);
 }
 
 /// Process 0 sends a frame of three parts around `payload` to process 1

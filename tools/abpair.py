@@ -6,17 +6,21 @@ Runs one workload of `benchmark/` at one seed and `--seconds`, as
 pair at a time, flipping which side runs first every pair so that drift
 of the machine's load falls on both sides alike. Then, for every
 end-to-end metric, prints each side's median and quartiles, how many
-pairs the change won, and whether the gain is resolved: won in at least
+pairs the change won, whether the gain is resolved — won in at least
 nine of ten pairs, and medians further apart than the parent's
 inter-quartile range (`identical` when every run of both sides read the
-same value, as the modelled metrics should).
+same value, as the modelled metrics should) — and whether the change is
+worse: its median worse than the parent's by more than the metric's
+`bound`, a share of the parent's median. Those are the two rules a
+before/after table answers: a claimed gain must be resolved, and no
+metric may be worse.
 
     python3 tools/abpair.py --parent <dir> --change <dir> \\
         --workload mono-sat-16k-n7 --seed 11 --seconds 10 --pairs 10
 
 Each checkout's benchmark is built first, in its own
 `benchmark/target/` (a no-op when it is up to date). Metric directions come
-from the change checkout's `BENCHMARK.json`. Exits 1 if any run fails
+and bounds come from the change checkout's `BENCHMARK.json`. Exits 1 if any run fails
 its correctness gate.
 """
 
@@ -70,7 +74,7 @@ def main():
     args = ap.parse_args()
 
     contract = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    better = {m["name"]: (m["better"], m["bound"]) for m in contract["end_to_end"]}
     for checkout in (args.parent, args.change):
         build(checkout)
 
@@ -92,8 +96,10 @@ def main():
 
     need = -(-9 * args.pairs // 10)
     print(f"{args.workload} seed {args.seed}, {args.seconds:g} s, {args.pairs} alternating pairs")
-    print(f"{'metric':28} {'parent median (q1-q3)':>32} {'change median (q1-q3)':>32} {'won':>6}  resolved")
-    for name, direction in better.items():
+    print(
+        f"{'metric':28} {'parent median (q1-q3)':>32} {'change median (q1-q3)':>32} {'won':>6}  resolved  worse"
+    )
+    for name, (direction, bound) in better.items():
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         if direction == "lower":
@@ -108,9 +114,11 @@ def main():
             verdict = "yes"
         else:
             verdict = "no"
+        loss = cmed - pmed if direction == "lower" else pmed - cmed
+        worse = "yes" if loss > bound * abs(pmed) else "no"
         print(
             f"{name:28} {pmed:>14.4f} ({pq1:.4f}-{pq3:.4f}) {cmed:>14.4f} ({cq1:.4f}-{cq3:.4f}) "
-            f"{won:>3}/{args.pairs}  {verdict}"
+            f"{won:>3}/{args.pairs}  {verdict:9} {worse}"
         )
     for side in runs:
         attempted = sum(r["attempted"] for r in runs[side])
