@@ -2,8 +2,10 @@
 //!
 //! The `probe` binary writes the committed `BENCH_*.json` trajectory
 //! files, one per row of the [`sweeps`] table (which describes them),
-//! rendering each through [`fortika_trace::json`]'s writer and
-//! re-reading it through its parser. The headline file,
+//! rendering each through [`fortika_trace::json`]'s writer. `cargo
+//! test` regenerates every sweep through the same driver,
+//! [`sweeps::run_sweep`], and fails unless each comes out byte-equal
+//! to its committed file (`tests/sweep_table.rs`). The headline file,
 //! `BENCH_modularity.json`, is the paper's Figs. 8–11 (§5): early
 //! latency and throughput against offered load and against message
 //! size, both n, held by [`sweeps::modularity_check`] to one asserted

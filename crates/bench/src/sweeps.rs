@@ -2,12 +2,13 @@
 //!
 //! A [`Sweep`] names one committed trajectory file and the operating
 //! points behind it; a [`Point`] carries everything one run differs by.
-//! `probe` walks [`SWEEPS`] with a single driver — build the
+//! [`run_sweep`] is the single driver, shared by `probe` and by the
+//! tier-1 tests in `tests/sweep_table.rs`: build each point's
 //! experiment, run it, audit it, then run the sweep's self-check over
-//! the collected reports and write the file through [`json_document`],
-//! one [`json_point`] record per run — so adding a sweep is adding a
-//! row here, and every record of every file goes through the same
-//! emitter.
+//! the collected reports and render the file through [`json_document`],
+//! one [`json_point`] record per run. So adding a sweep is adding a
+//! row here and one test there, and every record of every file goes
+//! through the same emitter.
 //!
 //! | file | what it sweeps | self-check |
 //! |---|---|---|
@@ -1106,4 +1107,48 @@ pub fn json_document(benchmark: &str, runs: &[Run]) -> String {
     w.join(runs, ",\n", |w, (p, r)| w.raw(&json_point(p, r)));
     w.raw("\n  ]\n}\n");
     w.finish()
+}
+
+/// The one rule for every audited run: the oracle must have reported,
+/// and reported nothing. A missing report means the audit did not
+/// happen — a failure, not a pass.
+fn oracle_audit(r: &RunReport) -> Result<(), String> {
+    match r.oracle.as_ref().map(|o| o.violations.len()) {
+        None => Err("audited, but the run carries no oracle report".to_string()),
+        Some(0) => Ok(()),
+        Some(v) => Err(format!("{v} oracle violation(s)")),
+    }
+}
+
+/// The one sweep driver, which `probe` and the tier-1 tests share: runs
+/// every point of `sweep`, handing each report to `each` as it comes,
+/// requires audited points to come back clean and every run to pass
+/// [`closed_form_audit`] and [`suspicion_audit`], runs the sweep's own
+/// `check` over all the reports, and returns the document they render
+/// to ([`json_document`]): the committed file's bytes, when nothing
+/// drifted.
+pub fn run_sweep(
+    sweep: &Sweep,
+    mut each: impl FnMut(&Point, &RunReport),
+) -> Result<String, String> {
+    let mut runs = Vec::new();
+    for point in (sweep.points)() {
+        let r = point.experiment().run();
+        each(&point, &r);
+        let at = |e: String| {
+            let (label, stack) = (&point.label, point.kind.label());
+            format!(
+                "{label} ({stack} n={} load={} size={}): {e}",
+                point.n, point.load, point.size
+            )
+        };
+        if point.scenario.is_some() {
+            oracle_audit(&r).map_err(at)?;
+        }
+        closed_form_audit(&point, &r).map_err(at)?;
+        suspicion_audit(&point, &r).map_err(at)?;
+        runs.push((point, r));
+    }
+    (sweep.check)(&runs)?;
+    Ok(json_document(sweep.benchmark, &runs))
 }

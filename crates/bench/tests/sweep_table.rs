@@ -1,19 +1,23 @@
-//! The sweep table against the committed files, without running a
-//! simulation: a stale or hand-trimmed `BENCH_*.json` fails here, in
-//! `cargo test`, not only in CI's `probe --check` step.
+//! The sweep table against the committed files: each sweep regenerates
+//! through the one driver, [`run_sweep`], and its document must be
+//! byte-equal to the committed `BENCH_*.json`. A drifted simulation, a
+//! stale file or a hand-edited one fails `cargo test` here, one test
+//! per sweep so the six run in parallel.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use fortika_bench::sweeps::{
-    closed_form_audit, json_point, modularity_check, Field, Point, Run, SWEEPS,
+    closed_form_audit, json_point, modularity_check, run_sweep, Field, Point, Run, SWEEPS,
 };
+use fortika_chaos::CoverageReport;
 use fortika_core::{LatencySummary, RunReport, StackKind};
 use fortika_net::Counters;
 use fortika_trace::json;
 
 fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest.ancestors().nth(2).unwrap().to_path_buf()
 }
 
 #[test]
@@ -28,25 +32,85 @@ fn table_files_are_exactly_the_committed_bench_files() {
     assert_eq!(table, committed);
 }
 
-#[test]
-fn every_committed_file_holds_its_sweeps_operating_set() {
-    for sweep in &SWEEPS {
-        let file = sweep.file();
-        let text = std::fs::read_to_string(repo_root().join(&file)).expect(&file);
-        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(
-            doc.get("benchmark").and_then(json::Value::as_str),
-            Some(sweep.benchmark),
-            "{file}"
-        );
-        let committed = doc.get("points").and_then(json::Value::as_array).unwrap();
-        assert_eq!(
-            committed.len(),
-            (sweep.points)().len(),
-            "{file}: committed points vs the table's operating set — regenerate with \
-             `cargo run --release -p fortika-bench --bin probe`"
-        );
+/// Regenerates sweep `name` and requires it byte-equal to its committed
+/// file. On a difference the fresh copy is left under `target/bench/`
+/// and the failure names the file and its first differing line. The
+/// runs' branch-coverage tally goes to `target/coverage-sweep-<name>.json`.
+fn regenerates_byte_equal(name: &str) {
+    let sweep = SWEEPS.iter().find(|s| s.name == name).unwrap();
+    let file = sweep.file();
+    let committed = std::fs::read_to_string(repo_root().join(&file)).expect(&file);
+    let doc = json::parse(&committed).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let points = doc.get("points").and_then(json::Value::as_array).unwrap();
+    for want in ["modular", "monolithic"] {
+        let stack = |p: &json::Value| p.get("stack").and_then(json::Value::as_str) == Some(want);
+        assert!(points.iter().any(stack), "{file}: no {want} points");
     }
+
+    let mut coverage = CoverageReport::new();
+    let fresh = run_sweep(sweep, |_, r| coverage.absorb(&r.counters))
+        .unwrap_or_else(|e| panic!("{name} sweep failed: {e}"));
+    let tally = repo_root().join(format!("target/coverage-sweep-{name}.json"));
+    coverage.write_json(&tally).expect("coverage tally");
+    if fresh == committed {
+        return;
+    }
+
+    let copy = repo_root().join("target/bench").join(&file);
+    std::fs::create_dir_all(copy.parent().unwrap()).unwrap();
+    std::fs::write(&copy, &fresh).unwrap();
+    let first = fresh
+        .lines()
+        .zip(committed.lines())
+        .enumerate()
+        .find(|(_, (now, was))| now != was);
+    let drift = match first {
+        Some((i, (now, was))) => format!(
+            "line {}:\n    committed: {}\n    generated: {}",
+            i + 1,
+            was.trim(),
+            now.trim()
+        ),
+        None => format!(
+            "{} lines generated, {} committed",
+            fresh.lines().count(),
+            committed.lines().count()
+        ),
+    };
+    panic!(
+        "{file} differs from its committed sweep, {drift}\nThe simulation drifted or the \
+         committed file is stale (the generated copy is {}); compare the two, then regenerate \
+         with `cargo run --release -p fortika-bench --bin probe` and commit the result",
+        copy.display()
+    );
+}
+
+/// One byte-equality test per row of [`SWEEPS`], and a check that no
+/// row goes without one.
+macro_rules! sweep_tests {
+    ($($test:ident => $name:literal),* $(,)?) => {
+        $(
+            #[test]
+            fn $test() {
+                regenerates_byte_equal($name);
+            }
+        )*
+
+        #[test]
+        fn every_sweep_has_a_byte_equality_test() {
+            let table: Vec<&str> = SWEEPS.iter().map(|s| s.name).collect();
+            assert_eq!(table, [$($name),*]);
+        }
+    };
+}
+
+sweep_tests! {
+    modularity_sweep_is_byte_equal => "modularity",
+    degraded_sweep_is_byte_equal => "degraded",
+    stable_write_sweep_is_byte_equal => "stable_write",
+    pipeline_sweep_is_byte_equal => "pipeline",
+    wide_window_sweep_is_byte_equal => "wide_window",
+    decomposition_sweep_is_byte_equal => "decomposition",
 }
 
 fn fixed_report() -> RunReport {

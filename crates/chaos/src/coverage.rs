@@ -324,9 +324,9 @@ impl CoverageReport {
     }
 
     /// Writes [`to_json`](Self::to_json) to `path`, creating parent
-    /// directories as needed. The fuzz suites and `probe --check` call
-    /// this with `target/coverage-report.json` so CI can archive which
-    /// recovery branches the campaign reached.
+    /// directories as needed. The fuzz suites and the sweep tests call
+    /// this with a `target/coverage-*.json` path so CI can archive which
+    /// recovery branches each campaign or sweep reached.
     pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;

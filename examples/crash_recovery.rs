@@ -94,7 +94,7 @@ fn run(kind: StackKind, seed: u64) -> Vec<MsgId> {
     report.common_order
 }
 
-fn main() {
+pub fn main() {
     for kind in [StackKind::Modular, StackKind::Monolithic] {
         let order_a = run(kind, 42);
         let order_b = run(kind, 42);

@@ -19,7 +19,7 @@ use fortika::core::{run_scripted, StackConfig, StackKind};
 use fortika::net::{ClusterConfig, ProcessId};
 use fortika::sim::{VDur, VTime};
 
-fn main() {
+pub fn main() {
     let n = 3;
     let crash_at = VDur::millis(35);
 

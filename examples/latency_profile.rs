@@ -50,7 +50,7 @@ fn profile(kind: StackKind, workload: Workload, label: &str) {
     );
 }
 
-fn main() {
+pub fn main() {
     let load = 800.0;
     let size = 4096;
     println!("Early-latency decomposition (ms), n=3, load={load} msg/s, {size}-byte messages\n");

@@ -10,7 +10,7 @@
 use fortika::core::workload::Workload;
 use fortika::core::{analysis, Experiment, StackKind};
 
-fn main() {
+pub fn main() {
     let n = 3;
     let load = 3000.0;
     let size = 16_384;

@@ -73,7 +73,7 @@ fn run(kind: StackKind, seed: u64) -> Vec<MsgId> {
     report.common_order
 }
 
-fn main() {
+pub fn main() {
     for kind in [StackKind::Modular, StackKind::Monolithic] {
         let order_a = run(kind, 77);
         let order_b = run(kind, 77);

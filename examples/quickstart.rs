@@ -14,7 +14,7 @@ use fortika::net::{
 };
 use fortika::sim::{VDur, VTime};
 
-fn main() {
+pub fn main() {
     let n = 3;
     let cfg = ClusterConfig::new(n, /* seed */ 42);
     let nodes = build_nodes(StackKind::Monolithic, n, &StackConfig::default());

@@ -140,7 +140,7 @@ impl Harness for KvMirror {
     }
 }
 
-fn main() {
+pub fn main() {
     let n = 5;
     let victim = ProcessId(1);
     // Tiny cache + aggressive compaction: history outgrows the log
